@@ -17,6 +17,8 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strconv"
 	"strings"
 	"sync/atomic"
@@ -636,12 +638,133 @@ func BenchmarkServerThroughputTraced(b *testing.B) {
 	benchServerThroughput(b, server.Config{Shards: 4, QueueDepth: 4096, Tracing: true})
 }
 
+// blastLife is one recorded closed-loop enactment of the benchmark's
+// 50-job BLAST shape (noise 0.2, churn 0.3): the scenario and every
+// report body the enactor posted, in order. The durability benches
+// replay a prefix of it into durable daemons, so what they append and
+// recover is what a daemon under the live workload holds mid-flight.
+type blastLife struct {
+	sc      *workload.Scenario
+	reports [][]byte
+}
+
+func recordBlastLife(b *testing.B) blastLife {
+	b.Helper()
+	sc, err := workload.BlastScenario(
+		workload.AppParams{Parallelism: 24, CCR: 1, Beta: 0.5},
+		workload.GridParams{InitialResources: 8, ChangeInterval: 300, ChangePct: 0.25, MaxEvents: 4},
+		rng.New(0xB1A57))
+	if err != nil {
+		b.Fatal(err)
+	}
+	l := blastLife{sc: sc}
+	srv := server.New(server.Config{Shards: 1})
+	h := srv.Handler()
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		// drive.Run is one sequential client, so the tap needs no lock.
+		if r.Method == http.MethodPost && strings.HasSuffix(r.URL.Path, "/report") {
+			body, _ := io.ReadAll(r.Body)
+			r.Body = io.NopCloser(bytes.NewReader(body))
+			l.reports = append(l.reports, body)
+		}
+		h.ServeHTTP(w, r)
+	}))
+	defer func() {
+		ts.Close()
+		_ = srv.Shutdown(context.Background())
+	}()
+	if _, err := drive.Run(context.Background(), drive.Config{
+		BaseURL: ts.URL, Client: ts.Client(), Policy: "aheft", Tenant: "life",
+		Options: wire.Options{VarianceThreshold: 0.2}, Noise: 0.2, Churn: 0.3, Seed: 7,
+	}, sc); err != nil {
+		b.Fatal(err)
+	}
+	return l
+}
+
+// crashMidFlight fills a durable daemon on cfg.DataDir with n workflows
+// (one tenant each, so every replay sees the history the recording saw),
+// replays the first half of the life into each, and kills the daemon.
+func (l blastLife) crashMidFlight(b *testing.B, cfg server.Config, n int) {
+	b.Helper()
+	srv, err := server.Open(cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	ts := httptest.NewServer(srv.Handler())
+	f := &feedbackBench{ts: ts, sc: l.sc}
+	for i := 0; i < n; i++ {
+		body, err := wire.EncodeSubmission(&wire.Submission{
+			Mode: wire.ModeLive, Policy: "aheft", Tenant: fmt.Sprintf("bench-%d", i),
+			Options: wire.Options{VarianceThreshold: 0.2},
+			Graph:   l.sc.Graph, Comp: l.sc.Table, Pool: l.sc.Pool,
+		})
+		if err != nil {
+			b.Fatal(err)
+		}
+		id, _ := f.submitBody(b, body)
+		for _, rep := range l.reports[:len(l.reports)/2] {
+			resp, err := ts.Client().Post(ts.URL+"/v1/workflows/"+id+"/report", "application/json", bytes.NewReader(rep))
+			if err != nil {
+				b.Fatal(err)
+			}
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusOK {
+				b.Fatalf("replayed report: HTTP %d", resp.StatusCode)
+			}
+		}
+	}
+	ts.Close()
+	srv.Crash()
+}
+
+// copyTree copies a data directory (regular files, one level of shard
+// directories) and returns the bytes copied.
+func copyTree(b *testing.B, src, dst string) int64 {
+	b.Helper()
+	var n int64
+	err := filepath.Walk(src, func(path string, info os.FileInfo, err error) error {
+		if err != nil {
+			return err
+		}
+		rel, _ := filepath.Rel(src, path)
+		if info.IsDir() {
+			return os.MkdirAll(filepath.Join(dst, rel), 0o755)
+		}
+		data, err := os.ReadFile(path)
+		if err != nil {
+			return err
+		}
+		n += int64(len(data))
+		return os.WriteFile(filepath.Join(dst, rel), data, 0o644)
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	return n
+}
+
 // BenchmarkWALAppend isolates the durable store's hot path: one
-// length-prefixed CRC-framed record appended to a shard WAL per op, with
-// a payload sized like a live workflow's journaled state record.
+// length-prefixed CRC-framed record appended to a shard WAL per op. The
+// payloads are what the daemon appends per report: the state records of
+// a crashed mid-flight BLAST workflow's log, cycled in log order (they
+// are bimodal — a few hundred bytes for a plain report, a few KB when a
+// reschedule moves the plan — so no single record stands for them).
+// wal_B/op is the framed bytes per append.
 func BenchmarkWALAppend(b *testing.B) {
-	payload := json.RawMessage(`{"assignments":[` +
-		strings.TrimSuffix(strings.Repeat(`{"job":7,"resource":2,"start":11.5,"finish":25.25},`, 8), ",") + `]}`)
+	l := recordBlastLife(b)
+	cfg := server.Config{Shards: 1, DataDir: b.TempDir(), WALSync: "off", SnapshotInterval: time.Hour}
+	l.crashMidFlight(b, cfg, 1)
+	rec, err := durable.Load(filepath.Join(cfg.DataDir, "shard-0"))
+	if err != nil {
+		b.Fatal(err)
+	}
+	var states []json.RawMessage
+	for _, r := range rec.Records {
+		if r.Kind == wire.WALState {
+			states = append(states, r.Data)
+		}
+	}
 	for _, policy := range []string{"off", "interval", "always"} {
 		policy := policy
 		b.Run("sync="+policy, func(b *testing.B) {
@@ -654,76 +777,56 @@ func BenchmarkWALAppend(b *testing.B) {
 				b.Fatal(err)
 			}
 			defer store.Close()
-			b.SetBytes(int64(len(payload)))
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := store.Append(wire.WALState, payload); err != nil {
+				if _, err := store.Append(wire.WALState, states[i%len(states)]); err != nil {
 					b.Fatal(err)
 				}
 			}
+			b.StopTimer()
+			_, written, _ := store.Counters()
+			b.ReportMetric(float64(written)/float64(b.N), "wal_B/op")
 		})
 	}
 }
 
 // BenchmarkRecovery measures startup replay: each op opens a data
-// directory holding 100 crashed live workflows (plans, feedback state,
-// tenant histories) and rebuilds the resident daemon state. The wf/s
-// metric is recovered workflows per second.
+// directory holding 32 crashed BLAST workflows, each half-way through
+// its reports (a whole state, then a chain of patch records, per
+// workflow; tenant histories; no snapshot), and rebuilds the resident
+// daemon state. wf/s is recovered workflows per second, MB/s the journal
+// bytes replayed per second. The crashed directory is restored before
+// every op — recovery itself snapshots and truncates what it replayed.
 func BenchmarkRecovery(b *testing.B) {
-	const workflows = 100
-	cfg := server.Config{Shards: 4, QueueDepth: 4096, DataDir: b.TempDir(), WALSync: "off"}
-	srv, err := server.Open(cfg)
-	if err != nil {
-		b.Fatal(err)
-	}
-	ts := httptest.NewServer(srv.Handler())
-	sc := workload.SampleScenario()
-	body, err := wire.EncodeSubmission(&wire.Submission{
-		Mode: wire.ModeLive, Policy: "aheft", Tenant: "bench",
-		Graph: sc.Graph, Comp: sc.Table, Pool: sc.Pool,
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	client := ts.Client()
-	for i := 0; i < workflows; i++ {
-		resp, err := client.Post(ts.URL+"/v1/workflows", "application/json", bytes.NewReader(body))
-		if err != nil {
-			b.Fatal(err)
-		}
-		var sub wire.Submitted
-		err = json.NewDecoder(resp.Body).Decode(&sub)
-		resp.Body.Close()
-		if err != nil {
-			b.Fatal(err)
-		}
-		for {
-			pr, err := client.Get(ts.URL + "/v1/workflows/" + sub.ID + "/plan")
-			if err != nil {
-				b.Fatal(err)
-			}
-			pr.Body.Close()
-			if pr.StatusCode == http.StatusOK {
-				break
-			}
-			time.Sleep(time.Millisecond)
-		}
-	}
-	ts.Close()
-	srv.Crash()
+	const workflows = 32
+	l := recordBlastLife(b)
+	crashed := b.TempDir()
+	l.crashMidFlight(b, server.Config{Shards: 4, QueueDepth: 4096, DataDir: crashed, WALSync: "off", SnapshotInterval: time.Hour}, workflows)
+	cfg := server.Config{Shards: 4, QueueDepth: 4096, DataDir: filepath.Join(b.TempDir(), "data"), WALSync: "off", SnapshotInterval: time.Hour}
 
+	var replayed int64
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		if err := os.RemoveAll(cfg.DataDir); err != nil {
+			b.Fatal(err)
+		}
+		replayed = copyTree(b, crashed, cfg.DataDir)
+		b.StartTimer()
 		s, err := server.Open(cfg)
 		if err != nil {
 			b.Fatal(err)
 		}
+		b.StopTimer()
 		if m := s.MetricsSnapshot(); m.RecoveredWorkflows != workflows {
 			b.Fatalf("recovered %d workflows, want %d", m.RecoveredWorkflows, workflows)
 		}
 		s.Crash()
+		b.StartTimer()
 	}
 	b.ReportMetric(float64(workflows)*float64(b.N)/b.Elapsed().Seconds(), "wf/s")
+	b.ReportMetric(float64(replayed)*float64(b.N)/b.Elapsed().Seconds()/(1<<20), "MB/s")
+	b.ReportMetric(float64(replayed)/(1<<10)/workflows, "wal_KB/wf")
 }
 
 // --- Feedback-loop ingest benches (part of `make bench-server`). ---
@@ -770,6 +873,12 @@ func (f *feedbackBench) submitLive(b *testing.B, varianceThreshold float64) (str
 	if err != nil {
 		b.Fatal(err)
 	}
+	return f.submitBody(b, body)
+}
+
+// submitBody submits an encoded live submission and waits for its plan.
+func (f *feedbackBench) submitBody(b *testing.B, body []byte) (string, wire.Plan) {
+	b.Helper()
 	resp, err := f.ts.Client().Post(f.ts.URL+"/v1/workflows", "application/json", bytes.NewReader(body))
 	if err != nil {
 		b.Fatal(err)

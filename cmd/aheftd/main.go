@@ -104,9 +104,7 @@ func main() {
 	}
 	gate.Ready(srv.Handler())
 	if *dataDir != "" {
-		m := srv.MetricsSnapshot()
-		log.Printf("aheftd: durable in %s (wal-sync=%s): recovered %d live workflows in %.1fms",
-			*dataDir, *walSync, m.RecoveredWorkflows, m.RecoveryMs)
+		log.Printf("aheftd: durable in %s (wal-sync=%s): %s", *dataDir, *walSync, srv.Recovery())
 	}
 
 	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGTERM, syscall.SIGINT)

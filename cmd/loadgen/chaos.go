@@ -40,16 +40,18 @@ type chaosParams struct {
 
 // ChaosReport is the chaos-run summary written to -out.
 type ChaosReport struct {
-	Versions           versionStamp      `json:"versions"`
-	Workflows          int               `json:"workflows"`
-	SharedWorkflows    int               `json:"shared_workflows"`
-	PrefixedWorkflows  int               `json:"prefixed_workflows"`
-	RecoveredWorkflows uint64            `json:"recovered_workflows"`
-	RecoveryMs         float64           `json:"recovery_ms"`
-	DowntimeMs         float64           `json:"downtime_ms"`
-	DuplicatesAcked    int               `json:"duplicates_acked"`
-	Completed          int               `json:"completed"`
-	ServerMetrics      server.MetricsDoc `json:"server_metrics"`
+	Versions          versionStamp `json:"versions"`
+	Workflows         int          `json:"workflows"`
+	SharedWorkflows   int          `json:"shared_workflows"`
+	PrefixedWorkflows int          `json:"prefixed_workflows"`
+	// The recovered daemon's /v1/healthz recovery breakdown:
+	// recovered_workflows, recovery_ms and its load/fold/restore/snapshot
+	// split, journal bytes and records replayed.
+	server.RecoveryStats
+	DowntimeMs      float64           `json:"downtime_ms"`
+	DuplicatesAcked int               `json:"duplicates_acked"`
+	Completed       int               `json:"completed"`
+	ServerMetrics   server.MetricsDoc `json:"server_metrics"`
 }
 
 // chaosMain is the -chaos entry point. Any violated invariant is fatal
@@ -139,8 +141,8 @@ func chaosMain(p chaosParams) {
 
 	// Phase 3: the recovery gates.
 	hz := c.healthz()
-	if hz.Status != "ready" || hz.RecoveredWorkflows != uint64(len(ids)) {
-		log.Fatalf("loadgen: chaos: healthz after restart: %+v (want %d recovered)", hz, len(ids))
+	if hz.Status != "ready" || hz.Workflows != uint64(len(ids)) {
+		log.Fatalf("loadgen: chaos: healthz after restart: status %q, %s (want %d recovered)", hz.Status, hz.RecoveryStats, len(ids))
 	}
 	for _, id := range ids {
 		plan := c.waitPlan(id)
@@ -197,19 +199,18 @@ func chaosMain(p chaosParams) {
 	}
 
 	rep := ChaosReport{
-		Versions:           versionStamp{Loadgen: buildinfo.String(), Daemon: hz.Version},
-		Workflows:          len(ids),
-		SharedWorkflows:    len(sharedIDs),
-		PrefixedWorkflows:  len(prefixes),
-		RecoveredWorkflows: hz.RecoveredWorkflows,
-		RecoveryMs:         hz.RecoveryMs,
-		DowntimeMs:         downtime.Seconds() * 1e3,
-		DuplicatesAcked:    len(prefixes),
-		Completed:          completed,
-		ServerMetrics:      m,
+		Versions:          versionStamp{Loadgen: buildinfo.String(), Daemon: hz.Version},
+		Workflows:         len(ids),
+		SharedWorkflows:   len(sharedIDs),
+		PrefixedWorkflows: len(prefixes),
+		RecoveryStats:     hz.RecoveryStats,
+		DowntimeMs:        downtime.Seconds() * 1e3,
+		DuplicatesAcked:   len(prefixes),
+		Completed:         completed,
+		ServerMetrics:     m,
 	}
-	log.Printf("loadgen: chaos: PASS: %d workflows recovered in %.1fms (downtime %.0fms), %d duplicate replays acked, ledger drained",
-		rep.RecoveredWorkflows, rep.RecoveryMs, rep.DowntimeMs, rep.DuplicatesAcked)
+	log.Printf("loadgen: chaos: PASS: %s, downtime %.0fms, %d duplicate replays acked, ledger drained",
+		hz.RecoveryStats, rep.DowntimeMs, rep.DuplicatesAcked)
 	printAdmission("chaos: server", m)
 	if p.out != "" {
 		data, _ := json.MarshalIndent(rep, "", "  ")
@@ -248,10 +249,9 @@ func (c *chaosRun) spawn(dataDir string) *exec.Cmd {
 }
 
 type chaosHealthz struct {
-	Status             string  `json:"status"`
-	Version            string  `json:"version"`
-	RecoveredWorkflows uint64  `json:"recovered_workflows"`
-	RecoveryMs         float64 `json:"recovery_ms"`
+	Status  string `json:"status"`
+	Version string `json:"version"`
+	server.RecoveryStats
 }
 
 func (c *chaosRun) healthz() chaosHealthz {

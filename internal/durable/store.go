@@ -73,6 +73,9 @@ type Recovered struct {
 	TornTail bool
 	// MaxLSN is the highest LSN accounted for (snapshot or record).
 	MaxLSN uint64
+	// Bytes is how much was read to get here: the snapshot plus every
+	// segment's valid frames.
+	Bytes int64
 }
 
 // Shard is one shard's durability store: a single active WAL segment
@@ -158,13 +161,15 @@ func Load(dir string) (*Recovered, error) {
 		}
 		rec.Snapshot = data
 		rec.MaxLSN = rec.SnapshotLSN
+		rec.Bytes = int64(len(data))
 	}
 	for _, first := range segs {
 		data, err := os.ReadFile(filepath.Join(dir, segName(first)))
 		if err != nil {
 			return nil, fmt.Errorf("durable: read segment: %w", err)
 		}
-		payloads, _, torn := replayFrames(data)
+		payloads, valid, torn := replayFrames(data)
+		rec.Bytes += int64(valid)
 		for _, p := range payloads {
 			r, err := wire.DecodeWALRecord(p)
 			if err != nil || r.LSN <= rec.MaxLSN {

@@ -118,6 +118,227 @@ func (t *Tracker) ExportState() *TrackerState {
 	return st
 }
 
+// JobRow is one job's execution progress inside a StatePatch: the
+// job's entries of the five per-job TrackerState arrays.
+type JobRow struct {
+	Job      int     `json:"job"`
+	Phase    uint8   `json:"phase"`
+	StartAt  float64 `json:"start_at"`
+	StartRes int     `json:"start_res"`
+	FinishAt float64 `json:"finish_at"`
+	PinDur   float64 `json:"pin_dur"`
+}
+
+// ListPut is one ListPatch insertion: V lands at index At of the
+// patched list.
+type ListPut[T comparable] struct {
+	At int `json:"at"`
+	V  T   `json:"v"`
+}
+
+// ListPatch rewrites one ordered list into another: the base entries at
+// the (ascending) indices Del are dropped, the survivors keep their
+// order, and each Put entry is inserted at its (ascending) final index.
+// A changed entry is a Del plus a Put. Purely positional on the way in,
+// so applying needs no notion of entry identity; diffList finds the
+// survivors by value.
+type ListPatch[T comparable] struct {
+	Del []int        `json:"del,omitempty"`
+	Put []ListPut[T] `json:"put,omitempty"`
+}
+
+// StatePatch is the difference between two exports of one tracker:
+// what the durability layer journals per report instead of the whole
+// TrackerState. prev.Patch(DiffState(prev, cur)) equals cur exactly.
+// The scalars are carried whole; everything sized by the workflow is
+// carried as its changed part only.
+type StatePatch struct {
+	Generation int     `json:"generation"`
+	Initial    float64 `json:"initial"`
+	Clock      float64 `json:"clock"`
+	Adoptions  int     `json:"adoptions"`
+	Done       bool    `json:"done,omitempty"`
+	Makespan   float64 `json:"makespan"`
+	// Jobs holds the per-job rows that changed.
+	Jobs []JobRow `json:"jobs,omitempty"`
+	// Avail lists the resource indices whose availability flipped.
+	Avail []int `json:"avail,omitempty"`
+	// Assignments holds the changed placements (each replaces the
+	// assignment of its Job).
+	Assignments []wire.Assignment `json:"assignments,omitempty"`
+	// Decisions is the tail appended to the decision log.
+	Decisions []wire.Decision `json:"decisions,omitempty"`
+	// Transfers and Reservations are nil when the list did not change.
+	Transfers    *ListPatch[TransferState]         `json:"transfers,omitempty"`
+	Reservations *ListPatch[occupancy.Reservation] `json:"reservations,omitempty"`
+}
+
+// DiffState returns the patch that turns prev into cur. Both must be
+// exports of the same tracker, prev the earlier: equal job and resource
+// counts, a decision log that only grew. It allocates only for what
+// changed.
+func DiffState(prev, cur *TrackerState) StatePatch {
+	p := StatePatch{
+		Generation: cur.Generation,
+		Initial:    cur.Initial,
+		Clock:      cur.Clock,
+		Adoptions:  cur.Adoptions,
+		Done:       cur.Done,
+		Makespan:   cur.Makespan,
+		Decisions:  cur.Decisions[len(prev.Decisions):],
+	}
+	for j := range cur.Phase {
+		if cur.Phase[j] != prev.Phase[j] || cur.StartAt[j] != prev.StartAt[j] ||
+			cur.StartRes[j] != prev.StartRes[j] || cur.FinishAt[j] != prev.FinishAt[j] ||
+			cur.PinDur[j] != prev.PinDur[j] {
+			p.Jobs = append(p.Jobs, JobRow{
+				Job: j, Phase: cur.Phase[j], StartAt: cur.StartAt[j], StartRes: cur.StartRes[j],
+				FinishAt: cur.FinishAt[j], PinDur: cur.PinDur[j],
+			})
+		}
+	}
+	for i, ok := range cur.Avail {
+		if ok != prev.Avail[i] {
+			p.Avail = append(p.Avail, i)
+		}
+	}
+	for i, a := range cur.Assignments {
+		if a != prev.Assignments[i] {
+			p.Assignments = append(p.Assignments, a)
+		}
+	}
+	p.Transfers = diffList(prev.Transfers, cur.Transfers)
+	p.Reservations = diffList(prev.Reservations, cur.Reservations)
+	return p
+}
+
+// diffList matches cur against prev by value, in order: an entry of cur
+// survives when an equal entry of prev lies past the last survivor.
+// Equal prefixes and suffixes are skipped first, so the common cases —
+// nothing changed (a nil patch), entries appended — build no index.
+func diffList[T comparable](prev, cur []T) *ListPatch[T] {
+	lo, ph, ch := 0, len(prev), len(cur)
+	for lo < ph && lo < ch && prev[lo] == cur[lo] {
+		lo++
+	}
+	for ph > lo && ch > lo && prev[ph-1] == cur[ch-1] {
+		ph--
+		ch--
+	}
+	if lo == ph && lo == ch {
+		return nil
+	}
+	p := &ListPatch[T]{}
+	var at map[T]int
+	if ph > lo && ch > lo {
+		at = make(map[T]int, ph-lo)
+		for i := lo; i < ph; i++ {
+			at[prev[i]] = i
+		}
+	}
+	next := lo // first prev index neither kept nor dropped yet
+	for j := lo; j < ch; j++ {
+		if i, ok := at[cur[j]]; ok && i >= next {
+			for ; next < i; next++ {
+				p.Del = append(p.Del, next)
+			}
+			next = i + 1
+			continue
+		}
+		p.Put = append(p.Put, ListPut[T]{At: j, V: cur[j]})
+	}
+	for ; next < ph; next++ {
+		p.Del = append(p.Del, next)
+	}
+	return p
+}
+
+// apply returns base rewritten by p (base itself when p is nil), or an
+// error when p was not made for a list of base's shape.
+func (p *ListPatch[T]) apply(base []T) ([]T, error) {
+	if p == nil {
+		return base, nil
+	}
+	n := len(base) - len(p.Del) + len(p.Put)
+	if n < 0 {
+		return nil, fmt.Errorf("drops %d of %d entries", len(p.Del), len(base))
+	}
+	out := make([]T, 0, n)
+	d, u := 0, 0
+	put := func() {
+		for u < len(p.Put) && p.Put[u].At == len(out) {
+			out = append(out, p.Put[u].V)
+			u++
+		}
+	}
+	for i, v := range base {
+		if d < len(p.Del) && p.Del[d] == i {
+			d++
+			continue
+		}
+		put()
+		out = append(out, v)
+	}
+	put()
+	if d != len(p.Del) || u != len(p.Put) {
+		return nil, fmt.Errorf("does not fit a list of %d entries", len(base))
+	}
+	if len(out) == 0 {
+		return nil, nil // ExportState leaves an empty list nil
+	}
+	return out, nil
+}
+
+// Patch applies p to st in place, turning the export p was diffed
+// against into the export it was diffed towards. st must own its slices.
+// Patches come off disk, so every index is checked: on error st is left
+// partly patched and must be discarded.
+func (st *TrackerState) Patch(p StatePatch) error {
+	n := len(st.Phase)
+	if len(st.StartAt) != n || len(st.StartRes) != n || len(st.FinishAt) != n || len(st.PinDur) != n {
+		return fmt.Errorf("feedback: patch: base job arrays disagree on the job count")
+	}
+	for _, r := range p.Jobs {
+		if r.Job < 0 || r.Job >= n {
+			return fmt.Errorf("feedback: patch: job row %d out of range", r.Job)
+		}
+		st.Phase[r.Job] = r.Phase
+		st.StartAt[r.Job] = r.StartAt
+		st.StartRes[r.Job] = r.StartRes
+		st.FinishAt[r.Job] = r.FinishAt
+		st.PinDur[r.Job] = r.PinDur
+	}
+	for _, i := range p.Avail {
+		if i < 0 || i >= len(st.Avail) {
+			return fmt.Errorf("feedback: patch: availability flip of resource %d out of range", i)
+		}
+		st.Avail[i] = !st.Avail[i]
+	}
+	for _, a := range p.Assignments {
+		// Exports hold one assignment per job in job order, so the job is
+		// the index; a base that breaks that was not exported by a tracker.
+		if a.Job < 0 || a.Job >= len(st.Assignments) || st.Assignments[a.Job].Job != a.Job {
+			return fmt.Errorf("feedback: patch: assignment of job %d does not fit the base", a.Job)
+		}
+		st.Assignments[a.Job] = a
+	}
+	var err error
+	if st.Transfers, err = p.Transfers.apply(st.Transfers); err != nil {
+		return fmt.Errorf("feedback: patch: transfers: %w", err)
+	}
+	if st.Reservations, err = p.Reservations.apply(st.Reservations); err != nil {
+		return fmt.Errorf("feedback: patch: reservations: %w", err)
+	}
+	st.Decisions = append(st.Decisions, p.Decisions...)
+	st.Generation = p.Generation
+	st.Initial = p.Initial
+	st.Clock = p.Clock
+	st.Adoptions = p.Adoptions
+	st.Done = p.Done
+	st.Makespan = p.Makespan
+	return nil
+}
+
 func sortAssignmentsByJob(as []wire.Assignment) {
 	// Insertion sort: n is small and the slice is nearly sorted already.
 	for i := 1; i < len(as); i++ {

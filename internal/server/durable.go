@@ -37,13 +37,29 @@ import (
 // acked idempotently (see applyReport / feedback.AlreadyApplied).
 //
 // Record kinds (wire.WAL*): a submission logs its raw body before the
-// enqueue; a reject voids it; a state record carries the workflow's
-// full post-apply feedback.TrackerState plus that batch's history
-// deltas and the event log; a terminal record freezes the final status;
-// a grid record registers a shared grid. State records are snapshots of
-// the tracker, not operations — replaying operations through Apply
-// would re-run rescheduling evaluations whose outcomes depend on
+// enqueue; a reject voids it; an admission record carries its fair-queue
+// credentials; a state record carries one live workflow's post-apply
+// feedback state — as a patch (feedback.StatePatch) against the state
+// the workflow's previous record left, with the events appended since
+// and that batch's history deltas; a terminal record freezes the final
+// status; a grid record registers a shared grid. State records describe
+// the tracker, not the operations on it — replaying operations through
+// Apply would re-run rescheduling evaluations whose outcomes depend on
 // cross-workflow interleavings the log does not capture.
+//
+// A workflow's state records form a chain numbered by rev. The first
+// record after startLive, and every Live entry of a snapshot, holds the
+// whole feedback.TrackerState and event log and starts the chain afresh;
+// each later record holds a patch and applies only onto rev-1. Recovery
+// folds the chain in LSN order: a whole state replaces, a patch applies,
+// events append at their dense seq. A gap, or a link that does not
+// decode or does not fit, fails the workflow (failRecovered) rather than
+// serve an older plan as current. Because a snapshot truncates the log
+// the chains lived in, snapshot() re-bases every live workflow on the
+// entry it just wrote; a snapshot or an append that fails leaves the
+// workflow without a base, and its next record is a whole state again.
+// Logs from before patches existed hold whole states only and recover
+// through the same fold.
 
 // walSubmission is the payload of a wire.WALSubmission record.
 type walSubmission struct {
@@ -75,23 +91,33 @@ type walGrid struct {
 	Spec json.RawMessage `json:"spec"`
 }
 
-// walState is one live workflow's durable state: the tracker export,
-// the enactor-visible plan/ack bookkeeping, the event log, and the
-// history observations the batch that produced this record fed in.
+// walState is one live workflow's state record or snapshot entry: the
+// tracker state (whole in State, or as Patch against the record rev-1),
+// the enactor-visible plan/ack bookkeeping, the event log (whole beside
+// State, the tail since rev-1 beside Patch), and the history
+// observations the batch that produced this record fed in.
 type walState struct {
 	ID     string `json:"id"`
 	Tenant string `json:"tenant"`
 	// Body is the raw submission, carried in snapshots only (WAL state
 	// records join it from the earlier submission record).
 	Body        json.RawMessage         `json:"body,omitempty"`
+	Rev         int                     `json:"rev,omitempty"`
 	AckedGen    int                     `json:"acked_gen"`
 	Reports     int                     `json:"reports"`
 	PlanTrigger string                  `json:"plan_trigger"`
 	FastPath    bool                    `json:"fast_path,omitempty"`
 	Upgraded    bool                    `json:"upgraded,omitempty"`
-	State       *feedback.TrackerState  `json:"state"`
+	State       *feedback.TrackerState  `json:"state,omitempty"`
+	Patch       *feedback.StatePatch    `json:"patch,omitempty"`
 	Deltas      []feedback.HistoryDelta `json:"deltas,omitempty"`
 	Events      []wire.Event            `json:"events,omitempty"`
+
+	// What the record leaves the chain at — the exported state and the
+	// event count it covers. The writer re-bases the workflow on these
+	// once the record is on disk. Not journalled.
+	cur     *feedback.TrackerState
+	nEvents int
 }
 
 // walTerminal freezes a workflow's final status and event log.
@@ -147,14 +173,16 @@ func newShardWAL(store *durable.Shard) *shardWAL {
 	}
 }
 
-// append writes one record; callers hold w.mu. A failed append degrades
-// durability, not availability: the daemon keeps serving and the error
-// is counted and logged.
-func (w *shardWAL) append(m *Metrics, kind string, payload any) {
+// append writes one record and reports whether it was written; callers
+// hold w.mu. A failed append degrades durability, not availability: the
+// daemon keeps serving and the error is counted and logged.
+func (w *shardWAL) append(m *Metrics, kind string, payload any) bool {
 	if _, err := w.store.Append(kind, payload); err != nil {
 		m.walErrors.Add(1)
 		log.Printf("aheftd: wal append (%s): %v", kind, err)
+		return false
 	}
+	return true
 }
 
 // rawPair hand-encodes {key: name, bodyKey: body} with the raw body
@@ -210,29 +238,58 @@ func (sh *shard) walLogReject(id string) {
 	w.append(sh.srv.metrics, wire.WALReject, walReject{ID: id})
 }
 
-// walStateDoc assembles the workflow's current durable state. Shard
-// goroutine only (it reads the tracker).
-func (sh *shard) walStateDoc(wf *workflow, deltas []feedback.HistoryDelta) *walState {
+// walStateDoc assembles the workflow's next state record: a patch
+// against its journal base with the events since, or — for a snapshot
+// entry (whole), or with no base to patch — the whole state and event
+// log. Shard goroutine only (it reads the tracker and the chain state).
+func (sh *shard) walStateDoc(wf *workflow, whole bool) walState {
+	cur := wf.tracker.ExportState()
+	from := wf.walEvents
+	if wf.walBase == nil {
+		whole = true
+	}
+	if whole {
+		from = 0
+	}
 	wf.mu.Lock()
 	trigger := ""
 	if wf.plan != nil {
 		trigger = wf.plan.Trigger
 	}
 	reports := wf.reports
-	events := append([]wire.Event(nil), wf.events...)
+	nEvents := len(wf.events)
+	events := append([]wire.Event(nil), wf.events[from:]...)
 	wf.mu.Unlock()
-	return &walState{
+	doc := walState{
 		ID:          wf.id,
 		Tenant:      wf.tenant,
+		Rev:         wf.walRev,
 		AckedGen:    wf.ackedGen,
 		Reports:     reports,
 		PlanTrigger: trigger,
 		FastPath:    wf.fastPath,
 		Upgraded:    wf.upgraded,
-		State:       wf.tracker.ExportState(),
-		Deltas:      deltas,
 		Events:      events,
+		cur:         cur,
+		nEvents:     nEvents,
 	}
+	if whole {
+		doc.State = cur
+	} else {
+		p := feedback.DiffState(wf.walBase, cur)
+		doc.Patch = &p
+	}
+	return doc
+}
+
+// rebase records that doc is the workflow's newest state on disk, so
+// the next record patches against it; !written drops the base instead.
+func (wf *workflow) rebase(doc *walState, written bool) {
+	if !written {
+		wf.walBase = nil
+		return
+	}
+	wf.walBase, wf.walEvents, wf.walRev = doc.cur, doc.nEvents, doc.Rev
 }
 
 // walLogState journals a live workflow's post-apply state (and, on the
@@ -243,15 +300,18 @@ func (sh *shard) walLogState(wf *workflow, deltas []feedback.HistoryDelta) {
 	if w == nil {
 		return
 	}
-	doc := sh.walStateDoc(wf, deltas)
+	doc := sh.walStateDoc(wf, false)
+	doc.Rev++
+	doc.Deltas = deltas
 	w.mu.Lock()
-	defer w.mu.Unlock()
 	if b, ok := w.pend[wf.id]; ok {
 		delete(w.pend, wf.id)
 		delete(w.admit, wf.id)
 		w.bodies[wf.id] = b
 	}
-	w.append(sh.srv.metrics, wire.WALState, doc)
+	ok := w.append(sh.srv.metrics, wire.WALState, &doc)
+	w.mu.Unlock()
+	wf.rebase(&doc, ok)
 }
 
 // walLogTerminal journals a workflow's terminal record and drops its
@@ -318,7 +378,7 @@ func (sh *shard) snapshot() {
 	}
 	sort.Strings(liveIDs)
 	for _, id := range liveIDs {
-		doc.Live = append(doc.Live, *sh.walStateDoc(sh.live[id], nil))
+		doc.Live = append(doc.Live, sh.walStateDoc(sh.live[id], true))
 	}
 
 	for _, id := range retained {
@@ -361,13 +421,17 @@ func (sh *shard) snapshot() {
 		doc.Live[i].Body = w.bodies[doc.Live[i].ID]
 	}
 	data, err := json.Marshal(doc)
-	if err != nil {
-		log.Printf("aheftd: shard %d snapshot marshal: %v", sh.id, err)
-		return
+	if err == nil {
+		err = w.store.Rotate(data)
 	}
-	if err := w.store.Rotate(data); err != nil {
+	if err != nil {
 		sh.srv.metrics.walErrors.Add(1)
-		log.Printf("aheftd: shard %d snapshot rotate: %v", sh.id, err)
+		log.Printf("aheftd: shard %d snapshot: %v", sh.id, err)
+	}
+	// The rotation dropped the records every live chain was built on: the
+	// snapshot entries are the bases now.
+	for i := range doc.Live {
+		sh.live[doc.Live[i].ID].rebase(&doc.Live[i], err == nil)
 	}
 }
 
@@ -401,14 +465,82 @@ func (s *Server) Crash() {
 // recoveredWorkflow accumulates one workflow's records across the
 // snapshot and the log tail.
 type recoveredWorkflow struct {
-	id       string
-	body     json.RawMessage
-	adm      *walAdmission // fair-queue credentials, if journalled
-	state    *walState     // latest wins
+	id   string
+	body json.RawMessage
+	adm  *walAdmission // fair-queue credentials, if journalled
+	// The state chain folded so far: last is the newest record (its
+	// bookkeeping fields; State, Patch and Events are folded into state
+	// and events and dropped), broken why the chain cannot be trusted.
+	last     *walState
+	state    *feedback.TrackerState
+	events   []wire.Event
+	broken   error
 	terminal *walTerminal
 	rejected bool
 	order    int // arrival order for pending re-enqueue
 }
+
+// fold applies the workflow's next state record (LSN order): a whole
+// state replaces the chain, a patch extends it by exactly one rev.
+// Nothing applies onto a broken chain until a whole state replaces it.
+func (rw *recoveredWorkflow) fold(p *walState) {
+	if p.Body != nil {
+		rw.body = p.Body
+	}
+	switch {
+	case p.State != nil:
+		rw.state, rw.events, rw.broken = p.State, p.Events, nil
+	case rw.broken != nil:
+		return
+	case p.Patch == nil:
+		rw.broken = fmt.Errorf("state record rev %d holds neither state nor patch", p.Rev)
+	case rw.state == nil:
+		rw.broken = fmt.Errorf("journal gap: patch rev %d with no state before it", p.Rev)
+	case p.Rev != rw.last.Rev+1:
+		rw.broken = fmt.Errorf("journal gap: patch rev %d onto rev %d", p.Rev, rw.last.Rev)
+	default:
+		if err := rw.state.Patch(*p.Patch); err != nil {
+			rw.broken = fmt.Errorf("patch rev %d: %w", p.Rev, err)
+			break
+		}
+		for _, ev := range p.Events {
+			if ev.Seq != len(rw.events) {
+				rw.broken = fmt.Errorf("patch rev %d: event seq %d after %d events", p.Rev, ev.Seq, len(rw.events))
+				break
+			}
+			rw.events = append(rw.events, ev)
+		}
+	}
+	p.State, p.Patch, p.Events = nil, nil, nil
+	rw.last = p
+}
+
+// RecoveryStats describes the last startup recovery: what came back,
+// how much journal was read to get there, and where the time went
+// (load: reading and framing the logs; fold: decoding and folding
+// records; restore: rebuilding grids, trackers and queues; snapshot:
+// the fresh snapshot that truncates what was replayed).
+type RecoveryStats struct {
+	Workflows  uint64  `json:"recovered_workflows"`
+	Ms         float64 `json:"recovery_ms"`
+	LoadMs     float64 `json:"load_ms"`
+	FoldMs     float64 `json:"fold_ms"`
+	RestoreMs  float64 `json:"restore_ms"`
+	SnapshotMs float64 `json:"snapshot_ms"`
+	WALBytes   int64   `json:"wal_bytes_replayed"`
+	WALRecords int     `json:"wal_records_replayed"`
+}
+
+// String renders the statistics for the daemon's startup line and
+// loadgen's chaos verdict.
+func (r RecoveryStats) String() string {
+	return fmt.Sprintf("recovered %d live workflows in %.1fms (load %.1f, fold %.1f, restore %.1f, snapshot %.1f; %d records, %d bytes replayed)",
+		r.Workflows, r.Ms, r.LoadMs, r.FoldMs, r.RestoreMs, r.SnapshotMs, r.WALRecords, r.WALBytes)
+}
+
+// Recovery returns the last startup recovery's statistics (zero for a
+// daemon without a data directory).
+func (s *Server) Recovery() RecoveryStats { return s.recovery }
 
 // recoverState replays every shard directory under dataDir into the
 // (not yet started) server: stores are opened (repairing torn tails),
@@ -482,9 +614,29 @@ func (s *Server) recoverState() error {
 		return rw
 	}
 
+	// skip makes a record recovery cannot use loud: logged with its
+	// position and counted in wal_records_skipped.
+	skip := func(shardIdx int, r *wire.WALRecord, err error) {
+		s.metrics.walSkipped.Add(1)
+		log.Printf("aheftd: recovery: shard %d lsn %d: skipping %s record: %v", shardIdx, r.LSN, r.Kind, err)
+	}
+	// decode unmarshals a record payload that must name its subject.
+	decode := func(shardIdx int, r *wire.WALRecord, into any, name *string) bool {
+		err := json.Unmarshal(r.Data, into)
+		if err == nil && *name == "" {
+			err = fmt.Errorf("payload names no subject")
+		}
+		if err != nil {
+			skip(shardIdx, r, err)
+		}
+		return err == nil
+	}
+
+	var st RecoveryStats
 	var orphanDirs []string
 	for _, idx := range idxs {
 		dir := filepath.Join(dataDir, fmt.Sprintf("shard-%d", idx))
+		loadStart := time.Now()
 		var rec *durable.Recovered
 		if idx < len(s.shards) {
 			store, r, err := durable.Open(dir, policy, s.cfg.WALSyncInterval)
@@ -502,6 +654,10 @@ func (s *Server) recoverState() error {
 			orphanDirs = append(orphanDirs, dir)
 		}
 		target := idx % len(s.shards)
+		foldStart := time.Now()
+		st.LoadMs += foldStart.Sub(loadStart).Seconds() * 1e3
+		st.WALBytes += rec.Bytes
+		st.WALRecords += len(rec.Records)
 
 		if rec.Snapshot != nil {
 			var snap shardSnapshot
@@ -528,10 +684,7 @@ func (s *Server) recoverState() error {
 				wfFor(a.ID).adm = &a
 			}
 			for i := range snap.Live {
-				st := snap.Live[i]
-				rw := wfFor(st.ID)
-				rw.body = st.Body
-				rw.state = &st
+				wfFor(snap.Live[i].ID).fold(&snap.Live[i])
 			}
 			for _, t := range snap.Terminal {
 				rw := wfFor(t.ID)
@@ -543,38 +696,41 @@ func (s *Server) recoverState() error {
 			switch r.Kind {
 			case wire.WALSubmission:
 				var p walSubmission
-				if json.Unmarshal(r.Data, &p) == nil && p.ID != "" {
+				if decode(idx, r, &p, &p.ID) {
 					rw := wfFor(p.ID)
 					rw.body = p.Body
 					rw.rejected = false
 				}
 			case wire.WALReject:
 				var p walReject
-				if json.Unmarshal(r.Data, &p) == nil && p.ID != "" {
+				if decode(idx, r, &p, &p.ID) {
 					wfFor(p.ID).rejected = true
 				}
 			case wire.WALAdmission:
 				var p walAdmission
-				if json.Unmarshal(r.Data, &p) == nil && p.ID != "" {
+				if decode(idx, r, &p, &p.ID) {
 					wfFor(p.ID).adm = &p
 				}
 			case wire.WALGrid:
 				var p walGrid
-				if json.Unmarshal(r.Data, &p) == nil && p.Name != "" {
+				if decode(idx, r, &p, &p.Name) {
 					if _, ok := gridSpecs[p.Name]; !ok {
 						gridSpecs[p.Name] = p.Spec
 					}
 				}
 			case wire.WALState:
 				var p walState
-				if json.Unmarshal(r.Data, &p) != nil || p.ID == "" {
+				if !decode(idx, r, &p, &p.ID) {
+					// A link of the chain is gone. json.Unmarshal fills what it
+					// can around a mistyped field, so the ID usually survives;
+					// when it does not, the rev gap at the workflow's next
+					// record breaks the chain instead.
+					if p.ID != "" {
+						wfFor(p.ID).broken = fmt.Errorf("state record at lsn %d does not decode", r.LSN)
+					}
 					continue
 				}
-				rw := wfFor(p.ID)
-				if p.Body != nil {
-					rw.body = p.Body
-				}
-				rw.state = &p
+				wfFor(p.ID).fold(&p)
 				// History deltas replay in LSN order regardless of whether
 				// the workflow itself survives to restoration.
 				repo := repoFor(target, p.Tenant, 0)
@@ -583,15 +739,24 @@ func (s *Server) recoverState() error {
 				}
 			case wire.WALTerminal:
 				var p walTerminal
-				if json.Unmarshal(r.Data, &p) != nil || p.ID == "" {
+				if !decode(idx, r, &p, &p.ID) {
+					// Without its terminal record the workflow would come
+					// back live from its last state record: fail it instead.
+					if p.ID != "" {
+						wfFor(p.ID).broken = fmt.Errorf("terminal record at lsn %d does not decode", r.LSN)
+					}
 					continue
 				}
 				rw := wfFor(p.ID)
 				rw.terminal = &p
 				terminals = append(terminals, p)
+			default:
+				skip(idx, r, fmt.Errorf("unknown record kind"))
 			}
 		}
+		st.FoldMs += time.Since(foldStart).Seconds() * 1e3
 	}
+	restoreStart := time.Now()
 
 	// Install tenant histories on their shards before any tracker is
 	// restored against them.
@@ -663,32 +828,39 @@ func (s *Server) recoverState() error {
 		s.retire(t.ID)
 	}
 
-	// Live residents: restore trackers, re-park, re-attach.
-	liveIDs := make([]string, 0, len(wfs))
-	for id, rw := range wfs {
-		if rw.terminal == nil && !rw.rejected && rw.state != nil {
+	// Sort what is neither terminal nor rejected: a broken chain fails
+	// loudly, a folded state is a live resident, a bare body is pending.
+	ids := make([]string, 0, len(wfs))
+	for id := range wfs {
+		ids = append(ids, id)
+	}
+	sort.Strings(ids)
+	var liveIDs []string
+	var pending []*recoveredWorkflow
+	for _, id := range ids {
+		switch rw := wfs[id]; {
+		case rw.terminal != nil || rw.rejected:
+		case rw.broken != nil:
+			log.Printf("aheftd: recovery: workflow %s: %v", id, rw.broken)
+			s.failRecovered(id, rw.broken)
+		case rw.state != nil:
 			liveIDs = append(liveIDs, id)
+		case rw.body != nil:
+			pending = append(pending, rw)
 		}
 	}
-	sort.Strings(liveIDs)
-	recovered := 0
+
+	// Live residents: restore trackers, re-park, re-attach.
 	for _, id := range liveIDs {
-		rw := wfs[id]
-		if err := s.restoreLive(rw); err != nil {
+		if err := s.restoreLive(wfs[id]); err != nil {
 			log.Printf("aheftd: recovery: workflow %s: %v", id, err)
 			s.failRecovered(id, err)
 			continue
 		}
-		recovered++
+		st.Workflows++
 	}
 
 	// Pending submissions: re-enqueue in arrival order.
-	var pending []*recoveredWorkflow
-	for _, rw := range wfs {
-		if rw.terminal == nil && !rw.rejected && rw.state == nil && rw.body != nil {
-			pending = append(pending, rw)
-		}
-	}
 	sort.Slice(pending, func(i, j int) bool { return pending[i].order < pending[j].order })
 	for _, rw := range pending {
 		if err := s.requeueRecovered(rw); err != nil {
@@ -705,7 +877,10 @@ func (s *Server) recoverState() error {
 
 	// Everything recovered is covered by a fresh snapshot, so the next
 	// startup replays one snapshot and a short tail, and the old
-	// (possibly repaired) segments are swept.
+	// (possibly repaired) segments are swept. It also gives every restored
+	// workflow its journal base.
+	snapStart := time.Now()
+	st.RestoreMs = snapStart.Sub(restoreStart).Seconds() * 1e3
 	for _, sh := range s.shards {
 		sh.snapshot()
 	}
@@ -714,8 +889,9 @@ func (s *Server) recoverState() error {
 			log.Printf("aheftd: recovery: remove %s: %v", dir, err)
 		}
 	}
-	s.recoveredWfs = uint64(recovered)
-	s.recoveryMs = time.Since(start).Seconds() * 1e3
+	st.SnapshotMs = time.Since(snapStart).Seconds() * 1e3
+	st.Ms = time.Since(start).Seconds() * 1e3
+	s.recovery = st
 	return nil
 }
 
@@ -747,15 +923,18 @@ func (s *Server) restoreLive(rw *recoveredWorkflow) error {
 		cfg.Pool = gref.pool
 		cfg.Occupancy = gref.ledger.View(wf.id)
 	}
-	tr, err := feedback.Restore(cfg, rw.state.State)
+	tr, err := feedback.Restore(cfg, rw.state)
 	if err != nil {
 		return err
 	}
 	wf.tracker = tr
-	wf.ackedGen = rw.state.AckedGen
-	wf.fastPath = rw.state.FastPath
-	wf.upgraded = rw.state.Upgraded
-	trigger := rw.state.PlanTrigger
+	// No journal base yet (the next record would be a whole state): the
+	// snapshot that ends recovery provides one.
+	wf.walRev = rw.last.Rev
+	wf.ackedGen = rw.last.AckedGen
+	wf.fastPath = rw.last.FastPath
+	wf.upgraded = rw.last.Upgraded
+	trigger := rw.last.PlanTrigger
 	if trigger == "" {
 		trigger = "initial"
 	}
@@ -765,8 +944,8 @@ func (s *Server) restoreLive(rw *recoveredWorkflow) error {
 	wf.startedAt = time.Now()
 	wf.plan = plan
 	wf.generation = plan.Generation
-	wf.reports = rw.state.Reports
-	wf.events = rw.state.Events
+	wf.reports = rw.last.Reports
+	wf.events = rw.events
 	wf.mu.Unlock()
 
 	s.mu.Lock()
@@ -905,13 +1084,12 @@ func (s *Server) handleHealthzV1(w http.ResponseWriter, r *http.Request) {
 	if draining {
 		status = "draining"
 	}
-	writeJSON(w, http.StatusOK, map[string]any{
-		"status":              status,
-		"version":             buildinfo.String(),
-		"shards":              len(s.shards),
-		"durable":             s.cfg.DataDir != "",
-		"recovered_workflows": s.recoveredWfs,
-		"recovery_ms":         s.recoveryMs,
-		"inflight":            s.metrics.inflight.Load(),
-	})
+	writeJSON(w, http.StatusOK, struct {
+		Status   string `json:"status"`
+		Version  string `json:"version"`
+		Shards   int    `json:"shards"`
+		Durable  bool   `json:"durable"`
+		Inflight int64  `json:"inflight"`
+		RecoveryStats
+	}{status, buildinfo.String(), len(s.shards), s.cfg.DataDir != "", s.metrics.inflight.Load(), s.recovery})
 }

@@ -44,6 +44,12 @@ type healthzDoc struct {
 	Durable            bool    `json:"durable"`
 	RecoveredWorkflows uint64  `json:"recovered_workflows"`
 	RecoveryMs         float64 `json:"recovery_ms"`
+	LoadMs             float64 `json:"load_ms"`
+	FoldMs             float64 `json:"fold_ms"`
+	RestoreMs          float64 `json:"restore_ms"`
+	SnapshotMs         float64 `json:"snapshot_ms"`
+	WALBytesReplayed   int64   `json:"wal_bytes_replayed"`
+	WALRecordsReplayed int     `json:"wal_records_replayed"`
 }
 
 func getHealthz(t testing.TB, ts *httptest.Server) healthzDoc {
@@ -185,6 +191,16 @@ func TestKillRestartRecovery(t *testing.T) {
 	}
 	if hz.RecoveredWorkflows != uint64(len(all)) {
 		t.Fatalf("recovered_workflows = %d, want %d", hz.RecoveredWorkflows, len(all))
+	}
+	// The breakdown attributes the recovery: every workflow left at least
+	// a submission, an admission and a state record to replay, and the
+	// four phases account for (nearly) all of recovery_ms.
+	if hz.WALRecordsReplayed < 3*len(all) || hz.WALBytesReplayed <= 0 {
+		t.Fatalf("healthz replay volume: %+v", hz)
+	}
+	if parts := hz.LoadMs + hz.FoldMs + hz.RestoreMs + hz.SnapshotMs; hz.LoadMs <= 0 || hz.FoldMs <= 0 ||
+		hz.RestoreMs <= 0 || hz.SnapshotMs <= 0 || parts > hz.RecoveryMs || parts < 0.8*hz.RecoveryMs {
+		t.Fatalf("healthz recovery breakdown does not add up: %+v", hz)
 	}
 	doc := getMetrics(t, tsB)
 	if doc.LiveResident != int64(len(all)) {

@@ -504,12 +504,23 @@ func (sh *shard) finishLive(wf *workflow) {
 	}
 	wf.append(m, wire.Event{Kind: "done", Time: tr.Makespan(), Makespan: tr.Makespan()})
 	wf.finish(res, nil)
+	wf.releaseLive()
 	m.liveWorkflowDone(false)
 	sh.srv.retire(wf.id)
 	sh.walLogTerminal(wf)
 	if rec := sh.srv.recorder; rec != nil {
 		rec.done(sh.id, wf.id, StateDone, tr.Makespan(), "")
 	}
+}
+
+// releaseLive drops a terminal live run's tracker and journal base — the
+// kernel state, cost model and submission they pin are most of a
+// retained record's memory, and nothing serves them once the run is
+// over (every tracker access checks for nil or residency first). Shard
+// goroutine only.
+func (wf *workflow) releaseLive() {
+	wf.tracker = nil
+	wf.walBase = nil
 }
 
 // cancelLive force-fails every resident live run (drain deadline).
@@ -529,6 +540,7 @@ func (sh *shard) cancelLive(err error) {
 		}
 		wf.append(m, wire.Event{Kind: "failed", Error: err.Error()})
 		wf.finish(nil, err)
+		wf.releaseLive()
 		m.liveWorkflowDone(true)
 		sh.srv.retire(id)
 		sh.walLogTerminal(wf)

@@ -83,6 +83,9 @@ type Metrics struct {
 	// stores (see Server.MetricsSnapshot); only failures are counted
 	// here.
 	walErrors atomic.Uint64 // failed WAL appends/rotations (durability degraded)
+	// walSkipped counts journal records the last recovery could not use
+	// (undecodable payload, unknown kind); each is logged with its LSN.
+	walSkipped atomic.Uint64
 
 	// Flight recorder (Config.RecordDir; see record.go).
 	recorderRecords atomic.Uint64 // records appended across all shard streams
@@ -286,6 +289,7 @@ type MetricsDoc struct {
 	WALBytes           uint64  `json:"wal_bytes"`
 	Snapshots          uint64  `json:"snapshots"`
 	WALErrors          uint64  `json:"wal_errors"`
+	WALRecordsSkipped  uint64  `json:"wal_records_skipped"`
 	RecoveredWorkflows uint64  `json:"recovered_workflows"`
 	RecoveryMs         float64 `json:"recovery_ms"`
 
@@ -455,6 +459,7 @@ func (m *Metrics) snapshot(queueDepth []int, historyTenants, historyCells, share
 		WALBytes:             d.WALBytes,
 		Snapshots:            d.Snapshots,
 		WALErrors:            m.walErrors.Load(),
+		WALRecordsSkipped:    m.walSkipped.Load(),
 		RecoveredWorkflows:   d.Recovered,
 		RecoveryMs:           d.RecoveryMs,
 		TraceSpans:           o.Spans,

@@ -145,6 +145,7 @@ func writePrometheus(w http.ResponseWriter, doc MetricsDoc) {
 	p.counter("wal_bytes_total", "WAL bytes appended.", doc.WALBytes)
 	p.counter("snapshots_total", "Durability snapshots written.", doc.Snapshots)
 	p.counter("wal_errors_total", "Failed WAL appends or rotations.", doc.WALErrors)
+	p.counter("wal_records_skipped_total", "Journal records the last recovery could not use.", doc.WALRecordsSkipped)
 	p.counter("recovered_workflows_total", "Live workflows restored by the last recovery.", doc.RecoveredWorkflows)
 
 	p.counter("trace_spans_total", "Completed causal-tracer spans.", doc.TraceSpans)

@@ -217,9 +217,8 @@ type Server struct {
 	execHook func(*workflow)
 
 	// Durability (set by Open when Config.DataDir is non-empty).
-	recoveredWfs uint64    // live workflows restored by the last recovery
-	recoveryMs   float64   // wall time of the last recovery
-	walFinal     sync.Once // final snapshot + store close on Shutdown
+	recovery RecoveryStats // the startup recovery (see durable.go)
+	walFinal sync.Once     // final snapshot + store close on Shutdown
 
 	// Observability (set by Open; see obs.go wiring and record.go).
 	tracer    *obs.Tracer // nil when Config.Tracing is off
@@ -363,8 +362,8 @@ func (s *Server) MetricsSnapshot() MetricsDoc {
 			d.Snapshots += sn
 		}
 	}
-	d.Recovered = s.recoveredWfs
-	d.RecoveryMs = s.recoveryMs
+	d.Recovered = s.recovery.Workflows
+	d.RecoveryMs = s.recovery.Ms
 	var o ObsStats
 	if s.tracer != nil {
 		o.Spans, o.Dropped = s.tracer.Totals()

@@ -69,6 +69,15 @@ type workflow struct {
 	// ack piggybacks the newer plan. Shard-goroutine only.
 	ackedGen int
 
+	// Journal chain state (durable daemons; see durable.go), shard
+	// goroutine only: walBase is the tracker state the workflow's newest
+	// state record or snapshot entry left on disk — the next record is a
+	// patch against it, or a whole state when it is nil — walEvents how
+	// many events that record covered, walRev its chain number.
+	walBase   *feedback.TrackerState
+	walEvents int
+	walRev    int
+
 	// Shape captured at submission so status never needs the (released)
 	// submission.
 	jobs      int

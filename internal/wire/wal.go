@@ -32,7 +32,13 @@ const (
 	WALAdmission = "admission"
 	// WALGrid: a registered shared grid (raw GridSpec body).
 	WALGrid = "grid"
-	// WALState: a live workflow's full post-apply feedback state.
+	// WALState: a live workflow's post-apply feedback state, as one link
+	// of that workflow's chain of state records. The link numbered rev
+	// holds either the whole tracker state and event log (the first
+	// record of a chain) or a patch against what link rev-1 left, with
+	// the events appended since; replay folds the chain in LSN order and
+	// fails the workflow on a missing or unusable link rather than serve
+	// an older state as current.
 	WALState = "state"
 	// WALTerminal: a workflow reached done/failed; payload is its frozen
 	// status document and event log.
