@@ -674,9 +674,10 @@ func recordBlastLife(b *testing.B) blastLife {
 		_ = srv.Shutdown(context.Background())
 	}()
 	if _, err := drive.Run(context.Background(), drive.Config{
-		BaseURL: ts.URL, Client: ts.Client(), Policy: "aheft", Tenant: "life",
-		Options: wire.Options{VarianceThreshold: 0.2}, Noise: 0.2, Churn: 0.3, Seed: 7,
-	}, sc); err != nil {
+		Client: drive.Client{Base: ts.URL, HTTP: ts.Client()}, Noise: 0.2, Churn: 0.3, Seed: 7,
+	}, []drive.Tenant{{
+		History: "life", Scenario: sc, Policy: "aheft", Options: wire.Options{VarianceThreshold: 0.2},
+	}}); err != nil {
 		b.Fatal(err)
 	}
 	return l
@@ -1089,8 +1090,8 @@ func BenchmarkSharedGridContention(b *testing.B) {
 	ctx := context.Background()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		out, err := drive.RunShared(ctx, drive.SharedConfig{
-			BaseURL: ts.URL, Client: ts.Client(), Grid: "bench",
+		out, err := drive.Run(ctx, drive.Config{
+			Client: drive.Client{Base: ts.URL, HTTP: ts.Client()}, Grid: "bench",
 			Pool: bl.Pool, Noise: 0.2, Churn: 0.3, Seed: uint64(i)*97 + 3,
 		}, tenants)
 		if err != nil {

@@ -1,6 +1,14 @@
-// Command loadgen is a closed-loop traffic generator for the aheftd
-// daemon: it pre-generates a mix of wire-encoded workflows — parametric
-// random DAGs, large layered stress DAGs, and the BLAST/WIEN2K
+// Command loadgen is the closed-loop client of the aheftd daemon: traffic
+// generator, enactment side of the paper's Fig. 1 loop, and CI smoke
+// gate. Every mode is one row of the modes table below — how to build a
+// unit of work (a workflow or a round), how to fold the unit's outcome
+// into per-class sums, which gates apply — and every row runs on the same
+// parts: one paced closed-loop arrival loop (pace.arrive), one daemon
+// client and one enactor (internal/drive), one report shape, printer and
+// writer, one gate evaluator.
+//
+// The default mode pre-generates a mix of wire-encoded workflows —
+// parametric random DAGs, large layered stress DAGs, and the BLAST/WIEN2K
 // application shapes — submits them at a target arrival rate under an
 // in-flight cap, follows every workflow to completion, and reports
 // achieved throughput and latency percentiles plus the daemon's own
@@ -9,222 +17,215 @@
 //	loadgen -addr http://127.0.0.1:7070 -duration 30s -rate 200 \
 //	    -mix random=60,blast=15,wien2k=15,layered=10 -out report.json
 //
-// With -drive the generator becomes the enactment side of the paper's
-// Fig. 1 loop: each workflow is submitted in live mode, its schedule is
-// executed on the simulated grid with -noise runtime perturbation and
-// -churn arrival jitter, every run-time event is reported back to the
-// daemon, and adopted reschedules are enacted mid-flight
-// (internal/drive). The report then carries per-class reschedule counts
-// and adaptive-vs-static makespan deltas.
+// With -drive each workflow of the mix is submitted in live mode, its
+// schedule executed on the simulated grid with -noise runtime
+// perturbation and -churn arrival jitter, every run-time event reported
+// back, and adopted reschedules enacted mid-flight (drive.Run). The
+// report then carries per-class reschedule counts and adaptive-vs-static
+// makespan deltas.
 //
 //	loadgen -addr http://127.0.0.1:7070 -drive -duration 20s \
 //	    -mix blast=50,wien2k=50 -noise 0.2 -churn 0.3 \
 //	    -require-variance-reschedules 1 -require-beat-static
 //
-// Exit status is non-zero when any workflow fails, when nothing
-// completes, or when -require-zero-drops / -require-inflight /
-// -require-variance-reschedules / -require-beat-static are set and the
-// run violates them — so CI can use a loadgen run as a smoke gate.
+// -shared-grid, -data and -overload run rounds (one at a time, as fast as
+// they finish) of several tenants co-scheduled on one named grid;
+// -chaos is a script that owns its daemon process. Exit status is
+// non-zero when any unit fails, when nothing completes, or when a
+// -require-* gate or a mode's built-in gate is violated — so CI can use
+// any loadgen run as a smoke gate.
 package main
 
 import (
-	"bufio"
-	"bytes"
-	"encoding/json"
+	"context"
 	"flag"
 	"fmt"
 	"log"
 	"net/http"
 	"os"
-	"sort"
-	"strconv"
 	"strings"
 	"sync"
 	"time"
 
-	"aheft/internal/buildinfo"
+	"aheft/internal/drive"
 	"aheft/internal/rng"
-	"aheft/internal/server"
-	"aheft/internal/stats"
 	"aheft/internal/wire"
 	"aheft/internal/workload"
 )
 
-func main() {
-	addr := flag.String("addr", "http://127.0.0.1:7070", "daemon base URL")
-	duration := flag.Duration("duration", 30*time.Second, "how long to keep submitting")
-	rate := flag.Float64("rate", 100, "target arrival rate (workflows/sec); 0 = as fast as the in-flight cap allows")
-	inflight := flag.Int("inflight", 600, "max concurrently in-flight workflows (closed-loop cap)")
-	mix := flag.String("mix", "random=60,blast=15,wien2k=15,layered=10", "workload mix weights")
-	jobs := flag.Int("jobs", 60, "random-DAG job count")
-	layeredJobs := flag.Int("layered-jobs", 5000, "layered stress-DAG job count")
-	parallelism := flag.Int("parallelism", 24, "BLAST/WIEN2K fan-out")
-	variants := flag.Int("variants", 8, "distinct pre-generated workflows per mix class")
-	seed := flag.Uint64("seed", 1, "workload-generation seed")
-	policy := flag.String("policy", "aheft", "scheduling policy for every submission")
-	poll := flag.Duration("poll", 5*time.Millisecond, "initial status-poll interval (backs off to 500ms)")
-	follow := flag.Int("follow", 64, "max workflows followed live over SSE instead of polled (exercises the event fan-out the drop counter guards)")
-	out := flag.String("out", "", "write the JSON report here")
-	requireZeroDrops := flag.Bool("require-zero-drops", false, "fail if the daemon reports events_dropped > 0")
-	requireInflight := flag.Int("require-inflight", 0, "fail if the daemon's inflight_peak stays below this")
-	driveMode := flag.Bool("drive", false, "closed-loop enactment mode: live submissions, simulated execution with noise/churn, run-time reports")
-	noise := flag.Float64("noise", 0.2, "-drive: actual-runtime perturbation (fraction)")
-	churn := flag.Float64("churn", 0.3, "-drive: resource-arrival time jitter (fraction)")
-	varThr := flag.Float64("variance-threshold", 0.2, "-drive: daemon-side significant-variance gate")
-	requireVarResched := flag.Int("require-variance-reschedules", 0, "-drive: fail unless every mix class saw at least this many variance-triggered reschedules")
-	requireBeatStatic := flag.Bool("require-beat-static", false, "-drive: fail unless every class's mean adaptive makespan beats the never-reschedule baseline")
-	sharedGrid := flag.Bool("shared-grid", false, "shared-grid closed-loop mode: rounds of a two-tenant BLAST/WIEN2K mix co-scheduled on one named grid, measured against the isolated-planning baseline")
-	requireContention := flag.Int("require-contention-reschedules", 0, "-shared-grid: fail unless every tenant class saw at least this many cross-workflow (contention) reschedules")
-	requireBeatOblivious := flag.Bool("require-beat-oblivious", false, "-shared-grid/-data: fail unless the mean aware makespan beats the oblivious baseline (per class for -shared-grid, overall for -data)")
-	dataMode := flag.Bool("data", false, "data-aware smoke mode: rounds of the data-heavy two-site scenario submitted with file catalogs against a link-constrained shared grid, measured against the data-oblivious plan retimed under the true data semantics, gating on leaked transfer reservations")
-	chaos := flag.Bool("chaos", false, "crash-recovery mode: spawn a durable daemon, SIGKILL it mid-load, restart it, and gate on the recovery invariants")
-	chaosDaemon := flag.String("chaos-daemon", "", "-chaos: path to the aheftd binary to spawn")
-	chaosAddr := flag.String("chaos-addr", "127.0.0.1:7177", "-chaos: listen address for the spawned daemon")
-	chaosDataDir := flag.String("chaos-data-dir", "", "-chaos: durability directory (empty = fresh temp dir, removed afterwards)")
-	chaosWALSync := flag.String("chaos-wal-sync", "interval", "-chaos: daemon WAL fsync policy")
-	chaosWorkflows := flag.Int("chaos-workflows", 120, "-chaos: live workflows resident at the kill")
-	overload := flag.Bool("overload", false, "overload-fairness mode: calibrate a high-class victim stream, then flood a greedy low-class tenant beside it and gate the victims' p99 degradation, the two-speed upgrade debt, and reservation leaks")
-	overloadBound := flag.Float64("overload-bound", 3.0, "-overload: max allowed victim p99 makespan degradation factor under the flood")
-	overloadFloods := flag.Int("overload-floods", 8, "-overload: concurrent greedy flooder goroutines")
-	overloadJobs := flag.Int("overload-jobs", 30, "-overload: victim random-DAG job count (grid-hog DAGs are double)")
-	record := flag.String("record", "", "spawn an in-process recording daemon and drive the run against it, leaving a cmd/replay-verifiable flight recording in this directory (overrides -addr)")
-	recordShards := flag.Int("record-shards", 4, "-record: daemon shard count")
-	flag.Parse()
+var (
+	addr        = flag.String("addr", "http://127.0.0.1:7070", "daemon base URL")
+	duration    = flag.Duration("duration", 30*time.Second, "how long to keep submitting (-overload: per phase)")
+	rate        = flag.Float64("rate", 100, "target arrival rate (workflows/sec); 0 = as fast as the in-flight cap allows")
+	inflight    = flag.Int("inflight", 600, "max concurrently in-flight workflows (closed-loop cap)")
+	mixSpec     = flag.String("mix", "random=60,blast=15,wien2k=15,layered=10", "workload mix weights")
+	layeredJobs = flag.Int("layered-jobs", 5000, "layered stress-DAG job count")
+	parallelism = flag.Int("parallelism", 24, "BLAST/WIEN2K fan-out")
+	seed        = flag.Uint64("seed", 1, "workload-generation seed")
+	poll        = flag.Duration("poll", 5*time.Millisecond, "initial status-poll interval (backs off to 500ms)")
+	out         = flag.String("out", "", "write the JSON report here")
+	noise       = flag.Float64("noise", 0.2, "-drive/-shared-grid: actual-runtime perturbation (fraction)")
+	churn       = flag.Float64("churn", 0.3, "-drive/-shared-grid: resource-arrival time jitter (fraction)")
+	record      = flag.String("record", "", "spawn an in-process recording daemon and drive the run against it, leaving a cmd/replay-verifiable flight recording in this directory (overrides -addr)")
 
-	if *record != "" {
-		if *chaos {
+	driveMode  = flag.Bool("drive", false, "closed-loop enactment mode: live submissions, simulated execution with noise/churn, run-time reports")
+	sharedGrid = flag.Bool("shared-grid", false, "shared-grid closed-loop mode: rounds of a two-tenant BLAST/WIEN2K mix co-scheduled on one named grid, measured against the isolated-planning baseline")
+	dataMode   = flag.Bool("data", false, "data-aware smoke mode: rounds of the data-heavy two-site scenario submitted with file catalogs against a link-constrained shared grid, measured against the data-oblivious plan retimed under the true data semantics, gating on leaked transfer reservations")
+	overload   = flag.Bool("overload", false, "overload-fairness mode: calibrate a high-class victim stream, then flood a greedy low-class tenant beside it and gate the victims' p99 degradation, the two-speed upgrade debt, and reservation leaks")
+	chaos      = flag.Bool("chaos", false, "crash-recovery mode: spawn a durable daemon, SIGKILL it mid-load, restart it, and gate on the recovery invariants")
+
+	requireZeroDrops     = flag.Bool("require-zero-drops", false, "fail if the daemon reports events_dropped > 0")
+	requireInflight      = flag.Int("require-inflight", 0, "fail if the daemon's inflight_peak stays below this")
+	requireVarResched    = flag.Int("require-variance-reschedules", 0, "-drive: fail unless every mix class saw at least this many variance-triggered reschedules")
+	requireBeatStatic    = flag.Bool("require-beat-static", false, "-drive: fail unless every class's mean adaptive makespan beats the never-reschedule baseline")
+	requireContention    = flag.Int("require-contention-reschedules", 0, "-shared-grid: fail unless every tenant class saw at least this many cross-workflow (contention) reschedules")
+	requireBeatOblivious = flag.Bool("require-beat-oblivious", false, "-shared-grid/-data: fail unless the mean aware makespan beats the oblivious baseline (per class for -shared-grid, overall for -data)")
+
+	overloadBound  = flag.Float64("overload-bound", 3.0, "-overload: max allowed victim p99 makespan degradation factor under the flood")
+	overloadFloods = flag.Int("overload-floods", 8, "-overload: concurrent greedy flooder goroutines")
+
+	chaosDaemon    = flag.String("chaos-daemon", "", "-chaos: path to the aheftd binary to spawn")
+	chaosAddr      = flag.String("chaos-addr", "127.0.0.1:7177", "-chaos: listen address for the spawned daemon")
+	chaosDataDir   = flag.String("chaos-data-dir", "", "-chaos: durability directory (empty = fresh temp dir, removed afterwards)")
+	chaosWALSync   = flag.String("chaos-wal-sync", "interval", "-chaos: daemon WAL fsync policy")
+	chaosWorkflows = flag.Int("chaos-workflows", 120, "-chaos: live workflows resident at the kill")
+)
+
+// What no invocation ever set is not a flag.
+const (
+	policyName        = "aheft" // scheduling policy of every submission
+	varianceThreshold = 0.2     // daemon-side significant-variance gate of every live submission
+	randomJobs        = 60      // random-DAG job count of the mix
+	mixVariants       = 8       // distinct pre-generated workflows per mix class
+	followCap         = 64      // workflows followed live over SSE at once; the rest are polled
+	overloadJobs      = 30      // -overload victim DAG size (grid-hog and flood DAGs are double)
+	recordShards      = 4       // -record daemon shard count
+)
+
+// mode is one row of the scenario table.
+type mode struct {
+	on   *bool  // the selecting flag; nil is the default row
+	name string // report label and stdout prefix
+	// unit names what the arrival loop counts; adaptive and baseline label
+	// the two makespans a class row compares.
+	unit, adaptive, baseline string
+	// run executes the mode on r — building units, pacing them through
+	// pace.arrive, folding their outcomes into r — and ends with r.finish.
+	run func(r *run) *Report
+	// gates reads the -require-* flags that apply to this mode and adds
+	// the mode's built-in ones.
+	gates func() gates
+}
+
+// modes is the table; the first row whose flag is set wins, the last is
+// the default.
+var modes = []mode{
+	{on: chaos, name: "chaos", unit: "workflows", run: runChaos,
+		gates: func() gates { return gates{serverFailed: true, duplicates: true} }},
+	{on: overload, name: "overload", unit: "rounds", adaptive: "aware", baseline: "oblivious", run: runOverload,
+		gates: func() gates {
+			return gates{completed: true, noLeaks: true, degradeBound: *overloadBound, twoSpeed: true}
+		}},
+	{on: dataMode, name: "data", unit: "rounds", adaptive: "aware", baseline: "oblivious", run: runData,
+		gates: func() gates {
+			return gates{completed: true, noLeaks: true, serverFailed: true, claims: true, beatOverall: *requireBeatOblivious}
+		}},
+	{on: sharedGrid, name: "shared", unit: "rounds", adaptive: "aware", baseline: "oblivious", run: runShared,
+		gates: func() gates {
+			return gates{completed: true, noLeaks: true, zeroDrops: true, beatPerClass: *requireBeatOblivious,
+				trigger: "contention", triggerLabel: "cross-workflow (contention)", minTriggered: *requireContention}
+		}},
+	{on: driveMode, name: "drive", unit: "workflows", adaptive: "adaptive", baseline: "static", run: runDrive,
+		gates: func() gates {
+			return gates{completed: true, zeroDrops: *requireZeroDrops, minInflight: *requireInflight, beatPerClass: *requireBeatStatic,
+				trigger: "variance", triggerLabel: "variance-triggered", minTriggered: *requireVarResched}
+		}},
+	{name: "load", unit: "workflows", run: runLoad,
+		gates: func() gates {
+			return gates{completed: true, zeroDrops: *requireZeroDrops, minInflight: *requireInflight}
+		}},
+}
+
+func main() {
+	flag.Parse()
+	m := &modes[len(modes)-1]
+	for i := range modes {
+		if modes[i].on != nil && *modes[i].on {
+			m = &modes[i]
+			break
+		}
+	}
+	r := &run{followSem: make(chan struct{}, followCap)}
+	r.rep = Report{Mode: m.name, Unit: m.unit, Adaptive: m.adaptive, Baseline: m.baseline}
+	if m.on == chaos {
+		if *record != "" {
 			log.Fatal("loadgen: -record is incompatible with -chaos (record the chaos daemon with aheftd -record-dir instead)")
 		}
-		base, finish := startRecorded(*record, *recordShards, *policy, *varThr)
-		*addr = base
-		// A clean drain writes each stream's trailer; log.Fatal on a
-		// failed gate skips this, leaving a recording replay refuses.
-		defer finish()
-	}
-
-	if *chaos {
-		chaosMain(chaosParams{
-			daemon: *chaosDaemon, addr: *chaosAddr, dataDir: *chaosDataDir,
-			walSync: *chaosWALSync, workflows: *chaosWorkflows, out: *out,
-		})
-		return
-	}
-
-	if *overload {
-		// Victims and flooders share this client; the default transport's
-		// two idle conns per host would melt under the flood and charge
-		// the resulting handshake churn to the victims' latency.
-		g := &generator{
-			client: &http.Client{
-				Timeout: 2 * time.Minute,
-				Transport: &http.Transport{
-					MaxIdleConns:        *overloadFloods + 64,
-					MaxIdleConnsPerHost: *overloadFloods + 64,
-				},
-			},
-			base: strings.TrimRight(*addr, "/"),
+	} else {
+		if *record != "" {
+			base, finish := startRecorded(*record)
+			*addr = base
+			// A clean drain writes each stream's trailer; a failed gate
+			// exits before this, leaving a recording replay refuses.
+			defer finish()
 		}
-		if err := g.waitHealthy(10 * time.Second); err != nil {
+		// Every arrival, follower and flooder shares this client; the
+		// default transport's two idle conns per host would melt under
+		// load and charge the handshake churn to the measured latency.
+		conns := *inflight + *overloadFloods + 64
+		r.c = &drive.Client{Base: strings.TrimRight(*addr, "/"), HTTP: &http.Client{
+			Timeout:   2 * time.Minute,
+			Transport: &http.Transport{MaxIdleConns: conns, MaxIdleConnsPerHost: conns},
+		}}
+		if err := r.c.WaitReady(context.Background(), 10*time.Second); err != nil {
 			log.Fatalf("loadgen: %v", err)
 		}
-		overloadMain(g, overloadParams{
-			duration: *duration, jobs: *overloadJobs,
-			seed: *seed, policy: *policy, varThr: *varThr,
-			bound: *overloadBound, floods: *overloadFloods,
-			out: *out,
-		})
-		return
 	}
 
-	if *dataMode {
-		g := &generator{
-			client: &http.Client{Timeout: 2 * time.Minute},
-			base:   strings.TrimRight(*addr, "/"),
+	rep := m.run(r)
+	rep.print()
+	if err := rep.write(*out); err != nil {
+		log.Fatalf("loadgen: write report: %v", err)
+	}
+	if bad := violations(rep, m.gates()); len(bad) > 0 {
+		for _, v := range bad {
+			log.Printf("loadgen: %s", v)
 		}
-		if err := g.waitHealthy(10 * time.Second); err != nil {
-			log.Fatalf("loadgen: %v", err)
-		}
-		dataMain(g, dataParams{
-			duration: *duration, seed: *seed, policy: *policy, out: *out,
-			requireBeat: *requireBeatOblivious,
-		})
-		return
+		os.Exit(1)
 	}
+}
 
-	if *sharedGrid {
-		g := &generator{
-			client: &http.Client{Timeout: 2 * time.Minute},
-			base:   strings.TrimRight(*addr, "/"),
-		}
-		if err := g.waitHealthy(10 * time.Second); err != nil {
-			log.Fatalf("loadgen: %v", err)
-		}
-		sharedMain(g, sharedParams{
-			duration: *duration, parallelism: *parallelism,
-			noise: *noise, churn: *churn, varThr: *varThr,
-			seed: *seed, policy: *policy, out: *out,
-			requireBeat:       *requireBeatOblivious,
-			requireContention: *requireContention,
-		})
-		return
-	}
+// pace parameterises the one arrival loop.
+type pace struct {
+	duration time.Duration
+	rate     float64 // arrivals/sec; 0 = as fast as the in-flight cap allows
+	inflight int     // closed-loop cap; round modes run one round at a time
+	// min and max bound the unit count whatever the clock says (0 = no
+	// bound); only -overload sets them.
+	min, max int
+}
 
-	classes, err := buildClasses(*mix, *jobs, *layeredJobs, *parallelism, *variants, *seed, *policy, *driveMode)
-	if err != nil {
-		log.Fatalf("loadgen: %v", err)
-	}
-	total := 0
-	for _, c := range classes {
-		total += c.weight
-		log.Printf("loadgen: class %-8s weight %3d, %d variants, ~%d KiB each",
-			c.name, c.weight, len(c.bodies), len(c.bodies[0])>>10)
-	}
+// rounds is the pace of the round modes: one round at a time, back to
+// back, for -duration.
+func rounds() pace { return pace{duration: *duration, inflight: 1} }
 
-	client := &http.Client{
-		Timeout: 2 * time.Minute,
-		Transport: &http.Transport{
-			MaxIdleConns:        *inflight + 64,
-			MaxIdleConnsPerHost: *inflight + 64,
-		},
-	}
-	g := &generator{
-		client: client,
-		base:   strings.TrimRight(*addr, "/"),
-		poll:   *poll,
-	}
-	if *follow > 0 {
-		g.followSem = make(chan struct{}, *follow)
-	}
-	if err := g.waitHealthy(10 * time.Second); err != nil {
-		log.Fatalf("loadgen: %v", err)
-	}
-
-	if *driveMode {
-		driveMain(g, classes, total, driveParams{
-			duration: *duration, rate: *rate, inflight: *inflight,
-			policy: *policy, noise: *noise, churn: *churn, varThr: *varThr,
-			seed: *seed, out: *out,
-			requireZeroDrops: *requireZeroDrops,
-			requireInflight:  *requireInflight,
-			requireVariance:  *requireVarResched,
-			requireBeat:      *requireBeatStatic,
-		})
-		return
-	}
-
-	// Submission loop: arrivals paced at -rate, capacity bounded by the
-	// in-flight semaphore (closed loop: when the cap is hit, arrivals
-	// wait and the stall is counted instead of piling up locally).
-	picker := rng.New(*seed ^ 0x10adcafe)
-	sem := make(chan struct{}, *inflight)
+// arrive is the paced closed-loop arrival process every mode runs on:
+// arrivals paced at rate, capacity bounded by the in-flight semaphore
+// (closed loop: when the cap is hit, arrivals wait and the stall is
+// counted instead of piling up locally). build is called on the calling
+// goroutine in arrival order — so seeded pickers and generators stay
+// deterministic — and the work it returns runs on its own goroutine.
+// arrive stops at the deadline and returns once every straggler is done:
+// window is how long it kept submitting, total includes the stragglers.
+func (p pace) arrive(build func(seq int) func()) (units, stalls int, window, total time.Duration) {
+	sem := make(chan struct{}, p.inflight)
 	var wg sync.WaitGroup
 	start := time.Now()
 	var interval time.Duration
-	if *rate > 0 {
-		interval = time.Duration(float64(time.Second) / *rate)
+	if p.rate > 0 {
+		interval = time.Duration(float64(time.Second) / p.rate)
 	}
-	next := start
-	for time.Since(start) < *duration {
+	for next := start; ; units++ {
 		if interval > 0 {
 			if d := time.Until(next); d > 0 {
 				time.Sleep(d)
@@ -234,514 +235,140 @@ func main() {
 		select {
 		case sem <- struct{}{}:
 		default:
-			g.addStall()
+			// One-at-a-time rounds wait for each other by design; only a
+			// concurrent pace that hits its cap has stalled.
+			if p.inflight > 1 {
+				stalls++
+			}
 			sem <- struct{}{} // closed loop: wait for a slot
 		}
-		body := pick(classes, total, picker)
+		// The clock is read with the slot in hand: a round mode's next
+		// round is decided when the previous one ends, not before.
+		if units >= p.min && (time.Since(start) >= p.duration || (p.max > 0 && units >= p.max)) {
+			break
+		}
+		work := build(units)
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			defer func() { <-sem }()
-			g.run(body)
+			work()
 		}()
 	}
-	submitWindow := time.Since(start)
+	window = time.Since(start)
 	wg.Wait()
-	elapsed := time.Since(start)
-
-	var metrics server.MetricsDoc
-	if err := g.getJSON("/metrics", &metrics); err != nil {
-		log.Fatalf("loadgen: fetch metrics: %v", err)
-	}
-	rep := g.report(submitWindow, elapsed, *rate, metrics)
-	printReport(rep)
-	if *out != "" {
-		data, _ := json.MarshalIndent(rep, "", "  ")
-		if err := os.WriteFile(*out, append(data, '\n'), 0o644); err != nil {
-			log.Fatalf("loadgen: write report: %v", err)
-		}
-		log.Printf("loadgen: wrote %s", *out)
-	}
-
-	switch {
-	case rep.Completed == 0:
-		log.Fatal("loadgen: nothing completed")
-	case rep.Failed > 0:
-		log.Fatalf("loadgen: %d workflows failed", rep.Failed)
-	case *requireZeroDrops && metrics.EventsDropped > 0:
-		log.Fatalf("loadgen: daemon dropped %d events", metrics.EventsDropped)
-	case *requireInflight > 0 && metrics.InflightPeak < int64(*requireInflight):
-		log.Fatalf("loadgen: inflight peak %d below required %d", metrics.InflightPeak, *requireInflight)
-	}
+	return units, stalls, window, time.Since(start)
 }
 
-// class is one workload family of the mix with its pre-encoded bodies
-// (and, for -drive, the decoded scenarios the enactment loop replays).
-type class struct {
-	name      string
-	weight    int
-	bodies    [][]byte
-	scenarios []*workload.Scenario
+// runLoad is the default mode: analytic submissions of the mix, each
+// followed to its terminal state.
+func runLoad(r *run) *Report {
+	mix := r.buildMix(false)
+	picker := rng.New(*seed ^ 0x10adcafe)
+	r.rep.TargetRate = *rate
+	p := pace{duration: *duration, rate: *rate, inflight: *inflight}
+	return r.finish(p.arrive(func(int) func() {
+		c, v := mix.pick(picker)
+		return func() { r.follow(c.bodies[v]) }
+	}))
 }
 
-func buildClasses(mix string, jobs, layeredJobs, parallelism, variants int, seed uint64, policy string, keepScenarios bool) ([]class, error) {
-	if variants < 1 {
-		return nil, fmt.Errorf("-variants must be >= 1, got %d", variants)
-	}
-	weights := map[string]int{}
-	for _, part := range strings.Split(mix, ",") {
-		kv := strings.SplitN(strings.TrimSpace(part), "=", 2)
-		if len(kv) != 2 {
-			return nil, fmt.Errorf("bad mix entry %q", part)
+// runDrive is -drive: each workflow of the mix driven through the
+// daemon's feedback loop on its own pool, with per-class
+// adaptive-vs-static accounting.
+func runDrive(r *run) *Report {
+	mix := r.buildMix(true)
+	picker := rng.New(*seed ^ 0xd21fe10ad)
+	r.rep.TargetRate, r.rep.Noise, r.rep.Churn = *rate, *noise, *churn
+	p := pace{duration: *duration, rate: *rate, inflight: *inflight}
+	return r.finish(p.arrive(func(seq int) func() {
+		c, v := mix.pick(picker)
+		runSeed := *seed*1_000_003 + uint64(seq) + 1
+		return func() {
+			res, err := drive.Run(context.Background(),
+				drive.Config{Client: *r.c, Noise: *noise, Churn: *churn, Seed: runSeed},
+				[]drive.Tenant{{
+					Name:     fmt.Sprintf("%s-drive-%d", c.name, runSeed),
+					History:  c.name, // class-scoped history: workflows teach each other
+					Scenario: c.scenarios[v],
+					Policy:   policyName,
+					Options:  wire.Options{VarianceThreshold: varianceThreshold},
+				}})
+			r.fold(c.name, res, err)
 		}
-		w, err := strconv.Atoi(kv[1])
-		if err != nil || w < 0 {
-			return nil, fmt.Errorf("bad mix weight %q", part)
-		}
-		weights[kv[0]] = w
-	}
-	r := rng.New(seed)
-	gen := func(name string, make func() (*workload.Scenario, error)) (class, error) {
-		c := class{name: name, weight: weights[name]}
-		delete(weights, name)
-		if c.weight == 0 {
-			return c, nil
-		}
-		for i := 0; i < variants; i++ {
-			sc, err := make()
-			if err != nil {
-				return c, fmt.Errorf("generate %s: %w", name, err)
-			}
-			body, err := wire.EncodeSubmission(&wire.Submission{
-				Name:   fmt.Sprintf("%s-%d", name, i),
-				Policy: policy,
-				Graph:  sc.Graph, Comp: sc.Table, Pool: sc.Pool,
-			})
-			if err != nil {
-				return c, fmt.Errorf("encode %s: %w", name, err)
-			}
-			c.bodies = append(c.bodies, body)
-			// Only -drive replays the decoded scenarios; a plain load run
-			// uses the encoded bodies alone, and keeping 20k-job graphs
-			// and tables alive for the whole run would waste memory.
-			if keepScenarios {
-				c.scenarios = append(c.scenarios, sc)
-			}
-		}
-		return c, nil
-	}
+	}))
+}
 
-	grid := workload.GridParams{InitialResources: 8, ChangeInterval: 300, ChangePct: 0.25, MaxEvents: 4}
-	stress := workload.GridParams{InitialResources: 16, ChangeInterval: 500, ChangePct: 0.25, MaxEvents: 4}
-	var classes []class
-	for _, spec := range []struct {
-		name string
-		make func() (*workload.Scenario, error)
-	}{
-		{"random", func() (*workload.Scenario, error) {
-			return workload.RandomScenario(workload.RandomParams{Jobs: jobs, CCR: 2, OutDegree: 0.3, Beta: 0.5}, grid, r)
-		}},
-		{"blast", func() (*workload.Scenario, error) {
-			return workload.BlastScenario(workload.AppParams{Parallelism: parallelism, CCR: 1, Beta: 0.5}, grid, r)
-		}},
-		{"wien2k", func() (*workload.Scenario, error) {
-			return workload.Wien2kScenario(workload.AppParams{Parallelism: parallelism, CCR: 1, Beta: 0.5}, grid, r)
-		}},
-		{"layered", func() (*workload.Scenario, error) {
-			return workload.LayeredScenario(workload.LayeredParams{
-				Jobs: layeredJobs, Width: layeredJobs / 50, FanIn: 3, CCR: 1, Beta: 0.5}, stress, r)
-		}},
-	} {
-		c, err := gen(spec.name, spec.make)
+// runShared is -shared-grid: rounds of a two-tenant BLAST/WIEN2K mix
+// co-scheduled on one named grid, each round measured against the
+// isolated-planning baseline on the identical job stream.
+func runShared(r *run) *Report {
+	gp := workload.GridParams{InitialResources: 4, ChangeInterval: 400, ChangePct: 0.25, MaxEvents: 2}
+	app := workload.AppParams{Parallelism: *parallelism, CCR: 1, Beta: 0.5}
+	gen := rng.New(*seed ^ 0x56a12ed611d)
+	r.classes("blast", "wien2k")
+	r.rep.Noise, r.rep.Churn = *noise, *churn
+	return r.finish(rounds().arrive(func(round int) func() {
+		bl, err := workload.BlastScenario(app, gp, gen)
 		if err != nil {
-			return nil, err
+			log.Fatalf("loadgen: shared: %v", err)
 		}
-		if c.weight > 0 {
-			classes = append(classes, c)
-		}
-	}
-	for name := range weights {
-		return nil, fmt.Errorf("unknown mix class %q", name)
-	}
-	if len(classes) == 0 {
-		return nil, fmt.Errorf("empty mix %q", mix)
-	}
-	return classes, nil
-}
-
-func pick(classes []class, total int, r *rng.Source) []byte {
-	n := r.IntN(total)
-	for _, c := range classes {
-		if n < c.weight {
-			return c.bodies[r.IntN(len(c.bodies))]
-		}
-		n -= c.weight
-	}
-	return classes[len(classes)-1].bodies[0]
-}
-
-// generator tracks client-side outcome counts and latencies.
-type generator struct {
-	client *http.Client
-	base   string
-	poll   time.Duration
-
-	// followSem, when non-nil, bounds how many workflows are followed
-	// live over SSE (the rest are polled). Following real subscribers is
-	// what makes the daemon's events_dropped counter — and the
-	// -require-zero-drops gate — meaningful: only a live SSE consumer
-	// can drop events.
-	followSem chan struct{}
-
-	mu               sync.Mutex
-	submitted        int
-	completed        int
-	failed           int
-	retries429       int
-	transportRetries int
-	stalls           int
-	followed         int
-	seqGaps          int
-	wallMs           []float64 // submit → observed terminal state
-	computeMs        []float64 // server-reported engine latency
-}
-
-func (g *generator) addStall() {
-	g.mu.Lock()
-	g.stalls++
-	g.mu.Unlock()
-}
-
-func (g *generator) stallCount() int {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	return g.stalls
-}
-
-func (g *generator) addTransportRetry() {
-	g.mu.Lock()
-	g.transportRetries++
-	g.mu.Unlock()
-}
-
-// versionStamp identifies both ends of a run so committed reports stay
-// comparable across builds.
-type versionStamp struct {
-	Loadgen string `json:"loadgen"`
-	// Daemon is the server's self-reported build (GET /v1/healthz);
-	// empty when the daemon predates the endpoint.
-	Daemon string `json:"daemon,omitempty"`
-}
-
-// versions stamps the report with the client and daemon builds.
-func (g *generator) versions() versionStamp {
-	v := versionStamp{Loadgen: buildinfo.String()}
-	var hz struct {
-		Version string `json:"version"`
-	}
-	if err := g.getJSON("/v1/healthz", &hz); err == nil {
-		v.Daemon = hz.Version
-	}
-	return v
-}
-
-func (g *generator) waitHealthy(timeout time.Duration) error {
-	deadline := time.Now().Add(timeout)
-	for {
-		var doc map[string]any
-		if err := g.getJSON("/healthz", &doc); err == nil {
-			return nil
-		} else if time.Now().After(deadline) {
-			return fmt.Errorf("daemon not healthy after %s: %w", timeout, err)
-		}
-		time.Sleep(100 * time.Millisecond)
-	}
-}
-
-func (g *generator) getJSON(path string, v any) error {
-	resp, err := g.client.Get(g.base + path)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("GET %s: HTTP %d", path, resp.StatusCode)
-	}
-	return json.NewDecoder(resp.Body).Decode(v)
-}
-
-// run drives one workflow: submit (retrying 429 backpressure), then poll
-// its status to a terminal state.
-func (g *generator) run(body []byte) {
-	g.mu.Lock()
-	g.submitted++
-	g.mu.Unlock()
-	start := time.Now()
-
-	var sub wire.Submitted
-	netErrs := 0
-	for attempt := 0; ; attempt++ {
-		resp, err := g.client.Post(g.base+"/v1/workflows", "application/json", bytes.NewReader(body))
+		wn, err := workload.Wien2kScenario(app, gp, gen)
 		if err != nil {
-			// Transient transport faults (connection resets under
-			// thousands of concurrent loopback conns) are part of load
-			// generation, not workflow failures: retry a few times
-			// before giving up.
-			if netErrs++; netErrs > 3 {
-				g.fail("submit: %v", err)
-				return
-			}
-			g.addTransportRetry()
-			time.Sleep(50 * time.Millisecond)
-			continue
+			log.Fatalf("loadgen: shared: %v", err)
 		}
-		if resp.StatusCode == http.StatusTooManyRequests {
-			resp.Body.Close()
-			g.mu.Lock()
-			g.retries429++
-			g.mu.Unlock()
-			// Honour Retry-After, capped: the daemon names 1s, but under
-			// heavy backpressure a tighter retry keeps the closed loop
-			// saturated without hammering.
-			delay := 100 * time.Millisecond
-			if ra, err := strconv.Atoi(resp.Header.Get("Retry-After")); err == nil && ra > 0 {
-				delay = time.Duration(ra) * time.Second / 4
-			}
-			if delay > time.Second {
-				delay = time.Second // keep the closed loop live whatever the header says
-			}
-			time.Sleep(delay)
-			continue
+		opts := wire.Options{VarianceThreshold: varianceThreshold}
+		tenants := []drive.Tenant{
+			{Name: "blast", Scenario: bl, Policy: policyName, Options: opts},
+			{Name: "wien2k", Scenario: wn, Policy: policyName, Options: opts},
 		}
-		if resp.StatusCode != http.StatusAccepted {
-			resp.Body.Close()
-			g.fail("submit: HTTP %d", resp.StatusCode)
-			return
+		// Alternate submission order: the first tenant plans on an empty
+		// grid and the second around its reservations, so a fixed order
+		// would bill all contention to one class.
+		if round%2 == 1 {
+			tenants[0], tenants[1] = tenants[1], tenants[0]
 		}
-		err = json.NewDecoder(resp.Body).Decode(&sub)
-		resp.Body.Close()
-		if err != nil {
-			g.fail("submit decode: %v", err)
-			return
+		return func() {
+			// One grid for the whole run: the pool structure is identical
+			// across rounds (costs live in the per-tenant tables, not the
+			// pool) and every round drains its reservations to zero before
+			// the next begins, so reuse also exercises the
+			// register-once/attach-many path.
+			res, err := drive.Run(context.Background(), drive.Config{
+				Client: *r.c,
+				Grid:   fmt.Sprintf("shared-%d", *seed),
+				Pool:   bl.Pool,
+				Noise:  *noise,
+				Churn:  *churn,
+				Seed:   *seed*1_000_003 + uint64(round),
+			}, tenants)
+			r.fold("", res, err)
 		}
-		break
-	}
-
-	// Follow a bounded sample of workflows over SSE — real subscribers
-	// on the event fan-out, so the daemon's events_dropped counter (and
-	// -require-zero-drops) guards a path that is actually exercised —
-	// and poll the rest.
-	if g.followSem != nil {
-		select {
-		case g.followSem <- struct{}{}:
-			defer func() { <-g.followSem }()
-			g.followSSE(sub.ID, start)
-			return
-		default:
-		}
-	}
-	g.pollDone(sub.ID, start)
+	}))
 }
 
-// pollDone polls the workflow's status to a terminal state.
-func (g *generator) pollDone(id string, start time.Time) {
-	interval := g.poll
-	netErrs := 0
-	for {
-		time.Sleep(interval)
-		if interval < 500*time.Millisecond {
-			interval = interval * 3 / 2
+// runData is -data: rounds of the data-heavy two-site scenario
+// (parameters drawn per round) submitted with their file catalogs against
+// one link-constrained shared grid, each round's data-aware plan measured
+// against the data-oblivious plan of the identical scenario — both
+// retimed under the true data semantics — and the grid checked for leaked
+// compute and transfer reservations.
+func runData(r *run) *Report {
+	gen := rng.New(*seed ^ 0xda7aab1ade)
+	r.classes("data")
+	return r.finish(rounds().arrive(func(round int) func() {
+		sc := workload.DataScenario(workload.DataParams{
+			Searches: 4 + int(gen.IntN(5)),
+			DBSize:   150 + float64(gen.IntN(101)),
+			HitSize:  4 + float64(gen.IntN(9)),
+			// LinkBW stays at the default so the pool — and therefore the
+			// grid registration — is identical across rounds.
+		})
+		return func() {
+			res, err := drive.RunData(context.Background(),
+				drive.Config{Client: *r.c, Grid: fmt.Sprintf("data-%d", *seed)},
+				drive.Tenant{Name: fmt.Sprintf("data-%d", round), Scenario: sc, Policy: policyName})
+			r.fold("data", res, err)
 		}
-		var st wire.Status
-		if err := g.getJSON("/v1/workflows/"+id, &st); err != nil {
-			if netErrs++; netErrs > 5 {
-				g.fail("status %s: %v", id, err)
-				return
-			}
-			g.addTransportRetry()
-			continue
-		}
-		netErrs = 0
-		switch st.State {
-		case server.StateDone:
-			g.complete(start, st.ComputeMs)
-			return
-		case server.StateFailed:
-			g.fail("workflow %s: %s", id, st.Error)
-			return
-		}
-	}
-}
-
-// followSSE consumes the workflow's event stream to its terminal event,
-// counting any client-observed Seq gap (a drop for this subscriber). A
-// transport fault on the stream falls back to polling rather than
-// declaring the workflow failed.
-func (g *generator) followSSE(id string, start time.Time) {
-	g.mu.Lock()
-	g.followed++
-	g.mu.Unlock()
-	resp, err := g.client.Get(g.base + "/v1/workflows/" + id + "/events")
-	if err != nil || resp.StatusCode != http.StatusOK {
-		if resp != nil {
-			resp.Body.Close()
-		}
-		g.addTransportRetry()
-		g.pollDone(id, start)
-		return
-	}
-	defer resp.Body.Close()
-	lastSeq := -1
-	var last wire.Event
-	sc := bufio.NewScanner(resp.Body)
-	sc.Buffer(make([]byte, 1<<20), 1<<20)
-	for sc.Scan() {
-		data, ok := strings.CutPrefix(sc.Text(), "data: ")
-		if !ok {
-			continue
-		}
-		var ev wire.Event
-		if err := json.Unmarshal([]byte(data), &ev); err != nil {
-			g.fail("follow %s: bad SSE payload: %v", id, err)
-			return
-		}
-		if ev.Seq != lastSeq+1 {
-			g.mu.Lock()
-			g.seqGaps++
-			g.mu.Unlock()
-		}
-		lastSeq = ev.Seq
-		last = ev
-	}
-	switch last.Kind {
-	case "done":
-		// Best-effort status fetch for the server-side compute sample.
-		var st wire.Status
-		_ = g.getJSON("/v1/workflows/"+id, &st)
-		g.complete(start, st.ComputeMs)
-	case "failed":
-		g.fail("workflow %s: %s", id, last.Error)
-	default:
-		// Stream cut before a terminal event: resolve by polling.
-		g.addTransportRetry()
-		g.pollDone(id, start)
-	}
-}
-
-func (g *generator) complete(start time.Time, computeMs float64) {
-	g.mu.Lock()
-	g.completed++
-	g.wallMs = append(g.wallMs, time.Since(start).Seconds()*1e3)
-	// A real compute latency is always positive; zero means the
-	// best-effort status fetch failed (transport fault, record evicted)
-	// and recording it would drag the percentiles toward 0.
-	if computeMs > 0 {
-		g.computeMs = append(g.computeMs, computeMs)
-	}
-	g.mu.Unlock()
-}
-
-func (g *generator) fail(format string, args ...any) {
-	g.mu.Lock()
-	g.failed++
-	n := g.failed
-	g.mu.Unlock()
-	if n <= 10 {
-		log.Printf("loadgen: "+format, args...)
-	}
-}
-
-// Report is the loadgen run summary written to -out.
-type Report struct {
-	Versions         versionStamp      `json:"versions"`
-	DurationS        float64           `json:"duration_s"`      // submission window
-	TotalS           float64           `json:"total_s"`         // window + drain of in-flight
-	TargetRate       float64           `json:"target_rate_wps"` // 0 = uncapped
-	Submitted        int               `json:"submitted"`
-	Completed        int               `json:"completed"`
-	Failed           int               `json:"failed"`
-	Retries429       int               `json:"retries_429"`
-	TransportRetries int               `json:"transport_retries"`
-	Stalls           int               `json:"inflight_stalls"`
-	Followed         int               `json:"followed_sse"`
-	SeqGaps          int               `json:"sse_seq_gaps"`
-	AchievedWps      float64           `json:"achieved_wps"`
-	WallP50Ms        float64           `json:"wall_p50_ms"`
-	WallP95Ms        float64           `json:"wall_p95_ms"`
-	WallP99Ms        float64           `json:"wall_p99_ms"`
-	ComputeP50Ms     float64           `json:"compute_p50_ms"`
-	ComputeP99Ms     float64           `json:"compute_p99_ms"`
-	ServerMetrics    server.MetricsDoc `json:"server_metrics"`
-}
-
-func (g *generator) report(window, elapsed time.Duration, rate float64, metrics server.MetricsDoc) Report {
-	versions := g.versions()
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	wall := stats.Quantiles(g.wallMs, 0.50, 0.95, 0.99)
-	comp := stats.Quantiles(g.computeMs, 0.50, 0.99)
-	wps := 0.0
-	if elapsed > 0 {
-		wps = float64(g.completed) / elapsed.Seconds()
-	}
-	return Report{
-		Versions:   versions,
-		DurationS:  window.Seconds(),
-		TotalS:     elapsed.Seconds(),
-		TargetRate: rate,
-		Submitted:  g.submitted, Completed: g.completed, Failed: g.failed,
-		Retries429: g.retries429, TransportRetries: g.transportRetries, Stalls: g.stalls,
-		Followed: g.followed, SeqGaps: g.seqGaps,
-		AchievedWps: wps,
-		WallP50Ms:   wall[0], WallP95Ms: wall[1], WallP99Ms: wall[2],
-		ComputeP50Ms: comp[0], ComputeP99Ms: comp[1],
-		ServerMetrics: metrics,
-	}
-}
-
-func printReport(r Report) {
-	fmt.Printf("loadgen: %d submitted, %d completed, %d failed in %.1fs (window %.1fs)\n",
-		r.Submitted, r.Completed, r.Failed, r.TotalS, r.DurationS)
-	fmt.Printf("loadgen: throughput %.1f workflows/sec (target rate %.0f/s, %d backpressure retries, %d in-flight stalls)\n",
-		r.AchievedWps, r.TargetRate, r.Retries429, r.Stalls)
-	fmt.Printf("loadgen: followed %d workflows over SSE (%d seq gaps observed client-side)\n",
-		r.Followed, r.SeqGaps)
-	fmt.Printf("loadgen: wall latency p50 %.1fms p95 %.1fms p99 %.1fms; compute p50 %.2fms p99 %.2fms\n",
-		r.WallP50Ms, r.WallP95Ms, r.WallP99Ms, r.ComputeP50Ms, r.ComputeP99Ms)
-	m := r.ServerMetrics
-	fmt.Printf("loadgen: server: completed=%d failed=%d reschedules=%d events=%d dropped=%d inflight_peak=%d rejected(backpressure=%d)\n",
-		m.Completed, m.Failed, m.Reschedules, m.EventsEmitted, m.EventsDropped, m.InflightPeak, m.RejectedFull)
-	printReschedPath("server", m)
-	printAdmission("server", m)
-}
-
-// printReschedPath summarises the kernel's replan-path split (delta vs
-// full-fallback) and the per-trigger reschedule latency quantiles from a
-// /metrics snapshot. Quiet when the run exercised no reschedule path.
-func printReschedPath(prefix string, m server.MetricsDoc) {
-	if m.ReschedulesDelta == 0 && m.ReschedulesFullFallback == 0 {
-		return
-	}
-	line := fmt.Sprintf("loadgen: %s: replan path delta=%d full=%d", prefix, m.ReschedulesDelta, m.ReschedulesFullFallback)
-	if len(m.ReschedulesFullFallbackByReason) > 0 {
-		reasons := make([]string, 0, len(m.ReschedulesFullFallbackByReason))
-		for r := range m.ReschedulesFullFallbackByReason {
-			reasons = append(reasons, r)
-		}
-		sort.Strings(reasons)
-		line += " full_by_reason("
-		for i, r := range reasons {
-			if i > 0 {
-				line += " "
-			}
-			line += fmt.Sprintf("%s=%d", r, m.ReschedulesFullFallbackByReason[r])
-		}
-		line += ")"
-	}
-	for _, tr := range []string{"arrival", "variance", "departure", "contention"} {
-		if w, ok := m.RescheduleMs[tr]; ok && w.Count > 0 {
-			line += fmt.Sprintf(" %s(n=%d p50=%.2fms p99=%.2fms)", tr, w.Count, w.P50, w.P99)
-		}
-	}
-	fmt.Println(line)
+	}))
 }

@@ -1,20 +1,14 @@
 package main
 
 import (
-	"bytes"
 	"context"
-	"encoding/json"
 	"fmt"
 	"log"
-	"net/http"
-	"os"
-	"strconv"
 	"sync"
 	"time"
 
 	"aheft/internal/drive"
 	"aheft/internal/rng"
-	"aheft/internal/server"
 	"aheft/internal/stats"
 	"aheft/internal/wire"
 	"aheft/internal/workload"
@@ -22,7 +16,8 @@ import (
 
 // The -overload mode is the admission layer's acceptance harness: it
 // answers "can one greedy tenant ruin everyone else's day?" with a
-// measured no. The run has two phases on one daemon and one shared grid:
+// measured no. The run is two passes of the arrival loop on one daemon
+// and one shared grid:
 //
 //  1. Calibration: rounds of high-class "victim" workflows co-scheduled
 //     on the shared grid with no competition, establishing the victims'
@@ -46,120 +41,73 @@ import (
 // fast plan is actually fast), and the daemon must end with zero
 // reservations (nothing leaked).
 
-// overloadParams carries the -overload flags.
-type overloadParams struct {
-	duration time.Duration
-	jobs     int
-	seed     uint64
-	policy   string
-	varThr   float64
-	bound    float64
-	floods   int
-	out      string
+// OverloadStats is the -overload section of the report; the victims'
+// per-phase counts and mean makespans are its two class rows.
+type OverloadStats struct {
+	Bound         float64 `json:"bound"`
+	RoundsCalib   int     `json:"rounds_calibration"`
+	RoundsOver    int     `json:"rounds_overload"`
+	GreedyOffered int     `json:"greedy_offered"`
+	GreedyAdmit   int     `json:"greedy_admitted"`
+	Greedy429     int     `json:"greedy_429"`
+	CalibP50      float64 `json:"calibration_p50_makespan"`
+	CalibP99      float64 `json:"calibration_p99_makespan"`
+	OverP50       float64 `json:"overload_p50_makespan"`
+	OverP99       float64 `json:"overload_p99_makespan"`
+	DegradeFactor float64 `json:"degrade_factor"`
 }
 
-// OverloadReport is the -overload run summary written to -out.
-type OverloadReport struct {
-	Versions      versionStamp      `json:"versions"`
-	DurationS     float64           `json:"duration_s"`
-	Bound         float64           `json:"bound"`
-	RoundsCalib   int               `json:"rounds_calibration"`
-	RoundsOver    int               `json:"rounds_overload"`
-	VictimsCalib  int               `json:"victims_calibration"`
-	VictimsOver   int               `json:"victims_overload"`
-	GreedyOffered int               `json:"greedy_offered"`
-	GreedyAdmit   int               `json:"greedy_admitted"`
-	Greedy429     int               `json:"greedy_429"`
-	CalibP50      float64           `json:"calibration_p50_makespan"`
-	CalibP99      float64           `json:"calibration_p99_makespan"`
-	OverP50       float64           `json:"overload_p50_makespan"`
-	OverP99       float64           `json:"overload_p99_makespan"`
-	DegradeFactor float64           `json:"degrade_factor"`
-	ServerMetrics server.MetricsDoc `json:"server_metrics"`
-}
-
-// floodLoop hammers greedy low-class analytic submissions until stop is
-// closed, retrying 429s after the advised delay (capped to keep the
-// flood a flood). Returns offered / admitted / rejected counts.
-func floodLoop(g *generator, bodies [][]byte, floods int, seed uint64, stop <-chan struct{}) (offered, admitted, rejected int) {
+// flood hammers greedy low-class analytic submissions from -overload-floods
+// goroutines until ctx ends; the client's Submit rides out each 429 after
+// the advised delay. It counts what was offered, admitted and rejected
+// into o and returns a wait for the flooders to stop.
+func flood(ctx context.Context, c *drive.Client, bodies [][]byte, o *OverloadStats) (wait func()) {
 	var (
 		mu sync.Mutex
 		wg sync.WaitGroup
 	)
-	for i := 0; i < floods; i++ {
+	for i := 0; i < *overloadFloods; i++ {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			r := rng.New(seed ^ uint64(0xf100d+i))
-			for {
-				select {
-				case <-stop:
-					return
-				default:
-				}
-				body := bodies[r.IntN(len(bodies))]
-				resp, err := g.client.Post(g.base+"/v1/workflows", "application/json", bytes.NewReader(body))
-				if err != nil {
-					time.Sleep(10 * time.Millisecond)
-					continue
-				}
-				var sub wire.Submitted
-				code := resp.StatusCode
-				if code == http.StatusAccepted {
-					_ = json.NewDecoder(resp.Body).Decode(&sub)
-				}
-				resp.Body.Close()
+			r := rng.New(*seed ^ uint64(0xf100d+i))
+			for ctx.Err() == nil {
+				_, rejected, err := c.Submit(ctx, bodies[r.IntN(len(bodies))])
 				mu.Lock()
-				offered++
-				switch code {
-				case http.StatusAccepted:
-					admitted++
-				case http.StatusTooManyRequests:
-					rejected++
+				o.Greedy429 += rejected
+				o.GreedyOffered += rejected
+				if err == nil {
+					o.GreedyOffered++
+					o.GreedyAdmit++
 				}
 				mu.Unlock()
-				if code == http.StatusTooManyRequests {
-					delay := 20 * time.Millisecond
-					if ra, err := strconv.Atoi(resp.Header.Get("Retry-After")); err == nil && ra > 0 {
-						delay = time.Duration(ra) * time.Second / 8
-					}
-					if delay > 250*time.Millisecond {
-						delay = 250 * time.Millisecond
-					}
-					time.Sleep(delay)
-				}
 			}
 		}(i)
 	}
-	wg.Wait()
-	return offered, admitted, rejected
+	return wg.Wait
 }
 
-// overloadMain is the -overload entry point.
-func overloadMain(g *generator, p overloadParams) {
-	r := rng.New(p.seed ^ 0x0e10ad)
+// runOverload is the -overload row.
+func runOverload(r *run) *Report {
+	gen := rng.New(*seed ^ 0x0e10ad)
 	// One GridParams for every scenario: the pool shape is a function of
 	// gp alone, so all tenants' cost tables cover the one shared grid.
 	gp := workload.GridParams{InitialResources: 8, ChangeInterval: 400, ChangePct: 0.25, MaxEvents: 2}
-	var victims []*workload.Scenario
-	for i := 0; i < 4; i++ {
-		sc, err := workload.RandomScenario(workload.RandomParams{Jobs: p.jobs, CCR: 1, OutDegree: 0.3, Beta: 0.5}, gp, r)
-		if err != nil {
-			log.Fatalf("loadgen: overload: victim scenario: %v", err)
+	four := func(what string, jobs int) (scs []*workload.Scenario) {
+		for i := 0; i < 4; i++ {
+			sc, err := workload.RandomScenario(workload.RandomParams{Jobs: jobs, CCR: 1, OutDegree: 0.3, Beta: 0.5}, gp, gen)
+			if err != nil {
+				log.Fatalf("loadgen: overload: %s scenario: %v", what, err)
+			}
+			scs = append(scs, sc)
 		}
-		victims = append(victims, sc)
+		return scs
 	}
+	victims := four("victim", overloadJobs)
 	// The grid hog's DAGs are double the victims' size, four to a round:
 	// without the share cap its reservations would blanket the grid's
 	// future and push every victim plan out past the bound.
-	var hogs []*workload.Scenario
-	for i := 0; i < 4; i++ {
-		sc, err := workload.RandomScenario(workload.RandomParams{Jobs: 2 * p.jobs, CCR: 1, OutDegree: 0.3, Beta: 0.5}, gp, r)
-		if err != nil {
-			log.Fatalf("loadgen: overload: greedy scenario: %v", err)
-		}
-		hogs = append(hogs, sc)
-	}
+	hogs := four("greedy", 2*overloadJobs)
 	// The analytic flood runs on private pools: it exists to keep the
 	// admission queue deep (429s, fast-path admissions) without adding
 	// reservations of its own. Its DAGs are double victim size so each
@@ -169,15 +117,11 @@ func overloadMain(g *generator, p overloadParams) {
 	// enough that a victim round trip waits behind at most one brief
 	// execution.
 	var floodBodies [][]byte
-	for i := 0; i < 4; i++ {
-		sc, err := workload.RandomScenario(workload.RandomParams{Jobs: 2 * p.jobs, CCR: 1, OutDegree: 0.3, Beta: 0.5}, gp, r)
-		if err != nil {
-			log.Fatalf("loadgen: overload: flood scenario: %v", err)
-		}
+	for i, sc := range four("flood", 2*overloadJobs) {
 		body, err := wire.EncodeSubmission(&wire.Submission{
 			Name:    fmt.Sprintf("greedy-%d", i),
 			Tenant:  "greedy",
-			Policy:  p.policy,
+			Policy:  policyName,
 			Options: wire.Options{Class: wire.ClassLow},
 			Graph:   sc.Graph, Comp: sc.Table, Pool: sc.Pool,
 		})
@@ -187,195 +131,89 @@ func overloadMain(g *generator, p overloadParams) {
 		floodBodies = append(floodBodies, body)
 	}
 
-	gridName := fmt.Sprintf("overload-%d", p.seed)
-	leaked := 0
-	// runPhase drives rounds of two victims (cycling through all four
-	// scenarios every two rounds) plus, in the overload phase, the grid
-	// hog's four workflows. Per-round seeds match across phases and the
-	// victims' noise draws come first, so a victim round's runtimes are
-	// identical in both phases — the only difference is the competition.
-	// Calibration rounds finish in milliseconds while overload rounds
-	// fight the flood for the core, so an uncapped time budget would pit
-	// hundreds of calibration samples against a handful of overload ones;
-	// the cap keeps the two phases' round sets (and their paired seeds)
-	// comparable.
-	const maxRounds = 8
-	runPhase := func(phase string, withHogs bool) []float64 {
-		var makespans []float64
-		start, rounds := time.Now(), 0
-		for rounds < 2 || (rounds < maxRounds && time.Since(start) < p.duration) {
-			opts := wire.Options{Class: wire.ClassHigh, VarianceThreshold: p.varThr}
+	// phase paces rounds of two victims (cycling through all four
+	// scenarios every two rounds) plus, under the flood, the grid hog's
+	// four workflows, and returns the victims' makespans. Per-round seeds
+	// match across phases and the victims' noise draws come first, so a
+	// victim round's runtimes are identical in both phases — the only
+	// difference is the competition. Calibration rounds finish in
+	// milliseconds while overload rounds fight the flood for the core, so
+	// an uncapped time budget would pit hundreds of calibration samples
+	// against a handful of overload ones; the cap of eight keeps the two
+	// phases' round sets (and their paired seeds) comparable.
+	phase := func(name string, withHogs bool) (makespans []float64, rounds int, window, total time.Duration) {
+		p := pace{duration: *duration, inflight: 1, min: 2, max: 8}
+		rounds, _, window, total = p.arrive(func(round int) func() {
+			opts := wire.Options{Class: wire.ClassHigh, VarianceThreshold: varianceThreshold}
 			tenants := []drive.Tenant{
-				{Name: "victim", Scenario: victims[(2*rounds)%len(victims)], Policy: p.policy, Options: opts},
-				{Name: "victim", Scenario: victims[(2*rounds+1)%len(victims)], Policy: p.policy, Options: opts},
+				{Name: "victim", Scenario: victims[(2*round)%len(victims)], Policy: policyName, Options: opts},
+				{Name: "victim", Scenario: victims[(2*round+1)%len(victims)], Policy: policyName, Options: opts},
 			}
 			if withHogs {
 				for i, sc := range hogs {
 					tenants = append(tenants, drive.Tenant{
-						Name: "greedy-grid", Scenario: sc, Policy: p.policy,
+						Name: "greedy-grid", Scenario: sc, Policy: policyName,
 						Options: wire.Options{Class: wire.ClassLow, Weight: float64(1 + i%2)},
 					})
 				}
 			}
-			out, err := drive.RunShared(context.Background(), drive.SharedConfig{
-				BaseURL: g.base,
-				Client:  g.client,
-				Grid:    gridName,
-				Pool:    victims[0].Pool,
-				Noise:   0.1,
-				Seed:    p.seed*1_000_003 + uint64(rounds),
-			}, tenants)
-			if err != nil {
-				log.Fatalf("loadgen: overload: %s round %d: %v", phase, rounds, err)
-			}
-			if out.FinalReservations != 0 {
-				leaked++
-				log.Printf("loadgen: overload: %s round %d leaked %d reservations", phase, rounds, out.FinalReservations)
-			}
-			for _, to := range out.Tenants {
-				if to.Name == "victim" {
-					makespans = append(makespans, to.AdaptiveMakespan)
+			return func() {
+				out, err := drive.Run(context.Background(), drive.Config{
+					Client: *r.c,
+					Grid:   fmt.Sprintf("overload-%d", *seed),
+					Pool:   victims[0].Pool,
+					Noise:  0.1,
+					Seed:   *seed*1_000_003 + uint64(round),
+				}, tenants)
+				if err == nil {
+					// The class row is the victims'; the hog is competition,
+					// not a result.
+					out.Tenants = out.Tenants[:2]
+					for _, row := range out.Tenants {
+						makespans = append(makespans, row.AdaptiveMakespan)
+					}
 				}
+				r.fold(name, out, err)
 			}
-			rounds++
-		}
-		return makespans
+		})
+		return makespans, rounds, window, total
 	}
 
-	log.Printf("loadgen: overload: calibration phase (≥%.0fs, victims only)", p.duration.Seconds())
-	calib := runPhase("calib", false)
-	calibRounds := len(calib) / 2
+	o := &OverloadStats{Bound: *overloadBound}
+	r.rep.Overload = o
+	log.Printf("loadgen: overload: calibration phase (≥%.0fs, victims only)", duration.Seconds())
+	calib, calibRounds, w1, t1 := phase("calibration", false)
 
-	log.Printf("loadgen: overload: overload phase (≥%.0fs, victims + grid hog + %d flooders)", p.duration.Seconds(), p.floods)
-	stop := make(chan struct{})
-	var offered, admitted, rejected int
-	floodDone := make(chan struct{})
-	go func() {
-		defer close(floodDone)
-		offered, admitted, rejected = floodLoop(g, floodBodies, p.floods, p.seed, stop)
-	}()
-	over := runPhase("over", true)
-	overRounds := len(over) / 2
-	close(stop)
-	<-floodDone
+	log.Printf("loadgen: overload: overload phase (≥%.0fs, victims + grid hog + %d flooders)", duration.Seconds(), *overloadFloods)
+	ctx, stop := context.WithCancel(context.Background())
+	stopped := flood(ctx, r.c, floodBodies, o)
+	over, overRounds, w2, t2 := phase("overload", true)
+	stop()
+	stopped()
 
 	// Let the flood's backlog drain before the final metrics read, so the
 	// leak gate sees the daemon quiescent, not mid-flight.
-	waitQuiesce(g, 2*time.Minute)
+	waitQuiesce(r.c, 2*time.Minute)
 
-	var metrics server.MetricsDoc
-	if err := g.getJSON("/metrics", &metrics); err != nil {
-		log.Fatalf("loadgen: fetch metrics: %v", err)
-	}
+	o.RoundsCalib, o.RoundsOver = calibRounds, overRounds
 	cq := stats.Quantiles(calib, 0.50, 0.99)
 	oq := stats.Quantiles(over, 0.50, 0.99)
-	rep := OverloadReport{
-		Versions:    g.versions(),
-		DurationS:   2 * p.duration.Seconds(),
-		Bound:       p.bound,
-		RoundsCalib: calibRounds, RoundsOver: overRounds,
-		VictimsCalib: len(calib), VictimsOver: len(over),
-		GreedyOffered: offered, GreedyAdmit: admitted, Greedy429: rejected,
-		CalibP50: cq[0], CalibP99: cq[1],
-		OverP50: oq[0], OverP99: oq[1],
-		ServerMetrics: metrics,
-	}
+	o.CalibP50, o.CalibP99, o.OverP50, o.OverP99 = cq[0], cq[1], oq[0], oq[1]
 	if cq[1] > 0 {
-		rep.DegradeFactor = oq[1] / cq[1]
+		o.DegradeFactor = oq[1] / cq[1]
 	}
-
-	adm := metrics.Admission
-	fmt.Printf("loadgen: overload: victims calib=%d (%d rounds) over=%d (%d rounds); greedy offered=%d admitted=%d 429=%d\n",
-		rep.VictimsCalib, calibRounds, rep.VictimsOver, overRounds, offered, admitted, rejected)
-	fmt.Printf("loadgen: overload: victim p99 makespan %.1f calibrated → %.1f under flood (factor %.2f, bound %.1f)\n",
-		cq[1], oq[1], rep.DegradeFactor, p.bound)
-	printAdmission("overload", metrics)
-
-	if p.out != "" {
-		data, _ := json.MarshalIndent(rep, "", "  ")
-		if err := os.WriteFile(p.out, append(data, '\n'), 0o644); err != nil {
-			log.Fatalf("loadgen: write report: %v", err)
-		}
-		log.Printf("loadgen: wrote %s", p.out)
-	}
-
-	fastAdmits, upgrades := uint64(0), uint64(0)
-	for _, n := range adm.FastPathByClass {
-		fastAdmits += n
-	}
-	for _, n := range adm.UpgradedByClass {
-		upgrades += n
-	}
-	switch {
-	case len(calib) == 0 || len(over) == 0:
-		log.Fatal("loadgen: overload: a phase completed no victims")
-	case cq[1] <= 0:
-		log.Fatal("loadgen: overload: calibration produced a zero p99 makespan")
-	case leaked > 0:
-		log.Fatalf("loadgen: overload: %d rounds leaked reservations", leaked)
-	case rep.DegradeFactor > p.bound:
-		log.Fatalf("loadgen: overload: victim p99 makespan degraded %.2f× under the flood, bound %.1f×", rep.DegradeFactor, p.bound)
-	case fastAdmits == 0:
-		log.Fatal("loadgen: overload: flood never tripped the fast path (raise -overload-floods or lower the daemon's -fast-path-depth)")
-	case upgrades == 0:
-		log.Fatal("loadgen: overload: no fast-path admission was upgraded to a full plan")
-	case adm.FastInitialMs.Count > 0 && adm.FullInitialMs.Count > 0 && adm.FastInitialMs.P99 >= adm.FullInitialMs.P99:
-		log.Fatalf("loadgen: overload: fast-path initial-plan p99 %.2fms not below full-path %.2fms",
-			adm.FastInitialMs.P99, adm.FullInitialMs.P99)
-	case metrics.Reservations != 0:
-		log.Fatalf("loadgen: overload: daemon still holds %d reservations", metrics.Reservations)
-	}
+	return r.finish(calibRounds+overRounds, 0, w1+w2, t1+t2)
 }
 
 // waitQuiesce polls /metrics until the daemon reports no in-flight
 // workflows (the admitted greedy backlog has drained).
-func waitQuiesce(g *generator, timeout time.Duration) {
+func waitQuiesce(c *drive.Client, timeout time.Duration) {
 	deadline := time.Now().Add(timeout)
 	for time.Now().Before(deadline) {
-		var m server.MetricsDoc
-		if err := g.getJSON("/metrics", &m); err == nil && m.Inflight == 0 {
+		if m, err := scrape(c); err == nil && m.Inflight == 0 {
 			return
 		}
 		time.Sleep(250 * time.Millisecond)
 	}
 	log.Printf("loadgen: overload: daemon did not quiesce within %s", timeout)
-}
-
-// printAdmission summarises the daemon's admission state from a /metrics
-// snapshot: per-class admit/fast/upgrade/reject counters, queue wait and
-// per-path initial-plan quantiles, drain rate and per-tenant depths.
-// Quiet when the daemon predates the admission layer or saw no traffic.
-func printAdmission(prefix string, m server.MetricsDoc) {
-	adm := m.Admission
-	total := uint64(0)
-	for _, n := range adm.AdmittedByClass {
-		total += n
-	}
-	for _, n := range adm.RejectedByClass {
-		total += n
-	}
-	if total == 0 {
-		return
-	}
-	line := fmt.Sprintf("loadgen: %s: admission", prefix)
-	for _, class := range []string{"high", "normal", "low"} {
-		a := adm.AdmittedByClass[class]
-		rej := adm.RejectedByClass[class]
-		if a == 0 && rej == 0 {
-			continue
-		}
-		line += fmt.Sprintf(" %s(admit=%d fast=%d upgraded=%d 429=%d)",
-			class, a, adm.FastPathByClass[class], adm.UpgradedByClass[class], rej)
-	}
-	if adm.WaitMs.Count > 0 {
-		line += fmt.Sprintf(" wait(p50=%.2fms p99=%.2fms)", adm.WaitMs.P50, adm.WaitMs.P99)
-	}
-	if adm.FastInitialMs.Count > 0 || adm.FullInitialMs.Count > 0 {
-		line += fmt.Sprintf(" initial(fast p99=%.2fms n=%d, full p99=%.2fms n=%d)",
-			adm.FastInitialMs.P99, adm.FastInitialMs.Count, adm.FullInitialMs.P99, adm.FullInitialMs.Count)
-	}
-	if adm.DrainRatePerS > 0 {
-		line += fmt.Sprintf(" drain=%.1f/s", adm.DrainRatePerS)
-	}
-	fmt.Println(line)
 }

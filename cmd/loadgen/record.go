@@ -16,15 +16,15 @@ import (
 // port, so a plain `loadgen -record <dir>` run needs no external aheftd
 // and leaves behind a recording cmd/replay can verify. The returned
 // finish func drains the daemon — writing each stream's clean trailer —
-// and prints the replay hint. finish runs only when the run succeeds
-// (log.Fatal skips it); a gate-failed run leaves trailer-less streams
-// that replay refuses with a diagnostic rather than replaying a lie.
-func startRecorded(dir string, shards int, policy string, varThr float64) (base string, finish func()) {
+// and prints the replay hint. finish runs only when the run succeeds; a
+// gate-failed run leaves trailer-less streams that replay refuses with a
+// diagnostic rather than replaying a lie.
+func startRecorded(dir string) (base string, finish func()) {
 	srv, err := server.Open(server.Config{
-		Shards:            shards,
+		Shards:            recordShards,
 		QueueDepth:        4096,
-		DefaultPolicy:     policy,
-		VarianceThreshold: varThr,
+		DefaultPolicy:     policyName,
+		VarianceThreshold: varianceThreshold,
 		RecordDir:         dir,
 	})
 	if err != nil {
@@ -40,7 +40,7 @@ func startRecorded(dir string, shards int, policy string, varThr float64) (base 
 		}
 	}()
 	log.Printf("loadgen: -record: in-process daemon on %s recording to %s (%d shards)",
-		ln.Addr(), dir, shards)
+		ln.Addr(), dir, recordShards)
 	finish = func() {
 		ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
 		defer cancel()

@@ -3,10 +3,8 @@ package drive
 import (
 	"context"
 	"fmt"
-	"net/http"
+	"math"
 	"sort"
-	"strings"
-	"time"
 
 	"aheft/internal/cost"
 	"aheft/internal/data"
@@ -23,152 +21,123 @@ import (
 // (derived transfer durations, per-channel serialization, replica
 // reuse) — so neither side grades its own homework.
 
-// DataConfig parameterises one data-aware round.
-type DataConfig struct {
-	// BaseURL is the daemon's address.
-	BaseURL string
-	// Client is the HTTP client; nil means a 2-minute-timeout default.
-	Client *http.Client
-	// Grid names the shared grid; it is registered with the scenario's
-	// pool if absent.
-	Grid string
-	// Scenario supplies the workflow, cost table, link-constrained pool,
-	// and the file catalog (Files must be non-nil).
-	Scenario *workload.Scenario
-	// Policy and Name go into the submission ("aheft" when empty).
-	Policy string
-	Name   string
-}
-
-// DataOutcome is one round's measured result.
-type DataOutcome struct {
-	ID   string
-	Jobs int
-	// AwareMakespan is the daemon's data-aware plan retimed under the
-	// true data semantics; ObliviousMakespan is the data-oblivious plan
-	// of the identical scenario retimed the same way. DaemonMakespan is
-	// the daemon's terminal report after the faithful replay.
-	AwareMakespan     float64
-	ObliviousMakespan float64
-	DaemonMakespan    float64
-	// PlannedTransferClaims is the grid's transfer-reservation count
-	// observed while the plan was pending — zero means the round never
-	// exercised the data path.
-	PlannedTransferClaims int
-	// FinalReservations and FinalTransferReservations are the grid's
-	// occupancy after the workflow finished — anything but zero is a
-	// leak.
-	FinalReservations         int
-	FinalTransferReservations int
-}
-
-// Delta returns the fractional makespan improvement of data-aware
-// placement over the data-oblivious baseline.
-func (o *DataOutcome) Delta() float64 {
-	if o.ObliviousMakespan <= 0 {
-		return 0
+// Replay builds the faithful execution report of plan up to clock —
+// every job starting and finishing exactly when planned; starts strictly
+// before clock, finishes at or before it — skipping events the applied
+// prefix already covered. A +Inf clock with no prefix is the whole run; a
+// +Inf clock with a pre-crash prefix is exactly the remaining events.
+// Starts sort ahead of finishes at equal times, so the daemon knows a job
+// holds its slot before it hears a neighbour released one.
+func Replay(plan *wire.Plan, clock float64, applied []wire.ReportEvent) []wire.ReportEvent {
+	type key struct {
+		kind string
+		job  int
 	}
-	return (o.ObliviousMakespan - o.AwareMakespan) / o.ObliviousMakespan
+	done := make(map[key]bool, len(applied))
+	for _, ev := range applied {
+		done[key{ev.Kind, ev.Job}] = true
+	}
+	var evs []wire.ReportEvent
+	for _, a := range plan.Assignments {
+		if a.Start < clock && !done[key{wire.ReportJobStarted, a.Job}] {
+			evs = append(evs, wire.ReportEvent{
+				Kind: wire.ReportJobStarted, Time: a.Start, Job: a.Job, Resource: a.Resource,
+			})
+		}
+		if a.Finish <= clock && !done[key{wire.ReportJobFinished, a.Job}] {
+			evs = append(evs, wire.ReportEvent{
+				Kind: wire.ReportJobFinished, Time: a.Finish, Job: a.Job, Resource: a.Resource, Duration: a.Finish - a.Start,
+			})
+		}
+	}
+	sort.SliceStable(evs, func(i, j int) bool {
+		if evs[i].Time != evs[j].Time {
+			return evs[i].Time < evs[j].Time
+		}
+		return evs[i].Kind == wire.ReportJobStarted && evs[j].Kind != wire.ReportJobStarted
+	})
+	return evs
 }
 
-// RunData drives one data-aware workflow through the shared grid to
-// completion and scores it against the data-oblivious baseline.
-func RunData(ctx context.Context, cfg DataConfig) (*DataOutcome, error) {
-	sc := cfg.Scenario
+// RunData drives one data-aware workflow — tn's Scenario must carry a
+// file catalog and the link-constrained pool, which is registered as the
+// shared grid cfg.Grid if absent — to completion and scores it against
+// the data-oblivious baseline. There is no noise, churn or feedback: the
+// row's AdaptiveMakespan is the daemon's data-aware plan retimed under
+// the true data semantics, BaselineMakespan the data-oblivious plan of
+// the identical scenario retimed the same way.
+func RunData(ctx context.Context, cfg Config, tn Tenant) (*Outcome, error) {
+	sc := tn.Scenario
 	if sc == nil || sc.Files == nil {
 		return nil, fmt.Errorf("drive: data round needs a scenario with a file catalog")
 	}
-	client := cfg.Client
-	if client == nil {
-		client = &http.Client{Timeout: 2 * time.Minute}
-	}
-	d := &driver{cfg: Config{BaseURL: cfg.BaseURL}, client: client, base: strings.TrimRight(cfg.BaseURL, "/")}
-	if err := d.ensureGrid(ctx, cfg.Grid, sc.Pool); err != nil {
+	c := &cfg.Client
+	if err := c.EnsureGrid(ctx, cfg.Grid, sc.Pool); err != nil {
 		return nil, err
 	}
-
 	m, err := data.NewModel(sc.Files, sc.Pool, sc.Graph, 0)
 	if err != nil {
 		return nil, fmt.Errorf("drive: data model: %w", err)
 	}
 	est := cost.Exact(sc.Table)
-	out := &DataOutcome{Jobs: sc.Graph.Len()}
+	row := Row{Name: tn.Name, Jobs: sc.Graph.Len()}
 
 	// Data-oblivious baseline: the pre-data-model behaviour — plan on the
 	// raw edge weights alone, then pay the true transfer costs.
-	tn := Tenant{Name: cfg.Name, Policy: cfg.Policy}
-	tn.Scenario = &workload.Scenario{Graph: sc.Graph, Table: sc.Table, Pool: sc.Pool}
-	oblivious, err := isolatedPlan(tn, sc.Pool)
+	bare := tn
+	bare.Scenario = &workload.Scenario{Graph: sc.Graph, Table: sc.Table, Pool: sc.Pool}
+	oblivious, err := isolatedPlan(bare, sc.Pool)
 	if err != nil {
 		return nil, fmt.Errorf("drive: oblivious plan: %w", err)
 	}
-	out.ObliviousMakespan = data.Retime(sc.Graph, oblivious, m, est)
+	row.BaselineMakespan = data.Retime(sc.Graph, oblivious, m, est)
 
 	// Data-aware run: submit with the catalog, watch the staged claims,
 	// replay the plan faithfully, and verify the grid drains.
-	tn.Scenario = sc
-	id, err := d.submitShared(ctx, cfg.Grid, tn)
+	body, err := Submission(cfg.Grid, nil, tn)
 	if err != nil {
 		return nil, err
 	}
-	out.ID = id
-	plan, err := d.fetchPlan(ctx, id)
+	if row.ID, _, err = c.Submit(ctx, body); err != nil {
+		return nil, err
+	}
+	plan, err := c.Plan(ctx, row.ID)
 	if err != nil {
 		return nil, err
 	}
-	var gst wire.GridStatus
-	if code, err := d.get(ctx, "/v1/grids/"+cfg.Grid, &gst); err != nil {
-		return nil, fmt.Errorf("drive: grid status: %w", err)
-	} else if code != http.StatusOK {
-		return nil, fmt.Errorf("drive: grid status: HTTP %d", code)
+	staged, err := c.Grid(ctx, cfg.Grid)
+	if err != nil {
+		return nil, err
 	}
-	out.PlannedTransferClaims = gst.TransferReservations
-
-	events := make([]wire.ReportEvent, 0, 2*len(plan.Assignments))
-	for _, a := range plan.Assignments {
-		events = append(events,
-			wire.ReportEvent{Kind: wire.ReportJobStarted, Time: a.Start, Job: a.Job, Resource: a.Resource},
-			wire.ReportEvent{Kind: wire.ReportJobFinished, Time: a.Finish, Job: a.Job, Resource: a.Resource, Duration: a.Finish - a.Start},
-		)
-	}
-	sort.SliceStable(events, func(i, j int) bool {
-		if events[i].Time != events[j].Time {
-			return events[i].Time < events[j].Time
-		}
-		return events[i].Kind == wire.ReportJobStarted && events[j].Kind == wire.ReportJobFinished
-	})
-	ack, err := d.report(ctx, id, events)
+	ack, err := c.Report(ctx, row.ID, Replay(plan, math.Inf(1), nil))
 	if err != nil {
 		return nil, err
 	}
 	if !ack.Done {
-		return nil, fmt.Errorf("drive: workflow %s not done after faithful replay", id)
+		return nil, fmt.Errorf("drive: workflow %s not done after faithful replay", row.ID)
 	}
-	st, err := d.status(ctx, id)
+	st, err := c.Status(ctx, row.ID)
 	if err != nil {
 		return nil, err
 	}
 	if st.State != "done" {
-		return nil, fmt.Errorf("drive: workflow %s ended %s: %s", id, st.State, st.Error)
+		return nil, fmt.Errorf("drive: workflow %s ended %s: %s", row.ID, st.State, st.Error)
 	}
-	out.DaemonMakespan = st.Makespan
-
+	row.DaemonMakespan = st.Makespan
 	aware, err := planSchedule(plan, sc.Graph)
 	if err != nil {
 		return nil, err
 	}
-	out.AwareMakespan = data.Retime(sc.Graph, aware, m, est)
+	row.AdaptiveMakespan = data.Retime(sc.Graph, aware, m, est)
 
-	// A fresh struct, not gst: the drained gauges are omitempty on the
-	// wire, and decoding over the pre-report snapshot would keep its
-	// stale non-zero values.
-	var final wire.GridStatus
-	if code, err := d.get(ctx, "/v1/grids/"+cfg.Grid, &final); err != nil {
-		return nil, fmt.Errorf("drive: grid status: %w", err)
-	} else if code != http.StatusOK {
-		return nil, fmt.Errorf("drive: grid status: HTTP %d", code)
+	final, err := c.Grid(ctx, cfg.Grid)
+	if err != nil {
+		return nil, err
 	}
-	out.FinalReservations = final.Reservations
-	out.FinalTransferReservations = final.TransferReservations
-	return out, nil
+	return &Outcome{
+		Tenants:                   []Row{row},
+		PlannedTransferClaims:     staged.TransferReservations,
+		FinalReservations:         final.Reservations,
+		FinalTransferReservations: final.TransferReservations,
+	}, nil
 }

@@ -1,34 +1,34 @@
 // Package drive is the enactment side of the paper's Fig. 1 architecture
-// run against a live aheftd daemon: it submits a workflow in live mode,
-// fetches the daemon's plan, executes it on the simulated grid
+// run against a live aheftd daemon: it submits workflows in live mode,
+// fetches the daemon's plans, executes them on the simulated grid
 // (internal/executor + internal/sim) with configurable runtime noise and
 // resource churn, and reports every run-time event — job starts, measured
 // finishes, resource joins — back through POST /v1/workflows/{id}/report,
-// adopting whatever reschedule the daemon returns. It also executes the
-// never-reschedule baseline (the initial plan under the same noise and
-// churn), so callers can measure what adaptivity bought.
+// adopting whatever reschedule the daemon returns. It also executes a
+// nobody-listens baseline under the same noise and churn, so callers can
+// measure what adaptivity bought.
 //
-// cmd/loadgen's -drive mode and the server acceptance tests share this
-// harness. A Run with a fixed Config and scenario is deterministic as
-// long as the workflow's tenant history is not perturbed by concurrent
-// workflows: the noise table and churned pool are pre-materialised from
-// the seed, and the simulation itself is a deterministic event loop.
+// There is one of each part: Client is the only daemon HTTP client, Run
+// the only enactor (one tenant on its own pool, or several co-scheduled
+// on a named shared grid), Replay the only builder of faithful
+// plan-to-report event lists (RunData and loadgen's -chaos script use
+// it). cmd/loadgen and the server acceptance tests share this harness. A
+// Run with a fixed Config and tenants is deterministic as long as the
+// tenants' histories are not perturbed by concurrent workflows: the noise
+// tables and churned pool are pre-materialised from the seed, and the
+// simulation itself is a deterministic event loop.
 package drive
 
 import (
-	"bytes"
 	"context"
-	"encoding/json"
 	"fmt"
-	"io"
-	"net/http"
-	"strings"
-	"time"
 
 	"aheft/internal/cost"
 	"aheft/internal/dag"
 	"aheft/internal/executor"
 	"aheft/internal/grid"
+	"aheft/internal/kernel"
+	"aheft/internal/policy"
 	"aheft/internal/rng"
 	"aheft/internal/schedule"
 	"aheft/internal/sim"
@@ -36,351 +36,384 @@ import (
 	"aheft/internal/workload"
 )
 
-// Config parameterises one driven workflow.
+// Config parameterises one run.
 type Config struct {
-	// BaseURL is the daemon's address ("http://127.0.0.1:7070").
-	BaseURL string
-	// Client is the HTTP client; nil means a 2-minute-timeout default.
-	Client *http.Client
-	// Policy and Options go into the submission. Options.VarianceThreshold
-	// tunes the daemon's variance trigger for this workflow.
-	Policy  string
-	Options wire.Options
-	// Tenant scopes the performance history the daemon plans with.
-	Tenant string
-	// Noise is the actual-runtime perturbation: each (job, resource)
-	// runtime is the estimate scaled by a factor drawn once from
+	// Client reaches the daemon.
+	Client
+	// Grid names the shared grid the tenants are submitted against
+	// (pool: "shared:<name>"); it is registered with Pool if absent.
+	// Empty means no shared grid: the single tenant is submitted with
+	// Pool as its own private pool.
+	Grid string
+	// Pool is the resource universe every tenant enacts on; nil means the
+	// first tenant's Scenario.Pool.
+	Pool *grid.Pool
+	// Noise is the actual-runtime perturbation: each (tenant, job,
+	// resource) runtime is the estimate scaled by a factor drawn once from
 	// [1−Noise, 1+Noise]. 0 reproduces the estimates exactly.
 	Noise float64
 	// Churn jitters each planned resource arrival time by a factor drawn
-	// from [1−Churn, 1+Churn] — the enacted grid diverges from the
-	// submitted plan, and the daemon only learns the truth from
-	// resource-join reports.
+	// from [1−Churn, 1+Churn], once for the whole run — the enacted grid
+	// diverges from the submitted one, and the daemon only learns the
+	// truth from resource-join reports.
 	Churn float64
 	// Seed drives the noise and churn draws.
 	Seed uint64
-	// Name labels the submission.
-	Name string
 }
 
-// Outcome is the measured result of one driven workflow.
-type Outcome struct {
+// Tenant is one workflow of a run.
+type Tenant struct {
+	// Name labels the submission and the outcome row.
+	Name string
+	// History is the daemon-side tenant: it scopes the performance history
+	// the daemon plans with and the admission queue the submission waits
+	// in. Name when empty.
+	History string
+	// Scenario supplies the workflow graph, estimator table and optional
+	// file catalog; its Pool only matters through Config.Pool's default.
+	Scenario *workload.Scenario
+	// Policy and Options go into the submission ("aheft" when empty).
+	Policy  string
+	Options wire.Options
+}
+
+// Row is one tenant's measured result.
+type Row struct {
 	ID   string
+	Name string
 	Jobs int
-	// AdaptiveMakespan is the simulated completion time with the daemon's
-	// reschedules adopted; StaticMakespan is the same noisy grid enacting
-	// the initial plan with no feedback. DaemonMakespan is what the
-	// daemon's terminal status reported (equals AdaptiveMakespan when the
-	// loop is consistent).
+	// AdaptiveMakespan is the tenant's simulated completion time with the
+	// daemon's plans enacted and its reschedules adopted mid-flight.
+	// BaselineMakespan is its completion time on the identical job stream
+	// with nobody listening: on a private pool the daemon's initial plan
+	// enacted without feedback (never-reschedule), on a shared grid every
+	// tenant's plan computed as if it were alone (isolated planning — what
+	// the daemon produced before shared grids existed) and the plans
+	// enacted together. DaemonMakespan is what the daemon's terminal
+	// status reported (equals AdaptiveMakespan when the loop is
+	// consistent); InitialMakespan is the first plan's promise.
 	AdaptiveMakespan float64
-	StaticMakespan   float64
+	BaselineMakespan float64
 	DaemonMakespan   float64
 	InitialMakespan  float64
-	// Reports / Events count what was POSTed; Generation is the final
-	// plan generation.
+	// Reports / Events count what was POSTed, Decisions the evaluations
+	// the daemon ran for them; Generation is the final plan generation.
 	Reports    int
 	Events     int
+	Decisions  int
 	Generation int
-	// Decisions and the per-trigger adopted-reschedule counts.
-	Decisions            int
-	Reschedules          int
-	VarianceReschedules  int
-	ArrivalReschedules   int
-	DepartureReschedules int
+	// Reschedules counts adopted plans; ByTrigger splits it by the ack's
+	// trigger name ("contention" is a plan adopted because *another*
+	// workflow's reservations released).
+	Reschedules int
+	ByTrigger   map[string]int
 }
 
 // Delta returns the fractional makespan improvement of the adaptive run
-// over the static baseline (positive = adaptivity helped).
-func (o *Outcome) Delta() float64 {
-	if o.StaticMakespan <= 0 {
+// over the baseline (positive = adaptivity helped).
+func (r *Row) Delta() float64 {
+	if r.BaselineMakespan <= 0 {
 		return 0
 	}
-	return (o.StaticMakespan - o.AdaptiveMakespan) / o.StaticMakespan
+	return (r.BaselineMakespan - r.AdaptiveMakespan) / r.BaselineMakespan
 }
 
-// Run drives one scenario through the daemon's feedback loop to
-// completion and returns the measured outcome.
-func Run(ctx context.Context, cfg Config, sc *workload.Scenario) (*Outcome, error) {
-	client := cfg.Client
-	if client == nil {
-		client = &http.Client{Timeout: 2 * time.Minute}
+// Outcome is the measured result of one run.
+type Outcome struct {
+	Tenants []Row
+	// FinalReservations and FinalTransferReservations are the shared
+	// grid's occupancy after every tenant finished — anything but zero is
+	// a leak. PlannedTransferClaims (RunData only) is the grid's
+	// transfer-reservation count while the plan was pending — zero means
+	// the round never exercised the data path.
+	FinalReservations         int
+	FinalTransferReservations int
+	PlannedTransferClaims     int
+}
+
+// Run drives the tenants through the daemon's feedback loop to completion
+// and returns the per-tenant outcomes against the nobody-listens baseline.
+//
+// All tenants are executed *together* on a single discrete-event
+// simulation of the pool, where a resource runs one job at a time across
+// every tenant. The executor already enforces exclusivity and planned
+// queue order, so enacting the union of all tenants' plans as one merged
+// schedule makes cross-workflow contention physically real: oblivious
+// plans that reserved the same slot queue behind each other,
+// contention-aware plans run side by side.
+func Run(ctx context.Context, cfg Config, tenants []Tenant) (*Outcome, error) {
+	shared := cfg.Grid != ""
+	if len(tenants) == 0 || (!shared && len(tenants) != 1) {
+		return nil, fmt.Errorf("drive: %d tenants (a private pool takes exactly one)", len(tenants))
 	}
-	d := &driver{cfg: cfg, client: client, base: strings.TrimRight(cfg.BaseURL, "/")}
-	r := rng.New(cfg.Seed ^ 0xd21fe00d)
-	noisy := noisyTable(sc, cfg.Noise, r)
-	pool, err := churnPool(sc.Pool, cfg.Churn, r)
+	if cfg.Pool == nil {
+		cfg.Pool = tenants[0].Scenario.Pool
+	}
+	if cfg.Pool == nil || cfg.Pool.Size() == 0 {
+		return nil, fmt.Errorf("drive: run needs a pool")
+	}
+	c := &cfg.Client
+	if shared {
+		if err := c.EnsureGrid(ctx, cfg.Grid, cfg.Pool); err != nil {
+			return nil, err
+		}
+	}
+
+	// The truth of the run, drawn once up front so the adaptive run and
+	// the baseline see identical runtimes and arrivals. The two salts and
+	// draw orders predate the unified Run; the daemon's tests, benches and
+	// CI gate statistics are pinned to the streams they produce.
+	noisy := make([]*cost.Table, len(tenants))
+	drawNoise := func(r *rng.Source) {
+		for i, tn := range tenants {
+			noisy[i] = noisyTable(tn.Scenario, cfg.Noise, r)
+		}
+	}
+	var enacted *grid.Pool
+	var err error
+	if shared {
+		r := rng.New(cfg.Seed ^ 0x5a11ed641d)
+		enacted, err = churnPool(cfg.Pool, cfg.Churn, r)
+		drawNoise(r)
+	} else {
+		r := rng.New(cfg.Seed ^ 0xd21fe00d)
+		drawNoise(r)
+		enacted, err = churnPool(cfg.Pool, cfg.Churn, r)
+	}
 	if err != nil {
 		return nil, fmt.Errorf("drive: churn pool: %w", err)
 	}
-
-	id, err := d.submit(ctx, sc)
+	merged, offsets, err := mergeGraphs(tenants)
 	if err != nil {
 		return nil, err
 	}
-	plan, err := d.fetchPlan(ctx, id)
+	mergedNoisy, err := mergeTables(noisy, cfg.Pool.Size())
 	if err != nil {
-		return nil, err
-	}
-	initial, err := planSchedule(plan, sc.Graph)
-	if err != nil {
-		return nil, err
-	}
-	out := &Outcome{ID: id, Jobs: sc.Graph.Len(), InitialMakespan: plan.Makespan, Generation: plan.Generation}
-
-	// The never-reschedule baseline: same noisy runtimes, same churned
-	// grid, the initial plan enacted with nobody listening. It cannot
-	// depend on the adaptive run, so it runs first on its own engine.
-	static, err := executor.New(sim.New(), sc.Graph, cost.Exact(noisy), pool, initial, nil)
-	if err != nil {
-		return nil, fmt.Errorf("drive: static baseline: %w", err)
-	}
-	if _, err := static.Run(); err != nil {
-		return nil, fmt.Errorf("drive: static baseline: %w", err)
-	}
-	out.StaticMakespan = static.Makespan()
-
-	if err := d.enact(ctx, id, sc.Graph, noisy, pool, initial, out); err != nil {
 		return nil, err
 	}
 
-	st, err := d.status(ctx, id)
+	// Live submissions, then every initial plan.
+	out := &Outcome{Tenants: make([]Row, len(tenants))}
+	for i, tn := range tenants {
+		body, err := Submission(cfg.Grid, cfg.Pool, tn)
+		if err != nil {
+			return nil, err
+		}
+		id, _, err := c.Submit(ctx, body)
+		if err != nil {
+			return nil, err
+		}
+		out.Tenants[i] = Row{ID: id, Name: tn.Name, Jobs: tn.Scenario.Graph.Len(), ByTrigger: map[string]int{}}
+	}
+	plans := make([]*schedule.Schedule, len(tenants))
+	for i := range tenants {
+		row := &out.Tenants[i]
+		plan, err := c.Plan(ctx, row.ID)
+		if err != nil {
+			return nil, err
+		}
+		if plans[i], err = planSchedule(plan, tenants[i].Scenario.Graph); err != nil {
+			return nil, err
+		}
+		row.InitialMakespan, row.Generation = plan.Makespan, plan.Generation
+	}
+
+	// The nobody-listens baseline. It cannot depend on the adaptive run,
+	// so it runs first on its own engine.
+	baseline := plans
+	if shared {
+		baseline = make([]*schedule.Schedule, len(tenants))
+		for i, tn := range tenants {
+			if baseline[i], err = isolatedPlan(tn, cfg.Pool); err != nil {
+				return nil, fmt.Errorf("drive: isolated plan %s: %w", tn.Name, err)
+			}
+		}
+	}
+	base, err := executor.New(sim.New(), merged, cost.Exact(mergedNoisy), enacted, mergeSchedules(baseline, offsets), nil)
 	if err != nil {
+		return nil, fmt.Errorf("drive: baseline: %w", err)
+	}
+	recs, err := base.Run()
+	if err != nil {
+		return nil, fmt.Errorf("drive: baseline: %w", err)
+	}
+	for i, m := range finishTimes(recs, offsets) {
+		out.Tenants[i].BaselineMakespan = m
+	}
+
+	if err := enact(ctx, c, merged, mergedNoisy, enacted, tenants, plans, offsets, out); err != nil {
 		return nil, err
 	}
-	if st.State != "done" {
-		return nil, fmt.Errorf("drive: workflow %s ended %s: %s", id, st.State, st.Error)
+
+	for i := range out.Tenants {
+		row := &out.Tenants[i]
+		st, err := c.Status(ctx, row.ID)
+		if err != nil {
+			return nil, err
+		}
+		if st.State != "done" {
+			return nil, fmt.Errorf("drive: workflow %s ended %s: %s", row.ID, st.State, st.Error)
+		}
+		row.DaemonMakespan, row.Generation = st.Makespan, st.Generation
 	}
-	out.DaemonMakespan = st.Makespan
-	out.Generation = st.Generation
+	if shared {
+		gst, err := c.Grid(ctx, cfg.Grid)
+		if err != nil {
+			return nil, err
+		}
+		out.FinalReservations, out.FinalTransferReservations = gst.Reservations, gst.TransferReservations
+	}
 	return out, nil
 }
 
-// driver carries the HTTP plumbing.
-type driver struct {
-	cfg    Config
-	client *http.Client
-	base   string
-}
-
-func (d *driver) submit(ctx context.Context, sc *workload.Scenario) (string, error) {
-	body, err := wire.EncodeSubmission(&wire.Submission{
-		Name:    d.cfg.Name,
-		Mode:    wire.ModeLive,
-		Tenant:  d.cfg.Tenant,
-		Policy:  d.cfg.Policy,
-		Options: d.cfg.Options,
-		Graph:   sc.Graph, Comp: sc.Table, Pool: sc.Pool,
-	})
+// Submission encodes tn's live submission: against the named shared
+// grid, or carrying pool as its own private pool when gridName is empty.
+func Submission(gridName string, pool *grid.Pool, tn Tenant) ([]byte, error) {
+	sub := &wire.Submission{
+		Name:       tn.Name,
+		Mode:       wire.ModeLive,
+		Tenant:     tn.History,
+		Policy:     tn.Policy,
+		Options:    tn.Options,
+		Graph:      tn.Scenario.Graph,
+		Comp:       tn.Scenario.Table,
+		Files:      tn.Scenario.Files,
+		SharedGrid: gridName,
+	}
+	if sub.Tenant == "" {
+		sub.Tenant = tn.Name
+	}
+	if gridName == "" {
+		sub.Pool = pool
+	}
+	body, err := wire.EncodeSubmission(sub)
 	if err != nil {
-		return "", fmt.Errorf("drive: encode submission: %w", err)
+		return nil, fmt.Errorf("drive: encode submission %s: %w", tn.Name, err)
 	}
-	for {
-		var sub wire.Submitted
-		code, err := d.post(ctx, "/v1/workflows", body, &sub)
-		switch {
-		case err != nil:
-			return "", fmt.Errorf("drive: submit: %w", err)
-		case code == http.StatusAccepted:
-			return sub.ID, nil
-		case code == http.StatusTooManyRequests:
-			// Backpressure: the closed loop owns the retry.
-			select {
-			case <-ctx.Done():
-				return "", ctx.Err()
-			case <-time.After(100 * time.Millisecond):
-			}
-		default:
-			return "", fmt.Errorf("drive: submit: HTTP %d", code)
-		}
-	}
-}
-
-// fetchPlan polls until the shard has planned the workflow.
-func (d *driver) fetchPlan(ctx context.Context, id string) (*wire.Plan, error) {
-	for {
-		var plan wire.Plan
-		code, err := d.get(ctx, "/v1/workflows/"+id+"/plan", &plan)
-		switch {
-		case err != nil:
-			return nil, fmt.Errorf("drive: fetch plan: %w", err)
-		case code == http.StatusOK:
-			return &plan, nil
-		case code == http.StatusConflict: // queued, not yet planned
-			select {
-			case <-ctx.Done():
-				return nil, ctx.Err()
-			case <-time.After(5 * time.Millisecond):
-			}
-		default:
-			return nil, fmt.Errorf("drive: fetch plan: HTTP %d", code)
-		}
-	}
+	return body, nil
 }
 
 // enact runs the adaptive execution: the event-driven executor enacts the
-// current plan while every start/finish/arrival is reported upstream; an
-// acked reschedule is resubmitted into the running engine mid-flight.
-func (d *driver) enact(ctx context.Context, id string, g *dag.Graph, noisy *cost.Table, pool *grid.Pool, initial *schedule.Schedule, out *Outcome) error {
+// merged current plans while every start/finish/arrival is reported to
+// its tenant's workflow; an acked reschedule (own or contention-triggered)
+// is resubmitted into the running engine mid-flight.
+func enact(ctx context.Context, c *Client, merged *dag.Graph, mergedNoisy *cost.Table, pool *grid.Pool,
+	tenants []Tenant, plans []*schedule.Schedule, offsets []int, out *Outcome) error {
+
 	var eng *executor.Engine
-	var pending []wire.ReportEvent
 	var loopErr error
-	flush := func() {
-		if len(pending) == 0 || loopErr != nil {
+	fail := func(err error) {
+		loopErr = err
+		eng.Cancel(err)
+	}
+	pending := make([][]wire.ReportEvent, len(tenants))
+	done := make([]bool, len(tenants))
+
+	flush := func(i int) {
+		if len(pending[i]) == 0 || loopErr != nil || done[i] {
 			return
 		}
-		ack, err := d.report(ctx, id, pending)
-		pending = pending[:0]
+		row := &out.Tenants[i]
+		ack, err := c.Report(ctx, row.ID, pending[i])
+		pending[i] = pending[i][:0]
 		if err != nil {
-			loopErr = err
-			eng.Cancel(err)
+			fail(err)
 			return
 		}
-		out.Reports++
-		out.Events += ack.Applied
-		out.Decisions += ack.Decisions
-		if ack.Rescheduled {
-			out.Reschedules++
-			switch ack.Trigger {
-			case "variance":
-				out.VarianceReschedules++
-			case "arrival":
-				out.ArrivalReschedules++
-			case "departure":
-				out.DepartureReschedules++
-			}
-			if ack.Plan == nil {
-				loopErr = fmt.Errorf("drive: reschedule ack without plan")
-				eng.Cancel(loopErr)
-				return
-			}
-			s1, err := planSchedule(ack.Plan, g)
-			if err != nil {
-				loopErr = err
-				eng.Cancel(err)
-				return
-			}
-			if err := eng.Resubmit(s1); err != nil {
-				loopErr = fmt.Errorf("drive: resubmit: %w", err)
-				eng.Cancel(loopErr)
-			}
+		row.Reports++
+		row.Events += ack.Applied
+		row.Decisions += ack.Decisions
+		done[i] = ack.Done
+		if ack.Plan == nil {
+			return
+		}
+		row.Reschedules++
+		row.ByTrigger[ack.Trigger]++
+		if plans[i], err = planSchedule(ack.Plan, tenants[i].Scenario.Graph); err != nil {
+			fail(err)
+			return
+		}
+		if err := eng.Resubmit(mergeSchedules(plans, offsets)); err != nil {
+			fail(fmt.Errorf("drive: resubmit merged plan: %w", err))
 		}
 	}
 	handler := executor.EventHandlerFunc(func(ev executor.Event) {
 		if loopErr == nil && ctx.Err() != nil {
-			loopErr = ctx.Err()
-			eng.Cancel(loopErr)
+			fail(ctx.Err())
 			return
 		}
-		switch {
-		case ev.Finished != dag.NoJob:
-			pending = append(pending, wire.ReportEvent{
+		if ev.Finished != dag.NoJob {
+			i := ownerOf(int(ev.Finished), offsets)
+			pending[i] = append(pending[i], wire.ReportEvent{
 				Kind: wire.ReportJobFinished, Time: ev.Time,
-				Job: int(ev.Finished), Resource: int(ev.OnResource), Duration: ev.ActualDuration,
+				Job: int(ev.Finished) - offsets[i], Resource: int(ev.OnResource),
+				Duration: ev.ActualDuration,
 			})
-		default:
+			flush(i)
+			return
+		}
+		// A grid arrival is a run-time event for every live tenant.
+		for i := range tenants {
+			if done[i] {
+				continue
+			}
 			for _, r := range ev.Arrived {
-				pending = append(pending, wire.ReportEvent{
+				pending[i] = append(pending[i], wire.ReportEvent{
 					Kind: wire.ReportResourceJoin, Time: ev.Time, Resource: int(r.ID),
 				})
 			}
+			flush(i)
 		}
-		flush()
 	})
 	var err error
-	eng, err = executor.New(sim.New(), g, cost.Exact(noisy), pool, initial, handler)
+	eng, err = executor.New(sim.New(), merged, cost.Exact(mergedNoisy), pool, mergeSchedules(plans, offsets), handler)
 	if err != nil {
 		return fmt.Errorf("drive: executor: %w", err)
 	}
 	// Starts are queued, not flushed: they ride in front of the next
 	// finish/arrival report, so the daemon always knows which jobs are
-	// running (and pinned) before it evaluates a reschedule.
+	// running (and hold their slots) before it evaluates a reschedule.
 	eng.StartHook = func(j dag.JobID, r grid.ID, t float64) {
-		pending = append(pending, wire.ReportEvent{
-			Kind: wire.ReportJobStarted, Time: t, Job: int(j), Resource: int(r),
+		i := ownerOf(int(j), offsets)
+		pending[i] = append(pending[i], wire.ReportEvent{
+			Kind: wire.ReportJobStarted, Time: t, Job: int(j) - offsets[i], Resource: int(r),
 		})
 	}
-	if _, err := eng.Run(); err != nil {
-		if loopErr != nil {
-			return loopErr
-		}
+	recs, err := eng.Run()
+	switch {
+	case loopErr != nil:
+		return loopErr
+	case err != nil:
 		return fmt.Errorf("drive: enact: %w", err)
 	}
-	if loopErr != nil {
-		return loopErr
+	for i, m := range finishTimes(recs, offsets) {
+		out.Tenants[i].AdaptiveMakespan = m
 	}
-	out.AdaptiveMakespan = eng.Makespan()
 	return nil
 }
 
-func (d *driver) report(ctx context.Context, id string, events []wire.ReportEvent) (*wire.ReportAck, error) {
-	body, err := wire.EncodeReport(&wire.Report{Events: events})
+// isolatedPlan computes the tenant's plan with no knowledge of the other
+// tenants, no file catalog and no feedback.
+func isolatedPlan(tn Tenant, pool *grid.Pool) (*schedule.Schedule, error) {
+	name := tn.Policy
+	if name == "" {
+		name = "aheft"
+	}
+	pol, err := policy.Get(name)
 	if err != nil {
-		return nil, fmt.Errorf("drive: encode report: %w", err)
+		return nil, err
 	}
-	var ack wire.ReportAck
-	code, err := d.post(ctx, "/v1/workflows/"+id+"/report", body, &ack)
-	if err != nil {
-		return nil, fmt.Errorf("drive: report: %w", err)
-	}
-	if code != http.StatusOK {
-		return nil, fmt.Errorf("drive: report: HTTP %d", code)
-	}
-	return &ack, nil
-}
-
-func (d *driver) status(ctx context.Context, id string) (*wire.Status, error) {
-	var st wire.Status
-	code, err := d.get(ctx, "/v1/workflows/"+id, &st)
-	if err != nil {
-		return nil, fmt.Errorf("drive: status: %w", err)
-	}
-	if code != http.StatusOK {
-		return nil, fmt.Errorf("drive: status: HTTP %d", code)
-	}
-	return &st, nil
-}
-
-func (d *driver) post(ctx context.Context, path string, body []byte, v any) (int, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, d.base+path, bytes.NewReader(body))
-	if err != nil {
-		return 0, err
-	}
-	req.Header.Set("Content-Type", "application/json")
-	return d.do(req, v)
-}
-
-func (d *driver) get(ctx context.Context, path string, v any) (int, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, d.base+path, nil)
-	if err != nil {
-		return 0, err
-	}
-	return d.do(req, v)
-}
-
-func (d *driver) do(req *http.Request, v any) (int, error) {
-	resp, err := d.client.Do(req)
-	if err != nil {
-		return 0, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode/100 != 2 {
-		// Surface the server's error text in the status for callers that
-		// treat specific codes as retryable.
-		io.Copy(io.Discard, io.LimitReader(resp.Body, 4096))
-		return resp.StatusCode, nil
-	}
-	if v == nil {
-		return resp.StatusCode, nil
-	}
-	if err := json.NewDecoder(resp.Body).Decode(v); err != nil {
-		return resp.StatusCode, fmt.Errorf("decode response: %w", err)
-	}
-	return resp.StatusCode, nil
+	k := kernel.New(tn.Scenario.Graph, cost.Exact(tn.Scenario.Table))
+	return pol.Plan(k, pool, policy.Options{
+		TieWindow:   tn.Options.TieWindow,
+		NoInsertion: tn.Options.NoInsertion,
+		Eps:         tn.Options.Eps,
+	})
 }
 
 // noisyTable materialises actual runtimes: every estimate scaled by a
 // per-(job, resource) factor drawn once up front, so the adaptive run and
-// the static baseline see identical truths regardless of query order.
+// the baseline see identical truths regardless of query order.
 func noisyTable(sc *workload.Scenario, noise float64, r *rng.Source) *cost.Table {
 	jobs, res := sc.Table.Jobs(), sc.Table.Resources()
 	rows := make([][]float64, jobs)
@@ -437,4 +470,79 @@ func planSchedule(p *wire.Plan, g *dag.Graph) (*schedule.Schedule, error) {
 		}
 	}
 	return schedule.FromAssignments(as), nil
+}
+
+// mergeGraphs builds the disjoint union of the tenants' DAGs; offsets[i]
+// is tenant i's first job ID in the merged index space.
+func mergeGraphs(tenants []Tenant) (*dag.Graph, []int, error) {
+	g := dag.New("merged")
+	offsets := make([]int, len(tenants))
+	next := 0
+	for i, tn := range tenants {
+		offsets[i] = next
+		tg := tn.Scenario.Graph
+		for _, j := range tg.Jobs() {
+			g.AddJob(fmt.Sprintf("t%d/%s", i, j.Name), j.Op)
+		}
+		for _, j := range tg.Jobs() {
+			for _, e := range tg.Succs(j.ID) {
+				if err := g.AddEdge(dag.JobID(next+int(e.From)), dag.JobID(next+int(e.To)), e.Data); err != nil {
+					return nil, nil, fmt.Errorf("drive: merge graphs: %w", err)
+				}
+			}
+		}
+		next += tg.Len()
+	}
+	if err := g.Validate(); err != nil {
+		return nil, nil, fmt.Errorf("drive: merge graphs: %w", err)
+	}
+	return g, offsets, nil
+}
+
+// mergeTables stacks the tenants' runtime tables into one matrix.
+func mergeTables(tables []*cost.Table, resources int) (*cost.Table, error) {
+	var rows [][]float64
+	for _, t := range tables {
+		for j := 0; j < t.Jobs(); j++ {
+			row := make([]float64, resources)
+			for r := 0; r < resources; r++ {
+				row[r] = t.Comp(dag.JobID(j), grid.ID(r))
+			}
+			rows = append(rows, row)
+		}
+	}
+	return cost.NewTable(rows)
+}
+
+// mergeSchedules unions the tenants' plans in the merged job index space.
+func mergeSchedules(plans []*schedule.Schedule, offsets []int) *schedule.Schedule {
+	var as []schedule.Assignment
+	for i, s := range plans {
+		for _, a := range s.Assignments() {
+			a.Job += dag.JobID(offsets[i])
+			as = append(as, a)
+		}
+	}
+	return schedule.FromAssignments(as)
+}
+
+// ownerOf maps a merged job ID to its tenant index.
+func ownerOf(job int, offsets []int) int {
+	for i := len(offsets) - 1; i >= 0; i-- {
+		if job >= offsets[i] {
+			return i
+		}
+	}
+	return 0
+}
+
+// finishTimes folds merged job records into per-tenant completion times.
+func finishTimes(recs []executor.JobRecord, offsets []int) []float64 {
+	out := make([]float64, len(offsets))
+	for _, rec := range recs {
+		if i := ownerOf(int(rec.Job), offsets); rec.Finish > out[i] {
+			out[i] = rec.Finish
+		}
+	}
+	return out
 }

@@ -67,24 +67,21 @@ const (
 	// grid did — it is the daemon paying back the planning debt it took
 	// on to keep admission latency flat.
 	TriggerUpgrade
+	// NumTriggers counts the triggers above; it sizes per-trigger arrays.
+	NumTriggers = iota
 )
+
+// TriggerNames is the one list of trigger names, in iota order: what
+// String returns, what /metrics keys its per-trigger families by, and
+// what report acks carry in their trigger field.
+var TriggerNames = [NumTriggers]string{"arrival", "variance", "departure", "contention", "upgrade"}
 
 // String returns the trigger's name.
 func (t Trigger) String() string {
-	switch t {
-	case TriggerArrival:
-		return "arrival"
-	case TriggerVariance:
-		return "variance"
-	case TriggerDeparture:
-		return "departure"
-	case TriggerContention:
-		return "contention"
-	case TriggerUpgrade:
-		return "upgrade"
-	default:
-		return fmt.Sprintf("Trigger(%d)", int(t))
+	if t >= 0 && int(t) < NumTriggers {
+		return TriggerNames[t]
 	}
+	return fmt.Sprintf("Trigger(%d)", int(t))
 }
 
 // Decision records one rescheduling evaluation: the Fig. 2 loop body at a

@@ -200,9 +200,9 @@ func recordMixedRun(t *testing.T, dir string) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := drive.RunShared(context.Background(), drive.SharedConfig{
-		BaseURL: ts.URL, Client: ts.Client(),
-		Grid: "rec-grid", Pool: bl.Pool,
+	if _, err := drive.Run(context.Background(), drive.Config{
+		Client: drive.Client{Base: ts.URL, HTTP: ts.Client()},
+		Grid:   "rec-grid", Pool: bl.Pool,
 		Noise: 0.15, Churn: 0.2, Seed: 41,
 	}, []drive.Tenant{
 		{Name: "blast", Scenario: bl, Policy: "aheft", Options: wire.Options{VarianceThreshold: 0.2}},

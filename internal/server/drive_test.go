@@ -51,32 +51,34 @@ func TestDriveClosedLoopBeatsStatic(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				out, err := drive.Run(context.Background(), drive.Config{
-					BaseURL: ts.URL,
-					Client:  ts.Client(),
-					Policy:  "aheft",
-					Tenant:  class.name,
-					Options: wire.Options{VarianceThreshold: 0.2},
-					Noise:   0.2,
-					Churn:   0.3,
-					Seed:    uint64(1000*i) + 7,
-					Name:    fmt.Sprintf("%s-%d", class.name, i),
-				}, sc)
+				res, err := drive.Run(context.Background(), drive.Config{
+					Client: drive.Client{Base: ts.URL, HTTP: ts.Client()},
+					Noise:  0.2,
+					Churn:  0.3,
+					Seed:   uint64(1000*i) + 7,
+				}, []drive.Tenant{{
+					Name:     fmt.Sprintf("%s-%d", class.name, i),
+					History:  class.name,
+					Scenario: sc,
+					Policy:   "aheft",
+					Options:  wire.Options{VarianceThreshold: 0.2},
+				}})
 				if err != nil {
 					t.Fatalf("drive %s-%d: %v", class.name, i, err)
 				}
+				out := &res.Tenants[0]
 				if out.DaemonMakespan != out.AdaptiveMakespan {
 					t.Fatalf("%s-%d: daemon says %g, simulation measured %g",
 						class.name, i, out.DaemonMakespan, out.AdaptiveMakespan)
 				}
-				varianceReschedules += out.VarianceReschedules
+				varianceReschedules += out.ByTrigger["variance"]
 				reschedules += out.Reschedules
 				adaptiveSum += out.AdaptiveMakespan
-				staticSum += out.StaticMakespan
+				staticSum += out.BaselineMakespan
 				t.Logf("%s-%d: jobs=%d adaptive=%.1f static=%.1f delta=%+.1f%% reschedules=%d (variance=%d arrival=%d) reports=%d gen=%d",
-					class.name, i, out.Jobs, out.AdaptiveMakespan, out.StaticMakespan,
-					100*out.Delta(), out.Reschedules, out.VarianceReschedules,
-					out.ArrivalReschedules, out.Reports, out.Generation)
+					class.name, i, out.Jobs, out.AdaptiveMakespan, out.BaselineMakespan,
+					100*out.Delta(), out.Reschedules, out.ByTrigger["variance"],
+					out.ByTrigger["arrival"], out.Reports, out.Generation)
 			}
 			if varianceReschedules == 0 {
 				t.Fatalf("no variance-triggered reschedule across %d %s workflows", perClass, class.name)

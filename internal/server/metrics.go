@@ -67,7 +67,7 @@ type Metrics struct {
 	// reschedLat holds one replan-latency window per planner.Trigger.
 	reschedDelta        atomic.Uint64
 	reschedFullFallback atomic.Uint64
-	reschedLat          [5]latencyWindow
+	reschedLat          [planner.NumTriggers]latencyWindow
 	// fallbackReasons breaks reschedFullFallback down by the kernel's
 	// FallbackReason ("no-memo", "cone-overflow", "estimates-drifted", …)
 	// so an operator can see *why* the delta path is being abandoned, not
@@ -260,8 +260,8 @@ type MetricsDoc struct {
 	// the delta path) are not counted here.
 	ReschedulesFullFallbackByReason map[string]uint64 `json:"reschedules_full_fallback_by_reason,omitempty"`
 	// RescheduleMs summarises replan wall-clock latency per trigger
-	// ("variance", "arrival", "departure", "contention", "upgrade").
-	RescheduleMs map[string]RescheduleMs `json:"reschedule_ms"`
+	// (keyed by planner.TriggerNames).
+	RescheduleMs map[string]LatencyMs `json:"reschedule_ms"`
 	// Admission is the weighted-fair-queue intake state: per-class
 	// counters, per-tenant backlog, drain rate and the two-speed
 	// admission-latency windows.
@@ -306,7 +306,7 @@ type MetricsDoc struct {
 	InflightPeak int64 `json:"inflight_peak"`
 	QueueDepth   []int `json:"queue_depth"`
 
-	ComputeMs ComputeMs `json:"compute_ms"`
+	ComputeMs LatencyMs `json:"compute_ms"`
 }
 
 // AdmissionDoc is the admission subsystem's /metrics section.
@@ -329,9 +329,9 @@ type AdmissionDoc struct {
 	// FastInitialMs / FullInitialMs are submit-to-initial-plan latency
 	// for fast-path and full-policy live admissions — under overload the
 	// fast window's p99 must undercut the full window's.
-	WaitMs        ComputeMs `json:"wait_ms"`
-	FastInitialMs ComputeMs `json:"fast_initial_ms"`
-	FullInitialMs ComputeMs `json:"full_initial_ms"`
+	WaitMs        LatencyMs `json:"wait_ms"`
+	FastInitialMs LatencyMs `json:"fast_initial_ms"`
+	FullInitialMs LatencyMs `json:"full_initial_ms"`
 }
 
 // AdmissionGauges carries the aggregated controller gauges into
@@ -358,16 +358,9 @@ type DurabilityStats struct {
 	RecoveryMs float64
 }
 
-// ComputeMs summarises the makespan-compute latency window.
-type ComputeMs struct {
-	Count uint64  `json:"count"`
-	P50   float64 `json:"p50"`
-	P90   float64 `json:"p90"`
-	P99   float64 `json:"p99"`
-}
-
-// RescheduleMs summarises one trigger's replan-latency window.
-type RescheduleMs struct {
+// LatencyMs summarises one latency window: the sample count over the
+// daemon's lifetime and quantiles (milliseconds) over the retained window.
+type LatencyMs struct {
 	Count uint64  `json:"count"`
 	P50   float64 `json:"p50"`
 	P90   float64 `json:"p90"`
@@ -378,7 +371,6 @@ type RescheduleMs struct {
 // per-shard queue lengths, historyTenants/historyCells the aggregated
 // tenant-repository gauges.
 func (m *Metrics) snapshot(queueDepth []int, historyTenants, historyCells, sharedGrids, reservations, transferReservations int, adm AdmissionGauges, d DurabilityStats, o ObsStats) MetricsDoc {
-	q := m.compute.quantiles(0.50, 0.90, 0.99)
 	byClass := func(c *[3]atomic.Uint64) map[string]uint64 {
 		out := make(map[string]uint64, len(admission.ClassNames))
 		for i, name := range admission.ClassNames {
@@ -386,17 +378,13 @@ func (m *Metrics) snapshot(queueDepth []int, historyTenants, historyCells, share
 		}
 		return out
 	}
-	winDoc := func(w *latencyWindow) ComputeMs {
+	winDoc := func(w *latencyWindow) LatencyMs {
 		lq := w.quantiles(0.50, 0.90, 0.99)
-		return ComputeMs{Count: w.count(), P50: lq[0], P90: lq[1], P99: lq[2]}
+		return LatencyMs{Count: w.count(), P50: lq[0], P90: lq[1], P99: lq[2]}
 	}
-	resched := make(map[string]RescheduleMs, len(m.reschedLat))
-	for i := range m.reschedLat {
-		w := &m.reschedLat[i]
-		lq := w.quantiles(0.50, 0.90, 0.99)
-		resched[planner.Trigger(i).String()] = RescheduleMs{
-			Count: w.count(), P50: lq[0], P90: lq[1], P99: lq[2],
-		}
+	resched := make(map[string]LatencyMs, len(m.reschedLat))
+	for i, name := range planner.TriggerNames {
+		resched[name] = winDoc(&m.reschedLat[i])
 	}
 	var byReason map[string]uint64
 	m.fallbackMu.Lock()
@@ -470,10 +458,7 @@ func (m *Metrics) snapshot(queueDepth []int, historyTenants, historyCells, share
 		Inflight:             m.inflight.Load(),
 		InflightPeak:         m.inflightPeak.Load(),
 		QueueDepth:           queueDepth,
-		ComputeMs: ComputeMs{
-			Count: m.compute.count(),
-			P50:   q[0], P90: q[1], P99: q[2],
-		},
+		ComputeMs:            winDoc(&m.compute),
 	}
 }
 

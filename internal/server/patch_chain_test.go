@@ -81,14 +81,15 @@ func blast24Life(t testing.TB) life {
 		t.Fatal(err)
 	}
 	out, err := drive.Run(context.Background(), drive.Config{
-		BaseURL: ts.URL, Client: ts.Client(), Policy: "aheft", Tenant: "chain",
-		Options: wire.Options{VarianceThreshold: 0.2}, Noise: 0.2, Churn: 0.3, Seed: 7,
-	}, sc)
+		Client: drive.Client{Base: ts.URL, HTTP: ts.Client()}, Noise: 0.2, Churn: 0.3, Seed: 7,
+	}, []drive.Tenant{{
+		History: "chain", Scenario: sc, Policy: "aheft", Options: wire.Options{VarianceThreshold: 0.2},
+	}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if out.Reschedules == 0 || len(tap.reports) < 20 {
-		t.Fatalf("recorded life is too dull: %d reports, %d reschedules", len(tap.reports), out.Reschedules)
+	if row := out.Tenants[0]; row.Reschedules == 0 || len(tap.reports) < 20 {
+		t.Fatalf("recorded life is too dull: %d reports, %d reschedules", len(tap.reports), row.Reschedules)
 	}
 	return tap.life
 }

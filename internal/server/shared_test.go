@@ -342,14 +342,13 @@ func TestSharedGridContentionBeatsOblivious(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		out, err := drive.RunShared(context.Background(), drive.SharedConfig{
-			BaseURL: ts.URL,
-			Client:  ts.Client(),
-			Grid:    fmt.Sprintf("grid-%d", round),
-			Pool:    bl.Pool,
-			Noise:   0.2,
-			Churn:   0.3,
-			Seed:    uint64(round)*1000 + 7,
+		out, err := drive.Run(context.Background(), drive.Config{
+			Client: drive.Client{Base: ts.URL, HTTP: ts.Client()},
+			Grid:   fmt.Sprintf("grid-%d", round),
+			Pool:   bl.Pool,
+			Noise:  0.2,
+			Churn:  0.3,
+			Seed:   uint64(round)*1000 + 7,
 		}, []drive.Tenant{
 			{Name: "blast", Scenario: bl, Policy: "aheft", Options: wire.Options{VarianceThreshold: 0.2}},
 			{Name: "wien2k", Scenario: wn, Policy: "aheft", Options: wire.Options{VarianceThreshold: 0.2}},
@@ -367,12 +366,12 @@ func TestSharedGridContentionBeatsOblivious(t *testing.T) {
 			}
 			a := agg[to.Name]
 			a.adaptive += to.AdaptiveMakespan
-			a.oblivious += to.ObliviousMakespan
-			a.contention += to.ContentionReschedules
+			a.oblivious += to.BaselineMakespan
+			a.contention += to.ByTrigger["contention"]
 			a.eachRuns++
 			t.Logf("round %d %-7s jobs=%d aware=%.1f oblivious=%.1f delta=%+.1f%% reschedules=%d (contention=%d variance=%d arrival=%d) gen=%d",
-				round, to.Name, to.Jobs, to.AdaptiveMakespan, to.ObliviousMakespan, 100*to.Delta(),
-				to.Reschedules, to.ContentionReschedules, to.VarianceReschedules, to.ArrivalReschedules, to.Generation)
+				round, to.Name, to.Jobs, to.AdaptiveMakespan, to.BaselineMakespan, 100*to.Delta(),
+				to.Reschedules, to.ByTrigger["contention"], to.ByTrigger["variance"], to.ByTrigger["arrival"], to.Generation)
 		}
 	}
 	for class, a := range agg {
