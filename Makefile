@@ -41,6 +41,9 @@ lint: fmt-check vet
 FUZZTIME ?= 30s
 fuzz:
 	$(GO) test -run '^$$' -fuzz 'FuzzSerializeRoundTrip' -fuzztime $(FUZZTIME) ./internal/wire
+	$(GO) test -run '^$$' -fuzz 'FuzzGrammarMatchesEncodingJSON' -fuzztime $(FUZZTIME) ./internal/jsonscan
+	$(GO) test -run '^$$' -fuzz 'FuzzDecodeSubmissionParity' -fuzztime $(FUZZTIME) ./internal/wire
+	$(GO) test -run '^$$' -fuzz 'FuzzDecodePartsParity' -fuzztime $(FUZZTIME) ./internal/wire
 	$(GO) test -run '^$$' -fuzz 'FuzzReportRoundTrip' -fuzztime $(FUZZTIME) ./internal/wire
 	$(GO) test -run '^$$' -fuzz 'FuzzKernelReschedule' -fuzztime $(FUZZTIME) ./internal/kernel
 	$(GO) test -run '^$$' -fuzz 'FuzzWALReplay' -fuzztime $(FUZZTIME) ./internal/durable
@@ -65,12 +68,14 @@ bench:
 # shared-grid co-scheduling rounds (2-tenant contention-aware planning +
 # merged enactment vs the isolated baseline), and the durability benches
 # (end-to-end throughput under each WAL fsync policy, raw WAL appends,
-# and startup recovery replay) — and snapshots them into BENCH_SERVER_OUT
+# and startup recovery replay), plus internal/wire's submission-decode
+# benches (the one-pass decoder and, under oracle/, the reflective one it
+# replaced, on the same bodies) — and snapshots them into BENCH_SERVER_OUT
 # (default BENCH_server.json, the committed reference). CI records a
 # fresh snapshot and prints the ratio table with cmd/benchcmp.
 BENCH_SERVER_OUT ?= BENCH_server.json
 bench-server:
-	$(GO) test -run '^$$' -bench 'BenchmarkServer|BenchmarkFeedback|BenchmarkSharedGrid|BenchmarkWAL|BenchmarkRecovery' -benchmem . > bench-server.txt || { cat bench-server.txt; rm -f bench-server.txt; exit 1; }
+	$(GO) test -run '^$$' -bench 'BenchmarkServer|BenchmarkFeedback|BenchmarkSharedGrid|BenchmarkWAL|BenchmarkRecovery|BenchmarkWireDecode' -benchmem . ./internal/wire > bench-server.txt || { cat bench-server.txt; rm -f bench-server.txt; exit 1; }
 	cat bench-server.txt
 	$(GO) run ./cmd/benchjson < bench-server.txt > $(BENCH_SERVER_OUT)
 	@rm -f bench-server.txt

@@ -44,26 +44,37 @@ type Table struct {
 // NewTable builds a Table from a jobs × resources matrix. Every row must
 // have the same width and every entry must be positive and finite.
 func NewTable(comp [][]float64) (*Table, error) {
-	if len(comp) == 0 {
-		return nil, fmt.Errorf("cost: empty computation matrix")
-	}
-	width := len(comp[0])
-	if width == 0 {
-		return nil, fmt.Errorf("cost: computation matrix has zero resources")
+	if err := checkMatrix(comp); err != nil {
+		return nil, err
 	}
 	rows := make([][]float64, len(comp))
 	for i, row := range comp {
-		if len(row) != width {
-			return nil, fmt.Errorf("cost: ragged matrix: row %d has %d entries, want %d", i, len(row), width)
-		}
-		for j, w := range row {
-			if !(w > 0) || math.IsInf(w, 0) {
-				return nil, fmt.Errorf("cost: invalid cost w[%d][%d] = %g", i, j, w)
-			}
-		}
 		rows[i] = append([]float64(nil), row...)
 	}
 	return &Table{comp: rows}, nil
+}
+
+// checkMatrix is NewTable's validation: at least one row and one column,
+// every row as wide as the first, every entry positive and finite.
+func checkMatrix(comp [][]float64) error {
+	if len(comp) == 0 {
+		return fmt.Errorf("cost: empty computation matrix")
+	}
+	width := len(comp[0])
+	if width == 0 {
+		return fmt.Errorf("cost: computation matrix has zero resources")
+	}
+	for i, row := range comp {
+		if len(row) != width {
+			return fmt.Errorf("cost: ragged matrix: row %d has %d entries, want %d", i, len(row), width)
+		}
+		for j, w := range row {
+			if !(w > 0) || math.IsInf(w, 0) {
+				return fmt.Errorf("cost: invalid cost w[%d][%d] = %g", i, j, w)
+			}
+		}
+	}
+	return nil
 }
 
 // MustTable is NewTable that panics on error.

@@ -10,8 +10,9 @@
 package dag
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 )
 
 // JobID identifies a job inside one Graph. IDs are dense: the jobs of a
@@ -214,8 +215,9 @@ func (g *Graph) Exits() []JobID {
 }
 
 // Validate checks that the graph is a non-empty DAG: at least one job, no
-// cycles, and at least one entry and one exit. It also sorts adjacency
-// lists for deterministic iteration and marks the graph frozen on success.
+// cycles, no edge twice, and at least one entry and one exit. It also
+// sorts adjacency lists for deterministic iteration and marks the graph
+// frozen on success.
 func (g *Graph) Validate() error {
 	if len(g.jobs) == 0 {
 		return fmt.Errorf("dag %q: no jobs", g.name)
@@ -231,9 +233,13 @@ func (g *Graph) Validate() error {
 	}
 	for i := range g.succ {
 		es := g.succ[i]
-		sort.Slice(es, func(a, b int) bool { return es[a].To < es[b].To })
-		ps := g.pred[i]
-		sort.Slice(ps, func(a, b int) bool { return ps[a].From < ps[b].From })
+		slices.SortFunc(es, func(a, b Edge) int { return cmp.Compare(a.To, b.To) })
+		slices.SortFunc(g.pred[i], func(a, b Edge) int { return cmp.Compare(a.From, b.From) })
+		for k := 1; k < len(es); k++ {
+			if es[k].To == es[k-1].To {
+				return fmt.Errorf("dag: duplicate edge (%s,%s)", g.jobs[i].Name, g.jobs[es[k].To].Name)
+			}
+		}
 	}
 	g.frozen = true
 	return nil
@@ -258,29 +264,41 @@ func (g *Graph) topoOrder() ([]JobID, error) {
 	for i := 0; i < n; i++ {
 		indeg[i] = len(g.pred[i])
 	}
-	// Min-heap by JobID for deterministic order; a sorted insertion into a
-	// slice is fine at workflow scale (n ≤ a few thousand).
+	// ready is a binary min-heap of job IDs, so the smallest ready ID is
+	// next whatever order jobs become ready in — a sorted slice costs k²/2
+	// moves when k jobs are released in descending ID order. Ascending IDs
+	// are already a heap.
 	var ready []JobID
 	for i := 0; i < n; i++ {
 		if indeg[i] == 0 {
 			ready = append(ready, JobID(i))
 		}
 	}
-	sort.Slice(ready, func(a, b int) bool { return ready[a] < ready[b] })
 	order := make([]JobID, 0, n)
 	for len(ready) > 0 {
-		// Pop smallest ID.
 		j := ready[0]
-		ready = ready[1:]
+		last := len(ready) - 1
+		ready[0] = ready[last]
+		ready = ready[:last]
+		for i := 0; ; {
+			c := 2*i + 1
+			if c+1 < last && ready[c+1] < ready[c] {
+				c++
+			}
+			if c >= last || ready[i] <= ready[c] {
+				break
+			}
+			ready[i], ready[c] = ready[c], ready[i]
+			i = c
+		}
 		order = append(order, j)
 		for _, e := range g.succ[j] {
 			indeg[e.To]--
 			if indeg[e.To] == 0 {
-				// Insert keeping ready sorted.
-				k := sort.Search(len(ready), func(i int) bool { return ready[i] >= e.To })
-				ready = append(ready, 0)
-				copy(ready[k+1:], ready[k:])
-				ready[k] = e.To
+				ready = append(ready, e.To)
+				for i := len(ready) - 1; i > 0 && ready[i] < ready[(i-1)/2]; i = (i - 1) / 2 {
+					ready[i], ready[(i-1)/2] = ready[(i-1)/2], ready[i]
+				}
 			}
 		}
 	}

@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"sort"
 	"strings"
+
+	"aheft/internal/jsonscan"
 )
 
 // WireVersion is the current version of the graph wire format. Documents
@@ -17,7 +19,8 @@ import (
 // them here: cost and grid must not be imported by dag).
 const WireVersion = 1
 
-// graphJSON is the on-disk representation of a workflow. Jobs are stored in
+// graphJSON is the on-disk representation of a workflow, as MarshalJSON
+// writes it (Decode reads the same fields without it). Jobs are stored in
 // ID order so that round-tripping preserves IDs.
 type graphJSON struct {
 	V     int        `json:"v,omitempty"`
@@ -64,31 +67,84 @@ func (g *Graph) MarshalJSON() ([]byte, error) {
 	return json.MarshalIndent(doc, "", "  ")
 }
 
+// edgeDoc is one decoded "edges" element. The endpoint names are not
+// kept, so they stay views of the input until Decode resolves them.
+type edgeDoc struct {
+	from, to []byte
+	data     float64
+	file     string
+}
+
 // FromJSON decodes a graph previously produced by MarshalJSON. The result
 // is validated before being returned.
 func FromJSON(data []byte) (*Graph, error) {
-	var doc graphJSON
-	if err := json.Unmarshal(data, &doc); err != nil {
+	s := jsonscan.New(data)
+	g, err := Decode(s)
+	if err != nil {
+		return nil, err
+	}
+	if err := s.End(); err != nil {
 		return nil, fmt.Errorf("dag: decode: %w", err)
 	}
-	if doc.V < 0 || doc.V > WireVersion {
-		return nil, fmt.Errorf("dag: decode: unsupported wire version %d (max %d)", doc.V, WireVersion)
+	return g, nil
+}
+
+// Decode reads one graph document from s — the one decoder of the format,
+// standalone (FromJSON) or embedded in a submission — and builds the
+// validated graph from it directly.
+func Decode(s *jsonscan.Scanner) (*Graph, error) {
+	var (
+		v     int
+		name  string
+		jobs  []Job
+		edges []edgeDoc
+	)
+	s.Object("v", &v, "name", &name,
+		"jobs", func() {
+			jobs = jsonscan.Array(s, jobs, func(j *Job) { s.Object("name", &j.Name, "op", &j.Op) })
+		},
+		"edges", func() {
+			edges = jsonscan.Array(s, edges, func(e *edgeDoc) {
+				s.Object("from", &e.from, "to", &e.to, "data", &e.data, "file", &e.file)
+			})
+		})
+	if err := s.Err(); err != nil {
+		return nil, fmt.Errorf("dag: decode: %w", err)
 	}
-	g := New(doc.Name)
-	for _, j := range doc.Jobs {
-		if g.JobByName(j.Name) != NoJob {
-			return nil, fmt.Errorf("dag: decode: duplicate job %q", j.Name)
-		}
-		g.AddJob(j.Name, j.Op)
+	if v < 0 || v > WireVersion {
+		return nil, fmt.Errorf("dag: decode: unsupported wire version %d (max %d)", v, WireVersion)
 	}
-	for _, e := range doc.Edges {
-		from, to := g.JobByName(e.From), g.JobByName(e.To)
-		if from == NoJob || to == NoJob {
-			return nil, fmt.Errorf("dag: decode: edge (%s,%s) references unknown job", e.From, e.To)
+	g := &Graph{name: name, jobs: jobs, byName: make(map[string]JobID, len(jobs))}
+	for i := range jobs {
+		jobs[i].ID = JobID(i)
+		if _, dup := g.byName[jobs[i].Name]; dup {
+			return nil, fmt.Errorf("dag: decode: duplicate job %q", jobs[i].Name)
 		}
-		if err := g.AddFileEdge(from, to, e.Data, e.File); err != nil {
-			return nil, err
+		g.byName[jobs[i].Name] = JobID(i)
+	}
+	resolved := make([]Edge, len(edges))
+	outdeg, indeg := make([]int, len(jobs)), make([]int, len(jobs))
+	for i, e := range edges {
+		from, okFrom := g.byName[string(e.from)]
+		to, okTo := g.byName[string(e.to)]
+		switch {
+		case !okFrom || !okTo:
+			return nil, fmt.Errorf("dag: decode: edge (%s,%s) references unknown job", e.from, e.to)
+		case from == to:
+			return nil, fmt.Errorf("dag: self-loop on job %s", e.from)
+		case e.data < 0:
+			return nil, fmt.Errorf("dag: negative data %g on edge (%s,%s)", e.data, e.from, e.to)
 		}
+		resolved[i] = Edge{From: from, To: to, Data: e.data, File: e.file}
+		outdeg[from]++
+		indeg[to]++
+	}
+	// No AddFileEdge: its search for a duplicate on every insert is
+	// quadratic in a hub's degree. Validate finds one in the sorted lists.
+	g.succ, g.pred = adjacency(outdeg), adjacency(indeg)
+	for _, e := range resolved {
+		g.succ[e.From] = append(g.succ[e.From], e)
+		g.pred[e.To] = append(g.pred[e.To], e)
 	}
 	if err := g.Validate(); err != nil {
 		return nil, err
@@ -96,10 +152,26 @@ func FromJSON(data []byte) (*Graph, error) {
 	return g, nil
 }
 
+// adjacency returns one empty edge list per job with room for the degree
+// counted for it, all cut from one array; a job without edges keeps a nil
+// list, as AddJob leaves it.
+func adjacency(degree []int) [][]Edge {
+	total := 0
+	for _, d := range degree {
+		total += d
+	}
+	backing, lists := make([]Edge, total), make([][]Edge, len(degree))
+	for i, d := range degree {
+		if d > 0 {
+			lists[i], backing = backing[:0:d], backing[d:]
+		}
+	}
+	return lists
+}
+
 // UnmarshalJSON makes *Graph a json.Unmarshaler over the FromJSON wire
-// format, so composite wire documents (internal/wire) can embed a graph
-// field directly. The decoded graph is fully validated; on error the
-// receiver is left untouched.
+// format. The decoded graph is fully validated; on error the receiver is
+// left untouched.
 func (g *Graph) UnmarshalJSON(data []byte) error {
 	ng, err := FromJSON(data)
 	if err != nil {

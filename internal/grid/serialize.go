@@ -1,12 +1,14 @@
 package grid
 
 import (
-	"bytes"
 	"encoding/json"
 	"fmt"
+
+	"aheft/internal/jsonscan"
 )
 
-// arrivalJSON is the wire form of one pool arrival. Resource IDs are not
+// arrivalJSON is the wire form of one pool arrival, as MarshalJSON writes
+// it (DecodePool reads the same fields without it). Resource IDs are not
 // carried explicitly: arrivals are listed in ID order and decoding assigns
 // dense IDs 0..n-1 by position, so a document can never describe the
 // non-dense or duplicate IDs NewPool rejects. Data-plane fields are
@@ -59,28 +61,61 @@ func (p *Pool) MarshalJSON() ([]byte, error) {
 // bandwidths, resolvable link references); on error the receiver is left
 // untouched.
 func (p *Pool) UnmarshalJSON(data []byte) error {
-	var doc []arrivalJSON
-	var links map[string]float64
-	if trimmed := bytes.TrimLeft(data, " \t\r\n"); len(trimmed) > 0 && trimmed[0] == '{' {
-		var obj poolJSON
-		if err := json.Unmarshal(data, &obj); err != nil {
-			return fmt.Errorf("grid: decode: %w", err)
-		}
-		doc, links = obj.Resources, obj.Links
-	} else if err := json.Unmarshal(data, &doc); err != nil {
-		return fmt.Errorf("grid: decode: %w", err)
-	}
-	arr := make([]Arrival, len(doc))
-	for i, a := range doc {
-		arr[i] = Arrival{Time: a.Time, Resource: Resource{
-			ID: ID(i), Name: a.Name,
-			Up: a.Up, Down: a.Down, Link: a.Link, Store: a.Store,
-		}}
-	}
-	np, err := NewPoolLinks(arr, links)
+	s := jsonscan.New(data)
+	np, err := DecodePool(s)
 	if err != nil {
+		return err
+	}
+	if err := s.End(); err != nil {
 		return fmt.Errorf("grid: decode: %w", err)
 	}
 	*p = *np
 	return nil
+}
+
+// DecodePool reads one pool document from s — the one decoder of the
+// format, standalone or embedded in a submission or grid spec — in either
+// form, and builds the pool through NewPoolLinks.
+func DecodePool(s *jsonscan.Scanner) (*Pool, error) {
+	var arr []Arrival
+	var links map[string]float64
+	arrivals := func() {
+		arr = jsonscan.Array(s, arr, func(a *Arrival) {
+			r := &a.Resource
+			s.Object("t", &a.Time, "name", &r.Name, "up", &r.Up, "down", &r.Down, "link", &r.Link, "store", &r.Store)
+		})
+	}
+	if s.Peek() != '{' {
+		arrivals()
+	} else {
+		s.Object("resources", arrivals, "links", func() {
+			// As json.Unmarshal into a map: a repeated "links" merges, a
+			// repeated name takes its last value, a null value reads as zero.
+			if s.Null() {
+				links = nil
+				return
+			}
+			if links == nil {
+				links = make(map[string]float64)
+			}
+			s.Members(func(name []byte) {
+				bw := 0.0
+				if !s.Null() {
+					bw = s.Float()
+				}
+				links[string(name)] = bw
+			})
+		})
+	}
+	if err := s.Err(); err != nil {
+		return nil, fmt.Errorf("grid: decode: %w", err)
+	}
+	for i := range arr {
+		arr[i].Resource.ID = ID(i)
+	}
+	np, err := NewPoolLinks(arr, links)
+	if err != nil {
+		return nil, fmt.Errorf("grid: decode: %w", err)
+	}
+	return np, nil
 }

@@ -256,9 +256,9 @@ func (sh *shard) walStateDoc(wf *workflow, whole bool) walState {
 	if wf.plan != nil {
 		trigger = wf.plan.Trigger
 	}
-	reports := wf.reports
+	reports := wf.st.Reports
 	nEvents := len(wf.events)
-	events := append([]wire.Event(nil), wf.events[from:]...)
+	events := wf.eventsFrom(from)
 	wf.mu.Unlock()
 	doc := walState{
 		ID:          wf.id,
@@ -321,17 +321,34 @@ func (sh *shard) walLogTerminal(wf *workflow) {
 	if w == nil {
 		return
 	}
-	wf.mu.Lock()
-	events := append([]wire.Event(nil), wf.events...)
-	plan := wf.plan
-	wf.mu.Unlock()
-	doc := walTerminal{ID: wf.id, Status: wf.status(), Plan: plan, Events: events}
+	doc := wf.terminalDoc()
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	delete(w.pend, wf.id)
 	delete(w.admit, wf.id)
 	delete(w.bodies, wf.id)
 	w.append(sh.srv.metrics, wire.WALTerminal, doc)
+}
+
+// terminalDoc renders a terminal entry as its journal record.
+func (wf *workflow) terminalDoc() walTerminal {
+	wf.mu.Lock()
+	defer wf.mu.Unlock()
+	return walTerminal{ID: wf.id, Status: wf.st, Plan: wf.plan, Events: wf.eventsFrom(0)}
+}
+
+// newTerminal is terminalDoc's inverse: the registry entry of a workflow
+// that ended before this process started.
+func newTerminal(t *walTerminal) *workflow {
+	wf := &workflow{
+		id:     t.ID,
+		shard:  t.Status.Shard,
+		live:   t.Status.Mode == wire.ModeLive,
+		events: recordsOf(t.Events),
+		plan:   t.Plan,
+	}
+	wf.settle(t.Status)
+	return wf
 }
 
 // walLogGrid journals a shared-grid registration on its owning shard.
@@ -386,11 +403,7 @@ func (sh *shard) snapshot() {
 		if !ok || wf.shard != sh.id {
 			continue
 		}
-		wf.mu.Lock()
-		events := append([]wire.Event(nil), wf.events...)
-		plan := wf.plan
-		wf.mu.Unlock()
-		doc.Terminal = append(doc.Terminal, walTerminal{ID: id, Status: wf.status(), Plan: plan, Events: events})
+		doc.Terminal = append(doc.Terminal, wf.terminalDoc())
 	}
 
 	sh.histMu.Lock()
@@ -808,23 +821,7 @@ func (s *Server) recoverState() error {
 		}
 		seenTerm[id] = true
 		t := rw.terminal
-		st := t.Status
-		wf := &workflow{
-			id:     t.ID,
-			name:   st.Name,
-			shard:  st.Shard,
-			live:   st.Mode == wire.ModeLive,
-			tenant: st.Tenant,
-			jobs:   st.Jobs, resources: st.Resources,
-			submittedAt: time.Now(),
-			state:       st.State,
-			events:      t.Events,
-			plan:        t.Plan,
-			generation:  st.Generation,
-			reports:     st.Reports,
-			frozen:      &st,
-		}
-		s.wfs[t.ID] = wf
+		s.wfs[t.ID] = newTerminal(t)
 		s.retire(t.ID)
 	}
 
@@ -940,12 +937,12 @@ func (s *Server) restoreLive(rw *recoveredWorkflow) error {
 	}
 	plan := livePlanDoc(wf, trigger)
 	wf.mu.Lock()
-	wf.state = StateRunning
+	wf.st.State = StateRunning
 	wf.startedAt = time.Now()
 	wf.plan = plan
-	wf.generation = plan.Generation
-	wf.reports = rw.last.Reports
-	wf.events = rw.events
+	wf.st.Generation = plan.Generation
+	wf.st.Reports = rw.last.Reports
+	wf.events = recordsOf(rw.events)
 	wf.mu.Unlock()
 
 	s.mu.Lock()
@@ -1018,15 +1015,11 @@ func (s *Server) requeueRecovered(rw *recoveredWorkflow) error {
 // deserves an answer, not a 404).
 func (s *Server) failRecovered(id string, cause error) {
 	msg := fmt.Sprintf("lost in recovery: %v", cause)
-	st := wire.Status{ID: id, State: StateFailed, Error: msg, Events: 2}
-	wf := &workflow{
-		id: id, submittedAt: time.Now(), state: StateFailed,
-		events: []wire.Event{
-			{Seq: 0, Kind: "submitted", Workflow: id},
-			{Seq: 1, Kind: "failed", Workflow: id, Error: msg},
-		},
-		frozen: &st,
-	}
+	wf := newTerminal(&walTerminal{
+		ID:     id,
+		Status: wire.Status{ID: id, State: StateFailed, Error: msg, Events: 2},
+		Events: []wire.Event{{Kind: "submitted"}, {Kind: "failed", Error: msg}},
+	})
 	s.mu.Lock()
 	s.wfs[id] = wf
 	s.mu.Unlock()

@@ -8,7 +8,6 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
-	"sort"
 	"strings"
 	"testing"
 	"time"
@@ -464,9 +463,10 @@ func TestGateRecoveringThenReady(t *testing.T) {
 // flooding tenant's pre-crash backlog must not replay as FIFO and jump
 // the victims it was queued behind. The expected order is computed by
 // driving a fresh admission controller with the same sequence; the
-// served order is read back from the per-workflow start timestamps
-// (one shard, analytic runs: execution is serial, so start times are
-// strictly ordered).
+// served order is read back from the retention queue, which lists
+// workflows as they finished (one shard, analytic runs: execution is
+// serial, so that is the order they were started in — the test insists on
+// the one shard).
 func TestAdmissionQueueSurvivesCrashInFairOrder(t *testing.T) {
 	dir := t.TempDir()
 	sc := workload.SampleScenario()
@@ -537,29 +537,14 @@ func TestAdmissionQueueSurvivesCrashInFairOrder(t *testing.T) {
 			t.Fatalf("recovered workflow %s: state %q makespan %v", id, st.State, st.Makespan)
 		}
 	}
-	type started struct {
-		id string
-		at time.Time
+	// One shard runs its workflows one after another, so the order they
+	// finished in — the retention queue's — is the order they were served.
+	if len(srvB.shards) != 1 {
+		t.Fatalf("%d shards: finish order says nothing about served order", len(srvB.shards))
 	}
-	order := make([]started, 0, len(ids))
-	for _, id := range ids {
-		wf, ok := srvB.lookup(id)
-		if !ok {
-			t.Fatalf("recovered workflow %s not registered", id)
-		}
-		wf.mu.Lock()
-		at := wf.startedAt
-		wf.mu.Unlock()
-		if at.IsZero() {
-			t.Fatalf("recovered workflow %s has no start time", id)
-		}
-		order = append(order, started{id, at})
-	}
-	sort.Slice(order, func(i, j int) bool { return order[i].at.Before(order[j].at) })
-	got := make([]string, len(order))
-	for i, s := range order {
-		got[i] = s.id
-	}
+	srvB.mu.RLock()
+	got := append([]string(nil), srvB.retained...)
+	srvB.mu.RUnlock()
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("served order after crash:\n got %v\nwant %v", got, want)
 	}

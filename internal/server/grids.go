@@ -3,7 +3,6 @@ package server
 import (
 	"encoding/json"
 	"fmt"
-	"io"
 	"net/http"
 	"sort"
 	"sync"
@@ -143,9 +142,8 @@ func (s *Server) handleGridPut(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusBadRequest, errorDoc{Error: fmt.Sprintf("invalid grid name %q", name)})
 		return
 	}
-	data, err := io.ReadAll(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
+	data, err := s.readBody(w, r)
 	if err != nil {
-		writeJSON(w, http.StatusBadRequest, errorDoc{Error: fmt.Sprintf("read body: %v", err)})
 		return
 	}
 	spec, err := wire.DecodeGridSpec(data, s.cfg.Limits)
@@ -218,7 +216,7 @@ func (s *Server) handleGridList(w http.ResponseWriter, r *http.Request) {
 func (sh *shard) notifyGrid(g *sharedGrid, except string, link uint64) {
 	m := sh.srv.metrics
 	for _, wf := range g.residents(except) {
-		if sh.live[wf.id] == nil || wf.tracker == nil || wf.tracker.Done() {
+		if !sh.enacting(wf) {
 			continue
 		}
 		out := wf.tracker.Reevaluate(planner.TriggerContention)
@@ -243,7 +241,7 @@ func (sh *shard) notifyGrid(g *sharedGrid, except string, link uint64) {
 		plan := livePlanDoc(wf, planner.TriggerContention.String())
 		wf.mu.Lock()
 		wf.plan = plan
-		wf.generation = plan.Generation
+		wf.st.Generation = plan.Generation
 		wf.mu.Unlock()
 		if rec := sh.srv.recorder; rec != nil {
 			rec.plan(sh.id, plan)

@@ -3,7 +3,6 @@ package server
 import (
 	"encoding/json"
 	"fmt"
-	"io"
 	"net/http"
 	"sort"
 	"time"
@@ -61,7 +60,7 @@ func (sh *shard) startLive(wf *workflow) {
 		// (potentially tens of ms for the stress DAGs) that cancelLive
 		// would immediately kill — the drain deadline already passed.
 		wf.mu.Lock()
-		wf.state = StateRunning
+		wf.st.State = StateRunning
 		wf.startedAt = time.Now()
 		wf.mu.Unlock()
 		wf.append(m, wire.Event{Kind: "failed", Error: err.Error()})
@@ -109,7 +108,7 @@ func (sh *shard) startLive(wf *workflow) {
 	}
 	tr, err := feedback.New(cfg)
 	wf.mu.Lock()
-	wf.state = StateRunning
+	wf.st.State = StateRunning
 	wf.startedAt = time.Now()
 	wf.mu.Unlock()
 	wf.append(m, wire.Event{Kind: "started"})
@@ -129,7 +128,7 @@ func (sh *shard) startLive(wf *workflow) {
 	plan := livePlanDoc(wf, "initial")
 	wf.mu.Lock()
 	wf.plan = plan
-	wf.generation = plan.Generation
+	wf.st.Generation = plan.Generation
 	wf.mu.Unlock()
 	// The enactor learns the initial plan from GET …/plan; contention
 	// reschedules bumping the generation past this are piggybacked on the
@@ -184,6 +183,13 @@ func (sh *shard) scheduleUpgrade(wf *workflow) {
 	}()
 }
 
+// enacting reports whether wf is parked on this shard with jobs still to
+// run — the one state in which a command may touch its tracker. (sh.live
+// holds only planned workflows that have not been finished.)
+func (sh *shard) enacting(wf *workflow) bool {
+	return sh.live[wf.id] == wf && !wf.tracker.Done()
+}
+
 // handleCmd serves one report, what-if or upgrade on the worker
 // goroutine.
 func (sh *shard) handleCmd(c shardCmd) {
@@ -196,7 +202,7 @@ func (sh *shard) handleCmd(c shardCmd) {
 		sh.applyUpgrade(wf)
 		return
 	}
-	if wf.tracker == nil || wf.tracker.Done() || sh.live[wf.id] == nil {
+	if !sh.enacting(wf) {
 		if c.report != nil {
 			m.reportsRejected.Add(1)
 		}
@@ -315,14 +321,14 @@ func (sh *shard) applyReport(wf *workflow, c shardCmd) {
 		Done:        out.Done,
 	}
 	wf.mu.Lock()
-	wf.reports++
+	wf.st.Reports++
 	wf.mu.Unlock()
 	if out.Rescheduled {
 		ack.Trigger = out.Trigger.String()
 		plan := livePlanDoc(wf, ack.Trigger)
 		wf.mu.Lock()
 		wf.plan = plan
-		wf.generation = plan.Generation
+		wf.st.Generation = plan.Generation
 		wf.mu.Unlock()
 		ack.Plan = plan
 		if rec := sh.srv.recorder; rec != nil {
@@ -355,7 +361,7 @@ func (sh *shard) applyReport(wf *workflow, c shardCmd) {
 			}
 		}
 	}
-	gref := wf.gridRef
+	gref, tenant := wf.gridRef, wf.tenant // finishLive drops the running half
 	// Journal the post-apply state (with this batch's history deltas)
 	// even when the batch completes the run: the deltas must reach the
 	// recovered tenant history, and the terminal record finishLive
@@ -370,7 +376,7 @@ func (sh *shard) applyReport(wf *workflow, c shardCmd) {
 	// the contention-generation piggyback.
 	if t := sh.srv.tracer; t != nil && ack.Plan != nil {
 		t.Emit(obs.Span{
-			Stage: obs.StageEnact, Workflow: wf.id, Tenant: wf.tenant, Shard: sh.id,
+			Stage: obs.StageEnact, Workflow: wf.id, Tenant: tenant, Shard: sh.id,
 			Parent: ingestID, Trigger: ack.Trigger, Generation: ack.Generation,
 		}, 0)
 	}
@@ -397,7 +403,7 @@ func (sh *shard) applyReport(wf *workflow, c shardCmd) {
 // policy cannot beat owes nothing further.
 func (sh *shard) applyUpgrade(wf *workflow) {
 	m := sh.srv.metrics
-	if wf.upgraded || wf.tracker == nil || wf.tracker.Done() || sh.live[wf.id] == nil {
+	if !sh.enacting(wf) || wf.upgraded {
 		return
 	}
 	wf.upgraded = true
@@ -429,7 +435,7 @@ func (sh *shard) applyUpgrade(wf *workflow) {
 	plan := livePlanDoc(wf, planner.TriggerUpgrade.String())
 	wf.mu.Lock()
 	wf.plan = plan
-	wf.generation = plan.Generation
+	wf.st.Generation = plan.Generation
 	wf.mu.Unlock()
 	if rec := sh.srv.recorder; rec != nil {
 		rec.plan(sh.id, plan)
@@ -504,23 +510,12 @@ func (sh *shard) finishLive(wf *workflow) {
 	}
 	wf.append(m, wire.Event{Kind: "done", Time: tr.Makespan(), Makespan: tr.Makespan()})
 	wf.finish(res, nil)
-	wf.releaseLive()
 	m.liveWorkflowDone(false)
 	sh.srv.retire(wf.id)
 	sh.walLogTerminal(wf)
 	if rec := sh.srv.recorder; rec != nil {
 		rec.done(sh.id, wf.id, StateDone, tr.Makespan(), "")
 	}
-}
-
-// releaseLive drops a terminal live run's tracker and journal base — the
-// kernel state, cost model and submission they pin are most of a
-// retained record's memory, and nothing serves them once the run is
-// over (every tracker access checks for nil or residency first). Shard
-// goroutine only.
-func (wf *workflow) releaseLive() {
-	wf.tracker = nil
-	wf.walBase = nil
 }
 
 // cancelLive force-fails every resident live run (drain deadline).
@@ -540,7 +535,6 @@ func (sh *shard) cancelLive(err error) {
 		}
 		wf.append(m, wire.Event{Kind: "failed", Error: err.Error()})
 		wf.finish(nil, err)
-		wf.releaseLive()
 		m.liveWorkflowDone(true)
 		sh.srv.retire(id)
 		sh.walLogTerminal(wf)
@@ -654,9 +648,9 @@ func (s *Server) checkLive(w http.ResponseWriter, r *http.Request) (*workflow, b
 		return nil, false
 	}
 	wf.mu.Lock()
-	state := wf.state
+	terminal := wf.running == nil
 	wf.mu.Unlock()
-	if state == StateDone || state == StateFailed {
+	if terminal {
 		writeJSON(w, http.StatusConflict, errorDoc{Error: "workflow is terminal"})
 		return nil, false
 	}
@@ -670,10 +664,9 @@ func (s *Server) handleReport(w http.ResponseWriter, r *http.Request) {
 		m.reportsRejected.Add(1)
 		return
 	}
-	data, err := io.ReadAll(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
+	data, err := s.readBody(w, r)
 	if err != nil {
 		m.reportsRejected.Add(1)
-		writeJSON(w, http.StatusBadRequest, errorDoc{Error: fmt.Sprintf("read body: %v", err)})
 		return
 	}
 	rep, err := wire.DecodeReport(data, 0)
@@ -702,9 +695,8 @@ func (s *Server) handleWhatIf(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	data, err := io.ReadAll(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
+	data, err := s.readBody(w, r)
 	if err != nil {
-		writeJSON(w, http.StatusBadRequest, errorDoc{Error: fmt.Sprintf("read body: %v", err)})
 		return
 	}
 	var q wire.WhatIfRequest
@@ -732,20 +724,21 @@ func (s *Server) handlePlan(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	wf.mu.Lock()
-	plan := wf.plan
+	plan, run := wf.plan, wf.running
 	wf.mu.Unlock()
 	if plan == nil {
 		writeJSON(w, http.StatusConflict, errorDoc{Error: "workflow has no live plan (analytic mode, or not yet planned)"})
 		return
 	}
-	// A plan fetch is an enactment: the enactor now holds this
-	// generation. (Reading rootSpan here is ordered by wf.mu: it is
-	// written before the enqueue, and plan above is non-nil only after
-	// the worker — which dequeued after that write — published it.)
-	if t := s.tracer; t != nil {
+	// A plan fetch from a workflow still running is an enactment: the
+	// enactor now holds this generation. A finished workflow's last plan is
+	// only read, and its intake span went with the running half. (rootSpan
+	// is ordered by wf.mu: written before the enqueue, and plan is non-nil
+	// only after the worker — which dequeued after that — published it.)
+	if t := s.tracer; t != nil && run != nil {
 		t.Emit(obs.Span{
-			Stage: obs.StageEnact, Workflow: wf.id, Tenant: wf.tenant,
-			Shard: wf.shard, Parent: wf.rootSpan, Generation: plan.Generation,
+			Stage: obs.StageEnact, Workflow: wf.id, Tenant: run.tenant,
+			Shard: wf.shard, Parent: run.rootSpan, Generation: plan.Generation,
 		}, 0)
 	}
 	writeJSON(w, http.StatusOK, plan)

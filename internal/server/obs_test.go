@@ -148,6 +148,10 @@ func TestTraceLiveCausalChain(t *testing.T) {
 		t.Fatalf("tail report: HTTP %d %s", code, msg)
 	}
 	waitDone(t, ts, sub.ID)
+	// Reading a finished workflow's last plan enacts nothing: no span.
+	if last := fetchPlan(t, ts, sub.ID); last.Generation != 2 {
+		t.Fatalf("terminal plan: generation %d, want 2", last.Generation)
+	}
 
 	spans := getTrace(t, ts, sub.ID)
 	st := byStage(spans)
@@ -169,14 +173,15 @@ func TestTraceLiveCausalChain(t *testing.T) {
 	// Two enact spans: the initial GET …/plan (gen 1, parented on the
 	// root intake span) and the report-ack piggyback (gen 2, parented on
 	// the ingest span).
-	gens := map[int]obs.Span{}
+	gens, enacts := map[int]obs.Span{}, 0
 	for _, sp := range spans {
 		if sp.Stage == obs.StageEnact {
 			gens[sp.Generation] = sp
+			enacts++
 		}
 	}
-	if len(gens) != 2 {
-		t.Fatalf("enact generations: %+v", gens)
+	if len(gens) != 2 || enacts != 2 {
+		t.Fatalf("%d enact spans, generations: %+v", enacts, gens)
 	}
 	if gens[1].Parent != st[obs.StageIntake].ID || gens[2].Parent != ingest.ID {
 		t.Fatalf("enact parents: gen1=%+v gen2=%+v", gens[1], gens[2])

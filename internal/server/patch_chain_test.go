@@ -117,7 +117,7 @@ func observe(t testing.TB, srv *Server, ts *httptest.Server, id, tenant string) 
 		t.Fatalf("workflow %s not registered", id)
 	}
 	wf.mu.Lock()
-	events := append([]wire.Event(nil), wf.events...)
+	events := wf.eventsFrom(0)
 	wf.mu.Unlock()
 	tracker, err := json.Marshal(wf.tracker.ExportState())
 	if err != nil {

@@ -18,11 +18,11 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"os"
 	"strconv"
@@ -508,16 +508,10 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	// lands, and it reads rootSpan/queueAct without synchronisation
 	// beyond the channel's happens-before.
 	intakeAct := s.tracer.Start(obs.StageIntake, id)
-	data, err := io.ReadAll(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
+	data, err := s.readBody(w, r)
 	if err != nil {
 		intakeAct.Fail(err)
 		m.rejectedInvalid.Add(1)
-		code := http.StatusBadRequest
-		var mbe *http.MaxBytesError
-		if errors.As(err, &mbe) {
-			code = http.StatusRequestEntityTooLarge
-		}
-		writeJSON(w, code, errorDoc{Error: fmt.Sprintf("read body: %v", err)})
 		return
 	}
 	wf, _, err := s.buildWorkflow(id, data)
@@ -612,6 +606,31 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusAccepted, wire.Submitted{ID: id, Shard: wf.shard, State: StateQueued})
 }
 
+// maxBodyPresize caps what readBody allocates on the word of a request's
+// Content-Length; a longer body grows the buffer as it comes.
+const maxBodyPresize = 1 << 20
+
+// readBody reads a request body of at most Config.MaxBodyBytes. On
+// failure it has answered the request — 413 for a body over the limit,
+// 400 for one that could not be read — and returns the error.
+func (s *Server) readBody(w http.ResponseWriter, r *http.Request) ([]byte, error) {
+	var buf bytes.Buffer
+	if n := r.ContentLength; n > 0 && n <= s.cfg.MaxBodyBytes {
+		// ReadFrom wants bytes.MinRead spare to see the EOF without growing.
+		buf.Grow(int(min(n, maxBodyPresize)) + bytes.MinRead)
+	}
+	if _, err := buf.ReadFrom(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)); err != nil {
+		code := http.StatusBadRequest
+		var mbe *http.MaxBytesError
+		if errors.As(err, &mbe) {
+			code = http.StatusRequestEntityTooLarge
+		}
+		writeJSON(w, code, errorDoc{Error: fmt.Sprintf("read body: %v", err)})
+		return nil, err
+	}
+	return buf.Bytes(), nil
+}
+
 // buildWorkflow decodes and validates a raw submission body into a
 // registered-shape workflow record: policy resolution, live-mode
 // checks, tenant and variance defaults, shared-grid routing. It is the
@@ -685,36 +704,51 @@ func (s *Server) buildWorkflow(id string, data []byte) (*workflow, *sharedGrid, 
 	}
 
 	wf := &workflow{
-		id:        id,
-		name:      sub.Name,
-		shard:     shardID,
-		sub:       sub,
-		live:      live,
-		tenant:    tenant,
-		varThr:    varThr,
-		class:     sub.Options.Class,
-		weight:    sub.Options.Weight,
-		gridRef:   gref,
-		jobs:      sub.Graph.Len(),
-		resources: poolSize,
-		pol:       pol,
-		opts: policy.Options{
-			TieWindow:      sub.Options.TieWindow,
-			NoInsertion:    sub.Options.NoInsertion,
-			RestartRunning: sub.Options.RestartRunning,
-			Eps:            sub.Options.Eps,
-			MaxConeFrac:    s.cfg.MaxConeFrac,
-			Data:           dm,
+		id:    id,
+		shard: shardID,
+		live:  live,
+		running: &running{
+			sub:     sub,
+			tenant:  tenant,
+			varThr:  varThr,
+			class:   sub.Options.Class,
+			weight:  sub.Options.Weight,
+			gridRef: gref,
+			pol:     pol,
+			opts: policy.Options{
+				TieWindow:      sub.Options.TieWindow,
+				NoInsertion:    sub.Options.NoInsertion,
+				RestartRunning: sub.Options.RestartRunning,
+				Eps:            sub.Options.Eps,
+				MaxConeFrac:    s.cfg.MaxConeFrac,
+				Data:           dm,
+			},
+			submittedAt: time.Now(),
 		},
-		state:       StateQueued,
-		submittedAt: time.Now(),
+		st: wire.Status{
+			ID:        id,
+			Name:      sub.Name,
+			State:     StateQueued,
+			Policy:    pol.Name(),
+			Shard:     shardID,
+			Jobs:      sub.Graph.Len(),
+			Resources: poolSize,
+		},
 		// The log is seeded with the "submitted" event before the record
 		// is published, so the stream ordering holds even though the
 		// worker may append "started" the instant the enqueue lands. It
 		// is counted in events_emitted only once the enqueue succeeds —
 		// a rejected submission's log dies with the record and must not
-		// move the published counter.
-		events: []wire.Event{{Seq: 0, Kind: "submitted", Workflow: id}},
+		// move the published counter. Sized for an analytic run's handful
+		// of events.
+		events: append(make([]eventRec, 0, 8), eventRec{kind: "submitted"}),
+	}
+	if live {
+		wf.st.Mode = wire.ModeLive
+		wf.st.Tenant = tenant
+	}
+	if gref != nil {
+		wf.st.Grid = gref.name
 	}
 	return wf, gref, nil
 }

@@ -25,19 +25,46 @@ const (
 	StateFailed  = "failed"
 )
 
-// workflow is one submitted workflow's full lifecycle record: the decoded
-// submission, its execution outcome, and the dense per-workflow event log
-// SSE consumers replay and follow.
+// workflow is one submitted workflow's registry entry. The daemon keeps
+// up to Config.MaxRetained of them after their workflows end, and a busy
+// daemon's peak RSS is that many times what one holds for good, so that is
+// kept small: identity, the status document, the compact event log and a
+// live workflow's last plan — about 1.4 KB for a 60-job analytic workflow
+// (TestTerminalRecordBudget: ≤ 1.6 KB). Everything only a queued or
+// running workflow needs sits in *running, which settle drops. A terminal
+// entry is the same thing whether its workflow ended in this process
+// (finish) or a previous one (recovery, from its wire.WALTerminal record):
+// both go through settle, and status() then serves st verbatim.
 type workflow struct {
 	id    string
-	name  string
 	shard int
-	sub   *wire.Submission // released at finish; use jobs/resources after
-	pol   policy.Policy
-	opts  policy.Options
+	live  bool // submitted in live mode
+
+	// running is nil once the workflow is terminal. The goroutine that
+	// owns the workflow — the submitter until the enqueue, the shard's
+	// worker after — writes it under mu and reads it bare; any other
+	// reads it under mu.
+	*running
+
+	mu sync.Mutex
+	// st is the status document: identity fields set at submission,
+	// State/Generation/Reports following the run (under mu), the rest
+	// filled in by settle.
+	st     wire.Status
+	events []eventRec
+	subs   map[chan wire.Event]struct{}
+	// plan is the live-plan snapshot for GET …/plan (written by the shard
+	// under mu, read by HTTP handlers); a terminal workflow keeps its last.
+	plan *wire.Plan
+}
+
+// running is the part of a workflow that ends with it.
+type running struct {
+	sub  *wire.Submission
+	pol  policy.Policy
+	opts policy.Options
 
 	// Live-mode identity (immutable after submit).
-	live   bool
 	tenant string
 	varThr float64
 
@@ -78,11 +105,6 @@ type workflow struct {
 	walEvents int
 	walRev    int
 
-	// Shape captured at submission so status never needs the (released)
-	// submission.
-	jobs      int
-	resources int
-
 	// Observability state, written on the submit path strictly before the
 	// enqueue publishes the record to the worker: rootSpan is the intake
 	// span's ID (the parent of the workflow's later spans), queueAct the
@@ -94,42 +116,87 @@ type workflow struct {
 	recBody  json.RawMessage
 
 	submittedAt time.Time
-
-	mu        sync.Mutex
-	state     string
-	startedAt time.Time
-	doneAt    time.Time
-	events    []wire.Event
-	subs      map[chan wire.Event]struct{}
-	res       *planner.Result
-	err       error
-	// Live-plan snapshot for GET …/plan (written by the shard under mu,
-	// read by HTTP handlers).
-	plan       *wire.Plan
-	generation int
-	reports    int
-	// frozen, when set, is a recovered terminal workflow's status as
-	// journalled before the restart: status() serves it verbatim (the
-	// result and submission objects it was assembled from are gone).
-	frozen *wire.Status
+	startedAt   time.Time // zero until the worker picks the workflow up (under mu)
 }
 
-// append adds one event to the log (assigning its dense Seq) and fans it
-// out to the live subscribers. Fan-out never blocks the worker: a
+// eventRec is one entry of a workflow's event log as it is kept:
+// wire.Event without what the entry's position and owner give (Seq,
+// Workflow) and with the fields no event uses together folded. Every event
+// the daemon emits survives recordOf → event exactly; SSE and the WAL
+// records are served from event().
+type eventRec struct {
+	kind       string
+	time       float64
+	makespan   float64
+	generation int
+	decision   *wire.Decision // a decision event's payload; its Arrived is the event's
+	note       string         // Error of a failed event, Trigger of any other
+}
+
+func recordOf(ev wire.Event) eventRec {
+	rec := eventRec{
+		kind: ev.Kind, time: ev.Time, makespan: ev.Makespan,
+		generation: ev.Generation, decision: ev.Decision, note: ev.Trigger,
+	}
+	if ev.Kind == "failed" {
+		rec.note = ev.Error
+	}
+	return rec
+}
+
+func recordsOf(evs []wire.Event) []eventRec {
+	recs := make([]eventRec, len(evs))
+	for i, ev := range evs {
+		recs[i] = recordOf(ev)
+	}
+	return recs
+}
+
+// event returns log entry i in wire form. Callers hold wf.mu.
+func (wf *workflow) event(i int) wire.Event {
+	rec := &wf.events[i]
+	ev := wire.Event{
+		Seq: i, Kind: rec.kind, Workflow: wf.id, Time: rec.time,
+		Decision: rec.decision, Generation: rec.generation, Makespan: rec.makespan,
+	}
+	if rec.kind == "failed" {
+		ev.Error = rec.note
+	} else {
+		ev.Trigger = rec.note
+	}
+	if rec.decision != nil {
+		ev.Arrived = rec.decision.Arrived
+	}
+	return ev
+}
+
+// eventsFrom returns the log from entry i on in wire form. Callers hold
+// wf.mu.
+func (wf *workflow) eventsFrom(i int) []wire.Event {
+	out := make([]wire.Event, 0, len(wf.events)-i)
+	for ; i < len(wf.events); i++ {
+		out = append(out, wf.event(i))
+	}
+	return out
+}
+
+// append adds one event to the log (its position is its dense Seq) and
+// fans it out to the live subscribers. Fan-out never blocks the worker: a
 // subscriber whose buffer is full loses the event, and the loss is
 // counted in Metrics.eventsDropped (surfaced as events_dropped in
 // /metrics) — the log itself is complete, so a replaying consumer can
 // always recover the full stream.
 func (wf *workflow) append(m *Metrics, ev wire.Event) {
 	wf.mu.Lock()
-	ev.Seq = len(wf.events)
-	ev.Workflow = wf.id
-	wf.events = append(wf.events, ev)
-	for ch := range wf.subs {
-		select {
-		case ch <- ev:
-		default:
-			m.eventsDropped.Add(1)
+	wf.events = append(wf.events, recordOf(ev))
+	if len(wf.subs) > 0 {
+		ev = wf.event(len(wf.events) - 1)
+		for ch := range wf.subs {
+			select {
+			case ch <- ev:
+			default:
+				m.eventsDropped.Add(1)
+			}
 		}
 	}
 	wf.mu.Unlock()
@@ -143,8 +210,8 @@ func (wf *workflow) append(m *Metrics, ev wire.Event) {
 func (wf *workflow) subscribe() (replay []wire.Event, ch chan wire.Event, cancel func()) {
 	wf.mu.Lock()
 	defer wf.mu.Unlock()
-	replay = append([]wire.Event(nil), wf.events...)
-	if wf.state == StateDone || wf.state == StateFailed {
+	replay = wf.eventsFrom(0)
+	if wf.running == nil {
 		return replay, nil, func() {}
 	}
 	ch = make(chan wire.Event, subscriberBuffer)
@@ -164,24 +231,59 @@ func (wf *workflow) subscribe() (replay []wire.Event, ch chan wire.Event, cancel
 // see workflow.append); 256 matches the root Session's buffer.
 const subscriberBuffer = 256
 
-// finish moves the workflow to its terminal state and closes every live
-// subscription. The decoded submission (graph,
-// cost matrix, pool) and the result's full schedule are released here:
-// the status API reports makespans and decisions, not placements, and a
-// retained terminal record should pin only what it can still serve.
+// finish completes the status document from the run's outcome and makes
+// the entry terminal. res is read, not kept — the status API reports
+// makespans and decisions, not placements.
 func (wf *workflow) finish(res *planner.Result, err error) {
-	if res != nil {
-		res.Schedule = nil
-	}
+	now := time.Now()
 	wf.mu.Lock()
-	wf.doneAt = time.Now()
-	wf.res, wf.err = res, err
-	wf.sub = nil
+	st := wf.st
+	st.State = StateDone
 	if err != nil {
-		wf.state = StateFailed
-	} else {
-		wf.state = StateDone
+		st.State, st.Error = StateFailed, err.Error()
 	}
+	st.QueueMs = now.Sub(wf.submittedAt).Seconds() * 1e3
+	if !wf.startedAt.IsZero() {
+		st.QueueMs = wf.startedAt.Sub(wf.submittedAt).Seconds() * 1e3
+		st.ComputeMs = now.Sub(wf.startedAt).Seconds() * 1e3
+	}
+	if res != nil {
+		st.Makespan = res.Makespan
+		st.InitialMakespan = res.InitialMakespan
+		st.Improvement = res.Improvement()
+		st.Adoptions = res.Adoptions()
+		st.Decisions = make([]wire.Decision, len(res.Decisions))
+		for i, d := range res.Decisions {
+			st.Decisions[i] = wireDecision(d)
+		}
+	}
+	st.Events = len(wf.events)
+	wf.mu.Unlock()
+	wf.settle(st)
+}
+
+// settle is the one way an entry becomes terminal, whether its workflow
+// just ended (finish) or ended before a restart (recovery): st is served
+// verbatim from now on, the log is cut to size with each decision event
+// pointing at its copy in st.Decisions (a run that ended normally lists
+// them all, so each is stored once), the running half is dropped, and
+// every live subscription is closed.
+func (wf *workflow) settle(st wire.Status) {
+	wf.mu.Lock()
+	wf.st = st
+	if cap(wf.events) > len(wf.events) {
+		wf.events = append([]eventRec(nil), wf.events...)
+	}
+	k := 0
+	for i := range wf.events {
+		if d := wf.events[i].decision; d != nil {
+			if k < len(st.Decisions) && *d == st.Decisions[k] {
+				wf.events[i].decision = &st.Decisions[k]
+			}
+			k++
+		}
+	}
+	wf.running = nil
 	subs := wf.subs
 	wf.subs = nil
 	wf.mu.Unlock()
@@ -194,48 +296,13 @@ func (wf *workflow) finish(res *planner.Result, err error) {
 func (wf *workflow) status() wire.Status {
 	wf.mu.Lock()
 	defer wf.mu.Unlock()
-	if wf.frozen != nil {
-		return *wf.frozen
-	}
-	st := wire.Status{
-		ID:        wf.id,
-		Name:      wf.name,
-		State:     wf.state,
-		Policy:    wf.pol.Name(),
-		Shard:     wf.shard,
-		Jobs:      wf.jobs,
-		Resources: wf.resources,
-		Events:    len(wf.events),
-	}
-	if wf.live {
-		st.Mode = wire.ModeLive
-		st.Tenant = wf.tenant
-		st.Generation = wf.generation
-		st.Reports = wf.reports
-	}
-	if wf.gridRef != nil {
-		st.Grid = wf.gridRef.name
-	}
-	switch {
-	case !wf.startedAt.IsZero():
-		st.QueueMs = wf.startedAt.Sub(wf.submittedAt).Seconds() * 1e3
-	default:
-		st.QueueMs = time.Since(wf.submittedAt).Seconds() * 1e3
-	}
-	if !wf.doneAt.IsZero() && !wf.startedAt.IsZero() {
-		st.ComputeMs = wf.doneAt.Sub(wf.startedAt).Seconds() * 1e3
-	}
-	if wf.err != nil {
-		st.Error = wf.err.Error()
-	}
-	if wf.res != nil {
-		st.Makespan = wf.res.Makespan
-		st.InitialMakespan = wf.res.InitialMakespan
-		st.Improvement = wf.res.Improvement()
-		st.Adoptions = wf.res.Adoptions()
-		st.Decisions = make([]wire.Decision, len(wf.res.Decisions))
-		for i, d := range wf.res.Decisions {
-			st.Decisions[i] = wireDecision(d)
+	st := wf.st
+	if r := wf.running; r != nil {
+		st.Events = len(wf.events)
+		if r.startedAt.IsZero() {
+			st.QueueMs = time.Since(r.submittedAt).Seconds() * 1e3
+		} else {
+			st.QueueMs = r.startedAt.Sub(r.submittedAt).Seconds() * 1e3
 		}
 	}
 	return st
@@ -406,9 +473,10 @@ func (sh *shard) execute(wf *workflow) {
 		sh.startLive(wf)
 		return
 	}
+	started := time.Now()
 	wf.mu.Lock()
-	wf.state = StateRunning
-	wf.startedAt = time.Now()
+	wf.st.State = StateRunning
+	wf.startedAt = started
 	wf.mu.Unlock()
 	wf.append(m, wire.Event{Kind: "started"})
 	planAct := sh.srv.tracer.Start(obs.StagePlan, wf.id)
@@ -449,7 +517,7 @@ func (sh *shard) execute(wf *workflow) {
 		}
 		wf.append(m, wire.Event{Kind: "failed", Error: err.Error()})
 		wf.finish(res, err)
-		m.workflowDone(true, time.Since(wf.startedAt), decisions, adoptions)
+		m.workflowDone(true, time.Since(started), decisions, adoptions)
 		sh.srv.retire(wf.id)
 		sh.walLogTerminal(wf)
 		return
@@ -460,7 +528,7 @@ func (sh *shard) execute(wf *workflow) {
 	}
 	wf.append(m, wire.Event{Kind: "done", Time: res.Makespan, Makespan: res.Makespan})
 	wf.finish(res, err)
-	m.workflowDone(false, time.Since(wf.startedAt), decisions, adoptions)
+	m.workflowDone(false, time.Since(started), decisions, adoptions)
 	sh.srv.retire(wf.id)
 	sh.walLogTerminal(wf)
 }

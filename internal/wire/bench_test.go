@@ -1,0 +1,59 @@
+package wire
+
+import (
+	"testing"
+
+	"aheft/internal/rng"
+	"aheft/internal/workload"
+)
+
+// decodeBenchBodies returns the two submission bodies the daemon's
+// benchmarks are built on: the first of the root package's
+// serverBenchBodies (a 60-job random DAG, 8 + 4×2 resources; same
+// generator, seed and parameters) and the 1026-job data-aware fan-out of
+// benchmark/'s live_data_staging.
+func decodeBenchBodies(b *testing.B) map[string][]byte {
+	b.Helper()
+	sc, err := workload.RandomScenario(workload.RandomParams{
+		Jobs: 60, CCR: 2, OutDegree: 0.3, Beta: 0.5,
+	}, workload.GridParams{
+		InitialResources: 8, ChangeInterval: 300, ChangePct: 0.25, MaxEvents: 4,
+	}, rng.New(0xD0E))
+	if err != nil {
+		b.Fatal(err)
+	}
+	random60, err := EncodeSubmission(&Submission{Policy: "aheft", Graph: sc.Graph, Comp: sc.Table, Pool: sc.Pool})
+	if err != nil {
+		b.Fatal(err)
+	}
+	ds := workload.DataScenario(workload.DataParams{Searches: 1024})
+	data1026, err := EncodeSubmission(&Submission{Mode: ModeLive, Graph: ds.Graph, Comp: ds.Table, Files: ds.Files, Pool: ds.Pool})
+	if err != nil {
+		b.Fatal(err)
+	}
+	return map[string][]byte{"random60": random60, "data1026": data1026}
+}
+
+// BenchmarkWireDecode times DecodeSubmission on the benchmark bodies, and
+// under oracle/ the reflective decoder it replaced on the same bytes in
+// the same run — CI gates the ratio of the two (ci.yml, bench job), so
+// the decoder cannot drift back toward the reflective cost unnoticed.
+func BenchmarkWireDecode(b *testing.B) {
+	bodies := decodeBenchBodies(b)
+	for _, name := range []string{"random60", "data1026"} {
+		body := bodies[name]
+		run := func(name string, decode func([]byte, Limits) (*Submission, error)) {
+			b.Run(name, func(b *testing.B) {
+				b.SetBytes(int64(len(body)))
+				b.ReportAllocs()
+				for b.Loop() {
+					if _, err := decode(body, Limits{}); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+		}
+		run(name, DecodeSubmission)
+		run("oracle/"+name, oracleDecodeSubmission)
+	}
+}

@@ -8,6 +8,20 @@
 // can never panic or exhaust the daemon (FuzzSerializeRoundTrip holds the
 // decoder to that).
 //
+// Decoding is one pass over the bytes: each document has one decoder,
+// written against internal/jsonscan and building its model object directly
+// (dag.Decode, cost.DecodeTable, grid.DecodePool, data.DecodeSet, the
+// envelope's here), and the json.Unmarshaler methods call the same
+// functions. The semantics are encoding/json's — unknown keys ignored, a
+// key matched exactly and otherwise case-insensitively, null leaving a
+// field unset, the last of a repeated key winning, bytes after the document
+// an error, numbers converted by strconv on the token — by test, not by
+// construction: the reflective decoders this replaced live on in
+// oracle_test.go, and FuzzDecodeSubmissionParity / FuzzDecodePartsParity
+// require the same accept-or-reject and the same decoded value on every
+// input; only error text may differ. Encoding still goes through
+// encoding/json and the tagged structs.
+//
 // The format is versioned at both layers: the envelope carries "v" and
 // every embedded graph document carries its own "v" (dag.WireVersion).
 // Decoders accept versions up to their own and reject newer ones, so old
@@ -34,6 +48,7 @@ import (
 	"aheft/internal/dag"
 	"aheft/internal/data"
 	"aheft/internal/grid"
+	"aheft/internal/jsonscan"
 )
 
 // Version is the current envelope version. DecodeSubmission accepts 0
@@ -151,6 +166,24 @@ const (
 // MaxTenantLen bounds the tenant label length.
 const MaxTenantLen = 128
 
+// MaxNameLen bounds the workflow name — the one client-chosen string a
+// terminal record keeps for as long as the daemon retains it.
+const MaxNameLen = 256
+
+// checkLabel bounds a client-chosen label that ends up in status
+// documents, logs and metrics: at most max bytes, no control characters.
+func checkLabel(what, s string, max int) error {
+	if len(s) > max {
+		return fmt.Errorf("wire: %s exceeds %d bytes", what, max)
+	}
+	for _, c := range s {
+		if c < 0x20 || c == 0x7f {
+			return fmt.Errorf("wire: %s contains control character %q", what, c)
+		}
+	}
+	return nil
+}
+
 // SharedPoolPrefix marks a pool reference: a submission whose "pool"
 // field is the JSON string "shared:<name>" attaches to the named
 // shard-resident shared grid (created via PUT /v1/grids/{name}) instead
@@ -222,8 +255,9 @@ type Submission struct {
 }
 
 // submissionWire mirrors Submission field for field with the pool carried
-// raw, implementing the polymorphic "pool" encoding. Field order must
-// match Submission so canonical re-encoding is stable.
+// raw, implementing the polymorphic "pool" encoding for MarshalJSON
+// (decoding does not use it). Field order must match Submission so
+// canonical re-encoding is stable.
 type submissionWire struct {
 	V       int             `json:"v"`
 	Name    string          `json:"name,omitempty"`
@@ -264,39 +298,76 @@ func (s Submission) MarshalJSON() ([]byte, error) {
 	return json.Marshal(w)
 }
 
-// UnmarshalJSON decodes the polymorphic pool field: a JSON string is a
-// shared-grid reference, anything else an inline pool document.
-func (s *Submission) UnmarshalJSON(data []byte) error {
-	var w submissionWire
-	if err := json.Unmarshal(data, &w); err != nil {
+// UnmarshalJSON decodes one submission document without validating it
+// across its parts (DecodeSubmission does both).
+func (s *Submission) UnmarshalJSON(doc []byte) error {
+	var ns Submission
+	if err := ns.decode(doc); err != nil {
 		return err
 	}
-	*s = Submission{
-		V: w.V, Name: w.Name, Mode: w.Mode, Tenant: w.Tenant,
-		Policy: w.Policy, Options: w.Options, Graph: w.Graph, Comp: w.Comp,
-		Files: w.Files,
+	*s = ns
+	return nil
+}
+
+// decode fills s from one submission document: the envelope's scalar
+// fields here, each embedded document by its package's decoder reading
+// from the same scanner. The corners of the package comment's semantics:
+// null clears "graph", "comp" and "files"; a repeated "options" or "files"
+// merges field by field; every "graph" and "comp" given must decode, but
+// of several "pool" values only the last is looked at. So "pool" alone is
+// deliberately walked twice: skipped where it stands, which checks its
+// syntax and nesting, and the last one decoded once the walk is over — a
+// pool of the wrong shape is an error only if it is the one that counts.
+func (s *Submission) decode(doc []byte) error {
+	sc := jsonscan.New(doc)
+	var pool []byte
+	var err error
+	o := &s.Options
+	sc.Object("v", &s.V, "name", &s.Name, "mode", &s.Mode, "tenant", &s.Tenant, "policy", &s.Policy,
+		"options", func() {
+			sc.Object("tie_window", &o.TieWindow, "no_insertion", &o.NoInsertion, "restart_running", &o.RestartRunning,
+				"eps", &o.Eps, "variance_threshold", &o.VarianceThreshold, "class", &o.Class, "weight", &o.Weight)
+		},
+		"graph", func() {
+			if s.Graph = nil; !sc.Null() {
+				s.Graph, err = dag.Decode(sc)
+				sc.Fail(err)
+			}
+		},
+		"comp", func() {
+			if s.Comp = nil; !sc.Null() {
+				s.Comp, err = cost.DecodeTable(sc)
+				sc.Fail(err)
+			}
+		},
+		"files", func() {
+			if sc.Null() {
+				s.Files = nil
+				return
+			}
+			if s.Files == nil {
+				s.Files = new(data.Set)
+			}
+			data.DecodeSet(sc, s.Files)
+		},
+		"pool", func() { pool = sc.Raw() })
+	if err = sc.End(); err != nil || pool == nil {
+		return err
 	}
-	if len(w.Pool) == 0 || string(w.Pool) == "null" {
-		return nil
-	}
-	if w.Pool[0] == '"' {
-		var ref string
-		if err := json.Unmarshal(w.Pool, &ref); err != nil {
-			return fmt.Errorf("wire: decode pool reference: %w", err)
-		}
+	sc = jsonscan.New(pool)
+	switch {
+	case sc.Null():
+	case sc.Peek() == '"':
+		ref := string(sc.String())
 		name, ok := strings.CutPrefix(ref, SharedPoolPrefix)
 		if !ok {
 			return fmt.Errorf("wire: pool reference %q must start with %q", ref, SharedPoolPrefix)
 		}
 		s.SharedGrid = name
-		return nil
+	default:
+		s.Pool, err = grid.DecodePool(sc)
 	}
-	var p grid.Pool
-	if err := json.Unmarshal(w.Pool, &p); err != nil {
-		return err
-	}
-	s.Pool = &p
-	return nil
+	return err
 }
 
 // Validate cross-checks the decoded parts against each other and the
@@ -310,13 +381,11 @@ func (s *Submission) Validate(lim Limits) error {
 	if s.Mode != "" && s.Mode != ModeAnalytic && s.Mode != ModeLive {
 		return fmt.Errorf("wire: unknown mode %q", s.Mode)
 	}
-	if len(s.Tenant) > MaxTenantLen {
-		return fmt.Errorf("wire: tenant label exceeds %d bytes", MaxTenantLen)
+	if err := checkLabel("workflow name", s.Name, MaxNameLen); err != nil {
+		return err
 	}
-	for _, c := range s.Tenant {
-		if c < 0x20 || c == 0x7f {
-			return fmt.Errorf("wire: tenant label contains control character %q", c)
-		}
+	if err := checkLabel("tenant label", s.Tenant, MaxTenantLen); err != nil {
+		return err
 	}
 	if err := s.Options.validate(); err != nil {
 		return err
@@ -407,7 +476,7 @@ func EncodeSubmission(s *Submission) ([]byte, error) {
 // input.
 func DecodeSubmission(data []byte, lim Limits) (*Submission, error) {
 	var s Submission
-	if err := json.Unmarshal(data, &s); err != nil {
+	if err := s.decode(data); err != nil {
 		return nil, fmt.Errorf("wire: decode: %w", err)
 	}
 	if err := s.Validate(lim); err != nil {

@@ -155,6 +155,9 @@ func TestDecodeRejects(t *testing.T) {
 		}), Limits{}, "duplicate job"},
 		{"too many jobs", valid, Limits{MaxJobs: 5}, "exceeds limit"},
 		{"too many resources", valid, Limits{MaxResources: 2}, "exceeds limit"},
+		{"oversized name", mutate(func(m map[string]any) { m["name"] = strings.Repeat("n", MaxNameLen+1) }), Limits{}, "workflow name exceeds"},
+		{"control character in name", mutate(func(m map[string]any) { m["name"] = "fig4\x1b[2J" }), Limits{}, "workflow name contains control character"},
+		{"oversized tenant", mutate(func(m map[string]any) { m["tenant"] = strings.Repeat("t", MaxTenantLen+1) }), Limits{}, "tenant label exceeds"},
 		{"bad tie window", mutate(func(m map[string]any) {
 			m["options"] = map[string]any{"tie_window": -0.5}
 		}), Limits{}, "invalid tie_window"},
@@ -183,7 +186,7 @@ func TestDecodeRejects(t *testing.T) {
 
 // dataSubmission is a v2 submission with a file catalog, file-carrying
 // edges, and a pool declaring link/storage capacities.
-func dataSubmission(t *testing.T) *Submission {
+func dataSubmission(t testing.TB) *Submission {
 	t.Helper()
 	sc := workload.DataScenario(workload.DataParams{})
 	return &Submission{
