@@ -484,14 +484,18 @@ func BenchmarkKernelAdaptiveRun(b *testing.B) {
 // data path's overhead stays attributable. The classic variant also pins
 // the no-files contract: edge-cost derivation is gated on the bound
 // model, so its trajectory must track BenchmarkKernelPlacement's.
+// mode=reschedule is the data pass a live evaluation runs: the same
+// kernel replanning at half the static makespan, history and pins in
+// place. v=1026 is benchmark/'s live_data_staging size; the merge job's
+// fan-in grows with v, so a cost that is not linear in it shows as a
+// per-job time that rises down the rows.
 func BenchmarkKernelDataAware(b *testing.B) {
-	for _, searches := range []int{64, 512} {
+	for _, searches := range []int{64, 512, 1024} {
 		sc := workload.DataScenario(workload.DataParams{Searches: searches})
-		for _, mode := range []string{"classic", "data"} {
-			mode := mode
+		for _, mode := range []string{"classic", "data", "reschedule"} {
 			b.Run(fmt.Sprintf("v=%d/mode=%s", sc.Graph.Len(), mode), func(b *testing.B) {
 				k := kernel.New(sc.Graph, sc.Estimator())
-				if mode == "data" {
+				if mode != "classic" {
 					m, err := data.NewModel(sc.Files, sc.Pool, sc.Graph, 0)
 					if err != nil {
 						b.Fatal(err)
@@ -499,10 +503,19 @@ func BenchmarkKernelDataAware(b *testing.B) {
 					k.SetData(m)
 				}
 				rs := sc.Pool.Initial()
+				var st *kernel.State
+				if mode == "reschedule" {
+					s0, err := k.Static(rs, kernel.Options{})
+					if err != nil {
+						b.Fatal(err)
+					}
+					st = k.NewState(sc.Pool.Size())
+					st.Snapshot(s0, s0.Makespan()/2, kernel.SnapshotOptions{})
+				}
 				b.ReportAllocs()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					if _, err := k.Static(rs, kernel.Options{}); err != nil {
+					if _, err := k.Reschedule(rs, st, kernel.Options{}); err != nil {
 						b.Fatal(err)
 					}
 				}

@@ -30,6 +30,7 @@ package feedback
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"time"
 
@@ -175,7 +176,10 @@ type Tracker struct {
 	// projection scratch
 	projFin []float64
 	resFree []float64
-	pending []dag.JobID
+	// pending is what is left to start of plan pendingOf, in the plan's
+	// (Start, Job) order: sorted once per plan, thinned as jobs start.
+	pending   []schedule.Assignment
+	pendingOf *schedule.Schedule
 }
 
 // New plans the workflow over the pool's time-0 resources and returns
@@ -751,16 +755,14 @@ func (t *Tracker) Project() float64 {
 	for i := range t.resFree {
 		t.resFree[i] = 0
 	}
-	pend := t.pending[:0]
 	for j := 0; j < n; j++ {
-		id := dag.JobID(j)
 		switch t.phase[j] {
 		case phaseFinished:
 			t.projFin[j] = t.finishAt[j]
 		case phaseStarted:
 			dur := t.pinDur[j]
 			if dur <= 0 {
-				dur = t.est.Comp(id, t.startRes[j])
+				dur = t.est.Comp(dag.JobID(j), t.startRes[j])
 			}
 			fin := t.startAt[j] + dur
 			if fin < t.clock {
@@ -771,26 +773,22 @@ func (t *Tracker) Project() float64 {
 				t.resFree[t.startRes[j]] = fin
 			}
 		default:
-			pend = append(pend, id)
+			continue
 		}
-		if t.phase[j] != phasePending && t.projFin[j] > mk {
+		if t.projFin[j] > mk {
 			mk = t.projFin[j]
 		}
 	}
-	t.pending = pend
 	// Schedule order: pending jobs sorted by planned start reproduce both
 	// the per-resource queue order and a dependency-compatible global
 	// order (a predecessor always starts strictly earlier in a valid
 	// schedule with positive durations).
-	sort.Slice(pend, func(a, b int) bool {
-		sa, sb := t.sched.MustGet(pend[a]).Start, t.sched.MustGet(pend[b]).Start
-		if sa != sb {
-			return sa < sb
-		}
-		return pend[a] < pend[b]
-	})
-	for _, j := range pend {
-		a := t.sched.MustGet(j)
+	if t.pendingOf != t.sched {
+		t.pending, t.pendingOf = t.sched.Assignments(), t.sched
+	}
+	t.pending = slices.DeleteFunc(t.pending, func(a schedule.Assignment) bool { return t.phase[a.Job] != phasePending })
+	for _, a := range t.pending {
+		j := a.Job
 		if int(a.Resource) >= len(t.avail) || !t.avail[a.Resource] {
 			return math.Inf(1)
 		}

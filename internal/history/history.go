@@ -19,9 +19,12 @@
 package history
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"aheft/internal/grid"
 )
@@ -55,10 +58,60 @@ type Repository struct {
 	mu    sync.RWMutex
 	alpha float64
 	cells map[Key]*Stats
+	// ops indexes the same cells by operation, with the aggregate LookupOp
+	// answers kept current by every mutation.
+	ops map[string]*opAgg
 	// gen counts mutations (Record, Import). Estimators backed by the
 	// repository expose it as their EstimateVersion, letting the kernel
-	// detect "estimates drifted" without comparing cell contents.
-	gen uint64
+	// detect "estimates drifted" without comparing cell contents. Advanced
+	// under mu; atomic so Generation — read once per estimate — takes no
+	// lock.
+	gen atomic.Uint64
+}
+
+// opAgg is one operation's cells in ascending resource order and their
+// observation-weighted mean, summed in that order: float addition is not
+// associative, and a map-order sum differs in the last ULP across runs.
+// The estimate feeds placement and adoption decisions, so that ULP would
+// flip near-threshold tie-breaks and make an otherwise deterministic
+// daemon fail record/replay verification.
+type opAgg struct {
+	cells []opCell
+	mean  float64
+	count int
+}
+
+type opCell struct {
+	r grid.ID
+	s *Stats
+}
+
+func (a *opAgg) resum() {
+	sum := 0.0
+	a.count = 0
+	for _, c := range a.cells {
+		sum += c.s.Mean * float64(c.s.Count)
+		a.count += c.s.Count
+	}
+	a.mean = sum / float64(a.count)
+}
+
+// put installs s as the cell of k, replacing any earlier one, and brings
+// the operation's aggregate up to date. Caller holds mu.
+func (h *Repository) put(k Key, s *Stats) {
+	a := h.ops[k.Op]
+	if a == nil {
+		a = &opAgg{}
+		h.ops[k.Op] = a
+	}
+	i, found := slices.BinarySearchFunc(a.cells, k.Resource, func(c opCell, r grid.ID) int { return cmp.Compare(c.r, r) })
+	if found {
+		a.cells[i].s = s
+	} else {
+		a.cells = slices.Insert(a.cells, i, opCell{r: k.Resource, s: s})
+	}
+	h.cells[k] = s
+	a.resum()
 }
 
 // New returns an empty repository with the given EWMA smoothing factor;
@@ -67,7 +120,7 @@ func New(alpha float64) *Repository {
 	if alpha <= 0 || alpha > 1 {
 		alpha = DefaultAlpha
 	}
-	return &Repository{alpha: alpha, cells: make(map[Key]*Stats)}
+	return &Repository{alpha: alpha, cells: make(map[Key]*Stats), ops: make(map[string]*opAgg)}
 }
 
 // Record stores one measured execution: operation op ran on resource r for
@@ -78,11 +131,11 @@ func (h *Repository) Record(op string, r grid.ID, d float64) error {
 	}
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	h.gen++
+	h.gen.Add(1)
 	k := Key{Op: op, Resource: r}
 	s, ok := h.cells[k]
 	if !ok {
-		h.cells[k] = &Stats{Count: 1, Mean: d, EWMA: d, Min: d, Max: d, Last: d}
+		h.put(k, &Stats{Count: 1, Mean: d, EWMA: d, Min: d, Max: d, Last: d})
 		return nil
 	}
 	s.Count++
@@ -95,6 +148,7 @@ func (h *Repository) Record(op string, r grid.ID, d float64) error {
 		s.Max = d
 	}
 	s.Last = d
+	h.ops[op].resum()
 	return nil
 }
 
@@ -115,33 +169,10 @@ func (h *Repository) Lookup(op string, r grid.ID) (Stats, bool) {
 func (h *Repository) LookupOp(op string) (mean float64, count int) {
 	h.mu.RLock()
 	defer h.mu.RUnlock()
-	// Sum in deterministic resource order, not map order: float addition
-	// is not associative, and a map-order sum here differs in the last
-	// ULP across runs. This estimate feeds placement and adoption
-	// decisions, so that ULP would flip near-threshold tie-breaks and
-	// make an otherwise deterministic daemon fail record/replay
-	// verification.
-	type contrib struct {
-		r   grid.ID
-		sum float64
-		n   int
+	if a := h.ops[op]; a != nil {
+		return a.mean, a.count
 	}
-	cs := make([]contrib, 0, 8)
-	for k, s := range h.cells {
-		if k.Op == op {
-			cs = append(cs, contrib{k.Resource, s.Mean * float64(s.Count), s.Count})
-		}
-	}
-	sort.Slice(cs, func(i, j int) bool { return cs[i].r < cs[j].r })
-	sum := 0.0
-	for _, c := range cs {
-		sum += c.sum
-		count += c.n
-	}
-	if count == 0 {
-		return 0, 0
-	}
-	return sum / float64(count), count
+	return 0, 0
 }
 
 // Variance reports the relative deviation of a new observation from the
@@ -218,14 +249,14 @@ func (h *Repository) Export() []Cell {
 func (h *Repository) Import(cells []Cell) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	h.gen++
+	h.gen.Add(1)
 	for _, c := range cells {
 		if c.Count <= 0 {
 			continue
 		}
-		h.cells[Key{Op: c.Op, Resource: c.Resource}] = &Stats{
+		h.put(Key{Op: c.Op, Resource: c.Resource}, &Stats{
 			Count: c.Count, Mean: c.Mean, EWMA: c.EWMA, Min: c.Min, Max: c.Max, Last: c.Last,
-		}
+		})
 	}
 }
 
@@ -235,11 +266,7 @@ func (h *Repository) Alpha() float64 { return h.alpha }
 // Generation returns the mutation counter: it advances on every Record
 // and Import, so two equal Generation reads bracket a window in which
 // every history-derived estimate was stable.
-func (h *Repository) Generation() uint64 {
-	h.mu.RLock()
-	defer h.mu.RUnlock()
-	return h.gen
-}
+func (h *Repository) Generation() uint64 { return h.gen.Load() }
 
 // Keys returns all cells in deterministic order (op, then resource).
 func (h *Repository) Keys() []Key {

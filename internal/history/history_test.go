@@ -3,8 +3,11 @@ package history
 import (
 	"fmt"
 	"math"
+	"math/rand"
 	"sync"
 	"testing"
+
+	"aheft/internal/grid"
 )
 
 func TestRecordAndLookup(t *testing.T) {
@@ -69,6 +72,69 @@ func TestLookupOpAggregates(t *testing.T) {
 	}
 	if _, n := h.LookupOp("absent"); n != 0 {
 		t.Fatal("absent op should count 0")
+	}
+}
+
+// scanLookupOp is LookupOp as it was before the repository kept
+// per-operation aggregates: scan every cell, sort the operation's by
+// resource, sum in that order.
+func scanLookupOp(h *Repository, op string) (mean float64, count int) {
+	sum := 0.0
+	for _, k := range h.Keys() { // (op, then resource) order
+		if k.Op != op {
+			continue
+		}
+		s, _ := h.Lookup(k.Op, k.Resource)
+		sum += s.Mean * float64(s.Count)
+		count += s.Count
+	}
+	if count == 0 {
+		return 0, 0
+	}
+	return sum / float64(count), count
+}
+
+func requireAggregatesMatchScan(t *testing.T, h *Repository) {
+	t.Helper()
+	ops := map[string]bool{"never-recorded": true}
+	for _, k := range h.Keys() {
+		ops[k.Op] = true
+	}
+	for op := range ops {
+		gotMean, gotN := h.LookupOp(op)
+		wantMean, wantN := scanLookupOp(h, op)
+		if gotN != wantN || math.Float64bits(gotMean) != math.Float64bits(wantMean) {
+			t.Fatalf("LookupOp(%q) = (%v, %d), a scan of the cells gives (%v, %d)", op, gotMean, gotN, wantMean, wantN)
+		}
+	}
+}
+
+// TestLookupOpMatchesScan: over random interleavings of Record and Import
+// (new cells, overwritten cells, ignored empty ones) the maintained
+// aggregate equals the scan-and-sort answer to the bit after every step —
+// the summation order is part of the contract, since replay compares
+// estimates bit for bit.
+func TestLookupOpMatchesScan(t *testing.T) {
+	rnd := rand.New(rand.NewSource(15))
+	ops := []string{"search", "merge", "prep", "x"}
+	for round := 0; round < 50; round++ {
+		h := New(0)
+		for step := 0; step < 60; step++ {
+			if rnd.Intn(5) > 0 {
+				_ = h.Record(ops[rnd.Intn(len(ops))], grid.ID(rnd.Intn(12)), 0.1+100*rnd.Float64())
+			} else {
+				cells := make([]Cell, rnd.Intn(4))
+				for i := range cells {
+					m := 0.1 + 50*rnd.Float64()
+					cells[i] = Cell{
+						Op: ops[rnd.Intn(len(ops))], Resource: grid.ID(rnd.Intn(12)),
+						Count: rnd.Intn(4), Mean: m, EWMA: m, Min: m, Max: m, Last: m, // Count 0: ignored
+					}
+				}
+				h.Import(cells)
+			}
+			requireAggregatesMatchScan(t, h)
+		}
 	}
 }
 

@@ -24,9 +24,13 @@ import (
 //
 // Approximation, by design: the input transfers of one job probe their
 // channel slots independently, so one job's staging batch may overlap
-// itself on a shared channel (the committed spans are coalesced, so
-// later jobs serialize against the union). Cross-job and cross-workflow
+// itself on a shared channel (the committed spans are merged, so later
+// jobs serialize against the union). Cross-job and cross-workflow
 // transfers serialize exactly.
+//
+// A placement is linear in the job's fan-in: each input edge resolves
+// through constant-time per-file slots (State.fileAt, passFile,
+// probeFile), never by searching the job's other inputs.
 //
 // Everything below is gated on k.dataM != nil; the classic path never
 // touches it, keeping no-files schedules bit-identical.
@@ -54,9 +58,11 @@ func (k *Kernel) SetData(m *data.Model) {
 	k.fileOfEdge = nil
 	k.chBase, k.chWork = nil, nil
 	k.fAvail, k.fAvailEp, k.fStride, k.fEpoch = nil, nil, 0, 0
+	k.probeAt = nil
 	if m == nil {
 		return
 	}
+	k.probeAt = make([]int, m.NumFiles())
 	k.fileOfEdge = make([]int, k.nEdges)
 	for j := 0; j < k.n; j++ {
 		for i, e := range k.g.Preds(dag.JobID(j)) {
@@ -100,14 +106,13 @@ func (k *Kernel) commEst(e dag.Edge, from, to grid.ID) float64 {
 // projections, identical to the estimator's Comm when no model is bound.
 func (k *Kernel) CommEst(e dag.Edge, from, to grid.ID) float64 { return k.commEst(e, from, to) }
 
-// probeXfer is one file movement a placement probe determined a candidate
-// resource would need (or reuse); commitInputs materialises the needed
-// ones for the chosen resource.
+// probeXfer is one fresh file movement a placement probe determined a
+// candidate resource would need; commitInputs materialises those of the
+// chosen resource.
 type probeXfer struct {
 	file          int
 	src           grid.ID
 	start, finish float64
-	need          bool // a fresh transfer must be committed
 }
 
 // prepChannels rebuilds, once per Reschedule, the per-channel base
@@ -216,6 +221,17 @@ func (k *Kernel) channelSlot(src, dst grid.ID, depart, d float64, insertion bool
 	}
 }
 
+// probeFile returns the arrival of file f as probed earlier in the
+// current probeInputs call (another input edge of the same job names it),
+// the per-probe sibling of passFile: probeAt[f] is where xferBuf holds f,
+// if it does.
+func (k *Kernel) probeFile(f int) (float64, bool) {
+	if i := k.probeAt[f]; i < len(k.xferBuf) && k.xferBuf[i].file == f {
+		return k.xferBuf[i].finish, true
+	}
+	return 0, false
+}
+
 // probeInputs computes, without mutating any timeline, the input-ready
 // time of a job on candidate resource r under the data model: classic
 // edges go through Eq. 1 (st.fea) unchanged; file edges resolve to the
@@ -256,46 +272,31 @@ func (k *Kernel) probeInputs(st *State, preds []dag.Edge, eBase int, r grid.ID, 
 		case src == r || k.dataM.PreStaged(f, r):
 			// Case 1/3 analogue: the bytes are already where the job runs.
 		default:
-			if t, ok := st.fileAt(f, r); ok {
-				// Reuse a replica a previous plan (or delivered transfer)
-				// already staged to r.
-				if t > arr {
-					arr = t
+			// In order: a replica a previous plan (or delivered transfer)
+			// already staged to r, a transfer committed earlier in this
+			// very pass, or the copy another input edge of this job already
+			// probed toward r — one staged copy serves them all.
+			t, ok := st.fileAt(f, r)
+			if !ok {
+				t, ok = k.passFile(f, r)
+			}
+			if !ok {
+				t, ok = k.probeFile(f)
+			}
+			if !ok {
+				depart := avail
+				if depart < st.Clock {
+					depart = st.Clock // Eq. 1 Case 2: a fresh transfer starts now
 				}
-				break
+				d := k.dataM.Duration(f, src, r)
+				start := k.channelSlot(src, r, depart, d, insertion)
+				t = start + d
+				k.probeAt[f] = len(k.xferBuf)
+				k.xferBuf = append(k.xferBuf, probeXfer{file: f, src: src, start: start, finish: t})
+				newBytes += k.dataM.Size(f)
 			}
-			if t, ok := k.passFile(f, r); ok {
-				// Reuse a transfer committed earlier in this very pass.
-				if t > arr {
-					arr = t
-				}
-				break
-			}
-			reused := false
-			for _, x := range k.xferBuf {
-				if x.file == f {
-					// Another input edge of this job already probed the
-					// same file toward r: one staged copy serves both.
-					if x.finish > arr {
-						arr = x.finish
-					}
-					reused = true
-					break
-				}
-			}
-			if reused {
-				break
-			}
-			depart := avail
-			if depart < st.Clock {
-				depart = st.Clock // Eq. 1 Case 2: a fresh transfer starts now
-			}
-			d := k.dataM.Duration(f, src, r)
-			t := k.channelSlot(src, r, depart, d, insertion)
-			k.xferBuf = append(k.xferBuf, probeXfer{file: f, src: src, start: t, finish: t + d, need: true})
-			newBytes += k.dataM.Size(f)
-			if t+d > arr {
-				arr = t + d
+			if t > arr {
+				arr = t
 			}
 		}
 		if arr > ready {
@@ -307,23 +308,17 @@ func (k *Kernel) probeInputs(st *State, preds []dag.Edge, eBase int, r grid.ID, 
 	return ready, fits
 }
 
-// commitInputs re-probes the chosen resource (nothing mutated since the
-// resource loop, so the result is identical) and materialises the needed
-// transfers: spans inserted into every channel on the path (then
-// coalesced so the gap walk stays sound under the intra-job overlap
+// commitInputs materialises the transfers xs that the winning probe of
+// resource r found necessary: spans merged into every channel on the path
+// (merged, so the gap walk stays sound under the intra-job overlap
 // approximation), pass-local file availability recorded for reuse,
 // storage tallied, and the plan's transfer list extended.
-func (k *Kernel) commitInputs(st *State, job dag.JobID, preds []dag.Edge, eBase int, r grid.ID, insertion bool) {
-	k.probeInputs(st, preds, eBase, r, insertion)
-	for _, x := range k.xferBuf {
-		if !x.need {
-			continue
-		}
+func (k *Kernel) commitInputs(job dag.JobID, r grid.ID, xs []probeXfer) {
+	for _, x := range xs {
 		if x.finish > x.start {
 			k.chIdxBuf = k.dataM.AppendChannels(x.src, r, k.chIdxBuf[:0])
 			for _, c := range k.chIdxBuf {
-				insertSpan(&k.chWork[c], span{start: x.start, finish: x.finish, job: job})
-				k.chWork[c] = coalesce(k.chWork[c])
+				mergeSpan(&k.chWork[c], span{start: x.start, finish: x.finish, job: job})
 			}
 			k.workXfers = append(k.workXfers, schedule.Transfer{
 				Job: job, File: k.dataM.FileID(x.file),
@@ -333,4 +328,22 @@ func (k *Kernel) commitInputs(st *State, job dag.JobID, preds []dag.Edge, eBase 
 		k.setPassFile(x.file, r, x.finish)
 		k.storeUsed[r] += k.dataM.Size(x.file)
 	}
+}
+
+// mergeSpan inserts s into a coalesced row (start-sorted, spans disjoint
+// and not touching — what coalesce returns) and merges it with the
+// neighbours it overlaps or touches, leaving exactly the row that
+// insertSpan followed by coalesce would: only the spans around the insert
+// position can be affected, so the rest of the row is not rescanned.
+func mergeSpan(tl *[]span, s span) {
+	w := insertSpan(tl, s)
+	t := *tl
+	if w > 0 && s.start <= t[w-1].finish {
+		w-- // only the immediate left neighbour can reach s; it absorbs s too
+	}
+	r := w + 1
+	for ; r < len(t) && t[r].start <= t[w].finish; r++ {
+		t[w].finish = max(t[w].finish, t[r].finish)
+	}
+	*tl = append(t[:w+1], t[r:]...)
 }

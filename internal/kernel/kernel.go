@@ -144,6 +144,9 @@ type Kernel struct {
 	chWork     [][]span // per channel: working timeline of the current pass
 	chIdxBuf   []int
 	xferBuf    []probeXfer // per-(job,resource) probe scratch
+	xferBest   []probeXfer // probe of the job's best fitting resource so far
+	xferOver   []probeXfer // probe of its best storage-overflow fallback
+	probeAt    []int       // [file]: its index in xferBuf, if xferBuf holds it
 	workXfers  []schedule.Transfer
 	bestXfers  []schedule.Transfer
 	storeUsed  []float64 // per resource: data staged by the current pass
@@ -628,10 +631,12 @@ func (k *Kernel) placeCandidate(rs []grid.Resource, st *State, order []dag.JobID
 			case fits:
 				if bestRes == grid.NoResource || finish < bestFinish {
 					bestRes, bestStart, bestFinish = r.ID, start, finish
+					k.xferBuf, k.xferBest = k.xferBest, k.xferBuf
 				}
 			case bestRes == grid.NoResource:
 				if overRes == grid.NoResource || finish < overFinish {
 					overRes, overStart, overFinish = r.ID, start, finish
+					k.xferBuf, k.xferOver = k.xferOver, k.xferBuf
 				}
 			}
 		}
@@ -639,6 +644,7 @@ func (k *Kernel) placeCandidate(rs []grid.Resource, st *State, order []dag.JobID
 			// Storage is a soft bound: when every resource would overflow,
 			// the least-bad placement proceeds anyway.
 			bestRes, bestStart, bestFinish = overRes, overStart, overFinish
+			k.xferBest, k.xferOver = k.xferOver, k.xferBest
 		}
 		if bestRes == grid.NoResource {
 			return 0, fmt.Errorf("kernel: no resource available for job %d", job)
@@ -648,7 +654,7 @@ func (k *Kernel) placeCandidate(rs []grid.Resource, st *State, order []dag.JobID
 			rec.case2[job] = case2
 		}
 		if k.dataM != nil {
-			k.commitInputs(st, job, preds, eBase, bestRes, insertion)
+			k.commitInputs(job, bestRes, k.xferBest)
 		}
 		k.placed[job] = schedule.Assignment{Job: job, Resource: bestRes, Start: bestStart, Finish: bestFinish}
 		insertSpan(&k.workTL[bestRes], span{start: bestStart, finish: bestFinish, job: job})
@@ -701,8 +707,9 @@ func earliestStart(tl []span, ready, duration float64, insertion bool) float64 {
 	return ready
 }
 
-// insertSpan inserts s keeping the timeline sorted by (start, job).
-func insertSpan(tl *[]span, s span) {
+// insertSpan inserts s keeping the timeline sorted by (start, job) and
+// returns where it went.
+func insertSpan(tl *[]span, s span) int {
 	t := *tl
 	i := sort.Search(len(t), func(i int) bool {
 		if t[i].start != s.start {
@@ -714,6 +721,7 @@ func insertSpan(tl *[]span, s span) {
 	copy(t[i+1:], t[i:])
 	t[i] = s
 	*tl = t
+	return i
 }
 
 // buildSchedule materialises the winning candidate: history carried over

@@ -26,6 +26,9 @@ import (
 // HistoryBased estimates computation costs from the Performance History
 // Repository. Communication estimates delegate to the Prior estimator
 // (transfer costs are derived from data sizes, which the Planner knows).
+//
+// Like the kernel that calls it, a HistoryBased is not safe for concurrent
+// use: Comp fills a private table. The repository underneath is.
 type HistoryBased struct {
 	// Graph supplies the Op of each job.
 	Graph *dag.Graph
@@ -39,24 +42,83 @@ type HistoryBased struct {
 	// UseEWMA selects the recency-weighted average instead of the overall
 	// mean.
 	UseEWMA bool
+
+	tab compTable
 }
+
+// compTable holds Comp's history answers per (operation, resource). A
+// workflow has hundreds of jobs but a handful of operations, and a
+// placement pass asks for every (job, resource) pair several times, so
+// the repository is consulted once per cell and repository generation
+// instead of once per question. Cells fill on first touch.
+type compTable struct {
+	opOf   []int32   // job → index into ops, interned once per graph
+	ops    []string  // distinct operations
+	gen    uint64    // repository generation the cells were read at
+	ewma   bool      // UseEWMA they were read under
+	stride int       // resources per operation row
+	known  []uint8   // per cell: 0 not asked yet, else cellHistory or cellPrior
+	val    []float64 // a cellHistory cell's estimate
+}
+
+const (
+	cellHistory = 1 + iota // the repository answers, with val
+	cellPrior              // it has nothing: the (per-job) prior answers
+)
 
 var _ cost.Estimator = (*HistoryBased)(nil)
 
 // Comp estimates the job's runtime on r: per-(op, resource) history first,
 // then the operation's cross-resource mean, then the prior.
 func (p *HistoryBased) Comp(job dag.JobID, r grid.ID) float64 {
-	op := p.Graph.Job(job).Op
-	if s, ok := p.Repo.Lookup(op, r); ok {
-		if p.UseEWMA {
-			return s.EWMA
-		}
-		return s.Mean
+	t := &p.tab
+	if gen := p.Repo.Generation(); gen != t.gen || int(r) >= t.stride || p.UseEWMA != t.ewma {
+		p.resetTable(gen, r)
 	}
-	if mean, n := p.Repo.LookupOp(op); n > 0 {
-		return mean
+	op := t.opOf[job]
+	i := int(op)*t.stride + int(r)
+	if t.known[i] == 0 {
+		t.known[i] = cellPrior
+		if s, ok := p.Repo.Lookup(t.ops[op], r); ok {
+			t.val[i], t.known[i] = s.Mean, cellHistory
+			if p.UseEWMA {
+				t.val[i] = s.EWMA
+			}
+		} else if mean, n := p.Repo.LookupOp(t.ops[op]); n > 0 {
+			t.val[i], t.known[i] = mean, cellHistory
+		}
+	}
+	if t.known[i] == cellHistory {
+		return t.val[i]
 	}
 	return p.Prior.Comp(job, r)
+}
+
+// resetTable forgets every cell (the repository moved on, or UseEWMA
+// flipped) and makes the rows wide enough for resource r.
+func (p *HistoryBased) resetTable(gen uint64, r grid.ID) {
+	t := &p.tab
+	if t.opOf == nil {
+		idx := make(map[string]int32)
+		t.opOf = make([]int32, p.Graph.Len())
+		for j := range t.opOf {
+			op := p.Graph.Job(dag.JobID(j)).Op
+			o, ok := idx[op]
+			if !ok {
+				o = int32(len(t.ops))
+				idx[op] = o
+				t.ops = append(t.ops, op)
+			}
+			t.opOf[j] = o
+		}
+	}
+	t.gen, t.ewma = gen, p.UseEWMA
+	if int(r) >= t.stride {
+		t.stride = max(int(r)+1, 2*t.stride)
+		t.known = make([]uint8, len(t.ops)*t.stride)
+		t.val = make([]float64, len(t.ops)*t.stride)
+	}
+	clear(t.known)
 }
 
 // Comm estimates the transfer cost of edge e between the two placements.

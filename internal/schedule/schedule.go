@@ -9,7 +9,9 @@
 package schedule
 
 import (
+	"cmp"
 	"fmt"
+	"iter"
 	"math"
 	"slices"
 	"sort"
@@ -222,19 +224,23 @@ func (s *Schedule) Jobs() []dag.JobID {
 	return out
 }
 
-// Assignments returns all assignments ordered by (Start, Job).
-func (s *Schedule) Assignments() []Assignment {
-	out := make([]Assignment, 0, s.n)
-	for j := range s.byJob {
-		if s.byJob[j].Resource != grid.NoResource {
-			out = append(out, s.byJob[j])
+// ByJob yields every assignment in ascending JobID order, straight from
+// the by-job view: no copy, no sort.
+func (s *Schedule) ByJob() iter.Seq[Assignment] {
+	return func(yield func(Assignment) bool) {
+		for j := range s.byJob {
+			if s.byJob[j].Resource != grid.NoResource && !yield(s.byJob[j]) {
+				return
+			}
 		}
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Start != out[j].Start {
-			return out[i].Start < out[j].Start
-		}
-		return out[i].Job < out[j].Job
+}
+
+// Assignments returns all assignments ordered by (Start, Job).
+func (s *Schedule) Assignments() []Assignment {
+	out := slices.AppendSeq(make([]Assignment, 0, s.n), s.ByJob())
+	slices.SortFunc(out, func(a, b Assignment) int {
+		return cmp.Or(cmp.Compare(a.Start, b.Start), cmp.Compare(a.Job, b.Job))
 	})
 	return out
 }

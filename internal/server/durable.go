@@ -162,6 +162,11 @@ type shardWAL struct {
 	pendOrder []string                   // arrival order (lazily compacted)
 	admit     map[string]walAdmission    // admission credentials, mirrors pend
 	bodies    map[string]json.RawMessage // live residents' raw submissions
+
+	// onAppend, when set (tests only), sees each record's kind just before
+	// it is written: the place to assert what is visible at that instant,
+	// or to stop the store there as a crash would.
+	onAppend func(kind string)
 }
 
 func newShardWAL(store *durable.Shard) *shardWAL {
@@ -177,6 +182,9 @@ func newShardWAL(store *durable.Shard) *shardWAL {
 // hold w.mu. A failed append degrades durability, not availability: the
 // daemon keeps serving and the error is counted and logged.
 func (w *shardWAL) append(m *Metrics, kind string, payload any) bool {
+	if w.onAppend != nil {
+		w.onAppend(kind)
+	}
 	if _, err := w.store.Append(kind, payload); err != nil {
 		m.walErrors.Add(1)
 		log.Printf("aheftd: wal append (%s): %v", kind, err)
@@ -252,7 +260,7 @@ func (sh *shard) walStateDoc(wf *workflow, whole bool) walState {
 		from = 0
 	}
 	wf.mu.Lock()
-	trigger := ""
+	trigger := "initial" // startLive journals before it publishes the plan
 	if wf.plan != nil {
 		trigger = wf.plan.Trigger
 	}

@@ -419,6 +419,55 @@ func TestRecoveryIsIdempotent(t *testing.T) {
 	}
 }
 
+// TestCrashBeforeFirstStateRecord stops the store at the one instant
+// startLive is exposed — the workflow planned, its first state record not
+// yet on disk — and checks the order that makes that crash harmless: the
+// plan is not served yet (so no enactor can hold it), and the journal,
+// which still lists the submission as pending, recovers to a workflow
+// planned afresh. Served-before-journalled was TestRecoveryIsIdempotent's
+// flake: a crash in that window recovered zero live workflows.
+func TestCrashBeforeFirstStateRecord(t *testing.T) {
+	dir := t.TempDir()
+	cfg := Config{Shards: 1, WALSync: "off", SnapshotInterval: time.Hour}
+	srv, ts := openDurable(t, dir, cfg)
+	sh := srv.shards[0]
+	served := make(chan bool, 1)
+	sh.wal.mu.Lock()
+	sh.wal.onAppend = func(kind string) {
+		if kind != wire.WALState {
+			return
+		}
+		sh.wal.onAppend = nil
+		sh.wal.store.Disable() // the crash: nothing after this reaches the disk
+		for _, wf := range sh.live {
+			wf.mu.Lock()
+			served <- wf.plan != nil
+			wf.mu.Unlock()
+		}
+	}
+	sh.wal.mu.Unlock()
+
+	var sub wire.Submitted
+	if code, msg := postJSON(t, ts, "/v1/workflows", encodeLive(t, workload.SampleScenario(), "aheft", "acme", wire.Options{}), &sub); code != http.StatusAccepted {
+		t.Fatalf("submit: HTTP %d %s", code, msg)
+	}
+	if <-served {
+		t.Fatal("the initial plan was served before its state record was journalled")
+	}
+	srv.Crash()
+	ts.Close()
+
+	srv, ts = openDurable(t, dir, cfg)
+	defer ts.Close()
+	defer srv.Crash()
+	if hz := getHealthz(t, ts); hz.RecoveredWorkflows != 0 {
+		t.Fatalf("recovered_workflows = %d, want 0: the crash preceded the first state record", hz.RecoveredWorkflows)
+	}
+	if plan := fetchPlan(t, ts, sub.ID); plan.Generation != 1 || plan.Trigger != "initial" || len(plan.Assignments) == 0 {
+		t.Fatalf("re-planned pending submission: %+v", plan)
+	}
+}
+
 // TestGateRecoveringThenReady covers the readiness satellite: the gate
 // answers 503 "recovering" until the recovered handler is installed.
 func TestGateRecoveringThenReady(t *testing.T) {

@@ -5,6 +5,8 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"sort"
@@ -450,5 +452,66 @@ func TestLiveDrain(t *testing.T) {
 	}
 	if st := getStatus(t, ts2, sub2.ID); st.State != StateFailed {
 		t.Fatalf("abandoned live workflow: %+v", st)
+	}
+}
+
+// TestAckAndPlanBytes pins what the appended responses put on the wire:
+// the plan and an adopting ack are exactly json.Marshal of the document
+// they decode to plus a newline, with Content-Length announced; and a
+// document the encoder refuses — a non-finite number, which no adopted
+// plan carries — is a 500 in writeJSON's format, not invalid JSON.
+func TestAckAndPlanBytes(t *testing.T) {
+	srv := New(Config{Shards: 1})
+	ts := httptest.NewServer(srv.Handler())
+	defer func() {
+		ts.Close()
+		ctx, cancel := context.WithCancel(context.Background())
+		cancel() // the workflow is left half-enacted: cut it short, nothing to drain
+		_ = srv.Shutdown(ctx)
+	}()
+	var sub wire.Submitted
+	if code, msg := postJSON(t, ts, "/v1/workflows", encodeLive(t, workload.SampleScenario(), "aheft", "acme", wire.Options{TieWindow: 0.05}), &sub); code != http.StatusAccepted {
+		t.Fatalf("submit: HTTP %d %s", code, msg)
+	}
+	plan := fetchPlan(t, ts, sub.ID)
+	requireMarshalBytes := func(what string, resp *http.Response, doc any) {
+		t.Helper()
+		defer resp.Body.Close()
+		got, err := io.ReadAll(resp.Body)
+		if err != nil || resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s: HTTP %d, %v", what, resp.StatusCode, err)
+		}
+		if err := json.Unmarshal(got, doc); err != nil {
+			t.Fatalf("%s: %v in %q", what, err, got)
+		}
+		want, _ := json.Marshal(doc)
+		if want = append(want, '\n'); !bytes.Equal(got, want) {
+			t.Fatalf("%s:\n got %q\nwant %q", what, got, want)
+		}
+		if resp.ContentLength != int64(len(got)) || resp.Header.Get("Content-Type") != "application/json" {
+			t.Fatalf("%s: Content-Length %d for %d bytes, Content-Type %q", what, resp.ContentLength, len(got), resp.Header.Get("Content-Type"))
+		}
+	}
+	resp, err := ts.Client().Get(ts.URL + "/v1/workflows/" + sub.ID + "/plan")
+	if err != nil {
+		t.Fatal(err)
+	}
+	requireMarshalBytes("plan", resp, new(wire.Plan))
+	evs := append(replayPrefix(plan, 15), wire.ReportEvent{Kind: wire.ReportResourceJoin, Time: 15, Resource: 3})
+	resp, err = ts.Client().Post(ts.URL+"/v1/workflows/"+sub.ID+"/report", "application/json", bytes.NewReader(encodeReport(t, evs...)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ack wire.ReportAck
+	requireMarshalBytes("ack", resp, &ack)
+	if !ack.Rescheduled || ack.Plan == nil || len(ack.Plan.Assignments) != 10 {
+		t.Fatalf("the ack carries no adopted plan: %+v", ack)
+	}
+
+	rec := httptest.NewRecorder()
+	writeAppended(rec, &wire.Plan{Workflow: sub.ID, Makespan: math.Inf(1)}, wire.AppendPlan)
+	var ed errorDoc
+	if err := json.Unmarshal(rec.Body.Bytes(), &ed); rec.Code != http.StatusInternalServerError || err != nil || ed.Error == "" {
+		t.Fatalf("refused document: HTTP %d %q (%v)", rec.Code, rec.Body.Bytes(), err)
 	}
 }

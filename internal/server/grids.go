@@ -228,10 +228,7 @@ func (sh *shard) notifyGrid(g *sharedGrid, except string, link uint64) {
 				rec.decision(sh.id, wf.id, d)
 			}
 			wd := wireDecision(d)
-			wf.append(m, wire.Event{
-				Kind: "decision", Time: d.Clock, Decision: &wd,
-				Trigger: wd.Trigger, Arrived: wd.Arrived,
-			})
+			wf.append(m, decisionEvent(&wd))
 		}
 		if !out.Rescheduled {
 			continue

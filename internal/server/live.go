@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
-	"sort"
 	"time"
 
 	"aheft/internal/admission"
@@ -126,10 +125,6 @@ func (sh *shard) startLive(wf *workflow) {
 	}
 	wf.tracker = tr
 	plan := livePlanDoc(wf, "initial")
-	wf.mu.Lock()
-	wf.plan = plan
-	wf.st.Generation = plan.Generation
-	wf.mu.Unlock()
 	// The enactor learns the initial plan from GET …/plan; contention
 	// reschedules bumping the generation past this are piggybacked on the
 	// next report ack.
@@ -164,8 +159,15 @@ func (sh *shard) startLive(wf *workflow) {
 		m.admInitialFullMs.record(lat)
 	}
 	// Journal the planned state; this also promotes the raw submission
-	// body from the WAL's pending mirror to its live mirror.
+	// body from the WAL's pending mirror to its live mirror. Only then is
+	// the plan published to GET …/plan: a crash in between must not leave
+	// an enactor holding the plan of a workflow the journal still lists as
+	// pending — recovery would plan it afresh under it.
 	sh.walLogState(wf, nil)
+	wf.mu.Lock()
+	wf.plan = plan
+	wf.st.Generation = plan.Generation
+	wf.mu.Unlock()
 }
 
 // scheduleUpgrade queues the slow half of a fast-path admission: an
@@ -293,10 +295,7 @@ func (sh *shard) applyReport(wf *workflow, c shardCmd) {
 			rec.decision(sh.id, wf.id, d)
 		}
 		wd := wireDecision(d)
-		wf.append(m, wire.Event{
-			Kind: "decision", Time: d.Clock, Decision: &wd,
-			Trigger: wd.Trigger, Arrived: wd.Arrived,
-		})
+		wf.append(m, decisionEvent(&wd))
 		if !d.Adopted {
 			continue
 		}
@@ -419,10 +418,7 @@ func (sh *shard) applyUpgrade(wf *workflow) {
 			rec.decision(sh.id, wf.id, d)
 		}
 		wd := wireDecision(d)
-		wf.append(m, wire.Event{
-			Kind: "decision", Time: d.Clock, Decision: &wd,
-			Trigger: wd.Trigger, Arrived: wd.Arrived,
-		})
+		wf.append(m, decisionEvent(&wd))
 	}
 	if !out.Rescheduled {
 		// The greedy plan survived (or the run drained past the point
@@ -548,19 +544,17 @@ func (sh *shard) cancelLive(err error) {
 // Called on the shard goroutine only.
 func livePlanDoc(wf *workflow, trigger string) *wire.Plan {
 	s := wf.tracker.Plan()
-	as := s.Assignments()
-	sort.Slice(as, func(i, j int) bool { return as[i].Job < as[j].Job })
 	doc := &wire.Plan{
 		Workflow:    wf.id,
 		Generation:  wf.tracker.Generation(),
 		Trigger:     trigger,
 		Makespan:    s.Makespan(),
-		Assignments: make([]wire.Assignment, len(as)),
+		Assignments: make([]wire.Assignment, 0, s.Len()),
 	}
-	for i, a := range as {
-		doc.Assignments[i] = wire.Assignment{
+	for a := range s.ByJob() {
+		doc.Assignments = append(doc.Assignments, wire.Assignment{
 			Job: int(a.Job), Resource: int(a.Resource), Start: a.Start, Finish: a.Finish,
-		}
+		})
 	}
 	return doc
 }
@@ -687,7 +681,7 @@ func (s *Server) handleReport(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, res.code, errorDoc{Error: res.errMsg})
 		return
 	}
-	writeJSON(w, http.StatusOK, res.ack)
+	writeAppended(w, res.ack, wire.AppendReportAck)
 }
 
 func (s *Server) handleWhatIf(w http.ResponseWriter, r *http.Request) {
@@ -741,5 +735,5 @@ func (s *Server) handlePlan(w http.ResponseWriter, r *http.Request) {
 			Shard: wf.shard, Parent: run.rootSpan, Generation: plan.Generation,
 		}, 0)
 	}
-	writeJSON(w, http.StatusOK, plan)
+	writeAppended(w, plan, wire.AppendPlan)
 }

@@ -3,6 +3,7 @@ package server
 import (
 	"encoding/json"
 	"net/http"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -468,4 +469,29 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	_ = enc.Encode(v)
+}
+
+// respBufs recycles the buffers writeAppended encodes into: an adopting
+// ack is tens of kilobytes, and one buffer per request would be garbage at
+// the report rate.
+var respBufs = sync.Pool{New: func() any { return new([]byte) }}
+
+// writeAppended answers 200 with the document one of wire's append
+// encoders produces for v: compact JSON, Content-Length set, a single
+// Write. Only the report ack and the plan go this way — the documents of
+// the report loop's hot path; a value the encoder refuses (a non-finite
+// number, which no adopted plan carries) is a 500 like any other bug.
+func writeAppended[T any](w http.ResponseWriter, v *T, enc func([]byte, *T) ([]byte, error)) {
+	bp := respBufs.Get().(*[]byte)
+	defer respBufs.Put(bp)
+	b, err := enc((*bp)[:0], v)
+	if err != nil {
+		writeJSON(w, http.StatusInternalServerError, errorDoc{Error: err.Error()})
+		return
+	}
+	*bp = b
+	w.Header().Set("Content-Type", "application/json")
+	w.Header().Set("Content-Length", strconv.Itoa(len(b)))
+	w.WriteHeader(http.StatusOK)
+	_, _ = w.Write(b) // a failed write means the client left; nobody to tell
 }

@@ -29,7 +29,7 @@ const (
 // up to Config.MaxRetained of them after their workflows end, and a busy
 // daemon's peak RSS is that many times what one holds for good, so that is
 // kept small: identity, the status document, the compact event log and a
-// live workflow's last plan — about 1.4 KB for a 60-job analytic workflow
+// live workflow's last plan — about 1.2 KB for a 60-job analytic workflow
 // (TestTerminalRecordBudget: ≤ 1.6 KB). Everything only a queued or
 // running workflow needs sits in *running, which settle drops. A terminal
 // entry is the same thing whether its workflow ended in this process
@@ -129,8 +129,12 @@ type eventRec struct {
 	time       float64
 	makespan   float64
 	generation int
-	decision   *wire.Decision // a decision event's payload; its Arrived is the event's
-	note       string         // Error of a failed event, Trigger of any other
+	// cut is how many decision events settle took out of the log ahead of
+	// this entry (eventsFrom puts them back from the status document);
+	// zero throughout a running workflow's log.
+	cut      int
+	decision *wire.Decision // a decision event's payload; its Arrived is the event's
+	note     string         // Error of a failed event, Trigger of any other
 }
 
 func recordOf(ev wire.Event) eventRec {
@@ -152,11 +156,17 @@ func recordsOf(evs []wire.Event) []eventRec {
 	return recs
 }
 
-// event returns log entry i in wire form. Callers hold wf.mu.
-func (wf *workflow) event(i int) wire.Event {
+// decisionEvent is the event that announces decision d.
+func decisionEvent(d *wire.Decision) wire.Event {
+	return wire.Event{Kind: "decision", Time: d.Clock, Decision: d, Trigger: d.Trigger, Arrived: d.Arrived}
+}
+
+// event returns kept entry i, the log's entry seq, in wire form. Callers
+// hold wf.mu.
+func (wf *workflow) event(i, seq int) wire.Event {
 	rec := &wf.events[i]
 	ev := wire.Event{
-		Seq: i, Kind: rec.kind, Workflow: wf.id, Time: rec.time,
+		Seq: seq, Kind: rec.kind, Workflow: wf.id, Time: rec.time,
 		Decision: rec.decision, Generation: rec.generation, Makespan: rec.makespan,
 	}
 	if rec.kind == "failed" {
@@ -170,12 +180,18 @@ func (wf *workflow) event(i int) wire.Event {
 	return ev
 }
 
-// eventsFrom returns the log from entry i on in wire form. Callers hold
-// wf.mu.
+// eventsFrom returns the log from kept entry i on in wire form, the
+// decision events settle cut out back in their places. Callers hold wf.mu.
 func (wf *workflow) eventsFrom(i int) []wire.Event {
-	out := make([]wire.Event, 0, len(wf.events)-i)
+	out := make([]wire.Event, 0, len(wf.events)+len(wf.st.Decisions)-i)
+	k := 0
 	for ; i < len(wf.events); i++ {
-		out = append(out, wf.event(i))
+		for ; k < wf.events[i].cut; k++ {
+			ev := decisionEvent(&wf.st.Decisions[k])
+			ev.Seq, ev.Workflow = i+k, wf.id
+			out = append(out, ev)
+		}
+		out = append(out, wf.event(i, i+k))
 	}
 	return out
 }
@@ -190,7 +206,7 @@ func (wf *workflow) append(m *Metrics, ev wire.Event) {
 	wf.mu.Lock()
 	wf.events = append(wf.events, recordOf(ev))
 	if len(wf.subs) > 0 {
-		ev = wf.event(len(wf.events) - 1)
+		ev = wf.event(len(wf.events)-1, len(wf.events)-1)
 		for ch := range wf.subs {
 			select {
 			case ch <- ev:
@@ -264,25 +280,12 @@ func (wf *workflow) finish(res *planner.Result, err error) {
 
 // settle is the one way an entry becomes terminal, whether its workflow
 // just ended (finish) or ended before a restart (recovery): st is served
-// verbatim from now on, the log is cut to size with each decision event
-// pointing at its copy in st.Decisions (a run that ended normally lists
-// them all, so each is stored once), the running half is dropped, and
-// every live subscription is closed.
+// verbatim from now on, the log is cut down to what st does not already
+// say, the running half is dropped, and every live subscription is closed.
 func (wf *workflow) settle(st wire.Status) {
 	wf.mu.Lock()
 	wf.st = st
-	if cap(wf.events) > len(wf.events) {
-		wf.events = append([]eventRec(nil), wf.events...)
-	}
-	k := 0
-	for i := range wf.events {
-		if d := wf.events[i].decision; d != nil {
-			if k < len(st.Decisions) && *d == st.Decisions[k] {
-				wf.events[i].decision = &st.Decisions[k]
-			}
-			k++
-		}
-	}
+	wf.events = cutDecisions(wf.events, st.Decisions)
 	wf.running = nil
 	subs := wf.subs
 	wf.subs = nil
@@ -290,6 +293,31 @@ func (wf *workflow) settle(st wire.Status) {
 	for ch := range subs {
 		close(ch)
 	}
+}
+
+// cutDecisions returns log without its decision events when those are, in
+// order, exactly the events of ds and none ends the log — a run that ended
+// normally lists them all, and most of its log is decisions — each entry
+// kept counting the ones cut ahead of it. Any other log comes back whole.
+// Either way the result is cut to size.
+func cutDecisions(log []eventRec, ds []wire.Decision) []eventRec {
+	kept := make([]eventRec, 0, max(len(log)-len(ds), 0))
+	k := 0
+	for _, rec := range log {
+		if rec.decision == nil {
+			rec.cut = k
+			kept = append(kept, rec)
+			continue
+		}
+		if k == len(ds) || *rec.decision != ds[k] || rec != recordOf(decisionEvent(rec.decision)) {
+			break
+		}
+		k++
+	}
+	if len(kept)+k != len(log) || k != len(ds) || (k > 0 && log[len(log)-1].decision != nil) {
+		return append([]eventRec(nil), log...)
+	}
+	return kept
 }
 
 // status assembles the wire.Status document.
@@ -501,10 +529,7 @@ func (sh *shard) execute(wf *workflow) {
 				rec.decision(sh.id, wf.id, d)
 			}
 			wd := wireDecision(d)
-			wf.append(m, wire.Event{
-				Kind: "decision", Time: d.Clock, Decision: &wd,
-				Trigger: wd.Trigger, Arrived: wd.Arrived,
-			})
+			wf.append(m, decisionEvent(&wd))
 		})
 
 	// The terminal event goes into the log (and to live subscribers)

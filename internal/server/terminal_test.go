@@ -240,16 +240,80 @@ func TestFinishedEqualsRecovered(t *testing.T) {
 			if statusA != statusB {
 				t.Fatalf("status changed across the restart:\n%s\n%s", statusA, statusB)
 			}
-			// The decision is kept once: the log's entry is the status's.
+			// The decision is kept once, in the status: the log has no entry
+			// of its own for it.
 			wfB, _ := srvB.lookup(sub.ID)
-			shared := 0
+			kept := 0
 			for _, rec := range wfB.events {
-				if rec.decision != nil && rec.decision == &wfB.st.Decisions[0] {
-					shared++
+				if rec.decision != nil {
+					kept++
 				}
 			}
-			if len(wfB.st.Decisions) != 1 || shared != 1 {
-				t.Fatalf("decisions %d, log entries sharing them %d", len(wfB.st.Decisions), shared)
+			if len(wfB.st.Decisions) != 1 || kept != 0 || len(wfB.events) != tc.events-1 {
+				t.Fatalf("decisions %d, decision entries left in the log %d of %d", len(wfB.st.Decisions), kept, len(wfB.events))
+			}
+		})
+	}
+}
+
+// TestSettleCutsDecisionEvents pins what settle may drop from a terminal
+// log: the decision events, and only when the status document can give
+// every one of them back in place. Whatever the log, the stream served
+// after settle is the stream that was recorded.
+func TestSettleCutsDecisionEvents(t *testing.T) {
+	ds := []wire.Decision{
+		{Clock: 15, PoolSize: 4, OldMakespan: 80, NewMakespan: 76, Adopted: true, Trigger: "arrival", Arrived: 1},
+		{Clock: 30, PoolSize: 4, OldMakespan: 76, NewMakespan: 78, Trigger: "variance", Path: "full"},
+	}
+	dec := func(d wire.Decision) wire.Event { return decisionEvent(&d) }
+	whole := []wire.Event{
+		{Kind: "submitted"}, {Kind: "started"}, {Kind: "plan", Generation: 1, Makespan: 80, Trigger: "initial"},
+		dec(ds[0]), {Kind: "plan", Time: 15, Generation: 2, Makespan: 76, Trigger: "arrival"}, dec(ds[1]),
+		{Kind: "done", Makespan: 76},
+	}
+	retimed := dec(ds[1])
+	retimed.Time = 31
+	for _, tc := range []struct {
+		name   string
+		log    []wire.Event
+		status []wire.Decision
+		kept   int
+	}{
+		{"ended normally", whole, ds, 5},
+		{"no decisions", whole[:3], nil, 3},
+		{"empty", nil, nil, 0},
+		{"status lists fewer", whole, ds[:1], 7},
+		{"status lists more", whole[:5], ds, 5},
+		{"status lists another", whole, []wire.Decision{ds[1], ds[0]}, 7},
+		{"a decision ends the log", whole[:6], ds, 6},
+		{"event differs from its decision", append(append([]wire.Event(nil), whole[:5]...), retimed, whole[6]), ds, 7},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			want := make([]wire.Event, len(tc.log))
+			for i, ev := range tc.log {
+				ev.Seq, ev.Workflow = i, "wf-1"
+				want[i] = ev
+			}
+			wf := &workflow{id: "wf-1", events: recordsOf(tc.log)}
+			wf.settle(wire.Status{Decisions: tc.status})
+			if len(wf.events) != tc.kept || cap(wf.events) != tc.kept {
+				t.Errorf("kept %d log entries (cap %d), want %d", len(wf.events), cap(wf.events), tc.kept)
+			}
+			wf.mu.Lock()
+			got := wf.eventsFrom(0)
+			wf.mu.Unlock()
+			if len(got) != len(want) {
+				t.Fatalf("served %d events, want %d", len(got), len(want))
+			}
+			for i := range got {
+				g, w := got[i], want[i]
+				if (g.Decision == nil) != (w.Decision == nil) || g.Decision != nil && *g.Decision != *w.Decision {
+					t.Errorf("event %d: decision %+v, want %+v", i, g.Decision, w.Decision)
+				}
+				g.Decision, w.Decision = nil, nil
+				if g != w {
+					t.Errorf("event %d: %+v, want %+v", i, g, w)
+				}
 			}
 		})
 	}

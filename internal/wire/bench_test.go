@@ -1,6 +1,9 @@
 package wire
 
 import (
+	"bytes"
+	"encoding/json"
+	"fmt"
 	"testing"
 
 	"aheft/internal/rng"
@@ -55,5 +58,38 @@ func BenchmarkWireDecode(b *testing.B) {
 		}
 		run(name, DecodeSubmission)
 		run("oracle/"+name, oracleDecodeSubmission)
+	}
+}
+
+// BenchmarkWireEncodeAck times AppendReportAck into a reused buffer on an
+// adopting ack — a 50-job plan (a BLAST workflow's) and a 1026-job one
+// (benchmark/'s live_data_staging) — and under oracle/ the indenting
+// json.Encoder the daemon answered with before, on the same acks in the
+// same run; CI gates the ratio of the two like BenchmarkWireDecode's.
+func BenchmarkWireEncodeAck(b *testing.B) {
+	for _, n := range []int{50, 1026} {
+		ack := benchAck(n)
+		name := fmt.Sprintf("plan%d", n)
+		b.Run(name, func(b *testing.B) {
+			var buf []byte
+			b.ReportAllocs()
+			for b.Loop() {
+				buf, _ = AppendReportAck(buf[:0], ack)
+			}
+			b.SetBytes(int64(len(buf)))
+		})
+		b.Run("oracle/"+name, func(b *testing.B) {
+			var buf bytes.Buffer
+			b.ReportAllocs()
+			for b.Loop() {
+				buf.Reset()
+				enc := json.NewEncoder(&buf)
+				enc.SetIndent("", "  ")
+				if err := enc.Encode(ack); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.SetBytes(int64(buf.Len()))
+		})
 	}
 }
