@@ -45,18 +45,20 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz 'FuzzDecodeSubmissionParity' -fuzztime $(FUZZTIME) ./internal/wire
 	$(GO) test -run '^$$' -fuzz 'FuzzDecodePartsParity' -fuzztime $(FUZZTIME) ./internal/wire
 	$(GO) test -run '^$$' -fuzz 'FuzzReportRoundTrip' -fuzztime $(FUZZTIME) ./internal/wire
+	$(GO) test -run '^$$' -fuzz 'FuzzDecodeReportParity' -fuzztime $(FUZZTIME) ./internal/wire
 	$(GO) test -run '^$$' -fuzz 'FuzzAppendAckParity' -fuzztime $(FUZZTIME) ./internal/wire
 	$(GO) test -run '^$$' -fuzz 'FuzzKernelReschedule' -fuzztime $(FUZZTIME) ./internal/kernel
 	$(GO) test -run '^$$' -fuzz 'FuzzWALReplay' -fuzztime $(FUZZTIME) ./internal/durable
 	$(GO) test -run '^$$' -fuzz 'FuzzStatePatch' -fuzztime $(FUZZTIME) ./internal/feedback
 
 # bench runs the scheduling-kernel benches (placement + reschedule hot
-# paths on layered 1k–20k-job stress DAGs, plus the end-to-end adaptive
-# run) and snapshots ns/op, B/op and allocs/op into BENCH_kernel.json.
+# paths on layered 1k–20k-job stress DAGs, the end-to-end adaptive run,
+# and internal/kernel's slot search beside the span walk it replaced)
+# and snapshots ns/op, B/op and allocs/op into BENCH_kernel.json.
 # Compare against BENCH_baseline.json, the pre-kernel numbers recorded at
 # the refactor boundary.
 bench:
-	$(GO) test -run '^$$' -bench 'BenchmarkKernel' -benchmem . > bench-kernel.txt || { cat bench-kernel.txt; rm -f bench-kernel.txt; exit 1; }
+	$(GO) test -run '^$$' -bench 'BenchmarkKernel' -benchmem . ./internal/kernel > bench-kernel.txt || { cat bench-kernel.txt; rm -f bench-kernel.txt; exit 1; }
 	cat bench-kernel.txt
 	$(GO) run ./cmd/benchjson < bench-kernel.txt > BENCH_kernel.json
 	@rm -f bench-kernel.txt

@@ -2,6 +2,7 @@ package experiment
 
 import (
 	"strconv"
+	"sync"
 
 	"aheft/internal/rng"
 	"aheft/internal/workload"
@@ -22,6 +23,7 @@ func MontageExt(cfg Config) (*Table, error) {
 		Header: []string{"application", "HEFT", "AHEFT", "improvement", "width", "levels", "n"},
 		Notes: []string{
 			"Montage is cited (not evaluated) by the paper; expectation: improvement between WIEN2K's and BLAST's",
+			"width and levels are the largest over the row's samples",
 		},
 	}
 	type app struct {
@@ -49,6 +51,10 @@ func MontageExt(cfg Config) (*Table, error) {
 	}
 	for _, a := range apps {
 		a := a
+		// runPoint builds its samples on parallel goroutines: the shape
+		// columns are a max folded under a lock, so they do not depend on
+		// which sample was built last.
+		var mu sync.Mutex
 		var width, levels int
 		agg, err := runPoint(cfg, "montage", a.name, false, func(r *rng.Source) (*workload.Scenario, error) {
 			jobs := choiceInt(r, cfg.appJobs())
@@ -61,8 +67,10 @@ func MontageExt(cfg Config) (*Table, error) {
 			}
 			sc, err := a.build(jobs, ccr, beta, gp, r)
 			if err == nil {
-				width = sc.Graph.Width()
-				levels = len(sc.Graph.Levels())
+				mu.Lock()
+				width = max(width, sc.Graph.Width())
+				levels = max(levels, len(sc.Graph.Levels()))
+				mu.Unlock()
 			}
 			return sc, err
 		})

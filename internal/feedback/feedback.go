@@ -28,6 +28,7 @@
 package feedback
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"slices"
@@ -730,15 +731,15 @@ func (t *Tracker) adopt(s1 *schedule.Schedule) {
 			continue
 		}
 		a1 := s1.MustGet(jb.ID)
-		for _, e := range t.g.Preds(jb.ID) {
+		for i, e := range t.g.Preds(jb.ID) {
 			if t.phase[e.From] != phaseFinished {
 				continue
 			}
-			if t.ks.HasTransfer(e.From, jb.ID, a1.Resource) {
+			if _, directed := t.ks.PredTransferAt(jb.ID, i, a1.Resource); directed {
 				continue
 			}
 			pr := t.startRes[e.From]
-			t.ks.SetTransfer(e.From, jb.ID, a1.Resource, t.clock+t.k.CommEst(e, pr, a1.Resource))
+			t.ks.SetTransfer(e.From, jb.ID, a1.Resource, t.clock+t.k.PredComm(jb.ID, i, pr, a1.Resource))
 		}
 	}
 }
@@ -784,7 +785,23 @@ func (t *Tracker) Project() float64 {
 	// order (a predecessor always starts strictly earlier in a valid
 	// schedule with positive durations).
 	if t.pendingOf != t.sched {
-		t.pending, t.pendingOf = t.sched.Assignments(), t.sched
+		// Assignments()' order over the pending jobs only: finished and
+		// running ones, most of a late plan, are not sorted to be dropped.
+		t.pending, t.pendingOf = t.pending[:0], t.sched
+		for a := range t.sched.ByJob() {
+			if t.phase[a.Job] == phasePending {
+				t.pending = append(t.pending, a)
+			}
+		}
+		slices.SortFunc(t.pending, func(a, b schedule.Assignment) int {
+			switch { // plan times are never NaN: no need for cmp.Compare's care
+			case a.Start < b.Start:
+				return -1
+			case a.Start > b.Start:
+				return 1
+			}
+			return cmp.Compare(a.Job, b.Job)
+		})
 	}
 	t.pending = slices.DeleteFunc(t.pending, func(a schedule.Assignment) bool { return t.phase[a.Job] != phasePending })
 	for _, a := range t.pending {
@@ -793,25 +810,27 @@ func (t *Tracker) Project() float64 {
 			return math.Inf(1)
 		}
 		ready := t.clock
-		for _, e := range t.g.Preds(j) {
+		// Edges by position: the ledger and the file costs are indexed by
+		// it, with no search of Preds and no file-name lookup per edge.
+		for i, e := range t.g.Preds(j) {
 			m := e.From
 			var at float64
 			switch t.phase[m] {
 			case phaseFinished:
-				if tt, ok := t.ks.TransferAt(m, j, a.Resource); ok {
+				if tt, ok := t.ks.PredTransferAt(j, i, a.Resource); ok {
 					at = tt
 				} else {
-					at = t.clock + t.k.CommEst(e, t.startRes[m], a.Resource)
+					at = t.clock + t.k.PredComm(j, i, t.startRes[m], a.Resource)
 				}
 			case phaseStarted:
 				at = t.projFin[m]
 				if t.startRes[m] != a.Resource {
-					at += t.k.CommEst(e, t.startRes[m], a.Resource)
+					at += t.k.PredComm(j, i, t.startRes[m], a.Resource)
 				}
 			default:
 				at = t.projFin[m]
 				if pr := t.sched.MustGet(m).Resource; pr != a.Resource {
-					at += t.k.CommEst(e, pr, a.Resource)
+					at += t.k.PredComm(j, i, pr, a.Resource)
 				}
 			}
 			if at > ready {

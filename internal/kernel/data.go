@@ -2,7 +2,6 @@ package kernel
 
 import (
 	"fmt"
-	"slices"
 
 	"aheft/internal/cost"
 	"aheft/internal/dag"
@@ -56,7 +55,7 @@ func (k *Kernel) SetData(m *data.Model) {
 	k.memo = nil
 	k.empty = nil
 	k.fileOfEdge = nil
-	k.chBase, k.chWork = nil, nil
+	k.commOfEdge, k.chBase, k.chans = nil, nil, nil
 	k.fAvail, k.fAvailEp, k.fStride, k.fEpoch = nil, nil, 0, 0
 	k.probeAt = nil
 	if m == nil {
@@ -64,29 +63,25 @@ func (k *Kernel) SetData(m *data.Model) {
 	}
 	k.probeAt = make([]int, m.NumFiles())
 	k.fileOfEdge = make([]int, k.nEdges)
+	k.commOfEdge = make([]float64, k.nEdges)
 	for j := 0; j < k.n; j++ {
 		for i, e := range k.g.Preds(dag.JobID(j)) {
-			k.fileOfEdge[k.predBase[j]+i] = m.Index(e.File)
+			// The rank-phase weight of an edge: the model's nominal
+			// size÷bandwidth cost for a file edge, MeanComm (the raw Data
+			// weight) otherwise, as in the classic mode.
+			f, comm := m.Index(e.File), cost.MeanComm(e)
+			if f >= 0 {
+				comm = m.NominalComm(f)
+			}
+			k.fileOfEdge[k.predBase[j]+i], k.commOfEdge[k.predBase[j]+i] = f, comm
 		}
 	}
 	k.chBase = make([][]span, m.NumChannels())
-	k.chWork = make([][]span, m.NumChannels())
+	k.chans = make([]timeline, m.NumChannels())
 }
 
 // Data returns the bound data model (nil in the classic mode).
 func (k *Kernel) Data() *data.Model { return k.dataM }
-
-// meanComm is the rank-phase communication weight of an edge: MeanComm
-// (the raw Data weight) classically, the model's nominal size÷bandwidth
-// cost for file edges when a model is bound.
-func (k *Kernel) meanComm(e dag.Edge) float64 {
-	if k.dataM != nil && e.File != "" {
-		if f := k.dataM.Index(e.File); f >= 0 {
-			return k.dataM.NominalComm(f)
-		}
-	}
-	return cost.MeanComm(e)
-}
 
 // commEst is the static (contention-free) transfer estimate for edge e —
 // the derived file cost when a model is bound and the edge names a file,
@@ -106,6 +101,18 @@ func (k *Kernel) commEst(e dag.Edge, from, to grid.ID) float64 {
 // projections, identical to the estimator's Comm when no model is bound.
 func (k *Kernel) CommEst(e dag.Edge, from, to grid.ID) float64 { return k.commEst(e, from, to) }
 
+// PredComm is CommEst for the i-th incoming edge of j, its file found
+// through the dense edge index instead of the catalog's name map — the form
+// for a loop over a job's Preds.
+func (k *Kernel) PredComm(j dag.JobID, i int, from, to grid.ID) float64 {
+	if k.dataM != nil {
+		if f := k.fileOfEdge[k.predBase[j]+i]; f >= 0 {
+			return k.dataM.StaticComm(f, from, to)
+		}
+	}
+	return k.est.Comm(k.g.Preds(j)[i], from, to)
+}
+
 // probeXfer is one fresh file movement a placement probe determined a
 // candidate resource would need; commitInputs materialises those of the
 // chosen resource.
@@ -115,10 +122,10 @@ type probeXfer struct {
 	start, finish float64
 }
 
-// prepChannels rebuilds, once per Reschedule, the per-channel base
-// timelines from the foreign transfer reservations of the occupancy
-// provider (when it implements LinkOccupancy). Mirrors the resource-row
-// prep: sorted, then coalesced for the gap walk.
+// prepChannels rebuilds, once per Reschedule, the per-channel base rows
+// from the foreign transfer reservations of the occupancy provider (when it
+// implements LinkOccupancy). Mirrors the resource-row prep: sorted here,
+// coalesced as each pass resets its timeline from them.
 func (k *Kernel) prepChannels() {
 	lo, _ := k.occ.(LinkOccupancy)
 	for c := range k.chBase {
@@ -132,17 +139,8 @@ func (k *Kernel) prepChannels() {
 				row = append(row, span{start: b.Start, finish: b.Finish, job: foreignJob})
 			}
 		}
-		slices.SortFunc(row, func(a, b span) int {
-			switch {
-			case a.start < b.start:
-				return -1
-			case a.start > b.start:
-				return 1
-			default:
-				return 0
-			}
-		})
-		k.chBase[c] = coalesce(row)
+		sortSpans(row)
+		k.chBase[c] = row
 	}
 }
 
@@ -150,8 +148,8 @@ func (k *Kernel) prepChannels() {
 // working channel timelines, the staged-file availability epoch, the
 // per-resource storage tally, and the transfer list under construction.
 func (k *Kernel) beginDataPass(rs []grid.Resource) {
-	for c := range k.chWork {
-		k.chWork[c] = append(k.chWork[c][:0], k.chBase[c]...)
+	for c := range k.chans {
+		k.chans[c].reset(k.chBase[c])
 	}
 	maxID := grid.ID(-1)
 	for _, r := range rs {
@@ -199,7 +197,7 @@ func (k *Kernel) setPassFile(f int, r grid.ID, t float64) {
 
 // channelSlot finds the earliest departure ≥ depart at which a transfer
 // of duration d fits every channel of the src→dst path simultaneously —
-// the multi-timeline analogue of earliestStart, converged by fixed-point
+// timeline.earliest over several rows at once, converged by fixed-point
 // iteration (each channel can only push the candidate later; when no
 // channel moves it, the interval fits all of them).
 func (k *Kernel) channelSlot(src, dst grid.ID, depart, d float64, insertion bool) float64 {
@@ -211,7 +209,7 @@ func (k *Kernel) channelSlot(src, dst grid.ID, depart, d float64, insertion bool
 	for {
 		moved := false
 		for _, c := range k.chIdxBuf {
-			if s := earliestStart(k.chWork[c], t, d, insertion); s > t {
+			if s := k.chans[c].earliest(t, d, insertion); s > t {
 				t, moved = s, true
 			}
 		}
@@ -309,8 +307,8 @@ func (k *Kernel) probeInputs(st *State, preds []dag.Edge, eBase int, r grid.ID, 
 }
 
 // commitInputs materialises the transfers xs that the winning probe of
-// resource r found necessary: spans merged into every channel on the path
-// (merged, so the gap walk stays sound under the intra-job overlap
+// resource r found necessary: busy time added to every channel on the path
+// (merged, so the gap search stays sound under the intra-job overlap
 // approximation), pass-local file availability recorded for reuse,
 // storage tallied, and the plan's transfer list extended.
 func (k *Kernel) commitInputs(job dag.JobID, r grid.ID, xs []probeXfer) {
@@ -318,7 +316,7 @@ func (k *Kernel) commitInputs(job dag.JobID, r grid.ID, xs []probeXfer) {
 		if x.finish > x.start {
 			k.chIdxBuf = k.dataM.AppendChannels(x.src, r, k.chIdxBuf[:0])
 			for _, c := range k.chIdxBuf {
-				mergeSpan(&k.chWork[c], span{start: x.start, finish: x.finish, job: job})
+				k.chans[c].add(x.start, x.finish)
 			}
 			k.workXfers = append(k.workXfers, schedule.Transfer{
 				Job: job, File: k.dataM.FileID(x.file),
@@ -328,22 +326,4 @@ func (k *Kernel) commitInputs(job dag.JobID, r grid.ID, xs []probeXfer) {
 		k.setPassFile(x.file, r, x.finish)
 		k.storeUsed[r] += k.dataM.Size(x.file)
 	}
-}
-
-// mergeSpan inserts s into a coalesced row (start-sorted, spans disjoint
-// and not touching — what coalesce returns) and merges it with the
-// neighbours it overlaps or touches, leaving exactly the row that
-// insertSpan followed by coalesce would: only the spans around the insert
-// position can be affected, so the rest of the row is not rescanned.
-func mergeSpan(tl *[]span, s span) {
-	w := insertSpan(tl, s)
-	t := *tl
-	if w > 0 && s.start <= t[w-1].finish {
-		w-- // only the immediate left neighbour can reach s; it absorbs s too
-	}
-	r := w + 1
-	for ; r < len(t) && t[r].start <= t[w].finish; r++ {
-		t[w].finish = max(t[w].finish, t[r].finish)
-	}
-	*tl = append(t[:w+1], t[r:]...)
 }

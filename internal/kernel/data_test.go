@@ -4,14 +4,14 @@ package kernel
 // written the way the pass used to work: an input edge finds a sibling
 // edge's probe of the same file by scanning the job's probe list, the
 // winning resource is probed again at commit time, and every committed
-// span re-coalesces its whole channel row. The production pass answers
-// all three from per-file slots, the kept probe and a local merge; it
-// must place every job, time every transfer and leave every channel row
-// exactly as the reference does.
+// span re-coalesces its whole channel row — and, since the rows became
+// timelines, every slot search is the span walk over uncoalesced compute
+// rows (refEarliestStart). The production pass answers from per-file slots,
+// the kept probe and timeline.add / earliest; it must place every job, time
+// every transfer and leave every channel row exactly as the reference does.
 
 import (
 	"fmt"
-	"math/rand"
 	"slices"
 	"testing"
 
@@ -44,7 +44,7 @@ func (p *refPass) channelSlot(src, dst grid.ID, depart, d float64, insertion boo
 	for moved := true; moved; {
 		moved = false
 		for _, c := range p.k.dataM.AppendChannels(src, dst, nil) {
-			if s := earliestStart(p.ch[c], t, d, insertion); s > t {
+			if s := refEarliestStart(p.ch[c], t, d, insertion); s > t {
 				t, moved = s, true
 			}
 		}
@@ -109,7 +109,7 @@ func (k *Kernel) refPlace(rs []grid.Resource, st *State, order []dag.JobID, inse
 		p.tl[r.ID] = slices.Clone(k.baseTL[r.ID])
 	}
 	for c := range p.ch {
-		p.ch[c] = slices.Clone(k.chBase[c])
+		p.ch[c] = coalesce(slices.Clone(k.chBase[c]))
 	}
 	for _, job := range order {
 		best, over := grid.NoResource, grid.NoResource
@@ -118,7 +118,7 @@ func (k *Kernel) refPlace(rs []grid.Resource, st *State, order []dag.JobID, inse
 		for _, r := range rs {
 			ready, fits, _ := p.probe(preds, eBase, r.ID, insertion, true)
 			w := k.est.Comp(job, r.ID)
-			start := earliestStart(p.tl[r.ID], ready, w, insertion)
+			start := refEarliestStart(p.tl[r.ID], ready, w, insertion)
 			switch {
 			case fits && (best == grid.NoResource || start+w < bestF):
 				best, bestS, bestF = r.ID, start, start+w
@@ -167,8 +167,8 @@ func (k *Kernel) DataPassMatchesReference(rs []grid.Resource, st *State, inserti
 		return fmt.Errorf("transfers differ:\n got %+v\nwant %+v", k.workXfers, ref.xfers)
 	}
 	for c := range ref.ch {
-		if !slices.Equal(k.chWork[c], ref.ch[c]) {
-			return fmt.Errorf("channel %s row differs:\n got %+v\nwant %+v", k.dataM.ChannelName(c), k.chWork[c], ref.ch[c])
+		if !slices.Equal(k.chans[c].blocks, blocksOf(ref.ch[c])) {
+			return fmt.Errorf("channel %s row differs:\n got %+v\nwant %+v", k.dataM.ChannelName(c), k.chans[c].blocks, ref.ch[c])
 		}
 	}
 	return nil
@@ -299,23 +299,83 @@ func TestDataPassMatchesScanningReference(t *testing.T) {
 	}
 }
 
-// TestMergeSpanMatchesInsertThenCoalesce: on a coalesced row, the local
-// merge leaves what inserting and re-coalesing the whole row leaves —
-// span for span, including which job a merged span is filed under.
-func TestMergeSpanMatchesInsertThenCoalesce(t *testing.T) {
-	rnd := rand.New(rand.NewSource(15))
-	for round := 0; round < 2000; round++ {
-		var got, want []span
-		for i, n := 0, 1+rnd.Intn(24); i < n; i++ {
-			// A coarse grid, so equal starts, touching and nested spans
-			// are all common.
-			start := float64(rnd.Intn(40))
-			s := span{start: start, finish: start + float64(1+rnd.Intn(6)), job: dag.JobID(rnd.Intn(4))}
-			mergeSpan(&got, s)
-			insertSpan(&want, s)
-			want = coalesce(want)
-			if !slices.Equal(got, want) {
-				t.Fatalf("round %d after %+v:\n got %+v\nwant %+v", round, s, got, want)
+// refRanks computes the upward ranks as Ranks did before the dense edge
+// tables: each job pulls the largest communication weight + rank over its
+// Succs, a file edge's weight found through the catalog's name map.
+func (k *Kernel) refRanks(rs []grid.Resource) []float64 {
+	topo, _ := k.g.TopoOrder()
+	ranks := make([]float64, k.n)
+	for i := len(topo) - 1; i >= 0; i-- {
+		j, best := topo[i], 0.0
+		for _, e := range k.g.Succs(j) {
+			c := cost.MeanComm(e)
+			if k.dataM != nil && e.File != "" {
+				if f := k.dataM.Index(e.File); f >= 0 {
+					c = k.dataM.NominalComm(f)
+				}
+			}
+			best = max(best, c+ranks[e.To])
+		}
+		ranks[j] = cost.MeanComp(k.est, j, rs) + best
+	}
+	return ranks
+}
+
+// unsortedCopy rebuilds g unvalidated, its edges added in descending order,
+// so every Preds list is unsorted and the kernel takes its predsSorted ==
+// false branches.
+func unsortedCopy(t testing.TB, g *dag.Graph) *dag.Graph {
+	t.Helper()
+	c := dag.New(g.Name())
+	for _, j := range g.Jobs() {
+		c.AddJob(j.Name, j.Op)
+	}
+	for j := g.Len() - 1; j >= 0; j-- {
+		for _, e := range slices.Backward(g.Succs(dag.JobID(j))) {
+			if err := c.AddFileEdge(e.From, e.To, e.Data, e.File); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	return c
+}
+
+// TestRanksMatchSuccessorWalk: the rank pass pushes each job's rank to its
+// predecessors by dense edge index; the vector must equal, to the bit, the
+// one the walk over Succs with per-edge file lookups gives — with and
+// without a data model, on validated graphs and on one with unsorted Preds.
+func TestRanksMatchSuccessorWalk(t *testing.T) {
+	fg, fest, fpool, fm := fanInScenario(t)
+	blast := workload.DataScenario(workload.DataParams{Searches: 48})
+	bm, err := data.NewModel(blast.Files, blast.Pool, blast.Graph, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name string
+		g    *dag.Graph
+		est  cost.Estimator
+		pool *grid.Pool
+		m    *data.Model
+	}{
+		{"fan-in/data", fg, fest, fpool, fm},
+		{"fan-in/classic", fg, fest, fpool, nil},
+		{"fan-in/unsorted", unsortedCopy(t, fg), fest, fpool, fm},
+		{"blast48/data", blast.Graph, blast.Estimator(), blast.Pool, bm},
+		{"blast48/unsorted", unsortedCopy(t, blast.Graph), blast.Estimator(), blast.Pool, bm},
+	} {
+		k := New(tc.g, tc.est)
+		k.SetData(tc.m)
+		if tc.name[len(tc.name)-8:] == "unsorted" && k.predsSorted {
+			t.Fatalf("%s: the copy's Preds are sorted", tc.name)
+		}
+		for _, rs := range [][]grid.Resource{tc.pool.Initial(), tc.pool.Initial()[:2]} {
+			got, _, err := k.Ranks(rs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := k.refRanks(rs); !slices.Equal(got, want) {
+				t.Fatalf("%s over %d resources:\n got %v\nwant %v", tc.name, len(rs), got, want)
 			}
 		}
 	}

@@ -61,8 +61,8 @@ type DeltaStats struct {
 	// Delta is true when the delta path produced the schedule; false means
 	// a full replan ran (Reason says why).
 	Delta bool
-	// Reason is the fallback cause when Delta is false: "no-memo",
-	// "tie-window", "no-insertion", "state-reset", "clock-rewind",
+	// Reason is the fallback cause when Delta is false: "data-aware",
+	// "no-memo", "tie-window", "no-insertion", "state-reset", "clock-rewind",
 	// "estimates-drifted", "resource-set-changed", "base-grew" or
 	// "cone-overflow".
 	Reason string
@@ -516,7 +516,7 @@ func (k *Kernel) rescheduleDelta(rs []grid.Resource, st *State, base []dag.JobID
 }
 
 // deltaProbe re-runs the full pass's per-job EFT probe for one dirty job,
-// reading slots from the merged timeline view instead of workTL, and
+// reading slots from the merged span view instead of a timeline, and
 // refreshes the job's memo entries as it goes.
 //
 // When inputsClean holds — the job is dirty only because some resource's
@@ -575,7 +575,7 @@ func (k *Kernel) deltaProbe(rs []grid.Resource, st *State, job dag.JobID, mm *de
 	return schedule.Assignment{Job: job, Resource: bestRes, Start: bestStart, Finish: bestFinish}
 }
 
-// mergedEarliestStart is earliestStart (insertion mode) over the merged
+// mergedEarliestStart is the insertion-mode slot search over the merged
 // view of three (start, job)-sorted rows: the fresh base timeline, the
 // memo's placed spans — filtered on the fly to owners that precede the
 // probing job in rank order, have not moved this sweep, and are still
@@ -663,29 +663,30 @@ func (k *Kernel) mergedEarliestStart(rid grid.ID, curPos int32, ready, w float64
 	return start
 }
 
+// spanLess is the row order: by start, then finish — a zero-cost job's
+// empty interval before the job that starts where it sits, or a walk would
+// take the empty one's finish for the row's — then job. Spans that occupy
+// time are disjoint, so between them it is (start, job), as the comments
+// call it.
 func spanLess(a, b span) bool {
 	if a.start != b.start {
 		return a.start < b.start
 	}
+	if a.finish != b.finish {
+		return a.finish < b.finish
+	}
 	return a.job < b.job
 }
 
-// sortSpans sorts a row by (start, job) — the timeline total order.
+// sortSpans sorts a row by spanLess.
 func sortSpans(row []span) {
 	slices.SortFunc(row, func(a, b span) int {
 		switch {
-		case a.start != b.start:
-			if a.start < b.start {
-				return -1
-			}
+		case spanLess(a, b):
+			return -1
+		case spanLess(b, a):
 			return 1
-		case a.job != b.job:
-			if a.job < b.job {
-				return -1
-			}
-			return 1
-		default:
-			return 0
 		}
+		return 0
 	})
 }

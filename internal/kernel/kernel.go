@@ -11,8 +11,9 @@
 //     is invalidated only when the resource set changes (the pool grew) —
 //     a new estimator means a new Kernel.
 //   - FEA/EST/EFT run over dense, job-indexed state (State) instead of
-//     per-call maps, and the timeline slot search finds insertion gaps by
-//     binary search over start-sorted spans.
+//     per-call maps, and every row the slot search reads — a resource or
+//     a transfer channel — is one timeline of coalesced busy blocks
+//     (timeline.go), searched by gaps.
 //   - All placement scratch (timelines, candidate assignments, rank and
 //     order buffers) is owned by the Kernel and reused across calls, so
 //     the steady-state inner loop of a reschedule performs zero heap
@@ -85,8 +86,10 @@ type VersionedEstimator interface {
 	EstimateVersion() uint64
 }
 
-// span is one occupied interval of a resource timeline, mirroring
-// schedule.Assignment but kept flat for the slot-search hot loop.
+// span is one occupied interval with its owner, mirroring
+// schedule.Assignment: the form the base rows and the delta memo keep,
+// which need to tell whose interval moved. The slot search of a full pass
+// reads timelines instead.
 type span struct {
 	start, finish float64
 	job           dag.JobID
@@ -118,7 +121,7 @@ type Kernel struct {
 
 	// Placement scratch, reused across calls.
 	baseTL     [][]span              // per resource: history (finished+pinned) spans, sorted
-	workTL     [][]span              // per resource: working timeline of the current candidate
+	rows       []timeline            // per resource: base plus the current candidate's placements
 	tlTouched  []grid.ID             // rows filled by the previous prepHistory (may repeat)
 	zeroPlaced []schedule.Assignment // all-unplaced template
 	basePlaced []schedule.Assignment // pinned assignments; Resource == NoResource otherwise
@@ -139,9 +142,10 @@ type Kernel struct {
 	// point-to-point model; every data branch is nil-guarded so the
 	// no-files path stays bit-identical to the pre-data kernel.
 	dataM      *data.Model
-	fileOfEdge []int    // dense edge index → file index, -1 for plain edges
-	chBase     [][]span // per channel: foreign transfer reservations
-	chWork     [][]span // per channel: working timeline of the current pass
+	fileOfEdge []int      // dense edge index → file index, -1 for plain edges
+	commOfEdge []float64  // dense edge index → rank-phase communication weight
+	chBase     [][]span   // per channel: foreign transfer reservations, sorted
+	chans      []timeline // per channel: base plus the current pass's transfers
 	chIdxBuf   []int
 	xferBuf    []probeXfer // per-(job,resource) probe scratch
 	xferBest   []probeXfer // probe of the job's best fitting resource so far
@@ -271,16 +275,24 @@ func (k *Kernel) Ranks(rs []grid.Resource) ([]float64, []dag.JobID, error) {
 		k.ranks = make([]float64, k.n)
 		k.order = make([]dag.JobID, k.n)
 	}
+	// In reverse topological order every successor of j has already pushed
+	// its communication weight + rank into ranks[j], edge by dense index, so
+	// ranks[j] holds the inner max of Eq. 6 when j's turn comes.
+	clear(k.ranks)
 	for i := len(k.topo) - 1; i >= 0; i-- {
 		j := k.topo[i]
-		w := cost.MeanComp(k.est, j, rs)
-		best := 0.0
-		for _, e := range k.g.Succs(j) {
-			if v := k.meanComm(e) + k.ranks[e.To]; v > best {
-				best = v
+		rank := cost.MeanComp(k.est, j, rs) + k.ranks[j]
+		k.ranks[j] = rank
+		eBase := k.predBase[j]
+		for i, e := range k.g.Preds(j) {
+			c := cost.MeanComm(e)
+			if k.commOfEdge != nil {
+				c = k.commOfEdge[eBase+i]
+			}
+			if v := c + rank; v > k.ranks[e.From] {
+				k.ranks[e.From] = v
 			}
 		}
-		k.ranks[j] = w + best
 	}
 	orderInto(k.ranks, k.order)
 	k.rankRS = k.rankRS[:0]
@@ -475,7 +487,7 @@ func (k *Kernel) growTimelines(maxID grid.ID) {
 	need := int(maxID) + 1
 	for len(k.baseTL) < need {
 		k.baseTL = append(k.baseTL, nil)
-		k.workTL = append(k.workTL, nil)
+		k.rows = append(k.rows, timeline{})
 	}
 }
 
@@ -536,28 +548,15 @@ func (k *Kernel) prepHistory(rs []grid.Resource, st *State) {
 	// on resources outside rs are never read by the slot search (they only
 	// feed the final schedule through k.hist), so they stay unsorted.
 	for _, r := range rs {
-		slices.SortFunc(k.baseTL[r.ID], func(a, b span) int {
-			switch {
-			case a.start != b.start:
-				if a.start < b.start {
-					return -1
-				}
-				return 1
-			case a.job != b.job:
-				if a.job < b.job {
-					return -1
-				}
-				return 1
-			default:
-				return 0
-			}
-		})
-		if k.occ != nil {
-			// Foreign claims may overlap each other (and a drifted pin);
-			// the gap walk assumes disjoint spans. Own-only rows are
-			// disjoint by construction and skip the normalisation, keeping
-			// the non-shared path bit-identical.
-			k.baseTL[r.ID] = coalesce(k.baseTL[r.ID])
+		row := k.baseTL[r.ID]
+		sortSpans(row)
+		// Foreign claims may overlap each other, and a drifted pin what ran
+		// beside it. Raising each finish to the running maximum leaves the
+		// busy time as it is and every span its owner and start (which keep
+		// the delta path's horizons tight), and lets that path's merged walk
+		// read the busy frontier off the span before its starting point.
+		for i := 1; i < len(row); i++ {
+			row[i].finish = max(row[i].finish, row[i-1].finish)
 		}
 	}
 	if k.dataM != nil {
@@ -576,7 +575,7 @@ func (k *Kernel) prepHistory(rs []grid.Resource, st *State) {
 func (k *Kernel) placeCandidate(rs []grid.Resource, st *State, order []dag.JobID, opts Options, rec *deltaMemo) (float64, error) {
 	copy(k.placed, k.basePlaced)
 	for _, r := range rs {
-		k.workTL[r.ID] = append(k.workTL[r.ID][:0], k.baseTL[r.ID]...)
+		k.rows[r.ID].reset(k.baseTL[r.ID])
 	}
 	insertion := !opts.NoInsertion
 	if k.dataM != nil {
@@ -618,7 +617,7 @@ func (k *Kernel) placeCandidate(rs []grid.Resource, st *State, order []dag.JobID
 				}
 			}
 			w := k.est.Comp(job, r.ID)
-			start := earliestStart(k.workTL[r.ID], ready, w, insertion)
+			start := k.rows[r.ID].earliest(ready, w, insertion)
 			finish := start + w // Eq. 3
 			if rec != nil {
 				rec.probeStart[int(job)*nRS+ri] = start
@@ -657,7 +656,7 @@ func (k *Kernel) placeCandidate(rs []grid.Resource, st *State, order []dag.JobID
 			k.commitInputs(job, bestRes, k.xferBest)
 		}
 		k.placed[job] = schedule.Assignment{Job: job, Resource: bestRes, Start: bestStart, Finish: bestFinish}
-		insertSpan(&k.workTL[bestRes], span{start: bestStart, finish: bestFinish, job: job})
+		k.rows[bestRes].add(bestStart, bestFinish)
 		if bestFinish > mk {
 			mk = bestFinish
 		}
@@ -665,63 +664,10 @@ func (k *Kernel) placeCandidate(rs []grid.Resource, st *State, order []dag.JobID
 	return mk, nil
 }
 
-// earliestStart finds the earliest start time >= ready at which a task of
-// the given duration fits on the timeline. With insertion enabled it
-// implements HEFT's insertion-based policy exactly as
-// schedule.EarliestStart does, but locates the first potentially feasible
-// gap by binary search over the start-sorted spans instead of scanning
-// the whole timeline: a gap whose end tl[i+1].start is below
-// ready+duration can never fit the task (its usable start is at least
-// ready), so the linear gap scan may begin at the span preceding the
-// first one whose start reaches ready+duration.
-func earliestStart(tl []span, ready, duration float64, insertion bool) float64 {
-	if len(tl) == 0 {
-		return ready
-	}
-	if !insertion {
-		if last := tl[len(tl)-1].finish; last > ready {
-			return last
-		}
-		return ready
-	}
-	lim := ready + duration
-	j := sort.Search(len(tl), func(i int) bool { return tl[i].start >= lim })
-	if j == 0 {
-		// Gap before the first span fits: ready+duration <= tl[0].start.
-		return ready
-	}
-	for i := j - 1; i < len(tl)-1; i++ {
-		gapStart := tl[i].finish
-		gapEnd := tl[i+1].start
-		start := gapStart
-		if ready > start {
-			start = ready
-		}
-		if start+duration <= gapEnd {
-			return start
-		}
-	}
-	if last := tl[len(tl)-1].finish; last > ready {
-		return last
-	}
-	return ready
-}
-
-// insertSpan inserts s keeping the timeline sorted by (start, job) and
-// returns where it went.
-func insertSpan(tl *[]span, s span) int {
-	t := *tl
-	i := sort.Search(len(t), func(i int) bool {
-		if t[i].start != s.start {
-			return t[i].start > s.start
-		}
-		return t[i].job > s.job
-	})
-	t = append(t, span{})
-	copy(t[i+1:], t[i:])
-	t[i] = s
-	*tl = t
-	return i
+// insertSpan inserts s keeping the row sorted (spanLess).
+func insertSpan(tl *[]span, s span) {
+	i := sort.Search(len(*tl), func(i int) bool { return spanLess(s, (*tl)[i]) })
+	*tl = slices.Insert(*tl, i, s)
 }
 
 // buildSchedule materialises the winning candidate: history carried over

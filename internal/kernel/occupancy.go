@@ -16,7 +16,7 @@ type Busy struct {
 // around. AppendBusy appends resource r's foreign intervals to buf and
 // returns the extended slice; implementations must not retain buf. The
 // intervals may overlap each other (drifting pins from different owners)
-// — the kernel coalesces them before searching.
+// — the kernel's timelines coalesce whatever is added to them.
 //
 // The provider is consulted once per resource per placement pass
 // (prepHistory), never inside the per-job inner loop, so a mutex-guarded
@@ -52,25 +52,4 @@ func (k *Kernel) injectForeign(rs []grid.Resource) {
 			k.baseTL[r.ID] = append(k.baseTL[r.ID], span{start: b.Start, finish: b.Finish, job: foreignJob})
 		}
 	}
-}
-
-// coalesce merges overlapping or touching spans of a start-sorted row in
-// place and returns the shortened row. Own spans never overlap (schedule
-// invariant), but foreign reservations can — two owners' claims drift
-// apart from the plans they were disjoint under — and the slot search's
-// gap walk assumes disjoint spans, so every row it scans is normalised
-// first. Merging loses per-job identity, which the search never uses.
-func coalesce(row []span) []span {
-	w := 0
-	for i := 0; i < len(row); i++ {
-		if w > 0 && row[i].start <= row[w-1].finish {
-			if row[i].finish > row[w-1].finish {
-				row[w-1].finish = row[i].finish
-			}
-			continue
-		}
-		row[w] = row[i]
-		w++
-	}
-	return row[:w]
 }

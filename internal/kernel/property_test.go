@@ -9,11 +9,14 @@ package kernel_test
 
 import (
 	"math"
+	"strconv"
 	"testing"
 
 	"aheft/internal/core"
+	"aheft/internal/cost"
 	"aheft/internal/dag"
 	"aheft/internal/data"
+	"aheft/internal/grid"
 	"aheft/internal/kernel"
 	"aheft/internal/rng"
 	"aheft/internal/schedule"
@@ -25,10 +28,26 @@ import (
 // stress generator (at a test-friendly size). Seeds 62 and 63 are the
 // file-carrying wide-fan-in scenario instead — every search reads one
 // pre-staged database, one merge job reads every search's hit file —
-// which quickKernel plans in data mode.
+// which quickKernel plans in data mode. Seed 60 is the packed shape: 96
+// independent jobs of one cost between an entry and an exit, so every row
+// fills back to back and no gap ever fits. Seed 61 is a layered DAG that
+// quickEstimator prices with zeros in it.
 func quickScenario(t testing.TB, seed uint64) *workload.Scenario {
 	t.Helper()
 	switch seed {
+	case 60:
+		return packedScenario(96, 3)
+	case 61:
+		sc := *quickScenario(t, 13)
+		g := dag.New(zeroCostName)
+		for _, j := range sc.Graph.Jobs() {
+			g.AddJob(j.Name, j.Op)
+			for _, e := range sc.Graph.Preds(j.ID) {
+				g.MustEdge(e.From, e.To, e.Data)
+			}
+		}
+		sc.Graph = g.MustValidate()
+		return &sc
 	case 62:
 		return workload.DataScenario(workload.DataParams{Searches: 48})
 	case 63:
@@ -68,11 +87,59 @@ func quickScenario(t testing.TB, seed uint64) *workload.Scenario {
 	return sc
 }
 
+// packedScenario is n equal-cost siblings between an entry and an exit job
+// on nRes identical resources: the shape whose rows pack back to back.
+func packedScenario(n, nRes int) *workload.Scenario {
+	g := dag.New("packed")
+	entry := g.AddJob("entry", "stage")
+	exit := g.AddJob("exit", "merge")
+	row := make([]float64, nRes)
+	for i := range row {
+		row[i] = 4
+	}
+	rows := [][]float64{row, row}
+	for i := 0; i < n; i++ {
+		j := g.AddJob("work"+strconv.Itoa(i), "work")
+		g.MustEdge(entry, j, 1)
+		g.MustEdge(j, exit, 1)
+		rows = append(rows, row)
+	}
+	arrivals := make([]grid.Arrival, nRes)
+	for i := range arrivals {
+		arrivals[i] = grid.Arrival{Resource: grid.Resource{ID: grid.ID(i), Name: "r" + strconv.Itoa(i)}}
+	}
+	return &workload.Scenario{Graph: g.MustValidate(), Table: cost.MustTable(rows), Pool: grid.MustPool(arrivals)}
+}
+
+// zeroCostName names the graph of the scenario quickEstimator prices with
+// zeros.
+const zeroCostName = "zero-cost"
+
+// zeroCost prices every fifth job at zero on every resource — a cost no
+// table can hold (the wire rejects it) but an estimator may return.
+type zeroCost struct{ *cost.Table }
+
+func (z zeroCost) Comp(j dag.JobID, r grid.ID) float64 {
+	if j%5 == 2 {
+		return 0
+	}
+	return z.Table.Comp(j, r)
+}
+
+// quickEstimator returns the estimator quickKernel plans sc under: its cost
+// table, with zeros in it for seed 61's scenario.
+func quickEstimator(sc *workload.Scenario) cost.Estimator {
+	if sc.Graph.Name() == zeroCostName {
+		return zeroCost{sc.Table}
+	}
+	return sc.Estimator()
+}
+
 // quickKernel returns a kernel for sc, with its data model bound when the
 // scenario declares files.
 func quickKernel(t testing.TB, sc *workload.Scenario) *kernel.Kernel {
 	t.Helper()
-	k := kernel.New(sc.Graph, sc.Estimator())
+	k := kernel.New(sc.Graph, quickEstimator(sc))
 	if sc.Files != nil {
 		m, err := data.NewModel(sc.Files, sc.Pool, sc.Graph, 0)
 		if err != nil {
@@ -89,7 +156,7 @@ func quickKernel(t testing.TB, sc *workload.Scenario) *kernel.Kernel {
 // implementation over the equivalent map-based snapshot.
 func checkRescheduleInvariants(t testing.TB, sc *workload.Scenario, s0 *schedule.Schedule, s1 *schedule.Schedule, clock float64) {
 	t.Helper()
-	est := sc.Estimator()
+	est := quickEstimator(sc)
 	if err := s1.Validate(sc.Graph, schedule.ValidateOptions{Pool: sc.Pool}); err != nil {
 		t.Fatalf("clock %g: invalid schedule: %v\n%s", clock, err, s1)
 	}
@@ -222,6 +289,10 @@ func FuzzKernelReschedule(f *testing.F) {
 	f.Add(uint64(12), 0.4, false, 0.0, 1.6)
 	f.Add(uint64(62), 0.5, false, 0.0, 1.7)
 	f.Add(uint64(63), 0.85, true, 0.0, 0.4)
+	f.Add(uint64(60), 0.3, false, 0.0, 1.9)  // packed equal-cost rows, one job finishing late
+	f.Add(uint64(60), 0.6, false, 0.0, 0.5)  // … and one finishing early, which opens a gap
+	f.Add(uint64(61), 0.35, false, 0.0, 1.4) // an estimator that returns zero costs
+	f.Add(uint64(61), 0.7, true, 0.0, 0.6)
 	f.Fuzz(func(t *testing.T, seed uint64, clockFrac float64, noInsertion bool, tieWindow float64, perturbScale float64) {
 		if math.IsNaN(clockFrac) || math.IsInf(clockFrac, 0) {
 			clockFrac = 0.5

@@ -260,11 +260,8 @@ func (st *State) fileAt(f int, r grid.ID) (float64, bool) {
 // HasTransfer reports whether a transfer of the (m → j) file toward r has
 // been recorded.
 func (st *State) HasTransfer(m, j dag.JobID, r grid.ID) bool {
-	e := st.k.edgeIndex(m, j)
-	if e < 0 || int(r) >= st.stride {
-		return false
-	}
-	return st.ledEp[e*st.stride+int(r)] == st.epoch
+	_, ok := st.TransferAt(m, j, r)
+	return ok
 }
 
 // TransferAt returns the recorded availability of the (m → j) file on r.
@@ -274,6 +271,12 @@ func (st *State) TransferAt(m, j dag.JobID, r grid.ID) (float64, bool) {
 		return 0, false
 	}
 	return st.transfer(e, r)
+}
+
+// PredTransferAt is TransferAt for the i-th incoming edge of j, found by
+// position instead of a search of j's Preds.
+func (st *State) PredTransferAt(j dag.JobID, i int, r grid.ID) (float64, bool) {
+	return st.transfer(st.k.predBase[j]+i, r)
 }
 
 func (st *State) transfer(e int, r grid.ID) (float64, bool) {

@@ -368,14 +368,19 @@ func (s *Schedule) Validate(g *dag.Graph, opts ValidateOptions) error {
 		return fmt.Errorf("schedule: %d assignments for %d jobs", s.n, g.Len())
 	}
 	for r, tl := range s.byRes {
-		for i := 1; i < len(tl); i++ {
+		prev := -1 // the last assignment before i that occupies any time
+		for i := range tl {
+			if tl[i].Finish <= tl[i].Start {
+				continue // a zero-cost job's empty interval overlaps nothing
+			}
 			// 1e-9 slack: start times are computed as (ready+w)−w by some
 			// schedulers, which rounds a few ulps below the finish time of
 			// the predecessor slot.
-			if tl[i].Start < tl[i-1].Finish-1e-9 {
+			if prev >= 0 && tl[i].Start < tl[prev].Finish-1e-9 {
 				return fmt.Errorf("schedule: overlap on r%d: job %d [%g,%g) vs job %d [%g,%g)",
-					r, tl[i-1].Job, tl[i-1].Start, tl[i-1].Finish, tl[i].Job, tl[i].Start, tl[i].Finish)
+					r, tl[prev].Job, tl[prev].Start, tl[prev].Finish, tl[i].Job, tl[i].Start, tl[i].Finish)
 			}
+			prev = i
 		}
 	}
 	if opts.Pool != nil {

@@ -61,6 +61,35 @@ func BenchmarkWireDecode(b *testing.B) {
 	}
 }
 
+// BenchmarkWireDecodeReport times DecodeReport on a one-event report (what
+// an enactor posts per job start or finish) and a 16-event batch, and under
+// oracle/ the json.Unmarshal decoder it replaced on the same bytes.
+func BenchmarkWireDecodeReport(b *testing.B) {
+	for _, n := range []int{1, 16} {
+		r := &Report{}
+		for i := 0; i < n; i++ {
+			r.Events = append(r.Events, ReportEvent{Kind: ReportJobFinished, Time: 100.5 + float64(i), Job: 500 + i, Resource: 3, Duration: 7.25})
+		}
+		body, err := EncodeReport(r)
+		if err != nil {
+			b.Fatal(err)
+		}
+		run := func(prefix string, decode func([]byte, int) (*Report, error)) {
+			b.Run(fmt.Sprintf("%sevents%d", prefix, n), func(b *testing.B) {
+				b.SetBytes(int64(len(body)))
+				b.ReportAllocs()
+				for b.Loop() {
+					if _, err := decode(body, 0); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+		}
+		run("", DecodeReport)
+		run("oracle/", oracleDecodeReport)
+	}
+}
+
 // BenchmarkWireEncodeAck times AppendReportAck into a reused buffer on an
 // adopting ack — a 50-job plan (a BLAST workflow's) and a 1026-job one
 // (benchmark/'s live_data_staging) — and under oracle/ the indenting

@@ -209,3 +209,15 @@ func oracleDecodeGridSpec(doc []byte, lim Limits) (*GridSpec, error) {
 	}
 	return g, nil
 }
+
+// oracleDecodeReport is DecodeReport as it stood on json.Unmarshal.
+func oracleDecodeReport(data []byte, maxEvents int) (*Report, error) {
+	var r Report
+	if err := json.Unmarshal(data, &r); err != nil {
+		return nil, fmt.Errorf("wire: decode report: %w", err)
+	}
+	if err := r.Validate(maxEvents); err != nil {
+		return nil, err
+	}
+	return &r, nil
+}

@@ -250,3 +250,38 @@ func FuzzDecodePartsParity(f *testing.F) {
 		check("grid spec", spec, ospec, sErr, osErr)
 	})
 }
+
+// FuzzDecodeReportParity holds DecodeReport to the json.Unmarshal decoder
+// it replaced: the same accept or reject on any bytes — and so the same
+// HTTP status — and a deeply equal Report when accepted.
+func FuzzDecodeReportParity(f *testing.F) {
+	if seed, err := EncodeReport(sampleReport()); err == nil {
+		f.Add(seed)
+	}
+	for _, s := range []string{
+		`{}`, `null`, `[]`, `7`, `not json`, `{"v":2,"events":[]}`, `{"v":2,"events":null}`, `{"v":2,"events":{}}`,
+		`{"v":1,"events":[{"kind":"job-started","time":0}]} `, `{"v":1,"events":[{"kind":"job-started","time":0}]} x`,
+		`{"V":1,"EVENTS":[{"KIND":"job-finished","Time":3,"jOb":1,"duration":3}]}`,
+		`{"v":1,"events":[{"kind":"variance","time":1,"job":2,"duration":4,"extra":[{"a":null}]}],"more":"\u00e9"}`,
+		`{"v":1,"events":[{"kind":"job-started","time":1,"job":1},{"kind":"job-started","time":2,"job":2}],"events":[{"time":5}]}`,
+		`{"v":1,"events":[{"kind":"job-started","time":1}],"events":null}`, `{"v":1,"events":[null,{"kind":"resource-join","time":1,"resource":1}]}`,
+		`{"v":1,"events":[{"kind":null,"time":null,"job":null}]}`, `{"v":1,"events":[{"kind":"job-started","time":0,"job":1.0}]}`,
+		`{"v":1,"events":[{"kind":"job-started","time":0,"job":1e2}]}`, `{"v":1,"events":[{"kind":"job-started","time":1e999}]}`,
+		`{"v":1,"events":[{"kind":"job-started","time":-0.0,"job":-0}]}`, `{"v":1,"events":[{"kind":7,"time":0}]}`,
+		`{"v":1,"events":[{"kind":"job-\u0073tarted","time":01}]}`, `{"v":1,"events":[{"kind":"job-started","time":"0"}]}`,
+		`{"v":1,"events":[7]}`, `{"v":1,"events":[[]]}`, `{"v":"1","events":[]}`, `{"v":1,"events":[{"kind":"job-started","time":0},]}`,
+		`{"v":1,"events":[{"kind":"resource-leave","time":2,"resource":99999999999999999999}]}`, `{"v":1,"v":3,"events":[{"kind":"job-started","time":0}]}`,
+	} {
+		f.Add([]byte(s))
+	}
+	f.Fuzz(func(t *testing.T, doc []byte) {
+		got, gotErr := DecodeReport(doc, 1000)
+		want, wantErr := oracleDecodeReport(doc, 1000)
+		if (gotErr == nil) != (wantErr == nil) {
+			t.Fatalf("accept/reject differs: decoder %v, oracle %v", gotErr, wantErr)
+		}
+		if gotErr == nil && !reflect.DeepEqual(got, want) {
+			t.Fatalf("decoded values differ:\n got %+v\nwant %+v", got, want)
+		}
+	})
+}

@@ -20,6 +20,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"math"
+
+	"aheft/internal/jsonscan"
 )
 
 // Report event kinds.
@@ -147,12 +149,20 @@ func EncodeReport(r *Report) ([]byte, error) {
 	return json.Marshal(&stamped)
 }
 
-// DecodeReport unmarshals and structurally validates one report document.
-// It never panics on any input. maxEvents <= 0 means
+// DecodeReport decodes — in one pass, with json.Unmarshal's semantics (see
+// the package comment; FuzzDecodeReportParity) — and structurally validates
+// one report document. It never panics on any input. maxEvents <= 0 means
 // DefaultMaxReportEvents.
 func DecodeReport(data []byte, maxEvents int) (*Report, error) {
 	var r Report
-	if err := json.Unmarshal(data, &r); err != nil {
+	sc := jsonscan.New(data)
+	sc.Object("v", &r.V, "events", func() {
+		r.Events = jsonscan.Array(sc, r.Events, func(ev *ReportEvent) {
+			sc.Object("kind", &ev.Kind, "time", &ev.Time, "job", &ev.Job,
+				"resource", &ev.Resource, "duration", &ev.Duration)
+		})
+	})
+	if err := sc.End(); err != nil {
 		return nil, fmt.Errorf("wire: decode report: %w", err)
 	}
 	if err := r.Validate(maxEvents); err != nil {

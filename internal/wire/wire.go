@@ -11,15 +11,15 @@
 // Decoding is one pass over the bytes: each document has one decoder,
 // written against internal/jsonscan and building its model object directly
 // (dag.Decode, cost.DecodeTable, grid.DecodePool, data.DecodeSet, the
-// envelope's here), and the json.Unmarshaler methods call the same
-// functions. The semantics are encoding/json's — unknown keys ignored, a
+// envelope's and DecodeReport here), and the json.Unmarshaler methods call
+// the same functions. The semantics are encoding/json's — unknown keys ignored, a
 // key matched exactly and otherwise case-insensitively, null leaving a
 // field unset, the last of a repeated key winning, bytes after the document
 // an error, numbers converted by strconv on the token — by test, not by
 // construction: the reflective decoders this replaced live on in
-// oracle_test.go, and FuzzDecodeSubmissionParity / FuzzDecodePartsParity
-// require the same accept-or-reject and the same decoded value on every
-// input; only error text may differ. Encoding still goes through
+// oracle_test.go, and FuzzDecodeSubmissionParity / FuzzDecodePartsParity /
+// FuzzDecodeReportParity require the same accept-or-reject and the same
+// decoded value on every input; only error text may differ. Encoding still goes through
 // encoding/json and the tagged structs.
 //
 // The format is versioned at both layers: the envelope carries "v" and
