@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race vet fmt fmt-check check lint fuzz bench bench-server bench-all clean
+.PHONY: all build test race vet fmt fmt-check check lint loc fuzz bench bench-server bench-all clean
 
 all: check
 
@@ -33,6 +33,11 @@ lint: fmt-check vet
 	elif $(GO) install honnef.co/go/tools/cmd/staticcheck@2025.1 2>/dev/null; then \
 		"$$($(GO) env GOPATH)/bin/staticcheck" ./...; \
 	else echo "staticcheck unavailable (offline?); skipped"; fi
+
+# loc prints the ROADMAP's tracked number: lines of non-test Go outside
+# benchmark/. A PR quotes it before and after instead of recounting.
+loc:
+	@find . -name '*.go' -not -name '*_test.go' -not -path './benchmark/*' | xargs wc -l | tail -1
 
 # fuzz runs each fuzz target for FUZZTIME (CI runs 5m per target
 # nightly). The committed seed corpora under */testdata/fuzz/ replay as

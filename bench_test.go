@@ -220,9 +220,8 @@ func BenchmarkKernelPlacement(b *testing.B) {
 
 // advanceBench progresses st tracker-style against the adopted schedule s
 // — finishes with ship-on-filename transfers, pins for running jobs — the
-// way the daemon's feedback loop maintains its state between evaluations
-// (no Reset, so the kernel's delta memo stays live). It returns the
-// running (pinned) assignments for perturbation.
+// way the daemon's feedback loop maintains its state between evaluations.
+// It returns the running (pinned) assignments for perturbation.
 func advanceBench(sc *workload.Scenario, st *kernel.State, s *schedule.Schedule, clock float64) []schedule.Assignment {
 	est := sc.Estimator()
 	g := sc.Graph
@@ -361,103 +360,6 @@ func BenchmarkKernelReschedule(b *testing.B) {
 				}
 			}
 		})
-	}
-}
-
-// BenchmarkKernelDeltaReschedule times the incremental reschedule path
-// absorbing a small event: a foreign reservation (a co-tenant booking, the
-// contention trigger) toggling on one resource at a horizon position
-// calibrated so the realised dirty cone is the smallest achievable at or
-// above the requested size — cone=1 is a perturbation that invalidates a
-// single job's slot. Every op must take the delta path (a fallback fails
-// the bench) and the realised cone is reported as the "cone" metric. The
-// CI benchcmp gate holds v=20000/cone=1 at ≥10x faster than the full
-// replan (BenchmarkKernelReschedule/v=20000).
-func BenchmarkKernelDeltaReschedule(b *testing.B) {
-	for _, jobs := range []int{1000, 5000, 20000} {
-		for _, cone := range []int{1, 4, 16} {
-			jobs, cone := jobs, cone
-			b.Run(fmt.Sprintf("v=%d/cone=%d", jobs, cone), func(b *testing.B) {
-				sc := kernelScenario(b, jobs)
-				est := sc.Estimator()
-				k := kernel.New(sc.Graph, est)
-				occ := &toggleOccupancy{}
-				k.SetOccupancy(occ)
-				s0, err := k.Static(sc.Pool.Initial(), kernel.Options{})
-				if err != nil {
-					b.Fatal(err)
-				}
-				clock := s0.Makespan() / 3
-				rs := sc.Pool.AvailableAt(clock)
-				occ.r = rs[0].ID
-				st := k.NewState(sc.Pool.Size())
-				advanceBench(sc, st, s0, clock)
-				opts := kernel.Options{Incremental: true, MaxConeFrac: 1}
-				// First pass records the memo the deltas replay against.
-				s1, err := k.Reschedule(rs, st, opts)
-				if err != nil {
-					b.Fatal(err)
-				}
-				// Calibrate the reservation position: the cone is the set of
-				// jobs whose slots run past the claim, so it shrinks as the
-				// claim moves later — binary-search the latest position whose
-				// realised cone still reaches the requested size. Each trial
-				// toggles the claim on and back off through the delta path,
-				// which also warms every scratch buffer before timing.
-				width := 0.02 * (s1.Makespan() - clock)
-				toggle := func(busy []kernel.Busy) int {
-					occ.busy = busy
-					if _, err := k.Reschedule(rs, st, opts); err != nil {
-						b.Fatal(err)
-					}
-					ds := k.DeltaStats()
-					if !ds.Delta {
-						b.Fatalf("delta path not taken: %+v", ds)
-					}
-					return ds.Cone
-				}
-				span := s1.Makespan() - clock
-				lo, hi := clock, s1.Makespan()
-				pos := clock
-				// Bracket from the tail inward so every trial keeps a small
-				// cone (a mid-horizon trial would re-probe half the DAG).
-				for off := span / 1024; ; off *= 2 {
-					t := s1.Makespan() - off
-					if t <= clock {
-						break
-					}
-					got := toggle([]kernel.Busy{{Start: t, Finish: t + width}})
-					toggle(nil)
-					if got >= cone {
-						pos, lo = t, t
-						break
-					}
-					hi = t
-				}
-				for i := 0; i < 20 && hi-lo > 1e-6*span; i++ {
-					mid := lo + (hi-lo)/2
-					got := toggle([]kernel.Busy{{Start: mid, Finish: mid + width}})
-					toggle(nil)
-					if got >= cone {
-						pos, lo = mid, mid
-					} else {
-						hi = mid
-					}
-				}
-				claim := []kernel.Busy{{Start: pos, Finish: pos + width}}
-				coneSum := 0.0
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					if i%2 == 0 {
-						coneSum += float64(toggle(claim))
-					} else {
-						coneSum += float64(toggle(nil))
-					}
-				}
-				b.ReportMetric(coneSum/float64(b.N), "cone")
-			})
-		}
 	}
 }
 

@@ -46,7 +46,6 @@ func main() {
 	defaultPolicy := flag.String("policy", "aheft", "default scheduling policy for submissions that name none")
 	drainTimeout := flag.Duration("drain-timeout", 60*time.Second, "max time to drain queued workflows on shutdown")
 	varThr := flag.Float64("variance-threshold", 0, "default significant-variance gate for live workflows (0 = built-in 0.2)")
-	coneFrac := flag.Float64("max-cone-frac", 0, "dirty-cone fraction above which an incremental reschedule falls back to a full replan (0 = built-in 0.25, 1 = never)")
 	maxTenants := flag.Int("max-tenant-histories", 0, "per-shard cap on retained tenant performance histories (0 = 1024, negative = unbounded)")
 	maxGrids := flag.Int("max-grids", 0, "cap on registered shared grids (0 = 256, negative = unbounded)")
 	dataDir := flag.String("data-dir", "", "durability directory (per-shard WAL + snapshots); empty = in-memory only")
@@ -87,7 +86,6 @@ func main() {
 		Limits:                wire.Limits{MaxJobs: *maxJobs, MaxResources: *maxRes},
 		DefaultPolicy:         *defaultPolicy,
 		VarianceThreshold:     *varThr,
-		MaxConeFrac:           *coneFrac,
 		MaxTenantHistories:    *maxTenants,
 		MaxSharedGrids:        *maxGrids,
 		DataDir:               *dataDir,

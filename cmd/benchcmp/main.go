@@ -18,17 +18,16 @@
 // with one of the comma-separated prefixes (a named subset); --require and
 // --ratio still resolve against the full documents:
 //
-//	benchcmp old.json new.json --only BenchmarkKernelDeltaReschedule
+//	benchcmp old.json new.json --only BenchmarkKernelReschedule
 //
 // --ratio gates one benchmark against another WITHIN the new document —
 // ns/op of the first must be at least the given multiple of the second:
 //
 //	benchcmp old.json new.json \
-//	  --ratio 'BenchmarkKernelReschedule/v=20000/kind=finish:BenchmarkKernelDeltaReschedule/v=20000/cone=1:10'
+//	  --ratio 'BenchmarkKernelSlotSearch/oracle/packed/n=4096:BenchmarkKernelSlotSearch/packed/n=4096:10'
 //
-// means: in new.json, the full replan at v=20000 must take >= 10x the
-// ns/op of the 1-job delta reschedule — the incremental path's speedup
-// contract.
+// means: in new.json, the span walk over a packed 4096-span row must take
+// >= 10x the ns/op of the timeline search that replaced it.
 package main
 
 import (

@@ -257,7 +257,7 @@ func TestFold(t *testing.T) {
 // scrape is an error, not an empty document.
 func TestScrapeDecodesFresh(t *testing.T) {
 	docs := []string{
-		`{"live_resident":120,"reschedules_full_fallback_by_reason":{"no-memo":7},"trace_stage_ms":{"plan":{"count":3}},
+		`{"live_resident":120,"trace_stage_ms":{"plan":{"count":3}},
 		  "admission":{"queue_depth_by_tenant":{"alice":4}}}`,
 		`{"live_resident":0,"reports_duplicate":36}`,
 	}
@@ -273,7 +273,7 @@ func TestScrapeDecodesFresh(t *testing.T) {
 	defer ts.Close()
 	c := &drive.Client{Base: ts.URL, HTTP: ts.Client()}
 	before, err := scrape(c)
-	if err != nil || before.LiveResident != 120 || before.ReschedulesFullFallbackByReason["no-memo"] != 7 ||
+	if err != nil || before.LiveResident != 120 ||
 		len(before.TraceStageMs) != 1 || before.Admission.QueueDepthByTenant["alice"] != 4 {
 		t.Fatalf("first scrape = %+v, %v", before, err)
 	}
@@ -281,9 +281,9 @@ func TestScrapeDecodesFresh(t *testing.T) {
 	if err != nil || after.LiveResident != 0 || after.ReportsDuplicate != 36 {
 		t.Fatalf("second scrape = %+v, %v", after, err)
 	}
-	if len(after.ReschedulesFullFallbackByReason) != 0 || len(after.TraceStageMs) != 0 || len(after.Admission.QueueDepthByTenant) != 0 {
-		t.Errorf("second scrape kept the first one's entries: %v %v %v",
-			after.ReschedulesFullFallbackByReason, after.TraceStageMs, after.Admission.QueueDepthByTenant)
+	if len(after.TraceStageMs) != 0 || len(after.Admission.QueueDepthByTenant) != 0 {
+		t.Errorf("second scrape kept the first one's entries: %v %v",
+			after.TraceStageMs, after.Admission.QueueDepthByTenant)
 	}
 	if _, err := scrape(c); err == nil || !strings.Contains(err.Error(), "HTTP 503: draining") {
 		t.Errorf("failed scrape = %v, want the daemon's status and text", err)

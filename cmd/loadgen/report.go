@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"log"
 	"os"
-	"sort"
 	"strings"
 	"sync"
 	"time"
@@ -322,32 +321,7 @@ func (r *Report) print() {
 		line += fmt.Sprintf(" grids=%d reservations=%d transfer_reservations=%d", m.SharedGrids, m.Reservations, m.TransferReservations)
 	}
 	fmt.Println(line)
-	printReschedPath(p+"server", m)
 	printAdmission(p+"server", m)
-}
-
-// printReschedPath summarises the kernel's replan-path split (delta vs
-// full-fallback) and the per-trigger reschedule latency quantiles from a
-// /metrics snapshot. Quiet when the run exercised no reschedule path.
-func printReschedPath(prefix string, m server.MetricsDoc) {
-	if m.ReschedulesDelta == 0 && m.ReschedulesFullFallback == 0 {
-		return
-	}
-	line := fmt.Sprintf("%s: replan path delta=%d full=%d", prefix, m.ReschedulesDelta, m.ReschedulesFullFallback)
-	if len(m.ReschedulesFullFallbackByReason) > 0 {
-		reasons := make([]string, 0, len(m.ReschedulesFullFallbackByReason))
-		for reason, n := range m.ReschedulesFullFallbackByReason {
-			reasons = append(reasons, fmt.Sprintf("%s=%d", reason, n))
-		}
-		sort.Strings(reasons)
-		line += " full_by_reason(" + strings.Join(reasons, " ") + ")"
-	}
-	for _, tr := range planner.TriggerNames {
-		if w, ok := m.RescheduleMs[tr]; ok && w.Count > 0 {
-			line += fmt.Sprintf(" %s(n=%d p50=%.2fms p99=%.2fms)", tr, w.Count, w.P50, w.P99)
-		}
-	}
-	fmt.Println(line)
 }
 
 // printAdmission summarises the daemon's admission state from a /metrics

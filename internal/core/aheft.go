@@ -201,38 +201,6 @@ func LoadState(dst *kernel.State, st *ExecState) {
 	}
 }
 
-// SyncState folds a map-based snapshot into the kernel's dense state
-// WITHOUT resetting it. Every fact the executor reports is monotone —
-// jobs never un-finish, files never un-arrive, and both SetTransfer
-// implementations keep the earliest time — so re-applying the whole
-// snapshot is idempotent and only genuinely new facts write (the dense
-// ledger bumps its per-job input generation exactly on effective
-// writes). Pins are rebuilt from scratch, matching the snapshot.
-//
-// Engines that hold one kernel.State across evaluations use this instead
-// of LoadState so the kernel's incremental delta path can see what
-// actually changed between events: Reset bumps the state epoch, which
-// invalidates the delta memo unconditionally.
-func SyncState(dst *kernel.State, st *ExecState) {
-	if st == nil {
-		dst.Reset()
-		return
-	}
-	dst.Clock = st.Clock
-	for j, f := range st.Finished {
-		dst.Finish(j, f.Resource, f.AST, f.AFT)
-	}
-	dst.ClearPinned()
-	for _, a := range st.Pinned {
-		dst.Pin(a)
-	}
-	for key, row := range st.TransferAt {
-		for r, t := range row {
-			dst.SetTransfer(key.From, key.To, r, t)
-		}
-	}
-}
-
 // Reschedule implements procedure schedule(S0, P, H) of Fig. 3. It returns
 // a complete schedule S1 covering every job of g: finished jobs keep their
 // actual assignments, pinned running jobs keep their current assignments,

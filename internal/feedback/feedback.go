@@ -658,22 +658,13 @@ func (t *Tracker) evaluate(trigger planner.Trigger, arrived int, out *Outcome) {
 	t.syncPins(t.clock)
 	// The estimator mutates underneath the kernel as history accrues. The
 	// HistoryBased predictor is versioned, so the kernel detects stale
-	// ranks (and stale delta memos) itself; only an unversioned estimator
-	// needs the explicit invalidation, which would also wipe the rank
-	// cache the delta path relies on.
+	// ranks itself; only an unversioned estimator needs the explicit
+	// invalidation.
 	if _, versioned := any(t.est).(kernel.VersionedEstimator); !versioned {
 		t.k.InvalidateRanks()
 	}
-	// Live evaluations default to the incremental path: the kernel falls
-	// back to a full replan whenever it cannot prove the event's dirty
-	// cone small (and bit-identity is parity-tested), so this is purely a
-	// latency lever. An upgrade evaluation is the exception — its whole
-	// point is the full rank-and-insertion pass the fast admission plan
-	// skipped, so the delta shortcut is off.
-	opts := t.opts
-	opts.Incremental = trigger != planner.TriggerUpgrade
 	began := time.Now()
-	s1, err := t.pol.Replan(t.k, rs, t.ks, opts)
+	s1, err := t.pol.Replan(t.k, rs, t.ks, t.opts)
 	elapsed := time.Since(began)
 	if err != nil || s1 == nil {
 		// Evaluation failure must not kill the run ("otherwise the
@@ -691,15 +682,6 @@ func (t *Tracker) evaluate(trigger planner.Trigger, arrived int, out *Outcome) {
 		Trigger:      trigger,
 		ArrivedCount: arrived,
 		ElapsedMs:    float64(elapsed) / float64(time.Millisecond),
-	}
-	if ds := t.k.DeltaStats(); ds.Attempted {
-		if ds.Delta {
-			d.Path = "delta"
-			d.ConeSize = ds.Cone
-		} else {
-			d.Path = "full"
-			d.FallbackReason = ds.Reason
-		}
 	}
 	if tm := t.k.LastTiming(); tm.RankMs > 0 || tm.PlaceMs > 0 {
 		d.RankMs, d.PlaceMs = tm.RankMs, tm.PlaceMs

@@ -89,16 +89,12 @@ func restoreClone(t *testing.T, tr *Tracker, sc *workload.Scenario, occ *occupan
 }
 
 // scrubTelemetry copies a decision log with the process-local telemetry
-// fields (replan path, cone, wall time) zeroed: the kernel's delta memo
-// does not survive a restart, so a recovered run may legitimately replan
-// fully where the original took the delta path — the schedules are
-// bit-identical either way, and only the semantic fields are part of the
+// fields (wall time) zeroed: only the semantic fields are part of the
 // recovery identity.
 func scrubTelemetry(ds []planner.Decision) []planner.Decision {
 	out := make([]planner.Decision, len(ds))
 	for i, d := range ds {
-		d.Path, d.ConeSize, d.FallbackReason, d.ElapsedMs = "", 0, "", 0
-		d.RankMs, d.PlaceMs = 0, 0
+		d.ElapsedMs, d.RankMs, d.PlaceMs = 0, 0, 0
 		out[i] = d
 	}
 	return out

@@ -46,13 +46,11 @@ type LinkOccupancy interface {
 
 // SetData binds (or, with nil, unbinds) a data model. Must be called
 // before states are created and plans computed: it invalidates the rank
-// cache and the incremental-reschedule memo, and re-shapes the file
-// ledger of states created afterwards. The model's pool must be the pool
-// the kernel schedules over.
+// cache and re-shapes the file ledger of states created afterwards. The
+// model's pool must be the pool the kernel schedules over.
 func (k *Kernel) SetData(m *data.Model) {
 	k.dataM = m
 	k.rankOK = false
-	k.memo = nil
 	k.empty = nil
 	k.fileOfEdge = nil
 	k.commOfEdge, k.chBase, k.chans = nil, nil, nil
@@ -76,7 +74,7 @@ func (k *Kernel) SetData(m *data.Model) {
 			k.fileOfEdge[k.predBase[j]+i], k.commOfEdge[k.predBase[j]+i] = f, comm
 		}
 	}
-	k.chBase = make([][]span, m.NumChannels())
+	k.chBase = make([][]block, m.NumChannels())
 	k.chans = make([]timeline, m.NumChannels())
 }
 
@@ -136,10 +134,10 @@ func (k *Kernel) prepChannels() {
 				if b.Finish <= b.Start {
 					continue
 				}
-				row = append(row, span{start: b.Start, finish: b.Finish, job: foreignJob})
+				row = append(row, block{b.Start, b.Finish})
 			}
 		}
-		sortSpans(row)
+		sortBlocks(row)
 		k.chBase[c] = row
 	}
 }

@@ -29,7 +29,7 @@ type refPass struct {
 	k      *Kernel
 	st     *State
 	placed []schedule.Assignment
-	tl, ch [][]span
+	tl, ch [][]block
 	staged map[[2]int]float64 // (file, resource) → availability, this pass
 	used   map[grid.ID]float64
 	xfers  []schedule.Transfer
@@ -102,11 +102,17 @@ func (p *refPass) probe(preds []dag.Edge, eBase int, r grid.ID, insertion, count
 func (k *Kernel) refPlace(rs []grid.Resource, st *State, order []dag.JobID, insertion bool) *refPass {
 	p := &refPass{
 		k: k, st: st, placed: slices.Clone(k.basePlaced),
-		tl: make([][]span, len(k.baseTL)), ch: make([][]span, len(k.chBase)),
+		tl: make([][]block, len(k.baseTL)), ch: make([][]block, len(k.chBase)),
 		staged: map[[2]int]float64{}, used: map[grid.ID]float64{},
 	}
 	for _, r := range rs {
-		p.tl[r.ID] = slices.Clone(k.baseTL[r.ID])
+		// The walk reads the busy frontier off the span before its starting
+		// point: a finish an earlier, longer span covers is raised to it.
+		row := slices.Clone(k.baseTL[r.ID])
+		for i := 1; i < len(row); i++ {
+			row[i].finish = max(row[i].finish, row[i-1].finish)
+		}
+		p.tl[r.ID] = row
 	}
 	for c := range p.ch {
 		p.ch[c] = coalesce(slices.Clone(k.chBase[c]))
@@ -133,7 +139,7 @@ func (k *Kernel) refPlace(rs []grid.Resource, st *State, order []dag.JobID, inse
 		for _, x := range xs {
 			if x.finish > x.start {
 				for _, c := range k.dataM.AppendChannels(x.src, best, nil) {
-					insertSpan(&p.ch[c], span{start: x.start, finish: x.finish, job: job})
+					insertBlock(&p.ch[c], block{x.start, x.finish})
 					p.ch[c] = coalesce(p.ch[c])
 				}
 				p.xfers = append(p.xfers, schedule.Transfer{
@@ -146,7 +152,7 @@ func (k *Kernel) refPlace(rs []grid.Resource, st *State, order []dag.JobID, inse
 			p.used[best] += k.dataM.Size(x.file)
 		}
 		p.placed[job] = schedule.Assignment{Job: job, Resource: best, Start: bestS, Finish: bestF}
-		insertSpan(&p.tl[best], span{start: bestS, finish: bestF, job: job})
+		insertBlock(&p.tl[best], block{bestS, bestF})
 	}
 	return p
 }
@@ -167,7 +173,7 @@ func (k *Kernel) DataPassMatchesReference(rs []grid.Resource, st *State, inserti
 		return fmt.Errorf("transfers differ:\n got %+v\nwant %+v", k.workXfers, ref.xfers)
 	}
 	for c := range ref.ch {
-		if !slices.Equal(k.chans[c].blocks, blocksOf(ref.ch[c])) {
+		if !slices.Equal(k.chans[c].blocks, ref.ch[c]) {
 			return fmt.Errorf("channel %s row differs:\n got %+v\nwant %+v", k.dataM.ChannelName(c), k.chans[c].blocks, ref.ch[c])
 		}
 	}

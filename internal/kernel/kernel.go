@@ -32,7 +32,6 @@ package kernel
 
 import (
 	"fmt"
-	"slices"
 	"sort"
 	"time"
 
@@ -57,42 +56,15 @@ type Options struct {
 	// (makespan 76), which pure greedy placement misses. Zero disables
 	// exploration (paper-faithful Fig. 3 greedy).
 	TieWindow float64
-	// Incremental enables the delta-reschedule path: a full pass records a
-	// placement memo, and the next pass re-ranks and re-places only the
-	// dirty cone of the perturbation (see delta.go), falling back to a
-	// full replan whenever the memo cannot prove the rest of the schedule
-	// unchanged. The result is bit-identical to a full replan on the same
-	// snapshot. Requires a VersionedEstimator, insertion mode and
-	// TieWindow == 0 to take effect; otherwise every pass runs full.
-	Incremental bool
-	// MaxConeFrac caps the dirty cone at this fraction of the jobs being
-	// placed before the delta path aborts to a full replan; 0 means
-	// DefaultMaxConeFrac. Use 1 to never abort on cone size.
-	MaxConeFrac float64
 }
-
-// DefaultMaxConeFrac is the delta path's fallback threshold: once more
-// than this fraction of the remaining jobs needs re-placing, a full
-// replan is cheaper than cascading through the memo.
-const DefaultMaxConeFrac = 0.25
 
 // VersionedEstimator is a cost estimator that can report whether its
 // answers may have changed: two equal EstimateVersion reads bracket a
 // window in which every Comp/Comm answer was stable. The kernel uses it
-// to keep the rank cache honest under history-sharpened estimates and to
-// gate the incremental reschedule memo.
+// to keep the rank cache honest under history-sharpened estimates.
 type VersionedEstimator interface {
 	cost.Estimator
 	EstimateVersion() uint64
-}
-
-// span is one occupied interval with its owner, mirroring
-// schedule.Assignment: the form the base rows and the delta memo keep,
-// which need to tell whose interval moved. The slot search of a full pass
-// reads timelines instead.
-type span struct {
-	start, finish float64
-	job           dag.JobID
 }
 
 // Kernel binds one workflow graph to one cost estimator and owns every
@@ -120,7 +92,7 @@ type Kernel struct {
 	topo    []dag.JobID
 
 	// Placement scratch, reused across calls.
-	baseTL     [][]span              // per resource: history (finished+pinned) spans, sorted
+	baseTL     [][]block             // per resource: history (finished+pinned) intervals, sorted
 	rows       []timeline            // per resource: base plus the current candidate's placements
 	tlTouched  []grid.ID             // rows filled by the previous prepHistory (may repeat)
 	zeroPlaced []schedule.Assignment // all-unplaced template
@@ -144,7 +116,7 @@ type Kernel struct {
 	dataM      *data.Model
 	fileOfEdge []int      // dense edge index → file index, -1 for plain edges
 	commOfEdge []float64  // dense edge index → rank-phase communication weight
-	chBase     [][]span   // per channel: foreign transfer reservations, sorted
+	chBase     [][]block  // per channel: foreign transfer reservations, sorted
 	chans      []timeline // per channel: base plus the current pass's transfers
 	chIdxBuf   []int
 	xferBuf    []probeXfer // per-(job,resource) probe scratch
@@ -159,12 +131,6 @@ type Kernel struct {
 	fEpoch     uint32
 	fStride    int
 
-	// Incremental rescheduling (delta.go): the memo of the last recorded
-	// full pass, the per-pass delta scratch, and the last pass's report.
-	memo  *deltaMemo
-	dsc   deltaScratch
-	delta DeltaStats
-
 	// timing is the wall-clock phase split of the last Reschedule —
 	// telemetry only, never an input to scheduling decisions (see
 	// LastTiming).
@@ -175,7 +141,7 @@ type Kernel struct {
 
 // Timing is the wall-clock phase split of the last Reschedule: the
 // upward-rank phase (near zero when the rank cache is warm) versus
-// everything after it (delta probe or candidate placement). Pure
+// everything after it (candidate placement). Pure
 // telemetry — the observability layer rolls it into evaluate spans; a
 // replayed run reproduces the schedules bit-identically regardless of
 // what these read.
@@ -412,33 +378,14 @@ func (k *Kernel) Reschedule(rs []grid.Resource, st *State, opts Options) (*sched
 	}
 	k.base = base
 
-	k.delta = DeltaStats{}
-	if opts.Incremental {
-		k.delta.Attempted = true
-		k.delta.Base = len(base)
-		if s := k.rescheduleDelta(rs, st, base, opts); s != nil {
-			k.timing.PlaceMs = time.Since(rankDone).Seconds() * 1e3
-			return s, nil
-		}
-		// rescheduleDelta set k.delta.Reason; fall through to a full
-		// replan, which re-records the memo below.
-	}
-
 	k.prepHistory(rs, st)
-	var rec *deltaMemo
-	if opts.Incremental && k.memoRecordable(opts) {
-		rec = k.ensureMemo(rs)
-	}
-	bestMk, err := k.placeCandidate(rs, st, base, opts, rec)
+	bestMk, err := k.placeCandidate(rs, st, base, opts)
 	if err != nil {
 		return nil, err
 	}
 	copy(k.bestPlaced, k.placed)
 	if k.dataM != nil {
 		k.bestXfers = append(k.bestXfers[:0], k.workXfers...)
-	}
-	if rec != nil {
-		k.finishMemo(rec, rs, st, base, opts)
 	}
 
 	if opts.TieWindow > 0 {
@@ -458,7 +405,7 @@ func (k *Kernel) Reschedule(rs []grid.Resource, st *State, opts Options) (*sched
 			}
 			copy(alt, base)
 			alt[i], alt[i+1] = alt[i+1], alt[i]
-			mk, err := k.placeCandidate(rs, st, alt, opts, nil)
+			mk, err := k.placeCandidate(rs, st, alt, opts)
 			if err != nil {
 				return nil, err
 			}
@@ -472,11 +419,6 @@ func (k *Kernel) Reschedule(rs []grid.Resource, st *State, opts Options) (*sched
 		}
 	}
 	s := k.buildSchedule(base)
-	if rec != nil {
-		// Keep a kernel-private copy for the delta path to patch; the
-		// caller owns s and may mutate it freely.
-		rec.sched = s.Clone()
-	}
 	k.timing.PlaceMs = time.Since(rankDone).Seconds() * 1e3
 	return s, nil
 }
@@ -492,10 +434,10 @@ func (k *Kernel) growTimelines(maxID grid.ID) {
 }
 
 // prepHistory builds, once per Reschedule, the carried-over execution
-// history: per-resource base timelines holding the finished and pinned
-// intervals (sorted by start, then job), the pinned entries of the
-// candidate placement template, the history assignment list for the
-// final schedule, and the history makespan.
+// history: per-resource base rows holding the finished, pinned and foreign
+// intervals (sorted by start), the pinned entries of the candidate
+// placement template, the history assignment list for the final schedule,
+// and the history makespan.
 func (k *Kernel) prepHistory(rs []grid.Resource, st *State) {
 	copy(k.basePlaced, k.zeroPlaced)
 	k.hist = k.hist[:0]
@@ -540,24 +482,15 @@ func (k *Kernel) prepHistory(rs []grid.Resource, st *State) {
 		k.baseTL[a.Resource] = k.baseTL[a.Resource][:0]
 	}
 	for _, a := range k.hist {
-		k.baseTL[a.Resource] = append(k.baseTL[a.Resource], span{start: a.Start, finish: a.Finish, job: a.Job})
+		k.baseTL[a.Resource] = append(k.baseTL[a.Resource], block{a.Start, a.Finish})
 		k.tlTouched = append(k.tlTouched, a.Resource)
 	}
 	k.injectForeign(rs)
-	// Sort each timeline the placement loop will scan, once. History rows
-	// on resources outside rs are never read by the slot search (they only
+	// Sort each row the placement loop will scan, once. History rows on
+	// resources outside rs are never read by the slot search (they only
 	// feed the final schedule through k.hist), so they stay unsorted.
 	for _, r := range rs {
-		row := k.baseTL[r.ID]
-		sortSpans(row)
-		// Foreign claims may overlap each other, and a drifted pin what ran
-		// beside it. Raising each finish to the running maximum leaves the
-		// busy time as it is and every span its owner and start (which keep
-		// the delta path's horizons tight), and lets that path's merged walk
-		// read the busy frontier off the span before its starting point.
-		for i := 1; i < len(row); i++ {
-			row[i].finish = max(row[i].finish, row[i-1].finish)
-		}
+		sortBlocks(k.baseTL[r.ID])
 	}
 	if k.dataM != nil {
 		k.prepChannels()
@@ -568,11 +501,7 @@ func (k *Kernel) prepHistory(rs []grid.Resource, st *State) {
 // jobs of order (rank order, or a tie-window variation of it) and returns
 // the candidate's makespan. The resulting placements are left in
 // k.placed. This is the zero-allocation steady-state inner loop.
-//
-// A non-nil rec additionally records the delta memo's per-probe data
-// (probe upper bounds, ready floors, clock-sensitive FEA cases) as the
-// pass runs; the extra branches are dead weight on the rec == nil path.
-func (k *Kernel) placeCandidate(rs []grid.Resource, st *State, order []dag.JobID, opts Options, rec *deltaMemo) (float64, error) {
+func (k *Kernel) placeCandidate(rs []grid.Resource, st *State, order []dag.JobID, opts Options) (float64, error) {
 	copy(k.placed, k.basePlaced)
 	for _, r := range rs {
 		k.rows[r.ID].reset(k.baseTL[r.ID])
@@ -582,7 +511,6 @@ func (k *Kernel) placeCandidate(rs []grid.Resource, st *State, order []dag.JobID
 		k.beginDataPass(rs)
 	}
 	mk := k.histMax
-	nRS := len(rs)
 	for _, job := range order {
 		bestRes := grid.NoResource
 		bestStart, bestFinish := 0.0, 0.0
@@ -593,9 +521,7 @@ func (k *Kernel) placeCandidate(rs []grid.Resource, st *State, order []dag.JobID
 		overStart, overFinish := 0.0, 0.0
 		preds := k.g.Preds(job)
 		eBase := k.predBase[job]
-		readyMin := 0.0
-		case2 := false
-		for ri, r := range rs {
+		for _, r := range rs {
 			var ready float64
 			fits := true
 			if k.dataM != nil {
@@ -604,13 +530,6 @@ func (k *Kernel) placeCandidate(rs []grid.Resource, st *State, order []dag.JobID
 				// Inner max of Eq. 2: input availability via FEA (Eq. 1).
 				ready = st.Clock
 				for i := range preds {
-					if rec != nil {
-						if fr := st.finRes[preds[i].From]; fr != grid.NoResource {
-							if _, ok := st.transfer(eBase+i, r.ID); !ok {
-								case2 = true // Eq. 1 Case 2: clock-sensitive
-							}
-						}
-					}
 					if t := st.fea(preds[i], eBase+i, r.ID); t > ready {
 						ready = t
 					}
@@ -619,13 +538,6 @@ func (k *Kernel) placeCandidate(rs []grid.Resource, st *State, order []dag.JobID
 			w := k.est.Comp(job, r.ID)
 			start := k.rows[r.ID].earliest(ready, w, insertion)
 			finish := start + w // Eq. 3
-			if rec != nil {
-				rec.probeStart[int(job)*nRS+ri] = start
-				rec.probeEnd[int(job)*nRS+ri] = start + w
-				if ri == 0 || ready < readyMin {
-					readyMin = ready
-				}
-			}
 			switch {
 			case fits:
 				if bestRes == grid.NoResource || finish < bestFinish {
@@ -648,10 +560,6 @@ func (k *Kernel) placeCandidate(rs []grid.Resource, st *State, order []dag.JobID
 		if bestRes == grid.NoResource {
 			return 0, fmt.Errorf("kernel: no resource available for job %d", job)
 		}
-		if rec != nil {
-			rec.readyMin[job] = readyMin
-			rec.case2[job] = case2
-		}
 		if k.dataM != nil {
 			k.commitInputs(job, bestRes, k.xferBest)
 		}
@@ -662,12 +570,6 @@ func (k *Kernel) placeCandidate(rs []grid.Resource, st *State, order []dag.JobID
 		}
 	}
 	return mk, nil
-}
-
-// insertSpan inserts s keeping the row sorted (spanLess).
-func insertSpan(tl *[]span, s span) {
-	i := sort.Search(len(*tl), func(i int) bool { return spanLess(s, (*tl)[i]) })
-	*tl = slices.Insert(*tl, i, s)
 }
 
 // buildSchedule materialises the winning candidate: history carried over

@@ -1,9 +1,6 @@
 package kernel
 
-import (
-	"aheft/internal/dag"
-	"aheft/internal/grid"
-)
+import "aheft/internal/grid"
 
 // Busy is one foreign occupied interval on a resource: time claimed by a
 // job the kernel's own graph knows nothing about (another workflow on a
@@ -32,11 +29,8 @@ type Occupancy interface {
 // kernel's own jobs and the makespan counts only their finishes.
 func (k *Kernel) SetOccupancy(o Occupancy) { k.occ = o }
 
-// foreignJob marks timeline spans that belong to no job of this graph.
-const foreignJob = dag.NoJob
-
 // injectForeign appends the provider's busy intervals for every resource
-// of rs into the base timelines. Called from prepHistory after the own
+// of rs into the base rows. Called from prepHistory after the own
 // history rows are filled, before the per-row sort; the shared busyBuf
 // scratch keeps the steady state allocation-free.
 func (k *Kernel) injectForeign(rs []grid.Resource) {
@@ -49,7 +43,7 @@ func (k *Kernel) injectForeign(rs []grid.Resource) {
 			if b.Finish <= b.Start {
 				continue // empty or inverted claim blocks nothing
 			}
-			k.baseTL[r.ID] = append(k.baseTL[r.ID], span{start: b.Start, finish: b.Finish, job: foreignJob})
+			k.baseTL[r.ID] = append(k.baseTL[r.ID], block{b.Start, b.Finish})
 		}
 	}
 }

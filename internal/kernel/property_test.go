@@ -274,12 +274,11 @@ func TestKernelMatchesCoreWrapper(t *testing.T) {
 
 // FuzzKernelReschedule fuzzes (scenario seed, clock fraction, options,
 // perturbation scale) and asserts the full invariant set on whatever the
-// kernel produces, then drives a memoised kernel through a perturb-then-
+// kernel produces, then drives the same kernel through a perturb-then-
 // compare round: tracker-style progress to a later clock with one job's
-// runtime scaled by perturbScale, the incremental reschedule on top of the
-// recorded memo, and a bit-identical comparison against an independent
-// full replan on a replicated state (under tie-window or no-insertion the
-// incremental attempt must fall back — and still match).
+// runtime scaled by perturbScale, a replan on everything the earlier
+// passes left in the kernel and its state, and a bit-identical comparison
+// against a new kernel's plan for the same state (warm_test.go).
 func FuzzKernelReschedule(f *testing.F) {
 	f.Add(uint64(1), 0.3, false, 0.0, 1.0)
 	f.Add(uint64(2), 0.0, true, 0.05, 0.5)
@@ -328,50 +327,22 @@ func FuzzKernelReschedule(f *testing.F) {
 			}
 		}
 
-		// Perturb-then-compare: memo pass at clock, perturbed progress to a
-		// later clock, delta (or its fallback) vs an independent full pass.
-		opts := kernel.Options{
-			NoInsertion: noInsertion, TieWindow: tieWindow,
-			Incremental: true, MaxConeFrac: 1,
-		}
-		refOpts := kernel.Options{NoInsertion: noInsertion, TieWindow: tieWindow}
-		ki := quickKernel(t, sc)
-		kr := quickKernel(t, sc)
-		sti := ki.NewState(sc.Pool.Size())
-		str := kr.NewState(sc.Pool.Size())
+		// Perturb-then-compare, on the kernel and state that made the plans
+		// above: tracker-style progress to clock and a replan, progress to a
+		// later clock with one job's runtime scaled, and a second replan —
+		// each plan the one a new kernel makes of the same state.
+		opts := kernel.Options{NoInsertion: noInsertion, TieWindow: tieWindow}
 		rs := sc.Pool.AvailableAt(clock)
-		advance(sc, sti, s0, clock, nil)
-		advance(sc, str, s0, clock, nil)
-		s1i, err := ki.Reschedule(rs, sti, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		s1r, err := kr.Reschedule(rs, str, refOpts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		requireSameSchedule(t, sc.Graph, s1i, s1r, "memo pass")
+		st.Reset()
+		run := &warmRun{t: t, sc: sc, build: func() *kernel.Kernel { return quickKernel(t, sc) }, k: k, st: st}
+		s1 = run.step(s0, clock, nil, rs, opts, "progress pass")
 		ov := map[dag.JobID]float64{}
 		for _, j := range sc.Graph.Jobs() {
-			if a, ok := s1i.Get(j.ID); ok && a.Start > clock && !sti.Finished(j.ID) {
+			if a, ok := s1.Get(j.ID); ok && a.Start > clock && !st.Finished(j.ID) {
 				ov[j.ID] = perturbScale
 				break
 			}
 		}
-		clock2 := clock + 0.5*(s0.Makespan()-clock)
-		advance(sc, sti, s1i, clock2, ov)
-		advance(sc, str, s1i, clock2, ov)
-		s2i, err := ki.Reschedule(rs, sti, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		s2r, err := kr.Reschedule(rs, str, refOpts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		requireSameSchedule(t, sc.Graph, s2i, s2r, "perturbed pass")
-		if ds := ki.DeltaStats(); (noInsertion || tieWindow != 0) && ds.Delta {
-			t.Fatalf("delta path ran under ineligible options: %+v", ds)
-		}
+		run.step(s1, clock+0.5*(s0.Makespan()-clock), ov, rs, opts, "perturbed pass")
 	})
 }

@@ -76,12 +76,6 @@ type State struct {
 	// consumer satisfy every other edge naming the same file.
 	fled   []float64 // fled[file*stride+res]
 	fledEp []uint32
-
-	// inputGen[j] counts effective ledger writes on j's incoming edges.
-	// The delta path compares it against its memo to detect jobs whose
-	// Eq. 1 inputs changed between reschedules without replaying the
-	// ledger.
-	inputGen []uint32
 }
 
 // NewState returns a fresh empty state at clock 0. resHint sizes the
@@ -97,8 +91,6 @@ func (k *Kernel) NewState(resHint int) *State {
 		isPin:  make([]bool, k.n),
 		pin:    make([]schedule.Assignment, k.n),
 		epoch:  1,
-
-		inputGen: make([]uint32, k.n),
 	}
 	for j := range st.finRes {
 		st.finRes[j] = grid.NoResource
@@ -118,9 +110,6 @@ func (st *State) Reset() {
 		st.finRes[j] = grid.NoResource
 	}
 	st.ClearPinned()
-	for j := range st.inputGen {
-		st.inputGen[j] = 0
-	}
 	st.epoch++
 	if st.epoch == 0 { // uint32 wrap: actually clear, then restart epochs
 		for i := range st.ledEp {
@@ -169,6 +158,9 @@ func (st *State) Pin(a schedule.Assignment) {
 	st.isPin[a.Job] = true
 	st.pin[a.Job] = a
 }
+
+// Unpin returns a pinned job j to the jobs a reschedule places.
+func (st *State) Unpin(j dag.JobID) { st.isPin[j] = false }
 
 // Pinned reports whether job j is pinned.
 func (st *State) Pinned(j dag.JobID) bool { return st.isPin[j] }
@@ -231,7 +223,6 @@ func (st *State) SetTransfer(m, j dag.JobID, r grid.ID, t float64) {
 	if st.ledEp[i] != st.epoch || st.led[i] > t {
 		st.led[i] = t
 		st.ledEp[i] = st.epoch
-		st.inputGen[j]++
 	}
 	if st.k.fileOfEdge != nil {
 		if f := st.k.fileOfEdge[e]; f >= 0 {

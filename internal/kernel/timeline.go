@@ -1,11 +1,13 @@
 package kernel
 
 import (
+	"cmp"
 	"slices"
 	"sort"
 )
 
-// block is one busy stretch of a timeline.
+// block is one busy interval: a merged stretch of a timeline, or one
+// history, pin or foreign interval of the base row it is reset from.
 type block struct{ start, finish float64 }
 
 // timeline is one capacity row — a compute resource or a transfer channel —
@@ -23,12 +25,24 @@ type timeline struct {
 	seams  []float64 // ascending
 }
 
-// reset empties the timeline and adds every span of from.
-func (t *timeline) reset(from []span) {
+// reset empties the timeline and adds every interval of from, which must
+// be in sortBlocks order: where seams fall depends on the order of adds.
+func (t *timeline) reset(from []block) {
 	t.blocks, t.seams = t.blocks[:0], t.seams[:0]
 	for _, s := range from {
 		t.add(s.start, s.finish)
 	}
+}
+
+// sortBlocks sorts a base row by start, then finish — a zero-cost job's
+// empty interval before the job that starts where it sits.
+func sortBlocks(row []block) {
+	slices.SortFunc(row, func(a, b block) int {
+		if c := cmp.Compare(a.start, b.start); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.finish, b.finish)
+	})
 }
 
 // add marks [start, finish) busy, merging it with every block it overlaps

@@ -22,7 +22,7 @@ import (
 // given duration fits a row of disjoint start-sorted spans: binary search to
 // the span preceding the first one that starts at or past ready+duration,
 // then every later gap in turn — on a row packed back to back, all of them.
-func refEarliestStart(tl []span, ready, duration float64, insertion bool) float64 {
+func refEarliestStart(tl []block, ready, duration float64, insertion bool) float64 {
 	if len(tl) == 0 {
 		return ready
 	}
@@ -54,7 +54,7 @@ func refEarliestStart(tl []span, ready, duration float64, insertion bool) float6
 
 // coalesce merges overlapping or touching spans of a start-sorted row in
 // place and returns the shortened row — what a timeline's blocks must equal.
-func coalesce(row []span) []span {
+func coalesce(row []block) []block {
 	w := 0
 	for i := 0; i < len(row); i++ {
 		if w > 0 && row[i].start <= row[w-1].finish {
@@ -67,12 +67,13 @@ func coalesce(row []span) []span {
 	return row[:w]
 }
 
-func blocksOf(row []span) []block {
-	out := make([]block, len(row))
-	for i, s := range row {
-		out[i] = block{s.start, s.finish}
-	}
-	return out
+// insertBlock inserts s keeping the row in sortBlocks order.
+func insertBlock(row *[]block, s block) {
+	i := sort.Search(len(*row), func(i int) bool {
+		b := (*row)[i]
+		return b.start > s.start || (b.start == s.start && b.finish > s.finish)
+	})
+	*row = slices.Insert(*row, i, s)
 }
 
 // randomRow draws a sorted row of disjoint spans on a half-unit grid: runs
@@ -80,29 +81,29 @@ func blocksOf(row []span) []block {
 // span of a zero-cost job (in a gap, or where the next span starts), and —
 // with foreign — reservations laid over it at random, the row then
 // coalesced: the walk is defined on disjoint spans only.
-func randomRow(rnd *rand.Rand, foreign bool) []span {
-	var row []span
+func randomRow(rnd *rand.Rand, foreign bool) []block {
+	var row []block
 	at := float64(rnd.Intn(4))
 	for i, n := 0, rnd.Intn(14); i < n; i++ {
 		if rnd.Intn(3) > 0 { // else: touches the span before it
 			at += float64(1+rnd.Intn(8)) / 2
 		}
 		if rnd.Intn(6) == 0 {
-			row = append(row, span{start: at, finish: at, job: dag.JobID(100 + i)})
+			row = append(row, block{at, at})
 			if rnd.Intn(2) == 0 {
 				at += float64(1+rnd.Intn(4)) / 2
 			}
 		}
 		fin := at + float64(1+rnd.Intn(10))/2
-		row = append(row, span{start: at, finish: fin, job: dag.JobID(i)})
+		row = append(row, block{at, fin})
 		at = fin
 	}
 	if foreign {
 		for i, n := 0, rnd.Intn(5); i < n; i++ {
 			start := float64(rnd.Intn(2*int(at)+2)) / 2
-			row = append(row, span{start: start, finish: start + float64(1+rnd.Intn(12))/2, job: foreignJob})
+			row = append(row, block{start, start + float64(1+rnd.Intn(12))/2})
 		}
-		sortSpans(row)
+		sortBlocks(row)
 		row = coalesce(row)
 	}
 	return row
@@ -125,7 +126,7 @@ func TestTimelineEarliestMatchesSpanWalk(t *testing.T) {
 		for _, i := range rnd.Perm(len(row)) {
 			shuffled.add(row[i].start, row[i].finish)
 		}
-		if !slices.Equal(inOrder.blocks, shuffled.blocks) || !slices.Equal(inOrder.blocks, blocksOf(coalesce(slices.Clone(row)))) {
+		if !slices.Equal(inOrder.blocks, shuffled.blocks) || !slices.Equal(inOrder.blocks, coalesce(slices.Clone(row))) {
 			t.Fatalf("round %d: row %+v\n in order %+v\n shuffled %+v", round, row, inOrder.blocks, shuffled.blocks)
 		}
 		readies := []float64{0, 1e9}
@@ -156,14 +157,14 @@ func TestTimelineAddMatchesInsertThenCoalesce(t *testing.T) {
 	rnd := rand.New(rand.NewSource(15))
 	for round := 0; round < 2000; round++ {
 		var got timeline
-		var want []span
+		var want []block
 		for i, n := 0, 1+rnd.Intn(24); i < n; i++ {
 			start := float64(rnd.Intn(40))
-			s := span{start: start, finish: start + float64(1+rnd.Intn(6)), job: dag.JobID(rnd.Intn(4))}
+			s := block{start, start + float64(1+rnd.Intn(6))}
 			got.add(s.start, s.finish)
-			insertSpan(&want, s)
+			insertBlock(&want, s)
 			want = coalesce(want)
-			if !slices.Equal(got.blocks, blocksOf(want)) {
+			if !slices.Equal(got.blocks, want) {
 				t.Fatalf("round %d after %+v:\n got %+v\nwant %+v", round, s, got.blocks, want)
 			}
 		}
@@ -205,7 +206,7 @@ func TestPackedReplanDoesNotWalkTheRow(t *testing.T) {
 	pass := time.Since(began)
 
 	began = time.Now()
-	tl := make([][]span, nRes)
+	tl := make([][]block, nRes)
 	refMakespan := 0.0
 	for j := 0; j < n; j++ {
 		best, bestStart := 0, 0.0
@@ -214,7 +215,7 @@ func TestPackedReplanDoesNotWalkTheRow(t *testing.T) {
 				best, bestStart = r, start
 			}
 		}
-		insertSpan(&tl[best], span{start: bestStart, finish: bestStart + w, job: dag.JobID(j)})
+		insertBlock(&tl[best], block{bestStart, bestStart + w})
 		refMakespan = max(refMakespan, bestStart+w)
 	}
 	walk := time.Since(began)
@@ -236,10 +237,10 @@ func TestPackedReplanDoesNotWalkTheRow(t *testing.T) {
 func BenchmarkKernelSlotSearch(b *testing.B) {
 	const n = 4096
 	for _, shape := range []string{"packed", "fragmented"} {
-		row := make([]span, n)
+		row := make([]block, n)
 		at := 0.0
 		for i := range row {
-			row[i] = span{start: at, finish: at + 4, job: dag.JobID(i)}
+			row[i] = block{at, at + 4}
 			if at += 4; shape == "fragmented" {
 				if at++; i%64 == 63 {
 					at += 2

@@ -61,8 +61,8 @@ const (
 	// StageIngest covers one report batch folding into a live run
 	// (history feed, variance judgement, triggered evaluations).
 	StageIngest = "ingest"
-	// StageEvaluate covers one rescheduling evaluation (delta or full
-	// path; the trigger, cone and fallback reason ride as attributes).
+	// StageEvaluate covers one rescheduling evaluation (the trigger
+	// rides as an attribute).
 	StageEvaluate = "evaluate"
 	// StageAdopt marks an adopted reschedule bumping the plan
 	// generation.
@@ -94,9 +94,6 @@ type Span struct {
 
 	// Decision attributes (evaluate/adopt spans).
 	Trigger    string `json:"trigger,omitempty"`
-	Path       string `json:"path,omitempty"`
-	Cone       int    `json:"cone,omitempty"`
-	Fallback   string `json:"fallback,omitempty"`
 	Adopted    bool   `json:"adopted,omitempty"`
 	Generation int    `json:"generation,omitempty"`
 	Err        string `json:"error,omitempty"`
@@ -423,11 +420,6 @@ func otlpLine(s Span) []byte {
 	attr("grid", s.Grid)
 	attrInt("shard", int64(s.Shard))
 	attr("trigger", s.Trigger)
-	attr("path", s.Path)
-	if s.Cone > 0 {
-		attrInt("cone", int64(s.Cone))
-	}
-	attr("fallback", s.Fallback)
 	if s.Adopted {
 		o.Attributes = append(o.Attributes, otlpKV{Key: "adopted", Value: otlpVal{BoolValue: true}})
 	}

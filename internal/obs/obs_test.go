@@ -156,7 +156,7 @@ func TestOTLPSink(t *testing.T) {
 	tr.Emit(Span{
 		Stage: StageEvaluate, Workflow: "wf-sink", Parent: planID,
 		Link: planID, LinkWorkflow: "wf-releasing",
-		Trigger: "contention", Cone: 4, Fallback: "cone", Adopted: true, Generation: 2,
+		Trigger: "contention", Adopted: true, Generation: 2,
 	}, time.Millisecond)
 	if err := tr.Close(); err != nil {
 		t.Fatal(err)
@@ -221,8 +221,7 @@ func TestOTLPSink(t *testing.T) {
 			adopted = adopted || kv.Key == "adopted"
 		}
 	}
-	if attrs["trigger"] != "contention" || attrs["cone"] != "4" || attrs["fallback"] != "cone" ||
-		attrs["generation"] != "2" || !adopted {
+	if attrs["trigger"] != "contention" || attrs["generation"] != "2" || !adopted {
 		t.Fatalf("evaluate attributes: %v adopted=%v", attrs, adopted)
 	}
 	if len(eval.Links) != 1 || eval.Links[0].TraceID != TraceID("wf-releasing") || eval.Links[0].SpanID != plan.SpanID {

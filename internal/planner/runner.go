@@ -97,26 +97,14 @@ type Decision struct {
 	ArrivedCount int     // resources that joined at the event (arrival trigger)
 
 	// The fields below are process-local telemetry, not replayable state:
-	// the kernel's delta memo lives in memory, so a recovered run may
-	// legitimately take the full path where the original took the delta
-	// (the schedules are bit-identical either way). They are excluded
-	// from serialised forms — the wire layers that want them map them
-	// explicitly.
+	// wall-clock readings a recovered or replayed run will not reproduce.
+	// They are excluded from serialised forms — the wire layers that want
+	// them map them explicitly.
 
-	// Path records how the evaluation's replan was computed: "delta" when
-	// the kernel's incremental path proved a small dirty cone and reused
-	// the memoized placements, "full" otherwise (including every delta
-	// fallback). Empty for engines that never ask for the incremental path.
-	Path string `json:"-"`
-	// ConeSize is the number of jobs the delta path re-probed (0 on the
-	// full path). FallbackReason is the kernel's fallback cause when an
-	// incremental attempt fell back to a full replan.
-	ConeSize       int    `json:"-"`
-	FallbackReason string `json:"-"`
 	// ElapsedMs is the wall-clock cost of the replan in milliseconds.
 	// RankMs/PlaceMs split it into the kernel's upward-rank phase and
-	// the placement (or delta-probe) phase — the kernel timing hooks
-	// the evaluate spans surface.
+	// the placement phase — the kernel timing hooks the evaluate spans
+	// surface.
 	ElapsedMs float64 `json:"-"`
 	RankMs    float64 `json:"-"`
 	PlaceMs   float64 `json:"-"`

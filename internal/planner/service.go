@@ -183,10 +183,7 @@ func (s *Service) onFinish(ev executor.Event) {
 // recording what triggered it and how many resources arrived.
 func (s *Service) evaluate(clock float64, trigger Trigger, arrived int) {
 	st := s.engine.ExecState()
-	// Sync (not reload) the dense state: the executor's facts are
-	// monotone, and keeping the state's epoch lets the kernel's delta
-	// path react incrementally to small events.
-	core.SyncState(s.ks, st)
+	core.LoadState(s.ks, st)
 	rs := s.pool.AvailableAt(clock)
 	// The event-driven service may run a history-consulting estimator
 	// (the Fig. 1 feedback loop sharpens predictions while the workflow
@@ -194,14 +191,12 @@ func (s *Service) evaluate(clock float64, trigger Trigger, arrived int) {
 	// resource set did not change — e.g. on a variance-triggered
 	// evaluation. A versioned estimator advertises that drift and the
 	// kernel recomputes by itself; only unversioned ones need the
-	// explicit invalidation (which would also defeat the delta memo).
+	// explicit invalidation.
 	if _, versioned := s.est.(kernel.VersionedEstimator); !versioned {
 		s.k.InvalidateRanks()
 	}
-	opts := s.opts.RunOptions
-	opts.Incremental = true
 	began := time.Now()
-	s1, err := s.pol.Replan(s.k, rs, s.ks, opts)
+	s1, err := s.pol.Replan(s.k, rs, s.ks, s.opts.RunOptions)
 	elapsed := time.Since(began)
 	if err != nil {
 		// An evaluation failure must not kill the running workflow; keep
@@ -222,15 +217,6 @@ func (s *Service) evaluate(clock float64, trigger Trigger, arrived int) {
 		Trigger:      trigger,
 		ArrivedCount: arrived,
 		ElapsedMs:    float64(elapsed) / float64(time.Millisecond),
-	}
-	if ds := s.k.DeltaStats(); ds.Attempted {
-		if ds.Delta {
-			d.Path = "delta"
-			d.ConeSize = ds.Cone
-		} else {
-			d.Path = "full"
-			d.FallbackReason = ds.Reason
-		}
 	}
 	if core.Better(cur, s1.Makespan(), s.opts.Eps) {
 		if err := s.engine.Resubmit(s1); err == nil {

@@ -7,6 +7,7 @@ import (
 	"aheft/internal/cost"
 	"aheft/internal/dag"
 	"aheft/internal/grid"
+	"aheft/internal/kernel"
 	"aheft/internal/schedule"
 )
 
@@ -72,15 +73,17 @@ func WhatIf(g *dag.Graph, est cost.Estimator, s0 *schedule.Schedule, available [
 		return nil, fmt.Errorf("planner: WhatIf leaves an empty pool")
 	}
 
-	snap := core.Snapshot(g, est, s0, q.Clock, core.SnapshotOptions{RestartRunning: opts.RestartRunning})
+	k := kernel.New(g, est)
+	st := k.NewState(0)
+	st.Snapshot(s0, q.Clock, kernel.SnapshotOptions{RestartRunning: opts.RestartRunning})
 	// Jobs running on a removed resource cannot finish there: restart
 	// them under the hypothesis.
-	for j, a := range snap.Pinned {
-		if removed[a.Resource] {
-			delete(snap.Pinned, j)
+	for _, j := range g.Jobs() {
+		if st.Pinned(j.ID) && removed[s0.MustGet(j.ID).Resource] {
+			st.Unpin(j.ID)
 		}
 	}
-	s1, err := core.Reschedule(g, est, rs, snap, core.Options{
+	s1, err := k.Reschedule(rs, st, kernel.Options{
 		NoInsertion: opts.NoInsertion,
 		TieWindow:   opts.TieWindow,
 	})

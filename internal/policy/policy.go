@@ -50,15 +50,6 @@ type Options struct {
 	// Eps is the minimum makespan improvement required to adopt a new
 	// schedule. Zero means the 1e-9 float tolerance.
 	Eps float64
-	// Incremental lets the rescheduler take the memoized delta path when
-	// the event's dirty cone is small enough, falling back to a full
-	// replan otherwise (see kernel.Options.Incremental). Engines enable
-	// it per Replan call; it has no effect on Plan.
-	Incremental bool
-	// MaxConeFrac caps the dirty-cone size as a fraction of the pending
-	// jobs before the delta path falls back to a full replan. Zero means
-	// kernel.DefaultMaxConeFrac.
-	MaxConeFrac float64
 	// Data, when non-nil, turns on data-aware scheduling: file-carrying
 	// edges cost size ÷ effective bandwidth, transfers serialize over the
 	// model's capacity channels, and staged replicas are reused. Engines
@@ -72,8 +63,6 @@ func (o Options) Kernel() kernel.Options {
 	return kernel.Options{
 		NoInsertion: o.NoInsertion,
 		TieWindow:   o.TieWindow,
-		Incremental: o.Incremental,
-		MaxConeFrac: o.MaxConeFrac,
 	}
 }
 

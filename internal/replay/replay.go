@@ -21,10 +21,8 @@
 //
 // What must match: the per-shard sequence of rec-decision, rec-plan and
 // rec-done payloads, byte for byte. Decision payloads deliberately
-// exclude the kernel's process-local telemetry (delta-vs-full path,
-// cone size, elapsed time) — a replay may legitimately take the full
-// path where the original took the delta, with bit-identical schedules
-// either way (see planner.Decision). Plan payloads carry an FNV-1a hash
+// exclude the process-local telemetry (elapsed times), which a replay
+// does not reproduce (see planner.Decision). Plan payloads carry an FNV-1a hash
 // over every placement, so "same generation, same makespan, different
 // assignment" still diverges loudly.
 //
@@ -175,7 +173,6 @@ func Run(dir string, opts Options) (*Result, error) {
 		Shards:            hdr.Shards,
 		DefaultPolicy:     hdr.Policy,
 		VarianceThreshold: hdr.VarianceThreshold,
-		MaxConeFrac:       hdr.MaxConeFrac,
 		RecordDir:         scratch,
 	})
 	if err != nil {

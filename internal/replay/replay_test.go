@@ -318,27 +318,19 @@ func TestReplayRefusesTornTail(t *testing.T) {
 	}
 }
 
-// TestReplayRefusesMissingTrailer: a stream without its rec-end trailer
-// (recording still in progress, or the daemon died before finalizing)
-// must refuse with a diagnostic.
-func TestReplayRefusesMissingTrailer(t *testing.T) {
-	dir := t.TempDir()
-	recordSmallRun(t, dir)
-	path := filepath.Join(dir, wire.RecordName(0))
+// rewriteStream replaces the recording at path with edit's version of its
+// records.
+func rewriteStream(t *testing.T, path string, edit func([]*wire.WALRecord) []*wire.WALRecord) {
+	t.Helper()
 	records, torn, err := durable.ReadLog(path)
 	if err != nil || torn {
 		t.Fatalf("re-read: torn=%v err=%v", torn, err)
 	}
-	if records[len(records)-1].Kind != wire.RecEnd {
-		t.Fatalf("clean recording does not end with %s", wire.RecEnd)
-	}
-	// Rewrite the stream minus the trailer — byte-wise what a stream
-	// looks like while the daemon is still running.
 	l, err := durable.CreateLog(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, r := range records[:len(records)-1] {
+	for _, r := range edit(records) {
 		if err := l.Append(r.Kind, r.Data); err != nil {
 			t.Fatal(err)
 		}
@@ -346,6 +338,51 @@ func TestReplayRefusesMissingTrailer(t *testing.T) {
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// TestReplayAcceptsRetiredHeaderField: recordings made while the daemon had
+// an incremental reschedule path carry its max_cone_frac in the header. The
+// path is gone and its plans were the full pass's, so such a stream must
+// load — the field skipped, not rejected — and replay identically.
+func TestReplayAcceptsRetiredHeaderField(t *testing.T) {
+	dir := t.TempDir()
+	recordSmallRun(t, dir)
+	rewriteStream(t, filepath.Join(dir, wire.RecordName(0)), func(records []*wire.WALRecord) []*wire.WALRecord {
+		var hdr map[string]any
+		if err := json.Unmarshal(records[0].Data, &hdr); err != nil {
+			t.Fatal(err)
+		}
+		hdr["max_cone_frac"] = 0.5
+		data, err := json.Marshal(hdr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		records[0] = &wire.WALRecord{Kind: records[0].Kind, Data: data}
+		return records
+	})
+	res, err := Run(dir, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.Identical() || res.Outputs == 0 {
+		t.Fatalf("replay of an old-header recording: %d outputs, divergences:\n%s", res.Outputs, strings.Join(res.Divergences, "\n"))
+	}
+}
+
+// TestReplayRefusesMissingTrailer: a stream without its rec-end trailer
+// (recording still in progress, or the daemon died before finalizing)
+// must refuse with a diagnostic.
+func TestReplayRefusesMissingTrailer(t *testing.T) {
+	dir := t.TempDir()
+	recordSmallRun(t, dir)
+	// The stream minus the trailer is byte-wise what a stream looks like
+	// while the daemon is still running.
+	rewriteStream(t, filepath.Join(dir, wire.RecordName(0)), func(records []*wire.WALRecord) []*wire.WALRecord {
+		if records[len(records)-1].Kind != wire.RecEnd {
+			t.Fatalf("clean recording does not end with %s", wire.RecEnd)
+		}
+		return records[:len(records)-1]
+	})
 
 	if _, err := Run(dir, Options{}); err == nil || !strings.Contains(err.Error(), "no rec-end trailer") {
 		t.Fatalf("trailer-less recording: err = %v, want missing-trailer diagnostic", err)

@@ -392,10 +392,9 @@ func (sh *shard) applyReport(wf *workflow, c shardCmd) {
 }
 
 // applyUpgrade runs the slow half of a fast-path admission on the
-// worker goroutine: one full-policy re-evaluation (TriggerUpgrade — the
-// feedback layer forces the non-incremental path for it). Adoption
-// follows the ordinary plan-bump plumbing, so the enactor picks the
-// upgraded plan up exactly like a contention reschedule: from the
+// worker goroutine: one full-policy re-evaluation (TriggerUpgrade).
+// Adoption follows the ordinary plan-bump plumbing, so the enactor picks
+// the upgraded plan up exactly like a contention reschedule: from the
 // generation piggyback on its next report ack, or a plan re-fetch.
 // Counted as upgraded whether or not the evaluation adopts — the
 // planning debt is paid by the evaluation, and a greedy plan the full
@@ -465,9 +464,6 @@ func (sh *shard) emitDecisionSpans(wf *workflow, d planner.Decision, parent, lin
 		Link:         link,
 		LinkWorkflow: linkWf,
 		Trigger:      d.Trigger.String(),
-		Path:         d.Path,
-		Cone:         d.ConeSize,
-		Fallback:     d.FallbackReason,
 		Adopted:      d.Adopted,
 	}
 	if wf.gridRef != nil {

@@ -62,19 +62,8 @@ type Metrics struct {
 	admInitialFastMs latencyWindow // submit → initial plan, fast path (greedy)
 	admInitialFullMs latencyWindow // submit → initial plan, full policy
 
-	// Incremental-rescheduling telemetry: every live evaluation asks the
-	// kernel for the delta path, which either proves a small dirty cone
-	// (reschedDelta) or falls back to a full replan (reschedFullFallback).
 	// reschedLat holds one replan-latency window per planner.Trigger.
-	reschedDelta        atomic.Uint64
-	reschedFullFallback atomic.Uint64
-	reschedLat          [planner.NumTriggers]latencyWindow
-	// fallbackReasons breaks reschedFullFallback down by the kernel's
-	// FallbackReason ("no-memo", "cone-overflow", "estimates-drifted", …)
-	// so an operator can see *why* the delta path is being abandoned, not
-	// just how often.
-	fallbackMu      sync.Mutex
-	fallbackReasons map[string]uint64
+	reschedLat [planner.NumTriggers]latencyWindow
 
 	// Event path.
 	eventsEmitted atomic.Uint64
@@ -106,7 +95,6 @@ func NewMetrics() *Metrics {
 		admWaitMs:        latencyWindow{cap: 8192},
 		admInitialFastMs: latencyWindow{cap: 4096},
 		admInitialFullMs: latencyWindow{cap: 4096},
-		fallbackReasons:  make(map[string]uint64),
 	}
 	for i := range m.reschedLat {
 		m.reschedLat[i].cap = 4096
@@ -115,20 +103,9 @@ func NewMetrics() *Metrics {
 }
 
 // recordDecision folds one live rescheduling evaluation into the
-// incremental-path counters and the trigger's latency window. Called on
-// the owning shard's goroutine (the windows are internally locked).
+// trigger's latency window. Called on the owning shard's goroutine (the
+// windows are internally locked).
 func (m *Metrics) recordDecision(d planner.Decision) {
-	switch d.Path {
-	case "delta":
-		m.reschedDelta.Add(1)
-	case "full":
-		m.reschedFullFallback.Add(1)
-		if d.FallbackReason != "" {
-			m.fallbackMu.Lock()
-			m.fallbackReasons[d.FallbackReason]++
-			m.fallbackMu.Unlock()
-		}
-	}
 	if t := int(d.Trigger); t >= 0 && t < len(m.reschedLat) {
 		m.reschedLat[t].record(d.ElapsedMs)
 	}
@@ -251,15 +228,6 @@ type MetricsDoc struct {
 	// ReschedulesUpgrade counts adopted two-speed upgrades: a fast-path
 	// greedy initial plan replaced by the submission's full policy.
 	ReschedulesUpgrade uint64 `json:"reschedules_upgrade"`
-	// ReschedulesDelta / ReschedulesFullFallback split every live
-	// rescheduling evaluation by how the kernel computed the replan:
-	// the incremental delta path versus its fall-back to a full replan.
-	ReschedulesDelta        uint64 `json:"reschedules_delta"`
-	ReschedulesFullFallback uint64 `json:"reschedules_full_fallback"`
-	// ReschedulesFullFallbackByReason splits the fallback count by the
-	// kernel's FallbackReason. Empty reasons (engines that never attempt
-	// the delta path) are not counted here.
-	ReschedulesFullFallbackByReason map[string]uint64 `json:"reschedules_full_fallback_by_reason,omitempty"`
 	// RescheduleMs summarises replan wall-clock latency per trigger
 	// (keyed by planner.TriggerNames).
 	RescheduleMs map[string]LatencyMs `json:"reschedule_ms"`
@@ -387,43 +355,31 @@ func (m *Metrics) snapshot(queueDepth []int, historyTenants, historyCells, share
 	for i, name := range planner.TriggerNames {
 		resched[name] = winDoc(&m.reschedLat[i])
 	}
-	var byReason map[string]uint64
-	m.fallbackMu.Lock()
-	if len(m.fallbackReasons) > 0 {
-		byReason = make(map[string]uint64, len(m.fallbackReasons))
-		for r, n := range m.fallbackReasons {
-			byReason[r] = n
-		}
-	}
-	m.fallbackMu.Unlock()
 	return MetricsDoc{
-		UptimeS:                         time.Since(m.start).Seconds(),
-		Shards:                          len(queueDepth),
-		Submissions:                     m.submissions.Load(),
-		Accepted:                        m.accepted.Load(),
-		RejectedFull:                    m.rejectedFull.Load(),
-		RejectedInvalid:                 m.rejectedInvalid.Load(),
-		RejectedDrain:                   m.rejectedDrain.Load(),
-		AbandonedIntake:                 m.abandonedIntake.Load(),
-		Completed:                       m.completed.Load(),
-		Failed:                          m.failed.Load(),
-		Decisions:                       m.decisions.Load(),
-		Reschedules:                     m.reschedules.Load(),
-		Evicted:                         m.evicted.Load(),
-		Reports:                         m.reports.Load(),
-		ReportEvents:                    m.reportEvents.Load(),
-		ReportsRejected:                 m.reportsRejected.Load(),
-		ReportsDuplicate:                m.reportsDuplicate.Load(),
-		WhatIfQueries:                   m.whatifs.Load(),
-		ReschedulesVariance:             m.reschedVariance.Load(),
-		ReschedulesArrival:              m.reschedArrival.Load(),
-		ReschedulesDeparture:            m.reschedDeparture.Load(),
-		ReschedulesContention:           m.reschedContention.Load(),
-		ReschedulesUpgrade:              m.reschedUpgrade.Load(),
-		ReschedulesDelta:                m.reschedDelta.Load(),
-		ReschedulesFullFallback:         m.reschedFullFallback.Load(),
-		ReschedulesFullFallbackByReason: byReason,
-		RescheduleMs:                    resched,
+		UptimeS:               time.Since(m.start).Seconds(),
+		Shards:                len(queueDepth),
+		Submissions:           m.submissions.Load(),
+		Accepted:              m.accepted.Load(),
+		RejectedFull:          m.rejectedFull.Load(),
+		RejectedInvalid:       m.rejectedInvalid.Load(),
+		RejectedDrain:         m.rejectedDrain.Load(),
+		AbandonedIntake:       m.abandonedIntake.Load(),
+		Completed:             m.completed.Load(),
+		Failed:                m.failed.Load(),
+		Decisions:             m.decisions.Load(),
+		Reschedules:           m.reschedules.Load(),
+		Evicted:               m.evicted.Load(),
+		Reports:               m.reports.Load(),
+		ReportEvents:          m.reportEvents.Load(),
+		ReportsRejected:       m.reportsRejected.Load(),
+		ReportsDuplicate:      m.reportsDuplicate.Load(),
+		WhatIfQueries:         m.whatifs.Load(),
+		ReschedulesVariance:   m.reschedVariance.Load(),
+		ReschedulesArrival:    m.reschedArrival.Load(),
+		ReschedulesDeparture:  m.reschedDeparture.Load(),
+		ReschedulesContention: m.reschedContention.Load(),
+		ReschedulesUpgrade:    m.reschedUpgrade.Load(),
+		RescheduleMs:          resched,
 		Admission: AdmissionDoc{
 			AdmittedByClass:    byClass(&m.admAdmitted),
 			FastPathByClass:    byClass(&m.admFastPath),

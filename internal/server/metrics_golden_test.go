@@ -16,17 +16,13 @@ var updateMetricsGolden = flag.Bool("update-metrics-golden", false, "rewrite tes
 
 // TestMetricsWireGolden pins the /metrics wire names byte for byte, in
 // both renderings: one document assembled by Metrics.snapshot from
-// recorded samples (every trigger window, every admission window, a
-// fallback-reason map) plus every gauge a snapshot takes as an argument.
+// recorded samples (every trigger window, every admission window) plus
+// every gauge a snapshot takes as an argument.
 func TestMetricsWireGolden(t *testing.T) {
 	m := NewMetrics()
 	for i := range planner.TriggerNames {
 		for k := 0; k <= i; k++ {
-			path, reason := "delta", ""
-			if k%2 == 1 {
-				path, reason = "full", []string{"no-memo", "cone-overflow"}[i%2]
-			}
-			m.recordDecision(planner.Decision{Trigger: planner.Trigger(i), Path: path, FallbackReason: reason, ElapsedMs: 0.25 * float64(1+i+k)})
+			m.recordDecision(planner.Decision{Trigger: planner.Trigger(i), ElapsedMs: 0.25 * float64(1+i+k)})
 		}
 	}
 	for i := 1; i <= 5; i++ {

@@ -10,7 +10,6 @@ import (
 	"testing"
 
 	"aheft/internal/obs"
-	"aheft/internal/planner"
 	"aheft/internal/wire"
 	"aheft/internal/workload"
 )
@@ -164,7 +163,7 @@ func TestTraceLiveCausalChain(t *testing.T) {
 	if eval.Parent != ingest.ID {
 		t.Fatalf("evaluate.parent=%d, ingest span is %d", eval.Parent, ingest.ID)
 	}
-	if eval.Trigger != "arrival" || !eval.Adopted || eval.Path == "" {
+	if eval.Trigger != "arrival" || !eval.Adopted {
 		t.Fatalf("evaluate attrs: %+v", eval)
 	}
 	if adopt.Parent != eval.ID || adopt.Generation != 2 {
@@ -209,30 +208,6 @@ func TestTraceEndpointErrors(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusNotFound {
 		t.Fatalf("unknown workflow trace: HTTP %d, want 404", resp.StatusCode)
-	}
-}
-
-// TestFallbackReasonBreakdown pins satellite 1: full-fallback decisions
-// split by the kernel's reason in the metrics document.
-func TestFallbackReasonBreakdown(t *testing.T) {
-	m := NewMetrics()
-	m.recordDecision(planner.Decision{Path: "delta", Trigger: planner.TriggerVariance})
-	m.recordDecision(planner.Decision{Path: "full", FallbackReason: "cone-overflow", Trigger: planner.TriggerVariance})
-	m.recordDecision(planner.Decision{Path: "full", FallbackReason: "cone-overflow", Trigger: planner.TriggerArrival})
-	m.recordDecision(planner.Decision{Path: "full", FallbackReason: "pool-changed", Trigger: planner.TriggerArrival})
-
-	doc := m.snapshot(nil, 0, 0, 0, 0, 0, AdmissionGauges{}, DurabilityStats{}, ObsStats{})
-	if doc.ReschedulesDelta != 1 || doc.ReschedulesFullFallback != 3 {
-		t.Fatalf("path split: delta=%d full=%d", doc.ReschedulesDelta, doc.ReschedulesFullFallback)
-	}
-	want := map[string]uint64{"cone-overflow": 2, "pool-changed": 1}
-	if len(doc.ReschedulesFullFallbackByReason) != len(want) {
-		t.Fatalf("by-reason: %+v", doc.ReschedulesFullFallbackByReason)
-	}
-	for r, n := range want {
-		if doc.ReschedulesFullFallbackByReason[r] != n {
-			t.Fatalf("reason %q = %d, want %d", r, doc.ReschedulesFullFallbackByReason[r], n)
-		}
 	}
 }
 

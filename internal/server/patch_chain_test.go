@@ -135,14 +135,14 @@ func observe(t testing.TB, srv *Server, ts *httptest.Server, id, tenant string) 
 }
 
 // scrubbed returns o with the decisions' process-local telemetry
-// (timings, replan path) zeroed: two daemons that made the same decision
+// (timings) zeroed: two daemons that made the same decision
 // agree on everything else.
 func (o observed) scrubbed() observed {
 	events := make([]wire.Event, len(o.Events))
 	for i, ev := range o.Events {
 		if ev.Decision != nil {
 			d := *ev.Decision
-			d.Path, d.Cone, d.Fallback, d.ElapsedMs, d.RankMs, d.PlaceMs = "", 0, "", 0, 0, 0
+			d.ElapsedMs, d.RankMs, d.PlaceMs = 0, 0, 0
 			ev.Decision = &d
 		}
 		events[i] = ev
@@ -544,9 +544,21 @@ func TestUnusableRecordsAreLoud(t *testing.T) {
 // in expect.json before it was killed: a workflow killed half-way
 // through its reports and one just planned come back live — plan, event
 // log, tenant history, tracker state — and a finished one stays done.
+// That daemon also had an incremental reschedule path: its journalled
+// decisions carry the retired path and fallback fields, which recovery
+// must skip, not reject.
 func TestRecoverFullStateLog(t *testing.T) {
 	dir := t.TempDir()
 	copyDir(t, filepath.Join("testdata", "wal-full-states"), dir)
+	for _, shard := range []string{"shard-0", "shard-1"} {
+		wal, err := os.ReadFile(filepath.Join(dir, shard, "wal-00000000000000000001.log"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Contains(wal, []byte(`"path":"full"`)) || !bytes.Contains(wal, []byte(`"fallback":"`)) {
+			t.Fatalf("%s: the fixture's decisions no longer carry the retired fields", shard)
+		}
+	}
 	var want struct {
 		Live     map[string]observed
 		Terminal map[string]wire.Status

@@ -105,9 +105,6 @@ func writePrometheus(w http.ResponseWriter, doc MetricsDoc) {
 		"contention": doc.ReschedulesContention,
 		"upgrade":    doc.ReschedulesUpgrade,
 	})
-	p.counter("reschedules_delta_total", "Evaluations served by the incremental delta path.", doc.ReschedulesDelta)
-	p.counter("reschedules_full_fallback_total", "Evaluations that fell back to a full replan.", doc.ReschedulesFullFallback)
-	p.labeled("reschedules_full_fallback_by_reason_total", "Full-replan fallbacks by kernel reason.", "reason", doc.ReschedulesFullFallbackByReason)
 	for _, trig := range planner.TriggerNames {
 		if s, ok := doc.RescheduleMs[trig]; ok {
 			p.summary("reschedule_ms", "Replan wall-clock latency by trigger (ms).", "trigger", trig, s.Count, s.P50, s.P90, s.P99)

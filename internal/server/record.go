@@ -70,7 +70,6 @@ func openRecorder(dir string, cfg Config, m *Metrics) (*recorder, error) {
 			Shards:            cfg.Shards,
 			Policy:            cfg.DefaultPolicy,
 			VarianceThreshold: cfg.VarianceThreshold,
-			MaxConeFrac:       cfg.MaxConeFrac,
 			StartUnixNano:     now,
 		})
 	}

@@ -89,12 +89,6 @@ type Config struct {
 	// triggers a rescheduling evaluation. 0 means
 	// feedback.DefaultVarianceThreshold.
 	VarianceThreshold float64
-	// MaxConeFrac is the incremental reschedule path's fallback
-	// threshold: once a trigger's dirty cone exceeds this fraction of
-	// the jobs being replanned, the kernel abandons the delta pass and
-	// replans in full (reschedules_full_fallback in /metrics). 0 means
-	// kernel.DefaultMaxConeFrac; 1 never falls back on cone size.
-	MaxConeFrac float64
 	// MaxTenantHistories caps, per shard, how many tenants' Performance
 	// History Repositories are retained; beyond the cap the
 	// least-recently-used tenant's history is evicted (its future
@@ -720,7 +714,6 @@ func (s *Server) buildWorkflow(id string, data []byte) (*workflow, *sharedGrid, 
 				NoInsertion:    sub.Options.NoInsertion,
 				RestartRunning: sub.Options.RestartRunning,
 				Eps:            sub.Options.Eps,
-				MaxConeFrac:    s.cfg.MaxConeFrac,
 				Data:           dm,
 			},
 			submittedAt: time.Now(),

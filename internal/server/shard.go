@@ -346,9 +346,6 @@ func wireDecision(d planner.Decision) wire.Decision {
 		JobsFinished: d.JobsFinished,
 		Trigger:      d.Trigger.String(),
 		Arrived:      d.ArrivedCount,
-		Path:         d.Path,
-		Cone:         d.ConeSize,
-		Fallback:     d.FallbackReason,
 		ElapsedMs:    d.ElapsedMs,
 		RankMs:       d.RankMs,
 		PlaceMs:      d.PlaceMs,

@@ -263,7 +263,7 @@ func TestFinishedEqualsRecovered(t *testing.T) {
 func TestSettleCutsDecisionEvents(t *testing.T) {
 	ds := []wire.Decision{
 		{Clock: 15, PoolSize: 4, OldMakespan: 80, NewMakespan: 76, Adopted: true, Trigger: "arrival", Arrived: 1},
-		{Clock: 30, PoolSize: 4, OldMakespan: 76, NewMakespan: 78, Trigger: "variance", Path: "full"},
+		{Clock: 30, PoolSize: 4, OldMakespan: 76, NewMakespan: 78, Trigger: "variance", ElapsedMs: 0.25},
 	}
 	dec := func(d wire.Decision) wire.Event { return decisionEvent(&d) }
 	whole := []wire.Event{

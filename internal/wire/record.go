@@ -69,7 +69,6 @@ type RecHeader struct {
 	Shards            int     `json:"shards"`
 	Policy            string  `json:"policy,omitempty"`
 	VarianceThreshold float64 `json:"variance_threshold,omitempty"`
-	MaxConeFrac       float64 `json:"max_cone_frac,omitempty"`
 	// StartUnixNano is the wall clock at capture start (diagnostic
 	// only; excluded from replay comparison).
 	StartUnixNano int64 `json:"start_unix_nano,omitempty"`
@@ -90,10 +89,8 @@ type RecBody struct {
 }
 
 // RecDecided is the RecDecision payload: the semantic fields of one
-// evaluation. Process-local telemetry (path, cone, fallback, elapsed)
-// is deliberately absent — a replayed run may legitimately take the
-// full path where the original took the delta; the schedules are
-// bit-identical either way.
+// evaluation. Process-local telemetry (the elapsed times) is
+// deliberately absent — a replayed run will not reproduce it.
 type RecDecided struct {
 	Workflow string  `json:"workflow"`
 	Clock    float64 `json:"clock"`

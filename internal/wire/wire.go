@@ -592,16 +592,8 @@ type Decision struct {
 	JobsFinished int     `json:"jobs_finished"`
 	Trigger      string  `json:"trigger"`
 	Arrived      int     `json:"arrived,omitempty"`
-	// Path reports how the replan was computed ("delta" when the kernel's
-	// incremental path proved a small dirty cone, "full" otherwise), Cone
-	// how many jobs the delta path re-probed, Fallback why an incremental
-	// attempt fell back, and ElapsedMs the replan's wall-clock cost. These
-	// are live telemetry: the daemon's journalled state omits them (a
-	// recovered run may legitimately replan fully where the original took
-	// the delta — the schedules are identical either way).
-	Path      string  `json:"path,omitempty"`
-	Cone      int     `json:"cone,omitempty"`
-	Fallback  string  `json:"fallback,omitempty"`
+	// ElapsedMs is the replan's wall-clock cost: live telemetry, which the
+	// daemon's journalled state omits.
 	ElapsedMs float64 `json:"elapsed_ms,omitempty"`
 	// RankMs/PlaceMs split ElapsedMs into the kernel's rank and
 	// placement phases (same telemetry caveat as the fields above).
