@@ -52,6 +52,8 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz 'FuzzReportRoundTrip' -fuzztime $(FUZZTIME) ./internal/wire
 	$(GO) test -run '^$$' -fuzz 'FuzzDecodeReportParity' -fuzztime $(FUZZTIME) ./internal/wire
 	$(GO) test -run '^$$' -fuzz 'FuzzAppendAckParity' -fuzztime $(FUZZTIME) ./internal/wire
+	$(GO) test -run '^$$' -fuzz 'FuzzDecodeWALRecordParity' -fuzztime $(FUZZTIME) ./internal/wire
+	$(GO) test -run '^$$' -fuzz 'FuzzDecodeWALStateParity' -fuzztime $(FUZZTIME) ./internal/server
 	$(GO) test -run '^$$' -fuzz 'FuzzKernelReschedule' -fuzztime $(FUZZTIME) ./internal/kernel
 	$(GO) test -run '^$$' -fuzz 'FuzzWALReplay' -fuzztime $(FUZZTIME) ./internal/durable
 	$(GO) test -run '^$$' -fuzz 'FuzzStatePatch' -fuzztime $(FUZZTIME) ./internal/feedback
@@ -76,15 +78,16 @@ bench:
 # shared-grid co-scheduling rounds (2-tenant contention-aware planning +
 # merged enactment vs the isolated baseline), and the durability benches
 # (end-to-end throughput under each WAL fsync policy, raw WAL appends,
-# and startup recovery replay), plus internal/wire's submission-decode
-# and ack-encode benches (the one-pass decoder and the append encoder and,
-# under oracle/, the reflective ones they replaced, on the same documents)
-# — and snapshots them into BENCH_SERVER_OUT
+# and startup recovery replay on one and on two fold workers), plus
+# internal/wire's submission-decode and ack-encode benches and
+# internal/server's state-record decode bench (the one-pass decoders and
+# the append encoder and, under oracle/, the reflective ones they
+# replaced, on the same documents) — and snapshots them into BENCH_SERVER_OUT
 # (default BENCH_server.json, the committed reference). CI records a
 # fresh snapshot and prints the ratio table with cmd/benchcmp.
 BENCH_SERVER_OUT ?= BENCH_server.json
 bench-server:
-	$(GO) test -run '^$$' -bench 'BenchmarkServer|BenchmarkFeedback|BenchmarkSharedGrid|BenchmarkWAL|BenchmarkRecovery|BenchmarkWireDecode|BenchmarkWireEncodeAck' -benchmem . ./internal/wire > bench-server.txt || { cat bench-server.txt; rm -f bench-server.txt; exit 1; }
+	$(GO) test -run '^$$' -bench 'BenchmarkServer|BenchmarkFeedback|BenchmarkSharedGrid|BenchmarkWAL|BenchmarkRecovery|BenchmarkWireDecode|BenchmarkWireEncodeAck' -benchmem . ./internal/wire ./internal/server > bench-server.txt || { cat bench-server.txt; rm -f bench-server.txt; exit 1; }
 	cat bench-server.txt
 	$(GO) run ./cmd/benchjson < bench-server.txt > $(BENCH_SERVER_OUT)
 	@rm -f bench-server.txt

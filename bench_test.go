@@ -19,6 +19,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strconv"
 	"strings"
 	"sync/atomic"
@@ -713,6 +714,8 @@ func BenchmarkWALAppend(b *testing.B) {
 // daemon state. wf/s is recovered workflows per second, MB/s the journal
 // bytes replayed per second. The crashed directory is restored before
 // every op — recovery itself snapshots and truncates what it replayed.
+// Recovery folds the four shard directories on GOMAXPROCS workers:
+// procs=1 is the one-worker cost, procs=2 what a second core buys.
 func BenchmarkRecovery(b *testing.B) {
 	const workflows = 32
 	l := recordBlastLife(b)
@@ -720,29 +723,33 @@ func BenchmarkRecovery(b *testing.B) {
 	l.crashMidFlight(b, server.Config{Shards: 4, QueueDepth: 4096, DataDir: crashed, WALSync: "off", SnapshotInterval: time.Hour}, workflows)
 	cfg := server.Config{Shards: 4, QueueDepth: 4096, DataDir: filepath.Join(b.TempDir(), "data"), WALSync: "off", SnapshotInterval: time.Hour}
 
-	var replayed int64
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		b.StopTimer()
-		if err := os.RemoveAll(cfg.DataDir); err != nil {
-			b.Fatal(err)
-		}
-		replayed = copyTree(b, crashed, cfg.DataDir)
-		b.StartTimer()
-		s, err := server.Open(cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.StopTimer()
-		if m := s.MetricsSnapshot(); m.RecoveredWorkflows != workflows {
-			b.Fatalf("recovered %d workflows, want %d", m.RecoveredWorkflows, workflows)
-		}
-		s.Crash()
-		b.StartTimer()
+	for _, procs := range []int{1, 2} {
+		b.Run(fmt.Sprintf("procs=%d", procs), func(b *testing.B) {
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+			var replayed int64
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				if err := os.RemoveAll(cfg.DataDir); err != nil {
+					b.Fatal(err)
+				}
+				replayed = copyTree(b, crashed, cfg.DataDir)
+				b.StartTimer()
+				s, err := server.Open(cfg)
+				if err != nil {
+					b.Fatal(err)
+				}
+				b.StopTimer()
+				if m := s.MetricsSnapshot(); m.RecoveredWorkflows != workflows {
+					b.Fatalf("recovered %d workflows, want %d", m.RecoveredWorkflows, workflows)
+				}
+				s.Crash()
+				b.StartTimer()
+			}
+			b.ReportMetric(float64(workflows)*float64(b.N)/b.Elapsed().Seconds(), "wf/s")
+			b.ReportMetric(float64(replayed)*float64(b.N)/b.Elapsed().Seconds()/(1<<20), "MB/s")
+			b.ReportMetric(float64(replayed)/(1<<10)/workflows, "wal_KB/wf")
+		})
 	}
-	b.ReportMetric(float64(workflows)*float64(b.N)/b.Elapsed().Seconds(), "wf/s")
-	b.ReportMetric(float64(replayed)*float64(b.N)/b.Elapsed().Seconds()/(1<<20), "MB/s")
-	b.ReportMetric(float64(replayed)/(1<<10)/workflows, "wal_KB/wf")
 }
 
 // --- Feedback-loop ingest benches (part of `make bench-server`). ---

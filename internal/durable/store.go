@@ -76,6 +76,13 @@ type Recovered struct {
 	// Bytes is how much was read to get here: the snapshot plus every
 	// segment's valid frames.
 	Bytes int64
+
+	// segs lists the directory's segments by first LSN. With TornTail set,
+	// replay stopped in segs[tornSeg] after tornLen bytes of whole, usable
+	// frames: where repair cuts.
+	segs    []uint64
+	tornSeg int
+	tornLen int64
 }
 
 // Shard is one shard's durability store: a single active WAL segment
@@ -163,13 +170,15 @@ func Load(dir string) (*Recovered, error) {
 		rec.MaxLSN = rec.SnapshotLSN
 		rec.Bytes = int64(len(data))
 	}
-	for _, first := range segs {
+	rec.segs = segs
+	for i, first := range segs {
 		data, err := os.ReadFile(filepath.Join(dir, segName(first)))
 		if err != nil {
 			return nil, fmt.Errorf("durable: read segment: %w", err)
 		}
 		payloads, valid, torn := replayFrames(data)
 		rec.Bytes += int64(valid)
+		rec.tornSeg, rec.tornLen = i, 0
 		for _, p := range payloads {
 			r, err := wire.DecodeWALRecord(p)
 			if err != nil || r.LSN <= rec.MaxLSN {
@@ -180,6 +189,7 @@ func Load(dir string) (*Recovered, error) {
 			}
 			rec.MaxLSN = r.LSN
 			rec.Records = append(rec.Records, r)
+			rec.tornLen += int64(frameHeader + len(p))
 		}
 		if torn {
 			// A torn tail can only be the crash point; nothing after it
@@ -205,13 +215,9 @@ func Open(dir string, policy SyncPolicy, interval time.Duration) (*Shard, *Recov
 	if err := repair(dir, rec); err != nil {
 		return nil, nil, err
 	}
-	_, segs, err := listDir(dir)
-	if err != nil {
-		return nil, nil, fmt.Errorf("durable: list %s: %w", dir, err)
-	}
 	segStart := rec.MaxLSN + 1
-	if len(segs) > 0 {
-		segStart = segs[len(segs)-1]
+	if len(rec.segs) > 0 {
+		segStart = rec.segs[len(rec.segs)-1]
 	}
 	f, err := os.OpenFile(filepath.Join(dir, segName(segStart)), os.O_WRONLY|os.O_APPEND|os.O_CREATE, 0o644)
 	if err != nil {
@@ -239,50 +245,22 @@ func Open(dir string, policy SyncPolicy, interval time.Duration) (*Shard, *Recov
 }
 
 // repair truncates the replayed-valid prefix back onto disk: the segment
-// holding the torn tail is cut at its last whole frame and any segments
-// after it are removed, so the next replay — and appends continuing in
-// the meantime — see a clean log.
+// holding the torn tail is cut where Load stopped and any segments after
+// it are removed, so the next replay — and appends continuing in the
+// meantime — see a clean log.
 func repair(dir string, rec *Recovered) error {
 	if !rec.TornTail {
 		return nil
 	}
-	_, segs, err := listDir(dir)
-	if err != nil {
-		return fmt.Errorf("durable: list %s: %w", dir, err)
+	if err := os.Truncate(filepath.Join(dir, segName(rec.segs[rec.tornSeg])), rec.tornLen); err != nil {
+		return fmt.Errorf("durable: truncate torn tail: %w", err)
 	}
-	// Re-walk the segments the way Load did to find the corruption point.
-	maxLSN := rec.SnapshotLSN
-	for i, first := range segs {
-		path := filepath.Join(dir, segName(first))
-		data, err := os.ReadFile(path)
-		if err != nil {
-			return fmt.Errorf("durable: read segment: %w", err)
+	for _, later := range rec.segs[rec.tornSeg+1:] {
+		if err := os.Remove(filepath.Join(dir, segName(later))); err != nil && !os.IsNotExist(err) {
+			return fmt.Errorf("durable: drop post-corruption segment: %w", err)
 		}
-		payloads, validLen, torn := replayFrames(data)
-		cut := !torn
-		off := 0
-		for _, p := range payloads {
-			r, err := wire.DecodeWALRecord(p)
-			if err != nil || r.LSN <= maxLSN {
-				validLen, cut = off, true
-				break
-			}
-			maxLSN = r.LSN
-			off += frameHeader + len(p)
-		}
-		if !cut && !torn {
-			continue
-		}
-		if err := os.Truncate(path, int64(validLen)); err != nil {
-			return fmt.Errorf("durable: truncate torn tail: %w", err)
-		}
-		for _, later := range segs[i+1:] {
-			if err := os.Remove(filepath.Join(dir, segName(later))); err != nil && !os.IsNotExist(err) {
-				return fmt.Errorf("durable: drop post-corruption segment: %w", err)
-			}
-		}
-		return nil
 	}
+	rec.segs = rec.segs[:rec.tornSeg+1]
 	return nil
 }
 

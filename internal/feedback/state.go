@@ -6,6 +6,7 @@ import (
 
 	"aheft/internal/dag"
 	"aheft/internal/grid"
+	"aheft/internal/jsonscan"
 	"aheft/internal/occupancy"
 	"aheft/internal/planner"
 	"aheft/internal/schedule"
@@ -171,6 +172,51 @@ type StatePatch struct {
 	// Transfers and Reservations are nil when the list did not change.
 	Transfers    *ListPatch[TransferState]         `json:"transfers,omitempty"`
 	Reservations *ListPatch[occupancy.Reservation] `json:"reservations,omitempty"`
+}
+
+// DecodeDelta and DecodePatch decode the object at the scanner into their
+// argument as json.Unmarshal would: the two documents all but a workflow's
+// first state record are made of, so the ones recovery reads by the
+// thousand (server.walState; the parity fuzz there holds them to it).
+func DecodeDelta(sc *jsonscan.Scanner, d *HistoryDelta) {
+	sc.Object("op", &d.Op, "resource", &d.Resource, "duration", &d.Duration)
+}
+
+func DecodePatch(sc *jsonscan.Scanner, p *StatePatch) {
+	sc.Object("generation", &p.Generation, "initial", &p.Initial, "clock", &p.Clock,
+		"adoptions", &p.Adoptions, "done", &p.Done, "makespan", &p.Makespan,
+		"jobs", func() {
+			p.Jobs = jsonscan.Array(sc, p.Jobs, func(r *JobRow) {
+				sc.Object("job", &r.Job, "phase", &r.Phase, "start_at", &r.StartAt, "start_res", &r.StartRes,
+					"finish_at", &r.FinishAt, "pin_dur", &r.PinDur)
+			})
+		},
+		"avail", func() { p.Avail = jsonscan.Array(sc, p.Avail, func(i *int) { *i = sc.Int() }) },
+		"assignments", func() {
+			p.Assignments = jsonscan.Array(sc, p.Assignments, func(a *wire.Assignment) { wire.DecodeAssignment(sc, a) })
+		},
+		"decisions", func() {
+			p.Decisions = jsonscan.Array(sc, p.Decisions, func(d *wire.Decision) { wire.DecodeDecision(sc, d) })
+		},
+		"transfers", func() {
+			decodeListPatch(sc, &p.Transfers, func(t *TransferState) {
+				sc.Object("from", &t.From, "to", &t.To, "resource", &t.Resource, "at", &t.At)
+			})
+		},
+		"reservations", func() {
+			decodeListPatch(sc, &p.Reservations, func(r *occupancy.Reservation) {
+				sc.Object("Job", &r.Job, "Resource", (*int)(&r.Resource), "Start", &r.Start, "Finish", &r.Finish, "Pinned", &r.Pinned)
+			})
+		})
+}
+
+func decodeListPatch[T comparable](sc *jsonscan.Scanner, p **ListPatch[T], elem func(*T)) {
+	jsonscan.Ptr(sc, p, func(lp *ListPatch[T]) {
+		sc.Object("del", func() { lp.Del = jsonscan.Array(sc, lp.Del, func(i *int) { *i = sc.Int() }) },
+			"put", func() {
+				lp.Put = jsonscan.Array(sc, lp.Put, func(u *ListPut[T]) { sc.Object("at", &u.At, "v", func() { elem(&u.V) }) })
+			})
+	})
 }
 
 // DiffState returns the patch that turns prev into cur. Both must be

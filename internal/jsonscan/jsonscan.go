@@ -140,11 +140,11 @@ func (s *Scanner) Members(member func(key []byte)) {
 
 // Object walks an object as json.Unmarshal walks one into a struct. fields
 // lists the struct's fields as pairs: a JSON key, then where its value
-// goes — a *int, *float64, *string, *bool or *[]byte (see String), which
-// null leaves as it is and a value of another kind fails; or a func(),
-// called with the scanner at the value, null included, to consume it. A
-// key selects the field it equals, else the first it equals under case
-// folding; a member that selects none is skipped.
+// goes — a *int, *uint8, *uint64, *float64, *string, *bool or *[]byte (see
+// String), which null leaves as it is and a value of another kind fails;
+// or a func(), called with the scanner at the value, null included, to
+// consume it. A key selects the field it equals, else the first it equals
+// under case folding; a member that selects none is skipped.
 func (s *Scanner) Object(fields ...any) {
 	s.Members(func(key []byte) {
 		for i := 0; i < len(fields); i += 2 {
@@ -174,6 +174,10 @@ func (s *Scanner) store(to any) {
 	switch to := to.(type) {
 	case *int:
 		*to = s.Int()
+	case *uint8:
+		*to = uint8(s.Uint(8))
+	case *uint64:
+		*to = s.Uint(64)
 	case *float64:
 		*to = s.Float()
 	case *string:
@@ -227,6 +231,21 @@ func Array[T any](s *Scanner, dst []T, elem func(*T)) []T {
 		return []T{}
 	}
 	return dst[:n]
+}
+
+// Ptr decodes a value into *p as json.Unmarshal decodes one into a pointer
+// field: null makes it nil; anything else goes, through decode, into what
+// it points to — allocated if it was nil, else what an earlier decode of
+// the same field left.
+func Ptr[T any](s *Scanner, p **T, decode func(*T)) {
+	if s.Null() {
+		*p = nil
+		return
+	}
+	if *p == nil {
+		*p = new(T)
+	}
+	decode(*p)
 }
 
 // Null consumes the literal null if that is the next value and reports
@@ -354,6 +373,18 @@ func (s *Scanner) Int() int {
 		s.err = fmt.Errorf("json: number %s is not an int", tok)
 	}
 	return int(n)
+}
+
+// Uint consumes a number and converts it with strconv.ParseUint to an
+// unsigned integer of the given size: a sign, a fraction, an exponent or an
+// overflow is an error, as in encoding/json.
+func (s *Scanner) Uint(bits int) uint64 {
+	tok := s.number()
+	n, err := strconv.ParseUint(string(tok), 10, bits)
+	if err != nil && s.err == nil {
+		s.err = fmt.Errorf("json: number %s is not a uint%d", tok, bits)
+	}
+	return n
 }
 
 // Raw skips one value and returns its bytes.

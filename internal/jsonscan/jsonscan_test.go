@@ -130,3 +130,30 @@ func TestArrayKeepsEarlierElements(t *testing.T) {
 		t.Fatalf("null: %#v", a)
 	}
 }
+
+// TestUintAndPtrMatchEncodingJSON: unsigned fields and pointer fields take
+// and refuse what json.Unmarshal takes and refuses, and end up holding the
+// same values, a repeated key decoding into what the earlier one left.
+func TestUintAndPtrMatchEncodingJSON(t *testing.T) {
+	type inner struct{ A, B int }
+	type doc struct {
+		N uint8
+		L uint64
+		P *inner
+	}
+	for _, in := range []string{
+		`{"n":255,"l":18446744073709551615,"p":{"a":1}}`, `{"n":256}`, `{"n":-1}`, `{"n":-0}`, `{"n":1.0}`, `{"n":1e1}`, `{"n":"1"}`,
+		`{"l":18446744073709551616}`, `{"l":-0}`, `{"l":00}`, `{"n":null,"l":null,"p":null}`, `{"N":7,"L":8,"P":{"A":2,"b":3}}`,
+		`{"p":{"a":1},"p":{"b":2}}`, `{"p":{"a":1},"p":null}`, `{"p":null,"p":{"b":2}}`, `{"p":[1]}`, `{"p":7}`, `{"p":{"a":1}}}`,
+	} {
+		var want, got doc
+		wantErr := json.Unmarshal([]byte(in), &want)
+		s := New([]byte(in))
+		s.Object("n", &got.N, "l", &got.L, "p", func() { Ptr(s, &got.P, func(p *inner) { s.Object("a", &p.A, "b", &p.B) }) })
+		if err := s.End(); (err == nil) != (wantErr == nil) {
+			t.Errorf("%s: scanner %v, json.Unmarshal %v", in, err, wantErr)
+		} else if err == nil && (got.N != want.N || got.L != want.L || (got.P == nil) != (want.P == nil) || (got.P != nil && *got.P != *want.P)) {
+			t.Errorf("%s: decoded %+v (p %+v), want %+v (p %+v)", in, got, got.P, want, want.P)
+		}
+	}
+}

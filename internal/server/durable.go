@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
+	"runtime"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -19,6 +20,7 @@ import (
 	"aheft/internal/feedback"
 	"aheft/internal/grid"
 	"aheft/internal/history"
+	"aheft/internal/jsonscan"
 	"aheft/internal/wire"
 )
 
@@ -498,8 +500,16 @@ type recoveredWorkflow struct {
 	broken   error
 	terminal *walTerminal
 	rejected bool
-	order    int // arrival order for pending re-enqueue
+	seen     walPos // first record: arrival order for pending re-enqueue
+	endedAt  walPos // first terminal record: finish order for retention
 }
+
+// walPos orders records across shard directories as one pass over the
+// directories in index order would meet them: the directory, then a count
+// that only grows while one fold walks it.
+type walPos struct{ dir, n int }
+
+func (a walPos) before(b walPos) bool { return a.dir < b.dir || (a.dir == b.dir && a.n < b.n) }
 
 // fold applies the workflow's next state record (LSN order): a whole
 // state replaces the chain, a patch extends it by exactly one rev.
@@ -536,11 +546,75 @@ func (rw *recoveredWorkflow) fold(p *walState) {
 	rw.last = p
 }
 
+// absorb folds in what a fold of later directories (another target
+// shard's) holds for the same workflow, as if its records had followed
+// rw's in one log: what it saw replaces, what it did not see stays. That
+// equals the one-pass fold whenever the later chain starts with a whole
+// state, as every chain the daemon writes does; one that starts with a
+// patch arrives broken and fails the workflow. (A workflow sits in two
+// directories only after a crash between the snapshots that close a
+// recovery under a changed shard count.)
+func (rw *recoveredWorkflow) absorb(later *recoveredWorkflow) {
+	if later.body != nil {
+		rw.body, rw.rejected = later.body, false
+	}
+	if later.adm != nil {
+		rw.adm = later.adm
+	}
+	if later.last != nil || later.broken != nil {
+		rw.last, rw.state, rw.events, rw.broken = later.last, later.state, later.events, later.broken
+	}
+	if later.terminal != nil {
+		if rw.terminal == nil {
+			rw.endedAt = later.endedAt
+		}
+		rw.terminal = later.terminal
+	}
+	rw.rejected = rw.rejected || later.rejected
+}
+
+// decode reads a state record's payload in one pass with json.Unmarshal's
+// semantics (FuzzDecodeWALStateParity): a patch record — nine in ten of a
+// log — without reflection; the whole State that starts a chain through
+// json.Unmarshal where it stands.
+func (p *walState) decode(data []byte) error {
+	sc := jsonscan.New(data)
+	sc.Object("id", &p.ID, "tenant", &p.Tenant,
+		"body", func() { p.Body = append(p.Body[:0], sc.Raw()...) },
+		"rev", &p.Rev, "acked_gen", &p.AckedGen, "reports", &p.Reports, "plan_trigger", &p.PlanTrigger,
+		"fast_path", &p.FastPath, "upgraded", &p.Upgraded,
+		"state", func() {
+			jsonscan.Ptr(sc, &p.State, func(st *feedback.TrackerState) { sc.Fail(json.Unmarshal(sc.Raw(), st)) })
+		},
+		"patch", func() {
+			jsonscan.Ptr(sc, &p.Patch, func(sp *feedback.StatePatch) { feedback.DecodePatch(sc, sp) })
+		},
+		"deltas", func() {
+			p.Deltas = jsonscan.Array(sc, p.Deltas, func(d *feedback.HistoryDelta) { feedback.DecodeDelta(sc, d) })
+		},
+		"events", func() {
+			p.Events = jsonscan.Array(sc, p.Events, func(ev *wire.Event) { wire.DecodeEvent(sc, ev) })
+		})
+	return sc.End()
+}
+
+// decode reads a submission record's payload. The body is copied out of
+// the record (a view of the log's read buffer): it outlives the replay.
+func (p *walSubmission) decode(data []byte) error {
+	sc := jsonscan.New(data)
+	sc.Object("id", &p.ID, "body", func() { p.Body = append(p.Body[:0], sc.Raw()...) })
+	return sc.End()
+}
+
 // RecoveryStats describes the last startup recovery: what came back,
 // how much journal was read to get there, and where the time went
 // (load: reading and framing the logs; fold: decoding and folding
 // records; restore: rebuilding grids, trackers and queues; snapshot:
-// the fresh snapshot that truncates what was replayed).
+// the fresh snapshots that truncate what was replayed). The four add up
+// to Ms, less the directory listing. Directories are loaded and folded
+// side by side, so LoadMs and FoldMs are not spans of their own: they
+// are that section's wall time, split between the two as the fold
+// workers' summed busy time in each splits.
 type RecoveryStats struct {
 	Workflows  uint64  `json:"recovered_workflows"`
 	Ms         float64 `json:"recovery_ms"`
@@ -563,12 +637,249 @@ func (r RecoveryStats) String() string {
 // daemon without a data directory).
 func (s *Server) Recovery() RecoveryStats { return s.recovery }
 
+// recoveryFold accumulates what the directories that fold onto one target
+// shard hold. Each target's fold runs on one goroutine and touches nothing
+// another's does (its own directories, stores and tenant histories), so
+// the folds run side by side and recoverState merges what they gathered.
+type recoveryFold struct {
+	s      *Server
+	dir    int // the directory being folded
+	n      int // records given a walPos so far
+	wfs    map[string]*recoveredWorkflow
+	grids  map[string]recoveredGrid
+	repos  map[string]*history.Repository // by tenant
+	maxSeq uint64
+
+	orphans    []string
+	load, fold time.Duration // busy time reading and framing / decoding and folding
+	bytes      int64
+	records    int
+}
+
+// recoveredGrid is a shared grid's spec and the directory it was first
+// met in: of several registrations the first in directory order counts.
+type recoveredGrid struct {
+	dir  int
+	spec json.RawMessage
+}
+
+func (f *recoveryFold) pos() walPos {
+	f.n++
+	return walPos{f.dir, f.n}
+}
+
+func (f *recoveryFold) repoFor(tenant string, alpha float64) *history.Repository {
+	r := f.repos[tenant]
+	if r == nil {
+		r = history.New(alpha)
+		f.repos[tenant] = r
+	}
+	return r
+}
+
+func (f *recoveryFold) wfFor(id string) *recoveredWorkflow {
+	rw := f.wfs[id]
+	if rw == nil {
+		rw = &recoveredWorkflow{id: id, seen: f.pos()}
+		f.wfs[id] = rw
+	}
+	if n := parseWorkflowSeq(id); n > f.maxSeq {
+		f.maxSeq = n
+	}
+	return rw
+}
+
+func (f *recoveryFold) gridSpec(name string, spec json.RawMessage) {
+	if _, ok := f.grids[name]; !ok {
+		f.grids[name] = recoveredGrid{f.dir, spec}
+	}
+}
+
+func (f *recoveryFold) terminal(t *walTerminal) {
+	rw := f.wfFor(t.ID)
+	if rw.terminal == nil {
+		rw.endedAt = f.pos()
+	}
+	rw.terminal = t
+}
+
+// skip makes a record recovery cannot use loud: logged with its
+// position and counted in wal_records_skipped.
+func (f *recoveryFold) skip(r *wire.WALRecord, err error) {
+	f.s.metrics.walSkipped.Add(1)
+	log.Printf("aheftd: recovery: shard %d lsn %d: skipping %s record: %v", f.dir, r.LSN, r.Kind, err)
+}
+
+// decode reads a record payload that must name its subject: with the
+// payload's own decoder where it has one, json.Unmarshal otherwise.
+func (f *recoveryFold) decode(r *wire.WALRecord, into any, name *string) bool {
+	var err error
+	if d, ok := into.(interface{ decode([]byte) error }); ok {
+		err = d.decode(r.Data)
+	} else {
+		err = json.Unmarshal(r.Data, into)
+	}
+	if err == nil && *name == "" {
+		err = fmt.Errorf("payload names no subject")
+	}
+	if err != nil {
+		f.skip(r, err)
+	}
+	return err == nil
+}
+
+// directory opens (or, for an orphan of a larger shard count, loads)
+// shard directory idx and folds its snapshot and log tail in, one record
+// decoded at a time: parked payloads would be the log a second time over.
+func (f *recoveryFold) directory(idx int, policy durable.SyncPolicy) error {
+	s := f.s
+	f.dir = idx
+	dir := filepath.Join(s.cfg.DataDir, fmt.Sprintf("shard-%d", idx))
+	loadStart := time.Now()
+	var rec *durable.Recovered
+	if idx < len(s.shards) {
+		store, r, err := durable.Open(dir, policy, s.cfg.WALSyncInterval)
+		if err != nil {
+			return fmt.Errorf("server: shard %d wal: %w", idx, err)
+		}
+		s.shards[idx].wal = newShardWAL(store)
+		rec = r
+	} else {
+		r, err := durable.Load(dir)
+		if err != nil {
+			return fmt.Errorf("server: orphan shard %d wal: %w", idx, err)
+		}
+		rec = r
+		f.orphans = append(f.orphans, dir)
+	}
+	foldStart := time.Now()
+	f.load += foldStart.Sub(loadStart)
+	f.bytes += rec.Bytes
+	f.records += len(rec.Records)
+
+	if rec.Snapshot != nil {
+		var snap shardSnapshot
+		if err := json.Unmarshal(rec.Snapshot, &snap); err != nil {
+			return fmt.Errorf("server: shard %d snapshot: %w", idx, err)
+		}
+		if snap.Seq > f.maxSeq {
+			f.maxSeq = snap.Seq
+		}
+		for _, g := range snap.Grids {
+			f.gridSpec(g.Name, g.Spec)
+		}
+		for _, t := range snap.Tenants {
+			f.repoFor(t.Tenant, t.Alpha).Import(t.Cells)
+		}
+		for _, p := range snap.Pending {
+			f.wfFor(p.ID).body = p.Body
+		}
+		for i := range snap.Admissions {
+			f.wfFor(snap.Admissions[i].ID).adm = &snap.Admissions[i]
+		}
+		for i := range snap.Live {
+			f.wfFor(snap.Live[i].ID).fold(&snap.Live[i])
+		}
+		for i := range snap.Terminal {
+			f.terminal(&snap.Terminal[i])
+		}
+	}
+	for _, r := range rec.Records {
+		f.record(r)
+	}
+	f.fold += time.Since(foldStart)
+	return nil
+}
+
+// record folds one log record in.
+func (f *recoveryFold) record(r *wire.WALRecord) {
+	switch r.Kind {
+	case wire.WALSubmission:
+		var p walSubmission
+		if f.decode(r, &p, &p.ID) {
+			rw := f.wfFor(p.ID)
+			rw.body = p.Body
+			rw.rejected = false
+		}
+	case wire.WALReject:
+		var p walReject
+		if f.decode(r, &p, &p.ID) {
+			f.wfFor(p.ID).rejected = true
+		}
+	case wire.WALAdmission:
+		var p walAdmission
+		if f.decode(r, &p, &p.ID) {
+			f.wfFor(p.ID).adm = &p
+		}
+	case wire.WALGrid:
+		var p walGrid
+		if f.decode(r, &p, &p.Name) {
+			f.gridSpec(p.Name, p.Spec)
+		}
+	case wire.WALState:
+		var p walState
+		if !f.decode(r, &p, &p.ID) {
+			// A link of the chain is gone. The ID leads the payload, so it
+			// usually survives a field that does not decode; when it does
+			// not, the rev gap at the workflow's next record breaks the
+			// chain instead.
+			if p.ID != "" {
+				f.wfFor(p.ID).broken = fmt.Errorf("state record at lsn %d does not decode", r.LSN)
+			}
+			return
+		}
+		f.wfFor(p.ID).fold(&p)
+		// History deltas replay in LSN order regardless of whether
+		// the workflow itself survives to restoration.
+		repo := f.repoFor(p.Tenant, 0)
+		for _, d := range p.Deltas {
+			_ = repo.Record(d.Op, grid.ID(d.Resource), d.Duration)
+		}
+	case wire.WALTerminal:
+		var p walTerminal
+		if !f.decode(r, &p, &p.ID) {
+			// Without its terminal record the workflow would come
+			// back live from its last state record: fail it instead.
+			if p.ID != "" {
+				f.wfFor(p.ID).broken = fmt.Errorf("terminal record at lsn %d does not decode", r.LSN)
+			}
+			return
+		}
+		f.terminal(&p)
+	default:
+		f.skip(r, fmt.Errorf("unknown record kind"))
+	}
+}
+
+// sideBySide runs fn(0) … fn(n-1) on at most GOMAXPROCS goroutines and
+// returns when all have.
+func sideBySide(n int, fn func(i int)) {
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for w := min(n, runtime.GOMAXPROCS(0)); w > 0; w-- {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := int(next.Add(1)) - 1; i < n; i = int(next.Add(1)) - 1 {
+				fn(i)
+			}
+		}()
+	}
+	wg.Wait()
+}
+
 // recoverState replays every shard directory under dataDir into the
 // (not yet started) server: stores are opened (repairing torn tails),
 // snapshots and log tails merged, and the registry, shards, grids,
 // tenant histories and live trackers rebuilt. Orphan directories from a
 // larger previous shard count are folded in and removed. Must run
 // before the shard goroutines start.
+//
+// The directories are folded side by side, one recoveryFold per target
+// shard (directory index modulo the shard count, so an orphan's tenant
+// histories follow its target's in index order on one goroutine), and the
+// folds merged in directory order: what comes back is what one pass over
+// the directories would bring back, however the folds interleave.
 func (s *Server) recoverState() error {
 	start := time.Now()
 	dataDir := s.cfg.DataDir
@@ -581,7 +892,7 @@ func (s *Server) recoverState() error {
 	}
 
 	// Every existing shard-<i> directory, plus the 0..N-1 range the
-	// current configuration owns.
+	// current configuration owns, by target shard in index order.
 	dirs := map[int]bool{}
 	entries, err := os.ReadDir(dataDir)
 	if err != nil {
@@ -601,272 +912,152 @@ func (s *Server) recoverState() error {
 		idxs = append(idxs, i)
 	}
 	sort.Ints(idxs)
-
-	wfs := map[string]*recoveredWorkflow{}
-	gridSpecs := map[string]json.RawMessage{}
-	repos := map[int]map[string]*history.Repository{} // target shard -> tenant
-	var terminals []walTerminal
-	var maxSeq uint64
-	orderCounter := 0
-
-	repoFor := func(shardIdx int, tenant string, alpha float64) *history.Repository {
-		byTenant := repos[shardIdx]
-		if byTenant == nil {
-			byTenant = map[string]*history.Repository{}
-			repos[shardIdx] = byTenant
-		}
-		r := byTenant[tenant]
-		if r == nil {
-			r = history.New(alpha)
-			byTenant[tenant] = r
-		}
-		return r
-	}
-	wfFor := func(id string) *recoveredWorkflow {
-		rw := wfs[id]
-		if rw == nil {
-			rw = &recoveredWorkflow{id: id, order: orderCounter}
-			orderCounter++
-			wfs[id] = rw
-		}
-		if n := parseWorkflowSeq(id); n > maxSeq {
-			maxSeq = n
-		}
-		return rw
-	}
-
-	// skip makes a record recovery cannot use loud: logged with its
-	// position and counted in wal_records_skipped.
-	skip := func(shardIdx int, r *wire.WALRecord, err error) {
-		s.metrics.walSkipped.Add(1)
-		log.Printf("aheftd: recovery: shard %d lsn %d: skipping %s record: %v", shardIdx, r.LSN, r.Kind, err)
-	}
-	// decode unmarshals a record payload that must name its subject.
-	decode := func(shardIdx int, r *wire.WALRecord, into any, name *string) bool {
-		err := json.Unmarshal(r.Data, into)
-		if err == nil && *name == "" {
-			err = fmt.Errorf("payload names no subject")
-		}
-		if err != nil {
-			skip(shardIdx, r, err)
-		}
-		return err == nil
-	}
-
-	var st RecoveryStats
-	var orphanDirs []string
+	byTarget := make([][]int, len(s.shards))
 	for _, idx := range idxs {
-		dir := filepath.Join(dataDir, fmt.Sprintf("shard-%d", idx))
-		loadStart := time.Now()
-		var rec *durable.Recovered
-		if idx < len(s.shards) {
-			store, r, err := durable.Open(dir, policy, s.cfg.WALSyncInterval)
-			if err != nil {
-				return fmt.Errorf("server: shard %d wal: %w", idx, err)
-			}
-			s.shards[idx].wal = newShardWAL(store)
-			rec = r
-		} else {
-			r, err := durable.Load(dir)
-			if err != nil {
-				return fmt.Errorf("server: orphan shard %d wal: %w", idx, err)
-			}
-			rec = r
-			orphanDirs = append(orphanDirs, dir)
-		}
-		target := idx % len(s.shards)
-		foldStart := time.Now()
-		st.LoadMs += foldStart.Sub(loadStart).Seconds() * 1e3
-		st.WALBytes += rec.Bytes
-		st.WALRecords += len(rec.Records)
-
-		if rec.Snapshot != nil {
-			var snap shardSnapshot
-			if err := json.Unmarshal(rec.Snapshot, &snap); err != nil {
-				return fmt.Errorf("server: shard %d snapshot: %w", idx, err)
-			}
-			if snap.Seq > maxSeq {
-				maxSeq = snap.Seq
-			}
-			for _, g := range snap.Grids {
-				if _, ok := gridSpecs[g.Name]; !ok {
-					gridSpecs[g.Name] = g.Spec
-				}
-			}
-			for _, t := range snap.Tenants {
-				repoFor(target, t.Tenant, t.Alpha).Import(t.Cells)
-			}
-			for _, p := range snap.Pending {
-				rw := wfFor(p.ID)
-				rw.body = p.Body
-			}
-			for i := range snap.Admissions {
-				a := snap.Admissions[i]
-				wfFor(a.ID).adm = &a
-			}
-			for i := range snap.Live {
-				wfFor(snap.Live[i].ID).fold(&snap.Live[i])
-			}
-			for _, t := range snap.Terminal {
-				rw := wfFor(t.ID)
-				rw.terminal = &t
-				terminals = append(terminals, t)
-			}
-		}
-		for _, r := range rec.Records {
-			switch r.Kind {
-			case wire.WALSubmission:
-				var p walSubmission
-				if decode(idx, r, &p, &p.ID) {
-					rw := wfFor(p.ID)
-					rw.body = p.Body
-					rw.rejected = false
-				}
-			case wire.WALReject:
-				var p walReject
-				if decode(idx, r, &p, &p.ID) {
-					wfFor(p.ID).rejected = true
-				}
-			case wire.WALAdmission:
-				var p walAdmission
-				if decode(idx, r, &p, &p.ID) {
-					wfFor(p.ID).adm = &p
-				}
-			case wire.WALGrid:
-				var p walGrid
-				if decode(idx, r, &p, &p.Name) {
-					if _, ok := gridSpecs[p.Name]; !ok {
-						gridSpecs[p.Name] = p.Spec
-					}
-				}
-			case wire.WALState:
-				var p walState
-				if !decode(idx, r, &p, &p.ID) {
-					// A link of the chain is gone. json.Unmarshal fills what it
-					// can around a mistyped field, so the ID usually survives;
-					// when it does not, the rev gap at the workflow's next
-					// record breaks the chain instead.
-					if p.ID != "" {
-						wfFor(p.ID).broken = fmt.Errorf("state record at lsn %d does not decode", r.LSN)
-					}
-					continue
-				}
-				wfFor(p.ID).fold(&p)
-				// History deltas replay in LSN order regardless of whether
-				// the workflow itself survives to restoration.
-				repo := repoFor(target, p.Tenant, 0)
-				for _, d := range p.Deltas {
-					_ = repo.Record(d.Op, grid.ID(d.Resource), d.Duration)
-				}
-			case wire.WALTerminal:
-				var p walTerminal
-				if !decode(idx, r, &p, &p.ID) {
-					// Without its terminal record the workflow would come
-					// back live from its last state record: fail it instead.
-					if p.ID != "" {
-						wfFor(p.ID).broken = fmt.Errorf("terminal record at lsn %d does not decode", r.LSN)
-					}
-					continue
-				}
-				rw := wfFor(p.ID)
-				rw.terminal = &p
-				terminals = append(terminals, p)
-			default:
-				skip(idx, r, fmt.Errorf("unknown record kind"))
-			}
-		}
-		st.FoldMs += time.Since(foldStart).Seconds() * 1e3
+		byTarget[idx%len(s.shards)] = append(byTarget[idx%len(s.shards)], idx)
 	}
+
+	folds := make([]*recoveryFold, len(s.shards))
+	errs := make([]error, len(s.shards))
+	foldStart := time.Now()
+	sideBySide(len(folds), func(i int) {
+		f := &recoveryFold{s: s, wfs: map[string]*recoveredWorkflow{},
+			grids: map[string]recoveredGrid{}, repos: map[string]*history.Repository{}}
+		folds[i] = f
+		for _, idx := range byTarget[i] {
+			if errs[i] = f.directory(idx, policy); errs[i] != nil {
+				return
+			}
+		}
+	})
+	for _, err := range errs {
+		if err != nil {
+			return err
+		}
+	}
+
+	// Merge. Targets' folds hold different workflows, unless a recovery
+	// under a changed shard count was cut short (see absorb).
+	var st RecoveryStats
+	var busyLoad, busyFold time.Duration
+	wfs := map[string]*recoveredWorkflow{}
+	grids := map[string]recoveredGrid{}
+	var maxSeq uint64
+	var orphanDirs []string
+	for _, f := range folds {
+		for id, rw := range f.wfs {
+			switch prev := wfs[id]; {
+			case prev == nil:
+				wfs[id] = rw
+			case prev.seen.before(rw.seen):
+				prev.absorb(rw)
+			default:
+				rw.absorb(prev)
+				wfs[id] = rw
+			}
+		}
+		for name, g := range f.grids {
+			if prev, ok := grids[name]; !ok || g.dir < prev.dir {
+				grids[name] = g
+			}
+		}
+		maxSeq = max(maxSeq, f.maxSeq)
+		orphanDirs = append(orphanDirs, f.orphans...)
+		busyLoad += f.load
+		busyFold += f.fold
+		st.WALBytes += f.bytes
+		st.WALRecords += f.records
+	}
+	// Load and fold overlap across the folds: the section's wall time is
+	// reported, split as the folds' summed busy time in each splits.
 	restoreStart := time.Now()
+	wall := restoreStart.Sub(foldStart).Seconds() * 1e3
+	st.LoadMs = wall * float64(busyLoad) / float64(busyLoad+busyFold)
+	st.FoldMs = wall - st.LoadMs
 
 	// Install tenant histories on their shards before any tracker is
 	// restored against them.
-	for shardIdx, byTenant := range repos {
-		sh := s.shards[shardIdx]
-		names := make([]string, 0, len(byTenant))
-		for t := range byTenant {
+	for i, f := range folds {
+		sh := s.shards[i]
+		names := make([]string, 0, len(f.repos))
+		for t := range f.repos {
 			names = append(names, t)
 		}
 		sort.Strings(names)
 		sh.histMu.Lock()
-		if sh.hist == nil {
-			sh.hist = make(map[string]*history.Repository)
-		}
-		for _, t := range names {
-			if _, ok := sh.hist[t]; !ok {
-				sh.hist[t] = byTenant[t]
-				sh.histOrder = append(sh.histOrder, t)
-			}
-		}
+		sh.hist = f.repos
+		sh.histOrder = names
 		sh.histMu.Unlock()
 	}
 
 	// Shared grids: re-register under the current shard count. Ledgers
 	// start empty and reassemble from their restored residents.
-	gridNames := make([]string, 0, len(gridSpecs))
-	for name := range gridSpecs {
+	gridNames := make([]string, 0, len(grids))
+	for name := range grids {
 		gridNames = append(gridNames, name)
 	}
 	sort.Strings(gridNames)
 	for _, name := range gridNames {
-		spec, err := wire.DecodeGridSpec(gridSpecs[name], s.cfg.Limits)
+		spec, err := wire.DecodeGridSpec(grids[name].spec, s.cfg.Limits)
 		if err != nil {
 			log.Printf("aheftd: recovery: grid %q spec: %v", name, err)
 			continue
 		}
-		s.grids[name] = newSharedGrid(name, gridSpecs[name], spec, len(s.shards), s.cfg.GridShareCap)
+		s.grids[name] = newSharedGrid(name, grids[name].spec, spec, len(s.shards), s.cfg.GridShareCap)
 	}
 
-	// Terminal records: frozen, queryable, retained under the cap. The
-	// terminals list preserves finish order for the retention sweep; the
-	// per-workflow latest record is the one registered.
-	seenTerm := make(map[string]bool, len(terminals))
-	for i := range terminals {
-		id := terminals[i].ID
-		rw := wfs[id]
-		if rw == nil || rw.terminal == nil || seenTerm[id] {
-			continue
-		}
-		seenTerm[id] = true
-		t := rw.terminal
-		s.wfs[t.ID] = newTerminal(t)
-		s.retire(t.ID)
-	}
-
-	// Sort what is neither terminal nor rejected: a broken chain fails
-	// loudly, a folded state is a live resident, a bare body is pending.
+	// Sort the workflows: a terminal record is frozen, a broken chain
+	// fails loudly, a folded state is a live resident, a bare body is
+	// pending.
 	ids := make([]string, 0, len(wfs))
 	for id := range wfs {
 		ids = append(ids, id)
 	}
 	sort.Strings(ids)
-	var liveIDs []string
-	var pending []*recoveredWorkflow
+	var ended, lost, live, pending []*recoveredWorkflow
 	for _, id := range ids {
 		switch rw := wfs[id]; {
-		case rw.terminal != nil || rw.rejected:
+		case rw.terminal != nil:
+			ended = append(ended, rw)
+		case rw.rejected:
 		case rw.broken != nil:
-			log.Printf("aheftd: recovery: workflow %s: %v", id, rw.broken)
-			s.failRecovered(id, rw.broken)
+			lost = append(lost, rw)
 		case rw.state != nil:
-			liveIDs = append(liveIDs, id)
+			live = append(live, rw)
 		case rw.body != nil:
 			pending = append(pending, rw)
 		}
 	}
 
+	// Terminal records: queryable, retained under the cap in the order
+	// the workflows finished; a workflow's latest record is the one
+	// registered.
+	sort.Slice(ended, func(i, j int) bool { return ended[i].endedAt.before(ended[j].endedAt) })
+	for _, rw := range ended {
+		wf := newTerminal(rw.terminal)
+		// Snapshots keep a terminal record with the shard it names: one
+		// that ran on a shard a smaller count no longer has moves over.
+		wf.shard %= len(s.shards)
+		s.wfs[rw.id] = wf
+		s.retire(rw.id)
+	}
+	for _, rw := range lost {
+		log.Printf("aheftd: recovery: workflow %s: %v", rw.id, rw.broken)
+		s.failRecovered(rw.id, rw.broken)
+	}
+
 	// Live residents: restore trackers, re-park, re-attach.
-	for _, id := range liveIDs {
-		if err := s.restoreLive(wfs[id]); err != nil {
-			log.Printf("aheftd: recovery: workflow %s: %v", id, err)
-			s.failRecovered(id, err)
+	for _, rw := range live {
+		if err := s.restoreLive(rw); err != nil {
+			log.Printf("aheftd: recovery: workflow %s: %v", rw.id, err)
+			s.failRecovered(rw.id, err)
 			continue
 		}
 		st.Workflows++
 	}
 
 	// Pending submissions: re-enqueue in arrival order.
-	sort.Slice(pending, func(i, j int) bool { return pending[i].order < pending[j].order })
+	sort.Slice(pending, func(i, j int) bool { return pending[i].seen.before(pending[j].seen) })
 	for _, rw := range pending {
 		if err := s.requeueRecovered(rw); err != nil {
 			log.Printf("aheftd: recovery: workflow %s: %v", rw.id, err)
@@ -886,9 +1077,7 @@ func (s *Server) recoverState() error {
 	// workflow its journal base.
 	snapStart := time.Now()
 	st.RestoreMs = snapStart.Sub(restoreStart).Seconds() * 1e3
-	for _, sh := range s.shards {
-		sh.snapshot()
-	}
+	sideBySide(len(s.shards), func(i int) { s.shards[i].snapshot() })
 	for _, dir := range orphanDirs {
 		if err := os.RemoveAll(dir); err != nil {
 			log.Printf("aheftd: recovery: remove %s: %v", dir, err)

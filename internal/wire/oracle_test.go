@@ -221,3 +221,16 @@ func oracleDecodeReport(data []byte, maxEvents int) (*Report, error) {
 	}
 	return &r, nil
 }
+
+// oracleDecodeWALRecord is DecodeWALRecord as it stood on json.Unmarshal:
+// the envelope walked by reflection, Data a copy of the payload.
+func oracleDecodeWALRecord(data []byte) (*WALRecord, error) {
+	var r WALRecord
+	if err := json.Unmarshal(data, &r); err != nil {
+		return nil, fmt.Errorf("wire: decode WAL record: %w", err)
+	}
+	if err := r.Validate(); err != nil {
+		return nil, err
+	}
+	return &r, nil
+}

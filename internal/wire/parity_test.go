@@ -2,6 +2,7 @@ package wire
 
 import (
 	"bytes"
+	"encoding/binary"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -282,6 +283,65 @@ func FuzzDecodeReportParity(f *testing.F) {
 		}
 		if gotErr == nil && !reflect.DeepEqual(got, want) {
 			t.Fatalf("decoded values differ:\n got %+v\nwant %+v", got, want)
+		}
+	})
+}
+
+// walFrames returns the payloads of a shard log's frames (4-byte length,
+// 4-byte CRC, payload), without checking them: seeds, not replay.
+func walFrames(f *testing.F, path string) [][]byte {
+	f.Helper()
+	data, err := os.ReadFile(path)
+	if err != nil {
+		f.Fatal(err)
+	}
+	var out [][]byte
+	for len(data) >= 8 {
+		n := int(binary.BigEndian.Uint32(data))
+		if n > len(data)-8 {
+			break
+		}
+		out = append(out, data[8:8+n])
+		data = data[8+n:]
+	}
+	return out
+}
+
+// FuzzDecodeWALRecordParity holds DecodeWALRecord to the json.Unmarshal
+// decoder it replaced: the same accept or reject on any bytes — so replay
+// stops at the same record — and the same envelope, Data byte for byte
+// (there a view of the input, here a copy). Seeded with a daemon's own
+// records (internal/server's full-state fixture) and the corners: repeated
+// and case-folded keys, null members, numbers an LSN cannot hold.
+func FuzzDecodeWALRecordParity(f *testing.F) {
+	for _, shard := range []string{"shard-0", "shard-1"} {
+		for _, p := range walFrames(f, filepath.Join("..", "server", "testdata", "wal-full-states", shard, "wal-00000000000000000001.log")) {
+			if len(p) < 4096 {
+				f.Add(p)
+			}
+		}
+	}
+	for _, s := range []string{
+		`{}`, `null`, `[]`, `7`, `not json`, `{"v":2,"lsn":1,"kind":"state"}`, `{"v":2,"lsn":1,"kind":"state","data":null}`,
+		`{"v":2,"lsn":1,"kind":"state","data":{"id":"wf-1","body":[1,2,{"a":"é"}]}} `, `{"v":2,"lsn":1,"kind":"state","data":{}} x`,
+		`{"V":1,"LSN":7,"Kind":"grid","DATA":"x"}`, `{"v":1,"lsn":3,"kind":"a","kind":"b","data":1,"data":[2]}`, `{"v":3,"lsn":1,"kind":"k"}`,
+		`{"v":2,"lsn":0,"kind":"k"}`, `{"v":2,"lsn":-1,"kind":"k"}`, `{"v":2,"lsn":1.0,"kind":"k"}`, `{"v":2,"lsn":1e2,"kind":"k"}`,
+		`{"v":2,"lsn":18446744073709551615,"kind":"k"}`, `{"v":2,"lsn":18446744073709551616,"kind":"k"}`, `{"v":2,"lsn":"1","kind":"k"}`,
+		`{"v":2,"lsn":null,"kind":null,"data":null}`, `{"v":2,"lsn":1,"kind":""}`, `{"v":2,"lsn":1,"kind":7}`, `{"v":2,"lsn":1,"kind":"k","data":}`,
+		`{"v":2,"lsn":1,"kind":"k","data":{"a":01}}`, `{"v":2,"lsn":1,"kind":"k","data":"\ud800"}`, `{"v":2,"lsn":1,"kind":"k","data":"\x"}`,
+		`{"v":2,"lsn":1,"kind":"kınd","extra":{"deep":` + nested(64) + `}}`, `{"v":2,"lsn":1,"kind":"k","data":` + nested(10001) + `}`,
+		`{"v":-1,"lsn":1,"kind":"k"}`, `{"v":2,"lsn":1,"kınd":"k"}`, `{"v":2,"lsn":1,"kind":"k",}`, ` {"v" : 2 , "lsn" : 5 , "kind" : "k" , "data" : [ 1 ] } `,
+	} {
+		f.Add([]byte(s))
+	}
+	f.Fuzz(func(t *testing.T, doc []byte) {
+		got, gotErr := DecodeWALRecord(doc)
+		want, wantErr := oracleDecodeWALRecord(doc)
+		if (gotErr == nil) != (wantErr == nil) {
+			t.Fatalf("accept/reject differs: decoder %v, oracle %v", gotErr, wantErr)
+		}
+		if gotErr == nil && !reflect.DeepEqual(got, want) {
+			t.Fatalf("decoded envelopes differ:\n got %+v\nwant %+v", got, want)
 		}
 	})
 }

@@ -13,6 +13,8 @@ import (
 	"fmt"
 	"strconv"
 	"unicode/utf8"
+
+	"aheft/internal/jsonscan"
 )
 
 // WAL record kinds appended by the daemon. The durable layer treats the
@@ -124,11 +126,16 @@ func AppendJSONString(dst []byte, s string) []byte {
 	return append(dst, '"')
 }
 
-// DecodeWALRecord unmarshals and validates one WAL record envelope. It
-// never panics on any input.
+// DecodeWALRecord decodes — in one pass, with json.Unmarshal's semantics
+// (FuzzDecodeWALRecordParity) — and validates one WAL record envelope. Data
+// is a view of data, not a copy: it lives as long as the buffer it was cut
+// from, so a consumer that keeps a payload past its log's replay copies it.
+// It never panics on any input.
 func DecodeWALRecord(data []byte) (*WALRecord, error) {
 	var r WALRecord
-	if err := json.Unmarshal(data, &r); err != nil {
+	sc := jsonscan.New(data)
+	sc.Object("v", &r.V, "lsn", &r.LSN, "kind", &r.Kind, "data", func() { r.Data = sc.Raw() })
+	if err := sc.End(); err != nil {
 		return nil, fmt.Errorf("wire: decode WAL record: %w", err)
 	}
 	if err := r.Validate(); err != nil {

@@ -340,16 +340,7 @@ func (s *Submission) decode(doc []byte) error {
 				sc.Fail(err)
 			}
 		},
-		"files", func() {
-			if sc.Null() {
-				s.Files = nil
-				return
-			}
-			if s.Files == nil {
-				s.Files = new(data.Set)
-			}
-			data.DecodeSet(sc, s.Files)
-		},
+		"files", func() { jsonscan.Ptr(sc, &s.Files, func(set *data.Set) { data.DecodeSet(sc, set) }) },
 		"pool", func() { pool = sc.Raw() })
 	if err = sc.End(); err != nil || pool == nil {
 		return err
@@ -618,6 +609,27 @@ type Event struct {
 	Generation int     `json:"generation,omitempty"` // plan generation (live workflows)
 	Makespan   float64 `json:"makespan,omitempty"`
 	Error      string  `json:"error,omitempty"`
+}
+
+// DecodeAssignment, DecodeDecision and DecodeEvent decode the object at
+// the scanner into their argument as json.Unmarshal would (the journal's
+// state records are made of them; see server.walState).
+func DecodeAssignment(sc *jsonscan.Scanner, a *Assignment) {
+	sc.Object("job", &a.Job, "resource", &a.Resource, "start", &a.Start, "finish", &a.Finish)
+}
+
+func DecodeDecision(sc *jsonscan.Scanner, d *Decision) {
+	sc.Object("clock", &d.Clock, "pool_size", &d.PoolSize, "old_makespan", &d.OldMakespan,
+		"new_makespan", &d.NewMakespan, "adopted", &d.Adopted, "jobs_finished", &d.JobsFinished,
+		"trigger", &d.Trigger, "arrived", &d.Arrived,
+		"elapsed_ms", &d.ElapsedMs, "rank_ms", &d.RankMs, "place_ms", &d.PlaceMs)
+}
+
+func DecodeEvent(sc *jsonscan.Scanner, ev *Event) {
+	sc.Object("seq", &ev.Seq, "kind", &ev.Kind, "workflow", &ev.Workflow, "time", &ev.Time,
+		"decision", func() { jsonscan.Ptr(sc, &ev.Decision, func(d *Decision) { DecodeDecision(sc, d) }) },
+		"trigger", &ev.Trigger, "arrived", &ev.Arrived, "generation", &ev.Generation,
+		"makespan", &ev.Makespan, "error", &ev.Error)
 }
 
 // Status is the GET /v1/workflows/{id} response.
