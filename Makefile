@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race vet fmt fmt-check check lint loc fuzz bench bench-server bench-all clean
+.PHONY: all build test race vet fmt fmt-check check lint loc loc-check fuzz bench bench-server bench-all clean
 
 all: check
 
@@ -38,6 +38,13 @@ lint: fmt-check vet
 # benchmark/. A PR quotes it before and after instead of recounting.
 loc:
 	@find . -name '*.go' -not -name '*_test.go' -not -path './benchmark/*' | xargs wc -l | tail -1
+
+# loc-check fails when `make loc` exceeds the number committed in LOC. A
+# PR that lands below it writes its own number there.
+loc-check:
+	@n=$$($(MAKE) -s --no-print-directory loc | awk '{print $$1}'); max=$$(cat LOC); \
+	if [ "$$n" -gt "$$max" ]; then echo "loc-check: make loc is $$n, above $$max in LOC"; exit 1; fi; \
+	echo "loc-check: $$n <= $$max"
 
 # fuzz runs each fuzz target for FUZZTIME (CI runs 5m per target
 # nightly). The committed seed corpora under */testdata/fuzz/ replay as

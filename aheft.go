@@ -2,32 +2,25 @@
 // rescheduling strategy for grid workflow applications of Yu & Shi (IPDPS
 // 2007) — together with everything needed to study it: the classic static
 // HEFT scheduler it extends, a dynamic just-in-time Min-Min baseline, a
-// deterministic discrete-event grid executor with a collaborating
-// event-driven planner, workload generators for parametric random DAGs and
-// the BLAST/WIEN2K application shapes, and an experiment harness that
-// regenerates every table and figure of the paper's evaluation.
+// deterministic discrete-event grid executor driven by the same feedback
+// loop the aheftd daemon runs, workload generators for parametric random
+// DAGs and the BLAST/WIEN2K application shapes, and an experiment harness
+// that regenerates every table and figure of the paper's evaluation.
 //
 // # The v2 API
 //
 // Scheduling strategies are pluggable policies behind one engine: every
 // registered policy ("heft", "aheft", "minmin", "maxmin", "sufferage" —
 // see Policies) runs through the same adaptive-rescheduling loop, selected
-// by name with functional options. Run is context-aware and a Session
-// executes many workflows concurrently over one pool with an
-// event-subscription channel.
+// by name with functional options. Run is context-aware; every call is an
+// independent run over an immutable pool, so many workflows run
+// concurrently as many Run calls (the daemon, cmd/aheftd, is the
+// multi-workflow streaming API).
 //
 //	sc := aheft.SampleScenario() // the paper's Fig. 4 worked example
 //	res, err := aheft.Run(ctx, sc.Graph, sc.Estimator(), sc.Pool,
 //	    aheft.WithPolicy("aheft"), aheft.WithTieWindow(0.05))
 //	// res.Makespan == 76; WithPolicy("heft") gives the static 80.
-//
-// For many workflows at once:
-//
-//	s := aheft.NewSession(ctx, pool, aheft.WithPolicy("aheft"))
-//	events := s.Events()            // subscribe before submitting
-//	s.Submit("wf-1", g1, est1)
-//	s.Submit("wf-2", g2, est2)
-//	results, err := s.Wait()        // errgroup-style: first error cancels
 //
 // The facade re-exports the most commonly used types from the internal
 // packages; import the internal packages directly for the full API
@@ -43,14 +36,16 @@ import (
 	"aheft/internal/cost"
 	"aheft/internal/dag"
 	"aheft/internal/data"
+	"aheft/internal/drive"
 	"aheft/internal/executor"
+	"aheft/internal/feedback"
 	"aheft/internal/grid"
 	"aheft/internal/heft"
 	"aheft/internal/history"
 	"aheft/internal/planner"
 	"aheft/internal/policy"
 	"aheft/internal/schedule"
-	"aheft/internal/trace"
+	"aheft/internal/wire"
 	"aheft/internal/workload"
 )
 
@@ -83,8 +78,6 @@ type (
 	// History is the performance-history repository of the Fig. 1
 	// feedback loop.
 	History = history.Repository
-	// Trace collects structured execution event logs.
-	Trace = trace.Collector
 	// Runtime supplies actual job durations to the event-driven executor
 	// when they deviate from the estimates.
 	Runtime = executor.Runtime
@@ -117,46 +110,27 @@ func DataScenario() *Scenario { return workload.DataScenario(workload.DataParams
 // EWMA smoothing).
 func NewHistory() *History { return history.New(0) }
 
-// NewTrace returns a collector recording the execution of workflows over
-// g (g may be nil; it only resolves job names).
-func NewTrace(g *Graph) *Trace { return trace.NewCollector(g, nil) }
-
 // Policies lists the registered scheduling-policy names.
 func Policies() []string { return policy.Names() }
 
-// config is the resolved option set of one Run or Session.
+// config is the resolved option set of one Run.
 type config struct {
 	policyName string
 	popts      policy.Options
 
 	// Data-aware scheduling inputs, resolved against the concrete pool
-	// inside run (WithLinks/WithFileReuse).
+	// inside Run (WithLinks/WithFileReuse).
 	links map[string]float64
 	files *FileSet
 
-	// Event-driven extras; any of these switches Run onto the
-	// discrete-event executor path.
+	// Run-time extras; any of these switches Run onto the event-driven
+	// path (see enact).
 	runtime     Runtime
 	hist        *History
-	trace       *Trace
 	varianceThr float64
-	eventDriven bool
 }
 
-func newConfig(opts []Option) config {
-	cfg := config{policyName: "aheft"}
-	for _, o := range opts {
-		o(&cfg)
-	}
-	return cfg
-}
-
-func (c config) wantsEngine() bool {
-	return c.eventDriven || c.runtime != nil || c.hist != nil || c.trace != nil || c.varianceThr > 0
-}
-
-// Option configures Run, NewSession, and Session.Submit via functional
-// options.
+// Option configures Run via functional options.
 type Option func(*config)
 
 // WithPolicy selects the scheduling policy by registry name ("heft",
@@ -175,33 +149,30 @@ func WithNoInsertion() Option { return func(c *config) { c.popts.NoInsertion = t
 // WithRestartRunning reschedules mid-execution jobs, discarding their
 // partial work (ablation); the default pins running jobs in place. The
 // ablation exists only on the analytic engine — the event-driven
-// executor cannot revoke a started job — so combining it with an
-// event-driven option is an error.
+// executor cannot revoke a started job — so combining it with WithRuntime,
+// WithHistory or WithVarianceThreshold is an error.
 func WithRestartRunning() Option { return func(c *config) { c.popts.RestartRunning = true } }
 
 // WithEps sets the minimum makespan improvement required to adopt a new
 // schedule (zero means the 1e-9 float tolerance).
 func WithEps(eps float64) Option { return func(c *config) { c.popts.Eps = eps } }
 
-// WithHistory feeds every measured job runtime into the repository — the
-// Fig. 1 feedback loop. Implies the event-driven executor path.
+// WithHistory is the Performance History Repository of the Fig. 1
+// feedback loop: the planner's Predictor reads it, and every measured job
+// runtime is recorded into it. Implies the event-driven path; without it
+// that path starts from an empty repository.
 func WithHistory(h *History) Option { return func(c *config) { c.hist = h } }
-
-// WithTrace records run-time events and rescheduling decisions into the
-// collector. Implies the event-driven executor path.
-func WithTrace(t *Trace) Option { return func(c *config) { c.trace = t } }
 
 // WithRuntime supplies actual job durations that may deviate from the
 // estimates (inaccurate-prediction studies). Implies the event-driven
-// executor path.
+// path; without it the runtimes are the estimates.
 func WithRuntime(rt Runtime) Option { return func(c *config) { c.runtime = rt } }
 
-// WithVarianceThreshold makes the planner also evaluate a reschedule when
-// a measured runtime deviates from the history EWMA by more than this
-// relative amount — the paper's "significant variance" event. Implies the
-// event-driven executor path and requires WithHistory (deviations are
-// judged against the repository); combine with WithRuntime for runtimes
-// that actually deviate.
+// WithVarianceThreshold sets the relative deviation of a measured runtime
+// from the history EWMA beyond which the planner evaluates a reschedule —
+// the paper's "significant variance" event (default 0.2). Implies the
+// event-driven path; combine with WithRuntime for runtimes that actually
+// deviate.
 func WithVarianceThreshold(v float64) Option { return func(c *config) { c.varianceThr = v } }
 
 // WithLinks declares (or overrides) named shared-link bandwidths on the
@@ -225,30 +196,23 @@ func WithFileReuse(fs *FileSet) Option {
 	return func(c *config) { c.files = fs }
 }
 
-// WithEventDriven forces the discrete-event Planner/Executor path even
-// when no event-driven extra is configured (the analytic engine is the
-// default because it is faster and provably equivalent under accurate
-// estimates).
-func WithEventDriven() Option { return func(c *config) { c.eventDriven = true } }
-
 // Run executes one workflow on the dynamic pool under the configured
-// policy (default "aheft") with accurate estimates and returns the
-// completed execution. It honours ctx: cancellation aborts the run with
-// the context's error.
+// policy (default "aheft") and returns the completed execution. It
+// honours ctx: cancellation aborts the run with the context's error.
 //
 // By default the fast analytic engine replays the paper's experiment
-// setting; options that need the run-time architecture (WithRuntime,
-// WithHistory, WithTrace, WithVarianceThreshold, WithEventDriven) switch
-// to the event-driven Planner/Executor collaboration, which integration
-// tests hold to the same results under accurate estimates for the
-// plan-ahead policies. Just-in-time policies ("minmin", "maxmin",
-// "sufferage") and WithRestartRunning are analytic-only and return an
-// error when combined with those options.
+// setting: accurate estimates, so execution follows the schedule exactly.
+// WithRuntime, WithHistory and WithVarianceThreshold switch to the
+// run-time architecture — the aheftd daemon's feedback loop without the
+// socket (see enact) — which tests hold to the analytic engine's results
+// under accurate estimates for the plan-ahead policies. Just-in-time
+// policies ("minmin", "maxmin", "sufferage") and WithRestartRunning are
+// analytic-only and return an error when combined with those options.
 func Run(ctx context.Context, g *Graph, est Estimator, pool *Pool, opts ...Option) (*Result, error) {
-	return run(ctx, g, est, pool, newConfig(opts), nil)
-}
-
-func run(ctx context.Context, g *Graph, est Estimator, pool *Pool, cfg config, observe func(Decision)) (*Result, error) {
+	cfg := config{policyName: "aheft"}
+	for _, o := range opts {
+		o(&cfg)
+	}
 	pol, err := policy.Get(cfg.policyName)
 	if err != nil {
 		return nil, fmt.Errorf("aheft: %w", err)
@@ -267,48 +231,70 @@ func run(ctx context.Context, g *Graph, est Estimator, pool *Pool, cfg config, o
 		}
 		cfg.popts.Data = m
 	}
-	if !cfg.wantsEngine() {
-		return planner.RunPolicyObserved(ctx, g, est, pool, pol, cfg.popts, observe)
+	if cfg.runtime == nil && cfg.hist == nil && cfg.varianceThr <= 0 {
+		return planner.RunPolicy(ctx, g, est, pool, pol, cfg.popts)
 	}
-	// The event-driven executor enacts schedules with ship-on-finish
-	// transfers; re-enacting a just-in-time dispatch simulation that way
-	// would start transfers earlier than its model allows and silently
-	// improve the baseline, so refuse rather than mis-measure.
-	if policy.IsJustInTime(pol) {
-		return nil, fmt.Errorf("aheft: policy %q is a just-in-time dispatch simulation and does not support the event-driven options (WithRuntime/WithHistory/WithTrace/WithVarianceThreshold/WithEventDriven)", pol.Name())
+	return enact(ctx, g, est, pool, pol, cfg)
+}
+
+// enact is the daemon's feedback loop without the socket. A
+// feedback.Tracker plans the workflow and folds in every run-time event;
+// drive.Enact executes the Tracker's current plan on the simulated grid
+// and hands each batch of events to it in process. The history is the
+// caller's or a fresh one, the variance threshold the caller's or the
+// Tracker's default, and the runtimes the caller's or the estimates.
+func enact(ctx context.Context, g *Graph, est Estimator, pool *Pool, pol Policy, cfg config) (*Result, error) {
+	if err := ctx.Err(); err != nil {
+		return nil, err
 	}
-	// Restart-running is an analytic-only ablation: the executor cannot
-	// revoke a started job, so honouring it here would quietly degrade to
-	// pin-running semantics.
+	// The executor cannot revoke a started job: honouring the ablation
+	// here would quietly degrade to pin-running semantics.
 	if cfg.popts.RestartRunning {
-		return nil, fmt.Errorf("aheft: WithRestartRunning is an analytic-engine ablation and cannot be combined with the event-driven options")
+		return nil, fmt.Errorf("aheft: WithRestartRunning is an analytic-engine ablation and cannot be combined with WithRuntime, WithHistory or WithVarianceThreshold")
 	}
-	// Variance triggers are judged against the performance history; without
-	// one the threshold would be silently inert.
-	if cfg.varianceThr > 0 && cfg.hist == nil {
-		return nil, fmt.Errorf("aheft: WithVarianceThreshold needs WithHistory to judge deviations against")
+	hist := cfg.hist
+	if hist == nil {
+		hist = history.New(0)
 	}
-	svc, err := planner.NewService(g, est, pool, planner.ServiceOptions{
-		RunOptions:        cfg.popts,
-		Policy:            pol,
-		Runtime:           cfg.runtime,
-		History:           cfg.hist,
-		VarianceThreshold: cfg.varianceThr,
-		Trace:             cfg.trace,
+	// The Tracker refuses just-in-time policies: re-enacting a dispatch
+	// simulation with ship-on-finish transfers would silently change it.
+	tr, err := feedback.New(feedback.Config{
+		Graph: g, Prior: est, Pool: pool, History: hist, Policy: pol,
+		Opts: cfg.popts, VarianceThreshold: cfg.varianceThr,
 	})
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("aheft: %w", err)
 	}
-	res, err := svc.ExecuteContext(ctx)
+	rt := cfg.runtime
+	if rt == nil {
+		rt = est
+	}
+	recs, err := drive.Enact(ctx, g, rt, pool, []*schedule.Schedule{tr.Plan()}, []int{0},
+		func(_ int, evs []wire.ReportEvent) (*schedule.Schedule, bool, error) {
+			out, err := tr.Apply(evs)
+			if err != nil {
+				return nil, false, err
+			}
+			if !out.Rescheduled {
+				return nil, out.Done, nil
+			}
+			return tr.Plan(), out.Done, nil
+		})
 	if err != nil {
 		return nil, err
 	}
-	if observe != nil {
-		for _, d := range res.Decisions {
-			observe(d)
-		}
+	as := make([]schedule.Assignment, len(recs))
+	for i, r := range recs {
+		as[i] = schedule.Assignment{Job: r.Job, Resource: r.Resource, Start: r.Start, Finish: r.Finish}
 	}
-	return res, nil
+	enacted := schedule.FromAssignments(as)
+	return &Result{
+		Policy:          pol.Name(),
+		Schedule:        enacted,
+		Makespan:        enacted.Makespan(),
+		InitialMakespan: tr.InitialMakespan(),
+		Decisions:       tr.Decisions(),
+	}, nil
 }
 
 // HEFT computes a one-shot static HEFT schedule over a fixed resource set.

@@ -2,9 +2,16 @@ package aheft_test
 
 import (
 	"context"
+	"fmt"
+	"sync"
 	"testing"
 
 	"aheft"
+	"aheft/internal/dag"
+	"aheft/internal/grid"
+	"aheft/internal/predict"
+	"aheft/internal/rng"
+	"aheft/internal/workload"
 )
 
 // TestFacadeQuickstart exercises the doc-comment example end to end.
@@ -96,14 +103,15 @@ func TestFacadeContextCancellation(t *testing.T) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 	// The event-driven path honours cancellation too.
-	if _, err := aheft.Run(ctx, sc.Graph, sc.Estimator(), sc.Pool, aheft.WithEventDriven()); err != context.Canceled {
+	if _, err := aheft.Run(ctx, sc.Graph, sc.Estimator(), sc.Pool, aheft.WithRuntime(sc.Estimator())); err != context.Canceled {
 		t.Fatalf("event-driven err = %v, want context.Canceled", err)
 	}
 }
 
-// TestFacadeEventDrivenMatchesAnalytic: WithEventDriven switches engines
-// but not results (the integration tests hold this across many scenarios;
-// here the facade wiring itself is checked).
+// TestFacadeEventDrivenMatchesAnalytic: WithRuntime switches engines but,
+// with runtimes equal to the estimates, not results (the integration
+// tests in internal/planner hold this across many scenarios; here the
+// facade wiring itself is checked).
 func TestFacadeEventDrivenMatchesAnalytic(t *testing.T) {
 	ctx := context.Background()
 	sc := aheft.SampleScenario()
@@ -114,7 +122,7 @@ func TestFacadeEventDrivenMatchesAnalytic(t *testing.T) {
 			t.Fatal(err)
 		}
 		des, err := aheft.Run(ctx, sc.Graph, sc.Estimator(), sc.Pool,
-			aheft.WithPolicy(pol), aheft.WithTieWindow(0.05), aheft.WithEventDriven())
+			aheft.WithPolicy(pol), aheft.WithTieWindow(0.05), aheft.WithRuntime(sc.Estimator()))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -124,14 +132,14 @@ func TestFacadeEventDrivenMatchesAnalytic(t *testing.T) {
 	}
 }
 
-// TestFacadeHistoryAndTrace: the event-driven extras populate their
-// collectors through the options.
+// TestFacadeHistoryAndTrace: an event-driven run fills the caller's
+// history, and its Result carries the trace of what the planner did — the
+// decision list cmd/gridsim writes its -trace from.
 func TestFacadeHistoryAndTrace(t *testing.T) {
 	sc := aheft.SampleScenario()
 	hist := aheft.NewHistory()
-	tr := aheft.NewTrace(sc.Graph)
 	res, err := aheft.Run(context.Background(), sc.Graph, sc.Estimator(), sc.Pool,
-		aheft.WithTieWindow(0.05), aheft.WithHistory(hist), aheft.WithTrace(tr))
+		aheft.WithTieWindow(0.05), aheft.WithHistory(hist))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,8 +149,11 @@ func TestFacadeHistoryAndTrace(t *testing.T) {
 	if hist.Len() == 0 {
 		t.Fatal("history not recorded")
 	}
-	if tr.Len() == 0 {
-		t.Fatal("trace not recorded")
+	if len(res.Decisions) != 1 {
+		t.Fatalf("decisions = %+v, want one", res.Decisions)
+	}
+	if d := res.Decisions[0]; d.Clock != 15 || !d.Adopted || d.Trigger.String() != "arrival" || d.ArrivedCount != 1 {
+		t.Fatalf("decision = %+v, want the r4 arrival at t=15, adopted", d)
 	}
 	// The Performance Monitor measures regardless of policy: a static HEFT
 	// run with a history still populates it.
@@ -166,12 +177,12 @@ func TestFacadeRejectsUnenactableCombos(t *testing.T) {
 	sc := aheft.SampleScenario()
 	for _, pol := range []string{"minmin", "maxmin", "sufferage"} {
 		if _, err := aheft.Run(ctx, sc.Graph, sc.Estimator(), sc.Pool,
-			aheft.WithPolicy(pol), aheft.WithEventDriven()); err == nil {
-			t.Fatalf("%s + WithEventDriven accepted", pol)
+			aheft.WithPolicy(pol), aheft.WithRuntime(sc.Estimator())); err == nil {
+			t.Fatalf("%s + WithRuntime accepted", pol)
 		}
 		if _, err := aheft.Run(ctx, sc.Graph, sc.Estimator(), sc.Pool,
-			aheft.WithPolicy(pol), aheft.WithTrace(aheft.NewTrace(sc.Graph))); err == nil {
-			t.Fatalf("%s + WithTrace accepted", pol)
+			aheft.WithPolicy(pol), aheft.WithHistory(aheft.NewHistory())); err == nil {
+			t.Fatalf("%s + WithHistory accepted", pol)
 		}
 		// The analytic path keeps working.
 		if _, err := aheft.Run(ctx, sc.Graph, sc.Estimator(), sc.Pool, aheft.WithPolicy(pol)); err != nil {
@@ -179,22 +190,150 @@ func TestFacadeRejectsUnenactableCombos(t *testing.T) {
 		}
 	}
 	if _, err := aheft.Run(ctx, sc.Graph, sc.Estimator(), sc.Pool,
-		aheft.WithRestartRunning(), aheft.WithEventDriven()); err == nil {
-		t.Fatal("WithRestartRunning + WithEventDriven accepted")
+		aheft.WithRestartRunning(), aheft.WithRuntime(sc.Estimator())); err == nil {
+		t.Fatal("WithRestartRunning + WithRuntime accepted")
 	}
 	if _, err := aheft.Run(ctx, sc.Graph, sc.Estimator(), sc.Pool, aheft.WithRestartRunning()); err != nil {
 		t.Fatalf("analytic restart ablation: %v", err)
 	}
-	// Variance triggers need a history to judge against.
-	if _, err := aheft.Run(ctx, sc.Graph, sc.Estimator(), sc.Pool,
-		aheft.WithVarianceThreshold(0.2)); err == nil {
-		t.Fatal("WithVarianceThreshold without WithHistory accepted")
-	}
-	if _, err := aheft.Run(ctx, sc.Graph, sc.Estimator(), sc.Pool,
-		aheft.WithVarianceThreshold(0.2), aheft.WithHistory(aheft.NewHistory())); err != nil {
-		t.Fatalf("variance with history: %v", err)
+	// A variance threshold alone runs against a fresh history.
+	if _, err := aheft.Run(ctx, sc.Graph, sc.Estimator(), sc.Pool, aheft.WithVarianceThreshold(0.2)); err != nil {
+		t.Fatalf("variance threshold alone: %v", err)
 	}
 }
+
+// TestConcurrentRuns: many workflows over one pool are many Run calls.
+// Concurrent runs share the pool, the estimator and the policy registry,
+// and must each produce what the same run produces alone (run it with
+// -race).
+func TestConcurrentRuns(t *testing.T) {
+	sc := aheft.SampleScenario()
+	est := sc.Estimator()
+	variants := [][]aheft.Option{
+		{aheft.WithPolicy("heft")},
+		{aheft.WithPolicy("aheft"), aheft.WithTieWindow(0.05)},
+		{aheft.WithPolicy("minmin")},
+		{aheft.WithTieWindow(0.05), aheft.WithRuntime(est)},
+	}
+	want := make([]float64, len(variants))
+	for i, opts := range variants {
+		res, err := aheft.Run(context.Background(), sc.Graph, est, sc.Pool, opts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[i] = res.Makespan
+	}
+	const copies = 4
+	got := make([]float64, copies*len(variants))
+	errs := make([]error, len(got))
+	var wg sync.WaitGroup
+	for k := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			res, err := aheft.Run(context.Background(), sc.Graph, est, sc.Pool, variants[k%len(variants)]...)
+			if errs[k] = err; err == nil {
+				got[k] = res.Makespan
+			}
+		}()
+	}
+	wg.Wait()
+	for k := range got {
+		if errs[k] != nil || got[k] != want[k%len(variants)] {
+			t.Fatalf("concurrent run %d: makespan %g, err %v; alone %g", k, got[k], errs[k], want[k%len(variants)])
+		}
+	}
+}
+
+// TestRuntimeAdaptiveBeatsStatic is the library twin of the daemon's
+// TestDriveClosedLoopBeatsStatic: BLAST and WIEN2K workflows on their
+// scenario's growing pool, with actual runtimes up to ±20 % off the
+// estimates. Under the same runtimes, the adaptive loop (replan on every
+// arrival and significant variance, adopt only improvements) must finish
+// earlier on average than the one-shot HEFT plan.
+func TestRuntimeAdaptiveBeatsStatic(t *testing.T) {
+	const perClass = 8
+	gp := workload.GridParams{InitialResources: 6, ChangeInterval: 400, ChangePct: 0.25, MaxEvents: 4}
+	for _, class := range []struct {
+		name string
+		make func(*rng.Source) (*workload.Scenario, error)
+	}{
+		{"blast", func(r *rng.Source) (*workload.Scenario, error) {
+			return workload.BlastScenario(workload.AppParams{Parallelism: 12, CCR: 1, Beta: 0.5}, gp, r)
+		}},
+		{"wien2k", func(r *rng.Source) (*workload.Scenario, error) {
+			return workload.Wien2kScenario(workload.AppParams{Parallelism: 12, CCR: 1, Beta: 0.5}, gp, r)
+		}},
+	} {
+		t.Run(class.name, func(t *testing.T) {
+			r := rng.New(0xfeedba5e)
+			adaptiveSum, staticSum := 0.0, 0.0
+			for i := 0; i < perClass; i++ {
+				sc, err := class.make(r)
+				if err != nil {
+					t.Fatal(err)
+				}
+				// One memoised draw per (job, resource): both runs see the
+				// same actual runtimes whatever order they ask in.
+				rt := &predict.Noisy{Base: sc.Estimator(), Error: 0.2, Rng: r.Split(fmt.Sprintf("noise-%d", i))}
+				var mk [2]float64
+				for k, pol := range []string{"heft", "aheft"} {
+					res, err := aheft.Run(context.Background(), sc.Graph, sc.Estimator(), sc.Pool,
+						aheft.WithPolicy(pol), aheft.WithRuntime(rt))
+					if err != nil {
+						t.Fatalf("%s-%d %s: %v", class.name, i, pol, err)
+					}
+					mk[k] = res.Makespan
+				}
+				staticSum += mk[0]
+				adaptiveSum += mk[1]
+				t.Logf("%s-%d: static=%.1f adaptive=%.1f", class.name, i, mk[0], mk[1])
+			}
+			if adaptiveSum >= staticSum {
+				t.Fatalf("%s: mean adaptive makespan %.1f not below static %.1f",
+					class.name, adaptiveSum/perClass, staticSum/perClass)
+			}
+		})
+	}
+}
+
+// TestVarianceThresholdTriggersEvaluation: the Performance Monitor path.
+// Every job runs 1.6× its estimate against a history that holds the
+// estimates, so the first finish on each (operation, resource) cell
+// deviates by 60 % and the planner must evaluate on it.
+func TestVarianceThresholdTriggersEvaluation(t *testing.T) {
+	sc := aheft.SampleScenario()
+	est := sc.Estimator()
+	hist := aheft.NewHistory()
+	for _, j := range sc.Graph.Jobs() {
+		for r := 0; r < sc.Pool.Size(); r++ {
+			_ = hist.Record(j.Op, grid.ID(r), est.Comp(j.ID, grid.ID(r)))
+		}
+	}
+	res, err := aheft.Run(context.Background(), sc.Graph, est, sc.Pool,
+		aheft.WithRuntime(slow{est, 1.6}), aheft.WithHistory(hist), aheft.WithVarianceThreshold(0.25))
+	if err != nil {
+		t.Fatal(err)
+	}
+	variance := 0
+	for _, d := range res.Decisions {
+		if d.Trigger.String() == "variance" {
+			variance++
+		}
+	}
+	if variance == 0 {
+		t.Fatalf("no variance-triggered evaluation: %+v", res.Decisions)
+	}
+}
+
+// slow is a runtime factor× the estimator's computation costs.
+type slow struct {
+	est    aheft.Estimator
+	factor float64
+}
+
+func (s slow) Comp(j aheft.JobID, r grid.ID) float64 { return s.factor * s.est.Comp(j, r) }
+func (s slow) Comm(e dag.Edge, a, b grid.ID) float64 { return s.est.Comm(e, a, b) }
 
 func TestFacadeGraphConstruction(t *testing.T) {
 	g := aheft.NewGraph("mini")

@@ -12,9 +12,13 @@ package main
 
 import (
 	"context"
+	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
+	"sort"
 	"strings"
 
 	"aheft"
@@ -26,35 +30,49 @@ import (
 )
 
 func main() {
+	if err := run(os.Args[1:], os.Stdout); err != nil {
+		if !errors.Is(err, flag.ErrHelp) {
+			fmt.Fprintln(os.Stderr, "gridsim:", err)
+			os.Exit(1)
+		}
+	}
+}
+
+// run parses args, simulates the workload under each strategy and writes
+// the report to stdout.
+func run(args []string, stdout io.Writer) error {
+	fs := flag.NewFlagSet("gridsim", flag.ContinueOnError)
+	fs.SetOutput(stdout)
 	var (
-		kind       = flag.String("workload", "sample", "workload: sample, random, blast, wien2k, montage")
-		jobs       = flag.Int("jobs", 100, "total job count υ (random/blast/wien2k/montage)")
-		ccr        = flag.Float64("ccr", 1.0, "communication-to-computation ratio")
-		beta       = flag.Float64("beta", 0.5, "resource heterogeneity factor β")
-		outdeg     = flag.Float64("outdegree", 0.3, "max out-degree as fraction of υ (random)")
-		alpha      = flag.Float64("alpha", 1.0, "DAG shape α: width ≈ α·sqrt(υ) (random)")
-		pool       = flag.Int("pool", 10, "initial resource pool size R")
-		interval   = flag.Float64("interval", 400, "resource change interval Δ (0 = static grid)")
-		pct        = flag.Float64("pct", 0.2, "resource change percentage δ")
-		seed       = flag.Uint64("seed", 1, "random seed")
-		tie        = flag.Float64("tie", 0, "AHEFT near-tie exploration window")
-		strategies = flag.String("strategies", "heft,aheft,minmin",
+		kind       = fs.String("workload", "sample", "workload: sample, random, blast, wien2k, montage")
+		jobs       = fs.Int("jobs", 100, "total job count υ (random/blast/wien2k/montage)")
+		ccr        = fs.Float64("ccr", 1.0, "communication-to-computation ratio")
+		beta       = fs.Float64("beta", 0.5, "resource heterogeneity factor β")
+		outdeg     = fs.Float64("outdegree", 0.3, "max out-degree as fraction of υ (random)")
+		alpha      = fs.Float64("alpha", 1.0, "DAG shape α: width ≈ α·sqrt(υ) (random)")
+		pool       = fs.Int("pool", 10, "initial resource pool size R")
+		interval   = fs.Float64("interval", 400, "resource change interval Δ (0 = static grid)")
+		pct        = fs.Float64("pct", 0.2, "resource change percentage δ")
+		seed       = fs.Uint64("seed", 1, "random seed")
+		tie        = fs.Float64("tie", 0, "AHEFT near-tie exploration window")
+		strategies = fs.String("strategies", "heft,aheft,minmin",
 			"comma-separated policy names (registered: "+strings.Join(policy.Names(), ", ")+")")
-		gantt     = flag.Bool("gantt", false, "print a Gantt chart of each final schedule")
-		decisions = flag.Bool("decisions", true, "print the adaptive planner's decisions")
-		traceFile = flag.String("trace", "", "write a JSONL execution trace of the adaptive run to this file (runs through the event-driven executor)")
+		gantt     = fs.Bool("gantt", false, "print a Gantt chart of each final schedule")
+		decisions = fs.Bool("decisions", true, "print the adaptive planner's decisions")
+		traceFile = fs.String("trace", "", "write a JSONL execution trace of the adaptive run to this file: job finishes, resource arrivals and rescheduling decisions")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
 
 	sc, err := buildScenario(*kind, *jobs, *ccr, *beta, *outdeg, *alpha, *pool, *interval, *pct, *seed)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "gridsim:", err)
-		os.Exit(1)
+		return err
 	}
 	g := sc.Graph
-	fmt.Printf("workflow %s: %d jobs, %d edges, width %d, %d levels\n",
+	fmt.Fprintf(stdout, "workflow %s: %d jobs, %d edges, width %d, %d levels\n",
 		g.Name(), g.Len(), g.NumEdges(), g.Width(), len(g.Levels()))
-	fmt.Printf("grid: %d initial resources, %d arrivals at %v\n\n",
+	fmt.Fprintf(stdout, "grid: %d initial resources, %d arrivals at %v\n\n",
 		len(sc.Pool.Initial()), sc.Pool.Size()-len(sc.Pool.Initial()), sc.Pool.ChangeTimes())
 
 	nameOf := func(j dag.JobID) string { return g.Job(j).Name }
@@ -65,39 +83,28 @@ func main() {
 		return fmt.Sprintf("r%d", r+1)
 	}
 
-	ctx := context.Background()
 	traced := false
 	for _, name := range strings.Split(*strategies, ",") {
 		name = policy.Canon(name)
 		pol, err := policy.Get(name)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "gridsim: %v\n", err)
-			os.Exit(2)
+			return err
 		}
-		opts := []aheft.Option{aheft.WithPolicy(name), aheft.WithTieWindow(*tie)}
-		var col *aheft.Trace
-		if *traceFile != "" && pol.Adaptive() {
-			// Run through the event-driven executor so the trace captures
-			// the real event stream (identical results to the analytic
-			// engine; see the integration tests).
-			col = aheft.NewTrace(g)
-			opts = append(opts, aheft.WithTrace(col))
-		}
-		res, err := aheft.Run(ctx, g, sc.Estimator(), sc.Pool, opts...)
+		res, err := aheft.Run(context.Background(), g, sc.Estimator(), sc.Pool,
+			aheft.WithPolicy(name), aheft.WithTieWindow(*tie))
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "gridsim: %s: %v\n", name, err)
-			os.Exit(1)
+			return fmt.Errorf("%s: %w", name, err)
 		}
-		if col != nil {
-			if err := writeTrace(*traceFile, col); err != nil {
-				fmt.Fprintln(os.Stderr, "gridsim:", err)
-				os.Exit(1)
+		if *traceFile != "" && pol.Adaptive() {
+			n, err := writeTrace(*traceFile, sc, res)
+			if err != nil {
+				return err
 			}
-			fmt.Printf("trace (%d events) written to %s\n", col.Len(), *traceFile)
+			fmt.Fprintf(stdout, "trace (%d events) written to %s\n", n, *traceFile)
 			traced = true
 		}
 		if pol.Adaptive() {
-			fmt.Printf("%-9s (adaptive): makespan %10.2f  (%.1f%% vs initial plan, %d/%d reschedules adopted)\n",
+			fmt.Fprintf(stdout, "%-9s (adaptive): makespan %10.2f  (%.1f%% vs initial plan, %d/%d reschedules adopted)\n",
 				name, res.Makespan, 100*res.Improvement(), res.Adoptions(), len(res.Decisions))
 			if *decisions {
 				for _, d := range res.Decisions {
@@ -105,34 +112,88 @@ func main() {
 					if d.Adopted {
 						verdict = "adopted"
 					}
-					fmt.Printf("  t=%8.1f %s(+%d) pool=%3d finished=%4d  %10.2f -> %10.2f  %s\n",
+					fmt.Fprintf(stdout, "  t=%8.1f %s(+%d) pool=%3d finished=%4d  %10.2f -> %10.2f  %s\n",
 						d.Clock, d.Trigger, d.ArrivedCount, d.PoolSize, d.JobsFinished,
 						d.OldMakespan, d.NewMakespan, verdict)
 				}
 			}
 		} else {
-			fmt.Printf("%-9s (one-shot): makespan %10.2f\n", name, res.Makespan)
+			fmt.Fprintf(stdout, "%-9s (one-shot): makespan %10.2f\n", name, res.Makespan)
 		}
 		if *gantt {
-			fmt.Println(res.Schedule.Gantt(96, nameOf, resName))
+			fmt.Fprintln(stdout, res.Schedule.Gantt(96, nameOf, resName))
 		}
 	}
 	if *traceFile != "" && !traced {
 		fmt.Fprintf(os.Stderr, "gridsim: warning: -trace applies only to adaptive policies; none in %q, no trace written\n", *strategies)
 	}
+	return nil
 }
 
-// writeTrace dumps the collected execution trace as JSON Lines.
-func writeTrace(path string, col *aheft.Trace) error {
+// traceEvent is one line of the -trace JSONL, on the simulated clock.
+type traceEvent struct {
+	Time float64 `json:"t"`
+	Kind string  `json:"kind"`
+	// Job fields (job_finish).
+	Job      dag.JobID `json:"job,omitempty"`
+	JobName  string    `json:"job_name,omitempty"`
+	Resource grid.ID   `json:"resource,omitempty"`
+	Duration float64   `json:"duration,omitempty"`
+	// Arrival fields (resource_arrival).
+	Arrived []string `json:"arrived,omitempty"`
+	// Decision fields (reschedule).
+	Old          float64 `json:"old_makespan,omitempty"`
+	New          float64 `json:"new_makespan,omitempty"`
+	Adopted      bool    `json:"adopted,omitempty"`
+	Trigger      string  `json:"trigger,omitempty"`
+	ArrivedCount int     `json:"arrived_count,omitempty"`
+}
+
+// writeTrace writes the adaptive run as JSON Lines in simulated-time
+// order and returns the number of events: a job_finish per assignment of
+// the final schedule (under accurate estimates its times are the actual
+// ones), a resource_arrival per pool change before the makespan (the
+// executor stops at the last finish), and a reschedule per decision. At
+// one instant finishes come first, then the arrival, then the decision it
+// caused — the executor's event order.
+func writeTrace(path string, sc *workload.Scenario, res *aheft.Result) (int, error) {
+	var evs []traceEvent
+	for _, a := range res.Schedule.Assignments() {
+		evs = append(evs, traceEvent{
+			Time: a.Finish, Kind: "job_finish", Job: a.Job, JobName: sc.Graph.Job(a.Job).Name,
+			Resource: a.Resource, Duration: a.Finish - a.Start,
+		})
+	}
+	for _, t := range sc.Pool.ChangeTimes() {
+		if t >= res.Makespan {
+			break
+		}
+		var names []string
+		for _, r := range sc.Pool.ArrivalsAt(t) {
+			names = append(names, r.Name)
+		}
+		evs = append(evs, traceEvent{Time: t, Kind: "resource_arrival", Arrived: names})
+	}
+	for _, d := range res.Decisions {
+		evs = append(evs, traceEvent{
+			Time: d.Clock, Kind: "reschedule", Old: d.OldMakespan, New: d.NewMakespan,
+			Adopted: d.Adopted, Trigger: d.Trigger.String(), ArrivedCount: d.ArrivedCount,
+		})
+	}
+	sort.SliceStable(evs, func(i, j int) bool { return evs[i].Time < evs[j].Time })
+
 	f, err := os.Create(path)
 	if err != nil {
-		return err
+		return 0, err
 	}
-	if err := col.WriteJSONL(f); err != nil {
-		f.Close()
-		return err
+	enc := json.NewEncoder(f)
+	for _, e := range evs {
+		if err := enc.Encode(e); err != nil {
+			f.Close()
+			return 0, err
+		}
 	}
-	return f.Close()
+	return len(evs), f.Close()
 }
 
 func buildScenario(kind string, jobs int, ccr, beta, outdeg, alpha float64, pool int, interval, pct float64, seed uint64) (*workload.Scenario, error) {

@@ -55,18 +55,14 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		// One session per case: the three policies race concurrently over
-		// the same pool, each workflow in its own goroutine.
-		est := sc.Estimator()
-		session := aheft.NewSession(context.Background(), sc.Pool)
+		// Each policy is an independent Run over the same immutable pool.
+		results := map[string]*aheft.Result{}
 		for _, pol := range []string{"heft", "aheft", "minmin"} {
-			if err := session.Submit(pol, sc.Graph, est, aheft.WithPolicy(pol)); err != nil {
+			res, err := aheft.Run(context.Background(), sc.Graph, sc.Estimator(), sc.Pool, aheft.WithPolicy(pol))
+			if err != nil {
 				log.Fatal(err)
 			}
-		}
-		results, err := session.Wait()
-		if err != nil {
-			log.Fatal(err)
+			results[pol] = res
 		}
 		static, adaptive, dyn := results["heft"], results["aheft"], results["minmin"]
 		hs.Add(static.Makespan)

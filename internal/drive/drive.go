@@ -8,11 +8,13 @@
 // nobody-listens baseline under the same noise and churn, so callers can
 // measure what adaptivity bought.
 //
-// There is one of each part: Client is the only daemon HTTP client, Run
-// the only enactor (one tenant on its own pool, or several co-scheduled
-// on a named shared grid), Replay the only builder of faithful
-// plan-to-report event lists (RunData and loadgen's -chaos script use
-// it). cmd/loadgen and the server acceptance tests share this harness. A
+// There is one of each part: Client is the only daemon HTTP client, Enact
+// the only enactment loop (Run drives it against the daemon, one tenant
+// on its own pool or several co-scheduled on a named shared grid; the
+// root facade drives it against an in-process feedback.Tracker), Replay
+// the only builder of faithful plan-to-report event lists (RunData and
+// loadgen's -chaos script use it). cmd/loadgen and the server acceptance
+// tests share this harness. A
 // Run with a fixed Config and tenants is deterministic as long as the
 // tenants' histories are not perturbed by concurrent workflows: the noise
 // tables and churned pool are pre-materialised from the seed, and the
@@ -241,8 +243,29 @@ func Run(ctx context.Context, cfg Config, tenants []Tenant) (*Outcome, error) {
 		out.Tenants[i].BaselineMakespan = m
 	}
 
-	if err := enact(ctx, c, merged, mergedNoisy, enacted, tenants, plans, offsets, out); err != nil {
+	recs, err = Enact(ctx, merged, cost.Exact(mergedNoisy), enacted, plans, offsets,
+		func(i int, evs []wire.ReportEvent) (*schedule.Schedule, bool, error) {
+			row := &out.Tenants[i]
+			ack, err := c.Report(ctx, row.ID, evs)
+			if err != nil {
+				return nil, false, err
+			}
+			row.Reports++
+			row.Events += ack.Applied
+			row.Decisions += ack.Decisions
+			if ack.Plan == nil {
+				return nil, ack.Done, nil
+			}
+			row.Reschedules++
+			row.ByTrigger[ack.Trigger]++
+			plan, err := planSchedule(ack.Plan, tenants[i].Scenario.Graph)
+			return plan, ack.Done, err
+		})
+	if err != nil {
 		return nil, err
+	}
+	for i, m := range finishTimes(recs, offsets) {
+		out.Tenants[i].AdaptiveMakespan = m
 	}
 
 	for i := range out.Tenants {
@@ -293,12 +316,23 @@ func Submission(gridName string, pool *grid.Pool, tn Tenant) ([]byte, error) {
 	return body, nil
 }
 
-// enact runs the adaptive execution: the event-driven executor enacts the
-// merged current plans while every start/finish/arrival is reported to
-// its tenant's workflow; an acked reschedule (own or contention-triggered)
-// is resubmitted into the running engine mid-flight.
-func enact(ctx context.Context, c *Client, merged *dag.Graph, mergedNoisy *cost.Table, pool *grid.Pool,
-	tenants []Tenant, plans []*schedule.Schedule, offsets []int, out *Outcome) error {
+// Reporter delivers tenant i's batch of run-time events to the planner
+// that owns its workflow. It returns the plan to enact from now on (nil
+// keeps the current one) and whether the workflow is complete. Run
+// reports over HTTP to a daemon; the root facade hands the batch to a
+// feedback.Tracker in process.
+type Reporter func(i int, events []wire.ReportEvent) (plan *schedule.Schedule, done bool, err error)
+
+// Enact is the one enactment loop of the Fig. 1 collaboration. The
+// event-driven executor runs the tenants' current plans, merged into the
+// index space of g (the disjoint union of their DAGs; offsets[i] is
+// tenant i's first job), with actual runtimes rt on pool. Every start,
+// finish and arrival is reported to its tenant's planner, and a returned
+// reschedule (own or contention-triggered) is resubmitted into the
+// running engine mid-flight. plans is updated in place. Enact returns the
+// measured job records in finish order.
+func Enact(ctx context.Context, g *dag.Graph, rt executor.Runtime, pool *grid.Pool,
+	plans []*schedule.Schedule, offsets []int, report Reporter) ([]executor.JobRecord, error) {
 
 	var eng *executor.Engine
 	var loopErr error
@@ -306,38 +340,29 @@ func enact(ctx context.Context, c *Client, merged *dag.Graph, mergedNoisy *cost.
 		loopErr = err
 		eng.Cancel(err)
 	}
-	pending := make([][]wire.ReportEvent, len(tenants))
-	done := make([]bool, len(tenants))
+	pending := make([][]wire.ReportEvent, len(plans))
+	done := make([]bool, len(plans))
 
 	flush := func(i int) {
 		if len(pending[i]) == 0 || loopErr != nil || done[i] {
 			return
 		}
-		row := &out.Tenants[i]
-		ack, err := c.Report(ctx, row.ID, pending[i])
+		plan, fin, err := report(i, pending[i])
 		pending[i] = pending[i][:0]
 		if err != nil {
 			fail(err)
 			return
 		}
-		row.Reports++
-		row.Events += ack.Applied
-		row.Decisions += ack.Decisions
-		done[i] = ack.Done
-		if ack.Plan == nil {
+		done[i] = fin
+		if plan == nil {
 			return
 		}
-		row.Reschedules++
-		row.ByTrigger[ack.Trigger]++
-		if plans[i], err = planSchedule(ack.Plan, tenants[i].Scenario.Graph); err != nil {
-			fail(err)
-			return
-		}
+		plans[i] = plan
 		if err := eng.Resubmit(mergeSchedules(plans, offsets)); err != nil {
 			fail(fmt.Errorf("drive: resubmit merged plan: %w", err))
 		}
 	}
-	handler := executor.EventHandlerFunc(func(ev executor.Event) {
+	handler := func(ev executor.Event) {
 		if loopErr == nil && ctx.Err() != nil {
 			fail(ctx.Err())
 			return
@@ -353,7 +378,7 @@ func enact(ctx context.Context, c *Client, merged *dag.Graph, mergedNoisy *cost.
 			return
 		}
 		// A grid arrival is a run-time event for every live tenant.
-		for i := range tenants {
+		for i := range plans {
 			if done[i] {
 				continue
 			}
@@ -364,14 +389,14 @@ func enact(ctx context.Context, c *Client, merged *dag.Graph, mergedNoisy *cost.
 			}
 			flush(i)
 		}
-	})
+	}
 	var err error
-	eng, err = executor.New(sim.New(), merged, cost.Exact(mergedNoisy), pool, mergeSchedules(plans, offsets), handler)
+	eng, err = executor.New(sim.New(), g, rt, pool, mergeSchedules(plans, offsets), handler)
 	if err != nil {
-		return fmt.Errorf("drive: executor: %w", err)
+		return nil, fmt.Errorf("drive: executor: %w", err)
 	}
 	// Starts are queued, not flushed: they ride in front of the next
-	// finish/arrival report, so the daemon always knows which jobs are
+	// finish/arrival report, so the planner always knows which jobs are
 	// running (and hold their slots) before it evaluates a reschedule.
 	eng.StartHook = func(j dag.JobID, r grid.ID, t float64) {
 		i := ownerOf(int(j), offsets)
@@ -382,14 +407,11 @@ func enact(ctx context.Context, c *Client, merged *dag.Graph, mergedNoisy *cost.
 	recs, err := eng.Run()
 	switch {
 	case loopErr != nil:
-		return loopErr
+		return nil, loopErr
 	case err != nil:
-		return fmt.Errorf("drive: enact: %w", err)
+		return nil, fmt.Errorf("drive: enact: %w", err)
 	}
-	for i, m := range finishTimes(recs, offsets) {
-		out.Tenants[i].AdaptiveMakespan = m
-	}
-	return nil
+	return recs, nil
 }
 
 // isolatedPlan computes the tenant's plan with no knowledge of the other

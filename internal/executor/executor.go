@@ -8,23 +8,21 @@
 // and reports them, plus significant variance, to the Planner).
 //
 // The executor publishes the run-time events the Planner subscribes to —
-// resource arrivals and job completions — through the EventHandler
-// interface, and accepts replacement schedules mid-run, which is exactly
+// resource arrivals and job completions — through an event handler, and accepts replacement schedules mid-run, which is exactly
 // the Planner/Executor collaboration the paper proposes. Jobs that are
 // already running when a new schedule arrives keep running (their
 // reservation is not revoked), and file transfers already in flight
 // complete at their original ETA; both match the snapshot semantics of
-// package core, and an integration test checks that this event-driven
-// execution reproduces the analytic runner in package planner event for
-// event.
+// the scheduling kernel. internal/drive's enactment loop runs this engine
+// against a planner, and an integration test checks that the enactment
+// reproduces the analytic runner in package planner decision for
+// decision.
 package executor
 
 import (
 	"fmt"
-	"math"
 	"sort"
 
-	"aheft/internal/core"
 	"aheft/internal/dag"
 	"aheft/internal/grid"
 	"aheft/internal/schedule"
@@ -53,19 +51,6 @@ type Event struct {
 	ActualDuration float64
 }
 
-// EventHandler receives run-time events. A handler may call
-// (*Engine).Resubmit from within the callback to replace the remaining
-// schedule — the Planner's reaction in the Fig. 2 loop.
-type EventHandler interface {
-	HandleEvent(ev Event)
-}
-
-// EventHandlerFunc adapts a function to the EventHandler interface.
-type EventHandlerFunc func(ev Event)
-
-// HandleEvent calls f(ev).
-func (f EventHandlerFunc) HandleEvent(ev Event) { f(ev) }
-
 // JobRecord is the measured outcome of one job.
 type JobRecord struct {
 	Job      dag.JobID
@@ -81,15 +66,16 @@ type Engine struct {
 	rt   Runtime
 	pool *grid.Pool
 
-	sched   *schedule.Schedule // current plan (replaceable via Resubmit)
-	handler EventHandler
+	sched *schedule.Schedule // current plan (replaceable via Resubmit)
+	// handler receives run-time events. It may call Resubmit to replace
+	// the remaining schedule — the Planner's reaction in the Fig. 2 loop.
+	handler func(Event)
 
 	// StartHook, when non-nil, is invoked the moment a job begins
 	// executing — before its completion is even scheduled. Unlike
-	// EventHandler events it carries no rescheduling rights; it exists so
-	// an enactment client (the daemon's drive loop) can report
-	// job-started upstream and the remote planner knows which
-	// reservations are committed. Set it before Run.
+	// handler events it carries no rescheduling rights; it exists so
+	// the enactment loop (drive.Enact) can report job-started and the
+	// planner knows which reservations are committed. Set it before Run.
 	StartHook func(j dag.JobID, r grid.ID, t float64)
 
 	available map[grid.ID]bool
@@ -101,16 +87,20 @@ type Engine struct {
 	// become) available on the resource; transfers in flight have a
 	// future time. Files are per edge, matching the paper's per-pair data
 	// matrix and the AHEFT snapshot model.
-	fileAt map[core.EdgeKey]map[grid.ID]float64
+	fileAt map[fileKey]map[grid.ID]float64
 
 	records []JobRecord
 	err     error
 }
 
+// fileKey names the file one dependence edge carries, from producer to
+// consumer.
+type fileKey struct{ From, To dag.JobID }
+
 // New prepares an engine bound to a simulator. The schedule must cover all
 // jobs of g; it may be replaced during the run via Resubmit. handler may
 // be nil.
-func New(simr *sim.Simulator, g *dag.Graph, rt Runtime, pool *grid.Pool, s *schedule.Schedule, handler EventHandler) (*Engine, error) {
+func New(simr *sim.Simulator, g *dag.Graph, rt Runtime, pool *grid.Pool, s *schedule.Schedule, handler func(Event)) (*Engine, error) {
 	if simr == nil || g == nil || rt == nil || pool == nil || s == nil {
 		return nil, fmt.Errorf("executor: nil argument")
 	}
@@ -125,7 +115,7 @@ func New(simr *sim.Simulator, g *dag.Graph, rt Runtime, pool *grid.Pool, s *sche
 		busy:      make(map[grid.ID]dag.JobID),
 		started:   make(map[dag.JobID]float64),
 		finished:  make(map[dag.JobID]*JobRecord),
-		fileAt:    make(map[core.EdgeKey]map[grid.ID]float64),
+		fileAt:    make(map[fileKey]map[grid.ID]float64),
 	}
 	return e, nil
 }
@@ -194,7 +184,7 @@ func (e *Engine) Resubmit(s1 *schedule.Schedule) error {
 			if !done {
 				continue
 			}
-			key := core.EdgeKey{From: edge.From, To: edge.To}
+			key := fileKey{From: edge.From, To: edge.To}
 			if _, have := e.fileAt[key][a1.Resource]; have {
 				continue
 			}
@@ -210,12 +200,9 @@ func (e *Engine) Resubmit(s1 *schedule.Schedule) error {
 	return nil
 }
 
-// Schedule returns the schedule currently being enacted.
-func (e *Engine) Schedule() *schedule.Schedule { return e.sched }
-
 // Cancel aborts the execution: the event loop halts at the current
 // simulated time and Run returns err. Safe to call from an event handler;
-// the root facade uses it to honour context cancellation.
+// drive.Enact uses it to honour context cancellation.
 func (e *Engine) Cancel(err error) {
 	if e.err == nil {
 		e.err = err
@@ -229,7 +216,7 @@ func (e *Engine) onArrival(t float64) {
 		e.available[r.ID] = true
 	}
 	if e.handler != nil {
-		e.handler.HandleEvent(Event{Time: t, Arrived: arrived, Finished: dag.NoJob})
+		e.handler(Event{Time: t, Arrived: arrived, Finished: dag.NoJob})
 	}
 	e.simr.At(t, sim.PriDispatch, e.pump)
 }
@@ -299,7 +286,7 @@ func (e *Engine) canStart(j dag.JobID, r grid.ID, now float64) bool {
 		return false
 	}
 	for _, edge := range e.g.Preds(j) {
-		t, ok := e.fileAt[core.EdgeKey{From: edge.From, To: edge.To}][r]
+		t, ok := e.fileAt[fileKey{From: edge.From, To: edge.To}][r]
 		if !ok || t > now {
 			return false
 		}
@@ -327,14 +314,14 @@ func (e *Engine) finish(j dag.JobID, r grid.ID, start, end float64) {
 		// events are not evaluated against a finished DAG.
 		e.simr.Stop()
 		if e.handler != nil {
-			e.handler.HandleEvent(Event{Time: end, Finished: j, OnResource: r, ActualDuration: end - start})
+			e.handler(Event{Time: end, Finished: j, OnResource: r, ActualDuration: end - start})
 		}
 		return
 	}
 	// Static file-transfer policy: ship each output file immediately to
 	// the scheduled resource of its consumer (§4.1 assumption 2).
 	for _, edge := range e.g.Succs(j) {
-		key := core.EdgeKey{From: edge.From, To: edge.To}
+		key := fileKey{From: edge.From, To: edge.To}
 		e.setFile(key, r, end)
 		sa, ok := e.sched.Get(edge.To)
 		if !ok {
@@ -348,13 +335,13 @@ func (e *Engine) finish(j dag.JobID, r grid.ID, start, end float64) {
 		}
 	}
 	if e.handler != nil {
-		e.handler.HandleEvent(Event{Time: end, Finished: j, OnResource: r, ActualDuration: end - start})
+		e.handler(Event{Time: end, Finished: j, OnResource: r, ActualDuration: end - start})
 	}
 	e.simr.At(end, sim.PriDispatch, e.pump)
 }
 
 // setFile records file availability, keeping the earliest time.
-func (e *Engine) setFile(key core.EdgeKey, r grid.ID, t float64) {
+func (e *Engine) setFile(key fileKey, r grid.ID, t float64) {
 	row := e.fileAt[key]
 	if row == nil {
 		row = make(map[grid.ID]float64)
@@ -363,13 +350,4 @@ func (e *Engine) setFile(key core.EdgeKey, r grid.ID, t float64) {
 	if old, ok := row[r]; !ok || t < old {
 		row[r] = t
 	}
-}
-
-// FileAvailable reports when the (from → to) file became available on r
-// (+Inf if it never did).
-func (e *Engine) FileAvailable(from, to dag.JobID, r grid.ID) float64 {
-	if t, ok := e.fileAt[core.EdgeKey{From: from, To: to}][r]; ok {
-		return t
-	}
-	return math.Inf(1)
 }

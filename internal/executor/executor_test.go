@@ -14,7 +14,7 @@ import (
 	"aheft/internal/workload"
 )
 
-func sampleEngine(t *testing.T, handler EventHandler) (*Engine, *dag.Graph, cost.Estimator) {
+func sampleEngine(t *testing.T, handler func(Event)) (*Engine, *dag.Graph, cost.Estimator) {
 	t.Helper()
 	sc := workload.SampleScenario()
 	est := sc.Estimator()
@@ -51,7 +51,7 @@ func TestEnactSampleSchedule(t *testing.T) {
 
 func TestEventsEmitted(t *testing.T) {
 	var finishes, arrivals int
-	handler := EventHandlerFunc(func(ev Event) {
+	handler := func(ev Event) {
 		if ev.Finished != dag.NoJob {
 			finishes++
 			if ev.ActualDuration <= 0 {
@@ -61,7 +61,7 @@ func TestEventsEmitted(t *testing.T) {
 		if len(ev.Arrived) > 0 {
 			arrivals++
 		}
-	})
+	}
 	e, g, _ := sampleEngine(t, handler)
 	if _, err := e.Run(); err != nil {
 		t.Fatal(err)
@@ -90,11 +90,11 @@ func TestArrivalEventsAfterCompletionSuppressed(t *testing.T) {
 		t.Fatal(err)
 	}
 	arrivals := 0
-	e, err := New(sim.New(), sc.Graph, est, pool, s0, EventHandlerFunc(func(ev Event) {
+	e, err := New(sim.New(), sc.Graph, est, pool, s0, func(ev Event) {
 		if len(ev.Arrived) > 0 {
 			arrivals++
 		}
-	}))
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,36 +103,6 @@ func TestArrivalEventsAfterCompletionSuppressed(t *testing.T) {
 	}
 	if arrivals != 0 {
 		t.Fatalf("arrival after completion still delivered (%d)", arrivals)
-	}
-}
-
-func TestExecStateMidRun(t *testing.T) {
-	var captured bool
-	var e *Engine
-	handler := EventHandlerFunc(func(ev Event) {
-		if len(ev.Arrived) > 0 && !captured {
-			captured = true
-			st := e.ExecState()
-			if st.Clock != 15 {
-				t.Errorf("snapshot clock = %g, want 15", st.Clock)
-			}
-			if len(st.Finished) != 1 {
-				t.Errorf("finished = %d, want 1 (n1)", len(st.Finished))
-			}
-			if len(st.Pinned) != 1 {
-				t.Errorf("pinned = %d, want 1 (running n3)", len(st.Pinned))
-			}
-			if err := st.Validate(); err != nil {
-				t.Errorf("snapshot invalid: %v", err)
-			}
-		}
-	})
-	e, _, _ = sampleEngine(t, handler)
-	if _, err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if !captured {
-		t.Fatal("arrival event never fired")
 	}
 }
 
@@ -239,20 +209,4 @@ type scaledRuntime struct {
 func (s scaledRuntime) Comp(j dag.JobID, r grid.ID) float64 { return s.factor * s.base.Comp(j, r) }
 func (s scaledRuntime) Comm(e dag.Edge, a, b grid.ID) float64 {
 	return s.base.Comm(e, a, b)
-}
-
-func TestFileAvailable(t *testing.T) {
-	e, g, _ := sampleEngine(t, nil)
-	if _, err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
-	n1, n3 := g.JobByName("n1"), g.JobByName("n3")
-	// n1 and n3 both ran on r3 (ID 2): the file is available at n1's
-	// finish time 9.
-	if ft := e.FileAvailable(n1, n3, 2); ft != 9 {
-		t.Fatalf("FileAvailable = %g, want 9", ft)
-	}
-	if ft := e.FileAvailable(n1, n3, 3); ft != ft+0 && false {
-		t.Fatal("unreachable")
-	}
 }

@@ -394,7 +394,8 @@ func (t *Tracker) Apply(events []wire.ReportEvent) (*Outcome, error) {
 		return nil, err
 	}
 	out := &Outcome{}
-	for _, ev := range events {
+	joined := 0
+	for i, ev := range events {
 		t.clock = ev.Time
 		switch ev.Kind {
 		case wire.ReportJobStarted:
@@ -426,7 +427,15 @@ func (t *Tracker) Apply(events []wire.ReportEvent) (*Outcome, error) {
 		case wire.ReportResourceJoin:
 			t.avail[ev.Resource] = true
 			t.nAvail++
-			t.evaluate(planner.TriggerArrival, 1, out)
+			joined++
+			// Resources joining at one instant are one arrival event: a
+			// run of same-time joins evaluates once, after its last join,
+			// over the whole enlarged pool.
+			if next := i + 1; next < len(events) && events[next].Kind == wire.ReportResourceJoin && events[next].Time == ev.Time {
+				break
+			}
+			t.evaluate(planner.TriggerArrival, joined, out)
+			joined = 0
 		case wire.ReportResourceLeave:
 			t.avail[ev.Resource] = false
 			t.nAvail--
@@ -583,8 +592,7 @@ func (t *Tracker) applyFinish(ev wire.ReportEvent, out *Outcome) {
 	op := t.g.Job(j).Op
 	variance, hasHistory := 0.0, false
 	if d > 0 {
-		// Judge against the history *excluding* this observation, as the
-		// event-driven Service does.
+		// Judge against the history *excluding* this observation.
 		variance, hasHistory = t.repo.Variance(op, r, d)
 		_ = t.repo.Record(op, r, d)
 		out.Recorded = append(out.Recorded, HistoryDelta{Op: op, Resource: int(r), Duration: d})

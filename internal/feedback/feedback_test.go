@@ -1,19 +1,21 @@
 package feedback
 
 import (
+	"context"
 	"math"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
 
 	"aheft/internal/cost"
 	"aheft/internal/dag"
-	"aheft/internal/executor"
+	"aheft/internal/drive"
 	"aheft/internal/grid"
 	"aheft/internal/history"
 	"aheft/internal/planner"
 	"aheft/internal/policy"
-	"aheft/internal/sim"
+	"aheft/internal/schedule"
 	"aheft/internal/wire"
 	"aheft/internal/workload"
 )
@@ -35,61 +37,6 @@ func newSampleTracker(t *testing.T, opts policy.Options) (*Tracker, *workload.Sc
 	return tr, sc
 }
 
-// enact drives the tracker's plan through the real discrete-event
-// executor, reporting job starts, measured finishes and resource
-// arrivals back into the tracker and resubmitting adopted plans — the
-// whole Fig. 1 loop in-process.
-func enact(t *testing.T, tr *Tracker, g *dag.Graph, rt executor.Runtime, pool *grid.Pool) float64 {
-	t.Helper()
-	var eng *executor.Engine
-	var pending []wire.ReportEvent
-	flush := func() {
-		if len(pending) == 0 {
-			return
-		}
-		out, err := tr.Apply(pending)
-		pending = pending[:0]
-		if err != nil {
-			t.Fatalf("apply: %v", err)
-		}
-		if out.Rescheduled {
-			if err := eng.Resubmit(tr.Plan()); err != nil {
-				t.Fatalf("resubmit: %v", err)
-			}
-		}
-	}
-	handler := executor.EventHandlerFunc(func(ev executor.Event) {
-		switch {
-		case ev.Finished != dag.NoJob:
-			pending = append(pending, wire.ReportEvent{
-				Kind: wire.ReportJobFinished, Time: ev.Time,
-				Job: int(ev.Finished), Resource: int(ev.OnResource), Duration: ev.ActualDuration,
-			})
-		default:
-			for _, r := range ev.Arrived {
-				pending = append(pending, wire.ReportEvent{
-					Kind: wire.ReportResourceJoin, Time: ev.Time, Resource: int(r.ID),
-				})
-			}
-		}
-		flush()
-	})
-	var err error
-	eng, err = executor.New(sim.New(), g, rt, pool, tr.Plan(), handler)
-	if err != nil {
-		t.Fatal(err)
-	}
-	eng.StartHook = func(j dag.JobID, r grid.ID, at float64) {
-		pending = append(pending, wire.ReportEvent{
-			Kind: wire.ReportJobStarted, Time: at, Job: int(j), Resource: int(r),
-		})
-	}
-	if _, err := eng.Run(); err != nil {
-		t.Fatal(err)
-	}
-	return eng.Makespan()
-}
-
 // TestSampleClosedLoopAdoptsArrival reproduces the paper's Fig. 4/5
 // worked example through the feedback loop: the r4 arrival at t=15,
 // reported by the enactor rather than read from an arrival trace, must
@@ -100,7 +47,25 @@ func TestSampleClosedLoopAdoptsArrival(t *testing.T) {
 	if tr.InitialMakespan() != 80 {
 		t.Fatalf("initial makespan %g, want 80", tr.InitialMakespan())
 	}
-	mk := enact(t, tr, sc.Graph, sc.Estimator(), sc.Pool)
+	// The whole Fig. 1 loop in process: drive's enactment loop reports
+	// every start, finish and arrival into the tracker and resubmits
+	// what it adopts.
+	recs, err := drive.Enact(context.Background(), sc.Graph, sc.Estimator(), sc.Pool,
+		[]*schedule.Schedule{tr.Plan()}, []int{0},
+		func(_ int, evs []wire.ReportEvent) (*schedule.Schedule, bool, error) {
+			out, err := tr.Apply(evs)
+			if err != nil {
+				return nil, false, err
+			}
+			if !out.Rescheduled {
+				return nil, out.Done, nil
+			}
+			return tr.Plan(), out.Done, nil
+		})
+	if err != nil {
+		t.Fatal(err)
+	}
+	mk := recs[len(recs)-1].Finish
 	if !tr.Done() || mk != 76 || tr.Makespan() != 76 {
 		t.Fatalf("done=%v makespan=%g tracker=%g, want 76", tr.Done(), mk, tr.Makespan())
 	}
@@ -205,6 +170,63 @@ func TestDepartureForcesAdoption(t *testing.T) {
 		if a.Resource == victim {
 			t.Fatalf("replanned schedule still uses departed resource %d: %+v", victim, a)
 		}
+	}
+}
+
+// TestSameInstantJoinsEvaluateOnce: resources joining at one instant are
+// one arrival event, as in the analytic runner — a run of same-time joins
+// in a batch evaluates once, after the last join, over the whole enlarged
+// pool. Joins at distinct times still evaluate one by one.
+func TestSameInstantJoinsEvaluateOnce(t *testing.T) {
+	g, _, _ := varianceScenario()
+	rows := make([][]float64, g.Len())
+	for i := range rows {
+		rows[i] = []float64{10, 10, 10, 10}
+	}
+	pool := grid.MustPool([]grid.Arrival{
+		{Time: 0, Resource: grid.Resource{ID: 0, Name: "r1"}},
+		{Time: 0, Resource: grid.Resource{ID: 1, Name: "r2"}},
+		{Time: 10, Resource: grid.Resource{ID: 2, Name: "r3"}},
+		{Time: 10, Resource: grid.Resource{ID: 3, Name: "r4"}},
+	})
+	type decision struct {
+		clock         float64
+		pool, arrived int
+	}
+	for _, tc := range []struct {
+		name  string
+		times [2]float64
+		want  []decision
+	}{
+		{"one instant", [2]float64{5, 5}, []decision{{5, 4, 2}}},
+		{"two instants", [2]float64{5, 6}, []decision{{5, 3, 1}, {6, 4, 1}}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			tr, err := New(Config{
+				Graph: g, Prior: cost.Exact(cost.MustTable(rows)), Pool: pool,
+				History: history.New(0), Policy: policy.MustGet("aheft"),
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			out, err := tr.Apply([]wire.ReportEvent{
+				{Kind: wire.ReportResourceJoin, Time: tc.times[0], Resource: 2},
+				{Kind: wire.ReportResourceJoin, Time: tc.times[1], Resource: 3},
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			var got []decision
+			for _, d := range out.Decisions {
+				if d.Trigger != planner.TriggerArrival {
+					t.Fatalf("trigger %s, want arrival", d.Trigger)
+				}
+				got = append(got, decision{d.Clock, d.PoolSize, d.ArrivedCount})
+			}
+			if !slices.Equal(got, tc.want) {
+				t.Fatalf("decisions %+v, want %+v", got, tc.want)
+			}
+		})
 	}
 }
 

@@ -23,13 +23,6 @@
 // line using OTLP field names: traceId, spanId, parentSpanId, name,
 // startTimeUnixNano, endTimeUnixNano, attributes, links) so standard
 // tooling can ingest the file without a custom parser.
-//
-// Relationship to internal/trace: that package is the *offline*,
-// executor-side collector — its events carry the simulated scheduling
-// clock of one analytic run. This package is the daemon side on the
-// wall clock. trace.Collector.Spans bridges the two shapes for the
-// shared fact (rescheduling evaluations); see that method for the
-// boundary contract.
 package obs
 
 import (

@@ -1,4 +1,4 @@
-package planner
+package planner_test
 
 import (
 	"context"
@@ -6,9 +6,11 @@ import (
 	"runtime"
 	"testing"
 
+	"aheft"
 	"aheft/internal/cost"
 	"aheft/internal/dag"
 	"aheft/internal/grid"
+	"aheft/internal/planner"
 	"aheft/internal/policy"
 	"aheft/internal/rng"
 	"aheft/internal/testleak"
@@ -43,7 +45,7 @@ func TestRunPolicyCancelBetweenEvents(t *testing.T) {
 	}
 	// Reference run: the scenario must actually produce ≥ 2 decisions,
 	// otherwise the cancellation window does not exist.
-	ref, err := RunPolicy(context.Background(), sc.Graph, sc.Estimator(), sc.Pool, pol, RunOptions{})
+	ref, err := planner.RunPolicy(context.Background(), sc.Graph, sc.Estimator(), sc.Pool, pol, planner.RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,7 +56,7 @@ func TestRunPolicyCancelBetweenEvents(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	seen := 0
-	res, err := RunPolicyObserved(ctx, sc.Graph, sc.Estimator(), sc.Pool, pol, RunOptions{}, func(Decision) {
+	res, err := planner.RunPolicyObserved(ctx, sc.Graph, sc.Estimator(), sc.Pool, pol, planner.RunOptions{}, func(planner.Decision) {
 		seen++
 		cancel()
 	})
@@ -86,21 +88,17 @@ func (c *cancellingRuntime) Comp(j dag.JobID, r grid.ID) float64 {
 
 func (c *cancellingRuntime) Comm(e dag.Edge, a, b grid.ID) float64 { return c.est.Comm(e, a, b) }
 
-// TestServiceExecuteContextCancelMidRun drives the event-driven Service
-// and cancels while jobs are starting: ExecuteContext must return the
-// context's error (observed at the next run-time event) and leave no
-// goroutine behind.
+// TestServiceExecuteContextCancelMidRun drives Run's event-driven path
+// (WithRuntime: the feedback Tracker enacted in process) and cancels
+// while jobs are starting: Run must return the context's error (observed
+// at the next run-time event) and leave no goroutine behind.
 func TestServiceExecuteContextCancelMidRun(t *testing.T) {
 	sc := cancelScenario(t)
 	baseline := runtime.NumGoroutine()
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	rt := &cancellingRuntime{est: sc.Estimator(), after: 8, cancel: cancel}
-	svc, err := NewService(sc.Graph, sc.Estimator(), sc.Pool, ServiceOptions{Runtime: rt})
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := svc.ExecuteContext(ctx)
+	res, err := aheft.Run(ctx, sc.Graph, sc.Estimator(), sc.Pool, aheft.WithRuntime(rt))
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v (res %v), want context.Canceled", err, res)
 	}
@@ -111,17 +109,17 @@ func TestServiceExecuteContextCancelMidRun(t *testing.T) {
 	testleak.Check(t, baseline, 0)
 }
 
-// TestServiceExecuteContextPreCancelled: an already-cancelled context
-// aborts before any execution.
+// TestServiceExecuteContextPreCancelled: on the event-driven path an
+// already-cancelled context aborts before any execution.
 func TestServiceExecuteContextPreCancelled(t *testing.T) {
 	sc := cancelScenario(t)
-	svc, err := NewService(sc.Graph, sc.Estimator(), sc.Pool, ServiceOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := svc.ExecuteContext(ctx); !errors.Is(err, context.Canceled) {
+	rt := &cancellingRuntime{est: sc.Estimator(), cancel: cancel}
+	if _, err := aheft.Run(ctx, sc.Graph, sc.Estimator(), sc.Pool, aheft.WithRuntime(rt)); !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+	if rt.calls != 0 {
+		t.Fatalf("engine started %d jobs under a cancelled context", rt.calls)
 	}
 }

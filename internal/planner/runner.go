@@ -16,9 +16,8 @@
 // resource-arrival events can change anything; it is what the experiment
 // harness and benchmarks use, since it is fast and provably equivalent to
 // the event-driven execution (an integration test in this package checks
-// the equivalence). The event-driven Service in service.go subscribes to
-// an executor's event stream and is used by the architecture examples and
-// the what-if API.
+// the equivalence against aheft.Run's event-driven path, which enacts the
+// workflow while the daemon's feedback.Tracker plans it).
 package planner
 
 import (
@@ -47,7 +46,8 @@ const (
 	// trigger).
 	TriggerArrival Trigger = iota
 	// TriggerVariance is a significant deviation of a measured job runtime
-	// from the performance history (ServiceOptions.VarianceThreshold).
+	// from the performance history (the feedback loop's variance
+	// threshold).
 	TriggerVariance
 	// TriggerDeparture is a resource leaving the pool (live feedback
 	// runs): unstarted jobs scheduled on the departed resource make the
@@ -116,7 +116,8 @@ type Result struct {
 	// Policy is the registry name of the policy that produced the result.
 	Policy string
 	// Schedule is the final (possibly rescheduled) schedule; with accurate
-	// estimates its assignment times are the actual execution times.
+	// estimates its assignment times are the actual execution times. An
+	// event-driven run reports the enacted times.
 	Schedule *schedule.Schedule
 	// Makespan is the workflow's completion time.
 	Makespan float64
@@ -166,7 +167,7 @@ func RunPolicy(ctx context.Context, g *dag.Graph, est cost.Estimator, pool *grid
 
 // RunPolicyObserved is RunPolicy with a live decision observer: observe is
 // invoked synchronously for every rescheduling evaluation as it is made.
-// The root facade's Session uses it to stream events to subscribers.
+// The daemon's analytic mode uses it to stream decisions to subscribers.
 func RunPolicyObserved(ctx context.Context, g *dag.Graph, est cost.Estimator, pool *grid.Pool, pol policy.Policy, opts policy.Options, observe func(Decision)) (*Result, error) {
 	return runPolicy(ctx, g, est, pool, pol, opts, observe)
 }

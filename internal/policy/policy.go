@@ -4,9 +4,9 @@
 // H" inside procedure schedule(S0, P, H) is a parameter — and this package
 // makes that parameterisation concrete: a Policy produces the initial plan
 // for a workflow and, if it is adaptive, candidate replacement schedules
-// from execution snapshots. One generic engine (the analytic runner and
-// the event-driven Service in internal/planner) then drives any registered
-// policy: classic static HEFT, the paper's AHEFT, and the dynamic
+// from execution snapshots. One generic engine (the analytic runner in
+// internal/planner and the event-driven feedback.Tracker) then drives any
+// registered policy: classic static HEFT, the paper's AHEFT, and the dynamic
 // just-in-time Min-Min family all run through the same path.
 //
 // Every policy is a thin ordering over the shared scheduling kernel
@@ -14,8 +14,8 @@
 // — it owns the rank cache, the dense execution state and all placement
 // scratch — and passes it to Plan/Replan. Policies therefore stay
 // stateless and safe for concurrent use: one Policy value may serve many
-// workflows at once (the root facade's Session runs one goroutine per
-// workflow against shared registry entries), each with its own kernel.
+// workflows at once (the daemon's shards run concurrent workflows against
+// shared registry entries), each with its own kernel.
 //
 // Policies are registered by name in a process-wide thread-safe registry
 // so drivers and the root facade can select them with

@@ -244,7 +244,7 @@ func (wf *workflow) subscribe() (replay []wire.Event, ch chan wire.Event, cancel
 
 // subscriberBuffer is the per-SSE-connection event buffer. A consumer
 // that falls further behind than this starts losing live events (counted,
-// see workflow.append); 256 matches the root Session's buffer.
+// see workflow.append).
 const subscriberBuffer = 256
 
 // finish completes the status document from the run's outcome and makes
