@@ -40,8 +40,8 @@ import (
 	"aheft/internal/executor"
 	"aheft/internal/feedback"
 	"aheft/internal/grid"
-	"aheft/internal/heft"
 	"aheft/internal/history"
+	"aheft/internal/kernel"
 	"aheft/internal/planner"
 	"aheft/internal/policy"
 	"aheft/internal/schedule"
@@ -299,7 +299,7 @@ func enact(ctx context.Context, g *Graph, est Estimator, pool *Pool, pol Policy,
 
 // HEFT computes a one-shot static HEFT schedule over a fixed resource set.
 func HEFT(g *Graph, est Estimator, rs []Resource) (*Schedule, error) {
-	return heft.Schedule(g, est, rs, heft.Options{})
+	return kernel.New(g, est).Static(rs, kernel.Options{})
 }
 
 // MinMin runs the dynamic just-in-time Min-Min baseline and returns the

@@ -27,13 +27,11 @@ import (
 	"time"
 
 	"aheft"
-	"aheft/internal/core"
 	"aheft/internal/data"
 	"aheft/internal/drive"
 	"aheft/internal/durable"
 	"aheft/internal/experiment"
 	"aheft/internal/grid"
-	"aheft/internal/heft"
 	"aheft/internal/kernel"
 	"aheft/internal/rng"
 	"aheft/internal/schedule"
@@ -915,15 +913,16 @@ func BenchmarkFeedbackIngest(b *testing.B) {
 
 // --- Smaller end-to-end benches retained from the paper-scale suite. ---
 
-// BenchmarkAHEFTReschedule times one mid-execution reschedule at the
-// paper's workflow sizes.
+// BenchmarkAHEFTReschedule times one one-shot mid-execution reschedule
+// at the paper's workflow sizes: a fresh kernel, a dense snapshot and the
+// reschedule, per op.
 func BenchmarkAHEFTReschedule(b *testing.B) {
 	for _, jobs := range []int{50, 200, 1000} {
 		jobs := jobs
 		b.Run(fmt.Sprintf("v=%d", jobs), func(b *testing.B) {
 			sc := benchScenario(b, jobs)
 			est := sc.Estimator()
-			s0, err := heft.Schedule(sc.Graph, est, sc.Pool.Initial(), heft.Options{})
+			s0, err := kernel.New(sc.Graph, est).Static(sc.Pool.Initial(), kernel.Options{})
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -931,8 +930,10 @@ func BenchmarkAHEFTReschedule(b *testing.B) {
 			rs := sc.Pool.AvailableAt(clock)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				st := core.Snapshot(sc.Graph, est, s0, clock, core.SnapshotOptions{})
-				if _, err := core.Reschedule(sc.Graph, est, rs, st, core.Options{}); err != nil {
+				k := kernel.New(sc.Graph, est)
+				st := k.NewState(sc.Pool.Size())
+				st.Snapshot(s0, clock, kernel.SnapshotOptions{})
+				if _, err := k.Reschedule(rs, st, kernel.Options{}); err != nil {
 					b.Fatal(err)
 				}
 			}

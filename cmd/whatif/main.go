@@ -17,49 +17,59 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strconv"
 	"strings"
 
 	"aheft/internal/grid"
-	"aheft/internal/heft"
+	"aheft/internal/kernel"
 	"aheft/internal/planner"
 	"aheft/internal/rng"
 	"aheft/internal/workload"
 )
 
 func main() {
+	if err := run(os.Args[1:], os.Stdout, os.Stderr); err != nil {
+		fmt.Fprintln(os.Stderr, "whatif:", err)
+		os.Exit(1)
+	}
+}
+
+// run parses args, answers the query and prints the verdict to stdout.
+// Flag errors print the usage to stderr and exit the process, as the
+// flag package's default command line does.
+func run(args []string, stdout, stderr io.Writer) error {
+	fs := flag.NewFlagSet("whatif", flag.ExitOnError)
+	fs.SetOutput(stderr)
 	var (
-		kind   = flag.String("workload", "blast", "workload: sample, random, blast, wien2k")
-		jobs   = flag.Int("jobs", 200, "total job count υ")
-		ccr    = flag.Float64("ccr", 1.0, "communication-to-computation ratio")
-		beta   = flag.Float64("beta", 0.5, "heterogeneity factor β")
-		pool   = flag.Int("pool", 10, "initial pool size R")
-		seed   = flag.Uint64("seed", 1, "random seed")
-		clockS = flag.String("clock", "0.25rel", "query time: absolute (e.g. 300) or fraction of the makespan with 'rel' suffix (e.g. 0.25rel)")
-		add    = flag.Int("add", 1, "hypothetical resources to add")
-		remove = flag.String("remove", "", "comma-separated resource names to remove (e.g. r3,r7)")
-		tie    = flag.Float64("tie", 0, "near-tie exploration window")
+		kind   = fs.String("workload", "blast", "workload: sample, random, blast, wien2k")
+		jobs   = fs.Int("jobs", 200, "total job count υ")
+		ccr    = fs.Float64("ccr", 1.0, "communication-to-computation ratio")
+		beta   = fs.Float64("beta", 0.5, "heterogeneity factor β")
+		pool   = fs.Int("pool", 10, "initial pool size R")
+		seed   = fs.Uint64("seed", 1, "random seed")
+		clockS = fs.String("clock", "0.25rel", "query time: absolute (e.g. 300) or fraction of the makespan with 'rel' suffix (e.g. 0.25rel)")
+		add    = fs.Int("add", 1, "hypothetical resources to add")
+		remove = fs.String("remove", "", "comma-separated resource names to remove (e.g. r3,r7)")
+		tie    = fs.Float64("tie", 0, "near-tie exploration window")
 	)
-	flag.Parse()
+	fs.Parse(args)
 
 	r := rng.New(*seed)
 	sc, err := buildScenario(*kind, *jobs, *ccr, *beta, *pool, r)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "whatif:", err)
-		os.Exit(1)
+		return err
 	}
 	est := sc.Estimator()
-	s0, err := heft.Schedule(sc.Graph, est, sc.Pool.Initial(), heft.Options{})
+	s0, err := kernel.New(sc.Graph, est).Static(sc.Pool.Initial(), kernel.Options{})
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "whatif:", err)
-		os.Exit(1)
+		return err
 	}
 
 	clock, err := parseClock(*clockS, s0.Makespan())
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "whatif:", err)
-		os.Exit(1)
+		return err
 	}
 
 	available := sc.Pool.AvailableAt(clock)
@@ -71,17 +81,15 @@ func main() {
 	// attracts" means.
 	future := futureResources(sc, clock)
 	if *add > len(future) {
-		fmt.Fprintf(os.Stderr, "whatif: scenario has cost data for at most %d hypothetical additions (asked for %d);\n"+
-			"         increase -pool churn by regenerating, or lower -add\n", len(future), *add)
-		os.Exit(1)
+		return fmt.Errorf("scenario has cost data for at most %d hypothetical additions (asked for %d);\n"+
+			"         increase -pool churn by regenerating, or lower -add", len(future), *add)
 	}
 	q.Add = future[:*add]
 	if *remove != "" {
 		for _, name := range strings.Split(*remove, ",") {
 			id := findResource(available, strings.TrimSpace(name))
 			if id == grid.NoResource {
-				fmt.Fprintf(os.Stderr, "whatif: resource %q not in the pool at t=%g\n", name, clock)
-				os.Exit(1)
+				return fmt.Errorf("resource %q not in the pool at t=%g", name, clock)
 			}
 			q.Remove = append(q.Remove, id)
 		}
@@ -89,21 +97,21 @@ func main() {
 
 	ans, err := planner.WhatIf(sc.Graph, est, s0, available, q, planner.RunOptions{TieWindow: *tie})
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "whatif:", err)
-		os.Exit(1)
+		return err
 	}
 
-	fmt.Printf("workflow %s (%d jobs), pool %d at t=%.1f\n", sc.Graph.Name(), sc.Graph.Len(), len(available), clock)
-	fmt.Printf("query: add %d, remove %d resource(s) at t=%.1f\n\n", len(q.Add), len(q.Remove), clock)
-	fmt.Printf("current plan makespan:      %10.2f\n", ans.CurrentMakespan)
-	fmt.Printf("hypothetical makespan:      %10.2f\n", ans.NewMakespan)
-	fmt.Printf("delta:                      %+10.2f (%+.1f%%)\n",
+	fmt.Fprintf(stdout, "workflow %s (%d jobs), pool %d at t=%.1f\n", sc.Graph.Name(), sc.Graph.Len(), len(available), clock)
+	fmt.Fprintf(stdout, "query: add %d, remove %d resource(s) at t=%.1f\n\n", len(q.Add), len(q.Remove), clock)
+	fmt.Fprintf(stdout, "current plan makespan:      %10.2f\n", ans.CurrentMakespan)
+	fmt.Fprintf(stdout, "hypothetical makespan:      %10.2f\n", ans.NewMakespan)
+	fmt.Fprintf(stdout, "delta:                      %+10.2f (%+.1f%%)\n",
 		ans.Delta(), 100*ans.Delta()/ans.CurrentMakespan)
 	if ans.WouldAdopt {
-		fmt.Println("verdict: the adaptive planner WOULD adopt the new schedule")
+		fmt.Fprintln(stdout, "verdict: the adaptive planner WOULD adopt the new schedule")
 	} else {
-		fmt.Println("verdict: the adaptive planner would KEEP the current schedule")
+		fmt.Fprintln(stdout, "verdict: the adaptive planner would KEEP the current schedule")
 	}
+	return nil
 }
 
 func parseClock(s string, makespan float64) (float64, error) {

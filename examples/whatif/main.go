@@ -16,7 +16,7 @@ import (
 	"log"
 
 	"aheft/internal/grid"
-	"aheft/internal/heft"
+	"aheft/internal/kernel"
 	"aheft/internal/planner"
 	"aheft/internal/rng"
 	"aheft/internal/schedule"
@@ -37,7 +37,7 @@ func main() {
 	}
 	g, est := sc.Graph, sc.Estimator()
 
-	s0, err := heft.Schedule(g, est, sc.Pool.Initial(), heft.Options{})
+	s0, err := kernel.New(g, est).Static(sc.Pool.Initial(), kernel.Options{})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -7,7 +7,7 @@ import (
 	"aheft/internal/cost"
 	"aheft/internal/dag"
 	"aheft/internal/grid"
-	"aheft/internal/heft"
+	"aheft/internal/kernel"
 	"aheft/internal/rng"
 	"aheft/internal/schedule"
 	"aheft/internal/sim"
@@ -18,7 +18,7 @@ func sampleEngine(t *testing.T, handler func(Event)) (*Engine, *dag.Graph, cost.
 	t.Helper()
 	sc := workload.SampleScenario()
 	est := sc.Estimator()
-	s0, err := heft.Schedule(sc.Graph, est, sc.Pool.Initial(), heft.Options{})
+	s0, err := kernel.New(sc.Graph, est).Static(sc.Pool.Initial(), kernel.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,7 +85,7 @@ func TestArrivalEventsAfterCompletionSuppressed(t *testing.T) {
 		{Time: 0, Resource: grid.Resource{ID: 2, Name: "r3"}},
 		{Time: 500, Resource: grid.Resource{ID: 3, Name: "r4"}},
 	})
-	s0, err := heft.Schedule(sc.Graph, est, pool.Initial(), heft.Options{})
+	s0, err := kernel.New(sc.Graph, est).Static(pool.Initial(), kernel.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,7 +116,7 @@ func TestResubmitRejectsIncompleteSchedule(t *testing.T) {
 func TestNewRejectsNilArguments(t *testing.T) {
 	sc := workload.SampleScenario()
 	est := sc.Estimator()
-	s0, _ := heft.Schedule(sc.Graph, est, sc.Pool.Initial(), heft.Options{})
+	s0, _ := kernel.New(sc.Graph, est).Static(sc.Pool.Initial(), kernel.Options{})
 	if _, err := New(nil, sc.Graph, est, sc.Pool, s0, nil); err == nil {
 		t.Fatal("nil simulator accepted")
 	}
@@ -157,7 +157,7 @@ func TestEnactmentMatchesPlanRandom(t *testing.T) {
 			t.Fatal(err)
 		}
 		est := sc.Estimator()
-		s0, err := heft.Schedule(sc.Graph, est, sc.Pool.Initial(), heft.Options{})
+		s0, err := kernel.New(sc.Graph, est).Static(sc.Pool.Initial(), kernel.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -184,7 +184,7 @@ func TestEnactmentMatchesPlanRandom(t *testing.T) {
 func TestSlowRuntimeDelaysExecution(t *testing.T) {
 	sc := workload.SampleScenario()
 	est := sc.Estimator()
-	s0, err := heft.Schedule(sc.Graph, est, sc.Pool.Initial(), heft.Options{})
+	s0, err := kernel.New(sc.Graph, est).Static(sc.Pool.Initial(), kernel.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -49,7 +49,7 @@ type Config struct {
 	// Seed roots every pseudo-random stream of the run.
 	Seed uint64
 	// TieWindow enables near-tie rank exploration in AHEFT (0 is the
-	// paper-faithful greedy; see core.Options.TieWindow).
+	// paper-faithful greedy; see kernel.Options.TieWindow).
 	TieWindow float64
 	// WithMinMin also runs the dynamic Min-Min baseline where the
 	// experiment calls for it (the §4.2 headline comparison).

@@ -35,7 +35,6 @@ import (
 	"sort"
 	"time"
 
-	"aheft/internal/core"
 	"aheft/internal/cost"
 	"aheft/internal/dag"
 	"aheft/internal/grid"
@@ -604,15 +603,7 @@ func (t *Tracker) applyFinish(ev wire.ReportEvent, out *Outcome) {
 		t.occ.ReleaseJob(ev.Job)
 	}
 	t.ks.Finish(j, r, t.startAt[j], ev.Time)
-	// Static ship-on-finish policy (§4.1 assumption 2): the output file is
-	// on the producer's resource now and starts moving toward each
-	// consumer's currently scheduled resource.
-	for _, e := range t.g.Succs(j) {
-		t.ks.SetTransfer(j, e.To, r, ev.Time)
-		if sa, ok := t.sched.Get(e.To); ok {
-			t.ks.SetTransfer(j, e.To, sa.Resource, ev.Time+t.k.CommEst(e, r, sa.Resource))
-		}
-	}
+	t.ks.Ship(j, r, ev.Time, t.sched)
 	if t.nFinished == t.g.Len() {
 		t.done = true
 		t.makespan = 0
@@ -632,11 +623,13 @@ func (t *Tracker) applyFinish(ev wire.ReportEvent, out *Outcome) {
 // each running job keeps its reservation, with an expected finish from
 // the revised duration (variance report) or the current estimate, never
 // earlier than clk (a job still running now cannot already have ended).
-func (t *Tracker) syncPins(clk float64) {
+// A job running on a resource in removed (a what-if's hypothetical
+// departures) is left unpinned: it restarts.
+func (t *Tracker) syncPins(clk float64, removed map[grid.ID]bool) {
 	t.ks.Clock = clk
 	t.ks.ClearPinned()
 	for j := 0; j < t.g.Len(); j++ {
-		if t.phase[j] != phaseStarted {
+		if t.phase[j] != phaseStarted || removed[t.startRes[j]] {
 			continue
 		}
 		id := dag.JobID(j)
@@ -663,7 +656,7 @@ func (t *Tracker) evaluate(trigger planner.Trigger, arrived int, out *Outcome) {
 	if len(rs) == 0 {
 		return // nothing to plan over; keep the stale plan until a join
 	}
-	t.syncPins(t.clock)
+	t.syncPins(t.clock, nil)
 	// The estimator mutates underneath the kernel as history accrues. The
 	// HistoryBased predictor is versioned, so the kernel detects stale
 	// ranks itself; only an unversioned estimator needs the explicit
@@ -672,66 +665,36 @@ func (t *Tracker) evaluate(trigger planner.Trigger, arrived int, out *Outcome) {
 		t.k.InvalidateRanks()
 	}
 	began := time.Now()
-	s1, err := t.pol.Replan(t.k, rs, t.ks, t.opts)
-	elapsed := time.Since(began)
+	s1, d, err := planner.Evaluate(t.k, t.pol, rs, t.ks, t.opts, t.Project, trigger, arrived)
 	if err != nil || s1 == nil {
 		// Evaluation failure must not kill the run ("otherwise the
 		// Planner does not take any action"); a nil proposal means the
 		// policy has nothing to say for this event.
 		return
 	}
-	cur := t.Project()
-	d := planner.Decision{
-		Clock:        t.clock,
-		PoolSize:     len(rs),
-		OldMakespan:  cur,
-		NewMakespan:  s1.Makespan(),
-		JobsFinished: t.nFinished,
-		Trigger:      trigger,
-		ArrivedCount: arrived,
-		ElapsedMs:    float64(elapsed) / float64(time.Millisecond),
-	}
+	d.ElapsedMs = float64(time.Since(began)) / float64(time.Millisecond)
 	if tm := t.k.LastTiming(); tm.RankMs > 0 || tm.PlaceMs > 0 {
 		d.RankMs, d.PlaceMs = tm.RankMs, tm.PlaceMs
 	}
-	if core.Better(cur, s1.Makespan(), t.opts.Eps) {
-		d.Adopted = true
+	if d.Adopted {
 		t.adopt(s1)
 		out.Rescheduled = true
 		out.Trigger = trigger
-	}
-	t.decisions = append(t.decisions, d)
-	if d.Adopted {
 		t.adoptions++
 	}
+	t.decisions = append(t.decisions, d)
 	out.Decisions = append(out.Decisions, d)
 }
 
-// adopt installs s1 and mirrors the Execution Manager's input staging on
-// resubmit: a rescheduled job whose finished predecessor's file was
-// never directed at its new resource gets a fresh transfer starting now
-// (Eq. 1 Case 2 made physical) — exactly what the analytic runner does
-// on adoption.
+// adopt installs s1 and re-stages the inputs of the jobs it moved. The
+// snapshot's pinned set is exactly the started jobs (evaluate synced it
+// right before the replan), so Restage leaves finished and running jobs
+// alone.
 func (t *Tracker) adopt(s1 *schedule.Schedule) {
 	t.sched = s1
 	t.generation++
-	defer t.publishReservations()
-	for _, jb := range t.g.Jobs() {
-		if t.phase[jb.ID] != phasePending {
-			continue
-		}
-		a1 := s1.MustGet(jb.ID)
-		for i, e := range t.g.Preds(jb.ID) {
-			if t.phase[e.From] != phaseFinished {
-				continue
-			}
-			if _, directed := t.ks.PredTransferAt(jb.ID, i, a1.Resource); directed {
-				continue
-			}
-			pr := t.startRes[e.From]
-			t.ks.SetTransfer(e.From, jb.ID, a1.Resource, t.clock+t.k.PredComm(jb.ID, i, pr, a1.Resource))
-		}
-	}
+	planner.Restage(t.k, t.ks, s1)
+	t.publishReservations()
 }
 
 // Project computes the current plan's expected completion under the
@@ -892,41 +855,23 @@ func (t *Tracker) WhatIf(q wire.WhatIfRequest) (*wire.WhatIfDoc, error) {
 
 	// Hypothetical pins: running jobs keep reservations unless their
 	// resource is removed, in which case they restart.
-	t.syncPins(clk)
-	if len(removed) > 0 {
-		t.ks.ClearPinned()
-		for j := 0; j < t.g.Len(); j++ {
-			if t.phase[j] != phaseStarted || removed[t.startRes[j]] {
-				continue
-			}
-			id := dag.JobID(j)
-			dur := t.pinDur[j]
-			if dur <= 0 {
-				dur = t.est.Comp(id, t.startRes[j])
-			}
-			fin := t.startAt[j] + dur
-			if fin < clk {
-				fin = clk
-			}
-			t.ks.Pin(schedule.Assignment{Job: id, Resource: t.startRes[j], Start: t.startAt[j], Finish: fin})
-		}
-	}
+	t.syncPins(clk, removed)
 	t.k.InvalidateRanks()
-	s1, err := t.pol.Replan(t.k, rs, t.ks, t.opts)
+	s1, d, err := planner.Evaluate(t.k, t.pol, rs, t.ks, t.opts, t.Project, planner.TriggerArrival, len(q.Add))
 	if err != nil {
 		return nil, fmt.Errorf("feedback: what-if reschedule: %w", err)
 	}
 	if s1 == nil {
 		return nil, fmt.Errorf("feedback: policy %q proposes no hypothetical schedule", t.pol.Name())
 	}
-	cur := t.Project()
+	cur := d.OldMakespan
 	doc := &wire.WhatIfDoc{
 		Clock:               clk,
 		PoolSize:            len(rs),
 		CurrentMakespan:     cur,
-		NewMakespan:         s1.Makespan(),
-		Delta:               s1.Makespan() - cur,
-		WouldAdopt:          core.Better(cur, s1.Makespan(), t.opts.Eps),
+		NewMakespan:         d.NewMakespan,
+		Delta:               d.NewMakespan - cur,
+		WouldAdopt:          d.Adopted,
 		ForeignReservations: t.ForeignReservations(),
 	}
 	if math.IsInf(cur, 1) {

@@ -1,4 +1,8 @@
-package heft
+package kernel_test
+
+// Classic static HEFT (Topcuoglu, Hariri & Wu, IEEE TPDS 2002) on the
+// kernel: the published upward ranks and schedule of the sample DAG, and
+// validity on random workloads.
 
 import (
 	"fmt"
@@ -8,6 +12,7 @@ import (
 	"aheft/internal/cost"
 	"aheft/internal/dag"
 	"aheft/internal/grid"
+	"aheft/internal/kernel"
 	"aheft/internal/rng"
 	"aheft/internal/schedule"
 	"aheft/internal/workload"
@@ -29,7 +34,7 @@ func sample3() (*dag.Graph, cost.Estimator, []grid.Resource) {
 
 func TestRankUMatchesPublishedValues(t *testing.T) {
 	g, est, rs := sample3()
-	ranks, err := RankU(g, est, rs)
+	ranks, _, err := kernel.New(g, est).Ranks(rs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,11 +48,11 @@ func TestRankUMatchesPublishedValues(t *testing.T) {
 
 func TestOrderIsNonincreasingAndTopological(t *testing.T) {
 	g, est, rs := sample3()
-	ranks, err := RankU(g, est, rs)
+	ranks, _, err := kernel.New(g, est).Ranks(rs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	order := Order(ranks)
+	order := kernel.Order(ranks)
 	if len(order) != g.Len() {
 		t.Fatalf("order covers %d of %d jobs", len(order), g.Len())
 	}
@@ -69,7 +74,7 @@ func TestOrderIsNonincreasingAndTopological(t *testing.T) {
 
 func TestScheduleClassicMakespan80(t *testing.T) {
 	g, est, rs := sample3()
-	s, err := Schedule(g, est, rs, Options{})
+	s, err := kernel.New(g, est).Static(rs, kernel.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,7 +105,7 @@ func TestScheduleClassicMakespan80(t *testing.T) {
 
 func TestScheduleIsValid(t *testing.T) {
 	g, est, rs := sample3()
-	s, err := Schedule(g, est, rs, Options{})
+	s, err := kernel.New(g, est).Static(rs, kernel.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,7 +141,7 @@ func TestScheduleValidOnRandomDAGs(t *testing.T) {
 		}
 		pool := grid.StaticPool(nRes)
 		for _, insertion := range []bool{true, false} {
-			s, err := Schedule(g, cost.Exact(table), pool.Initial(), Options{NoInsertion: !insertion})
+			s, err := kernel.New(g, cost.Exact(table)).Static(pool.Initial(), kernel.Options{NoInsertion: !insertion})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -148,7 +153,7 @@ func TestScheduleValidOnRandomDAGs(t *testing.T) {
 	}
 }
 
-// TestInsertionNeverWorse checks the ablation claim: on the same inputs,
+// TestInsertionUsuallyNoWorse checks the ablation claim: on the same inputs,
 // insertion-based HEFT produces a makespan no worse than append-only HEFT
 // in the large majority of cases; here we assert the aggregate.
 func TestInsertionUsuallyNoWorse(t *testing.T) {
@@ -167,11 +172,11 @@ func TestInsertionUsuallyNoWorse(t *testing.T) {
 			t.Fatal(err)
 		}
 		rs := grid.StaticPool(5).Initial()
-		ins, err := Schedule(g, cost.Exact(table), rs, Options{})
+		ins, err := kernel.New(g, cost.Exact(table)).Static(rs, kernel.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		app, err := Schedule(g, cost.Exact(table), rs, Options{NoInsertion: true})
+		app, err := kernel.New(g, cost.Exact(table)).Static(rs, kernel.Options{NoInsertion: true})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -187,10 +192,10 @@ func TestInsertionUsuallyNoWorse(t *testing.T) {
 
 func TestEmptyResourceSet(t *testing.T) {
 	g, est, _ := sample3()
-	if _, err := Schedule(g, est, nil, Options{}); err == nil {
+	if _, err := kernel.New(g, est).Static(nil, kernel.Options{}); err == nil {
 		t.Fatal("expected error for empty resource set")
 	}
-	if _, err := RankU(g, est, nil); err == nil {
+	if _, _, err := kernel.New(g, est).Ranks(nil); err == nil {
 		t.Fatal("expected error for empty resource set")
 	}
 }
@@ -199,7 +204,7 @@ func TestPlaceJobRequiresScheduledPreds(t *testing.T) {
 	g, est, rs := sample3()
 	s := schedule.New()
 	// n10's predecessors are not scheduled.
-	if _, err := PlaceJob(g, est, rs, s, g.JobByName("n10"), 0, true); err == nil {
+	if _, err := placeJob(g, est, rs, s, g.JobByName("n10"), 0, true); err == nil {
 		t.Fatal("expected error placing a job before its predecessors")
 	}
 }
@@ -207,7 +212,7 @@ func TestPlaceJobRequiresScheduledPreds(t *testing.T) {
 func TestPlaceJobHonoursFloor(t *testing.T) {
 	g, est, rs := sample3()
 	s := schedule.New()
-	a, err := PlaceJob(g, est, rs, s, g.JobByName("n1"), 42, true)
+	a, err := placeJob(g, est, rs, s, g.JobByName("n1"), 42, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -219,7 +224,7 @@ func TestPlaceJobHonoursFloor(t *testing.T) {
 func TestSingleResourceSerialises(t *testing.T) {
 	g, est, _ := sample3()
 	rs := grid.StaticPool(1).Initial()
-	s, err := Schedule(g, est, rs, Options{})
+	s, err := kernel.New(g, est).Static(rs, kernel.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -43,8 +43,7 @@ import (
 )
 
 // Options configures a placement pass. It is the kernel-level subset of
-// the policy options; internal/core aliases it so the v1 signatures stay
-// intact.
+// the policy options.
 type Options struct {
 	// NoInsertion disables HEFT's insertion-based slot policy.
 	NoInsertion bool

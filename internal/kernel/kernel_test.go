@@ -7,7 +7,6 @@ import (
 	"aheft/internal/cost"
 	"aheft/internal/dag"
 	"aheft/internal/grid"
-	"aheft/internal/heft"
 	"aheft/internal/kernel"
 	"aheft/internal/schedule"
 	"aheft/internal/workload"
@@ -42,7 +41,7 @@ func TestStaticMatchesSample(t *testing.T) {
 // TestStaticEquivalentToReference: across random scenarios, the kernel's
 // dense placement pass produces assignment-for-assignment the same
 // schedule as the independent map-based reference (rank order +
-// heft.PlaceJob over a schedule.Schedule).
+// placeJob over a schedule.Schedule, reference_test.go).
 func TestStaticEquivalentToReference(t *testing.T) {
 	for _, seed := range []uint64{1, 7, 0xC0FFEE, 99} {
 		sc := quickScenario(t, seed)
@@ -53,13 +52,13 @@ func TestStaticEquivalentToReference(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ranks, err := heft.RankU(sc.Graph, est, rs)
+		ranks, _, err := kernel.New(sc.Graph, est).Ranks(rs)
 		if err != nil {
 			t.Fatal(err)
 		}
 		want := schedule.New()
 		for _, job := range kernel.Order(ranks) {
-			a, err := heft.PlaceJob(sc.Graph, est, rs, want, job, 0, true)
+			a, err := placeJob(sc.Graph, est, rs, want, job, 0, true)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -156,6 +155,10 @@ func TestStateTransferLedger(t *testing.T) {
 	k := kernel.New(g, sc.Estimator())
 	st := k.NewState(1)
 	n1, n2 := g.JobByName("n1"), g.JobByName("n2")
+	has := func(m, j dag.JobID, r grid.ID) bool {
+		_, ok := st.TransferAt(m, j, r)
+		return ok
+	}
 
 	st.SetTransfer(n1, n2, 0, 30)
 	st.SetTransfer(n1, n2, 0, 20) // earlier wins
@@ -163,12 +166,12 @@ func TestStateTransferLedger(t *testing.T) {
 	if v, ok := st.TransferAt(n1, n2, 0); !ok || v != 20 {
 		t.Fatalf("TransferAt = (%g, %v), want (20, true)", v, ok)
 	}
-	if !st.HasTransfer(n1, n2, 0) || st.HasTransfer(n1, n2, 1) {
-		t.Fatal("HasTransfer wrong")
+	if !has(n1, n2, 0) || has(n1, n2, 1) {
+		t.Fatal("presence query wrong")
 	}
 	// Unknown edge (n2 → n1 does not exist): ignored, absent.
 	st.SetTransfer(n2, n1, 0, 5)
-	if st.HasTransfer(n2, n1, 0) {
+	if has(n2, n1, 0) {
 		t.Fatal("transfer recorded for a non-edge")
 	}
 	// Growth preserves the recorded entry.
@@ -181,7 +184,7 @@ func TestStateTransferLedger(t *testing.T) {
 	}
 	// Reset drops everything without reallocating.
 	st.Reset()
-	if st.HasTransfer(n1, n2, 0) || st.HasTransfer(n1, n2, 50) {
+	if has(n1, n2, 0) || has(n1, n2, 50) {
 		t.Fatal("Reset kept transfers")
 	}
 	if st.FinishedCount() != 0 {

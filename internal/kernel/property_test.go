@@ -5,14 +5,13 @@ package kernel_test
 // with scratch reused across many calls — must be structurally valid (full
 // coverage, no timeline overlap, pool-arrival feasible) and must respect
 // precedence through the Eq. 1 FEA model, cross-checked against the
-// independent map-based implementation in internal/core.
+// independent map-based reference in reference_test.go.
 
 import (
 	"math"
 	"strconv"
 	"testing"
 
-	"aheft/internal/core"
 	"aheft/internal/cost"
 	"aheft/internal/dag"
 	"aheft/internal/data"
@@ -152,16 +151,17 @@ func quickKernel(t testing.TB, sc *workload.Scenario) *kernel.Kernel {
 
 // checkRescheduleInvariants verifies one kernel reschedule against the
 // scenario: coverage/overlap/pool validity, history preservation, the
-// clock floor, and FEA input feasibility via the independent core
-// implementation over the equivalent map-based snapshot.
-func checkRescheduleInvariants(t testing.TB, sc *workload.Scenario, s0 *schedule.Schedule, s1 *schedule.Schedule, clock float64) {
+// clock floor, and FEA input feasibility via the independent reference
+// over the equivalent map-based snapshot. st is the dense snapshot s1 was
+// planned against.
+func checkRescheduleInvariants(t testing.TB, sc *workload.Scenario, s0 *schedule.Schedule, st *kernel.State, s1 *schedule.Schedule, clock float64) {
 	t.Helper()
 	est := quickEstimator(sc)
 	if err := s1.Validate(sc.Graph, schedule.ValidateOptions{Pool: sc.Pool}); err != nil {
 		t.Fatalf("clock %g: invalid schedule: %v\n%s", clock, err, s1)
 	}
-	ref := core.Snapshot(sc.Graph, est, s0, clock, core.SnapshotOptions{})
-	if err := ref.Validate(); err != nil {
+	ref := refSnapshot(sc.Graph, est, s0, clock, kernel.SnapshotOptions{})
+	if err := checkState(sc.Graph, st, s0); err != nil {
 		t.Fatalf("clock %g: invalid snapshot: %v", clock, err)
 	}
 	for _, j := range sc.Graph.Jobs() {
@@ -189,7 +189,7 @@ func checkRescheduleInvariants(t testing.TB, sc *workload.Scenario, s0 *schedule
 			if sc.Files != nil {
 				break
 			}
-			if fea := core.FEA(sc.Graph, est, ref, s1, e, a.Resource); a.Start+1e-9 < fea {
+			if fea := refFEA(est, ref, s1, e, a.Resource); a.Start+1e-9 < fea {
 				t.Fatalf("clock %g: job %s starts at %g before input from %d ready at %g",
 					clock, j.Name, a.Start, e.From, fea)
 			}
@@ -225,16 +225,17 @@ func TestKernelScheduleValidity(t *testing.T) {
 			if err != nil {
 				t.Fatalf("seed %d clock %g: %v", seed, clock, err)
 			}
-			checkRescheduleInvariants(t, sc, s0, s1, clock)
+			checkRescheduleInvariants(t, sc, s0, st, s1, clock)
 		}
 	}
 }
 
 // TestKernelMatchesCoreWrapper holds the two snapshot implementations —
-// the kernel's dense State.Snapshot and the map-based core.Snapshot fed
-// through core.Reschedule's one-shot wrapper — to bit-identical
-// schedules, including under the tie-window explorer and the
-// no-insertion ablation.
+// the kernel's dense State.Snapshot, which ships every finished job
+// through State.Ship, and the map-based refSnapshot fed through the
+// refReschedule one-shot wrapper — to the same finished and pinned sets,
+// the same transfer ledger and bit-identical schedules, including under
+// the tie-window explorer and the no-insertion ablation.
 func TestKernelMatchesCoreWrapper(t *testing.T) {
 	for seed := uint64(0); seed < 12; seed++ {
 		sc := quickScenario(t, seed)
@@ -257,8 +258,11 @@ func TestKernelMatchesCoreWrapper(t *testing.T) {
 			if err != nil {
 				t.Fatalf("seed %d: %v", seed, err)
 			}
-			ref := core.Snapshot(sc.Graph, est, s0, clock, core.SnapshotOptions{})
-			viaMaps, err := core.Reschedule(sc.Graph, est, rs, ref, opts)
+			ref := refSnapshot(sc.Graph, est, s0, clock, kernel.SnapshotOptions{})
+			if err := sameState(sc.Graph, st, ref); err != nil {
+				t.Fatalf("seed %d: %v", seed, err)
+			}
+			viaMaps, err := refReschedule(sc.Graph, est, rs, ref, opts)
 			if err != nil {
 				t.Fatalf("seed %d: %v", seed, err)
 			}
@@ -320,7 +324,7 @@ func FuzzKernelReschedule(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		checkRescheduleInvariants(t, sc, s0, s1, clock)
+		checkRescheduleInvariants(t, sc, s0, st, s1, clock)
 		if sc.Files != nil && tieWindow == 0 {
 			if err := k.DataPassMatchesReference(sc.Pool.AvailableAt(clock), st, !noInsertion); err != nil {
 				t.Fatalf("clock %g: %v", clock, err)

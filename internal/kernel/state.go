@@ -8,24 +8,6 @@ import (
 	"aheft/internal/schedule"
 )
 
-// TransferCredit selects which previously initiated file transfers a
-// reschedule may count on (internal/core aliases this type, so the v1
-// core.Credit* names keep working).
-type TransferCredit int
-
-const (
-	// CreditAll credits completed and in-flight transfers: a file already
-	// moving toward a resource arrives there at its original ETA even if
-	// the consumer is rescheduled elsewhere.
-	CreditAll TransferCredit = iota
-	// CreditDelivered credits only transfers that completed by clock;
-	// in-flight transfers are treated as cancelled by the reschedule.
-	CreditDelivered
-	// CreditNone credits nothing beyond the producer's own resource:
-	// every cross-resource read pays a fresh transfer from clock.
-	CreditNone
-)
-
 // SnapshotOptions controls how Snapshot derives a State from a schedule.
 type SnapshotOptions struct {
 	// RestartRunning reschedules jobs that are mid-execution at clock,
@@ -33,16 +15,13 @@ type SnapshotOptions struct {
 	// current assignment. The paper's semantics (reproducing the Fig. 5
 	// makespan of 76) pin running jobs; restart is an ablation.
 	RestartRunning bool
-	// Credit selects the in-flight transfer policy (default CreditAll).
-	Credit TransferCredit
 }
 
 // State is the dense execution-status snapshot the kernel schedules
-// against — the same information as core.ExecState (Clock, finished jobs,
-// pinned running jobs, and the per-edge file-availability ledger of
-// Eq. 1) but stored in job- and edge-indexed arrays so the FEA hot loop
-// reads it without hashing and the whole structure resets without
-// reallocating.
+// against — Clock, finished jobs, pinned running jobs, and the per-edge
+// file-availability ledger of Eq. 1 — stored in job- and edge-indexed
+// arrays so the FEA hot loop reads it without hashing and the whole
+// structure resets without reallocating.
 //
 // The transfer ledger is an (edge × resource) matrix stamped with an
 // epoch counter: Reset bumps the epoch instead of clearing the matrix,
@@ -208,9 +187,8 @@ func (st *State) growLedger(nRes int) {
 }
 
 // SetTransfer records that the (m → j) file is (or will be) available on
-// resource r at time t, keeping the earliest time if recorded twice —
-// the dense equivalent of core.ExecState.SetTransfer. Unknown edges are
-// ignored (the engine only records real dependences).
+// resource r at time t, keeping the earliest time if recorded twice.
+// Unknown edges are ignored (the engine only records real dependences).
 func (st *State) SetTransfer(m, j dag.JobID, r grid.ID, t float64) {
 	e := st.k.edgeIndex(m, j)
 	if e < 0 {
@@ -246,13 +224,6 @@ func (st *State) fileAt(f int, r grid.ID) (float64, bool) {
 		return 0, false
 	}
 	return st.fled[i], true
-}
-
-// HasTransfer reports whether a transfer of the (m → j) file toward r has
-// been recorded.
-func (st *State) HasTransfer(m, j dag.JobID, r grid.ID) bool {
-	_, ok := st.TransferAt(m, j, r)
-	return ok
 }
 
 // TransferAt returns the recorded availability of the (m → j) file on r.
@@ -335,20 +306,32 @@ func (st *State) fea(e dag.Edge, eIdx int, r grid.ID) float64 {
 	return pa.Finish + st.k.est.Comm(e, pa.Resource, r)
 }
 
+// Ship applies the static file-transfer policy (paper §4.1 assumption 2)
+// to job j finishing on r at fin: each output file is on r from fin and
+// starts moving toward its consumer's resource in plan at once. commEst
+// prices the move with the derived file cost when a data model is bound,
+// the estimator's Comm otherwise.
+func (st *State) Ship(j dag.JobID, r grid.ID, fin float64, plan *schedule.Schedule) {
+	for _, e := range st.k.g.Succs(j) {
+		st.SetTransfer(j, e.To, r, fin)
+		if sa, ok := plan.Get(e.To); ok {
+			st.SetTransfer(j, e.To, sa.Resource, fin+st.k.commEst(e, r, sa.Resource))
+		}
+	}
+}
+
 // Snapshot derives the execution state of schedule s0 executed faithfully
 // (accurate estimates: actual times equal scheduled times) up to clock,
-// replacing the state's previous contents — the dense, allocation-free
-// equivalent of core.Snapshot. The static file-transfer policy applies:
-// when a job finishes, its output is immediately shipped to the resource
-// of every scheduled successor (paper §4.1 assumption 2).
+// replacing the state's previous contents without allocating. Every job
+// finished by clock is shipped (Ship); a transfer it initiated may still
+// be in flight, and a reschedule counts on its ETA.
 func (st *State) Snapshot(s0 *schedule.Schedule, clock float64, opts SnapshotOptions) {
 	st.Reset()
 	st.Clock = clock
 	if s0 == nil {
 		return
 	}
-	g := st.k.g
-	for _, j := range g.Jobs() {
+	for _, j := range st.k.g.Jobs() {
 		a, ok := s0.Get(j.ID)
 		if !ok {
 			continue
@@ -356,22 +339,7 @@ func (st *State) Snapshot(s0 *schedule.Schedule, clock float64, opts SnapshotOpt
 		switch {
 		case a.Finish <= clock:
 			st.Finish(j.ID, a.Resource, a.Start, a.Finish)
-			for _, e := range g.Succs(j.ID) {
-				st.SetTransfer(j.ID, e.To, a.Resource, a.Finish)
-				sa, ok := s0.Get(e.To)
-				if !ok || opts.Credit == CreditNone {
-					continue
-				}
-				// Transfer initiated at AFT toward the successor's
-				// scheduled resource; it may still be in flight. commEst
-				// applies the derived file cost when a data model is
-				// bound, the estimator's Comm otherwise.
-				eta := a.Finish + st.k.commEst(e, a.Resource, sa.Resource)
-				if opts.Credit == CreditDelivered && eta > clock {
-					continue
-				}
-				st.SetTransfer(j.ID, e.To, sa.Resource, eta)
-			}
+			st.Ship(j.ID, a.Resource, a.Finish, s0)
 		case a.Start < clock && !opts.RestartRunning:
 			st.Pin(a)
 		}

@@ -24,7 +24,6 @@ import (
 	"context"
 	"fmt"
 
-	"aheft/internal/core"
 	"aheft/internal/cost"
 	"aheft/internal/dag"
 	"aheft/internal/grid"
@@ -222,9 +221,8 @@ func runPolicy(ctx context.Context, g *dag.Graph, est cost.Estimator, pool *grid
 		}
 		rs := pool.AvailableAt(t)
 		// Ship the outputs of every job that finished in (prev, t] under
-		// the schedule that was current during that window.
-		shipWindow(g, k, s0, st, prev, t)
-		// Classify jobs at clock t.
+		// the schedule that was current during that window, then classify
+		// the jobs at clock t.
 		st.Clock = t
 		st.ClearPinned()
 		for _, j := range g.Jobs() {
@@ -232,77 +230,93 @@ func runPolicy(ctx context.Context, g *dag.Graph, est cost.Estimator, pool *grid
 			switch {
 			case a.Finish <= t:
 				st.Finish(j.ID, a.Resource, a.Start, a.Finish)
+				if a.Finish > prev {
+					st.Ship(j.ID, a.Resource, a.Finish, s0)
+				}
 			case a.Start < t && !opts.RestartRunning:
 				st.Pin(a)
 			}
 		}
-		s1, err := pol.Replan(k, rs, st, opts)
+		prev = t
+		s1, d, err := Evaluate(k, pol, rs, st, opts, s0.Makespan, TriggerArrival, len(pool.ArrivalsAt(t)))
 		if err != nil {
 			return nil, err
 		}
 		if s1 == nil {
-			prev = t
 			continue // the policy proposes nothing for this event
 		}
-		d := Decision{
-			Clock:        t,
-			PoolSize:     len(rs),
-			OldMakespan:  s0.Makespan(),
-			NewMakespan:  s1.Makespan(),
-			JobsFinished: st.FinishedCount(),
-			Trigger:      TriggerArrival,
-			ArrivedCount: len(pool.ArrivalsAt(t)),
-		}
-		if core.Better(s0.Makespan(), s1.Makespan(), opts.Eps) {
-			d.Adopted = true
+		if d.Adopted {
 			s0 = s1
-			// Mirror the Execution Manager's input staging on resubmit:
-			// fresh transfers start now for every rescheduled job whose
-			// finished predecessor's file is not already at (or moving to)
-			// its new resource (Eq. 1 Case 2 made physical).
-			for _, j := range g.Jobs() {
-				if st.Finished(j.ID) || st.Pinned(j.ID) {
-					continue
-				}
-				a1 := s1.MustGet(j.ID)
-				for _, e := range g.Preds(j.ID) {
-					if !st.Finished(e.From) {
-						continue
-					}
-					if st.HasTransfer(e.From, j.ID, a1.Resource) {
-						continue
-					}
-					pr, _, _ := st.FinishedOutcome(e.From)
-					st.SetTransfer(e.From, j.ID, a1.Resource, t+est.Comm(e, pr, a1.Resource))
-				}
-			}
+			Restage(k, st, s1)
 		}
 		res.Decisions = append(res.Decisions, d)
 		if observe != nil {
 			observe(d)
 		}
-		prev = t
 	}
 	res.Schedule = s0
 	res.Makespan = s0.Makespan()
 	return res, nil
 }
 
-// shipWindow records, in the dense ledger of st, the static
-// ship-on-finish transfers of every job whose finish time under s0 falls
-// in (prev, t]: each output file becomes available on the producer's own
-// resource at its finish and on the consumer's currently scheduled
-// resource one transfer later.
-func shipWindow(g *dag.Graph, k *kernel.Kernel, s0 *schedule.Schedule, st *kernel.State, prev, t float64) {
-	for _, j := range g.Jobs() {
-		a := s0.MustGet(j.ID)
-		if a.Finish <= prev || a.Finish > t {
+// Better reports whether candidate improves on current by more than eps —
+// the adoption test of Fig. 2 line 7, with a small tolerance so that
+// floating-point noise never triggers a spurious schedule switch.
+func Better(current, candidate float64, eps float64) bool {
+	if eps <= 0 {
+		eps = 1e-9
+	}
+	return candidate < current-eps
+}
+
+// Evaluate is the Fig. 2 loop body at one event, shared by every engine
+// and both what-ifs: replan the jobs st leaves free over rs, price the
+// current plan with projectS0 (after the replan, so a projection may read
+// estimates the replan refreshed), and decide adoption by Better. The
+// Decision's Clock and JobsFinished come from st. A policy that proposes
+// nothing yields a nil schedule. The caller installs an adopted S1 and
+// re-stages its inputs (Restage); wall-clock telemetry is its to add.
+func Evaluate(k *kernel.Kernel, pol policy.Policy, rs []grid.Resource, st *kernel.State, opts policy.Options,
+	projectS0 func() float64, trig Trigger, arrived int) (*schedule.Schedule, Decision, error) {
+	s1, err := pol.Replan(k, rs, st, opts)
+	if err != nil || s1 == nil {
+		return nil, Decision{}, err
+	}
+	cur := projectS0()
+	return s1, Decision{
+		Clock:        st.Clock,
+		PoolSize:     len(rs),
+		OldMakespan:  cur,
+		NewMakespan:  s1.Makespan(),
+		Adopted:      Better(cur, s1.Makespan(), opts.Eps),
+		JobsFinished: st.FinishedCount(),
+		Trigger:      trig,
+		ArrivedCount: arrived,
+	}, nil
+}
+
+// Restage mirrors the Execution Manager's input staging when s1 is
+// adopted at st.Clock: every job s1 may still move (neither finished nor
+// pinned) whose finished predecessor's file is not already at, or moving
+// to, its new resource gets a fresh transfer starting now — Eq. 1 Case 2
+// made physical.
+func Restage(k *kernel.Kernel, st *kernel.State, s1 *schedule.Schedule) {
+	g := k.Graph()
+	for _, jb := range g.Jobs() {
+		j := jb.ID
+		if st.Finished(j) || st.Pinned(j) {
 			continue
 		}
-		for _, e := range g.Succs(j.ID) {
-			st.SetTransfer(j.ID, e.To, a.Resource, a.Finish)
-			sa := s0.MustGet(e.To)
-			st.SetTransfer(j.ID, e.To, sa.Resource, a.Finish+k.CommEst(e, a.Resource, sa.Resource))
+		r := s1.MustGet(j).Resource
+		for i, e := range g.Preds(j) {
+			if !st.Finished(e.From) {
+				continue
+			}
+			if _, directed := st.PredTransferAt(j, i, r); directed {
+				continue
+			}
+			pr, _, _ := st.FinishedOutcome(e.From)
+			st.SetTransfer(e.From, j, r, st.Clock+k.PredComm(j, i, pr, r))
 		}
 	}
 }

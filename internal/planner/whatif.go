@@ -3,11 +3,11 @@ package planner
 import (
 	"fmt"
 
-	"aheft/internal/core"
 	"aheft/internal/cost"
 	"aheft/internal/dag"
 	"aheft/internal/grid"
 	"aheft/internal/kernel"
+	"aheft/internal/policy"
 	"aheft/internal/schedule"
 )
 
@@ -83,18 +83,14 @@ func WhatIf(g *dag.Graph, est cost.Estimator, s0 *schedule.Schedule, available [
 			st.Unpin(j.ID)
 		}
 	}
-	s1, err := k.Reschedule(rs, st, kernel.Options{
-		NoInsertion: opts.NoInsertion,
-		TieWindow:   opts.TieWindow,
-	})
+	s1, d, err := Evaluate(k, policy.MustGet("aheft"), rs, st, opts, s0.Makespan, TriggerArrival, len(q.Add))
 	if err != nil {
 		return nil, err
 	}
-	cur := s0.Makespan()
 	return &WhatIfAnswer{
-		CurrentMakespan: cur,
-		NewMakespan:     s1.Makespan(),
-		WouldAdopt:      core.Better(cur, s1.Makespan(), opts.Eps),
+		CurrentMakespan: d.OldMakespan,
+		NewMakespan:     d.NewMakespan,
+		WouldAdopt:      d.Adopted,
 		Schedule:        s1,
 	}, nil
 }
