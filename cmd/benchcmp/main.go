@@ -32,7 +32,9 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
 	"os"
 	"strconv"
 	"strings"
@@ -63,47 +65,64 @@ type ratioGate struct {
 }
 
 func main() {
+	if err := run(os.Args[1:], os.Stdout); err != nil {
+		fmt.Fprintln(os.Stderr, "benchcmp:", err)
+		os.Exit(1)
+	}
+}
+
+// run compares the two documents named in args, prints the table to
+// stdout and returns an error naming every gate that failed.
+func run(args []string, stdout io.Writer) error {
 	var files []string
 	var reqs []requirement
 	var ratios []ratioGate
 	var only []string
-	args := os.Args[1:]
 	for i := 0; i < len(args); i++ {
-		switch {
-		case args[i] == "--require":
-			i++
-			if i >= len(args) {
-				fatal("missing --require value")
-			}
-			reqs = append(reqs, parseRequire(args[i]))
-		case strings.HasPrefix(args[i], "--require="):
-			reqs = append(reqs, parseRequire(strings.TrimPrefix(args[i], "--require=")))
-		case args[i] == "--ratio":
-			i++
-			if i >= len(args) {
-				fatal("missing --ratio value")
-			}
-			ratios = append(ratios, parseRatio(args[i]))
-		case strings.HasPrefix(args[i], "--ratio="):
-			ratios = append(ratios, parseRatio(strings.TrimPrefix(args[i], "--ratio=")))
-		case args[i] == "--only":
-			i++
-			if i >= len(args) {
-				fatal("missing --only value")
-			}
-			only = append(only, strings.Split(args[i], ",")...)
-		case strings.HasPrefix(args[i], "--only="):
-			only = append(only, strings.Split(strings.TrimPrefix(args[i], "--only="), ",")...)
-		default:
+		flag, val, hasVal := strings.Cut(args[i], "=")
+		if flag != "--require" && flag != "--ratio" && flag != "--only" {
 			files = append(files, args[i])
+			continue
+		}
+		if !hasVal {
+			if i++; i >= len(args) {
+				return fmt.Errorf("missing %s value", flag)
+			}
+			val = args[i]
+		}
+		switch flag {
+		case "--require":
+			rq, err := parseRequire(val)
+			if err != nil {
+				return err
+			}
+			reqs = append(reqs, rq)
+		case "--ratio":
+			rg, err := parseRatio(val)
+			if err != nil {
+				return err
+			}
+			ratios = append(ratios, rg)
+		default:
+			only = append(only, strings.Split(val, ",")...)
 		}
 	}
 	if len(files) != 2 {
-		fatal("usage: benchcmp OLD.json NEW.json [--only Prefix,...] [--require 'Bench:allocs=2.0,ns=1.0']... [--ratio 'BenchA:BenchB:10']...")
+		return errors.New("usage: benchcmp OLD.json NEW.json [--only Prefix,...] [--require 'Bench:allocs=2.0,ns=1.0']... [--ratio 'BenchA:BenchB:10']...")
 	}
-	oldDoc, newDoc := load(files[0]), load(files[1])
-	oldBy := index(oldDoc)
-	fmt.Printf("%-44s %12s %12s %9s %9s\n", "benchmark", "ns/op", "allocs/op", "ns ×", "allocs ×")
+	oldDoc, err := load(files[0])
+	if err != nil {
+		return err
+	}
+	newDoc, err := load(files[1])
+	if err != nil {
+		return err
+	}
+	oldBy := map[string]record{}
+	for _, o := range oldDoc.Benchmarks {
+		oldBy[o.Name] = o
+	}
+	fmt.Fprintf(stdout, "%-44s %12s %12s %9s %9s\n", "benchmark", "ns/op", "allocs/op", "ns ×", "allocs ×")
 	newBy := map[string]record{}
 	for _, n := range newDoc.Benchmarks {
 		newBy[n.Name] = n
@@ -112,54 +131,50 @@ func main() {
 		}
 		o, ok := oldBy[n.Name]
 		if !ok {
-			fmt.Printf("%-44s %12.0f %12.0f %9s %9s\n", n.Name, n.NsPerOp, n.AllocsPerOp, "new", "new")
+			fmt.Fprintf(stdout, "%-44s %12.0f %12.0f %9s %9s\n", n.Name, n.NsPerOp, n.AllocsPerOp, "new", "new")
 			continue
 		}
-		fmt.Printf("%-44s %12.0f %12.0f %9.2f %9.2f\n",
+		fmt.Fprintf(stdout, "%-44s %12.0f %12.0f %9.2f %9.2f\n",
 			n.Name, n.NsPerOp, n.AllocsPerOp, ratio(o.NsPerOp, n.NsPerOp), ratio(o.AllocsPerOp, n.AllocsPerOp))
 	}
-	failed := false
+	var failed []error
 	for _, rg := range ratios {
 		num, okN := newBy[rg.num]
 		den, okD := newBy[rg.den]
 		if !okN || !okD {
-			fmt.Fprintf(os.Stderr, "benchcmp: ratio benchmark missing in new doc (%q %v, %q %v)\n", rg.num, okN, rg.den, okD)
-			failed = true
+			failed = append(failed, fmt.Errorf("ratio benchmark missing in new doc (%q %v, %q %v)", rg.num, okN, rg.den, okD))
 			continue
 		}
 		if r := ratio(num.NsPerOp, den.NsPerOp); r < rg.min {
-			fmt.Fprintf(os.Stderr, "benchcmp: ratio %s / %s = %.2f < required %.2f (%.0f / %.0f ns/op)\n",
-				rg.num, rg.den, r, rg.min, num.NsPerOp, den.NsPerOp)
-			failed = true
+			failed = append(failed, fmt.Errorf("ratio %s / %s = %.2f < required %.2f (%.0f / %.0f ns/op)",
+				rg.num, rg.den, r, rg.min, num.NsPerOp, den.NsPerOp))
 		} else {
-			fmt.Printf("ratio %s / %s = %.2fx (>= %.2f)\n", rg.num, rg.den, r, rg.min)
+			fmt.Fprintf(stdout, "ratio %s / %s = %.2fx (>= %.2f)\n", rg.num, rg.den, r, rg.min)
 		}
 	}
 	for _, rq := range reqs {
 		o, okO := oldBy[rq.bench]
 		n, okN := newBy[rq.bench]
 		if !okO || !okN {
-			fmt.Fprintf(os.Stderr, "benchcmp: required benchmark %q missing (old %v, new %v)\n", rq.bench, okO, okN)
-			failed = true
+			failed = append(failed, fmt.Errorf("required benchmark %q missing (old %v, new %v)", rq.bench, okO, okN))
 			continue
 		}
 		if r := ratio(o.AllocsPerOp, n.AllocsPerOp); rq.allocs > 0 && r < rq.allocs {
-			fmt.Fprintf(os.Stderr, "benchcmp: %s: allocs ratio %.2f < required %.2f (%.0f → %.0f allocs/op)\n",
-				rq.bench, r, rq.allocs, o.AllocsPerOp, n.AllocsPerOp)
-			failed = true
+			failed = append(failed, fmt.Errorf("%s: allocs ratio %.2f < required %.2f (%.0f → %.0f allocs/op)",
+				rq.bench, r, rq.allocs, o.AllocsPerOp, n.AllocsPerOp))
 		}
 		if r := ratio(o.NsPerOp, n.NsPerOp); rq.ns > 0 && r < rq.ns {
-			fmt.Fprintf(os.Stderr, "benchcmp: %s: ns ratio %.2f < required %.2f (%.0f → %.0f ns/op)\n",
-				rq.bench, r, rq.ns, o.NsPerOp, n.NsPerOp)
-			failed = true
+			failed = append(failed, fmt.Errorf("%s: ns ratio %.2f < required %.2f (%.0f → %.0f ns/op)",
+				rq.bench, r, rq.ns, o.NsPerOp, n.NsPerOp))
 		}
 	}
-	if failed {
-		os.Exit(1)
+	if len(failed) > 0 {
+		return errors.Join(failed...)
 	}
 	if len(reqs)+len(ratios) > 0 {
-		fmt.Println("all requirements met")
+		fmt.Fprintln(stdout, "all requirements met")
 	}
+	return nil
 }
 
 // selected reports whether name passes the --only prefix filter; an empty
@@ -186,68 +201,55 @@ func ratio(old, new float64) float64 {
 	return old / new
 }
 
-func parseRequire(s string) requirement {
+func parseRequire(s string) (requirement, error) {
 	i := strings.LastIndex(s, ":")
 	if i < 0 {
-		fatal("bad --require %q: want 'Bench:allocs=2.0,ns=1.0'", s)
+		return requirement{}, fmt.Errorf("bad --require %q: want 'Bench:allocs=2.0,ns=1.0'", s)
 	}
 	rq := requirement{bench: s[:i]}
 	for _, part := range strings.Split(s[i+1:], ",") {
-		kv := strings.SplitN(part, "=", 2)
-		if len(kv) != 2 {
-			fatal("bad --require clause %q", part)
+		k, v, ok := strings.Cut(part, "=")
+		if !ok {
+			return rq, fmt.Errorf("bad --require clause %q", part)
 		}
-		v, err := strconv.ParseFloat(kv[1], 64)
+		f, err := strconv.ParseFloat(v, 64)
 		if err != nil {
-			fatal("bad --require value %q: %v", kv[1], err)
+			return rq, fmt.Errorf("bad --require value %q: %v", v, err)
 		}
-		switch kv[0] {
+		switch k {
 		case "allocs":
-			rq.allocs = v
+			rq.allocs = f
 		case "ns":
-			rq.ns = v
+			rq.ns = f
 		default:
-			fatal("bad --require metric %q (want allocs or ns)", kv[0])
+			return rq, fmt.Errorf("bad --require metric %q (want allocs or ns)", k)
 		}
 	}
-	return rq
+	return rq, nil
 }
 
 // parseRatio parses 'BenchA:BenchB:min' — benchmark names never contain
 // colons, so a plain split is unambiguous.
-func parseRatio(s string) ratioGate {
+func parseRatio(s string) (ratioGate, error) {
 	parts := strings.Split(s, ":")
 	if len(parts) != 3 {
-		fatal("bad --ratio %q: want 'BenchA:BenchB:10'", s)
+		return ratioGate{}, fmt.Errorf("bad --ratio %q: want 'BenchA:BenchB:10'", s)
 	}
 	v, err := strconv.ParseFloat(parts[2], 64)
 	if err != nil || v <= 0 {
-		fatal("bad --ratio minimum %q", parts[2])
+		return ratioGate{}, fmt.Errorf("bad --ratio minimum %q", parts[2])
 	}
-	return ratioGate{num: parts[0], den: parts[1], min: v}
+	return ratioGate{num: parts[0], den: parts[1], min: v}, nil
 }
 
-func load(path string) doc {
-	b, err := os.ReadFile(path)
-	if err != nil {
-		fatal("%v", err)
-	}
+func load(path string) (doc, error) {
 	var d doc
-	if err := json.Unmarshal(b, &d); err != nil {
-		fatal("%s: %v", path, err)
+	b, err := os.ReadFile(path)
+	if err == nil {
+		err = json.Unmarshal(b, &d)
 	}
-	return d
-}
-
-func index(d doc) map[string]record {
-	m := map[string]record{}
-	for _, b := range d.Benchmarks {
-		m[b.Name] = b
+	if err != nil {
+		return d, fmt.Errorf("%s: %w", path, err)
 	}
-	return m
-}
-
-func fatal(format string, args ...any) {
-	fmt.Fprintf(os.Stderr, "benchcmp: "+format+"\n", args...)
-	os.Exit(1)
+	return d, nil
 }

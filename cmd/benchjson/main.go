@@ -12,6 +12,7 @@ import (
 	"bufio"
 	"encoding/json"
 	"fmt"
+	"io"
 	"os"
 	"runtime"
 	"strconv"
@@ -38,8 +39,20 @@ type Doc struct {
 }
 
 func main() {
+	if err := run(os.Args[1:], os.Stdin, os.Stdout); err != nil {
+		fmt.Fprintln(os.Stderr, "benchjson:", err)
+		os.Exit(1)
+	}
+}
+
+// run converts the `go test -bench` text on stdin into the JSON document
+// on stdout. benchjson takes no arguments.
+func run(args []string, stdin io.Reader, stdout io.Writer) error {
+	if len(args) > 0 {
+		return fmt.Errorf("unexpected arguments %q (usage: go test -bench … | benchjson)", args)
+	}
 	doc := Doc{Benchmarks: []Record{}}
-	sc := bufio.NewScanner(os.Stdin)
+	sc := bufio.NewScanner(stdin)
 	sc.Buffer(make([]byte, 1024*1024), 1024*1024)
 	for sc.Scan() {
 		line := strings.TrimSpace(sc.Text())
@@ -59,15 +72,11 @@ func main() {
 		}
 	}
 	if err := sc.Err(); err != nil {
-		fmt.Fprintln(os.Stderr, "benchjson:", err)
-		os.Exit(1)
+		return err
 	}
-	enc := json.NewEncoder(os.Stdout)
+	enc := json.NewEncoder(stdout)
 	enc.SetIndent("", "  ")
-	if err := enc.Encode(doc); err != nil {
-		fmt.Fprintln(os.Stderr, "benchjson:", err)
-		os.Exit(1)
-	}
+	return enc.Encode(doc)
 }
 
 // parseLine parses one result line of the form

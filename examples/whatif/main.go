@@ -91,9 +91,10 @@ func main() {
 // busiestResource returns the resource carrying the most scheduled work.
 func busiestResource(s *schedule.Schedule, rs []grid.Resource) grid.ID {
 	best, bestLoad := rs[0].ID, -1.0
+	tls := s.Timelines()
 	for _, r := range rs {
 		load := 0.0
-		for _, a := range s.OnResource(r.ID) {
+		for _, a := range tls[r.ID] {
 			load += a.Duration()
 		}
 		if load > bestLoad {

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"sort"
 	"strings"
+	"sync"
 
 	"aheft/internal/jsonscan"
 )
@@ -68,12 +69,19 @@ func (g *Graph) MarshalJSON() ([]byte, error) {
 }
 
 // edgeDoc is one decoded "edges" element. The endpoint names are not
-// kept, so they stay views of the input until Decode resolves them.
+// kept, so they stay views of the input until Decode resolves them into
+// src and dst.
 type edgeDoc struct {
 	from, to []byte
 	data     float64
 	file     string
+	src, dst JobID
 }
+
+// edgeDocs recycles Decode's "edges" scratch. A buffer is cleared before
+// it goes back, so it holds no view of a request body once Decode returns
+// and decodes exactly as a fresh one would.
+var edgeDocs = sync.Pool{New: func() any { return new([]edgeDoc) }}
 
 // FromJSON decodes a graph previously produced by MarshalJSON. The result
 // is validated before being returned.
@@ -94,11 +102,19 @@ func FromJSON(data []byte) (*Graph, error) {
 // validated graph from it directly.
 func Decode(s *jsonscan.Scanner) (*Graph, error) {
 	var (
-		v     int
-		name  string
-		jobs  []Job
-		edges []edgeDoc
+		v    int
+		name string
+		jobs []Job
 	)
+	buf := edgeDocs.Get().(*[]edgeDoc)
+	edges := (*buf)[:0]
+	defer func() {
+		if cap(edges) > cap(*buf) {
+			*buf = edges
+		}
+		clear((*buf)[:cap(*buf)])
+		edgeDocs.Put(buf)
+	}()
 	s.Object("v", &v, "name", &name,
 		"jobs", func() {
 			jobs = jsonscan.Array(s, jobs, func(j *Job) { s.Object("name", &j.Name, "op", &j.Op) })
@@ -122,9 +138,9 @@ func Decode(s *jsonscan.Scanner) (*Graph, error) {
 		}
 		g.byName[jobs[i].Name] = JobID(i)
 	}
-	resolved := make([]Edge, len(edges))
 	outdeg, indeg := make([]int, len(jobs)), make([]int, len(jobs))
-	for i, e := range edges {
+	for i := range edges {
+		e := &edges[i]
 		from, okFrom := g.byName[string(e.from)]
 		to, okTo := g.byName[string(e.to)]
 		switch {
@@ -135,14 +151,15 @@ func Decode(s *jsonscan.Scanner) (*Graph, error) {
 		case e.data < 0:
 			return nil, fmt.Errorf("dag: negative data %g on edge (%s,%s)", e.data, e.from, e.to)
 		}
-		resolved[i] = Edge{From: from, To: to, Data: e.data, File: e.file}
+		e.src, e.dst = from, to
 		outdeg[from]++
 		indeg[to]++
 	}
 	// No AddFileEdge: its search for a duplicate on every insert is
 	// quadratic in a hub's degree. Validate finds one in the sorted lists.
 	g.succ, g.pred = adjacency(outdeg), adjacency(indeg)
-	for _, e := range resolved {
+	for _, d := range edges {
+		e := Edge{From: d.src, To: d.dst, Data: d.data, File: d.file}
 		g.succ[e.From] = append(g.succ[e.From], e)
 		g.pred[e.To] = append(g.pred[e.To], e)
 	}

@@ -348,6 +348,18 @@ func (s *Shard) Rotate(snapshot []byte) error {
 	if err := os.Rename(tmp, filepath.Join(s.dir, snapName(s.lsn))); err != nil {
 		return fmt.Errorf("durable: snapshot: %w", err)
 	}
+	if s.policy != SyncOff {
+		// The rename survives a power loss only once the directory entry
+		// does; until then the sweep below could leave neither file.
+		d, err := os.Open(s.dir)
+		if err == nil {
+			err = d.Sync()
+			d.Close()
+		}
+		if err != nil {
+			return fmt.Errorf("durable: snapshot: sync dir: %w", err)
+		}
+	}
 	s.snapshots.Add(1)
 
 	// The snapshot is durable; everything at or below s.lsn is covered.

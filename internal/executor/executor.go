@@ -21,7 +21,8 @@ package executor
 
 import (
 	"fmt"
-	"sort"
+	"maps"
+	"slices"
 
 	"aheft/internal/dag"
 	"aheft/internal/grid"
@@ -67,6 +68,10 @@ type Engine struct {
 	pool *grid.Pool
 
 	sched *schedule.Schedule // current plan (replaceable via Resubmit)
+	// order is sched's per-resource planned order (Timelines), and res its
+	// resources ascending; both are recomputed whenever sched changes.
+	order map[grid.ID][]schedule.Assignment
+	res   []grid.ID
 	// handler receives run-time events. It may call Resubmit to replace
 	// the remaining schedule — the Planner's reaction in the Fig. 2 loop.
 	handler func(Event)
@@ -117,6 +122,7 @@ func New(simr *sim.Simulator, g *dag.Graph, rt Runtime, pool *grid.Pool, s *sche
 		finished:  make(map[dag.JobID]*JobRecord),
 		fileAt:    make(map[fileKey]map[grid.ID]float64),
 	}
+	e.setPlan(s)
 	return e, nil
 }
 
@@ -165,7 +171,7 @@ func (e *Engine) Resubmit(s1 *schedule.Schedule) error {
 			return fmt.Errorf("executor: resubmitted schedule misses job %s", j.Name)
 		}
 	}
-	e.sched = s1
+	e.setPlan(s1)
 	// The Execution Manager is responsible for staging inputs: if a
 	// rescheduled job now runs where a finished predecessor's output was
 	// never shipped, start that transfer now (it cannot start in the past
@@ -240,7 +246,7 @@ func (e *Engine) pump() {
 	now := e.simr.Now()
 	for {
 		startedAny := false
-		for _, r := range e.resourcesInUse() {
+		for _, r := range e.res {
 			j, ok := e.nextOn(r)
 			if !ok {
 				continue
@@ -257,15 +263,14 @@ func (e *Engine) pump() {
 	}
 }
 
-func (e *Engine) resourcesInUse() []grid.ID {
-	ids := e.sched.Resources()
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	return ids
+func (e *Engine) setPlan(s *schedule.Schedule) {
+	e.sched, e.order = s, s.Timelines()
+	e.res = slices.Sorted(maps.Keys(e.order))
 }
 
 // nextOn returns the first unstarted job in the resource's planned order.
 func (e *Engine) nextOn(r grid.ID) (dag.JobID, bool) {
-	for _, a := range e.sched.OnResource(r) {
+	for _, a := range e.order[r] {
 		if _, done := e.finished[a.Job]; done {
 			continue
 		}

@@ -12,8 +12,10 @@
 package grid
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 )
 
@@ -223,15 +225,19 @@ func (p *Pool) ArrivalTime(id ID) float64 {
 // AvailableAt returns the resources whose arrival time is <= t, in ID
 // order. This is the resource set R a scheduler sees when planning at
 // clock t.
-func (p *Pool) AvailableAt(t float64) []Resource {
-	var out []Resource
+func (p *Pool) AvailableAt(t float64) []Resource { return p.AppendAvailableAt(nil, t) }
+
+// AppendAvailableAt appends AvailableAt(t) to dst, for a caller that
+// reuses one slice across events.
+func (p *Pool) AppendAvailableAt(dst []Resource, t float64) []Resource {
+	n := len(dst)
 	for _, a := range p.arrivals {
 		if a.Time <= t {
-			out = append(out, a.Resource)
+			dst = append(dst, a.Resource)
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
-	return out
+	slices.SortFunc(dst[n:], func(a, b Resource) int { return cmp.Compare(a.ID, b.ID) })
+	return dst
 }
 
 // Initial returns the resources available at time 0.

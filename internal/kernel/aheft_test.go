@@ -259,7 +259,7 @@ func TestFig5ExhaustiveOptimal(t *testing.T) {
 				}
 			}
 			w := est.Comp(job, r.ID)
-			start := s1.EarliestStart(r.ID, ready, w, true)
+			start := earliestStart(s1, r.ID, ready, w, true)
 			s1.Assign(schedule.Assignment{Job: job, Resource: r.ID, Start: start, Finish: start + w})
 		}
 		if mk := s1.Makespan(); mk < best {

@@ -18,6 +18,8 @@
 //     order buffers) is owned by the Kernel and reused across calls, so
 //     the steady-state inner loop of a reschedule performs zero heap
 //     allocations; only the returned *schedule.Schedule is freshly built.
+//     A short-lived kernel's candidate arrays and its States' ledgers go
+//     back to package pools on Release, for the next workflow's kernel.
 //
 // Layering: model (dag/grid/cost/schedule) → kernel (this package) →
 // policy (orderings over the kernel) → engine (planner) → facade (root).
@@ -33,6 +35,7 @@ package kernel
 import (
 	"fmt"
 	"sort"
+	"sync"
 	"time"
 
 	"aheft/internal/cost"
@@ -90,7 +93,9 @@ type Kernel struct {
 	rankVer uint64
 	topo    []dag.JobID
 
-	// Placement scratch, reused across calls.
+	// Placement scratch, reused across calls. The four n-sized candidate
+	// arrays are cut from one slab, which Release recycles.
+	slab       *[]schedule.Assignment
 	baseTL     [][]block             // per resource: history (finished+pinned) intervals, sorted
 	rows       []timeline            // per resource: base plus the current candidate's placements
 	tlTouched  []grid.ID             // rows filled by the previous prepHistory (may repeat)
@@ -170,14 +175,29 @@ func New(g *dag.Graph, est cost.Estimator) *Kernel {
 		}
 	}
 	k.predBase[n] = k.nEdges
-	k.zeroPlaced = make([]schedule.Assignment, n)
+	k.slab = slabs.Get().(*[]schedule.Assignment)
+	*k.slab = sized(*k.slab, 4*n)
+	a := *k.slab
+	k.zeroPlaced, k.basePlaced, k.placed, k.bestPlaced = a[:n:n], a[n:2*n:2*n], a[2*n:3*n:3*n], a[3*n:]
 	for j := range k.zeroPlaced {
 		k.zeroPlaced[j] = schedule.Assignment{Job: dag.JobID(j), Resource: grid.NoResource}
 	}
-	k.basePlaced = make([]schedule.Assignment, n)
-	k.placed = make([]schedule.Assignment, n)
-	k.bestPlaced = make([]schedule.Assignment, n)
 	return k
+}
+
+// slabs holds released kernels' candidate arrays.
+var slabs = sync.Pool{New: func() any { return new([]schedule.Assignment) }}
+
+// Release returns the kernel's candidate arrays and its Static state to
+// the package pools for the next kernel; k must not be used afterwards.
+// Schedules it returned stay valid: they share nothing with the kernel.
+func (k *Kernel) Release() {
+	slabs.Put(k.slab)
+	k.slab = nil
+	if k.empty != nil {
+		k.empty.Release()
+		k.empty = nil
+	}
 }
 
 // Graph returns the workflow the kernel is bound to.

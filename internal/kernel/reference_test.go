@@ -1,18 +1,23 @@
 package kernel_test
 
 // Map-based reference implementations of the snapshot (execState,
-// refSnapshot), Eq. 1 (refFEA) and the Eq. 2–3 EFT step (placeJob). They
+// refSnapshot), Eq. 1 (refFEA), the insertion-based slot search
+// (earliestStart) and the Eq. 2–3 EFT step (placeJob). They
 // follow the paper's formalisation directly, share no code with the dense
 // kernel, and exist so the property suites can cross-check the kernel's
 // schedules, ledgers and input-feasibility against an independent model.
 
 import (
 	"fmt"
+	"math"
+	"testing"
+	"testing/quick"
 
 	"aheft/internal/cost"
 	"aheft/internal/dag"
 	"aheft/internal/grid"
 	"aheft/internal/kernel"
+	"aheft/internal/rng"
 	"aheft/internal/schedule"
 )
 
@@ -151,6 +156,105 @@ func refFEA(est cost.Estimator, st *execState, s1 *schedule.Schedule, e dag.Edge
 	return pa.Finish + est.Comm(e, pa.Resource, r)
 }
 
+// earliestStart finds the earliest start time >= ready at which a task of
+// the given duration fits on resource r of s.
+//
+// With insertion enabled this is HEFT's insertion-based policy: idle gaps
+// between consecutive assignments are considered, so a short job can slot
+// in front of longer ones without delaying them. With insertion disabled
+// the job can only go after the last assignment.
+func earliestStart(s *schedule.Schedule, r grid.ID, ready, duration float64, insertion bool) float64 {
+	tl := s.Timelines()[r]
+	if len(tl) == 0 {
+		return ready
+	}
+	if !insertion {
+		return math.Max(tl[len(tl)-1].Finish, ready)
+	}
+	if first := tl[0].Start; ready+duration <= first {
+		return ready
+	}
+	for i := 0; i < len(tl)-1; i++ {
+		start := math.Max(tl[i].Finish, ready)
+		if start+duration <= tl[i+1].Start {
+			return start
+		}
+	}
+	return math.Max(tl[len(tl)-1].Finish, ready)
+}
+
+func TestEarliestStartAppend(t *testing.T) {
+	s := schedule.New()
+	s.Assign(schedule.Assignment{Job: 1, Resource: 0, Start: 0, Finish: 10})
+	if got := earliestStart(s, 0, 0, 5, false); got != 10 {
+		t.Fatalf("append after busy: got %g, want 10", got)
+	}
+	if got := earliestStart(s, 0, 15, 5, false); got != 15 {
+		t.Fatalf("append with late ready: got %g, want 15", got)
+	}
+	if got := earliestStart(s, 5, 3, 5, false); got != 3 {
+		t.Fatalf("empty resource: got %g, want 3", got)
+	}
+}
+
+func TestEarliestStartInsertion(t *testing.T) {
+	s := schedule.New()
+	s.Assign(schedule.Assignment{Job: 1, Resource: 0, Start: 10, Finish: 20})
+	s.Assign(schedule.Assignment{Job: 2, Resource: 0, Start: 30, Finish: 40})
+	// Fits before the first assignment.
+	if got := earliestStart(s, 0, 0, 10, true); got != 0 {
+		t.Fatalf("gap before first: got %g, want 0", got)
+	}
+	// Ready too late for the head gap, fits the middle gap exactly.
+	if got := earliestStart(s, 0, 15, 10, true); got != 20 {
+		t.Fatalf("middle gap: got %g, want 20", got)
+	}
+	// Ready time inside the middle gap.
+	if got := earliestStart(s, 0, 25, 5, true); got != 25 {
+		t.Fatalf("ready in gap: got %g, want 25", got)
+	}
+	// Nothing fits: append.
+	if got := earliestStart(s, 0, 0, 50, true); got != 40 {
+		t.Fatalf("append: got %g, want 40", got)
+	}
+	// Without insertion the gaps are invisible.
+	if got := earliestStart(s, 0, 0, 5, false); got != 40 {
+		t.Fatalf("no-insertion: got %g, want 40", got)
+	}
+}
+
+// TestEarliestStartNeverOverlaps is the core safety property of the slot
+// search: whatever the history of assignments, placing a job at the
+// returned start never overlaps an existing assignment on that resource.
+func TestEarliestStartNeverOverlaps(t *testing.T) {
+	err := quick.Check(func(seed uint64) bool {
+		r := rng.New(seed)
+		s := schedule.New()
+		// Build a random but valid timeline by always placing at the
+		// earliest feasible slot.
+		for j := 0; j < 30; j++ {
+			ready := r.Uniform(0, 50)
+			dur := r.Uniform(1, 10)
+			res := grid.ID(r.IntN(3))
+			start := earliestStart(s, res, ready, dur, r.Float64() < 0.5)
+			if start < ready {
+				return false
+			}
+			a := schedule.Assignment{Job: dag.JobID(j), Resource: res, Start: start, Finish: start + dur}
+			for _, b := range s.Timelines()[res] {
+				if a.Start < b.Finish && b.Start < a.Finish {
+					return false // overlap
+				}
+			}
+			s.Assign(a)
+		}
+		return true
+	}, &quick.Config{MaxCount: 200})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
 // placeJob computes the EFT-minimising assignment for one job given the
 // partial schedule s, in which every predecessor of the job must already
 // be assigned; floor is a lower bound on the start time.
@@ -166,7 +270,7 @@ func placeJob(g *dag.Graph, est cost.Estimator, rs []grid.Resource, s *schedule.
 			ready = max(ready, pa.Finish+est.Comm(e, pa.Resource, r.ID))
 		}
 		w := est.Comp(job, r.ID)
-		start := s.EarliestStart(r.ID, ready, w, insertion)
+		start := earliestStart(s, r.ID, ready, w, insertion)
 		if best.Resource == grid.NoResource || start+w < best.Finish {
 			best = schedule.Assignment{Job: job, Resource: r.ID, Start: start, Finish: start + w}
 		}

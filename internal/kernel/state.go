@@ -2,6 +2,7 @@ package kernel
 
 import (
 	"fmt"
+	"sync"
 
 	"aheft/internal/dag"
 	"aheft/internal/grid"
@@ -29,7 +30,8 @@ type SnapshotOptions struct {
 // previous run recorded.
 //
 // A State belongs to the Kernel that created it and shares its lifetime
-// and single-goroutine discipline.
+// and single-goroutine discipline. Release hands its arrays to the next
+// NewState, of any kernel.
 type State struct {
 	k *Kernel
 
@@ -57,19 +59,26 @@ type State struct {
 	fledEp []uint32
 }
 
+// states holds released States; NewState takes their arrays over.
+var states = sync.Pool{New: func() any { return new(State) }}
+
 // NewState returns a fresh empty state at clock 0. resHint sizes the
 // transfer ledger for the given number of resources; the ledger grows on
 // demand if more resources appear later (pass pool.Size() to avoid the
 // regrowth).
 func (k *Kernel) NewState(resHint int) *State {
-	st := &State{
+	st := states.Get().(*State)
+	old := *st
+	*st = State{
 		k:      k,
-		finRes: make([]grid.ID, k.n),
-		finAST: make([]float64, k.n),
-		finAFT: make([]float64, k.n),
-		isPin:  make([]bool, k.n),
-		pin:    make([]schedule.Assignment, k.n),
+		finRes: sized(old.finRes, k.n),
+		finAST: sized(old.finAST, k.n),
+		finAFT: sized(old.finAFT, k.n),
+		isPin:  sized(old.isPin, k.n),
+		pin:    sized(old.pin, k.n),
 		epoch:  1,
+		// Spare ledger arrays: growLedger sizes and clears them (stride 0).
+		led: old.led, ledEp: old.ledEp, fled: old.fled, fledEp: old.fledEp,
 	}
 	for j := range st.finRes {
 		st.finRes[j] = grid.NoResource
@@ -78,6 +87,24 @@ func (k *Kernel) NewState(resHint int) *State {
 		st.growLedger(resHint)
 	}
 	return st
+}
+
+// Release returns the state's arrays for reuse by a later NewState; st
+// must not be used afterwards.
+func (st *State) Release() {
+	st.k = nil
+	states.Put(st)
+}
+
+// sized returns buf cut to n zeroed elements, reusing its array when it
+// is large enough.
+func sized[T any](buf []T, n int) []T {
+	if cap(buf) < n {
+		return make([]T, n)
+	}
+	buf = buf[:n]
+	clear(buf)
+	return buf
 }
 
 // Reset empties the state: clock 0, nothing finished, nothing pinned,
@@ -91,23 +118,15 @@ func (st *State) Reset() {
 	st.ClearPinned()
 	st.epoch++
 	if st.epoch == 0 { // uint32 wrap: actually clear, then restart epochs
-		for i := range st.ledEp {
-			st.ledEp[i] = 0
-		}
-		for i := range st.fledEp {
-			st.fledEp[i] = 0
-		}
+		clear(st.ledEp)
+		clear(st.fledEp)
 		st.epoch = 1
 	}
 }
 
 // ClearPinned unpins every job (the engine rebuilds the pinned set at
 // each event from the current schedule).
-func (st *State) ClearPinned() {
-	for j := range st.isPin {
-		st.isPin[j] = false
-	}
-}
+func (st *State) ClearPinned() { clear(st.isPin) }
 
 // Finish records job j as completed on res over [ast, aft). Re-recording
 // a job overwrites its outcome.
@@ -156,7 +175,9 @@ func (st *State) Unfinished() int {
 }
 
 // growLedger (re)shapes the (edge × resource) ledger to cover nRes
-// resources, preserving recorded entries.
+// resources, preserving recorded entries. A state without a ledger yet
+// (stride 0) cuts it from the spare arrays NewState kept, if they are
+// large enough.
 func (st *State) growLedger(nRes int) {
 	if nRes <= st.stride {
 		return
@@ -166,24 +187,26 @@ func (st *State) growLedger(nRes int) {
 	if nRes < st.stride*2 {
 		nRes = st.stride * 2
 	}
-	ne := st.k.nEdges
-	led := make([]float64, ne*nRes)
-	ep := make([]uint32, ne*nRes)
-	for e := 0; e < ne && st.stride > 0; e++ {
-		copy(led[e*nRes:e*nRes+st.stride], st.led[e*st.stride:(e+1)*st.stride])
-		copy(ep[e*nRes:e*nRes+st.stride], st.ledEp[e*st.stride:(e+1)*st.stride])
-	}
+	st.led, st.ledEp = relayout(st.led, st.stride, nRes, st.k.nEdges), relayout(st.ledEp, st.stride, nRes, st.k.nEdges)
 	if st.k.dataM != nil {
 		nf := st.k.dataM.NumFiles()
-		fled := make([]float64, nf*nRes)
-		fep := make([]uint32, nf*nRes)
-		for f := 0; f < nf && st.stride > 0; f++ {
-			copy(fled[f*nRes:f*nRes+st.stride], st.fled[f*st.stride:(f+1)*st.stride])
-			copy(fep[f*nRes:f*nRes+st.stride], st.fledEp[f*st.stride:(f+1)*st.stride])
-		}
-		st.fled, st.fledEp = fled, fep
+		st.fled, st.fledEp = relayout(st.fled, st.stride, nRes, nf), relayout(st.fledEp, st.stride, nRes, nf)
 	}
-	st.led, st.ledEp, st.stride = led, ep, nRes
+	st.stride = nRes
+}
+
+// relayout returns a rows × nRes matrix holding the rows × stride matrix
+// old in its first columns and zeros elsewhere. With stride 0 old is a
+// spare array, reused when it is large enough.
+func relayout[T any](old []T, stride, nRes, rows int) []T {
+	if stride == 0 {
+		return sized(old, rows*nRes)
+	}
+	out := make([]T, rows*nRes)
+	for r := 0; r < rows; r++ {
+		copy(out[r*nRes:r*nRes+stride], old[r*stride:(r+1)*stride])
+	}
+	return out
 }
 
 // SetTransfer records that the (m → j) file is (or will be) available on

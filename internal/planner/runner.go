@@ -182,6 +182,7 @@ func runPolicy(ctx context.Context, g *dag.Graph, est cost.Estimator, pool *grid
 		return nil, err
 	}
 	k := kernel.New(g, est)
+	defer k.Release()
 	if opts.Data != nil {
 		k.SetData(opts.Data)
 	}
@@ -211,7 +212,9 @@ func runPolicy(ctx context.Context, g *dag.Graph, est cost.Estimator, pool *grid
 	// state, which persists across the whole event walk.
 	s0 := initial
 	st := k.NewState(pool.Size())
+	defer st.Release()
 	prev := 0.0
+	var rs []grid.Resource
 	for _, t := range pool.ChangeTimes() {
 		if err := ctx.Err(); err != nil {
 			return nil, err
@@ -219,7 +222,7 @@ func runPolicy(ctx context.Context, g *dag.Graph, est cost.Estimator, pool *grid
 		if t >= s0.Makespan() {
 			break // the workflow finished before this event
 		}
-		rs := pool.AvailableAt(t)
+		rs = pool.AppendAvailableAt(rs[:0], t)
 		// Ship the outputs of every job that finished in (prev, t] under
 		// the schedule that was current during that window, then classify
 		// the jobs at clock t.

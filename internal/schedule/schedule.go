@@ -2,19 +2,19 @@
 // (resource, start time, finish time) triples that the Planner produces and
 // the Executor enacts.
 //
-// A Schedule keeps two synchronised views — by job, for dependence lookups,
-// and by resource as a start-sorted timeline, for slot search. The timeline
-// view supports HEFT's insertion-based policy: a job may be placed in an
-// idle gap between two already-scheduled jobs when the gap is long enough.
+// A Schedule is one dense by-job view; the per-resource timelines the
+// executor, Validate and Gantt read are computed on request (Timelines),
+// never cached, so a Schedule nobody mutates is safe to read from several
+// goroutines.
 package schedule
 
 import (
 	"cmp"
 	"fmt"
 	"iter"
+	"maps"
 	"math"
 	"slices"
-	"sort"
 	"strings"
 
 	"aheft/internal/dag"
@@ -46,17 +46,17 @@ type Transfer struct {
 	Finish   float64
 }
 
-// Schedule is a mutable mapping from jobs to assignments. The zero value is
-// not usable; call New.
+// Schedule is a mutable mapping from jobs to assignments. The zero value
+// is an empty schedule, as is New().
 //
-// Job IDs are dense (the dag package numbers jobs 0..n-1), so the by-job
-// view is a slice indexed by JobID with Resource == grid.NoResource
-// marking unassigned entries — every lookup is an array access, and
-// building a schedule from a complete assignment list never hashes.
+// Job IDs are dense (the dag package numbers jobs 0..n-1), so the schedule
+// is a slice indexed by JobID with Resource == grid.NoResource marking
+// unassigned entries — every lookup, assignment and removal is an array
+// access, and building a schedule from a complete assignment list never
+// hashes or sorts.
 type Schedule struct {
 	byJob []Assignment // indexed by JobID; Resource == grid.NoResource ⇒ unassigned
 	n     int
-	byRes map[grid.ID][]Assignment // each slice sorted by Start
 
 	// transfers are the planned file stagings backing the assignments
 	// (data-aware passes only); ordered by (Start, Job, File).
@@ -64,67 +64,26 @@ type Schedule struct {
 }
 
 // New returns an empty schedule.
-func New() *Schedule {
-	return &Schedule{
-		byRes: make(map[grid.ID][]Assignment),
-	}
-}
-
-// grow extends the by-job view to cover job j.
-func (s *Schedule) grow(j dag.JobID) {
-	for len(s.byJob) <= int(j) {
-		s.byJob = append(s.byJob, Assignment{Resource: grid.NoResource})
-	}
-}
+func New() *Schedule { return &Schedule{} }
 
 // FromAssignments builds a schedule from a complete assignment list in
-// one pass: the job map is sized up front and each resource timeline is
-// collected then sorted once, instead of being maintained sorted across
-// per-assignment inserts. This is how the scheduling kernel materialises
-// its final result; it panics on invalid intervals or duplicate jobs,
-// both of which the kernel rules out by construction.
+// one fill of the by-job slice. This is how the scheduling kernel
+// materialises its final result; it panics on invalid intervals or
+// duplicate jobs, both of which the kernel rules out by construction.
 func FromAssignments(as []Assignment) *Schedule {
 	maxID := dag.JobID(-1)
 	for i := range as {
-		if as[i].Job > maxID {
-			maxID = as[i].Job
-		}
+		maxID = max(maxID, as[i].Job)
 	}
-	s := &Schedule{
-		byJob: make([]Assignment, int(maxID)+1),
-		byRes: make(map[grid.ID][]Assignment),
-	}
+	s := &Schedule{byJob: make([]Assignment, int(maxID)+1)}
 	for j := range s.byJob {
 		s.byJob[j].Resource = grid.NoResource
 	}
 	for _, a := range as {
-		if a.Finish < a.Start || math.IsNaN(a.Start) || math.IsNaN(a.Finish) {
-			panic(fmt.Sprintf("schedule: invalid interval [%g,%g) for job %d", a.Start, a.Finish, a.Job))
-		}
 		if s.byJob[a.Job].Resource != grid.NoResource {
 			panic(fmt.Sprintf("schedule: duplicate assignment for job %d", a.Job))
 		}
-		s.byJob[a.Job] = a
-		s.n++
-		s.byRes[a.Resource] = append(s.byRes[a.Resource], a)
-	}
-	for _, tl := range s.byRes {
-		slices.SortFunc(tl, func(a, b Assignment) int {
-			switch {
-			case a.Start != b.Start:
-				if a.Start < b.Start {
-					return -1
-				}
-				return 1
-			case a.Job != b.Job:
-				if a.Job < b.Job {
-					return -1
-				}
-				return 1
-			default:
-				return 0
-			}
-		})
+		s.Assign(a)
 	}
 	return s
 }
@@ -132,49 +91,26 @@ func FromAssignments(as []Assignment) *Schedule {
 // Len returns the number of assigned jobs.
 func (s *Schedule) Len() int { return s.n }
 
-// Assign adds or replaces the assignment for a job, keeping the resource
-// timeline sorted. It panics on a negative-duration interval.
+// Assign adds or replaces the assignment for a job. It panics on a
+// negative-duration interval.
 func (s *Schedule) Assign(a Assignment) {
 	if a.Finish < a.Start || math.IsNaN(a.Start) || math.IsNaN(a.Finish) {
 		panic(fmt.Sprintf("schedule: invalid interval [%g,%g) for job %d", a.Start, a.Finish, a.Job))
 	}
-	s.grow(a.Job)
-	if old := s.byJob[a.Job]; old.Resource != grid.NoResource {
-		s.removeFromTimeline(old)
-	} else {
+	for len(s.byJob) <= int(a.Job) {
+		s.byJob = append(s.byJob, Assignment{Resource: grid.NoResource})
+	}
+	if s.byJob[a.Job].Resource == grid.NoResource {
 		s.n++
 	}
 	s.byJob[a.Job] = a
-	tl := s.byRes[a.Resource]
-	i := sort.Search(len(tl), func(k int) bool {
-		if tl[k].Start != a.Start {
-			return tl[k].Start > a.Start
-		}
-		return tl[k].Job > a.Job
-	})
-	tl = append(tl, Assignment{})
-	copy(tl[i+1:], tl[i:])
-	tl[i] = a
-	s.byRes[a.Resource] = tl
 }
 
 // Remove deletes the assignment for a job, if present.
 func (s *Schedule) Remove(job dag.JobID) {
-	if a, ok := s.Get(job); ok {
-		s.removeFromTimeline(a)
+	if _, ok := s.Get(job); ok {
 		s.byJob[job].Resource = grid.NoResource
 		s.n--
-	}
-}
-
-func (s *Schedule) removeFromTimeline(a Assignment) {
-	tl := s.byRes[a.Resource]
-	for i := range tl {
-		if tl[i].Job == a.Job {
-			copy(tl[i:], tl[i+1:])
-			s.byRes[a.Resource] = tl[:len(tl)-1]
-			return
-		}
 	}
 }
 
@@ -196,33 +132,20 @@ func (s *Schedule) MustGet(job dag.JobID) Assignment {
 	return a
 }
 
-// OnResource returns the start-sorted timeline for one resource. Shared
-// slice; callers must not mutate.
-func (s *Schedule) OnResource(r grid.ID) []Assignment { return s.byRes[r] }
+// Timelines returns every used resource's assignments ordered by
+// (Start, Job), computed from the by-job view on each call: the caller owns
+// the result.
+func (s *Schedule) Timelines() map[grid.ID][]Assignment {
+	tl := make(map[grid.ID][]Assignment)
+	for _, a := range s.Assignments() {
+		tl[a.Resource] = append(tl[a.Resource], a)
+	}
+	return tl
+}
 
 // Resources returns the IDs of resources with at least one assignment, in
 // ascending order.
-func (s *Schedule) Resources() []grid.ID {
-	out := make([]grid.ID, 0, len(s.byRes))
-	for r, tl := range s.byRes {
-		if len(tl) > 0 {
-			out = append(out, r)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
-
-// Jobs returns the assigned jobs in ascending JobID order.
-func (s *Schedule) Jobs() []dag.JobID {
-	out := make([]dag.JobID, 0, s.n)
-	for j := range s.byJob {
-		if s.byJob[j].Resource != grid.NoResource {
-			out = append(out, dag.JobID(j))
-		}
-	}
-	return out
-}
+func (s *Schedule) Resources() []grid.ID { return slices.Sorted(maps.Keys(s.Timelines())) }
 
 // ByJob yields every assignment in ascending JobID order, straight from
 // the by-job view: no copy, no sort.
@@ -262,14 +185,8 @@ func (s *Schedule) Makespan() float64 {
 // sorted by (Start, Job, File) so the plan view is deterministic.
 func (s *Schedule) SetTransfers(ts []Transfer) {
 	s.transfers = ts
-	sort.Slice(ts, func(i, j int) bool {
-		if ts[i].Start != ts[j].Start {
-			return ts[i].Start < ts[j].Start
-		}
-		if ts[i].Job != ts[j].Job {
-			return ts[i].Job < ts[j].Job
-		}
-		return ts[i].File < ts[j].File
+	slices.SortFunc(ts, func(a, b Transfer) int {
+		return cmp.Or(cmp.Compare(a.Start, b.Start), cmp.Compare(a.Job, b.Job), strings.Compare(a.File, b.File))
 	})
 }
 
@@ -279,51 +196,7 @@ func (s *Schedule) Transfers() []Transfer { return s.transfers }
 
 // Clone returns a deep copy.
 func (s *Schedule) Clone() *Schedule {
-	c := New()
-	c.byJob = append([]Assignment(nil), s.byJob...)
-	c.n = s.n
-	for r, tl := range s.byRes {
-		c.byRes[r] = append([]Assignment(nil), tl...)
-	}
-	if s.transfers != nil {
-		c.transfers = append([]Transfer(nil), s.transfers...)
-	}
-	return c
-}
-
-// EarliestStart finds the earliest start time >= ready at which a task of
-// the given duration fits on resource r.
-//
-// With insertion enabled this implements HEFT's insertion-based policy:
-// idle gaps between consecutive assignments are considered, so a short job
-// can slot in front of longer ones without delaying them. With insertion
-// disabled the job can only go after the last assignment (the simpler
-// "non-insertion" policy the ablation benchmarks compare against).
-func (s *Schedule) EarliestStart(r grid.ID, ready, duration float64, insertion bool) float64 {
-	tl := s.byRes[r]
-	if len(tl) == 0 {
-		return ready
-	}
-	if !insertion {
-		last := tl[len(tl)-1].Finish
-		if last > ready {
-			return last
-		}
-		return ready
-	}
-	// Gap before the first assignment.
-	if first := tl[0].Start; ready+duration <= first {
-		return ready
-	}
-	for i := 0; i < len(tl)-1; i++ {
-		gapStart := tl[i].Finish
-		gapEnd := tl[i+1].Start
-		start := math.Max(gapStart, ready)
-		if start+duration <= gapEnd {
-			return start
-		}
-	}
-	return math.Max(tl[len(tl)-1].Finish, ready)
+	return &Schedule{byJob: slices.Clone(s.byJob), n: s.n, transfers: slices.Clone(s.transfers)}
 }
 
 // CompCoster reports the expected duration of a job on a resource; it is a
@@ -367,7 +240,7 @@ func (s *Schedule) Validate(g *dag.Graph, opts ValidateOptions) error {
 	if s.n != g.Len() {
 		return fmt.Errorf("schedule: %d assignments for %d jobs", s.n, g.Len())
 	}
-	for r, tl := range s.byRes {
+	for r, tl := range s.Timelines() {
 		prev := -1 // the last assignment before i that occupies any time
 		for i := range tl {
 			if tl[i].Finish <= tl[i].Start {
@@ -442,13 +315,11 @@ func (s *Schedule) Gantt(width int, nameOf func(dag.JobID) string, resName func(
 	}
 	scale := float64(width) / mk
 	var b strings.Builder
-	for _, r := range s.Resources() {
+	tls := s.Timelines()
+	for _, r := range slices.Sorted(maps.Keys(tls)) {
 		fmt.Fprintf(&b, "%-6s|", resName(r))
-		row := make([]byte, width)
-		for i := range row {
-			row[i] = ' '
-		}
-		for _, a := range s.byRes[r] {
+		row := []byte(strings.Repeat(" ", width))
+		for _, a := range tls[r] {
 			lo := int(a.Start * scale)
 			hi := int(a.Finish * scale)
 			if hi > width {

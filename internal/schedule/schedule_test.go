@@ -3,11 +3,9 @@ package schedule
 import (
 	"strings"
 	"testing"
-	"testing/quick"
 
 	"aheft/internal/dag"
 	"aheft/internal/grid"
-	"aheft/internal/rng"
 )
 
 func TestAssignAndGet(t *testing.T) {
@@ -33,7 +31,7 @@ func TestAssignReplacesAndRetimes(t *testing.T) {
 	if got := s.MustGet(1); got.Resource != 2 || got.Start != 20 {
 		t.Fatalf("reassignment not applied: %+v", got)
 	}
-	if tl := s.OnResource(0); len(tl) != 0 {
+	if tl := s.Timelines()[0]; len(tl) != 0 {
 		t.Fatalf("old timeline entry left behind: %v", tl)
 	}
 	if s.Len() != 1 {
@@ -45,7 +43,7 @@ func TestRemove(t *testing.T) {
 	s := New()
 	s.Assign(Assignment{Job: 1, Resource: 0, Start: 0, Finish: 10})
 	s.Remove(1)
-	if s.Len() != 0 || len(s.OnResource(0)) != 0 {
+	if s.Len() != 0 || len(s.Timelines()[0]) != 0 {
 		t.Fatal("Remove left state behind")
 	}
 	s.Remove(99) // no-op
@@ -56,7 +54,7 @@ func TestTimelineSorted(t *testing.T) {
 	s.Assign(Assignment{Job: 1, Resource: 0, Start: 20, Finish: 30})
 	s.Assign(Assignment{Job: 2, Resource: 0, Start: 0, Finish: 10})
 	s.Assign(Assignment{Job: 3, Resource: 0, Start: 10, Finish: 20})
-	tl := s.OnResource(0)
+	tl := s.Timelines()[0]
 	for i := 1; i < len(tl); i++ {
 		if tl[i].Start < tl[i-1].Start {
 			t.Fatalf("timeline unsorted: %v", tl)
@@ -76,78 +74,6 @@ func TestMakespan(t *testing.T) {
 	}
 }
 
-func TestEarliestStartAppend(t *testing.T) {
-	s := New()
-	s.Assign(Assignment{Job: 1, Resource: 0, Start: 0, Finish: 10})
-	if got := s.EarliestStart(0, 0, 5, false); got != 10 {
-		t.Fatalf("append after busy: got %g, want 10", got)
-	}
-	if got := s.EarliestStart(0, 15, 5, false); got != 15 {
-		t.Fatalf("append with late ready: got %g, want 15", got)
-	}
-	if got := s.EarliestStart(5, 3, 5, false); got != 3 {
-		t.Fatalf("empty resource: got %g, want 3", got)
-	}
-}
-
-func TestEarliestStartInsertion(t *testing.T) {
-	s := New()
-	s.Assign(Assignment{Job: 1, Resource: 0, Start: 10, Finish: 20})
-	s.Assign(Assignment{Job: 2, Resource: 0, Start: 30, Finish: 40})
-	// Fits before the first assignment.
-	if got := s.EarliestStart(0, 0, 10, true); got != 0 {
-		t.Fatalf("gap before first: got %g, want 0", got)
-	}
-	// Ready too late for the head gap, fits the middle gap exactly.
-	if got := s.EarliestStart(0, 15, 10, true); got != 20 {
-		t.Fatalf("middle gap: got %g, want 20", got)
-	}
-	// Ready time inside the middle gap.
-	if got := s.EarliestStart(0, 25, 5, true); got != 25 {
-		t.Fatalf("ready in gap: got %g, want 25", got)
-	}
-	// Nothing fits: append.
-	if got := s.EarliestStart(0, 0, 50, true); got != 40 {
-		t.Fatalf("append: got %g, want 40", got)
-	}
-	// Without insertion the gaps are invisible.
-	if got := s.EarliestStart(0, 0, 5, false); got != 40 {
-		t.Fatalf("no-insertion: got %g, want 40", got)
-	}
-}
-
-// TestEarliestStartNeverOverlaps is the core safety property of the slot
-// search: whatever the history of assignments, placing a job at the
-// returned start never overlaps an existing assignment on that resource.
-func TestEarliestStartNeverOverlaps(t *testing.T) {
-	err := quick.Check(func(seed uint64) bool {
-		r := rng.New(seed)
-		s := New()
-		// Build a random but valid timeline by always placing at the
-		// earliest feasible slot.
-		for j := 0; j < 30; j++ {
-			ready := r.Uniform(0, 50)
-			dur := r.Uniform(1, 10)
-			res := grid.ID(r.IntN(3))
-			start := s.EarliestStart(res, ready, dur, r.Float64() < 0.5)
-			if start < ready {
-				return false
-			}
-			a := Assignment{Job: dag.JobID(j), Resource: res, Start: start, Finish: start + dur}
-			for _, b := range s.OnResource(res) {
-				if a.Start < b.Finish && b.Start < a.Finish {
-					return false // overlap
-				}
-			}
-			s.Assign(a)
-		}
-		return true
-	}, &quick.Config{MaxCount: 200})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestAssignments(t *testing.T) {
 	s := New()
 	s.Assign(Assignment{Job: 2, Resource: 0, Start: 5, Finish: 6})
@@ -156,10 +82,6 @@ func TestAssignments(t *testing.T) {
 	as := s.Assignments()
 	if len(as) != 3 || as[0].Job != 3 || as[1].Job != 1 || as[2].Job != 2 {
 		t.Fatalf("Assignments order: %+v", as)
-	}
-	js := s.Jobs()
-	if len(js) != 3 || js[0] != 1 || js[2] != 3 {
-		t.Fatalf("Jobs order: %v", js)
 	}
 	rs := s.Resources()
 	if len(rs) != 2 || rs[0] != 0 || rs[1] != 1 {

@@ -822,7 +822,7 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Cache-Control", "no-cache")
 	w.WriteHeader(http.StatusOK)
 
-	replay, live, cancel := wf.subscribe()
+	replay, live, ended, cancel := wf.subscribe()
 	defer cancel()
 	for _, ev := range replay {
 		if !writeSSE(w, ev) {
@@ -835,14 +835,20 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	}
 	for {
 		select {
-		case ev, ok := <-live:
-			if !ok {
-				return // workflow reached a terminal state
-			}
+		case ev := <-live:
 			if !writeSSE(w, ev) {
 				return
 			}
 			fl.Flush()
+		case <-ended:
+			// The workflow is terminal and its last events are buffered.
+			for len(live) > 0 {
+				if !writeSSE(w, <-live) {
+					return
+				}
+			}
+			fl.Flush()
+			return
 		case <-r.Context().Done():
 			return
 		}

@@ -53,6 +53,9 @@ type workflow struct {
 	st     wire.Status
 	events []eventRec
 	subs   map[chan wire.Event]struct{}
+	// ended is closed by settle, after the last event went out to subs;
+	// the first subscriber makes it.
+	ended chan struct{}
 	// plan is the live-plan snapshot for GET …/plan (written by the shard
 	// under mu, read by HTTP handlers); a terminal workflow keeps its last.
 	plan *wire.Plan
@@ -220,32 +223,40 @@ func (wf *workflow) append(m *Metrics, ev wire.Event) {
 }
 
 // subscribe returns a snapshot of the log so far plus a live channel for
-// what follows, or a nil channel when the workflow already reached a
-// terminal state (the snapshot is then the complete stream). The caller
-// must drain the channel and call the returned cancel function when done.
-func (wf *workflow) subscribe() (replay []wire.Event, ch chan wire.Event, cancel func()) {
+// what follows and a channel closed once nothing more will be sent, or a
+// nil live channel when the workflow already reached a terminal state (the
+// snapshot is then the complete stream). The caller must drain live until
+// ended is closed, then call cancel, which recycles the live channel.
+func (wf *workflow) subscribe() (replay []wire.Event, live chan wire.Event, ended <-chan struct{}, cancel func()) {
 	wf.mu.Lock()
 	defer wf.mu.Unlock()
 	replay = wf.eventsFrom(0)
 	if wf.running == nil {
-		return replay, nil, func() {}
+		return replay, nil, nil, func() {}
 	}
-	ch = make(chan wire.Event, subscriberBuffer)
+	ch := subBuffers.Get().(chan wire.Event)
 	if wf.subs == nil {
 		wf.subs = make(map[chan wire.Event]struct{})
+		wf.ended = make(chan struct{})
 	}
 	wf.subs[ch] = struct{}{}
-	return replay, ch, func() {
+	return replay, ch, wf.ended, func() {
 		wf.mu.Lock()
 		delete(wf.subs, ch)
 		wf.mu.Unlock()
+		for len(ch) > 0 {
+			<-ch
+		}
+		subBuffers.Put(ch)
 	}
 }
 
 // subscriberBuffer is the per-SSE-connection event buffer. A consumer
 // that falls further behind than this starts losing live events (counted,
-// see workflow.append).
+// see workflow.append). subBuffers recycles them across connections.
 const subscriberBuffer = 256
+
+var subBuffers = sync.Pool{New: func() any { return make(chan wire.Event, subscriberBuffer) }}
 
 // finish completes the status document from the run's outcome and makes
 // the entry terminal. res is read, not kept — the status API reports
@@ -287,12 +298,11 @@ func (wf *workflow) settle(st wire.Status) {
 	wf.st = st
 	wf.events = cutDecisions(wf.events, st.Decisions)
 	wf.running = nil
-	subs := wf.subs
-	wf.subs = nil
-	wf.mu.Unlock()
-	for ch := range subs {
-		close(ch)
+	if wf.ended != nil {
+		close(wf.ended)
 	}
+	wf.subs, wf.ended = nil, nil
+	wf.mu.Unlock()
 }
 
 // cutDecisions returns log without its decision events when those are, in
