@@ -10,8 +10,10 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"aheft/internal/dag"
@@ -19,43 +21,53 @@ import (
 	"aheft/internal/workload"
 )
 
-func main() {
-	var (
-		kind   = flag.String("kind", "random", "DAG kind: sample, random, blast, wien2k, montage")
-		jobs   = flag.Int("jobs", 20, "total job count υ")
-		ccr    = flag.Float64("ccr", 1.0, "communication-to-computation ratio")
-		outdeg = flag.Float64("outdegree", 0.3, "max out-degree as fraction of υ (random)")
-		alpha  = flag.Float64("alpha", 1.0, "shape α: width ≈ α·sqrt(υ) (random)")
-		seed   = flag.Uint64("seed", 1, "random seed")
-		format = flag.String("format", "json", "output format: json or dot")
-		stats  = flag.Bool("stats", false, "print shape statistics to stderr")
-	)
-	flag.Parse()
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
+// run generates one DAG from args and writes it to stdout, returning the
+// exit status: 1 when the DAG cannot be built, 2 on a usage error.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("dagen", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	var (
+		kind   = fs.String("kind", "random", "DAG kind: sample, random, blast, wien2k, montage")
+		jobs   = fs.Int("jobs", 20, "total job count υ")
+		ccr    = fs.Float64("ccr", 1.0, "communication-to-computation ratio")
+		outdeg = fs.Float64("outdegree", 0.3, "max out-degree as fraction of υ (random)")
+		alpha  = fs.Float64("alpha", 1.0, "shape α: width ≈ α·sqrt(υ) (random)")
+		seed   = fs.Uint64("seed", 1, "random seed")
+		format = fs.String("format", "json", "output format: json or dot")
+		stats  = fs.Bool("stats", false, "print shape statistics to stderr")
+	)
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
+	if *format != "json" && *format != "dot" {
+		fmt.Fprintf(stderr, "dagen: unknown format %q\n", *format)
+		return 2
+	}
 	g, err := build(*kind, *jobs, *ccr, *outdeg, *alpha, *seed)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "dagen:", err)
-		os.Exit(1)
+		fmt.Fprintln(stderr, "dagen:", err)
+		return 1
 	}
 	if *stats {
-		fmt.Fprintf(os.Stderr, "%s: %d jobs, %d edges, width %d, %d levels, parallelism %.2f, total data %.1f\n",
+		fmt.Fprintf(stderr, "%s: %d jobs, %d edges, width %d, %d levels, parallelism %.2f, total data %.1f\n",
 			g.Name(), g.Len(), g.NumEdges(), g.Width(), len(g.Levels()), g.Parallelism(), g.TotalData())
 	}
-	switch *format {
-	case "json":
-		data, err := g.MarshalJSON()
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "dagen:", err)
-			os.Exit(1)
-		}
-		os.Stdout.Write(data)
-		fmt.Println()
-	case "dot":
-		fmt.Print(g.DOT())
-	default:
-		fmt.Fprintf(os.Stderr, "dagen: unknown format %q\n", *format)
-		os.Exit(2)
+	if *format == "dot" {
+		fmt.Fprint(stdout, g.DOT())
+		return 0
 	}
+	data, err := g.MarshalJSON()
+	if err != nil {
+		fmt.Fprintln(stderr, "dagen:", err)
+		return 1
+	}
+	fmt.Fprintf(stdout, "%s\n", data)
+	return 0
 }
 
 func build(kind string, jobs int, ccr, outdeg, alpha float64, seed uint64) (*dag.Graph, error) {

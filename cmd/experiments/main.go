@@ -14,8 +14,10 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 	"time"
@@ -23,24 +25,36 @@ import (
 	"aheft/internal/experiment"
 )
 
-func main() {
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// run regenerates the experiments args select and writes their tables to
+// stdout, returning the exit status: 1 when an experiment fails, 2 on a
+// usage error.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("experiments", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		exps    = flag.String("exp", "", "comma-separated experiment IDs (default: all)")
-		samples = flag.Int("samples", 8, "simulated cases per parameter point")
-		seed    = flag.Uint64("seed", 1, "root seed for all pseudo-random streams")
-		tie     = flag.Float64("tie", 0, "AHEFT near-tie rank exploration window (0 = paper-faithful greedy)")
-		appcap  = flag.Int("appcap", 0, "cap application DAG sizes at this many jobs (0 = full Table 5 sizes)")
-		full    = flag.Bool("full", false, "heavyweight preset: 64 samples per point")
-		list    = flag.Bool("list", false, "list experiment IDs and exit")
-		format  = flag.String("format", "text", "output format: text or csv")
+		exps    = fs.String("exp", "", "comma-separated experiment IDs (default: all)")
+		samples = fs.Int("samples", 8, "simulated cases per parameter point")
+		seed    = fs.Uint64("seed", 1, "root seed for all pseudo-random streams")
+		tie     = fs.Float64("tie", 0, "AHEFT near-tie rank exploration window (0 = paper-faithful greedy)")
+		appcap  = fs.Int("appcap", 0, "cap application DAG sizes at this many jobs (0 = full Table 5 sizes)")
+		full    = fs.Bool("full", false, "heavyweight preset: 64 samples per point")
+		list    = fs.Bool("list", false, "list experiment IDs and exit")
+		format  = fs.String("format", "text", "output format: text or csv")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
 
 	if *list {
 		for _, id := range experiment.Order {
-			fmt.Println(id)
+			fmt.Fprintln(stdout, id)
 		}
-		return
+		return 0
 	}
 
 	cfg := experiment.Config{
@@ -62,21 +76,22 @@ func main() {
 		id = strings.TrimSpace(id)
 		run, ok := experiment.Registry[id]
 		if !ok {
-			fmt.Fprintf(os.Stderr, "experiments: unknown experiment %q (use -list)\n", id)
-			os.Exit(2)
+			fmt.Fprintf(stderr, "experiments: unknown experiment %q (use -list)\n", id)
+			return 2
 		}
 		start := time.Now()
 		table, err := run(cfg)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "experiments: %s: %v\n", id, err)
-			os.Exit(1)
+			fmt.Fprintf(stderr, "experiments: %s: %v\n", id, err)
+			return 1
 		}
 		switch *format {
 		case "csv":
-			fmt.Printf("# %s — %s\n%s\n", table.ID, table.Title, table.CSV())
+			fmt.Fprintf(stdout, "# %s — %s\n%s\n", table.ID, table.Title, table.CSV())
 		default:
-			fmt.Println(table.Render())
-			fmt.Printf("(%s in %v, samples/point=%d, seed=%d)\n\n", id, time.Since(start).Round(time.Millisecond), cfg.Samples, cfg.Seed)
+			fmt.Fprintln(stdout, table.Render())
+			fmt.Fprintf(stdout, "(%s in %v, samples/point=%d, seed=%d)\n\n", id, time.Since(start).Round(time.Millisecond), cfg.Samples, cfg.Seed)
 		}
 	}
+	return 0
 }

@@ -13,8 +13,10 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 	"time"
@@ -22,41 +24,52 @@ import (
 	"aheft/internal/replay"
 )
 
-func main() {
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// run replays the recording args name and returns the exit status.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("replay", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		dir     = flag.String("dir", "", "recording directory (required)")
-		digest  = flag.String("digest", "", "write the canonical output digest to this file")
-		timeout = flag.Duration("timeout", 60*time.Second, "bound on the whole replay")
-		quiet   = flag.Bool("q", false, "print nothing on success")
+		dir     = fs.String("dir", "", "recording directory (required)")
+		digest  = fs.String("digest", "", "write the canonical output digest to this file")
+		timeout = fs.Duration("timeout", 60*time.Second, "bound on the whole replay")
+		quiet   = fs.Bool("q", false, "print nothing on success")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
 	if *dir == "" {
-		fmt.Fprintln(os.Stderr, "replay: -dir is required")
-		flag.Usage()
-		os.Exit(2)
+		fmt.Fprintln(stderr, "replay: -dir is required")
+		fs.Usage()
+		return 2
 	}
 
 	res, err := replay.Run(*dir, replay.Options{Timeout: *timeout})
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "replay: %v\n", err)
-		os.Exit(2)
+		fmt.Fprintf(stderr, "replay: %v\n", err)
+		return 2
 	}
 	if *digest != "" {
 		out := strings.Join(res.Digest, "\n") + "\n"
 		if err := os.WriteFile(*digest, []byte(out), 0o644); err != nil {
-			fmt.Fprintf(os.Stderr, "replay: write digest: %v\n", err)
-			os.Exit(2)
+			fmt.Fprintf(stderr, "replay: write digest: %v\n", err)
+			return 2
 		}
 	}
 	if !res.Identical() {
-		fmt.Fprintf(os.Stderr, "replay: DIVERGED — %d mismatches over %d output records:\n", len(res.Divergences), res.Outputs)
+		fmt.Fprintf(stderr, "replay: DIVERGED — %d mismatches over %d output records:\n", len(res.Divergences), res.Outputs)
 		for _, d := range res.Divergences {
-			fmt.Fprintf(os.Stderr, "  %s\n", d)
+			fmt.Fprintf(stderr, "  %s\n", d)
 		}
-		os.Exit(1)
+		return 1
 	}
 	if !*quiet {
-		fmt.Printf("replay: identical — %d shards, %d inputs re-driven, %d output records matched\n",
+		fmt.Fprintf(stdout, "replay: identical — %d shards, %d inputs re-driven, %d output records matched\n",
 			res.Shards, res.Inputs, res.Outputs)
 	}
+	return 0
 }

@@ -117,7 +117,7 @@ type Tracer struct {
 	wfs map[string]*wfSpans
 
 	stageMu sync.Mutex
-	stages  map[string]*stageWindow
+	stages  map[string]*stats.Window
 
 	sinkMu sync.Mutex
 	sink   *bufio.Writer
@@ -128,14 +128,8 @@ type wfSpans struct {
 	last  map[string]uint64 // latest span ID per stage, for causal links
 }
 
-// stageWindow is a bounded latency ring per stage (mirrors the server's
-// metric windows; bounded so /metrics stays O(1) over daemon lifetime).
-type stageWindow struct {
-	buf   []float64
-	next  int
-	total uint64
-}
-
+// stageWindowCap bounds each stage's latency window, so /metrics stays
+// O(1) over the daemon's lifetime.
 const stageWindowCap = 4096
 
 // New builds a tracer.
@@ -143,7 +137,7 @@ func New(opts Options) *Tracer {
 	t := &Tracer{
 		maxPer: opts.MaxSpansPerWorkflow,
 		wfs:    make(map[string]*wfSpans),
-		stages: make(map[string]*stageWindow),
+		stages: make(map[string]*stats.Window),
 	}
 	if t.maxPer <= 0 {
 		t.maxPer = 512
@@ -226,18 +220,11 @@ func (t *Tracer) record(s Span, elapsed time.Duration) {
 	t.stageMu.Lock()
 	w := t.stages[s.Stage]
 	if w == nil {
-		w = &stageWindow{}
+		w = &stats.Window{Cap: stageWindowCap}
 		t.stages[s.Stage] = w
 	}
-	ms := elapsed.Seconds() * 1e3
-	if len(w.buf) < stageWindowCap {
-		w.buf = append(w.buf, ms)
-	} else {
-		w.buf[w.next] = ms
-		w.next = (w.next + 1) % stageWindowCap
-	}
-	w.total++
 	t.stageMu.Unlock()
+	w.Record(elapsed.Seconds() * 1e3)
 
 	if s.Workflow != "" {
 		t.mu.Lock()
@@ -304,25 +291,16 @@ func (t *Tracer) Release(workflow string) {
 	t.mu.Unlock()
 }
 
-// StageStats summarises one stage's latency window.
-type StageStats struct {
-	Count uint64  `json:"count"`
-	P50   float64 `json:"p50"`
-	P90   float64 `json:"p90"`
-	P99   float64 `json:"p99"`
-}
-
 // StageSummary rolls the per-stage windows up for /metrics.
-func (t *Tracer) StageSummary() map[string]StageStats {
+func (t *Tracer) StageSummary() map[string]stats.Summary {
 	if t == nil {
 		return nil
 	}
 	t.stageMu.Lock()
 	defer t.stageMu.Unlock()
-	out := make(map[string]StageStats, len(t.stages))
+	out := make(map[string]stats.Summary, len(t.stages))
 	for stage, w := range t.stages {
-		q := stats.Quantiles(w.buf, 0.50, 0.90, 0.99)
-		out[stage] = StageStats{Count: w.total, P50: q[0], P90: q[1], P99: q[2]}
+		out[stage] = w.Summary()
 	}
 	return out
 }

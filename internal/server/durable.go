@@ -15,7 +15,6 @@ import (
 
 	"aheft/internal/admission"
 	"aheft/internal/buildinfo"
-	"aheft/internal/cost"
 	"aheft/internal/durable"
 	"aheft/internal/feedback"
 	"aheft/internal/grid"
@@ -188,7 +187,7 @@ func (w *shardWAL) append(m *Metrics, kind string, payload any) bool {
 		w.onAppend(kind)
 	}
 	if _, err := w.store.Append(kind, payload); err != nil {
-		m.walErrors.Add(1)
+		m.count(func(c *MetricsDoc) { c.WALErrors++ })
 		log.Printf("aheftd: wal append (%s): %v", kind, err)
 		return false
 	}
@@ -448,7 +447,7 @@ func (sh *shard) snapshot() {
 		err = w.store.Rotate(data)
 	}
 	if err != nil {
-		sh.srv.metrics.walErrors.Add(1)
+		sh.srv.metrics.count(func(c *MetricsDoc) { c.WALErrors++ })
 		log.Printf("aheftd: shard %d snapshot: %v", sh.id, err)
 	}
 	// The rotation dropped the records every live chain was built on: the
@@ -706,7 +705,7 @@ func (f *recoveryFold) terminal(t *walTerminal) {
 // skip makes a record recovery cannot use loud: logged with its
 // position and counted in wal_records_skipped.
 func (f *recoveryFold) skip(r *wire.WALRecord, err error) {
-	f.s.metrics.walSkipped.Add(1)
+	f.s.metrics.count(func(c *MetricsDoc) { c.WALRecordsSkipped++ })
 	log.Printf("aheftd: recovery: shard %d lsn %d: skipping %s record: %v", f.dir, r.LSN, r.Kind, err)
 }
 
@@ -1104,19 +1103,7 @@ func (s *Server) restoreLive(rw *recoveredWorkflow) error {
 		return fmt.Errorf("state record for non-live workflow")
 	}
 	sh := s.shards[wf.shard]
-	cfg := feedback.Config{
-		Graph:             wf.sub.Graph,
-		Prior:             cost.Exact(wf.sub.Comp),
-		Pool:              wf.sub.Pool,
-		History:           sh.historyFor(wf.tenant),
-		Policy:            wf.pol,
-		Opts:              wf.opts,
-		VarianceThreshold: wf.varThr,
-	}
-	if gref != nil {
-		cfg.Pool = gref.pool
-		cfg.Occupancy = gref.ledger.View(wf.id)
-	}
+	cfg := sh.trackerConfig(wf)
 	tr, err := feedback.Restore(cfg, rw.state)
 	if err != nil {
 		return err
@@ -1132,12 +1119,10 @@ func (s *Server) restoreLive(rw *recoveredWorkflow) error {
 	if trigger == "" {
 		trigger = "initial"
 	}
-	plan := livePlanDoc(wf, trigger)
+	wf.setPlan(livePlanDoc(wf, trigger))
 	wf.mu.Lock()
 	wf.st.State = StateRunning
 	wf.startedAt = time.Now()
-	wf.plan = plan
-	wf.st.Generation = plan.Generation
 	wf.st.Reports = rw.last.Reports
 	wf.events = recordsOf(rw.events)
 	wf.mu.Unlock()
@@ -1154,7 +1139,7 @@ func (s *Server) restoreLive(rw *recoveredWorkflow) error {
 		w.bodies[wf.id] = rw.body
 		w.mu.Unlock()
 	}
-	s.metrics.liveResident.Add(1)
+	s.metrics.count(func(c *MetricsDoc) { c.LiveResident++ })
 	s.metrics.inflightReserve()
 	// A fast-path plan that crashed before its upgrade still owes one:
 	// re-arm it so "every fast-path plan is upgraded or terminal" holds
@@ -1221,7 +1206,7 @@ func (s *Server) failRecovered(id string, cause error) {
 	s.wfs[id] = wf
 	s.mu.Unlock()
 	s.retire(id)
-	s.metrics.failed.Add(1)
+	s.metrics.count(func(c *MetricsDoc) { c.Failed++ })
 }
 
 // parseWorkflowSeq extracts N from a daemon-assigned "wf-%08d" ID.
@@ -1281,5 +1266,5 @@ func (s *Server) handleHealthzV1(w http.ResponseWriter, r *http.Request) {
 		Durable  bool   `json:"durable"`
 		Inflight int64  `json:"inflight"`
 		RecoveryStats
-	}{status, buildinfo.String(), len(s.shards), s.cfg.DataDir != "", s.metrics.inflight.Load(), s.recovery})
+	}{status, buildinfo.String(), len(s.shards), s.cfg.DataDir != "", s.metrics.inflight(), s.recovery})
 }

@@ -206,7 +206,7 @@ func (s *Server) handleGridList(w http.ResponseWriter, r *http.Request) {
 // surviving live workflow on the grid reevaluates its plan against the
 // freed capacity — the contention trigger. Survivor adoptions bump their
 // plan documents; their enactors pick the new plan up with the next
-// report ack (the generation piggyback in applyReport). Adoptions are
+// report ack (the generation piggyback in ackPlan). Adoptions are
 // deliberately not re-notified: a survivor taking freed capacity does
 // not free capacity itself, so the round terminates.
 //
@@ -214,41 +214,14 @@ func (s *Server) handleGridList(w http.ResponseWriter, r *http.Request) {
 // every survivor's evaluate span carries it as its causal cross-workflow
 // edge — "this replan happened because that batch freed capacity".
 func (sh *shard) notifyGrid(g *sharedGrid, except string, link uint64) {
-	m := sh.srv.metrics
 	for _, wf := range g.residents(except) {
 		if !sh.enacting(wf) {
 			continue
 		}
-		out := wf.tracker.Reevaluate(planner.TriggerContention)
-		m.decisions.Add(uint64(len(out.Decisions)))
-		for _, d := range out.Decisions {
-			m.recordDecision(d)
-			sh.emitDecisionSpans(wf, d, 0, link, except)
-			if rec := sh.srv.recorder; rec != nil {
-				rec.decision(sh.id, wf.id, d)
-			}
-			wd := wireDecision(d)
-			wf.append(m, decisionEvent(&wd))
-		}
-		if !out.Rescheduled {
-			continue
-		}
-		m.reschedules.Add(1)
-		m.reschedContention.Add(1)
-		plan := livePlanDoc(wf, planner.TriggerContention.String())
-		wf.mu.Lock()
-		wf.plan = plan
-		wf.st.Generation = plan.Generation
-		wf.mu.Unlock()
-		if rec := sh.srv.recorder; rec != nil {
-			rec.plan(sh.id, plan)
-		}
-		wf.append(m, wire.Event{
-			Kind: "plan", Time: wf.tracker.Clock(), Trigger: plan.Trigger,
-			Generation: plan.Generation, Makespan: plan.Makespan,
-		})
-		// The adoption changed the survivor's plan and reservations; a
+		// An adoption changed the survivor's plan and reservations; a
 		// crash before its next report must restore the adopted state.
-		sh.walLogState(wf, nil)
+		if sh.publish(wf, wf.tracker.Reevaluate(planner.TriggerContention), 0, link, except) {
+			sh.walLogState(wf, nil)
+		}
 	}
 }

@@ -6,7 +6,6 @@ import (
 	"net/http"
 	"time"
 
-	"aheft/internal/admission"
 	"aheft/internal/cost"
 	"aheft/internal/feedback"
 	"aheft/internal/history"
@@ -62,48 +61,21 @@ func (sh *shard) startLive(wf *workflow) {
 		wf.st.State = StateRunning
 		wf.startedAt = time.Now()
 		wf.mu.Unlock()
-		wf.append(m, wire.Event{Kind: "failed", Error: err.Error()})
-		wf.finish(nil, err)
-		m.liveWorkflowDone(true)
-		sh.srv.retire(wf.id)
-		sh.walLogTerminal(wf)
-		if rec := sh.srv.recorder; rec != nil {
-			rec.done(sh.id, wf.id, StateFailed, 0, err.Error())
-		}
+		sh.failLive(wf, err)
 		return
 	}
 	planStart := time.Now()
-	planAct := sh.srv.tracer.Start(obs.StagePlan, wf.id)
-	if planAct != nil {
-		planAct.Span.Parent = wf.rootSpan
-		planAct.Span.Shard = sh.id
-		planAct.Span.Tenant = wf.tenant
-		if wf.gridRef != nil {
-			planAct.Span.Grid = wf.gridRef.name
-		}
+	planAct := sh.startSpan(obs.StagePlan, wf)
+	if wf.gridRef != nil {
+		wf.gridRef.ledger.BindTenant(wf.id, wf.tenant)
 	}
-	cfg := feedback.Config{
-		Graph:             wf.sub.Graph,
-		Prior:             cost.Exact(wf.sub.Comp),
-		Pool:              wf.sub.Pool,
-		History:           sh.historyFor(wf.tenant),
-		Policy:            wf.pol,
-		Opts:              wf.opts,
-		VarianceThreshold: wf.varThr,
-	}
+	cfg := sh.trackerConfig(wf)
 	if wf.fastPath {
 		// Two-speed planning, fast half: under a deep admission backlog
 		// the initial plan is a cheap greedy placement so the enactor
 		// can start immediately; the full-policy plan follows through
 		// the upgrade command queued below.
 		cfg.FastPlan = policy.MustGet("greedy")
-	}
-	if wf.gridRef != nil {
-		// Shared-grid workflow: plan over the grid's resource universe,
-		// publishing reservations into (and planning around) its ledger.
-		wf.gridRef.ledger.BindTenant(wf.id, wf.tenant)
-		cfg.Pool = wf.gridRef.pool
-		cfg.Occupancy = wf.gridRef.ledger.View(wf.id)
 	}
 	tr, err := feedback.New(cfg)
 	wf.mu.Lock()
@@ -113,14 +85,7 @@ func (sh *shard) startLive(wf *workflow) {
 	wf.append(m, wire.Event{Kind: "started"})
 	if err != nil {
 		planAct.Fail(err)
-		wf.append(m, wire.Event{Kind: "failed", Error: err.Error()})
-		wf.finish(nil, err)
-		m.liveWorkflowDone(true)
-		sh.srv.retire(wf.id)
-		sh.walLogTerminal(wf)
-		if rec := sh.srv.recorder; rec != nil {
-			rec.done(sh.id, wf.id, StateFailed, 0, err.Error())
-		}
+		sh.failLive(wf, err)
 		return
 	}
 	wf.tracker = tr
@@ -133,15 +98,9 @@ func (sh *shard) startLive(wf *workflow) {
 		planAct.Span.Generation = plan.Generation
 		planAct.End()
 	}
-	if rec := sh.srv.recorder; rec != nil {
-		rec.plan(sh.id, plan)
-	}
-	wf.append(m, wire.Event{
-		Kind: "plan", Trigger: "initial",
-		Generation: plan.Generation, Makespan: plan.Makespan,
-	})
+	sh.announce(wf, plan)
 	sh.live[wf.id] = wf
-	m.liveResident.Add(1)
+	m.count(func(c *MetricsDoc) { c.LiveResident++ })
 	if wf.gridRef != nil {
 		wf.gridRef.attach(wf)
 	}
@@ -153,10 +112,10 @@ func (sh *shard) startLive(wf *workflow) {
 	// fast path exists to absorb against the fast path itself.
 	lat := time.Since(planStart).Seconds() * 1e3
 	if wf.fastPath {
-		m.admInitialFastMs.record(lat)
+		m.admInitialFast.Record(lat)
 		sh.scheduleUpgrade(wf)
 	} else {
-		m.admInitialFullMs.record(lat)
+		m.admInitialFull.Record(lat)
 	}
 	// Journal the planned state; this also promotes the raw submission
 	// body from the WAL's pending mirror to its live mirror. Only then is
@@ -164,10 +123,42 @@ func (sh *shard) startLive(wf *workflow) {
 	// an enactor holding the plan of a workflow the journal still lists as
 	// pending — recovery would plan it afresh under it.
 	sh.walLogState(wf, nil)
-	wf.mu.Lock()
-	wf.plan = plan
-	wf.st.Generation = plan.Generation
-	wf.mu.Unlock()
+	wf.setPlan(plan)
+}
+
+// trackerConfig is what a live workflow's tracker is built (startLive) or
+// restored (restoreLive) from.
+func (sh *shard) trackerConfig(wf *workflow) feedback.Config {
+	cfg := feedback.Config{
+		Graph:             wf.sub.Graph,
+		Prior:             cost.Exact(wf.sub.Comp),
+		Pool:              wf.sub.Pool,
+		History:           sh.historyFor(wf.tenant),
+		Policy:            wf.pol,
+		Opts:              wf.opts,
+		VarianceThreshold: wf.varThr,
+	}
+	if wf.gridRef != nil {
+		// Shared-grid workflow: plan over the grid's resource universe,
+		// publishing reservations into (and planning around) its ledger.
+		cfg.Pool = wf.gridRef.pool
+		cfg.Occupancy = wf.gridRef.ledger.View(wf.id)
+	}
+	return cfg
+}
+
+// startSpan opens a span of wf's on this shard, under its intake span.
+func (sh *shard) startSpan(stage string, wf *workflow) *obs.Active {
+	a := sh.srv.tracer.Start(stage, wf.id)
+	if a != nil {
+		a.Span.Parent = wf.rootSpan
+		a.Span.Shard = sh.id
+		a.Span.Tenant = wf.tenant
+		if wf.gridRef != nil {
+			a.Span.Grid = wf.gridRef.name
+		}
+	}
+	return a
 }
 
 // scheduleUpgrade queues the slow half of a fast-path admission: an
@@ -194,10 +185,10 @@ func (sh *shard) enacting(wf *workflow) bool {
 
 // handleCmd serves one report, what-if or upgrade on the worker
 // goroutine.
-func (sh *shard) handleCmd(c shardCmd) {
-	wf := c.wf
+func (sh *shard) handleCmd(cmd shardCmd) {
+	wf := cmd.wf
 	m := sh.srv.metrics
-	if c.upgrade {
+	if cmd.upgrade {
 		// Fire-and-forget: no reply channel. A workflow that reached a
 		// terminal state before its upgrade arrived satisfies the
 		// fast-path invariant (upgraded or terminal) by being terminal.
@@ -205,156 +196,85 @@ func (sh *shard) handleCmd(c shardCmd) {
 		return
 	}
 	if !sh.enacting(wf) {
-		if c.report != nil {
-			m.reportsRejected.Add(1)
+		if cmd.report != nil {
+			m.count(func(c *MetricsDoc) { c.ReportsRejected++ })
 		}
-		c.reply <- cmdResult{code: http.StatusConflict, errMsg: "workflow is not accepting reports"}
+		cmd.reply <- cmdResult{code: http.StatusConflict, errMsg: "workflow is not accepting reports"}
 		return
 	}
 	switch {
-	case c.report != nil:
-		sh.applyReport(wf, c)
-	case c.whatif != nil:
-		doc, err := wf.tracker.WhatIf(*c.whatif)
+	case cmd.report != nil:
+		sh.applyReport(wf, cmd)
+	case cmd.whatif != nil:
+		doc, err := wf.tracker.WhatIf(*cmd.whatif)
 		if err != nil {
-			c.reply <- cmdResult{code: http.StatusBadRequest, errMsg: err.Error()}
+			cmd.reply <- cmdResult{code: http.StatusBadRequest, errMsg: err.Error()}
 			return
 		}
-		m.whatifs.Add(1)
+		m.count(func(c *MetricsDoc) { c.WhatIfQueries++ })
 		doc.Workflow = wf.id
-		c.reply <- cmdResult{whatif: doc}
+		cmd.reply <- cmdResult{whatif: doc}
 	default:
-		c.reply <- cmdResult{code: http.StatusBadRequest, errMsg: "empty command"}
+		cmd.reply <- cmdResult{code: http.StatusBadRequest, errMsg: "empty command"}
 	}
 }
 
 // applyReport folds a validated report into the live run: history feed,
 // variance judgement, rescheduling decisions into the event log (with
 // their trigger), plan bump on adoption, completion on the last finish.
-func (sh *shard) applyReport(wf *workflow, c shardCmd) {
+func (sh *shard) applyReport(wf *workflow, cmd shardCmd) {
 	m := sh.srv.metrics
 	// Record the report before applying it: even a batch the tracker
 	// rejects or has already applied reached this worker and consumed its
 	// turn in the processing order, and replay must re-drive it to land
 	// on the same order (it is re-rejected or re-acked identically).
-	if rec := sh.srv.recorder; rec != nil && c.raw != nil {
-		rec.report(sh.id, wf.id, c.raw)
+	if rec := sh.srv.recorder; rec != nil && cmd.raw != nil {
+		rec.report(sh.id, wf.id, cmd.raw)
 	}
-	ingestAct := sh.srv.tracer.Start(obs.StageIngest, wf.id)
+	ingestAct := sh.startSpan(obs.StageIngest, wf)
 	var ingestID uint64
 	if ingestAct != nil {
-		ingestAct.Span.Parent = wf.rootSpan
-		ingestAct.Span.Shard = sh.id
-		ingestAct.Span.Tenant = wf.tenant
-		if wf.gridRef != nil {
-			ingestAct.Span.Grid = wf.gridRef.name
-		}
 		ingestID = ingestAct.Span.ID
 	}
-	out, err := wf.tracker.Apply(c.report.Events)
+	out, err := wf.tracker.Apply(cmd.report.Events)
 	if err != nil {
 		// A restarted daemon may be re-sent a batch it already applied
 		// before the crash (the enactor's ack was lost). Replays the
 		// tracker's recovered state already reflects are acked
 		// idempotently instead of 400ing a correct client.
-		if wf.tracker.AlreadyApplied(c.report.Events) {
-			m.reportsDuplicate.Add(1)
-			ack := &wire.ReportAck{
-				Workflow:   wf.id,
-				Applied:    len(c.report.Events),
-				Generation: wf.tracker.Generation(),
-			}
-			if gen := wf.tracker.Generation(); gen > wf.ackedGen {
-				wf.mu.Lock()
-				plan := wf.plan
-				wf.mu.Unlock()
-				if plan != nil {
-					ack.Rescheduled = true
-					ack.Trigger = plan.Trigger
-					ack.Plan = plan
-					ack.Generation = plan.Generation
-				}
-				wf.ackedGen = gen
-			}
+		if wf.tracker.AlreadyApplied(cmd.report.Events) {
+			m.count(func(c *MetricsDoc) { c.ReportsDuplicate++ })
+			ack := &wire.ReportAck{Workflow: wf.id, Applied: len(cmd.report.Events)}
+			wf.ackPlan(ack)
 			ingestAct.End()
-			c.reply <- cmdResult{ack: ack}
+			cmd.reply <- cmdResult{ack: ack}
 			return
 		}
-		m.reportsRejected.Add(1)
+		m.count(func(c *MetricsDoc) { c.ReportsRejected++ })
 		ingestAct.Fail(err)
-		c.reply <- cmdResult{code: http.StatusBadRequest, errMsg: err.Error()}
+		cmd.reply <- cmdResult{code: http.StatusBadRequest, errMsg: err.Error()}
 		return
 	}
-	m.reports.Add(1)
-	m.reportEvents.Add(uint64(out.Applied))
-	m.decisions.Add(uint64(len(out.Decisions)))
-	for _, d := range out.Decisions {
-		m.recordDecision(d)
-		sh.emitDecisionSpans(wf, d, ingestID, 0, "")
-		if rec := sh.srv.recorder; rec != nil {
-			rec.decision(sh.id, wf.id, d)
-		}
-		wd := wireDecision(d)
-		wf.append(m, decisionEvent(&wd))
-		if !d.Adopted {
-			continue
-		}
-		m.reschedules.Add(1)
-		switch d.Trigger {
-		case planner.TriggerVariance:
-			m.reschedVariance.Add(1)
-		case planner.TriggerArrival:
-			m.reschedArrival.Add(1)
-		case planner.TriggerDeparture:
-			m.reschedDeparture.Add(1)
-		case planner.TriggerUpgrade:
-			m.reschedUpgrade.Add(1)
-		}
-	}
+	m.count(func(c *MetricsDoc) {
+		c.Reports++
+		c.ReportEvents += uint64(out.Applied)
+	})
+	sh.publish(wf, out, ingestID, 0, "")
 	ack := &wire.ReportAck{
-		Workflow:    wf.id,
-		Applied:     out.Applied,
-		Decisions:   len(out.Decisions),
-		Rescheduled: out.Rescheduled,
-		Generation:  wf.tracker.Generation(),
-		Done:        out.Done,
+		Workflow:  wf.id,
+		Applied:   out.Applied,
+		Decisions: len(out.Decisions),
+		Done:      out.Done,
 	}
 	wf.mu.Lock()
 	wf.st.Reports++
 	wf.mu.Unlock()
-	if out.Rescheduled {
-		ack.Trigger = out.Trigger.String()
-		plan := livePlanDoc(wf, ack.Trigger)
-		wf.mu.Lock()
-		wf.plan = plan
-		wf.st.Generation = plan.Generation
-		wf.mu.Unlock()
-		ack.Plan = plan
-		if rec := sh.srv.recorder; rec != nil {
-			rec.plan(sh.id, plan)
-		}
-		wf.append(m, wire.Event{
-			Kind: "plan", Time: wf.tracker.Clock(), Trigger: ack.Trigger,
-			Generation: plan.Generation, Makespan: plan.Makespan,
-		})
-	} else if gen := wf.tracker.Generation(); gen > wf.ackedGen {
-		// A cross-workflow contention reschedule changed the plan since
-		// this enactor last heard: piggyback the newer plan on the ack so
-		// it is adopted without an extra round trip.
-		wf.mu.Lock()
-		plan := wf.plan
-		wf.mu.Unlock()
-		ack.Rescheduled = true
-		ack.Trigger = plan.Trigger
-		ack.Plan = plan
-		ack.Generation = plan.Generation
-	}
-	wf.ackedGen = wf.tracker.Generation()
+	wf.ackPlan(ack)
 	// Count the reservations this batch released before finishLive tears
 	// the tracker's grid state down.
 	released := 0
 	if wf.gridRef != nil {
-		for _, ev := range c.report.Events[:out.Applied] {
+		for _, ev := range cmd.report.Events[:out.Applied] {
 			if ev.Kind == wire.ReportJobFinished {
 				released++
 			}
@@ -372,7 +292,7 @@ func (sh *shard) applyReport(wf *workflow, c shardCmd) {
 	}
 	// StageEnact marks a plan generation reaching its enactor: this ack
 	// carries one either because this batch's replan was adopted or as
-	// the contention-generation piggyback.
+	// the piggyback of an earlier contention or upgrade adoption.
 	if t := sh.srv.tracer; t != nil && ack.Plan != nil {
 		t.Emit(obs.Span{
 			Stage: obs.StageEnact, Workflow: wf.id, Tenant: tenant, Shard: sh.id,
@@ -380,7 +300,7 @@ func (sh *shard) applyReport(wf *workflow, c shardCmd) {
 		}, 0)
 	}
 	ingestAct.End()
-	c.reply <- cmdResult{ack: ack}
+	cmd.reply <- cmdResult{ack: ack}
 	// Cross-workflow trigger: freed capacity is a run-time event for
 	// every survivor on the grid. Evaluated after the reply so the
 	// reporter is not held behind its neighbours' replans. The survivors'
@@ -389,6 +309,27 @@ func (sh *shard) applyReport(wf *workflow, c shardCmd) {
 	if gref != nil && released > 0 {
 		sh.notifyGrid(gref, wf.id, ingestID)
 	}
+}
+
+// ackPlan stamps the ack with the tracker's generation and, when the
+// enactor has not been handed that generation yet, attaches the published
+// plan: the batch's own adoption, or a contention or upgrade adoption made
+// between this enactor's reports, picked up without an extra round trip.
+func (wf *workflow) ackPlan(ack *wire.ReportAck) {
+	gen := wf.tracker.Generation()
+	ack.Generation = gen
+	if gen > wf.ackedGen {
+		wf.mu.Lock()
+		plan := wf.plan
+		wf.mu.Unlock()
+		if plan != nil {
+			ack.Rescheduled = true
+			ack.Trigger = plan.Trigger
+			ack.Plan = plan
+			ack.Generation = plan.Generation
+		}
+	}
+	wf.ackedGen = gen
 }
 
 // applyUpgrade runs the slow half of a fast-path admission on the
@@ -400,48 +341,61 @@ func (sh *shard) applyReport(wf *workflow, c shardCmd) {
 // planning debt is paid by the evaluation, and a greedy plan the full
 // policy cannot beat owes nothing further.
 func (sh *shard) applyUpgrade(wf *workflow) {
-	m := sh.srv.metrics
 	if !sh.enacting(wf) || wf.upgraded {
 		return
 	}
 	wf.upgraded = true
-	if ci, ok := admission.ClassIndex(wf.class); ok {
-		m.admUpgraded[ci].Add(1)
-	}
-	out := wf.tracker.Reevaluate(planner.TriggerUpgrade)
-	m.decisions.Add(uint64(len(out.Decisions)))
+	cls := className(wf.class)
+	sh.srv.metrics.count(func(c *MetricsDoc) { c.Admission.UpgradedByClass[cls]++ })
+	sh.publish(wf, wf.tracker.Reevaluate(planner.TriggerUpgrade), wf.rootSpan, 0, "")
+	// Journal the paid-debt flag, and the upgraded plan and reservations
+	// if it adopted: a crash before the next report must restore them.
+	sh.walLogState(wf, nil)
+}
+
+// publish folds one tracker outcome into the daemon. It is the one path
+// every live replan takes, whatever caused it — a report, another
+// workflow's freed capacity (contention), a fast-path upgrade: each
+// evaluation is counted, traced, recorded and logged as a decision event,
+// and an adopted plan becomes the workflow's published plan and a "plan"
+// event. parent is the span the evaluations hang under; link and linkWf,
+// when set, name a cross-workflow cause. It reports whether the plan
+// changed; journalling is the caller's.
+func (sh *shard) publish(wf *workflow, out *feedback.Outcome, parent, link uint64, linkWf string) bool {
+	sh.srv.metrics.decided(out.Decisions)
 	for _, d := range out.Decisions {
-		m.recordDecision(d)
-		sh.emitDecisionSpans(wf, d, wf.rootSpan, 0, "")
-		if rec := sh.srv.recorder; rec != nil {
-			rec.decision(sh.id, wf.id, d)
-		}
-		wd := wireDecision(d)
-		wf.append(m, decisionEvent(&wd))
+		sh.emitDecisionSpans(wf, d, parent, link, linkWf)
+		sh.logDecision(wf, d)
 	}
 	if !out.Rescheduled {
-		// The greedy plan survived (or the run drained past the point
-		// a replan helps); still journal the paid-debt flag.
-		sh.walLogState(wf, nil)
-		return
+		return false
 	}
-	m.reschedules.Add(1)
-	m.reschedUpgrade.Add(1)
-	plan := livePlanDoc(wf, planner.TriggerUpgrade.String())
-	wf.mu.Lock()
-	wf.plan = plan
-	wf.st.Generation = plan.Generation
-	wf.mu.Unlock()
+	plan := livePlanDoc(wf, out.Trigger.String())
+	wf.setPlan(plan)
+	sh.announce(wf, plan)
+	return true
+}
+
+// announce records a newly published plan in the flight recorder and the
+// workflow's event log.
+func (sh *shard) announce(wf *workflow, plan *wire.Plan) {
 	if rec := sh.srv.recorder; rec != nil {
 		rec.plan(sh.id, plan)
 	}
-	wf.append(m, wire.Event{
+	wf.append(sh.srv.metrics, wire.Event{
 		Kind: "plan", Time: wf.tracker.Clock(), Trigger: plan.Trigger,
 		Generation: plan.Generation, Makespan: plan.Makespan,
 	})
-	// The upgrade changed the plan and reservations; a crash before the
-	// next report must restore the upgraded state.
-	sh.walLogState(wf, nil)
+}
+
+// logDecision records one evaluation, live or analytic, in the flight
+// recorder and the workflow's event log.
+func (sh *shard) logDecision(wf *workflow, d planner.Decision) {
+	wd := wireDecision(d)
+	if rec := sh.srv.recorder; rec != nil {
+		rec.decision(sh.id, wf.id, &wd)
+	}
+	wf.append(sh.srv.metrics, decisionEvent(&wd))
 }
 
 // emitDecisionSpans files the retroactive evaluate span for one
@@ -485,7 +439,7 @@ func (sh *shard) finishLive(wf *workflow) {
 	m := sh.srv.metrics
 	tr := wf.tracker
 	delete(sh.live, wf.id)
-	m.liveResident.Add(-1)
+	m.count(func(c *MetricsDoc) { c.LiveResident-- })
 	if wf.gridRef != nil {
 		// Belt and braces: every per-job release already happened on the
 		// finish reports, but a terminal record must never leave a claim
@@ -518,21 +472,28 @@ func (sh *shard) cancelLive(err error) {
 	}
 	for id, wf := range sh.live {
 		delete(sh.live, id)
-		m.liveResident.Add(-1)
+		m.count(func(c *MetricsDoc) { c.LiveResident-- })
 		if wf.gridRef != nil {
 			// Force-cancel releases the whole claim set; no survivor
 			// notification — every resident of the shard is being killed.
 			wf.gridRef.ledger.Release(id)
 			wf.gridRef.detach(id)
 		}
-		wf.append(m, wire.Event{Kind: "failed", Error: err.Error()})
-		wf.finish(nil, err)
-		m.liveWorkflowDone(true)
-		sh.srv.retire(id)
-		sh.walLogTerminal(wf)
-		if rec := sh.srv.recorder; rec != nil {
-			rec.done(sh.id, id, StateFailed, 0, err.Error())
-		}
+		sh.failLive(wf, err)
+	}
+}
+
+// failLive ends a live workflow with err: the failed event, its terminal
+// status and counts, retention, and the journal's and recorder's terminal
+// records.
+func (sh *shard) failLive(wf *workflow, err error) {
+	wf.append(sh.srv.metrics, wire.Event{Kind: "failed", Error: err.Error()})
+	wf.finish(nil, err)
+	sh.srv.metrics.liveWorkflowDone(true)
+	sh.srv.retire(wf.id)
+	sh.walLogTerminal(wf)
+	if rec := sh.srv.recorder; rec != nil {
+		rec.done(sh.id, wf.id, StateFailed, 0, err.Error())
 	}
 }
 
@@ -584,7 +545,7 @@ func (sh *shard) historyFor(tenant string) *history.Repository {
 			oldest := sh.histOrder[0]
 			sh.histOrder = sh.histOrder[1:]
 			delete(sh.hist, oldest)
-			sh.srv.metrics.historyEvicted.Add(1)
+			sh.srv.metrics.count(func(c *MetricsDoc) { c.HistoryEvicted++ })
 		}
 	}
 	return r
@@ -651,17 +612,17 @@ func (s *Server) handleReport(w http.ResponseWriter, r *http.Request) {
 	m := s.metrics
 	wf, ok := s.checkLive(w, r)
 	if !ok {
-		m.reportsRejected.Add(1)
+		m.count(func(c *MetricsDoc) { c.ReportsRejected++ })
 		return
 	}
 	data, err := s.readBody(w, r)
 	if err != nil {
-		m.reportsRejected.Add(1)
+		m.count(func(c *MetricsDoc) { c.ReportsRejected++ })
 		return
 	}
 	rep, err := wire.DecodeReport(data, 0)
 	if err != nil {
-		m.reportsRejected.Add(1)
+		m.count(func(c *MetricsDoc) { c.ReportsRejected++ })
 		writeJSON(w, http.StatusBadRequest, errorDoc{Error: err.Error()})
 		return
 	}

@@ -2,144 +2,123 @@ package server
 
 import (
 	"encoding/json"
+	"maps"
 	"net/http"
 	"strconv"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"aheft/internal/admission"
-	"aheft/internal/obs"
 	"aheft/internal/planner"
 	"aheft/internal/stats"
 )
 
-// Metrics is the daemon's counter set, exposed as an expvar-style JSON
-// document on GET /metrics. All counters are monotonic atomics; gauges
-// (queue depth, in-flight) are computed at read time from authoritative
-// state, except the in-flight high-water mark which is tracked on the
-// submission path.
+// Metrics is the daemon's signal set behind GET /metrics. The counters the
+// daemon keeps as it runs are the fields of a MetricsDoc, so a counter is
+// declared exactly once — as the document field both renderings derive
+// from — and updated through count. Gauges read from other state (queue
+// depths, histories, grids, durable stores, the tracer) are filled in by
+// Server.MetricsSnapshot at read time.
 type Metrics struct {
 	start time.Time
 
-	// Submission path.
-	submissions     atomic.Uint64 // POST /v1/workflows requests
-	accepted        atomic.Uint64 // enqueued to a shard
-	rejectedFull    atomic.Uint64 // 429: shard queue full
-	rejectedInvalid atomic.Uint64 // 400: malformed/oversized submission
-	rejectedDrain   atomic.Uint64 // 503: submitted while draining
-	abandonedIntake atomic.Uint64 // client gone while awaiting an intake slot
+	// mu guards c. A lock, not atomics: a MetricsDoc's uint64 fields are
+	// not 64-bit aligned on 32-bit platforms. One lock for every counter
+	// also keeps a related batch (a report's counts, a workflow's
+	// close-out) consistent in a snapshot.
+	mu sync.Mutex
+	c  MetricsDoc
 
-	// Execution path.
-	completed   atomic.Uint64
-	failed      atomic.Uint64
-	decisions   atomic.Uint64 // rescheduling evaluations across all workflows
-	reschedules atomic.Uint64 // adopted reschedules
-	evicted     atomic.Uint64 // terminal records dropped by the retention cap
-
-	// Feedback loop (live workflows).
-	reports           atomic.Uint64 // accepted report batches
-	reportEvents      atomic.Uint64 // run-time events folded into live runs
-	reportsRejected   atomic.Uint64 // 400/409 report requests
-	reportsDuplicate  atomic.Uint64 // post-restart replays acked idempotently
-	whatifs           atomic.Uint64 // answered what-if queries
-	reschedVariance   atomic.Uint64 // adopted reschedules by trigger
-	reschedArrival    atomic.Uint64
-	reschedDeparture  atomic.Uint64
-	reschedContention atomic.Uint64 // cross-workflow (shared-grid) reschedules
-	reschedUpgrade    atomic.Uint64 // fast-path plans upgraded to the full policy
-	liveResident      atomic.Int64  // live workflows parked on shards
-	historyEvicted    atomic.Uint64 // tenant repositories dropped by the LRU cap
-
-	// Admission path (internal/admission): per-class counters indexed by
-	// admission.ClassIndex, the queue-wait window, and the two-speed
-	// submit-to-initial-plan windows (fast greedy vs full policy).
-	admAdmitted      [3]atomic.Uint64
-	admFastPath      [3]atomic.Uint64
-	admUpgraded      [3]atomic.Uint64
-	admRejected      [3]atomic.Uint64
-	admWaitMs        latencyWindow // fair-queue residency per admitted submission
-	admInitialFastMs latencyWindow // submit → initial plan, fast path (greedy)
-	admInitialFullMs latencyWindow // submit → initial plan, full policy
-
-	// reschedLat holds one replan-latency window per planner.Trigger.
-	reschedLat [planner.NumTriggers]latencyWindow
-
-	// Event path.
-	eventsEmitted atomic.Uint64
-	eventsDropped atomic.Uint64 // events lost to a slow SSE subscriber
-
-	// Durability path. Appends/bytes/snapshots live on the durable
-	// stores (see Server.MetricsSnapshot); only failures are counted
-	// here.
-	walErrors atomic.Uint64 // failed WAL appends/rotations (durability degraded)
-	// walSkipped counts journal records the last recovery could not use
-	// (undecodable payload, unknown kind); each is logged with its LSN.
-	walSkipped atomic.Uint64
-
-	// Flight recorder (Config.RecordDir; see record.go).
-	recorderRecords atomic.Uint64 // records appended across all shard streams
-	recorderErrors  atomic.Uint64 // failed appends (recording degraded)
-
-	inflight     atomic.Int64 // accepted - completed - failed
-	inflightPeak atomic.Int64
-
-	compute latencyWindow // makespan-compute latency per workflow
+	compute        stats.Window // makespan-compute latency per successful analytic workflow
+	admWait        stats.Window // fair-queue residency per admitted submission
+	admInitialFast stats.Window // submit → initial plan, fast path (greedy)
+	admInitialFull stats.Window // submit → initial plan, full policy
+	// resched holds one replan-latency window per planner.Trigger.
+	resched [planner.NumTriggers]stats.Window
 }
 
 // NewMetrics returns a zeroed metrics set.
 func NewMetrics() *Metrics {
-	m := &Metrics{
-		start:            time.Now(),
-		compute:          latencyWindow{cap: 8192},
-		admWaitMs:        latencyWindow{cap: 8192},
-		admInitialFastMs: latencyWindow{cap: 4096},
-		admInitialFullMs: latencyWindow{cap: 4096},
+	m := &Metrics{start: time.Now()}
+	m.compute.Cap, m.admWait.Cap = 8192, 8192
+	m.admInitialFast.Cap, m.admInitialFull.Cap = 4096, 4096
+	for i := range m.resched {
+		m.resched[i].Cap = 4096
 	}
-	for i := range m.reschedLat {
-		m.reschedLat[i].cap = 4096
+	perClass := func() map[string]uint64 {
+		out := make(map[string]uint64, len(admission.ClassNames))
+		for _, name := range admission.ClassNames {
+			out[name] = 0
+		}
+		return out
 	}
+	a := &m.c.Admission
+	a.AdmittedByClass, a.FastPathByClass, a.UpgradedByClass, a.RejectedByClass = perClass(), perClass(), perClass(), perClass()
 	return m
 }
 
-// recordDecision folds one live rescheduling evaluation into the
-// trigger's latency window. Called on the owning shard's goroutine (the
-// windows are internally locked).
-func (m *Metrics) recordDecision(d planner.Decision) {
-	if t := int(d.Trigger); t >= 0 && t < len(m.reschedLat) {
-		m.reschedLat[t].record(d.ElapsedMs)
+// count applies f to the counters under the lock.
+func (m *Metrics) count(f func(c *MetricsDoc)) {
+	m.mu.Lock()
+	f(&m.c)
+	m.mu.Unlock()
+}
+
+// className is the admission class a workflow is counted under.
+func className(class string) string {
+	ci, _ := admission.ClassIndex(class)
+	return admission.ClassNames[ci]
+}
+
+// decided counts live rescheduling evaluations as they happen: each one
+// into its trigger's latency window, adopted ones by trigger.
+func (m *Metrics) decided(ds []planner.Decision) {
+	for _, d := range ds {
+		m.resched[d.Trigger].Record(d.ElapsedMs)
 	}
+	m.count(func(c *MetricsDoc) {
+		c.Decisions += uint64(len(ds))
+		for _, d := range ds {
+			if d.Adopted {
+				c.Reschedules++
+				*c.adoptedBy(d.Trigger)++
+			}
+		}
+	})
 }
 
 // inflightReserve moves the in-flight gauge up and maintains its peak.
 // Callers reserve before enqueueing a workflow and roll back with
 // inflightRelease if the enqueue is rejected.
 func (m *Metrics) inflightReserve() {
-	cur := m.inflight.Add(1)
-	for {
-		peak := m.inflightPeak.Load()
-		if cur <= peak || m.inflightPeak.CompareAndSwap(peak, cur) {
-			return
-		}
-	}
+	m.count(func(c *MetricsDoc) {
+		c.Inflight++
+		c.InflightPeak = max(c.InflightPeak, c.Inflight)
+	})
 }
 
 // inflightRelease undoes a reservation whose enqueue was rejected.
-func (m *Metrics) inflightRelease() { m.inflight.Add(-1) }
+func (m *Metrics) inflightRelease() { m.count(func(c *MetricsDoc) { c.Inflight-- }) }
+
+// inflight reads the in-flight gauge.
+func (m *Metrics) inflight() int64 {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return m.c.Inflight
+}
 
 func (m *Metrics) workflowDone(failed bool, computeDur time.Duration, decisions, adoptions int) {
-	if failed {
-		m.failed.Add(1)
-	} else {
-		m.completed.Add(1)
+	if !failed {
 		// Only successful runs contribute latency samples: a failed or
 		// force-cancelled workflow aborts near-instantly and would drag
 		// the compute percentiles toward zero.
-		m.compute.record(computeDur.Seconds() * 1e3)
+		m.compute.Record(computeDur.Seconds() * 1e3)
 	}
-	m.inflight.Add(-1)
-	m.decisions.Add(uint64(decisions))
-	m.reschedules.Add(uint64(adoptions))
+	m.count(func(c *MetricsDoc) {
+		c.terminal(failed)
+		c.Decisions += uint64(decisions)
+		c.Reschedules += uint64(adoptions)
+	})
 }
 
 // liveWorkflowDone closes out a live workflow's gauges. Unlike
@@ -148,276 +127,165 @@ func (m *Metrics) workflowDone(failed bool, computeDur time.Duration, decisions,
 // decision counts, which the report path already tallied as they
 // happened.
 func (m *Metrics) liveWorkflowDone(failed bool) {
+	m.count(func(c *MetricsDoc) { c.terminal(failed) })
+}
+
+// terminal counts one workflow reaching a terminal state.
+func (c *MetricsDoc) terminal(failed bool) {
 	if failed {
-		m.failed.Add(1)
+		c.Failed++
 	} else {
-		m.completed.Add(1)
+		c.Completed++
 	}
-	m.inflight.Add(-1)
+	c.Inflight--
 }
 
-// latencyWindow keeps the last cap latency samples (milliseconds) for
-// percentile queries. A bounded window keeps /metrics O(1) in memory over
-// an arbitrarily long daemon lifetime while still reflecting current
-// behaviour.
-type latencyWindow struct {
-	mu    sync.Mutex
-	cap   int
-	buf   []float64
-	next  int
-	total uint64
+// adoptedBy is the adopted-reschedule counter of trigger t.
+func (c *MetricsDoc) adoptedBy(t planner.Trigger) *uint64 {
+	return [planner.NumTriggers]*uint64{
+		planner.TriggerArrival:    &c.ReschedulesArrival,
+		planner.TriggerVariance:   &c.ReschedulesVariance,
+		planner.TriggerDeparture:  &c.ReschedulesDeparture,
+		planner.TriggerContention: &c.ReschedulesContention,
+		planner.TriggerUpgrade:    &c.ReschedulesUpgrade,
+	}[t]
 }
 
-func (w *latencyWindow) record(ms float64) {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if len(w.buf) < w.cap {
-		w.buf = append(w.buf, ms)
-	} else {
-		w.buf[w.next] = ms
-		w.next = (w.next + 1) % w.cap
+// snapshot copies the counters and summarises the latency windows; the
+// caller fills in the gauges kept elsewhere.
+func (m *Metrics) snapshot() MetricsDoc {
+	m.mu.Lock()
+	doc := m.c
+	a := &doc.Admission
+	a.AdmittedByClass, a.FastPathByClass = maps.Clone(a.AdmittedByClass), maps.Clone(a.FastPathByClass)
+	a.UpgradedByClass, a.RejectedByClass = maps.Clone(a.UpgradedByClass), maps.Clone(a.RejectedByClass)
+	m.mu.Unlock()
+	doc.UptimeS = time.Since(m.start).Seconds()
+	doc.RescheduleMs = make(TriggerMs, len(m.resched))
+	for i, name := range planner.TriggerNames {
+		doc.RescheduleMs[name] = m.resched[i].Summary()
 	}
-	w.total++
+	a.WaitMs, a.FastInitialMs, a.FullInitialMs = m.admWait.Summary(), m.admInitialFast.Summary(), m.admInitialFull.Summary()
+	doc.ComputeMs = m.compute.Summary()
+	return doc
 }
 
-// quantiles returns the requested quantiles (0..1) over the window, or
-// zeros when empty. stats.Quantiles copies before sorting, so handing it
-// the live buffer under the lock is safe and avoids a second copy.
-func (w *latencyWindow) quantiles(qs ...float64) []float64 {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return stats.Quantiles(w.buf, qs...)
-}
-
-func (w *latencyWindow) count() uint64 {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.total
-}
-
-// MetricsDoc is the JSON shape of GET /metrics.
+// MetricsDoc is GET /metrics, and the one declaration of every signal the
+// daemon exports. The JSON document is this struct; the Prometheus
+// exposition (writePrometheus) is derived from the same fields. A field's
+// prom tag names its family (aheft_ prefixed) and its help tag the HELP
+// line; a field without a prom tag is JSON-only. The family type follows
+// the Go type: uint64 is a counter; int, int64 and float64 are gauges; a
+// LatencyMs is a summary. A map or slice is one sample per key or index,
+// labelled by its label tag. label:"k=v" on a scalar files it under that
+// label: adjacent scalars of one counter or gauge family share a header
+// (in label order), while a summary repeats its header per label. A prom
+// tag ending in ",next" emits its family after the next field's: the two
+// renderings order the admission queue depth and drain rate differently,
+// and TestMetricsWireGolden pins both orders.
 type MetricsDoc struct {
-	UptimeS float64 `json:"uptime_s"`
-	Shards  int     `json:"shards"`
+	UptimeS float64 `json:"uptime_s" prom:"uptime_seconds" help:"Daemon uptime."`
+	Shards  int     `json:"shards" prom:"shards" help:"Configured shard workers."`
 
-	Submissions     uint64 `json:"submissions"`
-	Accepted        uint64 `json:"accepted"`
-	RejectedFull    uint64 `json:"rejected_backpressure"`
-	RejectedInvalid uint64 `json:"rejected_invalid"`
-	RejectedDrain   uint64 `json:"rejected_draining"`
-	AbandonedIntake uint64 `json:"abandoned_intake"`
+	// Submission path.
+	Submissions     uint64 `json:"submissions" prom:"submissions_total" help:"Workflow submission requests."`
+	Accepted        uint64 `json:"accepted" prom:"accepted_total" help:"Submissions enqueued to a shard."`
+	RejectedFull    uint64 `json:"rejected_backpressure" prom:"rejected_backpressure_total" help:"Submissions rejected by a full shard queue."`
+	RejectedInvalid uint64 `json:"rejected_invalid" prom:"rejected_invalid_total" help:"Malformed or oversized submissions."`
+	RejectedDrain   uint64 `json:"rejected_draining" prom:"rejected_draining_total" help:"Submissions rejected while draining."`
+	AbandonedIntake uint64 `json:"abandoned_intake" prom:"abandoned_intake_total" help:"Clients gone while awaiting an intake slot."`
 
-	Completed   uint64 `json:"completed"`
-	Failed      uint64 `json:"failed"`
-	Decisions   uint64 `json:"decisions"`
-	Reschedules uint64 `json:"reschedules"`
-	Evicted     uint64 `json:"evicted"`
+	// Execution path.
+	Completed   uint64 `json:"completed" prom:"completed_total" help:"Workflows completed successfully."`
+	Failed      uint64 `json:"failed" prom:"failed_total" help:"Workflows that failed or were cancelled."`
+	Decisions   uint64 `json:"decisions" prom:"decisions_total" help:"Rescheduling evaluations."`
+	Reschedules uint64 `json:"reschedules" prom:"reschedules_total" help:"Adopted reschedules."`
+	Evicted     uint64 `json:"evicted" prom:"evicted_total" help:"Terminal records evicted by the retention cap."`
 
 	// Feedback loop (live workflows).
-	Reports              uint64 `json:"reports"`
-	ReportEvents         uint64 `json:"report_events"`
-	ReportsRejected      uint64 `json:"reports_rejected"`
-	ReportsDuplicate     uint64 `json:"reports_duplicate"`
-	WhatIfQueries        uint64 `json:"whatif_queries"`
-	ReschedulesVariance  uint64 `json:"reschedules_variance"`
-	ReschedulesArrival   uint64 `json:"reschedules_arrival"`
-	ReschedulesDeparture uint64 `json:"reschedules_departure"`
-	// ReschedulesContention counts adopted cross-workflow reschedules:
-	// a shared-grid survivor taking capacity another workflow released.
-	ReschedulesContention uint64 `json:"reschedules_contention"`
-	// ReschedulesUpgrade counts adopted two-speed upgrades: a fast-path
+	Reports          uint64 `json:"reports" prom:"reports_total" help:"Accepted report batches."`
+	ReportEvents     uint64 `json:"report_events" prom:"report_events_total" help:"Run-time events folded into live runs."`
+	ReportsRejected  uint64 `json:"reports_rejected" prom:"reports_rejected_total" help:"Rejected report requests."`
+	ReportsDuplicate uint64 `json:"reports_duplicate" prom:"reports_duplicate_total" help:"Replayed batches acked idempotently."`
+	WhatIfQueries    uint64 `json:"whatif_queries" prom:"whatif_queries_total" help:"Answered what-if queries."`
+	// Adopted reschedules by trigger: contention is a shared-grid survivor
+	// taking capacity another workflow released, upgrade a fast-path
 	// greedy initial plan replaced by the submission's full policy.
-	ReschedulesUpgrade uint64 `json:"reschedules_upgrade"`
-	// RescheduleMs summarises replan wall-clock latency per trigger
-	// (keyed by planner.TriggerNames).
-	RescheduleMs map[string]LatencyMs `json:"reschedule_ms"`
-	// Admission is the weighted-fair-queue intake state: per-class
-	// counters, per-tenant backlog, drain rate and the two-speed
-	// admission-latency windows.
+	ReschedulesVariance   uint64    `json:"reschedules_variance" prom:"reschedules_by_trigger_total" label:"trigger=variance" help:"Adopted reschedules by trigger."`
+	ReschedulesArrival    uint64    `json:"reschedules_arrival" prom:"reschedules_by_trigger_total" label:"trigger=arrival"`
+	ReschedulesDeparture  uint64    `json:"reschedules_departure" prom:"reschedules_by_trigger_total" label:"trigger=departure"`
+	ReschedulesContention uint64    `json:"reschedules_contention" prom:"reschedules_by_trigger_total" label:"trigger=contention"`
+	ReschedulesUpgrade    uint64    `json:"reschedules_upgrade" prom:"reschedules_by_trigger_total" label:"trigger=upgrade"`
+	RescheduleMs          TriggerMs `json:"reschedule_ms" prom:"reschedule_ms" label:"trigger" help:"Replan wall-clock latency by trigger (ms)."`
+	// Admission is the weighted-fair-queue intake state.
 	Admission      AdmissionDoc `json:"admission"`
-	LiveResident   int64        `json:"live_resident"`
-	HistoryTenants int          `json:"history_tenants"`
-	HistoryCells   int          `json:"history_cells"`
-	HistoryEvicted uint64       `json:"history_evicted"`
-	// SharedGrids / Reservations are the shared-grid gauges: registered
-	// grids, and the aggregate live reservation count across them.
-	SharedGrids  int `json:"shared_grids"`
-	Reservations int `json:"reservations"`
-	// TransferReservations is the aggregate live transfer-reservation
-	// count across every grid's capacity channels (data-aware workflows);
-	// like Reservations it must drain to zero with the last workflow.
-	TransferReservations int `json:"transfer_reservations"`
+	LiveResident   int64        `json:"live_resident" prom:"live_resident" help:"Live workflows parked on shards."`
+	HistoryTenants int          `json:"history_tenants" prom:"history_tenants" help:"Tenant performance-history repositories."`
+	HistoryCells   int          `json:"history_cells" prom:"history_cells" help:"Performance-history cells across tenants."`
+	HistoryEvicted uint64       `json:"history_evicted" prom:"history_evicted_total" help:"Tenant repositories dropped by the LRU cap."`
+	// Shared-grid gauges. Both reservation counts must drain to zero with
+	// the last workflow on a grid.
+	SharedGrids          int `json:"shared_grids" prom:"shared_grids" help:"Registered shared grids."`
+	Reservations         int `json:"reservations" prom:"reservations" help:"Live reservations across shared grids."`
+	TransferReservations int `json:"transfer_reservations" prom:"transfer_reservations" help:"Live transfer reservations across shared-grid capacity channels."`
 
-	EventsEmitted uint64 `json:"events_emitted"`
-	EventsDropped uint64 `json:"events_dropped"`
+	EventsEmitted uint64 `json:"events_emitted" prom:"events_emitted_total" help:"Scheduling events appended to workflow logs."`
+	EventsDropped uint64 `json:"events_dropped" prom:"events_dropped_total" help:"Events lost to slow SSE subscribers."`
 
-	// Durability (all zero when Config.DataDir is empty): WAL record and
-	// byte counts, snapshot rotations, failed appends, and what the last
-	// startup recovery restored and how long it took.
-	WALAppends         uint64  `json:"wal_appends"`
-	WALBytes           uint64  `json:"wal_bytes"`
-	Snapshots          uint64  `json:"snapshots"`
-	WALErrors          uint64  `json:"wal_errors"`
-	WALRecordsSkipped  uint64  `json:"wal_records_skipped"`
-	RecoveredWorkflows uint64  `json:"recovered_workflows"`
+	// Durability (all zero when Config.DataDir is empty). WALErrors counts
+	// failed appends and rotations (durability degraded);
+	// WALRecordsSkipped the journal records the last recovery could not
+	// use, each logged with its LSN.
+	WALAppends         uint64  `json:"wal_appends" prom:"wal_appends_total" help:"WAL records appended."`
+	WALBytes           uint64  `json:"wal_bytes" prom:"wal_bytes_total" help:"WAL bytes appended."`
+	Snapshots          uint64  `json:"snapshots" prom:"snapshots_total" help:"Durability snapshots written."`
+	WALErrors          uint64  `json:"wal_errors" prom:"wal_errors_total" help:"Failed WAL appends or rotations."`
+	WALRecordsSkipped  uint64  `json:"wal_records_skipped" prom:"wal_records_skipped_total" help:"Journal records the last recovery could not use."`
+	RecoveredWorkflows uint64  `json:"recovered_workflows" prom:"recovered_workflows_total" help:"Live workflows restored by the last recovery."`
 	RecoveryMs         float64 `json:"recovery_ms"`
 
-	// Observability: span totals and per-stage latency rollups from the
-	// causal tracer (zero/absent when tracing is off), and the flight
-	// recorder's append counters (zero when recording is off).
-	TraceSpans        uint64                    `json:"trace_spans"`
-	TraceSpansDropped uint64                    `json:"trace_spans_dropped"`
-	TraceStageMs      map[string]obs.StageStats `json:"trace_stage_ms,omitempty"`
-	RecorderRecords   uint64                    `json:"recorder_records"`
-	RecorderErrors    uint64                    `json:"recorder_errors"`
+	// Observability: the causal tracer's span totals and per-stage
+	// latency (zero or absent when tracing is off), and the flight
+	// recorder's appends (zero when recording is off).
+	TraceSpans        uint64               `json:"trace_spans" prom:"trace_spans_total" help:"Completed causal-tracer spans."`
+	TraceSpansDropped uint64               `json:"trace_spans_dropped" prom:"trace_spans_dropped_total" help:"Spans not retained (per-workflow cap)."`
+	TraceStageMs      map[string]LatencyMs `json:"trace_stage_ms,omitempty" prom:"trace_stage_ms" label:"stage" help:"Decision-path stage latency (ms)."`
+	RecorderRecords   uint64               `json:"recorder_records" prom:"recorder_records_total" help:"Flight-recorder records appended."`
+	RecorderErrors    uint64               `json:"recorder_errors" prom:"recorder_errors_total" help:"Failed flight-recorder appends."`
 
-	Inflight     int64 `json:"inflight"`
-	InflightPeak int64 `json:"inflight_peak"`
-	QueueDepth   []int `json:"queue_depth"`
+	Inflight     int64 `json:"inflight" prom:"inflight" help:"Accepted minus terminal workflows."`
+	InflightPeak int64 `json:"inflight_peak" prom:"inflight_peak" help:"In-flight high-water mark."`
+	QueueDepth   []int `json:"queue_depth" prom:"queue_depth" label:"shard" help:"Per-shard intake queue depth."`
 
-	ComputeMs LatencyMs `json:"compute_ms"`
+	ComputeMs LatencyMs `json:"compute_ms" prom:"compute_ms" help:"Makespan-compute latency per workflow (ms)."`
 }
 
-// AdmissionDoc is the admission subsystem's /metrics section.
+// AdmissionDoc is the admission subsystem's /metrics section: per-class
+// counts (admitted into a fair queue, served by the fast greedy path,
+// upgraded to their full policy, 429ed by the backlog bounds), the
+// per-tenant backlog summed across shards, the EWMA drain rate behind
+// every Retry-After, and the latency windows. Under overload the fast
+// initial-plan p99 must undercut the full one.
 type AdmissionDoc struct {
-	// AdmittedByClass / FastPathByClass / UpgradedByClass /
-	// RejectedByClass count submissions per priority class: admitted
-	// into a fair queue, served via the fast (greedy) path, upgraded to
-	// their full policy, and 429ed by the backlog bounds.
-	AdmittedByClass map[string]uint64 `json:"admitted_by_class"`
-	FastPathByClass map[string]uint64 `json:"fast_path_by_class"`
-	UpgradedByClass map[string]uint64 `json:"upgraded_by_class"`
-	RejectedByClass map[string]uint64 `json:"rejected_by_class"`
-	// QueueDepthByTenant is the live backlog per tenant, summed across
-	// shards (backlogged tenants only).
-	QueueDepthByTenant map[string]int `json:"queue_depth_by_tenant,omitempty"`
-	// DrainRatePerS is the EWMA dequeue rate summed across shards — the
-	// denominator behind every Retry-After the daemon hands out.
-	DrainRatePerS float64 `json:"drain_rate_per_s"`
-	// WaitMs is fair-queue residency per admitted submission;
-	// FastInitialMs / FullInitialMs are submit-to-initial-plan latency
-	// for fast-path and full-policy live admissions — under overload the
-	// fast window's p99 must undercut the full window's.
-	WaitMs        LatencyMs `json:"wait_ms"`
-	FastInitialMs LatencyMs `json:"fast_initial_ms"`
-	FullInitialMs LatencyMs `json:"full_initial_ms"`
+	AdmittedByClass    map[string]uint64 `json:"admitted_by_class" prom:"admission_admitted_total" label:"class" help:"Submissions admitted into the fair queue by class."`
+	FastPathByClass    map[string]uint64 `json:"fast_path_by_class" prom:"admission_fast_path_total" label:"class" help:"Fast-path (greedy initial plan) admissions by class."`
+	UpgradedByClass    map[string]uint64 `json:"upgraded_by_class" prom:"admission_upgraded_total" label:"class" help:"Fast-path plans upgraded to the full policy by class."`
+	RejectedByClass    map[string]uint64 `json:"rejected_by_class" prom:"admission_rejected_total" label:"class" help:"Submissions rejected by the backlog bounds by class."`
+	QueueDepthByTenant map[string]int    `json:"queue_depth_by_tenant,omitempty" prom:"admission_queue_depth,next" label:"tenant" help:"Queued submissions per tenant."`
+	DrainRatePerS      float64           `json:"drain_rate_per_s" prom:"admission_drain_rate_per_s" help:"EWMA admission dequeue rate across shards."`
+	WaitMs             LatencyMs         `json:"wait_ms" prom:"admission_wait_ms" help:"Fair-queue residency per admitted submission (ms)."`
+	FastInitialMs      LatencyMs         `json:"fast_initial_ms" prom:"admission_initial_ms" label:"path=fast" help:"Submit-to-initial-plan latency by path (ms)."`
+	FullInitialMs      LatencyMs         `json:"full_initial_ms" prom:"admission_initial_ms" label:"path=full" help:"Submit-to-initial-plan latency by path (ms)."`
 }
 
-// AdmissionGauges carries the aggregated controller gauges into
-// Metrics.snapshot.
-type AdmissionGauges struct {
-	PerTenant map[string]int
-	DrainRate float64
-}
+// LatencyMs summarises one latency window in milliseconds.
+type LatencyMs = stats.Summary
 
-// ObsStats carries the tracer's aggregated gauges into Metrics.snapshot.
-type ObsStats struct {
-	Spans   uint64
-	Dropped uint64
-	Stages  map[string]obs.StageStats
-}
+// TriggerMs is the per-trigger replan latency; Prometheus lists it in
+// planner.TriggerNames order.
+type TriggerMs map[string]LatencyMs
 
-// DurabilityStats carries the aggregated per-store WAL gauges into
-// Metrics.snapshot.
-type DurabilityStats struct {
-	WALAppends uint64
-	WALBytes   uint64
-	Snapshots  uint64
-	Recovered  uint64
-	RecoveryMs float64
-}
-
-// LatencyMs summarises one latency window: the sample count over the
-// daemon's lifetime and quantiles (milliseconds) over the retained window.
-type LatencyMs struct {
-	Count uint64  `json:"count"`
-	P50   float64 `json:"p50"`
-	P90   float64 `json:"p90"`
-	P99   float64 `json:"p99"`
-}
-
-// snapshot assembles the document; queueDepth supplies the current
-// per-shard queue lengths, historyTenants/historyCells the aggregated
-// tenant-repository gauges.
-func (m *Metrics) snapshot(queueDepth []int, historyTenants, historyCells, sharedGrids, reservations, transferReservations int, adm AdmissionGauges, d DurabilityStats, o ObsStats) MetricsDoc {
-	byClass := func(c *[3]atomic.Uint64) map[string]uint64 {
-		out := make(map[string]uint64, len(admission.ClassNames))
-		for i, name := range admission.ClassNames {
-			out[name] = c[i].Load()
-		}
-		return out
-	}
-	winDoc := func(w *latencyWindow) LatencyMs {
-		lq := w.quantiles(0.50, 0.90, 0.99)
-		return LatencyMs{Count: w.count(), P50: lq[0], P90: lq[1], P99: lq[2]}
-	}
-	resched := make(map[string]LatencyMs, len(m.reschedLat))
-	for i, name := range planner.TriggerNames {
-		resched[name] = winDoc(&m.reschedLat[i])
-	}
-	return MetricsDoc{
-		UptimeS:               time.Since(m.start).Seconds(),
-		Shards:                len(queueDepth),
-		Submissions:           m.submissions.Load(),
-		Accepted:              m.accepted.Load(),
-		RejectedFull:          m.rejectedFull.Load(),
-		RejectedInvalid:       m.rejectedInvalid.Load(),
-		RejectedDrain:         m.rejectedDrain.Load(),
-		AbandonedIntake:       m.abandonedIntake.Load(),
-		Completed:             m.completed.Load(),
-		Failed:                m.failed.Load(),
-		Decisions:             m.decisions.Load(),
-		Reschedules:           m.reschedules.Load(),
-		Evicted:               m.evicted.Load(),
-		Reports:               m.reports.Load(),
-		ReportEvents:          m.reportEvents.Load(),
-		ReportsRejected:       m.reportsRejected.Load(),
-		ReportsDuplicate:      m.reportsDuplicate.Load(),
-		WhatIfQueries:         m.whatifs.Load(),
-		ReschedulesVariance:   m.reschedVariance.Load(),
-		ReschedulesArrival:    m.reschedArrival.Load(),
-		ReschedulesDeparture:  m.reschedDeparture.Load(),
-		ReschedulesContention: m.reschedContention.Load(),
-		ReschedulesUpgrade:    m.reschedUpgrade.Load(),
-		RescheduleMs:          resched,
-		Admission: AdmissionDoc{
-			AdmittedByClass:    byClass(&m.admAdmitted),
-			FastPathByClass:    byClass(&m.admFastPath),
-			UpgradedByClass:    byClass(&m.admUpgraded),
-			RejectedByClass:    byClass(&m.admRejected),
-			QueueDepthByTenant: adm.PerTenant,
-			DrainRatePerS:      adm.DrainRate,
-			WaitMs:             winDoc(&m.admWaitMs),
-			FastInitialMs:      winDoc(&m.admInitialFastMs),
-			FullInitialMs:      winDoc(&m.admInitialFullMs),
-		},
-		LiveResident:         m.liveResident.Load(),
-		HistoryTenants:       historyTenants,
-		HistoryCells:         historyCells,
-		HistoryEvicted:       m.historyEvicted.Load(),
-		SharedGrids:          sharedGrids,
-		Reservations:         reservations,
-		TransferReservations: transferReservations,
-		EventsEmitted:        m.eventsEmitted.Load(),
-		EventsDropped:        m.eventsDropped.Load(),
-		WALAppends:           d.WALAppends,
-		WALBytes:             d.WALBytes,
-		Snapshots:            d.Snapshots,
-		WALErrors:            m.walErrors.Load(),
-		WALRecordsSkipped:    m.walSkipped.Load(),
-		RecoveredWorkflows:   d.Recovered,
-		RecoveryMs:           d.RecoveryMs,
-		TraceSpans:           o.Spans,
-		TraceSpansDropped:    o.Dropped,
-		TraceStageMs:         o.Stages,
-		RecorderRecords:      m.recorderRecords.Load(),
-		RecorderErrors:       m.recorderErrors.Load(),
-		Inflight:             m.inflight.Load(),
-		InflightPeak:         m.inflightPeak.Load(),
-		QueueDepth:           queueDepth,
-		ComputeMs:            winDoc(&m.compute),
-	}
-}
+func (TriggerMs) keys() []string { return planner.TriggerNames[:] }
 
 func writeJSON(w http.ResponseWriter, code int, v any) {
 	w.Header().Set("Content-Type", "application/json")

@@ -3,7 +3,6 @@ package server
 import (
 	"encoding/json"
 	"fmt"
-	"math"
 	"net/http"
 	"os"
 	"path/filepath"
@@ -12,7 +11,6 @@ import (
 	"aheft/internal/admission"
 	"aheft/internal/durable"
 	"aheft/internal/obs"
-	"aheft/internal/planner"
 	"aheft/internal/wire"
 )
 
@@ -82,15 +80,15 @@ func (r *recorder) append(shard int, kind string, payload any) {
 		var err error
 		data, err = json.Marshal(payload)
 		if err != nil {
-			r.m.recorderErrors.Add(1)
+			r.m.count(func(c *MetricsDoc) { c.RecorderErrors++ })
 			return
 		}
 	}
 	if err := r.logs[shard].Append(kind, data); err != nil {
-		r.m.recorderErrors.Add(1)
+		r.m.count(func(c *MetricsDoc) { c.RecorderErrors++ })
 		return
 	}
-	r.m.recorderRecords.Add(1)
+	r.m.count(func(c *MetricsDoc) { c.RecorderRecords++ })
 }
 
 func (r *recorder) submission(shard int, id string, body json.RawMessage) {
@@ -105,21 +103,11 @@ func (r *recorder) grid(shard int, name string, spec json.RawMessage) {
 	r.append(shard, wire.RecGrid, wire.RecBody{Grid: name, At: time.Now().UnixNano(), Body: spec})
 }
 
-func (r *recorder) decision(shard int, id string, d planner.Decision) {
-	old := d.OldMakespan
-	if math.IsInf(old, 1) {
-		old = -1 // the wire sentinel: a departure made the old plan infeasible
-	}
+func (r *recorder) decision(shard int, id string, d *wire.Decision) {
 	r.append(shard, wire.RecDecision, wire.RecDecided{
-		Workflow:     id,
-		Clock:        d.Clock,
-		PoolSize:     d.PoolSize,
-		OldMakespan:  old,
-		NewMakespan:  d.NewMakespan,
-		Adopted:      d.Adopted,
-		JobsFinished: d.JobsFinished,
-		Trigger:      d.Trigger.String(),
-		Arrived:      d.ArrivedCount,
+		Workflow: id, Clock: d.Clock, PoolSize: d.PoolSize,
+		OldMakespan: d.OldMakespan, NewMakespan: d.NewMakespan, Adopted: d.Adopted,
+		JobsFinished: d.JobsFinished, Trigger: d.Trigger, Arrived: d.Arrived,
 	})
 }
 
@@ -173,7 +161,7 @@ func (s *Server) InjectRecorded(id string, body []byte) (int, error) {
 	}
 	s.mu.Unlock()
 	m := s.metrics
-	m.submissions.Add(1)
+	m.count(func(c *MetricsDoc) { c.Submissions++ })
 	if s.cfg.RecordDir != "" && s.recorder != nil {
 		wf.recBody = append(json.RawMessage(nil), body...)
 	}
@@ -195,8 +183,10 @@ func (s *Server) InjectRecorded(id string, body []byte) (int, error) {
 		s.reject(wf, fmt.Errorf("shard %d admission refused: %w", wf.shard, err))
 		return 0, fmt.Errorf("shard %d admission refused: %w", wf.shard, err)
 	}
-	m.accepted.Add(1)
-	m.eventsEmitted.Add(1)
+	m.count(func(c *MetricsDoc) {
+		c.Accepted++
+		c.EventsEmitted++ // the seeded "submitted" event
+	})
 	return wf.shard, nil
 }
 

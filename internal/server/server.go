@@ -326,44 +326,37 @@ func Open(cfg Config) (*Server, error) {
 // Handler returns the daemon's HTTP API.
 func (s *Server) Handler() http.Handler { return s.mux }
 
-// Metrics exposes the counter set (tests and embedding callers).
-func (s *Server) Metrics() *Metrics { return s.metrics }
-
-// MetricsSnapshot assembles the current /metrics document, including the
-// live per-shard queue depths and the aggregated tenant-history gauges.
+// MetricsSnapshot assembles the current /metrics document: the counters
+// and latency windows, plus the gauges read from the shards, grids,
+// durable stores and tracer.
 func (s *Server) MetricsSnapshot() MetricsDoc {
-	depth := make([]int, len(s.shards))
-	tenants, cells := 0, 0
-	adm := AdmissionGauges{PerTenant: make(map[string]int)}
+	doc := s.metrics.snapshot()
+	doc.Shards = len(s.shards)
+	doc.QueueDepth = make([]int, len(s.shards))
+	a := &doc.Admission
+	a.QueueDepthByTenant = make(map[string]int)
 	for i, sh := range s.shards {
 		st := sh.adm.Stats()
-		depth[i] = st.Total
+		doc.QueueDepth[i] = st.Total
 		for tenant, d := range st.PerTenant {
-			adm.PerTenant[tenant] += d
+			a.QueueDepthByTenant[tenant] += d
 		}
-		adm.DrainRate += st.DrainRate
+		a.DrainRatePerS += st.DrainRate
 		t, c := sh.historyTotals()
-		tenants += t
-		cells += c
-	}
-	grids, reservations, transfers := s.gridTotals()
-	var d DurabilityStats
-	for _, sh := range s.shards {
+		doc.HistoryTenants += t
+		doc.HistoryCells += c
 		if sh.wal != nil {
-			a, b, sn := sh.wal.store.Counters()
-			d.WALAppends += a
-			d.WALBytes += b
-			d.Snapshots += sn
+			appends, size, snaps := sh.wal.store.Counters()
+			doc.WALAppends += appends
+			doc.WALBytes += size
+			doc.Snapshots += snaps
 		}
 	}
-	d.Recovered = s.recovery.Workflows
-	d.RecoveryMs = s.recovery.Ms
-	var o ObsStats
-	if s.tracer != nil {
-		o.Spans, o.Dropped = s.tracer.Totals()
-		o.Stages = s.tracer.StageSummary()
-	}
-	return s.metrics.snapshot(depth, tenants, cells, grids, reservations, transfers, adm, d, o)
+	doc.SharedGrids, doc.Reservations, doc.TransferReservations = s.gridTotals()
+	doc.RecoveredWorkflows, doc.RecoveryMs = s.recovery.Workflows, s.recovery.Ms
+	doc.TraceSpans, doc.TraceSpansDropped = s.tracer.Totals()
+	doc.TraceStageMs = s.tracer.StageSummary()
+	return doc
 }
 
 // Shutdown drains the daemon: it stops intake (further submissions get
@@ -442,7 +435,7 @@ type errorDoc struct {
 
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	m := s.metrics
-	m.submissions.Add(1)
+	m.count(func(c *MetricsDoc) { c.Submissions++ })
 	// Cheap rejections first: a request the daemon cannot accept is
 	// bounced before its (up to MaxBodyBytes) body is read or decoded,
 	// so backpressure bounds intake memory and CPU, not just the queues.
@@ -453,7 +446,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	draining := s.draining
 	s.submitMu.RUnlock()
 	if draining {
-		m.rejectedDrain.Add(1)
+		m.count(func(c *MetricsDoc) { c.RejectedDrain++ })
 		writeJSON(w, http.StatusServiceUnavailable, errorDoc{Error: "server is draining"})
 		return
 	}
@@ -476,7 +469,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	if allFull {
-		m.rejectedFull.Add(1)
+		m.count(func(c *MetricsDoc) { c.RejectedFull++ })
 		w.Header().Set("Retry-After", strconv.Itoa(s.shards[shardID].adm.RetryAfter("", "")))
 		writeJSON(w, http.StatusTooManyRequests, errorDoc{Error: fmt.Sprintf("shard %d admission queue full", shardID)})
 		return
@@ -492,7 +485,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		// Client gave up while waiting for an intake slot. Counted so
 		// the /metrics identity submissions = accepted + rejected_* +
 		// abandoned_intake still reconciles.
-		m.abandonedIntake.Add(1)
+		m.count(func(c *MetricsDoc) { c.AbandonedIntake++ })
 		return
 	}
 
@@ -505,13 +498,13 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	data, err := s.readBody(w, r)
 	if err != nil {
 		intakeAct.Fail(err)
-		m.rejectedInvalid.Add(1)
+		m.count(func(c *MetricsDoc) { c.RejectedInvalid++ })
 		return
 	}
 	wf, _, err := s.buildWorkflow(id, data)
 	if err != nil {
 		intakeAct.Fail(err)
-		m.rejectedInvalid.Add(1)
+		m.count(func(c *MetricsDoc) { c.RejectedInvalid++ })
 		writeJSON(w, http.StatusBadRequest, errorDoc{Error: err.Error()})
 		return
 	}
@@ -531,7 +524,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		s.submitMu.RUnlock()
 		intakeAct.Fail(fmt.Errorf("server is draining"))
 		s.reject(wf, fmt.Errorf("server is draining"))
-		m.rejectedDrain.Add(1)
+		m.count(func(c *MetricsDoc) { c.RejectedDrain++ })
 		writeJSON(w, http.StatusServiceUnavailable, errorDoc{Error: "server is draining"})
 		return
 	}
@@ -557,16 +550,18 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	// start replays it into the fair queue as pending. A refused enqueue
 	// voids it with a reject record below.
 	s.shards[wf.shard].walLogSubmission(id, data, wf.tenant, wf.class, wf.weight)
-	ci, _ := admission.ClassIndex(wf.class)
+	cls := className(wf.class)
 	err = s.shards[wf.shard].adm.Enqueue(admission.Item{
 		ID: id, Tenant: wf.tenant, Class: wf.class, Weight: wf.weight, Value: wf,
 	})
 	var backlog *admission.BacklogError
 	switch {
 	case err == nil:
-		m.accepted.Add(1)
-		m.admAdmitted[ci].Add(1)
-		m.eventsEmitted.Add(1) // the seeded "submitted" event
+		m.count(func(c *MetricsDoc) {
+			c.Accepted++
+			c.Admission.AdmittedByClass[cls]++
+			c.EventsEmitted++ // the seeded "submitted" event
+		})
 		s.submitMu.RUnlock()
 	case errors.As(err, &backlog):
 		// Bounded backlog: backpressure, not buffering. The rejection is
@@ -579,8 +574,10 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		s.shards[wf.shard].walLogReject(id)
 		wf.queueAct.Fail(err)
 		s.reject(wf, err)
-		m.rejectedFull.Add(1)
-		m.admRejected[ci].Add(1)
+		m.count(func(c *MetricsDoc) {
+			c.RejectedFull++
+			c.Admission.RejectedByClass[cls]++
+		})
 		w.Header().Set("Retry-After", strconv.Itoa(backlog.RetryAfter))
 		writeJSON(w, http.StatusTooManyRequests, errorDoc{Error: err.Error()})
 		return
@@ -593,7 +590,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		s.shards[wf.shard].walLogReject(id)
 		wf.queueAct.Fail(err)
 		s.reject(wf, err)
-		m.rejectedDrain.Add(1)
+		m.count(func(c *MetricsDoc) { c.RejectedDrain++ })
 		writeJSON(w, http.StatusServiceUnavailable, errorDoc{Error: err.Error()})
 		return
 	}
@@ -778,7 +775,7 @@ func (s *Server) retire(id string) {
 		s.tracer.Release(s.retained[0])
 		delete(s.wfs, s.retained[0])
 		s.retained = s.retained[1:]
-		s.metrics.evicted.Add(1)
+		s.metrics.count(func(c *MetricsDoc) { c.Evicted++ })
 	}
 	s.mu.Unlock()
 }
@@ -872,7 +869,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		"status":   "ok",
 		"shards":   len(s.shards),
 		"draining": draining,
-		"inflight": s.metrics.inflight.Load(),
+		"inflight": s.metrics.inflight(),
 	})
 }
 

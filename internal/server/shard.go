@@ -202,7 +202,7 @@ func (wf *workflow) eventsFrom(i int) []wire.Event {
 // append adds one event to the log (its position is its dense Seq) and
 // fans it out to the live subscribers. Fan-out never blocks the worker: a
 // subscriber whose buffer is full loses the event, and the loss is
-// counted in Metrics.eventsDropped (surfaced as events_dropped in
+// counted in MetricsDoc.EventsDropped (surfaced as events_dropped in
 // /metrics) — the log itself is complete, so a replaying consumer can
 // always recover the full stream.
 func (wf *workflow) append(m *Metrics, ev wire.Event) {
@@ -214,12 +214,12 @@ func (wf *workflow) append(m *Metrics, ev wire.Event) {
 			select {
 			case ch <- ev:
 			default:
-				m.eventsDropped.Add(1)
+				m.count(func(c *MetricsDoc) { c.EventsDropped++ })
 			}
 		}
 	}
 	wf.mu.Unlock()
-	m.eventsEmitted.Add(1)
+	m.count(func(c *MetricsDoc) { c.EventsEmitted++ })
 }
 
 // subscribe returns a snapshot of the log so far plus a live channel for
@@ -328,6 +328,14 @@ func cutDecisions(log []eventRec, ds []wire.Decision) []eventRec {
 		return append([]eventRec(nil), log...)
 	}
 	return kept
+}
+
+// setPlan publishes plan as the workflow's live plan for GET …/plan.
+func (wf *workflow) setPlan(plan *wire.Plan) {
+	wf.mu.Lock()
+	wf.plan = plan
+	wf.st.Generation = plan.Generation
+	wf.mu.Unlock()
 }
 
 // status assembles the wire.Status document.
@@ -479,11 +487,10 @@ func (sh *shard) executeAdmitted(d admission.Dequeued) {
 	wf := d.Item.Value.(*workflow)
 	if d.FastPath && wf.live && wf.pol.Adaptive() {
 		wf.fastPath = true
-		if ci, ok := admission.ClassIndex(wf.class); ok {
-			sh.srv.metrics.admFastPath[ci].Add(1)
-		}
+		cls := className(wf.class)
+		sh.srv.metrics.count(func(c *MetricsDoc) { c.Admission.FastPathByClass[cls]++ })
 	}
-	sh.srv.metrics.admWaitMs.record(d.Queued.Seconds() * 1e3)
+	sh.srv.metrics.admWait.Record(d.Queued.Seconds() * 1e3)
 	sh.execute(wf)
 }
 
@@ -514,12 +521,7 @@ func (sh *shard) execute(wf *workflow) {
 	wf.startedAt = started
 	wf.mu.Unlock()
 	wf.append(m, wire.Event{Kind: "started"})
-	planAct := sh.srv.tracer.Start(obs.StagePlan, wf.id)
-	if planAct != nil {
-		planAct.Span.Parent = wf.rootSpan
-		planAct.Span.Shard = sh.id
-		planAct.Span.Tenant = wf.tenant
-	}
+	planAct := sh.startSpan(obs.StagePlan, wf)
 
 	// Decisions are tallied in the observer, not from the result: a run
 	// that fails mid-way still made (and streamed) its evaluations, and
@@ -532,11 +534,7 @@ func (sh *shard) execute(wf *workflow) {
 			if d.Adopted {
 				adoptions++
 			}
-			if rec := sh.srv.recorder; rec != nil {
-				rec.decision(sh.id, wf.id, d)
-			}
-			wd := wireDecision(d)
-			wf.append(m, decisionEvent(&wd))
+			sh.logDecision(wf, d)
 		})
 
 	// The terminal event goes into the log (and to live subscribers)

@@ -404,3 +404,90 @@ func TestSharedGridContentionBeatsOblivious(t *testing.T) {
 		t.Fatalf("post-drain: completed=%d failed=%d", got.Completed, got.Failed)
 	}
 }
+
+// TestAdoptionsPublishAlike drives an adoption down each of the three
+// roads a live replan takes — a report (the sample's r4 joining at
+// t=15), another workflow's freed capacity (contention) and a fast-path
+// upgrade — and checks that they leave the same trace: every adopted
+// decision event is followed by a "plan" event carrying its trigger and a
+// newer generation before anything else is logged, the generations count
+// the adoptions, and /metrics counts each adoption once under its trigger.
+func TestAdoptionsPublishAlike(t *testing.T) {
+	srv, ts := newTestServer(t, Config{Shards: 1, FastPathDepth: 1})
+	t.Cleanup(func() {
+		// The sample workflow stays live: cancel it rather than wait out
+		// the drain deadline.
+		ctx, cancel := context.WithCancel(context.Background())
+		cancel()
+		_ = srv.Shutdown(ctx)
+	})
+	sc := workload.SampleScenario()
+	registerGrid(t, ts, "g", sc)
+	idA := submitShared(t, ts, "g", "alpha", sc)
+	waitPlan(t, ts, idA)
+	idB := submitShared(t, ts, "g", "beta", sc)
+	waitPlan(t, ts, idB)
+	var p wire.Submitted
+	if code, msg := postJSON(t, ts, "/v1/workflows", encodeLive(t, sc, "aheft", "acme", wire.Options{TieWindow: 0.05}), &p); code != http.StatusAccepted {
+		t.Fatalf("submit: HTTP %d %s", code, msg)
+	}
+	fetchPlan(t, ts, p.ID)
+	waitUpgraded(t, srv, wire.ClassNormal, 3)
+
+	evs := append(replayPrefix(fetchPlan(t, ts, p.ID), 15), wire.ReportEvent{Kind: wire.ReportResourceJoin, Time: 15, Resource: 3})
+	if code, msg := postJSON(t, ts, "/v1/workflows/"+p.ID+"/report", encodeReport(t, evs...), &wire.ReportAck{}); code != http.StatusOK {
+		t.Fatalf("report: HTTP %d %s", code, msg)
+	}
+	reportPlanExecution(t, ts, idA, waitPlan(t, ts, idA))
+	reportPlanExecution(t, ts, idB, waitPlan(t, ts, idB))
+
+	adopted := map[string]uint64{}
+	for _, id := range []string{idA, idB, p.ID} {
+		wf, _ := srv.lookup(id)
+		wf.mu.Lock()
+		log := wf.eventsFrom(0)
+		wf.mu.Unlock()
+		gen, adoptions, pending := 0, 0, ""
+		for _, ev := range log {
+			switch {
+			case ev.Kind == "decision":
+				if ev.Decision.Adopted {
+					adopted[ev.Trigger]++
+					adoptions++
+					pending = ev.Trigger
+				}
+			case ev.Kind == "plan" && ev.Trigger == "initial":
+				gen = ev.Generation
+			case ev.Kind == "plan":
+				if ev.Trigger != pending || ev.Generation <= gen {
+					t.Fatalf("%s: plan event %+v after adopted %q at generation %d", id, ev, pending, gen)
+				}
+				gen, pending = ev.Generation, ""
+			case pending != "":
+				t.Fatalf("%s: adopted %q decision never published before %+v", id, pending, ev)
+			}
+		}
+		if pending != "" || gen != 1+adoptions {
+			t.Fatalf("%s: generation %d after %d adoptions (unpublished %q)", id, gen, adoptions, pending)
+		}
+	}
+	for _, trig := range []string{"arrival", "contention", "upgrade"} {
+		if adopted[trig] == 0 {
+			t.Errorf("no %s adoption in the logs: %v", trig, adopted)
+		}
+	}
+	m := srv.MetricsSnapshot()
+	total := uint64(0)
+	for trig, got := range map[string]uint64{
+		"arrival": m.ReschedulesArrival, "variance": m.ReschedulesVariance, "departure": m.ReschedulesDeparture,
+		"contention": m.ReschedulesContention, "upgrade": m.ReschedulesUpgrade,
+	} {
+		if got != adopted[trig] {
+			t.Errorf("/metrics counts %d %s adoptions, the logs %d", got, trig, adopted[trig])
+		}
+		total += adopted[trig]
+	}
+	if m.Reschedules != total {
+		t.Errorf("/metrics reschedules %d, the logs %d", m.Reschedules, total)
+	}
+}

@@ -61,9 +61,9 @@ func TestTerminalRecordBudget(t *testing.T) {
 			}
 		}
 		deadline := time.Now().Add(2 * time.Minute)
-		for srv.metrics.inflight.Load() != 0 {
+		for srv.metrics.inflight() != 0 {
 			if time.Now().After(deadline) {
-				t.Fatalf("%d workflows still in flight", srv.metrics.inflight.Load())
+				t.Fatalf("%d workflows still in flight", srv.metrics.inflight())
 			}
 			time.Sleep(time.Millisecond)
 		}

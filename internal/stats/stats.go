@@ -1,13 +1,15 @@
 // Package stats provides the small set of summary statistics the
 // experiment harness reports: means, deviations, confidence intervals and
 // the paper's headline metric, the makespan improvement rate of AHEFT over
-// HEFT.
+// HEFT. It also holds the bounded latency window behind every quantile the
+// daemon's /metrics reports.
 package stats
 
 import (
 	"fmt"
 	"math"
 	"sort"
+	"sync"
 )
 
 // Sample accumulates observations incrementally using Welford's algorithm,
@@ -155,4 +157,45 @@ func Quantiles(xs []float64, qs ...float64) []float64 {
 		out[i] = sorted[idx]
 	}
 	return out
+}
+
+// Summary is a latency window's /metrics form: the samples recorded over
+// the window's lifetime and the nearest-rank quantiles of those it keeps.
+type Summary struct {
+	Count uint64  `json:"count"`
+	P50   float64 `json:"p50"`
+	P90   float64 `json:"p90"`
+	P99   float64 `json:"p99"`
+}
+
+// Window keeps the last Cap samples for quantile queries, so a long-lived
+// process reports current behaviour in bounded memory. It is safe for
+// concurrent use; set Cap before the first Record.
+type Window struct {
+	Cap   int
+	mu    sync.Mutex
+	buf   []float64
+	next  int
+	total uint64
+}
+
+// Record adds one sample, overwriting the oldest once the window is full.
+func (w *Window) Record(x float64) {
+	w.mu.Lock()
+	if len(w.buf) < w.Cap {
+		w.buf = append(w.buf, x)
+	} else {
+		w.buf[w.next] = x
+		w.next = (w.next + 1) % w.Cap
+	}
+	w.total++
+	w.mu.Unlock()
+}
+
+// Summary returns the window's count and p50/p90/p99 (zeros when empty).
+func (w *Window) Summary() Summary {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	q := Quantiles(w.buf, 0.50, 0.90, 0.99)
+	return Summary{Count: w.total, P50: q[0], P90: q[1], P99: q[2]}
 }

@@ -138,3 +138,17 @@ func TestString(t *testing.T) {
 		t.Fatal("empty String")
 	}
 }
+
+func TestWindowKeepsTheLastCap(t *testing.T) {
+	w := Window{Cap: 4}
+	if got := w.Summary(); got != (Summary{}) {
+		t.Fatalf("empty window: %+v", got)
+	}
+	for x := 1.0; x <= 10; x++ {
+		w.Record(x)
+	}
+	// Ten samples recorded, the last four (7..10) kept.
+	if got, want := w.Summary(), (Summary{Count: 10, P50: 8, P90: 10, P99: 10}); got != want {
+		t.Fatalf("summary %+v, want %+v", got, want)
+	}
+}
