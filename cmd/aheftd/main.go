@@ -15,6 +15,12 @@
 // queued workflow finishes, then the process exits 0. A second signal —
 // or the -drain-timeout deadline — force-cancels in-flight runs and
 // exits non-zero.
+//
+// -debug-addr serves net/http/pprof on a listener of its own (off by
+// default; never on -addr):
+//
+//	aheftd -debug-addr 127.0.0.1:6060 &
+//	go tool pprof 'http://127.0.0.1:6060/debug/pprof/profile?seconds=10'
 package main
 
 import (
@@ -22,8 +28,10 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"net/http"
+	_ "net/http/pprof"
 	"os"
 	"os/signal"
 	"syscall"
@@ -34,35 +42,49 @@ import (
 	"aheft/internal/wire"
 )
 
-func main() {
-	addr := flag.String("addr", ":7070", "listen address")
-	shards := flag.Int("shards", 4, "session workers (one scheduling pipeline each)")
-	queue := flag.Int("queue", 256, "per-shard bounded admission backlog (total accepted-but-unstarted submissions)")
-	tenantBacklog := flag.Int("tenant-backlog", 0, "per-tenant share of a shard's admission backlog (0 = unbounded; floods then bound only by -queue)")
-	fastPathDepth := flag.Int("fast-path-depth", 0, "backlog depth at which live submissions get a fast greedy plan upgraded asynchronously (0 = built-in 8, negative = off)")
-	gridShareCap := flag.Float64("grid-share-cap", 0, "per-tenant share cap on a shared grid's reservations, 0 < cap < 1 (0 = off)")
-	maxJobs := flag.Int("max-jobs", wire.DefaultLimits.MaxJobs, "per-submission job cap")
-	maxRes := flag.Int("max-resources", wire.DefaultLimits.MaxResources, "per-submission resource cap")
-	defaultPolicy := flag.String("policy", "aheft", "default scheduling policy for submissions that name none")
-	drainTimeout := flag.Duration("drain-timeout", 60*time.Second, "max time to drain queued workflows on shutdown")
-	varThr := flag.Float64("variance-threshold", 0, "default significant-variance gate for live workflows (0 = built-in 0.2)")
-	maxTenants := flag.Int("max-tenant-histories", 0, "per-shard cap on retained tenant performance histories (0 = 1024, negative = unbounded)")
-	maxGrids := flag.Int("max-grids", 0, "cap on registered shared grids (0 = 256, negative = unbounded)")
-	dataDir := flag.String("data-dir", "", "durability directory (per-shard WAL + snapshots); empty = in-memory only")
-	walSync := flag.String("wal-sync", "interval", "WAL fsync policy: always | interval | off")
-	walSyncInterval := flag.Duration("wal-sync-interval", 0, "fsync cadence for -wal-sync=interval (0 = built-in 100ms)")
-	snapInterval := flag.Duration("snapshot-interval", 0, "per-shard snapshot cadence (0 = built-in 30s)")
-	tracing := flag.Bool("trace", false, "enable the causal span tracer (GET /v1/workflows/{id}/trace, per-stage latencies in /metrics)")
-	traceFile := flag.String("trace-file", "", "stream completed spans to this file as OTLP-shaped JSON lines (implies -trace)")
-	traceSpans := flag.Int("trace-spans", 0, "retained spans per workflow for the trace endpoint (0 = built-in 512)")
-	recordDir := flag.String("record-dir", "", "flight-recorder directory: capture every input and decision per shard for deterministic replay (cmd/replay)")
-	version := flag.Bool("version", false, "print the build version and exit")
-	flag.Parse()
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
-	if *version {
-		fmt.Println(buildinfo.String())
-		return
+// run is the daemon: it returns once a drain (or a failure to serve)
+// ends it, with the process's exit code.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("aheftd", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	addr := fs.String("addr", ":7070", "listen address")
+	shards := fs.Int("shards", 4, "session workers (one scheduling pipeline each)")
+	queue := fs.Int("queue", 256, "per-shard bounded admission backlog (total accepted-but-unstarted submissions)")
+	tenantBacklog := fs.Int("tenant-backlog", 0, "per-tenant share of a shard's admission backlog (0 = unbounded; floods then bound only by -queue)")
+	fastPathDepth := fs.Int("fast-path-depth", 0, "backlog depth at which live submissions get a fast greedy plan upgraded asynchronously (0 = built-in 8, negative = off)")
+	gridShareCap := fs.Float64("grid-share-cap", 0, "per-tenant share cap on a shared grid's reservations, 0 < cap < 1 (0 = off)")
+	maxJobs := fs.Int("max-jobs", wire.DefaultLimits.MaxJobs, "per-submission job cap")
+	maxRes := fs.Int("max-resources", wire.DefaultLimits.MaxResources, "per-submission resource cap")
+	defaultPolicy := fs.String("policy", "aheft", "default scheduling policy for submissions that name none")
+	drainTimeout := fs.Duration("drain-timeout", 60*time.Second, "max time to drain queued workflows on shutdown")
+	varThr := fs.Float64("variance-threshold", 0, "default significant-variance gate for live workflows (0 = built-in 0.2)")
+	maxTenants := fs.Int("max-tenant-histories", 0, "per-shard cap on retained tenant performance histories (0 = 1024, negative = unbounded)")
+	maxGrids := fs.Int("max-grids", 0, "cap on registered shared grids (0 = 256, negative = unbounded)")
+	dataDir := fs.String("data-dir", "", "durability directory (per-shard WAL + snapshots); empty = in-memory only")
+	walSync := fs.String("wal-sync", "interval", "WAL fsync policy: always | interval | off")
+	walSyncInterval := fs.Duration("wal-sync-interval", 0, "fsync cadence for -wal-sync=interval (0 = built-in 100ms)")
+	snapInterval := fs.Duration("snapshot-interval", 0, "per-shard snapshot cadence (0 = built-in 30s)")
+	tracing := fs.Bool("trace", false, "enable the causal span tracer (GET /v1/workflows/{id}/trace, per-stage latencies in /metrics)")
+	traceFile := fs.String("trace-file", "", "stream completed spans to this file as OTLP-shaped JSON lines (implies -trace)")
+	traceSpans := fs.Int("trace-spans", 0, "retained spans per workflow for the trace endpoint (0 = built-in 512)")
+	recordDir := fs.String("record-dir", "", "flight-recorder directory: capture every input and decision per shard for deterministic replay (cmd/replay)")
+	debugAddr := fs.String("debug-addr", "", "serve net/http/pprof on this address, apart from -addr (empty = off)")
+	version := fs.Bool("version", false, "print the build version and exit")
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
 	}
+	if *version {
+		fmt.Fprintln(stdout, buildinfo.String())
+		return 0
+	}
+	logger := log.New(stderr, "", log.LstdFlags)
+	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGTERM, syscall.SIGINT)
+	defer stop()
 
 	// Serve the readiness gate before recovery starts: a restarted durable
 	// daemon with a deep WAL answers 503 "recovering" instead of refusing
@@ -70,12 +92,22 @@ func main() {
 	// /v1/healthz rather than on the TCP dial.
 	gate := server.NewGate()
 	httpSrv := &http.Server{Addr: *addr, Handler: gate}
-	errCh := make(chan error, 1)
+	errCh := make(chan error, 2)
 	go func() {
-		log.Printf("aheftd: %s listening on %s (%d shards, queue depth %d, default policy %s)",
+		logger.Printf("aheftd: %s listening on %s (%d shards, queue depth %d, default policy %s)",
 			buildinfo.String(), *addr, *shards, *queue, *defaultPolicy)
 		errCh <- httpSrv.ListenAndServe()
 	}()
+	if *debugAddr != "" {
+		// net/http/pprof registers on http.DefaultServeMux, which only this
+		// listener serves: the API handler is a mux of its own.
+		debugSrv := &http.Server{Addr: *debugAddr, Handler: http.DefaultServeMux}
+		defer debugSrv.Close()
+		go func() {
+			logger.Printf("aheftd: profiling on %s", *debugAddr)
+			errCh <- debugSrv.ListenAndServe()
+		}()
+	}
 
 	srv, err := server.Open(server.Config{
 		Shards:                *shards,
@@ -98,42 +130,43 @@ func main() {
 		RecordDir:             *recordDir,
 	})
 	if err != nil {
-		log.Fatalf("aheftd: open: %v", err)
+		logger.Printf("aheftd: open: %v", err)
+		return 1
 	}
 	gate.Ready(srv.Handler())
 	if *dataDir != "" {
-		log.Printf("aheftd: durable in %s (wal-sync=%s): %s", *dataDir, *walSync, srv.Recovery())
+		logger.Printf("aheftd: durable in %s (wal-sync=%s): %s", *dataDir, *walSync, srv.Recovery())
 	}
 
-	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGTERM, syscall.SIGINT)
-	defer stop()
 	select {
 	case err := <-errCh:
-		log.Fatalf("aheftd: serve: %v", err)
+		logger.Printf("aheftd: serve: %v", err)
+		return 1
 	case <-ctx.Done():
 	}
 	stop() // restore default handling: a second signal kills the process
 
-	log.Printf("aheftd: draining (timeout %s)", *drainTimeout)
+	logger.Printf("aheftd: draining (timeout %s)", *drainTimeout)
 	drainCtx, cancel := context.WithTimeout(context.Background(), *drainTimeout)
 	defer cancel()
 	drainErr := srv.Shutdown(drainCtx)
 	_ = httpSrv.Shutdown(drainCtx)
 
 	m := srv.MetricsSnapshot()
-	log.Printf("aheftd: drained: accepted=%d completed=%d failed=%d rejected(backpressure=%d invalid=%d drain=%d) reschedules=%d events=%d dropped=%d inflight_peak=%d",
+	logger.Printf("aheftd: drained: accepted=%d completed=%d failed=%d rejected(backpressure=%d invalid=%d drain=%d) reschedules=%d events=%d dropped=%d inflight_peak=%d",
 		m.Accepted, m.Completed, m.Failed, m.RejectedFull, m.RejectedInvalid, m.RejectedDrain,
 		m.Reschedules, m.EventsEmitted, m.EventsDropped, m.InflightPeak)
-	log.Printf("aheftd: feedback: reports=%d events=%d rejected=%d whatif=%d reschedules(variance=%d arrival=%d departure=%d) history(tenants=%d cells=%d)",
+	logger.Printf("aheftd: feedback: reports=%d events=%d rejected=%d whatif=%d reschedules(variance=%d arrival=%d departure=%d) history(tenants=%d cells=%d)",
 		m.Reports, m.ReportEvents, m.ReportsRejected, m.WhatIfQueries,
 		m.ReschedulesVariance, m.ReschedulesArrival, m.ReschedulesDeparture,
 		m.HistoryTenants, m.HistoryCells)
 	if *dataDir != "" {
-		log.Printf("aheftd: durability: wal_appends=%d wal_bytes=%d snapshots=%d wal_errors=%d",
+		logger.Printf("aheftd: durability: wal_appends=%d wal_bytes=%d snapshots=%d wal_errors=%d",
 			m.WALAppends, m.WALBytes, m.Snapshots, m.WALErrors)
 	}
 	if drainErr != nil && !errors.Is(drainErr, context.Canceled) {
-		fmt.Fprintf(os.Stderr, "aheftd: drain incomplete: %v\n", drainErr)
-		os.Exit(1)
+		fmt.Fprintf(stderr, "aheftd: drain incomplete: %v\n", drainErr)
+		return 1
 	}
+	return 0
 }

@@ -5,14 +5,18 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"io"
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
 	"time"
+	"weak"
 
 	"aheft/internal/wire"
 	"aheft/internal/workload"
@@ -507,11 +511,143 @@ func TestAckAndPlanBytes(t *testing.T) {
 	if !ack.Rescheduled || ack.Plan == nil || len(ack.Plan.Assignments) != 10 {
 		t.Fatalf("the ack carries no adopted plan: %+v", ack)
 	}
+	// More adopting acks on the same workflow, each encoded through the
+	// memo of the one before: r1 and then r2, which hold pending jobs but
+	// run none, leave (their jobs must move) and rejoin.
+	adopted := 1
+	for i, clock := 0, 15.0; adopted < 4 && i < 8; i++ {
+		clock += 0.25
+		kind := wire.ReportResourceLeave
+		if i%2 == 1 {
+			kind = wire.ReportResourceJoin
+		}
+		resp, err = ts.Client().Post(ts.URL+"/v1/workflows/"+sub.ID+"/report", "application/json",
+			bytes.NewReader(encodeReport(t, wire.ReportEvent{Kind: kind, Time: clock, Resource: i / 2 % 2})))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var next wire.ReportAck
+		requireMarshalBytes(fmt.Sprintf("ack %d", i+2), resp, &next)
+		if next.Plan != nil {
+			adopted++
+		}
+	}
+	if adopted < 4 {
+		t.Fatalf("%d adopting acks, want 4", adopted)
+	}
 
 	rec := httptest.NewRecorder()
-	writeAppended(rec, &wire.Plan{Workflow: sub.ID, Makespan: math.Inf(1)}, wire.AppendPlan)
+	writeAppended(rec, &wire.Plan{Workflow: sub.ID, Makespan: math.Inf(1)}, nil, wire.AppendPlan)
 	var ed errorDoc
 	if err := json.Unmarshal(rec.Body.Bytes(), &ed); rec.Code != http.StatusInternalServerError || err != nil || ed.Error == "" {
 		t.Fatalf("refused document: HTTP %d %q (%v)", rec.Code, rec.Body.Bytes(), err)
 	}
+}
+
+// TestAckMemoEndsWithRun: the memo a live workflow's adopting acks encode
+// through lives in its running half, so neither a run driven to done nor
+// one force-cancelled at the drain deadline leaves it reachable from the
+// retained record — or from anywhere.
+func TestAckMemoEndsWithRun(t *testing.T) {
+	srv := New(Config{Shards: 1})
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	// adopt submits the sample for a tenant with no history and reports
+	// the r4 join at t=15, whose ack carries the adopted plan; it returns
+	// the workflow's memo, weakly.
+	adopt := func(tenant string) (string, wire.Plan, weak.Pointer[ackMemo]) {
+		var sub wire.Submitted
+		if code, msg := postJSON(t, ts, "/v1/workflows", encodeLive(t, workload.SampleScenario(), "aheft", tenant, wire.Options{TieWindow: 0.05}), &sub); code != http.StatusAccepted {
+			t.Fatalf("submit: HTTP %d %s", code, msg)
+		}
+		evs := append(replayPrefix(fetchPlan(t, ts, sub.ID), 15), wire.ReportEvent{Kind: wire.ReportResourceJoin, Time: 15, Resource: 3})
+		var ack wire.ReportAck
+		if code, msg := postJSON(t, ts, "/v1/workflows/"+sub.ID+"/report", encodeReport(t, evs...), &ack); code != http.StatusOK || ack.Plan == nil {
+			t.Fatalf("join report: HTTP %d %s %+v", code, msg, ack)
+		}
+		wf, _ := srv.lookup(sub.ID)
+		wf.mu.Lock()
+		defer wf.mu.Unlock()
+		if wf.memo == nil {
+			t.Fatal("an adopting ack left no memo on the running workflow")
+		}
+		return sub.ID, *ack.Plan, weak.Make(wf.memo)
+	}
+	requireGone := func(what, id string, memo weak.Pointer[ackMemo]) {
+		t.Helper()
+		wf, _ := srv.lookup(id)
+		wf.mu.Lock()
+		running := wf.running
+		wf.mu.Unlock()
+		if running != nil {
+			t.Fatalf("%s: the retained record keeps its running half", what)
+		}
+		for i := 0; memo.Value() != nil; i++ {
+			if i == 10 {
+				t.Fatalf("%s: the memo outlived the run", what)
+			}
+			runtime.GC()
+		}
+	}
+
+	done, plan, doneMemo := adopt("acme")
+	var tail []wire.ReportEvent
+	for _, ev := range replayPrefix(plan, math.Inf(1)) {
+		if ev.Time >= 15 {
+			tail = append(tail, ev)
+		}
+	}
+	var ack wire.ReportAck
+	if code, msg := postJSON(t, ts, "/v1/workflows/"+done+"/report", encodeReport(t, tail...), &ack); code != http.StatusOK || !ack.Done {
+		t.Fatalf("tail report: HTTP %d %s %+v", code, msg, ack)
+	}
+	requireGone("done", done, doneMemo)
+
+	cancelled, _, cancelledMemo := adopt("beta")
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if err := srv.Shutdown(ctx); err == nil {
+		t.Fatal("expired drain reported success")
+	}
+	if st := getStatus(t, ts, cancelled); st.State != StateFailed {
+		t.Fatalf("force-cancelled workflow: %+v", st)
+	}
+	requireGone("force-cancelled", cancelled, cancelledMemo)
+}
+
+// TestAckMemoSharedByHandlers: the HTTP goroutines a workflow's adopting
+// acks are handed to encode through its one memo at once, each under its
+// lock, and every ack still comes out as json.Marshal's bytes.
+func TestAckMemoSharedByHandlers(t *testing.T) {
+	var plans [3]*wire.Plan
+	for g := range plans {
+		p := &wire.Plan{Workflow: "wf", Generation: g + 1, Trigger: "variance"}
+		for j := 0; j < 40; j++ {
+			start := float64(j) * 1.5
+			if j%3 == g {
+				start += 0.25
+			}
+			p.Assignments = append(p.Assignments, wire.Assignment{Job: j, Resource: (j + g) % 4, Start: start, Finish: start + 1.5})
+		}
+		plans[g] = p
+	}
+	var memo ackMemo
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 50; i++ {
+				ack := &wire.ReportAck{Workflow: "wf", Rescheduled: true, Plan: plans[(g+i)%len(plans)]}
+				rec := httptest.NewRecorder()
+				writeAppended(rec, ack, &memo, wire.AppendReportAck)
+				want, _ := json.Marshal(ack)
+				if got := rec.Body.Bytes(); !bytes.Equal(got, append(want, '\n')) {
+					t.Errorf("ack %d of goroutine %d:\n got %q\nwant %q", i, g, got, want)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"sync"
 	"time"
 
 	"aheft/internal/cost"
@@ -39,9 +40,11 @@ type shardCmd struct {
 	reply   chan cmdResult
 }
 
-// cmdResult is the worker's answer.
+// cmdResult is the worker's answer. memo is the workflow's, handed over
+// with an ack that carries a plan.
 type cmdResult struct {
 	ack    *wire.ReportAck
+	memo   *ackMemo
 	whatif *wire.WhatIfDoc
 	code   int // HTTP status when errMsg is set
 	errMsg string
@@ -245,9 +248,9 @@ func (sh *shard) applyReport(wf *workflow, cmd shardCmd) {
 		if wf.tracker.AlreadyApplied(cmd.report.Events) {
 			m.count(func(c *MetricsDoc) { c.ReportsDuplicate++ })
 			ack := &wire.ReportAck{Workflow: wf.id, Applied: len(cmd.report.Events)}
-			wf.ackPlan(ack)
+			memo := wf.ackPlan(ack)
 			ingestAct.End()
-			cmd.reply <- cmdResult{ack: ack}
+			cmd.reply <- cmdResult{ack: ack, memo: memo}
 			return
 		}
 		m.count(func(c *MetricsDoc) { c.ReportsRejected++ })
@@ -269,7 +272,7 @@ func (sh *shard) applyReport(wf *workflow, cmd shardCmd) {
 	wf.mu.Lock()
 	wf.st.Reports++
 	wf.mu.Unlock()
-	wf.ackPlan(ack)
+	memo := wf.ackPlan(ack)
 	// Count the reservations this batch released before finishLive tears
 	// the tracker's grid state down.
 	released := 0
@@ -300,7 +303,7 @@ func (sh *shard) applyReport(wf *workflow, cmd shardCmd) {
 		}, 0)
 	}
 	ingestAct.End()
-	cmd.reply <- cmdResult{ack: ack}
+	cmd.reply <- cmdResult{ack: ack, memo: memo}
 	// Cross-workflow trigger: freed capacity is a run-time event for
 	// every survivor on the grid. Evaluated after the reply so the
 	// reporter is not held behind its neighbours' replans. The survivors'
@@ -315,21 +318,36 @@ func (sh *shard) applyReport(wf *workflow, cmd shardCmd) {
 // enactor has not been handed that generation yet, attaches the published
 // plan: the batch's own adoption, or a contention or upgrade adoption made
 // between this enactor's reports, picked up without an extra round trip.
-func (wf *workflow) ackPlan(ack *wire.ReportAck) {
+// It returns the memo to encode an ack carrying a plan through.
+func (wf *workflow) ackPlan(ack *wire.ReportAck) (memo *ackMemo) {
 	gen := wf.tracker.Generation()
 	ack.Generation = gen
 	if gen > wf.ackedGen {
 		wf.mu.Lock()
 		plan := wf.plan
-		wf.mu.Unlock()
 		if plan != nil {
 			ack.Rescheduled = true
 			ack.Trigger = plan.Trigger
 			ack.Plan = plan
 			ack.Generation = plan.Generation
+			if wf.memo == nil {
+				wf.memo = new(ackMemo)
+			}
+			memo = wf.memo
 		}
+		wf.mu.Unlock()
 	}
 	wf.ackedGen = gen
+	return memo
+}
+
+// ackMemo is a live workflow's memory of the last plan its report acks
+// carried (wire.AckMemo). It sits in the running half, so it ends with the
+// run; the HTTP goroutines an adopting ack is handed to encode through it
+// one at a time. GET …/plan encodes without one.
+type ackMemo struct {
+	mu   sync.Mutex
+	memo wire.AckMemo
 }
 
 // applyUpgrade runs the slow half of a fast-path admission on the
@@ -638,7 +656,7 @@ func (s *Server) handleReport(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, res.code, errorDoc{Error: res.errMsg})
 		return
 	}
-	writeAppended(w, res.ack, wire.AppendReportAck)
+	writeAppended(w, res.ack, res.memo, wire.AppendReportAck)
 }
 
 func (s *Server) handleWhatIf(w http.ResponseWriter, r *http.Request) {
@@ -692,5 +710,5 @@ func (s *Server) handlePlan(w http.ResponseWriter, r *http.Request) {
 			Shard: wf.shard, Parent: run.rootSpan, Generation: plan.Generation,
 		}, 0)
 	}
-	writeAppended(w, plan, wire.AppendPlan)
+	writeAppended(w, plan, nil, wire.AppendPlan)
 }

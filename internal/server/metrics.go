@@ -11,6 +11,7 @@ import (
 	"aheft/internal/admission"
 	"aheft/internal/planner"
 	"aheft/internal/stats"
+	"aheft/internal/wire"
 )
 
 // Metrics is the daemon's signal set behind GET /metrics. The counters the
@@ -301,14 +302,23 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 var respBufs = sync.Pool{New: func() any { return new([]byte) }}
 
 // writeAppended answers 200 with the document one of wire's append
-// encoders produces for v: compact JSON, Content-Length set, a single
-// Write. Only the report ack and the plan go this way — the documents of
-// the report loop's hot path; a value the encoder refuses (a non-finite
-// number, which no adopted plan carries) is a 500 like any other bug.
-func writeAppended[T any](w http.ResponseWriter, v *T, enc func([]byte, *T) ([]byte, error)) {
+// encoders produces for v, through m's memo under its lock when m is not
+// nil: compact JSON, Content-Length set, a single Write. Only the report
+// ack and the plan go this way — the documents of the report loop's hot
+// path; a value the encoder refuses (a non-finite number, which no adopted
+// plan carries) is a 500 like any other bug.
+func writeAppended[T any](w http.ResponseWriter, v *T, m *ackMemo, enc func([]byte, *T, *wire.AckMemo) ([]byte, error)) {
 	bp := respBufs.Get().(*[]byte)
 	defer respBufs.Put(bp)
-	b, err := enc((*bp)[:0], v)
+	var memo *wire.AckMemo
+	if m != nil {
+		m.mu.Lock()
+		memo = &m.memo
+	}
+	b, err := enc((*bp)[:0], v, memo)
+	if m != nil {
+		m.mu.Unlock()
+	}
 	if err != nil {
 		writeJSON(w, http.StatusInternalServerError, errorDoc{Error: err.Error()})
 		return

@@ -98,6 +98,9 @@ type running struct {
 	// reschedule bumps the plan between this enactor's reports, the next
 	// ack piggybacks the newer plan. Shard-goroutine only.
 	ackedGen int
+	// memo is what the acks that carry plans encode through, made by the
+	// first of them (under mu).
+	memo *ackMemo
 
 	// Journal chain state (durable daemons; see durable.go), shard
 	// goroutine only: walBase is the tracker state the workflow's newest

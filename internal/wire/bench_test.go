@@ -95,6 +95,9 @@ func BenchmarkWireDecodeReport(b *testing.B) {
 // (benchmark/'s live_data_staging) — and under oracle/ the indenting
 // json.Encoder the daemon answered with before, on the same acks in the
 // same run; CI gates the ratio of the two like BenchmarkWireDecode's.
+// next1026 is a 1026-job ack encoded through the workflow's AckMemo after
+// the generation before it (benchNext's mix), two generations alternating;
+// CI gates it against plan1026, an ack of the same size without a memo.
 func BenchmarkWireEncodeAck(b *testing.B) {
 	for _, n := range []int{50, 1026} {
 		ack := benchAck(n)
@@ -103,7 +106,7 @@ func BenchmarkWireEncodeAck(b *testing.B) {
 			var buf []byte
 			b.ReportAllocs()
 			for b.Loop() {
-				buf, _ = AppendReportAck(buf[:0], ack)
+				buf, _ = AppendReportAck(buf[:0], ack, nil)
 			}
 			b.SetBytes(int64(len(buf)))
 		})
@@ -121,4 +124,19 @@ func BenchmarkWireEncodeAck(b *testing.B) {
 			b.SetBytes(int64(buf.Len()))
 		})
 	}
+	b.Run("next1026", func(b *testing.B) {
+		var (
+			buf  []byte
+			m    AckMemo
+			i    int
+			gens = benchGenerations()
+		)
+		buf, _ = AppendReportAck(buf, gens[0], &m)
+		b.ReportAllocs()
+		for b.Loop() {
+			i++
+			buf, _ = AppendReportAck(buf[:0], gens[i&1], &m)
+		}
+		b.SetBytes(int64(len(buf)))
+	})
 }
