@@ -393,7 +393,7 @@ func BenchmarkKernelAdaptiveRun(b *testing.B) {
 func BenchmarkKernelDataAware(b *testing.B) {
 	for _, searches := range []int{64, 512, 1024} {
 		sc := workload.DataScenario(workload.DataParams{Searches: searches})
-		for _, mode := range []string{"classic", "data", "reschedule"} {
+		for _, mode := range []string{"classic", "data", "reschedule", "price"} {
 			b.Run(fmt.Sprintf("v=%d/mode=%s", sc.Graph.Len(), mode), func(b *testing.B) {
 				k := kernel.New(sc.Graph, sc.Estimator())
 				if mode != "classic" {
@@ -405,18 +405,24 @@ func BenchmarkKernelDataAware(b *testing.B) {
 				}
 				rs := sc.Pool.Initial()
 				var st *kernel.State
-				if mode == "reschedule" {
+				var s1 *schedule.Schedule
+				if mode == "reschedule" || mode == "price" {
 					s0, err := k.Static(rs, kernel.Options{})
 					if err != nil {
 						b.Fatal(err)
 					}
 					st = k.NewState(sc.Pool.Size())
 					st.Snapshot(s0, s0.Makespan()/2, kernel.SnapshotOptions{})
+					if s1, err = k.Reschedule(rs, st, kernel.Options{}); err != nil {
+						b.Fatal(err)
+					}
 				}
 				b.ReportAllocs()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					if _, err := k.Reschedule(rs, st, kernel.Options{}); err != nil {
+					if mode == "price" {
+						k.Price(rs, st, s1)
+					} else if _, err := k.Reschedule(rs, st, kernel.Options{}); err != nil {
 						b.Fatal(err)
 					}
 				}
@@ -859,7 +865,7 @@ func (f *feedbackBench) post(b *testing.B, id string, events ...wire.ReportEvent
 // history with the variance gate never firing; workflows are replaced as
 // they complete. "reschedule" forces a full variance-triggered
 // rescheduling evaluation (history-based re-estimation + kernel replan +
-// projection) on every report.
+// pricing S0) on every report.
 func BenchmarkFeedbackIngest(b *testing.B) {
 	b.Run("record", func(b *testing.B) {
 		f := newFeedbackBench(b, 1e9) // variance never triggers

@@ -16,7 +16,8 @@
 // or the -drain-timeout deadline — force-cancels in-flight runs and
 // exits non-zero.
 //
-// -debug-addr serves net/http/pprof on a listener of its own (off by
+// -debug-addr serves net/http/pprof, and every runtime/metrics sample as
+// a "name value" line on /debug/metrics, on a listener of its own (off by
 // default; never on -addr):
 //
 //	aheftd -debug-addr 127.0.0.1:6060 &
@@ -34,6 +35,7 @@ import (
 	_ "net/http/pprof"
 	"os"
 	"os/signal"
+	"runtime/metrics"
 	"syscall"
 	"time"
 
@@ -43,6 +45,33 @@ import (
 )
 
 func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// /debug/metrics joins net/http/pprof on http.DefaultServeMux: one line
+// per runtime/metrics sample, a histogram as its count.
+func init() {
+	http.HandleFunc("/debug/metrics", func(w http.ResponseWriter, _ *http.Request) {
+		all := metrics.All()
+		samples := make([]metrics.Sample, len(all))
+		for i, d := range all {
+			samples[i].Name = d.Name
+		}
+		metrics.Read(samples)
+		for _, s := range samples {
+			switch v := s.Value; v.Kind() {
+			case metrics.KindUint64:
+				fmt.Fprintf(w, "%s %d\n", s.Name, v.Uint64())
+			case metrics.KindFloat64:
+				fmt.Fprintf(w, "%s %g\n", s.Name, v.Float64())
+			case metrics.KindFloat64Histogram:
+				n := uint64(0)
+				for _, c := range v.Float64Histogram().Counts {
+					n += c
+				}
+				fmt.Fprintf(w, "%s %d\n", s.Name, n)
+			}
+		}
+	})
+}
 
 // run is the daemon: it returns once a drain (or a failure to serve)
 // ends it, with the process's exit code.
@@ -70,7 +99,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	traceFile := fs.String("trace-file", "", "stream completed spans to this file as OTLP-shaped JSON lines (implies -trace)")
 	traceSpans := fs.Int("trace-spans", 0, "retained spans per workflow for the trace endpoint (0 = built-in 512)")
 	recordDir := fs.String("record-dir", "", "flight-recorder directory: capture every input and decision per shard for deterministic replay (cmd/replay)")
-	debugAddr := fs.String("debug-addr", "", "serve net/http/pprof on this address, apart from -addr (empty = off)")
+	debugAddr := fs.String("debug-addr", "", "serve net/http/pprof and /debug/metrics on this address, apart from -addr (empty = off)")
 	version := fs.Bool("version", false, "print the build version and exit")
 	if err := fs.Parse(args); err != nil {
 		if errors.Is(err, flag.ErrHelp) {
@@ -99,8 +128,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 		errCh <- httpSrv.ListenAndServe()
 	}()
 	if *debugAddr != "" {
-		// net/http/pprof registers on http.DefaultServeMux, which only this
-		// listener serves: the API handler is a mux of its own.
+		// net/http/pprof and /debug/metrics register on
+		// http.DefaultServeMux, which only this listener serves: the API
+		// handler is a mux of its own.
 		debugSrv := &http.Server{Addr: *debugAddr, Handler: http.DefaultServeMux}
 		defer debugSrv.Close()
 		go func() {

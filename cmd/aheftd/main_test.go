@@ -6,6 +6,7 @@ import (
 	"net"
 	"net/http"
 	"os"
+	"regexp"
 	"strings"
 	"syscall"
 	"testing"
@@ -37,8 +38,8 @@ func freeAddr(t *testing.T) string {
 }
 
 // TestDebugAddrServesPprofApartFromAPI runs the daemon with -debug-addr:
-// the profiler answers on its own listener, the API listener has no such
-// route, and SIGTERM drains to exit 0.
+// the profiler and the runtime metrics answer on their own listener, the
+// API listener has no such routes, and SIGTERM drains to exit 0.
 func TestDebugAddrServesPprofApartFromAPI(t *testing.T) {
 	api, debug := freeAddr(t), freeAddr(t)
 	exit := make(chan int, 1)
@@ -59,11 +60,22 @@ func TestDebugAddrServesPprofApartFromAPI(t *testing.T) {
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
-	if code := get("http://" + debug + "/debug/pprof/"); code != http.StatusOK {
-		t.Errorf("debug listener: /debug/pprof/ answered %d", code)
+	for _, path := range []string{"/debug/pprof/", "/debug/metrics"} {
+		if code := get("http://" + debug + path); code != http.StatusOK {
+			t.Errorf("debug listener: %s answered %d", path, code)
+		}
+		if code := get("http://" + api + path); code != http.StatusNotFound {
+			t.Errorf("API listener: %s answered %d, want 404", path, code)
+		}
 	}
-	if code := get("http://" + api + "/debug/pprof/"); code != http.StatusNotFound {
-		t.Errorf("API listener: /debug/pprof/ answered %d, want 404", code)
+	resp, err := http.Get("http://" + debug + "/debug/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if !regexp.MustCompile(`(?m)^/gc/heap/allocs:bytes \d+$`).Match(body) {
+		t.Errorf("/debug/metrics has no /gc/heap/allocs:bytes line:\n%s", body)
 	}
 	if err := syscall.Kill(os.Getpid(), syscall.SIGTERM); err != nil {
 		t.Fatal(err)

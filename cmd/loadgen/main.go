@@ -70,7 +70,7 @@ var (
 
 	driveMode  = flag.Bool("drive", false, "closed-loop enactment mode: live submissions, simulated execution with noise/churn, run-time reports")
 	sharedGrid = flag.Bool("shared-grid", false, "shared-grid closed-loop mode: rounds of a two-tenant BLAST/WIEN2K mix co-scheduled on one named grid, measured against the isolated-planning baseline")
-	dataMode   = flag.Bool("data", false, "data-aware smoke mode: rounds of the data-heavy two-site scenario submitted with file catalogs against a link-constrained shared grid, measured against the data-oblivious plan retimed under the true data semantics, gating on leaked transfer reservations")
+	dataMode   = flag.Bool("data", false, "data-aware smoke mode: rounds of the data-heavy two-site scenario submitted with file catalogs against a link-constrained shared grid, measured against the data-oblivious plan, both priced by kernel.Price under the true data semantics, gating on leaked transfer reservations")
 	overload   = flag.Bool("overload", false, "overload-fairness mode: calibrate a high-class victim stream, then flood a greedy low-class tenant beside it and gate the victims' p99 degradation, the two-speed upgrade debt, and reservation leaks")
 	chaos      = flag.Bool("chaos", false, "crash-recovery mode: spawn a durable daemon, SIGKILL it mid-load, restart it, and gate on the recovery invariants")
 
@@ -351,7 +351,7 @@ func runShared(r *run) *Report {
 // (parameters drawn per round) submitted with their file catalogs against
 // one link-constrained shared grid, each round's data-aware plan measured
 // against the data-oblivious plan of the identical scenario — both
-// retimed under the true data semantics — and the grid checked for leaked
+// priced by kernel.Price under the true data semantics — and the grid checked for leaked
 // compute and transfer reservations.
 func runData(r *run) *Report {
 	gen := rng.New(*seed ^ 0xda7aab1ade)

@@ -2,11 +2,13 @@ package aheft_test
 
 import (
 	"context"
+	"math"
 	"testing"
 
 	"aheft"
 	"aheft/internal/cost"
 	"aheft/internal/data"
+	"aheft/internal/kernel"
 	"aheft/internal/workload"
 )
 
@@ -15,9 +17,9 @@ import (
 // database pre-staged on the slow site, fast remote site behind
 // bandwidth-4 links as the bait), a plan made with the file catalog
 // bound must beat the plan made on the raw edge weights — with both
-// schedules scored by data.Retime, the referee that replays placements
-// under the true data semantics, so neither plan grades its own
-// homework.
+// schedules scored by kernel.Price on a kernel bound to the exact costs
+// and the data model, the referee that replays placements under the true
+// data semantics, so neither plan grades its own homework.
 func TestDataAwareBeatsOblivious(t *testing.T) {
 	ctx := context.Background()
 	sc := aheft.DataScenario()
@@ -36,9 +38,11 @@ func TestDataAwareBeatsOblivious(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	base := cost.Exact(sc.Table)
-	obliviousTrue := data.Retime(sc.Graph, oblivious.Schedule, m, base)
-	awareTrue := data.Retime(sc.Graph, aware.Schedule, m, base)
+	ref := kernel.New(sc.Graph, cost.Exact(sc.Table))
+	ref.SetData(m)
+	all := sc.Pool.AvailableAt(math.Inf(1))
+	obliviousTrue := ref.Price(all, nil, oblivious.Schedule)
+	awareTrue := ref.Price(all, nil, aware.Schedule)
 	if awareTrue >= obliviousTrue {
 		t.Fatalf("data-aware %.2f does not beat oblivious %.2f under the true data semantics",
 			awareTrue, obliviousTrue)
@@ -46,15 +50,15 @@ func TestDataAwareBeatsOblivious(t *testing.T) {
 
 	// The bait must actually have been taken for the comparison to mean
 	// anything: the oblivious plan's promised makespan understates its
-	// retimed cost (it never modelled the serialized database transfers).
+	// price (it never modelled the serialized database transfers).
 	if obliviousTrue <= oblivious.Makespan {
-		t.Fatalf("oblivious plan paid no hidden transfer cost: promised %.2f, retimed %.2f",
+		t.Fatalf("oblivious plan paid no hidden transfer cost: promised %.2f, priced %.2f",
 			oblivious.Makespan, obliviousTrue)
 	}
 	// The aware plan optimised against the model directly, so its promise
-	// is honest: retiming it must not reveal extra cost.
+	// is honest: pricing it must not reveal extra cost.
 	if awareTrue > aware.Makespan+1e-9 {
-		t.Fatalf("aware plan promised %.2f but retimes to %.2f", aware.Makespan, awareTrue)
+		t.Fatalf("aware plan promised %.2f but prices at %.2f", aware.Makespan, awareTrue)
 	}
 }
 

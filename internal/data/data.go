@@ -50,16 +50,6 @@ type Set struct {
 	Files     []File  `json:"files"`
 }
 
-// ByID returns the file with the given ID.
-func (s *Set) ByID(id string) (File, bool) {
-	for _, f := range s.Files {
-		if f.ID == id {
-			return f, true
-		}
-	}
-	return File{}, false
-}
-
 // Validate checks the catalog against its graph and pool size: unique,
 // non-empty, bounded file IDs; positive finite sizes; host references in
 // [0, poolSize); at most maxFiles entries (0 disables the bound); and —

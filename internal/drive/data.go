@@ -8,6 +8,7 @@ import (
 
 	"aheft/internal/cost"
 	"aheft/internal/data"
+	"aheft/internal/kernel"
 	"aheft/internal/wire"
 	"aheft/internal/workload"
 )
@@ -16,10 +17,11 @@ import (
 // file catalog submitted against a link-constrained shared grid, its
 // data-aware plan replayed faithfully against the daemon, and the same
 // scenario planned data-obliviously (raw edge weights, no catalog) as
-// the baseline. Both schedules are scored by one judge — data.Retime,
-// which replays placement decisions under the true data semantics
-// (derived transfer durations, per-channel serialization, replica
-// reuse) — so neither side grades its own homework.
+// the baseline. Both schedules are scored by one judge — kernel.Price on
+// a kernel bound to the exact costs and the data model, which replays
+// placement decisions under the true data semantics (derived transfer
+// durations, per-channel serialization, replica reuse) — so neither side
+// grades its own homework.
 
 // Replay builds the faithful execution report of plan up to clock —
 // every job starting and finishing exactly when planned; starts strictly
@@ -63,9 +65,9 @@ func Replay(plan *wire.Plan, clock float64, applied []wire.ReportEvent) []wire.R
 // file catalog and the link-constrained pool, which is registered as the
 // shared grid cfg.Grid if absent — to completion and scores it against
 // the data-oblivious baseline. There is no noise, churn or feedback: the
-// row's AdaptiveMakespan is the daemon's data-aware plan retimed under
+// row's AdaptiveMakespan is the daemon's data-aware plan priced under
 // the true data semantics, BaselineMakespan the data-oblivious plan of
-// the identical scenario retimed the same way.
+// the identical scenario priced the same way.
 func RunData(ctx context.Context, cfg Config, tn Tenant) (*Outcome, error) {
 	sc := tn.Scenario
 	if sc == nil || sc.Files == nil {
@@ -79,7 +81,10 @@ func RunData(ctx context.Context, cfg Config, tn Tenant) (*Outcome, error) {
 	if err != nil {
 		return nil, fmt.Errorf("drive: data model: %w", err)
 	}
-	est := cost.Exact(sc.Table)
+	ref := kernel.New(sc.Graph, cost.Exact(sc.Table))
+	defer ref.Release()
+	ref.SetData(m)
+	all := sc.Pool.AvailableAt(math.Inf(1))
 	row := Row{Name: tn.Name, Jobs: sc.Graph.Len()}
 
 	// Data-oblivious baseline: the pre-data-model behaviour — plan on the
@@ -90,7 +95,7 @@ func RunData(ctx context.Context, cfg Config, tn Tenant) (*Outcome, error) {
 	if err != nil {
 		return nil, fmt.Errorf("drive: oblivious plan: %w", err)
 	}
-	row.BaselineMakespan = data.Retime(sc.Graph, oblivious, m, est)
+	row.BaselineMakespan = ref.Price(all, nil, oblivious)
 
 	// Data-aware run: submit with the catalog, watch the staged claims,
 	// replay the plan faithfully, and verify the grid drains.
@@ -128,7 +133,7 @@ func RunData(ctx context.Context, cfg Config, tn Tenant) (*Outcome, error) {
 	if err != nil {
 		return nil, err
 	}
-	row.AdaptiveMakespan = data.Retime(sc.Graph, aware, m, est)
+	row.AdaptiveMakespan = ref.Price(all, nil, aware)
 
 	final, err := c.Grid(ctx, cfg.Grid)
 	if err != nil {

@@ -16,9 +16,9 @@
 //     the analytic engine uses, under the paper's AHEFT semantics:
 //     finished jobs keep their actual intervals, running jobs keep their
 //     reservations, and a candidate is adopted only when it beats the
-//     current plan's *projected* completion under the current estimates
-//     (Fig. 2 line 7 — the projection, not the stale nominal makespan,
-//     is the honest S0 side of the comparison once estimates drift).
+//     current plan as kernel.Price prices it under the current estimates
+//     (Fig. 2 line 7 — the price, not the stale nominal makespan, is the
+//     honest S0 side of the comparison once estimates drift).
 //
 // A Tracker is not safe for concurrent use: the owning shard's single
 // worker goroutine is the only caller, preserving the kernel's
@@ -28,11 +28,9 @@
 package feedback
 
 import (
-	"cmp"
 	"fmt"
 	"math"
 	"slices"
-	"sort"
 	"time"
 
 	"aheft/internal/cost"
@@ -172,14 +170,6 @@ type Tracker struct {
 	adoptions int
 	done      bool
 	makespan  float64
-
-	// projection scratch
-	projFin []float64
-	resFree []float64
-	// pending is what is left to start of plan pendingOf, in the plan's
-	// (Start, Job) order: sorted once per plan, thinned as jobs start.
-	pending   []schedule.Assignment
-	pendingOf *schedule.Schedule
 }
 
 // New plans the workflow over the pool's time-0 resources and returns
@@ -249,8 +239,6 @@ func build(cfg Config) (*Tracker, error) {
 		pinDur:   make([]float64, n),
 		resByID:  make([]grid.Resource, cfg.Pool.Size()),
 		avail:    make([]bool, cfg.Pool.Size()),
-		projFin:  make([]float64, n),
-		resFree:  make([]float64, cfg.Pool.Size()),
 	}
 	if t.thr <= 0 {
 		t.thr = DefaultVarianceThreshold
@@ -293,17 +281,8 @@ func (t *Tracker) publishReservations() {
 		case phaseFinished:
 			continue
 		case phaseStarted:
-			dur := t.pinDur[j]
-			if dur <= 0 {
-				dur = t.est.Comp(id, t.startRes[j])
-			}
-			fin := t.startAt[j] + dur
-			if fin < t.clock {
-				fin = t.clock
-			}
-			rs = append(rs, occupancy.Reservation{
-				Job: j, Resource: t.startRes[j], Start: t.startAt[j], Finish: fin, Pinned: true,
-			})
+			a := t.running(j, t.clock)
+			rs = append(rs, occupancy.Reservation{Job: j, Resource: a.Resource, Start: a.Start, Finish: a.Finish, Pinned: true})
 		default:
 			a := t.sched.MustGet(id)
 			rs = append(rs, occupancy.Reservation{
@@ -370,9 +349,12 @@ func (t *Tracker) Decisions() []planner.Decision { return t.decisions }
 func (t *Tracker) Adoptions() int { return t.adoptions }
 
 // Available returns the currently available resources in ID order.
-func (t *Tracker) Available() []grid.Resource {
+func (t *Tracker) Available() []grid.Resource { return t.resources(t.avail) }
+
+// resources returns the resources marked in in, in ID order.
+func (t *Tracker) resources(in []bool) []grid.Resource {
 	out := make([]grid.Resource, 0, t.nAvail)
-	for id, ok := range t.avail {
+	for id, ok := range in {
 		if ok {
 			out = append(out, t.resByID[id])
 		}
@@ -620,52 +602,45 @@ func (t *Tracker) applyFinish(ev wire.ReportEvent, out *Outcome) {
 }
 
 // syncPins rebuilds the snapshot's pinned set at evaluation clock clk:
-// each running job keeps its reservation, with an expected finish from
-// the revised duration (variance report) or the current estimate, never
-// earlier than clk (a job still running now cannot already have ended).
-// A job running on a resource in removed (a what-if's hypothetical
-// departures) is left unpinned: it restarts.
+// each running job keeps its reservation (running). A job running on a
+// resource in removed (a what-if's hypothetical departures) is left
+// unpinned: it restarts.
 func (t *Tracker) syncPins(clk float64, removed map[grid.ID]bool) {
 	t.ks.Clock = clk
 	t.ks.ClearPinned()
 	for j := 0; j < t.g.Len(); j++ {
-		if t.phase[j] != phaseStarted || removed[t.startRes[j]] {
-			continue
+		if t.phase[j] == phaseStarted && !removed[t.startRes[j]] {
+			t.ks.Pin(t.running(j, clk))
 		}
-		id := dag.JobID(j)
-		dur := t.pinDur[j]
-		if dur <= 0 {
-			dur = t.est.Comp(id, t.startRes[j])
-		}
-		fin := t.startAt[j] + dur
-		if fin < clk {
-			fin = clk
-		}
-		t.ks.Pin(schedule.Assignment{Job: id, Resource: t.startRes[j], Start: t.startAt[j], Finish: fin})
 	}
+}
+
+// running is running job j's reservation at clock clk, with an expected
+// finish from the revised duration (variance report) or the current
+// estimate, never earlier than clk (a job still running now cannot
+// already have ended).
+func (t *Tracker) running(j int, clk float64) schedule.Assignment {
+	dur := t.pinDur[j]
+	if dur <= 0 {
+		dur = t.est.Comp(dag.JobID(j), t.startRes[j])
+	}
+	return schedule.Assignment{Job: dag.JobID(j), Resource: t.startRes[j], Start: t.startAt[j], Finish: max(t.startAt[j]+dur, clk)}
 }
 
 // evaluate is the Fig. 2 loop body at one run-time event: replan the
 // remaining jobs over the live resource set with history-sharpened
-// estimates, compare against the current plan's projection, adopt on
-// strict improvement. A projection of +Inf (the current plan places a
-// pending job on a departed resource) forces adoption of any feasible
-// candidate.
+// estimates, compare against the current plan's price, adopt on strict
+// improvement. A price of +Inf (the current plan places a pending job on
+// a departed resource) forces adoption of any feasible candidate.
 func (t *Tracker) evaluate(trigger planner.Trigger, arrived int, out *Outcome) {
 	rs := t.Available()
 	if len(rs) == 0 {
 		return // nothing to plan over; keep the stale plan until a join
 	}
+	// t.est is versioned: the kernel drops ranks history made stale itself.
 	t.syncPins(t.clock, nil)
-	// The estimator mutates underneath the kernel as history accrues. The
-	// HistoryBased predictor is versioned, so the kernel detects stale
-	// ranks itself; only an unversioned estimator needs the explicit
-	// invalidation.
-	if _, versioned := any(t.est).(kernel.VersionedEstimator); !versioned {
-		t.k.InvalidateRanks()
-	}
 	began := time.Now()
-	s1, d, err := planner.Evaluate(t.k, t.pol, rs, t.ks, t.opts, t.Project, trigger, arrived)
+	s1, d, err := planner.Evaluate(t.k, t.pol, rs, t.ks, t.opts, t.k.Price(rs, t.ks, t.sched), trigger, arrived)
 	if err != nil || s1 == nil {
 		// Evaluation failure must not kill the run ("otherwise the
 		// Planner does not take any action"); a nil proposal means the
@@ -697,113 +672,6 @@ func (t *Tracker) adopt(s1 *schedule.Schedule) {
 	t.publishReservations()
 }
 
-// Project computes the current plan's expected completion under the
-// current estimates and execution state: finished jobs at their actual
-// times, running jobs at their pinned finishes, and every pending job
-// retimed on its scheduled resource in the schedule's own order. It
-// returns +Inf when the plan is infeasible (a pending job's resource
-// left the pool) — the signal that forces the next evaluation to adopt.
-func (t *Tracker) Project() float64 {
-	n := t.g.Len()
-	mk := 0.0
-	for i := range t.resFree {
-		t.resFree[i] = 0
-	}
-	for j := 0; j < n; j++ {
-		switch t.phase[j] {
-		case phaseFinished:
-			t.projFin[j] = t.finishAt[j]
-		case phaseStarted:
-			dur := t.pinDur[j]
-			if dur <= 0 {
-				dur = t.est.Comp(dag.JobID(j), t.startRes[j])
-			}
-			fin := t.startAt[j] + dur
-			if fin < t.clock {
-				fin = t.clock
-			}
-			t.projFin[j] = fin
-			if fin > t.resFree[t.startRes[j]] {
-				t.resFree[t.startRes[j]] = fin
-			}
-		default:
-			continue
-		}
-		if t.projFin[j] > mk {
-			mk = t.projFin[j]
-		}
-	}
-	// Schedule order: pending jobs sorted by planned start reproduce both
-	// the per-resource queue order and a dependency-compatible global
-	// order (a predecessor always starts strictly earlier in a valid
-	// schedule with positive durations).
-	if t.pendingOf != t.sched {
-		// Assignments()' order over the pending jobs only: finished and
-		// running ones, most of a late plan, are not sorted to be dropped.
-		t.pending, t.pendingOf = t.pending[:0], t.sched
-		for a := range t.sched.ByJob() {
-			if t.phase[a.Job] == phasePending {
-				t.pending = append(t.pending, a)
-			}
-		}
-		slices.SortFunc(t.pending, func(a, b schedule.Assignment) int {
-			switch { // plan times are never NaN: no need for cmp.Compare's care
-			case a.Start < b.Start:
-				return -1
-			case a.Start > b.Start:
-				return 1
-			}
-			return cmp.Compare(a.Job, b.Job)
-		})
-	}
-	t.pending = slices.DeleteFunc(t.pending, func(a schedule.Assignment) bool { return t.phase[a.Job] != phasePending })
-	for _, a := range t.pending {
-		j := a.Job
-		if int(a.Resource) >= len(t.avail) || !t.avail[a.Resource] {
-			return math.Inf(1)
-		}
-		ready := t.clock
-		// Edges by position: the ledger and the file costs are indexed by
-		// it, with no search of Preds and no file-name lookup per edge.
-		for i, e := range t.g.Preds(j) {
-			m := e.From
-			var at float64
-			switch t.phase[m] {
-			case phaseFinished:
-				if tt, ok := t.ks.PredTransferAt(j, i, a.Resource); ok {
-					at = tt
-				} else {
-					at = t.clock + t.k.PredComm(j, i, t.startRes[m], a.Resource)
-				}
-			case phaseStarted:
-				at = t.projFin[m]
-				if t.startRes[m] != a.Resource {
-					at += t.k.PredComm(j, i, t.startRes[m], a.Resource)
-				}
-			default:
-				at = t.projFin[m]
-				if pr := t.sched.MustGet(m).Resource; pr != a.Resource {
-					at += t.k.PredComm(j, i, pr, a.Resource)
-				}
-			}
-			if at > ready {
-				ready = at
-			}
-		}
-		start := ready
-		if t.resFree[a.Resource] > start {
-			start = t.resFree[a.Resource]
-		}
-		fin := start + t.est.Comp(j, a.Resource)
-		t.projFin[j] = fin
-		t.resFree[a.Resource] = fin
-		if fin > mk {
-			mk = fin
-		}
-	}
-	return mk
-}
-
 // WhatIf answers the paper's §3.3 capacity question against the live
 // run: what would the expected makespan become if the listed resources
 // (indices into the submitted universe) joined or left right now?
@@ -822,49 +690,32 @@ func (t *Tracker) WhatIf(q wire.WhatIfRequest) (*wire.WhatIfDoc, error) {
 	if clk < t.clock {
 		clk = t.clock
 	}
+	in := slices.Clone(t.avail)
 	removed := make(map[grid.ID]bool, len(q.Remove))
-	for _, id := range q.Remove {
+	for i, id := range slices.Concat(q.Add, q.Remove) { // a removal wins
 		if id < 0 || id >= t.pool.Size() {
 			return nil, fmt.Errorf("feedback: what-if resource %d out of range (universe has %d)", id, t.pool.Size())
 		}
-		removed[grid.ID(id)] = true
+		in[id], removed[grid.ID(id)] = i < len(q.Add), i >= len(q.Add)
 	}
-	hyp := make(map[grid.ID]bool, t.nAvail+len(q.Add))
-	for id, ok := range t.avail {
-		if ok {
-			hyp[grid.ID(id)] = true
-		}
-	}
-	for _, id := range q.Add {
-		if id < 0 || id >= t.pool.Size() {
-			return nil, fmt.Errorf("feedback: what-if resource %d out of range (universe has %d)", id, t.pool.Size())
-		}
-		hyp[grid.ID(id)] = true
-	}
-	for id := range removed {
-		delete(hyp, id)
-	}
-	if len(hyp) == 0 {
+	rs := t.resources(in)
+	if len(rs) == 0 {
 		return nil, fmt.Errorf("feedback: what-if leaves an empty pool")
 	}
-	rs := make([]grid.Resource, 0, len(hyp))
-	for id := range hyp {
-		rs = append(rs, t.resByID[id])
-	}
-	sort.Slice(rs, func(i, j int) bool { return rs[i].ID < rs[j].ID })
 
-	// Hypothetical pins: running jobs keep reservations unless their
-	// resource is removed, in which case they restart.
+	// S0 is priced on the real state and pool; then the hypothetical pins:
+	// running jobs keep reservations unless their resource is removed, in
+	// which case they restart.
+	t.syncPins(t.clock, nil)
+	cur := t.k.Price(t.Available(), t.ks, t.sched)
 	t.syncPins(clk, removed)
-	t.k.InvalidateRanks()
-	s1, d, err := planner.Evaluate(t.k, t.pol, rs, t.ks, t.opts, t.Project, planner.TriggerArrival, len(q.Add))
+	s1, d, err := planner.Evaluate(t.k, t.pol, rs, t.ks, t.opts, cur, planner.TriggerArrival, len(q.Add))
 	if err != nil {
 		return nil, fmt.Errorf("feedback: what-if reschedule: %w", err)
 	}
 	if s1 == nil {
 		return nil, fmt.Errorf("feedback: policy %q proposes no hypothetical schedule", t.pol.Name())
 	}
-	cur := d.OldMakespan
 	doc := &wire.WhatIfDoc{
 		Clock:               clk,
 		PoolSize:            len(rs),

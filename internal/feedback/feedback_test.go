@@ -253,15 +253,25 @@ func TestWhatIfLiveSnapshot(t *testing.T) {
 	if _, err := tr.Apply(evs); err != nil {
 		t.Fatal(err)
 	}
-	doc, err := tr.WhatIf(wire.WhatIfRequest{Clock: 15, Add: []int{3}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if doc.Clock != 15 || doc.PoolSize != 4 || doc.CurrentMakespan != 80 || doc.NewMakespan != 76 {
-		t.Fatalf("what-if: %+v", doc)
-	}
-	if !doc.WouldAdopt || doc.Delta != -4 {
-		t.Fatalf("what-if verdict: %+v", doc)
+	for _, tc := range []struct {
+		q    wire.WhatIfRequest
+		want wire.WhatIfDoc
+	}{
+		{wire.WhatIfRequest{Clock: 15, Add: []int{3}},
+			wire.WhatIfDoc{Clock: 15, PoolSize: 4, CurrentMakespan: 80, NewMakespan: 76, Delta: -4, WouldAdopt: true}},
+		// Later than now, without the resource running job 2 (9 → 28): S0
+		// is still priced on the real state — job 2 running, the full pool
+		// — and the hypothesis restarts job 2 elsewhere.
+		{wire.WhatIfRequest{Clock: 20, Remove: []int{2}},
+			wire.WhatIfDoc{Clock: 20, PoolSize: 2, CurrentMakespan: 80, NewMakespan: 98, Delta: 18}},
+	} {
+		doc, err := tr.WhatIf(tc.q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if *doc != tc.want {
+			t.Fatalf("what-if %+v: %+v, want %+v", tc.q, *doc, tc.want)
+		}
 	}
 	// The tentative evaluation must not disturb the live plan.
 	if tr.Generation() != 1 || tr.Plan().Makespan() != 80 {
@@ -399,9 +409,9 @@ func TestCompletionAndPostDoneApply(t *testing.T) {
 	}
 }
 
-// TestProjectionTracksDrift: when every job runs 50% slow, the projected
-// completion of the current plan must exceed its nominal makespan — the
-// honest S0 the adoption comparison needs.
+// TestProjectionTracksDrift: when every job runs 50% slow, the current
+// plan's price must exceed its nominal makespan — the honest S0 the
+// adoption comparison needs.
 func TestProjectionTracksDrift(t *testing.T) {
 	g, table, pool := varianceScenario()
 	tr, err := New(Config{
@@ -412,19 +422,19 @@ func TestProjectionTracksDrift(t *testing.T) {
 		t.Fatal(err)
 	}
 	nominal := tr.Plan().Makespan()
-	if p := tr.Project(); p != nominal {
-		t.Fatalf("cold projection %g, want nominal %g", p, nominal)
+	if p := price(tr); p != nominal {
+		t.Fatalf("cold price %g, want nominal %g", p, nominal)
 	}
 	// Seed finishes 50% slow; history now predicts 15 for "seed" but the
 	// pending "work" ops are unobserved, so only the measured drift and
-	// the later start move the projection.
+	// the later start move the price.
 	if _, err := tr.Apply([]wire.ReportEvent{
 		{Kind: wire.ReportJobStarted, Time: 0, Job: 0, Resource: 0},
 		{Kind: wire.ReportJobFinished, Time: 15, Job: 0, Duration: 15},
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if p := tr.Project(); p <= nominal {
-		t.Fatalf("projection %g did not track the 50%% drift past %g", p, nominal)
+	if p := price(tr); p <= nominal {
+		t.Fatalf("price %g did not track the 50%% drift past %g", p, nominal)
 	}
 }

@@ -6,20 +6,21 @@ import (
 	"testing"
 
 	"aheft/internal/dag"
-	"aheft/internal/data"
 	"aheft/internal/rng"
 	"aheft/internal/schedule"
 	"aheft/internal/workload"
 )
 
-// refProject is Project as it stood before the dense edge lookups: the
+// refProject is the tracker's own projection of its plan as it stood
+// before kernel.Price took it over, without the dense edge lookups: the
 // whole plan sorted through Assignments() and then filtered to the pending
-// jobs, every edge's ledger entry found by TransferAt's search of Preds and
-// every file cost by CommEst's lookup in the catalog's name map.
+// jobs, every edge's ledger entry found by a search of Preds and every
+// edge cost asked of the estimator. With no data model and no shared grid
+// it is the referee's algorithm.
 func refProject(t *Tracker) float64 {
 	mk := 0.0
-	resFree := make([]float64, len(t.resFree))
-	projFin := make([]float64, len(t.projFin))
+	resFree := make([]float64, len(t.avail))
+	projFin := make([]float64, t.g.Len())
 	for j := range t.phase {
 		switch t.phase[j] {
 		case phaseFinished:
@@ -48,20 +49,21 @@ func refProject(t *Tracker) float64 {
 			var at float64
 			switch t.phase[m] {
 			case phaseFinished:
-				if tt, ok := t.ks.TransferAt(m, j, a.Resource); ok {
+				i := slices.IndexFunc(t.g.Preds(j), func(p dag.Edge) bool { return p.From == m })
+				if tt, ok := t.ks.PredTransferAt(j, i, a.Resource); ok {
 					at = tt
 				} else {
-					at = t.clock + t.k.CommEst(e, t.startRes[m], a.Resource)
+					at = t.clock + t.est.Comm(e, t.startRes[m], a.Resource)
 				}
 			case phaseStarted:
 				at = projFin[m]
 				if t.startRes[m] != a.Resource {
-					at += t.k.CommEst(e, t.startRes[m], a.Resource)
+					at += t.est.Comm(e, t.startRes[m], a.Resource)
 				}
 			default:
 				at = projFin[m]
 				if pr := t.sched.MustGet(m).Resource; pr != a.Resource {
-					at += t.k.CommEst(e, pr, a.Resource)
+					at += t.est.Comm(e, pr, a.Resource)
 				}
 			}
 			ready = max(ready, at)
@@ -75,7 +77,7 @@ func refProject(t *Tracker) float64 {
 
 // unsortedCopy rebuilds g unvalidated with its edges added in descending
 // order: every Preds list is unsorted, so the kernel finds an edge by
-// scanning (its predsSorted == false branch) where Project indexes it.
+// scanning (its predsSorted == false branch) where Price indexes it.
 func unsortedCopy(t *testing.T, g *dag.Graph) *dag.Graph {
 	t.Helper()
 	c := dag.New(g.Name())
@@ -92,12 +94,19 @@ func unsortedCopy(t *testing.T, g *dag.Graph) *dag.Graph {
 	return c
 }
 
-// TestProjectMatchesSearchedLookups enacts the data-aware scenario under a
-// perturbation script — noisy runtimes, variance reports, departures and
-// rejoins, adopted reschedules — and after every step holds Project to
-// refProject, to the bit: early, when every job is pending, through the
-// middle and at the merge job's tail; on the validated graph and on a copy
-// whose Preds lists are unsorted.
+// price is what the tracker's next evaluation compares a replan against:
+// its plan priced by its kernel on the live state and pool.
+func price(tr *Tracker) float64 {
+	tr.syncPins(tr.clock, nil)
+	return tr.k.Price(tr.Available(), tr.ks, tr.sched)
+}
+
+// TestProjectMatchesSearchedLookups enacts the data scenario's graph on its
+// raw edge weights under a perturbation script — noisy runtimes, variance
+// reports, departures and rejoins, adopted reschedules — and after every
+// step holds the tracker's price to refProject, to the bit: early, when
+// every job is pending, through the middle and at the merge job's tail; on
+// the validated graph and on a copy whose Preds lists are unsorted.
 func TestProjectMatchesSearchedLookups(t *testing.T) {
 	for _, unsorted := range []bool{false, true} {
 		sc := workload.DataScenario(workload.DataParams{Searches: 24})
@@ -106,12 +115,7 @@ func TestProjectMatchesSearchedLookups(t *testing.T) {
 			cp.Graph = unsortedCopy(t, sc.Graph)
 			sc = &cp
 		}
-		m, err := data.NewModel(sc.Files, sc.Pool, sc.Graph, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
 		cfg := liveConfig(sc, sc.Pool)
-		cfg.Opts.Data = m
 		r := rng.New(18)
 		input := make([]byte, 2048)
 		for i := range input {
@@ -121,9 +125,9 @@ func TestProjectMatchesSearchedLookups(t *testing.T) {
 		tr := e.c.tr
 		var early, middle, late, infeasible int
 		for more := true; more; more = e.step(t) {
-			got, want := tr.Project(), refProject(tr)
+			got, want := price(tr), refProject(tr)
 			if got != want {
-				t.Fatalf("unsorted=%v, %d jobs left: Project() = %v, by searched lookups %v", unsorted, e.left, got, want)
+				t.Fatalf("unsorted=%v, %d jobs left: Price = %v, by searched lookups %v", unsorted, e.left, got, want)
 			}
 			switch n := sc.Graph.Len(); {
 			case math.IsInf(got, 1):

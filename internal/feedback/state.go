@@ -574,7 +574,7 @@ func (t *Tracker) AlreadyApplied(events []wire.ReportEvent) bool {
 }
 
 // DecisionToWire converts a planner decision to its wire form (+Inf
-// projections become the -1 sentinel, JSON cannot carry infinities).
+// prices become the -1 sentinel, JSON cannot carry infinities).
 func DecisionToWire(d planner.Decision) wire.Decision {
 	old := d.OldMakespan
 	if math.IsInf(old, 1) {

@@ -55,7 +55,7 @@ func (k *Kernel) SetData(m *data.Model) {
 	k.fileOfEdge = nil
 	k.commOfEdge, k.chBase, k.chans = nil, nil, nil
 	k.fAvail, k.fAvailEp, k.fStride, k.fEpoch = nil, nil, 0, 0
-	k.probeAt = nil
+	k.probeAt, k.chFloor = nil, nil
 	if m == nil {
 		return
 	}
@@ -76,6 +76,7 @@ func (k *Kernel) SetData(m *data.Model) {
 	}
 	k.chBase = make([][]block, m.NumChannels())
 	k.chans = make([]timeline, m.NumChannels())
+	k.chFloor = make([]chanFloor, m.NumChannels())
 }
 
 // Data returns the bound data model (nil in the classic mode).
@@ -94,14 +95,8 @@ func (k *Kernel) commEst(e dag.Edge, from, to grid.ID) float64 {
 	return k.est.Comm(e, from, to)
 }
 
-// CommEst is commEst for the engines: the edge-cost precedence rule
-// (derived file cost over raw weight) applied to ship-on-finish ETAs and
-// projections, identical to the estimator's Comm when no model is bound.
-func (k *Kernel) CommEst(e dag.Edge, from, to grid.ID) float64 { return k.commEst(e, from, to) }
-
-// PredComm is CommEst for the i-th incoming edge of j, its file found
-// through the dense edge index instead of the catalog's name map — the form
-// for a loop over a job's Preds.
+// PredComm is commEst, the edge-cost precedence rule, for the i-th
+// incoming edge of j, its file found through the dense edge index.
 func (k *Kernel) PredComm(j dag.JobID, i int, from, to grid.ID) float64 {
 	if k.dataM != nil {
 		if f := k.fileOfEdge[k.predBase[j]+i]; f >= 0 {
@@ -111,11 +106,20 @@ func (k *Kernel) PredComm(j dag.JobID, i int, from, to grid.ID) float64 {
 	return k.est.Comm(k.g.Preds(j)[i], from, to)
 }
 
+// output returns where predecessor m's output is and from when: its
+// recorded outcome if finished, else its candidate placement or pin.
+func (k *Kernel) output(st *State, m dag.JobID) (grid.ID, float64) {
+	if r := st.finRes[m]; r != grid.NoResource {
+		return r, st.finAFT[m]
+	}
+	return k.placed[m].Resource, k.placed[m].Finish
+}
+
 // probeXfer is one fresh file movement a placement probe determined a
 // candidate resource would need; commitInputs materialises those of the
 // chosen resource.
 type probeXfer struct {
-	file          int
+	file, input   int // input: the edge's index in the job's Preds
 	src           grid.ID
 	start, finish float64
 }
@@ -249,19 +253,11 @@ func (k *Kernel) probeInputs(st *State, preds []dag.Edge, eBase int, r grid.ID, 
 			}
 			continue
 		}
-		// Producer location and availability: actual outcome for finished
-		// predecessors, candidate placement (rank order guarantees it
-		// exists) or pin otherwise.
-		var src grid.ID
-		var avail float64
-		if fr := st.finRes[e.From]; fr != grid.NoResource {
-			src, avail = fr, st.finAFT[e.From]
-		} else {
-			pa := k.placed[e.From]
-			if pa.Resource == grid.NoResource {
-				panic(fmt.Sprintf("kernel: data probe before predecessor %d placed", e.From))
-			}
-			src, avail = pa.Resource, pa.Finish
+		// Producer location and availability: rank order guarantees a
+		// candidate placement for an unfinished predecessor.
+		src, avail := k.output(st, e.From)
+		if src == grid.NoResource {
+			panic(fmt.Sprintf("kernel: data probe before predecessor %d placed", e.From))
 		}
 		arr := avail // precedence floor: never before the producer finishes
 		switch {
@@ -288,7 +284,7 @@ func (k *Kernel) probeInputs(st *State, preds []dag.Edge, eBase int, r grid.ID, 
 				start := k.channelSlot(src, r, depart, d, insertion)
 				t = start + d
 				k.probeAt[f] = len(k.xferBuf)
-				k.xferBuf = append(k.xferBuf, probeXfer{file: f, src: src, start: start, finish: t})
+				k.xferBuf = append(k.xferBuf, probeXfer{file: f, input: i, src: src, start: start, finish: t})
 				newBytes += k.dataM.Size(f)
 			}
 			if t > arr {
@@ -317,7 +313,7 @@ func (k *Kernel) commitInputs(job dag.JobID, r grid.ID, xs []probeXfer) {
 				k.chans[c].add(x.start, x.finish)
 			}
 			k.workXfers = append(k.workXfers, schedule.Transfer{
-				Job: job, File: k.dataM.FileID(x.file),
+				Job: job, Input: x.input, File: k.dataM.FileID(x.file),
 				From: x.src, To: r, Start: x.start, Finish: x.finish,
 			})
 		}

@@ -82,14 +82,14 @@ func (p *refPass) probe(preds []dag.Edge, eBase int, r grid.ID, insertion, count
 		} else if t, ok := p.staged[[2]int{f, int(r)}]; ok {
 			note(&p.found.pass)
 			arr = max(arr, t)
-		} else if i := slices.IndexFunc(xs, func(x probeXfer) bool { return x.file == f }); i >= 0 {
+		} else if s := slices.IndexFunc(xs, func(x probeXfer) bool { return x.file == f }); s >= 0 {
 			note(&p.found.sibling)
-			arr = max(arr, xs[i].finish)
+			arr = max(arr, xs[s].finish)
 		} else {
 			note(&p.found.fresh)
 			d := k.dataM.Duration(f, src, r)
 			t := p.channelSlot(src, r, max(avail, st.Clock), d, insertion)
-			xs = append(xs, probeXfer{file: f, src: src, start: t, finish: t + d})
+			xs = append(xs, probeXfer{file: f, input: i, src: src, start: t, finish: t + d})
 			newBytes += k.dataM.Size(f)
 			arr = max(arr, t+d)
 		}
@@ -143,7 +143,7 @@ func (k *Kernel) refPlace(rs []grid.Resource, st *State, order []dag.JobID, inse
 					p.ch[c] = coalesce(p.ch[c])
 				}
 				p.xfers = append(p.xfers, schedule.Transfer{
-					Job: job, File: k.dataM.FileID(x.file), From: x.src, To: best, Start: x.start, Finish: x.finish,
+					Job: job, Input: x.input, File: k.dataM.FileID(x.file), From: x.src, To: best, Start: x.start, Finish: x.finish,
 				})
 			}
 			if t, ok := p.staged[[2]int{x.file, int(best)}]; !ok || x.finish < t {

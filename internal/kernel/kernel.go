@@ -94,7 +94,8 @@ type Kernel struct {
 	topo    []dag.JobID
 
 	// Placement scratch, reused across calls. The four n-sized candidate
-	// arrays are cut from one slab, which Release recycles.
+	// arrays and Price's pending list are cut from one slab, which Release
+	// recycles.
 	slab       *[]schedule.Assignment
 	baseTL     [][]block             // per resource: history (finished+pinned) intervals, sorted
 	rows       []timeline            // per resource: base plus the current candidate's placements
@@ -134,6 +135,11 @@ type Kernel struct {
 	fAvailEp   []uint32
 	fEpoch     uint32
 	fStride    int
+
+	// Pricing scratch (price.go).
+	pendOf  *schedule.Schedule    // the plan pend orders
+	pend    []schedule.Assignment // its pending jobs, in pricing order
+	chFloor []chanFloor           // per channel
 
 	// timing is the wall-clock phase split of the last Reschedule —
 	// telemetry only, never an input to scheduling decisions (see
@@ -176,9 +182,10 @@ func New(g *dag.Graph, est cost.Estimator) *Kernel {
 	}
 	k.predBase[n] = k.nEdges
 	k.slab = slabs.Get().(*[]schedule.Assignment)
-	*k.slab = sized(*k.slab, 4*n)
+	*k.slab = sized(*k.slab, 5*n)
 	a := *k.slab
-	k.zeroPlaced, k.basePlaced, k.placed, k.bestPlaced = a[:n:n], a[n:2*n:2*n], a[2*n:3*n:3*n], a[3*n:]
+	k.zeroPlaced, k.basePlaced, k.placed, k.bestPlaced = a[:n:n], a[n:2*n:2*n], a[2*n:3*n:3*n], a[3*n:4*n:4*n]
+	k.pend = a[4*n : 4*n : 5*n]
 	for j := range k.zeroPlaced {
 		k.zeroPlaced[j] = schedule.Assignment{Job: dag.JobID(j), Resource: grid.NoResource}
 	}
@@ -374,13 +381,7 @@ func (k *Kernel) Reschedule(rs []grid.Resource, st *State, opts Options) (*sched
 	if len(rs) == 0 {
 		return nil, fmt.Errorf("kernel: empty resource set")
 	}
-	if st == nil {
-		if k.empty == nil {
-			k.empty = k.NewState(0)
-		}
-		k.empty.Reset()
-		st = k.empty
-	}
+	st = k.orEmpty(st)
 	began := time.Now()
 	ranks, order, err := k.Ranks(rs)
 	if err != nil {
@@ -397,7 +398,7 @@ func (k *Kernel) Reschedule(rs []grid.Resource, st *State, opts Options) (*sched
 	}
 	k.base = base
 
-	k.prepHistory(rs, st)
+	k.prepHistory(rs, st, false)
 	bestMk, err := k.placeCandidate(rs, st, base, opts)
 	if err != nil {
 		return nil, err
@@ -442,6 +443,18 @@ func (k *Kernel) Reschedule(rs []grid.Resource, st *State, opts Options) (*sched
 	return s, nil
 }
 
+// orEmpty returns st, or for nil the kernel's empty state at clock 0.
+func (k *Kernel) orEmpty(st *State) *State {
+	if st != nil {
+		return st
+	}
+	if k.empty == nil {
+		k.empty = k.NewState(0)
+	}
+	k.empty.Reset()
+	return k.empty
+}
+
 // growTimelines ensures the per-resource scratch covers resource IDs up
 // to maxID.
 func (k *Kernel) growTimelines(maxID grid.ID) {
@@ -453,11 +466,11 @@ func (k *Kernel) growTimelines(maxID grid.ID) {
 }
 
 // prepHistory builds, once per Reschedule, the carried-over execution
-// history: per-resource base rows holding the finished, pinned and foreign
-// intervals (sorted by start), the pinned entries of the candidate
-// placement template, the history assignment list for the final schedule,
-// and the history makespan.
-func (k *Kernel) prepHistory(rs []grid.Resource, st *State) {
+// history: per-resource base rows holding the finished (unless pinsOnly),
+// pinned and foreign intervals (sorted by start), the pinned entries of
+// the candidate placement template, the history assignment list for the
+// final schedule, and the history makespan.
+func (k *Kernel) prepHistory(rs []grid.Resource, st *State, pinsOnly bool) {
 	copy(k.basePlaced, k.zeroPlaced)
 	k.hist = k.hist[:0]
 	k.histMax = 0
@@ -501,6 +514,9 @@ func (k *Kernel) prepHistory(rs []grid.Resource, st *State) {
 		k.baseTL[a.Resource] = k.baseTL[a.Resource][:0]
 	}
 	for _, a := range k.hist {
+		if pinsOnly && !st.isPin[a.Job] {
+			continue
+		}
 		k.baseTL[a.Resource] = append(k.baseTL[a.Resource], block{a.Start, a.Finish})
 		k.tlTouched = append(k.tlTouched, a.Resource)
 	}

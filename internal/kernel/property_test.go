@@ -27,7 +27,8 @@ import (
 // stress generator (at a test-friendly size). Seeds 62 and 63 are the
 // file-carrying wide-fan-in scenario instead — every search reads one
 // pre-staged database, one merge job reads every search's hit file —
-// which quickKernel plans in data mode. Seed 60 is the packed shape: 96
+// which quickKernel plans in data mode. Seed 59 is seed 13's scenario,
+// which the fuzz plans around foreignLoad. Seed 60 is the packed shape: 96
 // independent jobs of one cost between an entry and an exit, so every row
 // fills back to back and no gap ever fits. Seed 61 is a layered DAG that
 // quickEstimator prices with zeros in it.
@@ -51,6 +52,8 @@ func quickScenario(t testing.TB, seed uint64) *workload.Scenario {
 		return workload.DataScenario(workload.DataParams{Searches: 48})
 	case 63:
 		return workload.DataScenario(workload.DataParams{Searches: 160, DBSize: 90, HitSize: 3})
+	case occupiedSeed:
+		return quickScenario(t, 13)
 	}
 	r := rng.New(seed)
 	gp := workload.GridParams{
@@ -276,9 +279,49 @@ func TestKernelMatchesCoreWrapper(t *testing.T) {
 	}
 }
 
+// requirePriced holds a plan the kernel just made from st to its promise:
+// kernel.Price of the plan on the same state and pool is its Makespan, bit
+// for bit — in the classic and the data mode, with or without foreign
+// reservations. The one exception is below: a plan placed without
+// insertion waited past every block on its rows, where Price starts a job
+// in the first gap after the previous one there — a gap between foreign
+// claims, or an instant a zero-cost job was placed at later in rank
+// order — so its price may only come in under the makespan.
+func requirePriced(t testing.TB, k *kernel.Kernel, rs []grid.Resource, st *kernel.State, s *schedule.Schedule, below bool, ctx string) {
+	t.Helper()
+	got, want := k.Price(rs, st, s), s.Makespan()
+	if got != want && !(below && got < want) {
+		t.Fatalf("%s: Price = %v, plan's makespan %v", ctx, got, want)
+	}
+}
+
+// occupiedSeed is the fuzz seed whose kernel plans around foreign
+// reservations: seed 13's layered scenario with foreignLoad attached.
+const occupiedSeed = 59
+
+// foreignLoad is another workflow's claims on every resource of sc, in
+// units of the mean job cost m: eight m-long blocks, one every 2.5m,
+// staggered by resource, so rows have gaps some jobs fit and blocks others
+// wait behind.
+func foreignLoad(sc *workload.Scenario) fixedOccupancy {
+	m := 0.0
+	for _, j := range sc.Graph.Jobs() {
+		m += cost.MeanComp(sc.Table, j.ID, sc.Pool.Initial()) / float64(sc.Graph.Len())
+	}
+	occ := fixedOccupancy{}
+	for _, a := range sc.Pool.Arrivals() {
+		for i := 0; i < 8; i++ {
+			at := m * (2.5*float64(i) + 0.4*float64(a.Resource.ID))
+			occ[a.Resource.ID] = append(occ[a.Resource.ID], kernel.Busy{Start: at, Finish: at + m})
+		}
+	}
+	return occ
+}
+
 // FuzzKernelReschedule fuzzes (scenario seed, clock fraction, options,
 // perturbation scale) and asserts the full invariant set on whatever the
-// kernel produces, then drives the same kernel through a perturb-then-
+// kernel produces, and that every plan it makes is priced at its own
+// makespan (requirePriced), then drives the same kernel through a perturb-then-
 // compare round: tracker-style progress to a later clock with one job's
 // runtime scaled by perturbScale, a replan on everything the earlier
 // passes left in the kernel and its state, and a bit-identical comparison
@@ -296,6 +339,9 @@ func FuzzKernelReschedule(f *testing.F) {
 	f.Add(uint64(60), 0.6, false, 0.0, 0.5)  // … and one finishing early, which opens a gap
 	f.Add(uint64(61), 0.35, false, 0.0, 1.4) // an estimator that returns zero costs
 	f.Add(uint64(61), 0.7, true, 0.0, 0.6)
+	f.Add(uint64(occupiedSeed), 0.4, false, 0.05, 1.5)                  // planned around another workflow's claims
+	f.Add(uint64(occupiedSeed), 9.119047619047619, true, -340.0, 133.4) // … without insertion: priced under its makespan
+	f.Add(uint64(61), -5.253472222222219, true, 18.0, -288.0)           // so is a zero-cost job placed without insertion
 	f.Fuzz(func(t *testing.T, seed uint64, clockFrac float64, noInsertion bool, tieWindow float64, perturbScale float64) {
 		if math.IsNaN(clockFrac) || math.IsInf(clockFrac, 0) {
 			clockFrac = 0.5
@@ -310,11 +356,20 @@ func FuzzKernelReschedule(f *testing.F) {
 		}
 		perturbScale = 0.25 + math.Mod(math.Abs(perturbScale), 2.25)
 		sc := quickScenario(t, seed%64)
-		k := quickKernel(t, sc)
+		build := func() *kernel.Kernel {
+			k := quickKernel(t, sc)
+			if seed%64 == occupiedSeed {
+				k.SetOccupancy(foreignLoad(sc))
+			}
+			return k
+		}
+		below := noInsertion
+		k := build()
 		s0, err := k.Static(sc.Pool.Initial(), kernel.Options{NoInsertion: noInsertion})
 		if err != nil {
 			t.Fatal(err)
 		}
+		requirePriced(t, k, sc.Pool.Initial(), nil, s0, below, "static pass")
 		clock := clockFrac * s0.Makespan()
 		st := k.NewState(sc.Pool.Size())
 		st.Snapshot(s0, clock, kernel.SnapshotOptions{})
@@ -330,6 +385,7 @@ func FuzzKernelReschedule(f *testing.F) {
 				t.Fatalf("clock %g: %v", clock, err)
 			}
 		}
+		requirePriced(t, k, sc.Pool.AvailableAt(clock), st, s1, below, "snapshot pass")
 
 		// Perturb-then-compare, on the kernel and state that made the plans
 		// above: tracker-style progress to clock and a replan, progress to a
@@ -338,7 +394,7 @@ func FuzzKernelReschedule(f *testing.F) {
 		opts := kernel.Options{NoInsertion: noInsertion, TieWindow: tieWindow}
 		rs := sc.Pool.AvailableAt(clock)
 		st.Reset()
-		run := &warmRun{t: t, sc: sc, build: func() *kernel.Kernel { return quickKernel(t, sc) }, k: k, st: st}
+		run := &warmRun{t: t, sc: sc, build: build, k: k, st: st, below: below}
 		s1 = run.step(s0, clock, nil, rs, opts, "progress pass")
 		ov := map[dag.JobID]float64{}
 		for _, j := range sc.Graph.Jobs() {

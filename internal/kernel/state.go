@@ -249,17 +249,8 @@ func (st *State) fileAt(f int, r grid.ID) (float64, bool) {
 	return st.fled[i], true
 }
 
-// TransferAt returns the recorded availability of the (m → j) file on r.
-func (st *State) TransferAt(m, j dag.JobID, r grid.ID) (float64, bool) {
-	e := st.k.edgeIndex(m, j)
-	if e < 0 {
-		return 0, false
-	}
-	return st.transfer(e, r)
-}
-
-// PredTransferAt is TransferAt for the i-th incoming edge of j, found by
-// position instead of a search of j's Preds.
+// PredTransferAt returns the recorded availability on r of the file of
+// the i-th incoming edge of j.
 func (st *State) PredTransferAt(j dag.JobID, i int, r grid.ID) (float64, bool) {
 	return st.transfer(st.k.predBase[j]+i, r)
 }

@@ -23,6 +23,10 @@ type block struct{ start, finish float64 }
 type timeline struct {
 	blocks []block
 	seams  []float64 // ascending
+
+	// floor is Price's resource order: the previous priced job's finish,
+	// -Inf on a row outside the priced resource set.
+	floor float64
 }
 
 // reset empties the timeline and adds every interval of from, which must

@@ -122,11 +122,12 @@ type warmRun struct {
 	k     *kernel.Kernel
 	st    *kernel.State
 	log   []progress
+	below bool // requirePriced's exception applies
 }
 
 // step advances the long-lived state to clock against plan, replans on the
-// long-lived kernel, and requires the plan a new kernel makes of the replayed
-// state to be the same one.
+// long-lived kernel, holds the plan to its price, and requires the plan a
+// new kernel makes of the replayed state to be the same one.
 func (w *warmRun) step(plan *schedule.Schedule, clock float64, scaleOf map[dag.JobID]float64, rs []grid.Resource, opts kernel.Options, ctx string) *schedule.Schedule {
 	w.t.Helper()
 	w.log = append(w.log, progress{plan, clock, maps.Clone(scaleOf)})
@@ -135,6 +136,7 @@ func (w *warmRun) step(plan *schedule.Schedule, clock float64, scaleOf map[dag.J
 	if err != nil {
 		w.t.Fatalf("%s: %v", ctx, err)
 	}
+	requirePriced(w.t, w.k, rs, w.st, warm, w.below, ctx)
 	kf := w.build()
 	stf := kf.NewState(w.sc.Pool.Size())
 	for _, p := range w.log {

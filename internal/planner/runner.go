@@ -236,12 +236,18 @@ func runPolicy(ctx context.Context, g *dag.Graph, est cost.Estimator, pool *grid
 				if a.Finish > prev {
 					st.Ship(j.ID, a.Resource, a.Finish, s0)
 				}
-			case a.Start < t && !opts.RestartRunning:
+			case a.Start < t:
 				st.Pin(a)
 			}
 		}
 		prev = t
-		s1, d, err := Evaluate(k, pol, rs, st, opts, s0.Makespan, TriggerArrival, len(pool.ArrivalsAt(t)))
+		// S0 is priced with its running jobs running; the restart ablation
+		// frees them for S1 only.
+		cur := k.Price(rs, st, s0)
+		if opts.RestartRunning {
+			st.ClearPinned()
+		}
+		s1, d, err := Evaluate(k, pol, rs, st, opts, cur, TriggerArrival, len(pool.ArrivalsAt(t)))
 		if err != nil {
 			return nil, err
 		}
@@ -273,19 +279,19 @@ func Better(current, candidate float64, eps float64) bool {
 }
 
 // Evaluate is the Fig. 2 loop body at one event, shared by every engine
-// and both what-ifs: replan the jobs st leaves free over rs, price the
-// current plan with projectS0 (after the replan, so a projection may read
-// estimates the replan refreshed), and decide adoption by Better. The
-// Decision's Clock and JobsFinished come from st. A policy that proposes
-// nothing yields a nil schedule. The caller installs an adopted S1 and
-// re-stages its inputs (Restage); wall-clock telemetry is its to add.
+// and both what-ifs: replan the jobs st leaves free over rs and decide
+// adoption by Better against cur, S0's price — k.Price of the current
+// plan on the real state and pool, taken before any hypothetical change
+// to st. The Decision's Clock and JobsFinished come from st. A policy
+// that proposes nothing yields a nil schedule. The caller installs an
+// adopted S1 and re-stages its inputs (Restage); wall-clock telemetry is
+// its to add.
 func Evaluate(k *kernel.Kernel, pol policy.Policy, rs []grid.Resource, st *kernel.State, opts policy.Options,
-	projectS0 func() float64, trig Trigger, arrived int) (*schedule.Schedule, Decision, error) {
+	cur float64, trig Trigger, arrived int) (*schedule.Schedule, Decision, error) {
 	s1, err := pol.Replan(k, rs, st, opts)
 	if err != nil || s1 == nil {
 		return nil, Decision{}, err
 	}
-	cur := projectS0()
 	return s1, Decision{
 		Clock:        st.Clock,
 		PoolSize:     len(rs),

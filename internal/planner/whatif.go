@@ -2,6 +2,7 @@ package planner
 
 import (
 	"fmt"
+	"slices"
 
 	"aheft/internal/cost"
 	"aheft/internal/dag"
@@ -57,33 +58,25 @@ func WhatIf(g *dag.Graph, est cost.Estimator, s0 *schedule.Schedule, available [
 	for _, r := range q.Remove {
 		removed[r] = true
 	}
-	rs := make([]grid.Resource, 0, len(available)+len(q.Add))
-	for _, r := range available {
-		if !removed[r.ID] {
-			rs = append(rs, r)
-		}
-	}
-	for _, r := range q.Add {
-		if removed[r.ID] {
-			continue
-		}
-		rs = append(rs, r)
-	}
+	rs := slices.DeleteFunc(slices.Concat(available, q.Add), func(r grid.Resource) bool { return removed[r.ID] })
 	if len(rs) == 0 {
 		return nil, fmt.Errorf("planner: WhatIf leaves an empty pool")
 	}
 
 	k := kernel.New(g, est)
+	defer k.Release()
 	st := k.NewState(0)
-	st.Snapshot(s0, q.Clock, kernel.SnapshotOptions{RestartRunning: opts.RestartRunning})
-	// Jobs running on a removed resource cannot finish there: restart
-	// them under the hypothesis.
+	defer st.Release()
+	st.Snapshot(s0, q.Clock, kernel.SnapshotOptions{})
+	cur := k.Price(available, st, s0) // the makespan if nothing changes
+	// Jobs running on a removed resource cannot finish there, nor any under
+	// the restart ablation: restart them under the hypothesis.
 	for _, j := range g.Jobs() {
-		if st.Pinned(j.ID) && removed[s0.MustGet(j.ID).Resource] {
+		if st.Pinned(j.ID) && (opts.RestartRunning || removed[s0.MustGet(j.ID).Resource]) {
 			st.Unpin(j.ID)
 		}
 	}
-	s1, d, err := Evaluate(k, policy.MustGet("aheft"), rs, st, opts, s0.Makespan, TriggerArrival, len(q.Add))
+	s1, d, err := Evaluate(k, policy.MustGet("aheft"), rs, st, opts, cur, TriggerArrival, len(q.Add))
 	if err != nil {
 		return nil, err
 	}

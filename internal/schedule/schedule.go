@@ -40,6 +40,7 @@ func (a Assignment) Duration() float64 { return a.Finish - a.Start }
 // schedules carry none.
 type Transfer struct {
 	Job      dag.JobID
+	Input    int // which of Job's inputs File is: its index in the graph's Preds(Job)
 	File     string
 	From, To grid.ID
 	Start    float64
