@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"encoding/json"
 	"io"
 	"net"
 	"net/http"
@@ -13,6 +14,9 @@ import (
 	"time"
 
 	"aheft/internal/buildinfo"
+	"aheft/internal/replay"
+	"aheft/internal/wire"
+	"aheft/internal/workload"
 )
 
 func TestVersionAndBadFlag(t *testing.T) {
@@ -87,5 +91,79 @@ func TestDebugAddrServesPprofApartFromAPI(t *testing.T) {
 		}
 	case <-time.After(30 * time.Second):
 		t.Fatal("daemon did not drain on SIGTERM")
+	}
+}
+
+// TestRecordDirReplaysIdentical runs the daemon with -record-dir, serves
+// one submission to completion and drains on SIGTERM; the recording it
+// leaves must replay identically. This is the binary's half of the replay
+// gate (the recorder and replay themselves are internal/replay's tests).
+func TestRecordDirReplaysIdentical(t *testing.T) {
+	api, dir := freeAddr(t), t.TempDir()
+	exit := make(chan int, 1)
+	go func() {
+		exit <- run([]string{"-addr", api, "-shards", "2", "-record-dir", dir}, io.Discard, io.Discard)
+	}()
+	base := "http://" + api
+	for deadline := time.Now().Add(10 * time.Second); ; {
+		if resp, err := http.Get(base + "/v1/healthz"); err == nil {
+			resp.Body.Close()
+			if resp.StatusCode == http.StatusOK {
+				break
+			}
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("daemon not serving after 10s")
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	sc := workload.SampleScenario()
+	body, err := wire.EncodeSubmission(&wire.Submission{Policy: "aheft", Graph: sc.Graph, Comp: sc.Table, Pool: sc.Pool,
+		Options: wire.Options{TieWindow: 0.05}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.Post(base+"/v1/workflows", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var sub wire.Submitted
+	err = json.NewDecoder(resp.Body).Decode(&sub)
+	resp.Body.Close()
+	if err != nil || resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("submit: HTTP %d, %v", resp.StatusCode, err)
+	}
+	for deadline := time.Now().Add(10 * time.Second); ; {
+		var st wire.Status
+		if resp, err := http.Get(base + "/v1/workflows/" + sub.ID); err == nil {
+			_ = json.NewDecoder(resp.Body).Decode(&st)
+			resp.Body.Close()
+		}
+		if st.State == "done" {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("workflow %s not done after 10s (state %q)", sub.ID, st.State)
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	if err := syscall.Kill(os.Getpid(), syscall.SIGTERM); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case code := <-exit:
+		if code != 0 {
+			t.Fatalf("drain exit code %d", code)
+		}
+	case <-time.After(30 * time.Second):
+		t.Fatal("daemon did not drain on SIGTERM")
+	}
+	res, err := replay.Run(dir, replay.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.Identical() || res.Shards != 2 || res.Outputs == 0 {
+		t.Fatalf("replay of the daemon's recording: %d shards, %d outputs, divergences:\n%s",
+			res.Shards, res.Outputs, strings.Join(res.Divergences, "\n"))
 	}
 }

@@ -1,7 +1,7 @@
-// Command replay re-drives a flight recording captured with
-// aheftd -record-dir (or loadgen -record) through a fresh in-process
-// daemon and verifies that every decision, plan generation and terminal
-// outcome reproduces bit-identically. Exit status: 0 on an identical
+// Command replay re-drives a flight recording captured with aheftd
+// -record-dir through a fresh in-process daemon and verifies that every
+// decision, plan generation and terminal outcome reproduces
+// bit-identically. Exit status: 0 on an identical
 // replay, 1 on divergence, 2 on an unusable recording (torn tail,
 // missing or unclean trailer) or an operational error.
 //

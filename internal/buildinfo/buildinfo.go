@@ -1,7 +1,7 @@
 // Package buildinfo carries the daemon's build/version identity: a
 // base version string (overridable at link time) plus the VCS revision
 // Go embeds in the binary. aheftd prints it for -version, /v1/healthz
-// reports it, and loadgen stamps its JSON reports with the daemon's
+// reports it, and cmd/chaos stamps its JSON report with the daemon's
 // value so a benchmark artefact names the build that produced it.
 package buildinfo
 

@@ -17,8 +17,8 @@ import (
 	"aheft/internal/wire"
 )
 
-// Client is the one aheftd HTTP client: Run, RunData and every cmd/loadgen
-// mode talk to the daemon through it. The zero HTTP field means a shared
+// Client is the one aheftd HTTP client: Run, cmd/chaos and cmd/overload
+// talk to the daemon through it. The zero HTTP field means a shared
 // 2-minute-timeout default.
 type Client struct {
 	// Base is the daemon's address ("http://127.0.0.1:7070").
@@ -203,7 +203,7 @@ func (c *Client) Grid(ctx context.Context, name string) (*wire.GridStatus, error
 }
 
 // EnsureGrid registers the shared grid, tolerating an identical
-// pre-existing one (loadgen rounds reuse the daemon).
+// pre-existing one (rounds on one daemon reuse the grid).
 func (c *Client) EnsureGrid(ctx context.Context, name string, pool *grid.Pool) error {
 	body, err := wire.EncodeGridSpec(&wire.GridSpec{Pool: pool})
 	if err != nil {

@@ -12,18 +12,19 @@
 // the only enactment loop (Run drives it against the daemon, one tenant
 // on its own pool or several co-scheduled on a named shared grid; the
 // root facade drives it against an in-process feedback.Tracker), Replay
-// the only builder of faithful plan-to-report event lists (RunData and
-// loadgen's -chaos script use it). cmd/loadgen and the server acceptance
-// tests share this harness. A
-// Run with a fixed Config and tenants is deterministic as long as the
-// tenants' histories are not perturbed by concurrent workflows: the noise
-// tables and churned pool are pre-materialised from the seed, and the
-// simulation itself is a deterministic event loop.
+// the only builder of faithful plan-to-report event lists (cmd/chaos and
+// the data-aware tests use it). The daemon's acceptance tests, cmd/chaos
+// and cmd/overload share this harness. A Run with a fixed Config and
+// tenants is deterministic as long as the tenants' histories are not
+// perturbed by concurrent workflows: the noise tables and churned pool
+// are pre-materialised from the seed, and the simulation itself is a
+// deterministic event loop.
 package drive
 
 import (
 	"context"
 	"fmt"
+	"sort"
 
 	"aheft/internal/cost"
 	"aheft/internal/dag"
@@ -111,26 +112,14 @@ type Row struct {
 	ByTrigger   map[string]int
 }
 
-// Delta returns the fractional makespan improvement of the adaptive run
-// over the baseline (positive = adaptivity helped).
-func (r *Row) Delta() float64 {
-	if r.BaselineMakespan <= 0 {
-		return 0
-	}
-	return (r.BaselineMakespan - r.AdaptiveMakespan) / r.BaselineMakespan
-}
-
 // Outcome is the measured result of one run.
 type Outcome struct {
 	Tenants []Row
 	// FinalReservations and FinalTransferReservations are the shared
 	// grid's occupancy after every tenant finished — anything but zero is
-	// a leak. PlannedTransferClaims (RunData only) is the grid's
-	// transfer-reservation count while the plan was pending — zero means
-	// the round never exercised the data path.
+	// a leak.
 	FinalReservations         int
 	FinalTransferReservations int
-	PlannedTransferClaims     int
 }
 
 // Run drives the tenants through the daemon's feedback loop to completion
@@ -567,4 +556,42 @@ func finishTimes(recs []executor.JobRecord, offsets []int) []float64 {
 		}
 	}
 	return out
+}
+
+// Replay builds the faithful execution report of plan up to clock —
+// every job starting and finishing exactly when planned; starts strictly
+// before clock, finishes at or before it — skipping events the applied
+// prefix already covered. A +Inf clock with no prefix is the whole run; a
+// +Inf clock with a pre-crash prefix is exactly the remaining events.
+// Starts sort ahead of finishes at equal times, so the daemon knows a job
+// holds its slot before it hears a neighbour released one.
+func Replay(plan *wire.Plan, clock float64, applied []wire.ReportEvent) []wire.ReportEvent {
+	type key struct {
+		kind string
+		job  int
+	}
+	done := make(map[key]bool, len(applied))
+	for _, ev := range applied {
+		done[key{ev.Kind, ev.Job}] = true
+	}
+	var evs []wire.ReportEvent
+	for _, a := range plan.Assignments {
+		if a.Start < clock && !done[key{wire.ReportJobStarted, a.Job}] {
+			evs = append(evs, wire.ReportEvent{
+				Kind: wire.ReportJobStarted, Time: a.Start, Job: a.Job, Resource: a.Resource,
+			})
+		}
+		if a.Finish <= clock && !done[key{wire.ReportJobFinished, a.Job}] {
+			evs = append(evs, wire.ReportEvent{
+				Kind: wire.ReportJobFinished, Time: a.Finish, Job: a.Job, Resource: a.Resource, Duration: a.Finish - a.Start,
+			})
+		}
+	}
+	sort.SliceStable(evs, func(i, j int) bool {
+		if evs[i].Time != evs[j].Time {
+			return evs[i].Time < evs[j].Time
+		}
+		return evs[i].Kind == wire.ReportJobStarted && evs[j].Kind != wire.ReportJobStarted
+	})
+	return evs
 }

@@ -183,13 +183,14 @@ func TestParityGolden(t *testing.T) {
 		sc := workload.DataScenario(workload.DataParams{Searches: 6, DBSize: 200, HitSize: 8})
 		var run goldenRun
 		run.Requests = tapped(t, func(base string, client *http.Client) {
-			out, err := drive.RunData(context.Background(), drive.Config{
+			out, claims, err := drive.RunData(context.Background(), drive.Config{
 				Client: drive.Client{Base: base, HTTP: client}, Grid: "parity-data",
 			}, drive.Tenant{Name: "data-0", Scenario: sc, Policy: "aheft"})
 			if err != nil {
 				t.Fatal(err)
 			}
 			run.fill(out)
+			run.PlannedTransferClaims = claims
 		})
 		got["data"] = run
 	})
@@ -244,7 +245,6 @@ func TestParityGolden(t *testing.T) {
 func (g *goldenRun) fill(out *drive.Outcome) {
 	g.FinalReservations = out.FinalReservations
 	g.FinalTransferReservations = out.FinalTransferReservations
-	g.PlannedTransferClaims = out.PlannedTransferClaims
 	for _, r := range out.Tenants {
 		by := r.ByTrigger
 		if by == nil {

@@ -4,12 +4,14 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -219,11 +221,10 @@ func recordMixedRun(t *testing.T, dir string) {
 	}
 }
 
-// TestReplayMixedRunIdentical is the tentpole acceptance test: a
-// recording covering analytic, live (with a duplicate report), and
-// shared-grid traffic replays bit-identically, and a second replay of
-// the same recording produces an identical canonical digest — the same
-// double-replay gate CI runs via cmd/replay.
+// TestReplayMixedRunIdentical is the acceptance test across traffic
+// kinds: a recording covering analytic, live (with a duplicate report),
+// and shared-grid traffic replays bit-identically, and a second replay of
+// the same recording produces an identical canonical digest.
 func TestReplayMixedRunIdentical(t *testing.T) {
 	if testing.Short() {
 		t.Skip("record/replay acceptance test skipped in -short mode")
@@ -270,6 +271,96 @@ func TestReplayMixedRunIdentical(t *testing.T) {
 	}
 	if strings.Join(res.Digest, "\n") != strings.Join(res2.Digest, "\n") {
 		t.Fatal("two replays of one recording produced different digests")
+	}
+}
+
+// TestReplayConcurrentDriveIdentical is the replay gate under
+// concurrency: 16 live BLAST/WIEN2K workflows driven at once (20% runtime
+// noise, 30% churned resource joins, class-scoped histories, so each
+// workflow plans with what its concurrent siblings taught the daemon)
+// against a 4-shard recording daemon, which then drains cleanly. Two
+// replays of the recording must each reproduce every decision, plan
+// generation and terminal outcome, and write byte-equal digests.
+func TestReplayConcurrentDriveIdentical(t *testing.T) {
+	if testing.Short() {
+		t.Skip("record/replay acceptance test skipped in -short mode")
+	}
+	dir := t.TempDir()
+	srv, err := server.Open(server.Config{Shards: 4, QueueDepth: 256, RecordDir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+
+	const runs = 16
+	r := rng.New(0xc0dc)
+	gp := workload.GridParams{InitialResources: 8, ChangeInterval: 300, ChangePct: 0.25, MaxEvents: 4}
+	app := workload.AppParams{Parallelism: 12, CCR: 1, Beta: 0.5}
+	tenants := make([]drive.Tenant, runs)
+	for i := range tenants {
+		class, gen := "blast", workload.BlastScenario
+		if i%2 == 1 {
+			class, gen = "wien2k", workload.Wien2kScenario
+		}
+		sc, err := gen(app, gp, r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tenants[i] = drive.Tenant{Name: fmt.Sprintf("%s-%d", class, i), History: class, Scenario: sc,
+			Policy: "aheft", Options: wire.Options{VarianceThreshold: 0.2}}
+	}
+	var wg sync.WaitGroup
+	errs := make(chan error, runs)
+	for i, tn := range tenants {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			_, err := drive.Run(context.Background(), drive.Config{
+				Client: drive.Client{Base: ts.URL, HTTP: ts.Client()},
+				Noise:  0.2, Churn: 0.3, Seed: uint64(i) + 1,
+			}, []drive.Tenant{tn})
+			if err != nil {
+				errs <- fmt.Errorf("%s: %w", tn.Name, err)
+			}
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
+	}
+	if t.Failed() {
+		t.FailNow()
+	}
+	ts.Close()
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
+	if err := srv.Shutdown(ctx); err != nil {
+		t.Fatalf("drain: %v", err)
+	}
+	if m := srv.MetricsSnapshot(); m.EventsDropped != 0 || m.Completed != runs || m.Failed != 0 || m.Reschedules == 0 {
+		t.Fatalf("recorded run: events_dropped=%d completed=%d failed=%d reschedules=%d",
+			m.EventsDropped, m.Completed, m.Failed, m.Reschedules)
+	}
+
+	var digests [2]string
+	for i := range digests {
+		res, err := Run(dir, Options{Timeout: 5 * time.Minute})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !res.Identical() {
+			t.Fatalf("replay %d diverged (%d mismatches over %d outputs):\n%s",
+				i+1, len(res.Divergences), res.Outputs, strings.Join(res.Divergences, "\n"))
+		}
+		if res.Shards != 4 || res.Outputs == 0 {
+			t.Fatalf("replay %d coverage: %d shards, %d outputs", i+1, res.Shards, res.Outputs)
+		}
+		digests[i] = strings.Join(res.Digest, "\n") + "\n"
+	}
+	if digests[0] != digests[1] {
+		t.Fatal("two replays of one recording wrote different digests")
 	}
 }
 

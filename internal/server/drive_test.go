@@ -14,7 +14,7 @@ import (
 
 // TestDriveClosedLoopBeatsStatic is the adaptive-loop acceptance test:
 // the daemon under a closed-loop enactment client (internal/drive, the
-// same harness loadgen -drive uses) with 20% runtime noise and churned
+// one enactment harness) with 20% runtime noise and churned
 // resource arrivals must perform variance-triggered reschedules on the
 // BLAST and WIEN2K mixes, and the final simulated makespans must beat
 // the never-reschedule baseline on average — then the daemon must drain
@@ -77,7 +77,7 @@ func TestDriveClosedLoopBeatsStatic(t *testing.T) {
 				staticSum += out.BaselineMakespan
 				t.Logf("%s-%d: jobs=%d adaptive=%.1f static=%.1f delta=%+.1f%% reschedules=%d (variance=%d arrival=%d) reports=%d gen=%d",
 					class.name, i, out.Jobs, out.AdaptiveMakespan, out.BaselineMakespan,
-					100*out.Delta(), out.Reschedules, out.ByTrigger["variance"],
+					100*(out.BaselineMakespan-out.AdaptiveMakespan)/out.BaselineMakespan, out.Reschedules, out.ByTrigger["variance"],
 					out.ByTrigger["arrival"], out.Reports, out.Generation)
 			}
 			if varianceReschedules == 0 {

@@ -626,7 +626,7 @@ type RecoveryStats struct {
 }
 
 // String renders the statistics for the daemon's startup line and
-// loadgen's chaos verdict.
+// cmd/chaos's verdict.
 func (r RecoveryStats) String() string {
 	return fmt.Sprintf("recovered %d live workflows in %.1fms (load %.1f, fold %.1f, restore %.1f, snapshot %.1f; %d records, %d bytes replayed)",
 		r.Workflows, r.Ms, r.LoadMs, r.FoldMs, r.RestoreMs, r.SnapshotMs, r.WALRecords, r.WALBytes)
@@ -1223,8 +1223,8 @@ func parseWorkflowSeq(id string) uint64 {
 // Gate is the recovering/ready switch in front of the daemon's handler:
 // every request is answered 503 {"status":"recovering"} until Ready
 // installs the real handler. cmd/aheftd serves the gate immediately and
-// flips it once Open's replay completes, so a probe (or loadgen's
-// waitHealthy) distinguishes "recovering" from "ready" by status code.
+// flips it once Open's replay completes, so a probe (or cmd/chaos's
+// readiness wait) distinguishes "recovering" from "ready" by status code.
 type Gate struct {
 	h atomic.Pointer[http.Handler]
 }

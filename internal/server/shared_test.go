@@ -316,7 +316,7 @@ func TestSharedReservationReleaseOnForceCancel(t *testing.T) {
 // arrival churn), contention-aware adaptive planning must beat the
 // isolated-planning baseline on mean makespan, every tenant class must
 // see at least one cross-workflow (contention-triggered) reschedule, and
-// the grids must drain with zero leaked reservations.
+// the grids must drain with zero leaked compute or transfer reservations.
 func TestSharedGridContentionBeatsOblivious(t *testing.T) {
 	if testing.Short() {
 		t.Skip("shared-grid acceptance test skipped in -short mode")
@@ -356,8 +356,9 @@ func TestSharedGridContentionBeatsOblivious(t *testing.T) {
 		if err != nil {
 			t.Fatalf("round %d: %v", round, err)
 		}
-		if out.FinalReservations != 0 {
-			t.Fatalf("round %d leaked %d reservations", round, out.FinalReservations)
+		if out.FinalReservations != 0 || out.FinalTransferReservations != 0 {
+			t.Fatalf("round %d leaked %d compute + %d transfer reservations",
+				round, out.FinalReservations, out.FinalTransferReservations)
 		}
 		for _, to := range out.Tenants {
 			if to.DaemonMakespan != to.AdaptiveMakespan {
@@ -370,7 +371,7 @@ func TestSharedGridContentionBeatsOblivious(t *testing.T) {
 			a.contention += to.ByTrigger["contention"]
 			a.eachRuns++
 			t.Logf("round %d %-7s jobs=%d aware=%.1f oblivious=%.1f delta=%+.1f%% reschedules=%d (contention=%d variance=%d arrival=%d) gen=%d",
-				round, to.Name, to.Jobs, to.AdaptiveMakespan, to.BaselineMakespan, 100*to.Delta(),
+				round, to.Name, to.Jobs, to.AdaptiveMakespan, to.BaselineMakespan, 100*(to.BaselineMakespan-to.AdaptiveMakespan)/to.BaselineMakespan,
 				to.Reschedules, to.ByTrigger["contention"], to.ByTrigger["variance"], to.ByTrigger["arrival"], to.Generation)
 		}
 	}
@@ -391,7 +392,7 @@ func TestSharedGridContentionBeatsOblivious(t *testing.T) {
 	}
 
 	m := srv.MetricsSnapshot()
-	if m.SharedGrids != rounds || m.Reservations != 0 {
+	if m.SharedGrids != rounds || m.Reservations != 0 || m.TransferReservations != 0 {
 		t.Fatalf("grid gauges: %+v", m)
 	}
 	if m.ReschedulesContention == 0 || m.EventsDropped != 0 {

@@ -18,23 +18,11 @@ type Sample struct {
 	n    int
 	mean float64
 	m2   float64
-	min  float64
-	max  float64
 }
 
 // Add records one observation.
 func (s *Sample) Add(x float64) {
 	s.n++
-	if s.n == 1 {
-		s.min, s.max = x, x
-	} else {
-		if x < s.min {
-			s.min = x
-		}
-		if x > s.max {
-			s.max = x
-		}
-	}
 	d := x - s.mean
 	s.mean += d / float64(s.n)
 	s.m2 += d * (x - s.mean)
@@ -45,12 +33,6 @@ func (s *Sample) N() int { return s.n }
 
 // Mean returns the sample mean (0 for an empty sample).
 func (s *Sample) Mean() float64 { return s.mean }
-
-// Min returns the smallest observation.
-func (s *Sample) Min() float64 { return s.min }
-
-// Max returns the largest observation.
-func (s *Sample) Max() float64 { return s.max }
 
 // Var returns the unbiased sample variance.
 func (s *Sample) Var() float64 {
@@ -91,53 +73,10 @@ func Improvement(base, new float64) float64 {
 	return (base - new) / base
 }
 
-// Mean returns the arithmetic mean of xs (0 if empty).
-func Mean(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	s := 0.0
-	for _, x := range xs {
-		s += x
-	}
-	return s / float64(len(xs))
-}
-
-// Median returns the median of xs (0 if empty). xs is not modified.
-func Median(xs []float64) float64 {
-	n := len(xs)
-	if n == 0 {
-		return 0
-	}
-	c := append([]float64(nil), xs...)
-	sort.Float64s(c)
-	if n%2 == 1 {
-		return c[n/2]
-	}
-	return (c[n/2-1] + c[n/2]) / 2
-}
-
-// GeoMean returns the geometric mean of xs; all values must be positive.
-// The experiment harness uses it for ratio aggregation, where a geometric
-// mean avoids the bias of averaging ratios arithmetically.
-func GeoMean(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	s := 0.0
-	for _, x := range xs {
-		if x <= 0 {
-			return math.NaN()
-		}
-		s += math.Log(x)
-	}
-	return math.Exp(s / float64(len(xs)))
-}
-
 // Quantiles returns the requested quantiles (0..1) of xs by the
 // nearest-rank (ceil) definition, or zeros when xs is empty. xs is not
 // modified. It is the one percentile definition shared by the aheftd
-// daemon's /metrics latency window and cmd/loadgen's report, so the two
+// daemon's /metrics latency window and cmd/overload's report, so the two
 // never disagree on what "p99" means.
 func Quantiles(xs []float64, qs ...float64) []float64 {
 	out := make([]float64, len(qs))

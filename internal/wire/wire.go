@@ -568,7 +568,7 @@ type GridStatus struct {
 	Links []LinkStatus `json:"links,omitempty"`
 }
 
-// --- Response-side wire types (shared by the daemon and loadgen). ---
+// --- Response-side wire types (shared by the daemon and its clients). ---
 
 // Decision is the wire form of one rescheduling evaluation.
 type Decision struct {
