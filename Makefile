@@ -61,6 +61,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz 'FuzzAppendAckParity' -fuzztime $(FUZZTIME) ./internal/wire
 	$(GO) test -run '^$$' -fuzz 'FuzzDecodeWALRecordParity' -fuzztime $(FUZZTIME) ./internal/wire
 	$(GO) test -run '^$$' -fuzz 'FuzzDecodeWALStateParity' -fuzztime $(FUZZTIME) ./internal/server
+	$(GO) test -run '^$$' -fuzz 'FuzzAppendJournalParity' -fuzztime $(FUZZTIME) ./internal/server
 	$(GO) test -run '^$$' -fuzz 'FuzzKernelReschedule' -fuzztime $(FUZZTIME) ./internal/kernel
 	$(GO) test -run '^$$' -fuzz 'FuzzWALReplay' -fuzztime $(FUZZTIME) ./internal/durable
 	$(GO) test -run '^$$' -fuzz 'FuzzStatePatch' -fuzztime $(FUZZTIME) ./internal/feedback
@@ -87,9 +88,9 @@ bench:
 # (end-to-end throughput under each WAL fsync policy, raw WAL appends,
 # and startup recovery replay on one and on two fold workers), plus
 # internal/wire's submission-decode and ack-encode benches and
-# internal/server's state-record decode bench (the one-pass decoders and
-# the append encoder and, under oracle/, the reflective ones they
-# replaced, on the same documents) — and snapshots them into BENCH_SERVER_OUT
+# internal/server's state-record encode and decode benches (the one-pass
+# decoders and the append encoders and, under oracle/, the reflective ones
+# they replaced, on the same documents) — and snapshots them into BENCH_SERVER_OUT
 # (default BENCH_server.json, the committed reference). CI records a
 # fresh snapshot and prints the ratio table with cmd/benchcmp.
 BENCH_SERVER_OUT ?= BENCH_server.json

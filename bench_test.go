@@ -680,10 +680,10 @@ func BenchmarkWALAppend(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	var states []json.RawMessage
+	var states []wire.RawDoc
 	for _, r := range rec.Records {
 		if r.Kind == wire.WALState {
-			states = append(states, r.Data)
+			states = append(states, wire.RawDoc(r.Data))
 		}
 	}
 	for _, policy := range []string{"off", "interval", "always"} {
@@ -719,7 +719,8 @@ func BenchmarkWALAppend(b *testing.B) {
 // bytes replayed per second. The crashed directory is restored before
 // every op — recovery itself snapshots and truncates what it replayed.
 // Recovery folds the four shard directories on GOMAXPROCS workers:
-// procs=1 is the one-worker cost, procs=2 what a second core buys.
+// procs=1 is the one-worker cost, procs=2 what a second core buys. The
+// *_ms metrics are RecoveryStats' phase split, per recovery.
 func BenchmarkRecovery(b *testing.B) {
 	const workflows = 32
 	l := recordBlastLife(b)
@@ -731,6 +732,7 @@ func BenchmarkRecovery(b *testing.B) {
 		b.Run(fmt.Sprintf("procs=%d", procs), func(b *testing.B) {
 			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
 			var replayed int64
+			var phases [4]float64 // load, fold, restore, snapshot
 			for i := 0; i < b.N; i++ {
 				b.StopTimer()
 				if err := os.RemoveAll(cfg.DataDir); err != nil {
@@ -746,12 +748,19 @@ func BenchmarkRecovery(b *testing.B) {
 				if m := s.MetricsSnapshot(); m.RecoveredWorkflows != workflows {
 					b.Fatalf("recovered %d workflows, want %d", m.RecoveredWorkflows, workflows)
 				}
+				r := s.Recovery()
+				for k, ms := range []float64{r.LoadMs, r.FoldMs, r.RestoreMs, r.SnapshotMs} {
+					phases[k] += ms
+				}
 				s.Crash()
 				b.StartTimer()
 			}
 			b.ReportMetric(float64(workflows)*float64(b.N)/b.Elapsed().Seconds(), "wf/s")
 			b.ReportMetric(float64(replayed)*float64(b.N)/b.Elapsed().Seconds()/(1<<20), "MB/s")
 			b.ReportMetric(float64(replayed)/(1<<10)/workflows, "wal_KB/wf")
+			for k, name := range []string{"load_ms", "fold_ms", "restore_ms", "snapshot_ms"} {
+				b.ReportMetric(phases[k]/float64(b.N), name)
+			}
 		})
 	}
 }

@@ -5,6 +5,8 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+
+	"aheft/internal/wire"
 )
 
 // FuzzWALReplay pins the crash-safety contract down for arbitrary bytes:
@@ -62,7 +64,7 @@ func FuzzWALReplay(f *testing.F) {
 		if err != nil {
 			t.Fatalf("open: %v", err)
 		}
-		_, _ = s.Append("state", 1) // may fail near LSN overflow; must not panic
+		_, _ = s.Append("state", wire.RawDoc("1")) // may fail near LSN overflow; must not panic
 		s.Close()
 		clean, err := Load(dir)
 		if err != nil {

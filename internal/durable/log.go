@@ -20,7 +20,7 @@ type Log struct {
 	mu       sync.Mutex
 	f        *os.File
 	lsn      uint64
-	docBuf   []byte
+	enc      wire.Appender
 	frameBuf []byte
 	closed   bool
 }
@@ -43,17 +43,19 @@ func (l *Log) Append(kind string, payload json.RawMessage) error {
 	if l.closed {
 		return fmt.Errorf("durable: log is closed")
 	}
-	rec := &wire.WALRecord{LSN: l.lsn + 1, Kind: kind, Data: payload}
-	doc, err := wire.AppendWALRecord(l.docBuf[:0], rec)
+	var data wire.Doc
+	if len(payload) > 0 {
+		data = wire.RawDoc(payload)
+	}
+	doc, err := encodeRecord(&l.enc, l.lsn+1, kind, data)
 	if err != nil {
 		return err
 	}
-	l.docBuf = doc
 	l.frameBuf = appendFrame(l.frameBuf[:0], doc)
 	if _, err := l.f.Write(l.frameBuf); err != nil {
 		return fmt.Errorf("durable: log append: %w", err)
 	}
-	l.lsn = rec.LSN
+	l.lsn++
 	return nil
 }
 

@@ -1,7 +1,6 @@
 package durable
 
 import (
-	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -100,8 +99,8 @@ type Shard struct {
 	lsn      uint64 // last assigned LSN
 	disabled bool
 	dirty    bool
-	docBuf   []byte // reusable envelope-encoding scratch (under mu)
-	frameBuf []byte // reusable frame scratch (under mu)
+	enc      wire.Appender // reusable envelope encoder (under mu)
+	frameBuf []byte        // reusable frame scratch (under mu)
 
 	stopOnce sync.Once
 	stop     chan struct{}
@@ -264,41 +263,44 @@ func repair(dir string, rec *Recovered) error {
 	return nil
 }
 
-// Append frames, checksums and writes one record, assigning its LSN.
-// The payload is marshalled as the envelope's Data; a json.RawMessage
-// passes through verbatim — the caller guarantees it is one valid JSON
-// value (the daemon journals raw bodies only after decoding them), and
-// skipping the re-validate/re-compact pass a reflective marshal would
-// do is what keeps the append path off the throughput profile. Append
-// never fsyncs unless the policy is SyncAlways. A disabled store
-// reports (0, nil): the crash test hook turned writes off.
-func (s *Shard) Append(kind string, payload any) (uint64, error) {
-	data, ok := payload.(json.RawMessage)
-	if !ok {
-		var err error
-		data, err = json.Marshal(payload)
-		if err != nil {
-			return 0, fmt.Errorf("durable: marshal %s payload: %w", kind, err)
-		}
-	}
+// Record is one record to append: its kind and its payload.
+type Record struct {
+	Kind string
+	Data wire.Doc
+}
+
+// Append frames, checksums and writes one record, assigning its LSN; see
+// AppendAll.
+func (s *Shard) Append(kind string, data wire.Doc) (uint64, error) {
+	return s.AppendAll(Record{kind, data})
+}
+
+// AppendAll encodes each record into the envelope that carries it,
+// assigns it the next LSN, and writes the frames back to back in one
+// write(2): a kill leaves all of them or a torn tail that replay drops,
+// never some of them whole. It returns the last record's LSN. It never
+// fsyncs unless the policy is SyncAlways. A disabled store reports
+// (0, nil): the crash test hook turned writes off.
+func (s *Shard) AppendAll(recs ...Record) (uint64, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.disabled {
 		return 0, nil
 	}
-	rec := &wire.WALRecord{LSN: s.lsn + 1, Kind: kind, Data: data}
-	doc, err := wire.AppendWALRecord(s.docBuf[:0], rec)
-	if err != nil {
-		return 0, err
+	frame := s.frameBuf[:0]
+	for i, r := range recs {
+		doc, err := encodeRecord(&s.enc, s.lsn+uint64(i)+1, r.Kind, r.Data)
+		if err != nil {
+			return 0, fmt.Errorf("durable: encode %s record: %w", r.Kind, err)
+		}
+		frame = appendFrame(frame, doc)
 	}
-	s.docBuf = doc
-	s.frameBuf = appendFrame(s.frameBuf[:0], doc)
-	frame := s.frameBuf
+	s.frameBuf = frame
 	if _, err := s.f.Write(frame); err != nil {
 		return 0, fmt.Errorf("durable: append: %w", err)
 	}
-	s.lsn = rec.LSN
-	s.appends.Add(1)
+	s.lsn += uint64(len(recs))
+	s.appends.Add(uint64(len(recs)))
 	s.bytes.Add(uint64(len(frame)))
 	if s.policy == SyncAlways {
 		if err := s.f.Sync(); err != nil {
@@ -307,7 +309,18 @@ func (s *Shard) Append(kind string, payload any) (uint64, error) {
 	} else {
 		s.dirty = true
 	}
-	return rec.LSN, nil
+	return s.lsn, nil
+}
+
+// encodeRecord encodes one envelope through e, reusing the buffer e
+// wrote the last one into.
+func encodeRecord(e *wire.Appender, lsn uint64, kind string, data wire.Doc) ([]byte, error) {
+	buf, _ := e.Done()
+	*e = wire.NewAppender(buf[:0])
+	if err := wire.AppendWALRecord(e, lsn, kind, data); err != nil {
+		return nil, err
+	}
+	return e.Done()
 }
 
 // LSN returns the last assigned log sequence number.

@@ -6,11 +6,17 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+
+	"aheft/internal/wire"
 )
 
 func appendMust(t *testing.T, s *Shard, kind string, payload any) uint64 {
 	t.Helper()
-	lsn, err := s.Append(kind, payload)
+	data, err := json.Marshal(payload)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lsn, err := s.Append(kind, wire.RawDoc(data))
 	if err != nil {
 		t.Fatalf("append %s: %v", kind, err)
 	}
@@ -221,7 +227,7 @@ func TestDisableLeavesDiskUntouched(t *testing.T) {
 		t.Fatal(err)
 	}
 	s.Disable()
-	if lsn, err := s.Append("state", 3); lsn != 0 || err != nil {
+	if lsn, err := s.Append("state", wire.RawDoc("3")); lsn != 0 || err != nil {
 		t.Fatalf("disabled append returned (%d, %v)", lsn, err)
 	}
 	if err := s.Rotate([]byte("{}")); err != nil {

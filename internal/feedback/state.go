@@ -1,6 +1,7 @@
 package feedback
 
 import (
+	"encoding/base64"
 	"fmt"
 	"math"
 
@@ -92,16 +93,14 @@ func (t *Tracker) ExportState() *TrackerState {
 		st.PinDur[j] = t.pinDur[j]
 	}
 	copy(st.Avail, t.avail)
-	as := t.sched.Assignments()
-	st.Assignments = make([]wire.Assignment, 0, len(as))
-	for _, a := range as {
+	// In job order, straight from the by-job schedule: the exported form
+	// is canonical regardless of schedule shape.
+	st.Assignments = make([]wire.Assignment, 0, t.sched.Len())
+	for a := range t.sched.ByJob() {
 		st.Assignments = append(st.Assignments, wire.Assignment{
 			Job: int(a.Job), Resource: int(a.Resource), Start: a.Start, Finish: a.Finish,
 		})
 	}
-	// Assignments() orders by start time; re-sort by job so the exported
-	// form is canonical regardless of schedule shape.
-	sortAssignmentsByJob(st.Assignments)
 	if len(t.decisions) > 0 {
 		st.Decisions = make([]wire.Decision, 0, len(t.decisions))
 		for _, d := range t.decisions {
@@ -174,9 +173,9 @@ type StatePatch struct {
 	Reservations *ListPatch[occupancy.Reservation] `json:"reservations,omitempty"`
 }
 
-// DecodeDelta and DecodePatch decode the object at the scanner into their
-// argument as json.Unmarshal would: the two documents all but a workflow's
-// first state record are made of, so the ones recovery reads by the
+// DecodeDelta, DecodePatch and DecodeState decode the object at the
+// scanner into their argument as json.Unmarshal would: the documents a
+// workflow's state records are made of, which recovery reads by the
 // thousand (server.walState; the parity fuzz there holds them to it).
 func DecodeDelta(sc *jsonscan.Scanner, d *HistoryDelta) {
 	sc.Object("op", &d.Op, "resource", &d.Resource, "duration", &d.Duration)
@@ -191,23 +190,138 @@ func DecodePatch(sc *jsonscan.Scanner, p *StatePatch) {
 					"finish_at", &r.FinishAt, "pin_dur", &r.PinDur)
 			})
 		},
-		"avail", func() { p.Avail = jsonscan.Array(sc, p.Avail, func(i *int) { *i = sc.Int() }) },
-		"assignments", func() {
-			p.Assignments = jsonscan.Array(sc, p.Assignments, func(a *wire.Assignment) { wire.DecodeAssignment(sc, a) })
+		"avail", func() { p.Avail = decodeInts(sc, p.Avail) },
+		"assignments", func() { p.Assignments = decodeAssignments(sc, p.Assignments) },
+		"decisions", func() { p.Decisions = decodeDecisions(sc, p.Decisions) },
+		"transfers", func() { decodeListPatch(sc, &p.Transfers, func(t *TransferState) { decodeTransfer(sc, t) }) },
+		"reservations", func() {
+			decodeListPatch(sc, &p.Reservations, func(r *occupancy.Reservation) { decodeReservation(sc, r) })
+		})
+}
+
+// DecodeState is the one decoder of a whole state: the first record of a
+// journal chain and every live entry of a snapshot. Phase, a []uint8, is
+// what encoding/json makes of one: a base64 string, an array or null.
+func DecodeState(sc *jsonscan.Scanner, st *TrackerState) {
+	floats := func(dst *[]float64) func() {
+		return func() { *dst = jsonscan.Array(sc, *dst, func(f *float64) { *f = sc.Float() }) }
+	}
+	sc.Object("generation", &st.Generation, "initial", &st.Initial, "clock", &st.Clock,
+		"assignments", func() { st.Assignments = decodeAssignments(sc, st.Assignments) },
+		"phase", func() {
+			if sc.Peek() != '"' {
+				st.Phase = jsonscan.Array(sc, st.Phase, func(p *uint8) { *p = uint8(sc.Uint(8)) })
+				return
+			}
+			b64 := sc.String()
+			st.Phase = make([]uint8, base64.StdEncoding.DecodedLen(len(b64)))
+			n, err := base64.StdEncoding.Decode(st.Phase, b64)
+			sc.Fail(err)
+			st.Phase = st.Phase[:n]
 		},
-		"decisions", func() {
-			p.Decisions = jsonscan.Array(sc, p.Decisions, func(d *wire.Decision) { wire.DecodeDecision(sc, d) })
-		},
+		"start_at", floats(&st.StartAt),
+		"start_res", func() { st.StartRes = decodeInts(sc, st.StartRes) },
+		"finish_at", floats(&st.FinishAt), "pin_dur", floats(&st.PinDur),
+		"avail", func() { st.Avail = jsonscan.Array(sc, st.Avail, func(b *bool) { *b = sc.Bool() }) },
+		"decisions", func() { st.Decisions = decodeDecisions(sc, st.Decisions) },
+		"adoptions", &st.Adoptions, "done", &st.Done, "makespan", &st.Makespan,
 		"transfers", func() {
-			decodeListPatch(sc, &p.Transfers, func(t *TransferState) {
-				sc.Object("from", &t.From, "to", &t.To, "resource", &t.Resource, "at", &t.At)
-			})
+			st.Transfers = jsonscan.Array(sc, st.Transfers, func(t *TransferState) { decodeTransfer(sc, t) })
 		},
 		"reservations", func() {
-			decodeListPatch(sc, &p.Reservations, func(r *occupancy.Reservation) {
-				sc.Object("Job", &r.Job, "Resource", (*int)(&r.Resource), "Start", &r.Start, "Finish", &r.Finish, "Pinned", &r.Pinned)
-			})
+			st.Reservations = jsonscan.Array(sc, st.Reservations, func(r *occupancy.Reservation) { decodeReservation(sc, r) })
 		})
+}
+
+func decodeInts(sc *jsonscan.Scanner, dst []int) []int {
+	return jsonscan.Array(sc, dst, func(i *int) { *i = sc.Int() })
+}
+
+func decodeAssignments(sc *jsonscan.Scanner, dst []wire.Assignment) []wire.Assignment {
+	return jsonscan.Array(sc, dst, func(a *wire.Assignment) { wire.DecodeAssignment(sc, a) })
+}
+
+func decodeDecisions(sc *jsonscan.Scanner, dst []wire.Decision) []wire.Decision {
+	return jsonscan.Array(sc, dst, func(d *wire.Decision) { wire.DecodeDecision(sc, d) })
+}
+
+func decodeTransfer(sc *jsonscan.Scanner, t *TransferState) {
+	sc.Object("from", &t.From, "to", &t.To, "resource", &t.Resource, "at", &t.At)
+}
+
+func decodeReservation(sc *jsonscan.Scanner, r *occupancy.Reservation) {
+	sc.Object("Job", &r.Job, "Resource", (*int)(&r.Resource), "Start", &r.Start, "Finish", &r.Finish, "Pinned", &r.Pinned)
+}
+
+// AppendJSON writes d as json.Marshal would; so do the AppendJSON
+// methods of StatePatch and TrackerState (FuzzAppendJournalParity in
+// internal/server holds them to it).
+func (d *HistoryDelta) AppendJSON(e *wire.Appender) {
+	e.Raw(`{"op":`).Str(d.Op).Raw(`,"resource":`).Int(d.Resource).Raw(`,"duration":`).Float(d.Duration).Raw(`}`)
+}
+
+func (p *StatePatch) AppendJSON(e *wire.Appender) {
+	e.Raw(`{"generation":`).Int(p.Generation).Raw(`,"initial":`).Float(p.Initial).Raw(`,"clock":`).Float(p.Clock)
+	e.Raw(`,"adoptions":`).Int(p.Adoptions).OmitBool(`,"done":`, p.Done).Raw(`,"makespan":`).Float(p.Makespan)
+	wire.OmitArray(e, `,"jobs":`, p.Jobs, func(r *JobRow) {
+		e.Raw(`{"job":`).Int(r.Job).Raw(`,"phase":`).Int(int(r.Phase)).Raw(`,"start_at":`).Float(r.StartAt)
+		e.Raw(`,"start_res":`).Int(r.StartRes).Raw(`,"finish_at":`).Float(r.FinishAt).Raw(`,"pin_dur":`).Float(r.PinDur).Raw(`}`)
+	})
+	wire.OmitArray(e, `,"avail":`, p.Avail, func(i *int) { e.Int(*i) })
+	wire.OmitArray(e, `,"assignments":`, p.Assignments, func(a *wire.Assignment) { a.AppendJSON(e) })
+	wire.OmitArray(e, `,"decisions":`, p.Decisions, func(d *wire.Decision) { d.AppendJSON(e) })
+	if p.Transfers != nil {
+		appendListPatch(e.Raw(`,"transfers":`), p.Transfers, func(t *TransferState) { appendTransfer(e, t) })
+	}
+	if p.Reservations != nil {
+		appendListPatch(e.Raw(`,"reservations":`), p.Reservations, func(r *occupancy.Reservation) { appendReservation(e, r) })
+	}
+	e.Raw(`}`)
+}
+
+func (st *TrackerState) AppendJSON(e *wire.Appender) {
+	e.Raw(`{"generation":`).Int(st.Generation).Raw(`,"initial":`).Float(st.Initial).Raw(`,"clock":`).Float(st.Clock)
+	wire.Array(e.Raw(`,"assignments":`), st.Assignments, func(a *wire.Assignment) { a.AppendJSON(e) })
+	e.Raw(`,"phase":`).Bytes(st.Phase).Raw(`,"start_at":`).Floats(st.StartAt).Raw(`,"start_res":`).Ints(st.StartRes)
+	e.Raw(`,"finish_at":`).Floats(st.FinishAt).Raw(`,"pin_dur":`).Floats(st.PinDur).Raw(`,"avail":`).Bools(st.Avail)
+	wire.OmitArray(e, `,"decisions":`, st.Decisions, func(d *wire.Decision) { d.AppendJSON(e) })
+	e.Raw(`,"adoptions":`).Int(st.Adoptions).Raw(`,"done":`).Bool(st.Done).Raw(`,"makespan":`).Float(st.Makespan)
+	wire.OmitArray(e, `,"transfers":`, st.Transfers, func(t *TransferState) { appendTransfer(e, t) })
+	wire.OmitArray(e, `,"reservations":`, st.Reservations, func(r *occupancy.Reservation) { appendReservation(e, r) })
+	e.Raw(`}`)
+}
+
+func appendTransfer(e *wire.Appender, t *TransferState) {
+	e.Raw(`{"from":`).Int(t.From).Raw(`,"to":`).Int(t.To)
+	e.Raw(`,"resource":`).Int(t.Resource).Raw(`,"at":`).Float(t.At).Raw(`}`)
+}
+
+func appendReservation(e *wire.Appender, r *occupancy.Reservation) {
+	e.Raw(`{"Job":`).Int(r.Job).Raw(`,"Resource":`).Int(int(r.Resource)).Raw(`,"Start":`).Float(r.Start)
+	e.Raw(`,"Finish":`).Float(r.Finish).Raw(`,"Pinned":`).Bool(r.Pinned).Raw(`}`)
+}
+
+func appendListPatch[T comparable](e *wire.Appender, p *ListPatch[T], elem func(*T)) {
+	e.Raw(`{`)
+	if len(p.Del) > 0 {
+		e.Raw(`"del":`).Ints(p.Del)
+	}
+	if len(p.Put) > 0 {
+		if len(p.Del) > 0 {
+			e.Raw(`,`)
+		}
+		e.Raw(`"put":[`)
+		for i := range p.Put {
+			if i > 0 {
+				e.Raw(`,`)
+			}
+			e.Raw(`{"at":`).Int(p.Put[i].At).Raw(`,"v":`)
+			elem(&p.Put[i].V)
+			e.Raw(`}`)
+		}
+		e.Raw(`]`)
+	}
+	e.Raw(`}`)
 }
 
 func decodeListPatch[T comparable](sc *jsonscan.Scanner, p **ListPatch[T], elem func(*T)) {
@@ -383,15 +497,6 @@ func (st *TrackerState) Patch(p StatePatch) error {
 	st.Done = p.Done
 	st.Makespan = p.Makespan
 	return nil
-}
-
-func sortAssignmentsByJob(as []wire.Assignment) {
-	// Insertion sort: n is small and the slice is nearly sorted already.
-	for i := 1; i < len(as); i++ {
-		for j := i; j > 0 && as[j].Job < as[j-1].Job; j-- {
-			as[j], as[j-1] = as[j-1], as[j]
-		}
-	}
 }
 
 // Restore rebuilds a tracker from a journalled state: the same

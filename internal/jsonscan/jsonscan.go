@@ -39,6 +39,10 @@ type Scanner struct {
 // New returns a scanner positioned before the document's value.
 func New(data []byte) *Scanner { return &Scanner{data: data} }
 
+// Reset makes s what New(data) returns, so one scanner can read many
+// documents in turn.
+func (s *Scanner) Reset(data []byte) { *s = Scanner{data: data} }
+
 // Err returns the first error met, or nil.
 func (s *Scanner) Err() error { return s.err }
 
@@ -185,11 +189,7 @@ func (s *Scanner) store(to any) {
 	case *[]byte:
 		*to = s.String()
 	case *bool:
-		if *to = s.Peek() == 't'; *to {
-			s.literal("true")
-		} else {
-			s.literal("false")
-		}
+		*to = s.Bool()
 	default:
 		// No %T of to: fmt would make every field target escape to the heap.
 		panic("jsonscan: Object: a field's target is none of the types it decodes into")
@@ -246,6 +246,15 @@ func Ptr[T any](s *Scanner, p **T, decode func(*T)) {
 		*p = new(T)
 	}
 	decode(*p)
+}
+
+// Bool consumes true or false.
+func (s *Scanner) Bool() bool {
+	if s.Peek() == 't' {
+		return s.literal("true")
+	}
+	s.literal("false")
+	return false
 }
 
 // Null consumes the literal null if that is the next value and reports

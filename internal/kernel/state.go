@@ -2,6 +2,7 @@ package kernel
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 
 	"aheft/internal/dag"
@@ -49,7 +50,8 @@ type State struct {
 	led    []float64 // led[edge*stride+res]: earliest availability of the edge's file on res
 	ledEp  []uint32
 	epoch  uint32
-	stride int // resources per ledger row
+	stride int      // resources per ledger row
+	set    []uint64 // the entries set this epoch, as edge<<32 | resource
 
 	// File-keyed ledger (data-aware mode only): earliest availability of
 	// each catalog file on each resource, fed by the same SetTransfer
@@ -78,7 +80,7 @@ func (k *Kernel) NewState(resHint int) *State {
 		pin:    sized(old.pin, k.n),
 		epoch:  1,
 		// Spare ledger arrays: growLedger sizes and clears them (stride 0).
-		led: old.led, ledEp: old.ledEp, fled: old.fled, fledEp: old.fledEp,
+		led: old.led, ledEp: old.ledEp, fled: old.fled, fledEp: old.fledEp, set: old.set[:0],
 	}
 	for j := range st.finRes {
 		st.finRes[j] = grid.NoResource
@@ -116,6 +118,7 @@ func (st *State) Reset() {
 		st.finRes[j] = grid.NoResource
 	}
 	st.ClearPinned()
+	st.set = st.set[:0]
 	st.epoch++
 	if st.epoch == 0 { // uint32 wrap: actually clear, then restart epochs
 		clear(st.ledEp)
@@ -221,6 +224,12 @@ func (st *State) SetTransfer(m, j dag.JobID, r grid.ID, t float64) {
 		st.growLedger(int(r) + 1)
 	}
 	i := e*st.stride + int(r)
+	if st.ledEp[i] != st.epoch {
+		if st.set == nil {
+			st.set = make([]uint64, 0, st.k.nEdges)
+		}
+		st.set = append(st.set, uint64(e)<<32|uint64(r))
+	}
 	if st.ledEp[i] != st.epoch || st.led[i] > t {
 		st.led[i] = t
 		st.ledEp[i] = st.epoch
@@ -273,17 +282,14 @@ func (st *State) transfer(e int, r grid.ID) (float64, bool) {
 // the same order reproduces it exactly (a fresh ledger keeps the first,
 // i.e. recorded, time).
 func (st *State) ForEachTransfer(fn func(from, to dag.JobID, r grid.ID, at float64)) {
-	g := st.k.g
-	for j := 0; j < st.k.n; j++ {
-		to := dag.JobID(j)
-		for i, e := range g.Preds(to) {
-			base := (st.k.predBase[j] + i) * st.stride
-			for r := 0; r < st.stride; r++ {
-				if st.ledEp[base+r] == st.epoch {
-					fn(e.From, to, grid.ID(r), st.led[base+r])
-				}
-			}
+	slices.Sort(st.set)
+	j := 0 // the job the edge leads to: edges are numbered by it
+	for _, key := range st.set {
+		e, r := int(key>>32), int(uint32(key))
+		for st.k.predBase[j+1] <= e {
+			j++
 		}
+		fn(st.k.g.Preds(dag.JobID(j))[e-st.k.predBase[j]].From, dag.JobID(j), grid.ID(r), st.led[e*st.stride+r])
 	}
 }
 

@@ -149,6 +149,71 @@ type shardSnapshot struct {
 	Tenants    []tenantHistory `json:"tenants,omitempty"`
 }
 
+// The journal's documents encode by hand, as json.Marshal would but for
+// the raw submission and grid-spec bodies, which are copied verbatim:
+// they were validated when decoded off the wire, and re-compacting them
+// on every append and snapshot was the biggest cost of both.
+// FuzzAppendJournalParity holds every encoder to json.Marshal.
+
+func (p *walSubmission) AppendJSON(e *wire.Appender) {
+	e.Raw(`{"id":`).Str(p.ID).Raw(`,"body":`).RawValue(p.Body).Raw(`}`)
+}
+
+func (p *walReject) AppendJSON(e *wire.Appender) { e.Raw(`{"id":`).Str(p.ID).Raw(`}`) }
+
+func (p *walAdmission) AppendJSON(e *wire.Appender) {
+	e.Raw(`{"id":`).Str(p.ID).OmitStr(`,"tenant":`, p.Tenant).OmitStr(`,"class":`, p.Class)
+	e.OmitFloat(`,"weight":`, p.Weight).Raw(`}`)
+}
+
+func (p *walGrid) AppendJSON(e *wire.Appender) {
+	e.Raw(`{"name":`).Str(p.Name).Raw(`,"spec":`).RawValue(p.Spec).Raw(`}`)
+}
+
+func (p *walState) AppendJSON(e *wire.Appender) {
+	e.Raw(`{"id":`).Str(p.ID).Raw(`,"tenant":`).Str(p.Tenant)
+	if len(p.Body) > 0 {
+		e.Raw(`,"body":`).RawValue(p.Body)
+	}
+	e.OmitInt(`,"rev":`, p.Rev).Raw(`,"acked_gen":`).Int(p.AckedGen).Raw(`,"reports":`).Int(p.Reports)
+	e.Raw(`,"plan_trigger":`).Str(p.PlanTrigger).OmitBool(`,"fast_path":`, p.FastPath).OmitBool(`,"upgraded":`, p.Upgraded)
+	if p.State != nil {
+		p.State.AppendJSON(e.Raw(`,"state":`))
+	}
+	if p.Patch != nil {
+		p.Patch.AppendJSON(e.Raw(`,"patch":`))
+	}
+	wire.OmitArray(e, `,"deltas":`, p.Deltas, func(d *feedback.HistoryDelta) { d.AppendJSON(e) })
+	wire.OmitArray(e, `,"events":`, p.Events, func(ev *wire.Event) { ev.AppendJSON(e) }).Raw(`}`)
+}
+
+func (p *walTerminal) AppendJSON(e *wire.Appender) {
+	p.Status.AppendJSON(e.Raw(`{"id":`).Str(p.ID).Raw(`,"status":`))
+	if p.Plan != nil {
+		p.Plan.AppendJSON(e.Raw(`,"plan":`))
+	}
+	wire.OmitArray(e, `,"events":`, p.Events, func(ev *wire.Event) { ev.AppendJSON(e) }).Raw(`}`)
+}
+
+func (t *tenantHistory) AppendJSON(e *wire.Appender) {
+	e.Raw(`{"tenant":`).Str(t.Tenant).Raw(`,"alpha":`).Float(t.Alpha).Raw(`,"cells":`)
+	wire.Array(e, t.Cells, func(c *history.Cell) {
+		e.Raw(`{"op":`).Str(c.Op).Raw(`,"resource":`).Int(int(c.Resource)).Raw(`,"count":`).Int(c.Count)
+		e.Raw(`,"mean":`).Float(c.Mean).Raw(`,"ewma":`).Float(c.EWMA).Raw(`,"min":`).Float(c.Min)
+		e.Raw(`,"max":`).Float(c.Max).Raw(`,"last":`).Float(c.Last).Raw(`}`)
+	}).Raw(`}`)
+}
+
+func (d *shardSnapshot) AppendJSON(e *wire.Appender) {
+	e.Raw(`{"v":`).Int(d.V).Raw(`,"seq":`).Uint(d.Seq)
+	wire.OmitArray(e, `,"grids":`, d.Grids, func(g *walGrid) { g.AppendJSON(e) })
+	wire.OmitArray(e, `,"pending":`, d.Pending, func(p *walSubmission) { p.AppendJSON(e) })
+	wire.OmitArray(e, `,"admissions":`, d.Admissions, func(a *walAdmission) { a.AppendJSON(e) })
+	wire.OmitArray(e, `,"live":`, d.Live, func(p *walState) { p.AppendJSON(e) })
+	wire.OmitArray(e, `,"terminal":`, d.Terminal, func(t *walTerminal) { t.AppendJSON(e) })
+	wire.OmitArray(e, `,"tenants":`, d.Tenants, func(t *tenantHistory) { t.AppendJSON(e) }).Raw(`}`)
+}
+
 // shardWAL is one shard's durability state: the append store plus the
 // raw-submission mirrors the snapshot needs (a queued workflow sits in
 // a channel and cannot be enumerated; a live tracker does not retain
@@ -179,45 +244,27 @@ func newShardWAL(store *durable.Shard) *shardWAL {
 	}
 }
 
-// append writes one record and reports whether it was written; callers
-// hold w.mu. A failed append degrades durability, not availability: the
-// daemon keeps serving and the error is counted and logged.
-func (w *shardWAL) append(m *Metrics, kind string, payload any) bool {
-	if w.onAppend != nil {
-		w.onAppend(kind)
+// append writes the records in one write(2) and reports whether they were
+// written; callers hold w.mu. A failed append degrades durability, not
+// availability: the daemon keeps serving and the error is counted and
+// logged.
+func (w *shardWAL) append(m *Metrics, recs ...durable.Record) bool {
+	for _, r := range recs {
+		if w.onAppend != nil {
+			w.onAppend(r.Kind)
+		}
 	}
-	if _, err := w.store.Append(kind, payload); err != nil {
+	if _, err := w.store.AppendAll(recs...); err != nil {
 		m.count(func(c *MetricsDoc) { c.WALErrors++ })
-		log.Printf("aheftd: wal append (%s): %v", kind, err)
+		log.Printf("aheftd: wal append (%s): %v", recs[0].Kind, err)
 		return false
 	}
 	return true
 }
 
-// rawPair hand-encodes {key: name, bodyKey: body} with the raw body
-// embedded verbatim. Submission and grid-spec bodies are large and were
-// already validated when decoded off the wire; letting json.Marshal
-// re-validate and re-compact them on every append is the single biggest
-// cost on the durable submission path, so the two raw-body record kinds
-// build their payloads by hand. Decodes with the ordinary struct tags.
-func rawPair(key, name, bodyKey string, body json.RawMessage) json.RawMessage {
-	buf := make([]byte, 0, len(key)+len(name)+len(bodyKey)+len(body)+16)
-	buf = append(buf, '{', '"')
-	buf = append(buf, key...)
-	buf = append(buf, '"', ':')
-	buf = wire.AppendJSONString(buf, name)
-	if len(body) > 0 {
-		buf = append(buf, ',', '"')
-		buf = append(buf, bodyKey...)
-		buf = append(buf, '"', ':')
-		buf = append(buf, body...)
-	}
-	return append(buf, '}')
-}
-
 // walLogSubmission mirrors and logs an accepted submission before its
 // enqueue, so a crash between accept and start replays it as pending.
-// The admission record lands in the same locked section, so no crash
+// The admission record goes to disk in the same write(2), so no crash
 // can observe a journalled body without its fair-queue credentials.
 func (sh *shard) walLogSubmission(id string, body json.RawMessage, tenant, class string, weight float64) {
 	w := sh.wal
@@ -230,8 +277,8 @@ func (sh *shard) walLogSubmission(id string, body json.RawMessage, tenant, class
 	w.pend[id] = body
 	w.pendOrder = append(w.pendOrder, id)
 	w.admit[id] = adm
-	w.append(sh.srv.metrics, wire.WALSubmission, rawPair("id", id, "body", body))
-	w.append(sh.srv.metrics, wire.WALAdmission, adm)
+	w.append(sh.srv.metrics, durable.Record{Kind: wire.WALSubmission, Data: &walSubmission{ID: id, Body: body}},
+		durable.Record{Kind: wire.WALAdmission, Data: &adm})
 }
 
 // walLogReject voids a logged submission whose enqueue was refused.
@@ -244,7 +291,7 @@ func (sh *shard) walLogReject(id string) {
 	defer w.mu.Unlock()
 	delete(w.pend, id)
 	delete(w.admit, id)
-	w.append(sh.srv.metrics, wire.WALReject, walReject{ID: id})
+	w.append(sh.srv.metrics, durable.Record{Kind: wire.WALReject, Data: &walReject{ID: id}})
 }
 
 // walStateDoc assembles the workflow's next state record: a patch
@@ -318,7 +365,7 @@ func (sh *shard) walLogState(wf *workflow, deltas []feedback.HistoryDelta) {
 		delete(w.admit, wf.id)
 		w.bodies[wf.id] = b
 	}
-	ok := w.append(sh.srv.metrics, wire.WALState, &doc)
+	ok := w.append(sh.srv.metrics, durable.Record{Kind: wire.WALState, Data: &doc})
 	w.mu.Unlock()
 	wf.rebase(&doc, ok)
 }
@@ -336,7 +383,7 @@ func (sh *shard) walLogTerminal(wf *workflow) {
 	delete(w.pend, wf.id)
 	delete(w.admit, wf.id)
 	delete(w.bodies, wf.id)
-	w.append(sh.srv.metrics, wire.WALTerminal, doc)
+	w.append(sh.srv.metrics, durable.Record{Kind: wire.WALTerminal, Data: &doc})
 }
 
 // terminalDoc renders a terminal entry as its journal record.
@@ -369,8 +416,13 @@ func (s *Server) walLogGrid(g *sharedGrid) {
 	}
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	w.append(s.metrics, wire.WALGrid, rawPair("name", g.name, "spec", g.raw))
+	w.append(s.metrics, durable.Record{Kind: wire.WALGrid, Data: &walGrid{Name: g.name, Spec: g.raw}})
 }
+
+// snapBufs holds the buffers snapshots are encoded into: a snapshot is
+// as large as the shard's state, and growing a fresh buffer to that size
+// for each would allocate it twice over.
+var snapBufs sync.Pool
 
 // snapshot writes the shard's full state and truncates its log. It must
 // run where tracker access is safe: the shard's worker goroutine (the
@@ -442,10 +494,18 @@ func (sh *shard) snapshot() {
 	for i := range doc.Live {
 		doc.Live[i].Body = w.bodies[doc.Live[i].ID]
 	}
-	data, err := json.Marshal(doc)
+	buf, _ := snapBufs.Get().(*[]byte)
+	if buf == nil {
+		buf = new([]byte)
+	}
+	e := wire.NewAppender((*buf)[:0])
+	doc.AppendJSON(&e)
+	data, err := e.Done()
 	if err == nil {
+		*buf = data
 		err = w.store.Rotate(data)
 	}
+	snapBufs.Put(buf)
 	if err != nil {
 		sh.srv.metrics.count(func(c *MetricsDoc) { c.WALErrors++ })
 		log.Printf("aheftd: shard %d snapshot: %v", sh.id, err)
@@ -501,6 +561,12 @@ type recoveredWorkflow struct {
 	rejected bool
 	seen     walPos // first record: arrival order for pending re-enqueue
 	endedAt  walPos // first terminal record: finish order for retention
+
+	// The workflow its submission rebuilds into, and the grid it attaches
+	// to (live and pending workflows only).
+	wf       *workflow
+	gref     *sharedGrid
+	buildErr error
 }
 
 // walPos orders records across shard directories as one pass over the
@@ -572,18 +638,26 @@ func (rw *recoveredWorkflow) absorb(later *recoveredWorkflow) {
 	rw.rejected = rw.rejected || later.rejected
 }
 
-// decode reads a state record's payload in one pass with json.Unmarshal's
-// semantics (FuzzDecodeWALStateParity): a patch record — nine in ten of a
-// log — without reflection; the whole State that starts a chain through
-// json.Unmarshal where it stands.
-func (p *walState) decode(data []byte) error {
+// The journal's documents decode in one pass with json.Unmarshal's
+// semantics (FuzzDecodeWALStateParity): each scan reads the document at
+// the scanner, scanDoc a whole payload. Raw bodies are copied out of the
+// record (a view of the log's read buffer): they outlive the replay.
+// Terminal records and tenant histories, a handful per snapshot, are
+// json.Unmarshal's where they stand.
+
+func scanDoc(data []byte, d interface{ scan(*jsonscan.Scanner) }) error {
 	sc := jsonscan.New(data)
+	d.scan(sc)
+	return sc.End()
+}
+
+func (p *walState) scan(sc *jsonscan.Scanner) {
 	sc.Object("id", &p.ID, "tenant", &p.Tenant,
 		"body", func() { p.Body = append(p.Body[:0], sc.Raw()...) },
 		"rev", &p.Rev, "acked_gen", &p.AckedGen, "reports", &p.Reports, "plan_trigger", &p.PlanTrigger,
 		"fast_path", &p.FastPath, "upgraded", &p.Upgraded,
 		"state", func() {
-			jsonscan.Ptr(sc, &p.State, func(st *feedback.TrackerState) { sc.Fail(json.Unmarshal(sc.Raw(), st)) })
+			jsonscan.Ptr(sc, &p.State, func(st *feedback.TrackerState) { feedback.DecodeState(sc, st) })
 		},
 		"patch", func() {
 			jsonscan.Ptr(sc, &p.Patch, func(sp *feedback.StatePatch) { feedback.DecodePatch(sc, sp) })
@@ -594,15 +668,32 @@ func (p *walState) decode(data []byte) error {
 		"events", func() {
 			p.Events = jsonscan.Array(sc, p.Events, func(ev *wire.Event) { wire.DecodeEvent(sc, ev) })
 		})
-	return sc.End()
 }
 
-// decode reads a submission record's payload. The body is copied out of
-// the record (a view of the log's read buffer): it outlives the replay.
-func (p *walSubmission) decode(data []byte) error {
-	sc := jsonscan.New(data)
+func (p *walSubmission) scan(sc *jsonscan.Scanner) {
 	sc.Object("id", &p.ID, "body", func() { p.Body = append(p.Body[:0], sc.Raw()...) })
-	return sc.End()
+}
+
+func (p *walReject) scan(sc *jsonscan.Scanner) { sc.Object("id", &p.ID) }
+
+func (p *walAdmission) scan(sc *jsonscan.Scanner) {
+	sc.Object("id", &p.ID, "tenant", &p.Tenant, "class", &p.Class, "weight", &p.Weight)
+}
+
+func (p *walGrid) scan(sc *jsonscan.Scanner) {
+	sc.Object("name", &p.Name, "spec", func() { p.Spec = append(p.Spec[:0], sc.Raw()...) })
+}
+
+func (p *walTerminal) scan(sc *jsonscan.Scanner) { sc.Fail(json.Unmarshal(sc.Raw(), p)) }
+
+func (d *shardSnapshot) scan(sc *jsonscan.Scanner) {
+	sc.Object("v", &d.V, "seq", &d.Seq,
+		"grids", func() { d.Grids = jsonscan.Array(sc, d.Grids, func(g *walGrid) { g.scan(sc) }) },
+		"pending", func() { d.Pending = jsonscan.Array(sc, d.Pending, func(p *walSubmission) { p.scan(sc) }) },
+		"admissions", func() { d.Admissions = jsonscan.Array(sc, d.Admissions, func(a *walAdmission) { a.scan(sc) }) },
+		"live", func() { d.Live = jsonscan.Array(sc, d.Live, func(p *walState) { p.scan(sc) }) },
+		"terminal", func() { sc.Fail(json.Unmarshal(sc.Raw(), &d.Terminal)) },
+		"tenants", func() { sc.Fail(json.Unmarshal(sc.Raw(), &d.Tenants)) })
 }
 
 // RecoveryStats describes the last startup recovery: what came back,
@@ -649,6 +740,7 @@ type recoveryFold struct {
 	repos  map[string]*history.Repository // by tenant
 	maxSeq uint64
 
+	sc         jsonscan.Scanner // reads each record in turn
 	orphans    []string
 	load, fold time.Duration // busy time reading and framing / decoding and folding
 	bytes      int64
@@ -709,15 +801,11 @@ func (f *recoveryFold) skip(r *wire.WALRecord, err error) {
 	log.Printf("aheftd: recovery: shard %d lsn %d: skipping %s record: %v", f.dir, r.LSN, r.Kind, err)
 }
 
-// decode reads a record payload that must name its subject: with the
-// payload's own decoder where it has one, json.Unmarshal otherwise.
-func (f *recoveryFold) decode(r *wire.WALRecord, into any, name *string) bool {
-	var err error
-	if d, ok := into.(interface{ decode([]byte) error }); ok {
-		err = d.decode(r.Data)
-	} else {
-		err = json.Unmarshal(r.Data, into)
-	}
+// decode reads a record payload that must name its subject.
+func (f *recoveryFold) decode(r *wire.WALRecord, into interface{ scan(*jsonscan.Scanner) }, name *string) bool {
+	f.sc.Reset(r.Data)
+	into.scan(&f.sc)
+	err := f.sc.End()
 	if err == nil && *name == "" {
 		err = fmt.Errorf("payload names no subject")
 	}
@@ -758,7 +846,7 @@ func (f *recoveryFold) directory(idx int, policy durable.SyncPolicy) error {
 
 	if rec.Snapshot != nil {
 		var snap shardSnapshot
-		if err := json.Unmarshal(rec.Snapshot, &snap); err != nil {
+		if err := scanDoc(rec.Snapshot, &snap); err != nil {
 			return fmt.Errorf("server: shard %d snapshot: %w", idx, err)
 		}
 		if snap.Seq > f.maxSeq {
@@ -1045,7 +1133,16 @@ func (s *Server) recoverState() error {
 		s.failRecovered(rw.id, rw.broken)
 	}
 
-	// Live residents: restore trackers, re-park, re-attach.
+	// Rebuild the live and pending submissions side by side, then install
+	// them one by one: live residents (restore trackers, re-park,
+	// re-attach), then pending submissions, re-enqueued in arrival order.
+	sort.Slice(pending, func(i, j int) bool { return pending[i].seen.before(pending[j].seen) })
+	rebuild := append(live[:len(live):len(live)], pending...)
+	sideBySide(len(rebuild), func(i int) {
+		if rw := rebuild[i]; rw.body != nil {
+			rw.wf, rw.gref, rw.buildErr = s.buildWorkflow(rw.id, rw.body)
+		}
+	})
 	for _, rw := range live {
 		if err := s.restoreLive(rw); err != nil {
 			log.Printf("aheftd: recovery: workflow %s: %v", rw.id, err)
@@ -1055,8 +1152,6 @@ func (s *Server) recoverState() error {
 		st.Workflows++
 	}
 
-	// Pending submissions: re-enqueue in arrival order.
-	sort.Slice(pending, func(i, j int) bool { return pending[i].seen.before(pending[j].seen) })
 	for _, rw := range pending {
 		if err := s.requeueRecovered(rw); err != nil {
 			log.Printf("aheftd: recovery: workflow %s: %v", rw.id, err)
@@ -1088,16 +1183,16 @@ func (s *Server) recoverState() error {
 	return nil
 }
 
-// restoreLive rebuilds one live workflow from its journalled state and
-// parks it on its shard. Runs before workers start, so touching the
-// tracker here is safe.
+// restoreLive restores one live workflow, its submission rebuilt, from
+// its journalled state and parks it on its shard. Runs before workers
+// start, so touching the tracker here is safe.
 func (s *Server) restoreLive(rw *recoveredWorkflow) error {
 	if rw.body == nil {
 		return fmt.Errorf("live state without submission body")
 	}
-	wf, gref, err := s.buildWorkflow(rw.id, rw.body)
-	if err != nil {
-		return fmt.Errorf("rebuild submission: %w", err)
+	wf, gref := rw.wf, rw.gref
+	if rw.buildErr != nil {
+		return fmt.Errorf("rebuild submission: %w", rw.buildErr)
 	}
 	if !wf.live {
 		return fmt.Errorf("state record for non-live workflow")
@@ -1157,9 +1252,9 @@ func (s *Server) restoreLive(rw *recoveredWorkflow) error {
 // start, so the weighted fair order re-emerges as soon as the worker
 // begins draining — a tenant's pre-crash flood cannot jump the queue.
 func (s *Server) requeueRecovered(rw *recoveredWorkflow) error {
-	wf, _, err := s.buildWorkflow(rw.id, rw.body)
-	if err != nil {
-		return fmt.Errorf("rebuild submission: %w", err)
+	wf := rw.wf
+	if rw.buildErr != nil {
+		return fmt.Errorf("rebuild submission: %w", rw.buildErr)
 	}
 	class, weight := wf.class, wf.weight
 	if rw.adm != nil {

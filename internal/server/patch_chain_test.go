@@ -397,7 +397,7 @@ func rewriteLog(t testing.TB, srcShard, dstData string, edit func(i int, r *wire
 	defer store.Close()
 	for i, r := range rec.Records {
 		if data := edit(i, r); data != nil {
-			if _, err := store.Append(r.Kind, data); err != nil {
+			if _, err := store.Append(r.Kind, wire.RawDoc(data)); err != nil {
 				t.Fatal(err)
 			}
 		}

@@ -17,6 +17,7 @@ import (
 	"time"
 
 	"aheft/internal/durable"
+	"aheft/internal/jsonscan"
 	"aheft/internal/wire"
 	"aheft/internal/workload"
 )
@@ -26,17 +27,10 @@ import (
 // comes back must not depend on how the folds interleave, on how many
 // directories fold onto one shard, or on which decoder read a record.
 
-// oracleDecodeWALState and oracleDecodeWALSubmission are the payload
-// decoders recovery used before walState.decode and walSubmission.decode:
-// json.Unmarshal over the tagged structs.
+// oracleDecodeWALState is the state-record decoder recovery used before
+// walState.scan: json.Unmarshal over the tagged struct.
 func oracleDecodeWALState(data []byte) (walState, error) {
 	var p walState
-	err := json.Unmarshal(data, &p)
-	return p, err
-}
-
-func oracleDecodeWALSubmission(data []byte) (walSubmission, error) {
-	var p walSubmission
 	err := json.Unmarshal(data, &p)
 	return p, err
 }
@@ -58,14 +52,17 @@ func stateRecords(t testing.TB, shardDir string) [][]byte {
 	return out
 }
 
-// FuzzDecodeWALStateParity holds the two hand-written payload decoders to
+// FuzzDecodeWALStateParity holds the hand-written journal decoders — every
+// record kind's and the snapshot's, whole states included — to
 // json.Unmarshal on any bytes: the same accept or reject — so the same
 // records are skipped and the same chains broken — and deeply equal
 // values when accepted, repeated and case-folded keys included. Seeded
 // with the full-state fixture's records (whole states, retired decision
 // fields), patch records of a recorded BLAST life (the committed corpus:
 // testdata/fuzz/FuzzDecodeWALStateParity/life-*, cut from the log
-// TestStateRecordBytes writes) and the corners.
+// TestStateRecordBytes writes) and the corners: phase as base64, as an
+// array and as null, reservations and decisions in a whole state, and
+// snapshots.
 func FuzzDecodeWALStateParity(f *testing.F) {
 	for _, shard := range []string{"shard-0", "shard-1"} {
 		for _, p := range stateRecords(f, filepath.Join("testdata", "wal-full-states", shard)) {
@@ -93,52 +90,51 @@ func FuzzDecodeWALStateParity(f *testing.F) {
 		`{"id":"a","deltas":[{"op":"x","resource":1e2}]}`, `{"id":"a","rev":1e1}`, `{"id":"a","fast_path":1}`, `{"id":"a","reports":99999999999999999999}`,
 		`{"id":"a","patch":{"clock":1e999}}`, `{"id":"a","patch":{"decisions":[{"trigger":"\ud800"}]}}`, `{"id":"a","patch":{"makespan":-0.0}} `, `{"id":"a","patch":{}} x`,
 		`{"ıd":"a","tenant":"kelvin K","Tenant":"t2"}`, `{"id":"a","patch":{"reservations":{"put":[{"v":{"Resource":99999999999999999999}}]}}}`,
+		`{"id":"a","state":{"phase":"AQI","avail":[1]}}`, `{"id":"a","state":{"phase":"A\nQI=","start_at":[1,"2"]}}`, `{"id":"a","state":{"phase":null},"state":{"phase":[3,null]}}`,
+		`{"id":"a","state":{"phase":[1],"Phase":"AgM=","pin_dur":[1e400]}}`, `{"id":"a","state":{"phase":7}}`, `{"id":"a","state":{"phase":{}}}`,
+		`{"id":"a","state":{"generation":3,"phase":"","avail":[true,false,null],"start_res":[1,-2],"finish_at":null,` +
+			`"reservations":[{"Job":1,"Resource":2,"Start":3,"Finish":4,"Pinned":true},null,{"job":5,"pinned":1}],` +
+			`"transfers":[{"from":1,"to":2,"resource":0,"at":1.5}],` +
+			`"decisions":[{"clock":15,"pool_size":4,"old_makespan":-1,"new_makespan":76,"adopted":true,"jobs_finished":3,"trigger":"arrival","arrived":1},{"trigger":"variance"}],` +
+			`"assignments":[{"job":0,"resource":1,"start":0,"finish":2}],"done":true,"adoptions":1,"makespan":76}}`,
+		`{"v":2,"seq":9,"grids":[{"name":"g","spec":{"v":2}},{"NAME":"h","spec":null}],"pending":[{"id":"wf-3","body":{}}],"admissions":[{"id":"wf-3","weight":2}],` +
+			`"live":[{"id":"wf-1","body":{},"state":{"generation":1,"phase":"AA=="}},null],"terminal":[{"id":"wf-9","status":{"state":"done"}}],` +
+			`"tenants":[{"tenant":"t","alpha":0.3,"cells":[{"op":"x","resource":1,"count":2}]}]}`,
+		`{"v":2,"live":[{"id":"a","state":{"phase":[256]}}]}`, `{"v":2,"terminal":[{"id":1}]}`, `{"v":2,"tenants":7}`, `{"v":2,"seq":-1}`,
 	} {
 		f.Add([]byte(s))
 	}
 	f.Fuzz(func(t *testing.T, doc []byte) {
-		var got walState
-		gotErr := got.decode(doc)
-		want, wantErr := oracleDecodeWALState(doc)
-		if (gotErr == nil) != (wantErr == nil) {
-			t.Fatalf("state: accept/reject differs: decoder %v, oracle %v", gotErr, wantErr)
-		}
-		if gotErr == nil && !reflect.DeepEqual(got, want) {
-			t.Fatalf("state: decoded values differ:\n got %+v\nwant %+v", got, want)
-		}
-		var sub walSubmission
-		subErr := sub.decode(doc)
-		wantSub, wantSubErr := oracleDecodeWALSubmission(doc)
-		if (subErr == nil) != (wantSubErr == nil) {
-			t.Fatalf("submission: accept/reject differs: decoder %v, oracle %v", subErr, wantSubErr)
-		}
-		if subErr == nil && !reflect.DeepEqual(sub, wantSub) {
-			t.Fatalf("submission: decoded values differ:\n got %+v\nwant %+v", sub, wantSub)
+		for name, mk := range journalDocs {
+			got, ok := mk().(interface{ scan(*jsonscan.Scanner) })
+			if !ok || name == "terminal" {
+				continue // json.Unmarshal's either way
+			}
+			gotErr := scanDoc(doc, got)
+			want := mk()
+			wantErr := json.Unmarshal(doc, want)
+			if (gotErr == nil) != (wantErr == nil) {
+				t.Fatalf("%s: accept/reject differs: decoder %v, oracle %v", name, gotErr, wantErr)
+			}
+			if gotErr == nil && !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s: decoded values differ:\n got %+v\nwant %+v", name, got, want)
+			}
 		}
 	})
 }
 
-// BenchmarkWALStateDecode times walState.decode over the patch records of
-// a BLAST workflow's whole life (the whole state that starts the chain is
-// json.Unmarshal's either way), one record per op in log order, and under
-// oracle/ json.Unmarshal on the same records in the same run; CI gates the
-// ratio of the two.
+// BenchmarkWALStateDecode times the state-record decoder over the patch
+// records of a BLAST workflow's whole life, one record per op in log
+// order, and under whole/ over the whole state that starts the chain;
+// under oracle/ json.Unmarshal on the same records in the same run. CI
+// gates the ratios.
 func BenchmarkWALStateDecode(b *testing.B) {
-	l := blast24Life(b)
-	dir := b.TempDir()
-	srv, ts := openDurable(b, dir, Config{Shards: 1, WALSync: "off", SnapshotInterval: time.Hour})
-	id := submitLife(b, ts, l)
-	for _, body := range l.reports {
-		postReport(b, ts, id, body)
-	}
-	ts.Close()
-	srv.Crash()
-	recs := stateRecords(b, filepath.Join(dir, "shard-0"))[1:]
-	total := 0
-	for _, r := range recs {
-		total += len(r)
-	}
-	run := func(name string, decode func([]byte) error) {
+	recs := blastStateRecords(b)
+	run := func(name string, recs [][]byte, decode func([]byte) error) {
+		total := 0
+		for _, r := range recs {
+			total += len(r)
+		}
 		b.Run(name, func(b *testing.B) {
 			b.SetBytes(int64(total / len(recs)))
 			b.ReportAllocs()
@@ -151,8 +147,12 @@ func BenchmarkWALStateDecode(b *testing.B) {
 			}
 		})
 	}
-	run("scan", func(data []byte) error { return new(walState).decode(data) })
-	run("oracle", func(data []byte) error { _, err := oracleDecodeWALState(data); return err })
+	scan := func(data []byte) error { return scanDoc(data, new(walState)) }
+	oracle := func(data []byte) error { _, err := oracleDecodeWALState(data); return err }
+	run("scan", recs[1:], scan)
+	run("oracle", recs[1:], oracle)
+	run("whole", recs[:1], scan)
+	run("oracle/whole", recs[:1], oracle)
 }
 
 // crashedMix is a data directory left by a killed daemon that held a bit
@@ -327,11 +327,13 @@ func (rec recovered) check(t *testing.T, mix crashedMix) {
 }
 
 // TestRecoveryIndependentOfParallelism recovers one crashed directory with
-// one, two and eight fold workers and requires the same daemon each time,
-// bit for bit: the closing snapshots (every tracker's exported state,
-// every event log, the tenant histories' cells, the pending bodies in
-// re-enqueue order, the workflow sequence) and the terminal retention
-// order. GOMAXPROCS=1 is one worker taking the targets in turn.
+// one, two and eight workers folding the directories and rebuilding the
+// submissions, and requires the same daemon each time, bit for bit: the
+// closing snapshots (every tracker's exported state, every event log, the
+// tenant histories' cells, the pending bodies in re-enqueue order, the
+// workflow sequence) byte-equal, and the terminal retention order.
+// GOMAXPROCS=1 is one worker taking the targets in turn. Every snapshot is
+// json.Marshal's rendering of itself: the bodies it holds are compact.
 func TestRecoveryIndependentOfParallelism(t *testing.T) {
 	mix := newCrashedMix(t, 4)
 	cfg := Config{Shards: 4, WALSync: "off", SnapshotInterval: time.Hour}
@@ -341,6 +343,15 @@ func TestRecoveryIndependentOfParallelism(t *testing.T) {
 		rec, _ := recoverCopy(t, mix.dir, cfg, len(mix.terminal))
 		runtime.GOMAXPROCS(prev)
 		rec.check(t, mix)
+		for i, snap := range rec.snapshots {
+			var doc shardSnapshot
+			if err := json.Unmarshal([]byte(snap), &doc); err != nil {
+				t.Fatal(err)
+			}
+			if want, err := json.Marshal(&doc); err != nil || string(want) != snap {
+				t.Fatalf("GOMAXPROCS=%d: shard %d snapshot is not json.Marshal's (err %v):\n got %s\nwant %s", procs, i, err, snap, want)
+			}
+		}
 		if procs == 1 {
 			first = rec
 			continue

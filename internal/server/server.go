@@ -20,7 +20,6 @@ package server
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
@@ -821,8 +820,9 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 
 	replay, live, ended, cancel := wf.subscribe()
 	defer cancel()
+	var buf []byte
 	for _, ev := range replay {
-		if !writeSSE(w, ev) {
+		if !writeSSE(w, &buf, &ev) {
 			return
 		}
 	}
@@ -833,14 +833,14 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	for {
 		select {
 		case ev := <-live:
-			if !writeSSE(w, ev) {
+			if !writeSSE(w, &buf, &ev) {
 				return
 			}
 			fl.Flush()
 		case <-ended:
 			// The workflow is terminal and its last events are buffered.
 			for len(live) > 0 {
-				if !writeSSE(w, <-live) {
+				if ev := <-live; !writeSSE(w, &buf, &ev) {
 					return
 				}
 			}
@@ -852,12 +852,18 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-func writeSSE(w http.ResponseWriter, ev wire.Event) bool {
-	data, err := json.Marshal(ev)
+// writeSSE writes ev as one server-sent event, encoded in buf's storage.
+func writeSSE(w http.ResponseWriter, buf *[]byte, ev *wire.Event) bool {
+	e := wire.NewAppender(append(append((*buf)[:0], "event: "...), ev.Kind...))
+	e.Raw("\ndata: ")
+	ev.AppendJSON(&e)
+	e.Raw("\n\n")
+	b, err := e.Done()
 	if err != nil {
 		return false
 	}
-	_, err = fmt.Fprintf(w, "event: %s\ndata: %s\n\n", ev.Kind, data)
+	*buf = b
+	_, err = w.Write(b)
 	return err == nil
 }
 

@@ -11,8 +11,6 @@ package wire
 import (
 	"encoding/json"
 	"fmt"
-	"strconv"
-	"unicode/utf8"
 
 	"aheft/internal/jsonscan"
 )
@@ -76,54 +74,23 @@ func (r *WALRecord) Validate() error {
 	return nil
 }
 
-// EncodeWALRecord marshals the record at the current envelope version
-// after validating it. The argument is not modified.
-func EncodeWALRecord(r *WALRecord) ([]byte, error) {
-	return AppendWALRecord(nil, r)
-}
-
-// AppendWALRecord appends the record's encoding (at the current envelope
-// version, after validating it) to dst and returns the extended slice.
-// Data is embedded verbatim: the appender either produced it with
-// json.Marshal or validated it at ingestion, so the append hot path does
-// not re-validate and re-compact every payload the way a reflective
-// marshal of a json.RawMessage field would. The caller owns the
-// guarantee that Data is a single valid JSON value.
-func AppendWALRecord(dst []byte, r *WALRecord) ([]byte, error) {
-	stamped := *r
-	stamped.V = Version
-	if err := stamped.Validate(); err != nil {
-		return nil, err
+// AppendWALRecord appends to e the envelope of record lsn of the given
+// kind, at the current version and after validating it: data, when not
+// nil, written by its own encoder as the envelope's Data. A raw payload
+// (RawDoc) is embedded verbatim: the caller owns the guarantee that it is
+// a single valid JSON value, so the append path does not re-validate and
+// re-compact it the way a reflective marshal of a json.RawMessage would.
+func AppendWALRecord(e *Appender, lsn uint64, kind string, data Doc) error {
+	r := WALRecord{V: Version, LSN: lsn, Kind: kind}
+	if err := r.Validate(); err != nil {
+		return err
 	}
-	dst = append(dst, `{"v":`...)
-	dst = strconv.AppendInt(dst, int64(Version), 10)
-	dst = append(dst, `,"lsn":`...)
-	dst = strconv.AppendUint(dst, r.LSN, 10)
-	dst = append(dst, `,"kind":`...)
-	dst = AppendJSONString(dst, r.Kind)
-	if len(r.Data) > 0 {
-		dst = append(dst, `,"data":`...)
-		dst = append(dst, r.Data...)
+	e.Raw(`{"v":`).Int(Version).Raw(`,"lsn":`).Uint(lsn).Raw(`,"kind":`).Str(kind)
+	if data != nil {
+		data.AppendJSON(e.Raw(`,"data":`))
 	}
-	return append(dst, '}'), nil
-}
-
-// AppendJSONString appends s as a JSON string literal. The fast path
-// covers plain ASCII (the daemon's record kinds, IDs and grid names);
-// anything needing escapes takes the stdlib encoder.
-func AppendJSONString(dst []byte, s string) []byte {
-	for i := 0; i < len(s); i++ {
-		if c := s[i]; c < 0x20 || c == '"' || c == '\\' || c >= utf8.RuneSelf {
-			b, err := json.Marshal(s)
-			if err != nil { // a string value cannot fail to marshal
-				panic(err)
-			}
-			return append(dst, b...)
-		}
-	}
-	dst = append(dst, '"')
-	dst = append(dst, s...)
-	return append(dst, '"')
+	e.Raw(`}`)
+	return nil
 }
 
 // DecodeWALRecord decodes — in one pass, with json.Unmarshal's semantics

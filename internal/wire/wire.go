@@ -515,11 +515,20 @@ func EncodeGridSpec(g *GridSpec) ([]byte, error) {
 	return json.Marshal(&stamped)
 }
 
-// DecodeGridSpec unmarshals and validates one grid spec. It never panics
+// DecodeGridSpec decodes — in one pass, with json.Unmarshal's semantics
+// (FuzzDecodePartsParity) — and validates one grid spec. It never panics
 // on any input.
 func DecodeGridSpec(data []byte, lim Limits) (*GridSpec, error) {
 	var g GridSpec
-	if err := json.Unmarshal(data, &g); err != nil {
+	sc := jsonscan.New(data)
+	sc.Object("v", &g.V, "pool", func() {
+		if g.Pool = nil; !sc.Null() {
+			var err error
+			g.Pool, err = grid.DecodePool(sc)
+			sc.Fail(err)
+		}
+	})
+	if err := sc.End(); err != nil {
 		return nil, fmt.Errorf("wire: decode grid spec: %w", err)
 	}
 	if err := g.Validate(lim); err != nil {
