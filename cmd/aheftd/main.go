@@ -82,7 +82,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	shards := fs.Int("shards", 4, "session workers (one scheduling pipeline each)")
 	queue := fs.Int("queue", 256, "per-shard bounded admission backlog (total accepted-but-unstarted submissions)")
 	tenantBacklog := fs.Int("tenant-backlog", 0, "per-tenant share of a shard's admission backlog (0 = unbounded; floods then bound only by -queue)")
-	fastPathDepth := fs.Int("fast-path-depth", 0, "backlog depth at which live submissions get a fast greedy plan upgraded asynchronously (0 = built-in 8, negative = off)")
 	gridShareCap := fs.Float64("grid-share-cap", 0, "per-tenant share cap on a shared grid's reservations, 0 < cap < 1 (0 = off)")
 	maxJobs := fs.Int("max-jobs", wire.DefaultLimits.MaxJobs, "per-submission job cap")
 	maxRes := fs.Int("max-resources", wire.DefaultLimits.MaxResources, "per-submission resource cap")
@@ -143,7 +142,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		Shards:                *shards,
 		QueueDepth:            *queue,
 		TenantBacklog:         *tenantBacklog,
-		FastPathDepth:         *fastPathDepth,
 		GridShareCap:          *gridShareCap,
 		Limits:                wire.Limits{MaxJobs: *maxJobs, MaxResources: *maxRes},
 		DefaultPolicy:         *defaultPolicy,

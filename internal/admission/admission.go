@@ -22,10 +22,9 @@
 // rate and the tenant's weighted share of it — under sustained overload
 // the advice grows with the queue instead of parroting "1".
 //
-// The controller also detects overload for the two-speed planning path:
-// a dequeue taken while the backlog is at or above the fast-path depth
-// is marked, telling the shard to admit the workflow with the cheap
-// greedy placement and upgrade it to the full plan asynchronously.
+// The controller decides only the order and the bounds. How deep the
+// backlog is never changes how a dequeued submission is planned: every
+// one is planned by its own policy.
 package admission
 
 import (
@@ -75,10 +74,6 @@ type Config struct {
 	// TotalBacklog caps the whole controller; 0 means 1024, negative
 	// unbounded.
 	TotalBacklog int
-	// FastPathDepth is the backlog depth at or above which a dequeued
-	// submission is marked for the fast greedy-plan path. 0 means 8;
-	// negative disables fast-path marking.
-	FastPathDepth int
 	// Now is the clock (tests inject a fake one); nil means time.Now.
 	Now func() time.Time
 }
@@ -89,9 +84,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.TotalBacklog == 0 {
 		c.TotalBacklog = 1024
-	}
-	if c.FastPathDepth == 0 {
-		c.FastPathDepth = 8
 	}
 	if c.Now == nil {
 		c.Now = time.Now
@@ -118,10 +110,6 @@ type Item struct {
 // Dequeued is one admission decision: the item plus how it was served.
 type Dequeued struct {
 	Item Item
-	// FastPath reports the backlog was at or above the fast-path depth
-	// when this item was served: admit with the cheap plan, upgrade
-	// asynchronously.
-	FastPath bool
 	// Queued is how long the item waited in the controller.
 	Queued time.Duration
 }
@@ -277,7 +265,6 @@ func (c *Controller) TryDequeue() (d Dequeued, ok bool) {
 	if c.killed || c.total == 0 {
 		return Dequeued{}, false
 	}
-	fast := c.cfg.FastPathDepth > 0 && c.total >= c.cfg.FastPathDepth
 	it := c.nextLocked()
 	now := c.cfg.Now()
 	c.observeDrainLocked(now)
@@ -287,7 +274,7 @@ func (c *Controller) TryDequeue() (d Dequeued, ok bool) {
 		default:
 		}
 	}
-	return Dequeued{Item: it, FastPath: fast, Queued: now.Sub(it.enqueuedAt)}, true
+	return Dequeued{Item: it, Queued: now.Sub(it.enqueuedAt)}, true
 }
 
 // Drained reports that the controller will never yield another item:
@@ -327,11 +314,10 @@ func (c *Controller) Dequeue() (d Dequeued, ok bool) {
 			return Dequeued{}, false
 		}
 		if c.total > 0 {
-			fast := c.cfg.FastPathDepth > 0 && c.total >= c.cfg.FastPathDepth
 			it := c.nextLocked()
 			now := c.cfg.Now()
 			c.observeDrainLocked(now)
-			return Dequeued{Item: it, FastPath: fast, Queued: now.Sub(it.enqueuedAt)}, true
+			return Dequeued{Item: it, Queued: now.Sub(it.enqueuedAt)}, true
 		}
 		if c.closed {
 			return Dequeued{}, false

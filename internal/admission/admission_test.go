@@ -53,7 +53,7 @@ func TestWFQProportionality(t *testing.T) {
 				maxW = weights[i]
 			}
 		}
-		c, _ := newTestController(Config{PerTenantBacklog: -1, TotalBacklog: -1, FastPathDepth: -1})
+		c, _ := newTestController(Config{PerTenantBacklog: -1, TotalBacklog: -1})
 		// Everyone backlogged deeply enough to stay backlogged through the
 		// whole window.
 		window := 40 * nTenants
@@ -83,7 +83,7 @@ func TestWFQProportionality(t *testing.T) {
 // nor the low class under a high-class flood waits unboundedly.
 func TestStarvationFreedom(t *testing.T) {
 	t.Run("light tenant vs heavy tenant", func(t *testing.T) {
-		c, _ := newTestController(Config{PerTenantBacklog: -1, TotalBacklog: -1, FastPathDepth: -1})
+		c, _ := newTestController(Config{PerTenantBacklog: -1, TotalBacklog: -1})
 		enqueueN(t, c, "whale", "", wire.MaxWeight, 5000)
 		enqueueN(t, c, "shrimp", "", 0.5, 1)
 		// The shrimp's deficit tops up by 0.5 per ring visit: it must be
@@ -101,7 +101,7 @@ func TestStarvationFreedom(t *testing.T) {
 		t.Fatal("light tenant starved behind heavy tenant")
 	})
 	t.Run("low class vs high flood", func(t *testing.T) {
-		c, _ := newTestController(Config{PerTenantBacklog: -1, TotalBacklog: -1, FastPathDepth: -1})
+		c, _ := newTestController(Config{PerTenantBacklog: -1, TotalBacklog: -1})
 		enqueueN(t, c, "flood", wire.ClassHigh, 1, 1000)
 		enqueueN(t, c, "patient", wire.ClassLow, 1, 1)
 		// One full class round serves at most high(4)+normal(2) units
@@ -135,7 +135,7 @@ func TestPriorityInversion(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			c, _ := newTestController(Config{PerTenantBacklog: -1, TotalBacklog: -1, FastPathDepth: -1})
+			c, _ := newTestController(Config{PerTenantBacklog: -1, TotalBacklog: -1})
 			enqueueN(t, c, "flood", tc.floodClass, wire.MaxWeight, 500)
 			enqueueN(t, c, "victim", tc.victimClass, 1, 1)
 			for i := 0; i < tc.within; i++ {
@@ -156,7 +156,7 @@ func TestPriorityInversion(t *testing.T) {
 // advice must be derived from drain rate and queue depth, growing as a
 // sustained overload deepens the backlog — not a fixed constant.
 func TestRetryAfterGrowsUnderOverload(t *testing.T) {
-	c, clk := newTestController(Config{PerTenantBacklog: 200, TotalBacklog: -1, FastPathDepth: -1})
+	c, clk := newTestController(Config{PerTenantBacklog: 200, TotalBacklog: -1})
 	// Establish a measured drain rate of one submission per 2 seconds.
 	enqueueN(t, c, "t", "", 1, 20)
 	for i := 0; i < 20; i++ {
@@ -209,7 +209,7 @@ func TestRetryAfterGrowsUnderOverload(t *testing.T) {
 // TestBoundedBacklog: per-tenant and total caps reject with typed errors
 // and the caps hold exactly.
 func TestBoundedBacklog(t *testing.T) {
-	c, _ := newTestController(Config{PerTenantBacklog: 3, TotalBacklog: 5, FastPathDepth: -1})
+	c, _ := newTestController(Config{PerTenantBacklog: 3, TotalBacklog: 5})
 	enqueueN(t, c, "a", "", 1, 3)
 	err := c.Enqueue(Item{ID: "a-over", Tenant: "a"})
 	be, ok := err.(*BacklogError)
@@ -227,32 +227,11 @@ func TestBoundedBacklog(t *testing.T) {
 	}
 }
 
-// TestFastPathMarking: dequeues are marked fast-path exactly while the
-// backlog is at or above the configured depth.
-func TestFastPathMarking(t *testing.T) {
-	c, _ := newTestController(Config{PerTenantBacklog: -1, TotalBacklog: -1, FastPathDepth: 4})
-	enqueueN(t, c, "t", "", 1, 6)
-	var marks []bool
-	for i := 0; i < 6; i++ {
-		d, ok := c.Dequeue()
-		if !ok {
-			t.Fatal("drained early")
-		}
-		marks = append(marks, d.FastPath)
-	}
-	want := []bool{true, true, true, false, false, false}
-	for i := range want {
-		if marks[i] != want[i] {
-			t.Fatalf("fast-path marks = %v, want %v", marks, want)
-		}
-	}
-}
-
 // TestCloseDrainsThenStops: Close rejects new work but serves the rest;
 // Kill stops service immediately and DrainAll yields the leftovers in
 // fair order.
 func TestCloseDrainsThenStops(t *testing.T) {
-	c, _ := newTestController(Config{FastPathDepth: -1})
+	c, _ := newTestController(Config{})
 	enqueueN(t, c, "t", "", 1, 3)
 	c.Close()
 	if err := c.Enqueue(Item{ID: "late", Tenant: "t"}); err != ErrClosed {
@@ -267,7 +246,7 @@ func TestCloseDrainsThenStops(t *testing.T) {
 		t.Fatal("drained controller still serving")
 	}
 
-	k, _ := newTestController(Config{FastPathDepth: -1})
+	k, _ := newTestController(Config{})
 	enqueueN(t, k, "a", "", 1, 2)
 	enqueueN(t, k, "b", "", 1, 2)
 	k.Kill()
@@ -285,7 +264,7 @@ func TestCloseDrainsThenStops(t *testing.T) {
 
 // TestDequeueBlocksUntilEnqueue: a waiting pump wakes on new work.
 func TestDequeueBlocksUntilEnqueue(t *testing.T) {
-	c, _ := newTestController(Config{FastPathDepth: -1})
+	c, _ := newTestController(Config{})
 	got := make(chan string, 1)
 	go func() {
 		d, ok := c.Dequeue()
@@ -358,7 +337,7 @@ func TestSelectLoopContract(t *testing.T) {
 
 // TestSaturatedAndDepth: the gauges agree with the bounds.
 func TestSaturatedAndDepth(t *testing.T) {
-	c, _ := newTestController(Config{TotalBacklog: 3, FastPathDepth: -1})
+	c, _ := newTestController(Config{TotalBacklog: 3})
 	if c.Saturated() {
 		t.Fatal("empty controller saturated")
 	}

@@ -17,8 +17,8 @@ import (
 	"aheft/internal/wire"
 )
 
-// Client is the one aheftd HTTP client: Run, cmd/chaos and cmd/overload
-// talk to the daemon through it. The zero HTTP field means a shared
+// Client is the one aheftd HTTP client: Run and cmd/chaos talk to the
+// daemon through it. The zero HTTP field means a shared
 // 2-minute-timeout default.
 type Client struct {
 	// Base is the daemon's address ("http://127.0.0.1:7070").
@@ -115,7 +115,7 @@ func (c *Client) GetJSON(ctx context.Context, path string, v any) error {
 }
 
 // Submit posts one encoded submission and returns the workflow ID. It is
-// the closed loop's retry, for load arrivals and -overload flooders alike:
+// the closed loop's retry, for load arrivals and flooders alike:
 // a 429 is retried until admitted or ctx ends, after an eighth of the
 // advised Retry-After (20 ms without one, at most 250 ms — the daemon
 // names whole seconds, and a tighter retry keeps the loop saturated and a

@@ -13,8 +13,8 @@
 // on its own pool or several co-scheduled on a named shared grid; the
 // root facade drives it against an in-process feedback.Tracker), Replay
 // the only builder of faithful plan-to-report event lists (cmd/chaos and
-// the data-aware tests use it). The daemon's acceptance tests, cmd/chaos
-// and cmd/overload share this harness. A Run with a fixed Config and
+// the data-aware tests use it). The daemon's acceptance tests and
+// cmd/chaos share this harness. A Run with a fixed Config and
 // tenants is deterministic as long as the tenants' histories are not
 // perturbed by concurrent workflows: the noise tables and churned pool
 // are pre-materialised from the seed, and the simulation itself is a

@@ -68,15 +68,6 @@ type Config struct {
 	History *history.Repository
 	// Policy drives planning and replanning.
 	Policy policy.Policy
-	// FastPlan, when non-nil, supplies the *initial* plan instead of
-	// Policy — the fast half of the two-speed admission path: under
-	// overload the daemon plans with a cheap greedy placement so the
-	// workflow starts immediately, then asynchronously re-evaluates with
-	// Policy's full pass (Reevaluate with planner.TriggerUpgrade) and
-	// adopts the better schedule through the normal decision machinery.
-	// Replans always use Policy; FastPlan must produce a real enactable
-	// schedule (just-in-time policies are rejected).
-	FastPlan policy.Policy
 	// Opts tunes the policy.
 	Opts policy.Options
 	// VarianceThreshold gates finish-variance triggering; <= 0 means
@@ -181,11 +172,7 @@ func New(cfg Config) (*Tracker, error) {
 	if err != nil {
 		return nil, err
 	}
-	pl := cfg.Policy
-	if cfg.FastPlan != nil {
-		pl = cfg.FastPlan
-	}
-	s0, err := pl.Plan(t.k, cfg.Pool, cfg.Opts)
+	s0, err := cfg.Policy.Plan(t.k, cfg.Pool, cfg.Opts)
 	if err != nil {
 		return nil, fmt.Errorf("feedback: initial plan: %w", err)
 	}
@@ -215,8 +202,6 @@ func build(cfg Config) (*Tracker, error) {
 		return nil, fmt.Errorf("feedback: nil policy")
 	case policy.IsJustInTime(cfg.Policy):
 		return nil, fmt.Errorf("feedback: policy %q is just-in-time and cannot plan for enactment", cfg.Policy.Name())
-	case cfg.FastPlan != nil && policy.IsJustInTime(cfg.FastPlan):
-		return nil, fmt.Errorf("feedback: fast-plan policy %q is just-in-time and cannot plan for enactment", cfg.FastPlan.Name())
 	}
 	n := cfg.Graph.Len()
 	t := &Tracker{

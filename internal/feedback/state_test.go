@@ -327,3 +327,21 @@ func TestDecisionWireRoundTrip(t *testing.T) {
 		t.Fatal("bogus trigger parsed")
 	}
 }
+
+// TestParseTriggerUpgrade: nothing produces the retired upgrade trigger
+// any more, but a journalled decision carrying it still decodes and
+// re-encodes unchanged.
+func TestParseTriggerUpgrade(t *testing.T) {
+	tr, err := ParseTrigger("upgrade")
+	if err != nil || tr != planner.TriggerUpgrade {
+		t.Fatalf("ParseTrigger(upgrade) = (%v, %v)", tr, err)
+	}
+	w := wire.Decision{Clock: 0, PoolSize: 3, OldMakespan: 88, NewMakespan: 80, Adopted: true, Trigger: "upgrade"}
+	d, err := DecisionFromWire(w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := DecisionToWire(d); got != w {
+		t.Fatalf("upgrade decision re-encodes as %+v, want %+v", got, w)
+	}
+}

@@ -58,27 +58,29 @@ const (
 	// the arrival/departure analogue when the "resource" that changed is
 	// another tenant's claim on the grid.
 	TriggerContention
-	// TriggerUpgrade is the slow half of the two-speed admission path: a
-	// workflow admitted under overload with a cheap greedy placement is
-	// asynchronously re-evaluated with the full rank-and-insertion pass,
-	// and the better plan adopted through the normal decision machinery.
-	// Unlike the event triggers above it is not caused by anything the
-	// grid did — it is the daemon paying back the planning debt it took
-	// on to keep admission latency flat.
-	TriggerUpgrade
 	// NumTriggers counts the triggers above; it sizes per-trigger arrays.
 	NumTriggers = iota
 )
 
+// TriggerUpgrade is retired: daemons that gave a deep backlog's
+// admissions a greedy initial plan re-evaluated it later under this
+// trigger. Nothing produces one now. It lies outside NumTriggers, so no
+// per-trigger array or /metrics family holds it; it exists only so that a
+// journalled decision carrying it decodes and re-encodes unchanged.
+const TriggerUpgrade Trigger = NumTriggers
+
 // TriggerNames is the one list of trigger names, in iota order: what
 // String returns, what /metrics keys its per-trigger families by, and
 // what report acks carry in their trigger field.
-var TriggerNames = [NumTriggers]string{"arrival", "variance", "departure", "contention", "upgrade"}
+var TriggerNames = [NumTriggers]string{"arrival", "variance", "departure", "contention"}
 
 // String returns the trigger's name.
 func (t Trigger) String() string {
-	if t >= 0 && int(t) < NumTriggers {
+	switch {
+	case t >= 0 && int(t) < NumTriggers:
 		return TriggerNames[t]
+	case t == TriggerUpgrade:
+		return "upgrade"
 	}
 	return fmt.Sprintf("Trigger(%d)", int(t))
 }

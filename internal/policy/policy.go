@@ -191,7 +191,6 @@ func Names() []string {
 func init() {
 	MustRegister(heftPolicy{})
 	MustRegister(aheftPolicy{})
-	MustRegister(greedyPolicy{})
 	MustRegister(jitPolicy{h: MinMin})
 	MustRegister(jitPolicy{h: MaxMin})
 	MustRegister(jitPolicy{h: Sufferage})

@@ -16,7 +16,7 @@ import (
 // expected adaptivity.
 func TestBuiltinsRegistered(t *testing.T) {
 	want := map[string]bool{
-		"heft": false, "aheft": true, "greedy": false,
+		"heft": false, "aheft": true,
 		"minmin": false, "maxmin": false, "sufferage": false,
 	}
 	for name, adaptive := range want {

@@ -508,3 +508,117 @@ func TestReplayRefusesMidDrainRecording(t *testing.T) {
 		t.Fatalf("mid-drain recording: err = %v, want unclean-trailer diagnostic", err)
 	}
 }
+
+// TestReplayDeepQueueIdentical: how deep a shard's admission queue was
+// when a submission left it is not a recorded input, so it must not
+// change the plan. Nine live workflows queue behind a large analytic run
+// on a one-shard recording daemon and are dequeued with the queue at full
+// depth; replay, which drives one input at a time, must still reproduce
+// every decision and plan.
+func TestReplayDeepQueueIdentical(t *testing.T) {
+	if testing.Short() {
+		t.Skip("record/replay acceptance test skipped in -short mode")
+	}
+	const queued = 9
+	dir := t.TempDir()
+	srv, err := server.Open(server.Config{Shards: 1, QueueDepth: 64, RecordDir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+
+	big, err := workload.LayeredScenario(workload.LayeredParams{Jobs: 2000, Width: 40, FanIn: 3, CCR: 1, Beta: 0.5},
+		workload.GridParams{InitialResources: 16, ChangeInterval: 200, ChangePct: 0.25, MaxEvents: 8}, rng.New(0xb10c))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var blocker wire.Submitted
+	if code := postJSON(t, ts, "/v1/workflows", encodeSub(t, big, "", "aheft", "", wire.Options{}), &blocker); code != http.StatusAccepted {
+		t.Fatalf("blocker submit: HTTP %d", code)
+	}
+	status := func(id string) wire.Status {
+		t.Helper()
+		resp, err := ts.Client().Get(ts.URL + "/v1/workflows/" + id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var st wire.Status
+		if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
+			t.Fatal(err)
+		}
+		return st
+	}
+	for deadline := time.Now().Add(10 * time.Second); status(blocker.ID).State == server.StateQueued; time.Sleep(100 * time.Microsecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("the worker never took the blocker")
+		}
+	}
+	sample := workload.SampleScenario()
+	body := encodeSub(t, sample, wire.ModeLive, "aheft", "acme", wire.Options{TieWindow: 0.05})
+	ids := make([]string, queued)
+	for i := range ids {
+		var sub wire.Submitted
+		if code := postJSON(t, ts, "/v1/workflows", body, &sub); code != http.StatusAccepted {
+			t.Fatalf("live submit %d: HTTP %d", i, code)
+		}
+		ids[i] = sub.ID
+	}
+	if st := status(blocker.ID); st.State != server.StateRunning {
+		t.Fatalf("the blocker was %s before all %d live submissions had queued behind it", st.State, queued)
+	}
+	if d := srv.MetricsSnapshot().QueueDepth[0]; d != queued {
+		t.Fatalf("queue depth %d behind the blocker, want %d", d, queued)
+	}
+
+	for _, id := range ids {
+		plan := waitPlan(t, ts, id)
+		batch, err := wire.EncodeReport(&wire.Report{Events: faithfulEvents(plan, plan.Makespan)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if code := postJSON(t, ts, "/v1/workflows/"+id+"/report", batch, nil); code != http.StatusOK {
+			t.Fatalf("report %s: HTTP %d", id, code)
+		}
+		waitTerminal(t, ts, id)
+	}
+	waitTerminal(t, ts, blocker.ID)
+	ts.Close()
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	if err := srv.Shutdown(ctx); err != nil {
+		t.Fatalf("drain: %v", err)
+	}
+	if m := srv.MetricsSnapshot(); m.Completed != queued+1 || m.Failed != 0 {
+		t.Fatalf("recorded run: completed=%d failed=%d", m.Completed, m.Failed)
+	}
+
+	res, err := Run(dir, Options{Timeout: 5 * time.Minute})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.Identical() {
+		t.Fatalf("replay diverged (%d mismatches over %d outputs):\n%s",
+			len(res.Divergences), res.Outputs, strings.Join(res.Divergences, "\n"))
+	}
+}
+
+// waitPlan polls until the live workflow is planned and returns its plan.
+func waitPlan(t testing.TB, ts *httptest.Server, id string) *wire.Plan {
+	t.Helper()
+	for deadline := time.Now().Add(60 * time.Second); time.Now().Before(deadline); time.Sleep(time.Millisecond) {
+		resp, err := ts.Client().Get(ts.URL + "/v1/workflows/" + id + "/plan")
+		if err != nil {
+			t.Fatal(err)
+		}
+		var plan wire.Plan
+		err = json.NewDecoder(resp.Body).Decode(&plan)
+		resp.Body.Close()
+		if resp.StatusCode == http.StatusOK && err == nil {
+			return &plan
+		}
+	}
+	t.Fatalf("no initial plan for %s", id)
+	return nil
+}

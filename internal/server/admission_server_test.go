@@ -1,96 +1,108 @@
 package server
 
 import (
+	"context"
+	"fmt"
 	"net/http"
 	"testing"
 	"time"
 
+	"aheft/internal/grid"
+	"aheft/internal/occupancy"
 	"aheft/internal/wire"
 	"aheft/internal/workload"
 )
-
-// Two-speed planning at the server level: with the fast-path threshold
-// at 1, a live adaptive submission is admitted with the cheap greedy
-// placement, and the asynchronous upgrade to the full policy follows
-// without any report traffic. The workflow then executes and completes
-// normally — "every fast-path plan is upgraded or terminal".
 
 func admissionDoc(srv *Server) AdmissionDoc {
 	return srv.MetricsSnapshot().Admission
 }
 
-func waitUpgraded(t testing.TB, srv *Server, class string, want uint64) AdmissionDoc {
-	t.Helper()
-	deadline := time.Now().Add(10 * time.Second)
-	for time.Now().Before(deadline) {
-		doc := admissionDoc(srv)
-		if doc.UpgradedByClass[class] >= want {
-			return doc
-		}
-		time.Sleep(2 * time.Millisecond)
-	}
-	t.Fatalf("class %q never reached %d upgrades: %+v", class, want, admissionDoc(srv))
-	return AdmissionDoc{}
-}
-
-func TestFastPathAdmitThenUpgrade(t *testing.T) {
-	sc := workload.SampleScenario()
-	srv, ts := newTestServer(t, Config{Shards: 1, FastPathDepth: 1})
-
-	body := encodeLive(t, sc, "aheft", "acme", wire.Options{TieWindow: 0.05, Class: wire.ClassHigh})
-	sub, resp := submit(t, ts, body)
-	if resp.StatusCode != http.StatusAccepted {
-		t.Fatalf("submit: HTTP %d", resp.StatusCode)
-	}
-
-	// The initial plan is the greedy fast-path placement; the upgrade is
-	// scheduled at attach time and needs no reports to land.
-	fetchPlan(t, ts, sub.ID)
-	doc := waitUpgraded(t, srv, wire.ClassHigh, 1)
-	if doc.FastPathByClass[wire.ClassHigh] != 1 {
-		t.Fatalf("fast-path count: %+v", doc.FastPathByClass)
-	}
-	if doc.AdmittedByClass[wire.ClassHigh] != 1 {
-		t.Fatalf("admitted count: %+v", doc.AdmittedByClass)
-	}
-	if doc.FastInitialMs.Count != 1 {
-		t.Fatalf("fast initial-plan latency window: %+v", doc.FastInitialMs)
-	}
-
-	// After the upgrade the resident plan is the full policy's; executing
-	// it faithfully completes the workflow.
-	plan := fetchPlan(t, ts, sub.ID)
-	reportPlanExecution(t, ts, sub.ID, &plan)
-	if st := waitDone(t, ts, sub.ID); st.State != StateDone {
-		t.Fatalf("fast-path workflow did not finish: %+v", st)
-	}
-}
-
-// Without backlog the fast path must stay cold: a lone submission under
-// the default threshold takes the full-policy plan synchronously.
-func TestNoFastPathWithoutBacklog(t *testing.T) {
+// A deep admission backlog changes nothing about how a workflow is
+// planned: with nine live submissions for one shared grid queued behind a
+// parked worker, each initial plan is still its own policy's, made around
+// the reservations already on the grid, so no two workflows' claims
+// overlap.
+func TestDeepQueuePlansAroundOtherTenants(t *testing.T) {
+	const queued = 9
 	sc := workload.SampleScenario()
 	srv, ts := newTestServer(t, Config{Shards: 1})
+	t.Cleanup(func() {
+		// The live workflows are never reported to completion: cancel
+		// them rather than wait out the drain deadline.
+		ctx, cancel := context.WithCancel(context.Background())
+		cancel()
+		_ = srv.Shutdown(ctx)
+	})
+	// An analytic blocker parks the worker, so the live submissions queue
+	// up behind it and the first of them is dequeued at full depth.
+	unpark := make(chan struct{})
+	srv.execHook = func(wf *workflow) {
+		if !wf.live {
+			<-unpark
+		}
+	}
+	registerGrid(t, ts, "g", sc)
+	idA := submitShared(t, ts, "g", "alpha", sc)
+	waitPlan(t, ts, idA)
+	blocker, err := wire.EncodeSubmission(&wire.Submission{
+		Policy: "aheft", Graph: sc.Graph, Comp: sc.Table, Pool: sc.Pool,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, resp := submit(t, ts, blocker); resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("submit blocker: HTTP %d", resp.StatusCode)
+	}
+	for deadline := time.Now().Add(10 * time.Second); admissionDoc(srv).AdmittedByClass[wire.ClassNormal] < 2 || srv.shards[0].adm.Depth() != 0; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			close(unpark)
+			t.Fatal("the worker never took the blocker")
+		}
+	}
+	ids := []string{idA}
+	for i := 0; i < queued; i++ {
+		ids = append(ids, submitShared(t, ts, "g", fmt.Sprintf("tenant-%d", i), sc))
+	}
+	if d := srv.shards[0].adm.Depth(); d != queued {
+		close(unpark)
+		t.Fatalf("queue depth %d behind the parked worker, want %d", d, queued)
+	}
+	close(unpark)
+	for _, id := range ids {
+		waitPlan(t, ts, id)
+	}
 
-	body := encodeLive(t, sc, "aheft", "acme", wire.Options{TieWindow: 0.05})
-	sub, resp := submit(t, ts, body)
-	if resp.StatusCode != http.StatusAccepted {
-		t.Fatalf("submit: HTTP %d", resp.StatusCode)
+	g, _ := srv.gridLookup("g")
+	rows := map[grid.ID][]occupancy.Owned{}
+	for _, r := range g.ledger.Export() {
+		rows[r.Resource] = append(rows[r.Resource], r)
 	}
-	plan := fetchPlan(t, ts, sub.ID)
-	reportPlanExecution(t, ts, sub.ID, &plan)
-	if st := waitDone(t, ts, sub.ID); st.State != StateDone {
-		t.Fatalf("workflow did not finish: %+v", st)
+	owners, overlaps, first := map[string]bool{}, 0, ""
+	for _, row := range rows {
+		for i, a := range row {
+			owners[a.Owner] = true
+			for _, b := range row[i+1:] {
+				if a.Owner != b.Owner && a.Start < b.Finish-1e-9 && b.Start < a.Finish-1e-9 {
+					if overlaps++; first == "" {
+						first = fmt.Sprintf("resource %d: %s job %d [%g, %g) overlaps %s job %d [%g, %g)",
+							a.Resource, a.Owner, a.Job, a.Start, a.Finish, b.Owner, b.Job, b.Start, b.Finish)
+					}
+				}
+			}
+		}
 	}
-	doc := admissionDoc(srv)
-	if n := doc.FastPathByClass[wire.ClassNormal]; n != 0 {
-		t.Fatalf("unexpected fast-path admissions: %d", n)
+	if overlaps > 0 {
+		t.Fatalf("%d pairs of reservations double-book the grid; first %s", overlaps, first)
 	}
-	if doc.FullInitialMs.Count != 1 || doc.FastInitialMs.Count != 0 {
-		t.Fatalf("initial-plan latency windows: full %+v fast %+v", doc.FullInitialMs, doc.FastInitialMs)
+	if len(owners) != len(ids) {
+		t.Fatalf("%d of %d workflows hold reservations", len(owners), len(ids))
 	}
-	if doc.AdmittedByClass[wire.ClassNormal] != 1 {
-		t.Fatalf("admitted count: %+v", doc.AdmittedByClass)
+	// Nothing replans a workflow before its first report, so the ledger
+	// above holds the initial plans themselves.
+	for _, id := range ids {
+		if p := waitPlan(t, ts, id); p.Generation != 1 {
+			t.Fatalf("%s replanned before any report: generation %d (%s)", id, p.Generation, p.Trigger)
+		}
 	}
 }
 

@@ -107,8 +107,6 @@ type walState struct {
 	AckedGen    int                     `json:"acked_gen"`
 	Reports     int                     `json:"reports"`
 	PlanTrigger string                  `json:"plan_trigger"`
-	FastPath    bool                    `json:"fast_path,omitempty"`
-	Upgraded    bool                    `json:"upgraded,omitempty"`
 	State       *feedback.TrackerState  `json:"state,omitempty"`
 	Patch       *feedback.StatePatch    `json:"patch,omitempty"`
 	Deltas      []feedback.HistoryDelta `json:"deltas,omitempty"`
@@ -176,7 +174,7 @@ func (p *walState) AppendJSON(e *wire.Appender) {
 		e.Raw(`,"body":`).RawValue(p.Body)
 	}
 	e.OmitInt(`,"rev":`, p.Rev).Raw(`,"acked_gen":`).Int(p.AckedGen).Raw(`,"reports":`).Int(p.Reports)
-	e.Raw(`,"plan_trigger":`).Str(p.PlanTrigger).OmitBool(`,"fast_path":`, p.FastPath).OmitBool(`,"upgraded":`, p.Upgraded)
+	e.Raw(`,"plan_trigger":`).Str(p.PlanTrigger)
 	if p.State != nil {
 		p.State.AppendJSON(e.Raw(`,"state":`))
 	}
@@ -323,8 +321,6 @@ func (sh *shard) walStateDoc(wf *workflow, whole bool) walState {
 		AckedGen:    wf.ackedGen,
 		Reports:     reports,
 		PlanTrigger: trigger,
-		FastPath:    wf.fastPath,
-		Upgraded:    wf.upgraded,
 		Events:      events,
 		cur:         cur,
 		nEvents:     nEvents,
@@ -655,7 +651,6 @@ func (p *walState) scan(sc *jsonscan.Scanner) {
 	sc.Object("id", &p.ID, "tenant", &p.Tenant,
 		"body", func() { p.Body = append(p.Body[:0], sc.Raw()...) },
 		"rev", &p.Rev, "acked_gen", &p.AckedGen, "reports", &p.Reports, "plan_trigger", &p.PlanTrigger,
-		"fast_path", &p.FastPath, "upgraded", &p.Upgraded,
 		"state", func() {
 			jsonscan.Ptr(sc, &p.State, func(st *feedback.TrackerState) { feedback.DecodeState(sc, st) })
 		},
@@ -1208,8 +1203,6 @@ func (s *Server) restoreLive(rw *recoveredWorkflow) error {
 	// snapshot that ends recovery provides one.
 	wf.walRev = rw.last.Rev
 	wf.ackedGen = rw.last.AckedGen
-	wf.fastPath = rw.last.FastPath
-	wf.upgraded = rw.last.Upgraded
 	trigger := rw.last.PlanTrigger
 	if trigger == "" {
 		trigger = "initial"
@@ -1236,12 +1229,6 @@ func (s *Server) restoreLive(rw *recoveredWorkflow) error {
 	}
 	s.metrics.count(func(c *MetricsDoc) { c.LiveResident++ })
 	s.metrics.inflightReserve()
-	// A fast-path plan that crashed before its upgrade still owes one:
-	// re-arm it so "every fast-path plan is upgraded or terminal" holds
-	// across restarts. The send parks until the shard worker starts.
-	if wf.fastPath && !wf.upgraded {
-		sh.scheduleUpgrade(wf)
-	}
 	return nil
 }
 

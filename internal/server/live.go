@@ -12,7 +12,6 @@ import (
 	"aheft/internal/history"
 	"aheft/internal/obs"
 	"aheft/internal/planner"
-	"aheft/internal/policy"
 	"aheft/internal/wire"
 )
 
@@ -33,11 +32,7 @@ type shardCmd struct {
 	// order (see record.go).
 	raw    json.RawMessage
 	whatif *wire.WhatIfRequest
-	// upgrade asks the worker to pay back a fast-path admission's
-	// planning debt: re-evaluate the live plan with the full policy
-	// (planner.TriggerUpgrade). Fire-and-forget — reply is nil.
-	upgrade bool
-	reply   chan cmdResult
+	reply  chan cmdResult
 }
 
 // cmdResult is the worker's answer. memo is the workflow's, handed over
@@ -72,15 +67,7 @@ func (sh *shard) startLive(wf *workflow) {
 	if wf.gridRef != nil {
 		wf.gridRef.ledger.BindTenant(wf.id, wf.tenant)
 	}
-	cfg := sh.trackerConfig(wf)
-	if wf.fastPath {
-		// Two-speed planning, fast half: under a deep admission backlog
-		// the initial plan is a cheap greedy placement so the enactor
-		// can start immediately; the full-policy plan follows through
-		// the upgrade command queued below.
-		cfg.FastPlan = policy.MustGet("greedy")
-	}
-	tr, err := feedback.New(cfg)
+	tr, err := feedback.New(sh.trackerConfig(wf))
 	wf.mu.Lock()
 	wf.st.State = StateRunning
 	wf.startedAt = time.Now()
@@ -107,19 +94,9 @@ func (sh *shard) startLive(wf *workflow) {
 	if wf.gridRef != nil {
 		wf.gridRef.attach(wf)
 	}
-	// Initial-plan latency — execution start to first enactable plan —
-	// keyed by path, so /metrics can prove the fast path's point: its
-	// p99 must sit below the full-plan p99. Queue residency is excluded
-	// (it sits in admission_wait_ms): the fast path only engages under
-	// deep backlog, so folding wait time in would bill the overload the
-	// fast path exists to absorb against the fast path itself.
-	lat := time.Since(planStart).Seconds() * 1e3
-	if wf.fastPath {
-		m.admInitialFast.Record(lat)
-		sh.scheduleUpgrade(wf)
-	} else {
-		m.admInitialFull.Record(lat)
-	}
+	// Initial-plan latency — execution start to first enactable plan.
+	// Queue residency is excluded: it sits in admission_wait_ms.
+	m.admInitial.Record(time.Since(planStart).Seconds() * 1e3)
 	// Journal the planned state; this also promotes the raw submission
 	// body from the WAL's pending mirror to its live mirror. Only then is
 	// the plan published to GET …/plan: a crash in between must not leave
@@ -164,21 +141,6 @@ func (sh *shard) startSpan(stage string, wf *workflow) *obs.Active {
 	return a
 }
 
-// scheduleUpgrade queues the slow half of a fast-path admission: an
-// asynchronous command that re-plans with the full policy. It goes
-// through the command channel from a helper goroutine — never a direct
-// call or a worker-side send — so upgrades interleave with reports and
-// new intake at the select loop's pace instead of blocking the worker
-// on its own (bounded) channel.
-func (sh *shard) scheduleUpgrade(wf *workflow) {
-	go func() {
-		select {
-		case sh.cmds <- shardCmd{wf: wf, upgrade: true}:
-		case <-sh.srv.runCtx.Done():
-		}
-	}()
-}
-
 // enacting reports whether wf is parked on this shard with jobs still to
 // run — the one state in which a command may touch its tracker. (sh.live
 // holds only planned workflows that have not been finished.)
@@ -186,18 +148,10 @@ func (sh *shard) enacting(wf *workflow) bool {
 	return sh.live[wf.id] == wf && !wf.tracker.Done()
 }
 
-// handleCmd serves one report, what-if or upgrade on the worker
-// goroutine.
+// handleCmd serves one report or what-if on the worker goroutine.
 func (sh *shard) handleCmd(cmd shardCmd) {
 	wf := cmd.wf
 	m := sh.srv.metrics
-	if cmd.upgrade {
-		// Fire-and-forget: no reply channel. A workflow that reached a
-		// terminal state before its upgrade arrived satisfies the
-		// fast-path invariant (upgraded or terminal) by being terminal.
-		sh.applyUpgrade(wf)
-		return
-	}
 	if !sh.enacting(wf) {
 		if cmd.report != nil {
 			m.count(func(c *MetricsDoc) { c.ReportsRejected++ })
@@ -295,7 +249,7 @@ func (sh *shard) applyReport(wf *workflow, cmd shardCmd) {
 	}
 	// StageEnact marks a plan generation reaching its enactor: this ack
 	// carries one either because this batch's replan was adopted or as
-	// the piggyback of an earlier contention or upgrade adoption.
+	// the piggyback of an earlier contention adoption.
 	if t := sh.srv.tracer; t != nil && ack.Plan != nil {
 		t.Emit(obs.Span{
 			Stage: obs.StageEnact, Workflow: wf.id, Tenant: tenant, Shard: sh.id,
@@ -316,7 +270,7 @@ func (sh *shard) applyReport(wf *workflow, cmd shardCmd) {
 
 // ackPlan stamps the ack with the tracker's generation and, when the
 // enactor has not been handed that generation yet, attaches the published
-// plan: the batch's own adoption, or a contention or upgrade adoption made
+// plan: the batch's own adoption, or a contention adoption made
 // between this enactor's reports, picked up without an extra round trip.
 // It returns the memo to encode an ack carrying a plan through.
 func (wf *workflow) ackPlan(ack *wire.ReportAck) (memo *ackMemo) {
@@ -350,30 +304,9 @@ type ackMemo struct {
 	memo wire.AckMemo
 }
 
-// applyUpgrade runs the slow half of a fast-path admission on the
-// worker goroutine: one full-policy re-evaluation (TriggerUpgrade).
-// Adoption follows the ordinary plan-bump plumbing, so the enactor picks
-// the upgraded plan up exactly like a contention reschedule: from the
-// generation piggyback on its next report ack, or a plan re-fetch.
-// Counted as upgraded whether or not the evaluation adopts — the
-// planning debt is paid by the evaluation, and a greedy plan the full
-// policy cannot beat owes nothing further.
-func (sh *shard) applyUpgrade(wf *workflow) {
-	if !sh.enacting(wf) || wf.upgraded {
-		return
-	}
-	wf.upgraded = true
-	cls := className(wf.class)
-	sh.srv.metrics.count(func(c *MetricsDoc) { c.Admission.UpgradedByClass[cls]++ })
-	sh.publish(wf, wf.tracker.Reevaluate(planner.TriggerUpgrade), wf.rootSpan, 0, "")
-	// Journal the paid-debt flag, and the upgraded plan and reservations
-	// if it adopted: a crash before the next report must restore them.
-	sh.walLogState(wf, nil)
-}
-
 // publish folds one tracker outcome into the daemon. It is the one path
-// every live replan takes, whatever caused it — a report, another
-// workflow's freed capacity (contention), a fast-path upgrade: each
+// every live replan takes, whatever caused it — a report or another
+// workflow's freed capacity (contention): each
 // evaluation is counted, traced, recorded and logged as a decision event,
 // and an adopted plan becomes the workflow's published plan and a "plan"
 // event. parent is the span the evaluations hang under; link and linkWf,

@@ -30,10 +30,9 @@ type Metrics struct {
 	mu sync.Mutex
 	c  MetricsDoc
 
-	compute        stats.Window // makespan-compute latency per successful analytic workflow
-	admWait        stats.Window // fair-queue residency per admitted submission
-	admInitialFast stats.Window // submit → initial plan, fast path (greedy)
-	admInitialFull stats.Window // submit → initial plan, full policy
+	compute    stats.Window // makespan-compute latency per successful analytic workflow
+	admWait    stats.Window // fair-queue residency per admitted submission
+	admInitial stats.Window // execution start → initial plan
 	// resched holds one replan-latency window per planner.Trigger.
 	resched [planner.NumTriggers]stats.Window
 }
@@ -41,8 +40,7 @@ type Metrics struct {
 // NewMetrics returns a zeroed metrics set.
 func NewMetrics() *Metrics {
 	m := &Metrics{start: time.Now()}
-	m.compute.Cap, m.admWait.Cap = 8192, 8192
-	m.admInitialFast.Cap, m.admInitialFull.Cap = 4096, 4096
+	m.compute.Cap, m.admWait.Cap, m.admInitial.Cap = 8192, 8192, 4096
 	for i := range m.resched {
 		m.resched[i].Cap = 4096
 	}
@@ -54,7 +52,7 @@ func NewMetrics() *Metrics {
 		return out
 	}
 	a := &m.c.Admission
-	a.AdmittedByClass, a.FastPathByClass, a.UpgradedByClass, a.RejectedByClass = perClass(), perClass(), perClass(), perClass()
+	a.AdmittedByClass, a.RejectedByClass = perClass(), perClass()
 	return m
 }
 
@@ -148,7 +146,6 @@ func (c *MetricsDoc) adoptedBy(t planner.Trigger) *uint64 {
 		planner.TriggerVariance:   &c.ReschedulesVariance,
 		planner.TriggerDeparture:  &c.ReschedulesDeparture,
 		planner.TriggerContention: &c.ReschedulesContention,
-		planner.TriggerUpgrade:    &c.ReschedulesUpgrade,
 	}[t]
 }
 
@@ -158,15 +155,14 @@ func (m *Metrics) snapshot() MetricsDoc {
 	m.mu.Lock()
 	doc := m.c
 	a := &doc.Admission
-	a.AdmittedByClass, a.FastPathByClass = maps.Clone(a.AdmittedByClass), maps.Clone(a.FastPathByClass)
-	a.UpgradedByClass, a.RejectedByClass = maps.Clone(a.UpgradedByClass), maps.Clone(a.RejectedByClass)
+	a.AdmittedByClass, a.RejectedByClass = maps.Clone(a.AdmittedByClass), maps.Clone(a.RejectedByClass)
 	m.mu.Unlock()
 	doc.UptimeS = time.Since(m.start).Seconds()
 	doc.RescheduleMs = make(TriggerMs, len(m.resched))
 	for i, name := range planner.TriggerNames {
 		doc.RescheduleMs[name] = m.resched[i].Summary()
 	}
-	a.WaitMs, a.FastInitialMs, a.FullInitialMs = m.admWait.Summary(), m.admInitialFast.Summary(), m.admInitialFull.Summary()
+	a.WaitMs, a.InitialMs = m.admWait.Summary(), m.admInitial.Summary()
 	doc.ComputeMs = m.compute.Summary()
 	return doc
 }
@@ -210,13 +206,11 @@ type MetricsDoc struct {
 	ReportsDuplicate uint64 `json:"reports_duplicate" prom:"reports_duplicate_total" help:"Replayed batches acked idempotently."`
 	WhatIfQueries    uint64 `json:"whatif_queries" prom:"whatif_queries_total" help:"Answered what-if queries."`
 	// Adopted reschedules by trigger: contention is a shared-grid survivor
-	// taking capacity another workflow released, upgrade a fast-path
-	// greedy initial plan replaced by the submission's full policy.
+	// taking capacity another workflow released.
 	ReschedulesVariance   uint64    `json:"reschedules_variance" prom:"reschedules_by_trigger_total" label:"trigger=variance" help:"Adopted reschedules by trigger."`
 	ReschedulesArrival    uint64    `json:"reschedules_arrival" prom:"reschedules_by_trigger_total" label:"trigger=arrival"`
 	ReschedulesDeparture  uint64    `json:"reschedules_departure" prom:"reschedules_by_trigger_total" label:"trigger=departure"`
 	ReschedulesContention uint64    `json:"reschedules_contention" prom:"reschedules_by_trigger_total" label:"trigger=contention"`
-	ReschedulesUpgrade    uint64    `json:"reschedules_upgrade" prom:"reschedules_by_trigger_total" label:"trigger=upgrade"`
 	RescheduleMs          TriggerMs `json:"reschedule_ms" prom:"reschedule_ms" label:"trigger" help:"Replan wall-clock latency by trigger (ms)."`
 	// Admission is the weighted-fair-queue intake state.
 	Admission      AdmissionDoc `json:"admission"`
@@ -262,21 +256,16 @@ type MetricsDoc struct {
 }
 
 // AdmissionDoc is the admission subsystem's /metrics section: per-class
-// counts (admitted into a fair queue, served by the fast greedy path,
-// upgraded to their full policy, 429ed by the backlog bounds), the
+// counts (admitted into a fair queue, 429ed by the backlog bounds), the
 // per-tenant backlog summed across shards, the EWMA drain rate behind
-// every Retry-After, and the latency windows. Under overload the fast
-// initial-plan p99 must undercut the full one.
+// every Retry-After, and the latency windows.
 type AdmissionDoc struct {
 	AdmittedByClass    map[string]uint64 `json:"admitted_by_class" prom:"admission_admitted_total" label:"class" help:"Submissions admitted into the fair queue by class."`
-	FastPathByClass    map[string]uint64 `json:"fast_path_by_class" prom:"admission_fast_path_total" label:"class" help:"Fast-path (greedy initial plan) admissions by class."`
-	UpgradedByClass    map[string]uint64 `json:"upgraded_by_class" prom:"admission_upgraded_total" label:"class" help:"Fast-path plans upgraded to the full policy by class."`
 	RejectedByClass    map[string]uint64 `json:"rejected_by_class" prom:"admission_rejected_total" label:"class" help:"Submissions rejected by the backlog bounds by class."`
 	QueueDepthByTenant map[string]int    `json:"queue_depth_by_tenant,omitempty" prom:"admission_queue_depth,next" label:"tenant" help:"Queued submissions per tenant."`
 	DrainRatePerS      float64           `json:"drain_rate_per_s" prom:"admission_drain_rate_per_s" help:"EWMA admission dequeue rate across shards."`
 	WaitMs             LatencyMs         `json:"wait_ms" prom:"admission_wait_ms" help:"Fair-queue residency per admitted submission (ms)."`
-	FastInitialMs      LatencyMs         `json:"fast_initial_ms" prom:"admission_initial_ms" label:"path=fast" help:"Submit-to-initial-plan latency by path (ms)."`
-	FullInitialMs      LatencyMs         `json:"full_initial_ms" prom:"admission_initial_ms" label:"path=full" help:"Submit-to-initial-plan latency by path (ms)."`
+	InitialMs          LatencyMs         `json:"initial_ms" prom:"admission_initial_ms" help:"Execution-start-to-initial-plan latency of live workflows (ms)."`
 }
 
 // LatencyMs summarises one latency window in milliseconds.

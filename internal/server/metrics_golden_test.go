@@ -115,8 +115,7 @@ func goldenDoc() MetricsDoc {
 	for i := 1; i <= 5; i++ {
 		m.compute.Record(1.5 * float64(i))
 		m.admWait.Record(0.125 * float64(i))
-		m.admInitialFast.Record(0.5 * float64(i))
-		m.admInitialFull.Record(2 * float64(i))
+		m.admInitial.Record(2 * float64(i))
 	}
 	for i := 0; i < 10; i++ {
 		m.inflightReserve()
@@ -126,15 +125,13 @@ func goldenDoc() MetricsDoc {
 	m.count(func(c *MetricsDoc) {
 		for k, class := range admission.ClassNames {
 			c.Admission.AdmittedByClass[class] = []uint64{7, 5, 3}[k]
-			c.Admission.FastPathByClass[class] = []uint64{0, 1, 2}[k]
-			c.Admission.UpgradedByClass[class] = []uint64{0, 1, 1}[k]
 			c.Admission.RejectedByClass[class] = []uint64{0, 0, 9}[k]
 		}
 		c.Submissions, c.Accepted, c.RejectedFull, c.RejectedInvalid, c.RejectedDrain, c.AbandonedIntake = 101, 92, 9, 2, 1, 3
 		c.Completed, c.Failed, c.Decisions, c.Reschedules, c.Evicted = 80, 4, 55, 21, 6
 		c.Reports, c.ReportEvents, c.ReportsRejected, c.ReportsDuplicate, c.WhatIfQueries = 400, 790, 5, 8, 11
 		c.ReschedulesVariance, c.ReschedulesArrival, c.ReschedulesDeparture = 9, 6, 1
-		c.ReschedulesContention, c.ReschedulesUpgrade = 3, 2
+		c.ReschedulesContention = 3
 		c.LiveResident, c.HistoryEvicted = 8, 1
 		c.EventsEmitted, c.EventsDropped, c.WALErrors, c.WALRecordsSkipped = 1234, 1, 1, 2
 		c.RecorderRecords, c.RecorderErrors = 77, 1

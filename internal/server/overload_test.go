@@ -19,8 +19,8 @@ import (
 // TestOverloadKeepsVictimsWithinBound is the admission layer's acceptance
 // test. It answers "can one greedy tenant ruin everyone else's day?" with
 // a measured no, on the daemon configuration the fairness layer is
-// specified for: per-tenant backlog bounds, the two-speed fast path and a
-// 50% per-tenant reservation share cap on shared grids.
+// specified for: per-tenant backlog bounds and a 50% per-tenant
+// reservation share cap on shared grids.
 //
 // Calibration runs rounds of two high-class victim workflows on a shared
 // grid with no competition. Overload reruns the identical rounds (same
@@ -34,21 +34,14 @@ import (
 // round makes its backlog deterministic: the shard workers park on flood
 // executions until both shards hold the flooder's full tenant backlog (and
 // it is drawing 429s) and the round's six submissions have queued behind
-// it. Released, the workers dequeue them at depth, so every one takes the
-// fast path. The flood stops once the round's last submission has left the
-// queue; past that point it would only cost wall time.
+// it. Released, the workers dequeue them at depth. The flood stops once
+// the round's last submission has left the queue; past that point it
+// would only cost wall time.
 //
 // Gates: the victims' p99 makespan under overload is within 3× of
-// calibration, the flood drew 429s, tripped the fast path and was paid
-// back by at least one upgrade, nothing failed, and no compute or transfer
-// reservation survives a round or the quiescent daemon, which then drains
-// cleanly. The sixth gate of the admission harness, the fast path's
-// initial-plan p99 below the full path's, is cmd/overload's alone: here
-// every overload admission is a fast one and every full-path plan a quiet
-// calibration one, and on these 30- and 60-job DAGs a greedy plan is not
-// cheaper than the full policy's by more than the cost of planning under
-// the flood. That comparison needs full-path admissions made under the
-// flood, which only an unparked backlog produces.
+// calibration, the flood drew 429s, nothing failed, and no compute or
+// transfer reservation survives a round or the quiescent daemon, which
+// then drains cleanly.
 func TestOverloadKeepsVictimsWithinBound(t *testing.T) {
 	if testing.Short() {
 		t.Skip("overload acceptance test skipped in -short mode")
@@ -61,7 +54,7 @@ func TestOverloadKeepsVictimsWithinBound(t *testing.T) {
 		tenantBacklog = 48
 		victimJobs    = 30
 	)
-	srv := New(Config{Shards: 2, QueueDepth: 64, TenantBacklog: tenantBacklog, FastPathDepth: 4, GridShareCap: 0.5})
+	srv := New(Config{Shards: 2, QueueDepth: 64, TenantBacklog: tenantBacklog, GridShareCap: 0.5})
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 	// park, while it holds a channel, stops every analytic (flood)
@@ -228,16 +221,8 @@ func TestOverloadKeepsVictimsWithinBound(t *testing.T) {
 
 	cq, oq := stats.Quantiles(calib, 0.50, 0.99), stats.Quantiles(over, 0.50, 0.99)
 	adm := srv.MetricsSnapshot().Admission
-	var fastAdmits, upgrades uint64
-	for _, n := range adm.FastPathByClass {
-		fastAdmits += n
-	}
-	for _, n := range adm.UpgradedByClass {
-		upgrades += n
-	}
-	t.Logf("victim p99 makespan %.1f calibrated → %.1f under flood (p50 %.1f → %.1f); flood offered %d, 429 %d; fast=%d upgraded=%d; initial p99 fast %.2fms (n=%d) full %.2fms (n=%d)",
-		cq[1], oq[1], cq[0], oq[0], offered.Load(), rejected.Load(), fastAdmits, upgrades,
-		adm.FastInitialMs.P99, adm.FastInitialMs.Count, adm.FullInitialMs.P99, adm.FullInitialMs.Count)
+	t.Logf("victim p99 makespan %.1f calibrated → %.1f under flood (p50 %.1f → %.1f); flood offered %d, 429 %d; initial p99 %.2fms (n=%d)",
+		cq[1], oq[1], cq[0], oq[0], offered.Load(), rejected.Load(), adm.InitialMs.P99, adm.InitialMs.Count)
 	if cq[1] <= 0 || oq[1] <= 0 {
 		t.Fatalf("a phase produced no victim makespan (p99 %.1f calibrated, %.1f under flood)", cq[1], oq[1])
 	}
@@ -246,12 +231,6 @@ func TestOverloadKeepsVictimsWithinBound(t *testing.T) {
 	}
 	if rejected.Load() == 0 {
 		t.Error("the flood never drew a 429")
-	}
-	if fastAdmits == 0 {
-		t.Error("the flood never tripped the fast path")
-	}
-	if upgrades == 0 {
-		t.Error("no fast-path admission was upgraded to a full plan")
 	}
 	if m := srv.MetricsSnapshot(); m.Failed != 0 || m.Reservations != 0 || m.TransferReservations != 0 {
 		t.Errorf("quiescent daemon: failed=%d reservations=%d transfer_reservations=%d",

@@ -593,3 +593,91 @@ func TestRecoverFullStateLog(t *testing.T) {
 		}
 	}
 }
+
+// TestRecoverFastPathLog recovers a data directory written by the last
+// daemon that gave a deep backlog's admissions a greedy initial plan
+// (testdata/wal-fast-path: one shard, every admission on that path). Its
+// state records carry the retired fast_path and upgraded keys;
+// wf-00000001 adopted a replan under the retired upgrade trigger and then
+// took a report; the log ends, as a crash would leave it, right after
+// wf-00000002's first state record, so its upgrade is still owed.
+// Recovery skips the retired keys, keeps the upgrade decision event byte
+// for byte, and brings both workflows back live. The owed workflow keeps
+// its greedy plan until its next evaluation and runs to done on it.
+func TestRecoverFastPathLog(t *testing.T) {
+	const upgraded, owed = "wf-00000001", "wf-00000002"
+	dir := t.TempDir()
+	copyDir(t, filepath.Join("testdata", "wal-fast-path"), dir)
+	recs, torn, err := durable.ReadLog(filepath.Join(dir, "shard-0", "wal-00000000000000000001.log"))
+	if err != nil || torn {
+		t.Fatalf("read fixture: torn=%v err=%v", torn, err)
+	}
+	var journalled []byte // the upgrade decision event as that daemon wrote it
+	retired := map[string]bool{}
+	for _, r := range recs {
+		for _, key := range []string{`"fast_path":true`, `"upgraded":true`} {
+			retired[key] = retired[key] || bytes.Contains(r.Data, []byte(key))
+		}
+		var doc struct {
+			Events []json.RawMessage `json:"events"`
+		}
+		if err := json.Unmarshal(r.Data, &doc); err != nil {
+			t.Fatal(err)
+		}
+		for _, ev := range doc.Events {
+			if bytes.Contains(ev, []byte(`"kind":"decision"`)) && bytes.Contains(ev, []byte(`"trigger":"upgrade"`)) {
+				journalled = ev
+			}
+		}
+	}
+	if journalled == nil || len(retired) != 2 || !retired[`"fast_path":true`] || !retired[`"upgraded":true`] {
+		t.Fatalf("the fixture no longer holds the retired keys %v or an upgrade decision", retired)
+	}
+
+	srv, ts := openDurable(t, dir, Config{Shards: 1, WALSync: "off", SnapshotInterval: time.Hour})
+	defer func() {
+		ts.Close()
+		srv.Crash()
+	}()
+	if rs := srv.Recovery(); rs.Workflows != 2 {
+		t.Fatalf("recovery: %+v, want 2 live workflows", rs)
+	}
+	if n := getMetrics(t, ts).WALRecordsSkipped; n != 0 {
+		t.Fatalf("wal_records_skipped = %d on a well-formed log", n)
+	}
+	wf, _ := srv.lookup(upgraded)
+	wf.mu.Lock()
+	events := wf.eventsFrom(0)
+	wf.mu.Unlock()
+	var recovered []byte
+	for _, ev := range events {
+		if ev.Kind == "decision" && ev.Trigger == "upgrade" {
+			if recovered, err = json.Marshal(ev); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if !bytes.Equal(recovered, journalled) {
+		t.Fatalf("upgrade decision event after recovery:\n got %s\nwant %s", recovered, journalled)
+	}
+
+	plan := fetchPlan(t, ts, owed)
+	if plan.Generation != 1 || plan.Trigger != "initial" || plan.Makespan != 88 {
+		t.Fatalf("owed workflow's plan: generation %d trigger %q makespan %g, want its greedy initial plan (88)",
+			plan.Generation, plan.Trigger, plan.Makespan)
+	}
+	postReport(t, ts, owed, encodeReport(t, remainingEvents(&plan, nil)...))
+	if st := waitDone(t, ts, owed); st.State != StateDone || st.Makespan != 88 {
+		t.Fatalf("owed workflow: %+v", st)
+	}
+
+	plan = fetchPlan(t, ts, upgraded)
+	postReport(t, ts, upgraded, encodeReport(t, remainingEvents(&plan, replayPrefix(plan, 10))...))
+	st := waitDone(t, ts, upgraded)
+	if st.State != StateDone || len(st.Decisions) == 0 || st.Decisions[0].Trigger != "upgrade" {
+		t.Fatalf("upgraded workflow: %+v", st)
+	}
+	if m := getMetrics(t, ts); m.Failed != 0 || m.Completed != 2 {
+		t.Fatalf("completed %d, failed %d", m.Completed, m.Failed)
+	}
+}

@@ -51,12 +51,6 @@ type Config struct {
 	// disables the per-tenant bound (single-tenant deployments are
 	// bounded by QueueDepth alone).
 	TenantBacklog int
-	// FastPathDepth is the two-speed planning threshold: when a shard's
-	// admission backlog is at or past this depth, live adaptive-policy
-	// submissions are admitted with a cheap greedy placement and the
-	// full-policy plan is computed asynchronously afterwards (the
-	// "upgrade" trigger). 0 means 8; negative disables the fast path.
-	FastPathDepth int
 	// GridShareCap bounds one tenant's share of a shared grid's
 	// reservation ledger (0 < cap < 1): at plan adoption, speculative
 	// claims past the cap are dropped while other tenants hold
@@ -139,9 +133,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.QueueDepth == 0 {
 		c.QueueDepth = 256
-	}
-	if c.FastPathDepth == 0 {
-		c.FastPathDepth = 8
 	}
 	if c.MaxBodyBytes <= 0 {
 		c.MaxBodyBytes = 64 << 20
@@ -262,7 +253,6 @@ func Open(cfg Config) (*Server, error) {
 			adm: admission.New(admission.Config{
 				TotalBacklog:     cfg.QueueDepth,
 				PerTenantBacklog: tenantBacklog,
-				FastPathDepth:    cfg.FastPathDepth,
 			}),
 			cmds: make(chan shardCmd, 16),
 			live: make(map[string]*workflow),

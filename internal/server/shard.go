@@ -76,14 +76,6 @@ type running struct {
 	class  string
 	weight float64
 
-	// Two-speed planning state, owned by the shard goroutine. fastPath
-	// is set at dequeue when the backlog was deep enough that the
-	// workflow was admitted with the cheap greedy plan; upgraded is set
-	// once the asynchronous full-policy upgrade evaluation has run
-	// (whether or not it adopted — the planning debt is paid either way).
-	fastPath bool
-	upgraded bool
-
 	// tracker is the live run's feedback state machine. It is owned by
 	// the shard's worker goroutine exclusively (kernel discipline); HTTP
 	// handlers reach it only through the shard's command channel.
@@ -441,7 +433,7 @@ func (sh *shard) run() {
 		if intake == nil && len(sh.live) == 0 {
 			return
 		}
-		// Commands first: report/upgrade traffic from resident live
+		// Commands first: report traffic from resident live
 		// workflows is latency-sensitive, while intake is throughput
 		// work. Draining pending commands before taking the next
 		// admission keeps a flood of queued submissions from wedging
@@ -482,19 +474,9 @@ func (sh *shard) run() {
 }
 
 // executeAdmitted unwraps one admission decision and runs the workflow.
-// The fast path binds here — at dequeue, when the backlog depth is
-// known — and only for live adaptive-policy workflows: an analytic run
-// has no tracker to upgrade, and a non-adaptive policy would never pay
-// the planning debt back.
 func (sh *shard) executeAdmitted(d admission.Dequeued) {
-	wf := d.Item.Value.(*workflow)
-	if d.FastPath && wf.live && wf.pol.Adaptive() {
-		wf.fastPath = true
-		cls := className(wf.class)
-		sh.srv.metrics.count(func(c *MetricsDoc) { c.Admission.FastPathByClass[cls]++ })
-	}
 	sh.srv.metrics.admWait.Record(d.Queued.Seconds() * 1e3)
-	sh.execute(wf)
+	sh.execute(d.Item.Value.(*workflow))
 }
 
 // execute runs one workflow: live submissions are planned and parked for

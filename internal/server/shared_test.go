@@ -406,15 +406,14 @@ func TestSharedGridContentionBeatsOblivious(t *testing.T) {
 	}
 }
 
-// TestAdoptionsPublishAlike drives an adoption down each of the three
+// TestAdoptionsPublishAlike drives an adoption down each of the two
 // roads a live replan takes — a report (the sample's r4 joining at
-// t=15), another workflow's freed capacity (contention) and a fast-path
-// upgrade — and checks that they leave the same trace: every adopted
+// t=15) and another workflow's freed capacity (contention) — and checks that they leave the same trace: every adopted
 // decision event is followed by a "plan" event carrying its trigger and a
 // newer generation before anything else is logged, the generations count
 // the adoptions, and /metrics counts each adoption once under its trigger.
 func TestAdoptionsPublishAlike(t *testing.T) {
-	srv, ts := newTestServer(t, Config{Shards: 1, FastPathDepth: 1})
+	srv, ts := newTestServer(t, Config{Shards: 1})
 	t.Cleanup(func() {
 		// The sample workflow stays live: cancel it rather than wait out
 		// the drain deadline.
@@ -432,9 +431,6 @@ func TestAdoptionsPublishAlike(t *testing.T) {
 	if code, msg := postJSON(t, ts, "/v1/workflows", encodeLive(t, sc, "aheft", "acme", wire.Options{TieWindow: 0.05}), &p); code != http.StatusAccepted {
 		t.Fatalf("submit: HTTP %d %s", code, msg)
 	}
-	fetchPlan(t, ts, p.ID)
-	waitUpgraded(t, srv, wire.ClassNormal, 3)
-
 	evs := append(replayPrefix(fetchPlan(t, ts, p.ID), 15), wire.ReportEvent{Kind: wire.ReportResourceJoin, Time: 15, Resource: 3})
 	if code, msg := postJSON(t, ts, "/v1/workflows/"+p.ID+"/report", encodeReport(t, evs...), &wire.ReportAck{}); code != http.StatusOK {
 		t.Fatalf("report: HTTP %d %s", code, msg)
@@ -472,7 +468,7 @@ func TestAdoptionsPublishAlike(t *testing.T) {
 			t.Fatalf("%s: generation %d after %d adoptions (unpublished %q)", id, gen, adoptions, pending)
 		}
 	}
-	for _, trig := range []string{"arrival", "contention", "upgrade"} {
+	for _, trig := range []string{"arrival", "contention"} {
 		if adopted[trig] == 0 {
 			t.Errorf("no %s adoption in the logs: %v", trig, adopted)
 		}
@@ -481,7 +477,7 @@ func TestAdoptionsPublishAlike(t *testing.T) {
 	total := uint64(0)
 	for trig, got := range map[string]uint64{
 		"arrival": m.ReschedulesArrival, "variance": m.ReschedulesVariance, "departure": m.ReschedulesDeparture,
-		"contention": m.ReschedulesContention, "upgrade": m.ReschedulesUpgrade,
+		"contention": m.ReschedulesContention,
 	} {
 		if got != adopted[trig] {
 			t.Errorf("/metrics counts %d %s adoptions, the logs %d", got, trig, adopted[trig])

@@ -76,8 +76,8 @@ func Improvement(base, new float64) float64 {
 // Quantiles returns the requested quantiles (0..1) of xs by the
 // nearest-rank (ceil) definition, or zeros when xs is empty. xs is not
 // modified. It is the one percentile definition shared by the aheftd
-// daemon's /metrics latency window and cmd/overload's report, so the two
-// never disagree on what "p99" means.
+// daemon's /metrics latency window and the overload acceptance test, so
+// the two never disagree on what "p99" means.
 func Quantiles(xs []float64, qs ...float64) []float64 {
 	out := make([]float64, len(qs))
 	if len(xs) == 0 {
