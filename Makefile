@@ -65,6 +65,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz 'FuzzKernelReschedule' -fuzztime $(FUZZTIME) ./internal/kernel
 	$(GO) test -run '^$$' -fuzz 'FuzzWALReplay' -fuzztime $(FUZZTIME) ./internal/durable
 	$(GO) test -run '^$$' -fuzz 'FuzzStatePatch' -fuzztime $(FUZZTIME) ./internal/feedback
+	$(GO) test -run '^$$' -fuzz 'FuzzEnactEqualsPrice' -fuzztime $(FUZZTIME) ./internal/drive
 
 # bench runs the scheduling-kernel benches (placement + reschedule hot
 # paths on layered 1k–20k-job stress DAGs, the end-to-end adaptive run,

@@ -2,10 +2,11 @@
 // rescheduling strategy for grid workflow applications of Yu & Shi (IPDPS
 // 2007) — together with everything needed to study it: the classic static
 // HEFT scheduler it extends, a dynamic just-in-time Min-Min baseline, a
-// deterministic discrete-event grid executor driven by the same feedback
-// loop the aheftd daemon runs, workload generators for parametric random
-// DAGs and the BLAST/WIEN2K application shapes, and an experiment harness
-// that regenerates every table and figure of the paper's evaluation.
+// deterministic enactment engine that realises plans by the scheduling
+// kernel's pricing rules, driven by the same feedback loop the aheftd
+// daemon runs, workload generators for parametric random DAGs and the
+// BLAST/WIEN2K application shapes, and an experiment harness that
+// regenerates every table and figure of the paper's evaluation.
 //
 // # The v2 API
 //
@@ -37,7 +38,6 @@ import (
 	"aheft/internal/dag"
 	"aheft/internal/data"
 	"aheft/internal/drive"
-	"aheft/internal/executor"
 	"aheft/internal/feedback"
 	"aheft/internal/grid"
 	"aheft/internal/history"
@@ -78,9 +78,9 @@ type (
 	// History is the performance-history repository of the Fig. 1
 	// feedback loop.
 	History = history.Repository
-	// Runtime supplies actual job durations to the event-driven executor
-	// when they deviate from the estimates.
-	Runtime = executor.Runtime
+	// Runtime supplies actual job durations and transfer times to the
+	// event-driven path when they deviate from the estimates.
+	Runtime = cost.Estimator
 	// FileSet is a workflow's data-file catalog (see WithFileReuse).
 	FileSet = data.Set
 	// File is one named data product of a FileSet.
@@ -148,8 +148,8 @@ func WithNoInsertion() Option { return func(c *config) { c.popts.NoInsertion = t
 
 // WithRestartRunning reschedules mid-execution jobs, discarding their
 // partial work (ablation); the default pins running jobs in place. The
-// ablation exists only on the analytic engine — the event-driven
-// executor cannot revoke a started job — so combining it with WithRuntime,
+// ablation exists only on the analytic engine — the event-driven path
+// cannot revoke a started job — so combining it with WithRuntime,
 // WithHistory or WithVarianceThreshold is an error.
 func WithRestartRunning() Option { return func(c *config) { c.popts.RestartRunning = true } }
 
@@ -239,15 +239,16 @@ func Run(ctx context.Context, g *Graph, est Estimator, pool *Pool, opts ...Optio
 
 // enact is the daemon's feedback loop without the socket. A
 // feedback.Tracker plans the workflow and folds in every run-time event;
-// drive.Enact executes the Tracker's current plan on the simulated grid
-// and hands each batch of events to it in process. The history is the
-// caller's or a fresh one, the variance threshold the caller's or the
-// Tracker's default, and the runtimes the caller's or the estimates.
+// drive.Enact realises the Tracker's current plan under the truth — the
+// runtimes and, with a file catalog, the data model — and hands each
+// batch of events to it in process. The history is the caller's or a
+// fresh one, the variance threshold the caller's or the Tracker's
+// default, and the runtimes the caller's or the estimates.
 func enact(ctx context.Context, g *Graph, est Estimator, pool *Pool, pol Policy, cfg config) (*Result, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	// The executor cannot revoke a started job: honouring the ablation
+	// The enactment cannot revoke a started job: honouring the ablation
 	// here would quietly degrade to pin-running semantics.
 	if cfg.popts.RestartRunning {
 		return nil, fmt.Errorf("aheft: WithRestartRunning is an analytic-engine ablation and cannot be combined with WithRuntime, WithHistory or WithVarianceThreshold")
@@ -269,7 +270,9 @@ func enact(ctx context.Context, g *Graph, est Estimator, pool *Pool, pol Policy,
 	if rt == nil {
 		rt = est
 	}
-	recs, err := drive.Enact(ctx, g, rt, pool, []*schedule.Schedule{tr.Plan()}, []int{0},
+	truth := drive.Truth(g, rt, cfg.popts.Data, pool)
+	defer truth.Release()
+	enacted, err := drive.Enact(ctx, truth, pool, []*schedule.Schedule{tr.Plan()}, []int{0},
 		func(_ int, evs []wire.ReportEvent) (*schedule.Schedule, bool, error) {
 			out, err := tr.Apply(evs)
 			if err != nil {
@@ -283,11 +286,6 @@ func enact(ctx context.Context, g *Graph, est Estimator, pool *Pool, pol Policy,
 	if err != nil {
 		return nil, err
 	}
-	as := make([]schedule.Assignment, len(recs))
-	for i, r := range recs {
-		as[i] = schedule.Assignment{Job: r.Job, Resource: r.Resource, Start: r.Start, Finish: r.Finish}
-	}
-	enacted := schedule.FromAssignments(as)
 	return &Result{
 		Policy:          pol.Name(),
 		Schedule:        enacted,

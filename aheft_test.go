@@ -111,23 +111,38 @@ func TestFacadeContextCancellation(t *testing.T) {
 // TestFacadeEventDrivenMatchesAnalytic: WithRuntime switches engines but,
 // with runtimes equal to the estimates, not results (the integration
 // tests in internal/planner hold this across many scenarios; here the
-// facade wiring itself is checked).
+// facade wiring itself is checked), in the classic mode and with a file
+// catalog, where the enactment stages files as the plan priced them.
 func TestFacadeEventDrivenMatchesAnalytic(t *testing.T) {
 	ctx := context.Background()
-	sc := aheft.SampleScenario()
-	for _, pol := range []string{"heft", "aheft"} {
-		analytic, err := aheft.Run(ctx, sc.Graph, sc.Estimator(), sc.Pool,
-			aheft.WithPolicy(pol), aheft.WithTieWindow(0.05))
-		if err != nil {
-			t.Fatal(err)
-		}
-		des, err := aheft.Run(ctx, sc.Graph, sc.Estimator(), sc.Pool,
-			aheft.WithPolicy(pol), aheft.WithTieWindow(0.05), aheft.WithRuntime(sc.Estimator()))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if analytic.Makespan != des.Makespan {
-			t.Fatalf("%s: event-driven makespan %g != analytic %g", pol, des.Makespan, analytic.Makespan)
+	sample := aheft.SampleScenario()
+	cases := []struct {
+		sc   *aheft.Scenario
+		opts []aheft.Option
+	}{{sample, []aheft.Option{aheft.WithTieWindow(0.05)}}}
+	for _, n := range []int{16, 64} {
+		sc := workload.DataScenario(workload.DataParams{Searches: n})
+		cases = append(cases, struct {
+			sc   *aheft.Scenario
+			opts []aheft.Option
+		}{sc, []aheft.Option{aheft.WithFileReuse(sc.Files)}})
+	}
+	for _, c := range cases {
+		for _, pol := range []string{"heft", "aheft"} {
+			opts := append([]aheft.Option{aheft.WithPolicy(pol)}, c.opts...)
+			analytic, err := aheft.Run(ctx, c.sc.Graph, c.sc.Estimator(), c.sc.Pool, opts...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			des, err := aheft.Run(ctx, c.sc.Graph, c.sc.Estimator(), c.sc.Pool,
+				append(opts, aheft.WithRuntime(c.sc.Estimator()))...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if analytic.Makespan != des.Makespan {
+				t.Fatalf("%s/%s: event-driven makespan %g != analytic %g",
+					c.sc.Graph.Name(), pol, des.Makespan, analytic.Makespan)
+			}
 		}
 	}
 }
@@ -170,8 +185,8 @@ func TestFacadeHistoryAndTrace(t *testing.T) {
 // TestFacadeRejectsUnenactableCombos: just-in-time policies and the
 // restart-running ablation are analytic-only; combining them with
 // event-driven options must fail loudly instead of silently changing
-// semantics (the executor's ship-on-finish enactment would, e.g., turn
-// the sample Min-Min makespan of 100 into 85).
+// semantics (ship-on-finish enactment would, e.g., turn the sample
+// Min-Min makespan of 100 into 85).
 func TestFacadeRejectsUnenactableCombos(t *testing.T) {
 	ctx := context.Background()
 	sc := aheft.SampleScenario()

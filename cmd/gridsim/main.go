@@ -153,9 +153,9 @@ type traceEvent struct {
 // order and returns the number of events: a job_finish per assignment of
 // the final schedule (under accurate estimates its times are the actual
 // ones), a resource_arrival per pool change before the makespan (the
-// executor stops at the last finish), and a reschedule per decision. At
+// enactment stops at the last finish), and a reschedule per decision. At
 // one instant finishes come first, then the arrival, then the decision it
-// caused — the executor's event order.
+// caused — drive.Enact's event order.
 func writeTrace(path string, sc *workload.Scenario, res *aheft.Result) (int, error) {
 	var evs []traceEvent
 	for _, a := range res.Schedule.Assignments() {

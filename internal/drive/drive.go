@@ -1,40 +1,42 @@
 // Package drive is the enactment side of the paper's Fig. 1 architecture
 // run against a live aheftd daemon: it submits workflows in live mode,
-// fetches the daemon's plans, executes them on the simulated grid
-// (internal/executor + internal/sim) with configurable runtime noise and
-// resource churn, and reports every run-time event — job starts, measured
-// finishes, resource joins — back through POST /v1/workflows/{id}/report,
-// adopting whatever reschedule the daemon returns. It also executes a
-// nobody-listens baseline under the same noise and churn, so callers can
-// measure what adaptivity bought.
+// fetches the daemon's plans, realises them under a drawn truth —
+// runtimes with configurable noise, churned resource arrivals and, for a
+// workflow with a file catalog, the true data model — and reports every
+// run-time event (job starts, measured finishes, resource joins) back
+// through POST /v1/workflows/{id}/report, adopting whatever reschedule
+// the daemon returns. It also prices the nobody-listens baseline under the
+// same truth, so callers can measure what adaptivity bought.
 //
 // There is one of each part: Client is the only daemon HTTP client, Enact
-// the only enactment loop (Run drives it against the daemon, one tenant
+// the only enactment engine (Run drives it against the daemon, one tenant
 // on its own pool or several co-scheduled on a named shared grid; the
-// root facade drives it against an in-process feedback.Tracker), Replay
-// the only builder of faithful plan-to-report event lists (cmd/chaos and
-// the data-aware tests use it). The daemon's acceptance tests and
-// cmd/chaos share this harness. A Run with a fixed Config and
-// tenants is deterministic as long as the tenants' histories are not
-// perturbed by concurrent workflows: the noise tables and churned pool
-// are pre-materialised from the seed, and the simulation itself is a
-// deterministic event loop.
+// root facade drives it against an in-process feedback.Tracker), Truth
+// the only judge of a plan (a kernel whose Price rules Enact walks),
+// Replay the only source of faithful plan-to-report event lists
+// (cmd/chaos uses it). The daemon's acceptance tests and cmd/chaos share
+// this harness. A Run with a fixed Config and tenants is deterministic as
+// long as the tenants' histories are not perturbed by concurrent
+// workflows: the noise tables and churned pool are pre-materialised from
+// the seed, and the enactment itself is a deterministic event walk.
 package drive
 
 import (
+	"cmp"
 	"context"
 	"fmt"
+	"math"
+	"slices"
 	"sort"
 
 	"aheft/internal/cost"
 	"aheft/internal/dag"
-	"aheft/internal/executor"
+	"aheft/internal/data"
 	"aheft/internal/grid"
 	"aheft/internal/kernel"
 	"aheft/internal/policy"
 	"aheft/internal/rng"
 	"aheft/internal/schedule"
-	"aheft/internal/sim"
 	"aheft/internal/wire"
 	"aheft/internal/workload"
 )
@@ -89,10 +91,10 @@ type Row struct {
 	// daemon's plans enacted and its reschedules adopted mid-flight.
 	// BaselineMakespan is its completion time on the identical job stream
 	// with nobody listening: on a private pool the daemon's initial plan
-	// enacted without feedback (never-reschedule), on a shared grid every
-	// tenant's plan computed as if it were alone (isolated planning — what
-	// the daemon produced before shared grids existed) and the plans
-	// enacted together. DaemonMakespan is what the daemon's terminal
+	// without feedback (never-reschedule), on a shared grid every tenant's
+	// plan computed as if it were alone (isolated planning, with no file
+	// catalog — what the daemon produced before shared grids and data
+	// models existed), the plans priced together by the truth. DaemonMakespan is what the daemon's terminal
 	// status reported (equals AdaptiveMakespan when the loop is
 	// consistent); InitialMakespan is the first plan's promise.
 	AdaptiveMakespan float64
@@ -125,13 +127,13 @@ type Outcome struct {
 // Run drives the tenants through the daemon's feedback loop to completion
 // and returns the per-tenant outcomes against the nobody-listens baseline.
 //
-// All tenants are executed *together* on a single discrete-event
-// simulation of the pool, where a resource runs one job at a time across
-// every tenant. The executor already enforces exclusivity and planned
-// queue order, so enacting the union of all tenants' plans as one merged
-// schedule makes cross-workflow contention physically real: oblivious
-// plans that reserved the same slot queue behind each other,
-// contention-aware plans run side by side.
+// All tenants are enacted *together* under one truth, where a resource
+// runs one job at a time across every tenant and, with file catalogs, a
+// link carries one transfer at a time. The truth keeps exclusivity and
+// each resource's planned order, so enacting the union of all tenants'
+// plans as one merged schedule makes cross-workflow contention physically
+// real: oblivious plans that reserved the same slot queue behind each
+// other, contention-aware plans run side by side.
 func Run(ctx context.Context, cfg Config, tenants []Tenant) (*Outcome, error) {
 	shared := cfg.Grid != ""
 	if len(tenants) == 0 || (!shared && len(tenants) != 1) {
@@ -174,7 +176,7 @@ func Run(ctx context.Context, cfg Config, tenants []Tenant) (*Outcome, error) {
 	if err != nil {
 		return nil, fmt.Errorf("drive: churn pool: %w", err)
 	}
-	merged, offsets, err := mergeGraphs(tenants)
+	merged, offsets, files, err := mergeGraphs(tenants)
 	if err != nil {
 		return nil, err
 	}
@@ -182,6 +184,14 @@ func Run(ctx context.Context, cfg Config, tenants []Tenant) (*Outcome, error) {
 	if err != nil {
 		return nil, err
 	}
+	var model *data.Model
+	if files != nil {
+		if model, err = data.NewModel(files, enacted, merged, 0); err != nil {
+			return nil, fmt.Errorf("drive: data model: %w", err)
+		}
+	}
+	truth := Truth(merged, cost.Exact(mergedNoisy), model, enacted)
+	defer truth.Release()
 
 	// Live submissions, then every initial plan.
 	out := &Outcome{Tenants: make([]Row, len(tenants))}
@@ -209,8 +219,8 @@ func Run(ctx context.Context, cfg Config, tenants []Tenant) (*Outcome, error) {
 		row.InitialMakespan, row.Generation = plan.Makespan, plan.Generation
 	}
 
-	// The nobody-listens baseline. It cannot depend on the adaptive run,
-	// so it runs first on its own engine.
+	// The nobody-listens baseline: the plans as the truth prices them,
+	// which is what enacting them with nobody listening realises.
 	baseline := plans
 	if shared {
 		baseline = make([]*schedule.Schedule, len(tenants))
@@ -220,19 +230,15 @@ func Run(ctx context.Context, cfg Config, tenants []Tenant) (*Outcome, error) {
 			}
 		}
 	}
-	base, err := executor.New(sim.New(), merged, cost.Exact(mergedNoisy), enacted, mergeSchedules(baseline, offsets), nil)
-	if err != nil {
-		return nil, fmt.Errorf("drive: baseline: %w", err)
+	base := truth.Retime(enacted.AvailableAt(math.Inf(1)), nil, mergeSchedules(baseline, offsets))
+	if base == nil {
+		return nil, fmt.Errorf("drive: baseline places a job on a resource that never joins")
 	}
-	recs, err := base.Run()
-	if err != nil {
-		return nil, fmt.Errorf("drive: baseline: %w", err)
-	}
-	for i, m := range finishTimes(recs, offsets) {
+	for i, m := range finishTimes(base, offsets) {
 		out.Tenants[i].BaselineMakespan = m
 	}
 
-	recs, err = Enact(ctx, merged, cost.Exact(mergedNoisy), enacted, plans, offsets,
+	enactedPlan, err := Enact(ctx, truth, enacted, plans, offsets,
 		func(i int, evs []wire.ReportEvent) (*schedule.Schedule, bool, error) {
 			row := &out.Tenants[i]
 			ack, err := c.Report(ctx, row.ID, evs)
@@ -253,7 +259,7 @@ func Run(ctx context.Context, cfg Config, tenants []Tenant) (*Outcome, error) {
 	if err != nil {
 		return nil, err
 	}
-	for i, m := range finishTimes(recs, offsets) {
+	for i, m := range finishTimes(enactedPlan, offsets) {
 		out.Tenants[i].AdaptiveMakespan = m
 	}
 
@@ -312,95 +318,270 @@ func Submission(gridName string, pool *grid.Pool, tn Tenant) ([]byte, error) {
 // feedback.Tracker in process.
 type Reporter func(i int, events []wire.ReportEvent) (plan *schedule.Schedule, done bool, err error)
 
-// Enact is the one enactment loop of the Fig. 1 collaboration. The
-// event-driven executor runs the tenants' current plans, merged into the
-// index space of g (the disjoint union of their DAGs; offsets[i] is
-// tenant i's first job), with actual runtimes rt on pool. Every start,
-// finish and arrival is reported to its tenant's planner, and a returned
-// reschedule (own or contention-triggered) is resubmitted into the
-// running engine mid-flight. plans is updated in place. Enact returns the
-// measured job records in finish order.
-func Enact(ctx context.Context, g *dag.Graph, rt executor.Runtime, pool *grid.Pool,
-	plans []*schedule.Schedule, offsets []int, report Reporter) ([]executor.JobRecord, error) {
-
-	var eng *executor.Engine
-	var loopErr error
-	fail := func(err error) {
-		loopErr = err
-		eng.Cancel(err)
+// Truth returns the kernel an enactment is judged by: g under the drawn
+// runtimes rt and, for a workflow with a file catalog, under m, the true
+// data model of pool (nil for a classic workflow). A resource that joins
+// pool late is busy in it until the join, so a job placed there waits.
+func Truth(g *dag.Graph, rt cost.Estimator, m *data.Model, pool *grid.Pool) *kernel.Kernel {
+	k := kernel.New(g, rt)
+	k.SetOccupancy(joins{pool})
+	if m != nil {
+		k.SetData(m)
 	}
-	pending := make([][]wire.ReportEvent, len(plans))
-	done := make([]bool, len(plans))
+	return k
+}
 
-	flush := func(i int) {
-		if len(pending[i]) == 0 || loopErr != nil || done[i] {
-			return
+// joins holds each late resource of a pool busy from the beginning of
+// time until it joins.
+type joins struct{ pool *grid.Pool }
+
+func (j joins) AppendBusy(r grid.ID, buf []kernel.Busy) []kernel.Busy {
+	if t := j.pool.ArrivalTime(r); t > 0 {
+		buf = append(buf, kernel.Busy{Start: math.Inf(-1), Finish: t})
+	}
+	return buf
+}
+
+// Enact is the one enactment engine of the Fig. 1 collaboration. It
+// realises the tenants' current plans, merged into the index space of
+// truth's graph (the disjoint union of their DAGs; offsets[i] is tenant
+// i's first job), by kernel.Price's rules under truth on pool: it prices
+// the merged plan and walks the priced starts and finishes and the pool's
+// arrivals in time order, reporting each to its tenant's planner. At one
+// instant finishes come first, in the order their jobs started, then the
+// arrival, then starts in resource order. A start waits in its tenant's
+// queue and rides in front of the next report; a finish is reported at
+// once; a join goes to every tenant not yet done. When a report returns a
+// plan, Enact prices the new merged plan at that instant from the truth
+// state (see adopt). With no adoption the enacted schedule is therefore
+// truth.Retime of the merged plan: its makespan is truth.Price's, bit for
+// bit. plans is updated in place; Enact returns the enacted schedule.
+func Enact(ctx context.Context, truth *kernel.Kernel, pool *grid.Pool,
+	plans []*schedule.Schedule, offsets []int, report Reporter) (*schedule.Schedule, error) {
+	if truth == nil || pool == nil || report == nil || len(plans) == 0 || len(plans) != len(offsets) {
+		return nil, fmt.Errorf("drive: enact needs a truth, a pool, a reporter and an offset per plan")
+	}
+	n := truth.Graph().Len()
+	e := &enactment{
+		k: truth, st: truth.NewState(pool.Size()), pool: pool, rs: pool.AvailableAt(math.Inf(1)),
+		plans: plans, offsets: offsets, report: report, started: make([]bool, n),
+		pending: make([][]wire.ReportEvent, len(plans)), done: make([]bool, len(plans)),
+	}
+	defer e.st.Release()
+	if err := e.adopt(0); err != nil {
+		return nil, err
+	}
+	for e.st.FinishedCount() < n {
+		for _, ev := range e.events() {
+			adopted, err := e.step(ctx, ev)
+			if err != nil {
+				return nil, err
+			}
+			if adopted || e.st.FinishedCount() == n {
+				break // re-walk what the new pricing left, or stop at the last finish
+			}
 		}
-		plan, fin, err := report(i, pending[i])
-		pending[i] = pending[i][:0]
+	}
+	return schedule.FromAssignments(slices.Collect(e.priced.ByJob())), nil
+}
+
+// enactment is one Enact call's state.
+type enactment struct {
+	k       *kernel.Kernel
+	st      *kernel.State // the truth so far
+	pool    *grid.Pool
+	rs      []grid.Resource // every resource that ever joins
+	plans   []*schedule.Schedule
+	offsets []int
+	report  Reporter
+	plan    *schedule.Schedule // the merged current plan
+	priced  *schedule.Schedule // plan as truth prices it from st
+	started []bool
+	arrived int // pool change times delivered
+	pending [][]wire.ReportEvent
+	done    []bool
+}
+
+// The kinds of event, in their order at one instant. An instant is the
+// finish of a job that takes no time: it follows its own start.
+const (
+	evFinish = iota
+	evArrival
+	evStart
+	evInstant
+)
+
+type event struct {
+	at, start float64 // start orders the finishes of one instant
+	kind      int
+	res       grid.ID
+	job       dag.JobID
+}
+
+// events lists what is left of the priced plan and the pool's arrivals,
+// in the order they happen.
+func (e *enactment) events() []event {
+	var evs []event
+	for a := range e.priced.ByJob() {
+		if e.st.Finished(a.Job) {
+			continue
+		}
+		if !e.started[a.Job] {
+			evs = append(evs, event{at: a.Start, kind: evStart, res: a.Resource, job: a.Job})
+		}
+		kind := evFinish
+		if a.Finish == a.Start {
+			kind = evInstant
+		}
+		evs = append(evs, event{at: a.Finish, start: a.Start, kind: kind, res: a.Resource, job: a.Job})
+	}
+	for _, t := range e.pool.ChangeTimes()[e.arrived:] {
+		evs = append(evs, event{at: t, kind: evArrival})
+	}
+	slices.SortFunc(evs, func(a, b event) int {
+		return cmp.Or(cmp.Compare(a.at, b.at), cmp.Compare(a.kind, b.kind), cmp.Compare(a.start, b.start),
+			cmp.Compare(a.res, b.res), cmp.Compare(a.job, b.job))
+	})
+	return evs
+}
+
+// step realises one event and reports whether a report it made adopted
+// a plan.
+func (e *enactment) step(ctx context.Context, ev event) (bool, error) {
+	if ev.kind == evStart {
+		e.started[ev.job] = true
+		e.queue(ev.job, wire.ReportEvent{Kind: wire.ReportJobStarted, Time: ev.at, Resource: int(ev.res)})
+		return false, nil
+	}
+	if err := ctx.Err(); err != nil {
+		return false, err
+	}
+	if ev.kind == evArrival {
+		return e.arrive(ev.at)
+	}
+	return e.finish(ev.job)
+}
+
+// queue appends ev, about merged job j, to the batch of j's tenant and
+// returns the tenant.
+func (e *enactment) queue(j dag.JobID, ev wire.ReportEvent) int {
+	i := ownerOf(int(j), e.offsets)
+	ev.Job = int(j) - e.offsets[i]
+	e.pending[i] = append(e.pending[i], ev)
+	return i
+}
+
+// finish records job j's priced finish in the truth and reports it. The
+// output is on j's resource from then on and, along every plain edge,
+// sets off at once for the consumer's resource in the current plan (the
+// static transfer policy of §4.1); a file edge's bytes move as Price
+// staged them.
+func (e *enactment) finish(j dag.JobID) (bool, error) {
+	a := e.priced.MustGet(j)
+	e.st.Finish(j, a.Resource, a.Start, a.Finish)
+	for _, ed := range e.k.Graph().Succs(j) {
+		e.st.SetTransfer(j, ed.To, a.Resource, a.Finish)
+		if !e.fileEdge(ed) {
+			to := e.plan.MustGet(ed.To).Resource
+			e.st.SetTransfer(j, ed.To, to, a.Finish+e.k.Estimator().Comm(ed, a.Resource, to))
+		}
+	}
+	i := e.queue(j, wire.ReportEvent{
+		Kind: wire.ReportJobFinished, Time: a.Finish, Resource: int(a.Resource), Duration: a.Finish - a.Start,
+	})
+	return e.flush(i, a.Finish)
+}
+
+// arrive reports the resources joining at t to every tenant not yet done.
+func (e *enactment) arrive(t float64) (bool, error) {
+	e.arrived++
+	joined := e.pool.ArrivalsAt(t)
+	adopted := false
+	for i := range e.plans {
+		if e.done[i] {
+			continue
+		}
+		for _, r := range joined {
+			e.pending[i] = append(e.pending[i], wire.ReportEvent{Kind: wire.ReportResourceJoin, Time: t, Resource: int(r.ID)})
+		}
+		ok, err := e.flush(i, t)
 		if err != nil {
-			fail(err)
-			return
+			return false, err
 		}
-		done[i] = fin
-		if plan == nil {
-			return
-		}
-		plans[i] = plan
-		if err := eng.Resubmit(mergeSchedules(plans, offsets)); err != nil {
-			fail(fmt.Errorf("drive: resubmit merged plan: %w", err))
-		}
+		adopted = adopted || ok
 	}
-	handler := func(ev executor.Event) {
-		if loopErr == nil && ctx.Err() != nil {
-			fail(ctx.Err())
-			return
-		}
-		if ev.Finished != dag.NoJob {
-			i := ownerOf(int(ev.Finished), offsets)
-			pending[i] = append(pending[i], wire.ReportEvent{
-				Kind: wire.ReportJobFinished, Time: ev.Time,
-				Job: int(ev.Finished) - offsets[i], Resource: int(ev.OnResource),
-				Duration: ev.ActualDuration,
-			})
-			flush(i)
-			return
-		}
-		// A grid arrival is a run-time event for every live tenant.
-		for i := range plans {
-			if done[i] {
-				continue
-			}
-			for _, r := range ev.Arrived {
-				pending[i] = append(pending[i], wire.ReportEvent{
-					Kind: wire.ReportResourceJoin, Time: ev.Time, Resource: int(r.ID),
-				})
-			}
-			flush(i)
-		}
+	return adopted, nil
+}
+
+// flush sends tenant i's queued events and adopts the plan it answers.
+func (e *enactment) flush(i int, t float64) (bool, error) {
+	if len(e.pending[i]) == 0 || e.done[i] {
+		return false, nil
 	}
-	var err error
-	eng, err = executor.New(sim.New(), g, rt, pool, mergeSchedules(plans, offsets), handler)
+	plan, done, err := e.report(i, e.pending[i])
+	e.pending[i] = e.pending[i][:0]
 	if err != nil {
-		return nil, fmt.Errorf("drive: executor: %w", err)
+		return false, err
 	}
-	// Starts are queued, not flushed: they ride in front of the next
-	// finish/arrival report, so the planner always knows which jobs are
-	// running (and hold their slots) before it evaluates a reschedule.
-	eng.StartHook = func(j dag.JobID, r grid.ID, t float64) {
-		i := ownerOf(int(j), offsets)
-		pending[i] = append(pending[i], wire.ReportEvent{
-			Kind: wire.ReportJobStarted, Time: t, Job: int(j) - offsets[i], Resource: int(r),
-		})
+	e.done[i] = done
+	if plan == nil {
+		return false, nil
 	}
-	recs, err := eng.Run()
-	switch {
-	case loopErr != nil:
-		return nil, loopErr
-	case err != nil:
-		return nil, fmt.Errorf("drive: enact: %w", err)
+	e.plans[i] = plan
+	return true, e.adopt(t)
+}
+
+// adopt makes the merged plans current at t and prices them from the
+// truth state at t, which keeps what happened: finished jobs at their
+// times, running jobs pinned, a file that set off along a plain edge at
+// its arrival, and a transfer the last pricing staged before t at its
+// priced arrival. A finished producer's file that is not on its way to
+// where a waiting consumer now runs sets off at t (Eq. 1 Case 2).
+func (e *enactment) adopt(t float64) error {
+	g := e.k.Graph()
+	plan := mergeSchedules(e.plans, e.offsets)
+	if plan.Len() != g.Len() {
+		return fmt.Errorf("drive: the plans cover %d of %d jobs", plan.Len(), g.Len())
 	}
-	return recs, nil
+	st := e.st
+	if e.priced != nil {
+		for _, x := range e.priced.Transfers() {
+			if x.Start < t {
+				st.SetTransfer(g.Preds(x.Job)[x.Input].From, x.Job, x.To, x.Finish)
+			}
+		}
+	}
+	st.Clock = t
+	st.ClearPinned()
+	for j := range dag.JobID(g.Len()) {
+		switch {
+		case st.Finished(j):
+		case e.started[j]:
+			st.Pin(e.priced.MustGet(j))
+		default:
+			r := plan.MustGet(j).Resource
+			for i, ed := range g.Preds(j) {
+				from, _, _ := st.FinishedOutcome(ed.From)
+				if from == grid.NoResource || e.fileEdge(ed) {
+					continue
+				}
+				if _, ok := st.PredTransferAt(j, i, r); !ok {
+					st.SetTransfer(ed.From, j, r, t+e.k.Estimator().Comm(ed, from, r))
+				}
+			}
+		}
+	}
+	e.plan = plan
+	if e.priced = e.k.Retime(e.rs, st, plan); e.priced == nil {
+		return fmt.Errorf("drive: the plan places a job on a resource that never joins")
+	}
+	return nil
+}
+
+// fileEdge reports whether the truth stages ed's bytes as a file.
+func (e *enactment) fileEdge(ed dag.Edge) bool {
+	m := e.k.Data()
+	return m != nil && m.Index(ed.File) >= 0
 }
 
 // isolatedPlan computes the tenant's plan with no knowledge of the other
@@ -463,7 +644,7 @@ func churnPool(p *grid.Pool, churn float64, r *rng.Source) (*grid.Pool, error) {
 		}
 		arr[i] = grid.Arrival{Time: t, Resource: a.Resource}
 	}
-	return grid.NewPool(arr)
+	return grid.NewPoolLinks(arr, p.Links())
 }
 
 // planSchedule decodes a wire.Plan into an executable schedule.
@@ -483,31 +664,51 @@ func planSchedule(p *wire.Plan, g *dag.Graph) (*schedule.Schedule, error) {
 	return schedule.FromAssignments(as), nil
 }
 
-// mergeGraphs builds the disjoint union of the tenants' DAGs; offsets[i]
-// is tenant i's first job ID in the merged index space.
-func mergeGraphs(tenants []Tenant) (*dag.Graph, []int, error) {
+// mergeGraphs builds the disjoint union of the tenants' DAGs and file
+// catalogs: offsets[i] is tenant i's first job ID in the merged index
+// space, and its file f is "t<i>/f" there. The catalog is nil when no
+// tenant has one; a tenant without one keeps plain edges.
+func mergeGraphs(tenants []Tenant) (*dag.Graph, []int, *data.Set, error) {
 	g := dag.New("merged")
 	offsets := make([]int, len(tenants))
+	var files *data.Set
 	next := 0
 	for i, tn := range tenants {
 		offsets[i] = next
-		tg := tn.Scenario.Graph
+		tg, cat := tn.Scenario.Graph, tn.Scenario.Files
+		fileID := func(id string) string {
+			if cat == nil || id == "" {
+				return ""
+			}
+			return fmt.Sprintf("t%d/%s", i, id)
+		}
 		for _, j := range tg.Jobs() {
 			g.AddJob(fmt.Sprintf("t%d/%s", i, j.Name), j.Op)
 		}
 		for _, j := range tg.Jobs() {
 			for _, e := range tg.Succs(j.ID) {
-				if err := g.AddEdge(dag.JobID(next+int(e.From)), dag.JobID(next+int(e.To)), e.Data); err != nil {
-					return nil, nil, fmt.Errorf("drive: merge graphs: %w", err)
+				if err := g.AddFileEdge(dag.JobID(next+int(e.From)), dag.JobID(next+int(e.To)), e.Data, fileID(e.File)); err != nil {
+					return nil, nil, nil, fmt.Errorf("drive: merge graphs: %w", err)
 				}
+			}
+		}
+		if cat != nil {
+			if files == nil {
+				files = &data.Set{DefaultBW: cat.DefaultBW}
+			} else if files.DefaultBW != cat.DefaultBW {
+				return nil, nil, nil, fmt.Errorf("drive: tenants' catalogs disagree on the default bandwidth")
+			}
+			for _, f := range cat.Files {
+				f.ID = fileID(f.ID)
+				files.Files = append(files.Files, f)
 			}
 		}
 		next += tg.Len()
 	}
 	if err := g.Validate(); err != nil {
-		return nil, nil, fmt.Errorf("drive: merge graphs: %w", err)
+		return nil, nil, nil, fmt.Errorf("drive: merge graphs: %w", err)
 	}
-	return g, offsets, nil
+	return g, offsets, files, nil
 }
 
 // mergeTables stacks the tenants' runtime tables into one matrix.
@@ -525,16 +726,27 @@ func mergeTables(tables []*cost.Table, resources int) (*cost.Table, error) {
 	return cost.NewTable(rows)
 }
 
-// mergeSchedules unions the tenants' plans in the merged job index space.
+// mergeSchedules unions the tenants' plans, transfers included, in the
+// merged job index space. File IDs stay: a daemon's plans carry no
+// transfers, and an in-process plan is one tenant's.
 func mergeSchedules(plans []*schedule.Schedule, offsets []int) *schedule.Schedule {
 	var as []schedule.Assignment
+	var xs []schedule.Transfer
 	for i, s := range plans {
-		for _, a := range s.Assignments() {
+		for a := range s.ByJob() {
 			a.Job += dag.JobID(offsets[i])
 			as = append(as, a)
 		}
+		for _, x := range s.Transfers() {
+			x.Job += dag.JobID(offsets[i])
+			xs = append(xs, x)
+		}
 	}
-	return schedule.FromAssignments(as)
+	out := schedule.FromAssignments(as)
+	if xs != nil {
+		out.SetTransfers(xs)
+	}
+	return out
 }
 
 // ownerOf maps a merged job ID to its tenant index.
@@ -547,12 +759,12 @@ func ownerOf(job int, offsets []int) int {
 	return 0
 }
 
-// finishTimes folds merged job records into per-tenant completion times.
-func finishTimes(recs []executor.JobRecord, offsets []int) []float64 {
+// finishTimes folds a merged schedule into per-tenant completion times.
+func finishTimes(s *schedule.Schedule, offsets []int) []float64 {
 	out := make([]float64, len(offsets))
-	for _, rec := range recs {
-		if i := ownerOf(int(rec.Job), offsets); rec.Finish > out[i] {
-			out[i] = rec.Finish
+	for a := range s.ByJob() {
+		if i := ownerOf(int(a.Job), offsets); a.Finish > out[i] {
+			out[i] = a.Finish
 		}
 	}
 	return out

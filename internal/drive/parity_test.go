@@ -103,11 +103,13 @@ func (t *tap) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// tapped runs fn against a fresh daemon and returns the requests it saw.
-func tapped(t *testing.T, fn func(base string, client *http.Client)) []string {
+// tapped runs fn against a fresh daemon and returns the requests it saw
+// and the transfer claims pending on the named grid at first reports.
+func tapped(t *testing.T, grid string, fn func(base string, client *http.Client)) ([]string, int) {
 	t.Helper()
 	srv := server.New(server.Config{Shards: 1})
-	tp := &tap{h: srv.Handler()}
+	claims := &pendingClaims{h: srv.Handler(), grid: grid}
+	tp := &tap{h: claims}
 	ts := httptest.NewServer(tp)
 	defer func() {
 		ts.Close()
@@ -116,7 +118,7 @@ func tapped(t *testing.T, fn func(base string, client *http.Client)) []string {
 	fn(ts.URL, ts.Client())
 	tp.mu.Lock()
 	defer tp.mu.Unlock()
-	return slices.DeleteFunc(tp.requests, func(line string) bool { return line == "" })
+	return slices.DeleteFunc(tp.requests, func(line string) bool { return line == "" }), claims.total
 }
 
 func TestParityGolden(t *testing.T) {
@@ -133,7 +135,7 @@ func TestParityGolden(t *testing.T) {
 			t.Fatal(err)
 		}
 		var run goldenRun
-		run.Requests = tapped(t, func(base string, client *http.Client) {
+		run.Requests, _ = tapped(t, "", func(base string, client *http.Client) {
 			out, err := drive.Run(context.Background(), drive.Config{
 				Client: drive.Client{Base: base, HTTP: client}, Noise: 0.2, Churn: 0.3, Seed: 7,
 			}, []drive.Tenant{{
@@ -162,7 +164,7 @@ func TestParityGolden(t *testing.T) {
 			t.Fatal(err)
 		}
 		var run goldenRun
-		run.Requests = tapped(t, func(base string, client *http.Client) {
+		run.Requests, _ = tapped(t, "parity", func(base string, client *http.Client) {
 			out, err := drive.Run(context.Background(), drive.Config{
 				Client: drive.Client{Base: base, HTTP: client}, Grid: "parity",
 				Pool: bl.Pool, Noise: 0.2, Churn: 0.3, Seed: 3,
@@ -178,19 +180,19 @@ func TestParityGolden(t *testing.T) {
 		got["shared"] = run
 	})
 
-	// One data-aware round on the link-constrained two-site grid.
+	// One data-aware round on the link-constrained two-site grid,
+	// enacted under the true data semantics.
 	t.Run("data", func(t *testing.T) {
 		sc := workload.DataScenario(workload.DataParams{Searches: 6, DBSize: 200, HitSize: 8})
 		var run goldenRun
-		run.Requests = tapped(t, func(base string, client *http.Client) {
-			out, claims, err := drive.RunData(context.Background(), drive.Config{
+		run.Requests, run.PlannedTransferClaims = tapped(t, "parity-data", func(base string, client *http.Client) {
+			out, err := drive.Run(context.Background(), drive.Config{
 				Client: drive.Client{Base: base, HTTP: client}, Grid: "parity-data",
-			}, drive.Tenant{Name: "data-0", Scenario: sc, Policy: "aheft"})
+			}, []drive.Tenant{{Name: "data-0", Scenario: sc, Policy: "aheft"}})
 			if err != nil {
 				t.Fatal(err)
 			}
 			run.fill(out)
-			run.PlannedTransferClaims = claims
 		})
 		got["data"] = run
 	})

@@ -50,7 +50,8 @@ func TestSampleClosedLoopAdoptsArrival(t *testing.T) {
 	// The whole Fig. 1 loop in process: drive's enactment loop reports
 	// every start, finish and arrival into the tracker and resubmits
 	// what it adopts.
-	recs, err := drive.Enact(context.Background(), sc.Graph, sc.Estimator(), sc.Pool,
+	truth := drive.Truth(sc.Graph, sc.Estimator(), nil, sc.Pool)
+	enacted, err := drive.Enact(context.Background(), truth, sc.Pool,
 		[]*schedule.Schedule{tr.Plan()}, []int{0},
 		func(_ int, evs []wire.ReportEvent) (*schedule.Schedule, bool, error) {
 			out, err := tr.Apply(evs)
@@ -65,7 +66,7 @@ func TestSampleClosedLoopAdoptsArrival(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mk := recs[len(recs)-1].Finish
+	mk := enacted.Makespan()
 	if !tr.Done() || mk != 76 || tr.Makespan() != 76 {
 		t.Fatalf("done=%v makespan=%g tracker=%g, want 76", tr.Done(), mk, tr.Makespan())
 	}

@@ -63,7 +63,8 @@ type Arrival struct {
 
 // Pool is the time-varying resource set. It is immutable after
 // construction: schedulers query the set of resources available at a given
-// clock value, and the event-driven executors iterate its arrival events.
+// clock value, and the enactment and the dispatch simulation iterate its
+// arrival events.
 type Pool struct {
 	arrivals []Arrival // sorted by Time, then Resource.ID
 	// links maps a shared-link name to its bandwidth (data units per time

@@ -27,7 +27,8 @@ import (
 // or, placed without insertion, at most that. Price returns +Inf when a
 // pending job's resource is not in rs. It keeps a plan's pending jobs in
 // order for the next call on the same plan, which must not change in
-// between; steady-state pricing allocates nothing.
+// between; steady-state pricing allocates nothing. Retime returns what
+// Price priced.
 func (k *Kernel) Price(rs []grid.Resource, st *State, plan *schedule.Schedule) float64 {
 	st = k.orEmpty(st)
 	if plan == k.pendOf {
@@ -80,13 +81,13 @@ func (k *Kernel) Price(rs []grid.Resource, st *State, plan *schedule.Schedule) f
 				continue
 			}
 			if e := k.g.Preds(x.Job)[x.Input]; e.File == x.File {
-				k.priceFile(st, x.Job, e.From, k.fileOfEdge[k.predBase[x.Job]+x.Input], x.To)
+				k.priceFile(st, x.Job, x.Input, e.From, k.fileOfEdge[k.predBase[x.Job]+x.Input], x.To)
 			}
 		}
 		ready, eBase := st.Clock, k.predBase[j]
 		for i, e := range k.g.Preds(j) {
 			if k.dataM != nil && k.fileOfEdge[eBase+i] >= 0 {
-				ready = max(ready, k.priceFile(st, j, e.From, k.fileOfEdge[eBase+i], r))
+				ready = max(ready, k.priceFile(st, j, i, e.From, k.fileOfEdge[eBase+i], r))
 			} else {
 				ready = max(ready, st.fea(e, eBase+i, r))
 			}
@@ -100,15 +101,35 @@ func (k *Kernel) Price(rs []grid.Resource, st *State, plan *schedule.Schedule) f
 	return mk
 }
 
+// Retime is Price's sibling for a caller that needs the priced plan, not
+// only its makespan: st's finished and pinned jobs at their intervals,
+// every pending job at the interval Price gave it and, with a data model,
+// every transfer Price staged. It returns nil where Price returns +Inf.
+func (k *Kernel) Retime(rs []grid.Resource, st *State, plan *schedule.Schedule) *schedule.Schedule {
+	if math.IsInf(k.Price(rs, st, plan), 1) {
+		return nil
+	}
+	out := append(k.out[:0], k.hist...)
+	for _, a := range k.pend {
+		out = append(out, k.placed[a.Job])
+	}
+	k.out = out
+	s := schedule.FromAssignments(out)
+	if k.dataM != nil {
+		s.SetTransfers(slices.Clone(k.workXfers))
+	}
+	return s
+}
+
 // inRS reports whether r is in the resource set Price was called with.
 func (k *Kernel) inRS(r grid.ID) bool {
 	return int(r) < len(k.rows) && !math.IsInf(k.rows[r].floor, -1)
 }
 
 // priceFile is probeInputs' file edge for pricing: the arrival of m's
-// output f on r, staged there for j if no replica is there or on its way
-// (and m is priced: else its consumer stages it).
-func (k *Kernel) priceFile(st *State, j, m dag.JobID, f int, r grid.ID) float64 {
+// output f on r, staged there as j's input in if no replica is there or
+// on its way (and m is priced: else its consumer stages it).
+func (k *Kernel) priceFile(st *State, j dag.JobID, in int, m dag.JobID, f int, r grid.ID) float64 {
 	src, avail := k.output(st, m)
 	if src == r || src == grid.NoResource || k.dataM.PreStaged(f, r) {
 		return avail
@@ -126,10 +147,14 @@ func (k *Kernel) priceFile(st *State, j, m dag.JobID, f int, r grid.ID) float64 
 			for _, c := range k.chIdxBuf {
 				t = max(t, k.chFloor[c].after(j))
 			}
-			t = k.channelSlot(src, r, t, d, true) + d
+			start := k.channelSlot(src, r, t, d, true)
+			t = start + d
 			for _, c := range k.chIdxBuf {
 				k.chFloor[c].add(j, t)
 			}
+			k.workXfers = append(k.workXfers, schedule.Transfer{
+				Job: j, Input: in, File: k.dataM.FileID(f), From: src, To: r, Start: start, Finish: t,
+			})
 		}
 		k.setPassFile(f, r, t)
 	}

@@ -68,9 +68,11 @@ func TestRunPolicyCancelBetweenEvents(t *testing.T) {
 	}
 }
 
-// cancellingRuntime is an accurate runtime that cancels a context after
-// the nth job start, so the cancellation lands mid-execution of the
-// event-driven engine.
+// cancellingRuntime is an accurate runtime that cancels a context on its
+// nth runtime lookup. The enactor looks up a pending job's runtime each
+// time it prices the plan: every job's when the run starts, then those
+// still pending at each adoption. An n past the job count lands the
+// cancellation at the first adoption, mid-execution.
 type cancellingRuntime struct {
 	est    cost.Estimator
 	after  int
@@ -90,20 +92,27 @@ func (c *cancellingRuntime) Comm(e dag.Edge, a, b grid.ID) float64 { return c.es
 
 // TestServiceExecuteContextCancelMidRun drives Run's event-driven path
 // (WithRuntime: the feedback Tracker enacted in process) and cancels
-// while jobs are starting: Run must return the context's error (observed
-// at the next run-time event) and leave no goroutine behind.
+// mid-execution: Run must return the context's error (observed at the
+// next run-time event), with some but not all jobs run and reported, and
+// leave no goroutine behind.
 func TestServiceExecuteContextCancelMidRun(t *testing.T) {
 	sc := cancelScenario(t)
 	baseline := runtime.NumGoroutine()
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	rt := &cancellingRuntime{est: sc.Estimator(), after: 8, cancel: cancel}
-	res, err := aheft.Run(ctx, sc.Graph, sc.Estimator(), sc.Pool, aheft.WithRuntime(rt))
+	rt := &cancellingRuntime{est: sc.Estimator(), after: sc.Graph.Len() + 1, cancel: cancel}
+	hist := aheft.NewHistory()
+	res, err := aheft.Run(ctx, sc.Graph, sc.Estimator(), sc.Pool, aheft.WithRuntime(rt), aheft.WithHistory(hist))
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v (res %v), want context.Canceled", err, res)
 	}
-	if rt.calls >= sc.Graph.Len() {
-		t.Fatalf("engine started all %d jobs despite cancellation", rt.calls)
+	ran := 0
+	for _, k := range hist.Keys() {
+		s, _ := hist.Lookup(k.Op, k.Resource)
+		ran += s.Count
+	}
+	if ran == 0 || ran >= sc.Graph.Len() {
+		t.Fatalf("%d of %d jobs ran before the run stopped, want the cancellation mid-run", ran, sc.Graph.Len())
 	}
 	// The discrete-event engine is synchronous, so nothing may linger.
 	testleak.Check(t, baseline, 0)

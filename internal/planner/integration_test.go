@@ -17,9 +17,9 @@ import (
 )
 
 // The tests in this file hold the analytic runner to the run-time
-// architecture: aheft.Run with WithRuntime enacts the workflow on the
-// discrete-event executor while the daemon's feedback.Tracker plans it
-// from every reported start, finish and arrival.
+// architecture: aheft.Run with WithRuntime enacts the workflow with
+// drive.Enact while the daemon's feedback.Tracker plans it from every
+// reported start, finish and arrival.
 
 // scenarios yields a diverse, seeded set of test cases spanning random
 // DAGs and both application shapes under various grid dynamics.
@@ -88,7 +88,7 @@ func warmed(sc *workload.Scenario) *history.Repository {
 	return h
 }
 
-// TestStaticEnactmentMatchesSchedule checks that the event-driven executor
+// TestStaticEnactmentMatchesSchedule checks that the event-driven path
 // reproduces a static HEFT schedule exactly: under accurate estimates,
 // actual start/finish times equal the planned ones job for job.
 func TestStaticEnactmentMatchesSchedule(t *testing.T) {

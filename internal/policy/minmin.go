@@ -80,7 +80,7 @@ func (p jitPolicy) Name() string   { return p.h.RegistryName() }
 func (p jitPolicy) Adaptive() bool { return false }
 
 // JustInTime marks the policy's Plan as a dispatch simulation whose
-// semantics the discrete-event executor must not re-enact (see the
+// semantics the event-driven enactment must not re-enact (see the
 // JustInTime interface).
 func (jitPolicy) JustInTime() bool { return true }
 
@@ -121,9 +121,7 @@ func (p jitPolicy) Plan(k *kernel.Kernel, pool *grid.Pool, opts Options) (*sched
 		})
 	}
 	st.simr.At(0, sim.PriDispatch, st.dispatch)
-	if err := st.simr.Run(); err != nil {
-		return nil, err
-	}
+	st.simr.Run()
 	if st.nDone != n {
 		return nil, fmt.Errorf("minmin: deadlock — %d of %d jobs finished", st.nDone, n)
 	}

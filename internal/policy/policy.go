@@ -98,7 +98,7 @@ type Policy interface {
 // JustInTime is an optional interface a Policy implements to declare that
 // its Plan is a dispatch *simulation* — decision-time file transfers, no
 // communication/computation overlap — whose realised schedule must not be
-// re-enacted by the discrete-event executor: ship-on-finish enactment
+// re-enacted by the event-driven enactment: ship-on-finish enactment
 // would start transfers earlier than the model allows and silently erase
 // the baseline's structural penalty. Engines that enact schedules reject
 // such policies instead of producing subtly different makespans.

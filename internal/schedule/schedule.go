@@ -2,8 +2,8 @@
 // (resource, start time, finish time) triples that the Planner produces and
 // the Executor enacts.
 //
-// A Schedule is one dense by-job view; the per-resource timelines the
-// executor, Validate and Gantt read are computed on request (Timelines),
+// A Schedule is one dense by-job view; the per-resource timelines
+// Validate and Gantt read are computed on request (Timelines),
 // never cached, so a Schedule nobody mutates is safe to read from several
 // goroutines.
 package schedule

@@ -409,31 +409,45 @@ func TestLiveDrain(t *testing.T) {
 	// and the drain must complete once it finishes.
 	drainDone := make(chan error, 1)
 	go func() { drainDone <- srv.Shutdown(context.Background()) }()
-	// New submissions are refused while draining…
+	// New submissions are refused while draining… A submission the loop
+	// lands before the drain begins is resident too, and the drain waits
+	// for it: its client must finish it like the first.
+	resident := []string{sub.ID}
 	deadline := time.Now().Add(5 * time.Second)
 	for {
-		if code, _ := postJSON(t, ts, "/v1/workflows", encodeLive(t, sc, "aheft", "", wire.Options{}), nil); code == http.StatusServiceUnavailable {
+		var extra wire.Submitted
+		code, _ := postJSON(t, ts, "/v1/workflows", encodeLive(t, sc, "aheft", "", wire.Options{}), &extra)
+		if code == http.StatusServiceUnavailable {
 			break
+		}
+		if code == http.StatusAccepted {
+			t.Logf("accepted %s before the drain began", extra.ID)
+			resident = append(resident, extra.ID)
 		}
 		if time.Now().After(deadline) {
 			t.Fatal("draining daemon kept accepting submissions")
 		}
 	}
-	// …but the resident run drains at its client's pace.
-	var evs []wire.ReportEvent
-	for _, a := range plan.Assignments {
-		evs = append(evs, wire.ReportEvent{Kind: wire.ReportJobStarted, Time: a.Start, Job: a.Job, Resource: a.Resource},
-			wire.ReportEvent{Kind: wire.ReportJobFinished, Time: a.Finish, Job: a.Job, Duration: a.Finish - a.Start})
-	}
-	sort.SliceStable(evs, func(i, j int) bool {
-		if evs[i].Time != evs[j].Time {
-			return evs[i].Time < evs[j].Time
+	// …but the resident runs drain at their client's pace.
+	for i, id := range resident {
+		if i > 0 {
+			plan = fetchPlan(t, ts, id)
 		}
-		return evs[i].Kind == wire.ReportJobStarted && evs[j].Kind != wire.ReportJobStarted
-	})
-	var ack wire.ReportAck
-	if code, msg := postJSON(t, ts, "/v1/workflows/"+sub.ID+"/report", encodeReport(t, evs...), &ack); code != http.StatusOK || !ack.Done {
-		t.Fatalf("drain-time report: HTTP %d %q %+v", code, msg, ack)
+		var evs []wire.ReportEvent
+		for _, a := range plan.Assignments {
+			evs = append(evs, wire.ReportEvent{Kind: wire.ReportJobStarted, Time: a.Start, Job: a.Job, Resource: a.Resource},
+				wire.ReportEvent{Kind: wire.ReportJobFinished, Time: a.Finish, Job: a.Job, Duration: a.Finish - a.Start})
+		}
+		sort.SliceStable(evs, func(i, j int) bool {
+			if evs[i].Time != evs[j].Time {
+				return evs[i].Time < evs[j].Time
+			}
+			return evs[i].Kind == wire.ReportJobStarted && evs[j].Kind != wire.ReportJobStarted
+		})
+		var ack wire.ReportAck
+		if code, msg := postJSON(t, ts, "/v1/workflows/"+id+"/report", encodeReport(t, evs...), &ack); code != http.StatusOK || !ack.Done {
+			t.Fatalf("drain-time report: HTTP %d %q %+v", code, msg, ack)
+		}
 	}
 	if err := <-drainDone; err != nil {
 		t.Fatalf("clean drain: %v", err)

@@ -18,21 +18,16 @@ import (
 )
 
 // Priority orders events that share a timestamp: lower fires first. The
-// executors use this to pin down simultaneous-event semantics: work that
-// completes at time t (job finishes, transfer arrivals) is visible to a
-// resource-arrival event at t, which in turn is visible to any dispatch
-// decision at t — matching the planner's snapshot convention that a job
-// with finish time exactly equal to the rescheduling clock counts as
-// finished.
+// dispatch simulation uses this to pin down simultaneous-event semantics:
+// a job that completes at time t is visible to a resource-arrival event
+// at t, which in turn is visible to any dispatch decision at t.
 type Priority int
 
-// Conventional priorities used by the executors. Callers may use any ints.
+// The priorities of the dispatch simulation. Callers may use any ints.
 const (
 	PriJobFinish      Priority = 0  // job completions first
-	PriTransferDone   Priority = 10 // then file-transfer completions
-	PriResourceChange Priority = 20 // then pool changes (and reschedules)
+	PriResourceChange Priority = 20 // then pool changes
 	PriDispatch       Priority = 30 // then dispatch decisions
-	PriDefault        Priority = 50
 )
 
 type event struct {
@@ -68,14 +63,9 @@ func (h *eventHeap) Pop() any {
 // Simulator is a discrete-event loop. The zero value is ready to use; Now
 // starts at 0.
 type Simulator struct {
-	pq      eventHeap
-	now     float64
-	seq     uint64
-	stopped bool
-	steps   uint64
-	// MaxSteps guards against runaway simulations (a scheduling bug that
-	// endlessly re-posts events). Zero means no limit.
-	MaxSteps uint64
+	pq  eventHeap
+	now float64
+	seq uint64
 }
 
 // New returns a Simulator with its clock at 0.
@@ -83,9 +73,6 @@ func New() *Simulator { return &Simulator{} }
 
 // Now returns the current simulated time.
 func (s *Simulator) Now() float64 { return s.now }
-
-// Steps returns the number of events executed so far.
-func (s *Simulator) Steps() uint64 { return s.steps }
 
 // At schedules fn to run at absolute time t with the given priority. It
 // panics if t is in the past or not a finite number: scheduling into the
@@ -101,40 +88,12 @@ func (s *Simulator) At(t float64, prio Priority, fn func()) {
 	heap.Push(&s.pq, &event{time: t, prio: prio, seq: s.seq, fn: fn})
 }
 
-// After schedules fn to run delay time units from now.
-func (s *Simulator) After(delay float64, prio Priority, fn func()) {
-	if delay < 0 {
-		panic(fmt.Sprintf("sim: negative delay %g", delay))
-	}
-	s.At(s.now+delay, prio, fn)
-}
-
-// Stop halts the event loop after the currently executing event returns.
-// Pending events are preserved.
-func (s *Simulator) Stop() { s.stopped = true }
-
-// Pending returns the number of queued events.
-func (s *Simulator) Pending() int { return len(s.pq) }
-
-// Run executes events in order until the queue drains or Stop is called.
-// It returns an error if MaxSteps is exceeded.
-func (s *Simulator) Run() error { return s.RunUntil(math.Inf(1)) }
-
-// RunUntil executes events with time <= horizon. The clock is left at the
-// time of the last executed event (or untouched if none ran).
-func (s *Simulator) RunUntil(horizon float64) error {
-	s.stopped = false
-	for len(s.pq) > 0 && !s.stopped {
-		if s.pq[0].time > horizon {
-			return nil
-		}
+// Run executes events in order until the queue drains. The clock is left
+// at the time of the last executed event.
+func (s *Simulator) Run() {
+	for len(s.pq) > 0 {
 		e := heap.Pop(&s.pq).(*event)
 		s.now = e.time
-		s.steps++
-		if s.MaxSteps > 0 && s.steps > s.MaxSteps {
-			return fmt.Errorf("sim: exceeded MaxSteps=%d at t=%g (runaway event loop?)", s.MaxSteps, s.now)
-		}
 		e.fn()
 	}
-	return nil
 }

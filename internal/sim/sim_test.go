@@ -10,11 +10,9 @@ func TestEventsFireInTimeOrder(t *testing.T) {
 	var got []float64
 	for _, tt := range []float64{5, 1, 3, 2, 4} {
 		tt := tt
-		s.At(tt, PriDefault, func() { got = append(got, tt) })
+		s.At(tt, PriDispatch, func() { got = append(got, tt) })
 	}
-	if err := s.Run(); err != nil {
-		t.Fatal(err)
-	}
+	s.Run()
 	for i := 1; i < len(got); i++ {
 		if got[i] < got[i-1] {
 			t.Fatalf("events out of order: %v", got)
@@ -31,11 +29,8 @@ func TestPriorityBreaksTimeTies(t *testing.T) {
 	s.At(10, PriDispatch, func() { got = append(got, "dispatch") })
 	s.At(10, PriJobFinish, func() { got = append(got, "finish") })
 	s.At(10, PriResourceChange, func() { got = append(got, "arrival") })
-	s.At(10, PriTransferDone, func() { got = append(got, "transfer") })
-	if err := s.Run(); err != nil {
-		t.Fatal(err)
-	}
-	want := []string{"finish", "transfer", "arrival", "dispatch"}
+	s.Run()
+	want := []string{"finish", "arrival", "dispatch"}
 	for i := range want {
 		if got[i] != want[i] {
 			t.Fatalf("tie order = %v, want %v", got, want)
@@ -48,11 +43,9 @@ func TestSequenceBreaksFullTies(t *testing.T) {
 	var got []int
 	for i := 0; i < 10; i++ {
 		i := i
-		s.At(1, PriDefault, func() { got = append(got, i) })
+		s.At(1, PriDispatch, func() { got = append(got, i) })
 	}
-	if err := s.Run(); err != nil {
-		t.Fatal(err)
-	}
+	s.Run()
 	for i := range got {
 		if got[i] != i {
 			t.Fatalf("insertion order not preserved: %v", got)
@@ -67,13 +60,11 @@ func TestEventsScheduledDuringRun(t *testing.T) {
 	chain = func() {
 		count++
 		if count < 5 {
-			s.After(1, PriDefault, chain)
+			s.At(s.Now()+1, PriDispatch, chain)
 		}
 	}
-	s.At(0, PriDefault, chain)
-	if err := s.Run(); err != nil {
-		t.Fatal(err)
-	}
+	s.At(0, PriDispatch, chain)
+	s.Run()
 	if count != 5 || s.Now() != 4 {
 		t.Fatalf("count=%d now=%g, want 5 and 4", count, s.Now())
 	}
@@ -81,17 +72,15 @@ func TestEventsScheduledDuringRun(t *testing.T) {
 
 func TestPastSchedulingPanics(t *testing.T) {
 	s := New()
-	s.At(5, PriDefault, func() {
+	s.At(5, PriDispatch, func() {
 		defer func() {
 			if recover() == nil {
 				t.Error("expected panic scheduling into the past")
 			}
 		}()
-		s.At(1, PriDefault, func() {})
+		s.At(1, PriDispatch, func() {})
 	})
-	if err := s.Run(); err != nil {
-		t.Fatal(err)
-	}
+	s.Run()
 }
 
 func TestNonFiniteTimePanics(t *testing.T) {
@@ -103,94 +92,8 @@ func TestNonFiniteTimePanics(t *testing.T) {
 					t.Errorf("expected panic for t=%v", bad)
 				}
 			}()
-			s.At(bad, PriDefault, func() {})
+			s.At(bad, PriDispatch, func() {})
 		}()
-	}
-}
-
-func TestNegativeDelayPanics(t *testing.T) {
-	s := New()
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic for negative delay")
-		}
-	}()
-	s.After(-1, PriDefault, func() {})
-}
-
-func TestStopHaltsLoop(t *testing.T) {
-	s := New()
-	ran := 0
-	s.At(1, PriDefault, func() { ran++; s.Stop() })
-	s.At(2, PriDefault, func() { ran++ })
-	if err := s.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if ran != 1 {
-		t.Fatalf("ran = %d events, want 1 (stopped)", ran)
-	}
-	if s.Pending() != 1 {
-		t.Fatalf("Pending = %d, want 1", s.Pending())
-	}
-	// Run again resumes with pending events.
-	if err := s.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if ran != 2 {
-		t.Fatalf("resume: ran = %d, want 2", ran)
-	}
-}
-
-func TestStopSkipsSameTimestampEvents(t *testing.T) {
-	s := New()
-	var got []string
-	s.At(1, PriJobFinish, func() { got = append(got, "finish"); s.Stop() })
-	s.At(1, PriResourceChange, func() { got = append(got, "arrival") })
-	if err := s.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 1 || got[0] != "finish" {
-		t.Fatalf("got %v, want just the finish before Stop", got)
-	}
-}
-
-func TestRunUntilHorizon(t *testing.T) {
-	s := New()
-	ran := 0
-	s.At(1, PriDefault, func() { ran++ })
-	s.At(10, PriDefault, func() { ran++ })
-	if err := s.RunUntil(5); err != nil {
-		t.Fatal(err)
-	}
-	if ran != 1 {
-		t.Fatalf("ran = %d, want 1", ran)
-	}
-	if s.Pending() != 1 {
-		t.Fatalf("pending = %d, want 1", s.Pending())
-	}
-}
-
-func TestMaxStepsGuard(t *testing.T) {
-	s := New()
-	s.MaxSteps = 10
-	var loop func()
-	loop = func() { s.After(1, PriDefault, loop) }
-	s.At(0, PriDefault, loop)
-	if err := s.Run(); err == nil {
-		t.Fatal("expected MaxSteps error for runaway loop")
-	}
-}
-
-func TestStepsCounter(t *testing.T) {
-	s := New()
-	for i := 0; i < 7; i++ {
-		s.At(float64(i), PriDefault, func() {})
-	}
-	if err := s.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if s.Steps() != 7 {
-		t.Fatalf("Steps = %d, want 7", s.Steps())
 	}
 }
 
@@ -202,12 +105,10 @@ func BenchmarkEventLoop(b *testing.B) {
 		next = func() {
 			n++
 			if n < 1000 {
-				s.After(1, PriDefault, next)
+				s.At(s.Now()+1, PriDispatch, next)
 			}
 		}
-		s.At(0, PriDefault, next)
-		if err := s.Run(); err != nil {
-			b.Fatal(err)
-		}
+		s.At(0, PriDispatch, next)
+		s.Run()
 	}
 }
