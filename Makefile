@@ -46,8 +46,8 @@ loc-check:
 	if [ "$$n" -gt "$$max" ]; then echo "loc-check: make loc is $$n, above $$max in LOC"; exit 1; fi; \
 	echo "loc-check: $$n <= $$max"
 
-# fuzz runs each fuzz target for FUZZTIME (CI runs 5m per target
-# nightly). The committed seed corpora under */testdata/fuzz/ replay as
+# fuzz runs each fuzz target for FUZZTIME. It is the one list of targets:
+# the nightly CI job runs `make fuzz FUZZTIME=5m`. The committed seed corpora under */testdata/fuzz/ replay as
 # plain tests in every `go test` run, so regressions reproduce
 # deterministically.
 FUZZTIME ?= 30s

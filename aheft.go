@@ -10,9 +10,9 @@
 //
 // # The v2 API
 //
-// Scheduling strategies are pluggable policies behind one engine: every
-// registered policy ("heft", "aheft", "minmin", "maxmin", "sufferage" —
-// see Policies) runs through the same adaptive-rescheduling loop, selected
+// Scheduling strategies are policies behind one engine: each of the five
+// policies ("heft", "aheft", "minmin", "maxmin", "sufferage" — see
+// Policies) runs through the same adaptive-rescheduling loop, selected
 // by name with functional options. Run is context-aware; every call is an
 // independent run over an immutable pool, so many workflows run
 // concurrently as many Run calls (the daemon, cmd/aheftd, is the
@@ -26,7 +26,7 @@
 // The facade re-exports the most commonly used types from the internal
 // packages; import the internal packages directly for the full API
 // surface (internal/dag for graph construction, internal/workload for
-// generators, internal/policy to register custom policies,
+// generators, internal/policy for the five policies,
 // internal/experiment for the evaluation harness, …).
 package aheft
 
@@ -110,7 +110,7 @@ func DataScenario() *Scenario { return workload.DataScenario(workload.DataParams
 // EWMA smoothing).
 func NewHistory() *History { return history.New(0) }
 
-// Policies lists the registered scheduling-policy names.
+// Policies lists the scheduling-policy names.
 func Policies() []string { return policy.Names() }
 
 // config is the resolved option set of one Run.
@@ -133,9 +133,9 @@ type config struct {
 // Option configures Run via functional options.
 type Option func(*config)
 
-// WithPolicy selects the scheduling policy by registry name ("heft",
-// "aheft", "minmin", "maxmin", "sufferage", or any custom registration).
-// The default is "aheft".
+// WithPolicy selects the scheduling policy by name ("heft", "aheft",
+// "minmin", "maxmin" or "sufferage"; case and surrounding space are
+// ignored). The default is "aheft".
 func WithPolicy(name string) Option { return func(c *config) { c.policyName = name } }
 
 // WithTieWindow enables near-tie rank-order exploration in the

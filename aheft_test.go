@@ -218,7 +218,7 @@ func TestFacadeRejectsUnenactableCombos(t *testing.T) {
 }
 
 // TestConcurrentRuns: many workflows over one pool are many Run calls.
-// Concurrent runs share the pool, the estimator and the policy registry,
+// Concurrent runs share the pool, the estimator and the policy table,
 // and must each produce what the same run produces alone (run it with
 // -race).
 func TestConcurrentRuns(t *testing.T) {

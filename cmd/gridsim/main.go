@@ -56,7 +56,7 @@ func run(args []string, stdout io.Writer) error {
 		seed       = fs.Uint64("seed", 1, "random seed")
 		tie        = fs.Float64("tie", 0, "AHEFT near-tie exploration window")
 		strategies = fs.String("strategies", "heft,aheft,minmin",
-			"comma-separated policy names (registered: "+strings.Join(policy.Names(), ", ")+")")
+			"comma-separated policy names ("+strings.Join(policy.Names(), ", ")+")")
 		gantt     = fs.Bool("gantt", false, "print a Gantt chart of each final schedule")
 		decisions = fs.Bool("decisions", true, "print the adaptive planner's decisions")
 		traceFile = fs.String("trace", "", "write a JSONL execution trace of the adaptive run to this file: job finishes, resource arrivals and rescheduling decisions")
@@ -84,12 +84,12 @@ func run(args []string, stdout io.Writer) error {
 	}
 
 	traced := false
-	for _, name := range strings.Split(*strategies, ",") {
-		name = policy.Canon(name)
-		pol, err := policy.Get(name)
+	for _, given := range strings.Split(*strategies, ",") {
+		pol, err := policy.Get(given)
 		if err != nil {
 			return err
 		}
+		name := pol.Name()
 		res, err := aheft.Run(context.Background(), g, sc.Estimator(), sc.Pool,
 			aheft.WithPolicy(name), aheft.WithTieWindow(*tie))
 		if err != nil {

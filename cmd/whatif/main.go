@@ -25,6 +25,7 @@ import (
 	"aheft/internal/grid"
 	"aheft/internal/kernel"
 	"aheft/internal/planner"
+	"aheft/internal/policy"
 	"aheft/internal/rng"
 	"aheft/internal/workload"
 )
@@ -95,7 +96,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 		}
 	}
 
-	ans, err := planner.WhatIf(sc.Graph, est, s0, available, q, planner.RunOptions{TieWindow: *tie})
+	ans, err := planner.WhatIf(sc.Graph, est, s0, available, q, policy.Options{TieWindow: *tie})
 	if err != nil {
 		return err
 	}

@@ -18,6 +18,7 @@ import (
 	"aheft/internal/grid"
 	"aheft/internal/kernel"
 	"aheft/internal/planner"
+	"aheft/internal/policy"
 	"aheft/internal/rng"
 	"aheft/internal/schedule"
 	"aheft/internal/workload"
@@ -65,7 +66,7 @@ func main() {
 		ans, err := planner.WhatIf(g, est, s0, available, planner.WhatIfQuery{
 			Clock: clock,
 			Add:   future[:n],
-		}, planner.RunOptions{})
+		}, policy.Options{})
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -77,7 +78,7 @@ func main() {
 	ans, err := planner.WhatIf(g, est, s0, available, planner.WhatIfQuery{
 		Clock:  clock,
 		Remove: []grid.ID{busiest},
-	}, planner.RunOptions{})
+	}, policy.Options{})
 	if err != nil {
 		log.Fatal(err)
 	}

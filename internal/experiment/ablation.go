@@ -14,16 +14,16 @@ import (
 // ablationVariant is one planner configuration under comparison.
 type ablationVariant struct {
 	name string
-	opts planner.RunOptions
+	opts policy.Options
 }
 
 // ablationVariants are the design choices DESIGN.md calls out.
 var ablationVariants = []ablationVariant{
-	{"baseline (insertion, pin, greedy)", planner.RunOptions{}},
-	{"no insertion (append-only)", planner.RunOptions{NoInsertion: true}},
-	{"restart running jobs", planner.RunOptions{RestartRunning: true}},
-	{"tie window 0.05", planner.RunOptions{TieWindow: 0.05}},
-	{"tie window 0.10", planner.RunOptions{TieWindow: 0.10}},
+	{"baseline (insertion, pin, greedy)", policy.Options{}},
+	{"no insertion (append-only)", policy.Options{NoInsertion: true}},
+	{"restart running jobs", policy.Options{RestartRunning: true}},
+	{"tie window 0.05", policy.Options{TieWindow: 0.05}},
+	{"tie window 0.10", policy.Options{TieWindow: 0.10}},
 }
 
 // Ablations compares the planner's design-choice variants over a common

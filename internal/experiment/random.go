@@ -39,11 +39,11 @@ func Fig5(cfg Config) (*Table, error) {
 	sc := workload.SampleScenario()
 	est := sc.Estimator()
 	ctx := context.Background()
-	static, err := planner.RunPolicy(ctx, sc.Graph, est, sc.Pool, policy.MustGet("heft"), planner.RunOptions{})
+	static, err := planner.RunPolicy(ctx, sc.Graph, est, sc.Pool, policy.MustGet("heft"), policy.Options{})
 	if err != nil {
 		return nil, err
 	}
-	greedy, err := planner.RunPolicy(ctx, sc.Graph, est, sc.Pool, policy.MustGet("aheft"), planner.RunOptions{})
+	greedy, err := planner.RunPolicy(ctx, sc.Graph, est, sc.Pool, policy.MustGet("aheft"), policy.Options{})
 	if err != nil {
 		return nil, err
 	}
@@ -51,7 +51,7 @@ func Fig5(cfg Config) (*Table, error) {
 	if tw <= 0 {
 		tw = 0.05
 	}
-	explored, err := planner.RunPolicy(ctx, sc.Graph, est, sc.Pool, policy.MustGet("aheft"), planner.RunOptions{TieWindow: tw})
+	explored, err := planner.RunPolicy(ctx, sc.Graph, est, sc.Pool, policy.MustGet("aheft"), policy.Options{TieWindow: tw})
 	if err != nil {
 		return nil, err
 	}

@@ -73,9 +73,6 @@ type Config struct {
 	// VarianceThreshold gates finish-variance triggering; <= 0 means
 	// DefaultVarianceThreshold.
 	VarianceThreshold float64
-	// UseMean selects the history mean instead of the recency-weighted
-	// EWMA for re-estimation.
-	UseMean bool
 	// Occupancy, when non-nil, attaches the workflow to a shared grid's
 	// reservation ledger: the tracker publishes its own plan's compute
 	// intervals through the view (whole-plan on initial planning and
@@ -212,10 +209,9 @@ func build(cfg Config) (*Tracker, error) {
 		opts: cfg.Opts,
 		thr:  cfg.VarianceThreshold,
 		est: &predict.HistoryBased{
-			Graph:   cfg.Graph,
-			Repo:    cfg.History,
-			Prior:   cfg.Prior,
-			UseEWMA: !cfg.UseMean,
+			Graph: cfg.Graph,
+			Repo:  cfg.History,
+			Prior: cfg.Prior,
 		},
 		phase:    make([]jobPhase, n),
 		startAt:  make([]float64, n),

@@ -719,20 +719,13 @@ func DecisionFromWire(w wire.Decision) (planner.Decision, error) {
 	}, nil
 }
 
-// ParseTrigger inverts planner.Trigger.String.
+// ParseTrigger inverts planner.Trigger.String, the retired "upgrade"
+// included so journalled decisions that carry it still decode.
 func ParseTrigger(s string) (planner.Trigger, error) {
-	switch s {
-	case "arrival":
-		return planner.TriggerArrival, nil
-	case "variance":
-		return planner.TriggerVariance, nil
-	case "departure":
-		return planner.TriggerDeparture, nil
-	case "contention":
-		return planner.TriggerContention, nil
-	case "upgrade":
-		return planner.TriggerUpgrade, nil
-	default:
-		return 0, fmt.Errorf("feedback: unknown trigger %q", s)
+	for t := planner.Trigger(0); t <= planner.TriggerUpgrade; t++ {
+		if t.String() == s {
+			return t, nil
+		}
 	}
+	return 0, fmt.Errorf("feedback: unknown trigger %q", s)
 }

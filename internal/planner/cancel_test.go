@@ -45,7 +45,7 @@ func TestRunPolicyCancelBetweenEvents(t *testing.T) {
 	}
 	// Reference run: the scenario must actually produce ≥ 2 decisions,
 	// otherwise the cancellation window does not exist.
-	ref, err := planner.RunPolicy(context.Background(), sc.Graph, sc.Estimator(), sc.Pool, pol, planner.RunOptions{})
+	ref, err := planner.RunPolicy(context.Background(), sc.Graph, sc.Estimator(), sc.Pool, pol, policy.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,7 +56,7 @@ func TestRunPolicyCancelBetweenEvents(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	seen := 0
-	res, err := planner.RunPolicyObserved(ctx, sc.Graph, sc.Estimator(), sc.Pool, pol, planner.RunOptions{}, func(planner.Decision) {
+	res, err := planner.RunPolicyObserved(ctx, sc.Graph, sc.Estimator(), sc.Pool, pol, policy.Options{}, func(planner.Decision) {
 		seen++
 		cancel()
 	})

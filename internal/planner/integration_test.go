@@ -93,7 +93,7 @@ func warmed(sc *workload.Scenario) *history.Repository {
 // actual start/finish times equal the planned ones job for job.
 func TestStaticEnactmentMatchesSchedule(t *testing.T) {
 	for i, sc := range testScenarios(t, 24) {
-		analytic, err := planner.RunPolicy(context.Background(), sc.Graph, sc.Estimator(), sc.Pool, policy.MustGet("heft"), planner.RunOptions{})
+		analytic, err := planner.RunPolicy(context.Background(), sc.Graph, sc.Estimator(), sc.Pool, policy.MustGet("heft"), policy.Options{})
 		if err != nil {
 			t.Fatalf("case %d: analytic: %v", i, err)
 		}
@@ -126,7 +126,7 @@ func TestStaticEnactmentMatchesSchedule(t *testing.T) {
 func TestAdaptiveServiceMatchesAnalyticRunner(t *testing.T) {
 	match := func(t *testing.T, i int, sc *workload.Scenario, tie float64, h *history.Repository) {
 		t.Helper()
-		analytic, err := planner.RunPolicy(context.Background(), sc.Graph, sc.Estimator(), sc.Pool, policy.MustGet("aheft"), planner.RunOptions{TieWindow: tie})
+		analytic, err := planner.RunPolicy(context.Background(), sc.Graph, sc.Estimator(), sc.Pool, policy.MustGet("aheft"), policy.Options{TieWindow: tie})
 		if err != nil {
 			t.Fatalf("case %d: analytic: %v", i, err)
 		}

@@ -6,16 +6,16 @@
 // Fig. 2).
 //
 // The loop is generic over the scheduling policy (the paper's heuristic H):
-// both drivers execute any policy.Policy from the registry — classic
+// both drivers execute any of the five policy.Policy values — classic
 // static HEFT, the paper's AHEFT, or the just-in-time Min-Min family —
-// through the same engine path, each run owning one scheduling kernel
-// (internal/kernel) that carries the rank cache, the dense execution
-// state and the placement scratch across events. The analytic runner in
-// this file replays the paper's experiment setting directly — accurate
-// estimates, so execution follows the schedule exactly and only
-// resource-arrival events can change anything; it is what the experiment
-// harness and benchmarks use, since it is fast and provably equivalent to
-// the event-driven execution (an integration test in this package checks
+// through the same engine path, tuned by one policy.Options, each run
+// owning one scheduling kernel (internal/kernel) that carries the rank
+// cache, the dense execution state and the placement scratch across
+// events. The analytic runner in this file replays the paper's
+// experiment setting directly — accurate estimates, so execution follows
+// the schedule exactly and only resource-arrival events can change
+// anything; it is what the experiment harness and benchmarks use, since
+// it is fast and provably equivalent to the event-driven execution (an integration test in this package checks
 // the equivalence against aheft.Run's event-driven path, which enacts the
 // workflow while the daemon's feedback.Tracker plans it).
 package planner
@@ -31,11 +31,6 @@ import (
 	"aheft/internal/policy"
 	"aheft/internal/schedule"
 )
-
-// RunOptions tunes the planner. It is an alias of policy.Options so the
-// engine and the policies share one configuration type; the zero value
-// reproduces the paper's configuration.
-type RunOptions = policy.Options
 
 // Trigger classifies what caused a rescheduling evaluation.
 type Trigger int
@@ -114,7 +109,7 @@ type Decision struct {
 // Result is the outcome of running one workflow to completion under one
 // policy.
 type Result struct {
-	// Policy is the registry name of the policy that produced the result.
+	// Policy is the name of the policy that produced the result.
 	Policy string
 	// Schedule is the final (possibly rescheduled) schedule; with accurate
 	// estimates its assignment times are the actual execution times. An

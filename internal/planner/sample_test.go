@@ -12,7 +12,7 @@ import (
 // the Fig. 4 DAG over r1–r3 yields makespan 80.
 func TestSampleHEFTMakespan(t *testing.T) {
 	sc := workload.SampleScenario()
-	res, err := RunPolicy(context.Background(), sc.Graph, sc.Estimator(), sc.Pool, policy.MustGet("heft"), RunOptions{})
+	res, err := RunPolicy(context.Background(), sc.Graph, sc.Estimator(), sc.Pool, policy.MustGet("heft"), policy.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -32,7 +32,7 @@ func TestSampleHEFTMakespan(t *testing.T) {
 // TestSampleAHEFTGreedy below and the discussion in EXPERIMENTS.md.
 func TestSampleAHEFTMakespan(t *testing.T) {
 	sc := workload.SampleScenario()
-	res, err := RunPolicy(context.Background(), sc.Graph, sc.Estimator(), sc.Pool, policy.MustGet("aheft"), RunOptions{TieWindow: 0.05})
+	res, err := RunPolicy(context.Background(), sc.Graph, sc.Estimator(), sc.Pool, policy.MustGet("aheft"), policy.Options{TieWindow: 0.05})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,7 +54,7 @@ func TestSampleAHEFTMakespan(t *testing.T) {
 // makespan stays at the static 80.
 func TestSampleAHEFTGreedy(t *testing.T) {
 	sc := workload.SampleScenario()
-	res, err := RunPolicy(context.Background(), sc.Graph, sc.Estimator(), sc.Pool, policy.MustGet("aheft"), RunOptions{})
+	res, err := RunPolicy(context.Background(), sc.Graph, sc.Estimator(), sc.Pool, policy.MustGet("aheft"), policy.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -50,7 +50,7 @@ func (a *WhatIfAnswer) Delta() float64 { return a.NewMakespan - a.CurrentMakespa
 // executing schedule s0 at q.Clock, using the same snapshot + reschedule
 // machinery as the live planner, without submitting anything. available
 // is the real resource set at q.Clock.
-func WhatIf(g *dag.Graph, est cost.Estimator, s0 *schedule.Schedule, available []grid.Resource, q WhatIfQuery, opts RunOptions) (*WhatIfAnswer, error) {
+func WhatIf(g *dag.Graph, est cost.Estimator, s0 *schedule.Schedule, available []grid.Resource, q WhatIfQuery, opts policy.Options) (*WhatIfAnswer, error) {
 	if s0 == nil || s0.Len() != g.Len() {
 		return nil, fmt.Errorf("planner: WhatIf needs a complete current schedule")
 	}

@@ -14,7 +14,7 @@ import (
 func TestWhatIfAddResource(t *testing.T) {
 	sc := workload.SampleScenario()
 	g, est := sc.Graph, sc.Estimator()
-	s0, err := RunPolicy(context.Background(), g, est, sc.Pool, policy.MustGet("heft"), RunOptions{})
+	s0, err := RunPolicy(context.Background(), g, est, sc.Pool, policy.MustGet("heft"), policy.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -22,7 +22,7 @@ func TestWhatIfAddResource(t *testing.T) {
 	ans, err := WhatIf(g, est, s0.Schedule, sc.Pool.AvailableAt(0), WhatIfQuery{
 		Clock: 15,
 		Add:   []grid.Resource{r4},
-	}, RunOptions{TieWindow: 0.05})
+	}, policy.Options{TieWindow: 0.05})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -37,7 +37,7 @@ func TestWhatIfAddResource(t *testing.T) {
 func TestWhatIfRemoveResource(t *testing.T) {
 	sc := workload.SampleScenario()
 	g, est := sc.Graph, sc.Estimator()
-	s0, err := RunPolicy(context.Background(), g, est, sc.Pool, policy.MustGet("heft"), RunOptions{})
+	s0, err := RunPolicy(context.Background(), g, est, sc.Pool, policy.MustGet("heft"), policy.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,7 +46,7 @@ func TestWhatIfRemoveResource(t *testing.T) {
 	ans, err := WhatIf(g, est, s0.Schedule, sc.Pool.AvailableAt(0), WhatIfQuery{
 		Clock:  15,
 		Remove: []grid.ID{1},
-	}, RunOptions{})
+	}, policy.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,7 +67,7 @@ func TestWhatIfRemoveResource(t *testing.T) {
 func TestWhatIfRemoveRunningJobsResource(t *testing.T) {
 	sc := workload.SampleScenario()
 	g, est := sc.Graph, sc.Estimator()
-	s0, err := RunPolicy(context.Background(), g, est, sc.Pool, policy.MustGet("heft"), RunOptions{})
+	s0, err := RunPolicy(context.Background(), g, est, sc.Pool, policy.MustGet("heft"), policy.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,7 +76,7 @@ func TestWhatIfRemoveRunningJobsResource(t *testing.T) {
 	ans, err := WhatIf(g, est, s0.Schedule, sc.Pool.AvailableAt(0), WhatIfQuery{
 		Clock:  15,
 		Remove: []grid.ID{2},
-	}, RunOptions{})
+	}, policy.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,15 +93,15 @@ func TestWhatIfRemoveRunningJobsResource(t *testing.T) {
 func TestWhatIfErrors(t *testing.T) {
 	sc := workload.SampleScenario()
 	g, est := sc.Graph, sc.Estimator()
-	s0, _ := RunPolicy(context.Background(), g, est, sc.Pool, policy.MustGet("heft"), RunOptions{})
+	s0, _ := RunPolicy(context.Background(), g, est, sc.Pool, policy.MustGet("heft"), policy.Options{})
 	avail := sc.Pool.AvailableAt(0)
-	if _, err := WhatIf(g, est, nil, avail, WhatIfQuery{Clock: 0}, RunOptions{}); err == nil {
+	if _, err := WhatIf(g, est, nil, avail, WhatIfQuery{Clock: 0}, policy.Options{}); err == nil {
 		t.Fatal("nil schedule accepted")
 	}
 	if _, err := WhatIf(g, est, s0.Schedule, avail, WhatIfQuery{
 		Clock:  0,
 		Remove: []grid.ID{0, 1, 2},
-	}, RunOptions{}); err == nil {
+	}, policy.Options{}); err == nil {
 		t.Fatal("empty hypothetical pool accepted")
 	}
 }
@@ -118,7 +118,7 @@ func TestWhatIfMonotoneInAdditions(t *testing.T) {
 		t.Fatal(err)
 	}
 	g, est := sc.Graph, sc.Estimator()
-	s0, err := RunPolicy(context.Background(), g, est, sc.Pool, policy.MustGet("heft"), RunOptions{})
+	s0, err := RunPolicy(context.Background(), g, est, sc.Pool, policy.MustGet("heft"), policy.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,7 +135,7 @@ func TestWhatIfMonotoneInAdditions(t *testing.T) {
 		if n > len(future) {
 			break
 		}
-		ans, err := WhatIf(g, est, s0.Schedule, avail, WhatIfQuery{Clock: clock, Add: future[:n]}, RunOptions{})
+		ans, err := WhatIf(g, est, s0.Schedule, avail, WhatIfQuery{Clock: clock, Add: future[:n]}, policy.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -19,16 +19,19 @@ import (
 	"aheft/internal/workload"
 )
 
-// runJIT plans one workflow under the named just-in-time heuristic
-// through a fresh kernel, as the engine would.
-func runJIT(t *testing.T, g *dag.Graph, est cost.Estimator, pool *grid.Pool, h Heuristic) *schedule.Schedule {
+// runJIT plans one workflow under the named just-in-time policy through
+// a fresh kernel, as the engine would.
+func runJIT(t *testing.T, g *dag.Graph, est cost.Estimator, pool *grid.Pool, name string) *schedule.Schedule {
 	t.Helper()
-	s, err := MustGet(h.RegistryName()).Plan(kernel.New(g, est), pool, Options{})
+	s, err := MustGet(name).Plan(kernel.New(g, est), pool, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	return s
 }
+
+// jitNames names the just-in-time policies.
+var jitNames = []string{"minmin", "maxmin", "sufferage"}
 
 func chain(t *testing.T, n int) *dag.Graph {
 	t.Helper()
@@ -61,7 +64,7 @@ func uniformTable(jobs, res int, w float64) *cost.Table {
 func TestChainOnOneResource(t *testing.T) {
 	g := chain(t, 5)
 	tb := uniformTable(5, 1, 10)
-	s := runJIT(t, g, cost.Exact(tb), grid.StaticPool(1), MinMin)
+	s := runJIT(t, g, cost.Exact(tb), grid.StaticPool(1), "minmin")
 	if s.Makespan() != 50 {
 		t.Fatalf("makespan = %g, want 50", s.Makespan())
 	}
@@ -76,7 +79,7 @@ func TestChainOnOneResource(t *testing.T) {
 func TestChainStaysPut(t *testing.T) {
 	g := chain(t, 5)
 	tb := uniformTable(5, 3, 10)
-	s := runJIT(t, g, cost.Exact(tb), grid.StaticPool(3), MinMin)
+	s := runJIT(t, g, cost.Exact(tb), grid.StaticPool(3), "minmin")
 	if s.Makespan() != 50 {
 		t.Fatalf("makespan = %g, want 50 (no pointless migration)\n%s", s.Makespan(), s)
 	}
@@ -98,7 +101,7 @@ func fanout(t *testing.T, n int, data float64) *dag.Graph {
 func TestFanoutUsesParallelism(t *testing.T) {
 	g := fanout(t, 4, 0) // free transfers isolate the parallelism question
 	tb := uniformTable(5, 4, 10)
-	s := runJIT(t, g, cost.Exact(tb), grid.StaticPool(4), MinMin)
+	s := runJIT(t, g, cost.Exact(tb), grid.StaticPool(4), "minmin")
 	// src 10, then 4 sinks in parallel on 4 resources: 20 total.
 	if s.Makespan() != 20 {
 		t.Fatalf("makespan = %g, want 20\n%s", s.Makespan(), s)
@@ -112,7 +115,7 @@ func TestTransferStallsResource(t *testing.T) {
 	g := fanout(t, 2, 30)
 	// src cost 10 everywhere; sinks cost 10.
 	tb := uniformTable(3, 2, 10)
-	s := runJIT(t, g, cost.Exact(tb), grid.StaticPool(2), MinMin)
+	s := runJIT(t, g, cost.Exact(tb), grid.StaticPool(2), "minmin")
 	// src on r0 finishes at 10. Both sinks are ready at 10: Min-Min first
 	// binds the co-located one (completion 20 beats 50), then — being a
 	// just-in-time mapper that drains the ready set onto idle machines —
@@ -142,7 +145,7 @@ func TestResourceArrivalUsed(t *testing.T) {
 		{Time: 0, Resource: grid.Resource{ID: 0}},
 		{Time: 12, Resource: grid.Resource{ID: 1}},
 	})
-	s := runJIT(t, g, cost.Exact(tb), pool, MinMin)
+	s := runJIT(t, g, cost.Exact(tb), pool, "minmin")
 	// src 0→10 on r0; sinks ready at 10: s0 on r0 10→20; r1 arrives at 12:
 	// s1 12→22 on r1; s2 on r0 20→30. Makespan 30 (vs 40 on one resource).
 	if s.Makespan() != 30 {
@@ -169,7 +172,7 @@ func TestJITScheduleStructurallySound(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, h := range []Heuristic{MinMin, MaxMin, Sufferage} {
+		for _, h := range jitNames {
 			s := runJIT(t, sc.Graph, sc.Estimator(), sc.Pool, h)
 			if err := s.Validate(sc.Graph, schedule.ValidateOptions{Pool: sc.Pool}); err != nil {
 				t.Fatalf("case %d %s: %v", i, h, err)
@@ -195,7 +198,7 @@ func TestJITScheduleStructurallySound(t *testing.T) {
 // behave very similarly on average.
 func TestHeuristicsWithinFewPercent(t *testing.T) {
 	root := rng.New(0xAB)
-	sums := map[Heuristic]float64{}
+	sums := map[string]float64{}
 	for i := 0; i < 30; i++ {
 		r := root.Split(fmt.Sprintf("case-%d", i))
 		sc, err := workload.RandomScenario(workload.RandomParams{
@@ -204,12 +207,12 @@ func TestHeuristicsWithinFewPercent(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, h := range []Heuristic{MinMin, MaxMin, Sufferage} {
+		for _, h := range jitNames {
 			s := runJIT(t, sc.Graph, sc.Estimator(), sc.Pool, h)
 			sums[h] += s.Makespan()
 		}
 	}
-	base := sums[MinMin]
+	base := sums["minmin"]
 	for h, s := range sums {
 		if rel := math.Abs(s-base) / base; rel > 0.25 {
 			t.Fatalf("%s deviates %.0f%% from Min-Min (sum %g vs %g)", h, 100*rel, s, base)
@@ -217,11 +220,89 @@ func TestHeuristicsWithinFewPercent(t *testing.T) {
 	}
 }
 
-func TestHeuristicString(t *testing.T) {
-	if MinMin.String() != "Min-Min" || MaxMin.String() != "Max-Min" || Sufferage.String() != "Sufferage" {
-		t.Fatal("names wrong")
+// planY plans g on pool under every just-in-time rule and requires the
+// job named y to run on r0 over [10, 20]. The same-instant cases below
+// are built so that the other order binds y elsewhere: each cost table
+// is asymmetric, and the cheaper resource r1 is idle at 10 only under
+// the wrong order.
+func planY(t *testing.T, g *dag.Graph, tb *cost.Table, pool *grid.Pool) {
+	t.Helper()
+	for _, name := range jitNames {
+		s, err := MustGet(name).Plan(kernel.New(g, cost.Exact(tb)), pool, Options{})
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		y := s.MustGet(g.JobByName("y"))
+		if y.Resource != 0 || y.Start != 10 || y.Finish != 20 {
+			t.Fatalf("%s: y = %+v, want r0 [10, 20]\n%s", name, y, s)
+		}
 	}
-	if Heuristic(99).String() == "" {
-		t.Fatal("unknown heuristic must still print")
-	}
+}
+
+// pair is the two-job chain from -> to.
+func pair(from, to string) *dag.Graph {
+	g := dag.New("pair")
+	a := g.AddJob(from, "")
+	g.MustEdge(a, g.AddJob(to, ""), 0)
+	return g
+}
+
+// TestDispatchFinishBeforeArrival: at one instant the dispatch loop takes
+// every finish, each followed by a dispatch, before the resources that
+// join then. x finishes on r0 at 10 as r1 joins. The finish dispatches y
+// while r0 is the only idle resource, so y runs on r0 [10, 20]; had r1
+// joined first, y would see both and take r1 [10, 15].
+func TestDispatchFinishBeforeArrival(t *testing.T) {
+	planY(t, pair("x", "y").MustValidate(),
+		cost.MustTable([][]float64{{10, 10}, {10, 5}}),
+		grid.MustPool([]grid.Arrival{
+			{Time: 0, Resource: grid.Resource{ID: 0}},
+			{Time: 10, Resource: grid.Resource{ID: 1}},
+		}))
+}
+
+// TestDispatchFinishesInBindingOrder: equal finishes are taken in the
+// order their jobs were bound. x (bound first, on r0) and w (on r1) both
+// finish at 10. x's finish dispatches its child y while r0 is the only
+// idle resource, so y runs on r0 [10, 20]; had w's finish gone first, r1
+// would be idle too and y would take it [10, 15].
+func TestDispatchFinishesInBindingOrder(t *testing.T) {
+	g := pair("x", "y")
+	g.AddJob("w", "")
+	planY(t, g.MustValidate(),
+		cost.MustTable([][]float64{{10, 10}, {10, 5}, {10, 10}}),
+		grid.StaticPool(2))
+}
+
+// badCost answers every computation with one value the dispatch loop
+// must refuse.
+type badCost float64
+
+func (b badCost) Comp(dag.JobID, grid.ID) float64       { return float64(b) }
+func (badCost) Comm(dag.Edge, grid.ID, grid.ID) float64 { return 0 }
+
+// requirePanic plans a two-job chain whose every computation costs c and
+// requires the dispatch loop to fail loudly instead of running out of
+// order.
+func requirePanic(t *testing.T, c float64) {
+	t.Helper()
+	defer func() {
+		if recover() == nil {
+			t.Errorf("a finish computed with cost %g did not panic", c)
+		}
+	}()
+	_, _ = MustGet("minmin").Plan(kernel.New(chain(t, 2), badCost(c)), grid.StaticPool(1), Options{})
+}
+
+// TestDispatchPastFinishPanics: a job whose finish would fall before the
+// instant it is bound is a logic error.
+func TestDispatchPastFinishPanics(t *testing.T) {
+	requirePanic(t, -1)
+}
+
+// TestDispatchNonFiniteFinishPanics: a job whose finish would fall at a
+// non-finite time is a logic error.
+func TestDispatchNonFiniteFinishPanics(t *testing.T) {
+	requirePanic(t, math.Inf(1))
+	requirePanic(t, math.NaN())
 }

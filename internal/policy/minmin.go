@@ -2,56 +2,14 @@ package policy
 
 import (
 	"fmt"
+	"math"
+	"slices"
 
 	"aheft/internal/dag"
 	"aheft/internal/grid"
 	"aheft/internal/kernel"
 	"aheft/internal/schedule"
-	"aheft/internal/sim"
 )
-
-// Heuristic selects the mapping rule a just-in-time policy uses at each
-// decision point (the paper's §4.2 dynamic baseline family).
-type Heuristic int
-
-const (
-	// MinMin maps first the job whose best completion time is smallest —
-	// favouring short jobs, the paper's dynamic baseline.
-	MinMin Heuristic = iota
-	// MaxMin maps first the job whose best completion time is largest —
-	// favouring long jobs.
-	MaxMin
-	// Sufferage maps first the job that would suffer most from losing its
-	// best resource (largest second-best minus best completion time).
-	Sufferage
-)
-
-// String returns the heuristic's conventional display name.
-func (h Heuristic) String() string {
-	switch h {
-	case MinMin:
-		return "Min-Min"
-	case MaxMin:
-		return "Max-Min"
-	case Sufferage:
-		return "Sufferage"
-	default:
-		return fmt.Sprintf("Heuristic(%d)", int(h))
-	}
-}
-
-// RegistryName returns the lower-case policy-registry key for the
-// heuristic (the single source of the heuristic → policy-name mapping).
-func (h Heuristic) RegistryName() string {
-	switch h {
-	case MaxMin:
-		return "maxmin"
-	case Sufferage:
-		return "sufferage"
-	default:
-		return "minmin"
-	}
-}
 
 // jitPolicy is the dynamic just-in-time baseline of the paper's §4.2, in
 // the style of DAGMan-like executors the paper classifies as "local
@@ -71,12 +29,28 @@ func (h Heuristic) RegistryName() string {
 // Min-Min ≈ 3× HEFT headline.
 //
 // The per-(job, resource) completion evaluation is the kernel's
-// DispatchBest; the three heuristics are orderings over its output.
+// DispatchBest; the three heuristics (Min-Min, Max-Min, Sufferage) are
+// orderings over its output.
 type jitPolicy struct {
-	h Heuristic
+	name string
+	// before reports whether a ready job whose best dispatch is a maps
+	// ahead of one whose best dispatch is b.
+	before func(a, b bestOf) bool
 }
 
-func (p jitPolicy) Name() string   { return p.h.RegistryName() }
+// minMinBefore maps first the job whose best completion time is smallest
+// — favouring short jobs, the paper's dynamic baseline.
+func minMinBefore(a, b bestOf) bool { return a.done < b.done }
+
+// maxMinBefore maps first the job whose best completion time is largest —
+// favouring long jobs.
+func maxMinBefore(a, b bestOf) bool { return a.done > b.done }
+
+// sufferageBefore maps first the job that would suffer most from losing
+// its best resource (largest second-best minus best completion time).
+func sufferageBefore(a, b bestOf) bool { return a.second-a.done > b.second-b.done }
+
+func (p jitPolicy) Name() string   { return p.name }
 func (p jitPolicy) Adaptive() bool { return false }
 
 // JustInTime marks the policy's Plan as a dispatch simulation whose
@@ -84,6 +58,11 @@ func (p jitPolicy) Adaptive() bool { return false }
 // JustInTime interface).
 func (jitPolicy) JustInTime() bool { return true }
 
+// Plan runs the dispatch simulation. It starts with a dispatch at time 0
+// and then takes events in time order. At one instant, every job
+// finishing goes first, in the order the jobs were bound, each followed
+// by a dispatch; the resources joining then become idle, followed by one
+// dispatch.
 func (p jitPolicy) Plan(k *kernel.Kernel, pool *grid.Pool, opts Options) (*schedule.Schedule, error) {
 	g := k.Graph()
 	if g == nil || g.Len() == 0 {
@@ -94,15 +73,13 @@ func (p jitPolicy) Plan(k *kernel.Kernel, pool *grid.Pool, opts Options) (*sched
 	}
 	n := g.Len()
 	st := &jitState{
-		k:        k,
-		g:        g,
-		h:        p.h,
-		simr:     sim.New(),
-		idle:     make([]bool, pool.Size()),
-		assigned: make([]bool, n),
-		resOf:    make([]grid.ID, n),
-		pending:  make([]int, n),
-		sched:    schedule.New(),
+		k:       k,
+		g:       g,
+		before:  p.before,
+		idle:    make([]bool, pool.Size()),
+		resOf:   make([]grid.ID, n),
+		pending: make([]int, n),
+		sched:   schedule.New(),
 	}
 	for _, j := range g.Jobs() {
 		st.pending[j.ID] = len(g.Preds(j.ID))
@@ -111,21 +88,38 @@ func (p jitPolicy) Plan(k *kernel.Kernel, pool *grid.Pool, opts Options) (*sched
 	for _, r := range pool.Initial() {
 		st.idle[r.ID] = true
 	}
-	for _, t := range pool.ChangeTimes() {
-		t := t
-		st.simr.At(t, sim.PriResourceChange, func() {
-			for _, r := range pool.ArrivalsAt(t) {
+	st.dispatch()
+	changes := pool.ChangeTimes()
+	for {
+		next := -1 // the running job finishing first, the earliest bound on a tie
+		for i, a := range st.running {
+			if next < 0 || a.Finish < st.running[next].Finish {
+				next = i
+			}
+		}
+		switch {
+		case next >= 0 && (len(changes) == 0 || st.running[next].Finish <= changes[0]):
+			a := st.running[next]
+			st.running = slices.Delete(st.running, next, next+1)
+			st.now = a.Finish
+			st.idle[a.Resource] = true
+			for _, e := range g.Succs(a.Job) {
+				st.pending[e.To]--
+			}
+		case len(changes) > 0:
+			st.now = changes[0]
+			changes = changes[1:]
+			for _, r := range pool.ArrivalsAt(st.now) {
 				st.idle[r.ID] = true
 			}
-			st.dispatch()
-		})
+		default:
+			if st.sched.Len() != n {
+				return nil, fmt.Errorf("minmin: deadlock — %d of %d jobs finished", st.sched.Len(), n)
+			}
+			return st.sched, nil
+		}
+		st.dispatch()
 	}
-	st.simr.At(0, sim.PriDispatch, st.dispatch)
-	st.simr.Run()
-	if st.nDone != n {
-		return nil, fmt.Errorf("minmin: deadlock — %d of %d jobs finished", st.nDone, n)
-	}
-	return st.sched, nil
 }
 
 func (jitPolicy) Replan(*kernel.Kernel, []grid.Resource, *kernel.State, Options) (*schedule.Schedule, error) {
@@ -136,17 +130,16 @@ func (jitPolicy) Replan(*kernel.Kernel, []grid.Resource, *kernel.State, Options)
 // Job and resource state is dense (IDs are dense by construction), so the
 // simulation allocates only its scratch slices once.
 type jitState struct {
-	k    *kernel.Kernel
-	g    *dag.Graph
-	h    Heuristic
-	simr *sim.Simulator
+	k      *kernel.Kernel
+	g      *dag.Graph
+	before func(a, b bestOf) bool
+	now    float64
 
-	idle     []bool // by resource ID
-	nDone    int    // finished-job count (deadlock detection)
-	assigned []bool
-	resOf    []grid.ID // by job ID; NoResource until dispatched
-	pending  []int     // unfinished predecessor count
-	sched    *schedule.Schedule
+	idle    []bool                // by resource ID
+	resOf   []grid.ID             // by job ID; NoResource until dispatched
+	pending []int                 // unfinished predecessor count
+	running []schedule.Assignment // bound, unfinished jobs in binding order
+	sched   *schedule.Schedule
 
 	ready    []dag.JobID // scratch: ready jobs, JobID order
 	idleList []grid.ID   // scratch: idle resources, ID order
@@ -164,7 +157,7 @@ type bestOf struct {
 func (st *jitState) readySet() []dag.JobID {
 	st.ready = st.ready[:0]
 	for _, j := range st.g.Jobs() {
-		if !st.assigned[j.ID] && st.pending[j.ID] == 0 {
+		if st.resOf[j.ID] == grid.NoResource && st.pending[j.ID] == 0 {
 			st.ready = append(st.ready, j.ID)
 		}
 	}
@@ -186,7 +179,6 @@ func (st *jitState) idleResources() []grid.ID {
 // dispatch binds ready jobs to idle resources, one (job, resource) pair at
 // a time per the heuristic, until either set drains.
 func (st *jitState) dispatch() {
-	now := st.simr.Now()
 	for {
 		ready := st.readySet()
 		idle := st.idleResources()
@@ -198,43 +190,30 @@ func (st *jitState) dispatch() {
 		}
 		bests := st.bests[:len(ready)]
 		for i, j := range ready {
-			r, done, second := st.k.DispatchBest(j, idle, now, st.resOf)
+			r, done, second := st.k.DispatchBest(j, idle, st.now, st.resOf)
 			bests[i] = bestOf{res: r, done: done, second: second}
 		}
 		pick := 0
 		for i := 1; i < len(ready); i++ {
-			switch st.h {
-			case MinMin:
-				if bests[i].done < bests[pick].done {
-					pick = i
-				}
-			case MaxMin:
-				if bests[i].done > bests[pick].done {
-					pick = i
-				}
-			case Sufferage:
-				if bests[i].second-bests[i].done > bests[pick].second-bests[pick].done {
-					pick = i
-				}
+			if st.before(bests[i], bests[pick]) {
+				pick = i
 			}
 		}
 		st.assign(ready[pick], bests[pick].res, bests[pick].done)
 	}
 }
 
-// assign binds job j to resource r until done.
+// assign binds job j to resource r until done. A finish at a non-finite
+// time, or before the binding instant, is a logic error worth failing
+// loudly on: the loop would otherwise take events out of order.
 func (st *jitState) assign(j dag.JobID, r grid.ID, done float64) {
-	st.assigned[j] = true
+	if math.IsNaN(done) || math.IsInf(done, 0) || done < st.now {
+		panic(fmt.Sprintf("minmin: job %d bound at %g would finish at %g", j, st.now, done))
+	}
 	st.resOf[j] = r
 	st.idle[r] = false
 	w := st.k.Estimator().Comp(j, r)
-	st.sched.Assign(schedule.Assignment{Job: j, Resource: r, Start: done - w, Finish: done})
-	st.simr.At(done, sim.PriJobFinish, func() {
-		st.nDone++
-		st.idle[r] = true
-		for _, e := range st.g.Succs(j) {
-			st.pending[e.To]--
-		}
-		st.dispatch()
-	})
+	a := schedule.Assignment{Job: j, Resource: r, Start: done - w, Finish: done}
+	st.sched.Assign(a)
+	st.running = append(st.running, a)
 }

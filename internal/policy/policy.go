@@ -1,13 +1,13 @@
-// Package policy defines the pluggable scheduling-policy abstraction the
-// paper's Fig. 2 loop is generic over. The paper presents AHEFT as one
-// instance of a general adaptive rescheduling architecture — "the heuristic
-// H" inside procedure schedule(S0, P, H) is a parameter — and this package
-// makes that parameterisation concrete: a Policy produces the initial plan
-// for a workflow and, if it is adaptive, candidate replacement schedules
-// from execution snapshots. One generic engine (the analytic runner in
+// Package policy defines the scheduling-policy abstraction the paper's
+// Fig. 2 loop is generic over. The paper presents AHEFT as one instance of
+// a general adaptive rescheduling architecture — "the heuristic H" inside
+// procedure schedule(S0, P, H) is a parameter — and this package makes
+// that parameterisation concrete: a Policy produces the initial plan for a
+// workflow and, if it is adaptive, candidate replacement schedules from
+// execution snapshots. One generic engine (the analytic runner in
 // internal/planner and the event-driven feedback.Tracker) then drives any
-// registered policy: classic static HEFT, the paper's AHEFT, and the dynamic
-// just-in-time Min-Min family all run through the same path.
+// of the five policies: classic static HEFT, the paper's AHEFT, and the
+// dynamic just-in-time Min-Min family all run through the same path.
 //
 // Every policy is a thin ordering over the shared scheduling kernel
 // (internal/kernel): the engine creates one kernel.Kernel per workflow run
@@ -15,18 +15,16 @@
 // scratch — and passes it to Plan/Replan. Policies therefore stay
 // stateless and safe for concurrent use: one Policy value may serve many
 // workflows at once (the daemon's shards run concurrent workflows against
-// shared registry entries), each with its own kernel.
+// the same table entries), each with its own kernel.
 //
-// Policies are registered by name in a process-wide thread-safe registry
-// so drivers and the root facade can select them with
-// aheft.WithPolicy("aheft") without linking engine internals.
+// The set is closed: a fixed table, looked up by name with Get, so drivers
+// and the root facade can select a policy with aheft.WithPolicy("aheft")
+// without linking engine internals.
 package policy
 
 import (
 	"fmt"
-	"sort"
 	"strings"
-	"sync"
 
 	"aheft/internal/data"
 	"aheft/internal/grid"
@@ -84,7 +82,7 @@ func (o Options) Kernel() kernel.Options {
 // Implementations must be stateless (or internally synchronised): the
 // kernel argument carries all per-run mutable state.
 type Policy interface {
-	// Name returns the registry key, lower-case ("heft", "aheft", …).
+	// Name returns the policy's lower-case name ("heft", "aheft", …).
 	Name() string
 	// Adaptive reports whether the policy reacts to run-time events.
 	Adaptive() bool
@@ -112,57 +110,27 @@ func IsJustInTime(p Policy) bool {
 	return ok && j.JustInTime()
 }
 
-var (
-	regMu    sync.RWMutex
-	registry = make(map[string]Policy)
-)
-
-// Canon returns the canonical registry form of a policy name.
-func Canon(name string) string {
-	return strings.ToLower(strings.TrimSpace(name))
+// policies is the closed set of scheduling policies, in name order:
+// static HEFT, the paper's AHEFT, and the §4.2 just-in-time baseline
+// family.
+var policies = []Policy{
+	aheftPolicy{},
+	heftPolicy{},
+	jitPolicy{name: "maxmin", before: maxMinBefore},
+	jitPolicy{name: "minmin", before: minMinBefore},
+	jitPolicy{name: "sufferage", before: sufferageBefore},
 }
 
-// Register adds a policy under Canon(p.Name()). Registering a duplicate
-// name is an error so two packages cannot silently shadow each other.
-func Register(p Policy) error {
-	if p == nil {
-		return fmt.Errorf("policy: Register(nil)")
-	}
-	name := Canon(p.Name())
-	if name == "" {
-		return fmt.Errorf("policy: empty policy name")
-	}
-	regMu.Lock()
-	defer regMu.Unlock()
-	if _, dup := registry[name]; dup {
-		return fmt.Errorf("policy: %q already registered", name)
-	}
-	registry[name] = p
-	return nil
-}
-
-// MustRegister is Register that panics on error; for init-time use.
-func MustRegister(p Policy) {
-	if err := Register(p); err != nil {
-		panic(err)
-	}
-}
-
-// Lookup returns the policy registered under Canon(name).
-func Lookup(name string) (Policy, bool) {
-	regMu.RLock()
-	defer regMu.RUnlock()
-	p, ok := registry[Canon(name)]
-	return p, ok
-}
-
-// Get returns the policy registered under name, or an error naming the
-// available policies.
+// Get returns the policy with the given name, case- and
+// whitespace-insensitively, or an error naming the available policies.
 func Get(name string) (Policy, error) {
-	if p, ok := Lookup(name); ok {
-		return p, nil
+	canon := strings.ToLower(strings.TrimSpace(name))
+	for _, p := range policies {
+		if p.Name() == canon {
+			return p, nil
+		}
 	}
-	return nil, fmt.Errorf("policy: unknown policy %q (registered: %s)",
+	return nil, fmt.Errorf("policy: unknown policy %q (policies: %s)",
 		name, strings.Join(Names(), ", "))
 }
 
@@ -176,22 +144,11 @@ func MustGet(name string) Policy {
 	return p
 }
 
-// Names lists the registered policy names in sorted order.
+// Names lists the policy names in sorted order.
 func Names() []string {
-	regMu.RLock()
-	defer regMu.RUnlock()
-	out := make([]string, 0, len(registry))
-	for name := range registry {
-		out = append(out, name)
+	out := make([]string, len(policies))
+	for i, p := range policies {
+		out[i] = p.Name()
 	}
-	sort.Strings(out)
 	return out
-}
-
-func init() {
-	MustRegister(heftPolicy{})
-	MustRegister(aheftPolicy{})
-	MustRegister(jitPolicy{h: MinMin})
-	MustRegister(jitPolicy{h: MaxMin})
-	MustRegister(jitPolicy{h: Sufferage})
 }

@@ -1,14 +1,11 @@
 package policy
 
 import (
-	"fmt"
-	"sync"
+	"strings"
 	"testing"
 
 	"aheft/internal/dag"
-	"aheft/internal/grid"
 	"aheft/internal/kernel"
-	"aheft/internal/schedule"
 	"aheft/internal/workload"
 )
 
@@ -20,9 +17,9 @@ func TestBuiltinsRegistered(t *testing.T) {
 		"minmin": false, "maxmin": false, "sufferage": false,
 	}
 	for name, adaptive := range want {
-		p, ok := Lookup(name)
-		if !ok {
-			t.Fatalf("%q not registered (have %v)", name, Names())
+		p, err := Get(name)
+		if err != nil {
+			t.Fatal(err)
 		}
 		if p.Name() != name {
 			t.Fatalf("policy %q reports name %q", name, p.Name())
@@ -33,75 +30,25 @@ func TestBuiltinsRegistered(t *testing.T) {
 	}
 }
 
-// TestLookupCanonicalises: lookups are case- and whitespace-insensitive.
+// TestLookupCanonicalises: lookups are case- and whitespace-insensitive,
+// and an unknown name is an error that lists the five names.
 func TestLookupCanonicalises(t *testing.T) {
 	for _, name := range []string{"AHEFT", " aheft ", "Aheft"} {
-		if _, ok := Lookup(name); !ok {
-			t.Fatalf("Lookup(%q) failed", name)
+		if p, err := Get(name); err != nil || p.Name() != "aheft" {
+			t.Fatalf("Get(%q) = (%v, %v)", name, p, err)
 		}
 	}
-	if _, err := Get("nope"); err == nil {
+	_, err := Get("nope")
+	if err == nil {
 		t.Fatal("Get accepted an unknown name")
 	}
-}
-
-// stubPolicy is a registrable no-op for registry tests.
-type stubPolicy struct{ name string }
-
-func (s stubPolicy) Name() string   { return s.name }
-func (s stubPolicy) Adaptive() bool { return false }
-func (s stubPolicy) Plan(*kernel.Kernel, *grid.Pool, Options) (*schedule.Schedule, error) {
-	return schedule.New(), nil
-}
-func (s stubPolicy) Replan(*kernel.Kernel, []grid.Resource, *kernel.State, Options) (*schedule.Schedule, error) {
-	return nil, nil
-}
-
-// TestRegisterRejectsDuplicatesAndNil: registry invariants.
-func TestRegisterRejectsDuplicatesAndNil(t *testing.T) {
-	if err := Register(nil); err == nil {
-		t.Fatal("Register(nil) accepted")
+	const names = "aheft, heft, maxmin, minmin, sufferage"
+	if got := strings.Join(Names(), ", "); got != names {
+		t.Fatalf("Names() = %s, want %s", got, names)
 	}
-	if err := Register(stubPolicy{name: ""}); err == nil {
-		t.Fatal("empty name accepted")
+	if !strings.Contains(err.Error(), names) {
+		t.Fatalf("unknown-name error %q does not list %s", err, names)
 	}
-	if err := Register(stubPolicy{name: "heft"}); err == nil {
-		t.Fatal("duplicate of built-in accepted")
-	}
-	if err := Register(stubPolicy{name: "Test-Dup"}); err != nil {
-		t.Fatal(err)
-	}
-	if err := Register(stubPolicy{name: "test-dup"}); err == nil {
-		t.Fatal("canonical duplicate accepted")
-	}
-	if _, ok := Lookup("test-dup"); !ok {
-		t.Fatal("registered stub not found")
-	}
-}
-
-// TestRegistryConcurrentAccess hammers Register/Lookup/Names from many
-// goroutines; run with -race.
-func TestRegistryConcurrentAccess(t *testing.T) {
-	var wg sync.WaitGroup
-	for i := 0; i < 16; i++ {
-		i := i
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			name := fmt.Sprintf("race-%d", i)
-			if err := Register(stubPolicy{name: name}); err != nil {
-				t.Errorf("register %s: %v", name, err)
-			}
-			for j := 0; j < 100; j++ {
-				if _, ok := Lookup(name); !ok {
-					t.Errorf("lost %s", name)
-				}
-				Names()
-				MustGet("aheft")
-			}
-		}()
-	}
-	wg.Wait()
 }
 
 // TestJITFamilyDiffers: the three heuristics are genuinely distinct

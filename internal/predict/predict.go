@@ -39,9 +39,6 @@ type HistoryBased struct {
 	// analytical model; the simulation uses the ground-truth table, so
 	// prediction error comes only from resource variance.
 	Prior cost.Estimator
-	// UseEWMA selects the recency-weighted average instead of the overall
-	// mean.
-	UseEWMA bool
 
 	tab compTable
 }
@@ -55,7 +52,6 @@ type compTable struct {
 	opOf   []int32   // job → index into ops, interned once per graph
 	ops    []string  // distinct operations
 	gen    uint64    // repository generation the cells were read at
-	ewma   bool      // UseEWMA they were read under
 	stride int       // resources per operation row
 	known  []uint8   // per cell: 0 not asked yet, else cellHistory or cellPrior
 	val    []float64 // a cellHistory cell's estimate
@@ -68,11 +64,12 @@ const (
 
 var _ cost.Estimator = (*HistoryBased)(nil)
 
-// Comp estimates the job's runtime on r: per-(op, resource) history first,
-// then the operation's cross-resource mean, then the prior.
+// Comp estimates the job's runtime on r: the per-(op, resource) history's
+// recency-weighted average (EWMA) first, then the operation's
+// cross-resource mean, then the prior.
 func (p *HistoryBased) Comp(job dag.JobID, r grid.ID) float64 {
 	t := &p.tab
-	if gen := p.Repo.Generation(); gen != t.gen || int(r) >= t.stride || p.UseEWMA != t.ewma {
+	if gen := p.Repo.Generation(); gen != t.gen || int(r) >= t.stride {
 		p.resetTable(gen, r)
 	}
 	op := t.opOf[job]
@@ -80,10 +77,7 @@ func (p *HistoryBased) Comp(job dag.JobID, r grid.ID) float64 {
 	if t.known[i] == 0 {
 		t.known[i] = cellPrior
 		if s, ok := p.Repo.Lookup(t.ops[op], r); ok {
-			t.val[i], t.known[i] = s.Mean, cellHistory
-			if p.UseEWMA {
-				t.val[i] = s.EWMA
-			}
+			t.val[i], t.known[i] = s.EWMA, cellHistory
 		} else if mean, n := p.Repo.LookupOp(t.ops[op]); n > 0 {
 			t.val[i], t.known[i] = mean, cellHistory
 		}
@@ -94,8 +88,8 @@ func (p *HistoryBased) Comp(job dag.JobID, r grid.ID) float64 {
 	return p.Prior.Comp(job, r)
 }
 
-// resetTable forgets every cell (the repository moved on, or UseEWMA
-// flipped) and makes the rows wide enough for resource r.
+// resetTable forgets every cell (the repository moved on) and makes the
+// rows wide enough for resource r.
 func (p *HistoryBased) resetTable(gen uint64, r grid.ID) {
 	t := &p.tab
 	if t.opOf == nil {
@@ -112,7 +106,7 @@ func (p *HistoryBased) resetTable(gen uint64, r grid.ID) {
 			t.opOf[j] = o
 		}
 	}
-	t.gen, t.ewma = gen, p.UseEWMA
+	t.gen = gen
 	if int(r) >= t.stride {
 		t.stride = max(int(r)+1, 2*t.stride)
 		t.known = make([]uint8, len(t.ops)*t.stride)

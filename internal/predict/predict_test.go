@@ -51,14 +51,10 @@ func TestHistoryBasedEWMA(t *testing.T) {
 	op := g.Job(n1).Op
 	_ = repo.Record(op, 0, 10)
 	_ = repo.Record(op, 0, 20)
-	mean := &HistoryBased{Graph: g, Repo: repo, Prior: cost.Exact(tb)}
-	recent := &HistoryBased{Graph: g, Repo: repo, Prior: cost.Exact(tb), UseEWMA: true}
-	if mean.Comp(n1, 0) != 15 {
-		t.Fatalf("mean = %g, want 15", mean.Comp(n1, 0))
-	}
+	p := &HistoryBased{Graph: g, Repo: repo, Prior: cost.Exact(tb)}
 	want := history.DefaultAlpha*20 + (1-history.DefaultAlpha)*10
-	if recent.Comp(n1, 0) != want {
-		t.Fatalf("EWMA = %g, want %g", recent.Comp(n1, 0), want)
+	if p.Comp(n1, 0) != want {
+		t.Fatalf("EWMA = %g, want %g", p.Comp(n1, 0), want)
 	}
 }
 
@@ -68,10 +64,7 @@ func TestHistoryBasedEWMA(t *testing.T) {
 func uncachedComp(p *HistoryBased, job dag.JobID, r grid.ID) float64 {
 	op := p.Graph.Job(job).Op
 	if s, ok := p.Repo.Lookup(op, r); ok {
-		if p.UseEWMA {
-			return s.EWMA
-		}
-		return s.Mean
+		return s.EWMA
 	}
 	if mean, n := p.Repo.LookupOp(op); n > 0 {
 		return mean
@@ -80,11 +73,11 @@ func uncachedComp(p *HistoryBased, job dag.JobID, r grid.ID) float64 {
 }
 
 // TestHistoryBasedTableMatchesUncached: over random interleavings of
-// Record, Import, questions about resources beyond the table's current
-// width (a resource joining) and UseEWMA flipped on a live predictor, the
-// table answers exactly what the repository would — for a predictor of
-// each kind sharing one repository, with most questions repeated so both
-// filled and unfilled cells are read between mutations.
+// Record, Import and questions about resources beyond the table's current
+// width (a resource joining), the table answers exactly what the
+// repository would — for two predictors sharing one repository, with most
+// questions repeated so both filled and unfilled cells are read between
+// mutations.
 func TestHistoryBasedTableMatchesUncached(t *testing.T) {
 	// Eight jobs over three operations: the six searches share table cells
 	// but not priors.
@@ -112,15 +105,13 @@ func TestHistoryBasedTableMatchesUncached(t *testing.T) {
 		repo := history.New(0)
 		preds := []*HistoryBased{
 			{Graph: g, Repo: repo, Prior: prior},
-			{Graph: g, Repo: repo, Prior: prior, UseEWMA: true},
+			{Graph: g, Repo: repo, Prior: prior},
 		}
 		width := 2 // resources in the grid so far
 		for step := 0; step < 300; step++ {
 			switch k := rnd.Intn(20); {
 			case k == 0:
 				width = min(width+1+rnd.Intn(6), 40) // joins, sometimes past a doubled stride
-			case k == 1:
-				preds[rnd.Intn(2)].UseEWMA = rnd.Intn(2) == 0
 			case k == 2:
 				m := 1 + 20*rnd.Float64()
 				repo.Import([]history.Cell{{
@@ -135,8 +126,8 @@ func TestHistoryBasedTableMatchesUncached(t *testing.T) {
 				p := preds[rnd.Intn(2)]
 				job, r := dag.JobID(rnd.Intn(g.Len())), grid.ID(rnd.Intn(width))
 				if got, want := p.Comp(job, r), uncachedComp(p, job, r); math.Float64bits(got) != math.Float64bits(want) {
-					t.Fatalf("round %d step %d: Comp(%d, r%d) = %v from the table, %v from the repository (ewma=%v)",
-						round, step, job, r, got, want, p.UseEWMA)
+					t.Fatalf("round %d step %d: Comp(%d, r%d) = %v from the table, %v from the repository",
+						round, step, job, r, got, want)
 				}
 			}
 		}

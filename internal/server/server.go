@@ -9,7 +9,7 @@
 //	POST /v1/workflows             submit a wire.Submission   → 202 wire.Submitted
 //	GET  /v1/workflows/{id}        status/result              → 200 wire.Status
 //	GET  /v1/workflows/{id}/events scheduling-decision stream → SSE of wire.Event
-//	GET  /healthz                  liveness + drain state
+//	GET  /v1/healthz               readiness, drain state, recovery
 //	GET  /metrics                  expvar-style counters (server.MetricsDoc)
 //
 // Shutdown is a graceful drain: intake stops (503), the workers finish
@@ -305,7 +305,6 @@ func Open(cfg Config) (*Server, error) {
 	mux.HandleFunc("PUT /v1/grids/{name}", s.handleGridPut)
 	mux.HandleFunc("GET /v1/grids/{name}", s.handleGridGet)
 	mux.HandleFunc("GET /v1/grids", s.handleGridList)
-	mux.HandleFunc("GET /healthz", s.handleHealthz)
 	mux.HandleFunc("GET /v1/healthz", s.handleHealthzV1)
 	mux.HandleFunc("GET /metrics", s.handleMetrics)
 	s.mux = mux
@@ -855,18 +854,6 @@ func writeSSE(w http.ResponseWriter, buf *[]byte, ev *wire.Event) bool {
 	*buf = b
 	_, err = w.Write(b)
 	return err == nil
-}
-
-func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	s.submitMu.RLock()
-	draining := s.draining
-	s.submitMu.RUnlock()
-	writeJSON(w, http.StatusOK, map[string]any{
-		"status":   "ok",
-		"shards":   len(s.shards),
-		"draining": draining,
-		"inflight": s.metrics.inflight(),
-	})
 }
 
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {

@@ -3,7 +3,6 @@ package server
 import (
 	"encoding/json"
 	"hash/fnv"
-	"math"
 	"sync"
 	"time"
 
@@ -349,25 +348,12 @@ func (wf *workflow) status() wire.Status {
 	return st
 }
 
+// wireDecision is feedback.DecisionToWire plus the process-local
+// telemetry the event stream carries; the journal keeps the
+// telemetry-free form, so replay stays bit-identical.
 func wireDecision(d planner.Decision) wire.Decision {
-	wd := wire.Decision{
-		Clock:        d.Clock,
-		PoolSize:     d.PoolSize,
-		OldMakespan:  d.OldMakespan,
-		NewMakespan:  d.NewMakespan,
-		Adopted:      d.Adopted,
-		JobsFinished: d.JobsFinished,
-		Trigger:      d.Trigger.String(),
-		Arrived:      d.ArrivedCount,
-		ElapsedMs:    d.ElapsedMs,
-		RankMs:       d.RankMs,
-		PlaceMs:      d.PlaceMs,
-	}
-	if math.IsInf(wd.OldMakespan, 1) {
-		// A departure made the old plan infeasible; JSON cannot carry
-		// +Inf, so the wire form uses the -1 sentinel.
-		wd.OldMakespan = -1
-	}
+	wd := feedback.DecisionToWire(d)
+	wd.ElapsedMs, wd.RankMs, wd.PlaceMs = d.ElapsedMs, d.RankMs, d.PlaceMs
 	return wd
 }
 

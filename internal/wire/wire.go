@@ -222,7 +222,7 @@ type Submission struct {
 	// Tenant scopes the performance history this workflow reads and
 	// feeds; empty means the daemon's default tenant.
 	Tenant string `json:"tenant,omitempty"`
-	// Policy is the scheduling-policy registry name; empty means the
+	// Policy is the scheduling-policy name; empty means the
 	// daemon default ("aheft").
 	Policy string `json:"policy,omitempty"`
 	// Options tunes the engine for this workflow.
