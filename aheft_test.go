@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"aheft"
-	"aheft/internal/dag"
 	"aheft/internal/grid"
 	"aheft/internal/predict"
 	"aheft/internal/rng"
@@ -348,7 +347,6 @@ type slow struct {
 }
 
 func (s slow) Comp(j aheft.JobID, r grid.ID) float64 { return s.factor * s.est.Comp(j, r) }
-func (s slow) Comm(e dag.Edge, a, b grid.ID) float64 { return s.est.Comm(e, a, b) }
 
 func TestFacadeGraphConstruction(t *testing.T) {
 	g := aheft.NewGraph("mini")

@@ -27,6 +27,7 @@ import (
 	"time"
 
 	"aheft"
+	"aheft/internal/cost"
 	"aheft/internal/data"
 	"aheft/internal/drive"
 	"aheft/internal/durable"
@@ -222,7 +223,6 @@ func BenchmarkKernelPlacement(b *testing.B) {
 // way the daemon's feedback loop maintains its state between evaluations.
 // It returns the running (pinned) assignments for perturbation.
 func advanceBench(sc *workload.Scenario, st *kernel.State, s *schedule.Schedule, clock float64) []schedule.Assignment {
-	est := sc.Estimator()
 	g := sc.Graph
 	st.Clock = clock
 	st.ClearPinned()
@@ -238,7 +238,7 @@ func advanceBench(sc *workload.Scenario, st *kernel.State, s *schedule.Schedule,
 			for _, e := range g.Succs(j.ID) {
 				st.SetTransfer(j.ID, e.To, a.Resource, a.Finish)
 				if sa, ok := s.Get(e.To); ok {
-					st.SetTransfer(j.ID, e.To, sa.Resource, a.Finish+est.Comm(e, a.Resource, sa.Resource))
+					st.SetTransfer(j.ID, e.To, sa.Resource, a.Finish+cost.Comm(e, a.Resource, sa.Resource))
 				}
 			}
 		case a.Start < clock:

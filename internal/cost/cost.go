@@ -20,23 +20,31 @@ import (
 )
 
 // Estimator supplies the performance estimation matrix P used by the
-// schedulers: computation cost of a job on a resource, and communication
-// cost of an edge between two placements.
+// schedulers: the computation cost of a job on a resource. The classic
+// communication cost of an edge is not estimated: it is the edge's data
+// weight, stated once in Comm.
 type Estimator interface {
 	// Comp returns the estimated execution time w[job][res] of the job on
 	// the resource.
 	Comp(job dag.JobID, res grid.ID) float64
-	// Comm returns the estimated time to move the (from → to) edge's data
-	// when from runs on rFrom and to runs on rTo. Implementations must
-	// return 0 when rFrom == rTo (co-located jobs share a filesystem).
-	Comm(e dag.Edge, rFrom, rTo grid.ID) float64
+}
+
+// Comm returns the classic time to move the (from → to) edge's data when
+// from runs on rFrom and to runs on rTo: zero when co-located (the jobs
+// share a filesystem), the edge's data weight otherwise — the paper's
+// Fig. 4 sample and §4.1 file-transfer assumption. The kernel's placement
+// relies on this form: a producer's output is on its own resource at its
+// finish and on every other one e.Data later.
+func Comm(e dag.Edge, rFrom, rTo grid.ID) float64 {
+	if rFrom == rTo {
+		return 0
+	}
+	return e.Data
 }
 
 // Table is the ground-truth cost model for one scenario: a dense
 // jobs × resources computation matrix over every resource that will ever
-// join the pool. Communication cost equals the edge's data weight across
-// distinct resources and zero within one resource, matching the paper's
-// Fig. 4 sample and §4.1 file-transfer assumption.
+// join the pool. Its communication cost is Comm.
 type Table struct {
 	comp [][]float64 // comp[job][resource]
 }
@@ -97,14 +105,8 @@ func (t *Table) Comp(job dag.JobID, res grid.ID) float64 {
 	return t.comp[job][res]
 }
 
-// Comm returns the true transfer time for edge e between two placements:
-// zero when co-located, the edge's data weight otherwise.
-func (t *Table) Comm(e dag.Edge, rFrom, rTo grid.ID) float64 {
-	if rFrom == rTo {
-		return 0
-	}
-	return e.Data
-}
+// Comm is the package-level Comm, for the schedule validator's CommCoster.
+func (t *Table) Comm(e dag.Edge, rFrom, rTo grid.ID) float64 { return Comm(e, rFrom, rTo) }
 
 // MeanComp returns the job's computation cost averaged over the given
 // resource set — the w̄_i used by HEFT's upward ranks. It panics on an
@@ -120,10 +122,8 @@ func MeanComp(est Estimator, job dag.JobID, rs []grid.Resource) float64 {
 	return sum / float64(len(rs))
 }
 
-// MeanComm returns the average communication cost of edge e over distinct
-// placements. For the uniform model this equals the edge data weight, which
-// is the c̄(i,j) HEFT's ranks use; defining it through the Estimator keeps
-// rank computation correct under richer communication models too.
+// MeanComm returns the average of Comm over distinct placements — the
+// edge data weight, which is the c̄(i,j) HEFT's ranks use.
 func MeanComm(e dag.Edge) float64 { return e.Data }
 
 // Exact adapts a *Table into the Estimator the planner consumes; it is the

@@ -49,11 +49,13 @@ func TestTableAccessors(t *testing.T) {
 func TestCommZeroWhenColocated(t *testing.T) {
 	tb := table(t)
 	e := dag.Edge{From: 0, To: 1, Data: 7}
-	if c := tb.Comm(e, 0, 0); c != 0 {
-		t.Fatalf("co-located Comm = %g, want 0", c)
-	}
-	if c := tb.Comm(e, 0, 1); c != 7 {
-		t.Fatalf("cross Comm = %g, want 7", c)
+	for _, comm := range []func(dag.Edge, grid.ID, grid.ID) float64{Comm, tb.Comm} {
+		if c := comm(e, 0, 0); c != 0 {
+			t.Fatalf("co-located Comm = %g, want 0", c)
+		}
+		if c := comm(e, 0, 1); c != 7 {
+			t.Fatalf("cross Comm = %g, want 7", c)
+		}
 	}
 }
 

@@ -12,6 +12,7 @@ package dag
 import (
 	"cmp"
 	"fmt"
+	"math"
 	"slices"
 )
 
@@ -95,8 +96,9 @@ func (g *Graph) AddJob(name, op string) JobID {
 }
 
 // AddEdge adds a dependence edge carrying data units of communication cost.
-// It returns an error for unknown endpoints, self-loops, negative data, or
-// duplicate edges. Cycle detection is deferred to Validate.
+// It returns an error for unknown endpoints, self-loops, negative or
+// non-finite data, or duplicate edges. Cycle detection is deferred to
+// Validate.
 func (g *Graph) AddEdge(from, to JobID, data float64) error {
 	return g.AddFileEdge(from, to, data, "")
 }
@@ -116,6 +118,9 @@ func (g *Graph) AddFileEdge(from, to JobID, data float64, file string) error {
 	}
 	if data < 0 {
 		return fmt.Errorf("dag: negative data %g on edge (%s,%s)", data, g.jobs[from].Name, g.jobs[to].Name)
+	}
+	if !(data <= math.MaxFloat64) { // NaN or +Inf: the kernel prices a transfer at it
+		return fmt.Errorf("dag: non-finite data %g on edge (%s,%s)", data, g.jobs[from].Name, g.jobs[to].Name)
 	}
 	for _, e := range g.succ[from] {
 		if e.To == to {

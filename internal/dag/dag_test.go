@@ -1,6 +1,7 @@
 package dag
 
 import (
+	"math"
 	"strings"
 	"testing"
 )
@@ -60,6 +61,9 @@ func TestAddEdgeErrors(t *testing.T) {
 		{"unknown to", a, 99, 1},
 		{"self loop", a, a, 1},
 		{"negative data", a, b, -1},
+		{"NaN data", a, b, math.NaN()},
+		{"+Inf data", a, b, math.Inf(1)},
+		{"-Inf data", a, b, math.Inf(-1)},
 	}
 	for _, c := range cases {
 		if err := g.AddEdge(c.from, c.to, c.data); err == nil {

@@ -148,7 +148,7 @@ func Decode(s *jsonscan.Scanner) (*Graph, error) {
 			return nil, fmt.Errorf("dag: decode: edge (%s,%s) references unknown job", e.from, e.to)
 		case from == to:
 			return nil, fmt.Errorf("dag: self-loop on job %s", e.from)
-		case e.data < 0:
+		case e.data < 0: // the only bad weight: jsonscan refuses a number no float64 holds
 			return nil, fmt.Errorf("dag: negative data %g on edge (%s,%s)", e.data, e.from, e.to)
 		}
 		e.src, e.dst = from, to

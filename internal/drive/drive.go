@@ -483,7 +483,7 @@ func (e *enactment) finish(j dag.JobID) (bool, error) {
 		e.st.SetTransfer(j, ed.To, a.Resource, a.Finish)
 		if !e.fileEdge(ed) {
 			to := e.plan.MustGet(ed.To).Resource
-			e.st.SetTransfer(j, ed.To, to, a.Finish+e.k.Estimator().Comm(ed, a.Resource, to))
+			e.st.SetTransfer(j, ed.To, to, a.Finish+cost.Comm(ed, a.Resource, to))
 		}
 	}
 	i := e.queue(j, wire.ReportEvent{
@@ -566,7 +566,7 @@ func (e *enactment) adopt(t float64) error {
 					continue
 				}
 				if _, ok := st.PredTransferAt(j, i, r); !ok {
-					st.SetTransfer(ed.From, j, r, t+e.k.Estimator().Comm(ed, from, r))
+					st.SetTransfer(ed.From, j, r, t+cost.Comm(ed, from, r))
 				}
 			}
 		}

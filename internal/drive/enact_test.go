@@ -233,9 +233,6 @@ type scaledRuntime struct {
 }
 
 func (s scaledRuntime) Comp(j dag.JobID, r grid.ID) float64 { return s.factor * s.base.Comp(j, r) }
-func (s scaledRuntime) Comm(e dag.Edge, a, b grid.ID) float64 {
-	return s.base.Comm(e, a, b)
-}
 
 // TestEnactSlowRuntimeDelaysExecution: when the truth runs every job half
 // as slow again as the plan assumed, the sample plan ends later than its

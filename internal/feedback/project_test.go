@@ -5,6 +5,7 @@ import (
 	"slices"
 	"testing"
 
+	"aheft/internal/cost"
 	"aheft/internal/dag"
 	"aheft/internal/rng"
 	"aheft/internal/schedule"
@@ -53,17 +54,17 @@ func refProject(t *Tracker) float64 {
 				if tt, ok := t.ks.PredTransferAt(j, i, a.Resource); ok {
 					at = tt
 				} else {
-					at = t.clock + t.est.Comm(e, t.startRes[m], a.Resource)
+					at = t.clock + cost.Comm(e, t.startRes[m], a.Resource)
 				}
 			case phaseStarted:
 				at = projFin[m]
 				if t.startRes[m] != a.Resource {
-					at += t.est.Comm(e, t.startRes[m], a.Resource)
+					at += cost.Comm(e, t.startRes[m], a.Resource)
 				}
 			default:
 				at = projFin[m]
 				if pr := t.sched.MustGet(m).Resource; pr != a.Resource {
-					at += t.est.Comm(e, pr, a.Resource)
+					at += cost.Comm(e, pr, a.Resource)
 				}
 			}
 			ready = max(ready, at)

@@ -159,21 +159,21 @@ func TestSnapshotBoundaryExactFinish(t *testing.T) {
 func TestFEACases(t *testing.T) {
 	g, est, pool := sampleSetup(t)
 	s0 := staticPlan(t, g, est, pool.Initial(), kernel.Options{})
-	st := refSnapshot(g, est, s0, 15, kernel.SnapshotOptions{})
+	st := refSnapshot(g, s0, 15, kernel.SnapshotOptions{})
 	s1 := schedule.New()
 	n1, n2 := g.JobByName("n1"), g.JobByName("n2")
 	edge := dag.Edge{From: n1, To: n2, Data: 18}
 
 	// Case 1: n1 finished on r3 (ID 2) — available at AFT 9.
-	if v := refFEA(est, st, s1, edge, 2); v != 9 {
+	if v := refFEA(st, s1, edge, 2); v != 9 {
 		t.Fatalf("case 1: FEA = %g, want 9", v)
 	}
 	// In-flight credit: the file is already moving to ID 0, ETA 27.
-	if v := refFEA(est, st, s1, edge, 0); v != 27 {
+	if v := refFEA(st, s1, edge, 0); v != 27 {
 		t.Fatalf("in-flight: FEA = %g, want 27", v)
 	}
 	// Case 2: never shipped toward ID 3 — fresh transfer from clock 15.
-	if v := refFEA(est, st, s1, edge, 3); v != 15+18 {
+	if v := refFEA(st, s1, edge, 3); v != 15+18 {
 		t.Fatalf("case 2: FEA = %g, want 33", v)
 	}
 
@@ -181,10 +181,10 @@ func TestFEACases(t *testing.T) {
 	n4, n9 := g.JobByName("n4"), g.JobByName("n9")
 	e49 := dag.Edge{From: n4, To: n9, Data: 23}
 	s1.Assign(schedule.Assignment{Job: n4, Resource: 1, Start: 18, Finish: 26})
-	if v := refFEA(est, st, s1, e49, 1); v != 26 {
+	if v := refFEA(st, s1, e49, 1); v != 26 {
 		t.Fatalf("case 3 (same resource): FEA = %g, want SFT 26", v)
 	}
-	if v := refFEA(est, st, s1, e49, 0); v != 26+23 {
+	if v := refFEA(st, s1, e49, 0); v != 26+23 {
 		t.Fatalf("otherwise (cross): FEA = %g, want 49", v)
 	}
 }
@@ -192,14 +192,14 @@ func TestFEACases(t *testing.T) {
 func TestFEAPanicsOnUnplacedPredecessor(t *testing.T) {
 	g, est, pool := sampleSetup(t)
 	s0 := staticPlan(t, g, est, pool.Initial(), kernel.Options{})
-	st := refSnapshot(g, est, s0, 15, kernel.SnapshotOptions{})
+	st := refSnapshot(g, s0, 15, kernel.SnapshotOptions{})
 	defer func() {
 		if recover() == nil {
 			t.Fatal("expected panic for unplaced unfinished predecessor")
 		}
 	}()
 	n4, n9 := g.JobByName("n4"), g.JobByName("n9")
-	refFEA(est, st, schedule.New(), dag.Edge{From: n4, To: n9, Data: 23}, 0)
+	refFEA(st, schedule.New(), dag.Edge{From: n4, To: n9, Data: 23}, 0)
 }
 
 // TestFig5ExhaustiveOptimal verifies the FEA/EST/EFT model against the
@@ -218,7 +218,7 @@ func TestFig5ExhaustiveOptimal(t *testing.T) {
 	if err := checkState(g, dense, s0); err != nil {
 		t.Fatal(err)
 	}
-	st := refSnapshot(g, est, s0, 15, kernel.SnapshotOptions{})
+	st := refSnapshot(g, s0, 15, kernel.SnapshotOptions{})
 	rs := sc.Pool.AvailableAt(15)
 	_, rankOrder, err := k.Ranks(rs)
 	if err != nil {
@@ -254,7 +254,7 @@ func TestFig5ExhaustiveOptimal(t *testing.T) {
 			m /= len(rs)
 			ready := st.Clock
 			for _, e := range g.Preds(job) {
-				if v := refFEA(est, st, s1, e, r.ID); v > ready {
+				if v := refFEA(st, s1, e, r.ID); v > ready {
 					ready = v
 				}
 			}
@@ -402,7 +402,7 @@ func quickReschedule(seed uint64, clockOf func(makespan float64) float64) (sc *w
 	clock := clockOf(s0.Makespan())
 	st = k.NewState(0)
 	st.Snapshot(s0, clock, kernel.SnapshotOptions{})
-	ref = refSnapshot(sc.Graph, est, s0, clock, kernel.SnapshotOptions{})
+	ref = refSnapshot(sc.Graph, s0, clock, kernel.SnapshotOptions{})
 	s1, err = k.Reschedule(sc.Pool.AvailableAt(clock), st, kernel.Options{})
 	return
 }
@@ -448,7 +448,7 @@ func TestQuickRescheduleInvariants(t *testing.T) {
 			}
 			// Input feasibility per FEA.
 			for _, e := range sc.Graph.Preds(j.ID) {
-				if a.Start+1e-9 < refFEA(sc.Estimator(), ref, s1, e, a.Resource) {
+				if a.Start+1e-9 < refFEA(ref, s1, e, a.Resource) {
 					return false
 				}
 			}
@@ -499,7 +499,7 @@ func TestQuickFEANeverBeforeProducer(t *testing.T) {
 					producerFinish = s1.MustGet(e.From).Finish
 				}
 				for _, r := range sc.Pool.AvailableAt(st.Clock) {
-					if refFEA(sc.Estimator(), ref, s1, e, r.ID) < producerFinish-1e-9 {
+					if refFEA(ref, s1, e, r.ID) < producerFinish-1e-9 {
 						return false
 					}
 				}

@@ -84,15 +84,15 @@ func (k *Kernel) Data() *data.Model { return k.dataM }
 
 // commEst is the static (contention-free) transfer estimate for edge e —
 // the derived file cost when a model is bound and the edge names a file,
-// the estimator's Comm otherwise. This is the precedence rule the wire
-// docs describe: declared files supersede the raw numeric edge cost.
+// cost.Comm otherwise. This is the precedence rule the wire docs
+// describe: declared files supersede the raw numeric edge cost.
 func (k *Kernel) commEst(e dag.Edge, from, to grid.ID) float64 {
 	if k.dataM != nil && e.File != "" {
 		if f := k.dataM.Index(e.File); f >= 0 {
 			return k.dataM.StaticComm(f, from, to)
 		}
 	}
-	return k.est.Comm(e, from, to)
+	return cost.Comm(e, from, to)
 }
 
 // PredComm is commEst, the edge-cost precedence rule, for the i-th
@@ -103,7 +103,7 @@ func (k *Kernel) PredComm(j dag.JobID, i int, from, to grid.ID) float64 {
 			return k.dataM.StaticComm(f, from, to)
 		}
 	}
-	return k.est.Comm(k.g.Preds(j)[i], from, to)
+	return cost.Comm(k.g.Preds(j)[i], from, to)
 }
 
 // output returns where predecessor m's output is and from when: its

@@ -1,14 +1,17 @@
 package kernel
 
-// In-package tests of the data-mode placement pass against a reference
-// written the way the pass used to work: an input edge finds a sibling
-// edge's probe of the same file by scanning the job's probe list, the
-// winning resource is probed again at commit time, and every committed
-// span re-coalesces its whole channel row — and, since the rows became
-// timelines, every slot search is the span walk over uncoalesced compute
-// rows (refEarliestStart). The production pass answers from per-file slots,
-// the kept probe and timeline.add / earliest; it must place every job, time
-// every transfer and leave every channel row exactly as the reference does.
+// In-package tests of the placement pass against a reference written the
+// way the pass used to work: a plain input edge is one State.fea per
+// (predecessor, resource), where the classic pass now splits a job's
+// inputs once (gatherInputs); an input edge finds a sibling edge's probe
+// of the same file by scanning the job's probe list, the winning resource
+// is probed again at commit time, and every committed span re-coalesces
+// its whole channel row — and, since the rows became timelines, every slot
+// search is the span walk over uncoalesced compute rows
+// (refEarliestStart). The production pass answers from the split,
+// per-file slots, the kept probe and timeline.add / earliest; it must
+// place every job, time every transfer and leave every channel row
+// exactly as the reference does.
 
 import (
 	"fmt"
@@ -23,8 +26,11 @@ import (
 	"aheft/internal/workload"
 )
 
-// refPass is the reference data-mode pass over the base timelines the
-// kernel's last prepHistory left. found counts how input edges resolved.
+// refPass is the reference pass, classic or data mode, over the base
+// timelines the kernel's last prepHistory left. found counts how file
+// input edges resolved. Plain edges go through st.fea, which reads the
+// kernel's placements, not the reference's: the first job the two passes
+// place apart is still caught, as every job before it is placed alike.
 type refPass struct {
 	k      *Kernel
 	st     *State
@@ -62,7 +68,10 @@ func (p *refPass) probe(preds []dag.Edge, eBase int, r grid.ID, insertion, count
 		}
 	}
 	for i, e := range preds {
-		f := k.fileOfEdge[eBase+i]
+		f := -1
+		if k.dataM != nil {
+			f = k.fileOfEdge[eBase+i]
+		}
 		if f < 0 {
 			ready = max(ready, st.fea(e, eBase+i, r))
 			continue
@@ -94,6 +103,9 @@ func (p *refPass) probe(preds []dag.Edge, eBase int, r grid.ID, insertion, count
 			arr = max(arr, t+d)
 		}
 		ready = max(ready, arr)
+	}
+	if k.dataM == nil {
+		return ready, true, nil
 	}
 	store := k.dataM.Store(r)
 	return ready, store == 0 || p.used[r]+newBytes <= store+1e-9, xs
@@ -157,12 +169,12 @@ func (k *Kernel) refPlace(rs []grid.Resource, st *State, order []dag.JobID, inse
 	return p
 }
 
-// DataPassMatchesReference compares what the kernel's last data-mode
-// Reschedule over (rs, st) left — placements, transfers, channel rows of
-// its one candidate pass (no tie window) — with the reference pass. It is
-// exported, from this test file only, for the fuzz target in the external
-// test package.
-func (k *Kernel) DataPassMatchesReference(rs []grid.Resource, st *State, insertion bool) error {
+// PassMatchesReference compares what the kernel's last Reschedule over
+// (rs, st) left — placements and, in the data mode, transfers and channel
+// rows of its last candidate pass, which is the rank order's with no tie
+// window — with the reference pass. It is exported, from this test file
+// only, for the fuzz target in the external test package.
+func (k *Kernel) PassMatchesReference(rs []grid.Resource, st *State, insertion bool) error {
 	ref := k.refPlace(rs, st, k.base, insertion)
 	for _, j := range k.base {
 		if k.placed[j] != ref.placed[j] {
@@ -287,7 +299,7 @@ func TestDataPassMatchesScanningReference(t *testing.T) {
 				if st == nil {
 					st = k.empty
 				}
-				if err := k.DataPassMatchesReference(rs, st, !tc.noInsertion); err != nil {
+				if err := k.PassMatchesReference(rs, st, !tc.noInsertion); err != nil {
 					t.Fatalf("pass %d: %v", pass, err)
 				}
 				f := k.refPlace(rs, st, k.base, !tc.noInsertion).found

@@ -110,7 +110,7 @@ func TestScheduleIsValid(t *testing.T) {
 		t.Fatal(err)
 	}
 	err = s.Validate(g, schedule.ValidateOptions{
-		Comp: est, Comm: est, Pool: grid.StaticPool(3),
+		Comp: est, Comm: workload.SampleTable(), Pool: grid.StaticPool(3),
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -13,7 +13,13 @@
 //   - FEA/EST/EFT run over dense, job-indexed state (State) instead of
 //     per-call maps, and every row the slot search reads — a resource or
 //     a transfer channel — is one timeline of coalesced busy blocks
-//     (timeline.go), searched by gaps.
+//     (timeline.go), searched by gaps. A classic job's inputs are split
+//     once per job, not once per (job, resource): finished producers keep
+//     Eq. 1's per-resource ledger lookup, placed and pinned ones become
+//     arrivals — on their resource at SFT, elsewhere at SFT + e.Data
+//     (cost.Comm) — walked latest first until none can raise the ready
+//     time. The floats are FEA's; only finished inputs are looked up per
+//     resource.
 //   - All placement scratch (timelines, candidate assignments, rank and
 //     order buffers) is owned by the Kernel and reused across calls, so
 //     the steady-state inner loop of a reschedule performs zero heap
@@ -33,7 +39,9 @@
 package kernel
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -97,6 +105,7 @@ type Kernel struct {
 	// arrays and Price's pending list are cut from one slab, which Release
 	// recycles.
 	slab       *[]schedule.Assignment
+	in         *inputs               // the classic pass's per-job input split
 	baseTL     [][]block             // per resource: history (finished+pinned) intervals, sorted
 	rows       []timeline            // per resource: base plus the current candidate's placements
 	tlTouched  []grid.ID             // rows filled by the previous prepHistory (may repeat)
@@ -182,6 +191,7 @@ func New(g *dag.Graph, est cost.Estimator) *Kernel {
 	}
 	k.predBase[n] = k.nEdges
 	k.slab = slabs.Get().(*[]schedule.Assignment)
+	k.in = inputPool.Get().(*inputs)
 	*k.slab = sized(*k.slab, 5*n)
 	a := *k.slab
 	k.zeroPlaced, k.basePlaced, k.placed, k.bestPlaced = a[:n:n], a[n:2*n:2*n], a[2*n:3*n:3*n], a[3*n:4*n:4*n]
@@ -195,12 +205,14 @@ func New(g *dag.Graph, est cost.Estimator) *Kernel {
 // slabs holds released kernels' candidate arrays.
 var slabs = sync.Pool{New: func() any { return new([]schedule.Assignment) }}
 
-// Release returns the kernel's candidate arrays and its Static state to
-// the package pools for the next kernel; k must not be used afterwards.
-// Schedules it returned stay valid: they share nothing with the kernel.
+// Release returns the kernel's candidate arrays, input split and Static
+// state to the package pools for the next kernel; k must not be used
+// afterwards. Schedules it returned stay valid: they share nothing with
+// the kernel.
 func (k *Kernel) Release() {
 	slabs.Put(k.slab)
-	k.slab = nil
+	inputPool.Put(k.in)
+	k.slab, k.in = nil, nil
 	if k.empty != nil {
 		k.empty.Release()
 		k.empty = nil
@@ -340,17 +352,16 @@ func Order(ranks []float64) []dag.JobID {
 // orderInto fills out (len(ranks) long) with every JobID sorted by the
 // HEFT list order: nonincreasing rank, ascending JobID on ties. The
 // tie-break makes the order a unique total order, so any sort produces
-// the same permutation.
+// the same permutation — an unstable one without reflection too.
 func orderInto(ranks []float64, out []dag.JobID) {
 	for i := range out {
 		out[i] = dag.JobID(i)
 	}
-	sort.SliceStable(out, func(a, b int) bool {
-		ra, rb := ranks[out[a]], ranks[out[b]]
-		if ra != rb {
-			return ra > rb
+	slices.SortFunc(out, func(a, b dag.JobID) int {
+		if c := cmp.Compare(ranks[b], ranks[a]); c != 0 {
+			return c
 		}
-		return out[a] < out[b]
+		return cmp.Compare(a, b)
 	})
 }
 
@@ -556,19 +567,16 @@ func (k *Kernel) placeCandidate(rs []grid.Resource, st *State, order []dag.JobID
 		overStart, overFinish := 0.0, 0.0
 		preds := k.g.Preds(job)
 		eBase := k.predBase[job]
+		if k.dataM == nil {
+			k.gatherInputs(st, preds)
+		}
 		for _, r := range rs {
 			var ready float64
 			fits := true
 			if k.dataM != nil {
 				ready, fits = k.probeInputs(st, preds, eBase, r.ID, insertion)
 			} else {
-				// Inner max of Eq. 2: input availability via FEA (Eq. 1).
-				ready = st.Clock
-				for i := range preds {
-					if t := st.fea(preds[i], eBase+i, r.ID); t > ready {
-						ready = t
-					}
-				}
+				ready = k.inputReady(st, preds, eBase, r.ID)
 			}
 			w := k.est.Comp(job, r.ID)
 			start := k.rows[r.ID].earliest(ready, w, insertion)
@@ -607,6 +615,68 @@ func (k *Kernel) placeCandidate(rs []grid.Resource, st *State, order []dag.JobID
 	return mk, nil
 }
 
+// arrival is a placed or pinned predecessor's output as the job being
+// placed sees it (Eq. 1 cases 3 and 4): on res from lo, its finish, and on
+// every other resource from hi = lo + e.Data, its finish plus cost.Comm.
+type arrival struct {
+	res    grid.ID
+	lo, hi float64
+}
+
+// inputs is the classic pass's once-per-job split of a job's predecessors
+// (gatherInputs), pooled like the slab.
+type inputs struct {
+	finished []int     // indices into Preds(job) of finished predecessors
+	placed   []arrival // the others, sorted by hi, latest first
+}
+
+var inputPool = sync.Pool{New: func() any { return new(inputs) }}
+
+// gatherInputs splits the predecessors of the job being placed, once per
+// job: finished ones keep inputReady's per-resource ledger lookup, since
+// their files may sit on any resource; every other one becomes an
+// arrival, sorted by hi, latest first.
+func (k *Kernel) gatherInputs(st *State, preds []dag.Edge) {
+	in := k.in
+	in.finished, in.placed = in.finished[:0], in.placed[:0]
+	for i, e := range preds {
+		if st.finRes[e.From] != grid.NoResource {
+			in.finished = append(in.finished, i)
+			continue
+		}
+		pa := k.placed[e.From]
+		if pa.Resource == grid.NoResource {
+			panic(fmt.Sprintf("kernel: input of predecessor %d gathered before it was placed", e.From))
+		}
+		in.placed = append(in.placed, arrival{pa.Resource, pa.Finish, pa.Finish + e.Data})
+	}
+	slices.SortFunc(in.placed, func(a, b arrival) int { return cmp.Compare(b.hi, a.hi) })
+}
+
+// inputReady is the inner max of Eq. 2 on r over the split gatherInputs
+// left: the latest FEA (Eq. 1) of the job's inputs, the same floats
+// State.fea gives. The arrival walk stops at the first hi that cannot
+// raise ready: no later arrival comes after its hi, and lo ≤ hi.
+func (k *Kernel) inputReady(st *State, preds []dag.Edge, eBase int, r grid.ID) float64 {
+	ready := st.Clock
+	for _, i := range k.in.finished {
+		if t := st.fea(preds[i], eBase+i, r); t > ready {
+			ready = t
+		}
+	}
+	for _, a := range k.in.placed {
+		if a.hi <= ready {
+			break
+		}
+		if a.res != r {
+			ready = a.hi
+		} else if a.lo > ready {
+			ready = a.lo
+		}
+	}
+	return ready
+}
+
 // buildSchedule materialises the winning candidate: history carried over
 // plus the placements of every job in base. Only this final step
 // allocates (the schedule handed to the caller).
@@ -640,7 +710,7 @@ func (k *Kernel) DispatchCompletion(j dag.JobID, r grid.ID, now float64, resOf [
 		if resOf[e.From] == r {
 			continue // produced here; predecessor finished before now
 		}
-		if arrive := now + k.est.Comm(e, resOf[e.From], r); arrive > inputReady {
+		if arrive := now + cost.Comm(e, resOf[e.From], r); arrive > inputReady {
 			inputReady = arrive
 		}
 	}

@@ -1,6 +1,9 @@
 package kernel_test
 
 import (
+	"math"
+	"slices"
+	"sort"
 	"strings"
 	"testing"
 
@@ -8,6 +11,7 @@ import (
 	"aheft/internal/dag"
 	"aheft/internal/grid"
 	"aheft/internal/kernel"
+	"aheft/internal/rng"
 	"aheft/internal/schedule"
 	"aheft/internal/workload"
 )
@@ -268,5 +272,33 @@ func TestGraphAccessors(t *testing.T) {
 	}
 	if k.NumEdges() != sc.Graph.NumEdges() {
 		t.Fatalf("NumEdges = %d, want %d", k.NumEdges(), sc.Graph.NumEdges())
+	}
+}
+
+// TestOrderMatchesStableSort: the rank order, sorted without reflection,
+// is the permutation the stable sort it replaced gives, on random ranks
+// drawn from a few values so most of them tie (signed zeros included).
+func TestOrderMatchesStableSort(t *testing.T) {
+	r := rng.New(39)
+	values := []float64{0, math.Copysign(0, -1), 1, 2.5, 2.5 + 1e-12, 7, 1e9}
+	for trial := 0; trial < 200; trial++ {
+		ranks := make([]float64, 1+r.Intn(300))
+		for i := range ranks {
+			ranks[i] = values[r.Intn(len(values))]
+		}
+		want := make([]dag.JobID, len(ranks))
+		for i := range want {
+			want[i] = dag.JobID(i)
+		}
+		sort.SliceStable(want, func(a, b int) bool {
+			ra, rb := ranks[want[a]], ranks[want[b]]
+			if ra != rb {
+				return ra > rb
+			}
+			return want[a] < want[b]
+		})
+		if got := kernel.Order(ranks); !slices.Equal(got, want) {
+			t.Fatalf("trial %d, ranks %v:\n got %v\nwant %v", trial, ranks, got, want)
+		}
 	}
 }

@@ -69,8 +69,8 @@ func (st *execState) setTransfer(m, k dag.JobID, r grid.ID, t float64) {
 // refSnapshot derives the execution state of s0 executed faithfully up to
 // clock under the static ship-on-finish policy: when a job finishes, its
 // output is shipped at once to the resource of every scheduled successor.
-// Transfers are priced by the estimator's raw Comm.
-func refSnapshot(g *dag.Graph, est cost.Estimator, s0 *schedule.Schedule, clock float64, opts kernel.SnapshotOptions) *execState {
+// Transfers are priced by cost.Comm.
+func refSnapshot(g *dag.Graph, s0 *schedule.Schedule, clock float64, opts kernel.SnapshotOptions) *execState {
 	st := newExecState()
 	st.Clock = clock
 	if s0 == nil {
@@ -87,7 +87,7 @@ func refSnapshot(g *dag.Graph, est cost.Estimator, s0 *schedule.Schedule, clock 
 			for _, e := range g.Succs(j.ID) {
 				st.setTransfer(j.ID, e.To, a.Resource, a.Finish)
 				if sa, ok := s0.Get(e.To); ok {
-					st.setTransfer(j.ID, e.To, sa.Resource, a.Finish+est.Comm(e, a.Resource, sa.Resource))
+					st.setTransfer(j.ID, e.To, sa.Resource, a.Finish+cost.Comm(e, a.Resource, sa.Resource))
 				}
 			}
 		case a.Start < clock && !opts.RestartRunning:
@@ -133,7 +133,7 @@ func refReschedule(g *dag.Graph, est cost.Estimator, rs []grid.Resource, st *exe
 // refFEA implements Eq. 1: the earliest time the output of e.From is
 // available on resource r for e.To, given the new partial schedule s1
 // and the snapshot st.
-func refFEA(est cost.Estimator, st *execState, s1 *schedule.Schedule, e dag.Edge, r grid.ID) float64 {
+func refFEA(st *execState, s1 *schedule.Schedule, e dag.Edge, r grid.ID) float64 {
 	m := e.From
 	if f, done := st.Finished[m]; done {
 		if t, ok := st.TransferAt[edgeKey{From: m, To: e.To}][r]; ok {
@@ -142,7 +142,7 @@ func refFEA(est cost.Estimator, st *execState, s1 *schedule.Schedule, e dag.Edge
 		}
 		// Case 2: finished elsewhere and never directed at r — a fresh
 		// transfer starts now; it cannot start in the past.
-		return st.Clock + est.Comm(e, f.Resource, r)
+		return st.Clock + cost.Comm(e, f.Resource, r)
 	}
 	pa, ok := s1.Get(m)
 	if !ok {
@@ -153,7 +153,7 @@ func refFEA(est cost.Estimator, st *execState, s1 *schedule.Schedule, e dag.Edge
 		return pa.Finish
 	}
 	// Case 4: produced elsewhere; the transfer follows SFT(m).
-	return pa.Finish + est.Comm(e, pa.Resource, r)
+	return pa.Finish + cost.Comm(e, pa.Resource, r)
 }
 
 // earliestStart finds the earliest start time >= ready at which a task of
@@ -267,7 +267,7 @@ func placeJob(g *dag.Graph, est cost.Estimator, rs []grid.Resource, s *schedule.
 			if !ok {
 				return best, fmt.Errorf("reference: predecessor %d of job %d not yet scheduled", e.From, job)
 			}
-			ready = max(ready, pa.Finish+est.Comm(e, pa.Resource, r.ID))
+			ready = max(ready, pa.Finish+cost.Comm(e, pa.Resource, r.ID))
 		}
 		w := est.Comp(job, r.ID)
 		start := earliestStart(s, r.ID, ready, w, insertion)

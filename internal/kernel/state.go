@@ -5,6 +5,7 @@ import (
 	"slices"
 	"sync"
 
+	"aheft/internal/cost"
 	"aheft/internal/dag"
 	"aheft/internal/grid"
 	"aheft/internal/schedule"
@@ -308,7 +309,7 @@ func (st *State) fea(e dag.Edge, eIdx int, r grid.ID) float64 {
 		}
 		// Case 2: finished elsewhere and the file was never directed at
 		// r — a fresh transfer starts now; it cannot start in the past.
-		return st.Clock + st.k.est.Comm(e, fr, r)
+		return st.Clock + cost.Comm(e, fr, r)
 	}
 	// Unfinished predecessor: it has already been placed in the candidate
 	// (rank order guarantees predecessors precede successors), or it is
@@ -323,14 +324,14 @@ func (st *State) fea(e dag.Edge, eIdx int, r grid.ID) float64 {
 	}
 	// Case 4: produced elsewhere in the new schedule; the transfer
 	// follows its (re)scheduled finish time SFT(m).
-	return pa.Finish + st.k.est.Comm(e, pa.Resource, r)
+	return pa.Finish + cost.Comm(e, pa.Resource, r)
 }
 
 // Ship applies the static file-transfer policy (paper §4.1 assumption 2)
 // to job j finishing on r at fin: each output file is on r from fin and
 // starts moving toward its consumer's resource in plan at once. commEst
 // prices the move with the derived file cost when a data model is bound,
-// the estimator's Comm otherwise.
+// cost.Comm otherwise.
 func (st *State) Ship(j dag.JobID, r grid.ID, fin float64, plan *schedule.Schedule) {
 	for _, e := range st.k.g.Succs(j) {
 		st.SetTransfer(j, e.To, r, fin)

@@ -34,7 +34,6 @@ import (
 // Applying the same advance calls to two states keeps them bit-identical,
 // which warmRun relies on.
 func advance(sc *workload.Scenario, st *kernel.State, s *schedule.Schedule, clock float64, scaleOf map[dag.JobID]float64) {
-	est := sc.Estimator()
 	g := sc.Graph
 	st.Clock = clock
 	st.ClearPinned()
@@ -56,7 +55,7 @@ func advance(sc *workload.Scenario, st *kernel.State, s *schedule.Schedule, cloc
 			for _, e := range g.Succs(j.ID) {
 				st.SetTransfer(j.ID, e.To, a.Resource, fin)
 				if sa, ok := s.Get(e.To); ok {
-					st.SetTransfer(j.ID, e.To, sa.Resource, fin+est.Comm(e, a.Resource, sa.Resource))
+					st.SetTransfer(j.ID, e.To, sa.Resource, fin+cost.Comm(e, a.Resource, sa.Resource))
 				}
 			}
 		case a.Start < clock:

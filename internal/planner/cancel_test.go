@@ -88,8 +88,6 @@ func (c *cancellingRuntime) Comp(j dag.JobID, r grid.ID) float64 {
 	return c.est.Comp(j, r)
 }
 
-func (c *cancellingRuntime) Comm(e dag.Edge, a, b grid.ID) float64 { return c.est.Comm(e, a, b) }
-
 // TestServiceExecuteContextCancelMidRun drives Run's event-driven path
 // (WithRuntime: the feedback Tracker enacted in process) and cancels
 // mid-execution: Run must return the context's error (observed at the

@@ -278,8 +278,7 @@ func TestDispatchFinishesInBindingOrder(t *testing.T) {
 // must refuse.
 type badCost float64
 
-func (b badCost) Comp(dag.JobID, grid.ID) float64       { return float64(b) }
-func (badCost) Comm(dag.Edge, grid.ID, grid.ID) float64 { return 0 }
+func (b badCost) Comp(dag.JobID, grid.ID) float64 { return float64(b) }
 
 // requirePanic plans a two-job chain whose every computation costs c and
 // requires the dispatch loop to fail loudly instead of running out of

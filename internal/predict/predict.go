@@ -24,8 +24,8 @@ import (
 )
 
 // HistoryBased estimates computation costs from the Performance History
-// Repository. Communication estimates delegate to the Prior estimator
-// (transfer costs are derived from data sizes, which the Planner knows).
+// Repository. Transfer costs are not estimated: they are derived from data
+// sizes, which the Planner knows (cost.Comm).
 //
 // Like the kernel that calls it, a HistoryBased is not safe for concurrent
 // use: Comp fills a private table. The repository underneath is.
@@ -115,14 +115,8 @@ func (p *HistoryBased) resetTable(gen uint64, r grid.ID) {
 	clear(t.known)
 }
 
-// Comm estimates the transfer cost of edge e between the two placements.
-func (p *HistoryBased) Comm(e dag.Edge, rFrom, rTo grid.ID) float64 {
-	return p.Prior.Comm(e, rFrom, rTo)
-}
-
 // EstimateVersion implements kernel.VersionedEstimator: the predictor's
-// answers change exactly when the repository underneath it mutates (Comm
-// delegates to the static prior, so only Comp drifts).
+// answers change exactly when the repository underneath it mutates.
 func (p *HistoryBased) EstimateVersion() uint64 { return p.Repo.Generation() }
 
 // Noisy wraps an estimator with multiplicative error: every Comp estimate
@@ -160,10 +154,4 @@ func (n *Noisy) Comp(job dag.JobID, r grid.ID) float64 {
 		n.memo[k] = f
 	}
 	return f * n.Base.Comp(job, r)
-}
-
-// Comm returns the unperturbed communication estimate (data sizes are
-// known to the planner).
-func (n *Noisy) Comm(e dag.Edge, rFrom, rTo grid.ID) float64 {
-	return n.Base.Comm(e, rFrom, rTo)
 }

@@ -134,15 +134,6 @@ func TestHistoryBasedTableMatchesUncached(t *testing.T) {
 	}
 }
 
-func TestHistoryBasedCommDelegates(t *testing.T) {
-	g, tb, repo := setup(t)
-	p := &HistoryBased{Graph: g, Repo: repo, Prior: cost.Exact(tb)}
-	e := dag.Edge{From: 0, To: 1, Data: 18}
-	if p.Comm(e, 0, 0) != 0 || p.Comm(e, 0, 1) != 18 {
-		t.Fatal("Comm should delegate to the prior")
-	}
-}
-
 func TestNoisyBoundedAndMemoised(t *testing.T) {
 	_, tb, _ := setup(t)
 	n := &Noisy{Base: cost.Exact(tb), Error: 0.3, Rng: rng.New(4)}
@@ -155,11 +146,6 @@ func TestNoisyBoundedAndMemoised(t *testing.T) {
 		if n.Comp(0, 0) != first {
 			t.Fatal("noisy estimate not memoised within a round")
 		}
-	}
-	// Comm stays exact.
-	e := dag.Edge{From: 0, To: 1, Data: 18}
-	if n.Comm(e, 0, 1) != 18 {
-		t.Fatal("noisy Comm should be exact")
 	}
 }
 
