@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race vet fmt fmt-check check lint loc loc-check fuzz bench bench-server bench-all clean
+.PHONY: all build test race vet fmt fmt-check check lint loc loc-check fuzz fuzz-check bench bench-server bench-all clean
 
 all: check
 
@@ -66,6 +66,22 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz 'FuzzWALReplay' -fuzztime $(FUZZTIME) ./internal/durable
 	$(GO) test -run '^$$' -fuzz 'FuzzStatePatch' -fuzztime $(FUZZTIME) ./internal/feedback
 	$(GO) test -run '^$$' -fuzz 'FuzzEnactEqualsPrice' -fuzztime $(FUZZTIME) ./internal/drive
+
+# fuzz-check fails when the list above and the fuzz targets in the tests
+# disagree: a `func Fuzz…` in a _test.go that `make fuzz` does not run, or
+# a listed target that no longer exists. Each side is "<package dir> <name>".
+fuzz-check:
+	@tests=$$(grep -rE --include='*_test.go' --exclude-dir=.git --exclude-dir=.bench_build '^func Fuzz[A-Za-z0-9_]*[(]' . | \
+		awk -F: '{ d = $$1; sub(/\/[^\/]*$$/, "", d); n = $$2; sub(/^func /, "", n); sub(/[(].*/, "", n); print d, n }' | sort); \
+	listed=$$($(MAKE) -s --no-print-directory -n fuzz | \
+		awk '{ for (i = 1; i < NF; i++) if ($$i == "-fuzz") { n = $$(i+1); gsub(/\047/, "", n); print $$NF, n } }' | sort); \
+	missing=$$(echo "$$tests" | grep -vxF "$$listed"); stale=$$(echo "$$listed" | grep -vxF "$$tests"); \
+	if [ -n "$$missing$$stale" ]; then \
+		[ -z "$$missing" ] || { echo "fuzz-check: not in make fuzz:"; echo "$$missing"; }; \
+		[ -z "$$stale" ] || { echo "fuzz-check: listed in make fuzz but gone:"; echo "$$stale"; }; \
+		exit 1; \
+	fi; \
+	echo "fuzz-check: $$(echo "$$tests" | wc -l) targets, all listed"
 
 # bench runs the scheduling-kernel benches (placement + reschedule hot
 # paths on layered 1k–20k-job stress DAGs, the end-to-end adaptive run,

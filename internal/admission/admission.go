@@ -22,6 +22,10 @@
 // rate and the tenant's weighted share of it — under sustained overload
 // the advice grows with the queue instead of parroting "1".
 //
+// A controller has one consumer, the shard's worker, which folds it into
+// its select loop: Ready wakes it, TryDequeue serves one item per wakeup,
+// and Drained tells it when to stop watching. Nothing blocks.
+//
 // The controller decides only the order and the bounds. How deep the
 // backlog is never changes how a dequeued submission is planned: every
 // one is planned by its own policy.
@@ -166,24 +170,27 @@ type classQueue struct {
 	depth   int
 }
 
-// Controller is one shard's admission queue. All methods are safe for
-// concurrent use; Dequeue blocks.
+// Controller is one shard's admission queue: any number of producers
+// Enqueue, and one consumer — the shard's worker — takes items in
+// two-level DRR order through Ready/TryDequeue/Drained. Close stops
+// intake and lets the consumer drain what is queued: TryDequeue keeps
+// serving it, and Drained turns true once it is empty. Kill stops both
+// at once: TryDequeue yields nothing more and Drained is true, whatever
+// is left queued. No method blocks; all are safe for concurrent use.
 type Controller struct {
-	mu   sync.Mutex
-	cond *sync.Cond
-	cfg  Config
+	mu  sync.Mutex
+	cfg Config
 
 	classes [3]classQueue
 	classIx int
 	total   int
 
-	closed bool // no new enqueues; Dequeue drains the rest
-	killed bool // Dequeue returns immediately (force shutdown)
+	closed bool // no new enqueues; TryDequeue drains the rest
+	killed bool // TryDequeue yields nothing more (force shutdown)
 
-	// notify is the select-loop face of the controller: a capacity-1
-	// signal channel that receives after an Enqueue and is closed by
-	// Close/Kill, so a single-goroutine consumer can fold admission into
-	// an existing select (see Ready/TryDequeue).
+	// notify is the consumer's wakeup: a capacity-1 signal channel that
+	// receives after an Enqueue and is closed by Close/Kill, so the
+	// consumer folds admission into its own select (see Ready).
 	notify chan struct{}
 
 	// Drain-rate EWMA (dequeues per second) for Retry-After.
@@ -194,7 +201,6 @@ type Controller struct {
 // New builds a controller.
 func New(cfg Config) *Controller {
 	c := &Controller{cfg: cfg.withDefaults(), notify: make(chan struct{}, 1)}
-	c.cond = sync.NewCond(&c.mu)
 	for i := range c.classes {
 		c.classes[i].tenants = make(map[string]*tenantQueue)
 	}
@@ -240,7 +246,6 @@ func (c *Controller) Enqueue(it Item) error {
 	q.push(it)
 	cq.depth++
 	c.total++
-	c.cond.Signal()
 	select {
 	case c.notify <- struct{}{}:
 	default:
@@ -255,10 +260,10 @@ func (c *Controller) Enqueue(it Item) error {
 // consumer's other channels instead of monopolising its loop.
 func (c *Controller) Ready() <-chan struct{} { return c.notify }
 
-// TryDequeue is the non-blocking Dequeue: it serves the next submission
-// in two-level DRR order, or reports ok=false when nothing is queued
-// (or the controller was killed). When items remain after the take, the
-// signal channel is re-armed so the consumer's next select fires again.
+// TryDequeue serves the next submission in two-level DRR order, or
+// reports ok=false when nothing is queued (or the controller was
+// killed). When items remain after the take, the signal channel is
+// re-armed so the consumer's next select fires again.
 func (c *Controller) TryDequeue() (d Dequeued, ok bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -286,14 +291,6 @@ func (c *Controller) Drained() bool {
 	return c.killed || (c.closed && c.total == 0)
 }
 
-// Depth returns the queued submission count (a gauge; cheap, no
-// per-tenant breakdown — see Stats for that).
-func (c *Controller) Depth() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.total
-}
-
 // Saturated reports the total backlog cap is reached: any Enqueue of
 // any tenant would be rejected right now. Always false when the total
 // bound is disabled.
@@ -301,29 +298,6 @@ func (c *Controller) Saturated() bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.cfg.TotalBacklog > 0 && c.total >= c.cfg.TotalBacklog
-}
-
-// Dequeue blocks for the next submission in two-level DRR order. ok is
-// false when the controller is closed and drained (graceful shutdown)
-// or killed (forced shutdown) — the consuming pump should exit.
-func (c *Controller) Dequeue() (d Dequeued, ok bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	for {
-		if c.killed {
-			return Dequeued{}, false
-		}
-		if c.total > 0 {
-			it := c.nextLocked()
-			now := c.cfg.Now()
-			c.observeDrainLocked(now)
-			return Dequeued{Item: it, Queued: now.Sub(it.enqueuedAt)}, true
-		}
-		if c.closed {
-			return Dequeued{}, false
-		}
-		c.cond.Wait()
-	}
 }
 
 // nextLocked serves one unit of two-level DRR. Caller holds the lock and
@@ -468,8 +442,9 @@ func (c *Controller) RetryAfter(tenant, class string) int {
 	return c.retryAfterLocked(ci, q, depth)
 }
 
-// Close stops intake; queued submissions still drain through Dequeue,
-// which reports ok=false once empty. For graceful shutdown.
+// Close stops intake; queued submissions still drain through
+// TryDequeue, and Drained reports true once they are gone. For graceful
+// shutdown.
 func (c *Controller) Close() {
 	c.mu.Lock()
 	if !c.closed {
@@ -477,12 +452,10 @@ func (c *Controller) Close() {
 		close(c.notify)
 	}
 	c.mu.Unlock()
-	c.cond.Broadcast()
 }
 
-// Kill stops intake and service immediately; DrainAll returns whatever
-// was still queued (fair order) for the caller to cancel. For forced
-// shutdown.
+// Kill stops intake and service immediately: TryDequeue yields nothing
+// more and Drained is true. For forced shutdown.
 func (c *Controller) Kill() {
 	c.mu.Lock()
 	if !c.closed {
@@ -491,19 +464,6 @@ func (c *Controller) Kill() {
 	}
 	c.killed = true
 	c.mu.Unlock()
-	c.cond.Broadcast()
-}
-
-// DrainAll removes and returns every queued submission in fair-queue
-// order. Only meaningful after Kill (Dequeue no longer competes).
-func (c *Controller) DrainAll() []Item {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	var out []Item
-	for c.total > 0 {
-		out = append(out, c.nextLocked())
-	}
-	return out
 }
 
 // Snapshot is the controller's metrics view.

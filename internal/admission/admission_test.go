@@ -62,7 +62,7 @@ func TestWFQProportionality(t *testing.T) {
 		}
 		served := make(map[string]int)
 		for i := 0; i < window; i++ {
-			d, ok := c.Dequeue()
+			d, ok := c.TryDequeue()
 			if !ok {
 				t.Fatalf("trial %d: controller drained early at %d", trial, i)
 			}
@@ -90,7 +90,7 @@ func TestStarvationFreedom(t *testing.T) {
 		// served within two full DRR rounds, i.e. while the whale has at
 		// most ~2·MaxWeight services.
 		for i := 0; i < 2*wire.MaxWeight+4; i++ {
-			d, ok := c.Dequeue()
+			d, ok := c.TryDequeue()
 			if !ok {
 				t.Fatal("drained early")
 			}
@@ -107,7 +107,7 @@ func TestStarvationFreedom(t *testing.T) {
 		// One full class round serves at most high(4)+normal(2) units
 		// before low's quantum of 1 comes due.
 		for i := 0; i < ClassWeightHigh+ClassWeightNormal+ClassWeightLow+2; i++ {
-			d, ok := c.Dequeue()
+			d, ok := c.TryDequeue()
 			if !ok {
 				t.Fatal("drained early")
 			}
@@ -139,7 +139,7 @@ func TestPriorityInversion(t *testing.T) {
 			enqueueN(t, c, "flood", tc.floodClass, wire.MaxWeight, 500)
 			enqueueN(t, c, "victim", tc.victimClass, 1, 1)
 			for i := 0; i < tc.within; i++ {
-				d, ok := c.Dequeue()
+				d, ok := c.TryDequeue()
 				if !ok {
 					t.Fatal("drained early")
 				}
@@ -161,7 +161,7 @@ func TestRetryAfterGrowsUnderOverload(t *testing.T) {
 	enqueueN(t, c, "t", "", 1, 20)
 	for i := 0; i < 20; i++ {
 		clk.advance(2 * time.Second)
-		if _, ok := c.Dequeue(); !ok {
+		if _, ok := c.TryDequeue(); !ok {
 			t.Fatal("drained early")
 		}
 	}
@@ -227,9 +227,9 @@ func TestBoundedBacklog(t *testing.T) {
 	}
 }
 
-// TestCloseDrainsThenStops: Close rejects new work but serves the rest;
-// Kill stops service immediately and DrainAll yields the leftovers in
-// fair order.
+// TestCloseDrainsThenStops: Close rejects new work but serves the rest,
+// then reports drained; Kill stops service at once, with items still
+// queued.
 func TestCloseDrainsThenStops(t *testing.T) {
 	c, _ := newTestController(Config{})
 	enqueueN(t, c, "t", "", 1, 3)
@@ -238,11 +238,14 @@ func TestCloseDrainsThenStops(t *testing.T) {
 		t.Fatalf("enqueue after close = %v", err)
 	}
 	for i := 0; i < 3; i++ {
-		if _, ok := c.Dequeue(); !ok {
+		if c.Drained() {
+			t.Fatalf("drained with %d left", 3-i)
+		}
+		if _, ok := c.TryDequeue(); !ok {
 			t.Fatalf("dequeue %d after close failed", i)
 		}
 	}
-	if _, ok := c.Dequeue(); ok {
+	if _, ok := c.TryDequeue(); ok || !c.Drained() {
 		t.Fatal("drained controller still serving")
 	}
 
@@ -250,41 +253,17 @@ func TestCloseDrainsThenStops(t *testing.T) {
 	enqueueN(t, k, "a", "", 1, 2)
 	enqueueN(t, k, "b", "", 1, 2)
 	k.Kill()
-	if _, ok := k.Dequeue(); ok {
+	if err := k.Enqueue(Item{ID: "late", Tenant: "a"}); err != ErrClosed {
+		t.Fatalf("enqueue after kill = %v", err)
+	}
+	if _, ok := k.TryDequeue(); ok {
 		t.Fatal("killed controller still serving")
 	}
-	left := k.DrainAll()
-	if len(left) != 4 {
-		t.Fatalf("DrainAll returned %d items, want 4", len(left))
+	if !k.Drained() {
+		t.Fatal("killed controller not drained")
 	}
-	if s := k.Stats(); s.Total != 0 {
-		t.Fatalf("stats after DrainAll = %+v", s)
-	}
-}
-
-// TestDequeueBlocksUntilEnqueue: a waiting pump wakes on new work.
-func TestDequeueBlocksUntilEnqueue(t *testing.T) {
-	c, _ := newTestController(Config{})
-	got := make(chan string, 1)
-	go func() {
-		d, ok := c.Dequeue()
-		if ok {
-			got <- d.Item.ID
-		} else {
-			got <- ""
-		}
-	}()
-	time.Sleep(10 * time.Millisecond)
-	if err := c.Enqueue(Item{ID: "wf-1", Tenant: "t"}); err != nil {
-		t.Fatal(err)
-	}
-	select {
-	case id := <-got:
-		if id != "wf-1" {
-			t.Fatalf("dequeued %q", id)
-		}
-	case <-time.After(2 * time.Second):
-		t.Fatal("Dequeue did not wake on Enqueue")
+	if s := k.Stats(); s.Total != 4 {
+		t.Fatalf("stats after Kill = %+v, want the 4 items still queued", s)
 	}
 }
 
@@ -345,8 +324,8 @@ func TestSaturatedAndDepth(t *testing.T) {
 	if !c.Saturated() {
 		t.Fatal("full controller not saturated")
 	}
-	if c.Depth() != 3 {
-		t.Fatalf("depth = %d", c.Depth())
+	if d := c.Stats().Total; d != 3 {
+		t.Fatalf("depth = %d", d)
 	}
 	if err := c.Enqueue(Item{ID: "x", Tenant: "t"}); err == nil {
 		t.Fatal("enqueue past total bound accepted")

@@ -125,7 +125,6 @@ type Tracer struct {
 
 type wfSpans struct {
 	spans []Span
-	last  map[string]uint64 // latest span ID per stage, for causal links
 }
 
 // stageWindowCap bounds each stage's latency window, so /metrics stays
@@ -230,7 +229,7 @@ func (t *Tracer) record(s Span, elapsed time.Duration) {
 		t.mu.Lock()
 		ws := t.wfs[s.Workflow]
 		if ws == nil {
-			ws = &wfSpans{last: make(map[string]uint64)}
+			ws = &wfSpans{}
 			t.wfs[s.Workflow] = ws
 		}
 		if len(ws.spans) < t.maxPer {
@@ -238,7 +237,6 @@ func (t *Tracer) record(s Span, elapsed time.Duration) {
 		} else {
 			t.dropped.Add(1)
 		}
-		ws.last[s.Stage] = s.ID
 		t.mu.Unlock()
 	}
 
@@ -263,20 +261,6 @@ func (t *Tracer) Spans(workflow string) []Span {
 		return nil
 	}
 	return append([]Span(nil), ws.spans...)
-}
-
-// LastSpan returns the ID of the workflow's most recent span of the
-// given stage (0 if none) — the lookup causal links are built from.
-func (t *Tracer) LastSpan(workflow, stage string) uint64 {
-	if t == nil {
-		return 0
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if ws := t.wfs[workflow]; ws != nil {
-		return ws.last[stage]
-	}
-	return 0
 }
 
 // Release drops the retained spans of one workflow (called when the

@@ -15,8 +15,8 @@ import (
 // released per job as execution passes them, and dropped atomically with
 // the owner's compute claims on every terminal path — a leaked transfer
 // reservation would silently narrow a link for every other tenant
-// forever, so TransferCount/TransferTotal exist for the leak tests and
-// metrics to prove the ledger drains to zero.
+// forever, so TransferTotal exists for the leak tests and metrics to
+// prove the ledger drains to zero.
 type Transfer struct {
 	Job     int
 	File    string
@@ -118,13 +118,6 @@ func (l *Ledger) ReleaseJobTransfers(owner string, job int) int {
 	return l.removeTWhere(owner, func(e tentry) bool { return e.job == job })
 }
 
-// TransferCount returns owner's live transfer-reservation count.
-func (l *Ledger) TransferCount(owner string) int {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.towners[owner]
-}
-
 // TransferTotal returns the ledger-wide transfer-reservation count.
 func (l *Ledger) TransferTotal() int {
 	l.mu.Lock()
@@ -152,27 +145,6 @@ func (l *Ledger) Channels() (names []string, counts []int) {
 	return names, counts
 }
 
-// ownedTransfers returns owner's transfer reservations in deterministic
-// (channel, then row) order, for the durability layer's republish path.
-func (l *Ledger) ownedTransfers(owner string) []Transfer {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	chs := make([]string, 0, len(l.byCh))
-	for ch := range l.byCh {
-		chs = append(chs, ch)
-	}
-	sort.Strings(chs)
-	var out []Transfer
-	for _, ch := range chs {
-		for _, e := range l.byCh[ch] {
-			if e.owner == owner {
-				out = append(out, Transfer{Job: e.job, File: e.file, Channel: ch, Start: e.start, Finish: e.finish})
-			}
-		}
-	}
-	return out
-}
-
 // appendLinkBusy appends every interval on channel ch not owned by
 // exclude to buf.
 func (l *Ledger) appendLinkBusy(ch, exclude string, buf []kernel.Busy) []kernel.Busy {
@@ -198,9 +170,3 @@ func (v *View) PublishTransfers(ts []Transfer) { v.l.SetOwnerTransfers(v.owner, 
 
 // ReleaseJobTransfers drops the owner's transfer reservations for one job.
 func (v *View) ReleaseJobTransfers(job int) int { return v.l.ReleaseJobTransfers(v.owner, job) }
-
-// OwnTransfers returns the owner's current transfer reservations.
-func (v *View) OwnTransfers() []Transfer { return v.l.ownedTransfers(v.owner) }
-
-// TransferCount returns the owner's live transfer-reservation count.
-func (v *View) TransferCount() int { return v.l.TransferCount(v.owner) }

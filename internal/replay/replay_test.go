@@ -9,6 +9,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"reflect"
 	"sort"
 	"strings"
 	"sync"
@@ -621,4 +622,59 @@ func waitPlan(t testing.TB, ts *httptest.Server, id string) *wire.Plan {
 	}
 	t.Fatalf("no initial plan for %s", id)
 	return nil
+}
+
+// TestReplayCountsAdmissionsAlike: a replayed submission is admitted
+// through the same path as a recorded one, so the replay daemon's
+// admission counters equal the recording daemon's, class by class.
+func TestReplayCountsAdmissionsAlike(t *testing.T) {
+	dir := t.TempDir()
+	rec, err := server.Open(server.Config{Shards: 2, RecordDir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(rec.Handler())
+	sc := workload.SampleScenario()
+	for i, class := range []string{wire.ClassHigh, wire.ClassNormal, wire.ClassLow, wire.ClassHigh, ""} {
+		var sub wire.Submitted
+		body := encodeSub(t, sc, "", "aheft", fmt.Sprintf("tenant-%d", i%2), wire.Options{Class: class})
+		if code := postJSON(t, ts, "/v1/workflows", body, &sub); code != http.StatusAccepted {
+			t.Fatalf("submit %d: HTTP %d", i, code)
+		}
+		waitTerminal(t, ts, sub.ID)
+	}
+	ts.Close()
+	if err := rec.Shutdown(t.Context()); err != nil {
+		t.Fatal(err)
+	}
+
+	streams, err := load(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv, err := server.Open(server.Config{Shards: 2, RecordDir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	deadline := time.Now().Add(30 * time.Second)
+	for i := range streams {
+		if _, err := driveShard(srv, &streams[i], deadline); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := srv.Shutdown(t.Context()); err != nil {
+		t.Fatal(err)
+	}
+	want, got := rec.MetricsSnapshot(), srv.MetricsSnapshot()
+	if want.Admission.AdmittedByClass[wire.ClassHigh] != 2 {
+		t.Fatalf("recording admitted %v", want.Admission.AdmittedByClass)
+	}
+	if !reflect.DeepEqual(got.Admission.AdmittedByClass, want.Admission.AdmittedByClass) ||
+		!reflect.DeepEqual(got.Admission.RejectedByClass, want.Admission.RejectedByClass) ||
+		got.RejectedFull != want.RejectedFull || got.RejectedDrain != want.RejectedDrain ||
+		got.Accepted != want.Accepted || got.Submissions != want.Submissions {
+		t.Fatalf("replay counted admissions differently:\n got admitted %v rejected %v backpressure %d draining %d accepted %d submissions %d\nwant admitted %v rejected %v backpressure %d draining %d accepted %d submissions %d",
+			got.Admission.AdmittedByClass, got.Admission.RejectedByClass, got.RejectedFull, got.RejectedDrain, got.Accepted, got.Submissions,
+			want.Admission.AdmittedByClass, want.Admission.RejectedByClass, want.RejectedFull, want.RejectedDrain, want.Accepted, want.Submissions)
+	}
 }

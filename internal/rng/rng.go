@@ -10,8 +10,6 @@
 // label into a child seed.
 package rng
 
-import "math"
-
 // Source is a deterministic pseudo-random number generator based on
 // splitmix64. The zero value is a valid generator seeded with 0; prefer New
 // so the seed is explicit.
@@ -99,36 +97,6 @@ func (s *Source) Split(label string) *Source {
 	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
 	z ^= z >> 31
 	return &Source{seed: z, state: z}
-}
-
-// Exp returns an exponentially distributed value with the given mean.
-func (s *Source) Exp(mean float64) float64 {
-	u := s.Float64()
-	for u == 0 {
-		u = s.Float64()
-	}
-	return -mean * math.Log(u)
-}
-
-// Norm returns a normally distributed value with the given mean and
-// standard deviation, using the Box–Muller transform.
-func (s *Source) Norm(mean, stddev float64) float64 {
-	u1 := s.Float64()
-	for u1 == 0 {
-		u1 = s.Float64()
-	}
-	u2 := s.Float64()
-	z := math.Sqrt(-2*math.Log(u1)) * math.Cos(2*math.Pi*u2)
-	return mean + stddev*z
-}
-
-// Shuffle pseudo-randomly reorders the n elements addressed by swap, in the
-// manner of math/rand.Shuffle.
-func (s *Source) Shuffle(n int, swap func(i, j int)) {
-	for i := n - 1; i > 0; i-- {
-		j := s.IntN(i + 1)
-		swap(i, j)
-	}
 }
 
 func fnv64a(s string) uint64 {

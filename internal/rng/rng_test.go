@@ -145,53 +145,6 @@ func TestSplitChain(t *testing.T) {
 	}
 }
 
-func TestExpMean(t *testing.T) {
-	r := New(17)
-	sum := 0.0
-	const n = 200000
-	for i := 0; i < n; i++ {
-		sum += r.Exp(3)
-	}
-	if mean := sum / n; math.Abs(mean-3) > 0.05 {
-		t.Fatalf("Exp(3) mean = %g, want ≈3", mean)
-	}
-}
-
-func TestNormMoments(t *testing.T) {
-	r := New(23)
-	const n = 200000
-	sum, sumSq := 0.0, 0.0
-	for i := 0; i < n; i++ {
-		v := r.Norm(10, 2)
-		sum += v
-		sumSq += v * v
-	}
-	mean := sum / n
-	variance := sumSq/n - mean*mean
-	if math.Abs(mean-10) > 0.05 {
-		t.Fatalf("Norm mean = %g, want ≈10", mean)
-	}
-	if math.Abs(math.Sqrt(variance)-2) > 0.05 {
-		t.Fatalf("Norm stddev = %g, want ≈2", math.Sqrt(variance))
-	}
-}
-
-func TestShuffle(t *testing.T) {
-	r := New(31)
-	xs := []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9}
-	r.Shuffle(len(xs), func(i, j int) { xs[i], xs[j] = xs[j], xs[i] })
-	seen := make(map[int]bool)
-	for _, v := range xs {
-		if seen[v] {
-			t.Fatalf("shuffle duplicated %d", v)
-		}
-		seen[v] = true
-	}
-	if len(seen) != 10 {
-		t.Fatalf("shuffle lost elements: %v", xs)
-	}
-}
-
 func BenchmarkUint64(b *testing.B) {
 	r := New(1)
 	for i := 0; i < b.N; i++ {

@@ -53,7 +53,7 @@ func TestDeepQueuePlansAroundOtherTenants(t *testing.T) {
 	if _, resp := submit(t, ts, blocker); resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("submit blocker: HTTP %d", resp.StatusCode)
 	}
-	for deadline := time.Now().Add(10 * time.Second); admissionDoc(srv).AdmittedByClass[wire.ClassNormal] < 2 || srv.shards[0].adm.Depth() != 0; time.Sleep(time.Millisecond) {
+	for deadline := time.Now().Add(10 * time.Second); admissionDoc(srv).AdmittedByClass[wire.ClassNormal] < 2 || srv.shards[0].adm.Stats().Total != 0; time.Sleep(time.Millisecond) {
 		if time.Now().After(deadline) {
 			close(unpark)
 			t.Fatal("the worker never took the blocker")
@@ -63,7 +63,7 @@ func TestDeepQueuePlansAroundOtherTenants(t *testing.T) {
 	for i := 0; i < queued; i++ {
 		ids = append(ids, submitShared(t, ts, "g", fmt.Sprintf("tenant-%d", i), sc))
 	}
-	if d := srv.shards[0].adm.Depth(); d != queued {
+	if d := srv.shards[0].adm.Stats().Total; d != queued {
 		close(unpark)
 		t.Fatalf("queue depth %d behind the parked worker, want %d", d, queued)
 	}

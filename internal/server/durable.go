@@ -781,7 +781,9 @@ func (f *recoveryFold) gridSpec(name string, spec json.RawMessage) {
 	}
 }
 
-func (f *recoveryFold) terminal(t *walTerminal) {
+// ended folds a terminal record; the first one fixes where the workflow
+// ended.
+func (f *recoveryFold) ended(t *walTerminal) {
 	rw := f.wfFor(t.ID)
 	if rw.terminal == nil {
 		rw.endedAt = f.pos()
@@ -863,7 +865,7 @@ func (f *recoveryFold) directory(idx int, policy durable.SyncPolicy) error {
 			f.wfFor(snap.Live[i].ID).fold(&snap.Live[i])
 		}
 		for i := range snap.Terminal {
-			f.terminal(&snap.Terminal[i])
+			f.ended(&snap.Terminal[i])
 		}
 	}
 	for _, r := range rec.Records {
@@ -927,7 +929,7 @@ func (f *recoveryFold) record(r *wire.WALRecord) {
 			}
 			return
 		}
-		f.terminal(&p)
+		f.ended(&p)
 	default:
 		f.skip(r, fmt.Errorf("unknown record kind"))
 	}

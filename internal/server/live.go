@@ -59,7 +59,7 @@ func (sh *shard) startLive(wf *workflow) {
 		wf.st.State = StateRunning
 		wf.startedAt = time.Now()
 		wf.mu.Unlock()
-		sh.failLive(wf, err)
+		sh.end(wf, nil, err)
 		return
 	}
 	planStart := time.Now()
@@ -75,7 +75,7 @@ func (sh *shard) startLive(wf *workflow) {
 	wf.append(m, wire.Event{Kind: "started"})
 	if err != nil {
 		planAct.Fail(err)
-		sh.failLive(wf, err)
+		sh.end(wf, nil, err)
 		return
 	}
 	wf.tracker = tr
@@ -240,8 +240,8 @@ func (sh *shard) applyReport(wf *workflow, cmd shardCmd) {
 	gref, tenant := wf.gridRef, wf.tenant // finishLive drops the running half
 	// Journal the post-apply state (with this batch's history deltas)
 	// even when the batch completes the run: the deltas must reach the
-	// recovered tenant history, and the terminal record finishLive
-	// journals supersedes the state record on replay.
+	// recovered tenant history, and the terminal record end journals
+	// supersedes the state record on replay.
 	sh.walLogState(wf, out.Recorded)
 	if out.Done {
 		ack.Makespan = out.Makespan
@@ -384,67 +384,21 @@ func (sh *shard) emitDecisionSpans(wf *workflow, d planner.Decision, parent, lin
 	}
 }
 
-// finishLive completes a live run: terminal event, record release,
-// metrics, retention.
+// finishLive ends a live run whose last job has finished.
 func (sh *shard) finishLive(wf *workflow) {
-	m := sh.srv.metrics
 	tr := wf.tracker
-	delete(sh.live, wf.id)
-	m.count(func(c *MetricsDoc) { c.LiveResident-- })
-	if wf.gridRef != nil {
-		// Belt and braces: every per-job release already happened on the
-		// finish reports, but a terminal record must never leave a claim
-		// behind — a leaked reservation would shrink the grid for every
-		// other tenant forever.
-		wf.gridRef.ledger.Release(wf.id)
-		wf.gridRef.detach(wf.id)
-	}
-	res := &planner.Result{
+	sh.end(wf, &planner.Result{
 		Policy:          wf.pol.Name(),
 		Makespan:        tr.Makespan(),
 		InitialMakespan: tr.InitialMakespan(),
 		Decisions:       tr.Decisions(),
-	}
-	wf.append(m, wire.Event{Kind: "done", Time: tr.Makespan(), Makespan: tr.Makespan()})
-	wf.finish(res, nil)
-	m.liveWorkflowDone(false)
-	sh.srv.retire(wf.id)
-	sh.walLogTerminal(wf)
-	if rec := sh.srv.recorder; rec != nil {
-		rec.done(sh.id, wf.id, StateDone, tr.Makespan(), "")
-	}
+	}, nil)
 }
 
 // cancelLive force-fails every resident live run (drain deadline).
 func (sh *shard) cancelLive(err error) {
-	m := sh.srv.metrics
-	if err == nil {
-		err = fmt.Errorf("server shutting down")
-	}
-	for id, wf := range sh.live {
-		delete(sh.live, id)
-		m.count(func(c *MetricsDoc) { c.LiveResident-- })
-		if wf.gridRef != nil {
-			// Force-cancel releases the whole claim set; no survivor
-			// notification — every resident of the shard is being killed.
-			wf.gridRef.ledger.Release(id)
-			wf.gridRef.detach(id)
-		}
-		sh.failLive(wf, err)
-	}
-}
-
-// failLive ends a live workflow with err: the failed event, its terminal
-// status and counts, retention, and the journal's and recorder's terminal
-// records.
-func (sh *shard) failLive(wf *workflow, err error) {
-	wf.append(sh.srv.metrics, wire.Event{Kind: "failed", Error: err.Error()})
-	wf.finish(nil, err)
-	sh.srv.metrics.liveWorkflowDone(true)
-	sh.srv.retire(wf.id)
-	sh.walLogTerminal(wf)
-	if rec := sh.srv.recorder; rec != nil {
-		rec.done(sh.id, wf.id, StateFailed, 0, err.Error())
+	for _, wf := range sh.live {
+		sh.end(wf, nil, err)
 	}
 }
 
@@ -520,21 +474,37 @@ func (sh *shard) historyTotals() (tenants, cells int) {
 func (s *Server) dispatch(r *http.Request, wf *workflow, c shardCmd) (cmdResult, bool) {
 	c.wf = wf
 	c.reply = make(chan cmdResult, 1)
-	unavailable := cmdResult{code: http.StatusServiceUnavailable, errMsg: "server is shutting down"}
 	select {
 	case s.shards[wf.shard].cmds <- c:
 	case <-r.Context().Done():
 		return cmdResult{}, false
 	case <-s.runCtx.Done():
-		return unavailable, true
+		return shuttingDown, true
 	}
+	return s.awaitReply(r, c.reply)
+}
+
+// shuttingDown answers a command no worker will serve.
+var shuttingDown = cmdResult{code: http.StatusServiceUnavailable, errMsg: "server is shutting down"}
+
+// awaitReply waits for a dispatched command's reply. A clean drain
+// cancels runCtx the moment the last resident workflow finishes — which
+// may be the one this command finished, its reply already buffered — and
+// select picks among ready cases at random, so a reply that is there wins
+// over the cancellation.
+func (s *Server) awaitReply(r *http.Request, reply <-chan cmdResult) (cmdResult, bool) {
 	select {
-	case res := <-c.reply:
+	case res := <-reply:
 		return res, true
 	case <-r.Context().Done():
 		return cmdResult{}, false
 	case <-s.runCtx.Done():
-		return unavailable, true
+	}
+	select {
+	case res := <-reply:
+		return res, true
+	default:
+		return shuttingDown, true
 	}
 }
 

@@ -106,29 +106,6 @@ func (m *Metrics) inflight() int64 {
 	return m.c.Inflight
 }
 
-func (m *Metrics) workflowDone(failed bool, computeDur time.Duration, decisions, adoptions int) {
-	if !failed {
-		// Only successful runs contribute latency samples: a failed or
-		// force-cancelled workflow aborts near-instantly and would drag
-		// the compute percentiles toward zero.
-		m.compute.Record(computeDur.Seconds() * 1e3)
-	}
-	m.count(func(c *MetricsDoc) {
-		c.terminal(failed)
-		c.Decisions += uint64(decisions)
-		c.Reschedules += uint64(adoptions)
-	})
-}
-
-// liveWorkflowDone closes out a live workflow's gauges. Unlike
-// workflowDone it records no compute-latency sample — a live run's wall
-// time is paced by its reporting client, not by the engine — and no
-// decision counts, which the report path already tallied as they
-// happened.
-func (m *Metrics) liveWorkflowDone(failed bool) {
-	m.count(func(c *MetricsDoc) { c.terminal(failed) })
-}
-
 // terminal counts one workflow reaching a terminal state.
 func (c *MetricsDoc) terminal(failed bool) {
 	if failed {

@@ -171,7 +171,7 @@ func TestMetricsCountConcurrently(t *testing.T) {
 					c.Admission.AdmittedByClass[admission.ClassNames[i%3]]++
 				})
 				m.decided([]planner.Decision{{Trigger: planner.TriggerVariance, Adopted: i%2 == 0}})
-				m.liveWorkflowDone(false)
+				m.count(func(c *MetricsDoc) { c.terminal(false) })
 			}
 		}()
 		go func() {

@@ -8,7 +8,6 @@ import (
 	"path/filepath"
 	"time"
 
-	"aheft/internal/admission"
 	"aheft/internal/durable"
 	"aheft/internal/obs"
 	"aheft/internal/wire"
@@ -140,7 +139,7 @@ func (r *recorder) finalize(clean bool) {
 	}
 }
 
-// InjectRecorded enqueues a recorded submission under its original
+// InjectRecorded admits a recorded submission under its original
 // daemon-assigned ID, bypassing HTTP intake: the replay harness drives
 // recorded streams through this so IDs — and with them shard routing —
 // reproduce exactly, including the sequence gaps rejected submissions
@@ -160,33 +159,13 @@ func (s *Server) InjectRecorded(id string, body []byte) (int, error) {
 		s.seq = n
 	}
 	s.mu.Unlock()
-	m := s.metrics
-	m.count(func(c *MetricsDoc) { c.Submissions++ })
-	if s.cfg.RecordDir != "" && s.recorder != nil {
+	s.metrics.count(func(c *MetricsDoc) { c.Submissions++ })
+	if s.recorder != nil {
 		wf.recBody = append(json.RawMessage(nil), body...)
 	}
-
-	s.submitMu.RLock()
-	defer s.submitMu.RUnlock()
-	if s.draining {
-		s.reject(wf, fmt.Errorf("server is draining"))
-		return 0, fmt.Errorf("server is draining")
-	}
-	m.inflightReserve()
-	s.shards[wf.shard].walLogSubmission(id, body, wf.tenant, wf.class, wf.weight)
-	err = s.shards[wf.shard].adm.Enqueue(admission.Item{
-		ID: id, Tenant: wf.tenant, Class: wf.class, Weight: wf.weight, Value: wf,
-	})
-	if err != nil {
-		m.inflightRelease()
-		s.shards[wf.shard].walLogReject(id)
-		s.reject(wf, fmt.Errorf("shard %d admission refused: %w", wf.shard, err))
+	if err := s.admit(wf, body); err != nil {
 		return 0, fmt.Errorf("shard %d admission refused: %w", wf.shard, err)
 	}
-	m.count(func(c *MetricsDoc) {
-		c.Accepted++
-		c.EventsEmitted++ // the seeded "submitted" event
-	})
 	return wf.shard, nil
 }
 

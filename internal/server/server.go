@@ -20,6 +20,7 @@ package server
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
@@ -428,8 +429,8 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	// bounced before its (up to MaxBodyBytes) body is read or decoded,
 	// so backpressure bounds intake memory and CPU, not just the queues.
 	// The ID is daemon-assigned, so the target shard is known pre-decode;
-	// the post-decode enqueue below remains the authoritative check —
-	// this one just refuses the obviously futile work early.
+	// admit, after the decode, remains the authoritative check — this one
+	// just refuses the obviously futile work early.
 	s.submitMu.RLock()
 	draining := s.draining
 	s.submitMu.RUnlock()
@@ -501,21 +502,11 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		// (see record.go); data is not referenced after this function.
 		wf.recBody = data
 	}
-	// Register before enqueueing so the ID resolves the instant the
-	// client can know it; unregister if the shard refuses the workflow.
+	// Register before admitting so the ID resolves the instant the client
+	// can know it; admit unregisters it if the shard refuses.
 	s.mu.Lock()
 	s.wfs[id] = wf
 	s.mu.Unlock()
-
-	s.submitMu.RLock()
-	if s.draining {
-		s.submitMu.RUnlock()
-		intakeAct.Fail(fmt.Errorf("server is draining"))
-		s.reject(wf, fmt.Errorf("server is draining"))
-		m.count(func(c *MetricsDoc) { c.RejectedDrain++ })
-		writeJSON(w, http.StatusServiceUnavailable, errorDoc{Error: "server is draining"})
-		return
-	}
 	if intakeAct != nil {
 		intakeAct.Span.Shard = wf.shard
 		intakeAct.Span.Tenant = wf.tenant
@@ -527,59 +518,14 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		wf.queueAct.Span.Parent = wf.rootSpan
 		wf.queueAct.Span.Shard = wf.shard
 	}
-	// Reserve the in-flight slot *before* the enqueue: a fast worker may
-	// dequeue and even finish the workflow the instant it is queued, and
-	// counting afterwards would let the gauge go transiently negative
-	// and the peak undercount real concurrency. A rejected enqueue rolls
-	// the reservation back.
-	m.inflightReserve()
-	// Journal the accepted submission (and its admission credentials)
-	// before the enqueue, so a crash in the window between accept and
-	// start replays it into the fair queue as pending. A refused enqueue
-	// voids it with a reject record below.
-	s.shards[wf.shard].walLogSubmission(id, data, wf.tenant, wf.class, wf.weight)
-	cls := className(wf.class)
-	err = s.shards[wf.shard].adm.Enqueue(admission.Item{
-		ID: id, Tenant: wf.tenant, Class: wf.class, Weight: wf.weight, Value: wf,
-	})
-	var backlog *admission.BacklogError
-	switch {
-	case err == nil:
-		m.count(func(c *MetricsDoc) {
-			c.Accepted++
-			c.Admission.AdmittedByClass[cls]++
-			c.EventsEmitted++ // the seeded "submitted" event
-		})
-		s.submitMu.RUnlock()
-	case errors.As(err, &backlog):
-		// Bounded backlog: backpressure, not buffering. The rejection is
-		// honest per-tenant — a flooding tenant hits its own bound while
-		// others keep landing — and Retry-After names the time for this
-		// tenant's backlog to drain at its weighted share of the
-		// measured drain rate.
-		s.submitMu.RUnlock()
-		m.inflightRelease()
-		s.shards[wf.shard].walLogReject(id)
-		wf.queueAct.Fail(err)
-		s.reject(wf, err)
-		m.count(func(c *MetricsDoc) {
-			c.RejectedFull++
-			c.Admission.RejectedByClass[cls]++
-		})
-		w.Header().Set("Retry-After", strconv.Itoa(backlog.RetryAfter))
-		writeJSON(w, http.StatusTooManyRequests, errorDoc{Error: err.Error()})
-		return
-	default:
-		// The controller refused for a non-backlog reason: closed by a
-		// drain that raced past the check above, or an invalid class
-		// that slipped validation.
-		s.submitMu.RUnlock()
-		m.inflightRelease()
-		s.shards[wf.shard].walLogReject(id)
-		wf.queueAct.Fail(err)
-		s.reject(wf, err)
-		m.count(func(c *MetricsDoc) { c.RejectedDrain++ })
-		writeJSON(w, http.StatusServiceUnavailable, errorDoc{Error: err.Error()})
+	if err := s.admit(wf, data); err != nil {
+		code := http.StatusServiceUnavailable
+		var backlog *admission.BacklogError
+		if errors.As(err, &backlog) {
+			code = http.StatusTooManyRequests
+			w.Header().Set("Retry-After", strconv.Itoa(backlog.RetryAfter))
+		}
+		writeJSON(w, code, errorDoc{Error: err.Error()})
 		return
 	}
 	writeJSON(w, http.StatusAccepted, wire.Submitted{ID: id, Shard: wf.shard, State: StateQueued})
@@ -729,6 +675,59 @@ func (s *Server) buildWorkflow(id string, data []byte) (*workflow, *sharedGrid, 
 		wf.st.Grid = gref.name
 	}
 	return wf, gref, nil
+}
+
+// errDraining refuses a submission that arrives after Shutdown began.
+var errDraining = errors.New("server is draining")
+
+// admit hands a registered workflow to its shard's fair queue. It is the
+// one way a submission is accepted — from HTTP intake or a replayed
+// recording — and it keeps the submission counters. A refusal (drain, or
+// a full backlog: a flooding tenant hits its own bound while others keep
+// landing, and the *admission.BacklogError's Retry-After is the time for
+// that tenant's backlog to drain at its weighted share) is unwound here
+// and returned. body is the raw submission, journalled before the
+// enqueue so a crash between accept and start replays it as pending.
+func (s *Server) admit(wf *workflow, body json.RawMessage) error {
+	m := s.metrics
+	sh := s.shards[wf.shard]
+	// Everything is read from the running half now: the worker may finish
+	// the workflow and drop it the instant the enqueue lands.
+	item := admission.Item{ID: wf.id, Tenant: wf.tenant, Class: wf.class, Weight: wf.weight, Value: wf}
+	cls := className(wf.class)
+	s.submitMu.RLock()
+	defer s.submitMu.RUnlock()
+	err := errDraining
+	if !s.draining {
+		// Reserve the in-flight slot before the enqueue, or a fast worker
+		// could end the workflow first and take the gauge below zero.
+		m.inflightReserve()
+		sh.walLogSubmission(wf.id, body, item.Tenant, item.Class, item.Weight)
+		if err = sh.adm.Enqueue(item); err == nil {
+			m.count(func(c *MetricsDoc) {
+				c.Accepted++
+				c.Admission.AdmittedByClass[cls]++
+				c.EventsEmitted++ // the seeded "submitted" event
+			})
+			return nil
+		}
+		m.inflightRelease()
+		sh.walLogReject(wf.id)
+	}
+	wf.queueAct.Fail(err)
+	s.reject(wf, err)
+	var backlog *admission.BacklogError
+	if errors.As(err, &backlog) {
+		m.count(func(c *MetricsDoc) {
+			c.RejectedFull++
+			c.Admission.RejectedByClass[cls]++
+		})
+	} else {
+		// Closed by a drain that raced past the check, or an invalid class
+		// that slipped validation.
+		m.count(func(c *MetricsDoc) { c.RejectedDrain++ })
+	}
+	return err
 }
 
 func (s *Server) forget(id string) {

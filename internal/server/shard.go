@@ -376,10 +376,12 @@ type shard struct {
 	id  int
 	srv *Server
 	// adm is the shard's admission controller: the bounded, weighted
-	// fair queue between HTTP intake and this worker. The submit path
-	// enqueues; the worker serves one item per select wakeup through
-	// Ready/TryDequeue, so tenants drain in two-level DRR order and
-	// intake interleaves fairly with the report/what-if command stream.
+	// fair queue between intake and this worker. Server.admit (and, before
+	// the worker starts, recovery) enqueues; the worker, its one consumer,
+	// serves one item per select wakeup through Ready/TryDequeue, so
+	// tenants drain in two-level DRR order and intake interleaves fairly
+	// with the report/what-if command stream. Every workflow the worker
+	// starts finishes through end.
 	adm  *admission.Controller
 	cmds chan shardCmd
 	live map[string]*workflow // live workflows resident on this shard
@@ -508,30 +510,57 @@ func (sh *shard) execute(wf *workflow) {
 			sh.logDecision(wf, d)
 		})
 
-	// The terminal event goes into the log (and to live subscribers)
-	// before finish closes the subscription channels, so a follower sees
-	// "done"/"failed" and then the close.
 	if err != nil {
 		planAct.Fail(err)
-		if rec := sh.srv.recorder; rec != nil {
-			rec.done(sh.id, wf.id, StateFailed, 0, err.Error())
-		}
-		wf.append(m, wire.Event{Kind: "failed", Error: err.Error()})
-		wf.finish(res, err)
-		m.workflowDone(true, time.Since(started), decisions, adoptions)
-		sh.srv.retire(wf.id)
-		sh.walLogTerminal(wf)
-		return
+	} else {
+		planAct.End()
+		// Only successful runs contribute latency samples: a failed or
+		// force-cancelled workflow aborts near-instantly and would drag
+		// the compute percentiles toward zero.
+		m.compute.Record(time.Since(started).Seconds() * 1e3)
 	}
-	planAct.End()
-	if rec := sh.srv.recorder; rec != nil {
-		rec.done(sh.id, wf.id, StateDone, res.Makespan, "")
+	m.count(func(c *MetricsDoc) {
+		c.Decisions += uint64(decisions)
+		c.Reschedules += uint64(adoptions)
+	})
+	sh.end(wf, res, err)
+}
+
+// end is the one way a workflow this shard ran finishes, done (err nil,
+// res its outcome) or failed. In order: it leaves the resident set, gives
+// back its shared-grid claims, appends the terminal event — before finish
+// closes the subscription channels, so a follower sees "done"/"failed"
+// and then the close — makes the entry terminal, counts it, retires it,
+// and writes the journal's and the recorder's terminal records.
+func (sh *shard) end(wf *workflow, res *planner.Result, err error) {
+	s := sh.srv
+	m := s.metrics
+	if _, ok := sh.live[wf.id]; ok {
+		delete(sh.live, wf.id)
+		m.count(func(c *MetricsDoc) { c.LiveResident-- })
 	}
-	wf.append(m, wire.Event{Kind: "done", Time: res.Makespan, Makespan: res.Makespan})
+	if g := wf.gridRef; g != nil {
+		// Every per-job release already happened on the finish reports of a
+		// run that completed, but a terminal record must never leave a claim
+		// behind: a leaked reservation would shrink the grid for every
+		// other tenant forever. No survivor is notified.
+		g.ledger.Release(wf.id)
+		g.detach(wf.id)
+	}
+	state, ev := StateDone, wire.Event{Kind: "done"}
+	if err != nil {
+		state, ev = StateFailed, wire.Event{Kind: "failed", Error: err.Error()}
+	} else {
+		ev.Time, ev.Makespan = res.Makespan, res.Makespan
+	}
+	wf.append(m, ev)
 	wf.finish(res, err)
-	m.workflowDone(false, time.Since(started), decisions, adoptions)
-	sh.srv.retire(wf.id)
+	m.count(func(c *MetricsDoc) { c.terminal(err != nil) })
+	s.retire(wf.id)
 	sh.walLogTerminal(wf)
+	if rec := s.recorder; rec != nil {
+		rec.done(sh.id, wf.id, state, ev.Makespan, ev.Error)
+	}
 }
 
 // shardFor routes a workflow ID to a shard with Jump Consistent Hash
