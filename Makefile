@@ -54,6 +54,7 @@ FUZZTIME ?= 30s
 fuzz:
 	$(GO) test -run '^$$' -fuzz 'FuzzSerializeRoundTrip' -fuzztime $(FUZZTIME) ./internal/wire
 	$(GO) test -run '^$$' -fuzz 'FuzzGrammarMatchesEncodingJSON' -fuzztime $(FUZZTIME) ./internal/jsonscan
+	$(GO) test -run '^$$' -fuzz 'FuzzFloatMatchesStrconv' -fuzztime $(FUZZTIME) ./internal/jsonscan
 	$(GO) test -run '^$$' -fuzz 'FuzzDecodeSubmissionParity' -fuzztime $(FUZZTIME) ./internal/wire
 	$(GO) test -run '^$$' -fuzz 'FuzzDecodePartsParity' -fuzztime $(FUZZTIME) ./internal/wire
 	$(GO) test -run '^$$' -fuzz 'FuzzReportRoundTrip' -fuzztime $(FUZZTIME) ./internal/wire

@@ -10,8 +10,9 @@
 // exactly, else case-insensitively, other keys skipped; null leaving a
 // field as it was; a repeated key decoded into what the earlier one left.
 // A string without escapes or non-ASCII bytes is a view of the input; any
-// other is unquoted by encoding/json itself. Numbers are converted by
-// strconv on the token, never by hand.
+// other is unquoted by encoding/json itself. A number is converted in the
+// walk that checks it (see Float), bit for bit what strconv.ParseFloat
+// makes of it: FuzzFloatMatchesStrconv holds it to that.
 //
 // Errors are sticky: after the first, every method is a no-op returning a
 // zero value and every walk ends, so a decoder checks Err once.
@@ -315,60 +316,92 @@ func (s *Scanner) String() []byte {
 	return []byte(out)
 }
 
-// digits returns the index of the first non-digit at or after i.
-func digits(d []byte, i int) int {
-	for i < len(d) && '0' <= d[i] && d[i] <= '9' {
-		i++
+// num is what number gathers in its one walk over a token: ±mant × 10^exp,
+// mant holding the first 19 significant digits (nd of them), and inexact if
+// that is not the number (a non-zero digit dropped, an overlong exponent).
+type num struct {
+	tok          []byte
+	mant         uint64
+	exp, nd      int
+	neg, inexact bool
+}
+
+// digits consumes the run of digits at d[i:] into n and returns the index
+// of the first non-digit; frac is 1 after the decimal point, else 0.
+func (n *num) digits(d []byte, i, frac int) int {
+	from := i
+	for n.mant == 0 && i < len(d) && d[i] == '0' {
+		i++ // leading zeros are not significant
 	}
+	take, mant := i, n.mant
+	for end := min(len(d), i+19-n.nd); i < end && d[i]-'0' <= 9; i++ {
+		mant = mant*10 + uint64(d[i]-'0')
+	}
+	n.mant, n.nd, take = mant, n.nd+i-take, i
+	for ; i < len(d) && d[i]-'0' <= 9; i++ {
+		n.inexact = n.inexact || d[i] != '0'
+	}
+	n.exp += i - take - frac*(i-from) // digits dropped, less those after the point
 	return i
 }
 
-// number consumes a number token.
-func (s *Scanner) number() []byte {
+// number consumes a number token, checking its grammar and gathering its
+// decimal as it goes.
+func (s *Scanner) number() (n num) {
 	s.Peek()
 	d, i := s.data, s.pos
 	if s.err != nil {
-		return nil
+		return n
 	}
-	if i < len(d) && d[i] == '-' {
+	if n.neg = i < len(d) && d[i] == '-'; n.neg {
 		i++
 	}
 	from := i // each part of the grammar must move i past a digit
 	if i < len(d) && d[i] == '0' {
 		i++
 	} else {
-		i = digits(d, i)
+		i = n.digits(d, i, 0)
 	}
 	ok := i > from
 	if ok && i < len(d) && d[i] == '.' {
 		from = i + 1
-		i = digits(d, from)
+		i = n.digits(d, from, 1)
 		ok = i > from
 	}
 	if ok && i < len(d) && (d[i] == 'e' || d[i] == 'E') {
+		sign, e := 1, 0
 		if i++; i < len(d) && (d[i] == '+' || d[i] == '-') {
+			sign = 44 - int(d[i]) // '+' is 43, '-' 45
 			i++
 		}
-		from = i
-		i = digits(d, from)
-		ok = i > from
+		for from = i; i < len(d) && '0' <= d[i] && d[i] <= '9'; i++ {
+			e = min(e*10+int(d[i]-'0'), 1e4)
+		}
+		n.exp, n.inexact, ok = n.exp+sign*e, n.inexact || e == 1e4, i > from // 1e4: far past the table
 	}
-	tok := d[s.pos:i]
+	n.tok = d[s.pos:i]
 	s.pos = i
 	if !ok {
 		s.syntax("number")
-		return nil
+		return num{}
 	}
-	return tok
+	return n
 }
 
-// Float consumes a number and converts it with strconv.ParseFloat, as
-// encoding/json does; a number float64 cannot hold is an error.
+// Float consumes a number and converts it to the nearest float64, as
+// encoding/json does; a number float64 cannot hold is an error. It runs
+// eiselLemire on what number gathered, strconv.ParseFloat where that fails.
 func (s *Scanner) Float() float64 {
-	tok := s.number()
-	f, err := strconv.ParseFloat(string(tok), 64)
+	n := s.number()
+	if f, ok := eiselLemire(n.mant, n.exp); ok && !n.inexact { // after an error, n is zero
+		if n.neg {
+			return -f
+		}
+		return f
+	}
+	f, err := strconv.ParseFloat(string(n.tok), 64)
 	if err != nil && s.err == nil {
-		s.err = fmt.Errorf("json: number %s does not fit a float64", tok)
+		s.err = fmt.Errorf("json: number %s does not fit a float64", n.tok)
 	}
 	return f
 }
@@ -376,7 +409,7 @@ func (s *Scanner) Float() float64 {
 // Int consumes a number and converts it with strconv.ParseInt: a
 // fraction, an exponent or an overflow is an error, as in encoding/json.
 func (s *Scanner) Int() int {
-	tok := s.number()
+	tok := s.number().tok
 	n, err := strconv.ParseInt(string(tok), 10, strconv.IntSize)
 	if err != nil && s.err == nil {
 		s.err = fmt.Errorf("json: number %s is not an int", tok)
@@ -388,7 +421,7 @@ func (s *Scanner) Int() int {
 // unsigned integer of the given size: a sign, a fraction, an exponent or an
 // overflow is an error, as in encoding/json.
 func (s *Scanner) Uint(bits int) uint64 {
-	tok := s.number()
+	tok := s.number().tok
 	n, err := strconv.ParseUint(string(tok), 10, bits)
 	if err != nil && s.err == nil {
 		s.err = fmt.Errorf("json: number %s is not a uint%d", tok, bits)
