@@ -4,8 +4,9 @@
 // mid-flight, restarts it on the same data directory, and checks the
 // recovery invariants: nothing lost, plans and generations preserved,
 // duplicate report replays acked idempotently, every resumed run finishing
-// with its planned makespan, no workflow failed daemon-side, and the
-// shared-grid ledger leak-free after drain. A violated invariant exits 1
+// with its planned makespan, no workflow failed daemon-side, no journal
+// record skipped as unusable, and the shared-grid ledger leak-free after
+// drain. A violated invariant exits 1
 // with the spawned daemon killed and the data directory kept.
 //
 //	go build -race -o bin/aheftd-race ./cmd/aheftd
@@ -363,6 +364,10 @@ func (o *options) script(dir string, logger *log.Logger) (rep *Report, err error
 	}
 	if m.Failed != 0 {
 		return nil, fmt.Errorf("daemon reports %d failed workflows", m.Failed)
+	}
+	// A daemon that cannot read its own log has a recovery bug.
+	if m.WALRecordsSkipped != 0 {
+		return nil, fmt.Errorf("restarted daemon skipped %d unusable journal records", m.WALRecordsSkipped)
 	}
 	if m.ReportsDuplicate < uint64(len(prefixes)) {
 		return nil, fmt.Errorf("reports_duplicate=%d, want >= %d", m.ReportsDuplicate, len(prefixes))

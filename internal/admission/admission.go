@@ -210,7 +210,15 @@ func New(cfg Config) *Controller {
 // Enqueue adds a submission to its tenant's queue, rejecting on bounded
 // backlog (a *BacklogError with drain-derived Retry-After) or after
 // Close (ErrClosed).
-func (c *Controller) Enqueue(it Item) error {
+func (c *Controller) Enqueue(it Item) error { return c.enqueue(it, true) }
+
+// Readmit re-enqueues a submission admitted before a restart. The
+// backlog bounds judged it then and are not applied again: with the item
+// a worker had already taken out of the queue, a tenant's accepted
+// submissions can outnumber its bound.
+func (c *Controller) Readmit(it Item) error { return c.enqueue(it, false) }
+
+func (c *Controller) enqueue(it Item, bounded bool) error {
 	ci, ok := ClassIndex(it.Class)
 	if !ok {
 		return fmt.Errorf("admission: unknown class %q", it.Class)
@@ -229,10 +237,10 @@ func (c *Controller) Enqueue(it Item) error {
 		q = &tenantQueue{name: it.Tenant}
 		cq.tenants[it.Tenant] = q
 	}
-	if max := c.cfg.TotalBacklog; max > 0 && c.total >= max {
+	if max := c.cfg.TotalBacklog; bounded && max > 0 && c.total >= max {
 		return &BacklogError{Tenant: it.Tenant, Depth: c.total, RetryAfter: c.retryAfterLocked(ci, q, c.total), Total: true}
 	}
-	if max := c.cfg.PerTenantBacklog; max > 0 && q.depth() >= max {
+	if max := c.cfg.PerTenantBacklog; bounded && max > 0 && q.depth() >= max {
 		return &BacklogError{Tenant: it.Tenant, Depth: q.depth(), RetryAfter: c.retryAfterLocked(ci, q, q.depth())}
 	}
 	q.weight = it.Weight

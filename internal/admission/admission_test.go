@@ -225,6 +225,16 @@ func TestBoundedBacklog(t *testing.T) {
 	if s := c.Stats(); s.Total != 5 || s.PerTenant["a"] != 3 || s.PerTenant["b"] != 2 {
 		t.Fatalf("stats = %+v", s)
 	}
+	// A readmission passes both caps; fresh work still meets them.
+	if err := c.Readmit(Item{ID: "a-readmit", Tenant: "a"}); err != nil {
+		t.Fatalf("readmit past the caps: %v", err)
+	}
+	if s := c.Stats(); s.Total != 6 || s.PerTenant["a"] != 4 {
+		t.Fatalf("stats after readmit = %+v", s)
+	}
+	if _, ok := c.Enqueue(Item{ID: "d-over", Tenant: "d"}).(*BacklogError); !ok {
+		t.Fatal("enqueue past the caps after a readmit was taken")
+	}
 }
 
 // TestCloseDrainsThenStops: Close rejects new work but serves the rest,

@@ -28,21 +28,21 @@ import (
 // accepted submissions, live trackers (plan, generation, execution
 // progress), tenant performance histories, terminal records and
 // shared-grid registrations. Each shard appends on its own paths (the
-// submission path logs before enqueue; everything else appends from the
-// shard's single worker goroutine), so the WAL adds one ordered write
-// per state change and no new locking on the planning hot path. On
+// submission path logs once its enqueue succeeds; everything else appends
+// from the shard's single worker goroutine), so the WAL adds one ordered
+// write per state change and no new locking on the planning hot path. On
 // startup, Open replays the newest snapshot plus the log tail: live
 // workflows come back resident with their current plan and feedback
 // state, shared-grid ledgers reassemble from their restored residents,
 // pending submissions re-enqueue, and duplicate report replays are
 // acked idempotently (see applyReport / feedback.AlreadyApplied).
 //
-// Record kinds (wire.WAL*): a submission logs its raw body before the
-// enqueue; a reject voids it; an admission record carries its fair-queue
-// credentials; a state record carries one live workflow's post-apply
-// feedback state — as a patch (feedback.StatePatch) against the state
-// the workflow's previous record left, with the events appended since
-// and that batch's history deltas; a terminal record freezes the final
+// Record kinds (wire.WAL*): a submission logs its raw body once it is
+// queued (a refused one writes nothing; its fair-queue credentials are
+// rebuilt from the body); a state record carries one live workflow's
+// post-apply feedback state — as a patch (feedback.StatePatch) against
+// the state the workflow's previous record left, with the events
+// appended since and that batch's history deltas; a terminal record freezes the final
 // status; a grid record registers a shared grid. State records describe
 // the tracker, not the operations on it — replaying operations through
 // Apply would re-run rescheduling evaluations whose outcomes depend on
@@ -60,7 +60,8 @@ import (
 // entry it just wrote; a snapshot or an append that fails leaves the
 // workflow without a base, and its next record is a whole state again.
 // Logs from before patches existed hold whole states only and recover
-// through the same fold.
+// through the same fold, and older logs' admission and reject records are
+// read but no longer written.
 
 // walSubmission is the payload of a wire.WALSubmission record.
 type walSubmission struct {
@@ -68,22 +69,10 @@ type walSubmission struct {
 	Body json.RawMessage `json:"body"`
 }
 
-// walReject voids a logged submission whose enqueue was refused.
+// walReject, in a log written before refused submissions stopped being
+// journalled, voids the submission logged before it.
 type walReject struct {
 	ID string `json:"id"`
-}
-
-// walAdmission journals the admission decision for an accepted
-// submission: the tenant, priority class and fair-queue weight it was
-// admitted under. It rides beside the raw-body submission record so a
-// crash restores queued-but-unplanned submissions into the fair queue
-// with the same credentials — recovery must not re-litigate admission
-// or let a tenant's flood re-enter ahead of its original position.
-type walAdmission struct {
-	ID     string  `json:"id"`
-	Tenant string  `json:"tenant,omitempty"`
-	Class  string  `json:"class,omitempty"`
-	Weight float64 `json:"weight,omitempty"`
 }
 
 // walGrid registers a shared grid (raw wire.GridSpec body).
@@ -137,14 +126,13 @@ type tenantHistory struct {
 // shardSnapshot is the periodic full-state document that truncates the
 // shard's log.
 type shardSnapshot struct {
-	V          int             `json:"v"`
-	Seq        uint64          `json:"seq"`
-	Grids      []walGrid       `json:"grids,omitempty"`
-	Pending    []walSubmission `json:"pending,omitempty"`
-	Admissions []walAdmission  `json:"admissions,omitempty"`
-	Live       []walState      `json:"live,omitempty"`
-	Terminal   []walTerminal   `json:"terminal,omitempty"`
-	Tenants    []tenantHistory `json:"tenants,omitempty"`
+	V        int             `json:"v"`
+	Seq      uint64          `json:"seq"`
+	Grids    []walGrid       `json:"grids,omitempty"`
+	Pending  []walSubmission `json:"pending,omitempty"`
+	Live     []walState      `json:"live,omitempty"`
+	Terminal []walTerminal   `json:"terminal,omitempty"`
+	Tenants  []tenantHistory `json:"tenants,omitempty"`
 }
 
 // The journal's documents encode by hand, as json.Marshal would but for
@@ -155,13 +143,6 @@ type shardSnapshot struct {
 
 func (p *walSubmission) AppendJSON(e *wire.Appender) {
 	e.Raw(`{"id":`).Str(p.ID).Raw(`,"body":`).RawValue(p.Body).Raw(`}`)
-}
-
-func (p *walReject) AppendJSON(e *wire.Appender) { e.Raw(`{"id":`).Str(p.ID).Raw(`}`) }
-
-func (p *walAdmission) AppendJSON(e *wire.Appender) {
-	e.Raw(`{"id":`).Str(p.ID).OmitStr(`,"tenant":`, p.Tenant).OmitStr(`,"class":`, p.Class)
-	e.OmitFloat(`,"weight":`, p.Weight).Raw(`}`)
 }
 
 func (p *walGrid) AppendJSON(e *wire.Appender) {
@@ -206,25 +187,23 @@ func (d *shardSnapshot) AppendJSON(e *wire.Appender) {
 	e.Raw(`{"v":`).Int(d.V).Raw(`,"seq":`).Uint(d.Seq)
 	wire.OmitArray(e, `,"grids":`, d.Grids, func(g *walGrid) { g.AppendJSON(e) })
 	wire.OmitArray(e, `,"pending":`, d.Pending, func(p *walSubmission) { p.AppendJSON(e) })
-	wire.OmitArray(e, `,"admissions":`, d.Admissions, func(a *walAdmission) { a.AppendJSON(e) })
 	wire.OmitArray(e, `,"live":`, d.Live, func(p *walState) { p.AppendJSON(e) })
 	wire.OmitArray(e, `,"terminal":`, d.Terminal, func(t *walTerminal) { t.AppendJSON(e) })
 	wire.OmitArray(e, `,"tenants":`, d.Tenants, func(t *tenantHistory) { t.AppendJSON(e) }).Raw(`}`)
 }
 
 // shardWAL is one shard's durability state: the append store plus the
-// raw-submission mirrors the snapshot needs (a queued workflow sits in
-// a channel and cannot be enumerated; a live tracker does not retain
-// its raw body). The mutex orders appends against snapshot assembly and
-// rotation, so no record can land in a segment the rotation is about to
-// truncate without being covered by the snapshot.
+// raw-submission mirrors the snapshot needs (the fair queue holds built
+// workflows, not their raw bodies, and a live tracker does not retain
+// its raw body either). The mutex orders appends against snapshot
+// assembly and rotation, so no record can land in a segment the rotation
+// is about to truncate without being covered by the snapshot.
 type shardWAL struct {
 	store *durable.Shard
 
 	mu        sync.Mutex
 	pend      map[string]json.RawMessage // accepted, not yet started
 	pendOrder []string                   // arrival order (lazily compacted)
-	admit     map[string]walAdmission    // admission credentials, mirrors pend
 	bodies    map[string]json.RawMessage // live residents' raw submissions
 
 	// onAppend, when set (tests only), sees each record's kind just before
@@ -237,59 +216,46 @@ func newShardWAL(store *durable.Shard) *shardWAL {
 	return &shardWAL{
 		store:  store,
 		pend:   make(map[string]json.RawMessage),
-		admit:  make(map[string]walAdmission),
 		bodies: make(map[string]json.RawMessage),
 	}
 }
 
-// append writes the records in one write(2) and reports whether they were
-// written; callers hold w.mu. A failed append degrades durability, not
-// availability: the daemon keeps serving and the error is counted and
-// logged.
-func (w *shardWAL) append(m *Metrics, recs ...durable.Record) bool {
-	for _, r := range recs {
-		if w.onAppend != nil {
-			w.onAppend(r.Kind)
-		}
+// append writes one record and reports whether it was written; callers
+// hold w.mu. A failed append degrades durability, not availability: the
+// daemon keeps serving and the error is counted and logged.
+func (w *shardWAL) append(m *Metrics, kind string, data wire.Doc) bool {
+	if w.onAppend != nil {
+		w.onAppend(kind)
 	}
-	if _, err := w.store.AppendAll(recs...); err != nil {
+	if _, err := w.store.Append(kind, data); err != nil {
 		m.count(func(c *MetricsDoc) { c.WALErrors++ })
-		log.Printf("aheftd: wal append (%s): %v", recs[0].Kind, err)
+		log.Printf("aheftd: wal append (%s): %v", kind, err)
 		return false
 	}
 	return true
 }
 
-// walLogSubmission mirrors and logs an accepted submission before its
-// enqueue, so a crash between accept and start replays it as pending.
-// The admission record goes to disk in the same write(2), so no crash
-// can observe a journalled body without its fair-queue credentials.
-func (sh *shard) walLogSubmission(id string, body json.RawMessage, tenant, class string, weight float64) {
+// enqueue hands an accepted submission to the shard's fair queue and,
+// once it is queued, mirrors and logs its raw body, so a crash between
+// accept and start replays it as pending and a refused one leaves no
+// record. w.mu is held across both: every record the worker writes about
+// the workflow waits on it, so the submission comes first in the log.
+// Lock order: submitMu, w.mu, then the controller's own (Enqueue never
+// blocks).
+func (sh *shard) enqueue(item admission.Item, body json.RawMessage) error {
 	w := sh.wal
 	if w == nil {
-		return
-	}
-	adm := walAdmission{ID: id, Tenant: tenant, Class: class, Weight: weight}
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	w.pend[id] = body
-	w.pendOrder = append(w.pendOrder, id)
-	w.admit[id] = adm
-	w.append(sh.srv.metrics, durable.Record{Kind: wire.WALSubmission, Data: &walSubmission{ID: id, Body: body}},
-		durable.Record{Kind: wire.WALAdmission, Data: &adm})
-}
-
-// walLogReject voids a logged submission whose enqueue was refused.
-func (sh *shard) walLogReject(id string) {
-	w := sh.wal
-	if w == nil {
-		return
+		return sh.adm.Enqueue(item)
 	}
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	delete(w.pend, id)
-	delete(w.admit, id)
-	w.append(sh.srv.metrics, durable.Record{Kind: wire.WALReject, Data: &walReject{ID: id}})
+	if err := sh.adm.Enqueue(item); err != nil {
+		return err
+	}
+	w.pend[item.ID] = body
+	w.pendOrder = append(w.pendOrder, item.ID)
+	w.append(sh.srv.metrics, wire.WALSubmission, &walSubmission{ID: item.ID, Body: body})
+	return nil
 }
 
 // walStateDoc assembles the workflow's next state record: a patch
@@ -358,10 +324,9 @@ func (sh *shard) walLogState(wf *workflow, deltas []feedback.HistoryDelta) {
 	w.mu.Lock()
 	if b, ok := w.pend[wf.id]; ok {
 		delete(w.pend, wf.id)
-		delete(w.admit, wf.id)
 		w.bodies[wf.id] = b
 	}
-	ok := w.append(sh.srv.metrics, durable.Record{Kind: wire.WALState, Data: &doc})
+	ok := w.append(sh.srv.metrics, wire.WALState, &doc)
 	w.mu.Unlock()
 	wf.rebase(&doc, ok)
 }
@@ -377,9 +342,8 @@ func (sh *shard) walLogTerminal(wf *workflow) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	delete(w.pend, wf.id)
-	delete(w.admit, wf.id)
 	delete(w.bodies, wf.id)
-	w.append(sh.srv.metrics, durable.Record{Kind: wire.WALTerminal, Data: &doc})
+	w.append(sh.srv.metrics, wire.WALTerminal, &doc)
 }
 
 // terminalDoc renders a terminal entry as its journal record.
@@ -412,7 +376,7 @@ func (s *Server) walLogGrid(g *sharedGrid) {
 	}
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	w.append(s.metrics, durable.Record{Kind: wire.WALGrid, Data: &walGrid{Name: g.name, Spec: g.raw}})
+	w.append(s.metrics, wire.WALGrid, &walGrid{Name: g.name, Spec: g.raw})
 }
 
 // snapBufs holds the buffers snapshots are encoded into: a snapshot is
@@ -482,9 +446,6 @@ func (sh *shard) snapshot() {
 		}
 		order = append(order, id)
 		doc.Pending = append(doc.Pending, walSubmission{ID: id, Body: b})
-		if adm, ok := w.admit[id]; ok {
-			doc.Admissions = append(doc.Admissions, adm)
-		}
 	}
 	w.pendOrder = order
 	for i := range doc.Live {
@@ -545,7 +506,6 @@ func (s *Server) Crash() {
 type recoveredWorkflow struct {
 	id   string
 	body json.RawMessage
-	adm  *walAdmission // fair-queue credentials, if journalled
 	// The state chain folded so far: last is the newest record (its
 	// bookkeeping fields; State, Patch and Events are folded into state
 	// and events and dropped), broken why the chain cannot be trusted.
@@ -619,9 +579,6 @@ func (rw *recoveredWorkflow) absorb(later *recoveredWorkflow) {
 	if later.body != nil {
 		rw.body, rw.rejected = later.body, false
 	}
-	if later.adm != nil {
-		rw.adm = later.adm
-	}
 	if later.last != nil || later.broken != nil {
 		rw.last, rw.state, rw.events, rw.broken = later.last, later.state, later.events, later.broken
 	}
@@ -671,10 +628,6 @@ func (p *walSubmission) scan(sc *jsonscan.Scanner) {
 
 func (p *walReject) scan(sc *jsonscan.Scanner) { sc.Object("id", &p.ID) }
 
-func (p *walAdmission) scan(sc *jsonscan.Scanner) {
-	sc.Object("id", &p.ID, "tenant", &p.Tenant, "class", &p.Class, "weight", &p.Weight)
-}
-
 func (p *walGrid) scan(sc *jsonscan.Scanner) {
 	sc.Object("name", &p.Name, "spec", func() { p.Spec = append(p.Spec[:0], sc.Raw()...) })
 }
@@ -685,7 +638,6 @@ func (d *shardSnapshot) scan(sc *jsonscan.Scanner) {
 	sc.Object("v", &d.V, "seq", &d.Seq,
 		"grids", func() { d.Grids = jsonscan.Array(sc, d.Grids, func(g *walGrid) { g.scan(sc) }) },
 		"pending", func() { d.Pending = jsonscan.Array(sc, d.Pending, func(p *walSubmission) { p.scan(sc) }) },
-		"admissions", func() { d.Admissions = jsonscan.Array(sc, d.Admissions, func(a *walAdmission) { a.scan(sc) }) },
 		"live", func() { d.Live = jsonscan.Array(sc, d.Live, func(p *walState) { p.scan(sc) }) },
 		"terminal", func() { sc.Fail(json.Unmarshal(sc.Raw(), &d.Terminal)) },
 		"tenants", func() { sc.Fail(json.Unmarshal(sc.Raw(), &d.Tenants)) })
@@ -858,9 +810,6 @@ func (f *recoveryFold) directory(idx int, policy durable.SyncPolicy) error {
 		for _, p := range snap.Pending {
 			f.wfFor(p.ID).body = p.Body
 		}
-		for i := range snap.Admissions {
-			f.wfFor(snap.Admissions[i].ID).adm = &snap.Admissions[i]
-		}
 		for i := range snap.Live {
 			f.wfFor(snap.Live[i].ID).fold(&snap.Live[i])
 		}
@@ -891,10 +840,8 @@ func (f *recoveryFold) record(r *wire.WALRecord) {
 			f.wfFor(p.ID).rejected = true
 		}
 	case wire.WALAdmission:
-		var p walAdmission
-		if f.decode(r, &p, &p.ID) {
-			f.wfFor(p.ID).adm = &p
-		}
+		// An older log's fair-queue credentials: the rebuilt body carries
+		// the same ones.
 	case wire.WALGrid:
 		var p walGrid
 		if f.decode(r, &p, &p.Name) {
@@ -1235,22 +1182,23 @@ func (s *Server) restoreLive(rw *recoveredWorkflow) error {
 }
 
 // requeueRecovered re-enqueues an accepted-but-unstarted submission
-// into the fair queue under its journalled admission credentials (the
-// wire options serve as the fallback for logs written before the
-// admission record existed). Recovery runs before the shard workers
-// start, so the weighted fair order re-emerges as soon as the worker
-// begins draining — a tenant's pre-crash flood cannot jump the queue.
+// into the fair queue under the admission credentials its rebuilt body
+// carries, past the backlog bounds that admitted it. Recovery runs
+// before the shard workers start, so the weighted fair order re-emerges
+// as soon as the worker begins draining — a tenant's pre-crash flood
+// cannot jump the queue.
 func (s *Server) requeueRecovered(rw *recoveredWorkflow) error {
 	wf := rw.wf
 	if rw.buildErr != nil {
 		return fmt.Errorf("rebuild submission: %w", rw.buildErr)
 	}
-	class, weight := wf.class, wf.weight
-	if rw.adm != nil {
-		class, weight = rw.adm.Class, rw.adm.Weight
-		wf.class, wf.weight = class, weight
-	}
 	sh := s.shards[wf.shard]
+	// The workers have not started: nothing can dequeue the item before
+	// it is registered.
+	if err := sh.adm.Readmit(admission.Item{ID: wf.id, Tenant: wf.tenant, Class: wf.class, Weight: wf.weight, Value: wf}); err != nil {
+		return fmt.Errorf("shard %d admission refused during recovery: %w", wf.shard, err)
+	}
+	s.metrics.inflightReserve()
 	s.mu.Lock()
 	s.wfs[wf.id] = wf
 	s.mu.Unlock()
@@ -1258,20 +1206,7 @@ func (s *Server) requeueRecovered(rw *recoveredWorkflow) error {
 		w.mu.Lock()
 		w.pend[wf.id] = rw.body
 		w.pendOrder = append(w.pendOrder, wf.id)
-		w.admit[wf.id] = walAdmission{ID: wf.id, Tenant: wf.tenant, Class: class, Weight: weight}
 		w.mu.Unlock()
-	}
-	s.metrics.inflightReserve()
-	if err := sh.adm.Enqueue(admission.Item{ID: wf.id, Tenant: wf.tenant, Class: class, Weight: weight, Value: wf}); err != nil {
-		s.metrics.inflightRelease()
-		s.forget(wf.id)
-		if w := sh.wal; w != nil {
-			w.mu.Lock()
-			delete(w.pend, wf.id)
-			delete(w.admit, wf.id)
-			w.mu.Unlock()
-		}
-		return fmt.Errorf("shard %d admission refused during recovery: %w", wf.shard, err)
 	}
 	return nil
 }

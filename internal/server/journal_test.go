@@ -11,7 +11,6 @@ import (
 
 	"aheft/internal/durable"
 	"aheft/internal/wire"
-	"aheft/internal/workload"
 )
 
 // The journal's encoders: every document the WAL and its snapshots hold is
@@ -21,8 +20,6 @@ import (
 // journalDocs makes an empty value of each journal document.
 var journalDocs = map[string]func() wire.Doc{
 	"submission": func() wire.Doc { return new(walSubmission) },
-	"reject":     func() wire.Doc { return new(walReject) },
-	"admission":  func() wire.Doc { return new(walAdmission) },
 	"grid":       func() wire.Doc { return new(walGrid) },
 	"state":      func() wire.Doc { return new(walState) },
 	"terminal":   func() wire.Doc { return new(walTerminal) },
@@ -203,40 +200,6 @@ func BenchmarkWALStateEncode(b *testing.B) {
 		return e.Done()
 	})
 	run("oracle", func(buf []byte, p *walState) ([]byte, error) { return json.Marshal(p) })
-}
-
-// TestSubmissionAndAdmissionOneWrite stops the store as the admission
-// record is about to be written: the submission record beside it must not
-// reach the disk without it, or recovery would re-enqueue the body without
-// the fair-queue credentials it was admitted under.
-func TestSubmissionAndAdmissionOneWrite(t *testing.T) {
-	dir := t.TempDir()
-	srv, ts := openDurable(t, dir, Config{Shards: 1, WALSync: "off", SnapshotInterval: time.Hour})
-	sh := srv.shards[0]
-	sh.wal.mu.Lock()
-	sh.wal.onAppend = func(kind string) {
-		if kind == wire.WALAdmission {
-			sh.wal.onAppend = nil
-			sh.wal.store.Disable()
-		}
-	}
-	sh.wal.mu.Unlock()
-	if _, resp := submit(t, ts, encodeScenario(t, workload.SampleScenario(), "aheft", wire.Options{Class: wire.ClassLow})); resp.StatusCode >= 300 {
-		t.Fatalf("submit: HTTP %d", resp.StatusCode)
-	}
-	srv.Crash()
-	ts.Close()
-	rec, err := durable.Load(filepath.Join(dir, "shard-0"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	kinds := map[string]int{}
-	for _, r := range rec.Records {
-		kinds[r.Kind]++
-	}
-	if kinds[wire.WALSubmission] != kinds[wire.WALAdmission] {
-		t.Fatalf("the log holds %d submission and %d admission records, want both or neither", kinds[wire.WALSubmission], kinds[wire.WALAdmission])
-	}
 }
 
 // blastStateRecords is the state-record payloads a durable daemon

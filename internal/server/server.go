@@ -72,11 +72,6 @@ type Config struct {
 	// daemon's memory stays bounded. 0 means 16384; negative disables
 	// eviction.
 	MaxRetained int
-	// MaxConcurrentIntake bounds how many submissions may be buffered
-	// and decoded at once, capping intake memory at roughly
-	// MaxConcurrentIntake × MaxBodyBytes regardless of client
-	// concurrency (excess requests wait). 0 means 2×Shards, minimum 4.
-	MaxConcurrentIntake int
 	// VarianceThreshold is the default significant-variance gate for live
 	// workflows whose submission names none: a measured runtime deviating
 	// from the tenant's history EWMA by more than this relative amount
@@ -144,12 +139,6 @@ func (c Config) withDefaults() Config {
 	if c.MaxRetained == 0 {
 		c.MaxRetained = 16384
 	}
-	if c.MaxConcurrentIntake <= 0 {
-		c.MaxConcurrentIntake = 2 * c.Shards
-		if c.MaxConcurrentIntake < 4 {
-			c.MaxConcurrentIntake = 4
-		}
-	}
 	if c.VarianceThreshold <= 0 {
 		c.VarianceThreshold = feedback.DefaultVarianceThreshold
 	}
@@ -175,7 +164,7 @@ type Server struct {
 	metrics *Metrics
 	shards  []*shard
 	mux     *http.ServeMux
-	intake  chan struct{} // bounds concurrently buffered/decoded submissions
+	intake  chan struct{} // bounds concurrently buffered/decoded submissions: 2×Shards, at least 4
 
 	runCtx    context.Context // cancelling force-aborts in-flight runs
 	cancelRun context.CancelFunc
@@ -237,7 +226,7 @@ func Open(cfg Config) (*Server, error) {
 	s := &Server{
 		cfg:       cfg,
 		metrics:   NewMetrics(),
-		intake:    make(chan struct{}, cfg.MaxConcurrentIntake),
+		intake:    make(chan struct{}, max(2*cfg.Shards, 4)),
 		runCtx:    ctx,
 		cancelRun: cancel,
 		grids:     make(map[string]*sharedGrid),
@@ -686,8 +675,9 @@ var errDraining = errors.New("server is draining")
 // a full backlog: a flooding tenant hits its own bound while others keep
 // landing, and the *admission.BacklogError's Retry-After is the time for
 // that tenant's backlog to drain at its weighted share) is unwound here
-// and returned. body is the raw submission, journalled before the
-// enqueue so a crash between accept and start replays it as pending.
+// and returned. body is the raw submission, journalled once it is queued
+// (shard.enqueue) so a crash between accept and start replays it as
+// pending.
 func (s *Server) admit(wf *workflow, body json.RawMessage) error {
 	m := s.metrics
 	sh := s.shards[wf.shard]
@@ -702,8 +692,7 @@ func (s *Server) admit(wf *workflow, body json.RawMessage) error {
 		// Reserve the in-flight slot before the enqueue, or a fast worker
 		// could end the workflow first and take the gauge below zero.
 		m.inflightReserve()
-		sh.walLogSubmission(wf.id, body, item.Tenant, item.Class, item.Weight)
-		if err = sh.adm.Enqueue(item); err == nil {
+		if err = sh.enqueue(item, body); err == nil {
 			m.count(func(c *MetricsDoc) {
 				c.Accepted++
 				c.Admission.AdmittedByClass[cls]++
@@ -712,7 +701,6 @@ func (s *Server) admit(wf *workflow, body json.RawMessage) error {
 			return nil
 		}
 		m.inflightRelease()
-		sh.walLogReject(wf.id)
 	}
 	wf.queueAct.Fail(err)
 	s.reject(wf, err)

@@ -22,13 +22,13 @@ const (
 	// WALSubmission: an accepted workflow submission (raw Submission
 	// body) waiting to execute.
 	WALSubmission = "submission"
-	// WALReject: a previously logged submission whose enqueue was
-	// refused; replay drops the pending record.
+	// WALReject: in logs written before a submission was journalled only
+	// once queued, a logged submission whose enqueue was refused; replay
+	// drops the pending record. Read, no longer written.
 	WALReject = "reject"
-	// WALAdmission: the admission decision for an accepted submission —
-	// tenant, class and fair-queue weight — journalled beside the raw
-	// body so a crash restores queued-but-unplanned submissions into the
-	// fair queue with the credentials they were admitted under.
+	// WALAdmission: in logs written before the fair-queue credentials
+	// were rebuilt from the submission body, the tenant, class and weight
+	// journalled beside it. Read and ignored, no longer written.
 	WALAdmission = "admission"
 	// WALGrid: a registered shared grid (raw GridSpec body).
 	WALGrid = "grid"
