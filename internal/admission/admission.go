@@ -34,6 +34,7 @@ package admission
 import (
 	"fmt"
 	"math"
+	"sort"
 	"sync"
 	"time"
 
@@ -109,6 +110,7 @@ type Item struct {
 	Value any
 
 	enqueuedAt time.Time
+	seq        uint64 // arrival number: Queued's order
 }
 
 // Dequeued is one admission decision: the item plus how it was served.
@@ -184,6 +186,7 @@ type Controller struct {
 	classes [3]classQueue
 	classIx int
 	total   int
+	arrived uint64 // enqueues so far; numbers each item
 
 	closed bool // no new enqueues; TryDequeue drains the rest
 	killed bool // TryDequeue yields nothing more (force shutdown)
@@ -245,6 +248,8 @@ func (c *Controller) enqueue(it Item, bounded bool) error {
 	}
 	q.weight = it.Weight
 	it.enqueuedAt = c.cfg.Now()
+	c.arrived++
+	it.seq = c.arrived
 	if q.depth() == 0 {
 		// Tenant becomes backlogged: join the class ring with a fresh
 		// deficit (DRR credit does not survive idleness).
@@ -288,6 +293,21 @@ func (c *Controller) TryDequeue() (d Dequeued, ok bool) {
 		}
 	}
 	return Dequeued{Item: it, Queued: now.Sub(it.enqueuedAt)}, true
+}
+
+// Queued returns the items waiting in the queue in arrival order, the
+// order their enqueues succeeded.
+func (c *Controller) Queued() []Item {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	items := make([]Item, 0, c.total)
+	for i := range c.classes {
+		for _, q := range c.classes[i].ring {
+			items = append(items, q.items[q.head:]...)
+		}
+	}
+	sort.Slice(items, func(i, j int) bool { return items[i].seq < items[j].seq })
+	return items
 }
 
 // Drained reports that the controller will never yield another item:

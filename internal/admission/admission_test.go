@@ -345,3 +345,38 @@ func TestSaturatedAndDepth(t *testing.T) {
 		t.Fatal("killed controller not drained")
 	}
 }
+
+// TestQueuedInArrivalOrder: Queued lists what waits in the order it was
+// enqueued, across classes and tenants, without what was dequeued. The
+// clock never moves, so arrival timestamps tie and only the controller's
+// own numbering can order them.
+func TestQueuedInArrivalOrder(t *testing.T) {
+	c, _ := newTestController(Config{PerTenantBacklog: -1, TotalBacklog: -1})
+	classes := []string{wire.ClassLow, wire.ClassHigh, "", wire.ClassNormal}
+	tenants := []string{"a", "b", "c"}
+	var ids []string
+	for i := 0; i < 12; i++ {
+		id := fmt.Sprintf("wf-%02d", i)
+		ids = append(ids, id)
+		if err := c.Enqueue(Item{ID: id, Tenant: tenants[i%len(tenants)], Class: classes[i%len(classes)], Weight: float64(1 + i%2)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	d, ok := c.TryDequeue()
+	if !ok {
+		t.Fatal("nothing dequeued")
+	}
+	var want []string
+	for _, id := range ids {
+		if id != d.Item.ID {
+			want = append(want, id)
+		}
+	}
+	var got []string
+	for _, it := range c.Queued() {
+		got = append(got, it.ID)
+	}
+	if fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("Queued after dequeuing %s:\n got %v\nwant %v", d.Item.ID, got, want)
+	}
+}

@@ -1,10 +1,13 @@
-// Package durable is aheftd's per-shard persistence layer: a framed,
-// CRC-checked write-ahead log of wire.WALRecord envelopes plus atomic
-// point-in-time snapshots that truncate it. The layer is deliberately
-// dumb about record meaning — it frames, checksums, orders by LSN, and
-// replays; what a "submission" or "state" record does to a shard is the
-// server's business — so its crash-safety contract can be stated and
-// fuzzed in isolation:
+// Package durable is aheftd's one append-only store: a framed,
+// CRC-checked log of wire.WALRecord envelopes in a directory (Shard,
+// read back by Load), plus atomic point-in-time snapshots that truncate
+// it. Both of the daemon's logs are Shards: each shard's write-ahead
+// journal, which snapshots, and each shard's flight-recorder stream,
+// which never does. The layer is deliberately dumb about record meaning
+// — it frames, checksums, orders by LSN, and replays; what a
+// "submission" or "state" record does to a shard is the server's
+// business — so its crash-safety contract can be stated and fuzzed in
+// isolation:
 //
 //   - every append is one write(2) of a complete frame, so a SIGKILL
 //     between appends loses nothing and a kill mid-write leaves at most

@@ -84,10 +84,10 @@ type Recovered struct {
 	tornLen int64
 }
 
-// Shard is one shard's durability store: a single active WAL segment
-// plus the snapshot that bounds it. Append/Rotate are serialised by an
-// internal mutex; the server additionally orders them against its own
-// shard state under its per-shard WAL mutex.
+// Shard is one append-only store directory — a shard's journal or its
+// flight-recorder stream: a single active WAL segment plus the snapshot
+// that bounds it. Append/Rotate are serialised by an internal mutex; the
+// server also orders journal appends against its shard state.
 type Shard struct {
 	dir      string
 	policy   SyncPolicy
@@ -150,9 +150,9 @@ func listDir(dir string) (snaps, segs []uint64, err error) {
 }
 
 // Load reads a shard directory without opening it for appends: the
-// newest snapshot plus the ordered valid record suffix. Used for
-// read-only recovery of orphaned shard directories and by benchmarks.
-// A missing directory is an empty (not an error) result.
+// newest snapshot plus the ordered valid record suffix: recovery of
+// orphaned shard directories, replay's reading of a recording, and the
+// benchmarks. A missing directory is an empty (not an error) result.
 func Load(dir string) (*Recovered, error) {
 	rec := &Recovered{}
 	snaps, segs, err := listDir(dir)
@@ -263,45 +263,28 @@ func repair(dir string, rec *Recovered) error {
 	return nil
 }
 
-// Record is one record to append: its kind and its payload.
-type Record struct {
-	Kind string
-	Data wire.Doc
-}
-
-// Append frames, checksums and writes one record, assigning its LSN; see
-// AppendAll.
+// Append encodes one record into the envelope that carries it, assigns
+// it the next LSN, and writes its frame in one write(2): a kill leaves it
+// whole or a torn tail that replay drops. It never fsyncs unless the
+// policy is SyncAlways. A disabled store reports (0, nil): the crash test
+// hook turned writes off.
 func (s *Shard) Append(kind string, data wire.Doc) (uint64, error) {
-	return s.AppendAll(Record{kind, data})
-}
-
-// AppendAll encodes each record into the envelope that carries it,
-// assigns it the next LSN, and writes the frames back to back in one
-// write(2): a kill leaves all of them or a torn tail that replay drops,
-// never some of them whole. It returns the last record's LSN. It never
-// fsyncs unless the policy is SyncAlways. A disabled store reports
-// (0, nil): the crash test hook turned writes off.
-func (s *Shard) AppendAll(recs ...Record) (uint64, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.disabled {
 		return 0, nil
 	}
-	frame := s.frameBuf[:0]
-	for i, r := range recs {
-		doc, err := encodeRecord(&s.enc, s.lsn+uint64(i)+1, r.Kind, r.Data)
-		if err != nil {
-			return 0, fmt.Errorf("durable: encode %s record: %w", r.Kind, err)
-		}
-		frame = appendFrame(frame, doc)
+	doc, err := encodeRecord(&s.enc, s.lsn+1, kind, data)
+	if err != nil {
+		return 0, fmt.Errorf("durable: encode %s record: %w", kind, err)
 	}
-	s.frameBuf = frame
-	if _, err := s.f.Write(frame); err != nil {
+	s.frameBuf = appendFrame(s.frameBuf[:0], doc)
+	if _, err := s.f.Write(s.frameBuf); err != nil {
 		return 0, fmt.Errorf("durable: append: %w", err)
 	}
-	s.lsn += uint64(len(recs))
-	s.appends.Add(uint64(len(recs)))
-	s.bytes.Add(uint64(len(frame)))
+	s.lsn++
+	s.appends.Add(1)
+	s.bytes.Add(uint64(len(s.frameBuf)))
 	if s.policy == SyncAlways {
 		if err := s.f.Sync(); err != nil {
 			return 0, fmt.Errorf("durable: sync: %w", err)
@@ -321,13 +304,6 @@ func encodeRecord(e *wire.Appender, lsn uint64, kind string, data wire.Doc) ([]b
 		return nil, err
 	}
 	return e.Done()
-}
-
-// LSN returns the last assigned log sequence number.
-func (s *Shard) LSN() uint64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.lsn
 }
 
 // Rotate installs snapshot as the new recovery base covering every LSN

@@ -131,9 +131,12 @@ func TestFloatDoesNotAllocate(t *testing.T) {
 	}
 }
 
+// tableSink keeps BenchmarkPowersOfTen's result alive.
+var tableSink *[pow10Max - pow10Min + 1][2]uint64
+
 // BenchmarkPowersOfTen times building the table, once per process start.
 func BenchmarkPowersOfTen(b *testing.B) {
-	for b.Loop() {
-		powersOfTen()
+	for range b.N {
+		tableSink = powersOfTen()
 	}
 }

@@ -189,7 +189,8 @@ func BenchmarkKernelReady(b *testing.B) {
 		b.Run(bc.name, func(b *testing.B) {
 			buf := make([]float64, 0, len(k.base)*len(rs))
 			b.ReportAllocs()
-			for b.Loop() {
+			b.ResetTimer()
+			for range b.N {
 				buf = bc.ready(buf[:0])
 			}
 		})

@@ -257,7 +257,8 @@ func BenchmarkKernelSlotSearch(b *testing.B) {
 		run := func(name string, search func(ready float64) float64) {
 			b.Run(name+shape+"/n="+strconv.Itoa(n), func(b *testing.B) {
 				sum, i := 0.0, 0
-				for b.Loop() {
+				b.ResetTimer()
+				for range b.N {
 					sum += search(readies[i%len(readies)])
 					i++
 				}

@@ -3,7 +3,7 @@
 // bit-identically — the executable proof that every daemon decision is a
 // deterministic function of its recorded inputs.
 //
-// A recording is one stream per shard (record-shard-<i>.wal, WAL-framed
+// A recording is one stream per shard (record-shard-<i>, a durable store of
 // wire records; see internal/wire/record.go). Each stream interleaves
 // the shard's inputs in worker-processing order with the outputs the
 // worker emitted between them. Replay validates every stream (header,
@@ -118,15 +118,16 @@ func load(dir string) ([]stream, error) {
 
 func loadStream(path string) (*stream, error) {
 	name := filepath.Base(path)
-	records, torn, err := durable.ReadLog(path)
+	rec, err := durable.Load(path)
 	if err != nil {
 		return nil, fmt.Errorf("replay: %s: %w", name, err)
 	}
-	if torn {
+	records := rec.Records
+	if rec.TornTail {
 		return nil, fmt.Errorf("replay: %s: torn tail — the recording daemon was killed mid-append; the stream is incomplete and cannot replay faithfully", name)
 	}
 	if len(records) == 0 || records[0].Kind != wire.RecBegin {
-		return nil, fmt.Errorf("replay: %s: missing %s header", name, wire.RecBegin)
+		return nil, fmt.Errorf("replay: %s: missing %s header (a stream is a directory; one-file streams of older recordings do not load)", name, wire.RecBegin)
 	}
 	st := &stream{}
 	if err := json.Unmarshal(records[0].Data, &st.header); err != nil {

@@ -36,6 +36,14 @@ func encodeSub(t testing.TB, sc *workload.Scenario, mode, policy, tenant string,
 	return body
 }
 
+// testContext is a context cancelled as t ends, as testing.T.Context is
+// from Go 1.24 on; go.mod still admits Go 1.23.
+func testContext(t testing.TB) context.Context {
+	ctx, cancel := context.WithCancel(context.Background())
+	t.Cleanup(cancel)
+	return ctx
+}
+
 func postJSON(t testing.TB, ts *httptest.Server, path string, body []byte, v any) int {
 	t.Helper()
 	resp, err := ts.Client().Post(ts.URL+path, "application/json", bytes.NewReader(body))
@@ -248,11 +256,11 @@ func TestReplayMixedRunIdentical(t *testing.T) {
 	// run was built to produce.
 	kinds := map[string]int{}
 	for i := 0; i < res.Shards; i++ {
-		records, torn, err := durable.ReadLog(filepath.Join(dir, wire.RecordName(i)))
-		if err != nil || torn {
-			t.Fatalf("re-read shard %d: torn=%v err=%v", i, torn, err)
+		stream, err := durable.Load(filepath.Join(dir, wire.RecordName(i)))
+		if err != nil || stream.TornTail {
+			t.Fatalf("re-read shard %d: %+v, err %v", i, stream, err)
 		}
-		for _, r := range records {
+		for _, r := range stream.Records {
 			kinds[r.Kind]++
 		}
 	}
@@ -394,8 +402,8 @@ func recordSmallRun(t *testing.T, dir string) {
 func TestReplayRefusesTornTail(t *testing.T) {
 	dir := t.TempDir()
 	recordSmallRun(t, dir)
-	path := filepath.Join(dir, wire.RecordName(0))
-	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
+	segment := filepath.Join(dir, wire.RecordName(0), "wal-00000000000000000001.log")
+	f, err := os.OpenFile(segment, os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -410,20 +418,36 @@ func TestReplayRefusesTornTail(t *testing.T) {
 	}
 }
 
+// TestReplayRefusesOneFileStreams: a recording whose streams are single
+// record-shard-<i>.wal files, as older daemons wrote them, is refused
+// with a diagnostic that says why.
+func TestReplayRefusesOneFileStreams(t *testing.T) {
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, wire.RecordName(0)+".wal"), []byte{0, 0, 0, 0}, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Run(dir, Options{}); err == nil || !strings.Contains(err.Error(), "one-file streams") {
+		t.Fatalf("one-file recording: err = %v, want the stream-format diagnostic", err)
+	}
+}
+
 // rewriteStream replaces the recording at path with edit's version of its
 // records.
 func rewriteStream(t *testing.T, path string, edit func([]*wire.WALRecord) []*wire.WALRecord) {
 	t.Helper()
-	records, torn, err := durable.ReadLog(path)
-	if err != nil || torn {
-		t.Fatalf("re-read: torn=%v err=%v", torn, err)
+	stream, err := durable.Load(path)
+	if err != nil || stream.TornTail {
+		t.Fatalf("re-read: %+v, err %v", stream, err)
 	}
-	l, err := durable.CreateLog(path)
+	if err := os.RemoveAll(path); err != nil {
+		t.Fatal(err)
+	}
+	l, _, err := durable.Open(path, durable.SyncOff, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, r := range edit(records) {
-		if err := l.Append(r.Kind, r.Data); err != nil {
+	for _, r := range edit(stream.Records) {
+		if _, err := l.Append(r.Kind, wire.RawDoc(r.Data)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -644,7 +668,7 @@ func TestReplayCountsAdmissionsAlike(t *testing.T) {
 		waitTerminal(t, ts, sub.ID)
 	}
 	ts.Close()
-	if err := rec.Shutdown(t.Context()); err != nil {
+	if err := rec.Shutdown(testContext(t)); err != nil {
 		t.Fatal(err)
 	}
 
@@ -662,7 +686,7 @@ func TestReplayCountsAdmissionsAlike(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := srv.Shutdown(t.Context()); err != nil {
+	if err := srv.Shutdown(testContext(t)); err != nil {
 		t.Fatal(err)
 	}
 	want, got := rec.MetricsSnapshot(), srv.MetricsSnapshot()

@@ -192,32 +192,19 @@ func (d *shardSnapshot) AppendJSON(e *wire.Appender) {
 	wire.OmitArray(e, `,"tenants":`, d.Tenants, func(t *tenantHistory) { t.AppendJSON(e) }).Raw(`}`)
 }
 
-// shardWAL is one shard's durability state: the append store plus the
-// raw-submission mirrors the snapshot needs (the fair queue holds built
-// workflows, not their raw bodies, and a live tracker does not retain
-// its raw body either). The mutex orders appends against snapshot
-// assembly and rotation, so no record can land in a segment the rotation
-// is about to truncate without being covered by the snapshot.
+// shardWAL is one shard's durability state. Its mutex orders appends
+// against snapshot assembly and rotation, so no record can land in a
+// segment the rotation is about to truncate without being covered by the
+// snapshot. A snapshot's raw bodies are the workflows' own (running.body).
 type shardWAL struct {
 	store *durable.Shard
 
-	mu        sync.Mutex
-	pend      map[string]json.RawMessage // accepted, not yet started
-	pendOrder []string                   // arrival order (lazily compacted)
-	bodies    map[string]json.RawMessage // live residents' raw submissions
+	mu sync.Mutex
 
 	// onAppend, when set (tests only), sees each record's kind just before
 	// it is written: the place to assert what is visible at that instant,
 	// or to stop the store there as a crash would.
 	onAppend func(kind string)
-}
-
-func newShardWAL(store *durable.Shard) *shardWAL {
-	return &shardWAL{
-		store:  store,
-		pend:   make(map[string]json.RawMessage),
-		bodies: make(map[string]json.RawMessage),
-	}
 }
 
 // append writes one record and reports whether it was written; callers
@@ -236,7 +223,7 @@ func (w *shardWAL) append(m *Metrics, kind string, data wire.Doc) bool {
 }
 
 // enqueue hands an accepted submission to the shard's fair queue and,
-// once it is queued, mirrors and logs its raw body, so a crash between
+// once it is queued, logs its raw body, so a crash between
 // accept and start replays it as pending and a refused one leaves no
 // record. w.mu is held across both: every record the worker writes about
 // the workflow waits on it, so the submission comes first in the log.
@@ -252,8 +239,6 @@ func (sh *shard) enqueue(item admission.Item, body json.RawMessage) error {
 	if err := sh.adm.Enqueue(item); err != nil {
 		return err
 	}
-	w.pend[item.ID] = body
-	w.pendOrder = append(w.pendOrder, item.ID)
 	w.append(sh.srv.metrics, wire.WALSubmission, &walSubmission{ID: item.ID, Body: body})
 	return nil
 }
@@ -310,9 +295,8 @@ func (wf *workflow) rebase(doc *walState, written bool) {
 	wf.walBase, wf.walEvents, wf.walRev = doc.cur, doc.nEvents, doc.Rev
 }
 
-// walLogState journals a live workflow's post-apply state (and, on the
-// first call after startLive, promotes its raw body from pending to
-// live). Shard goroutine only.
+// walLogState journals a live workflow's post-apply state. Shard
+// goroutine only.
 func (sh *shard) walLogState(wf *workflow, deltas []feedback.HistoryDelta) {
 	w := sh.wal
 	if w == nil {
@@ -322,17 +306,13 @@ func (sh *shard) walLogState(wf *workflow, deltas []feedback.HistoryDelta) {
 	doc.Rev++
 	doc.Deltas = deltas
 	w.mu.Lock()
-	if b, ok := w.pend[wf.id]; ok {
-		delete(w.pend, wf.id)
-		w.bodies[wf.id] = b
-	}
 	ok := w.append(sh.srv.metrics, wire.WALState, &doc)
 	w.mu.Unlock()
 	wf.rebase(&doc, ok)
 }
 
-// walLogTerminal journals a workflow's terminal record and drops its
-// raw-body mirrors. Called after finish(), so status() is final.
+// walLogTerminal journals a workflow's terminal record. Called after
+// finish(), so status() is final.
 func (sh *shard) walLogTerminal(wf *workflow) {
 	w := sh.wal
 	if w == nil {
@@ -341,8 +321,6 @@ func (sh *shard) walLogTerminal(wf *workflow) {
 	doc := wf.terminalDoc()
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	delete(w.pend, wf.id)
-	delete(w.bodies, wf.id)
 	w.append(sh.srv.metrics, wire.WALTerminal, &doc)
 }
 
@@ -416,7 +394,9 @@ func (sh *shard) snapshot() {
 	}
 	sort.Strings(liveIDs)
 	for _, id := range liveIDs {
-		doc.Live = append(doc.Live, sh.walStateDoc(sh.live[id], true))
+		wf := sh.live[id]
+		doc.Live = append(doc.Live, sh.walStateDoc(wf, true))
+		doc.Live[len(doc.Live)-1].Body = wf.body
 	}
 
 	for _, id := range retained {
@@ -437,19 +417,10 @@ func (sh *shard) snapshot() {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	// Pending under the same lock as the rotation: a submission landing
-	// after this point blocks on w.mu and lands in the fresh segment.
-	order := w.pendOrder[:0]
-	for _, id := range w.pendOrder {
-		b, ok := w.pend[id]
-		if !ok {
-			continue
-		}
-		order = append(order, id)
-		doc.Pending = append(doc.Pending, walSubmission{ID: id, Body: b})
-	}
-	w.pendOrder = order
-	for i := range doc.Live {
-		doc.Live[i].Body = w.bodies[doc.Live[i].ID]
+	// after this point blocks on w.mu and lands in the fresh segment. Lock
+	// order w.mu, then the controller's, as in enqueue.
+	for _, it := range sh.adm.Queued() {
+		doc.Pending = append(doc.Pending, walSubmission{ID: it.ID, Body: it.Value.(*workflow).body})
 	}
 	buf, _ := snapBufs.Get().(*[]byte)
 	if buf == nil {
@@ -474,14 +445,20 @@ func (sh *shard) snapshot() {
 	}
 }
 
-// Crash simulates a SIGKILL for recovery tests: every WAL store is
-// frozen exactly as the disk would be at the kill instant (no flush, no
-// final snapshot), then the workers are torn down. The Server is
+// Crash simulates a SIGKILL for recovery tests: every WAL store and
+// record stream is frozen exactly as the disk would be at the kill
+// instant (no flush, no final snapshot or trailer), then the workers are
+// torn down. The Server is
 // unusable afterwards; reopen the data directory with Open.
 func (s *Server) Crash() {
 	for _, sh := range s.shards {
 		if sh.wal != nil {
 			sh.wal.store.Disable()
+		}
+	}
+	if s.recorder != nil {
+		for _, l := range s.recorder.logs {
+			l.Disable()
 		}
 	}
 	s.submitMu.Lock()
@@ -778,7 +755,7 @@ func (f *recoveryFold) directory(idx int, policy durable.SyncPolicy) error {
 		if err != nil {
 			return fmt.Errorf("server: shard %d wal: %w", idx, err)
 		}
-		s.shards[idx].wal = newShardWAL(store)
+		s.shards[idx].wal = &shardWAL{store: store}
 		rec = r
 	} else {
 		r, err := durable.Load(dir)
@@ -1171,11 +1148,6 @@ func (s *Server) restoreLive(rw *recoveredWorkflow) error {
 	if gref != nil {
 		gref.attach(wf)
 	}
-	if w := sh.wal; w != nil {
-		w.mu.Lock()
-		w.bodies[wf.id] = rw.body
-		w.mu.Unlock()
-	}
 	s.metrics.count(func(c *MetricsDoc) { c.LiveResident++ })
 	s.metrics.inflightReserve()
 	return nil
@@ -1202,12 +1174,6 @@ func (s *Server) requeueRecovered(rw *recoveredWorkflow) error {
 	s.mu.Lock()
 	s.wfs[wf.id] = wf
 	s.mu.Unlock()
-	if w := sh.wal; w != nil {
-		w.mu.Lock()
-		w.pend[wf.id] = rw.body
-		w.pendOrder = append(w.pendOrder, wf.id)
-		w.mu.Unlock()
-	}
 	return nil
 }
 

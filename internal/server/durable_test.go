@@ -601,6 +601,67 @@ func TestAdmissionQueueSurvivesCrashInFairOrder(t *testing.T) {
 	}
 }
 
+// TestSnapshotListsPendingInSubmissionOrder: a snapshot taken while the
+// worker is wedged lists the queued submissions as pending in the order
+// they were accepted, across tenants and classes (not the fair queue's
+// service order), each with its raw body verbatim.
+func TestSnapshotListsPendingInSubmissionOrder(t *testing.T) {
+	dir := t.TempDir()
+	sc := workload.SampleScenario()
+	srv, ts := openDurable(t, dir, Config{Shards: 1, WALSync: "off", SnapshotInterval: time.Hour})
+	wedged, release := make(chan struct{}), make(chan struct{})
+	srv.execHook = func(wf *workflow) {
+		if wf.id == "wf-00000001" {
+			close(wedged)
+			<-release
+		}
+	}
+	defer func() {
+		ts.Close()
+		srv.Shutdown(context.Background())
+	}()
+	encode := func(tenant, class string) []byte {
+		data, err := wire.EncodeSubmission(&wire.Submission{Policy: "heft", Tenant: tenant,
+			Options: wire.Options{Class: class}, Graph: sc.Graph, Comp: sc.Table, Pool: sc.Pool})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return data
+	}
+	if _, resp := submit(t, ts, encode("blocker", "")); resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("blocker: HTTP %d", resp.StatusCode)
+	}
+	<-wedged
+	var want []walSubmission
+	for i, q := range [][2]string{{"a", wire.ClassLow}, {"b", wire.ClassHigh}, {"a", wire.ClassLow},
+		{"c", wire.ClassNormal}, {"b", wire.ClassHigh}, {"c", wire.ClassLow}} {
+		body := encode(q[0], q[1])
+		sub, resp := submit(t, ts, body)
+		if resp.StatusCode != http.StatusAccepted {
+			t.Fatalf("submit %d: HTTP %d", i, resp.StatusCode)
+		}
+		want = append(want, walSubmission{ID: sub.ID, Body: body})
+	}
+	srv.shards[0].snapshot()
+	close(release)
+
+	rec, err := durable.Load(filepath.Join(dir, "shard-0"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var snap shardSnapshot
+	if err := scanDoc(rec.Snapshot, &snap); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(snap.Pending, want) {
+		var got []string
+		for _, p := range snap.Pending {
+			got = append(got, p.ID)
+		}
+		t.Fatalf("snapshot pending %v, want the %d submissions after the blocker in order", got, len(want))
+	}
+}
+
 // TestRefusedSubmissionLeavesNoRecord wedges a one-shard durable daemon's
 // worker behind a one-submission tenant backlog and submits five times:
 // the two accepted submissions are journalled once each, the three 429s
@@ -685,7 +746,6 @@ func TestOlderLogsRecover(t *testing.T) {
 		}
 		return string(data)
 	}
-	rec := func(kind, doc string) durable.Record { return durable.Record{Kind: kind, Data: wire.RawDoc(doc)} }
 	dir := t.TempDir()
 	store, _, err := durable.Open(filepath.Join(dir, "shard-0"), durable.SyncOff, 0)
 	if err != nil {
@@ -696,14 +756,14 @@ func TestOlderLogsRecover(t *testing.T) {
 	if err := store.Rotate([]byte(snap)); err != nil {
 		t.Fatal(err)
 	}
-	for _, recs := range [][]durable.Record{
-		{rec(wire.WALSubmission, `{"id":"wf-00000001","body":`+body(wire.ClassHigh, 3)+`}`),
-			rec(wire.WALAdmission, `{"id":"wf-00000001","tenant":"t","class":"high","weight":3}`)},
-		{rec(wire.WALSubmission, `{"id":"wf-00000002","body":`+body(wire.ClassNormal, 0)+`}`),
-			rec(wire.WALAdmission, `{"id":"wf-00000002","tenant":"t","class":"normal"}`)},
-		{rec(wire.WALReject, `{"id":"wf-00000002"}`)},
+	for _, r := range [][2]string{
+		{wire.WALSubmission, `{"id":"wf-00000001","body":` + body(wire.ClassHigh, 3) + `}`},
+		{wire.WALAdmission, `{"id":"wf-00000001","tenant":"t","class":"high","weight":3}`},
+		{wire.WALSubmission, `{"id":"wf-00000002","body":` + body(wire.ClassNormal, 0) + `}`},
+		{wire.WALAdmission, `{"id":"wf-00000002","tenant":"t","class":"normal"}`},
+		{wire.WALReject, `{"id":"wf-00000002"}`},
 	} {
-		if _, err := store.AppendAll(recs...); err != nil {
+		if _, err := store.Append(r[0], wire.RawDoc(r[1])); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -83,7 +83,7 @@ func TestEveryTerminalPathEndsOnce(t *testing.T) {
 				} else {
 					waitDone(t, ts, id)
 				}
-				if err := srv.Shutdown(t.Context()); err != nil {
+				if err := srv.Shutdown(testContext(t)); err != nil {
 					t.Fatalf("clean drain: %v", err)
 				}
 			default:
@@ -115,12 +115,12 @@ func TestEveryTerminalPathEndsOnce(t *testing.T) {
 			if n := walTerminals.Load(); n != 1 {
 				t.Fatalf("journal saw %d terminal records", n)
 			}
-			records, _, err := durable.ReadLog(filepath.Join(recDir, wire.RecordName(0)))
+			stream, err := durable.Load(filepath.Join(recDir, wire.RecordName(0)))
 			if err != nil {
 				t.Fatal(err)
 			}
 			recDone := 0
-			for _, r := range records {
+			for _, r := range stream.Records {
 				if r.Kind != wire.RecDone {
 					continue
 				}

@@ -16,7 +16,6 @@ import (
 	"sync"
 	"testing"
 	"time"
-	"weak"
 
 	"aheft/internal/wire"
 	"aheft/internal/workload"
@@ -568,8 +567,8 @@ func TestAckMemoEndsWithRun(t *testing.T) {
 	defer ts.Close()
 	// adopt submits the sample for a tenant with no history and reports
 	// the r4 join at t=15, whose ack carries the adopted plan; it returns
-	// the workflow's memo, weakly.
-	adopt := func(tenant string) (string, wire.Plan, weak.Pointer[ackMemo]) {
+	// a channel its memo's finalizer closes once the memo is unreachable.
+	adopt := func(tenant string) (string, wire.Plan, <-chan struct{}) {
 		var sub wire.Submitted
 		if code, msg := postJSON(t, ts, "/v1/workflows", encodeLive(t, workload.SampleScenario(), "aheft", tenant, wire.Options{TieWindow: 0.05}), &sub); code != http.StatusAccepted {
 			t.Fatalf("submit: HTTP %d %s", code, msg)
@@ -585,9 +584,11 @@ func TestAckMemoEndsWithRun(t *testing.T) {
 		if wf.memo == nil {
 			t.Fatal("an adopting ack left no memo on the running workflow")
 		}
-		return sub.ID, *ack.Plan, weak.Make(wf.memo)
+		freed := make(chan struct{})
+		runtime.SetFinalizer(wf.memo, func(*ackMemo) { close(freed) })
+		return sub.ID, *ack.Plan, freed
 	}
-	requireGone := func(what, id string, memo weak.Pointer[ackMemo]) {
+	requireGone := func(what, id string, freed <-chan struct{}) {
 		t.Helper()
 		wf, _ := srv.lookup(id)
 		wf.mu.Lock()
@@ -596,11 +597,16 @@ func TestAckMemoEndsWithRun(t *testing.T) {
 		if running != nil {
 			t.Fatalf("%s: the retained record keeps its running half", what)
 		}
-		for i := 0; memo.Value() != nil; i++ {
+		for i := 0; ; i++ {
+			runtime.GC()
+			select {
+			case <-freed:
+				return
+			case <-time.After(10 * time.Millisecond):
+			}
 			if i == 10 {
 				t.Fatalf("%s: the memo outlived the run", what)
 			}
-			runtime.GC()
 		}
 	}
 

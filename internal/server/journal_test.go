@@ -184,7 +184,8 @@ func BenchmarkWALStateEncode(b *testing.B) {
 			b.ReportAllocs()
 			var buf []byte
 			i := 0
-			for b.Loop() {
+			b.ResetTimer()
+			for range b.N {
 				out, err := encode(buf[:0], &recs[i%len(recs)])
 				if err != nil {
 					b.Fatal(err)

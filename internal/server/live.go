@@ -97,11 +97,10 @@ func (sh *shard) startLive(wf *workflow) {
 	// Initial-plan latency — execution start to first enactable plan.
 	// Queue residency is excluded: it sits in admission_wait_ms.
 	m.admInitial.Record(time.Since(planStart).Seconds() * 1e3)
-	// Journal the planned state; this also promotes the raw submission
-	// body from the WAL's pending mirror to its live mirror. Only then is
-	// the plan published to GET …/plan: a crash in between must not leave
-	// an enactor holding the plan of a workflow the journal still lists as
-	// pending — recovery would plan it afresh under it.
+	// Journal the planned state. Only then is the plan published to
+	// GET …/plan: a crash in between must not leave an enactor holding the
+	// plan of a workflow the journal still lists as pending — recovery
+	// would plan it afresh under it.
 	sh.walLogState(wf, nil)
 	wf.setPlan(plan)
 }

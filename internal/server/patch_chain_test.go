@@ -440,12 +440,13 @@ func TestUnusableRecordsAreLoud(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, r := range mid.Records {
-		recs := []durable.Record{{Kind: r.Kind, Data: wire.RawDoc(r.Data)}}
-		if r.Kind == wire.WALSubmission {
-			recs = append(recs, durable.Record{Kind: wire.WALAdmission, Data: wire.RawDoc(`{"id":"` + id + `"}`)})
-		}
-		if _, err := old.AppendAll(recs...); err != nil {
+		if _, err := old.Append(r.Kind, wire.RawDoc(r.Data)); err != nil {
 			t.Fatal(err)
+		}
+		if r.Kind == wire.WALSubmission {
+			if _, err := old.Append(wire.WALAdmission, wire.RawDoc(`{"id":"`+id+`"}`)); err != nil {
+				t.Fatal(err)
+			}
 		}
 	}
 	if err := old.Close(); err != nil {
@@ -631,13 +632,13 @@ func TestRecoverFastPathLog(t *testing.T) {
 	const upgraded, owed = "wf-00000001", "wf-00000002"
 	dir := t.TempDir()
 	copyDir(t, filepath.Join("testdata", "wal-fast-path"), dir)
-	recs, torn, err := durable.ReadLog(filepath.Join(dir, "shard-0", "wal-00000000000000000001.log"))
-	if err != nil || torn {
-		t.Fatalf("read fixture: torn=%v err=%v", torn, err)
+	fixture, err := durable.Load(filepath.Join(dir, "shard-0"))
+	if err != nil || fixture.TornTail {
+		t.Fatalf("read fixture: %+v, err %v", fixture, err)
 	}
 	var journalled []byte // the upgrade decision event as that daemon wrote it
 	retired := map[string]bool{}
-	for _, r := range recs {
+	for _, r := range fixture.Records {
 		for _, key := range []string{`"fast_path":true`, `"upgraded":true`} {
 			retired[key] = retired[key] || bytes.Contains(r.Data, []byte(key))
 		}

@@ -30,35 +30,40 @@ import (
 // appended by the same worker goroutine as they are emitted, giving
 // replay an oracle to compare against in the same file.
 //
+// Each stream is a durable.Shard, the journal's store, in its own
+// directory (wire.RecordName); replay reads it back with durable.Load.
+//
 // Wall-clock readings are captured on every record (RecBody.At and the
 // stream header) for diagnosis; none of them feed scheduling — every
 // scheduling clock rides inside the report bodies — so replay compares
 // streams with the wall fields masked (see internal/replay).
 
-// recorder is the per-shard record stream set. Append errors degrade
-// the recording (counted in /metrics recorder_errors) without touching
-// the serving path.
+// recorder is the per-shard record stream set, one durable store per
+// shard. Append errors degrade the recording (counted in /metrics
+// recorder_errors) without touching the serving path.
 type recorder struct {
-	dir  string
-	logs []*durable.Log
+	logs []*durable.Shard
 	m    *Metrics
 }
 
-// openRecorder creates one stream per shard under dir and writes each
-// stream's header.
+// openRecorder starts one fresh stream per shard under dir — whatever a
+// previous recording left there is removed — and writes each stream's
+// header.
 func openRecorder(dir string, cfg Config, m *Metrics) (*recorder, error) {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return nil, fmt.Errorf("server: record dir: %w", err)
-	}
-	r := &recorder{dir: dir, m: m}
+	r := &recorder{m: m}
 	now := time.Now().UnixNano()
 	for i := 0; i < cfg.Shards; i++ {
-		l, err := durable.CreateLog(filepath.Join(dir, wire.RecordName(i)))
+		path := filepath.Join(dir, wire.RecordName(i))
+		err := os.RemoveAll(path)
+		var l *durable.Shard
+		if err == nil {
+			l, _, err = durable.Open(path, durable.SyncInterval, 0)
+		}
 		if err != nil {
 			for _, prev := range r.logs {
 				prev.Close()
 			}
-			return nil, err
+			return nil, fmt.Errorf("server: record dir: %w", err)
 		}
 		r.logs = append(r.logs, l)
 		r.append(i, wire.RecBegin, wire.RecHeader{
@@ -74,16 +79,11 @@ func openRecorder(dir string, cfg Config, m *Metrics) (*recorder, error) {
 }
 
 func (r *recorder) append(shard int, kind string, payload any) {
-	data, ok := payload.(json.RawMessage)
-	if !ok {
-		var err error
-		data, err = json.Marshal(payload)
-		if err != nil {
-			r.m.count(func(c *MetricsDoc) { c.RecorderErrors++ })
-			return
-		}
+	data, err := json.Marshal(payload)
+	if err == nil {
+		_, err = r.logs[shard].Append(kind, wire.RawDoc(data))
 	}
-	if err := r.logs[shard].Append(kind, data); err != nil {
+	if err != nil {
 		r.m.count(func(c *MetricsDoc) { c.RecorderErrors++ })
 		return
 	}
@@ -145,7 +145,7 @@ func (r *recorder) finalize(clean bool) {
 // reproduce exactly, including the sequence gaps rejected submissions
 // left behind. It returns the target shard.
 func (s *Server) InjectRecorded(id string, body []byte) (int, error) {
-	wf, _, err := s.buildWorkflow(id, body)
+	wf, _, err := s.buildWorkflow(id, append([]byte(nil), body...))
 	if err != nil {
 		return 0, err
 	}
@@ -160,10 +160,7 @@ func (s *Server) InjectRecorded(id string, body []byte) (int, error) {
 	}
 	s.mu.Unlock()
 	s.metrics.count(func(c *MetricsDoc) { c.Submissions++ })
-	if s.recorder != nil {
-		wf.recBody = append(json.RawMessage(nil), body...)
-	}
-	if err := s.admit(wf, body); err != nil {
+	if err := s.admit(wf); err != nil {
 		return 0, fmt.Errorf("shard %d admission refused: %w", wf.shard, err)
 	}
 	return wf.shard, nil

@@ -139,7 +139,8 @@ func BenchmarkWALStateDecode(b *testing.B) {
 			b.SetBytes(int64(total / len(recs)))
 			b.ReportAllocs()
 			i := 0
-			for b.Loop() {
+			b.ResetTimer()
+			for range b.N {
 				if err := decode(recs[i%len(recs)]); err != nil {
 					b.Fatal(err)
 				}

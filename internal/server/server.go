@@ -20,7 +20,6 @@ package server
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
@@ -117,7 +116,7 @@ type Config struct {
 	// RecordDir, when set, turns on the deterministic flight recorder:
 	// each shard appends every external input it processes (submissions,
 	// reports, grid registrations) plus every output it emits (decisions,
-	// plan generations, terminals) to RecordDir/record-shard-<i>.wal.
+	// plan generations, terminals) to the store RecordDir/record-shard-<i>.
 	// internal/replay re-drives such a recording through a fresh daemon
 	// and asserts a bit-identical output sequence.
 	RecordDir string
@@ -486,11 +485,6 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusBadRequest, errorDoc{Error: err.Error()})
 		return
 	}
-	if s.recorder != nil {
-		// Retained until the shard worker records it in processing order
-		// (see record.go); data is not referenced after this function.
-		wf.recBody = data
-	}
 	// Register before admitting so the ID resolves the instant the client
 	// can know it; admit unregisters it if the shard refuses.
 	s.mu.Lock()
@@ -507,7 +501,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		wf.queueAct.Span.Parent = wf.rootSpan
 		wf.queueAct.Span.Shard = wf.shard
 	}
-	if err := s.admit(wf, data); err != nil {
+	if err := s.admit(wf); err != nil {
 		code := http.StatusServiceUnavailable
 		var backlog *admission.BacklogError
 		if errors.As(err, &backlog) {
@@ -656,6 +650,10 @@ func (s *Server) buildWorkflow(id string, data []byte) (*workflow, *sharedGrid, 
 		// of events.
 		events: append(make([]eventRec, 0, 8), eventRec{kind: "submitted"}),
 	}
+	if s.cfg.DataDir != "" || s.cfg.RecordDir != "" {
+		// Kept for the journal and the recorder: the callers hand data over.
+		wf.body = data
+	}
 	if live {
 		wf.st.Mode = wire.ModeLive
 		wf.st.Tenant = tenant
@@ -675,10 +673,10 @@ var errDraining = errors.New("server is draining")
 // a full backlog: a flooding tenant hits its own bound while others keep
 // landing, and the *admission.BacklogError's Retry-After is the time for
 // that tenant's backlog to drain at its weighted share) is unwound here
-// and returned. body is the raw submission, journalled once it is queued
-// (shard.enqueue) so a crash between accept and start replays it as
+// and returned. A durable shard journals wf.body once it is queued
+// (shard.enqueue), so a crash between accept and start replays it as
 // pending.
-func (s *Server) admit(wf *workflow, body json.RawMessage) error {
+func (s *Server) admit(wf *workflow) error {
 	m := s.metrics
 	sh := s.shards[wf.shard]
 	// Everything is read from the running half now: the worker may finish
@@ -692,7 +690,7 @@ func (s *Server) admit(wf *workflow, body json.RawMessage) error {
 		// Reserve the in-flight slot before the enqueue, or a fast worker
 		// could end the workflow first and take the gauge below zero.
 		m.inflightReserve()
-		if err = sh.enqueue(item, body); err == nil {
+		if err = sh.enqueue(item, wf.body); err == nil {
 			m.count(func(c *MetricsDoc) {
 				c.Accepted++
 				c.Admission.AdmittedByClass[cls]++

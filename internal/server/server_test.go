@@ -96,6 +96,14 @@ func getMetrics(t testing.TB, ts *httptest.Server) MetricsDoc {
 	return doc
 }
 
+// testContext is a context cancelled as t ends, as testing.T.Context is
+// from Go 1.24 on; go.mod still admits Go 1.23.
+func testContext(t testing.TB) context.Context {
+	ctx, cancel := context.WithCancel(context.Background())
+	t.Cleanup(cancel)
+	return ctx
+}
+
 func newTestServer(t testing.TB, cfg Config) (*Server, *httptest.Server) {
 	t.Helper()
 	srv := New(cfg)
@@ -135,6 +143,24 @@ func TestSubmitSampleWorkflow(t *testing.T) {
 	sub2, _ := submit(t, ts, encodeScenario(t, sc, "heft", wire.Options{}))
 	if st2 := waitDone(t, ts, sub2.ID); st2.Makespan != 80 {
 		t.Fatalf("heft sample makespan %g, want 80", st2.Makespan)
+	}
+}
+
+// TestAnalyticAdoptionsCountedByTrigger: an analytic run's adopted
+// reschedules are counted under their trigger as a live run's are, so
+// reschedules is the sum of the by-trigger counters. The sample adopts one
+// arrival reschedule at t = 15.
+func TestAnalyticAdoptionsCountedByTrigger(t *testing.T) {
+	srv, ts := newTestServer(t, Config{Shards: 1})
+	sub, resp := submit(t, ts, encodeScenario(t, workload.SampleScenario(), "aheft", wire.Options{TieWindow: 0.05}))
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("submit: HTTP %d", resp.StatusCode)
+	}
+	waitDone(t, ts, sub.ID)
+	m := srv.MetricsSnapshot()
+	byTrigger := m.ReschedulesArrival + m.ReschedulesVariance + m.ReschedulesDeparture + m.ReschedulesContention
+	if m.Reschedules != 1 || m.ReschedulesArrival != 1 || byTrigger != m.Reschedules {
+		t.Fatalf("reschedules=%d, by trigger %d (arrival %d)", m.Reschedules, byTrigger, m.ReschedulesArrival)
 	}
 }
 

@@ -105,12 +105,14 @@ type running struct {
 	// Observability state, written on the submit path strictly before the
 	// enqueue publishes the record to the worker: rootSpan is the intake
 	// span's ID (the parent of the workflow's later spans), queueAct the
-	// in-flight queue-residency span the worker ends on pickup, recBody
-	// the raw submission body the worker's flight recorder appends in
-	// processing order (nil when recording is off).
+	// in-flight queue-residency span the worker ends on pickup.
 	rootSpan uint64
 	queueAct *obs.Active
-	recBody  json.RawMessage
+	// body is the raw submission (nil unless the daemon is durable or
+	// recording): the journal logs it on enqueue and snapshots it while the
+	// workflow waits or runs live, and the flight recorder appends it when
+	// the worker starts the workflow (and, without a journal, drops it).
+	body json.RawMessage
 
 	submittedAt time.Time
 	startedAt   time.Time // zero until the worker picks the workflow up (under mu)
@@ -480,9 +482,11 @@ func (sh *shard) execute(wf *workflow) {
 	// The flight recorder taps the submission here — at the moment this
 	// worker starts processing it, not at HTTP accept time — so the
 	// per-shard record stream is in processing order (see record.go).
-	if rec := sh.srv.recorder; rec != nil && wf.recBody != nil {
-		rec.submission(sh.id, wf.id, wf.recBody)
-		wf.recBody = nil
+	if rec := sh.srv.recorder; rec != nil {
+		rec.submission(sh.id, wf.id, wf.body)
+		if sh.wal == nil {
+			wf.body = nil // only the journal keeps it past here
+		}
 	}
 	if wf.live {
 		sh.startLive(wf)
@@ -500,12 +504,13 @@ func (sh *shard) execute(wf *workflow) {
 	// that fails mid-way still made (and streamed) its evaluations, and
 	// the decisions/reschedules counters must agree with the decision
 	// events in events_emitted.
-	decisions, adoptions := 0, 0
+	decisions := 0
+	var adopted [planner.NumTriggers]uint64
 	res, err := planner.RunPolicyObserved(sh.srv.runCtx, wf.sub.Graph, cost.Exact(wf.sub.Comp), wf.sub.Pool,
 		wf.pol, wf.opts, func(d planner.Decision) {
 			decisions++
 			if d.Adopted {
-				adoptions++
+				adopted[d.Trigger]++
 			}
 			sh.logDecision(wf, d)
 		})
@@ -519,9 +524,13 @@ func (sh *shard) execute(wf *workflow) {
 		// the compute percentiles toward zero.
 		m.compute.Record(time.Since(started).Seconds() * 1e3)
 	}
+	// Analytic decisions carry no timing, so reschedule_ms stays live-only.
 	m.count(func(c *MetricsDoc) {
 		c.Decisions += uint64(decisions)
-		c.Reschedules += uint64(adoptions)
+		for t, n := range adopted {
+			c.Reschedules += n
+			*c.adoptedBy(planner.Trigger(t)) += n
+		}
 	})
 	sh.end(wf, res, err)
 }

@@ -52,7 +52,7 @@ func TestTerminalRecordBudget(t *testing.T) {
 	}
 	const n, budget = 4000, 1600
 	srv := New(Config{Shards: 2, QueueDepth: -1})
-	defer srv.Shutdown(t.Context())
+	defer srv.Shutdown(testContext(t))
 	bodies := analyticBodies(t, 8)
 	run := func(from, to int) {
 		for i := from; i < to; i++ {
@@ -223,7 +223,7 @@ func TestFinishedEqualsRecovered(t *testing.T) {
 			srvB, tsB := openDurable(t, dir, cfg)
 			defer func() {
 				tsB.Close()
-				srvB.Shutdown(t.Context())
+				srvB.Shutdown(testContext(t))
 			}()
 			recovered := getEvents(t, tsB, sub.ID)
 			statusB := getStatusBytes(t, tsB, sub.ID)

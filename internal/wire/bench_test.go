@@ -49,7 +49,8 @@ func BenchmarkWireDecode(b *testing.B) {
 			b.Run(name, func(b *testing.B) {
 				b.SetBytes(int64(len(body)))
 				b.ReportAllocs()
-				for b.Loop() {
+				b.ResetTimer()
+				for range b.N {
 					if _, err := decode(body, Limits{}); err != nil {
 						b.Fatal(err)
 					}
@@ -78,7 +79,8 @@ func BenchmarkWireDecodeReport(b *testing.B) {
 			b.Run(fmt.Sprintf("%sevents%d", prefix, n), func(b *testing.B) {
 				b.SetBytes(int64(len(body)))
 				b.ReportAllocs()
-				for b.Loop() {
+				b.ResetTimer()
+				for range b.N {
 					if _, err := decode(body, 0); err != nil {
 						b.Fatal(err)
 					}
@@ -105,7 +107,8 @@ func BenchmarkWireEncodeAck(b *testing.B) {
 		b.Run(name, func(b *testing.B) {
 			var buf []byte
 			b.ReportAllocs()
-			for b.Loop() {
+			b.ResetTimer()
+			for range b.N {
 				buf, _ = AppendReportAck(buf[:0], ack, nil)
 			}
 			b.SetBytes(int64(len(buf)))
@@ -113,7 +116,8 @@ func BenchmarkWireEncodeAck(b *testing.B) {
 		b.Run("oracle/"+name, func(b *testing.B) {
 			var buf bytes.Buffer
 			b.ReportAllocs()
-			for b.Loop() {
+			b.ResetTimer()
+			for range b.N {
 				buf.Reset()
 				enc := json.NewEncoder(&buf)
 				enc.SetIndent("", "  ")
@@ -133,7 +137,8 @@ func BenchmarkWireEncodeAck(b *testing.B) {
 		)
 		buf, _ = AppendReportAck(buf, gens[0], &m)
 		b.ReportAllocs()
-		for b.Loop() {
+		b.ResetTimer()
+		for range b.N {
 			i++
 			buf, _ = AppendReportAck(buf[:0], gens[i&1], &m)
 		}

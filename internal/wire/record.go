@@ -1,10 +1,10 @@
 // Flight-recorder record schema: the versioned record stream the
-// daemon's per-shard recorder tap appends (reusing the WAL envelope,
-// WALRecord, and the durable layer's frame format) and cmd/replay
-// re-drives. One stream per shard, in the order the shard's worker
-// goroutine processed the inputs — which, because every workflow's
-// decisions are made on exactly one shard goroutine, is the order that
-// fully determines the shard's decision sequence.
+// daemon's per-shard recorder tap appends and cmd/replay re-drives. Each
+// stream is a durable store directory, like a journal shard: WALRecord
+// envelopes in the same frames. One stream per shard, in the order the
+// shard's worker goroutine processed the inputs — which, because every
+// workflow's decisions are made on exactly one shard goroutine, is the
+// order that fully determines the shard's decision sequence.
 //
 // Two record families share a stream:
 //
@@ -32,9 +32,9 @@ import (
 	"math"
 )
 
-// RecordName is shard i's stream file name under a recording directory,
+// RecordName is shard i's stream directory under a recording directory,
 // shared by the recorder tap and replay.
-func RecordName(shard int) string { return fmt.Sprintf("record-shard-%03d.wal", shard) }
+func RecordName(shard int) string { return fmt.Sprintf("record-shard-%03d", shard) }
 
 // Flight-recorder record kinds (WALRecord.Kind values).
 const (
