@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race vet fmt fmt-check check lint loc loc-check fuzz fuzz-check bench bench-server bench-all clean
+.PHONY: all build test race vet fmt fmt-check check lint loc loc-check fma-check fuzz fuzz-check bench bench-server bench-all clean
 
 all: check
 
@@ -45,6 +45,30 @@ loc-check:
 	@n=$$($(MAKE) -s --no-print-directory loc | awk '{print $$1}'); max=$$(cat LOC); \
 	if [ "$$n" -gt "$$max" ]; then echo "loc-check: make loc is $$n, above $$max in LOC"; exit 1; fi; \
 	echo "loc-check: $$n <= $$max"
+
+# fma-check keeps results bit-identical across GOARCH. amd64 never fuses
+# x*y + z into one instruction; arm64 (like ppc64le, s390x, riscv64 and
+# loong64) does, unless a float64(…) conversion rounds the product. The
+# target compiles the module for arm64 with -S and fails on every fused
+# multiply-add whose source line is neither under FMA_ALLOW (telemetry
+# packages) nor marked `fma:ok` (a telemetry line no decision reads),
+# printing the line and the function it was compiled into.
+FMA_ALLOW := internal/stats/ benchmark/
+fma-check:
+	@{ GOARCH=arm64 $(GO) build -gcflags='aheft/...=-S' ./... 2>&1 >/dev/null || echo 'fma-check: build failed'; } | \
+	awk -v root="$(CURDIR)/" -v allow="$(FMA_ALLOW)" ' \
+		/^fma-check: build failed/ { print "fma-check: GOARCH=arm64 go build ./... failed"; bad = 1; exit } \
+		/ STEXT / { fn = $$1 } \
+		$$4 ~ /^F(N?)M(ADD|SUB)D$$/ { \
+			pos = $$3; gsub(/[()]/, "", pos); split(pos, p, ":"); file = substr(p[1], length(root) + 1); ok = 0; \
+			if (substr(p[1], 1, length(root)) == root) { \
+				m = split(allow, a, " "); for (i = 1; i <= m; i++) if (index(file, a[i]) == 1) ok = 1; \
+				if (!ok) { line = ""; for (i = 0; i < p[2] && (getline line < p[1]) > 0; i++); close(p[1]); ok = line ~ /fma:ok/ } \
+			} \
+			if (!ok && !seen[pos, fn]++) { print "fma-check: fused multiply-add at " pos " in " fn; bad = 1 } \
+			fused++ \
+		} \
+		END { if (bad) exit 1; print "fma-check: " fused " fused multiply-adds, all allowed" }'
 
 # fuzz runs each fuzz target for FUZZTIME. It is the one list of targets:
 # the nightly CI job runs `make fuzz FUZZTIME=5m`. The committed seed corpora under */testdata/fuzz/ replay as

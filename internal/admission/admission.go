@@ -397,7 +397,7 @@ func (c *Controller) observeDrainLocked(now time.Time) {
 			if c.rate == 0 {
 				c.rate = inst
 			} else {
-				c.rate = 0.8*c.rate + 0.2*inst
+				c.rate = 0.8*c.rate + 0.2*inst // fma:ok telemetry, no decision reads it
 			}
 		}
 	}

@@ -354,45 +354,6 @@ func (g *Graph) Width() int {
 	return w
 }
 
-// Parallelism returns the average level width: total jobs divided by the
-// number of levels. BLAST-shaped DAGs have parallelism close to their
-// fan-out factor; chain-shaped DAGs have parallelism 1.
-func (g *Graph) Parallelism() float64 {
-	lv := g.Levels()
-	if len(lv) == 0 {
-		return 0
-	}
-	return float64(len(g.jobs)) / float64(len(lv))
-}
-
-// CriticalPathLength returns the length of the longest path through the
-// DAG where each job contributes compCost(job) and each edge contributes
-// its data weight. With average computation costs this is the classic
-// lower-bound "CP" metric; it also equals ranku of the entry on single-exit
-// graphs.
-func (g *Graph) CriticalPathLength(compCost func(JobID) float64) float64 {
-	order, err := g.topoOrder()
-	if err != nil {
-		return 0
-	}
-	longest := make([]float64, len(g.jobs))
-	best := 0.0
-	for i := len(order) - 1; i >= 0; i-- {
-		j := order[i]
-		m := 0.0
-		for _, e := range g.succ[j] {
-			if v := e.Data + longest[e.To]; v > m {
-				m = v
-			}
-		}
-		longest[j] = compCost(j) + m
-		if longest[j] > best {
-			best = longest[j]
-		}
-	}
-	return best
-}
-
 // Clone returns a deep, unfrozen copy of the graph.
 func (g *Graph) Clone() *Graph {
 	c := New(g.name)
@@ -405,16 +366,4 @@ func (g *Graph) Clone() *Graph {
 		}
 	}
 	return c
-}
-
-// TotalData returns the sum of all edge weights: the workflow's aggregate
-// communication volume.
-func (g *Graph) TotalData() float64 {
-	t := 0.0
-	for i := range g.succ {
-		for _, e := range g.succ[i] {
-			t += e.Data
-		}
-	}
-	return t
 }

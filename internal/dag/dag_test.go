@@ -2,7 +2,6 @@ package dag
 
 import (
 	"math"
-	"strings"
 	"testing"
 )
 
@@ -163,18 +162,6 @@ func TestLevelsAndWidth(t *testing.T) {
 	if g.Width() != 2 {
 		t.Fatalf("width = %d, want 2", g.Width())
 	}
-	if p := g.Parallelism(); p != 4.0/3.0 {
-		t.Fatalf("parallelism = %g, want 4/3", p)
-	}
-}
-
-func TestCriticalPathLength(t *testing.T) {
-	g := diamond(t)
-	// All comp costs 10: longest path a→c→d = 10+2+10+4+10 = 36.
-	cp := g.CriticalPathLength(func(JobID) float64 { return 10 })
-	if cp != 36 {
-		t.Fatalf("critical path = %g, want 36", cp)
-	}
 }
 
 func TestCloneIsDeep(t *testing.T) {
@@ -188,13 +175,6 @@ func TestCloneIsDeep(t *testing.T) {
 	c.MustEdge(c.JobByName("d"), z, 9)
 	if g.Len() != 4 || g.NumEdges() != 4 {
 		t.Fatal("mutating clone affected original")
-	}
-}
-
-func TestTotalData(t *testing.T) {
-	g := diamond(t)
-	if d := g.TotalData(); d != 10 {
-		t.Fatalf("TotalData = %g, want 10", d)
 	}
 }
 
@@ -234,16 +214,6 @@ func TestFromJSONRejectsBadInput(t *testing.T) {
 	} {
 		if _, err := FromJSON([]byte(bad)); err == nil {
 			t.Errorf("FromJSON(%q): expected error", bad)
-		}
-	}
-}
-
-func TestDOT(t *testing.T) {
-	g := diamond(t)
-	dot := g.DOT()
-	for _, want := range []string{"digraph", `"a" -> "b"`, `label="3"`} {
-		if !strings.Contains(dot, want) {
-			t.Fatalf("DOT output missing %q:\n%s", want, dot)
 		}
 	}
 }

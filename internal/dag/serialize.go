@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"sort"
-	"strings"
 	"sync"
 
 	"aheft/internal/jsonscan"
@@ -196,26 +195,4 @@ func (g *Graph) UnmarshalJSON(data []byte) error {
 	}
 	*g = *ng
 	return nil
-}
-
-// DOT renders the graph in Graphviz dot syntax, with edge labels carrying
-// the communication weight. Useful for eyeballing generated workloads.
-func (g *Graph) DOT() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "digraph %q {\n", g.name)
-	b.WriteString("  rankdir=TB;\n  node [shape=box];\n")
-	for _, j := range g.jobs {
-		if j.Op != "" && j.Op != j.Name {
-			fmt.Fprintf(&b, "  %q [label=\"%s\\n(%s)\"];\n", j.Name, j.Name, j.Op)
-		} else {
-			fmt.Fprintf(&b, "  %q;\n", j.Name)
-		}
-	}
-	for i := range g.succ {
-		for _, e := range g.succ[i] {
-			fmt.Fprintf(&b, "  %q -> %q [label=\"%g\"];\n", g.jobs[e.From].Name, g.jobs[e.To].Name, e.Data)
-		}
-	}
-	b.WriteString("}\n")
-	return b.String()
 }

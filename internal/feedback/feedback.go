@@ -658,7 +658,7 @@ func (t *Tracker) adopt(s1 *schedule.Schedule) {
 // (indices into the submitted universe) joined or left right now?
 // Running jobs on hypothetically removed resources are restarted
 // elsewhere (the compute slot is gone); files already produced remain
-// reachable (storage outlives the slot), matching planner.WhatIf. The
+// reachable (storage outlives the slot). It is the one §3.3 engine. The
 // evaluation is tentative: the tracker's plan and state are unchanged.
 func (t *Tracker) WhatIf(q wire.WhatIfRequest) (*wire.WhatIfDoc, error) {
 	if t.done {

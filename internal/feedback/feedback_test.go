@@ -23,18 +23,7 @@ import (
 func newSampleTracker(t *testing.T, opts policy.Options) (*Tracker, *workload.Scenario) {
 	t.Helper()
 	sc := workload.SampleScenario()
-	tr, err := New(Config{
-		Graph:   sc.Graph,
-		Prior:   sc.Estimator(),
-		Pool:    sc.Pool,
-		History: history.New(0),
-		Policy:  policy.MustGet("aheft"),
-		Opts:    opts,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return tr, sc
+	return newScenarioTracker(t, sc, opts), sc
 }
 
 // TestSampleClosedLoopAdoptsArrival reproduces the paper's Fig. 4/5
@@ -237,23 +226,7 @@ func TestWhatIfLiveSnapshot(t *testing.T) {
 	// moment the Fig. 4 pool's fourth resource would join — then ask the
 	// §3.3 question: what if it joined right now? The answer must be the
 	// paper's adopted reschedule: 80 → 76.
-	var evs []wire.ReportEvent
-	for _, a := range tr.Plan().Assignments() {
-		if a.Start < 15 {
-			evs = append(evs, wire.ReportEvent{
-				Kind: wire.ReportJobStarted, Time: a.Start, Job: int(a.Job), Resource: int(a.Resource),
-			})
-		}
-		if a.Finish <= 15 {
-			evs = append(evs, wire.ReportEvent{
-				Kind: wire.ReportJobFinished, Time: a.Finish, Job: int(a.Job), Duration: a.Finish - a.Start,
-			})
-		}
-	}
-	sortEvents(evs)
-	if _, err := tr.Apply(evs); err != nil {
-		t.Fatal(err)
-	}
+	applyPlanUntil(t, tr, 15)
 	for _, tc := range []struct {
 		q    wire.WhatIfRequest
 		want wire.WhatIfDoc
@@ -283,6 +256,29 @@ func TestWhatIfLiveSnapshot(t *testing.T) {
 	}
 	if _, err := tr.WhatIf(wire.WhatIfRequest{Remove: []int{0, 1, 2}}); err == nil {
 		t.Fatal("empty hypothetical pool accepted")
+	}
+}
+
+// applyPlanUntil reports the tracker's current plan, executed faithfully,
+// up to clock: every job started before it, and every job finished by it.
+func applyPlanUntil(t *testing.T, tr *Tracker, clock float64) {
+	t.Helper()
+	var evs []wire.ReportEvent
+	for _, a := range tr.Plan().Assignments() {
+		if a.Start < clock {
+			evs = append(evs, wire.ReportEvent{
+				Kind: wire.ReportJobStarted, Time: a.Start, Job: int(a.Job), Resource: int(a.Resource),
+			})
+		}
+		if a.Finish <= clock {
+			evs = append(evs, wire.ReportEvent{
+				Kind: wire.ReportJobFinished, Time: a.Finish, Job: int(a.Job), Duration: a.Finish - a.Start,
+			})
+		}
+	}
+	sortEvents(evs)
+	if _, err := tr.Apply(evs); err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -90,7 +90,7 @@ func (a *opAgg) resum() {
 	sum := 0.0
 	a.count = 0
 	for _, c := range a.cells {
-		sum += c.s.Mean * float64(c.s.Count)
+		sum += float64(c.s.Mean * float64(c.s.Count)) // rounded: no fused multiply-add
 		a.count += c.s.Count
 	}
 	a.mean = sum / float64(a.count)
@@ -140,7 +140,7 @@ func (h *Repository) Record(op string, r grid.ID, d float64) error {
 	}
 	s.Count++
 	s.Mean += (d - s.Mean) / float64(s.Count)
-	s.EWMA = h.alpha*d + (1-h.alpha)*s.EWMA
+	s.EWMA = float64(h.alpha*d) + float64((1-h.alpha)*s.EWMA) // rounded: no fused multiply-add
 	if d < s.Min {
 		s.Min = d
 	}

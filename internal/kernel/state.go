@@ -161,9 +161,6 @@ func (st *State) Pin(a schedule.Assignment) {
 	st.pin[a.Job] = a
 }
 
-// Unpin returns a pinned job j to the jobs a reschedule places.
-func (st *State) Unpin(j dag.JobID) { st.isPin[j] = false }
-
 // Pinned reports whether job j is pinned.
 func (st *State) Pinned(j dag.JobID) bool { return st.isPin[j] }
 

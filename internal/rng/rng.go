@@ -45,7 +45,10 @@ func (s *Source) Uniform(lo, hi float64) float64 {
 	if hi < lo {
 		panic("rng: Uniform called with hi < lo")
 	}
-	return lo + (hi-lo)*s.Float64()
+	// Each conversion rounds its operand, so no architecture fuses this
+	// line, or a product a caller passes in, into a multiply-add: the
+	// draws are bit-identical on every GOARCH.
+	return float64(lo) + float64((float64(hi)-float64(lo))*s.Float64())
 }
 
 // IntN returns a uniformly distributed integer in [0, n). It panics if

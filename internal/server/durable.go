@@ -981,7 +981,7 @@ func (s *Server) recoverState() error {
 	restoreStart := time.Now()
 	wall := restoreStart.Sub(foldStart).Seconds() * 1e3
 	st.LoadMs = wall * float64(busyLoad) / float64(busyLoad+busyFold)
-	st.FoldMs = wall - st.LoadMs
+	st.FoldMs = wall - st.LoadMs // fma:ok telemetry, no decision reads it
 
 	// Install tenant histories on their shards before any tracker is
 	// restored against them.

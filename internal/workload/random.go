@@ -209,7 +209,8 @@ func SampleCostsScaled(g *dag.Graph, nRes int, beta, avgComp float64, model Cost
 	}
 	meanFor := func() float64 { return meanForOp("") }
 	perturb := func(mean float64) float64 {
-		w := r.Uniform(mean*(1-beta/2), mean*(1+beta/2))
+		// Each conversion rounds its operand: no fused multiply-add.
+		w := r.Uniform(mean*(1-float64(beta/2)), mean*(1+float64(beta/2)))
 		if w < floor {
 			w = floor
 		}
@@ -272,7 +273,7 @@ func autoEvents(g *dag.Graph, p GridParams, avgComp, ccr float64) int {
 	}
 	levels := g.Levels()
 	depth := float64(len(levels))
-	cp := depth * (avgComp + ccr*avgComp) // rough critical path with transfers
+	cp := depth * (avgComp + float64(ccr*avgComp)) // rough critical path with transfers; rounded, no fused multiply-add
 	work := float64(g.Len()) * avgComp / float64(p.InitialResources)
 	est := math.Max(cp, work)
 	n := int(math.Ceil(2 * est / p.ChangeInterval))
