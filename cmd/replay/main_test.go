@@ -26,7 +26,7 @@ func record(t *testing.T, dir string) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := srv.InjectRecorded("wf-00000001", body); err != nil {
+	if err := srv.Apply(wire.RecSubmission, wire.RecBody{Workflow: "wf-00000001", Body: body}); err != nil {
 		t.Fatal(err)
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)

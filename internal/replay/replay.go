@@ -7,17 +7,14 @@
 // wire records; see internal/wire/record.go). Each stream interleaves
 // the shard's inputs in worker-processing order with the outputs the
 // worker emitted between them. Replay validates every stream (header,
-// trailer, framing), boots a daemon with the recorded configuration and
-// its own recorder, drives each shard's inputs strictly one at a time —
-// submissions through Server.InjectRecorded so the original IDs (and
-// with them shard routing) reproduce, reports and grid registrations
-// through the HTTP handler — then drains the daemon and compares the
-// two output sequences record for record.
-//
-// One-at-a-time driving matters: with at most one pending item per
-// shard, the worker's select between its intake queue and its command
-// channel always has exactly one ready source, so the replay's
-// processing order is the recorded order by construction, not by luck.
+// trailer, framing), boots an in-process daemon with the recorded
+// configuration and its own recorder, hands each shard's inputs to
+// Server.Apply strictly one at a time — submissions under their recorded
+// IDs, so shard routing reproduces — then drains the daemon and compares
+// the two output sequences record for record. Apply returns only once
+// the worker has applied the input, so the worker never has two inputs to
+// choose between: the replay's processing order is the recorded order by
+// construction, not by luck. No HTTP is involved.
 //
 // What must match: the per-shard sequence of rec-decision, rec-plan and
 // rec-done payloads, byte for byte. Decision payloads deliberately
@@ -37,9 +34,8 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
-	"net/http"
-	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"sync"
@@ -52,9 +48,6 @@ import (
 
 // Options tunes a replay run.
 type Options struct {
-	// Scratch is the directory for the replay daemon's own recording;
-	// empty means a fresh os.MkdirTemp directory, removed afterwards.
-	Scratch string
 	// Timeout bounds the whole drive-and-drain; 0 means 60s.
 	Timeout time.Duration
 }
@@ -149,7 +142,10 @@ func loadStream(path string) (*stream, error) {
 	return st, nil
 }
 
-// Run replays the recording in dir and compares decision streams.
+// Run replays the recording in dir, each shard's stream on its own
+// goroutine through driveShard, drains the daemon and compares decision
+// streams. Past opts.Timeout a forced drain ends whatever Apply still
+// waits.
 func Run(dir string, opts Options) (*Result, error) {
 	streams, err := load(dir)
 	if err != nil {
@@ -161,14 +157,11 @@ func Run(dir string, opts Options) (*Result, error) {
 	}
 	deadline := time.Now().Add(timeout)
 
-	scratch := opts.Scratch
-	if scratch == "" {
-		scratch, err = os.MkdirTemp("", "aheft-replay-*")
-		if err != nil {
-			return nil, err
-		}
-		defer os.RemoveAll(scratch)
+	scratch, err := os.MkdirTemp("", "aheft-replay-*")
+	if err != nil {
+		return nil, err
 	}
+	defer os.RemoveAll(scratch)
 	hdr := streams[0].header
 	srv, err := server.Open(server.Config{
 		Shards:            hdr.Shards,
@@ -179,40 +172,33 @@ func Run(dir string, opts Options) (*Result, error) {
 	if err != nil {
 		return nil, fmt.Errorf("replay: boot daemon: %w", err)
 	}
-
-	res := &Result{Shards: hdr.Shards}
-	var (
-		wg      sync.WaitGroup
-		mu      sync.Mutex
-		inputs  int
-		driveEr error
-	)
-	for i := range streams {
-		wg.Add(1)
-		go func(st *stream) {
-			defer wg.Done()
-			n, err := driveShard(srv, st, deadline)
-			mu.Lock()
-			inputs += n
-			if err != nil && driveEr == nil {
-				driveEr = err
-			}
-			mu.Unlock()
-		}(&streams[i])
-	}
-	wg.Wait()
-
-	// Drain: finishes in-flight work and finalizes the replay recording.
 	ctx, cancel := context.WithDeadline(context.Background(), deadline)
 	defer cancel()
+	stop := context.AfterFunc(ctx, func() { srv.Shutdown(ctx) })
+
+	res := &Result{Shards: hdr.Shards}
+	inputs, errs := make([]int, len(streams)), make([]error, len(streams))
+	var wg sync.WaitGroup
+	for i := range streams {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			inputs[i], errs[i] = driveShard(srv, &streams[i], deadline)
+		}()
+	}
+	wg.Wait()
+	stop()
+	// Drain: finishes in-flight work and finalizes the replay recording.
 	shutErr := srv.Shutdown(ctx)
-	if driveEr != nil {
-		return nil, driveEr
+	if err := errors.Join(errs...); err != nil {
+		return nil, err
 	}
 	if shutErr != nil {
 		return nil, fmt.Errorf("replay: drain: %w", shutErr)
 	}
-	res.Inputs = inputs
+	for _, n := range inputs {
+		res.Inputs += n
+	}
 
 	replayed, err := load(scratch)
 	if err != nil {
@@ -225,11 +211,7 @@ func Run(dir string, opts Options) (*Result, error) {
 		for _, r := range got {
 			res.Digest = append(res.Digest, fmt.Sprintf("shard=%d %s %s", i, r.Kind, r.Data))
 		}
-		n := len(want)
-		if len(got) < n {
-			n = len(got)
-		}
-		for k := 0; k < n; k++ {
+		for k := range min(len(want), len(got)) {
 			if want[k].Kind != got[k].Kind || !bytes.Equal(want[k].Data, got[k].Data) {
 				res.Divergences = append(res.Divergences, fmt.Sprintf(
 					"shard %d, output %d: recorded %s %s, replayed %s %s",
@@ -254,89 +236,27 @@ func outputs(st *stream) []*wire.WALRecord {
 	return out
 }
 
-// driveShard re-drives one shard's inputs in recorded order, waiting
-// out each record's effect before the next so the worker never sees two
-// pending items at once.
+// driveShard hands one shard's inputs to Server.Apply in recorded order.
+// Apply returns once the worker has applied each, so the worker never
+// sees two pending at once. Rejected and duplicate reports were recorded
+// too (they consumed a turn) and are re-rejected or re-acked alike.
 func driveShard(srv *server.Server, st *stream, deadline time.Time) (int, error) {
-	h := srv.Handler()
 	n := 0
 	for _, r := range st.records {
 		if isOutput(r.Kind) {
 			continue
 		}
-		var body wire.RecBody
-		if err := json.Unmarshal(r.Data, &body); err != nil {
+		var in wire.RecBody
+		if err := json.Unmarshal(r.Data, &in); err != nil {
 			return n, fmt.Errorf("replay: shard %d: decode %s: %w", st.shard, r.Kind, err)
 		}
 		n++
-		switch r.Kind {
-		case wire.RecGrid:
-			code, resp := do(h, "PUT", "/v1/grids/"+body.Grid, body.Body)
-			if code != http.StatusCreated {
-				return n, fmt.Errorf("replay: shard %d: grid %q: %d %s", st.shard, body.Grid, code, resp)
-			}
-		case wire.RecSubmission:
-			if _, err := srv.InjectRecorded(body.Workflow, body.Body); err != nil {
-				return n, fmt.Errorf("replay: shard %d: inject %s: %w", st.shard, body.Workflow, err)
-			}
-			if err := awaitStarted(h, body, deadline); err != nil {
-				return n, fmt.Errorf("replay: shard %d: %w", st.shard, err)
-			}
-		case wire.RecReport:
-			// The worker's reply lands only after the report (and every
-			// decision it triggered) is fully processed, so returning
-			// here is returning from the recorded turn. Rejected and
-			// duplicate reports were recorded too (they consumed a turn)
-			// and re-reject identically — any status is acceptable.
-			do(h, "POST", "/v1/workflows/"+body.Workflow+"/report", body.Body)
-		default:
-			return n, fmt.Errorf("replay: shard %d: unknown record kind %q", st.shard, r.Kind)
+		if err := srv.Apply(r.Kind, in); err != nil {
+			return n, fmt.Errorf("replay: shard %d: %s %s%s: %w", st.shard, r.Kind, in.Workflow, in.Grid, err)
 		}
 		if time.Now().After(deadline) {
 			return n, fmt.Errorf("replay: shard %d: timeout mid-drive", st.shard)
 		}
 	}
 	return n, nil
-}
-
-// awaitStarted blocks until an injected submission has been picked up by
-// its worker: a live workflow until its initial plan exists, an analytic
-// one until it is terminal. Without this wait the next record could race
-// the worker's dequeue and break one-at-a-time driving.
-func awaitStarted(h http.Handler, body wire.RecBody, deadline time.Time) error {
-	var probe struct {
-		Mode string `json:"mode"`
-	}
-	_ = json.Unmarshal(body.Body, &probe)
-	live := probe.Mode == wire.ModeLive
-	for {
-		code, resp := do(h, "GET", "/v1/workflows/"+body.Workflow, nil)
-		if code == http.StatusOK {
-			var st wire.Status
-			if err := json.Unmarshal(resp, &st); err == nil {
-				switch {
-				case st.State == server.StateDone || st.State == server.StateFailed:
-					return nil
-				case live && st.State == server.StateRunning && st.Generation > 0:
-					return nil
-				}
-			}
-		}
-		if time.Now().After(deadline) {
-			return fmt.Errorf("workflow %s: timeout waiting for pickup (last status %d %s)", body.Workflow, code, resp)
-		}
-		time.Sleep(200 * time.Microsecond)
-	}
-}
-
-func do(h http.Handler, method, path string, body []byte) (int, []byte) {
-	var r *http.Request
-	if body != nil {
-		r = httptest.NewRequest(method, path, bytes.NewReader(body))
-	} else {
-		r = httptest.NewRequest(method, path, nil)
-	}
-	w := httptest.NewRecorder()
-	h.ServeHTTP(w, r)
-	return w.Code, w.Body.Bytes()
 }

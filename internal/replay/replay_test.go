@@ -99,10 +99,11 @@ func faithfulEvents(plan *wire.Plan, clock float64) []wire.ReportEvent {
 	return evs
 }
 
-// recordMixedRun drives analytic, live (including a duplicate report
-// batch), and shared-grid traffic through a recording daemon and drains
-// it cleanly, leaving a full-coverage recording in dir.
-func recordMixedRun(t *testing.T, dir string) {
+// recordMixedRun drives analytic, live (including a batch the tracker
+// refuses and a duplicate one), and shared-grid traffic through a
+// recording daemon and drains it cleanly, leaving a full-coverage
+// recording in dir. It returns the refused batch.
+func recordMixedRun(t *testing.T, dir string) (refused []byte) {
 	t.Helper()
 	srv, err := server.Open(server.Config{Shards: 2, QueueDepth: 256, RecordDir: dir})
 	if err != nil {
@@ -149,6 +150,16 @@ func recordMixedRun(t *testing.T, dir string) {
 			t.Fatalf("no initial plan for %s", sub.ID)
 		}
 		time.Sleep(time.Millisecond)
+	}
+	// A finish for a job that never started: refused, yet it took the
+	// worker's turn and is recorded, and replay must refuse it alike.
+	last := plan.Assignments[len(plan.Assignments)-1]
+	refused, err = wire.EncodeReport(&wire.Report{Events: []wire.ReportEvent{{Kind: wire.ReportJobFinished, Time: 1, Job: last.Job, Duration: 1}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if code := postJSON(t, ts, "/v1/workflows/"+sub.ID+"/report", refused, nil); code != http.StatusBadRequest {
+		t.Fatalf("report finishing an unstarted job: HTTP %d, want 400", code)
 	}
 	evs := append(faithfulEvents(&plan, 15), wire.ReportEvent{Kind: wire.ReportResourceJoin, Time: 15, Resource: 3})
 	batch, err := wire.EncodeReport(&wire.Report{Events: evs})
@@ -228,18 +239,20 @@ func recordMixedRun(t *testing.T, dir string) {
 	if err := srv.Shutdown(ctx); err != nil {
 		t.Fatalf("drain: %v", err)
 	}
+	return refused
 }
 
 // TestReplayMixedRunIdentical is the acceptance test across traffic
-// kinds: a recording covering analytic, live (with a duplicate report),
-// and shared-grid traffic replays bit-identically, and a second replay of
-// the same recording produces an identical canonical digest.
+// kinds: a recording covering analytic, live (with a refused and a
+// duplicate report), and shared-grid traffic replays bit-identically, and
+// a second replay of the same recording produces an identical canonical
+// digest.
 func TestReplayMixedRunIdentical(t *testing.T) {
 	if testing.Short() {
 		t.Skip("record/replay acceptance test skipped in -short mode")
 	}
 	dir := t.TempDir()
-	recordMixedRun(t, dir)
+	refused := recordMixedRun(t, dir)
 
 	res, err := Run(dir, Options{})
 	if err != nil {
@@ -255,6 +268,7 @@ func TestReplayMixedRunIdentical(t *testing.T) {
 	// The recording must actually contain every record family the mixed
 	// run was built to produce.
 	kinds := map[string]int{}
+	heldRefused := false
 	for i := 0; i < res.Shards; i++ {
 		stream, err := durable.Load(filepath.Join(dir, wire.RecordName(i)))
 		if err != nil || stream.TornTail {
@@ -262,7 +276,14 @@ func TestReplayMixedRunIdentical(t *testing.T) {
 		}
 		for _, r := range stream.Records {
 			kinds[r.Kind]++
+			var in wire.RecBody
+			if r.Kind == wire.RecReport && json.Unmarshal(r.Data, &in) == nil && bytes.Equal(in.Body, refused) {
+				heldRefused = true
+			}
 		}
+	}
+	if !heldRefused {
+		t.Fatal("the recording does not hold the refused report")
 	}
 	for _, kind := range []string{wire.RecBegin, wire.RecGrid, wire.RecSubmission, wire.RecReport,
 		wire.RecDecision, wire.RecPlan, wire.RecDone, wire.RecEnd} {

@@ -345,18 +345,6 @@ func newTerminal(t *walTerminal) *workflow {
 	return wf
 }
 
-// walLogGrid journals a shared-grid registration on its owning shard.
-func (s *Server) walLogGrid(g *sharedGrid) {
-	sh := s.shards[g.shard]
-	w := sh.wal
-	if w == nil {
-		return
-	}
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	w.append(s.metrics, wire.WALGrid, &walGrid{Name: g.name, Spec: g.raw})
-}
-
 // snapBufs holds the buffers snapshots are encoded into: a snapshot is
 // as large as the shard's state, and growing a fresh buffer to that size
 // for each would allocate it twice over.

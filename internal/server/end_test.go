@@ -4,7 +4,6 @@ import (
 	"context"
 	"encoding/json"
 	"net/http"
-	"net/http/httptest"
 	"path/filepath"
 	"sync/atomic"
 	"testing"
@@ -172,15 +171,15 @@ func TestAwaitReplyTakesABufferedReply(t *testing.T) {
 	drained, cancel := context.WithCancel(context.Background())
 	cancel()
 	s := &Server{runCtx: drained}
-	r := httptest.NewRequest(http.MethodPost, "/v1/workflows/wf-1/report", nil)
+	ctx := context.Background()
 	for i := 0; i < 64; i++ {
 		reply := make(chan cmdResult, 1)
 		reply <- cmdResult{ack: &wire.ReportAck{Done: true}}
-		if res, ok := s.awaitReply(r, reply); !ok || res.ack == nil {
+		if res, ok := s.awaitReply(ctx, reply); !ok || res.ack == nil {
 			t.Fatalf("try %d: the buffered reply lost to the drain: %+v", i, res)
 		}
 	}
-	if res, ok := s.awaitReply(r, make(chan cmdResult, 1)); !ok || res.code != http.StatusServiceUnavailable {
+	if res, ok := s.awaitReply(ctx, make(chan cmdResult, 1)); !ok || res.code != http.StatusServiceUnavailable {
 		t.Fatalf("no reply after the drain: %+v", res)
 	}
 }

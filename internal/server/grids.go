@@ -1,6 +1,7 @@
 package server
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"net/http"
@@ -136,43 +137,55 @@ func (s *Server) gridTotals() (grids, reservations, transfers int) {
 	return len(s.grids), reservations, transfers
 }
 
-func (s *Server) handleGridPut(w http.ResponseWriter, r *http.Request) {
-	name := r.PathValue("name")
-	if !wire.ValidGridName(name) {
-		writeJSON(w, http.StatusBadRequest, errorDoc{Error: fmt.Sprintf("invalid grid name %q", name)})
-		return
+// gridRoom reports whether a grid named name may be registered now, or
+// the answer that refuses it. Callers hold gridAdd or gridMu.
+func (s *Server) gridRoom(name string) (cmdResult, bool) {
+	switch {
+	case s.grids[name] != nil:
+		return cmdResult{code: http.StatusConflict, errMsg: fmt.Sprintf("grid %q already exists", name)}, false
+	case s.cfg.MaxSharedGrids > 0 && len(s.grids) >= s.cfg.MaxSharedGrids:
+		return cmdResult{code: http.StatusTooManyRequests, errMsg: fmt.Sprintf("grid limit %d reached", s.cfg.MaxSharedGrids)}, false
 	}
+	return cmdResult{}, true
+}
+
+// register validates a registration, the grid's name and its
+// wire.GridSpec body, and hands it to the grid's shard, whose worker
+// journals, records and publishes it (shard.apply). Grids are never
+// removed, so a refusal found first is final and is answered without
+// waiting on that worker, which checks again under gridAdd. ok is false
+// when ctx ended first.
+func (s *Server) register(ctx context.Context, name string, data []byte) (g *sharedGrid, res cmdResult, ok bool) {
+	if !wire.ValidGridName(name) {
+		return nil, cmdResult{code: http.StatusBadRequest, errMsg: fmt.Sprintf("invalid grid name %q", name)}, true
+	}
+	spec, err := wire.DecodeGridSpec(data, s.cfg.Limits)
+	if err != nil {
+		return nil, cmdResult{code: http.StatusBadRequest, errMsg: err.Error()}, true
+	}
+	g = newSharedGrid(name, data, spec, len(s.shards), s.cfg.GridShareCap)
+	s.gridMu.RLock()
+	res, room := s.gridRoom(name)
+	s.gridMu.RUnlock()
+	if !room {
+		return g, res, true
+	}
+	res, ok = s.dispatch(ctx, g.shard, shardCmd{grid: g})
+	return g, res, ok
+}
+
+func (s *Server) handleGridPut(w http.ResponseWriter, r *http.Request) {
 	data, err := s.readBody(w, r)
 	if err != nil {
 		return
 	}
-	spec, err := wire.DecodeGridSpec(data, s.cfg.Limits)
-	if err != nil {
-		writeJSON(w, http.StatusBadRequest, errorDoc{Error: err.Error()})
-		return
+	switch g, res, ok := s.register(r.Context(), r.PathValue("name"), data); {
+	case !ok:
+	case res.errMsg != "":
+		writeJSON(w, res.code, errorDoc{Error: res.errMsg})
+	default:
+		writeJSON(w, http.StatusCreated, g.status())
 	}
-	g := newSharedGrid(name, data, spec, len(s.shards), s.cfg.GridShareCap)
-	s.gridMu.Lock()
-	switch {
-	case s.grids[name] != nil:
-		s.gridMu.Unlock()
-		writeJSON(w, http.StatusConflict, errorDoc{Error: fmt.Sprintf("grid %q already exists", name)})
-		return
-	case s.cfg.MaxSharedGrids > 0 && len(s.grids) >= s.cfg.MaxSharedGrids:
-		s.gridMu.Unlock()
-		writeJSON(w, http.StatusTooManyRequests, errorDoc{Error: fmt.Sprintf("grid limit %d reached", s.cfg.MaxSharedGrids)})
-		return
-	}
-	s.grids[name] = g
-	s.gridMu.Unlock()
-	s.walLogGrid(g)
-	// Recorded at registration time on the owning shard's stream: any
-	// submission referencing the grid is only accepted after this 201, so
-	// the record precedes every dependent submission record.
-	if s.recorder != nil {
-		s.recorder.grid(g.shard, name, g.raw)
-	}
-	writeJSON(w, http.StatusCreated, g.status())
 }
 
 func (s *Server) handleGridGet(w http.ResponseWriter, r *http.Request) {

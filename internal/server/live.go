@@ -1,6 +1,7 @@
 package server
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"net/http"
@@ -23,14 +24,14 @@ import (
 // tracker runs on the shard's worker goroutine; HTTP handlers talk to it
 // through the shard's command channel and wait for the reply.
 
-// shardCmd is one request routed to the owning shard's worker goroutine.
+// shardCmd is one request for a shard's worker: an input for apply (a
+// start, wf alone; a report batch; a grid registration) or a what-if.
 type shardCmd struct {
 	wf     *workflow
 	report *wire.Report
-	// raw is the report's undecoded body, carried along only when the
-	// flight recorder is on so the worker can append it in processing
-	// order (see record.go).
-	raw    json.RawMessage
+	raw    json.RawMessage // the report's body, for the flight recorder
+
+	grid   *sharedGrid
 	whatif *wire.WhatIfRequest
 	reply  chan cmdResult
 }
@@ -147,46 +148,37 @@ func (sh *shard) enacting(wf *workflow) bool {
 	return sh.live[wf.id] == wf && !wf.tracker.Done()
 }
 
-// handleCmd serves one report or what-if on the worker goroutine.
+// handleCmd serves one command on the worker goroutine: a report or a
+// grid registration through apply, or a what-if.
 func (sh *shard) handleCmd(cmd shardCmd) {
 	wf := cmd.wf
-	m := sh.srv.metrics
-	if !sh.enacting(wf) {
-		if cmd.report != nil {
-			m.count(func(c *MetricsDoc) { c.ReportsRejected++ })
-		}
-		cmd.reply <- cmdResult{code: http.StatusConflict, errMsg: "workflow is not accepting reports"}
-		return
-	}
 	switch {
-	case cmd.report != nil:
-		sh.applyReport(wf, cmd)
-	case cmd.whatif != nil:
+	case cmd.report != nil || cmd.grid != nil:
+		sh.apply(cmd)
+	case !sh.enacting(wf):
+		cmd.reply <- notEnacting
+	default:
 		doc, err := wf.tracker.WhatIf(*cmd.whatif)
 		if err != nil {
 			cmd.reply <- cmdResult{code: http.StatusBadRequest, errMsg: err.Error()}
 			return
 		}
-		m.count(func(c *MetricsDoc) { c.WhatIfQueries++ })
+		sh.srv.metrics.count(func(c *MetricsDoc) { c.WhatIfQueries++ })
 		doc.Workflow = wf.id
 		cmd.reply <- cmdResult{whatif: doc}
-	default:
-		cmd.reply <- cmdResult{code: http.StatusBadRequest, errMsg: "empty command"}
 	}
 }
+
+// notEnacting answers a command for a workflow that is not parked on its
+// shard with jobs still to run.
+var notEnacting = cmdResult{code: http.StatusConflict, errMsg: "workflow is not accepting reports"}
 
 // applyReport folds a validated report into the live run: history feed,
 // variance judgement, rescheduling decisions into the event log (with
 // their trigger), plan bump on adoption, completion on the last finish.
-func (sh *shard) applyReport(wf *workflow, cmd shardCmd) {
+func (sh *shard) applyReport(cmd shardCmd) {
+	wf := cmd.wf
 	m := sh.srv.metrics
-	// Record the report before applying it: even a batch the tracker
-	// rejects or has already applied reached this worker and consumed its
-	// turn in the processing order, and replay must re-drive it to land
-	// on the same order (it is re-rejected or re-acked identically).
-	if rec := sh.srv.recorder; rec != nil && cmd.raw != nil {
-		rec.report(sh.id, wf.id, cmd.raw)
-	}
 	ingestAct := sh.startSpan(obs.StageIngest, wf)
 	var ingestID uint64
 	if ingestAct != nil {
@@ -467,20 +459,19 @@ func (sh *shard) historyTotals() (tenants, cells int) {
 
 // --- HTTP handlers ----------------------------------------------------
 
-// dispatch routes a command to the workflow's shard and waits for the
-// worker's reply, bailing out when the client disconnects or the daemon
-// dies. ok is false when there is nothing left to write.
-func (s *Server) dispatch(r *http.Request, wf *workflow, c shardCmd) (cmdResult, bool) {
-	c.wf = wf
+// dispatch routes a command to a shard and waits for the worker's reply,
+// bailing out when ctx ends (the client disconnected) or the daemon dies.
+// ok is false when there is nothing left to write.
+func (s *Server) dispatch(ctx context.Context, shard int, c shardCmd) (cmdResult, bool) {
 	c.reply = make(chan cmdResult, 1)
 	select {
-	case s.shards[wf.shard].cmds <- c:
-	case <-r.Context().Done():
+	case s.shards[shard].cmds <- c:
+	case <-ctx.Done():
 		return cmdResult{}, false
 	case <-s.runCtx.Done():
 		return shuttingDown, true
 	}
-	return s.awaitReply(r, c.reply)
+	return s.awaitReply(ctx, c.reply)
 }
 
 // shuttingDown answers a command no worker will serve.
@@ -491,11 +482,11 @@ var shuttingDown = cmdResult{code: http.StatusServiceUnavailable, errMsg: "serve
 // may be the one this command finished, its reply already buffered — and
 // select picks among ready cases at random, so a reply that is there wins
 // over the cancellation.
-func (s *Server) awaitReply(r *http.Request, reply <-chan cmdResult) (cmdResult, bool) {
+func (s *Server) awaitReply(ctx context.Context, reply <-chan cmdResult) (cmdResult, bool) {
 	select {
 	case res := <-reply:
 		return res, true
-	case <-r.Context().Done():
+	case <-ctx.Done():
 		return cmdResult{}, false
 	case <-s.runCtx.Done():
 	}
@@ -546,11 +537,7 @@ func (s *Server) handleReport(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusBadRequest, errorDoc{Error: err.Error()})
 		return
 	}
-	var raw json.RawMessage
-	if s.recorder != nil {
-		raw = data
-	}
-	res, ok := s.dispatch(r, wf, shardCmd{report: rep, raw: raw})
+	res, ok := s.dispatch(r.Context(), wf.shard, shardCmd{wf: wf, report: rep, raw: data})
 	if !ok {
 		return
 	}
@@ -577,7 +564,7 @@ func (s *Server) handleWhatIf(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	res, ok := s.dispatch(r, wf, shardCmd{whatif: &q})
+	res, ok := s.dispatch(r.Context(), wf.shard, shardCmd{wf: wf, whatif: &q})
 	if !ok {
 		return
 	}

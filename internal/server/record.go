@@ -1,7 +1,9 @@
 package server
 
 import (
+	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"os"
@@ -9,26 +11,22 @@ import (
 	"time"
 
 	"aheft/internal/durable"
-	"aheft/internal/obs"
 	"aheft/internal/wire"
 )
 
 // This file is the daemon's flight recorder and its trace endpoint —
 // the record/replay half of the observability layer.
 //
-// The recorder taps every external input on the shard worker's side of
-// the queue: a submission is recorded at the moment the worker starts
-// executing it, a report at the moment the worker applies it, so each
-// per-shard stream is in *processing* order — the order that, together
-// with the deterministic kernel, fully determines the shard's decision
-// sequence (the worker's select between intake and commands is the one
-// nondeterminism the stream pins down). Grid registrations are recorded
-// on the owning grid's shard at registration time; a submission
-// referencing the grid can only be accepted (and hence worker-recorded)
-// after the registration's 201, so the stream order preserves that
-// dependency. Outputs (decisions, plan generations, terminals) are
-// appended by the same worker goroutine as they are emitted, giving
-// replay an oracle to compare against in the same file.
+// The recorder taps every external input in one place, shard.apply, on
+// the worker and just before the input takes effect, so each per-shard
+// stream is in *processing* order — the order that, together with the
+// deterministic kernel, fully determines the shard's decision sequence
+// (the worker's select between intake and commands is the one
+// nondeterminism the stream pins down). A grid is recorded and journalled
+// before it is visible, so a submission naming it is recorded after it.
+// Outputs (decisions, plan generations, terminals) are appended by the
+// same worker as they are emitted, giving replay, which hands each input
+// back to Server.Apply, an oracle to compare against in the same stream.
 //
 // Each stream is a durable.Shard, the journal's store, in its own
 // directory (wire.RecordName); replay reads it back with durable.Load.
@@ -90,16 +88,10 @@ func (r *recorder) append(shard int, kind string, payload any) {
 	r.m.count(func(c *MetricsDoc) { c.RecorderRecords++ })
 }
 
-func (r *recorder) submission(shard int, id string, body json.RawMessage) {
-	r.append(shard, wire.RecSubmission, wire.RecBody{Workflow: id, At: time.Now().UnixNano(), Body: body})
-}
-
-func (r *recorder) report(shard int, id string, body json.RawMessage) {
-	r.append(shard, wire.RecReport, wire.RecBody{Workflow: id, At: time.Now().UnixNano(), Body: body})
-}
-
-func (r *recorder) grid(shard int, name string, spec json.RawMessage) {
-	r.append(shard, wire.RecGrid, wire.RecBody{Grid: name, At: time.Now().UnixNano(), Body: spec})
+// input records one input shard.apply is about to take effect.
+func (r *recorder) input(shard int, kind string, in wire.RecBody) {
+	in.At = time.Now().UnixNano()
+	r.append(shard, kind, in)
 }
 
 func (r *recorder) decision(shard int, id string, d *wire.Decision) {
@@ -139,31 +131,57 @@ func (r *recorder) finalize(clean bool) {
 	}
 }
 
-// InjectRecorded admits a recorded submission under its original
-// daemon-assigned ID, bypassing HTTP intake: the replay harness drives
-// recorded streams through this so IDs — and with them shard routing —
-// reproduce exactly, including the sequence gaps rejected submissions
-// left behind. It returns the target shard.
-func (s *Server) InjectRecorded(id string, body []byte) (int, error) {
-	wf, _, err := s.buildWorkflow(id, append([]byte(nil), body...))
-	if err != nil {
-		return 0, err
-	}
-	s.mu.Lock()
-	if _, dup := s.wfs[id]; dup {
+// Apply makes one recorded input take effect through the path a request
+// takes to shard.apply, and returns once the worker has applied it, so a
+// caller applying a stream one input at a time replays its processing
+// order. A submission keeps its recorded ID, and with it its shard. An
+// input refused before it takes effect returns an error and leaves no
+// record; a batch the tracker refuses was applied as a refusal and
+// returns nil.
+func (s *Server) Apply(kind string, in wire.RecBody) error {
+	var res cmdResult
+	switch kind {
+	case wire.RecSubmission:
+		wf, _, err := s.buildWorkflow(in.Workflow, append([]byte(nil), in.Body...))
+		if err != nil {
+			return err
+		}
+		applied := make(chan cmdResult, 1)
+		wf.applied = applied // the worker may drop wf.running once it has started it
+		s.mu.Lock()
+		if _, dup := s.wfs[wf.id]; dup {
+			s.mu.Unlock()
+			return fmt.Errorf("workflow %q already exists", wf.id)
+		}
+		s.wfs[wf.id] = wf
+		s.seq = max(s.seq, parseWorkflowSeq(wf.id))
 		s.mu.Unlock()
-		return 0, fmt.Errorf("workflow %q already injected", id)
+		s.metrics.count(func(c *MetricsDoc) { c.Submissions++ })
+		if err := s.admit(wf); err != nil {
+			return fmt.Errorf("shard %d admission refused: %w", wf.shard, err)
+		}
+		res, _ = s.awaitReply(context.Background(), applied)
+	case wire.RecReport:
+		wf, ok := s.lookup(in.Workflow)
+		if !ok {
+			return fmt.Errorf("unknown workflow %q", in.Workflow)
+		}
+		rep, err := wire.DecodeReport(in.Body, 0)
+		if err != nil {
+			return err
+		}
+		if res, _ = s.dispatch(context.Background(), wf.shard, shardCmd{wf: wf, report: rep, raw: in.Body}); res.code == http.StatusBadRequest {
+			return nil // the tracker's refusal
+		}
+	case wire.RecGrid:
+		_, res, _ = s.register(context.Background(), in.Grid, in.Body)
+	default:
+		return fmt.Errorf("unknown input kind %q", kind)
 	}
-	s.wfs[id] = wf
-	if n := parseWorkflowSeq(id); n > s.seq {
-		s.seq = n
+	if res.errMsg != "" {
+		return errors.New(res.errMsg)
 	}
-	s.mu.Unlock()
-	s.metrics.count(func(c *MetricsDoc) { c.Submissions++ })
-	if err := s.admit(wf); err != nil {
-		return 0, fmt.Errorf("shard %d admission refused: %w", wf.shard, err)
-	}
-	return wf.shard, nil
+	return nil
 }
 
 // handleTrace serves the workflow's retained span log as JSON Lines
@@ -188,7 +206,3 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 }
-
-// Tracer exposes the causal tracer (nil when tracing is disabled) for
-// tests and embedding callers.
-func (s *Server) Tracer() *obs.Tracer { return s.tracer }

@@ -1,8 +1,11 @@
 package server_test
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
+	"net/http"
+	"net/http/httptest"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -32,10 +35,14 @@ func TestRecordingHoldsRecoveredSubmissions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// Through intake, not Apply: Apply waits for the worker to start each
+	// submission, and this worker is held until the crash.
 	ids := []string{"wf-00000001", "wf-00000002"}
 	for _, id := range ids {
-		if _, err := crashed.InjectRecorded(id, body); err != nil {
-			t.Fatal(err)
+		w := httptest.NewRecorder()
+		crashed.Handler().ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/v1/workflows", bytes.NewReader(body)))
+		if w.Code != http.StatusAccepted || !strings.Contains(w.Body.String(), id) {
+			t.Fatalf("submit %s: HTTP %d %s", id, w.Code, w.Body)
 		}
 	}
 	crashed.Crash()

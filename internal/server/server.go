@@ -175,9 +175,12 @@ type Server struct {
 	submitMu sync.RWMutex
 	draining bool
 
-	// Shared-grid registry (see grids.go).
-	gridMu sync.RWMutex
-	grids  map[string]*sharedGrid
+	// Shared-grid registry (see grids.go). grids is written under both
+	// locks — gridAdd holds one registration from its checks to its
+	// publication (shard.apply) — so either lock reads it.
+	gridAdd sync.Mutex
+	gridMu  sync.RWMutex
+	grids   map[string]*sharedGrid
 
 	mu       sync.RWMutex
 	wfs      map[string]*workflow

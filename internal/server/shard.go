@@ -113,6 +113,9 @@ type running struct {
 	// workflow waits or runs live, and the flight recorder appends it when
 	// the worker starts the workflow (and, without a journal, drops it).
 	body json.RawMessage
+	// applied, set only by Server.Apply before the enqueue, hears from the
+	// worker once the workflow has started (shard.apply).
+	applied chan cmdResult
 
 	submittedAt time.Time
 	startedAt   time.Time // zero until the worker picks the workflow up (under mu)
@@ -463,31 +466,87 @@ func (sh *shard) run() {
 	}
 }
 
-// executeAdmitted unwraps one admission decision and runs the workflow.
+// executeAdmitted starts one workflow the fair queue let go. Its queue
+// span ends here, on pickup.
 func (sh *shard) executeAdmitted(d admission.Dequeued) {
 	sh.srv.metrics.admWait.Record(d.Queued.Seconds() * 1e3)
-	sh.execute(d.Item.Value.(*workflow))
-}
-
-// execute runs one workflow: live submissions are planned and parked for
-// the report loop, analytic submissions run to completion through the
-// analytic planner engine, streaming every rescheduling decision into the
-// workflow's event log as it is made.
-func (sh *shard) execute(wf *workflow) {
-	m := sh.srv.metrics
+	wf := d.Item.Value.(*workflow)
 	if sh.srv.execHook != nil {
 		sh.srv.execHook(wf)
 	}
 	wf.queueAct.End()
-	// The flight recorder taps the submission here — at the moment this
-	// worker starts processing it, not at HTTP accept time — so the
-	// per-shard record stream is in processing order (see record.go).
-	if rec := sh.srv.recorder; rec != nil {
-		rec.submission(sh.id, wf.id, wf.body)
+	sh.apply(shardCmd{wf: wf, reply: wf.applied})
+}
+
+// apply is the one place an input takes effect: a dequeued submission
+// starts (cmd.wf alone), a report batch is folded into its live run, a grid
+// is published. The flight recorder taps each just before, in processing
+// order (see record.go). An input refused first — a report for a workflow
+// not enacting, a grid whose name is taken or past MaxSharedGrids — is
+// answered and leaves no record in either log. A start answers cmd.reply
+// only for Server.Apply, once the workflow has run or been planned.
+func (sh *shard) apply(cmd shardCmd) {
+	s := sh.srv
+	switch {
+	case cmd.grid != nil:
+		// One registration at a time from the checks to the publication,
+		// which comes after both logs hold the grid.
+		s.gridAdd.Lock()
+		defer s.gridAdd.Unlock()
+		if res, ok := s.gridRoom(cmd.grid.name); !ok {
+			cmd.reply <- res
+			return
+		}
+	case cmd.report != nil && !sh.enacting(cmd.wf):
+		s.metrics.count(func(c *MetricsDoc) { c.ReportsRejected++ })
+		cmd.reply <- notEnacting
+		return
+	}
+	if rec := s.recorder; rec != nil {
+		kind, in := cmd.recorded()
+		rec.input(sh.id, kind, in)
+	}
+	switch {
+	case cmd.grid != nil:
+		if w := sh.wal; w != nil {
+			w.mu.Lock()
+			w.append(s.metrics, wire.WALGrid, &walGrid{Name: cmd.grid.name, Spec: cmd.grid.raw})
+			w.mu.Unlock()
+		}
+		s.gridMu.Lock()
+		s.grids[cmd.grid.name] = cmd.grid
+		s.gridMu.Unlock()
+		cmd.reply <- cmdResult{}
+	case cmd.report != nil:
+		sh.applyReport(cmd)
+	default:
 		if sh.wal == nil {
-			wf.body = nil // only the journal keeps it past here
+			cmd.wf.body = nil // only the journal keeps it past the start
+		}
+		sh.execute(cmd.wf)
+		if cmd.reply != nil {
+			cmd.reply <- cmdResult{}
 		}
 	}
+}
+
+// recorded is what the flight recorder keeps of an input apply takes.
+func (cmd *shardCmd) recorded() (kind string, in wire.RecBody) {
+	switch {
+	case cmd.grid != nil:
+		return wire.RecGrid, wire.RecBody{Grid: cmd.grid.name, Body: cmd.grid.raw}
+	case cmd.report != nil:
+		return wire.RecReport, wire.RecBody{Workflow: cmd.wf.id, Body: cmd.raw}
+	}
+	return wire.RecSubmission, wire.RecBody{Workflow: cmd.wf.id, Body: cmd.wf.body}
+}
+
+// execute runs one started workflow: a live submission is planned and
+// parked for the report loop, an analytic one runs to completion through
+// the analytic planner engine, streaming every rescheduling decision into
+// the workflow's event log as it is made.
+func (sh *shard) execute(wf *workflow) {
+	m := sh.srv.metrics
 	if wf.live {
 		sh.startLive(wf)
 		return

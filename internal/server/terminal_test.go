@@ -56,7 +56,7 @@ func TestTerminalRecordBudget(t *testing.T) {
 	bodies := analyticBodies(t, 8)
 	run := func(from, to int) {
 		for i := from; i < to; i++ {
-			if _, err := srv.InjectRecorded(fmt.Sprintf("wf-%08d", i), bodies[i%len(bodies)]); err != nil {
+			if err := srv.Apply(wire.RecSubmission, wire.RecBody{Workflow: fmt.Sprintf("wf-%08d", i), Body: bodies[i%len(bodies)]}); err != nil {
 				t.Fatal(err)
 			}
 		}

@@ -1,31 +1,31 @@
-// Flight-recorder record schema: the versioned record stream the
-// daemon's per-shard recorder tap appends and cmd/replay re-drives. Each
-// stream is a durable store directory, like a journal shard: WALRecord
-// envelopes in the same frames. One stream per shard, in the order the
-// shard's worker goroutine processed the inputs — which, because every
-// workflow's decisions are made on exactly one shard goroutine, is the
-// order that fully determines the shard's decision sequence.
+// Flight-recorder record schema: the versioned stream the daemon's
+// recorder appends, one per shard, from the one place a shard input takes
+// effect (the worker's apply), and internal/replay hands back to
+// server.Server.Apply. Each stream is a durable store directory, like a
+// journal shard: WALRecord envelopes in the same frames, in the order the
+// shard's worker processed the inputs — which, because every workflow's
+// decisions are made on exactly one shard goroutine, fully determines the
+// shard's decision sequence.
 //
 // Two record families share a stream:
 //
 //   - inputs (RecGrid, RecSubmission, RecReport): every external fact
-//     that reached the shard, with its raw wire body verbatim;
+//     that took effect on the shard, with its raw wire body verbatim;
 //   - outputs (RecDecision, RecPlan, RecDone): the decision /
 //     plan-generation / adoption sequence the shard produced, in
 //     emission order.
 //
-// Replay re-drives the inputs of each stream, strictly one at a time
-// per shard, through a fresh server and compares the fresh output
-// records against the recorded ones. The kernel is deterministic and
-// every scheduling clock rides inside the report bodies, so the
-// comparison is bit-identical; wall-clock readings are captured on each
-// record (RecHeader.StartUnixNano, RecBody.At) for diagnosis but are
-// excluded from the comparison, exactly like the Decision telemetry
-// fields (path/cone/fallback/elapsed) that PR 7 already excluded from
-// journalled state for the same reason.
+// Replay applies each stream's inputs, strictly one at a time per shard,
+// to a fresh server and compares the fresh output records against the
+// recorded ones. The kernel is deterministic and every scheduling clock
+// rides inside the report bodies, so the comparison is bit-identical;
+// wall-clock readings (RecHeader.StartUnixNano, RecBody.At) are kept for
+// diagnosis and excluded from it, as the Decision telemetry fields are
+// from journalled state.
 package wire
 
 import (
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"hash/fnv"
@@ -74,8 +74,8 @@ type RecHeader struct {
 	StartUnixNano int64 `json:"start_unix_nano,omitempty"`
 }
 
-// RecBody is the shared payload of the three input kinds: the raw wire
-// body plus its addressee.
+// RecBody is the shared payload of the three input kinds, and what
+// server.Server.Apply takes: the raw wire body plus its addressee.
 type RecBody struct {
 	// Workflow is the daemon-assigned ID (RecSubmission: the ID replay
 	// must reuse; RecReport: the target).
@@ -140,23 +140,11 @@ func HashPlan(as []Assignment) uint64 {
 	h := fnv.New64a()
 	var b [8 * 4]byte
 	for _, a := range as {
-		put64(b[0:8], uint64(int64(a.Job)))
-		put64(b[8:16], uint64(int64(a.Resource)))
-		put64(b[16:24], math.Float64bits(a.Start))
-		put64(b[24:32], math.Float64bits(a.Finish))
+		binary.BigEndian.PutUint64(b[0:8], uint64(int64(a.Job)))
+		binary.BigEndian.PutUint64(b[8:16], uint64(int64(a.Resource)))
+		binary.BigEndian.PutUint64(b[16:24], math.Float64bits(a.Start))
+		binary.BigEndian.PutUint64(b[24:32], math.Float64bits(a.Finish))
 		h.Write(b[:])
 	}
 	return h.Sum64()
-}
-
-func put64(b []byte, v uint64) {
-	_ = b[7]
-	b[0] = byte(v >> 56)
-	b[1] = byte(v >> 48)
-	b[2] = byte(v >> 40)
-	b[3] = byte(v >> 32)
-	b[4] = byte(v >> 24)
-	b[5] = byte(v >> 16)
-	b[6] = byte(v >> 8)
-	b[7] = byte(v)
 }
