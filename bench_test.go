@@ -23,6 +23,7 @@ import (
 	"strconv"
 	"strings"
 	"sync/atomic"
+	"syscall"
 	"testing"
 	"time"
 
@@ -605,8 +606,9 @@ func recordBlastLife(b *testing.B) blastLife {
 
 // crashMidFlight fills a durable daemon on cfg.DataDir with n workflows
 // (one tenant each, so every replay sees the history the recording saw),
-// replays the first half of the life into each, and kills the daemon.
-func (l blastLife) crashMidFlight(b *testing.B, cfg server.Config, n int) {
+// replays the first half of the life into each, kills the daemon and
+// returns the workflows' IDs.
+func (l blastLife) crashMidFlight(b *testing.B, cfg server.Config, n int) []string {
 	b.Helper()
 	srv, err := server.Open(cfg)
 	if err != nil {
@@ -614,6 +616,7 @@ func (l blastLife) crashMidFlight(b *testing.B, cfg server.Config, n int) {
 	}
 	ts := httptest.NewServer(srv.Handler())
 	f := &feedbackBench{ts: ts, sc: l.sc}
+	var ids []string
 	for i := 0; i < n; i++ {
 		body, err := wire.EncodeSubmission(&wire.Submission{
 			Mode: wire.ModeLive, Policy: "aheft", Tenant: fmt.Sprintf("bench-%d", i),
@@ -624,6 +627,7 @@ func (l blastLife) crashMidFlight(b *testing.B, cfg server.Config, n int) {
 			b.Fatal(err)
 		}
 		id, _ := f.submitBody(b, body)
+		ids = append(ids, id)
 		for _, rep := range l.reports[:len(l.reports)/2] {
 			resp, err := ts.Client().Post(ts.URL+"/v1/workflows/"+id+"/report", "application/json", bytes.NewReader(rep))
 			if err != nil {
@@ -637,6 +641,7 @@ func (l blastLife) crashMidFlight(b *testing.B, cfg server.Config, n int) {
 	}
 	ts.Close()
 	srv.Crash()
+	return ids
 }
 
 // copyTree copies a data directory (regular files, one level of shard
@@ -717,7 +722,7 @@ func BenchmarkWALAppend(b *testing.B) {
 // workflow; tenant histories; no snapshot), and rebuilds the resident
 // daemon state. wf/s is recovered workflows per second, MB/s the journal
 // bytes replayed per second. The crashed directory is restored before
-// every op — recovery itself snapshots and truncates what it replayed.
+// every op — recovery repairs torn tails in place.
 // Recovery folds the four shard directories on GOMAXPROCS workers:
 // procs=1 is the one-worker cost, procs=2 what a second core buys. The
 // *_ms metrics are RecoveryStats' phase split, per recovery.
@@ -725,7 +730,7 @@ func BenchmarkRecovery(b *testing.B) {
 	const workflows = 32
 	l := recordBlastLife(b)
 	crashed := b.TempDir()
-	l.crashMidFlight(b, server.Config{Shards: 4, QueueDepth: 4096, DataDir: crashed, WALSync: "off", SnapshotInterval: time.Hour}, workflows)
+	ids := l.crashMidFlight(b, server.Config{Shards: 4, QueueDepth: 4096, DataDir: crashed, WALSync: "off", SnapshotInterval: time.Hour}, workflows)
 	cfg := server.Config{Shards: 4, QueueDepth: 4096, DataDir: filepath.Join(b.TempDir(), "data"), WALSync: "off", SnapshotInterval: time.Hour}
 
 	for _, procs := range []int{1, 2} {
@@ -763,6 +768,71 @@ func BenchmarkRecovery(b *testing.B) {
 			}
 		})
 	}
+
+	// What a restart costs does not end at ready: the next report to each
+	// restored workflow journals against whatever base recovery left it,
+	// and the restart after that replays what was appended. One op is a
+	// restart, the life's next report to every workflow, a crash and a
+	// second restart; each phase reports its wall and process CPU time.
+	b.Run("restart,report,restart", func(b *testing.B) {
+		var wall, cpu [3]time.Duration // restart, reports, second restart
+		var replayed int64
+		for i := 0; i < b.N; i++ {
+			b.StopTimer()
+			if err := os.RemoveAll(cfg.DataDir); err != nil {
+				b.Fatal(err)
+			}
+			copyTree(b, crashed, cfg.DataDir)
+			b.StartTimer()
+			phase := func(k int, fn func()) {
+				t0, c0 := time.Now(), processCPU(b)
+				fn()
+				wall[k] += time.Since(t0)
+				cpu[k] += processCPU(b) - c0
+			}
+			var s *server.Server
+			open := func() {
+				var err error
+				if s, err = server.Open(cfg); err != nil {
+					b.Fatal(err)
+				}
+			}
+			phase(0, open)
+			phase(1, func() {
+				h := s.Handler()
+				for _, id := range ids {
+					w := httptest.NewRecorder()
+					h.ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/v1/workflows/"+id+"/report", bytes.NewReader(l.reports[len(l.reports)/2])))
+					if w.Code != http.StatusOK {
+						b.Fatalf("report after restart: HTTP %d: %s", w.Code, w.Body)
+					}
+				}
+			})
+			s.Crash()
+			phase(2, open)
+			b.StopTimer()
+			if m := s.MetricsSnapshot(); m.RecoveredWorkflows != workflows {
+				b.Fatalf("second restart recovered %d workflows, want %d", m.RecoveredWorkflows, workflows)
+			}
+			replayed += s.Recovery().WALBytes
+			s.Crash()
+			b.StartTimer()
+		}
+		for k, name := range []string{"restart", "reports", "restart2"} {
+			b.ReportMetric(float64(wall[k].Microseconds())/1e3/float64(b.N), name+"_ms")
+			b.ReportMetric(float64(cpu[k].Microseconds())/1e3/float64(b.N), name+"_cpu_ms")
+		}
+		b.ReportMetric(float64(replayed)/(1<<10)/float64(b.N), "restart2_wal_KB")
+	})
+}
+
+// processCPU is the user and system CPU time this process has used.
+func processCPU(b *testing.B) time.Duration {
+	var ru syscall.Rusage
+	if err := syscall.Getrusage(syscall.RUSAGE_SELF, &ru); err != nil {
+		b.Fatal(err)
+	}
+	return time.Duration(ru.Utime.Nano() + ru.Stime.Nano())
 }
 
 // --- Feedback-loop ingest benches (part of `make bench-server`). ---

@@ -13,8 +13,9 @@ import (
 // replay never panics, only whole correctly-checksummed frames are
 // yielded (re-framing the replayed payloads reproduces the valid prefix
 // byte for byte — nothing is ever half-applied), a dropped tail is
-// always reported as torn, and Open's repair always leaves a log that
-// replays clean and accepts further appends.
+// always reported as torn, a Decoder is handed exactly the records Load
+// collects, and Open's repair always leaves a log that replays clean and
+// accepts further appends.
 func FuzzWALReplay(f *testing.F) {
 	var valid []byte
 	for i := 1; i <= 3; i++ {
@@ -59,6 +60,14 @@ func FuzzWALReplay(f *testing.F) {
 			if rec.Records[i].LSN <= rec.Records[i-1].LSN {
 				t.Fatalf("replayed LSNs not strictly increasing")
 			}
+		}
+		// A Decoder is handed the same records, and replay ends where it
+		// ends without one.
+		var p probe
+		decoded, err := Load(dir, &p)
+		if err != nil || decoded.TornTail != rec.TornTail || decoded.MaxLSN != rec.MaxLSN || len(p.folded) != len(rec.Records) {
+			t.Fatalf("with a decoder: %d records to it, torn %v, max LSN %d (err %v); without: %d records, torn %v, max LSN %d",
+				len(p.folded), decoded.TornTail, decoded.MaxLSN, err, len(rec.Records), rec.TornTail, rec.MaxLSN)
 		}
 		s, _, err := Open(dir, SyncOff, 0)
 		if err != nil {

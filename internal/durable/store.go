@@ -11,6 +11,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"aheft/internal/jsonscan"
 	"aheft/internal/wire"
 )
 
@@ -65,8 +66,13 @@ type Recovered struct {
 	SnapshotLSN uint64
 	// Snapshot is the raw snapshot document, nil when none exists.
 	Snapshot []byte
-	// Records holds the replayed records with LSN > SnapshotLSN.
+	// Records holds the replayed records with LSN > SnapshotLSN, unless a
+	// Decoder took them.
 	Records []*wire.WALRecord
+	// Segments is the number of log segments read. Open's first Append
+	// starts a segment of its own, so more than one means the tail holds
+	// records from before an earlier Open.
+	Segments int
 	// TornTail reports that replay stopped at a torn/corrupt frame and
 	// dropped the rest of the log.
 	TornTail bool
@@ -84,6 +90,17 @@ type Recovered struct {
 	tornLen int64
 }
 
+// A Decoder takes a directory as Load reads it, in place of
+// Recovered.Records, so each payload is walked once, inside its envelope
+// (wire.DecodeWALRecord): Snapshot gets the newest snapshot first; what
+// Payload reads counts only once Record folds the record in, its envelope
+// valid and its LSN in order, and Record decodes r.Data when !decoded.
+type Decoder interface {
+	Snapshot(data []byte) error
+	Payload(kind string, sc *jsonscan.Scanner)
+	Record(r *wire.WALRecord, decoded bool)
+}
+
 // Shard is one append-only store directory — a shard's journal or its
 // flight-recorder stream: a single active WAL segment plus the snapshot
 // that bounds it. Append/Rotate are serialised by an internal mutex; the
@@ -94,9 +111,9 @@ type Shard struct {
 	interval time.Duration
 
 	mu       sync.Mutex
-	f        *os.File
-	segStart uint64 // first LSN the active segment may hold
-	lsn      uint64 // last assigned LSN
+	f        *os.File // the active segment; nil until Open's first Append
+	segStart uint64   // first LSN the active segment may hold
+	lsn      uint64   // last assigned LSN
 	disabled bool
 	dirty    bool
 	enc      wire.Appender // reusable envelope encoder (under mu)
@@ -152,9 +169,16 @@ func listDir(dir string) (snaps, segs []uint64, err error) {
 // Load reads a shard directory without opening it for appends: the
 // newest snapshot plus the ordered valid record suffix: recovery of
 // orphaned shard directories, replay's reading of a recording, and the
-// benchmarks. A missing directory is an empty (not an error) result.
-func Load(dir string) (*Recovered, error) {
+// benchmarks. A missing directory is an empty (not an error) result. With
+// a Decoder, the snapshot and the records go to it as they are read, and
+// Records stays empty.
+func Load(dir string, d ...Decoder) (*Recovered, error) {
 	rec := &Recovered{}
+	var dec Decoder
+	var payload func(string, *jsonscan.Scanner)
+	if len(d) > 0 {
+		dec, payload = d[0], d[0].Payload
+	}
 	snaps, segs, err := listDir(dir)
 	if err != nil {
 		return nil, fmt.Errorf("durable: list %s: %w", dir, err)
@@ -168,8 +192,13 @@ func Load(dir string) (*Recovered, error) {
 		rec.Snapshot = data
 		rec.MaxLSN = rec.SnapshotLSN
 		rec.Bytes = int64(len(data))
+		if dec != nil {
+			if err := dec.Snapshot(data); err != nil {
+				return nil, fmt.Errorf("durable: snapshot: %w", err)
+			}
+		}
 	}
-	rec.segs = segs
+	rec.segs, rec.Segments = segs, len(segs)
 	for i, first := range segs {
 		data, err := os.ReadFile(filepath.Join(dir, segName(first)))
 		if err != nil {
@@ -179,7 +208,7 @@ func Load(dir string) (*Recovered, error) {
 		rec.Bytes += int64(valid)
 		rec.tornSeg, rec.tornLen = i, 0
 		for _, p := range payloads {
-			r, err := wire.DecodeWALRecord(p)
+			r, decoded, err := wire.DecodeWALRecord(p, payload)
 			if err != nil || r.LSN <= rec.MaxLSN {
 				// An undecodable or out-of-order record is corruption as
 				// surely as a bad CRC: stop replay here, keep the prefix.
@@ -187,7 +216,11 @@ func Load(dir string) (*Recovered, error) {
 				return rec, nil
 			}
 			rec.MaxLSN = r.LSN
-			rec.Records = append(rec.Records, r)
+			if dec != nil {
+				dec.Record(r, decoded)
+			} else {
+				rec.Records = append(rec.Records, r)
+			}
 			rec.tornLen += int64(frameHeader + len(p))
 		}
 		if torn {
@@ -200,27 +233,20 @@ func Load(dir string) (*Recovered, error) {
 	return rec, nil
 }
 
-// Open recovers a shard directory (creating it if missing) and opens it
-// for appends: torn tails are truncated away so the log stays replayable,
-// and the active segment continues where the valid prefix ended.
-func Open(dir string, policy SyncPolicy, interval time.Duration) (*Shard, *Recovered, error) {
+// Open recovers a shard directory (creating it if missing), through d as
+// Load does, and opens it for appends: torn tails are truncated away so
+// the log stays replayable, and the first Append starts a segment after
+// the valid prefix. Open itself writes nothing else.
+func Open(dir string, policy SyncPolicy, interval time.Duration, d ...Decoder) (*Shard, *Recovered, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, nil, fmt.Errorf("durable: %w", err)
 	}
-	rec, err := Load(dir)
+	rec, err := Load(dir, d...)
 	if err != nil {
 		return nil, nil, err
 	}
 	if err := repair(dir, rec); err != nil {
 		return nil, nil, err
-	}
-	segStart := rec.MaxLSN + 1
-	if len(rec.segs) > 0 {
-		segStart = rec.segs[len(rec.segs)-1]
-	}
-	f, err := os.OpenFile(filepath.Join(dir, segName(segStart)), os.O_WRONLY|os.O_APPEND|os.O_CREATE, 0o644)
-	if err != nil {
-		return nil, nil, fmt.Errorf("durable: open segment: %w", err)
 	}
 	if interval <= 0 {
 		interval = DefaultSyncInterval
@@ -229,8 +255,7 @@ func Open(dir string, policy SyncPolicy, interval time.Duration) (*Shard, *Recov
 		dir:      dir,
 		policy:   policy,
 		interval: interval,
-		f:        f,
-		segStart: segStart,
+		segStart: rec.MaxLSN + 1,
 		lsn:      rec.MaxLSN,
 		stop:     make(chan struct{}),
 		done:     make(chan struct{}),
@@ -279,6 +304,13 @@ func (s *Shard) Append(kind string, data wire.Doc) (uint64, error) {
 		return 0, fmt.Errorf("durable: encode %s record: %w", kind, err)
 	}
 	s.frameBuf = appendFrame(s.frameBuf[:0], doc)
+	if s.f == nil {
+		f, err := os.OpenFile(filepath.Join(s.dir, segName(s.segStart)), os.O_WRONLY|os.O_APPEND|os.O_CREATE, 0o644)
+		if err != nil {
+			return 0, fmt.Errorf("durable: open segment: %w", err)
+		}
+		s.f = f
+	}
 	if _, err := s.f.Write(s.frameBuf); err != nil {
 		return 0, fmt.Errorf("durable: append: %w", err)
 	}
@@ -361,7 +393,9 @@ func (s *Shard) Rotate(snapshot []byte) error {
 	s.f = next
 	s.segStart = s.lsn + 1
 	s.dirty = false
-	old.Close()
+	if old != nil {
+		old.Close()
+	}
 
 	snaps, segs, err := listDir(s.dir)
 	if err != nil {
@@ -386,10 +420,10 @@ func (s *Shard) Rotate(snapshot []byte) error {
 // hook for crash-recovery coverage.
 func (s *Shard) Disable() {
 	s.mu.Lock()
-	if !s.disabled {
-		s.disabled = true
+	if !s.disabled && s.f != nil {
 		s.f.Close()
 	}
+	s.disabled = true
 	s.mu.Unlock()
 	s.stopSync()
 }
@@ -403,6 +437,9 @@ func (s *Shard) Close() error {
 		return nil
 	}
 	s.disabled = true
+	if s.f == nil {
+		return nil
+	}
 	var err error
 	if s.policy != SyncOff {
 		err = s.f.Sync()

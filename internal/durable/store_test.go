@@ -3,10 +3,13 @@ package durable
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 
+	"aheft/internal/jsonscan"
 	"aheft/internal/wire"
 )
 
@@ -259,5 +262,109 @@ func TestParseSyncPolicy(t *testing.T) {
 	}
 	if _, err := ParseSyncPolicy("sometimes"); err == nil {
 		t.Fatalf("bogus policy accepted")
+	}
+}
+
+// probe is a Decoder that notes what it is handed: the snapshot, and for
+// each record its LSN, whether Payload read it, and the payload's "i" or
+// that it did not decode.
+type probe struct {
+	snapshot string
+	next     int
+	folded   []probed
+}
+
+type probed struct {
+	lsn     uint64
+	i       int
+	bad     bool
+	decoded bool
+}
+
+func (p *probe) Snapshot(data []byte) error {
+	if len(p.folded) > 0 {
+		return errors.New("snapshot after records")
+	}
+	p.snapshot = string(data)
+	return nil
+}
+
+func (p *probe) Payload(kind string, sc *jsonscan.Scanner) {
+	p.next = 0
+	sc.Object("i", &p.next)
+}
+
+func (p *probe) Record(r *wire.WALRecord, decoded bool) {
+	got := probed{lsn: r.LSN, i: p.next, decoded: decoded}
+	if !decoded {
+		sc := jsonscan.New(r.Data)
+		got.i = 0
+		sc.Object("i", &got.i)
+		got.bad = sc.End() != nil
+	}
+	p.folded = append(p.folded, got)
+}
+
+// TestDecoderReplaysAsLoadDoes reads one log with and without a Decoder.
+// A payload of valid JSON in the wrong shape reaches the decoder's error
+// path and replay goes on; a CRC-valid frame whose envelope is good but
+// whose payload is not JSON ends replay, with or without a Decoder, at
+// the same record, and Open repairs it there.
+func TestDecoderReplaysAsLoadDoes(t *testing.T) {
+	dir := t.TempDir()
+	s, _, err := Open(dir, SyncOff, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	appendMust(t, s, "state", map[string]int{"i": 1})
+	if err := s.Rotate([]byte(`{"snap":1}`)); err != nil {
+		t.Fatal(err)
+	}
+	s.Close()
+	var frames []byte
+	for _, doc := range []string{
+		`{"v":1,"lsn":2,"kind":"state","data":{"i":2}}`,
+		`{"v":1,"lsn":3,"kind":"state","data":{"i":"three"}}`,
+		`{"v":1,"lsn":4,"data":{"i":4},"kind":"state"}`,
+		`{"v":1,"lsn":5,"kind":"state","data":not json}`,
+		`{"v":1,"lsn":6,"kind":"state","data":{"i":6}}`,
+	} {
+		frames = appendFrame(frames, []byte(doc))
+	}
+	seg := filepath.Join(dir, segName(2))
+	if err := os.WriteFile(seg, frames, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	plain, err := Load(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var p probe
+	got, err := Load(dir, &p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !plain.TornTail || !got.TornTail || got.MaxLSN != plain.MaxLSN || got.MaxLSN != 4 || len(plain.Records) != 3 || len(got.Records) != 0 {
+		t.Fatalf("without a decoder: torn %v, max LSN %d, %d records; with: torn %v, max LSN %d, %d records",
+			plain.TornTail, plain.MaxLSN, len(plain.Records), got.TornTail, got.MaxLSN, len(got.Records))
+	}
+	want := []probed{{lsn: 2, i: 2, decoded: true}, {lsn: 3, bad: true}, {lsn: 4, i: 4}}
+	if p.snapshot != `{"snap":1}` || !reflect.DeepEqual(p.folded, want) {
+		t.Fatalf("decoder saw snapshot %q and %+v, want %+v", p.snapshot, p.folded, want)
+	}
+
+	var q probe
+	s, _, err = Open(dir, SyncOff, 0, &q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.Close()
+	if !reflect.DeepEqual(q.folded, want) {
+		t.Fatalf("Open's decoder saw %+v, want %+v", q.folded, want)
+	}
+	clean, err := Load(dir)
+	if err != nil || clean.TornTail || clean.MaxLSN != 4 || len(clean.Records) != 3 {
+		t.Fatalf("after repair: %+v, %v", clean, err)
 	}
 }

@@ -31,11 +31,16 @@ import (
 // submission path logs once its enqueue succeeds; everything else appends
 // from the shard's single worker goroutine), so the WAL adds one ordered
 // write per state change and no new locking on the planning hot path. On
-// startup, Open replays the newest snapshot plus the log tail: live
-// workflows come back resident with their current plan and feedback
-// state, shared-grid ledgers reassemble from their restored residents,
-// pending submissions re-enqueue, and duplicate report replays are
-// acked idempotently (see applyReport / feedback.AlreadyApplied).
+// startup, Open folds the newest snapshot and the log tail, each record
+// walked once as the store reads it: live workflows come back resident
+// with their current plan and feedback state, shared-grid ledgers
+// reassemble from their restored residents, pending submissions
+// re-enqueue, and duplicate report replays are acked idempotently (see
+// applyReport / feedback.AlreadyApplied). A restart snapshots every shard
+// when the shard count changed where things live, and a shard whose log
+// already spans an earlier start or held a record it skipped; otherwise
+// it writes nothing but a terminal record per workflow it could not
+// restore.
 //
 // Record kinds (wire.WAL*): a submission logs its raw body once it is
 // queued (a refused one writes nothing; its fair-queue credentials are
@@ -57,8 +62,8 @@ import (
 // decode or does not fit, fails the workflow (failRecovered) rather than
 // serve an older plan as current. Because a snapshot truncates the log
 // the chains lived in, snapshot() re-bases every live workflow on the
-// entry it just wrote; a snapshot or an append that fails leaves the
-// workflow without a base, and its next record is a whole state again.
+// entry it just wrote; a restored workflow, or a snapshot or an append
+// that failed, leaves it without a base: its next record is a whole state.
 // Logs from before patches existed hold whole states only and recover
 // through the same fold, and older logs' admission and reject records are
 // read but no longer written.
@@ -265,6 +270,14 @@ func (sh *shard) walStateDoc(wf *workflow, whole bool) walState {
 	nEvents := len(wf.events)
 	events := wf.eventsFrom(from)
 	wf.mu.Unlock()
+	// Without the decisions' telemetry: the same inputs, the same bytes.
+	for i, ev := range events {
+		if ev.Decision != nil {
+			d := *ev.Decision
+			d.ElapsedMs, d.RankMs, d.PlaceMs = 0, 0, 0
+			events[i].Decision = &d
+		}
+	}
 	doc := walState{
 		ID:          wf.id,
 		Tenant:      wf.tenant,
@@ -611,12 +624,12 @@ func (d *shardSnapshot) scan(sc *jsonscan.Scanner) {
 // RecoveryStats describes the last startup recovery: what came back,
 // how much journal was read to get there, and where the time went
 // (load: reading and framing the logs; fold: decoding and folding
-// records; restore: rebuilding grids, trackers and queues; snapshot:
-// the fresh snapshots that truncate what was replayed). The four add up
-// to Ms, less the directory listing. Directories are loaded and folded
-// side by side, so LoadMs and FoldMs are not spans of their own: they
-// are that section's wall time, split between the two as the fold
-// workers' summed busy time in each splits.
+// records; restore: rebuilding grids, trackers and queues; snapshot: the
+// fresh snapshots written where recoverState needs them, else 0). The
+// four add up to Ms, less the directory listing. Directories are loaded
+// and folded side by side, so LoadMs and FoldMs are not spans of their
+// own: they are that section's wall time, split between the two as the
+// fold workers' summed busy time in each splits.
 type RecoveryStats struct {
 	Workflows  uint64  `json:"recovered_workflows"`
 	Ms         float64 `json:"recovery_ms"`
@@ -643,6 +656,7 @@ func (s *Server) Recovery() RecoveryStats { return s.recovery }
 // shard hold. Each target's fold runs on one goroutine and touches nothing
 // another's does (its own directories, stores and tenant histories), so
 // the folds run side by side and recoverState merges what they gathered.
+// It is the durable.Decoder the directories are read through.
 type recoveryFold struct {
 	s      *Server
 	dir    int // the directory being folded
@@ -652,8 +666,10 @@ type recoveryFold struct {
 	repos  map[string]*history.Repository // by tenant
 	maxSeq uint64
 
-	sc         jsonscan.Scanner // reads each record in turn
+	next       interface{ scan(*jsonscan.Scanner) } // what Payload read last
+	began      time.Time                            // when the record being folded was met
 	orphans    []string
+	resnap     bool          // its log spans an earlier start or held a skipped record
 	load, fold time.Duration // busy time reading and framing / decoding and folding
 	bytes      int64
 	records    int
@@ -712,15 +728,13 @@ func (f *recoveryFold) ended(t *walTerminal) {
 // position and counted in wal_records_skipped.
 func (f *recoveryFold) skip(r *wire.WALRecord, err error) {
 	f.s.metrics.count(func(c *MetricsDoc) { c.WALRecordsSkipped++ })
+	f.resnap = true
 	log.Printf("aheftd: recovery: shard %d lsn %d: skipping %s record: %v", f.dir, r.LSN, r.Kind, err)
 }
 
-// decode reads a record payload that must name its subject.
-func (f *recoveryFold) decode(r *wire.WALRecord, into interface{ scan(*jsonscan.Scanner) }, name *string) bool {
-	f.sc.Reset(r.Data)
-	into.scan(&f.sc)
-	err := f.sc.End()
-	if err == nil && *name == "" {
+// named skips a record whose payload did not decode (err) or names no one.
+func (f *recoveryFold) named(r *wire.WALRecord, err error, name string) bool {
+	if err == nil && name == "" {
 		err = fmt.Errorf("payload names no subject")
 	}
 	if err != nil {
@@ -730,91 +744,115 @@ func (f *recoveryFold) decode(r *wire.WALRecord, into interface{ scan(*jsonscan.
 }
 
 // directory opens (or, for an orphan of a larger shard count, loads)
-// shard directory idx and folds its snapshot and log tail in, one record
-// decoded at a time: parked payloads would be the log a second time over.
+// shard directory idx and folds its snapshot and log tail in as the store
+// reads them: parked payloads would be the log a second time over.
 func (f *recoveryFold) directory(idx int, policy durable.SyncPolicy) error {
 	s := f.s
 	f.dir = idx
 	dir := filepath.Join(s.cfg.DataDir, fmt.Sprintf("shard-%d", idx))
-	loadStart := time.Now()
+	start, folded := time.Now(), f.fold
 	var rec *durable.Recovered
 	if idx < len(s.shards) {
-		store, r, err := durable.Open(dir, policy, s.cfg.WALSyncInterval)
+		store, r, err := durable.Open(dir, policy, s.cfg.WALSyncInterval, f)
 		if err != nil {
 			return fmt.Errorf("server: shard %d wal: %w", idx, err)
 		}
 		s.shards[idx].wal = &shardWAL{store: store}
 		rec = r
 	} else {
-		r, err := durable.Load(dir)
+		r, err := durable.Load(dir, f)
 		if err != nil {
 			return fmt.Errorf("server: orphan shard %d wal: %w", idx, err)
 		}
 		rec = r
 		f.orphans = append(f.orphans, dir)
 	}
-	foldStart := time.Now()
-	f.load += foldStart.Sub(loadStart)
+	f.load += time.Since(start) - (f.fold - folded)
 	f.bytes += rec.Bytes
-	f.records += len(rec.Records)
-
-	if rec.Snapshot != nil {
-		var snap shardSnapshot
-		if err := scanDoc(rec.Snapshot, &snap); err != nil {
-			return fmt.Errorf("server: shard %d snapshot: %w", idx, err)
-		}
-		if snap.Seq > f.maxSeq {
-			f.maxSeq = snap.Seq
-		}
-		for _, g := range snap.Grids {
-			f.gridSpec(g.Name, g.Spec)
-		}
-		for _, t := range snap.Tenants {
-			f.repoFor(t.Tenant, t.Alpha).Import(t.Cells)
-		}
-		for _, p := range snap.Pending {
-			f.wfFor(p.ID).body = p.Body
-		}
-		for i := range snap.Live {
-			f.wfFor(snap.Live[i].ID).fold(&snap.Live[i])
-		}
-		for i := range snap.Terminal {
-			f.ended(&snap.Terminal[i])
-		}
-	}
-	for _, r := range rec.Records {
-		f.record(r)
-	}
-	f.fold += time.Since(foldStart)
+	f.resnap = f.resnap || rec.Segments > 1
 	return nil
 }
 
-// record folds one log record in.
-func (f *recoveryFold) record(r *wire.WALRecord) {
-	switch r.Kind {
+// Snapshot folds in a directory's newest snapshot (durable.Decoder).
+func (f *recoveryFold) Snapshot(data []byte) error {
+	began := time.Now()
+	defer func() { f.fold += time.Since(began) }()
+	var snap shardSnapshot
+	if err := scanDoc(data, &snap); err != nil {
+		return err
+	}
+	if snap.Seq > f.maxSeq {
+		f.maxSeq = snap.Seq
+	}
+	for _, g := range snap.Grids {
+		f.gridSpec(g.Name, g.Spec)
+	}
+	for _, t := range snap.Tenants {
+		f.repoFor(t.Tenant, t.Alpha).Import(t.Cells)
+	}
+	for _, p := range snap.Pending {
+		f.wfFor(p.ID).body = p.Body
+	}
+	for i := range snap.Live {
+		f.wfFor(snap.Live[i].ID).fold(&snap.Live[i])
+	}
+	for i := range snap.Terminal {
+		f.ended(&snap.Terminal[i])
+	}
+	return nil
+}
+
+// Payload decodes a record's payload where the store's walk of its
+// envelope meets it (durable.Decoder).
+func (f *recoveryFold) Payload(kind string, sc *jsonscan.Scanner) {
+	f.began = time.Now()
+	switch kind {
 	case wire.WALSubmission:
-		var p walSubmission
-		if f.decode(r, &p, &p.ID) {
+		f.next = new(walSubmission)
+	case wire.WALReject:
+		f.next = new(walReject)
+	case wire.WALGrid:
+		f.next = new(walGrid)
+	case wire.WALState:
+		f.next = new(walState)
+	case wire.WALTerminal:
+		f.next = new(walTerminal)
+	default:
+		f.next = nil
+		sc.Skip()
+		return
+	}
+	f.next.scan(sc)
+}
+
+// Record folds one log record in, decoding r.Data if Payload did not
+// (durable.Decoder).
+func (f *recoveryFold) Record(r *wire.WALRecord, decoded bool) {
+	var err error
+	if !decoded {
+		sc := jsonscan.New(r.Data)
+		f.Payload(r.Kind, sc)
+		err = sc.End()
+	}
+	defer func() { f.fold += time.Since(f.began) }()
+	f.records++
+	switch p := f.next.(type) {
+	case *walSubmission:
+		if f.named(r, err, p.ID) {
 			rw := f.wfFor(p.ID)
 			rw.body = p.Body
 			rw.rejected = false
 		}
-	case wire.WALReject:
-		var p walReject
-		if f.decode(r, &p, &p.ID) {
+	case *walReject:
+		if f.named(r, err, p.ID) {
 			f.wfFor(p.ID).rejected = true
 		}
-	case wire.WALAdmission:
-		// An older log's fair-queue credentials: the rebuilt body carries
-		// the same ones.
-	case wire.WALGrid:
-		var p walGrid
-		if f.decode(r, &p, &p.Name) {
+	case *walGrid:
+		if f.named(r, err, p.Name) {
 			f.gridSpec(p.Name, p.Spec)
 		}
-	case wire.WALState:
-		var p walState
-		if !f.decode(r, &p, &p.ID) {
+	case *walState:
+		if !f.named(r, err, p.ID) {
 			// A link of the chain is gone. The ID leads the payload, so it
 			// usually survives a field that does not decode; when it does
 			// not, the rev gap at the workflow's next record breaks the
@@ -824,16 +862,15 @@ func (f *recoveryFold) record(r *wire.WALRecord) {
 			}
 			return
 		}
-		f.wfFor(p.ID).fold(&p)
+		f.wfFor(p.ID).fold(p)
 		// History deltas replay in LSN order regardless of whether
 		// the workflow itself survives to restoration.
 		repo := f.repoFor(p.Tenant, 0)
 		for _, d := range p.Deltas {
 			_ = repo.Record(d.Op, grid.ID(d.Resource), d.Duration)
 		}
-	case wire.WALTerminal:
-		var p walTerminal
-		if !f.decode(r, &p, &p.ID) {
+	case *walTerminal:
+		if !f.named(r, err, p.ID) {
 			// Without its terminal record the workflow would come
 			// back live from its last state record: fail it instead.
 			if p.ID != "" {
@@ -841,9 +878,13 @@ func (f *recoveryFold) record(r *wire.WALRecord) {
 			}
 			return
 		}
-		f.ended(&p)
+		f.ended(p)
 	default:
-		f.skip(r, fmt.Errorf("unknown record kind"))
+		// An older log's admission records hold fair-queue credentials
+		// the rebuilt body carries too.
+		if r.Kind != wire.WALAdmission {
+			f.skip(r, fmt.Errorf("unknown record kind"))
+		}
 	}
 }
 
@@ -993,6 +1034,7 @@ func (s *Server) recoverState() error {
 		gridNames = append(gridNames, name)
 	}
 	sort.Strings(gridNames)
+	moved := false // state lives on a shard other than the directory it came from
 	for _, name := range gridNames {
 		spec, err := wire.DecodeGridSpec(grids[name].spec, s.cfg.Limits)
 		if err != nil {
@@ -1000,6 +1042,7 @@ func (s *Server) recoverState() error {
 			continue
 		}
 		s.grids[name] = newSharedGrid(name, grids[name].spec, spec, len(s.shards), s.cfg.GridShareCap)
+		moved = moved || s.grids[name].shard != grids[name].dir
 	}
 
 	// Sort the workflows: a terminal record is frozen, a broken chain
@@ -1038,8 +1081,7 @@ func (s *Server) recoverState() error {
 		s.retire(rw.id)
 	}
 	for _, rw := range lost {
-		log.Printf("aheftd: recovery: workflow %s: %v", rw.id, rw.broken)
-		s.failRecovered(rw.id, rw.broken)
+		s.failRecovered(rw, rw.broken)
 	}
 
 	// Rebuild the live and pending submissions side by side, then install
@@ -1054,8 +1096,7 @@ func (s *Server) recoverState() error {
 	})
 	for _, rw := range live {
 		if err := s.restoreLive(rw); err != nil {
-			log.Printf("aheftd: recovery: workflow %s: %v", rw.id, err)
-			s.failRecovered(rw.id, err)
+			s.failRecovered(rw, err)
 			continue
 		}
 		st.Workflows++
@@ -1063,8 +1104,7 @@ func (s *Server) recoverState() error {
 
 	for _, rw := range pending {
 		if err := s.requeueRecovered(rw); err != nil {
-			log.Printf("aheftd: recovery: workflow %s: %v", rw.id, err)
-			s.failRecovered(rw.id, err)
+			s.failRecovered(rw, err)
 		}
 	}
 
@@ -1072,25 +1112,48 @@ func (s *Server) recoverState() error {
 	if maxSeq > s.seq {
 		s.seq = maxSeq
 	}
-	s.mu.Unlock()
-
-	// Everything recovered is covered by a fresh snapshot, so the next
-	// startup replays one snapshot and a short tail, and the old
-	// (possibly repaired) segments are swept. It also gives every restored
-	// workflow its journal base.
-	snapStart := time.Now()
-	st.RestoreMs = snapStart.Sub(restoreStart).Seconds() * 1e3
-	sideBySide(len(s.shards), func(i int) { s.shards[i].snapshot() })
-	for _, dir := range orphanDirs {
-		if err := os.RemoveAll(dir); err != nil {
-			log.Printf("aheftd: recovery: remove %s: %v", dir, err)
+	for id, rw := range wfs {
+		if wf := s.wfs[id]; wf != nil && wf.shard != rw.seen.dir {
+			moved = true
 		}
 	}
-	st.SnapshotMs = time.Since(snapStart).Seconds() * 1e3
+	s.mu.Unlock()
+
+	// State that moved takes a snapshot of every shard, which also lets
+	// the orphans go. A shard whose log already spans an earlier start,
+	// or held a record that was skipped, takes one too, so the next start
+	// replays at most two starts' appends and counts a skip once.
+	// Otherwise the logs say where everything is, and nothing is written.
+	snapStart := time.Now()
+	st.RestoreMs = snapStart.Sub(restoreStart).Seconds() * 1e3
+	all, some := moved || len(orphanDirs) > 0, false
+	for _, f := range folds {
+		some = some || f.resnap
+	}
+	if all || some {
+		sideBySide(len(s.shards), func(i int) {
+			if all || folds[i].resnap {
+				s.shards[i].snapshot()
+			}
+		})
+		for _, dir := range orphanDirs {
+			if err := os.RemoveAll(dir); err != nil {
+				log.Printf("aheftd: recovery: remove %s: %v", dir, err)
+			}
+		}
+		st.SnapshotMs = time.Since(snapStart).Seconds() * 1e3
+	}
 	st.Ms = time.Since(start).Seconds() * 1e3
 	s.recovery = st
+	if recoveredHook != nil {
+		recoveredHook(s)
+	}
 	return nil
 }
+
+// recoveredHook, when set (tests only), sees what recoverState brought
+// back, before any worker starts.
+var recoveredHook func(*Server)
 
 // restoreLive restores one live workflow, its submission rebuilt, from
 // its journalled state and parks it on its shard. Runs before workers
@@ -1113,8 +1176,8 @@ func (s *Server) restoreLive(rw *recoveredWorkflow) error {
 		return err
 	}
 	wf.tracker = tr
-	// No journal base yet (the next record would be a whole state): the
-	// snapshot that ends recovery provides one.
+	// No journal base, unless recovery ends in a snapshot: the next
+	// record is a whole state, one rev on.
 	wf.walRev = rw.last.Rev
 	wf.ackedGen = rw.last.AckedGen
 	trigger := rw.last.PlanTrigger
@@ -1167,19 +1230,23 @@ func (s *Server) requeueRecovered(rw *recoveredWorkflow) error {
 
 // failRecovered registers a synthetic failed terminal for a journalled
 // workflow that could not be brought back (its client was told 202 and
-// deserves an answer, not a 404).
-func (s *Server) failRecovered(id string, cause error) {
+// deserves an answer, not a 404), and journals it on the shard whose
+// directory holds the workflow, so every later start finds it failed.
+func (s *Server) failRecovered(rw *recoveredWorkflow, cause error) {
+	log.Printf("aheftd: recovery: workflow %s: %v", rw.id, cause)
 	msg := fmt.Sprintf("lost in recovery: %v", cause)
+	shard := rw.seen.dir % len(s.shards)
 	wf := newTerminal(&walTerminal{
-		ID:     id,
-		Status: wire.Status{ID: id, State: StateFailed, Error: msg, Events: 2},
+		ID:     rw.id,
+		Status: wire.Status{ID: rw.id, Shard: shard, State: StateFailed, Error: msg, Events: 2},
 		Events: []wire.Event{{Kind: "submitted"}, {Kind: "failed", Error: msg}},
 	})
 	s.mu.Lock()
-	s.wfs[id] = wf
+	s.wfs[rw.id] = wf
 	s.mu.Unlock()
-	s.retire(id)
+	s.retire(rw.id)
 	s.metrics.count(func(c *MetricsDoc) { c.Failed++ })
+	s.shards[shard].walLogTerminal(wf)
 }
 
 // parseWorkflowSeq extracts N from a daemon-assigned "wf-%08d" ID.
@@ -1199,11 +1266,15 @@ func parseWorkflowSeq(id string) uint64 {
 // flips it once Open's replay completes, so a probe (or cmd/chaos's
 // readiness wait) distinguishes "recovering" from "ready" by status code.
 type Gate struct {
-	h atomic.Pointer[http.Handler]
+	h    atomic.Pointer[http.Handler]
+	body []byte // the 503 document: the same for every request
 }
 
 // NewGate returns a gate in the recovering state.
-func NewGate() *Gate { return &Gate{} }
+func NewGate() *Gate {
+	body, _ := json.MarshalIndent(map[string]any{"status": "recovering", "version": buildinfo.String()}, "", "  ")
+	return &Gate{body: append(body, '\n')} // writeJSON's bytes
+}
 
 // Ready installs the recovered daemon's handler.
 func (g *Gate) Ready(h http.Handler) { g.h.Store(&h) }
@@ -1214,10 +1285,9 @@ func (g *Gate) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	w.Header().Set("Retry-After", "1")
-	writeJSON(w, http.StatusServiceUnavailable, map[string]any{
-		"status":  "recovering",
-		"version": buildinfo.String(),
-	})
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(http.StatusServiceUnavailable)
+	w.Write(g.body)
 }
 
 // handleHealthzV1 is the readiness endpoint: once a Server answers it at

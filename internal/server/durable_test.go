@@ -5,6 +5,8 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
@@ -14,6 +16,7 @@ import (
 	"time"
 
 	"aheft/internal/admission"
+	"aheft/internal/buildinfo"
 	"aheft/internal/durable"
 	"aheft/internal/wire"
 	"aheft/internal/workload"
@@ -194,13 +197,14 @@ func TestKillRestartRecovery(t *testing.T) {
 		t.Fatalf("recovered_workflows = %d, want %d", hz.RecoveredWorkflows, len(all))
 	}
 	// The breakdown attributes the recovery: every workflow left at least
-	// a submission and a state record to replay, and the four phases
-	// account for (nearly) all of recovery_ms.
+	// a submission and a state record to replay, and the phases account
+	// for (nearly) all of recovery_ms. Nothing moved between shards, so
+	// recovery wrote no snapshot.
 	if hz.WALRecordsReplayed < 2*len(all) || hz.WALBytesReplayed <= 0 {
 		t.Fatalf("healthz replay volume: %+v", hz)
 	}
 	if parts := hz.LoadMs + hz.FoldMs + hz.RestoreMs + hz.SnapshotMs; hz.LoadMs <= 0 || hz.FoldMs <= 0 ||
-		hz.RestoreMs <= 0 || hz.SnapshotMs <= 0 || parts > hz.RecoveryMs || parts < 0.8*hz.RecoveryMs {
+		hz.RestoreMs <= 0 || hz.SnapshotMs != 0 || parts > hz.RecoveryMs || parts < 0.8*hz.RecoveryMs {
 		t.Fatalf("healthz recovery breakdown does not add up: %+v", hz)
 	}
 	doc := getMetrics(t, tsB)
@@ -389,8 +393,8 @@ func TestTerminalRecordsSurviveRestart(t *testing.T) {
 }
 
 // TestRecoveryIsIdempotent: recovering, doing nothing, and restarting
-// again must reproduce the same state — the post-recovery snapshot must
-// be a faithful self-description.
+// again must reproduce the same state — what recovery leaves on disk
+// (here, the logs it read: it writes no snapshot) must describe it.
 func TestRecoveryIsIdempotent(t *testing.T) {
 	dir := t.TempDir()
 	sc := workload.SampleScenario()
@@ -503,6 +507,43 @@ func TestGateRecoveringThenReady(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusOK || doc.Status != "ready" {
 		t.Fatalf("gate after ready: HTTP %d %+v", resp.StatusCode, doc)
+	}
+}
+
+// TestGateAnswerOnTheWire holds the recovering gate's 503, encoded once,
+// to the bytes it sent when it encoded a map per request: status line,
+// headers and body as they leave the listener, the Date header aside.
+func TestGateAnswerOnTheWire(t *testing.T) {
+	perRequest := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("Retry-After", "1")
+		writeJSON(w, http.StatusServiceUnavailable, map[string]any{"status": "recovering", "version": buildinfo.String()})
+	})
+	wireBytes := func(h http.Handler) string {
+		ts := httptest.NewServer(h)
+		defer ts.Close()
+		conn, err := net.Dial("tcp", ts.Listener.Addr().String())
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer conn.Close()
+		if _, err := io.WriteString(conn, "GET /v1/healthz HTTP/1.1\r\nHost: gate\r\nConnection: close\r\n\r\n"); err != nil {
+			t.Fatal(err)
+		}
+		raw, err := io.ReadAll(conn)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var kept []string
+		for _, line := range strings.SplitAfter(string(raw), "\r\n") {
+			if !strings.HasPrefix(line, "Date: ") {
+				kept = append(kept, line)
+			}
+		}
+		return strings.Join(kept, "")
+	}
+	got, want := wireBytes(NewGate()), wireBytes(perRequest)
+	if got != want || !strings.Contains(got, `"status": "recovering"`) {
+		t.Fatalf("gate answers\n%q\nwant\n%q", got, want)
 	}
 }
 

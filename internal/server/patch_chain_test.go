@@ -227,9 +227,10 @@ func postReport(t testing.TB, ts *httptest.Server, id string, body []byte) {
 // TestCrashAtEveryReport kills a daemon after k reports for every k of
 // a workflow's life and requires the reopened daemon to hold exactly
 // what the never-crashed one holds: plan generation and hash, report
-// count, event log, tenant history. Each recovered daemon then takes
-// the next report — journalled as a patch against the snapshot recovery
-// wrote — and is killed and reopened once more. With snapshotEvery set
+// count, event log (the journal keeps no decision telemetry), tenant
+// history. Each recovered daemon then takes the next report — journalled
+// as a whole state, recovery having written no snapshot to patch against
+// — and is killed and reopened once more. With snapshotEvery set
 // the never-crashed daemon also snapshots mid-life, so chains restart
 // from snapshot entries.
 func TestCrashAtEveryReport(t *testing.T) {
@@ -274,7 +275,7 @@ func TestCrashAtEveryReport(t *testing.T) {
 				if n := rec.Recovery().Workflows; n != 1 {
 					t.Fatalf("k=%d: recovered %d workflows", k, n)
 				}
-				if d := observe(t, rec, recTS, id, "chain").diff(want); d != "" {
+				if d := observe(t, rec, recTS, id, "chain").scrubbed().diff(want.scrubbed()); d != "" {
 					t.Fatalf("k=%d: %s", k, d)
 				}
 				ahead = nil
@@ -409,7 +410,11 @@ func rewriteLog(t testing.TB, srcShard, dstData string, edit func(i int, r *wire
 // daemon's log (inside a CRC-valid frame) and requires recovery to say
 // so: the record is counted in wal_records_skipped, and a workflow whose
 // state chain or terminal record lost a link comes back failed — never
-// live on an older plan.
+// live on an older plan — and comes back the same from a second start,
+// which counts nothing: recovery snapshots a skipped record away, and
+// journals a failure that skipped none, with no snapshot between. A
+// payload that is not JSON breaks its envelope: that is a torn tail,
+// which ends replay and is not counted.
 func TestUnusableRecordsAreLoud(t *testing.T) {
 	l := blast24Life(t)
 	cfg := Config{Shards: 1, WALSync: "off", SnapshotInterval: time.Hour}
@@ -531,6 +536,9 @@ func TestUnusableRecordsAreLoud(t *testing.T) {
 		{"patch missing from the log", midDir, nth(midDir, wire.WALState, 5, drop), 0, StateFailed},
 		{"patch does not fit its base", midDir, nth(midDir, wire.WALState, 5, misfit), 0, StateFailed},
 		{"terminal does not decode", doneDir, nth(doneDir, wire.WALTerminal, 0, mistype("status")), 1, StateFailed},
+		{"payload is not JSON", midDir, nth(midDir, wire.WALState, 5, func(json.RawMessage) json.RawMessage {
+			return json.RawMessage("not json")
+		}), 0, StateRunning},
 		{"unknown kind", oldDir, func(_ int, r *wire.WALRecord) json.RawMessage {
 			if r.Kind == wire.WALAdmission {
 				r.Kind = "from-the-future"
@@ -542,20 +550,43 @@ func TestUnusableRecordsAreLoud(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			data := t.TempDir()
 			rewriteLog(t, tc.src, data, tc.edit)
-			srv, ts := openDurable(t, data, cfg)
-			defer func() {
-				ts.Close()
-				srv.Crash()
-			}()
-			if got := getMetrics(t, ts).WALRecordsSkipped; got != tc.skipped {
-				t.Errorf("wal_records_skipped = %d, want %d", got, tc.skipped)
+			st := func(skipped uint64) wire.Status {
+				srv, ts := openDurable(t, data, cfg)
+				defer func() {
+					ts.Close()
+					srv.Crash()
+				}()
+				if got := getMetrics(t, ts).WALRecordsSkipped; got != skipped {
+					t.Errorf("wal_records_skipped = %d, want %d", got, skipped)
+				}
+				return getStatus(t, ts, id)
 			}
-			st := getStatus(t, ts, id)
-			if st.State != tc.state {
-				t.Fatalf("workflow state %q (error %q), want %q", st.State, st.Error, tc.state)
+			first := st(tc.skipped)
+			if first.State != tc.state {
+				t.Fatalf("workflow state %q (error %q), want %q", first.State, first.Error, tc.state)
 			}
-			if tc.state == StateFailed && !strings.Contains(st.Error, "lost in recovery") {
-				t.Errorf("failed workflow's error %q does not say it was lost in recovery", st.Error)
+			if tc.state == StateFailed && !strings.Contains(first.Error, "lost in recovery") {
+				t.Errorf("failed workflow's error %q does not say it was lost in recovery", first.Error)
+			}
+			// A skipped record is snapshotted away, so it is counted once;
+			// a failure with nothing skipped is journalled, not snapshotted.
+			snaps, _ := filepath.Glob(filepath.Join(data, "shard-0", "snap-*"))
+			if (len(snaps) != 0) != (tc.skipped != 0) {
+				t.Fatalf("recovery that skipped %d records wrote %v", tc.skipped, snaps)
+			}
+			if tc.state == StateFailed && tc.skipped == 0 {
+				rec, err := durable.Load(filepath.Join(data, "shard-0"))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if last := rec.Records[len(rec.Records)-1]; last.Kind != wire.WALTerminal {
+					t.Fatalf("recovery did not journal the failure: the log ends in a %s record", last.Kind)
+				}
+			}
+			again := st(0)
+			again.QueueMs = first.QueueMs // wall time, not journalled state
+			if !reflect.DeepEqual(again, first) {
+				t.Fatalf("status after a second start:\n got %+v\nwant %+v", again, first)
 			}
 		})
 	}
@@ -703,5 +734,198 @@ func TestRecoverFastPathLog(t *testing.T) {
 	}
 	if m := getMetrics(t, ts); m.Failed != 0 || m.Completed != 2 {
 		t.Fatalf("completed %d, failed %d", m.Completed, m.Failed)
+	}
+}
+
+// TestChainContinuesAfterRecovery runs crash → recover → two reports →
+// crash → recover and requires what an uninterrupted run holds after the
+// same reports: live tracker state, plan generation and hash, event log,
+// tenant history. Recovery writes no snapshot here, so the first record
+// after it is a whole state and the second a patch onto that. It is run
+// twice: where the first report after recovery adopts a new plan, and
+// where it does not.
+func TestChainContinuesAfterRecovery(t *testing.T) {
+	l := blast24Life(t)
+	cfg := Config{Shards: 1, WALSync: "off", SnapshotInterval: time.Hour}
+	// Find a report that adopts a new plan and one that does not.
+	dir := t.TempDir()
+	srv, ts := openDurable(t, dir, cfg)
+	id := submitLife(t, ts, l)
+	adopts, plain := -1, -1
+	for k := 0; k+2 < len(l.reports); k++ {
+		gen := fetchPlan(t, ts, id).Generation
+		postReport(t, ts, id, l.reports[k])
+		switch adopted := fetchPlan(t, ts, id).Generation > gen; {
+		case adopted && adopts < 0 && k > 0:
+			adopts = k
+		case !adopted && plain < 0 && k > 0:
+			plain = k
+		}
+	}
+	ts.Close()
+	srv.Crash()
+	if adopts < 0 || plain < 0 {
+		t.Fatalf("the life has no report that adopts (%d) or none that does not (%d)", adopts, plain)
+	}
+
+	for _, k := range []int{adopts, plain} {
+		t.Run(fmt.Sprintf("crash before report %d", k), func(t *testing.T) {
+			// The uninterrupted run.
+			srv, ts := openDurable(t, t.TempDir(), cfg)
+			submitLife(t, ts, l)
+			for _, body := range l.reports[:k+2] {
+				postReport(t, ts, id, body)
+			}
+			want := observe(t, srv, ts, id, "chain")
+			ts.Close()
+			srv.Crash()
+
+			dir := t.TempDir()
+			srv, ts = openDurable(t, dir, cfg)
+			submitLife(t, ts, l)
+			for _, body := range l.reports[:k] {
+				postReport(t, ts, id, body)
+			}
+			ts.Close()
+			srv.Crash()
+			srv, ts = openDurable(t, dir, cfg)
+			for _, body := range l.reports[k : k+2] {
+				postReport(t, ts, id, body)
+			}
+			ts.Close()
+			srv.Crash()
+
+			rec, err := durable.Load(filepath.Join(dir, "shard-0"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			var states []walState
+			for _, r := range rec.Records {
+				if r.Kind == wire.WALState {
+					var p walState
+					if err := json.Unmarshal(r.Data, &p); err != nil {
+						t.Fatal(err)
+					}
+					states = append(states, p)
+				}
+			}
+			if n := len(states); n != k+3 || states[n-2].State == nil || states[n-1].Patch == nil || states[n-1].Rev != states[n-2].Rev+1 {
+				t.Fatalf("%d state records; want %d, the last two a whole state and a patch one rev on", n, k+3)
+			}
+
+			srv, ts = openDurable(t, dir, cfg)
+			defer func() {
+				ts.Close()
+				srv.Crash()
+			}()
+			if d := observe(t, srv, ts, id, "chain").scrubbed().diff(want.scrubbed()); d != "" {
+				t.Fatal(d)
+			}
+		})
+	}
+}
+
+// TestJournalKeepsNoDecisionTelemetry drives a live workflow past two
+// adoptions in a durable daemon: no state record and no snapshot holds a
+// decision's wall-clock telemetry, and two runs of the same inputs write
+// byte-identical snapshots, with nothing masked.
+func TestJournalKeepsNoDecisionTelemetry(t *testing.T) {
+	l := blast24Life(t)
+	telemetry := func(what string, doc []byte) {
+		for _, key := range []string{`"elapsed_ms"`, `"rank_ms"`, `"place_ms"`} {
+			if bytes.Contains(doc, []byte(key)) {
+				t.Errorf("%s holds %s", what, key)
+			}
+		}
+	}
+	run := func() []byte {
+		dir := t.TempDir()
+		srv, ts := openDurable(t, dir, Config{Shards: 1, WALSync: "off", SnapshotInterval: time.Hour})
+		defer func() {
+			ts.Close()
+			srv.Crash()
+		}()
+		id := submitLife(t, ts, l)
+		for _, body := range l.reports[:len(l.reports)-1] {
+			postReport(t, ts, id, body)
+		}
+		if gen := fetchPlan(t, ts, id).Generation; gen < 3 {
+			t.Fatalf("plan generation %d, want two adoptions past the first plan", gen)
+		}
+		for i, doc := range stateRecords(t, filepath.Join(dir, "shard-0")) {
+			telemetry(fmt.Sprintf("state record %d", i), doc)
+		}
+		srv.shards[0].snapshot()
+		rec, err := durable.Load(filepath.Join(dir, "shard-0"))
+		if err != nil || rec.Snapshot == nil {
+			t.Fatalf("no snapshot: %v", err)
+		}
+		telemetry("the snapshot", rec.Snapshot)
+		return rec.Snapshot
+	}
+	if first, again := run(), run(); !bytes.Equal(first, again) {
+		t.Fatalf("two runs of the same inputs wrote different snapshots:\n%s\n%s", first, again)
+	}
+}
+
+// TestRestartsKeepReplayBounded restarts a daemon after every report,
+// with no periodic snapshot: a restart writes nothing while its log holds
+// only what the last run appended, and snapshots once the log spans an
+// earlier start, so no restart replays more than the two runs before it
+// appended and the replay does not grow with the number of restarts.
+// What comes back at the end is what an uninterrupted run holds.
+func TestRestartsKeepReplayBounded(t *testing.T) {
+	l := blast24Life(t)
+	cfg := Config{Shards: 1, WALSync: "off", SnapshotInterval: time.Hour}
+	const first, last = 4, 14
+	srv, ts := openDurable(t, t.TempDir(), cfg)
+	id := submitLife(t, ts, l)
+	for _, body := range l.reports[:last] {
+		postReport(t, ts, id, body)
+	}
+	want := observe(t, srv, ts, id, "chain")
+	ts.Close()
+	srv.Crash()
+
+	dir := t.TempDir()
+	srv, ts = openDurable(t, dir, cfg)
+	submitLife(t, ts, l)
+	for _, body := range l.reports[:first] {
+		postReport(t, ts, id, body)
+	}
+	ts.Close()
+	srv.Crash()
+	for k := first; k <= last; k++ {
+		srv, ts = openDurable(t, dir, cfg)
+		r := srv.Recovery()
+		// Restarts alternate: one run's appends in the log, nothing
+		// written; two runs' appends, a snapshot. Until the first
+		// snapshot the tail also holds the first run's log: the
+		// submission and a state record per plan and report.
+		snapshots := (k-first)%2 == 1
+		wantRecords := 1 + (k-first)%2
+		if k-first < 2 {
+			wantRecords += first + 1
+		}
+		if r.WALRecords != wantRecords || (r.SnapshotMs > 0) != snapshots {
+			t.Fatalf("restart %d replayed %d records (%d bytes), snapshot %.2f ms; want %d records, snapshot %v",
+				k-first, r.WALRecords, r.WALBytes, r.SnapshotMs, wantRecords, snapshots)
+		}
+		if m := getMetrics(t, ts); m.WALRecordsSkipped != 0 {
+			t.Fatalf("restart %d skipped %d records", k-first, m.WALRecordsSkipped)
+		}
+		if k == last {
+			break
+		}
+		postReport(t, ts, id, l.reports[k])
+		ts.Close()
+		srv.Crash()
+	}
+	defer func() {
+		ts.Close()
+		srv.Crash()
+	}()
+	if d := observe(t, srv, ts, id, "chain").scrubbed().diff(want.scrubbed()); d != "" {
+		t.Fatal(d)
 	}
 }

@@ -241,11 +241,12 @@ func newCrashedMix(t *testing.T, shards int) crashedMix {
 }
 
 // recovered is what one recovery of a data directory brought back, read
-// from the snapshots that close it — written before any worker starts, so
-// they are the recovered state and nothing after it: every live workflow's
-// record (tracker state, event log, plan bookkeeping), every pending body
-// in re-enqueue order, terminal records, tenant history cells, the
-// workflow sequence — plus the registry's retention order.
+// from snapshots taken where it ends (recoveredHook) — before any worker
+// starts, so they are the recovered state and nothing after it: every
+// live workflow's record (tracker state, event log, plan bookkeeping),
+// every pending body in re-enqueue order, terminal records, tenant
+// history cells, the workflow sequence — plus the registry's retention
+// order.
 type recovered struct {
 	snapshots []string // shard i's snapshot document
 	live      map[string]string
@@ -262,7 +263,13 @@ func recoverCopy(t *testing.T, src string, cfg Config, nTerminal int) (recovered
 	dir := t.TempDir()
 	copyDir(t, src, dir)
 	cfg.DataDir = dir
+	recoveredHook = func(s *Server) {
+		for _, sh := range s.shards {
+			sh.snapshot()
+		}
+	}
 	srv, err := Open(cfg)
+	recoveredHook = nil
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -330,9 +337,10 @@ func (rec recovered) check(t *testing.T, mix crashedMix) {
 // TestRecoveryIndependentOfParallelism recovers one crashed directory with
 // one, two and eight workers folding the directories and rebuilding the
 // submissions, and requires the same daemon each time, bit for bit: the
-// closing snapshots (every tracker's exported state, every event log, the
-// tenant histories' cells, the pending bodies in re-enqueue order, the
-// workflow sequence) byte-equal, and the terminal retention order.
+// snapshots taken where recovery ends (every tracker's exported state,
+// every event log, the tenant histories' cells, the pending bodies in
+// re-enqueue order, the workflow sequence) byte-equal, and the terminal
+// retention order.
 // GOMAXPROCS=1 is one worker taking the targets in turn. Every snapshot is
 // json.Marshal's rendering of itself: the bodies it holds are compact.
 func TestRecoveryIndependentOfParallelism(t *testing.T) {
@@ -437,5 +445,72 @@ func TestRecoveredWorkflowsKeepRunning(t *testing.T) {
 		if code, msg := postJSON(t, ts, "/v1/workflows/"+id+"/report", encodeReport(t, remainingEvents(plan, mix.reported[id])...), &ack); code != http.StatusOK || !ack.Done {
 			t.Fatalf("finish %s: HTTP %d (%s), ack %+v", id, code, msg, ack)
 		}
+	}
+}
+
+// treeFiles maps every file under dir to its bytes.
+func treeFiles(t *testing.T, dir string) map[string]string {
+	t.Helper()
+	files := map[string]string{}
+	err := filepath.Walk(dir, func(path string, info os.FileInfo, err error) error {
+		if err != nil || info.IsDir() {
+			return err
+		}
+		data, err := os.ReadFile(path)
+		files[path] = string(data)
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return files
+}
+
+// TestRecoveryWritesNothingOnUnchangedLayout recovers the crashed mix
+// under the shard count that wrote it: nothing moves, so up to the moment
+// the workers start recovery has written nothing — every shard directory
+// holds the files and bytes it held — and snapshot_ms is 0. Under another
+// shard count the same directory is snapshotted, shard by shard.
+func TestRecoveryWritesNothingOnUnchangedLayout(t *testing.T) {
+	mix := newCrashedMix(t, 4)
+	changed := t.TempDir()
+	copyDir(t, mix.dir, changed)
+	before := treeFiles(t, mix.dir)
+	var after map[string]string
+	recoveredHook = func(*Server) { after = treeFiles(t, mix.dir) }
+	srv, err := Open(Config{Shards: 4, DataDir: mix.dir, WALSync: "off", SnapshotInterval: time.Hour})
+	recoveredHook = nil
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := srv.Recovery()
+	srv.Crash()
+	if st.Workflows != uint64(len(mix.live)) || st.SnapshotMs != 0 {
+		t.Fatalf("recovery %+v: want %d live workflows and no snapshot", st, len(mix.live))
+	}
+	for _, name := range slices.Sorted(maps.Keys(before)) {
+		if after[name] != before[name] {
+			t.Errorf("%s changed: %d bytes, were %d", name, len(after[name]), len(before[name]))
+		}
+	}
+	for _, name := range slices.Sorted(maps.Keys(after)) {
+		if _, ok := before[name]; !ok {
+			t.Errorf("recovery wrote %s", name)
+		}
+	}
+
+	srv, err = Open(Config{Shards: 8, DataDir: changed, WALSync: "off", SnapshotInterval: time.Hour})
+	if err != nil {
+		t.Fatal(err)
+	}
+	st = srv.Recovery()
+	srv.Crash()
+	for i := 0; i < 8; i++ {
+		if snaps, _ := filepath.Glob(filepath.Join(changed, fmt.Sprintf("shard-%d", i), "snap-*.json")); len(snaps) != 1 {
+			t.Errorf("4 to 8 shards: shard %d holds %d snapshots, want 1", i, len(snaps))
+		}
+	}
+	if st.SnapshotMs <= 0 {
+		t.Errorf("4 to 8 shards: snapshot_ms %v", st.SnapshotMs)
 	}
 }

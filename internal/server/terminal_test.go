@@ -11,6 +11,7 @@ import (
 	"reflect"
 	"runtime"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -54,11 +55,29 @@ func TestTerminalRecordBudget(t *testing.T) {
 	srv := New(Config{Shards: 2, QueueDepth: -1})
 	defer srv.Shutdown(testContext(t))
 	bodies := analyticBodies(t, 8)
+	// Apply returns once the worker started the workflow, so each shard's
+	// workflows are applied from a goroutine of their own.
 	run := func(from, to int) {
-		for i := from; i < to; i++ {
-			if err := srv.Apply(wire.RecSubmission, wire.RecBody{Workflow: fmt.Sprintf("wf-%08d", i), Body: bodies[i%len(bodies)]}); err != nil {
-				t.Fatal(err)
-			}
+		var wg sync.WaitGroup
+		for sh := range srv.shards {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for i := from; i < to; i++ {
+					id := fmt.Sprintf("wf-%08d", i)
+					if shardFor(id, len(srv.shards)) != sh {
+						continue
+					}
+					if err := srv.Apply(wire.RecSubmission, wire.RecBody{Workflow: id, Body: bodies[i%len(bodies)]}); err != nil {
+						t.Error(err)
+						return
+					}
+				}
+			}()
+		}
+		wg.Wait()
+		if t.Failed() {
+			t.FailNow()
 		}
 		deadline := time.Now().Add(2 * time.Minute)
 		for srv.metrics.inflight() != 0 {

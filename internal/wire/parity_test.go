@@ -3,6 +3,7 @@ package wire
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -13,6 +14,7 @@ import (
 	"aheft/internal/cost"
 	"aheft/internal/dag"
 	"aheft/internal/grid"
+	"aheft/internal/jsonscan"
 )
 
 // parityLimits are tight enough that the fuzzer meets the limit checks.
@@ -310,7 +312,10 @@ func walFrames(f *testing.F, path string) [][]byte {
 // FuzzDecodeWALRecordParity holds DecodeWALRecord to the json.Unmarshal
 // decoder it replaced: the same accept or reject on any bytes — so replay
 // stops at the same record — and the same envelope, Data byte for byte
-// (there a view of the input, here a copy). Seeded with a daemon's own
+// (there a view of the input, here a copy). With a payload decoder, it
+// holds it to DecodeWALRecord followed by that decoder on Data: the same
+// record or error (torn), and where the payload was read in the walk, the
+// same verdict (unusable or not) and value. Seeded with a daemon's own
 // records (internal/server's full-state fixture) and the corners: repeated
 // and case-folded keys, null members, numbers an LSN cannot hold.
 func FuzzDecodeWALRecordParity(f *testing.F) {
@@ -331,11 +336,18 @@ func FuzzDecodeWALRecordParity(f *testing.F) {
 		`{"v":2,"lsn":1,"kind":"k","data":{"a":01}}`, `{"v":2,"lsn":1,"kind":"k","data":"\ud800"}`, `{"v":2,"lsn":1,"kind":"k","data":"\x"}`,
 		`{"v":2,"lsn":1,"kind":"kınd","extra":{"deep":` + nested(64) + `}}`, `{"v":2,"lsn":1,"kind":"k","data":` + nested(10001) + `}`,
 		`{"v":-1,"lsn":1,"kind":"k"}`, `{"v":2,"lsn":1,"kınd":"k"}`, `{"v":2,"lsn":1,"kind":"k",}`, ` {"v" : 2 , "lsn" : 5 , "kind" : "k" , "data" : [ 1 ] } `,
+		// The one-walk decode's corners: data before kind, a repeated data
+		// key, a kind after data, a malformed payload, payloads of the
+		// wrong shape or refused, a good payload in a bad envelope.
+		`{"v":1,"lsn":2,"data":{"id":"a"},"kind":"k"}`, `{"v":1,"lsn":2,"kind":"k","data":{"id":"a"},"data":{"id":"b","n":[1]}}`,
+		`{"v":1,"lsn":2,"kind":"k","data":{"id":"a"},"KIND":"raw"}`, `{"v":1,"lsn":2,"kind":"k","data":{"id":"a","n":[1,}}`,
+		`{"v":1,"lsn":2,"kind":"k","data":{"id":7}}`, `{"v":1,"lsn":2,"kind":"k","data":{"id":"bad"},"data":{"id":"ok"}}`,
+		`{"v":1,"lsn":0,"kind":"k","data":{"id":"a"}}`, `{"v":1,"lsn":2,"kind":"raw","data":[{"x":"\u00e9"}]} x`,
 	} {
 		f.Add([]byte(s))
 	}
 	f.Fuzz(func(t *testing.T, doc []byte) {
-		got, gotErr := DecodeWALRecord(doc)
+		got, _, gotErr := DecodeWALRecord(doc, nil)
 		want, wantErr := oracleDecodeWALRecord(doc)
 		if (gotErr == nil) != (wantErr == nil) {
 			t.Fatalf("accept/reject differs: decoder %v, oracle %v", gotErr, wantErr)
@@ -343,5 +355,51 @@ func FuzzDecodeWALRecordParity(f *testing.F) {
 		if gotErr == nil && !reflect.DeepEqual(got, want) {
 			t.Fatalf("decoded envelopes differ:\n got %+v\nwant %+v", got, want)
 		}
+
+		// With a payload decoder: the same record or the same error, and a
+		// payload read in the walk is what the decoder makes of Data.
+		var inWalk payloadProbe
+		r, decoded, err := DecodeWALRecord(doc, func(kind string, sc *jsonscan.Scanner) {
+			inWalk = payloadProbe{}
+			inWalk.decode(kind, sc)
+		})
+		if (err == nil) != (gotErr == nil) || (err == nil && !reflect.DeepEqual(r, got)) {
+			t.Fatalf("with a payload decoder: %+v, %v; without: %+v, %v", r, err, got, gotErr)
+		}
+		if !decoded {
+			return // the caller decodes Data, which is DecodeWALRecord's
+		}
+		var fromData payloadProbe
+		sc := jsonscan.New(got.Data)
+		fromData.decode(got.Kind, sc)
+		if err := sc.End(); err != nil {
+			t.Fatalf("payload decoded in the walk, refused from Data: %v", err)
+		}
+		if !reflect.DeepEqual(inWalk, fromData) {
+			t.Fatalf("payload in the walk %+v, from Data %+v", inWalk, fromData)
+		}
 	})
+}
+
+// payloadProbe is the payload decoder FuzzDecodeWALRecordParity holds the
+// one-walk decode to: the kind picks the shape, so a payload read under
+// the wrong kind or from the wrong bytes shows, and an ID of "bad" is
+// refused without a syntax error.
+type payloadProbe struct {
+	Kind string
+	ID   string
+	N    []int
+	Raw  []byte
+}
+
+func (p *payloadProbe) decode(kind string, sc *jsonscan.Scanner) {
+	p.Kind = kind
+	if kind == "raw" {
+		p.Raw = append([]byte(nil), sc.Raw()...)
+		return
+	}
+	sc.Object("id", &p.ID, "n", func() { p.N = jsonscan.Array(sc, p.N, func(x *int) { *x = sc.Int() }) })
+	if p.ID == "bad" {
+		sc.Fail(errors.New("refused"))
+	}
 }

@@ -98,15 +98,36 @@ func AppendWALRecord(e *Appender, lsn uint64, kind string, data Doc) error {
 // is a view of data, not a copy: it lives as long as the buffer it was cut
 // from, so a consumer that keeps a payload past its log's replay copies it.
 // It never panics on any input.
-func DecodeWALRecord(data []byte) (*WALRecord, error) {
-	var r WALRecord
+//
+// A reader that decodes payloads passes payload, so none is walked twice:
+// where "data" comes once, after "kind", as AppendWALRecord writes it,
+// payload consumes it from sc in the envelope's walk and decoded is true;
+// otherwise, or if payload fails, the caller decodes Data. The record and
+// the error never depend on payload.
+func DecodeWALRecord(data []byte, payload func(kind string, sc *jsonscan.Scanner)) (r *WALRecord, decoded bool, err error) {
+	var rec WALRecord
+	var read string // the kind payload read the data under
+	datas := 0
 	sc := jsonscan.New(data)
-	sc.Object("v", &r.V, "lsn", &r.LSN, "kind", &r.Kind, "data", func() { r.Data = sc.Raw() })
+	sc.Object("v", &rec.V, "lsn", &rec.LSN, "kind", &rec.Kind, "data", func() {
+		if datas++; payload == nil || datas > 1 || rec.Kind == "" {
+			rec.Data = sc.Raw()
+			return
+		}
+		sc.Peek()
+		from := len(data) - sc.Rest()
+		read = rec.Kind
+		payload(read, sc)
+		rec.Data = data[from : len(data)-sc.Rest()]
+	})
 	if err := sc.End(); err != nil {
-		return nil, fmt.Errorf("wire: decode WAL record: %w", err)
+		if read != "" {
+			return DecodeWALRecord(data, nil) // was it the payload or the envelope?
+		}
+		return nil, false, fmt.Errorf("wire: decode WAL record: %w", err)
 	}
-	if err := r.Validate(); err != nil {
-		return nil, err
+	if err := rec.Validate(); err != nil {
+		return nil, false, err
 	}
-	return &r, nil
+	return &rec, datas == 1 && read == rec.Kind, nil
 }
