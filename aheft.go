@@ -272,12 +272,14 @@ func enact(ctx context.Context, g *Graph, est Estimator, pool *Pool, pol Policy,
 	}
 	truth := drive.Truth(g, rt, cfg.popts.Data, pool)
 	defer truth.Release()
+	var decisions []planner.Decision
 	enacted, err := drive.Enact(ctx, truth, pool, []*schedule.Schedule{tr.Plan()}, []int{0},
 		func(_ int, evs []wire.ReportEvent) (*schedule.Schedule, bool, error) {
 			out, err := tr.Apply(evs)
 			if err != nil {
 				return nil, false, err
 			}
+			decisions = append(decisions, out.Decisions...)
 			if !out.Rescheduled {
 				return nil, out.Done, nil
 			}
@@ -291,7 +293,7 @@ func enact(ctx context.Context, g *Graph, est Estimator, pool *Pool, pol Policy,
 		Schedule:        enacted,
 		Makespan:        enacted.Makespan(),
 		InitialMakespan: tr.InitialMakespan(),
-		Decisions:       tr.Decisions(),
+		Decisions:       decisions,
 	}, nil
 }
 

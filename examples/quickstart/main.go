@@ -46,7 +46,7 @@ func main() {
 	// window lets the rescheduler escape one locally-attractive placement
 	// and reach the paper's published 76 (strict Fig. 3 greedy finds an
 	// 80 reschedule and keeps the current plan instead — see
-	// EXPERIMENTS.md).
+	// TestSampleAHEFTGreedy in internal/planner).
 	adaptive, err := aheft.Run(ctx, g, est, pool, aheft.WithPolicy("aheft"), aheft.WithTieWindow(0.05))
 	if err != nil {
 		log.Fatal(err)

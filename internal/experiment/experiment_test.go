@@ -70,8 +70,9 @@ func TestTable3Shape(t *testing.T) {
 		t.Fatalf("rows = %d, want %d", len(tbl.Rows), len(CCRs))
 	}
 	// Random DAGs benefit only mildly from adaptive rescheduling (the
-	// paper reports 0.4–7.7%; see EXPERIMENTS.md on the weaker CCR trend
-	// in this reproduction). The invariants: improvement is never
+	// paper reports 0.4–7.7%; the CCR trend is weaker in this
+	// reproduction: `go run ./cmd/experiments -exp table3`, see the
+	// README's Development section). The invariants: improvement is never
 	// negative (the adoption rule guarantees AHEFT ≤ HEFT) and stays in a
 	// plausible band.
 	for _, row := range tbl.Rows {

@@ -154,10 +154,8 @@ type Tracker struct {
 	xferBuf []occupancy.Transfer
 	chBuf   []int
 
-	decisions []planner.Decision
-	adoptions int
-	done      bool
-	makespan  float64
+	done     bool
+	makespan float64
 }
 
 // New plans the workflow over the pool's time-0 resources and returns
@@ -321,13 +319,6 @@ func (t *Tracker) Done() bool { return t.done }
 
 // Makespan returns the measured completion time (0 before Done).
 func (t *Tracker) Makespan() float64 { return t.makespan }
-
-// Decisions returns every rescheduling evaluation so far (shared slice;
-// callers must not mutate).
-func (t *Tracker) Decisions() []planner.Decision { return t.decisions }
-
-// Adoptions counts adopted reschedules.
-func (t *Tracker) Adoptions() int { return t.adoptions }
 
 // Available returns the currently available resources in ID order.
 func (t *Tracker) Available() []grid.Resource { return t.resources(t.avail) }
@@ -636,9 +627,7 @@ func (t *Tracker) evaluate(trigger planner.Trigger, arrived int, out *Outcome) {
 		t.adopt(s1)
 		out.Rescheduled = true
 		out.Trigger = trigger
-		t.adoptions++
 	}
-	t.decisions = append(t.decisions, d)
 	out.Decisions = append(out.Decisions, d)
 }
 

@@ -40,6 +40,7 @@ func TestSampleClosedLoopAdoptsArrival(t *testing.T) {
 	// every start, finish and arrival into the tracker and resubmits
 	// what it adopts.
 	truth := drive.Truth(sc.Graph, sc.Estimator(), nil, sc.Pool)
+	var decisions []planner.Decision
 	enacted, err := drive.Enact(context.Background(), truth, sc.Pool,
 		[]*schedule.Schedule{tr.Plan()}, []int{0},
 		func(_ int, evs []wire.ReportEvent) (*schedule.Schedule, bool, error) {
@@ -47,6 +48,7 @@ func TestSampleClosedLoopAdoptsArrival(t *testing.T) {
 			if err != nil {
 				return nil, false, err
 			}
+			decisions = append(decisions, out.Decisions...)
 			if !out.Rescheduled {
 				return nil, out.Done, nil
 			}
@@ -59,10 +61,10 @@ func TestSampleClosedLoopAdoptsArrival(t *testing.T) {
 	if !tr.Done() || mk != 76 || tr.Makespan() != 76 {
 		t.Fatalf("done=%v makespan=%g tracker=%g, want 76", tr.Done(), mk, tr.Makespan())
 	}
-	if tr.Adoptions() == 0 || tr.Generation() < 2 {
-		t.Fatalf("no adoption: gen=%d decisions=%+v", tr.Generation(), tr.Decisions())
+	if tr.Generation() < 2 {
+		t.Fatalf("no adoption: gen=%d decisions=%+v", tr.Generation(), decisions)
 	}
-	for _, d := range tr.Decisions() {
+	for _, d := range decisions {
 		if d.Trigger != planner.TriggerArrival {
 			t.Fatalf("unexpected trigger %s", d.Trigger)
 		}

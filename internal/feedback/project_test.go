@@ -142,7 +142,7 @@ func TestProjectMatchesSearchedLookups(t *testing.T) {
 			}
 		}
 		t.Logf("unsorted=%v: compared at %d early, %d middle, %d late and %d infeasible points, %d adoptions",
-			unsorted, early, middle, late, infeasible, tr.Adoptions())
+			unsorted, early, middle, late, infeasible, tr.Generation()-1)
 		if early == 0 || middle == 0 || late == 0 {
 			t.Errorf("unsorted=%v: progress points early %d, middle %d, late %d: want all three", unsorted, early, middle, late)
 		}

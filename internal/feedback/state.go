@@ -9,7 +9,6 @@ import (
 	"aheft/internal/grid"
 	"aheft/internal/jsonscan"
 	"aheft/internal/occupancy"
-	"aheft/internal/planner"
 	"aheft/internal/schedule"
 	"aheft/internal/wire"
 )
@@ -53,8 +52,6 @@ type TrackerState struct {
 	FinishAt    []float64         `json:"finish_at"`
 	PinDur      []float64         `json:"pin_dur"`
 	Avail       []bool            `json:"avail"`
-	Decisions   []wire.Decision   `json:"decisions,omitempty"`
-	Adoptions   int               `json:"adoptions"`
 	Done        bool              `json:"done"`
 	Makespan    float64           `json:"makespan"`
 	Transfers   []TransferState   `json:"transfers,omitempty"`
@@ -81,7 +78,6 @@ func (t *Tracker) ExportState() *TrackerState {
 		FinishAt:   make([]float64, n),
 		PinDur:     make([]float64, n),
 		Avail:      make([]bool, t.pool.Size()),
-		Adoptions:  t.adoptions,
 		Done:       t.done,
 		Makespan:   t.makespan,
 	}
@@ -100,12 +96,6 @@ func (t *Tracker) ExportState() *TrackerState {
 		st.Assignments = append(st.Assignments, wire.Assignment{
 			Job: int(a.Job), Resource: int(a.Resource), Start: a.Start, Finish: a.Finish,
 		})
-	}
-	if len(t.decisions) > 0 {
-		st.Decisions = make([]wire.Decision, 0, len(t.decisions))
-		for _, d := range t.decisions {
-			st.Decisions = append(st.Decisions, DecisionToWire(d))
-		}
 	}
 	t.ks.ForEachTransfer(func(from, to dag.JobID, r grid.ID, at float64) {
 		st.Transfers = append(st.Transfers, TransferState{
@@ -156,7 +146,6 @@ type StatePatch struct {
 	Generation int     `json:"generation"`
 	Initial    float64 `json:"initial"`
 	Clock      float64 `json:"clock"`
-	Adoptions  int     `json:"adoptions"`
 	Done       bool    `json:"done,omitempty"`
 	Makespan   float64 `json:"makespan"`
 	// Jobs holds the per-job rows that changed.
@@ -166,8 +155,6 @@ type StatePatch struct {
 	// Assignments holds the changed placements (each replaces the
 	// assignment of its Job).
 	Assignments []wire.Assignment `json:"assignments,omitempty"`
-	// Decisions is the tail appended to the decision log.
-	Decisions []wire.Decision `json:"decisions,omitempty"`
 	// Transfers and Reservations are nil when the list did not change.
 	Transfers    *ListPatch[TransferState]         `json:"transfers,omitempty"`
 	Reservations *ListPatch[occupancy.Reservation] `json:"reservations,omitempty"`
@@ -183,7 +170,7 @@ func DecodeDelta(sc *jsonscan.Scanner, d *HistoryDelta) {
 
 func DecodePatch(sc *jsonscan.Scanner, p *StatePatch) {
 	sc.Object("generation", &p.Generation, "initial", &p.Initial, "clock", &p.Clock,
-		"adoptions", &p.Adoptions, "done", &p.Done, "makespan", &p.Makespan,
+		"done", &p.Done, "makespan", &p.Makespan,
 		"jobs", func() {
 			p.Jobs = jsonscan.Array(sc, p.Jobs, func(r *JobRow) {
 				sc.Object("job", &r.Job, "phase", &r.Phase, "start_at", &r.StartAt, "start_res", &r.StartRes,
@@ -192,7 +179,6 @@ func DecodePatch(sc *jsonscan.Scanner, p *StatePatch) {
 		},
 		"avail", func() { p.Avail = decodeInts(sc, p.Avail) },
 		"assignments", func() { p.Assignments = decodeAssignments(sc, p.Assignments) },
-		"decisions", func() { p.Decisions = decodeDecisions(sc, p.Decisions) },
 		"transfers", func() { decodeListPatch(sc, &p.Transfers, func(t *TransferState) { decodeTransfer(sc, t) }) },
 		"reservations", func() {
 			decodeListPatch(sc, &p.Reservations, func(r *occupancy.Reservation) { decodeReservation(sc, r) })
@@ -223,8 +209,7 @@ func DecodeState(sc *jsonscan.Scanner, st *TrackerState) {
 		"start_res", func() { st.StartRes = decodeInts(sc, st.StartRes) },
 		"finish_at", floats(&st.FinishAt), "pin_dur", floats(&st.PinDur),
 		"avail", func() { st.Avail = jsonscan.Array(sc, st.Avail, func(b *bool) { *b = sc.Bool() }) },
-		"decisions", func() { st.Decisions = decodeDecisions(sc, st.Decisions) },
-		"adoptions", &st.Adoptions, "done", &st.Done, "makespan", &st.Makespan,
+		"done", &st.Done, "makespan", &st.Makespan,
 		"transfers", func() {
 			st.Transfers = jsonscan.Array(sc, st.Transfers, func(t *TransferState) { decodeTransfer(sc, t) })
 		},
@@ -239,10 +224,6 @@ func decodeInts(sc *jsonscan.Scanner, dst []int) []int {
 
 func decodeAssignments(sc *jsonscan.Scanner, dst []wire.Assignment) []wire.Assignment {
 	return jsonscan.Array(sc, dst, func(a *wire.Assignment) { wire.DecodeAssignment(sc, a) })
-}
-
-func decodeDecisions(sc *jsonscan.Scanner, dst []wire.Decision) []wire.Decision {
-	return jsonscan.Array(sc, dst, func(d *wire.Decision) { wire.DecodeDecision(sc, d) })
 }
 
 func decodeTransfer(sc *jsonscan.Scanner, t *TransferState) {
@@ -262,14 +243,13 @@ func (d *HistoryDelta) AppendJSON(e *wire.Appender) {
 
 func (p *StatePatch) AppendJSON(e *wire.Appender) {
 	e.Raw(`{"generation":`).Int(p.Generation).Raw(`,"initial":`).Float(p.Initial).Raw(`,"clock":`).Float(p.Clock)
-	e.Raw(`,"adoptions":`).Int(p.Adoptions).OmitBool(`,"done":`, p.Done).Raw(`,"makespan":`).Float(p.Makespan)
+	e.OmitBool(`,"done":`, p.Done).Raw(`,"makespan":`).Float(p.Makespan)
 	wire.OmitArray(e, `,"jobs":`, p.Jobs, func(r *JobRow) {
 		e.Raw(`{"job":`).Int(r.Job).Raw(`,"phase":`).Int(int(r.Phase)).Raw(`,"start_at":`).Float(r.StartAt)
 		e.Raw(`,"start_res":`).Int(r.StartRes).Raw(`,"finish_at":`).Float(r.FinishAt).Raw(`,"pin_dur":`).Float(r.PinDur).Raw(`}`)
 	})
 	wire.OmitArray(e, `,"avail":`, p.Avail, func(i *int) { e.Int(*i) })
 	wire.OmitArray(e, `,"assignments":`, p.Assignments, func(a *wire.Assignment) { a.AppendJSON(e) })
-	wire.OmitArray(e, `,"decisions":`, p.Decisions, func(d *wire.Decision) { d.AppendJSON(e) })
 	if p.Transfers != nil {
 		appendListPatch(e.Raw(`,"transfers":`), p.Transfers, func(t *TransferState) { appendTransfer(e, t) })
 	}
@@ -284,8 +264,7 @@ func (st *TrackerState) AppendJSON(e *wire.Appender) {
 	wire.Array(e.Raw(`,"assignments":`), st.Assignments, func(a *wire.Assignment) { a.AppendJSON(e) })
 	e.Raw(`,"phase":`).Bytes(st.Phase).Raw(`,"start_at":`).Floats(st.StartAt).Raw(`,"start_res":`).Ints(st.StartRes)
 	e.Raw(`,"finish_at":`).Floats(st.FinishAt).Raw(`,"pin_dur":`).Floats(st.PinDur).Raw(`,"avail":`).Bools(st.Avail)
-	wire.OmitArray(e, `,"decisions":`, st.Decisions, func(d *wire.Decision) { d.AppendJSON(e) })
-	e.Raw(`,"adoptions":`).Int(st.Adoptions).Raw(`,"done":`).Bool(st.Done).Raw(`,"makespan":`).Float(st.Makespan)
+	e.Raw(`,"done":`).Bool(st.Done).Raw(`,"makespan":`).Float(st.Makespan)
 	wire.OmitArray(e, `,"transfers":`, st.Transfers, func(t *TransferState) { appendTransfer(e, t) })
 	wire.OmitArray(e, `,"reservations":`, st.Reservations, func(r *occupancy.Reservation) { appendReservation(e, r) })
 	e.Raw(`}`)
@@ -335,17 +314,14 @@ func decodeListPatch[T comparable](sc *jsonscan.Scanner, p **ListPatch[T], elem 
 
 // DiffState returns the patch that turns prev into cur. Both must be
 // exports of the same tracker, prev the earlier: equal job and resource
-// counts, a decision log that only grew. It allocates only for what
-// changed.
+// counts. It allocates only for what changed.
 func DiffState(prev, cur *TrackerState) StatePatch {
 	p := StatePatch{
 		Generation: cur.Generation,
 		Initial:    cur.Initial,
 		Clock:      cur.Clock,
-		Adoptions:  cur.Adoptions,
 		Done:       cur.Done,
 		Makespan:   cur.Makespan,
-		Decisions:  cur.Decisions[len(prev.Decisions):],
 	}
 	for j := range cur.Phase {
 		if cur.Phase[j] != prev.Phase[j] || cur.StartAt[j] != prev.StartAt[j] ||
@@ -489,11 +465,9 @@ func (st *TrackerState) Patch(p StatePatch) error {
 	if st.Reservations, err = p.Reservations.apply(st.Reservations); err != nil {
 		return fmt.Errorf("feedback: patch: reservations: %w", err)
 	}
-	st.Decisions = append(st.Decisions, p.Decisions...)
 	st.Generation = p.Generation
 	st.Initial = p.Initial
 	st.Clock = p.Clock
-	st.Adoptions = p.Adoptions
 	st.Done = p.Done
 	st.Makespan = p.Makespan
 	return nil
@@ -501,9 +475,9 @@ func (st *TrackerState) Patch(p StatePatch) error {
 
 // Restore rebuilds a tracker from a journalled state: the same
 // validation and assembly as New, but installing the persisted schedule,
-// execution progress, transfer ledger and decision log instead of
-// planning afresh. cfg.History must already hold the tenant's recovered
-// repository — Restore does not replay observations. The restored
+// execution progress and transfer ledger instead of planning afresh.
+// cfg.History must already hold the tenant's recovered repository —
+// Restore does not replay observations. The restored
 // tracker publishes its reservations into cfg.Occupancy exactly as the
 // original had, so a shared grid's ledger reassembles from its residents.
 func Restore(cfg Config, st *TrackerState) (*Tracker, error) {
@@ -553,7 +527,6 @@ func Restore(cfg Config, st *TrackerState) (*Tracker, error) {
 	t.generation = st.Generation
 	t.initial = st.Initial
 	t.clock = st.Clock
-	t.adoptions = st.Adoptions
 	t.done = st.Done
 	t.makespan = st.Makespan
 	// The persisted availability replaces build's time-0 view: joins and
@@ -597,16 +570,6 @@ func Restore(cfg Config, st *TrackerState) (*Tracker, error) {
 			return nil, fmt.Errorf("feedback: restore: transfer (%d->%d on %d) out of range", tr.From, tr.To, tr.Resource)
 		}
 		t.ks.SetTransfer(dag.JobID(tr.From), dag.JobID(tr.To), grid.ID(tr.Resource), tr.At)
-	}
-	if len(st.Decisions) > 0 {
-		t.decisions = make([]planner.Decision, 0, len(st.Decisions))
-		for i, wd := range st.Decisions {
-			d, err := DecisionFromWire(wd)
-			if err != nil {
-				return nil, fmt.Errorf("feedback: restore: decision %d: %w", i, err)
-			}
-			t.decisions = append(t.decisions, d)
-		}
 	}
 	if t.occ != nil && !t.done {
 		// Republish the journalled reservation set verbatim; the next
@@ -676,56 +639,4 @@ func (t *Tracker) AlreadyApplied(events []wire.ReportEvent) bool {
 		}
 	}
 	return true
-}
-
-// DecisionToWire converts a planner decision to its wire form (+Inf
-// prices become the -1 sentinel, JSON cannot carry infinities).
-func DecisionToWire(d planner.Decision) wire.Decision {
-	old := d.OldMakespan
-	if math.IsInf(old, 1) {
-		old = -1
-	}
-	return wire.Decision{
-		Clock:        d.Clock,
-		PoolSize:     d.PoolSize,
-		OldMakespan:  old,
-		NewMakespan:  d.NewMakespan,
-		Adopted:      d.Adopted,
-		JobsFinished: d.JobsFinished,
-		Trigger:      d.Trigger.String(),
-		Arrived:      d.ArrivedCount,
-	}
-}
-
-// DecisionFromWire inverts DecisionToWire.
-func DecisionFromWire(w wire.Decision) (planner.Decision, error) {
-	tr, err := ParseTrigger(w.Trigger)
-	if err != nil {
-		return planner.Decision{}, err
-	}
-	old := w.OldMakespan
-	if old == -1 {
-		old = math.Inf(1)
-	}
-	return planner.Decision{
-		Clock:        w.Clock,
-		PoolSize:     w.PoolSize,
-		OldMakespan:  old,
-		NewMakespan:  w.NewMakespan,
-		Adopted:      w.Adopted,
-		JobsFinished: w.JobsFinished,
-		Trigger:      tr,
-		ArrivedCount: w.Arrived,
-	}, nil
-}
-
-// ParseTrigger inverts planner.Trigger.String, the retired "upgrade"
-// included so journalled decisions that carry it still decode.
-func ParseTrigger(s string) (planner.Trigger, error) {
-	for t := planner.Trigger(0); t <= planner.TriggerUpgrade; t++ {
-		if t.String() == s {
-			return t, nil
-		}
-	}
-	return 0, fmt.Errorf("feedback: unknown trigger %q", s)
 }

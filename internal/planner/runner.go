@@ -57,13 +57,6 @@ const (
 	NumTriggers = iota
 )
 
-// TriggerUpgrade is retired: daemons that gave a deep backlog's
-// admissions a greedy initial plan re-evaluated it later under this
-// trigger. Nothing produces one now. It lies outside NumTriggers, so no
-// per-trigger array or /metrics family holds it; it exists only so that a
-// journalled decision carrying it decodes and re-encodes unchanged.
-const TriggerUpgrade Trigger = NumTriggers
-
 // TriggerNames is the one list of trigger names, in iota order: what
 // String returns, what /metrics keys its per-trigger families by, and
 // what report acks carry in their trigger field.
@@ -71,11 +64,8 @@ var TriggerNames = [NumTriggers]string{"arrival", "variance", "departure", "cont
 
 // String returns the trigger's name.
 func (t Trigger) String() string {
-	switch {
-	case t >= 0 && int(t) < NumTriggers:
+	if t >= 0 && int(t) < NumTriggers {
 		return TriggerNames[t]
-	case t == TriggerUpgrade:
-		return "upgrade"
 	}
 	return fmt.Sprintf("Trigger(%d)", int(t))
 }

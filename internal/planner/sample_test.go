@@ -29,7 +29,8 @@ func TestSampleHEFTMakespan(t *testing.T) {
 // one locally-attractive move — n5 takes its EFT-minimal slot on r3
 // (finish 38) instead of the globally better r2 slot (finish 39) — and
 // therefore produces a 80 reschedule that is not adopted; see
-// TestSampleAHEFTGreedy below and the discussion in EXPERIMENTS.md.
+// TestSampleAHEFTGreedy below, and the README's Quickstart for the 0.05
+// window every example runs the sample with.
 func TestSampleAHEFTMakespan(t *testing.T) {
 	sc := workload.SampleScenario()
 	res, err := RunPolicy(context.Background(), sc.Graph, sc.Estimator(), sc.Pool, policy.MustGet("aheft"), policy.Options{TieWindow: 0.05})

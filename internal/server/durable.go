@@ -62,8 +62,9 @@ import (
 // decode or does not fit, fails the workflow (failRecovered) rather than
 // serve an older plan as current. Because a snapshot truncates the log
 // the chains lived in, snapshot() re-bases every live workflow on the
-// entry it just wrote; a restored workflow, or a snapshot or an append
-// that failed, leaves it without a base: its next record is a whole state.
+// entry it just wrote, and a restored workflow goes on from the state its
+// chain folded to; a snapshot or an append that failed leaves it without a
+// base: its next record is a whole state.
 // Logs from before patches existed hold whole states only and recover
 // through the same fold, and older logs' admission and reject records are
 // read but no longer written.
@@ -1176,9 +1177,10 @@ func (s *Server) restoreLive(rw *recoveredWorkflow) error {
 		return err
 	}
 	wf.tracker = tr
-	// No journal base, unless recovery ends in a snapshot: the next
-	// record is a whole state, one rev on.
-	wf.walRev = rw.last.Rev
+	// The chain continues where the journal left it: the next record is a
+	// patch onto the folded state, one rev on (Restore copied what it
+	// kept of the state, so nothing aliases the base).
+	wf.walBase, wf.walEvents, wf.walRev = rw.state, len(rw.events), rw.last.Rev
 	wf.ackedGen = rw.last.AckedGen
 	trigger := rw.last.PlanTrigger
 	if trigger == "" {

@@ -394,7 +394,8 @@ func TestWhatIfEndpoint(t *testing.T) {
 
 // TestLiveDrain covers both drain outcomes for resident live workflows:
 // a clean drain waits for the reporting client to finish, and an expired
-// drain deadline force-fails what remains.
+// drain deadline force-fails what remains; the failed run's status still
+// lists the decision its event log holds.
 func TestLiveDrain(t *testing.T) {
 	srv, ts := newTestServer(t, Config{Shards: 1})
 	sc := workload.SampleScenario()
@@ -455,19 +456,25 @@ func TestLiveDrain(t *testing.T) {
 		t.Fatalf("drained workflow: %+v", st)
 	}
 
-	// Second daemon: the deadline expires on an abandoned live run.
+	// Second daemon: the deadline expires on a live run abandoned after
+	// the r4 join was adopted.
 	srv2, ts2 := newTestServer(t, Config{Shards: 1})
 	var sub2 wire.Submitted
-	if code, _ := postJSON(t, ts2, "/v1/workflows", encodeLive(t, sc, "aheft", "", wire.Options{}), &sub2); code != http.StatusAccepted {
+	if code, _ := postJSON(t, ts2, "/v1/workflows", encodeLive(t, sc, "aheft", "", wire.Options{TieWindow: 0.05}), &sub2); code != http.StatusAccepted {
 		t.Fatalf("submit: HTTP %d", code)
 	}
-	fetchPlan(t, ts2, sub2.ID)
+	join := append(replayPrefix(fetchPlan(t, ts2, sub2.ID), 15), wire.ReportEvent{Kind: wire.ReportResourceJoin, Time: 15, Resource: 3})
+	var ack wire.ReportAck
+	if code, msg := postJSON(t, ts2, "/v1/workflows/"+sub2.ID+"/report", encodeReport(t, join...), &ack); code != http.StatusOK || !ack.Rescheduled {
+		t.Fatalf("join report: HTTP %d %q %+v", code, msg, ack)
+	}
 	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
 	defer cancel()
 	if err := srv2.Shutdown(ctx); err == nil {
 		t.Fatal("expired drain reported success")
 	}
-	if st := getStatus(t, ts2, sub2.ID); st.State != StateFailed {
+	st := getStatus(t, ts2, sub2.ID)
+	if st.State != StateFailed || len(st.Decisions) != 1 || !st.Decisions[0].Adopted || st.Decisions[0].Trigger != "arrival" || st.Adoptions != 1 {
 		t.Fatalf("abandoned live workflow: %+v", st)
 	}
 }

@@ -382,7 +382,6 @@ func (sh *shard) finishLive(wf *workflow) {
 		Policy:          wf.pol.Name(),
 		Makespan:        tr.Makespan(),
 		InitialMakespan: tr.InitialMakespan(),
-		Decisions:       tr.Decisions(),
 	}, nil)
 }
 

@@ -11,6 +11,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"regexp"
 	"strings"
 	"sync"
 	"testing"
@@ -601,7 +602,10 @@ func TestUnusableRecordsAreLoud(t *testing.T) {
 // log, tenant history, tracker state — and a finished one stays done.
 // That daemon also had an incremental reschedule path: its journalled
 // decisions carry the retired path and fallback fields, which recovery
-// must skip, not reject.
+// must skip, not reject. Its tracker states also held a copy of the
+// decisions and an adoption count, which trackers no longer keep: the
+// decisions come back in the event log alone, so the expected tracker
+// state is compared without those two keys.
 func TestRecoverFullStateLog(t *testing.T) {
 	dir := t.TempDir()
 	copyDir(t, filepath.Join("testdata", "wal-full-states"), dir)
@@ -636,7 +640,9 @@ func TestRecoverFullStateLog(t *testing.T) {
 	if n := getMetrics(t, ts).WALRecordsSkipped; n != 0 {
 		t.Fatalf("wal_records_skipped = %d on a well-formed log", n)
 	}
+	retired := regexp.MustCompile(`,"decisions":\[[^\]]*\]|,"adoptions":\d+`)
 	for id, w := range want.Live {
+		w.Tracker = retired.ReplaceAllString(w.Tracker, "")
 		if d := observe(t, srv, ts, id, "legacy").diff(w); d != "" {
 			t.Errorf("%s: %s", id, d)
 		}
@@ -658,7 +664,9 @@ func TestRecoverFullStateLog(t *testing.T) {
 // wf-00000002's first state record, so its upgrade is still owed.
 // Recovery skips the retired keys, keeps the upgrade decision event byte
 // for byte, and brings both workflows back live. The owed workflow keeps
-// its greedy plan until its next evaluation and runs to done on it.
+// its greedy plan until its next evaluation and runs to done on it; the
+// upgraded one runs to done with the journalled decision, retired trigger
+// and all, first in its status, byte for byte: nothing parses it.
 func TestRecoverFastPathLog(t *testing.T) {
 	const upgraded, owed = "wf-00000001", "wf-00000002"
 	dir := t.TempDir()
@@ -729,8 +737,15 @@ func TestRecoverFastPathLog(t *testing.T) {
 	plan = fetchPlan(t, ts, upgraded)
 	postReport(t, ts, upgraded, encodeReport(t, remainingEvents(&plan, replayPrefix(plan, 10))...))
 	st := waitDone(t, ts, upgraded)
-	if st.State != StateDone || len(st.Decisions) == 0 || st.Decisions[0].Trigger != "upgrade" {
+	if st.State != StateDone || len(st.Decisions) == 0 {
 		t.Fatalf("upgraded workflow: %+v", st)
+	}
+	var ev struct{ Decision json.RawMessage }
+	if err := json.Unmarshal(journalled, &ev); err != nil {
+		t.Fatal(err)
+	}
+	if listed, err := json.Marshal(st.Decisions[0]); err != nil || !bytes.Equal(listed, ev.Decision) {
+		t.Fatalf("upgraded workflow's status lists first %s, want the journalled %s", listed, ev.Decision)
 	}
 	if m := getMetrics(t, ts); m.Failed != 0 || m.Completed != 2 {
 		t.Fatalf("completed %d, failed %d", m.Completed, m.Failed)
@@ -740,8 +755,8 @@ func TestRecoverFastPathLog(t *testing.T) {
 // TestChainContinuesAfterRecovery runs crash → recover → two reports →
 // crash → recover and requires what an uninterrupted run holds after the
 // same reports: live tracker state, plan generation and hash, event log,
-// tenant history. Recovery writes no snapshot here, so the first record
-// after it is a whole state and the second a patch onto that. It is run
+// tenant history. Recovery writes no snapshot here, so the chain goes on:
+// both records after it are patches, each one rev on. It is run
 // twice: where the first report after recovery adopts a new plan, and
 // where it does not.
 func TestChainContinuesAfterRecovery(t *testing.T) {
@@ -809,8 +824,9 @@ func TestChainContinuesAfterRecovery(t *testing.T) {
 					states = append(states, p)
 				}
 			}
-			if n := len(states); n != k+3 || states[n-2].State == nil || states[n-1].Patch == nil || states[n-1].Rev != states[n-2].Rev+1 {
-				t.Fatalf("%d state records; want %d, the last two a whole state and a patch one rev on", n, k+3)
+			if n := len(states); n != k+3 || states[n-2].Patch == nil || states[n-1].Patch == nil ||
+				states[n-2].Rev != states[n-3].Rev+1 || states[n-1].Rev != states[n-2].Rev+1 {
+				t.Fatalf("%d state records; want %d, the last two patches that go on from the recovered rev", n, k+3)
 			}
 
 			srv, ts = openDurable(t, dir, cfg)
@@ -866,6 +882,102 @@ func TestJournalKeepsNoDecisionTelemetry(t *testing.T) {
 	if first, again := run(), run(); !bytes.Equal(first, again) {
 		t.Fatalf("two runs of the same inputs wrote different snapshots:\n%s\n%s", first, again)
 	}
+}
+
+// TestDecisionsLiveInTheEventLogAlone: a workflow's decisions are
+// journalled once, as its decision events. No state record's state or
+// patch and no snapshot entry holds a decision list or an adoption count,
+// and a workflow crashed mid-life, recovered and run to done lists in its
+// status the decisions an uninterrupted run lists, with as many adoptions
+// as its plan generation is past the first.
+func TestDecisionsLiveInTheEventLogAlone(t *testing.T) {
+	l := blast24Life(t)
+	cfg := Config{Shards: 1, WALSync: "off", SnapshotInterval: time.Hour}
+	noCopy := func(what string, doc json.RawMessage) {
+		if doc == nil {
+			return
+		}
+		var keys map[string]json.RawMessage
+		if err := json.Unmarshal(doc, &keys); err != nil {
+			t.Fatalf("%s: %v", what, err)
+		}
+		for _, key := range []string{"decisions", "adoptions"} {
+			if _, ok := keys[key]; ok {
+				t.Errorf("%s holds %q", what, key)
+			}
+		}
+	}
+	type stateDoc struct{ State, Patch json.RawMessage }
+	noCopies := func(shardDir string) {
+		for i, data := range stateRecords(t, shardDir) {
+			var doc stateDoc
+			if err := json.Unmarshal(data, &doc); err != nil {
+				t.Fatal(err)
+			}
+			noCopy(fmt.Sprintf("state record %d's state", i), doc.State)
+			noCopy(fmt.Sprintf("state record %d's patch", i), doc.Patch)
+		}
+	}
+	scrubbed := func(st wire.Status) wire.Status {
+		st.Decisions = append([]wire.Decision(nil), st.Decisions...)
+		for i := range st.Decisions {
+			st.Decisions[i].ElapsedMs, st.Decisions[i].RankMs, st.Decisions[i].PlaceMs = 0, 0, 0
+		}
+		return st
+	}
+
+	srv, ts := openDurable(t, t.TempDir(), cfg)
+	id := submitLife(t, ts, l)
+	for _, body := range l.reports {
+		postReport(t, ts, id, body)
+	}
+	want := scrubbed(waitDone(t, ts, id))
+	ts.Close()
+	srv.Crash()
+	if want.Adoptions == 0 || want.Adoptions != want.Generation-1 {
+		t.Fatalf("uninterrupted run: %d adoptions at generation %d, want at least one, each a generation", want.Adoptions, want.Generation)
+	}
+
+	dir := t.TempDir()
+	srv, ts = openDurable(t, dir, cfg)
+	submitLife(t, ts, l)
+	half := len(l.reports) / 2
+	for _, body := range l.reports[:half] {
+		postReport(t, ts, id, body)
+	}
+	srv.shards[0].snapshot()
+	for _, body := range l.reports[half : half+2] {
+		postReport(t, ts, id, body)
+	}
+	rec, err := durable.Load(filepath.Join(dir, "shard-0"))
+	if err != nil || rec.Snapshot == nil {
+		t.Fatalf("no snapshot: %v", err)
+	}
+	var snap struct{ Live []stateDoc }
+	if err := json.Unmarshal(rec.Snapshot, &snap); err != nil || len(snap.Live) != 1 || snap.Live[0].State == nil {
+		t.Fatalf("snapshot holds no live state: %v", err)
+	}
+	noCopy("the snapshot's live entry", snap.Live[0].State)
+	noCopies(filepath.Join(dir, "shard-0"))
+	ts.Close()
+	srv.Crash()
+
+	srv, ts = openDurable(t, dir, cfg)
+	defer func() {
+		ts.Close()
+		srv.Crash()
+	}()
+	for _, body := range l.reports[half+2:] {
+		postReport(t, ts, id, body)
+	}
+	got := scrubbed(waitDone(t, ts, id))
+	if !reflect.DeepEqual(got.Decisions, want.Decisions) {
+		t.Fatalf("recovered run lists decisions\n%+v\nwant\n%+v", got.Decisions, want.Decisions)
+	}
+	if got.Adoptions != want.Adoptions || got.Generation != want.Generation {
+		t.Fatalf("recovered run: %d adoptions at generation %d, want %d at %d", got.Adoptions, got.Generation, want.Adoptions, want.Generation)
+	}
+	noCopies(filepath.Join(dir, "shard-0"))
 }
 
 // TestRestartsKeepReplayBounded restarts a daemon after every report,

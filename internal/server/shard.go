@@ -3,6 +3,7 @@ package server
 import (
 	"encoding/json"
 	"hash/fnv"
+	"math"
 	"sync"
 	"time"
 
@@ -257,9 +258,9 @@ const subscriberBuffer = 256
 
 var subBuffers = sync.Pool{New: func() any { return make(chan wire.Event, subscriberBuffer) }}
 
-// finish completes the status document from the run's outcome and makes
-// the entry terminal. res is read, not kept — the status API reports
-// makespans and decisions, not placements.
+// finish completes the status document from the run's outcome (nil when
+// it failed) and its event log, and makes the entry terminal. res is read,
+// not kept — the status API reports makespans, not placements.
 func (wf *workflow) finish(res *planner.Result, err error) {
 	now := time.Now()
 	wf.mu.Lock()
@@ -277,10 +278,25 @@ func (wf *workflow) finish(res *planner.Result, err error) {
 		st.Makespan = res.Makespan
 		st.InitialMakespan = res.InitialMakespan
 		st.Improvement = res.Improvement()
-		st.Adoptions = res.Adoptions()
-		st.Decisions = make([]wire.Decision, len(res.Decisions))
-		for i, d := range res.Decisions {
-			st.Decisions[i] = wireDecision(d)
+	}
+	// The log holds every evaluation the run made, whatever mode and
+	// however it ended, and it is their one record. The status keeps its
+	// copy as long as the entry is retained, so the copy is sized exactly.
+	n := 0
+	for _, rec := range wf.events {
+		if rec.decision != nil {
+			n++
+		}
+	}
+	if n > 0 {
+		st.Decisions = make([]wire.Decision, 0, n)
+	}
+	for _, rec := range wf.events {
+		if d := rec.decision; d != nil {
+			st.Decisions = append(st.Decisions, *d)
+			if d.Adopted {
+				st.Adoptions++
+			}
 		}
 	}
 	st.Events = len(wf.events)
@@ -353,13 +369,20 @@ func (wf *workflow) status() wire.Status {
 	return st
 }
 
-// wireDecision is feedback.DecisionToWire plus the process-local
-// telemetry the event stream carries; the journal keeps the
-// telemetry-free form, so replay stays bit-identical.
+// wireDecision converts a planner decision to its wire form, the one
+// converter: an +Inf price becomes the -1 sentinel (JSON cannot carry
+// infinities), and the process-local telemetry the event stream carries
+// is kept; the journal strips it, so replay stays bit-identical.
 func wireDecision(d planner.Decision) wire.Decision {
-	wd := feedback.DecisionToWire(d)
-	wd.ElapsedMs, wd.RankMs, wd.PlaceMs = d.ElapsedMs, d.RankMs, d.PlaceMs
-	return wd
+	old := d.OldMakespan
+	if math.IsInf(old, 1) {
+		old = -1
+	}
+	return wire.Decision{
+		Clock: d.Clock, PoolSize: d.PoolSize, OldMakespan: old, NewMakespan: d.NewMakespan,
+		Adopted: d.Adopted, JobsFinished: d.JobsFinished, Trigger: d.Trigger.String(), Arrived: d.ArrivedCount,
+		ElapsedMs: d.ElapsedMs, RankMs: d.RankMs, PlaceMs: d.PlaceMs,
+	}
 }
 
 // shard is one session worker: a bounded intake queue drained in batches

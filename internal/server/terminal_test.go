@@ -16,6 +16,7 @@ import (
 	"time"
 
 	"aheft/internal/drive"
+	"aheft/internal/planner"
 	"aheft/internal/rng"
 	"aheft/internal/wire"
 	"aheft/internal/workload"
@@ -335,5 +336,38 @@ func TestSettleCutsDecisionEvents(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestWireDecision: the one planner → wire converter of a decision maps an
+// +Inf price (a plan a departure made infeasible) to the -1 sentinel,
+// names the trigger and keeps the telemetry the event stream carries.
+func TestWireDecision(t *testing.T) {
+	for _, tc := range []struct {
+		d    planner.Decision
+		want wire.Decision
+	}{
+		{
+			planner.Decision{Clock: 1, PoolSize: 3, OldMakespan: 80, NewMakespan: 76, Adopted: true,
+				Trigger: planner.TriggerArrival, ArrivedCount: 1, ElapsedMs: 0.5, RankMs: 0.25, PlaceMs: 0.125},
+			wire.Decision{Clock: 1, PoolSize: 3, OldMakespan: 80, NewMakespan: 76, Adopted: true,
+				Trigger: "arrival", Arrived: 1, ElapsedMs: 0.5, RankMs: 0.25, PlaceMs: 0.125},
+		},
+		{
+			planner.Decision{Clock: 2, PoolSize: 2, OldMakespan: math.Inf(1), NewMakespan: 90, Adopted: true, Trigger: planner.TriggerDeparture},
+			wire.Decision{Clock: 2, PoolSize: 2, OldMakespan: -1, NewMakespan: 90, Adopted: true, Trigger: "departure"},
+		},
+		{
+			planner.Decision{Clock: 3, PoolSize: 4, OldMakespan: 50, NewMakespan: 55, Trigger: planner.TriggerVariance, JobsFinished: 2},
+			wire.Decision{Clock: 3, PoolSize: 4, OldMakespan: 50, NewMakespan: 55, Trigger: "variance", JobsFinished: 2},
+		},
+		{
+			planner.Decision{Clock: 4, PoolSize: 4, OldMakespan: 60, NewMakespan: 58, Trigger: planner.TriggerContention},
+			wire.Decision{Clock: 4, PoolSize: 4, OldMakespan: 60, NewMakespan: 58, Trigger: "contention"},
+		},
+	} {
+		if got := wireDecision(tc.d); got != tc.want {
+			t.Errorf("wireDecision(%+v) = %+v, want %+v", tc.d, got, tc.want)
+		}
 	}
 }

@@ -621,23 +621,23 @@ type Event struct {
 	Error      string  `json:"error,omitempty"`
 }
 
-// DecodeAssignment, DecodeDecision and DecodeEvent decode the object at
-// the scanner into their argument as json.Unmarshal would (the journal's
-// state records are made of them; see server.walState).
+// DecodeAssignment and DecodeEvent decode the object at the scanner into
+// their argument as json.Unmarshal would (the journal's state records are
+// made of them; see server.walState).
 func DecodeAssignment(sc *jsonscan.Scanner, a *Assignment) {
 	sc.Object("job", &a.Job, "resource", &a.Resource, "start", &a.Start, "finish", &a.Finish)
 }
 
-func DecodeDecision(sc *jsonscan.Scanner, d *Decision) {
-	sc.Object("clock", &d.Clock, "pool_size", &d.PoolSize, "old_makespan", &d.OldMakespan,
-		"new_makespan", &d.NewMakespan, "adopted", &d.Adopted, "jobs_finished", &d.JobsFinished,
-		"trigger", &d.Trigger, "arrived", &d.Arrived,
-		"elapsed_ms", &d.ElapsedMs, "rank_ms", &d.RankMs, "place_ms", &d.PlaceMs)
-}
-
 func DecodeEvent(sc *jsonscan.Scanner, ev *Event) {
 	sc.Object("seq", &ev.Seq, "kind", &ev.Kind, "workflow", &ev.Workflow, "time", &ev.Time,
-		"decision", func() { jsonscan.Ptr(sc, &ev.Decision, func(d *Decision) { DecodeDecision(sc, d) }) },
+		"decision", func() {
+			jsonscan.Ptr(sc, &ev.Decision, func(d *Decision) {
+				sc.Object("clock", &d.Clock, "pool_size", &d.PoolSize, "old_makespan", &d.OldMakespan,
+					"new_makespan", &d.NewMakespan, "adopted", &d.Adopted, "jobs_finished", &d.JobsFinished,
+					"trigger", &d.Trigger, "arrived", &d.Arrived,
+					"elapsed_ms", &d.ElapsedMs, "rank_ms", &d.RankMs, "place_ms", &d.PlaceMs)
+			})
+		},
 		"trigger", &ev.Trigger, "arrived", &ev.Arrived, "generation", &ev.Generation,
 		"makespan", &ev.Makespan, "error", &ev.Error)
 }
