@@ -79,7 +79,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("aheftd", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	addr := fs.String("addr", ":7070", "listen address")
-	shards := fs.Int("shards", 4, "session workers (one scheduling pipeline each)")
+	shards := fs.Int("shards", 4, "session workers (one scheduling pipeline each); with -data-dir, the count is fixed by the data directory's first start")
 	queue := fs.Int("queue", 256, "per-shard bounded admission backlog (total accepted-but-unstarted submissions)")
 	tenantBacklog := fs.Int("tenant-backlog", 0, "per-tenant share of a shard's admission backlog (0 = unbounded; floods then bound only by -queue)")
 	gridShareCap := fs.Float64("grid-share-cap", 0, "per-tenant share cap on a shared grid's reservations, 0 < cap < 1 (0 = off)")
@@ -111,6 +111,31 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 0
 	}
 	logger := log.New(stderr, "", log.LstdFlags)
+	cfg := server.Config{
+		Shards:                *shards,
+		QueueDepth:            *queue,
+		TenantBacklog:         *tenantBacklog,
+		GridShareCap:          *gridShareCap,
+		Limits:                wire.Limits{MaxJobs: *maxJobs, MaxResources: *maxRes},
+		DefaultPolicy:         *defaultPolicy,
+		VarianceThreshold:     *varThr,
+		MaxTenantHistories:    *maxTenants,
+		MaxSharedGrids:        *maxGrids,
+		DataDir:               *dataDir,
+		WALSync:               *walSync,
+		WALSyncInterval:       *walSyncInterval,
+		SnapshotInterval:      *snapInterval,
+		Tracing:               *tracing,
+		TraceFile:             *traceFile,
+		TraceSpansPerWorkflow: *traceSpans,
+		RecordDir:             *recordDir,
+	}
+	// A data directory keeps the shard count of its first start: a start
+	// under another count is refused before anything listens.
+	if err := server.CheckLayout(cfg); err != nil {
+		logger.Printf("aheftd: open: %v", err)
+		return 1
+	}
 	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGTERM, syscall.SIGINT)
 	defer stop()
 
@@ -138,25 +163,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}()
 	}
 
-	srv, err := server.Open(server.Config{
-		Shards:                *shards,
-		QueueDepth:            *queue,
-		TenantBacklog:         *tenantBacklog,
-		GridShareCap:          *gridShareCap,
-		Limits:                wire.Limits{MaxJobs: *maxJobs, MaxResources: *maxRes},
-		DefaultPolicy:         *defaultPolicy,
-		VarianceThreshold:     *varThr,
-		MaxTenantHistories:    *maxTenants,
-		MaxSharedGrids:        *maxGrids,
-		DataDir:               *dataDir,
-		WALSync:               *walSync,
-		WALSyncInterval:       *walSyncInterval,
-		SnapshotInterval:      *snapInterval,
-		Tracing:               *tracing,
-		TraceFile:             *traceFile,
-		TraceSpansPerWorkflow: *traceSpans,
-		RecordDir:             *recordDir,
-	})
+	srv, err := server.Open(cfg)
 	if err != nil {
 		logger.Printf("aheftd: open: %v", err)
 		return 1

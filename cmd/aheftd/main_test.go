@@ -167,3 +167,50 @@ func TestRecordDirReplaysIdentical(t *testing.T) {
 			res.Shards, res.Outputs, strings.Join(res.Divergences, "\n"))
 	}
 }
+
+// TestDataDirKeepsItsShardCount runs the daemon on a fresh data directory
+// with -shards 2 and drains it; a second start on that directory with
+// -shards 1 must exit non-zero before it listens, naming both counts, as
+// the flag's help says it will.
+func TestDataDirKeepsItsShardCount(t *testing.T) {
+	api, dir := freeAddr(t), t.TempDir()
+	exit := make(chan int, 1)
+	go func() {
+		exit <- run([]string{"-addr", api, "-shards", "2", "-data-dir", dir, "-wal-sync", "off"}, io.Discard, io.Discard)
+	}()
+	for deadline := time.Now().Add(10 * time.Second); ; {
+		if resp, err := http.Get("http://" + api + "/v1/healthz"); err == nil {
+			resp.Body.Close()
+			if resp.StatusCode == http.StatusOK {
+				break
+			}
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("daemon not serving after 10s")
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	if err := syscall.Kill(os.Getpid(), syscall.SIGTERM); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case code := <-exit:
+		if code != 0 {
+			t.Fatalf("drain exit code %d", code)
+		}
+	case <-time.After(30 * time.Second):
+		t.Fatal("daemon did not drain on SIGTERM")
+	}
+
+	var stderr bytes.Buffer
+	code := run([]string{"-addr", api, "-shards", "1", "-data-dir", dir}, io.Discard, &stderr)
+	msg := stderr.String()
+	if code == 0 || !strings.Contains(msg, "holds 2 shards") || !strings.Contains(msg, "-shards is 1") || strings.Contains(msg, "listening") {
+		t.Fatalf("restart under -shards 1: exit %d, stderr %q; want a refusal naming 2 and 1 before listening", code, msg)
+	}
+	var help bytes.Buffer
+	run([]string{"-h"}, io.Discard, &help)
+	if !strings.Contains(help.String(), "fixed by the data directory's first start") {
+		t.Fatalf("-shards help does not say a data directory fixes the count:\n%s", help.String())
+	}
+}

@@ -167,11 +167,11 @@ func listDir(dir string) (snaps, segs []uint64, err error) {
 }
 
 // Load reads a shard directory without opening it for appends: the
-// newest snapshot plus the ordered valid record suffix: recovery of
-// orphaned shard directories, replay's reading of a recording, and the
-// benchmarks. A missing directory is an empty (not an error) result. With
-// a Decoder, the snapshot and the records go to it as they are read, and
-// Records stays empty.
+// newest snapshot plus the ordered valid record suffix. Recovery reads
+// every directory so before it writes anything (see Resume), replay reads
+// a recording so, and so do the benchmarks. A missing directory is an
+// empty (not an error) result. With a Decoder, the snapshot and the
+// records go to it as they are read, and Records stays empty.
 func Load(dir string, d ...Decoder) (*Recovered, error) {
 	rec := &Recovered{}
 	var dec Decoder
@@ -234,19 +234,26 @@ func Load(dir string, d ...Decoder) (*Recovered, error) {
 }
 
 // Open recovers a shard directory (creating it if missing), through d as
-// Load does, and opens it for appends: torn tails are truncated away so
-// the log stays replayable, and the first Append starts a segment after
-// the valid prefix. Open itself writes nothing else.
+// Load does, and opens it for appends (Resume).
 func Open(dir string, policy SyncPolicy, interval time.Duration, d ...Decoder) (*Shard, *Recovered, error) {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return nil, nil, fmt.Errorf("durable: %w", err)
-	}
 	rec, err := Load(dir, d...)
 	if err != nil {
 		return nil, nil, err
 	}
+	s, err := Resume(dir, rec, policy, interval)
+	return s, rec, err
+}
+
+// Resume opens for appends the directory that Load read into rec,
+// creating it if missing: a torn tail is truncated away so the log stays
+// replayable, and the first Append starts a segment after the valid
+// prefix. Resume itself writes nothing else.
+func Resume(dir string, rec *Recovered, policy SyncPolicy, interval time.Duration) (*Shard, error) {
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		return nil, fmt.Errorf("durable: %w", err)
+	}
 	if err := repair(dir, rec); err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	if interval <= 0 {
 		interval = DefaultSyncInterval
@@ -265,7 +272,7 @@ func Open(dir string, policy SyncPolicy, interval time.Duration, d ...Decoder) (
 	} else {
 		close(s.done)
 	}
-	return s, rec, nil
+	return s, nil
 }
 
 // repair truncates the replayed-valid prefix back onto disk: the segment
@@ -339,47 +346,18 @@ func encodeRecord(e *wire.Appender, lsn uint64, kind string, data wire.Doc) ([]b
 }
 
 // Rotate installs snapshot as the new recovery base covering every LSN
-// appended so far, then truncates the log: the snapshot is written to a
-// temp file and renamed (atomic on POSIX), old segments and snapshots
-// are removed, and a fresh active segment starts after it. The caller
-// must ensure snapshot actually covers all its appended records — in
-// aheftd both run under the shard's WAL mutex.
+// appended so far (WriteFile), then truncates the log: old segments and
+// snapshots are removed, and a fresh active segment starts after it. The
+// caller must ensure snapshot actually covers all its appended records —
+// in aheftd both run under the shard's WAL mutex.
 func (s *Shard) Rotate(snapshot []byte) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.disabled {
 		return nil
 	}
-	tmp := filepath.Join(s.dir, "snap.tmp")
-	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
-	if err != nil {
+	if err := WriteFile(s.dir, snapName(s.lsn), snapshot, s.policy); err != nil {
 		return fmt.Errorf("durable: snapshot: %w", err)
-	}
-	if _, err := f.Write(snapshot); err != nil {
-		f.Close()
-		return fmt.Errorf("durable: snapshot: %w", err)
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return fmt.Errorf("durable: snapshot: %w", err)
-	}
-	if err := f.Close(); err != nil {
-		return fmt.Errorf("durable: snapshot: %w", err)
-	}
-	if err := os.Rename(tmp, filepath.Join(s.dir, snapName(s.lsn))); err != nil {
-		return fmt.Errorf("durable: snapshot: %w", err)
-	}
-	if s.policy != SyncOff {
-		// The rename survives a power loss only once the directory entry
-		// does; until then the sweep below could leave neither file.
-		d, err := os.Open(s.dir)
-		if err == nil {
-			err = d.Sync()
-			d.Close()
-		}
-		if err != nil {
-			return fmt.Errorf("durable: snapshot: sync dir: %w", err)
-		}
 	}
 	s.snapshots.Add(1)
 
@@ -412,6 +390,37 @@ func (s *Shard) Rotate(snapshot []byte) error {
 		}
 	}
 	return nil
+}
+
+// WriteFile installs data as dir/name atomically: it writes, fsyncs and
+// renames dir's one temp file over name, then, unless policy is SyncOff,
+// fsyncs dir, as the rename survives a power loss only once the entry
+// does. A crash leaves the old file or the new one, and at most the temp
+// file, which the next call overwrites. Calls on one dir must not overlap.
+func WriteFile(dir, name string, data []byte, policy SyncPolicy) error {
+	tmp := filepath.Join(dir, "write.tmp")
+	f, err := os.Create(tmp)
+	if err == nil {
+		if _, err = f.Write(data); err == nil {
+			err = f.Sync()
+		}
+		if cerr := f.Close(); err == nil {
+			err = cerr
+		}
+	}
+	if err == nil {
+		err = os.Rename(tmp, filepath.Join(dir, name))
+	}
+	if err != nil || policy == SyncOff {
+		os.Remove(tmp)
+		return err
+	}
+	d, err := os.Open(dir)
+	if err != nil {
+		return err
+	}
+	defer d.Close()
+	return d.Sync()
 }
 
 // Disable turns the store off without flushing: subsequent Appends and

@@ -136,6 +136,42 @@ func TestRotateTruncatesLog(t *testing.T) {
 	}
 }
 
+// TestWriteFileReplacesAtomically installs a file under every policy,
+// then replaces it: each time the directory holds the new bytes under the
+// name, and no temp file is left behind, whether the write succeeds or
+// fails.
+func TestWriteFileReplacesAtomically(t *testing.T) {
+	for _, policy := range []SyncPolicy{SyncAlways, SyncInterval, SyncOff} {
+		dir := t.TempDir()
+		for _, data := range []string{`{"v":1,"shards":4}`, `{"v":1}`} {
+			if err := WriteFile(dir, "layout.json", []byte(data), policy); err != nil {
+				t.Fatalf("%s: %v", policy, err)
+			}
+			got, err := os.ReadFile(filepath.Join(dir, "layout.json"))
+			if err != nil || string(got) != data {
+				t.Fatalf("%s: read back %q, %v; want %q", policy, got, err, data)
+			}
+			if entries, _ := os.ReadDir(dir); len(entries) != 1 {
+				t.Fatalf("%s: dir holds %d entries, want the file alone", policy, len(entries))
+			}
+		}
+		// A name the rename cannot take: the write fails and leaves
+		// nothing behind.
+		if err := os.Mkdir(filepath.Join(dir, "taken"), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, "taken", "x"), nil, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if err := WriteFile(dir, "taken", []byte("x"), policy); err == nil {
+			t.Fatalf("%s: replaced a non-empty directory", policy)
+		}
+		if entries, _ := os.ReadDir(dir); len(entries) != 2 {
+			t.Fatalf("%s: a failed write left %d entries, want layout.json and taken", policy, len(entries))
+		}
+	}
+}
+
 func TestTornTailDetectedAndRepaired(t *testing.T) {
 	dir := t.TempDir()
 	s, _, err := Open(dir, SyncOff, 0)

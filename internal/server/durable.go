@@ -4,10 +4,12 @@ import (
 	"encoding/json"
 	"fmt"
 	"log"
+	"maps"
 	"net/http"
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -36,11 +38,12 @@ import (
 // with their current plan and feedback state, shared-grid ledgers
 // reassemble from their restored residents, pending submissions
 // re-enqueue, and duplicate report replays are acked idempotently (see
-// applyReport / feedback.AlreadyApplied). A restart snapshots every shard
-// when the shard count changed where things live, and a shard whose log
-// already spans an earlier start or held a record it skipped; otherwise
-// it writes nothing but a terminal record per workflow it could not
-// restore.
+// applyReport / feedback.AlreadyApplied). A data directory keeps the
+// shard count of its first start (its layout record; a start under
+// another count refuses), so each shard recovers from its own directory
+// alone. A restart snapshots a shard whose log already spans an earlier
+// start or held a record it skipped; otherwise it writes nothing but a
+// terminal record per workflow it could not restore.
 //
 // Record kinds (wire.WAL*): a submission logs its raw body once it is
 // queued (a refused one writes nothing; its fair-queue credentials are
@@ -506,7 +509,7 @@ type recoveredWorkflow struct {
 
 // walPos orders records across shard directories as one pass over the
 // directories in index order would meet them: the directory, then a count
-// that only grows while one fold walks it.
+// that only grows while its fold walks it.
 type walPos struct{ dir, n int }
 
 func (a walPos) before(b walPos) bool { return a.dir < b.dir || (a.dir == b.dir && a.n < b.n) }
@@ -544,30 +547,6 @@ func (rw *recoveredWorkflow) fold(p *walState) {
 	}
 	p.State, p.Patch, p.Events = nil, nil, nil
 	rw.last = p
-}
-
-// absorb folds in what a fold of later directories (another target
-// shard's) holds for the same workflow, as if its records had followed
-// rw's in one log: what it saw replaces, what it did not see stays. That
-// equals the one-pass fold whenever the later chain starts with a whole
-// state, as every chain the daemon writes does; one that starts with a
-// patch arrives broken and fails the workflow. (A workflow sits in two
-// directories only after a crash between the snapshots that close a
-// recovery under a changed shard count.)
-func (rw *recoveredWorkflow) absorb(later *recoveredWorkflow) {
-	if later.body != nil {
-		rw.body, rw.rejected = later.body, false
-	}
-	if later.last != nil || later.broken != nil {
-		rw.last, rw.state, rw.events, rw.broken = later.last, later.state, later.events, later.broken
-	}
-	if later.terminal != nil {
-		if rw.terminal == nil {
-			rw.endedAt = later.endedAt
-		}
-		rw.terminal = later.terminal
-	}
-	rw.rejected = rw.rejected || later.rejected
 }
 
 // The journal's documents decode in one pass with json.Unmarshal's
@@ -627,7 +606,7 @@ func (d *shardSnapshot) scan(sc *jsonscan.Scanner) {
 // (load: reading and framing the logs; fold: decoding and folding
 // records; restore: rebuilding grids, trackers and queues; snapshot: the
 // fresh snapshots written where recoverState needs them, else 0). The
-// four add up to Ms, less the directory listing. Directories are loaded
+// four add up to Ms. Directories are loaded
 // and folded side by side, so LoadMs and FoldMs are not spans of their
 // own: they are that section's wall time, split between the two as the
 // fold workers' summed busy time in each splits.
@@ -653,34 +632,26 @@ func (r RecoveryStats) String() string {
 // daemon without a data directory).
 func (s *Server) Recovery() RecoveryStats { return s.recovery }
 
-// recoveryFold accumulates what the directories that fold onto one target
-// shard hold. Each target's fold runs on one goroutine and touches nothing
-// another's does (its own directories, stores and tenant histories), so
-// the folds run side by side and recoverState merges what they gathered.
-// It is the durable.Decoder the directories are read through.
+// recoveryFold accumulates what one shard directory holds. Each fold runs
+// on one goroutine and touches nothing another's does (its own directory
+// and tenant histories), so the folds run side by side and recoverState
+// merges what they gathered. It is the durable.Decoder the directory is
+// read through.
 type recoveryFold struct {
 	s      *Server
-	dir    int // the directory being folded
+	dir    int // the shard whose directory this is
 	n      int // records given a walPos so far
+	rec    *durable.Recovered
 	wfs    map[string]*recoveredWorkflow
-	grids  map[string]recoveredGrid
+	grids  map[string]json.RawMessage     // by name: a grid is registered once
 	repos  map[string]*history.Repository // by tenant
 	maxSeq uint64
 
 	next       interface{ scan(*jsonscan.Scanner) } // what Payload read last
 	began      time.Time                            // when the record being folded was met
-	orphans    []string
-	resnap     bool          // its log spans an earlier start or held a skipped record
-	load, fold time.Duration // busy time reading and framing / decoding and folding
-	bytes      int64
+	resnap     bool                                 // its log spans an earlier start or held a skipped record
+	load, fold time.Duration                        // busy time reading and framing / decoding and folding
 	records    int
-}
-
-// recoveredGrid is a shared grid's spec and the directory it was first
-// met in: of several registrations the first in directory order counts.
-type recoveredGrid struct {
-	dir  int
-	spec json.RawMessage
 }
 
 func (f *recoveryFold) pos() walPos {
@@ -707,12 +678,6 @@ func (f *recoveryFold) wfFor(id string) *recoveredWorkflow {
 		f.maxSeq = n
 	}
 	return rw
-}
-
-func (f *recoveryFold) gridSpec(name string, spec json.RawMessage) {
-	if _, ok := f.grids[name]; !ok {
-		f.grids[name] = recoveredGrid{f.dir, spec}
-	}
 }
 
 // ended folds a terminal record; the first one fixes where the workflow
@@ -744,32 +709,18 @@ func (f *recoveryFold) named(r *wire.WALRecord, err error, name string) bool {
 	return err == nil
 }
 
-// directory opens (or, for an orphan of a larger shard count, loads)
-// shard directory idx and folds its snapshot and log tail in as the store
-// reads them: parked payloads would be the log a second time over.
-func (f *recoveryFold) directory(idx int, policy durable.SyncPolicy) error {
-	s := f.s
-	f.dir = idx
-	dir := filepath.Join(s.cfg.DataDir, fmt.Sprintf("shard-%d", idx))
-	start, folded := time.Now(), f.fold
-	var rec *durable.Recovered
-	if idx < len(s.shards) {
-		store, r, err := durable.Open(dir, policy, s.cfg.WALSyncInterval, f)
-		if err != nil {
-			return fmt.Errorf("server: shard %d wal: %w", idx, err)
-		}
-		s.shards[idx].wal = &shardWAL{store: store}
-		rec = r
-	} else {
-		r, err := durable.Load(dir, f)
-		if err != nil {
-			return fmt.Errorf("server: orphan shard %d wal: %w", idx, err)
-		}
-		rec = r
-		f.orphans = append(f.orphans, dir)
+// read reads the fold's shard directory, folding its snapshot and log
+// tail in as the store reads them: parked payloads would be the log a
+// second time over. It writes nothing: recoverState opens the stores once
+// every directory is read.
+func (f *recoveryFold) read() error {
+	start := time.Now()
+	rec, err := durable.Load(f.s.shardDir(f.dir), f)
+	if err != nil {
+		return fmt.Errorf("server: shard %d wal: %w", f.dir, err)
 	}
-	f.load += time.Since(start) - (f.fold - folded)
-	f.bytes += rec.Bytes
+	f.rec = rec
+	f.load = time.Since(start) - f.fold
 	f.resnap = f.resnap || rec.Segments > 1
 	return nil
 }
@@ -786,7 +737,7 @@ func (f *recoveryFold) Snapshot(data []byte) error {
 		f.maxSeq = snap.Seq
 	}
 	for _, g := range snap.Grids {
-		f.gridSpec(g.Name, g.Spec)
+		f.grids[g.Name] = g.Spec
 	}
 	for _, t := range snap.Tenants {
 		f.repoFor(t.Tenant, t.Alpha).Import(t.Cells)
@@ -850,7 +801,7 @@ func (f *recoveryFold) Record(r *wire.WALRecord, decoded bool) {
 		}
 	case *walGrid:
 		if f.named(r, err, p.Name) {
-			f.gridSpec(p.Name, p.Spec)
+			f.grids[p.Name] = p.Spec
 		}
 	case *walState:
 		if !f.named(r, err, p.ID) {
@@ -906,67 +857,32 @@ func sideBySide(n int, fn func(i int)) {
 	wg.Wait()
 }
 
-// recoverState replays every shard directory under dataDir into the
-// (not yet started) server: stores are opened (repairing torn tails),
-// snapshots and log tails merged, and the registry, shards, grids,
-// tenant histories and live trackers rebuilt. Orphan directories from a
-// larger previous shard count are folded in and removed. Must run
-// before the shard goroutines start.
+// recoverState replays every shard directory under dataDir into the (not
+// yet started) server, each onto its own shard: snapshots and log tails
+// folded, and the registry, shards, grids, tenant histories and live
+// trackers rebuilt. It reads every directory and rebuilds every
+// submission before it writes a byte, so a directory it refuses is left
+// as it was (Open has checked its layout). Then it writes the layout
+// record if the directory has none, opens the stores (repairing torn
+// tails) and journals what recovery decided. Must run before the shard
+// goroutines start.
 //
-// The directories are folded side by side, one recoveryFold per target
-// shard (directory index modulo the shard count, so an orphan's tenant
-// histories follow its target's in index order on one goroutine), and the
-// folds merged in directory order: what comes back is what one pass over
-// the directories would bring back, however the folds interleave.
+// The directories are folded side by side, one recoveryFold each, and
+// merged in index order: what comes back is what one pass over the
+// directories would bring back, however the folds interleave.
 func (s *Server) recoverState() error {
 	start := time.Now()
-	dataDir := s.cfg.DataDir
-	if err := os.MkdirAll(dataDir, 0o755); err != nil {
-		return fmt.Errorf("server: data dir: %w", err)
-	}
 	policy, err := durable.ParseSyncPolicy(s.cfg.WALSync)
 	if err != nil {
 		return fmt.Errorf("server: %w", err)
 	}
-
-	// Every existing shard-<i> directory, plus the 0..N-1 range the
-	// current configuration owns, by target shard in index order.
-	dirs := map[int]bool{}
-	entries, err := os.ReadDir(dataDir)
-	if err != nil {
-		return fmt.Errorf("server: data dir: %w", err)
-	}
-	for _, e := range entries {
-		var idx int
-		if n, _ := fmt.Sscanf(e.Name(), "shard-%d", &idx); n == 1 && e.IsDir() && idx >= 0 {
-			dirs[idx] = true
-		}
-	}
-	for i := range s.shards {
-		dirs[i] = true
-	}
-	idxs := make([]int, 0, len(dirs))
-	for i := range dirs {
-		idxs = append(idxs, i)
-	}
-	sort.Ints(idxs)
-	byTarget := make([][]int, len(s.shards))
-	for _, idx := range idxs {
-		byTarget[idx%len(s.shards)] = append(byTarget[idx%len(s.shards)], idx)
-	}
-
 	folds := make([]*recoveryFold, len(s.shards))
 	errs := make([]error, len(s.shards))
 	foldStart := time.Now()
 	sideBySide(len(folds), func(i int) {
-		f := &recoveryFold{s: s, wfs: map[string]*recoveredWorkflow{},
-			grids: map[string]recoveredGrid{}, repos: map[string]*history.Repository{}}
-		folds[i] = f
-		for _, idx := range byTarget[i] {
-			if errs[i] = f.directory(idx, policy); errs[i] != nil {
-				return
-			}
-		}
+		folds[i] = &recoveryFold{s: s, dir: i, wfs: map[string]*recoveredWorkflow{},
+			grids: map[string]json.RawMessage{}, repos: map[string]*history.Repository{}}
+		errs[i] = folds[i].read()
 	})
 	for _, err := range errs {
 		if err != nil {
@@ -974,36 +890,25 @@ func (s *Server) recoverState() error {
 		}
 	}
 
-	// Merge. Targets' folds hold different workflows, unless a recovery
-	// under a changed shard count was cut short (see absorb).
+	// Merge. A workflow lives in one directory: one met in two is what an
+	// older daemon's change of shard count, cut short, left behind.
 	var st RecoveryStats
 	var busyLoad, busyFold time.Duration
 	wfs := map[string]*recoveredWorkflow{}
-	grids := map[string]recoveredGrid{}
+	grids := map[string]json.RawMessage{}
 	var maxSeq uint64
-	var orphanDirs []string
 	for _, f := range folds {
 		for id, rw := range f.wfs {
-			switch prev := wfs[id]; {
-			case prev == nil:
-				wfs[id] = rw
-			case prev.seen.before(rw.seen):
-				prev.absorb(rw)
-			default:
-				rw.absorb(prev)
-				wfs[id] = rw
+			if prev := wfs[id]; prev != nil {
+				return fmt.Errorf("server: workflow %s is journalled in both %s and %s; %s", id, s.shardDir(prev.seen.dir), s.shardDir(f.dir), unfinishedReshard)
 			}
+			wfs[id] = rw
 		}
-		for name, g := range f.grids {
-			if prev, ok := grids[name]; !ok || g.dir < prev.dir {
-				grids[name] = g
-			}
-		}
+		maps.Copy(grids, f.grids)
 		maxSeq = max(maxSeq, f.maxSeq)
-		orphanDirs = append(orphanDirs, f.orphans...)
 		busyLoad += f.load
 		busyFold += f.fold
-		st.WALBytes += f.bytes
+		st.WALBytes += f.rec.Bytes
 		st.WALRecords += f.records
 	}
 	// Load and fold overlap across the folds: the section's wall time is
@@ -1028,22 +933,20 @@ func (s *Server) recoverState() error {
 		sh.histMu.Unlock()
 	}
 
-	// Shared grids: re-register under the current shard count. Ledgers
-	// start empty and reassemble from their restored residents.
+	// Shared grids: re-register. Ledgers start empty and reassemble from
+	// their restored residents.
 	gridNames := make([]string, 0, len(grids))
 	for name := range grids {
 		gridNames = append(gridNames, name)
 	}
 	sort.Strings(gridNames)
-	moved := false // state lives on a shard other than the directory it came from
 	for _, name := range gridNames {
-		spec, err := wire.DecodeGridSpec(grids[name].spec, s.cfg.Limits)
+		spec, err := wire.DecodeGridSpec(grids[name], s.cfg.Limits)
 		if err != nil {
 			log.Printf("aheftd: recovery: grid %q spec: %v", name, err)
 			continue
 		}
-		s.grids[name] = newSharedGrid(name, grids[name].spec, spec, len(s.shards), s.cfg.GridShareCap)
-		moved = moved || s.grids[name].shard != grids[name].dir
+		s.grids[name] = newSharedGrid(name, grids[name], spec, len(s.shards), s.cfg.GridShareCap)
 	}
 
 	// Sort the workflows: a terminal record is frozen, a broken chain
@@ -1069,25 +972,9 @@ func (s *Server) recoverState() error {
 		}
 	}
 
-	// Terminal records: queryable, retained under the cap in the order
-	// the workflows finished; a workflow's latest record is the one
-	// registered.
-	sort.Slice(ended, func(i, j int) bool { return ended[i].endedAt.before(ended[j].endedAt) })
-	for _, rw := range ended {
-		wf := newTerminal(rw.terminal)
-		// Snapshots keep a terminal record with the shard it names: one
-		// that ran on a shard a smaller count no longer has moves over.
-		wf.shard %= len(s.shards)
-		s.wfs[rw.id] = wf
-		s.retire(rw.id)
-	}
-	for _, rw := range lost {
-		s.failRecovered(rw, rw.broken)
-	}
-
-	// Rebuild the live and pending submissions side by side, then install
-	// them one by one: live residents (restore trackers, re-park,
-	// re-attach), then pending submissions, re-enqueued in arrival order.
+	// Rebuild the live and pending submissions side by side. Each runs on
+	// the shard whose directory journalled it, unless an older daemon's
+	// change of shard count was cut short.
 	sort.Slice(pending, func(i, j int) bool { return pending[i].seen.before(pending[j].seen) })
 	rebuild := append(live[:len(live):len(live)], pending...)
 	sideBySide(len(rebuild), func(i int) {
@@ -1095,6 +982,47 @@ func (s *Server) recoverState() error {
 			rw.wf, rw.gref, rw.buildErr = s.buildWorkflow(rw.id, rw.body)
 		}
 	})
+	for _, rw := range rebuild {
+		if rw.wf != nil && rw.wf.shard != rw.seen.dir {
+			return fmt.Errorf("server: workflow %s is journalled in %s but runs on shard %d; %s", rw.id, s.shardDir(rw.seen.dir), rw.wf.shard, unfinishedReshard)
+		}
+	}
+
+	// Nothing is refused any more: record the layout, open the stores.
+	if _, err := os.Stat(filepath.Join(s.cfg.DataDir, layoutFile)); os.IsNotExist(err) {
+		data, _ := json.Marshal(dataLayout{V: 1, Shards: len(s.shards)})
+		if err = os.MkdirAll(s.cfg.DataDir, 0o755); err == nil {
+			err = durable.WriteFile(s.cfg.DataDir, layoutFile, data, policy)
+		}
+		if err != nil {
+			return fmt.Errorf("server: layout record: %w", err)
+		}
+	}
+	for i, f := range folds {
+		store, err := durable.Resume(s.shardDir(i), f.rec, policy, s.cfg.WALSyncInterval)
+		if err != nil {
+			return fmt.Errorf("server: shard %d wal: %w", i, err)
+		}
+		s.shards[i].wal = &shardWAL{store: store}
+	}
+
+	// Terminal records: queryable, retained under the cap in the order
+	// the workflows finished; a workflow's latest record is the one
+	// registered, on the shard whose directory holds it.
+	sort.Slice(ended, func(i, j int) bool { return ended[i].endedAt.before(ended[j].endedAt) })
+	for _, rw := range ended {
+		wf := newTerminal(rw.terminal)
+		wf.shard = rw.endedAt.dir
+		s.wfs[rw.id] = wf
+		s.retire(rw.id)
+	}
+	for _, rw := range lost {
+		s.failRecovered(rw, rw.broken)
+	}
+
+	// Install the rebuilt submissions one by one: live residents (restore
+	// trackers, re-park, re-attach), then pending submissions, re-enqueued
+	// in arrival order.
 	for _, rw := range live {
 		if err := s.restoreLive(rw); err != nil {
 			s.failRecovered(rw, err)
@@ -1102,7 +1030,6 @@ func (s *Server) recoverState() error {
 		}
 		st.Workflows++
 	}
-
 	for _, rw := range pending {
 		if err := s.requeueRecovered(rw); err != nil {
 			s.failRecovered(rw, err)
@@ -1113,41 +1040,91 @@ func (s *Server) recoverState() error {
 	if maxSeq > s.seq {
 		s.seq = maxSeq
 	}
-	for id, rw := range wfs {
-		if wf := s.wfs[id]; wf != nil && wf.shard != rw.seen.dir {
-			moved = true
-		}
-	}
 	s.mu.Unlock()
 
-	// State that moved takes a snapshot of every shard, which also lets
-	// the orphans go. A shard whose log already spans an earlier start,
-	// or held a record that was skipped, takes one too, so the next start
-	// replays at most two starts' appends and counts a skip once.
-	// Otherwise the logs say where everything is, and nothing is written.
+	// A shard whose log already spans an earlier start, or held a record
+	// that was skipped, takes a snapshot, so the next start replays at
+	// most two starts' appends and counts a skip once. Otherwise the logs
+	// say where everything is, and nothing is written.
 	snapStart := time.Now()
 	st.RestoreMs = snapStart.Sub(restoreStart).Seconds() * 1e3
-	all, some := moved || len(orphanDirs) > 0, false
-	for _, f := range folds {
-		some = some || f.resnap
-	}
-	if all || some {
-		sideBySide(len(s.shards), func(i int) {
-			if all || folds[i].resnap {
+	if slices.ContainsFunc(folds, func(f *recoveryFold) bool { return f.resnap }) {
+		sideBySide(len(folds), func(i int) {
+			if folds[i].resnap {
 				s.shards[i].snapshot()
 			}
 		})
-		for _, dir := range orphanDirs {
-			if err := os.RemoveAll(dir); err != nil {
-				log.Printf("aheftd: recovery: remove %s: %v", dir, err)
-			}
-		}
 		st.SnapshotMs = time.Since(snapStart).Seconds() * 1e3
 	}
 	st.Ms = time.Since(start).Seconds() * 1e3
 	s.recovery = st
 	if recoveredHook != nil {
 		recoveredHook(s)
+	}
+	return nil
+}
+
+// unfinishedReshard is what a refused start says of a workflow that sits
+// where no fixed shard count puts it.
+const unfinishedReshard = "a change of shard count by an older daemon did not finish here: finish it with that daemon, or drain and start on an empty directory"
+
+// layoutFile is the data directory's layout record, {"v":1,"shards":N}:
+// the shard count the directory's first start fixed. Every later start
+// runs under that count or refuses (-shards shapes a fresh directory
+// only). A reshard is an offline step: drain the daemon, then start one
+// with the new count on an empty directory.
+const layoutFile = "layout.json"
+
+type dataLayout struct {
+	V      int `json:"v"`
+	Shards int `json:"shards"`
+}
+
+// shardDir is shard i's journal directory.
+func (s *Server) shardDir(i int) string {
+	return filepath.Join(s.cfg.DataDir, fmt.Sprintf("shard-%d", i))
+}
+
+// CheckLayout tells, writing nothing, whether Open can start cfg on its
+// data directory: it must be fresh or laid out for cfg's shard count. A
+// directory written before the layout record existed takes its count
+// from its shard-<i> set, which must then be exactly shard-0 to
+// shard-<k-1>. Open checks first; aheftd checks before it listens.
+func CheckLayout(cfg Config) error {
+	cfg = cfg.withDefaults()
+	if cfg.DataDir == "" {
+		return nil
+	}
+	entries, err := os.ReadDir(cfg.DataDir)
+	if os.IsNotExist(err) {
+		return nil
+	}
+	if err != nil {
+		return fmt.Errorf("server: data dir: %w", err)
+	}
+	var dirs []string
+	top := -1
+	for _, e := range entries {
+		var i int
+		if _, err := fmt.Sscanf(e.Name(), "shard-%d", &i); err == nil && i >= 0 && e.IsDir() && e.Name() == fmt.Sprintf("shard-%d", i) {
+			dirs = append(dirs, e.Name())
+			top = max(top, i)
+		}
+	}
+	layout := dataLayout{V: 1, Shards: len(dirs)}
+	data, err := os.ReadFile(filepath.Join(cfg.DataDir, layoutFile))
+	switch {
+	case os.IsNotExist(err):
+	case err != nil:
+		return fmt.Errorf("server: data dir: %w", err)
+	case json.Unmarshal(data, &layout) != nil || layout.V != 1 || layout.Shards < 1:
+		return fmt.Errorf("server: data dir %s: unreadable layout record %q", cfg.DataDir, data)
+	}
+	if top >= layout.Shards {
+		return fmt.Errorf("server: data dir %s: shard directories %v do not fit a layout of %d shards (shard-0 to shard-%d)", cfg.DataDir, dirs, layout.Shards, layout.Shards-1)
+	}
+	if layout.Shards > 0 && layout.Shards != cfg.Shards {
+		return fmt.Errorf("server: data dir %s holds %d shards and -shards is %d: a data directory's shard count is fixed at its first start; to reshard, drain this daemon, then start one with -shards %d on an empty directory", cfg.DataDir, layout.Shards, cfg.Shards, cfg.Shards)
 	}
 	return nil
 }
@@ -1237,7 +1214,7 @@ func (s *Server) requeueRecovered(rw *recoveredWorkflow) error {
 func (s *Server) failRecovered(rw *recoveredWorkflow, cause error) {
 	log.Printf("aheftd: recovery: workflow %s: %v", rw.id, cause)
 	msg := fmt.Sprintf("lost in recovery: %v", cause)
-	shard := rw.seen.dir % len(s.shards)
+	shard := rw.seen.dir
 	wf := newTerminal(&walTerminal{
 		ID:     rw.id,
 		Status: wire.Status{ID: rw.id, Shard: shard, State: StateFailed, Error: msg, Events: 2},

@@ -771,6 +771,40 @@ func TestRefusedSubmissionLeavesNoRecord(t *testing.T) {
 	}
 }
 
+// TestRecoveredTerminalStaysInItsDirectory recovers a terminal record
+// whose status names shard 3 from a one-shard directory, as an older
+// daemon's change of shard count left them: the workflow is registered on
+// the shard whose directory holds the record, so that shard's snapshot
+// keeps it and the next start still answers for it.
+func TestRecoveredTerminalStaysInItsDirectory(t *testing.T) {
+	dir := t.TempDir()
+	store, _, err := durable.Open(filepath.Join(dir, "shard-0"), durable.SyncOff, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const id = "wf-00000001"
+	if _, err := store.Append(wire.WALTerminal, wire.RawDoc(`{"id":"`+id+`","status":{"id":"`+id+`","state":"done","shard":3}}`)); err != nil {
+		t.Fatal(err)
+	}
+	store.Close()
+	cfg := Config{Shards: 1, DataDir: dir, WALSync: "off", SnapshotInterval: time.Hour}
+	recoveredHook = func(s *Server) { s.shards[0].snapshot() }
+	srv, err := Open(cfg)
+	recoveredHook = nil
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv.Crash()
+	srv, err = Open(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Crash()
+	if wf, ok := srv.lookup(id); !ok || wf.status().State != StateDone {
+		t.Fatalf("%s after a snapshot and a restart: found %v", id, ok)
+	}
+}
+
 // TestOlderLogsRecover recovers a shard directory laid out by hand as
 // daemons that still journalled admission and reject records left it:
 // wf-1 with its admission record, wf-2 with its admission record and the

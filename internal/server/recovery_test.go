@@ -12,6 +12,7 @@ import (
 	"runtime"
 	"slices"
 	"sort"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -377,54 +378,109 @@ func TestRecoveryIndependentOfParallelism(t *testing.T) {
 	}
 }
 
-// TestRecoverAfterShardCountChange recovers a directory under a shard
-// count other than the one that wrote it — 8 to 4, where two directories
-// fold onto each shard and the orphans are removed afterwards, and 4 to 8
-// — and requires every workflow back as a same-count recovery brings it
-// back. Then the 8-to-4 recovery is cut short before it removed its
-// orphans: the next start meets some workflows twice, in their new
-// shard's snapshot and in the orphan's log, and must still bring back
-// each once, as it was.
-func TestRecoverAfterShardCountChange(t *testing.T) {
-	for _, tc := range []struct{ from, to int }{{8, 4}, {4, 8}} {
-		t.Run(fmt.Sprintf("%d to %d", tc.from, tc.to), func(t *testing.T) {
-			mix := newCrashedMix(t, tc.from)
-			cfg := Config{WALSync: "off", SnapshotInterval: time.Hour}
-			cfg.Shards = tc.from
-			same, _ := recoverCopy(t, mix.dir, cfg, len(mix.terminal))
-			same.check(t, mix)
-			cfg.Shards = tc.to
-			changed, dir := recoverCopy(t, mix.dir, cfg, len(mix.terminal))
-			changed.check(t, mix)
-			if !reflect.DeepEqual(changed.live, same.live) {
-				t.Fatalf("live workflows came back differently under %d shards than under %d", tc.to, tc.from)
-			}
-			if !reflect.DeepEqual(changed.retained, same.retained) {
-				t.Fatalf("retention order %v under %d shards, %v under %d", changed.retained, tc.to, same.retained, tc.from)
-			}
-			left, _ := filepath.Glob(filepath.Join(dir, "shard-*"))
-			if len(left) != tc.to {
-				t.Fatalf("%d shard directories after recovery, want %d: %v", len(left), tc.to, left)
-			}
-			if tc.to > tc.from {
-				return
-			}
-			for i := tc.to; i < tc.from; i++ {
-				copyDir(t, filepath.Join(mix.dir, fmt.Sprintf("shard-%d", i)), filepath.Join(dir, fmt.Sprintf("shard-%d", i)))
-			}
-			again, _ := recoverCopy(t, dir, cfg, 0)
-			if !reflect.DeepEqual(again.live, same.live) {
-				t.Fatalf("live workflows came back differently with the orphan directories still there")
-			}
-		})
+// TestDataDirOwnsItsShardCount holds a data directory to the shard count
+// of its first start. A start under another count refuses, naming both
+// counts, before it writes a byte; under its own count the same
+// directory recovers whole. A directory from before the layout record
+// takes its count from its shard directories, recovers, and writes the
+// record and nothing else; one whose directories do not form shard-0 to
+// shard-<k-1>, or that holds a workflow in two of them, refuses, naming
+// what is wrong.
+func TestDataDirOwnsItsShardCount(t *testing.T) {
+	mix := newCrashedMix(t, 4)
+	cfg := Config{Shards: 4, WALSync: "off", SnapshotInterval: time.Hour}
+	layout := filepath.Join(mix.dir, layoutFile)
+	if data, err := os.ReadFile(layout); err != nil || string(data) != `{"v":1,"shards":4}` {
+		t.Fatalf("layout record %q, %v", data, err)
 	}
+	// refuses opens a copy of src, after edit, under shards and requires
+	// an error holding every one of want and the copy untouched.
+	refuses := func(src string, shards int, edit func(dir string), want ...string) {
+		t.Helper()
+		dir := t.TempDir()
+		copyDir(t, src, dir)
+		if edit != nil {
+			edit(dir)
+		}
+		before := treeFiles(t, dir)
+		c := cfg
+		c.Shards, c.DataDir = shards, dir
+		srv, err := Open(c)
+		if err == nil {
+			srv.Crash()
+			t.Fatalf("opened under %d shards, want a refusal naming %q", shards, want)
+		}
+		for _, w := range want {
+			if !strings.Contains(err.Error(), w) {
+				t.Errorf("refusal %q does not name %q", err, w)
+			}
+		}
+		if after := treeFiles(t, dir); !reflect.DeepEqual(after, before) {
+			t.Errorf("the refused start changed the directory: %d files, were %d", len(after), len(before))
+		}
+	}
+	refuses(mix.dir, 8, nil, "holds 4 shards", "-shards is 8", "empty directory")
+	refuses(mix.dir, 2, nil, "holds 4 shards", "-shards is 2")
+	refuses(mix.dir, 4, func(dir string) { os.Mkdir(filepath.Join(dir, "shard-7"), 0o755) }, "shard-7")
+	own, _ := recoverCopy(t, mix.dir, cfg, len(mix.terminal))
+	own.check(t, mix)
+
+	legacy := t.TempDir()
+	copyDir(t, mix.dir, legacy)
+	if err := os.Remove(filepath.Join(legacy, layoutFile)); err != nil {
+		t.Fatal(err)
+	}
+	old, _ := recoverCopy(t, legacy, cfg, len(mix.terminal))
+	old.check(t, mix)
+	if !reflect.DeepEqual(old.live, own.live) {
+		t.Fatal("live workflows came back differently without the layout record")
+	}
+	before := treeFiles(t, legacy)
+	var after map[string]string
+	recoveredHook = func(*Server) { after = treeFiles(t, legacy) }
+	c := cfg
+	c.DataDir = legacy
+	srv, err := Open(c)
+	recoveredHook = nil
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv.Crash()
+	before[filepath.Join(legacy, layoutFile)] = `{"v":1,"shards":4}`
+	if !reflect.DeepEqual(after, before) {
+		t.Fatalf("recovering a directory without a layout record wrote more than the record: %d files, want %d", len(after), len(before))
+	}
+	os.Remove(filepath.Join(legacy, layoutFile))
+
+	refuses(legacy, 8, nil, "holds 4 shards", "-shards is 8")
+	refuses(legacy, 4, func(dir string) { os.RemoveAll(filepath.Join(dir, "shard-2")) }, "shard-3", "layout of 3 shards")
+	refuses(legacy, 4, func(dir string) { os.Mkdir(filepath.Join(dir, "shard-9"), 0o755) }, "shard-9")
+	// What a change of count cut short leaves: a submission journalled on
+	// a shard besides its own, or on a shard other than the one it runs on.
+	submitted := func(id string, shard int, body []byte) func(dir string) {
+		return func(dir string) {
+			store, _, err := durable.Open(filepath.Join(dir, fmt.Sprintf("shard-%d", shard)), durable.SyncOff, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer store.Close()
+			if _, err := store.Append(wire.WALSubmission, &walSubmission{ID: id, Body: body}); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	body := encodeScenario(t, workload.SampleScenario(), "aheft", wire.Options{})
+	id, stray := mix.pending[0], "wf-00000900"
+	home, other := shardFor(id, 4), (shardFor(id, 4)+1)%4
+	refuses(legacy, 4, submitted(id, other, body), id, fmt.Sprintf("shard-%d", home), fmt.Sprintf("shard-%d", other))
+	refuses(legacy, 4, submitted(stray, (shardFor(stray, 4)+1)%4, body), stray, fmt.Sprintf("runs on shard %d", shardFor(stray, 4)))
 }
 
-// TestRecoveredWorkflowsKeepRunning drives a mix recovered under fewer
-// shards to the end: every live workflow takes the rest of its plan's
-// reports and finishes, every pending submission runs.
+// TestRecoveredWorkflowsKeepRunning drives a recovered mix to the end:
+// every live workflow takes the rest of its plan's reports and finishes,
+// every pending submission runs.
 func TestRecoveredWorkflowsKeepRunning(t *testing.T) {
-	mix := newCrashedMix(t, 8)
+	mix := newCrashedMix(t, 4)
 	srv, ts := openDurable(t, mix.dir, Config{Shards: 4, WALSync: "off", SnapshotInterval: time.Hour})
 	defer func() {
 		ts.Close()
@@ -467,14 +523,12 @@ func treeFiles(t *testing.T, dir string) map[string]string {
 }
 
 // TestRecoveryWritesNothingOnUnchangedLayout recovers the crashed mix
-// under the shard count that wrote it: nothing moves, so up to the moment
-// the workers start recovery has written nothing — every shard directory
-// holds the files and bytes it held — and snapshot_ms is 0. Under another
-// shard count the same directory is snapshotted, shard by shard.
+// under the shard count that wrote it: no log spans an earlier start or
+// held a skipped record, so up to the moment the workers start recovery
+// has written nothing — every shard directory holds the files and bytes
+// it held — and snapshot_ms is 0.
 func TestRecoveryWritesNothingOnUnchangedLayout(t *testing.T) {
 	mix := newCrashedMix(t, 4)
-	changed := t.TempDir()
-	copyDir(t, mix.dir, changed)
 	before := treeFiles(t, mix.dir)
 	var after map[string]string
 	recoveredHook = func(*Server) { after = treeFiles(t, mix.dir) }
@@ -499,18 +553,4 @@ func TestRecoveryWritesNothingOnUnchangedLayout(t *testing.T) {
 		}
 	}
 
-	srv, err = Open(Config{Shards: 8, DataDir: changed, WALSync: "off", SnapshotInterval: time.Hour})
-	if err != nil {
-		t.Fatal(err)
-	}
-	st = srv.Recovery()
-	srv.Crash()
-	for i := 0; i < 8; i++ {
-		if snaps, _ := filepath.Glob(filepath.Join(changed, fmt.Sprintf("shard-%d", i), "snap-*.json")); len(snaps) != 1 {
-			t.Errorf("4 to 8 shards: shard %d holds %d snapshots, want 1", i, len(snaps))
-		}
-	}
-	if st.SnapshotMs <= 0 {
-		t.Errorf("4 to 8 shards: snapshot_ms %v", st.SnapshotMs)
-	}
 }

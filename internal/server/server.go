@@ -221,9 +221,14 @@ func New(cfg Config) *Server {
 // ledgers are reassembled, and pending submissions are re-queued. The
 // replay runs strictly before the shard goroutines exist, so recovery
 // touches trackers under the same single-goroutine discipline the
-// workers follow (via happens-before of the goroutine start).
+// workers follow (via happens-before of the goroutine start). A data
+// directory laid out for another shard count is refused before anything
+// is written (see readLayout).
 func Open(cfg Config) (*Server, error) {
 	cfg = cfg.withDefaults()
+	if err := CheckLayout(cfg); err != nil {
+		return nil, err
+	}
 	ctx, cancel := context.WithCancel(context.Background())
 	s := &Server{
 		cfg:       cfg,

@@ -656,7 +656,8 @@ func (sh *shard) end(wf *workflow, res *planner.Result, err error) {
 
 // shardFor routes a workflow ID to a shard with Jump Consistent Hash
 // (Lamping & Veach) over the ID's FNV-1a digest: uniform, stateless, and
-// stable — growing the shard count moves only ~1/n of the keyspace.
+// the same on every start, since a data directory keeps the shard count
+// of its first start (CheckLayout).
 func shardFor(id string, shards int) int {
 	h := fnv.New64a()
 	h.Write([]byte(id))
