@@ -28,6 +28,11 @@
 //
 // means: in new.json, the span walk over a packed 4096-span row must take
 // >= 10x the ns/op of the timeline search that replaced it.
+//
+// A document of `go test -count k` holds k runs of each benchmark. The
+// table shows medians; a gate judges the median of its per-run ratios (run
+// i against run i for --ratio, the old median against each new run for
+// --require) and prints their min, median and max.
 package main
 
 import (
@@ -36,14 +41,15 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"slices"
 	"strconv"
 	"strings"
 )
 
 type record struct {
 	Name        string  `json:"name"`
+	Run         int     `json:"run"`
 	NsPerOp     float64 `json:"ns_per_op"`
-	BytesPerOp  float64 `json:"bytes_per_op"`
 	AllocsPerOp float64 `json:"allocs_per_op"`
 }
 
@@ -118,54 +124,54 @@ func run(args []string, stdout io.Writer) error {
 	if err != nil {
 		return err
 	}
-	oldBy := map[string]record{}
-	for _, o := range oldDoc.Benchmarks {
-		oldBy[o.Name] = o
-	}
+	oldBy, newBy := runsByName(oldDoc), runsByName(newDoc)
 	fmt.Fprintf(stdout, "%-44s %12s %12s %9s %9s\n", "benchmark", "ns/op", "allocs/op", "ns ×", "allocs ×")
-	newBy := map[string]record{}
 	for _, n := range newDoc.Benchmarks {
-		newBy[n.Name] = n
-		if !selected(n.Name, only) {
-			continue
+		if n.Run > 0 || !selected(n.Name, only) {
+			continue // one row per benchmark, at its first run
 		}
-		o, ok := oldBy[n.Name]
-		if !ok {
-			fmt.Fprintf(stdout, "%-44s %12.0f %12.0f %9s %9s\n", n.Name, n.NsPerOp, n.AllocsPerOp, "new", "new")
-			continue
+		ns, allocs := median(values(newBy[n.Name], nsOf)), median(values(newBy[n.Name], allocsOf))
+		if o := oldBy[n.Name]; len(o) > 0 {
+			fmt.Fprintf(stdout, "%-44s %12.0f %12.0f %9.2f %9.2f\n", n.Name, ns, allocs,
+				ratio(median(values(o, nsOf)), ns), ratio(median(values(o, allocsOf)), allocs))
+		} else {
+			fmt.Fprintf(stdout, "%-44s %12.0f %12.0f %9s %9s\n", n.Name, ns, allocs, "new", "new")
 		}
-		fmt.Fprintf(stdout, "%-44s %12.0f %12.0f %9.2f %9.2f\n",
-			n.Name, n.NsPerOp, n.AllocsPerOp, ratio(o.NsPerOp, n.NsPerOp), ratio(o.AllocsPerOp, n.AllocsPerOp))
 	}
 	var failed []error
-	for _, rg := range ratios {
-		num, okN := newBy[rg.num]
-		den, okD := newBy[rg.den]
-		if !okN || !okD {
-			failed = append(failed, fmt.Errorf("ratio benchmark missing in new doc (%q %v, %q %v)", rg.num, okN, rg.den, okD))
-			continue
-		}
-		if r := ratio(num.NsPerOp, den.NsPerOp); r < rg.min {
-			failed = append(failed, fmt.Errorf("ratio %s / %s = %.2f < required %.2f (%.0f / %.0f ns/op)",
-				rg.num, rg.den, r, rg.min, num.NsPerOp, den.NsPerOp))
+	judge := func(gate string, rs spread, min float64) {
+		if r := median(rs); r < min {
+			failed = append(failed, fmt.Errorf("%s %.2f < required %.2f (%s)", gate, r, min, rs))
 		} else {
-			fmt.Fprintf(stdout, "ratio %s / %s = %.2fx (>= %.2f)\n", rg.num, rg.den, r, rg.min)
+			fmt.Fprintf(stdout, "%s %.2fx (>= %.2f; %s)\n", gate, r, min, rs)
+		}
+	}
+	for _, rg := range ratios {
+		num, den := newBy[rg.num], newBy[rg.den]
+		switch {
+		case len(num) == 0 || len(den) == 0:
+			failed = append(failed, fmt.Errorf("ratio benchmark missing in new doc (%q %v, %q %v)", rg.num, len(num) > 0, rg.den, len(den) > 0))
+		case len(num) != len(den):
+			failed = append(failed, fmt.Errorf("ratio %s / %s: %d runs against %d", rg.num, rg.den, len(num), len(den)))
+		default:
+			rs := make(spread, len(num))
+			for i := range num {
+				rs[i] = ratio(num[i].NsPerOp, den[i].NsPerOp)
+			}
+			judge(fmt.Sprintf("ratio %s / %s =", rg.num, rg.den), rs, rg.min)
 		}
 	}
 	for _, rq := range reqs {
-		o, okO := oldBy[rq.bench]
-		n, okN := newBy[rq.bench]
-		if !okO || !okN {
-			failed = append(failed, fmt.Errorf("required benchmark %q missing (old %v, new %v)", rq.bench, okO, okN))
+		o, n := oldBy[rq.bench], newBy[rq.bench]
+		if len(o) == 0 || len(n) == 0 {
+			failed = append(failed, fmt.Errorf("required benchmark %q missing (old %v, new %v)", rq.bench, len(o) > 0, len(n) > 0))
 			continue
 		}
-		if r := ratio(o.AllocsPerOp, n.AllocsPerOp); rq.allocs > 0 && r < rq.allocs {
-			failed = append(failed, fmt.Errorf("%s: allocs ratio %.2f < required %.2f (%.0f → %.0f allocs/op)",
-				rq.bench, r, rq.allocs, o.AllocsPerOp, n.AllocsPerOp))
+		if rq.allocs > 0 {
+			judge(rq.bench+": allocs ratio", against(o, n, allocsOf), rq.allocs)
 		}
-		if r := ratio(o.NsPerOp, n.NsPerOp); rq.ns > 0 && r < rq.ns {
-			failed = append(failed, fmt.Errorf("%s: ns ratio %.2f < required %.2f (%.0f → %.0f ns/op)",
-				rq.bench, r, rq.ns, o.NsPerOp, n.NsPerOp))
+		if rq.ns > 0 {
+			judge(rq.bench+": ns ratio", against(o, n, nsOf), rq.ns)
 		}
 	}
 	if len(failed) > 0 {
@@ -175,6 +181,52 @@ func run(args []string, stdout io.Writer) error {
 		fmt.Fprintln(stdout, "all requirements met")
 	}
 	return nil
+}
+
+// runsByName groups a document's records by benchmark, in run order.
+func runsByName(d doc) map[string][]record {
+	by := map[string][]record{}
+	for _, r := range d.Benchmarks {
+		by[r.Name] = append(by[r.Name], r)
+	}
+	return by
+}
+
+func nsOf(r record) float64     { return r.NsPerOp }
+func allocsOf(r record) float64 { return r.AllocsPerOp }
+
+func values(runs []record, of func(record) float64) []float64 {
+	v := make([]float64, len(runs))
+	for i, r := range runs {
+		v[i] = of(r)
+	}
+	return v
+}
+
+// against is the ratio of the old runs' median to each new run.
+func against(old, cur []record, of func(record) float64) spread {
+	base, rs := median(values(old, of)), values(cur, of)
+	for i, v := range rs {
+		rs[i] = ratio(base, v)
+	}
+	return rs
+}
+
+// median is the middle value of v, or the mean of the middle two.
+func median(v []float64) float64 {
+	s := slices.Sorted(slices.Values(v))
+	m := len(s) / 2
+	if len(s)%2 == 0 {
+		return (s[m-1] + s[m]) / 2
+	}
+	return s[m]
+}
+
+// spread is one gate's ratios, one per run; the gate judges their median.
+type spread []float64
+
+func (s spread) String() string {
+	return fmt.Sprintf("min %.2f, median %.2f, max %.2f over %d runs", slices.Min(s), median(s), slices.Max(s), len(s))
 }
 
 // selected reports whether name passes the --only prefix filter; an empty

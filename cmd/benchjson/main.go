@@ -4,8 +4,10 @@
 //	go test -run '^$' -bench 'BenchmarkKernel' -benchmem . | benchjson > BENCH_kernel.json
 //
 // Each benchmark line becomes one record with ns/op, B/op, allocs/op and
-// any custom ReportMetric units. Non-benchmark lines (goos/goarch/pkg,
-// PASS, ok) are folded into the header metadata.
+// any custom ReportMetric units. Under `go test -count k` a benchmark
+// writes k lines; its records keep them apart by run (0, 1, …, in the
+// order they ran). Non-benchmark lines (goos/goarch/pkg, PASS, ok) are
+// folded into the header metadata.
 package main
 
 import (
@@ -22,6 +24,7 @@ import (
 // Record is one benchmark result line.
 type Record struct {
 	Name        string             `json:"name"`
+	Run         int                `json:"run,omitempty"` // how many records of Name came before
 	Iterations  int64              `json:"iterations"`
 	NsPerOp     float64            `json:"ns_per_op"`
 	BytesPerOp  float64            `json:"bytes_per_op,omitempty"`
@@ -52,6 +55,7 @@ func run(args []string, stdin io.Reader, stdout io.Writer) error {
 		return fmt.Errorf("unexpected arguments %q (usage: go test -bench … | benchjson)", args)
 	}
 	doc := Doc{Benchmarks: []Record{}}
+	runs := map[string]int{}
 	sc := bufio.NewScanner(stdin)
 	sc.Buffer(make([]byte, 1024*1024), 1024*1024)
 	for sc.Scan() {
@@ -67,6 +71,8 @@ func run(args []string, stdin io.Reader, stdout io.Writer) error {
 			doc.CPU = strings.TrimSpace(strings.TrimPrefix(line, "cpu:"))
 		case strings.HasPrefix(line, "Benchmark"):
 			if r, ok := parseLine(line); ok {
+				r.Run = runs[r.Name]
+				runs[r.Name]++
 				doc.Benchmarks = append(doc.Benchmarks, r)
 			}
 		}

@@ -34,6 +34,17 @@ func TestRun(t *testing.T) {
 			}},
 		},
 		{
+			name: "runs of one benchmark are kept apart",
+			in: "BenchmarkA/x" + procs + "   10   100 ns/op\nBenchmarkA/y" + procs + "   10   300 ns/op\n" +
+				"BenchmarkA/x" + procs + "   10   120 ns/op\nBenchmarkA/y" + procs + "   10   310 ns/op\n",
+			want: Doc{Benchmarks: []Record{
+				{Name: "BenchmarkA/x", Iterations: 10, NsPerOp: 100},
+				{Name: "BenchmarkA/y", Iterations: 10, NsPerOp: 300},
+				{Name: "BenchmarkA/x", Run: 1, Iterations: 10, NsPerOp: 120},
+				{Name: "BenchmarkA/y", Run: 1, Iterations: 10, NsPerOp: 310},
+			}},
+		},
+		{
 			name: "malformed lines are skipped",
 			in:   "BenchmarkShort 1\nBenchmarkX notanumber 5 ns/op\n",
 			want: Doc{Benchmarks: []Record{}},

@@ -7,13 +7,17 @@
 // job i must ship to job j. Computation costs live outside the graph (they
 // depend on the resource a job runs on; see package cost); communication
 // weights live on the edges.
+//
+// A validated graph is frozen in one layout, each edge stored once (see
+// Graph); Preds, SuccEdges, Edges and TopoOrder hand out views of it.
 package dag
 
 import (
-	"cmp"
 	"fmt"
+	"iter"
 	"math"
 	"slices"
+	"sync"
 )
 
 // JobID identifies a job inside one Graph. IDs are dense: the jobs of a
@@ -53,15 +57,30 @@ type Edge struct {
 	File string
 }
 
-// Graph is a mutable workflow DAG. Construct with New, add jobs and edges,
-// then call Validate (or Freeze) before handing it to a scheduler.
+// Graph is a workflow DAG. Construct with New, add jobs and edges, then
+// call Validate before handing it to a scheduler; Decode returns a
+// validated graph.
+//
+// Validate freezes the graph and lays it out once. Every edge is stored a
+// single time, in edges, ordered by To and then From: the incoming edges
+// of job j are edges[predOff[j]:predOff[j+1]], and an edge's position in
+// edges is the dense index the kernel keys its ledgers by. The outgoing
+// edges of j are succ[succOff[j]:succOff[j+1]], indices into edges ordered
+// by To. The topological order is computed there too. Edges, Preds,
+// SuccEdges and TopoOrder return these arrays themselves: shared views of
+// a validated graph, which callers must not modify.
 type Graph struct {
 	name   string
 	jobs   []Job
 	byName map[string]JobID
 
-	succ [][]Edge // succ[i]: outgoing edges of job i, ordered by To
-	pred [][]Edge // pred[i]: incoming edges of job i, ordered by From
+	edges   []Edge  // by To, then From; in insertion order until Validate
+	predOff []int32 // len Len()+1
+	succ    []int32
+	succOff []int32 // len Len()+1
+	topo    []JobID
+
+	out [][]int32 // before Validate only: per job, its outgoing edges' indices
 
 	frozen bool
 }
@@ -90,8 +109,7 @@ func (g *Graph) AddJob(name, op string) JobID {
 	id := JobID(len(g.jobs))
 	g.jobs = append(g.jobs, Job{ID: id, Name: name, Op: op})
 	g.byName[name] = id
-	g.succ = append(g.succ, nil)
-	g.pred = append(g.pred, nil)
+	g.out = append(g.out, nil)
 	return id
 }
 
@@ -122,14 +140,11 @@ func (g *Graph) AddFileEdge(from, to JobID, data float64, file string) error {
 	if !(data <= math.MaxFloat64) { // NaN or +Inf: the kernel prices a transfer at it
 		return fmt.Errorf("dag: non-finite data %g on edge (%s,%s)", data, g.jobs[from].Name, g.jobs[to].Name)
 	}
-	for _, e := range g.succ[from] {
-		if e.To == to {
-			return fmt.Errorf("dag: duplicate edge (%s,%s)", g.jobs[from].Name, g.jobs[to].Name)
-		}
+	if _, dup := g.EdgeData(from, to); dup {
+		return fmt.Errorf("dag: duplicate edge (%s,%s)", g.jobs[from].Name, g.jobs[to].Name)
 	}
-	e := Edge{From: from, To: to, Data: data, File: file}
-	g.succ[from] = append(g.succ[from], e)
-	g.pred[to] = append(g.pred[to], e)
+	g.out[from] = append(g.out[from], int32(len(g.edges)))
+	g.edges = append(g.edges, Edge{From: from, To: to, Data: data, File: file})
 	return nil
 }
 
@@ -170,83 +185,86 @@ func (g *Graph) JobByName(name string) JobID {
 // mutate it.
 func (g *Graph) Jobs() []Job { return g.jobs }
 
-// Succs returns the outgoing edges of job id. Shared slice; do not mutate.
-func (g *Graph) Succs(id JobID) []Edge { return g.succ[id] }
+// Edges returns every edge of a validated graph, ordered by To and then
+// From: the i-th edge is the one with dense index i. Shared; do not mutate.
+func (g *Graph) Edges() []Edge { return g.edges }
 
-// Preds returns the incoming edges of job id. Shared slice; do not mutate.
-func (g *Graph) Preds(id JobID) []Edge { return g.pred[id] }
+// Preds returns the incoming edges of job id in a validated graph, ordered
+// by From. Shared slice; do not mutate.
+func (g *Graph) Preds(id JobID) []Edge { return g.edges[g.predOff[id]:g.predOff[id+1]] }
+
+// PredBase returns the dense index of job id's first incoming edge in a
+// validated graph: the i-th entry of Preds(id) is Edges()[PredBase(id)+i].
+func (g *Graph) PredBase(id JobID) int { return int(g.predOff[id]) }
+
+// SuccEdges returns the indices into Edges of job id's outgoing edges,
+// ordered by To once the graph is validated. Shared slice; do not mutate.
+func (g *Graph) SuccEdges(id JobID) []int32 {
+	if !g.frozen {
+		return g.out[id]
+	}
+	return g.succ[g.succOff[id]:g.succOff[id+1]]
+}
+
+// Succs ranges over the outgoing edges of job id, ordered by To once the
+// graph is validated, as slices.All ranges over a slice.
+func (g *Graph) Succs(id JobID) iter.Seq2[int, Edge] {
+	return func(yield func(int, Edge) bool) {
+		for i, e := range g.SuccEdges(id) {
+			if !yield(i, g.edges[e]) {
+				return
+			}
+		}
+	}
+}
 
 // EdgeData returns the data weight on edge (from, to) and whether the edge
 // exists.
 func (g *Graph) EdgeData(from, to JobID) (float64, bool) {
-	for _, e := range g.succ[from] {
-		if e.To == to {
-			return e.Data, true
+	for _, e := range g.SuccEdges(from) {
+		if g.edges[e].To == to {
+			return g.edges[e].Data, true
 		}
 	}
 	return 0, false
 }
 
 // NumEdges returns the number of edges in the graph.
-func (g *Graph) NumEdges() int {
-	n := 0
-	for _, es := range g.succ {
-		n += len(es)
-	}
-	return n
-}
+func (g *Graph) NumEdges() int { return len(g.edges) }
 
-// Entries returns the IDs of jobs with no predecessors, in ID order.
-func (g *Graph) Entries() []JobID {
+// Entries returns the IDs of a validated graph's jobs with no
+// predecessors, in ID order.
+func (g *Graph) Entries() []JobID { return none(g.predOff) }
+
+// Exits returns the IDs of a validated graph's jobs with no successors, in
+// ID order. The paper permits multiple exit jobs; the makespan is the max
+// over all of them.
+func (g *Graph) Exits() []JobID { return none(g.succOff) }
+
+// none returns the jobs whose run of edges in off is empty.
+func none(off []int32) []JobID {
 	var out []JobID
-	for i := range g.jobs {
-		if len(g.pred[i]) == 0 {
-			out = append(out, JobID(i))
+	for j := range len(off) - 1 {
+		if off[j] == off[j+1] {
+			out = append(out, JobID(j))
 		}
 	}
 	return out
 }
 
-// Exits returns the IDs of jobs with no successors, in ID order. The paper
-// permits multiple exit jobs; the makespan is the max over all of them.
-func (g *Graph) Exits() []JobID {
-	var out []JobID
-	for i := range g.jobs {
-		if len(g.succ[i]) == 0 {
-			out = append(out, JobID(i))
-		}
-	}
-	return out
-}
-
-// Validate checks that the graph is a non-empty DAG: at least one job, no
-// cycles, no edge twice, and at least one entry and one exit. It also
-// sorts adjacency lists for deterministic iteration and marks the graph
-// frozen on success.
+// Validate checks that the graph is a non-empty DAG with no edge twice —
+// so it has at least one entry and one exit — then lays it out (see Graph)
+// and freezes it. Validating a frozen graph is a no-op.
 func (g *Graph) Validate() error {
-	if len(g.jobs) == 0 {
-		return fmt.Errorf("dag %q: no jobs", g.name)
+	if g.frozen {
+		return nil
 	}
-	if _, err := g.topoOrder(); err != nil {
+	sc := scratches.Get().(*scratch)
+	defer scratches.Put(sc)
+	if err := g.freeze(sc, len(g.edges), func(i int) Edge { return g.edges[i] }); err != nil {
 		return err
 	}
-	if len(g.Entries()) == 0 {
-		return fmt.Errorf("dag %q: no entry job", g.name)
-	}
-	if len(g.Exits()) == 0 {
-		return fmt.Errorf("dag %q: no exit job", g.name)
-	}
-	for i := range g.succ {
-		es := g.succ[i]
-		slices.SortFunc(es, func(a, b Edge) int { return cmp.Compare(a.To, b.To) })
-		slices.SortFunc(g.pred[i], func(a, b Edge) int { return cmp.Compare(a.From, b.From) })
-		for k := 1; k < len(es); k++ {
-			if es[k].To == es[k-1].To {
-				return fmt.Errorf("dag: duplicate edge (%s,%s)", g.jobs[i].Name, g.jobs[es[k].To].Name)
-			}
-		}
-	}
-	g.frozen = true
+	g.out = nil
 	return nil
 }
 
@@ -258,28 +276,73 @@ func (g *Graph) MustValidate() *Graph {
 	return g
 }
 
-// TopoOrder returns the jobs in a deterministic topological order (Kahn's
-// algorithm with a min-ID tie-break). It returns an error if the graph
-// contains a cycle.
-func (g *Graph) TopoOrder() ([]JobID, error) { return g.topoOrder() }
+// scratch is the layout's and Decode's working memory, pooled: none of it
+// outlives the call, and what holds views of a request body is cleared
+// before it goes back.
+type scratch struct {
+	jobs              []jobDoc
+	edges             []edgeDoc
+	byFrom, perm, cur []int32
+}
 
-func (g *Graph) topoOrder() ([]JobID, error) {
+var scratches = sync.Pool{New: func() any { return new(scratch) }}
+
+// freeze lays out the m edges edge(0..m-1) as Graph describes, by counting
+// sort — stable by From, then by To — and computes the topological order:
+// Kahn's algorithm with a min-ID tie-break. It fails on an empty graph, a
+// cycle or a repeated edge, leaving g as it was, and freezes g otherwise.
+func (g *Graph) freeze(sc *scratch, m int, edge func(i int) Edge) error {
 	n := len(g.jobs)
-	indeg := make([]int, n)
-	for i := 0; i < n; i++ {
-		indeg[i] = len(g.pred[i])
+	if n == 0 {
+		return fmt.Errorf("dag %q: no jobs", g.name)
 	}
-	// ready is a binary min-heap of job IDs, so the smallest ready ID is
-	// next whatever order jobs become ready in — a sorted slice costs k²/2
-	// moves when k jobs are released in descending ID order. Ascending IDs
-	// are already a heap.
-	var ready []JobID
-	for i := 0; i < n; i++ {
-		if indeg[i] == 0 {
-			ready = append(ready, JobID(i))
+	ints := make([]int32, 2*(n+1)+m)
+	predOff, succOff, succ := ints[:n+1:n+1], ints[n+1:2*(n+1):2*(n+1)], ints[2*(n+1):]
+	for i := range m {
+		e := edge(i)
+		predOff[e.To+1]++
+		succOff[e.From+1]++
+	}
+	for j := range n {
+		predOff[j+1] += predOff[j]
+		succOff[j+1] += succOff[j]
+	}
+	sc.byFrom, sc.perm, sc.cur = slices.Grow(sc.byFrom[:0], m)[:m], slices.Grow(sc.perm[:0], max(m, n)), slices.Grow(sc.cur[:0], n)[:n]
+	byFrom, perm, cur := sc.byFrom, sc.perm[:m], sc.cur
+	copy(cur, succOff)
+	for i := range m {
+		f := edge(i).From
+		byFrom[cur[f]] = int32(i)
+		cur[f]++
+	}
+	copy(cur, predOff)
+	for _, i := range byFrom {
+		t := edge(int(i)).To
+		perm[cur[t]] = i
+		cur[t]++
+	}
+	edges := make([]Edge, m)
+	for k, i := range perm {
+		edges[k] = edge(int(i))
+	}
+	copy(cur, succOff)
+	for k := range edges {
+		f := edges[k].From
+		succ[cur[f]] = int32(k)
+		cur[f]++
+	}
+
+	// Kahn's algorithm. ready is a binary min-heap of job IDs, cut from
+	// perm's array, so the smallest ready ID is next whatever order jobs
+	// become ready in — a sorted slice costs k²/2 moves when k jobs are
+	// released in descending ID order. Ascending IDs are already a heap.
+	indeg, ready := cur, sc.perm[:0]
+	for j := range n {
+		if indeg[j] = predOff[j+1] - predOff[j]; indeg[j] == 0 {
+			ready = append(ready, int32(j))
 		}
 	}
-	order := make([]JobID, 0, n)
+	topo := make([]JobID, 0, n)
 	for len(ready) > 0 {
 		j := ready[0]
 		last := len(ready) - 1
@@ -296,22 +359,34 @@ func (g *Graph) topoOrder() ([]JobID, error) {
 			ready[i], ready[c] = ready[c], ready[i]
 			i = c
 		}
-		order = append(order, j)
-		for _, e := range g.succ[j] {
-			indeg[e.To]--
-			if indeg[e.To] == 0 {
-				ready = append(ready, e.To)
+		topo = append(topo, JobID(j))
+		for _, k := range succ[succOff[j]:succOff[j+1]] {
+			to := edges[k].To
+			if indeg[to]--; indeg[to] == 0 {
+				ready = append(ready, int32(to))
 				for i := len(ready) - 1; i > 0 && ready[i] < ready[(i-1)/2]; i = (i - 1) / 2 {
 					ready[i], ready[(i-1)/2] = ready[(i-1)/2], ready[i]
 				}
 			}
 		}
 	}
-	if len(order) != n {
-		return nil, fmt.Errorf("dag %q: cycle detected (%d of %d jobs ordered)", g.name, len(order), n)
+	if len(topo) != n {
+		return fmt.Errorf("dag %q: cycle detected (%d of %d jobs ordered)", g.name, len(topo), n)
 	}
-	return order, nil
+	for k := 1; k < m; k++ {
+		if a, b := edges[succ[k-1]], edges[succ[k]]; a.From == b.From && a.To == b.To {
+			return fmt.Errorf("dag: duplicate edge (%s,%s)", g.jobs[a.From].Name, g.jobs[a.To].Name)
+		}
+	}
+	g.edges, g.predOff, g.succ, g.succOff, g.topo = edges, predOff, succ, succOff, topo
+	g.frozen = true
+	return nil
 }
+
+// TopoOrder returns the jobs of a validated graph in its deterministic
+// topological order (Kahn's algorithm with a min-ID tie-break), and nil
+// for a graph not yet validated. Shared slice; do not mutate.
+func (g *Graph) TopoOrder() []JobID { return g.topo }
 
 // Levels partitions the jobs into precedence levels: level 0 holds the
 // entries, and each job sits one past its deepest predecessor. The level
@@ -319,14 +394,14 @@ func (g *Graph) topoOrder() ([]JobID, error) {
 // central explanation for why BLAST (wide levels) benefits from adaptive
 // rescheduling far more than WIEN2K (whose LAPW2_FERMI level has width 1).
 func (g *Graph) Levels() [][]JobID {
-	order, err := g.topoOrder()
-	if err != nil {
+	order := g.topo
+	if order == nil {
 		return nil
 	}
 	depth := make([]int, len(g.jobs))
 	maxDepth := 0
 	for _, j := range order {
-		for _, e := range g.pred[j] {
+		for _, e := range g.Preds(j) {
 			if d := depth[e.From] + 1; d > depth[j] {
 				depth[j] = d
 			}
@@ -360,10 +435,8 @@ func (g *Graph) Clone() *Graph {
 	for _, j := range g.jobs {
 		c.AddJob(j.Name, j.Op)
 	}
-	for i := range g.succ {
-		for _, e := range g.succ[i] {
-			c.MustFileEdge(e.From, e.To, e.Data, e.File)
-		}
+	for _, e := range g.edges {
+		c.MustFileEdge(e.From, e.To, e.Data, e.File)
 	}
 	return c
 }

@@ -111,10 +111,7 @@ func TestFrozenGraphRejectsMutation(t *testing.T) {
 
 func TestTopoOrder(t *testing.T) {
 	g := diamond(t)
-	order, err := g.TopoOrder()
-	if err != nil {
-		t.Fatal(err)
-	}
+	order := g.TopoOrder()
 	pos := make(map[JobID]int)
 	for i, j := range order {
 		pos[j] = i

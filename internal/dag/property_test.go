@@ -9,6 +9,7 @@ import (
 // buildArbitrary constructs a DAG from arbitrary byte-pair data by only
 // ever adding forward edges (low index → high index), which guarantees
 // acyclicity; every structural invariant must then hold by construction.
+// The graph is validated, so it is laid out as Decode's are.
 func buildArbitrary(n int, pairs []uint16) *Graph {
 	if n < 2 {
 		n = 2
@@ -31,7 +32,7 @@ func buildArbitrary(n int, pairs []uint16) *Graph {
 		}
 		_ = g.AddEdge(JobID(a), JobID(b), float64(p%97)) // dup errors ignored
 	}
-	return g
+	return g.MustValidate()
 }
 
 // TestQuickTopoOrderConsistent: for arbitrary forward-edge graphs, the
@@ -40,10 +41,7 @@ func buildArbitrary(n int, pairs []uint16) *Graph {
 func TestQuickTopoOrderConsistent(t *testing.T) {
 	f := func(n uint8, pairs []uint16) bool {
 		g := buildArbitrary(int(n), pairs)
-		order, err := g.TopoOrder()
-		if err != nil {
-			return false
-		}
+		order := g.TopoOrder()
 		if len(order) != g.Len() {
 			return false
 		}
@@ -112,12 +110,6 @@ func TestQuickLevelsPartition(t *testing.T) {
 func TestQuickJSONRoundTrip(t *testing.T) {
 	f := func(n uint8, pairs []uint16) bool {
 		g := buildArbitrary(int(n), pairs)
-		if err := g.Validate(); err != nil {
-			// Arbitrary graphs may lack entries/exits only if cyclic —
-			// impossible here — or be edgeless with isolated jobs, which
-			// is still valid; any error means a bug.
-			return false
-		}
 		data, err := g.MarshalJSON()
 		if err != nil {
 			return false

@@ -4,7 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"sort"
-	"sync"
+	"strings"
 
 	"aheft/internal/jsonscan"
 )
@@ -48,15 +48,13 @@ func (g *Graph) MarshalJSON() ([]byte, error) {
 	for _, j := range g.jobs {
 		doc.Jobs = append(doc.Jobs, jobJSON{Name: j.Name, Op: j.Op})
 	}
-	for i := range g.succ {
-		for _, e := range g.succ[i] {
-			doc.Edges = append(doc.Edges, edgeJSON{
-				From: g.jobs[e.From].Name,
-				To:   g.jobs[e.To].Name,
-				Data: e.Data,
-				File: e.File,
-			})
-		}
+	for _, e := range g.edges {
+		doc.Edges = append(doc.Edges, edgeJSON{
+			From: g.jobs[e.From].Name,
+			To:   g.jobs[e.To].Name,
+			Data: e.Data,
+			File: e.File,
+		})
 	}
 	sort.Slice(doc.Edges, func(a, b int) bool {
 		if doc.Edges[a].From != doc.Edges[b].From {
@@ -67,20 +65,18 @@ func (g *Graph) MarshalJSON() ([]byte, error) {
 	return json.MarshalIndent(doc, "", "  ")
 }
 
-// edgeDoc is one decoded "edges" element. The endpoint names are not
-// kept, so they stay views of the input until Decode resolves them into
-// src and dst.
-type edgeDoc struct {
-	from, to []byte
-	data     float64
-	file     string
-	src, dst JobID
-}
-
-// edgeDocs recycles Decode's "edges" scratch. A buffer is cleared before
-// it goes back, so it holds no view of a request body once Decode returns
-// and decodes exactly as a fresh one would.
-var edgeDocs = sync.Pool{New: func() any { return new([]edgeDoc) }}
+// jobDoc is one decoded "jobs" element, and edgeDoc one "edges" element.
+// Their strings stay views of the input until Decode copies the names
+// into the graph's one string and resolves the endpoints into src and dst.
+type (
+	jobDoc  struct{ name, op []byte }
+	edgeDoc struct {
+		from, to []byte
+		data     float64
+		file     string
+		src, dst JobID
+	}
+)
 
 // FromJSON decodes a graph previously produced by MarshalJSON. The result
 // is validated before being returned.
@@ -98,25 +94,31 @@ func FromJSON(data []byte) (*Graph, error) {
 
 // Decode reads one graph document from s — the one decoder of the format,
 // standalone (FromJSON) or embedded in a submission — and builds the
-// validated graph from it directly.
+// validated graph from it directly. Every job's Name and Op is a piece of
+// one string, and the edges are laid out straight from the document's
+// order (see Graph). Its scratch goes back to a pool cleared, so it holds
+// no view of the input once Decode returns.
 func Decode(s *jsonscan.Scanner) (*Graph, error) {
 	var (
 		v    int
 		name string
-		jobs []Job
 	)
-	buf := edgeDocs.Get().(*[]edgeDoc)
-	edges := (*buf)[:0]
+	sc := scratches.Get().(*scratch)
+	jobs, edges := sc.jobs[:0], sc.edges[:0]
 	defer func() {
-		if cap(edges) > cap(*buf) {
-			*buf = edges
+		if cap(jobs) > cap(sc.jobs) {
+			sc.jobs = jobs
 		}
-		clear((*buf)[:cap(*buf)])
-		edgeDocs.Put(buf)
+		if cap(edges) > cap(sc.edges) {
+			sc.edges = edges
+		}
+		clear(sc.jobs[:cap(sc.jobs)])
+		clear(sc.edges[:cap(sc.edges)])
+		scratches.Put(sc)
 	}()
 	s.Object("v", &v, "name", &name,
 		"jobs", func() {
-			jobs = jsonscan.Array(s, jobs, func(j *Job) { s.Object("name", &j.Name, "op", &j.Op) })
+			jobs = jsonscan.Array(s, jobs, func(j *jobDoc) { s.Object("name", &j.name, "op", &j.op) })
 		},
 		"edges", func() {
 			edges = jsonscan.Array(s, edges, func(e *edgeDoc) {
@@ -129,15 +131,27 @@ func Decode(s *jsonscan.Scanner) (*Graph, error) {
 	if v < 0 || v > WireVersion {
 		return nil, fmt.Errorf("dag: decode: unsupported wire version %d (max %d)", v, WireVersion)
 	}
-	g := &Graph{name: name, jobs: jobs, byName: make(map[string]JobID, len(jobs))}
-	for i := range jobs {
-		jobs[i].ID = JobID(i)
-		if _, dup := g.byName[jobs[i].Name]; dup {
-			return nil, fmt.Errorf("dag: decode: duplicate job %q", jobs[i].Name)
-		}
-		g.byName[jobs[i].Name] = JobID(i)
+	size := 0
+	for _, j := range jobs {
+		size += len(j.name) + len(j.op)
 	}
-	outdeg, indeg := make([]int, len(jobs)), make([]int, len(jobs))
+	var b strings.Builder
+	b.Grow(size)
+	for _, j := range jobs {
+		b.Write(j.name)
+		b.Write(j.op)
+	}
+	names := b.String()
+	g := &Graph{name: name, jobs: make([]Job, len(jobs)), byName: make(map[string]JobID, len(jobs))}
+	for i, j := range jobs {
+		name, op := names[:len(j.name)], names[len(j.name):len(j.name)+len(j.op)]
+		names = names[len(name)+len(op):]
+		if _, dup := g.byName[name]; dup {
+			return nil, fmt.Errorf("dag: decode: duplicate job %q", name)
+		}
+		g.jobs[i] = Job{ID: JobID(i), Name: name, Op: op}
+		g.byName[name] = JobID(i)
+	}
 	for i := range edges {
 		e := &edges[i]
 		from, okFrom := g.byName[string(e.from)]
@@ -151,38 +165,17 @@ func Decode(s *jsonscan.Scanner) (*Graph, error) {
 			return nil, fmt.Errorf("dag: negative data %g on edge (%s,%s)", e.data, e.from, e.to)
 		}
 		e.src, e.dst = from, to
-		outdeg[from]++
-		indeg[to]++
 	}
 	// No AddFileEdge: its search for a duplicate on every insert is
-	// quadratic in a hub's degree. Validate finds one in the sorted lists.
-	g.succ, g.pred = adjacency(outdeg), adjacency(indeg)
-	for _, d := range edges {
-		e := Edge{From: d.src, To: d.dst, Data: d.data, File: d.file}
-		g.succ[e.From] = append(g.succ[e.From], e)
-		g.pred[e.To] = append(g.pred[e.To], e)
-	}
-	if err := g.Validate(); err != nil {
+	// quadratic in a hub's degree. freeze finds one in the sorted layout.
+	err := g.freeze(sc, len(edges), func(i int) Edge {
+		d := &edges[i]
+		return Edge{From: d.src, To: d.dst, Data: d.data, File: d.file}
+	})
+	if err != nil {
 		return nil, err
 	}
 	return g, nil
-}
-
-// adjacency returns one empty edge list per job with room for the degree
-// counted for it, all cut from one array; a job without edges keeps a nil
-// list, as AddJob leaves it.
-func adjacency(degree []int) [][]Edge {
-	total := 0
-	for _, d := range degree {
-		total += d
-	}
-	backing, lists := make([]Edge, total), make([][]Edge, len(degree))
-	for i, d := range degree {
-		if d > 0 {
-			lists[i], backing = backing[:0:d], backing[d:]
-		}
-	}
-	return lists
 }
 
 // UnmarshalJSON makes *Graph a json.Unmarshaler over the FromJSON wire

@@ -89,12 +89,10 @@ func (s *Set) Validate(g *dag.Graph, poolSize, maxFiles int) error {
 		}
 	}
 	if g != nil {
-		for _, j := range g.Jobs() {
-			for _, e := range g.Preds(j.ID) {
-				if e.File != "" && !seen[e.File] {
-					return fmt.Errorf("data: edge (%s,%s) references undeclared file %q",
-						g.Job(e.From).Name, g.Job(e.To).Name, e.File)
-				}
+		for _, e := range g.Edges() {
+			if e.File != "" && !seen[e.File] {
+				return fmt.Errorf("data: edge (%s,%s) references undeclared file %q",
+					g.Job(e.From).Name, g.Job(e.To).Name, e.File)
 			}
 		}
 	}

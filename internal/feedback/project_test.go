@@ -76,25 +76,6 @@ func refProject(t *Tracker) float64 {
 	return mk
 }
 
-// unsortedCopy rebuilds g unvalidated with its edges added in descending
-// order: every Preds list is unsorted, so the kernel finds an edge by
-// scanning (its predsSorted == false branch) where Price indexes it.
-func unsortedCopy(t *testing.T, g *dag.Graph) *dag.Graph {
-	t.Helper()
-	c := dag.New(g.Name())
-	for _, j := range g.Jobs() {
-		c.AddJob(j.Name, j.Op)
-	}
-	for j := g.Len() - 1; j >= 0; j-- {
-		for _, e := range slices.Backward(g.Succs(dag.JobID(j))) {
-			if err := c.AddFileEdge(e.From, e.To, e.Data, e.File); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	return c
-}
-
 // price is what the tracker's next evaluation compares a replan against:
 // its plan priced by its kernel on the live state and pool.
 func price(tr *Tracker) float64 {
@@ -106,45 +87,37 @@ func price(tr *Tracker) float64 {
 // raw edge weights under a perturbation script — noisy runtimes, variance
 // reports, departures and rejoins, adopted reschedules — and after every
 // step holds the tracker's price to refProject, to the bit: early, when
-// every job is pending, through the middle and at the merge job's tail; on
-// the validated graph and on a copy whose Preds lists are unsorted.
+// every job is pending, through the middle and at the merge job's tail.
 func TestProjectMatchesSearchedLookups(t *testing.T) {
-	for _, unsorted := range []bool{false, true} {
-		sc := workload.DataScenario(workload.DataParams{Searches: 24})
-		if unsorted {
-			cp := *sc
-			cp.Graph = unsortedCopy(t, sc.Graph)
-			sc = &cp
+	sc := workload.DataScenario(workload.DataParams{Searches: 24})
+	cfg := liveConfig(sc, sc.Pool)
+	r := rng.New(18)
+	input := make([]byte, 2048)
+	for i := range input {
+		input[i] = byte(r.IntN(256))
+	}
+	e := newEnactor(newChain(t, cfg, nil), sc, sc.Pool, &script{b: input})
+	tr := e.c.tr
+	var early, middle, late, infeasible int
+	for more := true; more; more = e.step(t) {
+		got, want := price(tr), refProject(tr)
+		if got != want {
+			t.Fatalf("%d jobs left: Price = %v, by searched lookups %v", e.left, got, want)
 		}
-		cfg := liveConfig(sc, sc.Pool)
-		r := rng.New(18)
-		input := make([]byte, 2048)
-		for i := range input {
-			input[i] = byte(r.IntN(256))
+		switch n := sc.Graph.Len(); {
+		case math.IsInf(got, 1):
+			infeasible++
+		case tr.nFinished == 0:
+			early++
+		case tr.nFinished < n/2:
+			middle++
+		case tr.nFinished < n:
+			late++
 		}
-		e := newEnactor(newChain(t, cfg, nil), sc, sc.Pool, &script{b: input})
-		tr := e.c.tr
-		var early, middle, late, infeasible int
-		for more := true; more; more = e.step(t) {
-			got, want := price(tr), refProject(tr)
-			if got != want {
-				t.Fatalf("unsorted=%v, %d jobs left: Price = %v, by searched lookups %v", unsorted, e.left, got, want)
-			}
-			switch n := sc.Graph.Len(); {
-			case math.IsInf(got, 1):
-				infeasible++
-			case tr.nFinished == 0:
-				early++
-			case tr.nFinished < n/2:
-				middle++
-			case tr.nFinished < n:
-				late++
-			}
-		}
-		t.Logf("unsorted=%v: compared at %d early, %d middle, %d late and %d infeasible points, %d adoptions",
-			unsorted, early, middle, late, infeasible, tr.Generation()-1)
-		if early == 0 || middle == 0 || late == 0 {
-			t.Errorf("unsorted=%v: progress points early %d, middle %d, late %d: want all three", unsorted, early, middle, late)
-		}
+	}
+	t.Logf("compared at %d early, %d middle, %d late and %d infeasible points, %d adoptions",
+		early, middle, late, infeasible, tr.Generation()-1)
+	if early == 0 || middle == 0 || late == 0 {
+		t.Errorf("progress points early %d, middle %d, late %d: want all three", early, middle, late)
 	}
 }

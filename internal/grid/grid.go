@@ -226,7 +226,9 @@ func (p *Pool) ArrivalTime(id ID) float64 {
 // AvailableAt returns the resources whose arrival time is <= t, in ID
 // order. This is the resource set R a scheduler sees when planning at
 // clock t.
-func (p *Pool) AvailableAt(t float64) []Resource { return p.AppendAvailableAt(nil, t) }
+func (p *Pool) AvailableAt(t float64) []Resource {
+	return p.AppendAvailableAt(make([]Resource, 0, len(p.arrivals)), t)
+}
 
 // AppendAvailableAt appends AvailableAt(t) to dst, for a caller that
 // reuses one slice across events.

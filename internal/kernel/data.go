@@ -60,19 +60,17 @@ func (k *Kernel) SetData(m *data.Model) {
 		return
 	}
 	k.probeAt = make([]int, m.NumFiles())
-	k.fileOfEdge = make([]int, k.nEdges)
-	k.commOfEdge = make([]float64, k.nEdges)
-	for j := 0; j < k.n; j++ {
-		for i, e := range k.g.Preds(dag.JobID(j)) {
-			// The rank-phase weight of an edge: the model's nominal
-			// size÷bandwidth cost for a file edge, MeanComm (the raw Data
-			// weight) otherwise, as in the classic mode.
-			f, comm := m.Index(e.File), cost.MeanComm(e)
-			if f >= 0 {
-				comm = m.NominalComm(f)
-			}
-			k.fileOfEdge[k.predBase[j]+i], k.commOfEdge[k.predBase[j]+i] = f, comm
+	k.fileOfEdge = make([]int, k.g.NumEdges())
+	k.commOfEdge = make([]float64, k.g.NumEdges())
+	for i, e := range k.g.Edges() {
+		// The rank-phase weight of an edge: the model's nominal
+		// size÷bandwidth cost for a file edge, MeanComm (the raw Data
+		// weight) otherwise, as in the classic mode.
+		f, comm := m.Index(e.File), cost.MeanComm(e)
+		if f >= 0 {
+			comm = m.NominalComm(f)
 		}
+		k.fileOfEdge[i], k.commOfEdge[i] = f, comm
 	}
 	k.chBase = make([][]block, m.NumChannels())
 	k.chans = make([]timeline, m.NumChannels())
@@ -99,7 +97,7 @@ func (k *Kernel) commEst(e dag.Edge, from, to grid.ID) float64 {
 // incoming edge of j, its file found through the dense edge index.
 func (k *Kernel) PredComm(j dag.JobID, i int, from, to grid.ID) float64 {
 	if k.dataM != nil {
-		if f := k.fileOfEdge[k.predBase[j]+i]; f >= 0 {
+		if f := k.fileOfEdge[k.g.PredBase(j)+i]; f >= 0 {
 			return k.dataM.StaticComm(f, from, to)
 		}
 	}

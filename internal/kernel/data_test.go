@@ -132,7 +132,7 @@ func (k *Kernel) refPlace(rs []grid.Resource, st *State, order []dag.JobID, inse
 	for _, job := range order {
 		best, over := grid.NoResource, grid.NoResource
 		var bestS, bestF, overS, overF float64
-		preds, eBase := k.g.Preds(job), k.predBase[job]
+		preds, eBase := k.g.Preds(job), k.g.PredBase(job)
 		for _, r := range rs {
 			ready, fits, _ := p.probe(preds, eBase, r.ID, insertion, true)
 			w := k.est.Comp(job, r.ID)
@@ -321,7 +321,7 @@ func TestDataPassMatchesScanningReference(t *testing.T) {
 // tables: each job pulls the largest communication weight + rank over its
 // Succs, a file edge's weight found through the catalog's name map.
 func (k *Kernel) refRanks(rs []grid.Resource) []float64 {
-	topo, _ := k.g.TopoOrder()
+	topo := k.g.TopoOrder()
 	ranks := make([]float64, k.n)
 	for i := len(topo) - 1; i >= 0; i-- {
 		j, best := topo[i], 0.0
@@ -339,29 +339,10 @@ func (k *Kernel) refRanks(rs []grid.Resource) []float64 {
 	return ranks
 }
 
-// unsortedCopy rebuilds g unvalidated, its edges added in descending order,
-// so every Preds list is unsorted and the kernel takes its predsSorted ==
-// false branches.
-func unsortedCopy(t testing.TB, g *dag.Graph) *dag.Graph {
-	t.Helper()
-	c := dag.New(g.Name())
-	for _, j := range g.Jobs() {
-		c.AddJob(j.Name, j.Op)
-	}
-	for j := g.Len() - 1; j >= 0; j-- {
-		for _, e := range slices.Backward(g.Succs(dag.JobID(j))) {
-			if err := c.AddFileEdge(e.From, e.To, e.Data, e.File); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	return c
-}
-
 // TestRanksMatchSuccessorWalk: the rank pass pushes each job's rank to its
 // predecessors by dense edge index; the vector must equal, to the bit, the
 // one the walk over Succs with per-edge file lookups gives — with and
-// without a data model, on validated graphs and on one with unsorted Preds.
+// without a data model.
 func TestRanksMatchSuccessorWalk(t *testing.T) {
 	fg, fest, fpool, fm := fanInScenario(t)
 	blast := workload.DataScenario(workload.DataParams{Searches: 48})
@@ -378,15 +359,10 @@ func TestRanksMatchSuccessorWalk(t *testing.T) {
 	}{
 		{"fan-in/data", fg, fest, fpool, fm},
 		{"fan-in/classic", fg, fest, fpool, nil},
-		{"fan-in/unsorted", unsortedCopy(t, fg), fest, fpool, fm},
 		{"blast48/data", blast.Graph, blast.Estimator(), blast.Pool, bm},
-		{"blast48/unsorted", unsortedCopy(t, blast.Graph), blast.Estimator(), blast.Pool, bm},
 	} {
 		k := New(tc.g, tc.est)
 		k.SetData(tc.m)
-		if tc.name[len(tc.name)-8:] == "unsorted" && k.predsSorted {
-			t.Fatalf("%s: the copy's Preds are sorted", tc.name)
-		}
 		for _, rs := range [][]grid.Resource{tc.pool.Initial(), tc.pool.Initial()[:2]} {
 			got, _, err := k.Ranks(rs)
 			if err != nil {

@@ -19,3 +19,12 @@ func (st *State) TransferAt(m, j dag.JobID, r grid.ID) (float64, bool) {
 	}
 	return st.transfer(e, r)
 }
+
+// Order returns the jobs sorted by nonincreasing upward rank with
+// ascending-JobID tie-break — the unique deterministic HEFT list order
+// Ranks caches — for ranks computed elsewhere.
+func Order(ranks []float64) []dag.JobID {
+	out := make([]dag.JobID, len(ranks))
+	orderInto(ranks, out)
+	return out
+}

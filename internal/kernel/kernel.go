@@ -24,8 +24,8 @@
 //     order buffers) is owned by the Kernel and reused across calls, so
 //     the steady-state inner loop of a reschedule performs zero heap
 //     allocations; only the returned *schedule.Schedule is freshly built.
-//     A short-lived kernel's candidate arrays and its States' ledgers go
-//     back to package pools on Release, for the next workflow's kernel.
+//     A short-lived kernel's scratch, all of it, and its States' ledgers
+//     go back to package pools on Release, for the next workflow's kernel.
 //
 // Layering: model (dag/grid/cost/schedule) → kernel (this package) →
 // policy (orderings over the kernel) → engine (planner) → facade (root).
@@ -84,40 +84,22 @@ type Kernel struct {
 	est cost.Estimator
 	n   int
 
-	// Edge indexing: the incoming edges of all jobs flattened in job
-	// order, so edge (m→j) — the i-th entry of g.Preds(j) — has the dense
-	// index predBase[j]+i. The transfer ledger (State) is keyed by it.
-	predBase    []int
-	nEdges      int
-	predsSorted bool // every Preds list sorted by From (Validate ran)
-
-	// Rank cache: valid for the exact resource set rankRS at estimator
-	// version rankVer (VersionedEstimator only; unversioned estimators
-	// rely on explicit InvalidateRanks).
-	ranks   []float64
-	order   []dag.JobID
-	rankRS  []grid.ID
+	// Rank cache: ranks and order (in scratch) are valid for the exact
+	// resource set rankRS (in scratch too) at estimator version rankVer
+	// (VersionedEstimator only; unversioned estimators rely on explicit
+	// InvalidateRanks).
 	rankOK  bool
 	rankVer uint64
-	topo    []dag.JobID
 
-	// Placement scratch, reused across calls. The four n-sized candidate
-	// arrays and Price's pending list are cut from one slab, which Release
-	// recycles.
-	slab       *[]schedule.Assignment
-	in         *inputs               // the classic pass's per-job input split
-	baseTL     [][]block             // per resource: history (finished+pinned) intervals, sorted
-	rows       []timeline            // per resource: base plus the current candidate's placements
-	tlTouched  []grid.ID             // rows filled by the previous prepHistory (may repeat)
+	// Placement scratch, reused across calls and, through Release, by the
+	// next kernel. The four n-sized candidate arrays and Price's pending
+	// list are cut from its slab.
+	*scratch
 	zeroPlaced []schedule.Assignment // all-unplaced template
 	basePlaced []schedule.Assignment // pinned assignments; Resource == NoResource otherwise
 	placed     []schedule.Assignment // working candidate placements (includes pinned)
 	bestPlaced []schedule.Assignment // best candidate so far
-	base       []dag.JobID           // jobs to place, rank order
-	alt        []dag.JobID           // tie-window swapped order
-	hist       []schedule.Assignment // finished+pinned assignments for the final schedule
 	histMax    float64               // max finish over hist
-	out        []schedule.Assignment // final assignment list handed to schedule.FromAssignments
 
 	// Shared-grid contention: foreign reservations merged into the slot
 	// search as busy intervals (see SetOccupancy).
@@ -172,28 +154,19 @@ type Timing struct {
 // LastTiming returns the phase timing of the last Reschedule.
 func (k *Kernel) LastTiming() Timing { return k.timing }
 
-// New returns a kernel for scheduling g under est. The graph is treated
-// as immutable from this point on.
+// New returns a kernel for scheduling g under est. A graph with jobs must
+// be validated: the kernel reads its layout, in which edge (m→j), the i-th
+// entry of g.Preds(j), has the dense index g.PredBase(j)+i that the
+// transfer ledger (State) is keyed by.
 func New(g *dag.Graph, est cost.Estimator) *Kernel {
+	if g.Len() > 0 && g.TopoOrder() == nil {
+		panic(fmt.Sprintf("kernel: graph %q is not validated", g.Name()))
+	}
 	n := g.Len()
 	k := &Kernel{g: g, est: est, n: n}
-	k.predBase = make([]int, n+1)
-	k.predsSorted = true
-	for j := 0; j < n; j++ {
-		k.predBase[j] = k.nEdges
-		preds := g.Preds(dag.JobID(j))
-		k.nEdges += len(preds)
-		for i := 1; i < len(preds); i++ {
-			if preds[i-1].From > preds[i].From {
-				k.predsSorted = false
-			}
-		}
-	}
-	k.predBase[n] = k.nEdges
-	k.slab = slabs.Get().(*[]schedule.Assignment)
-	k.in = inputPool.Get().(*inputs)
-	*k.slab = sized(*k.slab, 5*n)
-	a := *k.slab
+	k.scratch = scratches.Get().(*scratch)
+	k.slab, k.ranks, k.order = sized(k.slab, 5*n), sized(k.ranks, n), sized(k.order, n)
+	a := k.slab
 	k.zeroPlaced, k.basePlaced, k.placed, k.bestPlaced = a[:n:n], a[n:2*n:2*n], a[2*n:3*n:3*n], a[3*n:4*n:4*n]
 	k.pend = a[4*n : 4*n : 5*n]
 	for j := range k.zeroPlaced {
@@ -202,17 +175,37 @@ func New(g *dag.Graph, est cost.Estimator) *Kernel {
 	return k
 }
 
-// slabs holds released kernels' candidate arrays.
-var slabs = sync.Pool{New: func() any { return new([]schedule.Assignment) }}
+// scratch is the working memory of a kernel's passes: the candidate slab,
+// the classic pass's input split, the rank vector and order, the lists of
+// jobs to place, of history and of the final assignments, and every
+// resource's base row and timeline. Nothing in it means anything from one
+// call to the next — each use truncates or overwrites what it reads — so
+// a new kernel can run on a released one's.
+type scratch struct {
+	slab      []schedule.Assignment
+	in        inputs
+	ranks     []float64             // by JobID
+	order     []dag.JobID           // nonincreasing rank
+	rankRS    []grid.ID             // the resource set ranks were computed over
+	base      []dag.JobID           // jobs to place, rank order
+	alt       []dag.JobID           // tie-window swapped order
+	hist      []schedule.Assignment // finished+pinned assignments for the final schedule
+	out       []schedule.Assignment // final assignment list handed to schedule.FromAssignments
+	baseTL    [][]block             // per resource: history (finished+pinned) intervals, sorted
+	rows      []timeline            // per resource: base plus the current candidate's placements
+	tlTouched []grid.ID             // rows filled by the previous prepHistory (may repeat)
+}
 
-// Release returns the kernel's candidate arrays, input split and Static
+// scratches holds released kernels' scratch.
+var scratches = sync.Pool{New: func() any { return new(scratch) }}
+
+// Release hands the kernel's scratch, every array of it, and its Static
 // state to the package pools for the next kernel; k must not be used
 // afterwards. Schedules it returned stay valid: they share nothing with
 // the kernel.
 func (k *Kernel) Release() {
-	slabs.Put(k.slab)
-	inputPool.Put(k.in)
-	k.slab, k.in = nil, nil
+	scratches.Put(k.scratch)
+	k.scratch = nil
 	if k.empty != nil {
 		k.empty.Release()
 		k.empty = nil
@@ -225,25 +218,13 @@ func (k *Kernel) Graph() *dag.Graph { return k.g }
 // Estimator returns the cost estimator the kernel is bound to.
 func (k *Kernel) Estimator() cost.Estimator { return k.est }
 
-// NumEdges returns the number of dependence edges the kernel indexed.
-func (k *Kernel) NumEdges() int { return k.nEdges }
-
 // edgeIndex returns the dense index of edge (from → to), or -1 if the
-// edge does not exist. Preds lists are binary-searched when the graph was
-// validated (which sorts them) and scanned otherwise.
+// edge does not exist: a binary search of Preds(to), sorted by From.
 func (k *Kernel) edgeIndex(from, to dag.JobID) int {
 	preds := k.g.Preds(to)
-	if k.predsSorted && len(preds) > 8 {
-		i := sort.Search(len(preds), func(i int) bool { return preds[i].From >= from })
-		if i < len(preds) && preds[i].From == from {
-			return k.predBase[to] + i
-		}
-		return -1
-	}
-	for i, e := range preds {
-		if e.From == from {
-			return k.predBase[to] + i
-		}
+	i := sort.Search(len(preds), func(i int) bool { return preds[i].From >= from })
+	if i < len(preds) && preds[i].From == from {
+		return k.g.PredBase(to) + i
 	}
 	return -1
 }
@@ -268,26 +249,16 @@ func (k *Kernel) Ranks(rs []grid.Resource) ([]float64, []dag.JobID, error) {
 	if k.rankOK && k.sameRS(rs) && k.ranksFresh() {
 		return k.ranks, k.order, nil
 	}
-	if k.topo == nil {
-		order, err := k.g.TopoOrder()
-		if err != nil {
-			return nil, nil, err
-		}
-		k.topo = order
-	}
-	if k.ranks == nil {
-		k.ranks = make([]float64, k.n)
-		k.order = make([]dag.JobID, k.n)
-	}
 	// In reverse topological order every successor of j has already pushed
 	// its communication weight + rank into ranks[j], edge by dense index, so
 	// ranks[j] holds the inner max of Eq. 6 when j's turn comes.
 	clear(k.ranks)
-	for i := len(k.topo) - 1; i >= 0; i-- {
-		j := k.topo[i]
+	topo := k.g.TopoOrder()
+	for i := len(topo) - 1; i >= 0; i-- {
+		j := topo[i]
 		rank := cost.MeanComp(k.est, j, rs) + k.ranks[j]
 		k.ranks[j] = rank
-		eBase := k.predBase[j]
+		eBase := k.g.PredBase(j)
 		for i, e := range k.g.Preds(j) {
 			c := cost.MeanComm(e)
 			if k.commOfEdge != nil {
@@ -337,17 +308,6 @@ func (k *Kernel) sameRS(rs []grid.Resource) bool {
 // InvalidateRanks drops the rank cache; for callers whose estimator
 // changed underneath the kernel (the supported path is a fresh Kernel).
 func (k *Kernel) InvalidateRanks() { k.rankOK = false }
-
-// Order returns the jobs sorted by nonincreasing upward rank with
-// ascending-JobID tie-break — the unique deterministic HEFT list order.
-// It is the pure-function form for callers that computed ranks
-// elsewhere; Ranks returns the kernel's cached order directly. Both run
-// through the same comparator, so the two paths cannot diverge.
-func Order(ranks []float64) []dag.JobID {
-	out := make([]dag.JobID, len(ranks))
-	orderInto(ranks, out)
-	return out
-}
 
 // orderInto fills out (len(ranks) long) with every JobID sorted by the
 // HEFT list order: nonincreasing rank, ascending JobID on ties. The
@@ -565,8 +525,7 @@ func (k *Kernel) placeCandidate(rs []grid.Resource, st *State, order []dag.JobID
 		// staging would exceed, used only when every resource overflows.
 		overRes := grid.NoResource
 		overStart, overFinish := 0.0, 0.0
-		preds := k.g.Preds(job)
-		eBase := k.predBase[job]
+		preds, eBase := k.g.Preds(job), k.g.PredBase(job)
 		if k.dataM == nil {
 			k.gatherInputs(st, preds)
 		}
@@ -624,20 +583,18 @@ type arrival struct {
 }
 
 // inputs is the classic pass's once-per-job split of a job's predecessors
-// (gatherInputs), pooled like the slab.
+// (gatherInputs).
 type inputs struct {
 	finished []int     // indices into Preds(job) of finished predecessors
 	placed   []arrival // the others, sorted by hi, latest first
 }
-
-var inputPool = sync.Pool{New: func() any { return new(inputs) }}
 
 // gatherInputs splits the predecessors of the job being placed, once per
 // job: finished ones keep inputReady's per-resource ledger lookup, since
 // their files may sit on any resource; every other one becomes an
 // arrival, sorted by hi, latest first.
 func (k *Kernel) gatherInputs(st *State, preds []dag.Edge) {
-	in := k.in
+	in := &k.in
 	in.finished, in.placed = in.finished[:0], in.placed[:0]
 	for i, e := range preds {
 		if st.finRes[e.From] != grid.NoResource {

@@ -270,9 +270,6 @@ func TestGraphAccessors(t *testing.T) {
 	if k.Graph() != sc.Graph || k.Estimator() == nil {
 		t.Fatal("accessors broken")
 	}
-	if k.NumEdges() != sc.Graph.NumEdges() {
-		t.Fatalf("NumEdges = %d, want %d", k.NumEdges(), sc.Graph.NumEdges())
-	}
 }
 
 // TestOrderMatchesStableSort: the rank order, sorted without reflection,

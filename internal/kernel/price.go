@@ -81,10 +81,10 @@ func (k *Kernel) Price(rs []grid.Resource, st *State, plan *schedule.Schedule) f
 				continue
 			}
 			if e := k.g.Preds(x.Job)[x.Input]; e.File == x.File {
-				k.priceFile(st, x.Job, x.Input, e.From, k.fileOfEdge[k.predBase[x.Job]+x.Input], x.To)
+				k.priceFile(st, x.Job, x.Input, e.From, k.fileOfEdge[k.g.PredBase(x.Job)+x.Input], x.To)
 			}
 		}
-		ready, eBase := st.Clock, k.predBase[j]
+		ready, eBase := st.Clock, k.g.PredBase(j)
 		for i, e := range k.g.Preds(j) {
 			if k.dataM != nil && k.fileOfEdge[eBase+i] >= 0 {
 				ready = max(ready, k.priceFile(st, j, i, e.From, k.fileOfEdge[eBase+i], r))

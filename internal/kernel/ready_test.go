@@ -106,7 +106,7 @@ func TestInputReadyMatchesFEA(t *testing.T) {
 					k.placed[m] = a
 				}
 			}
-			preds, eBase := k.g.Preds(job), k.predBase[job]
+			preds, eBase := k.g.Preds(job), k.g.PredBase(job)
 			k.gatherInputs(st, preds)
 			for r := grid.ID(0); r < nRes; r++ {
 				got, want := k.inputReady(st, preds, eBase, r), k.refReady(st, preds, eBase, r)
@@ -162,7 +162,7 @@ func BenchmarkKernelReady(b *testing.B) {
 	k, st, rs := readyScenario(b)
 	split := func(out []float64) []float64 {
 		for _, job := range k.base {
-			preds, eBase := k.g.Preds(job), k.predBase[job]
+			preds, eBase := k.g.Preds(job), k.g.PredBase(job)
 			k.gatherInputs(st, preds)
 			for _, r := range rs {
 				out = append(out, k.inputReady(st, preds, eBase, r.ID))
@@ -172,7 +172,7 @@ func BenchmarkKernelReady(b *testing.B) {
 	}
 	oracle := func(out []float64) []float64 {
 		for _, job := range k.base {
-			preds, eBase := k.g.Preds(job), k.predBase[job]
+			preds, eBase := k.g.Preds(job), k.g.PredBase(job)
 			for _, r := range rs {
 				out = append(out, k.refReady(st, preds, eBase, r.ID))
 			}

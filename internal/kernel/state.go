@@ -188,7 +188,7 @@ func (st *State) growLedger(nRes int) {
 	if nRes < st.stride*2 {
 		nRes = st.stride * 2
 	}
-	st.led, st.ledEp = relayout(st.led, st.stride, nRes, st.k.nEdges), relayout(st.ledEp, st.stride, nRes, st.k.nEdges)
+	st.led, st.ledEp = relayout(st.led, st.stride, nRes, st.k.g.NumEdges()), relayout(st.ledEp, st.stride, nRes, st.k.g.NumEdges())
 	if st.k.dataM != nil {
 		nf := st.k.dataM.NumFiles()
 		st.fled, st.fledEp = relayout(st.fled, st.stride, nRes, nf), relayout(st.fledEp, st.stride, nRes, nf)
@@ -214,17 +214,20 @@ func relayout[T any](old []T, stride, nRes, rows int) []T {
 // resource r at time t, keeping the earliest time if recorded twice.
 // Unknown edges are ignored (the engine only records real dependences).
 func (st *State) SetTransfer(m, j dag.JobID, r grid.ID, t float64) {
-	e := st.k.edgeIndex(m, j)
-	if e < 0 {
-		return
+	if e := st.k.edgeIndex(m, j); e >= 0 {
+		st.setTransfer(e, r, t)
 	}
+}
+
+// setTransfer is SetTransfer for the edge with dense index e.
+func (st *State) setTransfer(e int, r grid.ID, t float64) {
 	if int(r) >= st.stride {
 		st.growLedger(int(r) + 1)
 	}
 	i := e*st.stride + int(r)
 	if st.ledEp[i] != st.epoch {
 		if st.set == nil {
-			st.set = make([]uint64, 0, st.k.nEdges)
+			st.set = make([]uint64, 0, st.k.g.NumEdges())
 		}
 		st.set = append(st.set, uint64(e)<<32|uint64(r))
 	}
@@ -259,7 +262,7 @@ func (st *State) fileAt(f int, r grid.ID) (float64, bool) {
 // PredTransferAt returns the recorded availability on r of the file of
 // the i-th incoming edge of j.
 func (st *State) PredTransferAt(j dag.JobID, i int, r grid.ID) (float64, bool) {
-	return st.transfer(st.k.predBase[j]+i, r)
+	return st.transfer(st.k.g.PredBase(j)+i, r)
 }
 
 func (st *State) transfer(e int, r grid.ID) (float64, bool) {
@@ -281,20 +284,17 @@ func (st *State) transfer(e int, r grid.ID) (float64, bool) {
 // i.e. recorded, time).
 func (st *State) ForEachTransfer(fn func(from, to dag.JobID, r grid.ID, at float64)) {
 	slices.Sort(st.set)
-	j := 0 // the job the edge leads to: edges are numbered by it
+	edges := st.k.g.Edges()
 	for _, key := range st.set {
 		e, r := int(key>>32), int(uint32(key))
-		for st.k.predBase[j+1] <= e {
-			j++
-		}
-		fn(st.k.g.Preds(dag.JobID(j))[e-st.k.predBase[j]].From, dag.JobID(j), grid.ID(r), st.led[e*st.stride+r])
+		fn(edges[e].From, edges[e].To, grid.ID(r), st.led[e*st.stride+r])
 	}
 }
 
 // fea implements Eq. 1 on the dense state: the earliest time the output
 // of predecessor e.From is available on resource r for the job being
 // placed, given the current candidate placements in the kernel's scratch.
-// eIdx is the dense index of e (predBase[e.To]+i for the i-th pred).
+// eIdx is the dense index of e (PredBase(e.To)+i for the i-th pred).
 func (st *State) fea(e dag.Edge, eIdx int, r grid.ID) float64 {
 	m := e.From
 	if fr := st.finRes[m]; fr != grid.NoResource {
@@ -330,10 +330,12 @@ func (st *State) fea(e dag.Edge, eIdx int, r grid.ID) float64 {
 // prices the move with the derived file cost when a data model is bound,
 // cost.Comm otherwise.
 func (st *State) Ship(j dag.JobID, r grid.ID, fin float64, plan *schedule.Schedule) {
-	for _, e := range st.k.g.Succs(j) {
-		st.SetTransfer(j, e.To, r, fin)
+	edges := st.k.g.Edges()
+	for _, i := range st.k.g.SuccEdges(j) {
+		e := edges[i]
+		st.setTransfer(int(i), r, fin)
 		if sa, ok := plan.Get(e.To); ok {
-			st.SetTransfer(j, e.To, sa.Resource, fin+st.k.commEst(e, r, sa.Resource))
+			st.setTransfer(int(i), sa.Resource, fin+st.k.commEst(e, r, sa.Resource))
 		}
 	}
 }

@@ -201,7 +201,7 @@ func runPolicy(ctx context.Context, g *dag.Graph, est cost.Estimator, pool *grid
 	st := k.NewState(pool.Size())
 	defer st.Release()
 	prev := 0.0
-	var rs []grid.Resource
+	rs := make([]grid.Resource, 0, pool.Size())
 	for _, t := range pool.ChangeTimes() {
 		if err := ctx.Err(); err != nil {
 			return nil, err

@@ -282,15 +282,12 @@ func (s *Schedule) Validate(g *dag.Graph, opts ValidateOptions) error {
 		}
 	}
 	if opts.Comm != nil {
-		for _, j := range g.Jobs() {
-			aj := s.byJob[j.ID]
-			for _, e := range g.Preds(j.ID) {
-				ap := s.byJob[e.From]
-				ready := ap.Finish + opts.Comm.Comm(e, ap.Resource, aj.Resource)
-				if aj.Start+1e-9 < ready {
-					return fmt.Errorf("schedule: job %s starts at %g before input from %s ready at %g",
-						g.Job(j.ID).Name, aj.Start, g.Job(e.From).Name, ready)
-				}
+		for _, e := range g.Edges() {
+			aj, ap := s.byJob[e.To], s.byJob[e.From]
+			ready := ap.Finish + opts.Comm.Comm(e, ap.Resource, aj.Resource)
+			if aj.Start+1e-9 < ready {
+				return fmt.Errorf("schedule: job %s starts at %g before input from %s ready at %g",
+					g.Job(e.To).Name, aj.Start, g.Job(e.From).Name, ready)
 			}
 		}
 	}

@@ -175,7 +175,7 @@ func (s *Server) register(ctx context.Context, name string, data []byte) (g *sha
 }
 
 func (s *Server) handleGridPut(w http.ResponseWriter, r *http.Request) {
-	data, err := s.readBody(w, r)
+	data, err := s.readBody(w, r, nil)
 	if err != nil {
 		return
 	}

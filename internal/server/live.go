@@ -525,7 +525,7 @@ func (s *Server) handleReport(w http.ResponseWriter, r *http.Request) {
 		m.count(func(c *MetricsDoc) { c.ReportsRejected++ })
 		return
 	}
-	data, err := s.readBody(w, r)
+	data, err := s.readBody(w, r, nil)
 	if err != nil {
 		m.count(func(c *MetricsDoc) { c.ReportsRejected++ })
 		return
@@ -552,7 +552,7 @@ func (s *Server) handleWhatIf(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	data, err := s.readBody(w, r)
+	data, err := s.readBody(w, r, nil)
 	if err != nil {
 		return
 	}

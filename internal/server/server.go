@@ -480,13 +480,21 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	// lands, and it reads rootSpan/queueAct without synchronisation
 	// beyond the channel's happens-before.
 	intakeAct := s.tracer.Start(obs.StageIntake, id)
-	data, err := s.readBody(w, r)
+	// Without a journal or a recorder nothing keeps the body past the
+	// decode, and nothing decoded is a view of it: its buffer is pooled.
+	var buf *bytes.Buffer
+	if s.cfg.DataDir == "" && s.cfg.RecordDir == "" {
+		buf = bodies.Get().(*bytes.Buffer)
+	}
+	data, err := s.readBody(w, r, buf)
 	if err != nil {
+		putBody(buf)
 		intakeAct.Fail(err)
 		m.count(func(c *MetricsDoc) { c.RejectedInvalid++ })
 		return
 	}
 	wf, _, err := s.buildWorkflow(id, data)
+	putBody(buf)
 	if err != nil {
 		intakeAct.Fail(err)
 		m.count(func(c *MetricsDoc) { c.RejectedInvalid++ })
@@ -526,11 +534,26 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 // Content-Length; a longer body grows the buffer as it comes.
 const maxBodyPresize = 1 << 20
 
-// readBody reads a request body of at most Config.MaxBodyBytes. On
-// failure it has answered the request — 413 for a body over the limit,
-// 400 for one that could not be read — and returns the error.
-func (s *Server) readBody(w http.ResponseWriter, r *http.Request) ([]byte, error) {
-	var buf bytes.Buffer
+// bodies holds the buffers of submissions whose bodies nothing keeps.
+var bodies = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+
+// putBody hands a buffer from bodies back, unless it grew past
+// maxBodyPresize; nil is no buffer.
+func putBody(buf *bytes.Buffer) {
+	if buf != nil && buf.Cap() <= maxBodyPresize {
+		buf.Reset()
+		bodies.Put(buf)
+	}
+}
+
+// readBody reads a request body of at most Config.MaxBodyBytes into buf,
+// or a fresh buffer if buf is nil. On failure it has answered the request
+// — 413 for a body over the limit, 400 for one that could not be read —
+// and returns the error.
+func (s *Server) readBody(w http.ResponseWriter, r *http.Request, buf *bytes.Buffer) ([]byte, error) {
+	if buf == nil {
+		buf = new(bytes.Buffer)
+	}
 	if n := r.ContentLength; n > 0 && n <= s.cfg.MaxBodyBytes {
 		// ReadFrom wants bytes.MinRead spare to see the EOF without growing.
 		buf.Grow(int(min(n, maxBodyPresize)) + bytes.MinRead)

@@ -398,12 +398,10 @@ func (s *Submission) Validate(lim Limits) error {
 		// An edge naming a file without a catalog has no size to derive a
 		// cost from; fail closed rather than silently falling back to the
 		// raw weight.
-		for _, j := range s.Graph.Jobs() {
-			for _, e := range s.Graph.Preds(j.ID) {
-				if e.File != "" {
-					return fmt.Errorf("wire: edge (%s,%s) names file %q but the submission declares no file catalog",
-						s.Graph.Job(e.From).Name, s.Graph.Job(e.To).Name, e.File)
-				}
+		for _, e := range s.Graph.Edges() {
+			if e.File != "" {
+				return fmt.Errorf("wire: edge (%s,%s) names file %q but the submission declares no file catalog",
+					s.Graph.Job(e.From).Name, s.Graph.Job(e.To).Name, e.File)
 			}
 		}
 	}

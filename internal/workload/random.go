@@ -131,7 +131,7 @@ func RandomDAG(p RandomParams, r *rng.Source) (*dag.Graph, error) {
 	for l := 0; l < len(ids)-1; l++ {
 		for _, u := range ids[l] {
 			want := r.IntN(maxOut) + 1
-			have := len(g.Succs(u))
+			have := len(g.SuccEdges(u))
 			for t := have; t < want; t++ {
 				tl := l + 1
 				if len(ids)-l > 2 && r.Float64() > 0.8 {
@@ -148,7 +148,7 @@ func RandomDAG(p RandomParams, r *rng.Source) (*dag.Graph, error) {
 	}
 	// Every non-exit job needs a successor so the exit dominates the DAG.
 	for _, j := range g.Jobs() {
-		if j.ID != exit && len(g.Succs(j.ID)) == 0 {
+		if j.ID != exit && len(g.SuccEdges(j.ID)) == 0 {
 			g.MustEdge(j.ID, exit, weight())
 		}
 	}
