@@ -87,6 +87,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz 'FuzzDecodeWALRecordParity' -fuzztime $(FUZZTIME) ./internal/wire
 	$(GO) test -run '^$$' -fuzz 'FuzzDecodeWALStateParity' -fuzztime $(FUZZTIME) ./internal/server
 	$(GO) test -run '^$$' -fuzz 'FuzzAppendJournalParity' -fuzztime $(FUZZTIME) ./internal/server
+	$(GO) test -run '^$$' -fuzz 'FuzzTerminalRecord' -fuzztime $(FUZZTIME) ./internal/server
 	$(GO) test -run '^$$' -fuzz 'FuzzKernelReschedule' -fuzztime $(FUZZTIME) ./internal/kernel
 	$(GO) test -run '^$$' -fuzz 'FuzzWALReplay' -fuzztime $(FUZZTIME) ./internal/durable
 	$(GO) test -run '^$$' -fuzz 'FuzzStatePatch' -fuzztime $(FUZZTIME) ./internal/feedback

@@ -33,10 +33,12 @@ func allocScenario(t *testing.T) *workload.Scenario {
 // per-resource view, and 145 objects and 35.9 KB while every kernel grew
 // its rank, history and timeline scratch anew. The budgets leave about
 // 10 % of slack. The collector is off so the pools a run draws on keep
-// their entries between runs; the race detector drops pool entries at
-// random, hence the build tag.
+// their entries between runs, and one P runs the test so an entry put
+// back in one P's private slot is not missed from another; the race
+// detector drops pool entries at random, hence the build tag.
 func TestRunPolicyAllocBudget(t *testing.T) {
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	sc := allocScenario(t)
 	run := func() {
 		res, err := planner.RunPolicy(context.Background(), sc.Graph, sc.Estimator(), sc.Pool, policy.MustGet("aheft"), policy.Options{})

@@ -11,9 +11,13 @@ import (
 	"runtime"
 	"slices"
 	"sort"
+	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
+	"unicode"
+	"unicode/utf8"
 
 	"aheft/internal/admission"
 	"aheft/internal/buildinfo"
@@ -345,21 +349,19 @@ func (sh *shard) walLogTerminal(wf *workflow) {
 func (wf *workflow) terminalDoc() walTerminal {
 	wf.mu.Lock()
 	defer wf.mu.Unlock()
-	return walTerminal{ID: wf.id, Status: wf.st, Plan: wf.plan, Events: wf.eventsFrom(0)}
+	en := wf.view()
+	return walTerminal{ID: wf.id, Status: en.st, Plan: en.plan, Events: en.wireEvents(wf.id, 0)}
 }
 
 // newTerminal is terminalDoc's inverse: the registry entry of a workflow
 // that ended before this process started.
 func newTerminal(t *walTerminal) *workflow {
-	wf := &workflow{
-		id:     t.ID,
-		shard:  t.Status.Shard,
-		live:   t.Status.Mode == wire.ModeLive,
-		events: recordsOf(t.Events),
-		plan:   t.Plan,
+	return &workflow{
+		id:    t.ID,
+		shard: t.Status.Shard,
+		live:  t.Status.Mode == wire.ModeLive,
+		rec:   sealRecord(t.ID, &t.Status, recordsOf(t.Events), t.Plan),
 	}
-	wf.settle(t.Status)
-	return wf
 }
 
 // snapBufs holds the buffers snapshots are encoded into: a snapshot is
@@ -673,9 +675,7 @@ func (f *recoveryFold) wfFor(id string) *recoveredWorkflow {
 	if rw == nil {
 		rw = &recoveredWorkflow{id: id, seen: f.pos()}
 		f.wfs[id] = rw
-	}
-	if n := parseWorkflowSeq(id); n > f.maxSeq {
-		f.maxSeq = n
+		f.maxSeq = max(f.maxSeq, parseWorkflowSeq(id))
 	}
 	return rw
 }
@@ -1228,13 +1228,31 @@ func (s *Server) failRecovered(rw *recoveredWorkflow, cause error) {
 	s.shards[shard].walLogTerminal(wf)
 }
 
-// parseWorkflowSeq extracts N from a daemon-assigned "wf-%08d" ID.
+// parseWorkflowSeq extracts N from a daemon-assigned "wf-%08d" ID as
+// fmt.Sscanf(id, "wf-%d", &n) would: white space but a line break may
+// precede the digits and anything may follow them; an ID without digits
+// there, or whose N overflows, is 0.
 func parseWorkflowSeq(id string) uint64 {
-	var n uint64
-	if c, _ := fmt.Sscanf(id, "wf-%d", &n); c == 1 {
-		return n
+	rest, ok := strings.CutPrefix(id, "wf-")
+	if !ok {
+		return 0
 	}
-	return 0
+	for rest != "" {
+		r, size := utf8.DecodeRuneInString(rest)
+		if r == '\n' || r == '\r' && strings.HasPrefix(rest[size:], "\n") || !unicode.IsSpace(r) {
+			break
+		}
+		rest = rest[size:]
+	}
+	end := 0
+	for end < len(rest) && '0' <= rest[end] && rest[end] <= '9' {
+		end++
+	}
+	n, err := strconv.ParseUint(rest[:end], 10, 64)
+	if err != nil {
+		return 0
+	}
+	return n
 }
 
 // --- readiness gate + versioned health --------------------------------

@@ -581,7 +581,7 @@ func (s *Server) handlePlan(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	wf.mu.Lock()
-	plan, run := wf.plan, wf.running
+	plan, run := wf.view().plan, wf.running
 	wf.mu.Unlock()
 	if plan == nil {
 		writeJSON(w, http.StatusConflict, errorDoc{Error: "workflow has no live plan (analytic mode, or not yet planned)"})

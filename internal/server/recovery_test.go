@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"maps"
+	"math"
 	"net/http"
 	"os"
 	"path/filepath"
@@ -553,4 +554,44 @@ func TestRecoveryWritesNothingOnUnchangedLayout(t *testing.T) {
 		}
 	}
 
+}
+
+// TestParseWorkflowSeq pins the workflow sequence recovery reads from an
+// ID to what fmt.Sscanf(id, "wf-%d", &n) made of it.
+func TestParseWorkflowSeq(t *testing.T) {
+	for _, tc := range []struct {
+		id   string
+		want uint64
+	}{
+		{"wf-00000012", 12},
+		{"wf-12x", 12},
+		{"wf-0", 0},
+		{"wf-18446744073709551615", math.MaxUint64},
+		{"wf-18446744073709551616", 0}, // overflows
+		{"wf- 7", 7},
+		{"wf-\t\v\f\r 7", 7},
+		{"wf- 　  7", 7},
+		{"wf-\n7", 0},
+		{"wf-\r\n7", 0},
+		{"wf-+7", 0},
+		{"wf--7", 0},
+		{"wf-", 0},
+		{"wf-x1", 0},
+		{"wf-\xff1", 0},
+		{" wf-7", 0},
+		{"WF-7", 0},
+		{"wf7", 0},
+		{"", 0},
+	} {
+		var n uint64
+		if c, _ := fmt.Sscanf(tc.id, "wf-%d", &n); c != 1 {
+			n = 0
+		}
+		if n != tc.want {
+			t.Fatalf("table row %q: fmt.Sscanf reads %d, the row says %d", tc.id, n, tc.want)
+		}
+		if got := parseWorkflowSeq(tc.id); got != tc.want {
+			t.Errorf("parseWorkflowSeq(%q) = %d, want %d", tc.id, got, tc.want)
+		}
+	}
 }

@@ -68,7 +68,10 @@ type Config struct {
 	// MaxRetained caps how many *terminal* workflow records are kept for
 	// status/event queries; when the cap is exceeded the oldest-finished
 	// records are evicted (their IDs then answer 404) so a long-lived
-	// daemon's memory stays bounded. 0 means 16384; negative disables
+	// daemon's memory stays bounded: with the cap full, its peak RSS is
+	// about the cap times a record (≈ 0.4 KB for a 60-job analytic
+	// workflow, ≈ 1.2 KB for a live one, which keeps its last plan), twice
+	// over for the collector's headroom. 0 means 16384; negative disables
 	// eviction.
 	MaxRetained int
 	// VarianceThreshold is the default significant-variance gate for live
@@ -662,24 +665,26 @@ func (s *Server) buildWorkflow(id string, data []byte) (*workflow, *sharedGrid, 
 				Data:           dm,
 			},
 			submittedAt: time.Now(),
+			entry: entry{
+				st: wire.Status{
+					ID:        id,
+					Name:      sub.Name,
+					State:     StateQueued,
+					Policy:    pol.Name(),
+					Shard:     shardID,
+					Jobs:      sub.Graph.Len(),
+					Resources: poolSize,
+				},
+				// The log is seeded with the "submitted" event before the
+				// record is published, so the stream ordering holds even
+				// though the worker may append "started" the instant the
+				// enqueue lands. It is counted in events_emitted only once
+				// the enqueue succeeds — a rejected submission's log dies
+				// with the record and must not move the published counter.
+				// Sized for an analytic run's handful of events.
+				events: append(make([]eventRec, 0, 8), eventRec{kind: "submitted"}),
+			},
 		},
-		st: wire.Status{
-			ID:        id,
-			Name:      sub.Name,
-			State:     StateQueued,
-			Policy:    pol.Name(),
-			Shard:     shardID,
-			Jobs:      sub.Graph.Len(),
-			Resources: poolSize,
-		},
-		// The log is seeded with the "submitted" event before the record
-		// is published, so the stream ordering holds even though the
-		// worker may append "started" the instant the enqueue lands. It
-		// is counted in events_emitted only once the enqueue succeeds —
-		// a rejected submission's log dies with the record and must not
-		// move the published counter. Sized for an analytic run's handful
-		// of events.
-		events: append(make([]eventRec, 0, 8), eventRec{kind: "submitted"}),
 	}
 	if s.cfg.DataDir != "" || s.cfg.RecordDir != "" {
 		// Kept for the journal and the recorder: the callers hand data over.

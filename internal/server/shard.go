@@ -27,14 +27,16 @@ const (
 
 // workflow is one submitted workflow's registry entry. The daemon keeps
 // up to Config.MaxRetained of them after their workflows end, and a busy
-// daemon's peak RSS is that many times what one holds for good, so that is
-// kept small: identity, the status document, the compact event log and a
-// live workflow's last plan — about 1.2 KB for a 60-job analytic workflow
-// (TestTerminalRecordBudget: ≤ 1.6 KB). Everything only a queued or
-// running workflow needs sits in *running, which settle drops. A terminal
-// entry is the same thing whether its workflow ended in this process
-// (finish) or a previous one (recovery, from its wire.WALTerminal record):
-// both go through settle, and status() then serves st verbatim.
+// daemon's peak RSS is about that many times what one holds for good, so
+// that is kept small: a terminal entry is its identity and rec, one
+// pointer-free record of its status, event log and last plan
+// (terminal.go) — an 80 B shell and a record of about 200 B for a 60-job
+// analytic workflow (TestTerminalRecordBudget: ≤ 700 B with the
+// registry's share). Everything only a queued or running workflow needs
+// sits in *running, which settle drops once it has sealed the record. A
+// terminal entry is the same thing whether its workflow ended in this
+// process (finish) or a previous one (recovery, from its
+// wire.WALTerminal record), and every read decodes it.
 type workflow struct {
 	id    string
 	shard int
@@ -47,22 +49,32 @@ type workflow struct {
 	*running
 
 	mu sync.Mutex
+	// rec is the terminal record, sealed by settle (under mu).
+	rec []byte
+}
+
+// entry is what a workflow's reads are served from: the running half's
+// while the workflow runs, a terminal record decoded after.
+type entry struct {
 	// st is the status document: identity fields set at submission,
 	// State/Generation/Reports following the run (under mu), the rest
-	// filled in by settle.
+	// filled in by finish.
 	st     wire.Status
 	events []eventRec
-	subs   map[chan wire.Event]struct{}
-	// ended is closed by settle, after the last event went out to subs;
-	// the first subscriber makes it.
-	ended chan struct{}
 	// plan is the live-plan snapshot for GET …/plan (written by the shard
 	// under mu, read by HTTP handlers); a terminal workflow keeps its last.
 	plan *wire.Plan
 }
 
-// running is the part of a workflow that ends with it.
+// running is the part of a workflow that ends with it. Its entry, subs
+// and ended are read and written under the workflow's mu.
 type running struct {
+	entry
+	subs map[chan wire.Event]struct{}
+	// ended is closed by settle, after the last event went out to subs;
+	// the first subscriber makes it.
+	ended chan struct{}
+
 	sub  *wire.Submission
 	pol  policy.Policy
 	opts policy.Options
@@ -164,12 +176,12 @@ func decisionEvent(d *wire.Decision) wire.Event {
 	return wire.Event{Kind: "decision", Time: d.Clock, Decision: d, Trigger: d.Trigger, Arrived: d.Arrived}
 }
 
-// event returns kept entry i, the log's entry seq, in wire form. Callers
-// hold wf.mu.
-func (wf *workflow) event(i, seq int) wire.Event {
-	rec := &wf.events[i]
+// event returns kept entry i, the log's entry seq, of workflow id in wire
+// form.
+func (en *entry) event(id string, i, seq int) wire.Event {
+	rec := &en.events[i]
 	ev := wire.Event{
-		Seq: seq, Kind: rec.kind, Workflow: wf.id, Time: rec.time,
+		Seq: seq, Kind: rec.kind, Workflow: id, Time: rec.time,
 		Decision: rec.decision, Generation: rec.generation, Makespan: rec.makespan,
 	}
 	if rec.kind == "failed" {
@@ -183,18 +195,33 @@ func (wf *workflow) event(i, seq int) wire.Event {
 	return ev
 }
 
+// view returns the entry reads are served from: the running half's, or
+// the terminal record decoded. Callers hold wf.mu.
+func (wf *workflow) view() entry {
+	if r := wf.running; r != nil {
+		return r.entry
+	}
+	return decodeRecord(wf.id, wf.rec)
+}
+
 // eventsFrom returns the log from kept entry i on in wire form, the
 // decision events settle cut out back in their places. Callers hold wf.mu.
 func (wf *workflow) eventsFrom(i int) []wire.Event {
-	out := make([]wire.Event, 0, len(wf.events)+len(wf.st.Decisions)-i)
+	en := wf.view()
+	return en.wireEvents(wf.id, i)
+}
+
+// wireEvents is eventsFrom on an entry of workflow id.
+func (en *entry) wireEvents(id string, i int) []wire.Event {
+	out := make([]wire.Event, 0, len(en.events)+len(en.st.Decisions)-i)
 	k := 0
-	for ; i < len(wf.events); i++ {
-		for ; k < wf.events[i].cut; k++ {
-			ev := decisionEvent(&wf.st.Decisions[k])
-			ev.Seq, ev.Workflow = i+k, wf.id
+	for ; i < len(en.events); i++ {
+		for ; k < en.events[i].cut; k++ {
+			ev := decisionEvent(&en.st.Decisions[k])
+			ev.Seq, ev.Workflow = i+k, id
 			out = append(out, ev)
 		}
-		out = append(out, wf.event(i, i+k))
+		out = append(out, en.event(id, i, i+k))
 	}
 	return out
 }
@@ -209,7 +236,7 @@ func (wf *workflow) append(m *Metrics, ev wire.Event) {
 	wf.mu.Lock()
 	wf.events = append(wf.events, recordOf(ev))
 	if len(wf.subs) > 0 {
-		ev = wf.event(len(wf.events)-1, len(wf.events)-1)
+		ev = wf.event(wf.id, len(wf.events)-1, len(wf.events)-1)
 		for ch := range wf.subs {
 			select {
 			case ch <- ev:
@@ -231,32 +258,44 @@ func (wf *workflow) subscribe() (replay []wire.Event, live chan wire.Event, ende
 	wf.mu.Lock()
 	defer wf.mu.Unlock()
 	replay = wf.eventsFrom(0)
-	if wf.running == nil {
+	r := wf.running
+	if r == nil {
 		return replay, nil, nil, func() {}
 	}
-	ch := subBuffers.Get().(chan wire.Event)
-	if wf.subs == nil {
-		wf.subs = make(map[chan wire.Event]struct{})
-		wf.ended = make(chan struct{})
+	var ch chan wire.Event
+	select {
+	case ch = <-subBuffers:
+	default:
+		ch = make(chan wire.Event, subscriberBuffer)
 	}
-	wf.subs[ch] = struct{}{}
-	return replay, ch, wf.ended, func() {
+	if r.subs == nil {
+		r.subs = make(map[chan wire.Event]struct{})
+		r.ended = make(chan struct{})
+	}
+	r.subs[ch] = struct{}{}
+	return replay, ch, r.ended, func() {
 		wf.mu.Lock()
-		delete(wf.subs, ch)
+		delete(r.subs, ch)
 		wf.mu.Unlock()
 		for len(ch) > 0 {
 			<-ch
 		}
-		subBuffers.Put(ch)
+		select {
+		case subBuffers <- ch:
+		default:
+		}
 	}
 }
 
 // subscriberBuffer is the per-SSE-connection event buffer. A consumer
 // that falls further behind than this starts losing live events (counted,
-// see workflow.append). subBuffers recycles them across connections.
+// see workflow.append). subBuffers recycles up to 32 of them (≈ 1 MB)
+// across connections. It is a free list, not a sync.Pool: a collection
+// empties a pool, and a daemon whose retained records are small collects
+// often.
 const subscriberBuffer = 256
 
-var subBuffers = sync.Pool{New: func() any { return make(chan wire.Event, subscriberBuffer) }}
+var subBuffers = make(chan chan wire.Event, 32)
 
 // finish completes the status document from the run's outcome (nil when
 // it failed) and its event log, and makes the entry terminal. res is read,
@@ -305,44 +344,19 @@ func (wf *workflow) finish(res *planner.Result, err error) {
 }
 
 // settle is the one way an entry becomes terminal, whether its workflow
-// just ended (finish) or ended before a restart (recovery): st is served
-// verbatim from now on, the log is cut down to what st does not already
-// say, the running half is dropped, and every live subscription is closed.
+// just ended (finish) or ended before a restart (newTerminal, which seals
+// its record directly): st, the log cut down to what st does not already
+// say and the last plan are sealed into the record, the running half is
+// dropped, and every live subscription is closed.
 func (wf *workflow) settle(st wire.Status) {
 	wf.mu.Lock()
-	wf.st = st
-	wf.events = cutDecisions(wf.events, st.Decisions)
+	r := wf.running
+	wf.rec = sealRecord(wf.id, &st, r.events, r.plan)
 	wf.running = nil
-	if wf.ended != nil {
-		close(wf.ended)
+	if r.ended != nil {
+		close(r.ended)
 	}
-	wf.subs, wf.ended = nil, nil
 	wf.mu.Unlock()
-}
-
-// cutDecisions returns log without its decision events when those are, in
-// order, exactly the events of ds and none ends the log — a run that ended
-// normally lists them all, and most of its log is decisions — each entry
-// kept counting the ones cut ahead of it. Any other log comes back whole.
-// Either way the result is cut to size.
-func cutDecisions(log []eventRec, ds []wire.Decision) []eventRec {
-	kept := make([]eventRec, 0, max(len(log)-len(ds), 0))
-	k := 0
-	for _, rec := range log {
-		if rec.decision == nil {
-			rec.cut = k
-			kept = append(kept, rec)
-			continue
-		}
-		if k == len(ds) || *rec.decision != ds[k] || rec != recordOf(decisionEvent(rec.decision)) {
-			break
-		}
-		k++
-	}
-	if len(kept)+k != len(log) || k != len(ds) || (k > 0 && log[len(log)-1].decision != nil) {
-		return append([]eventRec(nil), log...)
-	}
-	return kept
 }
 
 // setPlan publishes plan as the workflow's live plan for GET …/plan.
@@ -357,14 +371,16 @@ func (wf *workflow) setPlan(plan *wire.Plan) {
 func (wf *workflow) status() wire.Status {
 	wf.mu.Lock()
 	defer wf.mu.Unlock()
-	st := wf.st
-	if r := wf.running; r != nil {
-		st.Events = len(wf.events)
-		if r.startedAt.IsZero() {
-			st.QueueMs = time.Since(r.submittedAt).Seconds() * 1e3
-		} else {
-			st.QueueMs = r.startedAt.Sub(r.submittedAt).Seconds() * 1e3
-		}
+	r := wf.running
+	if r == nil {
+		return decodeStatus(wf.id, wf.rec)
+	}
+	st := r.st
+	st.Events = len(r.events)
+	if r.startedAt.IsZero() {
+		st.QueueMs = time.Since(r.submittedAt).Seconds() * 1e3
+	} else {
+		st.QueueMs = r.startedAt.Sub(r.submittedAt).Seconds() * 1e3
 	}
 	return st
 }
